@@ -10,12 +10,31 @@ use aligraph_baselines::{train_deepwalk, train_line, train_node2vec, LineOrder, 
 use aligraph_eval::link_prediction_split;
 use aligraph_graph::generate::{amazon_sim_scaled, barabasi_albert, TaobaoConfig};
 use aligraph_graph::powerlaw::{fit_exponent, head_mass};
-use aligraph_graph::{read_graph, write_graph, AttributedHeterogeneousGraph};
+use aligraph_graph::{
+    read_graph, write_graph, AttributedHeterogeneousGraph, FeatureMatrix, Featurizer, VertexId,
+};
 use aligraph_partition::{
     EdgeCutHash, Grid2D, MetisLike, PartitionQuality, Partitioner, StreamingLdg, VertexCutGreedy,
 };
+use aligraph_runtime::{DistOutcome, DistTrainer, EncoderSpec, RuntimeConfig};
+use aligraph_storage::{CacheStrategy, Cluster, CostModel, TierConfig};
+use aligraph_telemetry::Registry;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::fs::File;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// The synthetic graph a bench runs on: `cfg` generated under `seed`.
+fn synth_graph(
+    mut cfg: TaobaoConfig,
+    seed: u64,
+) -> Result<Arc<AttributedHeterogeneousGraph>, CliError> {
+    cfg.seed = seed;
+    Ok(Arc::new(cfg.generate()?))
+}
 
 fn load(args: &Args) -> Result<AttributedHeterogeneousGraph, CliError> {
     let path = args.required("graph")?;
@@ -206,6 +225,49 @@ pub fn automl(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Zipf-ish popularity: cubing the uniform draw skews traffic heavily toward
+/// low vertex ids.
+fn skewed_vertex(rng: &mut StdRng, n: u32) -> VertexId {
+    let r: f64 = rng.gen();
+    VertexId(((n as f64 * r * r * r) as u32).min(n - 1))
+}
+
+/// The closed-loop load shape both serving benches drive: `clients` threads
+/// split `requests` between them (client 0 takes the remainder), each with
+/// its own RNG seeded from `(seed, client)`, while `background` (the
+/// graph-update writer) runs on a thread of its own until the last client
+/// is done. Returns every client's result and the background's.
+fn drive_clients<C: Send, B: Send>(
+    requests: u64,
+    clients: usize,
+    seed: u64,
+    client: impl Fn(u64, &mut StdRng) -> C + Sync,
+    background: impl FnOnce(&AtomicBool) -> B + Send,
+) -> (Vec<C>, B) {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let background = scope.spawn(|| background(&done));
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let todo =
+                    requests / clients as u64 + if c == 0 { requests % clients as u64 } else { 0 };
+                let client = &client;
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(7919) ^ 1);
+                    client(todo, &mut rng)
+                })
+            })
+            .collect();
+        let results = handles.into_iter().map(|h| h.join().expect("client thread")).collect();
+        // ordering: a lone shutdown flag with no payload published through
+        // it (the background polls it with a matching Relaxed load and only
+        // needs to observe the store eventually); the join below is the
+        // real synchronization point.
+        done.store(true, Ordering::Relaxed);
+        (results, background.join().expect("background thread"))
+    })
+}
+
 /// `aligraph serve-bench [--requests N] [--clients N] [--workers N]
 /// [--scale F] [--seed N] [--delta-every-ms N] [--batch N] [--queue N]
 /// [--cache N] [--fault-seed N] [--drop-rate F] [--max-stale N]` — replays a
@@ -213,26 +275,16 @@ pub fn automl(args: &Args) -> Result<String, CliError> {
 /// the online serving layer while a writer thread interleaves dynamic graph
 /// updates, then prints the latency/throughput report. Serving metrics
 /// publish into `registry` as `serving.*` series.
-pub fn serve_bench(
-    args: &Args,
-    registry: &std::sync::Arc<aligraph_telemetry::Registry>,
-) -> Result<String, CliError> {
+pub fn serve_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     use aligraph_graph::dynamic::{EdgeEvent, EvolutionKind, SnapshotDelta};
     use aligraph_graph::ids::well_known::CLICK;
-    use aligraph_graph::VertexId;
     use aligraph_sampling::WeightedNeighborhood;
     use aligraph_serving::{ServeError, ServingConfig, ServingFaultConfig, ServingService};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.1 })?;
     let requests: u64 = args.num_or("requests", 10_000u64)?;
     let clients: usize = args.num_or("clients", 4usize)?.max(1);
     let workers = common.workers;
-    let scale = common.scale;
     let seed = common.seed;
     let delta_every_ms: u64 = args.num_or("delta-every-ms", 2u64)?.max(1);
     let max_stale: u64 = args.num_or("max-stale", 8u64)?;
@@ -251,9 +303,7 @@ pub fn serve_bench(
         ..Default::default()
     };
 
-    let mut cfg = TaobaoConfig::small_sim().scaled(scale);
-    cfg.seed = seed;
-    let graph = Arc::new(cfg.generate()?);
+    let graph = synth_graph(TaobaoConfig::small_sim().scaled(common.scale), seed)?;
     let n = graph.num_vertices() as u32;
     let service = ServingService::start_with_registry(
         Arc::clone(&graph),
@@ -262,22 +312,49 @@ pub fn serve_bench(
         registry,
     );
 
-    let done = AtomicBool::new(false);
     let start = Instant::now();
-    // (completed, retries, failures) across clients; (applied, invalidated)
-    // from the delta writer.
-    let (served, retries, failures, applied, invalidated) = std::thread::scope(|scope| {
-        let writer = scope.spawn(|| {
+    let (per_client, (applied, invalidated)) = drive_clients(
+        requests,
+        clients,
+        seed,
+        |todo, rng| {
+            let (mut ok, mut retries, mut failures) = (0u64, 0u64, 0u64);
+            while ok < todo {
+                let u = skewed_vertex(rng, n);
+                let outcome = if rng.gen_bool(0.2) {
+                    service.score(u, skewed_vertex(rng, n)).map(|_| ())
+                } else {
+                    service.embedding(u).map(|_| ())
+                };
+                match outcome {
+                    Ok(()) => ok += 1,
+                    Err(ServeError::Overloaded { retry_after_ms, .. }) => {
+                        retries += 1;
+                        std::thread::sleep(Duration::from_millis(retry_after_ms.min(5)));
+                    }
+                    Err(ServeError::Unavailable { .. }) => {
+                        // Degraded-mode refusal under the chaos plane
+                        // (fallback stale beyond bound): the request
+                        // correctly failed closed; count it as served work,
+                        // not a service failure.
+                        ok += 1;
+                    }
+                    Err(_) => {
+                        failures += 1;
+                        break;
+                    }
+                }
+            }
+            (ok, retries, failures)
+        },
+        |done| {
             // Each update adds a handful of random CLICK edges and retracts
             // the previous update's additions, so the graph churns without
             // growing — the paper's "dynamically changed subgraphs".
             let mut rng = StdRng::seed_from_u64(seed ^ 0xd17a);
             let mut prev: Vec<EdgeEvent> = Vec::new();
-            let mut applied = 0u64;
-            let mut invalidated = 0u64;
-            // ordering: a lone shutdown flag with no payload published
-            // through it; the writer only needs to observe the store
-            // eventually, so Relaxed suffices.
+            let (mut applied, mut invalidated) = (0u64, 0u64);
+            // ordering: see `drive_clients`.
             while !done.load(Ordering::Relaxed) {
                 let added: Vec<EdgeEvent> = (0..8)
                     .map(|_| EdgeEvent {
@@ -295,65 +372,10 @@ pub fn serve_bench(
                 std::thread::sleep(Duration::from_millis(delta_every_ms));
             }
             (applied, invalidated)
-        });
-
-        let client_handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let todo =
-                    requests / clients as u64 + if c == 0 { requests % clients as u64 } else { 0 };
-                let service = &service;
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(7919) ^ 1);
-                    let (mut ok, mut retries, mut failures) = (0u64, 0u64, 0u64);
-                    while ok < todo {
-                        // Zipf-ish popularity: cubing the uniform draw skews
-                        // traffic heavily toward low vertex ids.
-                        let r: f64 = rng.gen();
-                        let u = VertexId(((n as f64 * r * r * r) as u32).min(n - 1));
-                        let outcome = if rng.gen_bool(0.2) {
-                            let r2: f64 = rng.gen();
-                            let v = VertexId(((n as f64 * r2 * r2 * r2) as u32).min(n - 1));
-                            service.score(u, v).map(|_| ())
-                        } else {
-                            service.embedding(u).map(|_| ())
-                        };
-                        match outcome {
-                            Ok(()) => ok += 1,
-                            Err(ServeError::Overloaded { retry_after_ms, .. }) => {
-                                retries += 1;
-                                std::thread::sleep(Duration::from_millis(retry_after_ms.min(5)));
-                            }
-                            Err(ServeError::Unavailable { .. }) => {
-                                // Degraded-mode refusal under the chaos
-                                // plane (fallback stale beyond bound): the
-                                // request correctly failed closed; count it
-                                // as served work, not a service failure.
-                                ok += 1;
-                            }
-                            Err(_) => {
-                                failures += 1;
-                                break;
-                            }
-                        }
-                    }
-                    (ok, retries, failures)
-                })
-            })
-            .collect();
-
-        let (mut ok, mut retries, mut failures) = (0u64, 0u64, 0u64);
-        for h in client_handles {
-            let (o, r, f) = h.join().expect("client thread");
-            ok += o;
-            retries += r;
-            failures += f;
-        }
-        // ordering: matching Relaxed store for the writer's shutdown
-        // poll; the join below is the real synchronization point.
-        done.store(true, Ordering::Relaxed);
-        let (applied, invalidated) = writer.join().expect("delta writer");
-        (ok, retries, failures, applied, invalidated)
-    });
+        },
+    );
+    let (served, retries, failures) =
+        per_client.iter().fold((0, 0, 0), |a, c| (a.0 + c.0, a.1 + c.1, a.2 + c.2));
 
     let elapsed = start.elapsed();
     let report = service.report(elapsed);
@@ -391,19 +413,10 @@ pub fn serve_bench(
 /// consistency (every gather of a session reports its pinned epoch), runs
 /// the bit-exact incremental-vs-rebuild oracle at the end, and fails the
 /// run when serve p99 exceeds the `--slo-p99-ms` SLO.
-pub fn serve_under_update(
-    args: &Args,
-    registry: &std::sync::Arc<aligraph_telemetry::Registry>,
-) -> Result<String, CliError> {
-    use aligraph_graph::{Featurizer, VertexId};
+pub fn serve_under_update(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     use aligraph_streaming::{
         IngestFaultConfig, StreamingConfig, StreamingReport, StreamingService, UpdateWorkload,
     };
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.05 })?;
     let requests: u64 = args.num_or("requests", 6_000u64)?;
@@ -426,83 +439,53 @@ pub fn serve_under_update(
         ..Default::default()
     };
 
-    let mut gen = TaobaoConfig::small_sim().scaled(common.scale);
-    gen.seed = seed;
-    let graph = Arc::new(gen.generate()?);
+    let graph = synth_graph(TaobaoConfig::small_sim().scaled(common.scale), seed)?;
     let feats = Arc::new(Featurizer::new(dim).matrix(&graph));
     let n = graph.num_vertices() as u32;
     let service =
         StreamingService::start_with_registry(Arc::clone(&graph), feats, config, registry);
 
-    let done = AtomicBool::new(false);
     let start = Instant::now();
-    // (served, pinned-epoch violations) across clients; (batches, failures)
-    // from the updater.
-    let (served, violations, update_failures) = std::thread::scope(|scope| {
-        let updater = scope.spawn(|| {
+    let (per_client, update_failures) = drive_clients(
+        requests,
+        clients,
+        seed,
+        |todo, rng| {
+            // Gathers whose reported epoch differed from the session's pin.
+            let mut violations = 0u64;
+            for _ in 0..todo {
+                let u = skewed_vertex(rng, n);
+                let session = service.session();
+                let pinned = session.epoch();
+                if session.gather(u).epoch != pinned {
+                    violations += 1;
+                }
+                if rng.gen_bool(0.3) {
+                    let v = skewed_vertex(rng, n);
+                    if session.gather(v).epoch != pinned {
+                        violations += 1;
+                    }
+                    let _ = session.score(u, v);
+                }
+            }
+            (todo, violations)
+        },
+        |done| {
             // The same churn shape the serving bench drives deltas with:
             // each round retracts the previous round's additions, plus a
             // few feature rewrites, all skewed toward the hot vertices.
             let mut workload = UpdateWorkload::new(seed ^ 0xd17a, n, dim);
-            let mut failures = 0u64;
-            // ordering: a lone shutdown flag with no payload published
-            // through it; Relaxed suffices.
+            // ordering: see `drive_clients`.
             while !done.load(Ordering::Relaxed) {
                 if service.ingest(&workload.next_batch(adds, attrs)).is_err() {
-                    failures += 1;
-                    break;
+                    return 1u64;
                 }
                 std::thread::sleep(Duration::from_millis(update_every_ms));
             }
-            failures
-        });
-
-        let client_handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let todo =
-                    requests / clients as u64 + if c == 0 { requests % clients as u64 } else { 0 };
-                let service = &service;
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(7919) ^ 1);
-                    let (mut ok, mut violations) = (0u64, 0u64);
-                    while ok < todo {
-                        // Zipf-ish popularity: cubing the uniform draw skews
-                        // traffic heavily toward low vertex ids.
-                        let r: f64 = rng.gen();
-                        let u = VertexId(((n as f64 * r * r * r) as u32).min(n - 1));
-                        let session = service.session();
-                        let pinned = session.epoch();
-                        if session.gather(u).epoch != pinned {
-                            violations += 1;
-                        }
-                        if rng.gen_bool(0.3) {
-                            let r2: f64 = rng.gen();
-                            let v = VertexId(((n as f64 * r2 * r2 * r2) as u32).min(n - 1));
-                            let g = session.gather(v);
-                            if g.epoch != pinned {
-                                violations += 1;
-                            }
-                            let _ = session.score(u, v);
-                        }
-                        ok += 1;
-                    }
-                    (ok, violations)
-                })
-            })
-            .collect();
-
-        let (mut ok, mut violations) = (0u64, 0u64);
-        for h in client_handles {
-            let (o, v) = h.join().expect("client thread");
-            ok += o;
-            violations += v;
-        }
-        // ordering: matching Relaxed store for the updater's shutdown
-        // poll; the join below is the real synchronization point.
-        done.store(true, Ordering::Relaxed);
-        let failures = updater.join().expect("updater thread");
-        (ok, violations, failures)
-    });
+            0
+        },
+    );
+    let (served, violations) = per_client.iter().fold((0, 0), |a, c| (a.0 + c.0, a.1 + c.1));
 
     let elapsed = start.elapsed();
     let report = StreamingReport::from_snapshot(&registry.snapshot(), elapsed);
@@ -547,6 +530,126 @@ pub fn serve_under_update(
     Ok(out)
 }
 
+/// The shape of a training scenario: model width, epoch geometry, sampling
+/// fanouts, and the neighbor-cache strategy of the clusters it trains on.
+/// A command's constant is its defaults; [`with_flags`](Self::with_flags)
+/// reads the flags over them.
+#[derive(Debug, Clone)]
+struct TrainShape {
+    dim: usize,
+    epochs: usize,
+    batches: usize,
+    batch: usize,
+    negatives: usize,
+    staleness: u64,
+    sparse_lr: f32,
+    fanouts: [usize; 2],
+    cache: CacheStrategy,
+}
+
+const TRAIN_BENCH_SHAPE: TrainShape = TrainShape {
+    dim: 32,
+    epochs: 2,
+    batches: 12,
+    batch: 32,
+    negatives: 4,
+    staleness: 2,
+    sparse_lr: 0.05,
+    fanouts: [5, 3],
+    cache: CacheStrategy::None,
+};
+
+impl TrainShape {
+    /// `self` with `--dim`, `--epochs`, `--batches`, `--batch`,
+    /// `--negatives`, `--staleness` and `--sparse-lr` read over it.
+    fn with_flags(self, args: &Args) -> Result<Self, CliError> {
+        Ok(TrainShape {
+            dim: args.num_or("dim", self.dim)?.max(1),
+            epochs: args.num_or("epochs", self.epochs)?.max(1),
+            batches: args.num_or("batches", self.batches)?.max(1),
+            batch: args.num_or("batch", self.batch)?.max(1),
+            negatives: args.num_or("negatives", self.negatives)?,
+            staleness: args.num_or("staleness", self.staleness)?,
+            sparse_lr: args.num_or("sparse-lr", self.sparse_lr)?,
+            ..self
+        })
+    }
+}
+
+/// The set-up every distributed-training command shares: a synthetic graph,
+/// its input features, the bench encoder, and the base runtime config.
+/// Commands layer their own plumbing (checkpoints, fault plans, rebalance
+/// plans) on a clone of `cfg`.
+struct TrainScenario {
+    graph: Arc<AttributedHeterogeneousGraph>,
+    features: FeatureMatrix,
+    spec: EncoderSpec,
+    cfg: RuntimeConfig,
+    cache: CacheStrategy,
+}
+
+impl TrainScenario {
+    /// Generates `graph_cfg` under `common.seed` and shapes the bench model
+    /// for it: `dims [d, ⌈d/2⌉]`, lr `0.05`, parameter seed `seed ^ 0x5eed`.
+    fn new(
+        common: &CommonArgs,
+        shape: TrainShape,
+        graph_cfg: TaobaoConfig,
+    ) -> Result<Self, CliError> {
+        let dim = shape.dim;
+        let cfg = RuntimeConfig {
+            workers: common.workers,
+            epochs: shape.epochs,
+            batches_per_epoch: shape.batches,
+            batch_size: shape.batch,
+            negatives: shape.negatives,
+            staleness: shape.staleness,
+            seed: common.seed,
+            sparse_lr: shape.sparse_lr,
+            ..RuntimeConfig::default()
+        };
+        let graph = synth_graph(graph_cfg, common.seed)?;
+        let features = Featurizer::new(dim).matrix(&graph);
+        let spec = EncoderSpec {
+            dim_in: dim,
+            dims: vec![dim, dim / 2 + dim % 2],
+            fanouts: shape.fanouts.to_vec(),
+            lr: 0.05,
+            seed: common.seed ^ 0x5eed,
+        };
+        Ok(TrainScenario { graph, features, spec, cfg, cache: shape.cache })
+    }
+
+    /// Builds a fresh `cfg.workers`-shard hash-partitioned cluster (tiered
+    /// iff `tier` is given) and trains the scenario model on it; cluster and
+    /// trainer both publish into `registry`.
+    fn run(
+        &self,
+        cfg: RuntimeConfig,
+        registry: &Arc<Registry>,
+        tier: Option<TierConfig>,
+    ) -> Result<(Cluster, DistOutcome), CliError> {
+        let mut builder = Cluster::builder(Arc::clone(&self.graph))
+            .partitioner(&EdgeCutHash)
+            .shards(cfg.workers)
+            .cache(self.cache.clone())
+            .max_hop(2)
+            .cost_model(CostModel::default())
+            .registry(registry);
+        if let Some(tier) = tier {
+            builder = builder.tier_config(tier);
+        }
+        let (cluster, _) = builder.build();
+        let rt = |e: aligraph_runtime::RuntimeError| CliError::Runtime(e.to_string());
+        let outcome = DistTrainer::new(&cluster, &self.features, self.spec.clone(), cfg)
+            .map_err(rt)?
+            .with_registry(Arc::clone(registry))
+            .train()
+            .map_err(rt)?;
+        Ok((cluster, outcome))
+    }
+}
+
 /// `aligraph train-bench [--workers N] [--scale F] [--seed N] [--epochs N]
 /// [--batches N] [--batch N] [--negatives N] [--staleness N] [--dim N]
 /// [--sparse-lr F] [--checkpoint-dir DIR] [--checkpoint-every N]
@@ -557,36 +660,19 @@ pub fn serve_under_update(
 /// staleness histogram and parameter-server traffic by tier. The multi-worker
 /// run publishes into `registry` (`storage.*`, `sampling.*`, `runtime.*`);
 /// the baseline uses a detached registry so it cannot pollute the snapshot.
-pub fn train_bench(
-    args: &Args,
-    registry: &std::sync::Arc<aligraph_telemetry::Registry>,
-) -> Result<String, CliError> {
-    use aligraph_graph::Featurizer;
-    use aligraph_runtime::{
-        ChaosConfig, CheckpointConfig, DistTrainer, EncoderSpec, FaultPlan, RuntimeConfig,
-    };
-    use aligraph_storage::{CacheStrategy, Cluster, CostModel};
-    use aligraph_telemetry::Registry;
+pub fn train_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
+    use aligraph_runtime::{ChaosConfig, CheckpointConfig, FaultPlan};
     use std::path::PathBuf;
-    use std::sync::Arc;
 
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 4, scale: 0.02 })?;
     let workers = common.workers;
     let scale = common.scale;
     let seed = common.seed;
-    let dim: usize = args.num_or("dim", 32usize)?.max(1);
+    let shape = TRAIN_BENCH_SHAPE.with_flags(args)?;
+    let scenario = TrainScenario::new(&common, shape, TaobaoConfig::small_sim().scaled(scale))?;
+    let graph = &scenario.graph;
 
-    let mut run_cfg = RuntimeConfig {
-        workers,
-        epochs: args.num_or("epochs", 2usize)?.max(1),
-        batches_per_epoch: args.num_or("batches", 12usize)?.max(1),
-        batch_size: args.num_or("batch", 32usize)?.max(1),
-        negatives: args.num_or("negatives", 4usize)?,
-        staleness: args.num_or("staleness", 2u64)?,
-        seed,
-        sparse_lr: args.num_or("sparse-lr", 0.05f32)?,
-        ..RuntimeConfig::default()
-    };
+    let mut run_cfg = scenario.cfg.clone();
     let ckpt_dir = args.get_or("checkpoint-dir", "");
     if !ckpt_dir.is_empty() {
         run_cfg.checkpoint = Some(CheckpointConfig {
@@ -604,43 +690,12 @@ pub fn train_bench(
         run_cfg.chaos = Some(ChaosConfig::with_seed(fault_seed, common.drop_rate));
     }
 
-    let mut gen = TaobaoConfig::small_sim().scaled(scale);
-    gen.seed = seed;
-    let graph = Arc::new(gen.generate()?);
-    let spec = EncoderSpec {
-        dim_in: dim,
-        dims: vec![dim, dim / 2 + dim % 2],
-        fanouts: vec![5, 3],
-        lr: 0.05,
-        seed: seed ^ 0x5eed,
-    };
-    let features = Featurizer::new(dim).matrix(&graph);
-
     let resident_budget: u64 = args.num_or("resident-budget", 0u64)?;
-    let rt = |e: aligraph_runtime::RuntimeError| CliError::Runtime(e.to_string());
-    let run = |p: usize, cfg: RuntimeConfig, registry: &Arc<Registry>| {
-        let mut builder = Cluster::builder(Arc::clone(&graph))
-            .partitioner(&EdgeCutHash)
-            .shards(p)
-            .cache(CacheStrategy::None)
-            .max_hop(2)
-            .cost_model(CostModel::default())
-            .registry(registry);
-        if resident_budget > 0 {
-            builder = builder.resident_budget(resident_budget);
-        }
-        let (cluster, _) = builder.build();
-        DistTrainer::new(&cluster, &features, spec.clone(), cfg)
-            .map_err(rt)?
-            .with_registry(Arc::clone(registry))
-            .train()
-            .map_err(rt)
-    };
-
-    let multi = run(workers, run_cfg.clone(), registry)?;
+    let tier = || (resident_budget > 0).then(|| TierConfig::with_budget(Some(resident_budget)));
+    let (_, multi) = scenario.run(run_cfg.clone(), registry, tier())?;
     let baseline_cfg =
         RuntimeConfig { workers: 1, checkpoint: None, fault: None, chaos: None, ..run_cfg };
-    let baseline = run(1, baseline_cfg, &Arc::new(Registry::disabled()))?;
+    let (_, baseline) = scenario.run(baseline_cfg, &Arc::new(Registry::disabled()), tier())?;
 
     let mut out = String::new();
     writeln!(
@@ -674,36 +729,23 @@ pub fn train_bench(
 /// on the migration channel. Prints both trajectories' agreement, the
 /// migration traffic, and the modeled throughput; exits with an error if a
 /// single mantissa bit diverged.
-pub fn rebalance_bench(
-    args: &Args,
-    registry: &std::sync::Arc<aligraph_telemetry::Registry>,
-) -> Result<String, CliError> {
-    use aligraph_graph::Featurizer;
-    use aligraph_runtime::{ChaosConfig, DistTrainer, EncoderSpec, RebalancePlan, RuntimeConfig};
-    use aligraph_storage::{CacheStrategy, Cluster, CostModel, RebalanceOp};
-    use aligraph_telemetry::Registry;
-    use std::sync::Arc;
+pub fn rebalance_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
+    use aligraph_runtime::{ChaosConfig, RebalancePlan};
+    use aligraph_storage::RebalanceOp;
 
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 4, scale: 0.02 })?;
     let workers = common.workers;
     let scale = common.scale;
     let seed = common.seed;
-    let dim: usize = args.num_or("dim", 32usize)?.max(1);
-    let epochs = args.num_or("epochs", 3usize)?.max(2);
+    let shape = TrainShape { epochs: 3, ..TRAIN_BENCH_SHAPE }.with_flags(args)?;
+    let scenario = TrainScenario::new(&common, shape, TaobaoConfig::small_sim().scaled(scale))?;
+    let graph = &scenario.graph;
+    // A split needs an epoch on either side of it.
+    let epochs = scenario.cfg.epochs.max(2);
     let split_after = args.num_or("split-after", 1usize)?.clamp(1, epochs - 1);
     let merge = !args.get_or("merge", "").is_empty();
 
-    let mut run_cfg = RuntimeConfig {
-        workers,
-        epochs,
-        batches_per_epoch: args.num_or("batches", 12usize)?.max(1),
-        batch_size: args.num_or("batch", 32usize)?.max(1),
-        negatives: args.num_or("negatives", 4usize)?,
-        staleness: args.num_or("staleness", 2u64)?,
-        seed,
-        sparse_lr: args.num_or("sparse-lr", 0.05f32)?,
-        ..RuntimeConfig::default()
-    };
+    let mut run_cfg = RuntimeConfig { epochs, ..scenario.cfg.clone() };
     if let Some(fault_seed) = common.fault_seed {
         run_cfg.chaos = Some(ChaosConfig::with_seed(fault_seed, common.drop_rate));
     }
@@ -720,41 +762,11 @@ pub fn rebalance_bench(
         });
     }
 
-    let mut gen = TaobaoConfig::small_sim().scaled(scale);
-    gen.seed = seed;
-    let graph = Arc::new(gen.generate()?);
-    let spec = EncoderSpec {
-        dim_in: dim,
-        dims: vec![dim, dim / 2 + dim % 2],
-        fanouts: vec![5, 3],
-        lr: 0.05,
-        seed: seed ^ 0x5eed,
-    };
-    let features = Featurizer::new(dim).matrix(&graph);
-
-    let rt = |e: aligraph_runtime::RuntimeError| CliError::Runtime(e.to_string());
-    let run = |cfg: RuntimeConfig, registry: &Arc<Registry>| {
-        let (cluster, _) = Cluster::builder(Arc::clone(&graph))
-            .partitioner(&EdgeCutHash)
-            .shards(workers)
-            .cache(CacheStrategy::None)
-            .max_hop(2)
-            .cost_model(CostModel::default())
-            .registry(registry)
-            .build();
-        let outcome = DistTrainer::new(&cluster, &features, spec.clone(), cfg)
-            .map_err(rt)?
-            .with_registry(Arc::clone(registry))
-            .train()
-            .map_err(rt)?;
-        let m = cluster.migration_meter().snapshot();
-        let migrated = m.local_bytes + m.cached_bytes + m.remote_bytes;
-        Ok::<_, CliError>((outcome, migrated))
-    };
-
     let elastic_cfg = RuntimeConfig { rebalance: plans.clone(), ..run_cfg.clone() };
-    let (elastic, migrated) = run(elastic_cfg, registry)?;
-    let (static_run, _) = run(run_cfg, &Arc::new(Registry::disabled()))?;
+    let (cluster, elastic) = scenario.run(elastic_cfg, registry, None)?;
+    let m = cluster.migration_meter().snapshot();
+    let migrated = m.local_bytes + m.cached_bytes + m.remote_bytes;
+    let (_, static_run) = scenario.run(run_cfg, &Arc::new(Registry::disabled()), None)?;
 
     let losses_match = elastic.report.epoch_losses.iter().map(|x| x.to_bits()).eq(static_run
         .report
@@ -821,56 +833,24 @@ pub fn rebalance_bench(
 ///
 /// `--resident-budget` caps the top point and scales linearly down the
 /// curve; when omitted every point gets 10% of its own all-hot footprint.
-pub fn tiered_bench(
-    args: &Args,
-    registry: &std::sync::Arc<aligraph_telemetry::Registry>,
-) -> Result<String, CliError> {
-    use aligraph_graph::Featurizer;
-    use aligraph_runtime::{DistOutcome, DistTrainer, EncoderSpec, RuntimeConfig};
-    use aligraph_storage::{CacheStrategy, Cluster, CostModel, TierConfig};
-    use aligraph_telemetry::Registry;
-    use std::sync::Arc;
-
-    fn fnv(h: &mut u64, x: u64) {
-        *h ^= x;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // Order-sensitive FNV over every bit the training run produced: epoch
-    // losses, dense encoder parameters, trained feature rows.
-    fn fingerprint(out: &DistOutcome) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for x in &out.report.epoch_losses {
-            fnv(&mut h, x.to_bits());
-        }
-        for x in out.encoder.dense_param_vec() {
-            fnv(&mut h, u64::from(x.to_bits()));
-        }
-        for x in out.features.as_slice() {
-            fnv(&mut h, u64::from(x.to_bits()));
-        }
-        h
-    }
-
+pub fn tiered_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 4, scale: 10.0 })?;
     let workers = common.workers;
     let seed = common.seed;
-    let dim: usize = args.num_or("dim", 16usize)?.max(2);
     let budget_arg: u64 = args.num_or("resident-budget", 0u64)?;
-    let run_cfg = RuntimeConfig {
-        workers,
-        epochs: args.num_or("epochs", 2usize)?.max(1),
-        batches_per_epoch: args.num_or("batches", 6usize)?.max(1),
-        batch_size: args.num_or("batch", 16usize)?.max(1),
-        negatives: args.num_or("negatives", 2usize)?,
-        staleness: args.num_or("staleness", 0u64)?,
-        seed,
-        sparse_lr: args.num_or("sparse-lr", 0.05f32)?,
-        ..RuntimeConfig::default()
-    };
+    let mut shape = TrainShape {
+        dim: 16,
+        batches: 6,
+        batch: 16,
+        negatives: 2,
+        staleness: 0,
+        ..TRAIN_BENCH_SHAPE
+    }
+    .with_flags(args)?;
+    shape.dim = shape.dim.max(2);
 
     let top = common.scale.max(0.04);
     let points = [top / 4.0, top / 2.0, top];
-    let rt = |e: aligraph_runtime::RuntimeError| CliError::Runtime(e.to_string());
 
     let mut out = String::new();
     writeln!(
@@ -882,44 +862,22 @@ pub fn tiered_bench(
     .ok();
 
     for (i, &point) in points.iter().enumerate() {
-        let mut gen = TaobaoConfig::large_sim().scaled(point / 100.0);
-        gen.seed = seed;
-        let graph = Arc::new(gen.generate()?);
-        let spec = EncoderSpec {
-            dim_in: dim,
-            dims: vec![dim, dim / 2 + dim % 2],
-            fanouts: vec![5, 3],
-            lr: 0.05,
-            seed: seed ^ 0x5eed,
-        };
-        let features = Featurizer::new(dim).matrix(&graph);
+        let scenario = TrainScenario::new(
+            &common,
+            shape.clone(),
+            TaobaoConfig::large_sim().scaled(point / 100.0),
+        )?;
+        let graph = &scenario.graph;
 
-        let build = |budget: Option<u64>, registry: &Arc<Registry>| {
-            Cluster::builder(Arc::clone(&graph))
-                .partitioner(&EdgeCutHash)
-                .shards(workers)
-                .cache(CacheStrategy::None)
-                .max_hop(2)
-                .cost_model(CostModel::default())
-                .registry(registry)
-                .tier_config(TierConfig::with_budget(budget))
-                .build()
-                .0
-        };
-
-        // All-hot oracle: infinite budget; a full sweep pins every row hot
-        // and measures the footprint the byte cap is a fraction of.
-        let detached = Arc::new(Registry::disabled());
-        let oracle_cluster = build(None, &detached);
-        let oracle_tier = oracle_cluster.tier().expect("tiered build always has a tier").clone();
-        for v in graph.vertices() {
-            oracle_tier.read_adjacency(v);
-        }
-        let all_hot = oracle_tier.resident_bytes();
-        let oracle = DistTrainer::new(&oracle_cluster, &features, spec.clone(), run_cfg.clone())
-            .map_err(rt)?
-            .train()
-            .map_err(rt)?;
+        // All-hot oracle: an unbounded budget keeps every row hot from build
+        // on, so its resident footprint is what the byte cap is a fraction of.
+        let (oracle_cluster, oracle) = scenario.run(
+            scenario.cfg.clone(),
+            &Arc::new(Registry::disabled()),
+            Some(TierConfig::with_budget(None)),
+        )?;
+        let all_hot =
+            oracle_cluster.tier().expect("tiered build always has a tier").resident_bytes();
 
         let budget = if budget_arg > 0 {
             ((budget_arg as f64 * point / top) as u64).max(1)
@@ -931,17 +889,16 @@ pub fn tiered_bench(
         } else {
             Arc::new(Registry::disabled())
         };
-        let cluster = build(Some(budget), &reg);
-        let tier = cluster.tier().expect("tiered build always has a tier").clone();
-        let tight = DistTrainer::new(&cluster, &features, spec.clone(), run_cfg.clone())
-            .map_err(rt)?
-            .with_registry(Arc::clone(&reg))
-            .train()
-            .map_err(rt)?;
+        let (cluster, tight) = scenario.run(
+            scenario.cfg.clone(),
+            &reg,
+            Some(TierConfig::with_budget(Some(budget))),
+        )?;
+        let tier = cluster.tier().expect("tiered build always has a tier");
 
         let peak = tier.peak_resident_bytes();
-        let fp_oracle = fingerprint(&oracle);
-        let fp_tight = fingerprint(&tight);
+        let fp_oracle = oracle.fingerprint();
+        let fp_tight = tight.fingerprint();
         writeln!(
             out,
             "  point {point:>6.2}: {} vertices / {} edges  all-hot {all_hot} B  budget \
@@ -989,64 +946,36 @@ pub fn tiered_bench(
 /// training run for `storage.*` / `sampling.*` / `runtime.*`, then a burst
 /// of serving requests for `serving.*`) and prints the unified telemetry
 /// table. Combine with `--metrics-json PATH` for the machine-readable form.
-pub fn metrics_demo(
-    args: &Args,
-    registry: &std::sync::Arc<aligraph_telemetry::Registry>,
-) -> Result<String, CliError> {
-    use aligraph_graph::{Featurizer, VertexId};
-    use aligraph_runtime::{DistTrainer, EncoderSpec, RuntimeConfig};
+pub fn metrics_demo(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     use aligraph_sampling::WeightedNeighborhood;
     use aligraph_serving::{ServingConfig, ServingService};
-    use aligraph_storage::{CacheStrategy, Cluster, CostModel};
     use aligraph_telemetry::Report;
-    use std::sync::Arc;
 
     let common =
         CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.004 })?;
-    let mut gen = TaobaoConfig::small_sim().scaled(common.scale);
-    gen.seed = common.seed;
-    let graph = Arc::new(gen.generate()?);
 
     // Storage + sampling + runtime: a short distributed-training run with an
-    // LRU neighbor cache so cache events show up too.
-    let dim = 8;
-    let (cluster, _) = Cluster::builder(Arc::clone(&graph))
-        .partitioner(&EdgeCutHash)
-        .shards(common.workers)
-        .cache(CacheStrategy::Lru { fraction: 0.1 })
-        .max_hop(2)
-        .cost_model(CostModel::default())
-        .registry(registry)
-        .build();
-    let features = Featurizer::new(dim).matrix(&graph);
-    let spec = EncoderSpec {
-        dim_in: dim,
-        dims: vec![dim, dim / 2],
-        fanouts: vec![4, 2],
-        lr: 0.05,
-        seed: common.seed ^ 0x5eed,
-    };
-    let cfg = RuntimeConfig {
-        workers: common.workers,
+    // LRU neighbor cache so cache events show up too. The shape is fixed: the
+    // demo reads no training flag.
+    let shape = TrainShape {
+        dim: 8,
         epochs: 1,
-        batches_per_epoch: 4,
-        batch_size: 8,
+        batches: 4,
+        batch: 8,
         negatives: 2,
         staleness: 1,
-        seed: common.seed,
-        sparse_lr: 0.05,
-        ..RuntimeConfig::default()
+        fanouts: [4, 2],
+        cache: CacheStrategy::Lru { fraction: 0.1 },
+        ..TRAIN_BENCH_SHAPE
     };
-    let rt = |e: aligraph_runtime::RuntimeError| CliError::Runtime(e.to_string());
-    DistTrainer::new(&cluster, &features, spec, cfg)
-        .map_err(rt)?
-        .with_registry(Arc::clone(registry))
-        .train()
-        .map_err(rt)?;
+    let scenario =
+        TrainScenario::new(&common, shape, TaobaoConfig::small_sim().scaled(common.scale))?;
+    scenario.run(scenario.cfg.clone(), registry, None)?;
+    let graph = &scenario.graph;
 
     // Serving: a burst of embedding requests against the same graph.
     let service = ServingService::start_with_registry(
-        Arc::clone(&graph),
+        Arc::clone(graph),
         WeightedNeighborhood,
         ServingConfig { workers: common.workers, seed: common.seed, ..Default::default() },
         registry,
@@ -1079,10 +1008,7 @@ pub fn metrics_demo(
 /// warm-starts, and atomically hot-swapped into the serving model store.
 /// Fails on a hot-swap atomicity violation or (with
 /// `--slo-freshness-ticks N`) a freshness p99 beyond the SLO.
-pub fn closed_loop(
-    args: &Args,
-    registry: &std::sync::Arc<aligraph_telemetry::Registry>,
-) -> Result<String, CliError> {
+pub fn closed_loop(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     use aligraph_loopsim::{run_loop, LoopConfig, LoopError};
     use aligraph_streaming::IngestFaultConfig;
     use std::path::PathBuf;

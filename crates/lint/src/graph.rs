@@ -27,6 +27,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// Method names too common to resolve by name alone. An unqualified call
 /// to one of these is dropped from the graph; a qualified
 /// `Type::name(…)` still resolves exactly.
+#[rustfmt::skip] // a packed table; one name per line would be 150 lines
 pub const COMMON_METHODS: &[&str] = &[
     "new", "default", "clone", "len", "is_empty", "iter", "iter_mut", "into_iter", "get",
     "get_mut", "insert", "remove", "push", "pop", "next", "contains", "contains_key", "extend",
@@ -367,8 +368,7 @@ mod tests {
             ),
         ]);
         let driver = w.find("driver")[0];
-        let callees: Vec<String> =
-            w.calls[driver].iter().map(|e| w.qualified_name(e.to)).collect();
+        let callees: Vec<String> = w.calls[driver].iter().map(|e| w.qualified_name(e.to)).collect();
         assert!(callees.contains(&"T::work".to_string()), "{callees:?}");
         assert!(callees.contains(&"leaf".to_string()), "{callees:?}");
         let work = w.find_qualified("T", "work")[0];

@@ -88,7 +88,7 @@ pub fn analyze_workspace(root: &Path, only: Option<&[String]>) -> io::Result<Ana
         let src = std::fs::read_to_string(root.join(rel))?;
         ctxs.push(FileCtx::new(&rel.to_string_lossy().replace('\\', "/"), &src));
     }
-    let wants = |name: &str| only.map_or(true, |o| o.iter().any(|n| n == name));
+    let wants = |name: &str| only.is_none_or(|o| o.iter().any(|n| n == name));
     let mut diags: Vec<Diagnostic> = Vec::new();
     for ctx in &ctxs {
         for v in rules::check_file_raw(ctx, only) {

@@ -3,7 +3,7 @@
 //!
 //! The serving worker's cache-fill is a three-step protocol — snapshot the
 //! [`OverlayGraph`], compute on the snapshot, insert the result into the
-//! [`EmbeddingCache`] *tagged with the snapshot's version* — racing a writer
+//! [`VersionedCache`] *tagged with the snapshot's version* — racing a writer
 //! that swaps in the next overlay version and invalidates the reverse-BFS
 //! [`affected_seeds`] set. The invariant this workload checks is the serving
 //! layer's headline guarantee: **a cache hit always equals a fresh recompute
@@ -27,7 +27,9 @@ use super::{Threads, VThread, Workload};
 use aligraph_graph::dynamic::{EdgeEvent, EvolutionKind, SnapshotDelta};
 use aligraph_graph::ids::well_known::{CLICK, USER};
 use aligraph_graph::{AttrVector, GraphBuilder, VertexId};
-use aligraph_serving::{affected_seeds, EmbeddingCache, OverlayGraph};
+use aligraph_serving::{affected_seeds, OverlayGraph};
+use aligraph_storage::VersionedCache;
+use aligraph_telemetry::Registry;
 use std::sync::Arc;
 
 /// Encoder depth the fingerprint and the reverse BFS both use.
@@ -66,7 +68,7 @@ fn decode(e: &[f32]) -> u64 {
 #[derive(Debug)]
 pub struct OverlayState {
     overlay: Arc<OverlayGraph>,
-    cache: EmbeddingCache,
+    cache: VersionedCache<u32, Arc<Vec<f32>>>,
     /// Buggy twin: readers tag inserts with the cache's *current* version
     /// instead of their snapshot's (TOCTOU).
     buggy: bool,
@@ -135,7 +137,7 @@ impl VThread<OverlayState> for Reader {
     }
     fn step(&mut self, s: &mut OverlayState) {
         match self.phase {
-            Phase::Lookup => match s.cache.get(self.v.0) {
+            Phase::Lookup => match s.cache.get(&self.v.0) {
                 Some(e) => {
                     let want = fingerprint(&s.overlay, self.v);
                     let got = decode(&e);
@@ -220,7 +222,7 @@ impl Workload for OverlayWorkload {
         let graph = Arc::new(b.build());
         let state = OverlayState {
             overlay: Arc::new(OverlayGraph::new(graph)),
-            cache: EmbeddingCache::new(8),
+            cache: VersionedCache::registered(8, &Registry::disabled(), "serving.cache"),
             buggy: self.buggy,
             errors: Vec::new(),
         };
@@ -258,7 +260,7 @@ impl Workload for OverlayWorkload {
         // Whatever survived in the cache must equal a fresh recompute on the
         // final overlay.
         for v in 0..state.overlay.num_vertices() as u32 {
-            if let Some(e) = state.cache.get(v) {
+            if let Some(e) = state.cache.get(&v) {
                 let want = fingerprint(&state.overlay, VertexId(v));
                 let got = decode(&e);
                 if got != want {

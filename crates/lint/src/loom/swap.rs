@@ -21,6 +21,7 @@
 
 use super::{Threads, VThread, Workload};
 use aligraph_serving::{ModelPin, ModelStore, ModelVersion};
+use aligraph_storage::seal::Fnv1a;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -36,20 +37,15 @@ fn rows_for(v: u64) -> BTreeMap<u32, Vec<f32>> {
 /// for [`ModelVersion`]'s sealed fingerprint (same construction, local so
 /// the torn states are observable field-by-field).
 fn seal(version: u64, tick: u64, rows: &BTreeMap<u32, Arc<Vec<f32>>>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    version.to_le_bytes().into_iter().for_each(&mut eat);
-    tick.to_le_bytes().into_iter().for_each(&mut eat);
+    let mut h = Fnv1a::new();
+    h.bytes(&version.to_le_bytes()).bytes(&tick.to_le_bytes());
     for (k, row) in rows {
-        k.to_le_bytes().into_iter().for_each(&mut eat);
+        h.bytes(&k.to_le_bytes());
         for x in row.iter() {
-            x.to_bits().to_le_bytes().into_iter().for_each(&mut eat);
+            h.bytes(&x.to_bits().to_le_bytes());
         }
     }
-    h
+    h.finish()
 }
 
 /// The buggy twin: a mutable in-place model whose fields a publisher

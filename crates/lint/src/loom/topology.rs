@@ -24,6 +24,7 @@
 
 use super::{Threads, VThread, Workload};
 use aligraph_graph::VertexId;
+use aligraph_storage::seal::Fnv1a;
 use aligraph_storage::{Residency, Topology, TopologyView};
 use std::sync::Arc;
 
@@ -38,25 +39,16 @@ const MOVES: [u32; 2] = [0, 1];
 /// The split target shard.
 const DST: u32 = 2;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn seal(epoch: u64, owners: &[u32], live: &[bool]) -> u64 {
-    let mut bytes = Vec::with_capacity(owners.len() * 4 + live.len() + 8);
-    bytes.extend_from_slice(&epoch.to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.bytes(&epoch.to_le_bytes());
     for &o in owners {
-        bytes.extend_from_slice(&o.to_le_bytes());
+        h.bytes(&o.to_le_bytes());
     }
     for &l in live {
-        bytes.push(l as u8);
+        h.bytes(&[l as u8]);
     }
-    fnv1a(&bytes)
+    h.finish()
 }
 
 /// The torn-publish twin: membership published field-by-field instead of

@@ -422,9 +422,8 @@ impl<'a> Parser<'a> {
         let called = next.is_some_and(|n| n.kind == TokenKind::Punct('('));
         let is_macro = next.is_some_and(|n| n.kind == TokenKind::Bang);
         let dot_before = i > 0 && code[i - 1].kind == TokenKind::Punct('.');
-        let path_before = i > 1
-            && code[i - 1].kind == TokenKind::PathSep
-            && code[i - 2].kind == TokenKind::Ident;
+        let path_before =
+            i > 1 && code[i - 1].kind == TokenKind::PathSep && code[i - 2].kind == TokenKind::Ident;
 
         // `let [mut] name … HashMap/HashSet … ;` → unordered local binding.
         if t.text == "let" {
@@ -437,9 +436,7 @@ impl<'a> Parser<'a> {
                     .iter()
                     .position(|t| t.kind == TokenKind::Punct(';'))
                     .map_or(code.len(), |p| j + p);
-                if code[j..stmt_end]
-                    .iter()
-                    .any(|t| t.is_ident("HashMap") || t.is_ident("HashSet"))
+                if code[j..stmt_end].iter().any(|t| t.is_ident("HashMap") || t.is_ident("HashSet"))
                 {
                     unordered.insert(name.text.clone());
                 } else {
@@ -665,9 +662,8 @@ fn parse_params(seg: &[Token]) -> (Vec<String>, HashSet<String>) {
     cuts.push((start, seg.len()));
     for (a, b) in cuts {
         let part = &seg[a..b];
-        let Some(name) = part
-            .iter()
-            .find(|t| t.kind == TokenKind::Ident && t.text != "mut" && t.text != "self")
+        let Some(name) =
+            part.iter().find(|t| t.kind == TokenKind::Ident && t.text != "mut" && t.text != "self")
         else {
             continue;
         };

@@ -78,9 +78,9 @@ fn check_decides(ws: &Workspace, i: usize, out: &mut Vec<Diagnostic>) {
         // The sequence is a parameter: some caller must originate it.
         let parents = ws.callers_bfs(i);
         let caller_count = parents.len() - 1;
-        let fed = parents
-            .keys()
-            .any(|&c| c != i && (has_any(ws, c, SEQ_ORIGINS) || !ws.fns[c].item.decides.is_empty()));
+        let fed = parents.keys().any(|&c| {
+            c != i && (has_any(ws, c, SEQ_ORIGINS) || !ws.fns[c].item.decides.is_empty())
+        });
         // Vacuous pass when no non-test caller exists yet (e.g. a helper
         // only exercised from tests — the test is the sequencer).
         if caller_count > 0 && !fed {

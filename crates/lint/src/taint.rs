@@ -86,8 +86,7 @@ fn seeded_region(ws: &Workspace) -> HashSet<usize> {
         let is_root = f.seeded_mark
             || (f.qual.is_none() && SEED_ROOT_FNS.contains(&f.name.as_str()))
             || f.qual.as_deref().is_some_and(|q| {
-                SEED_ROOT_TYPES.contains(&q)
-                    || SEED_ROOT_METHODS.contains(&(q, f.name.as_str()))
+                SEED_ROOT_TYPES.contains(&q) || SEED_ROOT_METHODS.contains(&(q, f.name.as_str()))
             });
         if is_root && seeded.insert(i) {
             q.push_back(i);
@@ -112,10 +111,7 @@ fn nearest_seeded<'a>(
     seeded: &HashSet<usize>,
     origin: usize,
 ) -> Option<&'a usize> {
-    parents
-        .keys()
-        .filter(|n| seeded.contains(n))
-        .min_by_key(|&&n| (hops(parents, n, origin), n))
+    parents.keys().filter(|n| seeded.contains(n)).min_by_key(|&&n| (hops(parents, n, origin), n))
 }
 
 fn hops(parents: &HashMap<usize, usize>, mut n: usize, origin: usize) -> usize {

@@ -27,22 +27,13 @@
 
 use crate::error::RuntimeError;
 use crate::ps::PsShardState;
+use aligraph_storage::seal::{self, Cursor, Truncated};
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"ALGRCKP1";
 const VERSION: u32 = 1;
-
-/// FNV-1a, the integrity trailer and the fingerprint mixer.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One worker's resumable state.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -118,66 +109,65 @@ impl Writer {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
+/// A short read, named by the section it happened in (the cursor knows
+/// the byte).
+fn corrupt(section: &str, e: Truncated) -> RuntimeError {
+    RuntimeError::Checkpoint(format!(
+        "truncated or corrupt {section} (unexpected end of data at byte {})",
+        e.at
+    ))
 }
 
-impl<'a> Reader<'a> {
-    fn fail(&self, what: &str) -> RuntimeError {
-        RuntimeError::Checkpoint(format!(
-            "truncated or corrupt {} ({what} at byte {})",
-            self.section, self.pos
-        ))
+/// Everything after the version field; `section` tracks what is being read
+/// so a short read can be reported by name.
+fn read_body(r: &mut Cursor<'_>, section: &mut &'static str) -> Result<Checkpoint, Truncated> {
+    let fingerprint = r.u64()?;
+    let global_step = r.u64()?;
+    let epoch_losses = r.counted(f64::from_le_bytes)?;
+    let best_loss = r.f64()?;
+    let stall = r.u64()?;
+    let avg_params = match r.u8()? {
+        0 => None,
+        _ => Some(r.counted(f32::from_le_bytes)?),
+    };
+    *section = "worker state";
+    let n_workers = r.u32()? as usize;
+    let mut workers = Vec::with_capacity(n_workers.min(1 << 16));
+    for _ in 0..n_workers {
+        workers.push(WorkerCkpt {
+            rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
+            last_drain: r.u64()?,
+            loss_sum: r.f64()?,
+            pairs: r.u64()?,
+            edges: r.u64()?,
+            busy_ns: r.u64()?,
+            comm_ns: r.u64()?,
+            hist: r.counted(u64::from_le_bytes)?,
+            dense_state: r.counted(f32::from_le_bytes)?,
+        });
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RuntimeError> {
-        if self.buf.len() - self.pos < n {
-            return Err(self.fail("unexpected end of data"));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+    *section = "ps shards";
+    let n_shards = r.u32()? as usize;
+    let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
+    for _ in 0..n_shards {
+        let ids = r.counted(u32::from_le_bytes)?;
+        let weights = r.counted(f32::from_le_bytes)?;
+        let accum = match r.u8()? {
+            0 => None,
+            _ => Some(r.counted(f32::from_le_bytes)?),
+        };
+        shards.push(PsShardState { ids, weights, accum });
     }
-    fn u32(&mut self) -> Result<u32, RuntimeError> {
-        // invariant: take(4) returned exactly 4 bytes or already errored
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, RuntimeError> {
-        // invariant: take(8) returned exactly 8 bytes or already errored
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn f64(&mut self) -> Result<f64, RuntimeError> {
-        // invariant: take(8) returned exactly 8 bytes or already errored
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn f32s(&mut self) -> Result<Vec<f32>, RuntimeError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            // invariant: chunks_exact(4) yields exactly-4-byte slices
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-    fn u64s(&mut self) -> Result<Vec<u64>, RuntimeError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            // invariant: chunks_exact(8) yields exactly-8-byte slices
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
-    fn u32s(&mut self) -> Result<Vec<u32>, RuntimeError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            // invariant: chunks_exact(4) yields exactly-4-byte slices
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
+    Ok(Checkpoint {
+        fingerprint,
+        global_step,
+        epoch_losses,
+        best_loss,
+        stall,
+        avg_params,
+        workers,
+        shards,
+    })
 }
 
 impl Checkpoint {
@@ -230,109 +220,47 @@ impl Checkpoint {
                 }
             }
         }
-        let sum = fnv1a(&w.buf);
-        w.u64(sum);
+        seal::close(&mut w.buf);
         w.buf
     }
 
     /// Parses bytes written by [`to_bytes`](Self::to_bytes), verifying
     /// magic, version, and checksum before touching any section.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, RuntimeError> {
+        // Checkpoints report a short file, then a foreign one, then damage:
+        // the length and magic checks run ahead of the seal's own.
+        let refuse = |why: String| Err(RuntimeError::Checkpoint(why));
         if buf.len() < MAGIC.len() + 4 + 8 {
-            return Err(RuntimeError::Checkpoint(format!(
-                "file too short to be a checkpoint ({} bytes)",
-                buf.len()
-            )));
+            return refuse(format!("file too short to be a checkpoint ({} bytes)", buf.len()));
         }
-        if &buf[..8] != MAGIC {
-            return Err(RuntimeError::Checkpoint("bad magic (not a checkpoint file)".into()));
+        if !buf.starts_with(MAGIC) {
+            return refuse("bad magic (not a checkpoint file)".into());
         }
-        let (body, trailer) = buf.split_at(buf.len() - 8);
-        // invariant: split_at(len - 8) yields an exactly-8-byte trailer
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        if fnv1a(body) != stored {
-            return Err(RuntimeError::Checkpoint(
-                "checksum mismatch (corrupted or truncated file)".into(),
-            ));
-        }
-        let mut r = Reader { buf: body, pos: 8, section: "header" };
-        let version = r.u32()?;
+        let Ok(mut r) = seal::open(buf, MAGIC) else {
+            return refuse("checksum mismatch (corrupted or truncated file)".into());
+        };
+        let mut section = "header";
+        let version = r.u32().map_err(|e| corrupt(section, e))?;
         if version != VERSION {
             return Err(RuntimeError::Checkpoint(format!(
                 "unsupported checkpoint version {version} (this build reads {VERSION})"
             )));
         }
-        let fingerprint = r.u64()?;
-        let global_step = r.u64()?;
-        let n_losses = r.u32()? as usize;
-        let mut epoch_losses = Vec::with_capacity(n_losses.min(1 << 16));
-        for _ in 0..n_losses {
-            epoch_losses.push(r.f64()?);
-        }
-        let best_loss = r.f64()?;
-        let stall = r.u64()?;
-        let avg_params = match r.take(1)?[0] {
-            0 => None,
-            _ => Some(r.f32s()?),
-        };
-        r.section = "worker state";
-        let n_workers = r.u32()? as usize;
-        let mut workers = Vec::with_capacity(n_workers.min(1 << 16));
-        for _ in 0..n_workers {
-            let mut rng = [0u64; 4];
-            for s in &mut rng {
-                *s = r.u64()?;
-            }
-            workers.push(WorkerCkpt {
-                rng,
-                last_drain: r.u64()?,
-                loss_sum: r.f64()?,
-                pairs: r.u64()?,
-                edges: r.u64()?,
-                busy_ns: r.u64()?,
-                comm_ns: r.u64()?,
-                hist: r.u64s()?,
-                dense_state: r.f32s()?,
-            });
-        }
-        r.section = "ps shards";
-        let n_shards = r.u32()? as usize;
-        let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
-        for _ in 0..n_shards {
-            let ids = r.u32s()?;
-            let weights = r.f32s()?;
-            let accum = match r.take(1)?[0] {
-                0 => None,
-                _ => Some(r.f32s()?),
-            };
-            shards.push(PsShardState { ids, weights, accum });
-        }
-        if r.pos != body.len() {
+        let ckpt = read_body(&mut r, &mut section).map_err(|e| corrupt(section, e))?;
+        if !r.rest().is_empty() {
             return Err(RuntimeError::Checkpoint(format!(
                 "{} trailing bytes after ps shards",
-                body.len() - r.pos
+                r.rest().len()
             )));
         }
-        Ok(Checkpoint {
-            fingerprint,
-            global_step,
-            epoch_losses,
-            best_loss,
-            stall,
-            avg_params,
-            workers,
-            shards,
-        })
+        Ok(ckpt)
     }
 
-    /// Writes atomically (temp file + rename) to `dir/ckpt-<step>.bin`.
+    /// Writes atomically and durably ([`seal::write_atomic`]) to
+    /// `dir/ckpt-<step>.bin`.
     pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf, RuntimeError> {
-        fs::create_dir_all(dir)?;
-        let name = format!("ckpt-{:010}.bin", self.global_step);
-        let tmp = dir.join(format!(".{name}.tmp"));
-        let target = dir.join(&name);
-        fs::write(&tmp, self.to_bytes())?;
-        fs::rename(&tmp, &target)?;
+        let target = dir.join(format!("ckpt-{:010}.bin", self.global_step));
+        seal::write_atomic(&target, &self.to_bytes())?;
         Ok(target)
     }
 
@@ -383,24 +311,27 @@ impl Checkpoint {
     }
 }
 
+/// Every `ckpt-*.bin` in `dir`, oldest first (step numbers are zero-padded,
+/// so name order is step order). A writer's `*.tmp` never matches.
+fn checkpoint_files(dir: &Path) -> Result<Vec<PathBuf>, RuntimeError> {
+    let mut files = Vec::new();
+    if dir.exists() {
+        for entry in fs::read_dir(dir)? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("ckpt-") && name.ends_with(".bin") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
 /// The newest checkpoint in `dir` (by step number in the file name), if any.
 /// Used by fault recovery to pick its restore point.
 pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, RuntimeError> {
-    if !dir.exists() {
-        return Ok(None);
-    }
-    let mut best: Option<PathBuf> = None;
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("ckpt-")
-            && name.ends_with(".bin")
-            && best.as_ref().is_none_or(|b| path > *b)
-        {
-            best = Some(path);
-        }
-    }
-    Ok(best)
+    Ok(checkpoint_files(dir)?.pop())
 }
 
 /// The newest checkpoint in `dir` that parses and passes its checksum,
@@ -408,19 +339,7 @@ pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, RuntimeError> {
 /// to the previous valid one instead of aborting recovery. Returns `None`
 /// when no file survives (recovery then restarts from scratch).
 pub fn latest_valid_checkpoint(dir: &Path) -> Result<Option<(PathBuf, Checkpoint)>, RuntimeError> {
-    if !dir.exists() {
-        return Ok(None);
-    }
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("ckpt-") && name.ends_with(".bin") {
-            candidates.push(path);
-        }
-    }
-    candidates.sort();
-    for path in candidates.into_iter().rev() {
+    for path in checkpoint_files(dir)?.into_iter().rev() {
         if let Ok(ckpt) = Checkpoint::read_from(&path) {
             return Ok(Some((path, ckpt)));
         }
@@ -462,7 +381,12 @@ mod tests {
     #[test]
     fn byte_roundtrip_is_exact() {
         let c = sample();
-        assert_eq!(Checkpoint::from_bytes(&c.to_bytes()).unwrap(), c);
+        let bytes = c.to_bytes();
+        // Checkpoint v1 is pinned: the trailer seals every byte before it,
+        // so this one constant fixes the whole on-disk format.
+        assert_eq!(bytes.len(), 326);
+        assert_eq!(bytes[bytes.len() - 8..], 0x43ae_b3f2_500e_9bcb_u64.to_le_bytes());
+        assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), c);
     }
 
     #[test]
@@ -472,6 +396,9 @@ mod tests {
         for cut in [0, 5, 12, bytes.len() / 2, bytes.len() - 1] {
             assert!(Checkpoint::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+        // Anything below magic + version + trailer is "too short", whatever it holds.
+        let err = Checkpoint::from_bytes(&bytes[..19]).unwrap_err().to_string();
+        assert!(err.contains("too short"), "{err}");
         // A flipped byte anywhere trips the checksum.
         for i in [9, 30, bytes.len() - 4] {
             let mut bad = bytes.clone();

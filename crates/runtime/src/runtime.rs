@@ -28,6 +28,7 @@ use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, FeatureMatrix};
 use aligraph_partition::WorkerId;
 use aligraph_sampling::neighborhood::ClusterView;
 use aligraph_sampling::{worker_rng, MeteredNeighborhood, ShardEdgePools, UniformNeighborhood};
+use aligraph_storage::seal::Fnv1a;
 use aligraph_storage::{Cluster, RebalanceOp};
 use aligraph_telemetry::{Registry, Span, Stopwatch};
 use rand::rngs::StdRng;
@@ -207,6 +208,26 @@ pub struct DistOutcome {
     pub features: FeatureMatrix,
 }
 
+impl DistOutcome {
+    /// What "the same trained model" means: an order-sensitive FNV over
+    /// every bit the run produced — epoch losses, dense encoder parameters,
+    /// trained feature rows. Two runs agree on this iff they agree on all
+    /// three bit-for-bit.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        for x in &self.report.epoch_losses {
+            h.word(x.to_bits());
+        }
+        for x in self.encoder.dense_param_vec() {
+            h.word(u64::from(x.to_bits()));
+        }
+        for x in self.features.as_slice() {
+            h.word(u64::from(x.to_bits()));
+        }
+        h.finish()
+    }
+}
+
 /// Cross-worker training bookkeeping guarded by one mutex; leaders mutate
 /// it at rendezvous points.
 #[derive(Default)]
@@ -308,8 +329,10 @@ impl<'a> DistTrainer<'a> {
     /// plumbing, so a run can be extended or re-run with different fault
     /// plans.
     pub fn fingerprint(&self) -> u64 {
-        let mut bytes = Vec::new();
-        let mut push = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
+        let mut h = Fnv1a::new();
+        let mut push = |v: u64| {
+            h.bytes(&v.to_le_bytes());
+        };
         push(self.cfg.workers as u64);
         push(self.cfg.batches_per_epoch as u64);
         push(self.cfg.batch_size as u64);
@@ -333,7 +356,7 @@ impl<'a> DistTrainer<'a> {
         push(self.spec.seed);
         push(self.cluster.graph().num_vertices() as u64);
         push(self.cluster.graph().num_edge_records() as u64);
-        crate::checkpoint::fnv1a(&bytes)
+        h.finish()
     }
 
     /// Trains from scratch (restarting from the latest checkpoint only if

@@ -16,7 +16,8 @@
 //!   deltas never block or tear in-flight batches, plus
 //!   [`overlay::affected_seeds`], the reverse k-hop reachability set a delta
 //!   invalidates;
-//! * [`cache::EmbeddingCache`] — version-tagged LRU over served embeddings;
+//! * served embeddings are cached in the shared
+//!   [`aligraph_storage::VersionedCache`] under the `serving.cache` series:
 //!   stale results are structurally unservable (inserts are admitted only at
 //!   the current graph version, invalidation removes everything a delta
 //!   could have changed);
@@ -32,7 +33,7 @@
 //! clients ──try_send──> [worker queues] ──micro-batch──> forward (dedup+cache)
 //!                 │ full?                      ▲                │
 //!                 └──> Overloaded{retry}       │ snapshot       ▼
-//! deltas ──apply_delta──> OverlayGraph vN+1 ───┘        EmbeddingCache@vN
+//! deltas ──apply_delta──> OverlayGraph vN+1 ───┘        VersionedCache@vN
 //!                          └── affected_seeds ──────────── invalidate ┘
 //! ```
 
@@ -40,7 +41,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod batcher;
-pub mod cache;
 pub mod error;
 pub mod metrics;
 pub mod overlay;
@@ -48,7 +48,6 @@ pub mod router;
 pub mod service;
 pub mod swap;
 
-pub use cache::{CacheStats, EmbeddingCache};
 pub use error::ServeError;
 pub use metrics::{ServingMetrics, ServingReport};
 pub use overlay::{affected_seeds, OverlayGraph};

@@ -7,8 +7,7 @@
 //! prints. Every series registers under `serving.*`, so a single
 //! [`Registry`] snapshot carries this layer next to storage and runtime.
 
-use crate::cache::CacheStats;
-use aligraph_storage::AccessStatsSnapshot;
+use aligraph_storage::{AccessStatsSnapshot, CacheStats};
 use aligraph_telemetry::{Counter, Histogram, Json, Registry, RegistrySnapshot, Report};
 use std::fmt;
 use std::sync::Arc;
@@ -182,7 +181,7 @@ impl ServingReport {
             p95_us: latency.quantile(0.95) as f64 / 1_000.0,
             p99_us: latency.quantile(0.99) as f64 / 1_000.0,
             qps: if secs > 0.0 { completed as f64 / secs } else { 0.0 },
-            cache: CacheStats::from_snapshot(snap),
+            cache: CacheStats::from_snapshot(snap, "serving.cache"),
             access: AccessStatsSnapshot {
                 local: snap.counter("serving.access", &[("tier", "local")]),
                 cached_remote: snap.counter("serving.access", &[("tier", "cached_remote")]),
@@ -225,15 +224,7 @@ impl fmt::Display for ServingReport {
             self.forwards,
             self.completed
         )?;
-        writeln!(
-            f,
-            "embedding cache: hit rate {:.1}% ({} hits / {} misses), {} invalidated, {} stale inserts dropped",
-            self.cache.hit_rate() * 100.0,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.invalidations,
-            self.cache.stale_rejects
-        )?;
+        writeln!(f, "embedding cache: {}", self.cache)?;
         writeln!(
             f,
             "tape memo: {} hits / {} misses across batches",
@@ -277,18 +268,7 @@ impl Report for ServingReport {
             ("p95_us", Json::Float(self.p95_us)),
             ("p99_us", Json::Float(self.p99_us)),
             ("qps", Json::Float(self.qps)),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", Json::UInt(self.cache.hits)),
-                    ("misses", Json::UInt(self.cache.misses)),
-                    ("evictions", Json::UInt(self.cache.evictions)),
-                    ("invalidations", Json::UInt(self.cache.invalidations)),
-                    ("stale_rejects", Json::UInt(self.cache.stale_rejects)),
-                    ("len", Json::UInt(self.cache.len as u64)),
-                    ("hit_rate", Json::Float(self.cache.hit_rate())),
-                ]),
-            ),
+            ("cache", self.cache.to_json()),
             (
                 "access",
                 Json::obj(vec![

@@ -23,7 +23,6 @@
 //! [`score`]: ServingService::score
 
 use crate::batcher::next_batch;
-use crate::cache::{CacheStats, EmbeddingCache};
 use crate::error::ServeError;
 use crate::metrics::{ServingMetrics, ServingReport};
 use crate::overlay::{affected_seeds, OverlayGraph};
@@ -34,7 +33,7 @@ use aligraph_graph::features::{FeatureMatrix, Featurizer};
 use aligraph_graph::{AttributedHeterogeneousGraph, VertexId};
 use aligraph_partition::{EdgeCutHash, Partitioner, WorkerId};
 use aligraph_sampling::NeighborhoodSampler;
-use aligraph_storage::{AccessKind, AccessStats, CostModel};
+use aligraph_storage::{AccessKind, AccessStats, CacheStats, CostModel, VersionedCache};
 use aligraph_telemetry::Registry;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
@@ -155,7 +154,9 @@ type FallbackStore = HashMap<u32, (u64, Arc<Vec<f32>>)>;
 struct Shared<S> {
     overlay: RwLock<Arc<OverlayGraph>>,
     features: FeatureMatrix,
-    cache: EmbeddingCache,
+    /// Served embeddings, tagged with the overlay version they were
+    /// computed against.
+    cache: VersionedCache<u32, Arc<Vec<f32>>>,
     metrics: ServingMetrics,
     stats: AccessStats,
     cost: CostModel,
@@ -219,7 +220,7 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
         let shared = Arc::new(Shared {
             overlay: RwLock::new(Arc::new(OverlayGraph::new(graph))),
             features,
-            cache: EmbeddingCache::registered(config.cache_capacity, registry),
+            cache: VersionedCache::registered(config.cache_capacity, registry, "serving.cache"),
             metrics: ServingMetrics::registered(registry),
             stats: AccessStats::registered(registry, "serving"),
             cost: CostModel::default(),
@@ -443,7 +444,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
         let mut forwards = 0usize;
         for &v in &needed {
             let owned = shared.owners[v.index()].index() == worker;
-            if let Some(e) = shared.cache.get(v.0) {
+            if let Some(e) = shared.cache.get(&v.0) {
                 // Seed-level accounting: a cache hit spares the k-hop work;
                 // for a non-owned vertex that is the remote fetch the cache
                 // absorbed.

@@ -16,22 +16,11 @@
 //! against a publisher on exactly this API (and catches a deliberately
 //! broken field-by-field twin).
 
+use aligraph_storage::seal::Fnv1a;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// FNV-1a 64-bit over a byte stream. Kept local so the serving layer does
-/// not depend on the runtime crate's checkpoint hasher; the constants are
-/// the standard FNV offset basis and prime.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One immutable deployed model: a version number, the virtual tick its
 /// training data runs through, the embedding rows, and a fingerprint over
@@ -60,14 +49,15 @@ impl ModelVersion {
         trained_through_tick: u64,
         rows: &BTreeMap<u32, Arc<Vec<f32>>>,
     ) -> u64 {
-        let header = version.to_le_bytes().into_iter().chain(trained_through_tick.to_le_bytes());
-        let body = rows.iter().flat_map(|(k, v)| {
-            k.to_le_bytes()
-                .into_iter()
-                .chain(v.iter().flat_map(|x| x.to_bits().to_le_bytes()))
-                .collect::<Vec<u8>>()
-        });
-        fnv1a(header.chain(body))
+        let mut h = Fnv1a::new();
+        h.bytes(&version.to_le_bytes()).bytes(&trained_through_tick.to_le_bytes());
+        for (k, row) in rows {
+            h.bytes(&k.to_le_bytes());
+            for x in row.iter() {
+                h.bytes(&x.to_bits().to_le_bytes());
+            }
+        }
+        h.finish()
     }
 
     /// The version number (monotonically increasing across publishes).

@@ -5,8 +5,7 @@
 //! by vertex into request-flow buckets. Each bucket is a **lock-free queue**
 //! bound to one worker thread that owns that vertex group's data outright —
 //! operations within a group execute sequentially with no locking at all.
-//! The queue/thread/shutdown plumbing lives in [`crate::executor`], shared
-//! with the full [`crate::service::GraphRequestService`].
+//! The queue/thread/shutdown plumbing lives in [`crate::executor`].
 //!
 //! [`MutexWeightService`] is the contended global-lock baseline used by the
 //! `ablation_bucket` bench.

@@ -177,12 +177,6 @@ impl<'a> ClusterBuilder<'a> {
         self
     }
 
-    /// Shorthand for a memory-backed cold tier with this resident budget —
-    /// the `--resident-budget` CLI knob.
-    pub fn resident_budget(self, bytes: u64) -> Self {
-        self.tier_config(TierConfig::with_budget(Some(bytes)))
-    }
-
     /// Partitions the graph, ingests all shards, seeds the epoch-0 topology
     /// and returns the serving cluster plus the build timing report.
     ///

@@ -12,14 +12,18 @@
 //! * [`neighbor_cache`] — **importance-based caching of k-hop out-neighbors
 //!   of important vertices** (Algorithm 2 lines 5–9, Eq. 1), with `Random`
 //!   and `Lru` alternatives for the Figure 9 strategy comparison;
-//! * [`bucket`] / [`service`] — the lock-free request-flow buckets of
-//!   Figure 6: vertices grouped per server, each group's read/update
-//!   operations draining through a lock-free queue bound to one thread that
-//!   owns the group's data outright, so no data lock is ever taken.
-//!   `service::GraphRequestService` is the full variant (neighbor reads,
-//!   weighted draws, dynamic-weight updates); `bucket` is the minimal
-//!   weight-only variant benchmarked against a global mutex; both share the
-//!   queue/thread plumbing in [`executor`];
+//! * [`bucket`] — the lock-free request-flow buckets of Figure 6: vertices
+//!   grouped per server, each group's read/update operations draining
+//!   through a lock-free queue bound to one thread that owns the group's
+//!   data outright, so no data lock is ever taken
+//!   ([`bucket::LockFreeWeightService`], benchmarked against a global
+//!   mutex); the queue/thread plumbing is [`executor`];
+//! * [`versioned_cache`] — the one version-tagged LRU both online layers
+//!   cache through (`serving` embeddings per graph version, `streaming`
+//!   gathers per epoch): stale inserts rejected, targeted invalidation;
+//! * [`seal`] — the one FNV-1a hasher, sealed-buffer reader/writer and
+//!   atomic file writer behind checkpoints, [`segment`]s and every
+//!   torn-publish fingerprint;
 //! * [`cost`] — simulated local/remote access costs and atomic statistics;
 //! * [`topology`] / [`migrate`] — elastic membership: a versioned
 //!   [`topology::Topology`] (monotonic epochs, published like the streaming
@@ -45,11 +49,12 @@ pub mod executor;
 pub mod lru;
 pub mod migrate;
 pub mod neighbor_cache;
+pub mod seal;
 pub mod segment;
 pub mod server;
-pub mod service;
 pub mod tier;
 pub mod topology;
+pub mod versioned_cache;
 
 pub use bucket::{LockFreeWeightService, MutexWeightService, WeightService};
 pub use cluster::{Cluster, ClusterBuildReport, ClusterBuilder};
@@ -63,8 +68,8 @@ pub use migrate::{MigrationError, MigrationReport, RebalanceOp, MIGRATION_TAG};
 pub use neighbor_cache::{CacheStrategy, NeighborCache};
 pub use segment::{Segment, SegmentError, SegmentKind};
 pub use server::{GraphServer, VertexRecord};
-pub use service::GraphRequestService;
 pub use tier::{EvictionMode, TierBacking, TierConfig, TierRead, TieredStore};
 pub use topology::{
     ReplicaSet, Residency, RouteError, ShardLoads, Topology, TopologyPin, TopologyView,
 };
+pub use versioned_cache::{CacheStats, VersionedCache};

@@ -7,8 +7,7 @@
 //! deserialization — a chaos-flipped byte anywhere in the file is rejected
 //! as [`SegmentError::SealMismatch`] instead of decoding into garbage,
 //! mirroring how `latest_valid_checkpoint` skips CRC-corrupt checkpoint
-//! files. Disk writes go through a temp file plus `rename`, so a crashed
-//! writer leaves either the old segment or the new one, never a torn file.
+//! files. The seal rule and the atomic disk write are [`crate::seal`]'s.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -24,23 +23,13 @@
 //! seal     8B  u64 FNV-1a over every preceding byte
 //! ```
 
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use crate::seal::{self, SealError, Truncated};
+use std::path::Path;
 
 /// Magic bytes opening every segment.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"ALGRSEG1";
 /// Current format version.
 pub const SEGMENT_VERSION: u32 = 1;
-
-/// FNV-1a over a byte slice (same constants as the checkpoint seals).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// What a segment's rows encode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,6 +103,12 @@ impl std::fmt::Display for SegmentError {
 }
 
 impl std::error::Error for SegmentError {}
+
+impl From<Truncated> for SegmentError {
+    fn from(_: Truncated) -> Self {
+        SegmentError::Truncated
+    }
+}
 
 /// One sealed batch of encoded rows for `(shard, kind)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,64 +188,50 @@ impl Segment {
             out.extend_from_slice(&len.to_le_bytes());
         }
         out.extend_from_slice(&self.payload);
-        let seal = fnv1a(&out);
-        out.extend_from_slice(&seal.to_le_bytes());
+        seal::close(&mut out);
         out
     }
 
     /// Deserializes and verifies: magic, version, kind, index order, row
     /// bounds and — first of all — the FNV seal over the whole body.
     pub fn from_bytes(buf: &[u8]) -> Result<Segment, SegmentError> {
+        // Shorter than the 20-byte header plus trailer is truncation, whatever
+        // the seal says.
         if buf.len() < 28 {
             return Err(SegmentError::Truncated);
         }
-        let (body, trailer) = buf.split_at(buf.len() - 8);
-        // invariant: split_at leaves exactly 8 trailer bytes.
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(SegmentError::SealMismatch { stored, computed });
-        }
-        if body[0..8] != SEGMENT_MAGIC {
-            return Err(SegmentError::BadMagic);
-        }
-        // invariant: buf.len() >= 28 was checked above, so body (buf minus
-        // the 8-byte trailer) holds at least the 20-byte header and every
-        // fixed-width header slice below is exactly its annotated size.
-        let version = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
+        let mut r = seal::open(buf, &SEGMENT_MAGIC).map_err(|e| match e {
+            SealError::TooShort => SegmentError::Truncated,
+            SealError::Mismatch { stored, computed } => {
+                SegmentError::SealMismatch { stored, computed }
+            }
+            SealError::BadMagic => SegmentError::BadMagic,
+        })?;
+        let version = r.u32()?;
         if version != SEGMENT_VERSION {
             return Err(SegmentError::BadVersion(version));
         }
-        let kind = SegmentKind::from_byte(body[12]).ok_or(SegmentError::BadKind(body[12]))?;
-        // invariant: same 20-byte header bound as above.
-        let shard = u16::from_le_bytes(body[14..16].try_into().expect("2 bytes"));
-        // invariant: same 20-byte header bound as above.
-        let count = u32::from_le_bytes(body[16..20].try_into().expect("4 bytes")) as usize;
-        let index_end = 20usize
-            .checked_add(count.checked_mul(12).ok_or(SegmentError::Truncated)?)
-            .ok_or(SegmentError::Truncated)?;
-        if body.len() < index_end {
+        let kind = r.u8()?;
+        let kind = SegmentKind::from_byte(kind).ok_or(SegmentError::BadKind(kind))?;
+        let _reserved = r.u8()?;
+        let shard = r.u16()?;
+        let count = r.u32()? as usize;
+        // Bounds the allocation below: a corrupt count cannot reserve more
+        // index entries than the buffer could hold.
+        if r.rest().len() / 12 < count {
             return Err(SegmentError::Truncated);
         }
         let mut index = Vec::with_capacity(count);
         let mut prev: Option<u32> = None;
-        for i in 0..count {
-            let at = 20 + i * 12;
-            // invariant: body.len() >= index_end = 20 + count*12 was checked
-            // above, so each 12-byte entry's three 4-byte slices are in range
-            // and exactly 4 bytes wide.
-            let v = u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
-            // invariant: same index_end bound as above.
-            let off = u32::from_le_bytes(body[at + 4..at + 8].try_into().expect("4 bytes"));
-            // invariant: same index_end bound as above.
-            let len = u32::from_le_bytes(body[at + 8..at + 12].try_into().expect("4 bytes"));
+        for _ in 0..count {
+            let (v, off, len) = (r.u32()?, r.u32()?, r.u32()?);
             if prev.is_some_and(|p| p >= v) {
                 return Err(SegmentError::IndexUnsorted);
             }
             prev = Some(v);
             index.push((v, off, len));
         }
-        let payload = body[index_end..].to_vec();
+        let payload = r.rest().to_vec();
         for &(_, off, len) in &index {
             let end = (off as u64) + (len as u64);
             if end > payload.len() as u64 {
@@ -260,26 +241,14 @@ impl Segment {
         Ok(Segment { kind, shard, index, payload })
     }
 
-    /// Writes the sealed bytes atomically: temp file in the same directory,
-    /// then `rename` (same discipline as checkpoint files).
+    /// Writes the sealed bytes atomically ([`seal::write_atomic`]).
     pub fn write_to(&self, path: &Path) -> Result<(), SegmentError> {
-        let io = |e: std::io::Error| SegmentError::Io(e.to_string());
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(io)?;
-        }
-        let tmp: PathBuf = path.with_extension("seg.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp).map_err(io)?;
-            f.write_all(&self.to_bytes()).map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
-        std::fs::rename(&tmp, path).map_err(io)
+        seal::write_atomic(path, &self.to_bytes()).map_err(|e| SegmentError::Io(e.to_string()))
     }
 
     /// Reads and verifies a segment file.
     pub fn read_from(path: &Path) -> Result<Segment, SegmentError> {
-        let bytes = std::fs::read(path).map_err(|e| SegmentError::Io(e.to_string()))?;
-        Segment::from_bytes(&bytes)
+        Segment::from_bytes(&std::fs::read(path).map_err(|e| SegmentError::Io(e.to_string()))?)
     }
 }
 
@@ -303,6 +272,10 @@ mod tests {
     fn roundtrip_bytes() {
         let seg = sample_segment();
         let bytes = seg.to_bytes();
+        // The `ALGRSEG1` byte stream is pinned: the trailer seals every byte
+        // before it, so this one constant fixes the whole on-disk format.
+        assert_eq!(bytes.len(), 1123);
+        assert_eq!(bytes[bytes.len() - 8..], 0x268c_1ca5_3452_799d_u64.to_le_bytes());
         let back = Segment::from_bytes(&bytes).unwrap();
         assert_eq!(back, seg);
         assert_eq!(back.kind(), SegmentKind::Feature);

@@ -23,6 +23,7 @@
 //! the sealed publish and the per-vertex flip against a sequential shadow
 //! model.
 
+use crate::seal::Fnv1a;
 use aligraph_graph::VertexId;
 use aligraph_partition::{Partition, WorkerId};
 use parking_lot::RwLock;
@@ -116,15 +117,6 @@ impl ReplicaSet {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One immutable membership version: per-vertex primary shard, per-slot
 /// liveness, replication factor — sealed under a fingerprint so a torn
 /// publish (fields from two versions) is detectable by exactly the check
@@ -163,16 +155,15 @@ impl TopologyView {
     }
 
     fn seal(epoch: u64, primary: &[u32], live: &[bool], replication: usize) -> u64 {
-        let mut bytes = Vec::with_capacity(primary.len() * 4 + live.len() + 24);
-        bytes.extend_from_slice(&epoch.to_le_bytes());
-        bytes.extend_from_slice(&(replication as u64).to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.bytes(&epoch.to_le_bytes()).bytes(&(replication as u64).to_le_bytes());
         for &p in primary {
-            bytes.extend_from_slice(&p.to_le_bytes());
+            h.bytes(&p.to_le_bytes());
         }
         for &l in live {
-            bytes.push(l as u8);
+            h.bytes(&[l as u8]);
         }
-        fnv1a(&bytes)
+        h.finish()
     }
 
     /// The consistency check a reader can run against a pinned view: the

@@ -33,7 +33,7 @@
 //! updates ──submit(seq)──> [chaos tag 4] ──> shard workers (Sequencer dedup)
 //!                                              │ apply + alias repair
 //!                                              ▼
-//!                        epoch N+1 ── reverse k-hop invalidate ──> SampleCache
+//!                        epoch N+1 ── reverse k-hop invalidate ──> VersionedCache
 //!                                              │
 //! clients ──session.pin(N)──> gather/score ────┘   (session sees epoch N only)
 //! ```
@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
 pub mod epoch;
 pub mod event;
 pub mod ingest;
@@ -56,7 +55,6 @@ pub mod report;
 pub mod serve;
 pub mod store;
 
-pub use cache::{SampleCache, SampleCacheStats};
 pub use epoch::{EpochManager, EpochPin, EpochView};
 pub use event::{UpdateBatch, UpdateEvent, UpdateWorkload};
 pub use ingest::{IngestError, IngestFaultConfig, UPDATE_INGEST_TAG};

@@ -1,7 +1,7 @@
 //! The `streaming.*` telemetry rollup the serve-under-update bench prints
 //! and the CI SLO gate parses.
 
-use crate::cache::SampleCacheStats;
+use aligraph_storage::CacheStats;
 use aligraph_telemetry::{Json, RegistrySnapshot, Report};
 use std::fmt;
 use std::time::Duration;
@@ -44,7 +44,7 @@ pub struct StreamingReport {
     /// Alias slots rewritten by those repairs (the incremental work).
     pub repaired_slots: u64,
     /// Sample-cache counters.
-    pub cache: SampleCacheStats,
+    pub cache: CacheStats,
 }
 
 impl StreamingReport {
@@ -74,7 +74,7 @@ impl StreamingReport {
             qps: if secs > 0.0 { gathers as f64 / secs } else { 0.0 },
             repairs: snap.counter("streaming.alias.repairs", &[]),
             repaired_slots: snap.counter("streaming.alias.repaired_slots", &[]),
-            cache: SampleCacheStats::from_snapshot(snap),
+            cache: CacheStats::from_snapshot(snap, "streaming.cache"),
         }
     }
 }
@@ -106,15 +106,7 @@ impl fmt::Display for StreamingReport {
             "alias maintenance: {} in-place repairs, {} slots rewritten (no full rebuilds)",
             self.repairs, self.repaired_slots
         )?;
-        write!(
-            f,
-            "sample cache: hit rate {:.1}% ({} hits / {} misses), {} invalidated, {} stale inserts dropped",
-            self.cache.hit_rate() * 100.0,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.invalidations,
-            self.cache.stale_rejects
-        )
+        write!(f, "sample cache: {}", self.cache)
     }
 }
 
@@ -142,18 +134,7 @@ impl Report for StreamingReport {
             ("qps", Json::Float(self.qps)),
             ("repairs", Json::UInt(self.repairs)),
             ("repaired_slots", Json::UInt(self.repaired_slots)),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", Json::UInt(self.cache.hits)),
-                    ("misses", Json::UInt(self.cache.misses)),
-                    ("evictions", Json::UInt(self.cache.evictions)),
-                    ("invalidations", Json::UInt(self.cache.invalidations)),
-                    ("stale_rejects", Json::UInt(self.cache.stale_rejects)),
-                    ("len", Json::UInt(self.cache.len as u64)),
-                    ("hit_rate", Json::Float(self.cache.hit_rate())),
-                ]),
-            ),
+            ("cache", self.cache.to_json()),
         ])
     }
 
@@ -177,12 +158,7 @@ impl Report for StreamingReport {
         self.qps += other.qps;
         self.repairs += other.repairs;
         self.repaired_slots += other.repaired_slots;
-        self.cache.hits += other.cache.hits;
-        self.cache.misses += other.cache.misses;
-        self.cache.evictions += other.cache.evictions;
-        self.cache.invalidations += other.cache.invalidations;
-        self.cache.stale_rejects += other.cache.stale_rejects;
-        self.cache.len = other.cache.len;
+        self.cache.merge(&other.cache);
     }
 }
 

@@ -15,7 +15,6 @@
 //! * **Monotonic epochs** — the ingest lock is held across publish, so
 //!   epochs advance in submit order, strictly increasing.
 
-use crate::cache::{SampleCache, SampleCacheStats};
 use crate::epoch::{EpochManager, EpochPin, EpochView};
 use crate::event::UpdateBatch;
 use crate::ingest::{IngestError, IngestFaultConfig, IngestPipeline};
@@ -25,6 +24,7 @@ use aligraph_chaos::{FaultPlan, FaultPlane, RetryPolicy};
 use aligraph_graph::{AttributedHeterogeneousGraph, FeatureMatrix, VertexId};
 use aligraph_partition::{EdgeCutHash, Partitioner};
 use aligraph_sampling::{reverse_reach, AliasTable};
+use aligraph_storage::{CacheStats, VersionedCache};
 use aligraph_telemetry::{Counter, Gauge, Histogram, Registry, Span};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -127,7 +127,8 @@ impl Metrics {
 #[derive(Debug)]
 pub struct StreamingService {
     epochs: EpochManager,
-    cache: SampleCache,
+    /// Gathered vectors, tagged with the epoch they were computed at.
+    cache: VersionedCache<u32, Arc<Vec<f32>>>,
     pipeline: Mutex<IngestPipeline>,
     fanouts: Vec<usize>,
     seed: u64,
@@ -179,7 +180,7 @@ impl StreamingService {
         let view = EpochView::initial(base, feats, base_alias, owners, shards);
         StreamingService {
             epochs: EpochManager::new(view),
-            cache: SampleCache::registered(config.cache_capacity, registry),
+            cache: VersionedCache::registered(config.cache_capacity, registry, "streaming.cache"),
             pipeline,
             fanouts: config.fanouts,
             seed: config.seed,
@@ -283,7 +284,7 @@ impl StreamingService {
     }
 
     /// Counter snapshot of the sample cache.
-    pub fn cache_stats(&self) -> SampleCacheStats {
+    pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
@@ -313,7 +314,7 @@ impl StreamingService {
                 }
             }
         }
-        if self.cache.epoch() == pin.epoch() {
+        if self.cache.version() == pin.epoch() {
             for (v, data) in self.cache.entries() {
                 let fresh = compute_gather(view, VertexId(v), self.seed, &self.fanouts);
                 if fresh.len() != data.len()
@@ -355,8 +356,8 @@ impl Session<'_> {
         self.svc.metrics.gathers.inc();
         let age = self.svc.epochs.current_epoch().saturating_sub(self.pin.epoch());
         self.svc.metrics.pin_age.record(age);
-        if self.pin.epoch() == self.svc.cache.epoch() {
-            if let Some(hit) = self.svc.cache.get(v.0) {
+        if self.pin.epoch() == self.svc.cache.version() {
+            if let Some(hit) = self.svc.cache.get(&v.0) {
                 return Gathered { epoch: self.pin.epoch(), vector: hit };
             }
         }

@@ -21,8 +21,8 @@ use aligraph_lint::loom::bucket::BucketWorkload;
 use aligraph_lint::loom::counter::CounterWorkload;
 use aligraph_lint::loom::ps::PsWorkload;
 use aligraph_lint::loom::swap::SwapWorkload;
-use aligraph_lint::parse::parse_fns;
 use aligraph_lint::loom::Explorer;
+use aligraph_lint::parse::parse_fns;
 use aligraph_lint::walk::rust_sources;
 use aligraph_lint::{analyze_workspace, AnalysisReport, FileCtx, Workspace};
 use std::path::Path;
@@ -162,7 +162,7 @@ fn lint_sweep_covers_the_streaming_crate() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let files = rust_sources(root).expect("walk workspace sources");
     let streaming: Vec<_> = files.iter().filter(|p| p.starts_with("crates/streaming")).collect();
-    assert!(streaming.len() >= 8, "streaming crate missing from the lint sweep: {streaming:?}");
+    assert!(streaming.len() >= 7, "streaming crate missing from the lint sweep: {streaming:?}");
 }
 
 #[test]

@@ -287,10 +287,11 @@ proptest! {
 // --- Cold-tier codec and segment invariants (ISSUE 10) -----------------
 
 use aligraph_suite::graph::{AttrId, EdgeId, Neighbor};
+use aligraph_suite::runtime::{Checkpoint, PsShardState, WorkerCkpt};
 use aligraph_suite::storage::codec::{
     decode_adjacency, decode_feature_row, encode_adjacency, encode_feature_row,
 };
-use aligraph_suite::storage::{Segment, SegmentKind};
+use aligraph_suite::storage::{seal, Segment, SegmentKind};
 
 /// Builds an adjacency row in one of the shapes the cold tier must survive:
 /// empty, singleton, chain (sorted sequential ids — delta coding's best
@@ -402,6 +403,55 @@ proptest! {
         // Arbitrary garbage through both decoders.
         let _ = decode_adjacency(&garbage);
         let _ = decode_feature_row(&garbage);
+    }
+
+    /// Fuzz: the sealed-file readers — `seal::open` and the two formats
+    /// built on it — never panic on, and never accept, a truncated,
+    /// bit-flipped or garbage buffer.
+    #[test]
+    fn sealed_readers_reject_damage_without_panicking(
+        rows in prop::collection::vec((0u32..10_000, prop::collection::vec(0u8..255, 0..40)), 0..16),
+        floats in prop::collection::vec(0u32..u32::MAX, 0..48),
+        step in 0u64..u64::MAX,
+        cut in 0usize..100_000,
+        flip in (0usize..100_000, 0u8..8),
+        garbage in prop::collection::vec(0u8..255, 0..200),
+    ) {
+        let dedup: std::collections::BTreeMap<u32, Vec<u8>> = rows.iter().cloned().collect();
+        let segment = Segment::build(SegmentKind::Adjacency, 1, dedup.into_iter().collect());
+        let weights: Vec<f32> = floats.iter().map(|b| f32::from_bits(*b)).collect();
+        let checkpoint = Checkpoint {
+            fingerprint: step ^ 0xabcd,
+            global_step: step,
+            epoch_losses: floats.iter().map(|b| f64::from(*b)).collect(),
+            avg_params: (step % 2 == 0).then(|| weights.clone()),
+            workers: vec![WorkerCkpt { hist: vec![step, 1], dense_state: weights.clone(), ..Default::default() }],
+            shards: vec![PsShardState { ids: floats.clone(), weights: weights.clone(), accum: Some(weights) }],
+            ..Default::default()
+        };
+        let seg_bytes = segment.to_bytes();
+        let ckpt_bytes = checkpoint.to_bytes();
+        // Intact buffers load (bit-identically: NaN payloads included).
+        prop_assert_eq!(&Segment::from_bytes(&seg_bytes).unwrap().to_bytes(), &seg_bytes);
+        prop_assert_eq!(&Checkpoint::from_bytes(&ckpt_bytes).unwrap().to_bytes(), &ckpt_bytes);
+
+        for (bytes, magic) in [(&seg_bytes, &b"ALGRSEG1"[..]), (&ckpt_bytes, &b"ALGRCKP1"[..])] {
+            prop_assert!(seal::open(bytes, magic).is_ok());
+            // Truncation at an arbitrary strict prefix.
+            let short = &bytes[..cut % bytes.len()];
+            // A single flipped bit anywhere, trailer included.
+            let mut flipped = bytes.clone();
+            let at = flip.0 % flipped.len();
+            flipped[at] ^= 1 << flip.1;
+            for damaged in [short, &flipped[..], &garbage[..]] {
+                prop_assert!(seal::open(damaged, magic).is_err());
+                prop_assert!(Segment::from_bytes(damaged).is_err());
+                prop_assert!(Checkpoint::from_bytes(damaged).is_err());
+            }
+        }
+        // Each reader refuses the other's (intact) file.
+        prop_assert!(Segment::from_bytes(&ckpt_bytes).is_err());
+        prop_assert!(Checkpoint::from_bytes(&seg_bytes).is_err());
     }
 
     /// Segment build is canonical: any permutation of the same rows seals to

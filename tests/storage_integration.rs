@@ -15,6 +15,7 @@ use aligraph_partition::{EdgeCutHash, Partitioner, WorkerId};
 use aligraph_runtime::{DistOutcome, DistTrainer, EncoderSpec, RuntimeConfig};
 use aligraph_sampling::neighborhood::ClusterView;
 use aligraph_sampling::{NeighborhoodSampler, UniformNeighborhood};
+use aligraph_storage::seal::Fnv1a;
 use aligraph_storage::tier::TierBacking;
 use aligraph_storage::{CacheStrategy, Cluster, CostModel, EvictionMode, TierConfig, TieredStore};
 use aligraph_telemetry::Registry;
@@ -55,33 +56,28 @@ fn all_hot_bytes(g: &Arc<AttributedHeterogeneousGraph>) -> u64 {
     tier.resident_bytes()
 }
 
-fn fnv_mix(h: &mut u64, x: u64) {
-    *h ^= x;
-    *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-}
-
 /// Order-sensitive fingerprint of every adjacency row and feature row read
 /// back through the tier — the bit-exactness witness.
 fn gather_fingerprint(tier: &TieredStore, g: &AttributedHeterogeneousGraph) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for v in g.vertices() {
         let (nbrs, cdf, _) = tier.read_adjacency(v);
-        fnv_mix(&mut h, nbrs.len() as u64);
+        h.word(nbrs.len() as u64);
         for n in nbrs.iter() {
-            fnv_mix(&mut h, u64::from(n.vertex.0));
-            fnv_mix(&mut h, u64::from(n.weight.to_bits()));
-            fnv_mix(&mut h, n.edge.0);
+            h.word(u64::from(n.vertex.0));
+            h.word(u64::from(n.weight.to_bits()));
+            h.word(n.edge.0);
         }
         for c in cdf.iter() {
-            fnv_mix(&mut h, u64::from(c.to_bits()));
+            h.word(u64::from(c.to_bits()));
         }
         if let Some((row, _)) = tier.feature_row(v) {
             for f in row.iter() {
-                fnv_mix(&mut h, u64::from(f.to_bits()));
+                h.word(u64::from(f.to_bits()));
             }
         }
     }
-    h
+    h.finish()
 }
 
 /// Differential oracle 1 — gathers and k-hop samples: the same seed under
@@ -207,6 +203,7 @@ fn training_epoch_fingerprints_identical_across_budgets() {
             oracle.features.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             "budget 1/{fraction}: trained features diverged"
         );
+        assert_eq!(out.fingerprint(), oracle.fingerprint(), "the one-word form of the above");
         if fraction == 10 {
             assert!(
                 out.report.adjacency.cold > 0,
@@ -235,14 +232,14 @@ fn feature_update_workload(tier: &TieredStore, g: &AttributedHeterogeneousGraph)
         }
     }
     tier.flush_writeback().unwrap();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for v in g.vertices() {
         let (row, _) = tier.feature_row(v).expect("features attached");
         for f in row.iter() {
-            fnv_mix(&mut h, u64::from(f.to_bits()));
+            h.word(u64::from(f.to_bits()));
         }
     }
-    h
+    h.finish()
 }
 
 fn build_tier(
@@ -329,4 +326,74 @@ fn tiered_cluster_survives_shard_split() {
         let (nbrs, _, _) = tier.read_adjacency(v);
         assert_eq!(&nbrs[..], g.out_neighbors(v));
     }
+}
+
+/// Both durable writers — checkpoints and segments — go through
+/// `seal::write_atomic`: the file reads back equal, no temp sibling is left
+/// behind, and a stale `*.tmp` from a crashed writer is neither picked up
+/// by recovery (`latest_valid_checkpoint`, `TieredStore::reopen`) nor in
+/// the way of the next write to the same name.
+#[test]
+fn sealed_writers_are_atomic_and_ignore_stale_temps() {
+    use aligraph_runtime::{latest_valid_checkpoint, Checkpoint};
+    use aligraph_storage::Segment;
+
+    let dir = std::env::temp_dir().join(format!("aligraph-sealed-writers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tmp_files = |d: &std::path::Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        names.sort();
+        names
+    };
+    let torn = b"half a file, from a writer that died before its rename";
+
+    // Checkpoints. The crashed writer was on a *newer* step than anything
+    // valid on disk, and a second one died on the very name written next.
+    let ckpt_dir = dir.join("ckpt");
+    std::fs::create_dir_all(&ckpt_dir).unwrap();
+    std::fs::write(ckpt_dir.join("ckpt-0000000009.bin.tmp"), torn).unwrap();
+    std::fs::write(ckpt_dir.join("ckpt-0000000005.bin.tmp"), torn).unwrap();
+    let ckpt = Checkpoint { global_step: 5, epoch_losses: vec![0.5, 0.25], ..Default::default() };
+    let path = ckpt.write_to_dir(&ckpt_dir).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), ckpt.to_bytes());
+    assert_eq!(tmp_files(&ckpt_dir), ["ckpt-0000000009.bin.tmp"], "own temp renamed away");
+    let (latest, loaded) = latest_valid_checkpoint(&ckpt_dir).unwrap().unwrap();
+    assert_eq!((latest, &loaded), (path, &ckpt), "the stale step-9 temp is not a candidate");
+
+    // Segments, through the tier: build over a directory holding a stale
+    // temp for shard 0's file, then reopen with one for shard 1's.
+    let seg_dir = dir.join("seg");
+    std::fs::create_dir_all(&seg_dir).unwrap();
+    std::fs::write(seg_dir.join("shard-0000-adj-gen0000.seg.tmp"), torn).unwrap();
+    let g = graph();
+    let part = EdgeCutHash.partition(&g, 2);
+    let owners: Vec<u32> = g.vertices().map(|v| part.owner_of(v).0).collect();
+    let cfg = TierConfig {
+        resident_budget: Some(4_000),
+        backing: TierBacking::Disk(seg_dir.clone()),
+        ..TierConfig::default()
+    };
+    let build = |registry: &Registry| {
+        TieredStore::build(Arc::clone(&g), &owners, 2, cfg.clone(), CostModel::default(), registry)
+    };
+    drop(build(&Registry::disabled()).unwrap());
+    assert!(tmp_files(&seg_dir).is_empty(), "stale temp overwritten and renamed away");
+    let seg_path = seg_dir.join("shard-0000-adj-gen0000.seg");
+    let seg = Segment::read_from(&seg_path).unwrap();
+    assert_eq!(std::fs::read(&seg_path).unwrap(), seg.to_bytes());
+
+    std::fs::write(seg_dir.join("shard-0001-adj-gen0000.seg.tmp"), torn).unwrap();
+    let registry = Registry::new();
+    let reopened =
+        TieredStore::reopen(Arc::clone(&g), &owners, 2, cfg, CostModel::default(), &registry)
+            .unwrap();
+    assert_eq!(registry.snapshot().counter("tier.seal_rejections", &[]), 0);
+    for v in g.vertices() {
+        assert_eq!(&reopened.read_adjacency(v).0[..], g.out_neighbors(v));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
