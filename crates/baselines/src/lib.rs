@@ -3,7 +3,7 @@
 //! The competitor algorithms of the paper's evaluation (§5.2.1, categories
 //! C1–C3 plus the recommendation and dynamic baselines):
 //!
-//! * **C1 homogeneous GE** — [`deepwalk`], [`node2vec`], [`line`];
+//! * **C1 homogeneous GE** — [`deepwalk`], [`node2vec`], [`mod@line`];
 //! * **C2 attributed GE** — [`anrl`] (neighbor-enhancement autoencoder +
 //!   skip-gram, simplified to an attribute-initialized SGNS with a feature
 //!   reconstruction pull);

@@ -10,7 +10,7 @@
 //!    struc2vec's multilayer similarity),
 //! 2. a **similarity graph** connecting each vertex to its nearest
 //!    neighbors in signature space (candidate-sampled beyond
-//!    [`EXACT_KNN_LIMIT`] vertices to stay sub-quadratic),
+//!    `EXACT_KNN_LIMIT` vertices to stay sub-quadratic),
 //! 3. random walks on the similarity graph + skip-gram with negative
 //!    sampling.
 

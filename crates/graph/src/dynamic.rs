@@ -47,6 +47,90 @@ impl SnapshotDelta {
     }
 }
 
+/// One live mutation of an online graph: the update vocabulary of the
+/// dynamic-graph plane both online services publish through.
+#[derive(Debug, Clone, PartialEq)]
+pub enum UpdateEvent {
+    /// A new directed edge `src -> dst` with the given weight.
+    AddEdge {
+        /// Source endpoint (its out-row and alias table change).
+        src: VertexId,
+        /// Destination endpoint (its in-row changes).
+        dst: VertexId,
+        /// Edge type of the new record.
+        etype: EdgeType,
+        /// Sampling weight of the new record (must be finite).
+        weight: f32,
+    },
+    /// Retraction of the first matching `src -> dst` record of `etype`.
+    RemoveEdge {
+        /// Source endpoint.
+        src: VertexId,
+        /// Destination endpoint.
+        dst: VertexId,
+        /// Edge type to match.
+        etype: EdgeType,
+    },
+    /// Replacement of a vertex's dense feature vector.
+    SetFeatures {
+        /// The vertex whose features change.
+        vertex: VertexId,
+        /// The new feature vector (same dimension as the base matrix).
+        features: Vec<f32>,
+    },
+}
+
+impl UpdateEvent {
+    /// Short kind label for telemetry (`streaming.ingest.events{kind=...}`).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            UpdateEvent::AddEdge { .. } => "add",
+            UpdateEvent::RemoveEdge { .. } => "remove",
+            UpdateEvent::SetFeatures { .. } => "attr",
+        }
+    }
+}
+
+/// One entry of the update log: the events a single ingest round applies.
+/// Each applied batch advances the graph by exactly one epoch.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct UpdateBatch {
+    /// The events, applied in order within the batch.
+    pub events: Vec<UpdateEvent>,
+}
+
+impl UpdateBatch {
+    /// Number of events in the batch.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// True when the batch carries no events.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+}
+
+/// Lowers a snapshot delta to the plane's vocabulary: removals first, then
+/// additions at weight 1.0 (a delta carries no weights) — the order serving
+/// has always applied deltas in, so served embeddings do not move.
+impl From<&SnapshotDelta> for UpdateBatch {
+    fn from(delta: &SnapshotDelta) -> Self {
+        let removed = delta.removed.iter().map(|e| UpdateEvent::RemoveEdge {
+            src: e.src,
+            dst: e.dst,
+            etype: e.etype,
+        });
+        let added = delta.added.iter().map(|e| UpdateEvent::AddEdge {
+            src: e.src,
+            dst: e.dst,
+            etype: e.etype,
+            weight: 1.0,
+        });
+        UpdateBatch { events: removed.chain(added).collect() }
+    }
+}
+
 /// A series of graph snapshots with aligned deltas.
 ///
 /// Invariant: `deltas.len() == snapshots.len()`, and `deltas[0]` is empty

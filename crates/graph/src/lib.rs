@@ -36,7 +36,9 @@ pub mod powerlaw;
 
 pub use attr::{AttrId, AttrIndex, AttrValue, AttrVector};
 pub use degrees::{DegreeTable, ImportanceTable, KhopCounter};
-pub use dynamic::{DynamicGraph, EdgeEvent, EvolutionKind, SnapshotDelta};
+pub use dynamic::{
+    DynamicGraph, EdgeEvent, EvolutionKind, SnapshotDelta, UpdateBatch, UpdateEvent,
+};
 pub use error::GraphError;
 pub use features::{FeatureMatrix, Featurizer};
 pub use generate::{amazon_sim, barabasi_albert, erdos_renyi, DynamicConfig, TaobaoConfig};

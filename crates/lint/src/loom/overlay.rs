@@ -1,10 +1,10 @@
-//! Mini-loom target: the serving overlay + version-tagged embedding cache
-//! under concurrent dynamic deltas.
+//! Mini-loom target: the graph plane's epoch views + version-tagged
+//! embedding cache under concurrent dynamic deltas.
 //!
-//! The serving worker's cache-fill is a three-step protocol — snapshot the
-//! [`OverlayGraph`], compute on the snapshot, insert the result into the
-//! [`VersionedCache`] *tagged with the snapshot's version* — racing a writer
-//! that swaps in the next overlay version and invalidates the reverse-BFS
+//! The serving worker's cache-fill is a three-step protocol — pin the
+//! current [`EpochView`], compute on the pin, insert the result into the
+//! [`VersionedCache`] *tagged with the pin's epoch* — racing a writer
+//! that swaps in the next epoch view and invalidates the reverse-BFS
 //! [`affected_seeds`] set. The invariant this workload checks is the serving
 //! layer's headline guarantee: **a cache hit always equals a fresh recompute
 //! on the current overlay** — no stale version ever escapes through the
@@ -26,8 +26,8 @@
 use super::{Threads, VThread, Workload};
 use aligraph_graph::dynamic::{EdgeEvent, EvolutionKind, SnapshotDelta};
 use aligraph_graph::ids::well_known::{CLICK, USER};
-use aligraph_graph::{AttrVector, GraphBuilder, VertexId};
-use aligraph_serving::{affected_seeds, OverlayGraph};
+use aligraph_graph::{AttrVector, Featurizer, GraphBuilder, VertexId};
+use aligraph_serving::{affected_seeds, EpochView};
 use aligraph_storage::VersionedCache;
 use aligraph_telemetry::Registry;
 use std::sync::Arc;
@@ -37,7 +37,7 @@ const KMAX: usize = 2;
 
 /// Deterministic stand-in for the encoder: an FNV-style hash of the k-hop
 /// out-neighborhood expansion of `v` on `view`.
-fn fingerprint(view: &OverlayGraph, v: VertexId) -> u64 {
+fn fingerprint(view: &EpochView, v: VertexId) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (u64::from(v.0) << 7);
     let mut frontier = vec![v];
     for _hop in 0..KMAX {
@@ -67,7 +67,7 @@ fn decode(e: &[f32]) -> u64 {
 /// sequential error log.
 #[derive(Debug)]
 pub struct OverlayState {
-    overlay: Arc<OverlayGraph>,
+    overlay: Arc<EpochView>,
     cache: VersionedCache<u32, Arc<Vec<f32>>>,
     /// Buggy twin: readers tag inserts with the cache's *current* version
     /// instead of their snapshot's (TOCTOU).
@@ -76,9 +76,10 @@ pub struct OverlayState {
 }
 
 /// The delta writer: each step applies one scripted delta exactly the way
-/// `ServingService::apply_delta` does — build the next version, compute the
-/// reverse-BFS affected set, swap, advance the cache — as one atomic unit
-/// (the real code holds the overlay write lock across all four).
+/// the plane's `EpochManager::commit` does under `apply_delta` — build the
+/// next version, compute the reverse-BFS affected set, swap, advance the
+/// cache — as one atomic unit (the real code serializes writers across all
+/// four and runs the last two under the publish lock).
 struct DeltaWriter {
     deltas: Vec<SnapshotDelta>,
     at: usize,
@@ -95,7 +96,7 @@ impl VThread<OverlayState> for DeltaWriter {
         let post = Arc::new(pre.apply(delta));
         let affected = affected_seeds(&pre, &post, delta, KMAX);
         s.overlay = Arc::clone(&post);
-        s.cache.advance(post.version(), affected.iter().map(|v| v.0));
+        s.cache.advance(post.epoch(), affected.iter().map(|v| v.0));
     }
 }
 
@@ -119,7 +120,7 @@ struct Reader {
     v: VertexId,
     rounds_left: u32,
     phase: Phase,
-    snap: Option<Arc<OverlayGraph>>,
+    snap: Option<Arc<EpochView>>,
     value: u64,
 }
 
@@ -146,7 +147,7 @@ impl VThread<OverlayState> for Reader {
                             "stale hit for vertex {}: cached {got:#x} != current-overlay \
                              fingerprint {want:#x} at version {}",
                             self.v.0,
-                            s.overlay.version()
+                            s.overlay.epoch()
                         ));
                     }
                     self.next_round();
@@ -168,7 +169,7 @@ impl VThread<OverlayState> for Reader {
                 // invariant: the snapshot survives until the insert that
                 // consumes its version tag.
                 let snap = self.snap.as_ref().expect("snapshot pinned in previous phase");
-                let version = if s.buggy { s.cache.version() } else { snap.version() };
+                let version = if s.buggy { s.cache.version() } else { snap.epoch() };
                 s.cache.insert(self.v.0, version, encode(self.value));
                 self.next_round();
             }
@@ -220,8 +221,12 @@ impl Workload for OverlayWorkload {
             b.add_edge(w[0], w[1], CLICK, 1.0).expect("vertices exist");
         }
         let graph = Arc::new(b.build());
+        // One shard owning every vertex; the fingerprint reads rows only, so
+        // the view carries one-wide features and no base alias index.
+        let feats = Arc::new(Featurizer::new(1).matrix(&graph));
+        let owners = Arc::new(vec![0; graph.num_vertices()]);
         let state = OverlayState {
-            overlay: Arc::new(OverlayGraph::new(graph)),
+            overlay: Arc::new(EpochView::initial(graph, feats, Arc::default(), owners, 1)),
             cache: VersionedCache::registered(8, &Registry::disabled(), "serving.cache"),
             buggy: self.buggy,
             errors: Vec::new(),

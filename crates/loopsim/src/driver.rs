@@ -13,7 +13,7 @@
 //!    `lag_ticks`, which the clock absorbs;
 //! 3. **train** — a delta epoch warm-starts from the latest valid
 //!    checkpoint with only the ingest-touched feature rows re-pulled from
-//!    the post-ingest epoch view ([`Checkpoint::patch_feature_rows`]);
+//!    the post-ingest epoch view ([`aligraph_runtime::Checkpoint::patch_feature_rows`]);
 //! 4. **deploy** — the new model seals into a [`ModelVersion`] and
 //!    atomically hot-swaps into the [`ModelStore`]; in-flight pins keep
 //!    serving the old version untouched.
@@ -308,7 +308,7 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
                 tick += 1;
                 interactions_ctr.inc();
                 hub.append(HubEvent::Click { user, item, tick });
-                if let Some(drifted) = traffic.maybe_drift(session.features(item)) {
+                if let Some(drifted) = traffic.maybe_drift(session.view().features(item)) {
                     hub.append(HubEvent::Drift { vertex: item, features: drifted, tick });
                 }
             }
@@ -339,8 +339,10 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
         let (_, mut ckpt) = latest_valid_checkpoint(&cfg.checkpoint_dir)?
             .ok_or_else(|| LoopError::Config("no valid checkpoint after bootstrap".into()))?;
         let post = service.session();
-        let rows: Vec<(u32, Vec<f32>)> =
-            touched_feats.iter().map(|&v| (v, post.features(VertexId(v)).to_vec())).collect();
+        let rows: Vec<(u32, Vec<f32>)> = touched_feats
+            .iter()
+            .map(|&v| (v, post.view().features(VertexId(v)).to_vec()))
+            .collect();
         let repulled =
             ckpt.patch_feature_rows(cfg.dim, rows.iter().map(|(v, r)| (*v, r.as_slice())));
         repulled_ctr.add(repulled as u64);

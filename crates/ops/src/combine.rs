@@ -121,7 +121,7 @@ impl Combiner for ConcatCombiner {
 }
 
 /// GCN-style combine: `h^(k) = act(W (h_self + h_nbr) + b)` — "usually,
-/// h^(k-1)_v and h'_v are summed together to [be] fed into a deep neural
+/// h^(k-1)_v and h'_v are summed together to \[be\] fed into a deep neural
 /// network" (paper §3.4).
 #[derive(Debug, Clone)]
 pub struct GcnCombiner {

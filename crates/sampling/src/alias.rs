@@ -12,11 +12,20 @@ use rand::Rng;
 /// and the small/large work stacks. Keeping these between repairs makes an
 /// in-place rebuild allocation-free once the buffers have grown to the row's
 /// degree.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct BuildScratch {
     prob64: Vec<f64>,
     small: Vec<usize>,
     large: Vec<usize>,
+}
+
+/// Scratch is working memory, not state: a copy starts with none (the
+/// plane clones a table per published version; copying three dead buffers
+/// along would be most of that clone).
+impl Clone for BuildScratch {
+    fn clone(&self) -> Self {
+        BuildScratch::default()
+    }
 }
 
 /// The Walker build, writing into caller-owned buffers. Returns `false`
@@ -154,15 +163,15 @@ impl IncrementalAlias {
     /// Builds from an initial weight vector (the one-time migration cost of
     /// a vertex entering the incremental plane; later edits are in-place).
     pub fn new(weights: Vec<f32>) -> Self {
-        let mut t = IncrementalAlias {
-            weights,
-            table: AliasTable::default(),
-            valid: false,
-            dirty: true,
-            scratch: BuildScratch::default(),
-        };
+        let mut t = Self::unrepaired(weights);
         t.repair();
         t
+    }
+
+    /// [`new`](Self::new) without the build: dirty until the caller, who is
+    /// about to edit the weights anyway, repairs it.
+    pub(crate) fn unrepaired(weights: Vec<f32>) -> Self {
+        IncrementalAlias { weights, dirty: true, ..Self::default() }
     }
 
     /// Number of outcomes.

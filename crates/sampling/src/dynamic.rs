@@ -1,7 +1,7 @@
 //! Dynamic sampler weights with registered backward updates (paper §3.3).
 //!
 //! "We implement the update operation in a sampler's backward computation,
-//! just like gradient back propagation of an operator. So when updating [is]
+//! just like gradient back propagation of an operator. So when updating \[is\]
 //! needed, what we should do is to register a gradient function for the
 //! sampler. The updating mode, synchronous or asynchronous, is due to the
 //! training algorithm."

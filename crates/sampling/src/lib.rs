@@ -20,6 +20,9 @@
 //!   backward/update function, the "gradient of the sampler" mechanism of
 //!   §3.3, optionally routed through the lock-free request buckets;
 //! * [`pipeline`] — the `sampling(s1, s2, s3, batch_size)` stage of Figure 5;
+//! * [`plane`] — the dynamic-graph plane: per-shard copy-on-write overlays
+//!   over the immutable store, published as pinned, monotonic epochs — the
+//!   one online graph state the serving and streaming services both read;
 //! * [`telemetry`] — metered sampler wrappers publishing per-kind draw
 //!   counts and latencies without perturbing the wrapped RNG stream.
 
@@ -31,6 +34,7 @@ pub mod dynamic;
 pub mod negative;
 pub mod neighborhood;
 pub mod pipeline;
+pub mod plane;
 pub mod seeding;
 pub mod telemetry;
 pub mod traverse;
@@ -44,6 +48,9 @@ pub use neighborhood::{
     TopKNeighborhood, UniformNeighborhood, WeightedNeighborhood,
 };
 pub use pipeline::{SampleBatch, SamplingPipeline};
+pub use plane::{
+    affected, Applied, Committed, EpochManager, EpochView, ShardOverlay, Touched, VertexOverlay,
+};
 pub use seeding::{worker_rng, worker_seed};
 pub use telemetry::MeteredNeighborhood;
 pub use traverse::{ShardEdgePools, TraverseSampler, UniformTraverse, WeightedEdgeTraverse};

@@ -12,10 +12,11 @@
 //!   backpressure, workers pinned to storage shards, adaptive micro-batching
 //!   ([`batcher`]) that dedups overlapping k-hop neighborhoods through a
 //!   shared memoizing episode tape;
-//! * [`overlay::OverlayGraph`] — copy-on-write graph versions so online
-//!   deltas never block or tear in-flight batches, plus
-//!   [`overlay::affected_seeds`], the reverse k-hop reachability set a delta
-//!   invalidates;
+//! * the graph state is [`aligraph_sampling::plane`], shared with the
+//!   streaming crate: copy-on-write [`EpochView`] versions so online deltas
+//!   never block or tear in-flight batches, and the reverse k-hop
+//!   reachability set a delta invalidates ([`affected_seeds`] is the
+//!   delta-shaped entrance to that rule);
 //! * served embeddings are cached in the shared
 //!   [`aligraph_storage::VersionedCache`] under the `serving.cache` series:
 //!   stale results are structurally unservable (inserts are admitted only at
@@ -32,9 +33,9 @@
 //! ```text
 //! clients ──try_send──> [worker queues] ──micro-batch──> forward (dedup+cache)
 //!                 │ full?                      ▲                │
-//!                 └──> Overloaded{retry}       │ snapshot       ▼
-//! deltas ──apply_delta──> OverlayGraph vN+1 ───┘        VersionedCache@vN
-//!                          └── affected_seeds ──────────── invalidate ┘
+//!                 └──> Overloaded{retry}       │ pin            ▼
+//! deltas ──apply_delta──> EpochView N+1 ───────┘        VersionedCache@N
+//!                          └── plane::affected ─────────── invalidate ┘
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,14 +44,15 @@
 pub mod batcher;
 pub mod error;
 pub mod metrics;
-pub mod overlay;
 pub mod router;
 pub mod service;
 pub mod swap;
 
+pub use aligraph_sampling::plane::EpochView;
 pub use error::ServeError;
 pub use metrics::{ServingMetrics, ServingReport};
-pub use overlay::{affected_seeds, OverlayGraph};
 pub use router::{ReplicaRouter, RouteDecision};
-pub use service::{ServedEmbedding, ServingConfig, ServingFaultConfig, ServingService};
+pub use service::{
+    affected_seeds, ServedEmbedding, ServingConfig, ServingFaultConfig, ServingService,
+};
 pub use swap::{ModelPin, ModelStore, ModelVersion, SwapError};

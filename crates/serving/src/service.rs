@@ -10,36 +10,36 @@
 //!    queue — a full queue rejects immediately with a retry hint instead of
 //!    buffering without bound ([`ServeError::Overloaded`]).
 //! 2. The worker drains an adaptive micro-batch (flush on size or deadline,
-//!    [`crate::batcher`]), snapshots the current [`OverlayGraph`] version,
+//!    [`crate::batcher`]), pins the current [`EpochView`] of the graph plane,
 //!    and resolves the batch's *unique* vertices: embedding-cache hits are
 //!    reused, misses run the k-hop SAMPLE → AGGREGATE → COMBINE forward on
 //!    one shared memoizing [`EpisodeTape`], so overlapping neighborhoods
 //!    within the batch are computed once (§3.4 applied to inference).
-//! 3. [`ServingService::apply_delta`] moves the graph to the next version
-//!    copy-on-write and invalidates exactly the cache entries whose k-hop
-//!    neighborhood the delta touched ([`affected_seeds`]); version-tagged
-//!    inserts keep in-flight batches from publishing stale results.
+//! 3. [`ServingService::apply_delta`] commits the delta to the plane
+//!    ([`EpochManager::commit`]): the next version copy-on-write, and exactly
+//!    the cache entries whose k-hop neighborhood it touched invalidated;
+//!    version-tagged inserts keep in-flight batches from publishing stale
+//!    results.
 //!
 //! [`score`]: ServingService::score
 
 use crate::batcher::next_batch;
 use crate::error::ServeError;
 use crate::metrics::{ServingMetrics, ServingReport};
-use crate::overlay::{affected_seeds, OverlayGraph};
 use aligraph::{EpisodeTape, GnnEncoder};
 use aligraph_chaos::{Delivery, FaultPlan, FaultPlane, RetryPolicy};
-use aligraph_graph::dynamic::SnapshotDelta;
+use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch};
 use aligraph_graph::features::{FeatureMatrix, Featurizer};
 use aligraph_graph::{AttributedHeterogeneousGraph, VertexId};
-use aligraph_partition::{EdgeCutHash, Partitioner, WorkerId};
-use aligraph_sampling::NeighborhoodSampler;
+use aligraph_partition::{EdgeCutHash, Partitioner};
+use aligraph_sampling::{affected, EpochManager, EpochView, NeighborhoodSampler, Touched};
 use aligraph_storage::{AccessKind, AccessStats, CacheStats, CostModel, VersionedCache};
 use aligraph_telemetry::Registry;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -146,22 +146,21 @@ struct Job {
     enqueued: Instant,
 }
 
-/// Version-tagged fallback entries: vertex → (overlay version at capture,
+/// Version-tagged fallback entries: vertex → (graph epoch at capture,
 /// embedding).
 type FallbackStore = HashMap<u32, (u64, Arc<Vec<f32>>)>;
 
 /// State shared by the front-end handle and all workers.
 struct Shared<S> {
-    overlay: RwLock<Arc<OverlayGraph>>,
-    features: FeatureMatrix,
-    /// Served embeddings, tagged with the overlay version they were
-    /// computed against.
+    /// The graph plane: workers pin one epoch per micro-batch, and the
+    /// pinned view's owner table routes requests.
+    epochs: EpochManager,
+    features: Arc<FeatureMatrix>,
+    /// Served embeddings, tagged with the epoch they were computed against.
     cache: VersionedCache<u32, Arc<Vec<f32>>>,
     metrics: ServingMetrics,
     stats: AccessStats,
     cost: CostModel,
-    /// Vertex → owning worker, from the storage partitioner.
-    owners: Vec<WorkerId>,
     config: ServingConfig,
     sampler: S,
     /// The chaos plane, when `config.fault` is set.
@@ -213,18 +212,26 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
             !config.fanouts.is_empty() && config.dims.len() == config.fanouts.len(),
             "dims and fanouts must be non-empty and of equal length"
         );
-        let features = Featurizer::new(config.feature_dim).matrix(&graph);
-        let owners = EdgeCutHash.partition(&graph, config.workers).vertex_owner;
+        let features = Arc::new(Featurizer::new(config.feature_dim).matrix(&graph));
+        let part = EdgeCutHash.partition(&graph, config.workers);
+        let owners = Arc::new(part.vertex_owner.iter().map(|w| w.index() as u32).collect());
+        // No base alias index: the encoder's samplers read rows, not tables.
+        let view = EpochView::initial(
+            graph,
+            Arc::clone(&features),
+            Arc::default(),
+            owners,
+            config.workers,
+        );
         let plane =
             config.fault.as_ref().map(|fc| FaultPlane::registered(fc.plan.clone(), registry));
         let shared = Arc::new(Shared {
-            overlay: RwLock::new(Arc::new(OverlayGraph::new(graph))),
+            epochs: EpochManager::new(view),
             features,
             cache: VersionedCache::registered(config.cache_capacity, registry, "serving.cache"),
             metrics: ServingMetrics::registered(registry),
             stats: AccessStats::registered(registry, "serving"),
             cost: CostModel::default(),
-            owners,
             config,
             sampler,
             plane,
@@ -260,9 +267,7 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
     /// Cosine similarity of the current embeddings of `u` and `v` — the
     /// recommendation-style "score this candidate" call.
     pub fn score(&self, u: VertexId, v: VertexId) -> Result<f32, ServeError> {
-        if v.index() >= self.shared.owners.len() {
-            return Err(ServeError::UnknownVertex(v));
-        }
+        self.owner_of(v)?;
         match self.submit(u, JobKind::Score { other: v })? {
             Reply::Score(s) => Ok(s),
             Reply::Embedding(_) => unreachable!("score jobs get score replies"),
@@ -270,11 +275,15 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
         }
     }
 
+    /// The worker that owns `v` under the current epoch's owner table.
+    fn owner_of(&self, v: VertexId) -> Result<usize, ServeError> {
+        let pin = self.shared.epochs.pin();
+        let owner = pin.owners().get(v.index()).ok_or(ServeError::UnknownVertex(v))?;
+        Ok(*owner as usize)
+    }
+
     fn submit(&self, v: VertexId, kind: JobKind) -> Result<Reply, ServeError> {
-        if v.index() >= self.shared.owners.len() {
-            return Err(ServeError::UnknownVertex(v));
-        }
-        let owner = self.shared.owners[v.index()].index();
+        let owner = self.owner_of(v)?;
         let (tx, rx) = bounded(1);
         // aligraph::allow(determinism-taint): enqueue timestamp
         // feeds only the queue-latency histogram; no control flow reads it.
@@ -306,35 +315,32 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
         (batches * mean_us / 1_000).clamp(1, 1_000)
     }
 
-    /// Applies an online graph update: swaps in the next copy-on-write
-    /// overlay version and invalidates exactly the cached embeddings whose
-    /// k-hop neighborhood the delta can reach. Returns how many cache
-    /// entries were invalidated.
-    ///
-    /// The overlay write lock is held through the cache advance, so no batch
-    /// can snapshot the new version before the cache accepts it; in-flight
-    /// batches against the old version finish on their own snapshot and
-    /// their late inserts are version-checked away.
+    /// Applies an online graph update: lowers the delta to the plane's
+    /// update vocabulary and commits it — the next copy-on-write version is
+    /// published and exactly the cached embeddings whose k-hop neighborhood
+    /// the changed rows can reach are invalidated. Returns how many cache
+    /// entries were invalidated; a delta that fails the plane's admission
+    /// check (an unknown vertex id) applies nothing and returns 0.
     pub fn apply_delta(&self, delta: &SnapshotDelta) -> usize {
+        let batch = UpdateBatch::from(delta);
+        if self.shared.epochs.pin().check(&batch).is_err() {
+            return 0;
+        }
         let kmax = self.shared.config.fanouts.len();
-        let mut guard = self.shared.overlay.write();
-        let pre = Arc::clone(&guard);
-        let post = Arc::new(pre.apply(delta));
-        let affected = affected_seeds(&pre, &post, delta, kmax);
-        *guard = Arc::clone(&post);
-        let dropped = self.shared.cache.advance(post.version(), affected.iter().map(|v| v.0));
-        drop(guard);
-        dropped
+        self.shared
+            .epochs
+            .commit(kmax, &self.shared.cache, |pre| pre.apply_batch(&batch))
+            .invalidated
     }
 
     /// The graph version requests are currently served against.
     pub fn graph_version(&self) -> u64 {
-        self.shared.overlay.read().version()
+        self.shared.epochs.current_epoch()
     }
 
-    /// A read-only snapshot of the current overlay (for recompute checks).
-    pub fn overlay_snapshot(&self) -> Arc<OverlayGraph> {
-        Arc::clone(&self.shared.overlay.read())
+    /// A read-only pin of the current graph version (for recompute checks).
+    pub fn overlay_snapshot(&self) -> Arc<EpochView> {
+        self.shared.epochs.pin()
     }
 
     /// Embedding-cache counters.
@@ -383,6 +389,19 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> Drop for ServingSer
     }
 }
 
+/// Serving keys whose embedding a delta may change: the plane's
+/// [`affected`] rule over the out-rows of the delta's source endpoints (a
+/// superset of the rows [`ServingService::apply_delta`] finds changed).
+pub fn affected_seeds(
+    pre: &EpochView,
+    post: &EpochView,
+    delta: &SnapshotDelta,
+    kmax: usize,
+) -> HashSet<VertexId> {
+    let rows: BTreeSet<u32> = delta.added.iter().chain(&delta.removed).map(|e| e.src.0).collect();
+    affected(pre, post, &Touched { rows: rows.into_iter().collect(), feats: Vec::new() }, kmax)
+}
+
 /// Drives one remote fetch through the fault plane: retried under `policy`'s
 /// capped backoff until delivery or the retry deadline. Fetches are
 /// idempotent reads, so a lost ack is just a successful delivery, and an
@@ -420,10 +439,11 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
     let mut remote_seq = 0u64;
 
     while let Some(batch) = next_batch(&rx, cfg.max_batch, cfg.max_batch_delay) {
-        // Snapshot the graph version once per batch; the whole batch is
+        // Pin the graph version once per batch; the whole batch is
         // answered against this consistent view.
-        let overlay = Arc::clone(&shared.overlay.read());
-        let version = overlay.version();
+        let pin = shared.epochs.pin();
+        let (view, version) = (pin.as_ref(), pin.epoch());
+        let owner_of = |v: VertexId| view.owners()[v.index()] as usize;
         tape.clear();
         let (hits0, misses0) = tape.stats();
 
@@ -443,7 +463,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
 
         let mut forwards = 0usize;
         for &v in &needed {
-            let owned = shared.owners[v.index()].index() == worker;
+            let owned = owner_of(v) == worker;
             if let Some(e) = shared.cache.get(&v.0) {
                 // Seed-level accounting: a cache hit spares the k-hop work;
                 // for a non-owned vertex that is the remote fetch the cache
@@ -461,8 +481,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
             // which point the worker serves the bounded fallback (degraded)
             // or, beyond the staleness bound, fails the request.
             if let (Some(plane), Some(fc)) = (&shared.plane, &cfg.fault) {
-                let owner = shared.owners[v.index()].index() as u64;
-                let channel = FaultPlane::channel_with(3, worker as u64, owner);
+                let channel = FaultPlane::channel_with(3, worker as u64, owner_of(v) as u64);
                 let seq = remote_seq;
                 remote_seq += 1;
                 if !fetch_survives(plane, &fc.policy, channel, seq) {
@@ -491,8 +510,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
                     continue;
                 }
             }
-            let idx =
-                encoder.forward(&*overlay, &shared.features, &sampler, v, &mut tape, &mut rng);
+            let idx = encoder.forward(view, &shared.features, &sampler, v, &mut tape, &mut rng);
             forwards += 1;
             let mut out = tape.output(idx).to_vec();
             aligraph_tensor::l2_normalize(&mut out);
@@ -631,6 +649,25 @@ mod tests {
         assert_eq!(service.graph_version(), 1);
         assert!(dropped >= 1, "at least the touched vertex drops");
         assert_eq!(service.cache_stats().invalidations as usize, dropped);
+        // Serving gave the plane no alias index, so the touched row keeps
+        // no table either.
+        assert!(service.overlay_snapshot().alias(VertexId(0)).is_none());
+    }
+
+    #[test]
+    fn a_delta_naming_an_unknown_vertex_applies_nothing() {
+        let (graph, service) = small_service();
+        let cached = service.embedding(VertexId(0)).unwrap();
+        let far = VertexId(graph.num_vertices() as u32);
+        for (src, dst) in [(far, VertexId(0)), (VertexId(0), far)] {
+            let ev = EdgeEvent { src, dst, etype: CLICK, kind: EvolutionKind::Normal };
+            assert_eq!(service.apply_delta(&SnapshotDelta { added: vec![ev], removed: vec![] }), 0);
+            assert_eq!(service.apply_delta(&SnapshotDelta { added: vec![], removed: vec![ev] }), 0);
+        }
+        // No version was published and the cached entry is still served.
+        assert_eq!(service.graph_version(), 0);
+        assert!(Arc::ptr_eq(&cached, &service.embedding(VertexId(0)).unwrap()));
+        assert_eq!(service.forwards_so_far(), 1);
     }
 
     #[test]

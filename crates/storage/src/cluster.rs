@@ -9,7 +9,7 @@
 //! which is what a real cluster's build time would be.
 //!
 //! Membership is *elastic*: the builder seeds a versioned
-//! [`Topology`](crate::topology::Topology) (epoch 0 = the logical
+//! [`crate::topology::Topology`] (epoch 0 = the logical
 //! partition) and routing goes through it —
 //! [`route_replica`](Cluster::route_replica) returns a load-ranked
 //! [`ReplicaSet`] instead of a bare worker id, and

@@ -1,11 +1,10 @@
 //! Shared request-flow bucket executor (paper §3.3, Figure 6).
 //!
-//! Both [`crate::bucket`] (the minimal weight-only service) and
-//! [`crate::service`] (the full graph request service) follow the same
+//! Its one client, [`crate::bucket`] (the weight service), follows this
 //! pattern: vertices are grouped into buckets by `v % num_buckets`, each
 //! bucket is a lock-free queue bound to one executor thread that owns the
 //! group's data outright, and clients wait for replies over bounded
-//! channels. This module holds that plumbing once — queue fan-out, the
+//! channels. This module holds that plumbing — queue fan-out, the
 //! spin-then-yield drain loop, shutdown/join, and the reply round-trip —
 //! parameterized over the operation type and per-bucket state.
 //!

@@ -1,72 +1,11 @@
-//! The versioned update log's unit of work: event batches, plus the seeded
-//! workload generator the bench and the tests share.
+//! The seeded update workload the bench and the tests share. The update
+//! vocabulary itself ([`UpdateEvent`], [`UpdateBatch`]) lives next to
+//! `SnapshotDelta` in [`aligraph_graph::dynamic`] and is re-exported here.
 
+pub use aligraph_graph::dynamic::{UpdateBatch, UpdateEvent};
 use aligraph_graph::{EdgeType, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// One live mutation of the streaming graph.
-#[derive(Debug, Clone, PartialEq)]
-pub enum UpdateEvent {
-    /// A new directed edge `src -> dst` with the given weight.
-    AddEdge {
-        /// Source endpoint (its out-row and alias table change).
-        src: VertexId,
-        /// Destination endpoint (its in-row changes).
-        dst: VertexId,
-        /// Edge type of the new record.
-        etype: EdgeType,
-        /// Sampling weight of the new record (must be finite).
-        weight: f32,
-    },
-    /// Retraction of the first matching `src -> dst` record of `etype`.
-    RemoveEdge {
-        /// Source endpoint.
-        src: VertexId,
-        /// Destination endpoint.
-        dst: VertexId,
-        /// Edge type to match.
-        etype: EdgeType,
-    },
-    /// Replacement of a vertex's dense feature vector.
-    SetFeatures {
-        /// The vertex whose features change.
-        vertex: VertexId,
-        /// The new feature vector (same dimension as the base matrix).
-        features: Vec<f32>,
-    },
-}
-
-impl UpdateEvent {
-    /// Short kind label for telemetry (`streaming.ingest.events{kind=...}`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            UpdateEvent::AddEdge { .. } => "add",
-            UpdateEvent::RemoveEdge { .. } => "remove",
-            UpdateEvent::SetFeatures { .. } => "attr",
-        }
-    }
-}
-
-/// One entry of the update log: the events a single ingest round applies.
-/// Each applied batch advances the graph by exactly one epoch.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct UpdateBatch {
-    /// The events, applied in order within the batch.
-    pub events: Vec<UpdateEvent>,
-}
-
-impl UpdateBatch {
-    /// Number of events in the batch.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when the batch carries no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
 
 /// Seeded mixed-update workload with power-law key skew: the same
 /// cubed-uniform popularity the serving bench drives reads with, so hot

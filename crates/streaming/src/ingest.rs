@@ -11,8 +11,8 @@
 //! epochs, ordering, or graph state — the property the chaos suite pins.
 
 use crate::event::UpdateEvent;
-use crate::store::{Applied, ShardStore, Touched, VertexOverlay};
 use aligraph_chaos::{Delivery, FaultPlane, RetryPolicy, Sequencer};
+use aligraph_sampling::{Applied, ShardOverlay, VertexOverlay};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -47,6 +47,13 @@ pub enum IngestError {
     Disconnected,
     /// An adopted ownership table does not fit this pipeline.
     BadOwners(String),
+    /// The batch failed the plane's admission check; nothing was sent.
+    BadEvent {
+        /// Index of the first offending event in the batch.
+        index: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for IngestError {
@@ -58,6 +65,7 @@ impl std::fmt::Display for IngestError {
             ),
             IngestError::Disconnected => write!(f, "ingest worker pool has shut down"),
             IngestError::BadOwners(reason) => write!(f, "bad ownership table: {reason}"),
+            IngestError::BadEvent { index, reason } => write!(f, "bad event {index}: {reason}"),
         }
     }
 }
@@ -80,6 +88,8 @@ enum ShardMsg {
 struct ShardAck {
     shard: usize,
     seq: u64,
+    /// The shard's overlay after the batch (a clone: `Arc` bumps).
+    view: ShardOverlay,
     applied: Applied,
 }
 
@@ -89,24 +99,20 @@ enum WorkerAck {
     /// Response to `Adopt`: the overlay state of every vertex that left
     /// this shard, as `(vertex, new owner, state)`.
     Emigrants { emigrants: Vec<(u32, u32, VertexOverlay)> },
-    /// Response to `Absorb`: a fresh post-handoff snapshot.
-    Snapshot { shard: usize, view: crate::store::ShardView },
+    /// Response to `Absorb`: the post-handoff overlay.
+    Snapshot { shard: usize, view: ShardOverlay },
 }
 
 /// What one coordinated submit produced, aggregated over all shards.
 #[derive(Debug)]
 pub(crate) struct SubmitOutcome {
-    /// Per-shard snapshots after the batch, indexed by shard.
-    pub views: Vec<crate::store::ShardView>,
-    /// Union of per-shard touched sets (sorted, deduped).
-    pub touched: Touched,
+    /// Per-shard overlays after the batch, indexed by shard.
+    pub views: Vec<ShardOverlay>,
+    /// Union of the per-shard touched sets and alias-repair counts.
+    pub applied: Applied,
     /// Virtual ticks of update lag this batch accumulated: injected delays
     /// plus retry backoff.
     pub lag_ticks: u64,
-    /// In-place alias repairs across shards.
-    pub repairs: u64,
-    /// Alias slots rewritten across shards.
-    pub repaired_slots: u64,
 }
 
 /// The coordinator half of the pipeline: owns the shard senders and the
@@ -132,8 +138,8 @@ impl std::fmt::Debug for IngestPipeline {
 }
 
 impl IngestPipeline {
-    /// Spawns one ingest worker per shard store.
-    pub fn spawn(stores: Vec<ShardStore>, plane: Arc<FaultPlane>, policy: RetryPolicy) -> Self {
+    /// Spawns one ingest worker per shard overlay.
+    pub fn spawn(stores: Vec<ShardOverlay>, plane: Arc<FaultPlane>, policy: RetryPolicy) -> Self {
         let (ack_tx, acks) = unbounded::<WorkerAck>();
         let mut senders = Vec::with_capacity(stores.len());
         let mut handles = Vec::with_capacity(stores.len());
@@ -197,7 +203,7 @@ impl IngestPipeline {
         }
         // Collect exactly one ack per shard for this seq; duplicate acks
         // (lost-ack resends) and stragglers from older batches are skipped.
-        let mut applied: Vec<Option<Applied>> = vec![None; shards];
+        let mut applied: Vec<Option<(ShardOverlay, Applied)>> = vec![None; shards];
         let mut got = 0usize;
         while got < shards {
             let ack = match self.acks.recv().map_err(|_| IngestError::Disconnected)? {
@@ -211,27 +217,14 @@ impl IngestPipeline {
                 continue;
             }
             if applied[ack.shard].is_none() {
-                applied[ack.shard] = Some(ack.applied);
+                applied[ack.shard] = Some((ack.view, ack.applied));
                 got += 1;
             }
         }
-        let mut views = Vec::with_capacity(shards);
-        let mut touched = Touched::default();
-        let (mut repairs, mut repaired_slots) = (0u64, 0u64);
-        for a in applied.into_iter() {
-            // invariant: the collection loop above filled every slot.
-            let a = a.expect("one ack per shard collected");
-            views.push(a.view);
-            touched.rows.extend(&a.touched.rows);
-            touched.feats.extend(&a.touched.feats);
-            repairs += a.repairs;
-            repaired_slots += a.repaired_slots;
-        }
-        touched.rows.sort_unstable();
-        touched.rows.dedup();
-        touched.feats.sort_unstable();
-        touched.feats.dedup();
-        Ok(SubmitOutcome { views, touched, lag_ticks, repairs, repaired_slots })
+        // invariant: the collection loop above filled every slot.
+        let (views, parts): (Vec<_>, Vec<_>) =
+            applied.into_iter().map(|a| a.expect("one ack per shard collected")).unzip();
+        Ok(SubmitOutcome { views, applied: Applied::merge(parts), lag_ticks })
     }
 
     /// Re-points shard ownership at a new table and migrates overlay state
@@ -252,7 +245,7 @@ impl IngestPipeline {
     pub fn adopt_owners(
         &mut self,
         owners: Arc<Vec<u32>>,
-    ) -> Result<Vec<crate::store::ShardView>, IngestError> {
+    ) -> Result<Vec<ShardOverlay>, IngestError> {
         let shards = self.senders.len();
         if let Some(&bad) = owners.iter().find(|&&o| o as usize >= shards) {
             return Err(IngestError::BadOwners(format!(
@@ -287,7 +280,7 @@ impl IngestPipeline {
             // acknowledged by the Snapshot loop below, not by RetryPolicy.
             tx.send(ShardMsg::Absorb { immigrants }).map_err(|_| IngestError::Disconnected)?;
         }
-        let mut views: Vec<Option<crate::store::ShardView>> = vec![None; shards];
+        let mut views: Vec<Option<ShardOverlay>> = vec![None; shards];
         let mut got = 0usize;
         while got < shards {
             if let WorkerAck::Snapshot { shard, view } =
@@ -328,7 +321,7 @@ fn send(
 /// resend) is re-acked from the stored result instead of re-applied —
 /// exactly-once application is the sequencer's contract.
 fn worker_loop(
-    mut store: ShardStore,
+    mut store: ShardOverlay,
     rx: Receiver<ShardMsg>,
     acks: Sender<WorkerAck>,
     shard: usize,
@@ -349,7 +342,7 @@ fn worker_loop(
                 for (v, state) in immigrants {
                     store.absorb(v, state);
                 }
-                if acks.send(WorkerAck::Snapshot { shard, view: store.snapshot() }).is_err() {
+                if acks.send(WorkerAck::Snapshot { shard, view: store.clone() }).is_err() {
                     return;
                 }
                 continue;
@@ -369,7 +362,7 @@ fn worker_loop(
         let base = sequencer.delivered() - ready.len() as u64;
         for (i, events) in ready.into_iter().enumerate() {
             let applied = store.apply(&events);
-            let ack = ShardAck { shard, seq: base + i as u64, applied };
+            let ack = ShardAck { shard, seq: base + i as u64, view: store.clone(), applied };
             last = Some(ack.clone());
             if acks.send(WorkerAck::Batch(ack)).is_err() {
                 return;
@@ -386,7 +379,7 @@ mod tests {
     use aligraph_graph::ids::well_known::*;
     use aligraph_graph::{AttrVector, GraphBuilder, VertexId};
 
-    fn stores(shards: u32) -> Vec<ShardStore> {
+    fn stores(shards: u32) -> Vec<ShardOverlay> {
         let mut b = GraphBuilder::directed();
         let vs: Vec<VertexId> = (0..6).map(|_| b.add_vertex(USER, AttrVector::empty())).collect();
         for w in vs.windows(2) {
@@ -394,7 +387,7 @@ mod tests {
         }
         let g = Arc::new(b.build());
         let owners = Arc::new((0..6u32).map(|v| v % shards).collect::<Vec<_>>());
-        (0..shards).map(|m| ShardStore::new(Arc::clone(&g), Arc::clone(&owners), m)).collect()
+        (0..shards).map(|m| ShardOverlay::new(Arc::clone(&g), Arc::clone(&owners), m)).collect()
     }
 
     fn add(src: u32, dst: u32) -> UpdateEvent {
@@ -407,9 +400,9 @@ mod tests {
         let mut pipe = IngestPipeline::spawn(stores(2), plane, RetryPolicy::default());
         let out = pipe.submit(Arc::new(vec![add(0, 1), add(2, 3)])).unwrap();
         assert_eq!(out.views.len(), 2);
-        assert_eq!(out.touched.rows, vec![0, 2]);
+        assert_eq!(out.applied.touched.rows, vec![0, 2]);
         assert_eq!(out.lag_ticks, 0);
-        assert_eq!(out.repairs, 2);
+        assert_eq!(out.applied.repairs, 2);
         pipe.shutdown();
     }
 
@@ -426,13 +419,12 @@ mod tests {
             let batch = Arc::new(vec![add(round % 6, (round + 1) % 6), add(0, round % 6)]);
             let a = clean.submit(Arc::clone(&batch)).unwrap();
             let b = chaotic.submit(batch).unwrap();
-            assert_eq!(a.touched, b.touched, "round {round}");
+            assert_eq!(a.applied.touched, b.applied.touched, "round {round}");
             lag += b.lag_ticks;
             for (va, vb) in a.views.iter().zip(&b.views) {
                 for v in 0..6u32 {
-                    let ra = va.out_row(VertexId(v)).map(|r| r.as_slice());
-                    let rb = vb.out_row(VertexId(v)).map(|r| r.as_slice());
-                    assert_eq!(ra, rb, "round {round} vertex {v}");
+                    let v = VertexId(v);
+                    assert_eq!(va.out_row(v), vb.out_row(v), "round {round} vertex {v:?}");
                 }
             }
         }
@@ -455,7 +447,7 @@ mod tests {
         // A post-adoption submit routes vertex 0's edit to shard 1, on top
         // of the migrated state.
         let out = pipe.submit(Arc::new(vec![add(0, 5)])).unwrap();
-        assert_eq!(out.touched.rows, vec![0]);
+        assert_eq!(out.applied.touched.rows, vec![0]);
         let row = out.views[1].out_row(VertexId(0)).unwrap();
         assert!(row.iter().any(|n| n.vertex.0 == 3) && row.iter().any(|n| n.vertex.0 == 5));
         pipe.shutdown();

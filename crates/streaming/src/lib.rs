@@ -9,16 +9,13 @@
 //!
 //! Pieces:
 //!
-//! * [`event`] — the versioned update log: [`event::UpdateEvent`] batches
-//!   plus the seeded power-law workload generator the bench and the tests
-//!   share;
-//! * [`store`] — per-shard copy-on-write state: adjacency rows, feature
-//!   overrides, and **incrementally repaired** per-vertex alias tables
-//!   ([`aligraph_sampling::IncrementalAlias`]) — a touched vertex gets an
-//!   in-place repair, never a store-wide rebuild;
-//! * [`epoch`] — the epoch manager: every applied batch publishes a new
-//!   monotonic graph epoch; readers **pin** an epoch so every gather in one
-//!   request sees one graph version (session consistency);
+//! * [`event`] — the seeded power-law update workload the bench and the
+//!   tests share (the [`UpdateEvent`]/[`UpdateBatch`] vocabulary lives in
+//!   [`aligraph_graph::dynamic`]);
+//! * the graph state itself is [`aligraph_sampling::plane`], shared with
+//!   the serving crate and re-exported here: per-shard copy-on-write
+//!   overlays with **incrementally repaired** alias tables, published as
+//!   monotonic epochs that readers **pin** (session consistency);
 //! * [`ingest`] — the coordinator + per-shard ingest workers. Batches
 //!   travel over a chaos-wrapped channel (fault tag 4) with sequence
 //!   numbers; a [`aligraph_chaos::Sequencer`] dedups retried duplicates so
@@ -48,19 +45,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod epoch;
 pub mod event;
 pub mod ingest;
 pub mod report;
 pub mod serve;
-pub mod store;
 
-pub use epoch::{EpochManager, EpochPin, EpochView};
+pub use aligraph_sampling::plane::{EpochManager, EpochView, ShardOverlay, Touched, VertexOverlay};
 pub use event::{UpdateBatch, UpdateEvent, UpdateWorkload};
 pub use ingest::{IngestError, IngestFaultConfig, UPDATE_INGEST_TAG};
 pub use report::StreamingReport;
 pub use serve::{Gathered, IngestReceipt, Session, StreamingConfig, StreamingService};
-pub use store::{ShardStore, ShardView, Touched, VertexOverlay};
 
 /// SplitMix64-style fold of two words into one seed: how per-gather RNG
 /// streams are derived from `(service seed, vertex)` so a gather is a pure

@@ -15,21 +15,18 @@
 //! * **Monotonic epochs** — the ingest lock is held across publish, so
 //!   epochs advance in submit order, strictly increasing.
 
-use crate::epoch::{EpochManager, EpochPin, EpochView};
 use crate::event::UpdateBatch;
 use crate::ingest::{IngestError, IngestFaultConfig, IngestPipeline};
 use crate::mix2;
-use crate::store::ShardStore;
 use aligraph_chaos::{FaultPlan, FaultPlane, RetryPolicy};
 use aligraph_graph::{AttributedHeterogeneousGraph, FeatureMatrix, VertexId};
 use aligraph_partition::{EdgeCutHash, Partitioner};
-use aligraph_sampling::{reverse_reach, AliasTable};
+use aligraph_sampling::{AliasTable, Applied, EpochManager, EpochView};
 use aligraph_storage::{CacheStats, VersionedCache};
 use aligraph_telemetry::{Counter, Gauge, Histogram, Registry, Span};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Tunables of a [`StreamingService`].
@@ -168,16 +165,13 @@ impl StreamingService {
                 })
                 .collect(),
         );
-        let stores: Vec<ShardStore> = (0..shards)
-            .map(|m| ShardStore::new(Arc::clone(&base), Arc::clone(&owners), m as u32))
-            .collect();
         let (plan, policy) = match &config.fault {
             Some(f) => (f.plan.clone(), f.policy),
             None => (FaultPlan::default(), RetryPolicy::default()),
         };
         let plane = Arc::new(FaultPlane::registered(plan, registry));
-        let pipeline = Mutex::new(IngestPipeline::spawn(stores, plane, policy));
         let view = EpochView::initial(base, feats, base_alias, owners, shards);
+        let pipeline = Mutex::new(IngestPipeline::spawn(view.shards().to_vec(), plane, policy));
         StreamingService {
             epochs: EpochManager::new(view),
             cache: VersionedCache::registered(config.cache_capacity, registry, "streaming.cache"),
@@ -188,31 +182,23 @@ impl StreamingService {
         }
     }
 
-    /// Applies one batch: fans it out to the shards through the (possibly
-    /// faulted) ingest channel, computes the affected reverse-k-hop set
-    /// over both the pre and post views, and publishes the next epoch with
-    /// a targeted cache sweep. The pipeline lock is held through publish so
-    /// concurrent callers publish strictly increasing epochs in submit
-    /// order.
+    /// Applies one batch: checks it, fans it out to the shards through the
+    /// (possibly faulted) ingest channel, and commits the shards' overlays
+    /// as the next epoch with the plane's targeted cache sweep. The pipeline
+    /// lock is held through the commit so concurrent callers publish
+    /// strictly increasing epochs in submit order.
     pub fn ingest(&self, batch: &UpdateBatch) -> Result<IngestReceipt, IngestError> {
         let mut pipeline = self.pipeline.lock();
+        self.epochs
+            .pin()
+            .check(batch)
+            .map_err(|(index, reason)| IngestError::BadEvent { index, reason })?;
         let outcome = pipeline.submit(Arc::new(batch.events.clone()))?;
-        let pre = self.epochs.pin();
-        let next_epoch = pre.epoch() + 1;
-        let next = Arc::new(pre.view().with_shards(outcome.views, next_epoch));
-        let kmax = self.fanouts.len();
-        let row_sources: HashSet<VertexId> =
-            outcome.touched.rows.iter().map(|&v| VertexId(v)).collect();
-        let feat_sources: HashSet<VertexId> =
-            outcome.touched.feats.iter().map(|&v| VertexId(v)).collect();
-        let views: [&EpochView; 2] = [pre.view().as_ref(), next.as_ref()];
-        // Rows are sampled at hops 0..kmax-1, features are read at every
-        // hop including the last frontier — hence the depth split.
-        let mut affected =
-            if kmax == 0 { HashSet::new() } else { reverse_reach(&views, &row_sources, kmax - 1) };
-        affected.extend(reverse_reach(&views, &feat_sources, kmax));
-        let mut affected: Vec<u32> = affected.into_iter().map(|v| v.0).collect();
-        affected.sort_unstable();
+        let (views, lag_ticks) = (outcome.views, outcome.lag_ticks);
+        let done = self.epochs.commit(self.fanouts.len(), &self.cache, |pre| {
+            (pre.with_shards(views), outcome.applied)
+        });
+        drop(pipeline);
         for ev in &batch.events {
             match ev.kind() {
                 "add" => self.metrics.ev_add.inc(),
@@ -221,24 +207,19 @@ impl StreamingService {
             }
         }
         self.metrics.batches.inc();
-        self.metrics.lag.record(outcome.lag_ticks);
-        self.metrics.repairs.add(outcome.repairs);
-        self.metrics.repaired_slots.add(outcome.repaired_slots);
-        self.metrics.epoch.set(next_epoch as i64);
-        let mut invalidated = 0;
-        self.epochs.publish_with(next, |_| {
-            invalidated = self.cache.advance(next_epoch, affected.iter().copied());
-        });
-        drop(pipeline);
+        self.metrics.lag.record(lag_ticks);
+        self.metrics.repairs.add(done.applied.repairs);
+        self.metrics.repaired_slots.add(done.applied.repaired_slots);
+        self.metrics.epoch.set(done.epoch as i64);
         Ok(IngestReceipt {
-            epoch: next_epoch,
-            touched_rows: outcome.touched.rows,
-            touched_feats: outcome.touched.feats,
-            invalidated,
-            affected: affected.len(),
-            lag_ticks: outcome.lag_ticks,
-            repairs: outcome.repairs,
-            repaired_slots: outcome.repaired_slots,
+            epoch: done.epoch,
+            touched_rows: done.applied.touched.rows,
+            touched_feats: done.applied.touched.feats,
+            invalidated: done.invalidated,
+            affected: done.affected,
+            lag_ticks,
+            repairs: done.applied.repairs,
+            repaired_slots: done.applied.repaired_slots,
         })
     }
 
@@ -253,24 +234,22 @@ impl StreamingService {
     pub fn adopt_owners(&self, owners: Arc<Vec<u32>>) -> Result<u64, IngestError> {
         let mut pipeline = self.pipeline.lock();
         let pre = self.epochs.pin();
-        if owners.len() != pre.view().num_vertices() {
+        if owners.len() != pre.num_vertices() {
             return Err(IngestError::BadOwners(format!(
                 "owner table covers {} vertices, graph has {}",
                 owners.len(),
-                pre.view().num_vertices()
+                pre.num_vertices()
             )));
         }
         let views = pipeline.adopt_owners(Arc::clone(&owners))?;
-        let next_epoch = pre.epoch() + 1;
-        let next = Arc::new(pre.view().with_routing(owners, views, next_epoch));
-        self.metrics.epoch.set(next_epoch as i64);
-        // Placement-only change: sweep nothing, every cached gather is
-        // still bit-correct at the new epoch.
-        self.epochs.publish_with(next, |_| {
-            self.cache.advance(next_epoch, std::iter::empty());
+        // Placement-only change: nothing is touched, so the commit sweeps
+        // nothing and every cached gather stays bit-correct at the new epoch.
+        let done = self.epochs.commit(self.fanouts.len(), &self.cache, |pre| {
+            (pre.with_routing(owners, views), Applied::default())
         });
         drop(pipeline);
-        Ok(next_epoch)
+        self.metrics.epoch.set(done.epoch as i64);
+        Ok(done.epoch)
     }
 
     /// Opens a session pinned to the current epoch.
@@ -294,8 +273,7 @@ impl StreamingService {
     /// live cache entry must equal a fresh recompute at the current epoch.
     /// `Err` carries the first divergence found.
     pub fn oracle_check(&self) -> Result<(), String> {
-        let pin = self.epochs.pin();
-        let view = pin.view();
+        let view = self.epochs.pin();
         for (shard_id, shard) in view.shards().iter().enumerate() {
             for (v, inc) in shard.alias_entries() {
                 if !inc.bit_eq_rebuild() {
@@ -314,13 +292,13 @@ impl StreamingService {
                 }
             }
         }
-        if self.cache.version() == pin.epoch() {
+        if self.cache.version() == view.epoch() {
             for (v, data) in self.cache.entries() {
-                let fresh = compute_gather(view, VertexId(v), self.seed, &self.fanouts);
+                let fresh = compute_gather(&view, VertexId(v), self.seed, &self.fanouts);
                 if fresh.len() != data.len()
                     || fresh.iter().zip(data.iter()).any(|(a, b)| a.to_bits() != b.to_bits())
                 {
-                    return Err(format!("cache entry {v} != recompute at epoch {}", pin.epoch()));
+                    return Err(format!("cache entry {v} != recompute at epoch {}", view.epoch()));
                 }
             }
         }
@@ -337,7 +315,7 @@ impl StreamingService {
 #[derive(Debug)]
 pub struct Session<'a> {
     svc: &'a StreamingService,
-    pin: EpochPin,
+    pin: Arc<EpochView>,
 }
 
 impl Session<'_> {
@@ -361,7 +339,7 @@ impl Session<'_> {
                 return Gathered { epoch: self.pin.epoch(), vector: hit };
             }
         }
-        let vector = Arc::new(compute_gather(self.pin.view(), v, self.svc.seed, &self.svc.fanouts));
+        let vector = Arc::new(compute_gather(&self.pin, v, self.svc.seed, &self.svc.fanouts));
         self.svc.cache.insert(v.0, self.pin.epoch(), Arc::clone(&vector));
         Gathered { epoch: self.pin.epoch(), vector }
     }
@@ -372,11 +350,11 @@ impl Session<'_> {
         cosine(&self.gather(u).vector, &self.gather(i).vector)
     }
 
-    /// Feature row of `v` at the pinned epoch — the closed loop's re-pull
-    /// source: touched rows are re-read at the epoch the delta trainer
-    /// trains against.
-    pub fn features(&self, v: VertexId) -> &[f32] {
-        self.pin.view().features(v)
+    /// The pinned graph version itself. Its feature rows are the closed
+    /// loop's re-pull source: touched rows are re-read at the epoch the
+    /// delta trainer trains against.
+    pub fn view(&self) -> &EpochView {
+        &self.pin
     }
 }
 
@@ -512,11 +490,11 @@ mod tests {
         let before: Vec<_> = (0..6).map(|v| svc.session().gather(VertexId(v)).vector).collect();
         // Flip every vertex to the other shard — the streaming half of a
         // rebalance.
-        let old = Arc::clone(svc.epochs.pin().view().owners());
+        let old = Arc::clone(svc.epochs.pin().owners());
         let flipped: Arc<Vec<u32>> = Arc::new(old.iter().map(|&o| 1 - o).collect());
         let epoch = svc.adopt_owners(Arc::clone(&flipped)).unwrap();
         assert_eq!(epoch, 2);
-        assert_eq!(svc.epochs.pin().view().owners(), &flipped);
+        assert_eq!(svc.epochs.pin().owners(), &flipped);
         // Placement-only epoch: every gather is bit-identical, and the
         // oracle's recompute-everything sweep agrees.
         let s = svc.session();
@@ -529,8 +507,7 @@ mod tests {
         let receipt = svc.ingest(&UpdateBatch { events: vec![add(1, 3)] }).unwrap();
         assert_eq!(receipt.touched_rows, vec![1]);
         let pin = svc.epochs.pin();
-        let row: Vec<u32> =
-            pin.view().out_neighbors(VertexId(1)).iter().map(|n| n.vertex.0).collect();
+        let row: Vec<u32> = pin.out_neighbors(VertexId(1)).iter().map(|n| n.vertex.0).collect();
         assert!(row.contains(&4) && row.contains(&3), "got {row:?}");
         svc.oracle_check().unwrap();
         svc.shutdown();
@@ -547,6 +524,34 @@ mod tests {
             svc.adopt_owners(Arc::new(vec![7u32; 6])),
             Err(IngestError::BadOwners(_))
         ));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn bad_events_are_refused_before_anything_is_sent() {
+        let svc = service(StreamingConfig::default());
+        let cached = svc.session().gather(VertexId(0));
+        let bad = [
+            add(1, 6), // dangling dst: would panic a later gather through vertex 1
+            UpdateEvent::AddEdge {
+                src: VertexId(1),
+                dst: VertexId(2),
+                etype: CLICK,
+                weight: f32::NAN,
+            },
+            UpdateEvent::SetFeatures { vertex: VertexId(0), features: vec![1.0; 3] },
+        ];
+        for ev in bad {
+            let batch = UpdateBatch { events: vec![add(0, 2), ev] };
+            let refused = svc.ingest(&batch);
+            assert!(matches!(refused, Err(IngestError::BadEvent { index: 1, .. })), "{refused:?}");
+        }
+        // No epoch moved, the cached entry is still served, and the ingest
+        // sequence was not consumed: the next good batch is epoch 1.
+        assert_eq!(svc.current_epoch(), 0);
+        assert!(Arc::ptr_eq(&cached.vector, &svc.session().gather(VertexId(0)).vector));
+        assert_eq!(svc.ingest(&UpdateBatch { events: vec![add(0, 2)] }).unwrap().epoch, 1);
+        svc.oracle_check().unwrap();
         svc.shutdown();
     }
 

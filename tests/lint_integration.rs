@@ -162,7 +162,7 @@ fn lint_sweep_covers_the_streaming_crate() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let files = rust_sources(root).expect("walk workspace sources");
     let streaming: Vec<_> = files.iter().filter(|p| p.starts_with("crates/streaming")).collect();
-    assert!(streaming.len() >= 7, "streaming crate missing from the lint sweep: {streaming:?}");
+    assert!(streaming.len() >= 5, "streaming crate missing from the lint sweep: {streaming:?}");
 }
 
 #[test]

@@ -6,9 +6,9 @@ use aligraph_suite::graph::generate::{erdos_renyi, TaobaoConfig};
 use aligraph_suite::graph::Featurizer;
 use aligraph_suite::graph::{AttrValue, AttrVector, EdgeType, GraphBuilder, VertexId, VertexType};
 use aligraph_suite::partition::{EdgeCutHash, Partitioner, StreamingLdg, VertexCutGreedy};
-use aligraph_suite::sampling::{AliasTable, IncrementalAlias};
+use aligraph_suite::sampling::{AliasTable, EpochManager, EpochView, IncrementalAlias};
 use aligraph_suite::storage::LruCache;
-use aligraph_suite::streaming::{EpochManager, EpochView, ShardView};
+use aligraph_suite::streaming::{UpdateBatch, UpdateEvent};
 use aligraph_suite::tensor::Matrix;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -247,39 +247,61 @@ proptest! {
         }
     }
 
-    /// Streaming invariant (ISSUE 6): published epochs are strictly
-    /// increasing, the head never runs backwards, and no pinned session
-    /// ever observes the manager below its pin — nor its pinned view
-    /// changing underneath it.
+    /// Plane invariant (ISSUE 6, ISSUE 14): published epochs are strictly
+    /// increasing, the head never runs backwards, no pinned session ever
+    /// observes the manager below its pin — and a pin's rows and features
+    /// stay bit-unchanged however many later batches are applied on top of
+    /// it (a published version is never written again).
     #[test]
-    fn epochs_are_monotonic_under_arbitrary_pins(
-        script in prop::collection::vec(prop::bool::ANY, 1..60),
+    fn epochs_are_monotonic_and_old_pins_never_change(
+        script in prop::collection::vec((prop::bool::ANY, 0u32..4, 0u32..4), 1..60),
     ) {
         let mut b = GraphBuilder::directed();
-        let u = b.add_vertex(VertexType(0), AttrVector::empty());
-        let w = b.add_vertex(VertexType(0), AttrVector::empty());
-        b.add_edge(u, w, EdgeType(0), 1.0).unwrap();
+        b.add_vertices(VertexType(0), 4);
+        b.add_edge(VertexId(0), VertexId(1), EdgeType(0), 1.0).unwrap();
+        b.add_edge(VertexId(1), VertexId(2), EdgeType(0), 0.5).unwrap();
         let g = Arc::new(b.build());
         let feats = Arc::new(Featurizer::new(2).matrix(&g));
-        let view = EpochView::initial(g, feats, Arc::new(vec![None, None]), Arc::new(vec![0, 0]), 1);
-        let mgr = EpochManager::new(view);
+        let owners = Arc::new(vec![0, 1, 0, 1]);
+        let mgr = EpochManager::new(EpochView::initial(g, feats, Arc::default(), owners, 2));
+        // Everything a reader can see of one version, weights as bits.
+        let bits = |view: &EpochView| -> Vec<u32> {
+            let mut seen = Vec::new();
+            for v in (0..4).map(VertexId) {
+                for row in [view.out_neighbors(v), view.in_neighbors(v)] {
+                    seen.push(row.len() as u32);
+                    seen.extend(row.iter().flat_map(|n| [n.vertex.0, n.weight.to_bits()]));
+                }
+                seen.extend(view.features(v).iter().map(|x| x.to_bits()));
+            }
+            seen
+        };
         let mut pins = Vec::new();
         let mut last = 0u64;
-        for &publish in &script {
+        for (step, &(publish, a, b)) in script.iter().enumerate() {
             if publish {
-                let head = mgr.pin();
-                let next = head.view().with_shards(vec![ShardView::default()], head.epoch() + 1);
+                let (src, dst, etype) = (VertexId(a), VertexId(b), EdgeType(0));
+                let event = match step % 3 {
+                    0 => UpdateEvent::AddEdge { src, dst, etype, weight: 1.0 + step as f32 },
+                    1 => UpdateEvent::RemoveEdge { src, dst, etype },
+                    _ => UpdateEvent::SetFeatures { vertex: src, features: vec![step as f32; 2] },
+                };
+                let next = mgr.pin().apply_batch(&UpdateBatch { events: vec![event] }).0;
                 mgr.publish_with(Arc::new(next), |_| {});
             } else {
-                pins.push(mgr.pin());
+                let pin = mgr.pin();
+                let seen = bits(&pin);
+                pins.push((pin, seen));
             }
             let now = mgr.current_epoch();
             prop_assert!(now >= last, "head ran backwards: {} < {}", now, last);
             last = now;
-            for p in &pins {
+            for (p, _) in &pins {
                 prop_assert!(p.epoch() <= now, "a pin is ahead of the head");
-                prop_assert!(p.view().epoch() == p.epoch(), "a pin's view changed under it");
             }
+        }
+        for (p, seen) in &pins {
+            prop_assert!(&bits(p) == seen, "epoch {} changed under its pin", p.epoch());
         }
     }
 }
