@@ -2,11 +2,10 @@
 //!
 //! Every inter-shard channel in the simulated cluster — parameter-server
 //! pushes and pulls in the training runtime, shard fetches in the serving
-//! layer, bucket submissions in the storage executor, and update-ingest
-//! batches in the streaming service — can be wrapped by a [`FaultPlane`].
-//! Channel tags in use: 0 PS pushes, 1 PS pull responses, 2 storage bucket
-//! submissions, 3 serving shard fetches, 4 streaming update ingest,
-//! 5 live-migration subgraph transfers (elastic rebalancing).
+//! layer, bucket submissions in the storage executor, update-ingest batches
+//! in the streaming service, and live-migration transfers — can be wrapped
+//! by a [`FaultPlane`]; each family has its own channel tag (the
+//! [`PS_PUSH_TAG`] table lists all six).
 //! Driven by a [`FaultPlan`] and a SplitMix64 hash of
 //! `(seed, channel, sequence, attempt)`, the plane decides per message
 //! whether it is delivered intact, dropped, delayed a bounded number of
@@ -21,8 +20,10 @@
 //! accounting, they never sleep.
 //!
 //! **Recovery machinery.** Faults are only half the plane; this crate also
-//! owns what the faults force into existence: [`RetryPolicy`] (capped
-//! exponential backoff with a retry deadline) and [`Sequencer`]
+//! owns what the faults force into existence: [`FaultPlane::deliver`], the
+//! one sender-side protocol every faulted hop runs (retry under
+//! [`RetryPolicy`]'s capped backoff until the deadline, land-and-resend on
+//! a lost ack, replay late duplicates), and [`Sequencer`]
 //! (sequence-numbered, idempotent delivery — duplicates and reorderings
 //! collapse to exactly-once, in-order application). With both in place,
 //! the headline property holds: for any fault seed with `drop_rate < 1`,
@@ -38,8 +39,34 @@ mod retry;
 mod seq;
 
 pub use plan::{CrashPoint, Delivery, FaultPlan, FaultPlane, FaultSnapshot};
-pub use retry::{RecoveryMode, RetryError, RetryPolicy, MAX_BACKOFF_TICKS, TICK_NS};
+pub use retry::{HopKind, RecoveryMode, RetryError, RetryPolicy, Sent, MAX_BACKOFF_TICKS, TICK_NS};
 pub use seq::Sequencer;
+
+/// Channel tag of parameter-server pushes (`worker → shard`). A tag is the
+/// first argument of [`FaultPlane::channel_with`]: each one gives its
+/// channel family a fault stream independent of the others over the same
+/// directed pair. The whole inventory:
+///
+/// | tag | constant | channel `(from, to)` | sender |
+/// |---|---|---|---|
+/// | 0 | [`PS_PUSH_TAG`] | worker, shard | `runtime` PS `push_faulted` |
+/// | 1 | [`PS_PULL_TAG`] | shard, worker | `runtime` PS `drain_into_faulted` |
+/// | 2 | [`BUCKET_SUBMIT_TAG`] | 0, bucket | `storage` `BucketExecutor::submit_faulted` |
+/// | 3 | [`SERVING_FETCH_TAG`] | worker, owner | `serving` cache-miss k-hop gather |
+/// | 4 | [`UPDATE_INGEST_TAG`] | 0, shard | `streaming` batch ingest |
+/// | 5 | [`MIGRATION_TAG`] | src, dst | `storage` `Cluster::rebalance` and `runtime` PS `rehome` |
+pub const PS_PUSH_TAG: u64 = 0;
+/// Channel tag of parameter-server pull responses (`shard → worker`).
+pub const PS_PULL_TAG: u64 = 1;
+/// Channel tag of storage bucket-executor submissions (`0 → bucket`).
+pub const BUCKET_SUBMIT_TAG: u64 = 2;
+/// Channel tag of serving shard fetches (`worker → owner`).
+pub const SERVING_FETCH_TAG: u64 = 3;
+/// Channel tag of streaming update-ingest batches (`0 → shard`).
+pub const UPDATE_INGEST_TAG: u64 = 4;
+/// Channel tag of live-migration transfers (`src → dst`): storage subgraph
+/// records and the parameter server's row re-homing share it.
+pub const MIGRATION_TAG: u64 = 5;
 
 /// One SplitMix64 scramble round: the core mixer behind every fault
 /// decision (and the same finalizer the mini-loom scheduler uses).
@@ -63,6 +90,21 @@ pub(crate) fn mix(words: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn channel_tags_are_distinct() {
+        let tags = [
+            PS_PUSH_TAG,
+            PS_PULL_TAG,
+            BUCKET_SUBMIT_TAG,
+            SERVING_FETCH_TAG,
+            UPDATE_INGEST_TAG,
+            MIGRATION_TAG,
+        ];
+        for (i, a) in tags.iter().enumerate() {
+            assert!(tags[i + 1..].iter().all(|b| a != b), "tag {a} is used twice");
+        }
+    }
 
     #[test]
     fn mix_is_deterministic_and_order_sensitive() {

@@ -86,15 +86,19 @@ pub struct FaultSnapshot {
 
 /// The fault plane: a [`FaultPlan`] plus an arm switch and telemetry.
 ///
-/// `decide` is a pure function of `(plan, channel, seq, attempt)` while the
-/// plane is armed; a disarmed plane delivers everything (so a service can
-/// be warmed fault-free, then attacked). Counters are published as
-/// `chaos.faults_injected{kind=...}` and `chaos.retries` when built with
-/// [`registered`](FaultPlane::registered); they record, they never branch.
+/// A message's fate is a pure function of `(plan, channel, seq, attempt)`
+/// while the plane is armed; a disarmed plane delivers everything (so a
+/// service can be warmed fault-free, then attacked). Senders cross it
+/// through [`deliver`](FaultPlane::deliver), the only entrance. Counters
+/// are published as `chaos.faults_injected{kind=...}` and `chaos.retries`
+/// when built with [`registered`](FaultPlane::registered); they record,
+/// they never branch.
 #[derive(Debug)]
 pub struct FaultPlane {
     plan: FaultPlan,
     armed: AtomicBool,
+    /// Once-only latches, one per `crash_schedule` entry.
+    crash_fired: Vec<AtomicBool>,
     drops: Arc<Counter>,
     delays: Arc<Counter>,
     ack_lost: Arc<Counter>,
@@ -116,6 +120,7 @@ impl FaultPlane {
     pub fn registered(plan: FaultPlan, registry: &Registry) -> Self {
         let kind = |k: &str| registry.counter("chaos.faults_injected", &[("kind", k)]);
         FaultPlane {
+            crash_fired: plan.crash_schedule.iter().map(|_| AtomicBool::new(false)).collect(),
             plan,
             armed: AtomicBool::new(true),
             drops: kind("drop"),
@@ -153,14 +158,10 @@ impl FaultPlane {
         self.armed.load(Ordering::Relaxed)
     }
 
-    /// Stable channel id for a directed `from → to` shard edge.
-    pub fn channel(from: u64, to: u64) -> u64 {
-        Self::channel_with(0, from, to)
-    }
-
-    /// Like [`channel`](Self::channel) with a `tag` separating parallel
-    /// streams over the same directed pair (e.g. pushes vs pull responses):
-    /// each tag gets an independent fault stream.
+    /// Stable channel id for a directed `from → to` shard edge. `tag` (one
+    /// of the crate's `*_TAG` constants) separates parallel streams over the
+    /// same directed pair (e.g. pushes vs pull responses): each tag gets an
+    /// independent fault stream.
     pub fn channel_with(tag: u64, from: u64, to: u64) -> u64 {
         mix(&[0xC4A2, tag, from, to])
     }
@@ -172,7 +173,7 @@ impl FaultPlane {
 
     /// The fate of send `attempt` of message `seq` on `channel`. Pure in
     /// `(plan, channel, seq, attempt)`; counts what it injects.
-    pub fn decide(&self, channel: u64, seq: u64, attempt: u32) -> Delivery {
+    pub(crate) fn decide(&self, channel: u64, seq: u64, attempt: u32) -> Delivery {
         if !self.is_armed() || self.plan.drop_rate <= 0.0 {
             return Delivery::Deliver;
         }
@@ -204,7 +205,7 @@ impl FaultPlane {
 
     /// Whether a late duplicate of already-delivered message `seq` should
     /// be re-delivered (the reorder fault: dedup must discard it).
-    pub fn replays_duplicate(&self, channel: u64, seq: u64) -> bool {
+    pub(crate) fn replays_duplicate(&self, channel: u64, seq: u64) -> bool {
         if !self.is_armed() || !self.plan.reorder || self.plan.drop_rate <= 0.0 {
             return false;
         }
@@ -216,19 +217,24 @@ impl FaultPlane {
         hit
     }
 
-    /// Whether the crash schedule kills `worker` at `step`. The caller owns
-    /// once-only latching (each schedule entry fires at most once per run)
-    /// and meters the fired crash via [`note_crash`](Self::note_crash).
-    pub fn crash_scheduled(&self, worker: u32, step: u64) -> Option<usize> {
+    /// Whether `worker` dies right before `step`: true once per matching
+    /// `crash_schedule` entry over the plane's life (a run's plane outlives
+    /// its recovery attempts), and metered when it is.
+    pub fn crash_fires(&self, worker: u32, step: u64) -> bool {
         if !self.is_armed() {
-            return None;
+            return false;
         }
-        self.plan.crash_schedule.iter().position(|c| c.worker == worker && c.at_step == step)
-    }
-
-    /// Meters one fired crash (called by whoever latched it).
-    pub fn note_crash(&self) {
-        self.crashes.inc();
+        let scheduled =
+            self.plan.crash_schedule.iter().position(|c| c.worker == worker && c.at_step == step);
+        // ordering: SeqCst swap is the once-only latch of the schedule
+        // entry; every worker must agree on which one crashed, and fault
+        // setup is cold-path, so the strongest ordering is the cheapest
+        // correct choice.
+        let fires = scheduled.is_some_and(|i| !self.crash_fired[i].swap(true, Ordering::SeqCst));
+        if fires {
+            self.crashes.inc();
+        }
+        fires
     }
 
     /// Whether the checkpoint written at `step` gets a byte flipped, and at
@@ -248,7 +254,7 @@ impl FaultPlane {
     }
 
     /// Meters one send retry performed by the recovery machinery.
-    pub fn note_retry(&self) {
+    pub(crate) fn note_retry(&self) {
         self.retries.inc();
     }
 
@@ -331,15 +337,17 @@ mod tests {
     }
 
     #[test]
-    fn crash_schedule_matches_exact_points_only() {
+    fn crash_schedule_fires_exact_points_once() {
         let plan = FaultPlan {
             crash_schedule: vec![CrashPoint { worker: 1, at_step: 10 }],
             ..FaultPlan::with_seed(1, 0.1)
         };
         let p = FaultPlane::new(plan);
-        assert_eq!(p.crash_scheduled(1, 10), Some(0));
-        assert_eq!(p.crash_scheduled(0, 10), None);
-        assert_eq!(p.crash_scheduled(1, 11), None);
+        assert!(!p.crash_fires(0, 10));
+        assert!(!p.crash_fires(1, 11));
+        assert!(p.crash_fires(1, 10));
+        assert!(!p.crash_fires(1, 10), "each entry fires once");
+        assert_eq!(p.snapshot().faults_injected, 1);
     }
 
     #[test]

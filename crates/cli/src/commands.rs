@@ -661,7 +661,8 @@ impl TrainScenario {
 /// run publishes into `registry` (`storage.*`, `sampling.*`, `runtime.*`);
 /// the baseline uses a detached registry so it cannot pollute the snapshot.
 pub fn train_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
-    use aligraph_runtime::{ChaosConfig, CheckpointConfig, FaultPlan};
+    use aligraph_chaos::CrashPoint;
+    use aligraph_runtime::{ChaosConfig, CheckpointConfig};
     use std::path::PathBuf;
 
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 4, scale: 0.02 })?;
@@ -680,21 +681,23 @@ pub fn train_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
             every_steps: args.num_or("checkpoint-every", 0u64)?,
         });
     }
+    if let Some(fault_seed) = common.fault_seed {
+        run_cfg.chaos = Some(ChaosConfig::with_seed(fault_seed, common.drop_rate));
+    }
     if !args.get_or("kill-worker", "").is_empty() {
-        run_cfg.fault = Some(FaultPlan {
+        // A kill is one more entry of the chaos plan's crash schedule; with
+        // no `--fault-seed` the plan drops nothing and only crashes.
+        let chaos = run_cfg.chaos.get_or_insert_with(|| ChaosConfig::with_seed(0, 0.0));
+        chaos.plan.crash_schedule.push(CrashPoint {
             worker: args.num_or("kill-worker", 0u32)?,
             at_step: args.num_or("kill-at-step", 1u64)?.max(1),
         });
-    }
-    if let Some(fault_seed) = common.fault_seed {
-        run_cfg.chaos = Some(ChaosConfig::with_seed(fault_seed, common.drop_rate));
     }
 
     let resident_budget: u64 = args.num_or("resident-budget", 0u64)?;
     let tier = || (resident_budget > 0).then(|| TierConfig::with_budget(Some(resident_budget)));
     let (_, multi) = scenario.run(run_cfg.clone(), registry, tier())?;
-    let baseline_cfg =
-        RuntimeConfig { workers: 1, checkpoint: None, fault: None, chaos: None, ..run_cfg };
+    let baseline_cfg = RuntimeConfig { workers: 1, checkpoint: None, chaos: None, ..run_cfg };
     let (_, baseline) = scenario.run(baseline_cfg, &Arc::new(Registry::disabled()), tier())?;
 
     let mut out = String::new();
@@ -1231,6 +1234,22 @@ mod tests {
         assert!(snap.has_prefix("sampling."), "sampling series missing");
         assert!(snap.has_prefix("runtime.ps."), "runtime series missing");
         assert!(snap.histogram("runtime.staleness", &[]).count > 0);
+    }
+
+    #[test]
+    fn train_bench_kill_is_one_metered_chaos_crash() {
+        // The `train-bench-kill` smoke row: 8 global steps, so step 5 is
+        // inside epoch 2 and the restore comes from the epoch-1 checkpoint.
+        let dir = tmp("train-bench-kill-ckpts");
+        let _ = std::fs::remove_dir_all(&dir);
+        let line = format!(
+            "train-bench --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 \
+             --checkpoint-dir {dir} --kill-worker 1 --kill-at-step 5"
+        );
+        let reg = registry();
+        let out = train_bench(&args(&line.split(' ').collect::<Vec<_>>()), &reg).unwrap();
+        assert!(out.contains("recoveries 1  faults 1"), "{out}");
+        assert_eq!(reg.snapshot().counter("chaos.faults_injected", &[("kind", "crash")]), 1);
     }
 
     #[test]

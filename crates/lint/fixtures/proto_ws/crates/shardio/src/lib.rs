@@ -1,16 +1,13 @@
 #![forbid(unsafe_code)]
 //! Fixture: both halves of the channel contract broken.
-//! * `fire` drives `.decide(…)` with no sequence identifier and no retry
-//!   machinery — two violations.
+//! * `fire` sends through the fault plane's `.deliver(…)` driver with no
+//!   sequence identifier in scope — one violation.
 //! * `notify` does a raw `.send(…)` with no `seq` in the message — one.
 
-/// Decide loop with neither a `ChannelSeqs` assignment nor a `RetryPolicy`.
-pub fn fire(plane: &FaultPlane) {
-    loop {
-        match plane.decide(0, 0, 0) {
-            _ => break,
-        }
-    }
+/// Driver call whose sequence number is a literal, not a `ChannelSeqs`
+/// assignment.
+pub fn fire(plane: &FaultPlane, policy: &RetryPolicy) {
+    plane.deliver(0, 0, policy, RecoveryMode::Full, HopKind::Acked, || {}).ok();
 }
 
 /// Unsequenced inter-shard send on a non-reply channel.

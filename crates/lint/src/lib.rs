@@ -11,8 +11,8 @@
 //!    interprocedural passes run on it — [`taint`] (`determinism-taint`:
 //!    wall-clock/entropy/unordered-iteration flow into seeded paths, with
 //!    the full source→sink call chain) and [`protocol`]
-//!    (`channel-protocol`: every chaos-plane send sequenced and
-//!    retry-guarded) — plus the `no-deprecated-calls` edge check. The
+//!    (`channel-protocol`: every chaos-plane send sequenced, every
+//!    delivery-driver call fed by a sequence origin) — plus the `no-deprecated-calls` edge check. The
 //!    token-level rules in [`rules`] (`no-unwrap-in-lib`,
 //!    `relaxed-needs-justification`, `forbid-unsafe`,
 //!    `telemetry-never-branches`, `backoff-needs-cap`) still cover the
@@ -67,8 +67,8 @@ pub fn analysis_rules() -> Vec<(&'static str, &'static str)> {
         ),
         (
             protocol::RULE,
-            "chaos-plane sends carry ChannelSeqs sequence numbers; decide loops are \
-             RetryPolicy-guarded",
+            "chaos-plane sends carry ChannelSeqs sequence numbers, and every sequence number \
+             handed to the delivery driver has an origin",
         ),
         (
             "no-deprecated-calls",

@@ -12,8 +12,9 @@
 //!   ids, and iteration over unordered maps (a `HashMap`/`HashSet`-typed
 //!   local or parameter walked without an adjacent sort);
 //! * channel **protocol events** — `.send(…)` sites with their receiver
-//!   and whether the message carries a `seq`, and `.decide(…)` fault-plane
-//!   loops — the raw material of the channel-protocol pass.
+//!   and whether the message carries a `seq`, and `.deliver(…)` calls of
+//!   the fault plane's delivery driver — the raw material of the
+//!   channel-protocol pass.
 //!
 //! Brace/paren matching is structural; unknown constructs are skipped, so
 //! the parser degrades to "fewer facts", never to a crash.
@@ -111,8 +112,8 @@ pub struct FnItem {
     pub sources: Vec<SourceSite>,
     /// `.send(…)` sites in the body.
     pub sends: Vec<SendSite>,
-    /// Lines of `.decide(…)` fault-plane calls in the body.
-    pub decides: Vec<u32>,
+    /// Lines of `.deliver(…)` fault-plane driver calls in the body.
+    pub delivers: Vec<u32>,
     /// Every identifier mentioned in the signature + body (protocol-token
     /// membership checks).
     pub idents: HashSet<String>,
@@ -388,7 +389,7 @@ impl<'a> Parser<'a> {
             calls: Vec::new(),
             sources: Vec::new(),
             sends: Vec::new(),
-            decides: Vec::new(),
+            delivers: Vec::new(),
             idents,
         };
         let idx = self.out.len();
@@ -404,7 +405,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Attributes one body token to the innermost open `fn`, extracting
-    /// call sites, sources, sends, and decide loops.
+    /// call sites, sources, sends, and driver calls.
     fn body_token(&mut self, i: usize, scopes: &mut [Scope]) {
         let Some(Scope::Fn { idx, unordered, .. }) =
             scopes.iter_mut().rev().find(|s| matches!(s, Scope::Fn { .. }))
@@ -530,7 +531,7 @@ impl<'a> Parser<'a> {
         if !called || is_macro {
             return;
         }
-        // `.send(…)` / `.decide(…)` protocol events.
+        // `.send(…)` / `.deliver(…)` protocol events.
         if t.text == "send" && dot_before {
             let close = match_delims(code, i + 1, '(', ')');
             let carries_seq = code[i + 2..close].iter().any(|a| {
@@ -544,8 +545,8 @@ impl<'a> Parser<'a> {
                 .map_or_else(String::new, |t| t.text.clone());
             self.out[idx].sends.push(SendSite { line: t.line, receiver, carries_seq });
         }
-        if t.text == "decide" && (dot_before || path_before) {
-            self.out[idx].decides.push(t.line);
+        if t.text == "deliver" && (dot_before || path_before) {
+            self.out[idx].delivers.push(t.line);
         }
         // Call site.
         if KEYWORDS.contains(&t.text.as_str()) {
@@ -783,12 +784,12 @@ fn h() {
     }
 
     #[test]
-    fn send_and_decide_events() {
+    fn send_and_deliver_events() {
         let src = "
 fn f(tx: &Sender<Msg>, plane: &FaultPlane) {
     tx.send(Msg::Update { seq, rows }).unwrap();
     reply.send(out).ok();
-    match plane.decide(channel, seq, attempt) { _ => {} }
+    plane.deliver(channel, seq, &policy, mode, HopKind::Acked, || {}).ok();
 }
 ";
         let fns = parse(src);
@@ -797,7 +798,7 @@ fn f(tx: &Sender<Msg>, plane: &FaultPlane) {
         assert_eq!(fns[0].sends[0].receiver, "tx");
         assert!(!fns[0].sends[1].carries_seq);
         assert_eq!(fns[0].sends[1].receiver, "reply");
-        assert_eq!(fns[0].decides.len(), 1);
+        assert_eq!(fns[0].delivers.len(), 1);
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! push/pull, bucket submissions, serving fetches, streaming ingest,
 //! migration) and may drop, duplicate, or reorder anything sent through
 //! them. PRs 5–8 survive that because every send carries a `ChannelSeqs`
-//! sequence number and every delivery loop consults `FaultPlane::decide`
-//! under a bounded `RetryPolicy`. This pass pins both halves of that
-//! contract:
+//! sequence number and crosses the plane through its one delivery driver,
+//! `FaultPlane::deliver`, whose signature demands the `RetryPolicy` and
+//! `RecoveryMode` (the compiler checks that half). This pass pins what the
+//! compiler cannot:
 //!
-//! * **Decide loops** — a function calling `.decide(…)` must have a
-//!   sequence identifier in scope *and* retry machinery (`RetryPolicy`,
-//!   `exhausted`, `RecoveryMode`, `backoff_ticks`). When the sequence
-//!   arrives as a parameter, some transitive caller must contain a
-//!   sequence *origin* (`ChannelSeqs`, `next_push`, `next_pull`,
-//!   `next_seq`) — a decide loop fed by an unsequenced caller is exactly
-//!   the bug that turns a duplicated delivery into a double-apply.
+//! * **Driver calls** — a function calling `.deliver(…)` must have a
+//!   sequence identifier in scope. When the sequence arrives as a
+//!   parameter, some transitive caller must contain a sequence *origin*
+//!   (`ChannelSeqs`, `Sequencer`, `next_push`, `next_pull`, `next_seq`) —
+//!   a delivery fed by an unsequenced caller is exactly the bug that turns
+//!   a duplicated delivery into a double-apply.
 //! * **Raw sends** — a `.send(…)` in library code whose message carries no
 //!   `seq` identifier is flagged, unless the endpoint is an ack/reply
 //!   channel (response channels are request-scoped; the request's sequence
@@ -26,10 +26,6 @@ use crate::graph::{Diagnostic, Workspace};
 
 /// Rule name (stable; used in waivers, JSON, and the baseline).
 pub const RULE: &str = "channel-protocol";
-
-/// Identifiers that prove retry machinery is present around a decide loop.
-const RETRY_TOKENS: &[&str] =
-    &["RetryPolicy", "exhausted", "RecoveryMode", "backoff_ticks", "policy"];
 
 /// Identifiers that *originate* a sequence number (as opposed to merely
 /// carrying one).
@@ -44,7 +40,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         if !ws.is_traversal_node(i) {
             continue;
         }
-        check_decides(ws, i, out);
+        check_delivers(ws, i, out);
         check_sends(ws, i, out);
     }
 }
@@ -62,55 +58,45 @@ fn has_any(ws: &Workspace, i: usize, tokens: &[&str]) -> bool {
     tokens.iter().any(|t| ws.fns[i].item.idents.contains(*t))
 }
 
-fn check_decides(ws: &Workspace, i: usize, out: &mut Vec<Diagnostic>) {
-    if ws.fns[i].item.decides.is_empty() {
+fn check_delivers(ws: &Workspace, i: usize, out: &mut Vec<Diagnostic>) {
+    if ws.fns[i].item.delivers.is_empty() {
         return;
     }
-    let file = &ws.files[ws.fns[i].file];
-    let mut problems: Vec<String> = Vec::new();
-    if !has_seq_ident(ws, i) {
-        problems.push(
-            "no sequence identifier in scope — the delivery decision is not tied to a \
-             `ChannelSeqs` assignment"
-                .to_string(),
-        );
+    let problem = if !has_seq_ident(ws, i) {
+        "no sequence identifier in scope — the delivery is not tied to a `ChannelSeqs` assignment"
+            .to_string()
     } else if !has_any(ws, i, SEQ_ORIGINS) {
         // The sequence is a parameter: some caller must originate it.
         let parents = ws.callers_bfs(i);
         let caller_count = parents.len() - 1;
         let fed = parents.keys().any(|&c| {
-            c != i && (has_any(ws, c, SEQ_ORIGINS) || !ws.fns[c].item.decides.is_empty())
+            c != i && (has_any(ws, c, SEQ_ORIGINS) || !ws.fns[c].item.delivers.is_empty())
         });
         // Vacuous pass when no non-test caller exists yet (e.g. a helper
         // only exercised from tests — the test is the sequencer).
-        if caller_count > 0 && !fed {
-            problems.push(format!(
-                "sequence number arrives as a parameter but none of its {caller_count} \
-                 caller(s) contains a `ChannelSeqs`/`next_*` origin"
-            ));
+        if caller_count == 0 || fed {
+            return;
         }
-    }
-    if !has_any(ws, i, RETRY_TOKENS) {
-        problems.push(
-            "no retry machinery (`RetryPolicy`/`exhausted`/`RecoveryMode`) guards the \
-             decide loop — a dropped delivery would be lost instead of retried"
-                .to_string(),
-        );
-    }
-    for p in problems {
-        let line = ws.fns[i].item.decides[0];
-        out.push(Diagnostic {
-            rule: RULE,
-            path: file.path.clone(),
-            line,
-            message: format!(
-                "`{}` drives a chaos-plane `.decide(…)` loop but {p}",
-                ws.qualified_name(i)
-            ),
-            chain: Vec::new(),
-            waived: file.waiver_reason(RULE, line).map(str::to_string),
-        });
-    }
+        format!(
+            "sequence number arrives as a parameter but none of its {caller_count} \
+             caller(s) contains a `ChannelSeqs`/`next_*` origin"
+        )
+    } else {
+        return;
+    };
+    let file = &ws.files[ws.fns[i].file];
+    let line = ws.fns[i].item.delivers[0];
+    out.push(Diagnostic {
+        rule: RULE,
+        path: file.path.clone(),
+        line,
+        message: format!(
+            "`{}` sends through the chaos plane's `.deliver(…)` but {problem}",
+            ws.qualified_name(i)
+        ),
+        chain: Vec::new(),
+        waived: file.waiver_reason(RULE, line).map(str::to_string),
+    });
 }
 
 fn check_sends(ws: &Workspace, i: usize, out: &mut Vec<Diagnostic>) {
@@ -157,71 +143,56 @@ mod tests {
     }
 
     #[test]
-    fn sequenced_retry_guarded_decide_loop_is_clean() {
+    fn sequenced_driver_call_is_clean() {
         let out = run(&[(
             "crates/runtime/src/p.rs",
             "pub fn push(seqs: &mut ChannelSeqs, policy: &RetryPolicy, plane: &FaultPlane) {\n\
                  let seq = seqs.next_push();\n\
-                 let mut attempt = 0;\n\
-                 while !policy.exhausted(attempt) {\n\
-                     match plane.decide(0, seq, attempt) { _ => break }\n\
-                 }\n\
+                 plane.deliver(0, seq, policy, RecoveryMode::Full, HopKind::Acked, || {}).ok();\n\
              }\n",
         )]);
         assert_eq!(active(&out), 0, "{out:?}");
     }
 
     #[test]
-    fn decide_loop_without_seq_or_retry_is_flagged_twice() {
+    fn driver_call_without_a_sequence_is_flagged() {
         let out = run(&[(
             "crates/runtime/src/q.rs",
-            "pub fn fire(plane: &FaultPlane) {\n\
-                 loop { match plane.decide(0, 0, 0) { _ => break } }\n\
+            "pub fn fire(plane: &FaultPlane, policy: &RetryPolicy) {\n\
+                 plane.deliver(0, 0, policy, RecoveryMode::Full, HopKind::Acked, || {}).ok();\n\
              }\n",
         )]);
-        assert_eq!(active(&out), 2, "missing seq AND missing retry: {out:?}");
+        assert_eq!(active(&out), 1, "{out:?}");
+        assert!(out[0].message.contains("no sequence identifier"), "{out:?}");
     }
 
     #[test]
     fn param_seq_needs_an_originating_caller() {
+        const HOP: &str = "pub fn hop(seq: u64, plane: &FaultPlane, policy: &RetryPolicy) {\n\
+                 plane.deliver(2, seq, policy, RecoveryMode::Full, HopKind::Unacked, || {}).ok();\n\
+             }\n";
         // Caller without any ChannelSeqs origin → flagged.
         let bad = run(&[(
             "crates/storage/src/r.rs",
-            "pub fn deliver(seq: u64, plane: &FaultPlane, policy: &RetryPolicy) {\n\
-                 let mut attempt = 0;\n\
-                 while !policy.exhausted(attempt) {\n\
-                     match plane.decide(2, seq, attempt) { _ => break }\n\
-                 }\n\
-             }\n\
-             pub fn submit(plane: &FaultPlane, policy: &RetryPolicy) { deliver(9, plane, policy); }\n",
+            &format!(
+                "{HOP}pub fn submit(plane: &FaultPlane, policy: &RetryPolicy) {{ \
+                 hop(9, plane, policy); }}\n"
+            ),
         )]);
         assert_eq!(active(&bad), 1, "{bad:?}");
 
         // Caller that draws from ChannelSeqs → clean.
         let ok = run(&[(
             "crates/storage/src/r.rs",
-            "pub fn deliver(seq: u64, plane: &FaultPlane, policy: &RetryPolicy) {\n\
-                 let mut attempt = 0;\n\
-                 while !policy.exhausted(attempt) {\n\
-                     match plane.decide(2, seq, attempt) { _ => break }\n\
-                 }\n\
-             }\n\
-             pub fn submit(seqs: &mut ChannelSeqs, plane: &FaultPlane, policy: &RetryPolicy) {\n\
-                 deliver(seqs.next_push(), plane, policy);\n\
-             }\n",
+            &format!(
+                "{HOP}pub fn submit(seqs: &mut ChannelSeqs, plane: &FaultPlane, \
+                 policy: &RetryPolicy) {{\n hop(seqs.next_push(), plane, policy);\n}}\n"
+            ),
         )]);
         assert_eq!(active(&ok), 0, "{ok:?}");
 
         // No callers at all → vacuous pass (the test is the sequencer).
-        let orphan = run(&[(
-            "crates/storage/src/r.rs",
-            "pub fn deliver(seq: u64, plane: &FaultPlane, policy: &RetryPolicy) {\n\
-                 let mut attempt = 0;\n\
-                 while !policy.exhausted(attempt) {\n\
-                     match plane.decide(2, seq, attempt) { _ => break }\n\
-                 }\n\
-             }\n",
-        )]);
+        let orphan = run(&[("crates/storage/src/r.rs", HOP)]);
         assert_eq!(active(&orphan), 0, "{orphan:?}");
     }
 

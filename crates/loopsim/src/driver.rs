@@ -262,7 +262,6 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
         patience: None,
         min_delta: 0.0,
         checkpoint: Some(CheckpointConfig { dir: cfg.checkpoint_dir.clone(), every_steps: 0 }),
-        fault: None,
         chaos: None,
         rebalance: Vec::new(),
     };

@@ -34,6 +34,6 @@ pub use error::RuntimeError;
 pub use ps::{ChannelSeqs, PsShardState, SparseParamServer};
 pub use report::{DistReport, WorkerReport};
 pub use runtime::{
-    ChaosConfig, CheckpointConfig, DistOutcome, DistTrainer, EncoderSpec, FaultPlan, RebalancePlan,
+    ChaosConfig, CheckpointConfig, DistOutcome, DistTrainer, EncoderSpec, RebalancePlan,
     RuntimeConfig,
 };

@@ -15,10 +15,13 @@
 //! accumulate per row.
 
 use crate::error::RuntimeError;
-use aligraph_chaos::{Delivery, FaultPlane, RecoveryMode, RetryPolicy, TICK_NS};
+use aligraph_chaos::{
+    FaultPlane, HopKind, RecoveryMode, RetryPolicy, MIGRATION_TAG, PS_PULL_TAG, PS_PUSH_TAG,
+    TICK_NS,
+};
 use aligraph_graph::{FeatureMatrix, VertexId};
 use aligraph_partition::Partition;
-use aligraph_storage::{AccessKind, CostModel, TierMeter, MIGRATION_TAG};
+use aligraph_storage::{AccessKind, CostModel, TierMeter};
 use aligraph_telemetry::{Counter, Registry};
 use aligraph_tensor::EmbeddingTable;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -302,13 +305,11 @@ impl SparseParamServer {
     }
 
     /// [`push`](Self::push) through a [`FaultPlane`]: each per-shard message
-    /// is sequence-numbered on its `from → shard` channel and subject to the
-    /// plane's drop/delay/lost-ack/corruption decisions. Drops and
-    /// corruptions are retried with `policy`'s capped backoff (each backoff
-    /// tick adds [`TICK_NS`] of modelled comm time); lost acks apply the
-    /// delta and retry it, relying on the shard's sequence dedup to discard
-    /// the duplicate; the reorder fault re-delivers late duplicates the same
-    /// dedup must absorb. With [`RecoveryMode::Full`] the surviving update
+    /// is sequence-numbered on its `from → shard` channel and crosses the
+    /// plane as one [`HopKind::Acked`] hop of [`FaultPlane::deliver`] (each
+    /// tick it costs adds [`TICK_NS`] of modelled comm time). The copies a
+    /// lost ack or the reorder fault land are discarded by the shard's
+    /// sequence dedup. With [`RecoveryMode::Full`] the surviving update
     /// stream is byte-identical to the fault-free one — only the modelled
     /// time differs. The broken modes exist for the chaos suite's
     /// divergence-detection tests.
@@ -335,50 +336,25 @@ impl SparseParamServer {
                 continue;
             }
             let seq = seqs.next_push(w);
-            let channel = FaultPlane::channel(from as u64, w as u64);
-            let mut attempt = 0u32;
-            let delivered = loop {
-                if attempt > 0 {
-                    if mode == RecoveryMode::NoRetry {
-                        break false; // deliberately broken: the message is lost
+            let channel = FaultPlane::channel_with(PS_PUSH_TAG, from as u64, w as u64);
+            // The driver's `land` cannot fail; a poisoned lock stops
+            // further applies and surfaces after the hop.
+            let mut applied = Ok(());
+            let sent = plane
+                .deliver(channel, seq, policy, mode, HopKind::Acked, || {
+                    if applied.is_ok() {
+                        applied = self.apply_push_message(w, from, seq, rows, mode);
                     }
-                    if policy.exhausted(attempt) {
-                        return Err(RuntimeError::Unrecoverable(format!(
-                            "ps push {from}->{w} seq {seq}: retry deadline exhausted \
-                             after {attempt} attempts"
-                        )));
-                    }
-                    plane.note_retry();
-                    ns += policy.backoff_ticks(attempt) * TICK_NS;
-                }
-                match plane.decide(channel, seq, attempt) {
-                    Delivery::Deliver => {
-                        self.apply_push_message(w, from, seq, rows, mode)?;
-                        break true;
-                    }
-                    Delivery::Delay(d) => {
-                        ns += d * TICK_NS;
-                        self.apply_push_message(w, from, seq, rows, mode)?;
-                        break true;
-                    }
-                    Delivery::AckLost => {
-                        // Applied on the shard, but the sender never learns:
-                        // the resend is a duplicate the dedup discards.
-                        self.apply_push_message(w, from, seq, rows, mode)?;
-                        attempt += 1;
-                    }
-                    Delivery::Drop | Delivery::Corrupt => attempt += 1,
-                }
-            };
-            if delivered {
+                })
+                .map_err(|e| {
+                    RuntimeError::Unrecoverable(format!("ps push {from}->{w} seq {seq}: {e}"))
+                })?;
+            applied?;
+            ns += sent.ticks * TICK_NS;
+            if sent.delivered {
                 let kind = if w == from { AccessKind::Local } else { AccessKind::Remote };
                 ns += self.stats.record(kind, rows.len() as u64 * row_bytes, &self.cost);
                 self.shard_bytes[w].add(rows.len() as u64 * row_bytes);
-                if plane.replays_duplicate(channel, seq) {
-                    // The reorder fault: a stale duplicate shows up after
-                    // delivery; sequence dedup must make it a no-op.
-                    self.apply_push_message(w, from, seq, rows, mode)?;
-                }
             }
         }
         Ok(ns)
@@ -417,8 +393,8 @@ impl SparseParamServer {
 
     /// [`drain_into`](Self::drain_into) through a [`FaultPlane`]: each
     /// per-shard pull response is sequence-numbered on its `shard → who`
-    /// channel and retried on drops/corruptions like pushes. Pull responses
-    /// are idempotent reads, so no dedup is needed — but under
+    /// channel and crosses the plane as one [`HopKind::Reply`] hop. Pull
+    /// responses are idempotent reads, so no dedup is needed — but under
     /// [`RecoveryMode::NoRetry`] a dropped response permanently loses its
     /// rows (they were already drained from the dirty set), leaving the
     /// replica stale forever: exactly the silent divergence the chaos suite
@@ -449,35 +425,16 @@ impl SparseParamServer {
                 continue;
             }
             let seq = seqs.next_pull(w);
-            let channel = FaultPlane::channel_with(1, w as u64, who as u64);
-            let mut attempt = 0u32;
-            let delivered = loop {
-                if attempt > 0 {
-                    if mode == RecoveryMode::NoRetry {
-                        break false; // deliberately broken: rows stay stale
-                    }
-                    if policy.exhausted(attempt) {
-                        return Err(RuntimeError::Unrecoverable(format!(
-                            "ps pull {w}->{who} seq {seq}: retry deadline exhausted \
-                             after {attempt} attempts"
-                        )));
-                    }
-                    plane.note_retry();
-                    ns += policy.backoff_ticks(attempt) * TICK_NS;
-                }
-                match plane.decide(channel, seq, attempt) {
-                    Delivery::Deliver => break true,
-                    Delivery::Delay(d) => {
-                        ns += d * TICK_NS;
-                        break true;
-                    }
-                    // A pull with a lost ack or corrupt payload is a retry
-                    // from the reader's side; re-reading is idempotent.
-                    Delivery::AckLost | Delivery::Drop | Delivery::Corrupt => attempt += 1,
-                }
-            };
-            if !delivered {
-                continue;
+            let channel = FaultPlane::channel_with(PS_PULL_TAG, w as u64, who as u64);
+            // Re-reading is idempotent, so the rows are copied once, after
+            // the hop: nothing lands while it is in flight.
+            let sent =
+                plane.deliver(channel, seq, policy, mode, HopKind::Reply, || {}).map_err(|e| {
+                    RuntimeError::Unrecoverable(format!("ps pull {w}->{who} seq {seq}: {e}"))
+                })?;
+            ns += sent.ticks * TICK_NS;
+            if !sent.delivered {
+                continue; // deliberately broken: rows stay stale
             }
             for &v in rows {
                 let shard =
@@ -646,48 +603,25 @@ impl SparseParamServer {
                 s
             };
             let channel = FaultPlane::channel_with(MIGRATION_TAG, u64::from(src), u64::from(dst));
-            let mut attempt = 0u32;
-            let delivered = loop {
-                if attempt > 0 {
-                    if mode == RecoveryMode::NoRetry {
-                        break false; // deliberately broken: the rows are lost
+            let mut applied = Ok(());
+            let sent = plane
+                .deliver(channel, seq, policy, mode, HopKind::Acked, || {
+                    if applied.is_ok() {
+                        applied = self.apply_rehome(src, dst, seq, rows, mode, true);
                     }
-                    if policy.exhausted(attempt) {
-                        return Err(RuntimeError::Unrecoverable(format!(
-                            "ps rehome {src}->{dst} seq {seq}: retry deadline exhausted \
-                             after {attempt} attempts"
-                        )));
-                    }
-                    plane.note_retry();
-                    ns += policy.backoff_ticks(attempt) * TICK_NS;
-                }
-                match plane.decide(channel, seq, attempt) {
-                    Delivery::Deliver => {
-                        self.apply_rehome(src, dst, seq, rows, mode, true)?;
-                        break true;
-                    }
-                    Delivery::Delay(d) => {
-                        ns += d * TICK_NS;
-                        self.apply_rehome(src, dst, seq, rows, mode, true)?;
-                        break true;
-                    }
-                    Delivery::AckLost => {
-                        self.apply_rehome(src, dst, seq, rows, mode, true)?;
-                        attempt += 1;
-                    }
-                    Delivery::Drop | Delivery::Corrupt => attempt += 1,
-                }
-            };
-            if delivered {
+                })
+                .map_err(|e| {
+                    RuntimeError::Unrecoverable(format!("ps rehome {src}->{dst} seq {seq}: {e}"))
+                })?;
+            applied?;
+            ns += sent.ticks * TICK_NS;
+            if sent.delivered {
                 ns += self.stats.record(
                     AccessKind::Remote,
                     rows.len() as u64 * row_bytes,
                     &self.cost,
                 );
                 self.shard_bytes[dst as usize].add(rows.len() as u64 * row_bytes);
-                if plane.replays_duplicate(channel, seq) {
-                    self.apply_rehome(src, dst, seq, rows, mode, true)?;
-                }
             } else {
                 // The broken variant: ownership flips anyway, the payload
                 // never arrives, the destination re-homes the rows

@@ -34,7 +34,7 @@ use aligraph_telemetry::{Registry, Span, Stopwatch};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Where and how often to checkpoint.
@@ -47,22 +47,12 @@ pub struct CheckpointConfig {
     pub every_steps: u64,
 }
 
-/// Fault injection: kill one worker at one global step (fires once per
-/// run), forcing a restore from the latest checkpoint.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlan {
-    /// Worker to kill.
-    pub worker: u32,
-    /// Global step at which it dies (before computing that step).
-    pub at_step: u64,
-}
-
 /// Chaos-plane configuration: a seeded [`aligraph_chaos::FaultPlan`] over
-/// every PS push/pull channel plus the recovery machinery's parameters.
-/// Excluded from the config fingerprint like the legacy [`FaultPlan`], so a
-/// chaos run's checkpoints interchange with fault-free ones — which is what
-/// lets the chaos suite assert bit-exact convergence against the fault-free
-/// baseline.
+/// every PS push/pull channel — and its `crash_schedule`, the one way to
+/// kill a worker mid-run — plus the recovery machinery's parameters.
+/// Excluded from the config fingerprint, so a chaos run's checkpoints
+/// interchange with fault-free ones — which is what lets the chaos suite
+/// assert bit-exact convergence against the fault-free baseline.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// The seeded fault plan (what to inject, where, how often).
@@ -111,8 +101,6 @@ struct ChaosRt<'p> {
     plane: &'p FaultPlane,
     policy: RetryPolicy,
     mode: RecoveryMode,
-    /// Once-only latches, one per `crash_schedule` entry.
-    crash_fired: &'p [AtomicBool],
 }
 
 /// Configuration of a distributed training run.
@@ -145,8 +133,6 @@ pub struct RuntimeConfig {
     /// Checkpointing (`None` disables; fault recovery then restarts from
     /// scratch).
     pub checkpoint: Option<CheckpointConfig>,
-    /// Fault injection (`None` disables).
-    pub fault: Option<FaultPlan>,
     /// Chaos plane over every PS channel (`None` disables).
     pub chaos: Option<ChaosConfig>,
     /// Elastic topology changes to apply at epoch boundaries, in order.
@@ -167,7 +153,6 @@ impl Default for RuntimeConfig {
             patience: None,
             min_delta: 1e-4,
             checkpoint: None,
-            fault: None,
             chaos: None,
             rebalance: Vec::new(),
         }
@@ -422,34 +407,30 @@ impl<'a> DistTrainer<'a> {
     fn run(&self, resume: Option<Checkpoint>) -> Result<DistOutcome, RuntimeError> {
         let started = Stopwatch::start();
         self.cluster.stats().reset();
-        // With no fault planned the flag starts "already fired".
-        let fault_fired = AtomicBool::new(self.cfg.fault.is_none());
         let checkpoints = AtomicU64::new(0);
-        // The plane and its crash latches outlive the attempt loop: fault
-        // counters accumulate across recoveries, and each scheduled crash
-        // fires exactly once per run (not once per attempt).
-        let chaos_state = self.cfg.chaos.as_ref().map(|c| {
-            let fired: Vec<AtomicBool> =
-                c.plan.crash_schedule.iter().map(|_| AtomicBool::new(false)).collect();
-            (FaultPlane::registered(c.plan.clone(), &self.registry), fired)
-        });
+        // The plane (and the crash latches in it) outlives the attempt
+        // loop: fault counters accumulate across recoveries, and each
+        // scheduled crash fires exactly once per run (not once per attempt).
+        let plane =
+            self.cfg.chaos.as_ref().map(|c| FaultPlane::registered(c.plan.clone(), &self.registry));
         let max_recoveries =
             8 + self.cfg.chaos.as_ref().map_or(0, |c| c.plan.crash_schedule.len() as u64);
         let mut resume = resume;
         let mut recoveries = 0u64;
         loop {
-            let chaos =
-                self.cfg.chaos.as_ref().zip(chaos_state.as_ref()).map(|(c, (plane, fired))| {
-                    ChaosRt { plane, policy: c.policy, mode: c.mode, crash_fired: fired }
-                });
-            match self.run_attempt(resume.take(), &fault_fired, &checkpoints, chaos.as_ref()) {
+            let chaos = self.cfg.chaos.as_ref().zip(plane.as_ref()).map(|(c, plane)| ChaosRt {
+                plane,
+                policy: c.policy,
+                mode: c.mode,
+            });
+            match self.run_attempt(resume.take(), &checkpoints, chaos.as_ref()) {
                 Ok(mut outcome) => {
                     outcome.report.wall_ns = started.elapsed_ns();
                     outcome.report.recoveries = recoveries;
                     // ordering: read after all worker threads joined inside
                     // run_attempt; the join synchronizes, Relaxed suffices.
                     outcome.report.checkpoints_written = checkpoints.load(Ordering::Relaxed);
-                    if let Some((plane, _)) = &chaos_state {
+                    if let Some(plane) = &plane {
                         let snap = plane.snapshot();
                         outcome.report.faults_injected = snap.faults_injected;
                         outcome.report.retries = snap.retries;
@@ -485,7 +466,6 @@ impl<'a> DistTrainer<'a> {
     fn run_attempt(
         &self,
         resume: Option<Checkpoint>,
-        fault_fired: &AtomicBool,
         checkpoints: &AtomicU64,
         chaos: Option<&ChaosRt<'_>>,
     ) -> Result<DistOutcome, RuntimeError> {
@@ -552,7 +532,6 @@ impl<'a> DistTrainer<'a> {
                             ps,
                             co,
                             shared,
-                            fault_fired,
                             checkpoints,
                             rebalances,
                             chaos,
@@ -637,7 +616,6 @@ impl<'a> DistTrainer<'a> {
         ps: &SparseParamServer,
         co: &Coordinator,
         shared: &Mutex<SharedTrain>,
-        fault_fired: &AtomicBool,
         checkpoints: &AtomicU64,
         rebalances: &AtomicU64,
         chaos: Option<&ChaosRt<'_>>,
@@ -684,30 +662,9 @@ impl<'a> DistTrainer<'a> {
         let mut t = t0;
         while t < total_steps {
             co.acquire(me)?;
-            if let Some(fp) = &cfg.fault {
-                if fp.worker as usize == me
-                    && t == fp.at_step
-                    // ordering: SeqCst swap is the once-only latch for the
-                    // injected fault; every worker must agree on which one
-                    // crashed, and fault setup is cold-path, so the strongest
-                    // ordering is the cheapest correct choice.
-                    && !fault_fired.swap(true, Ordering::SeqCst)
-                {
-                    co.crash(Abort::Fault { worker: fp.worker })?;
-                    return Err(RuntimeError::Fault { worker: fp.worker });
-                }
-            }
-            if let Some(cx) = chaos {
-                if let Some(i) = cx.plane.crash_scheduled(me as u32, t) {
-                    // ordering: SeqCst swap is the once-only latch for this
-                    // schedule entry, same rationale as the legacy fault
-                    // latch above: cold path, every thread must agree.
-                    if !cx.crash_fired[i].swap(true, Ordering::SeqCst) {
-                        cx.plane.note_crash();
-                        co.crash(Abort::Fault { worker: me as u32 })?;
-                        return Err(RuntimeError::Fault { worker: me as u32 });
-                    }
-                }
+            if chaos.is_some_and(|cx| cx.plane.crash_fires(me as u32, t)) {
+                co.crash(Abort::Fault { worker: me as u32 })?;
+                return Err(RuntimeError::Fault { worker: me as u32 });
             }
 
             // Bounded staleness: drain the PS once the replica is more than

@@ -27,7 +27,9 @@ use crate::batcher::next_batch;
 use crate::error::ServeError;
 use crate::metrics::{ServingMetrics, ServingReport};
 use aligraph::{EpisodeTape, GnnEncoder};
-use aligraph_chaos::{Delivery, FaultPlan, FaultPlane, RetryPolicy};
+use aligraph_chaos::{
+    FaultPlan, FaultPlane, HopKind, RecoveryMode, RetryPolicy, SERVING_FETCH_TAG,
+};
 use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch};
 use aligraph_graph::features::{FeatureMatrix, Featurizer};
 use aligraph_graph::{AttributedHeterogeneousGraph, VertexId};
@@ -95,7 +97,7 @@ impl Default for ServingConfig {
 /// Chaos-plane attachment for a [`ServingService`].
 ///
 /// The plane wraps the inter-shard k-hop gather a cache miss implies on a
-/// partitioned store (channel tag 3, keyed by the seed's owner shard). A
+/// partitioned store ([`SERVING_FETCH_TAG`], keyed by the seed's owner shard). A
 /// fetch whose retries exhaust falls back
 /// to the last successfully computed embedding for that vertex *if* it is at
 /// most `max_stale_versions` graph versions old — served with
@@ -402,26 +404,6 @@ pub fn affected_seeds(
     affected(pre, post, &Touched { rows: rows.into_iter().collect(), feats: Vec::new() }, kmax)
 }
 
-/// Drives one remote fetch through the fault plane: retried under `policy`'s
-/// capped backoff until delivery or the retry deadline. Fetches are
-/// idempotent reads, so a lost ack is just a successful delivery, and an
-/// injected delay only costs (virtual) time, never correctness.
-fn fetch_survives(plane: &FaultPlane, policy: &RetryPolicy, channel: u64, seq: u64) -> bool {
-    let mut attempt = 0u32;
-    loop {
-        if attempt > 0 {
-            if policy.exhausted(attempt) {
-                return false;
-            }
-            plane.note_retry();
-        }
-        match plane.decide(channel, seq, attempt) {
-            Delivery::Deliver | Delivery::Delay(_) | Delivery::AckLost => return true,
-            Delivery::Drop | Delivery::Corrupt => attempt += 1,
-        }
-    }
-}
-
 fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
     shared: Arc<Shared<S>>,
     rx: Receiver<Job>,
@@ -434,7 +416,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
     let mut rng =
         StdRng::seed_from_u64(cfg.seed ^ ((worker as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
     let mut tape = EpisodeTape::new();
-    // Message counter for this worker's faulted remote fetches; channel tag 3
+    // Message counter for this worker's faulted remote fetches; the channel
     // keys the owner shard, so (channel, seq) identifies each fetch.
     let mut remote_seq = 0u64;
 
@@ -481,10 +463,22 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
             // which point the worker serves the bounded fallback (degraded)
             // or, beyond the staleness bound, fails the request.
             if let (Some(plane), Some(fc)) = (&shared.plane, &cfg.fault) {
-                let channel = FaultPlane::channel_with(3, worker as u64, owner_of(v) as u64);
+                let channel =
+                    FaultPlane::channel_with(SERVING_FETCH_TAG, worker as u64, owner_of(v) as u64);
                 let seq = remote_seq;
                 remote_seq += 1;
-                if !fetch_survives(plane, &fc.policy, channel, seq) {
+                // Fetches are idempotent reads nobody acknowledges: a lost
+                // ack is a delivery, a delay costs only virtual time, and
+                // the forward runs after the hop (nothing lands in flight).
+                let fetched = plane.deliver(
+                    channel,
+                    seq,
+                    &fc.policy,
+                    RecoveryMode::Full,
+                    HopKind::Unacked,
+                    || {},
+                );
+                if fetched.is_err() {
                     let entry = shared.fallback.lock().get(&v.0).cloned();
                     match entry {
                         Some((ver, emb))

@@ -12,7 +12,9 @@
 //! [`ExecutorStopped`] instead of a panic, so callers can propagate the
 //! condition (e.g. a serving worker draining during shutdown).
 
-use aligraph_chaos::{Delivery, FaultPlane, RetryError, RetryPolicy};
+use aligraph_chaos::{
+    FaultPlane, HopKind, RecoveryMode, RetryError, RetryPolicy, BUCKET_SUBMIT_TAG,
+};
 use crossbeam::channel::{bounded, Sender};
 use crossbeam::queue::SegQueue;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -125,13 +127,13 @@ impl<Op: Send + 'static> BucketExecutor<Op> {
     }
 
     /// [`submit`](Self::submit) through a [`FaultPlane`]: the client→bucket
-    /// hop becomes a fault-plane channel (tag 2, keyed by bucket), with
-    /// `seq` the caller's per-channel message counter. Drops and
-    /// corruptions are retried under `policy`'s capped backoff; injected
-    /// delays add their virtual ticks to the returned total. Fire-and-forget
-    /// submissions carry no acknowledgement, so the ack-loss fault
-    /// degenerates to a successful delivery. Returns the virtual ticks the
-    /// faults cost, or [`RetryError`] if the retry deadline exhausts.
+    /// hop becomes a fault-plane channel ([`BUCKET_SUBMIT_TAG`], keyed by
+    /// bucket), with `seq` the caller's per-channel message counter, crossed
+    /// as one [`HopKind::Unacked`] hop of [`FaultPlane::deliver`] —
+    /// fire-and-forget submissions carry no acknowledgement, so the
+    /// ack-loss fault degenerates to a successful delivery. Returns the
+    /// virtual ticks the faults cost, or [`RetryError`] if the retry
+    /// deadline exhausts.
     pub fn submit_faulted(
         &self,
         v: u32,
@@ -141,30 +143,13 @@ impl<Op: Send + 'static> BucketExecutor<Op> {
         policy: &RetryPolicy,
     ) -> Result<u64, RetryError> {
         let bucket = self.bucket_of(v);
-        let channel = FaultPlane::channel_with(2, 0, bucket as u64);
-        let mut ticks = 0u64;
-        let mut attempt = 0u32;
-        loop {
-            if attempt > 0 {
-                if policy.exhausted(attempt) {
-                    return Err(RetryError { attempts: attempt, backoff_ticks: ticks });
-                }
-                plane.note_retry();
-                ticks += policy.backoff_ticks(attempt);
-            }
-            match plane.decide(channel, seq, attempt) {
-                Delivery::Deliver | Delivery::AckLost => {
-                    self.buckets[bucket].queue.push(op);
-                    return Ok(ticks);
-                }
-                Delivery::Delay(d) => {
-                    ticks += d;
-                    self.buckets[bucket].queue.push(op);
-                    return Ok(ticks);
-                }
-                Delivery::Drop | Delivery::Corrupt => attempt += 1,
-            }
-        }
+        let channel = FaultPlane::channel_with(BUCKET_SUBMIT_TAG, 0, bucket as u64);
+        // Nobody observes the op in flight, so it is queued once the hop is
+        // through (`Full` recovery: `Ok` means delivered).
+        let sent =
+            plane.deliver(channel, seq, policy, RecoveryMode::Full, HopKind::Unacked, || {})?;
+        self.buckets[bucket].queue.push(op);
+        Ok(sent.ticks)
     }
 
     /// Synchronous round-trip to the bucket owning `v`: `make` wraps the

@@ -56,6 +56,7 @@ pub mod tier;
 pub mod topology;
 pub mod versioned_cache;
 
+pub use aligraph_chaos::MIGRATION_TAG;
 pub use bucket::{LockFreeWeightService, MutexWeightService, WeightService};
 pub use cluster::{Cluster, ClusterBuildReport, ClusterBuilder};
 pub use codec::CodecError;
@@ -64,7 +65,7 @@ pub use cost::{
 };
 pub use executor::{BucketExecutor, ExecutorStopped};
 pub use lru::LruCache;
-pub use migrate::{MigrationError, MigrationReport, RebalanceOp, MIGRATION_TAG};
+pub use migrate::{MigrationError, MigrationReport, RebalanceOp};
 pub use neighbor_cache::{CacheStrategy, NeighborCache};
 pub use segment::{Segment, SegmentError, SegmentKind};
 pub use server::{GraphServer, VertexRecord};

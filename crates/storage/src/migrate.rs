@@ -6,9 +6,10 @@
 //! **both shards keep serving**: the destination absorbs each record before
 //! the per-vertex [`Residency`](crate::topology::Residency) cutover flips,
 //! and the source copy only retires inside the next topology publish's
-//! sweep. Dropped or corrupted sends retry under a capped-backoff
-//! [`RetryPolicy`]; a [`Sequencer`] collapses lost-ack resends and late
-//! duplicates to exactly-once application. Faults therefore cost only
+//! sweep. Every record crosses the plane through its delivery driver
+//! ([`FaultPlane::deliver`]) under a capped-backoff [`RetryPolicy`]; a
+//! [`Sequencer`] collapses lost-ack resends and late duplicates to
+//! exactly-once application. Faults therefore cost only
 //! modelled ticks, never data — unless recovery is deliberately broken
 //! ([`RecoveryMode::NoRetry`]), in which case a lost record still flips the
 //! cutover and the destination serves a vertex it never received: the bug
@@ -17,7 +18,7 @@
 //! The protocol per vertex:
 //!
 //! ```text
-//! extract(src) ──channel tag 5──> absorb(dst) ──> cutover(v, dst)   [commit]
+//! extract(src) ──MIGRATION_TAG───> absorb(dst) ──> cutover(v, dst)   [commit]
 //!                                                     │
 //!                         publish_with(next epoch, sweep: src.retire(moved))
 //! ```
@@ -27,16 +28,11 @@ use crate::cost::AccessKind;
 use crate::neighbor_cache::NeighborCache;
 use crate::server::{GraphServer, VertexRecord};
 use crate::topology::RouteError;
-use aligraph_chaos::{Delivery, FaultPlane, RecoveryMode, RetryPolicy, Sequencer};
+use aligraph_chaos::{FaultPlane, HopKind, RecoveryMode, RetryPolicy, Sequencer, MIGRATION_TAG};
 use aligraph_graph::VertexId;
 use aligraph_partition::WorkerId;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-
-/// Fault-plane channel tag of the live-migration plane (tags 0–4 are taken
-/// by PS pushes, PS pull responses, bucket submissions, serving k-hop
-/// gathers, and update ingest).
-pub const MIGRATION_TAG: u64 = 5;
 
 /// A membership change request against the current topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,80 +257,49 @@ impl Cluster {
             records.push(MigrationRecord::CacheSeed { v, depth });
         }
 
-        // Stream with the canonical chaos retry idiom: decide per
-        // (channel, seq, attempt), retry with capped backoff, dedup through
-        // the sequencer so lost-ack resends and late replays apply once.
+        // Stream through the chaos plane's delivery driver; the sequencer
+        // makes the copies it lands (lost-ack resends, late replays) apply
+        // once.
         let channel = FaultPlane::channel_with(MIGRATION_TAG, u64::from(src), u64::from(dst));
         let mut sequencer: Sequencer<MigrationRecord> = Sequencer::new();
         let mut bytes = 0u64;
         let mut lag_ticks = 0u64;
         let mut lost = 0u64;
-        let mut deliver = |seq: u64, record: MigrationRecord, bytes: &mut u64| {
-            *bytes += record.bytes();
-            self.migration_meter.record(AccessKind::Remote, record.bytes(), self.cost_model());
-            let ready = if matches!(mode, RecoveryMode::NoDedup) {
-                vec![record]
-            } else {
-                sequencer.offer(seq, record)
-            };
-            for rec in ready {
-                match rec {
-                    MigrationRecord::Vertex(rec) => {
-                        let v = rec.vertex;
-                        dst_server.absorb(rec);
-                        // Absorb precedes the flip: the commit point.
-                        self.residency.cutover(v, dst);
-                    }
-                    MigrationRecord::CacheSeed { v, depth } => {
-                        dst_server.neighbor_cache().set_depth(v, depth);
-                    }
-                }
-            }
-        };
         for (seq, record) in records.into_iter().enumerate() {
             let seq = seq as u64;
-            let mut attempt = 0u32;
-            let delivered = loop {
-                if attempt > 0 {
-                    if matches!(mode, RecoveryMode::NoRetry) {
-                        break false;
-                    }
-                    if policy.exhausted(attempt) {
-                        return Err(MigrationError::RetriesExhausted {
-                            from: src,
-                            to: dst,
-                            seq,
-                            attempts: attempt,
-                        });
-                    }
-                    plane.note_retry();
-                    lag_ticks += policy.backoff_ticks(attempt);
-                }
-                match plane.decide(channel, seq, attempt) {
-                    Delivery::Deliver => break true,
-                    Delivery::Delay(d) => {
-                        lag_ticks += d;
-                        break true;
-                    }
-                    Delivery::AckLost => {
-                        // The record lands and applies, but our ack is
-                        // "lost": resend, and let the sequencer discard the
-                        // duplicate.
-                        deliver(seq, record.clone(), &mut bytes);
-                        attempt += 1;
-                    }
-                    Delivery::Drop | Delivery::Corrupt => {
-                        attempt += 1;
+            let land = || {
+                bytes += record.bytes();
+                self.migration_meter.record(AccessKind::Remote, record.bytes(), self.cost_model());
+                let ready = if matches!(mode, RecoveryMode::NoDedup) {
+                    vec![record.clone()]
+                } else {
+                    sequencer.offer(seq, record.clone())
+                };
+                for rec in ready {
+                    match rec {
+                        MigrationRecord::Vertex(rec) => {
+                            let v = rec.vertex;
+                            dst_server.absorb(rec);
+                            // Absorb precedes the flip: the commit point.
+                            self.residency.cutover(v, dst);
+                        }
+                        MigrationRecord::CacheSeed { v, depth } => {
+                            dst_server.neighbor_cache().set_depth(v, depth);
+                        }
                     }
                 }
             };
-            if delivered {
-                deliver(seq, record.clone(), &mut bytes);
-                // The reorder fault: a late duplicate of a delivered record.
-                if plane.replays_duplicate(channel, seq) {
-                    deliver(seq, record, &mut bytes);
-                }
-            } else {
+            let sent =
+                plane.deliver(channel, seq, policy, mode, HopKind::Acked, land).map_err(|e| {
+                    MigrationError::RetriesExhausted {
+                        from: src,
+                        to: dst,
+                        seq,
+                        attempts: e.attempts,
+                    }
+                })?;
+            lag_ticks += sent.ticks;
+            if !sent.delivered {
                 lost += 1;
                 // The deliberately broken cutover: the flip happens even
                 // though the destination never received the record, so the

@@ -2,25 +2,22 @@
 //! batches out to per-shard workers over chaos-wrapped channels.
 //!
 //! Each batch send to shard `w` travels the fault-plane channel
-//! `channel_with(UPDATE_INGEST_TAG, 0, w)` (tag 4 — see the chaos crate's
-//! channel inventory). The plane may drop, delay, corrupt, or
-//! ack-lose the send; the coordinator retries under a capped-backoff
-//! [`RetryPolicy`] and the worker's [`Sequencer`] collapses the resulting
-//! duplicates to exactly-once, in-order application. Faults therefore cost
+//! `channel_with(UPDATE_INGEST_TAG, 0, w)` (see the chaos crate's channel
+//! inventory). The plane may drop, delay, corrupt, or ack-lose the send;
+//! the coordinator crosses it through the plane's delivery driver under a
+//! capped-backoff [`RetryPolicy`], and the worker's [`Sequencer`] collapses
+//! the resulting duplicates to exactly-once, in-order application. Faults therefore cost
 //! only *modelled ticks* (accumulated into the batch's update lag), never
 //! epochs, ordering, or graph state — the property the chaos suite pins.
 
 use crate::event::UpdateEvent;
-use aligraph_chaos::{Delivery, FaultPlane, RetryPolicy, Sequencer};
+use aligraph_chaos::{
+    FaultPlane, HopKind, RecoveryMode, RetryPolicy, Sequencer, UPDATE_INGEST_TAG,
+};
 use aligraph_sampling::{Applied, ShardOverlay, VertexOverlay};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Fault-plane channel tag of the update-ingest plane (tags 0–3 are taken
-/// by PS pushes, PS pull responses, bucket submissions, and serving k-hop
-/// gathers; tag 5 is the storage layer's live-migration plane).
-pub const UPDATE_INGEST_TAG: u64 = 4;
 
 /// Chaos configuration of the ingest channel.
 #[derive(Debug, Clone)]
@@ -123,7 +120,8 @@ pub(crate) struct IngestPipeline {
     senders: Vec<Sender<ShardMsg>>,
     acks: Receiver<WorkerAck>,
     handles: Vec<JoinHandle<()>>,
-    plane: Arc<FaultPlane>,
+    /// Shared with nobody else; crate-visible so tests can disarm it.
+    pub(crate) plane: Arc<FaultPlane>,
     policy: RetryPolicy,
     next_seq: u64,
 }
@@ -153,52 +151,35 @@ impl IngestPipeline {
     }
 
     /// Sends one batch to every shard through the fault plane and waits for
-    /// all acks. Returns the aggregated outcome.
+    /// all acks. Returns the aggregated outcome. A batch whose retry budget
+    /// runs out towards any shard reaches no shard and keeps its sequence
+    /// number, exactly like one refused before the send.
     pub fn submit(&mut self, events: Arc<Vec<UpdateEvent>>) -> Result<SubmitOutcome, IngestError> {
         let seq = self.next_seq;
-        self.next_seq += 1;
         let shards = self.senders.len();
+        // The plane's decisions are pure, so every shard's hop resolves
+        // before anything is sent: a half-delivered batch would leave the
+        // skipped shard's sequencer waiting on a gap that never fills (the
+        // next submit hangs), or publish a batch reported as failed.
         let mut lag_ticks = 0u64;
-        for (shard, tx) in self.senders.iter().enumerate() {
+        let mut owed = vec![0u32; shards];
+        for (shard, copies) in owed.iter_mut().enumerate() {
             let channel = FaultPlane::channel_with(UPDATE_INGEST_TAG, 0, shard as u64);
-            let mut attempt = 0u32;
-            loop {
-                if attempt > 0 {
-                    if self.policy.exhausted(attempt) {
-                        return Err(IngestError::RetriesExhausted {
-                            shard,
-                            seq,
-                            attempts: attempt,
-                        });
-                    }
-                    self.plane.note_retry();
-                    lag_ticks += self.policy.backoff_ticks(attempt);
-                }
-                match self.plane.decide(channel, seq, attempt) {
-                    Delivery::Deliver => {
-                        send(tx, seq, &events)?;
-                        break;
-                    }
-                    Delivery::Delay(d) => {
-                        send(tx, seq, &events)?;
-                        lag_ticks += d;
-                        break;
-                    }
-                    Delivery::AckLost => {
-                        // The batch lands and is applied, but our ack is
-                        // "lost": resend, and let the worker's sequencer
-                        // discard the duplicate.
-                        send(tx, seq, &events)?;
-                        attempt += 1;
-                    }
-                    Delivery::Drop | Delivery::Corrupt => {
-                        attempt += 1;
-                    }
-                }
-            }
-            // The reorder fault: a late duplicate of a delivered batch.
-            if self.plane.replays_duplicate(channel, seq) {
-                send(tx, seq, &events)?;
+            let sent = self
+                .plane
+                .deliver(channel, seq, &self.policy, RecoveryMode::Full, HopKind::Acked, || {
+                    *copies += 1
+                })
+                .map_err(|e| IngestError::RetriesExhausted { shard, seq, attempts: e.attempts })?;
+            lag_ticks += sent.ticks;
+        }
+        self.next_seq += 1;
+        // Copies past the first are lost-ack resends and late duplicates:
+        // the worker's sequencer discards them.
+        for (tx, copies) in self.senders.iter().zip(owed) {
+            for _ in 0..copies {
+                tx.send(ShardMsg::Batch { seq, events: Arc::clone(&events) })
+                    .map_err(|_| IngestError::Disconnected)?;
             }
         }
         // Collect exactly one ack per shard for this seq; duplicate acks
@@ -304,15 +285,6 @@ impl IngestPipeline {
             let _ = h.join();
         }
     }
-}
-
-fn send(
-    tx: &Sender<ShardMsg>,
-    seq: u64,
-    events: &Arc<Vec<UpdateEvent>>,
-) -> Result<(), IngestError> {
-    tx.send(ShardMsg::Batch { seq, events: Arc::clone(events) })
-        .map_err(|_| IngestError::Disconnected)
 }
 
 /// One shard's ingest worker: dedups arrivals through a [`Sequencer`],

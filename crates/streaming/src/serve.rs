@@ -555,6 +555,53 @@ mod tests {
         svc.shutdown();
     }
 
+    /// Every shard's published out-rows, by vertex.
+    fn rows(svc: &StreamingService) -> Vec<Option<Vec<aligraph_graph::Neighbor>>> {
+        let view = svc.epochs.pin();
+        (0..6)
+            .map(|v| view.shards().iter().find_map(|s| s.out_row(VertexId(v)).map(<[_]>::to_vec)))
+            .collect()
+    }
+
+    #[test]
+    fn exhausted_ingest_reaches_no_shard_and_leaves_the_service_usable() {
+        // One send per message at a 50% fault rate. Shard 0's hop succeeds
+        // under both seeds; shard 1's is a drop under seed 9 (a batch sent
+        // half-way leaves shard 1's sequencer waiting on a gap, and the next
+        // ingest with it) and a lost ack under seed 2 (the copy lands: a
+        // batch reported as failed gets published with the next epoch).
+        for seed in [9, 2] {
+            let fault = Some(IngestFaultConfig {
+                plan: FaultPlan::with_seed(seed, 0.5),
+                policy: RetryPolicy { base_ticks: 1, max_attempts: 1 },
+            });
+            let svc = Arc::new(service(StreamingConfig { shards: 2, fault, ..Default::default() }));
+            let failed = svc.ingest(&UpdateBatch { events: vec![add(0, 1), add(1, 2)] });
+            assert!(
+                matches!(failed, Err(IngestError::RetriesExhausted { shard: 1, seq: 0, .. })),
+                "seed {seed}: {failed:?}"
+            );
+            assert_eq!(svc.current_epoch(), 0);
+
+            svc.pipeline.lock().plane.disarm();
+            let next = UpdateBatch { events: vec![add(2, 4)] };
+            let (done_tx, done) = std::sync::mpsc::channel();
+            let (ingester, batch) = (Arc::clone(&svc), next.clone());
+            std::thread::spawn(move || done_tx.send(ingester.ingest(&batch)));
+            let receipt = done
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("seed {seed}: ingest after a failed one hangs"))
+                .unwrap();
+            assert_eq!((receipt.epoch, svc.current_epoch()), (1, 1));
+
+            let clean = service(StreamingConfig { shards: 2, ..Default::default() });
+            clean.ingest(&next).unwrap();
+            assert_eq!(rows(&svc), rows(&clean), "seed {seed}: the failed batch left a trace");
+            svc.oracle_check().unwrap();
+            clean.shutdown();
+        }
+    }
+
     #[test]
     fn feature_updates_invalidate_the_touched_vertex_itself() {
         let svc = service(StreamingConfig::default());

@@ -372,3 +372,93 @@ fn corrupted_segment_rejected_by_seal_and_rematerialized() {
     assert!(Segment::read_from(&rewritten).is_ok(), "fallback must re-write a valid segment");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The fault stream each layer draws, pinned to the numbers the hand-rolled
+/// retry loops produced at the parent of PR 15 (computed there, written
+/// here): the one delivery driver must consume the same `Delivery` per
+/// `(channel, seq, attempt)`, count the same faults and retries, and cost
+/// the same virtual ticks — at every one of the sites it replaced.
+mod parent_pins {
+    use super::*;
+    use aligraph_suite::chaos::FaultSnapshot;
+    use aligraph_suite::storage::RebalanceOp;
+    use aligraph_suite::streaming::{
+        IngestFaultConfig, StreamingConfig, StreamingService, UpdateWorkload,
+    };
+    use aligraph_telemetry::Registry;
+
+    const TRAIN: FaultSnapshot = FaultSnapshot { faults_injected: 71, retries: 29 };
+    const INGEST: (FaultSnapshot, u64) = (FaultSnapshot { faults_injected: 60, retries: 25 }, 86);
+    const REBALANCE: (FaultSnapshot, u64) =
+        (FaultSnapshot { faults_injected: 31, retries: 11 }, 54);
+    const SUBMIT: (FaultSnapshot, u64) = (FaultSnapshot { faults_injected: 94, retries: 36 }, 176);
+
+    #[test]
+    fn training_draws_the_parent_fault_stream() {
+        let (cluster, features) = setup(2);
+        let cfg = RuntimeConfig { chaos: Some(ChaosConfig::with_seed(7, 0.2)), ..base_cfg(2) };
+        let report = train(cfg, &cluster, &features).report;
+        let got =
+            FaultSnapshot { faults_injected: report.faults_injected, retries: report.retries };
+        assert_eq!(got, TRAIN);
+    }
+
+    #[test]
+    fn streaming_ingest_draws_the_parent_fault_stream() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        let n = graph.num_vertices() as u32;
+        let feats = Arc::new(Featurizer::new(DIM).matrix(&graph));
+        let registry = Registry::new();
+        let fault = Some(IngestFaultConfig {
+            plan: FaultPlan::with_seed(7, 0.2),
+            policy: RetryPolicy::default(),
+        });
+        let config = StreamingConfig { shards: 2, seed: 7, fault, ..Default::default() };
+        let svc = StreamingService::start_with_registry(graph, feats, config, &registry);
+        let mut workload = UpdateWorkload::new(7, n, DIM);
+        let lag: u64 = (0..40)
+            .map(|_| svc.ingest(&workload.next_batch(6, 2)).expect("ingest").lag_ticks)
+            .sum();
+        svc.shutdown();
+        let snap = registry.snapshot();
+        let got = FaultSnapshot {
+            faults_injected: snap.counter_total("chaos.faults_injected"),
+            retries: snap.counter("chaos.retries", &[]),
+        };
+        assert_eq!((got, lag), INGEST);
+    }
+
+    #[test]
+    fn rebalance_draws_the_parent_fault_stream() {
+        let (cluster, _) = setup(2);
+        let plane = FaultPlane::new(FaultPlan::with_seed(7, 0.2));
+        let report = cluster
+            .rebalance(
+                RebalanceOp::Split { shard: 0 },
+                &plane,
+                &RetryPolicy::default(),
+                RecoveryMode::Full,
+            )
+            .expect("split");
+        assert_eq!((plane.snapshot(), report.lag_ticks), REBALANCE);
+    }
+
+    #[test]
+    fn bucket_submissions_draw_the_parent_fault_stream() {
+        let exec = BucketExecutor::spawn(vec![0u64; 4], |total: &mut u64, op| {
+            if let CountOp::Add(x) = op {
+                *total += x;
+            }
+        });
+        let plane = FaultPlane::new(FaultPlan::with_seed(7, 0.2));
+        let policy = RetryPolicy::default();
+        let mut seqs = [0u64; 4];
+        let mut ticks = 0u64;
+        for v in 0..200u32 {
+            let b = exec.bucket_of(v);
+            ticks += exec.submit_faulted(v, seqs[b], CountOp::Add(1), &plane, &policy).unwrap();
+            seqs[b] += 1;
+        }
+        assert_eq!((plane.snapshot(), ticks), SUBMIT);
+    }
+}

@@ -2,14 +2,15 @@
 //! parity, checkpoint round-trips, corruption handling, fault recovery, and
 //! modelled scaling.
 
+use aligraph_suite::chaos::CrashPoint;
 use aligraph_suite::core::{train_unsupervised, GnnEncoder, TrainConfig};
 use aligraph_suite::graph::{
     AttributedHeterogeneousGraph, FeatureMatrix, Featurizer, TaobaoConfig,
 };
 use aligraph_suite::partition::EdgeCutHash;
 use aligraph_suite::runtime::{
-    latest_valid_checkpoint, CheckpointConfig, DistTrainer, EncoderSpec, FaultPlan, RuntimeConfig,
-    RuntimeError,
+    latest_valid_checkpoint, ChaosConfig, CheckpointConfig, DistTrainer, EncoderSpec,
+    RuntimeConfig, RuntimeError,
 };
 use aligraph_suite::sampling::UniformNeighborhood;
 use aligraph_suite::storage::{CacheStrategy, Cluster, CostModel};
@@ -193,6 +194,16 @@ fn corrupt_and_mismatched_checkpoints_error_cleanly() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A chaos plan that drops nothing and kills `worker` right before global
+/// step `at_step`. The run still goes through `push_faulted` /
+/// `drain_into_faulted`, so the bit-equalities below also pin that a
+/// zero-drop chaos run is identical to the clean twins.
+fn kill(worker: u32, at_step: u64) -> Option<ChaosConfig> {
+    let mut chaos = ChaosConfig::with_seed(0, 0.0);
+    chaos.plan.crash_schedule.push(CrashPoint { worker, at_step });
+    Some(chaos)
+}
+
 /// Tentpole acceptance — fault injection: killing a worker mid-run restores
 /// from the latest checkpoint and reaches the same final loss as the
 /// uninterrupted run (the ISSUE asks for 5%; the deterministic restore is in
@@ -208,7 +219,7 @@ fn killed_worker_recovers_from_checkpoint() {
     let mut cfg = base_cfg(2);
     cfg.checkpoint = Some(CheckpointConfig { dir: dir.clone(), every_steps: 0 });
     // Kill worker 1 two steps into epoch 2 (last checkpoint is step 8).
-    cfg.fault = Some(FaultPlan { worker: 1, at_step: 10 });
+    cfg.chaos = kill(1, 10);
     let faulted = DistTrainer::new(&cluster, &features, spec(), cfg).unwrap();
     let faulted = faulted.train().unwrap();
 
@@ -230,7 +241,7 @@ fn fault_without_checkpoints_restarts_from_scratch() {
     let clean = clean.train().unwrap();
 
     let mut cfg = base_cfg(2);
-    cfg.fault = Some(FaultPlan { worker: 0, at_step: 3 });
+    cfg.chaos = kill(0, 3);
     let faulted = DistTrainer::new(&cluster, &features, spec(), cfg).unwrap();
     let faulted = faulted.train().unwrap();
     assert_eq!(faulted.report.recoveries, 1);
