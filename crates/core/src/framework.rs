@@ -9,10 +9,18 @@
 //! normalize; return h(kmax)_v
 //! ```
 //!
-//! [`GnnEncoder`] executes this recursion on an [`EpisodeTape`]: every
-//! `(vertex, hop)` computation becomes a tape node recording its inputs, so
-//! one reverse sweep backpropagates the loss through COMBINE and AGGREGATE
-//! into every parameter (and optionally into the input features).
+//! [`GnnEncoder`] executes this recursion on an [`EpisodeTape`] in two
+//! phases. *Plan* walks the recursion — SAMPLE, memo lookup, one tape node
+//! per `(vertex, hop)` recording where its inputs come from — and draws
+//! every random number. *Flush* then materialises `h(k)` hop by hop for all
+//! planned nodes at once: one AGGREGATE per node into a stacked block, one
+//! COMBINE (one GEMM) per hop. The backward sweep is the mirror image: per
+//! hop, the nodes that received a gradient are stacked and backpropagated
+//! through COMBINE in one call, then through AGGREGATE into their inputs.
+//! [`GnnEncoder::forward`] plans one root and flushes;
+//! [`GnnEncoder::forward_batch`] plans many roots and flushes once. Rows of
+//! a GEMM are independent, so the flush granularity cannot change a bit of
+//! any embedding (DESIGN "Float contract").
 //!
 //! The tape memoizes `(vertex, hop)` results within a mini-batch — exactly
 //! the intermediate-vector materialization of §3.4. Construct the tape with
@@ -29,32 +37,78 @@ use std::collections::HashMap;
 /// Reference to a hop-(k-1) input of a tape node: either a raw feature row
 /// (`h^(0)`) or another tape node's output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Child {
+enum Child {
     /// `h^(0)_v = x_v`.
     Feature(VertexId),
     /// Output of tape node `i`.
     Node(usize),
 }
 
-/// One `(vertex, hop)` computation on the tape.
-#[derive(Debug, Clone)]
+/// One `(vertex, hop)` computation on the tape: where its inputs come from
+/// and which row of its hop's [`HopBlock`] holds its values.
+#[derive(Debug)]
 struct TapeNode {
-    /// Kept for debugging/tracing tape dumps.
-    #[allow(dead_code)]
-    v: VertexId,
     k: usize,
+    row: usize,
     child_self: Child,
-    child_nbrs: Vec<Child>,
+    /// Range of [`EpisodeTape::children`] holding the sampled neighbors.
+    child_nbrs: std::ops::Range<usize>,
+}
+
+/// The values of every hop-`k` tape node, one row per node in tape order.
+#[derive(Debug, Default)]
+struct HopBlock {
+    /// Tape index of each planned row; rows beyond the flushed ones have no
+    /// values yet.
+    nodes: Vec<usize>,
+    out_dim: usize,
     h_self: Vec<f32>,
     h_nbr: Vec<f32>,
     output: Vec<f32>,
     grad: Vec<f32>,
 }
 
+impl HopBlock {
+    fn flushed_rows(&self) -> usize {
+        self.output.len() / self.out_dim.max(1)
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.h_self.clear();
+        self.h_nbr.clear();
+        self.output.clear();
+        self.grad.clear();
+    }
+}
+
+fn row(block: &[f32], dim: usize, r: usize) -> &[f32] {
+    &block[r * dim..(r + 1) * dim]
+}
+
+fn add_into(acc: &mut [f32], grad: &[f32]) {
+    for (a, &b) in acc.iter_mut().zip(grad) {
+        *a += b;
+    }
+}
+
+/// Copies the chosen `rows` of a row-major block into a matrix.
+fn gather(block: &[f32], dim: usize, rows: &[usize]) -> Matrix {
+    let mut data = Vec::with_capacity(rows.len() * dim);
+    for &r in rows {
+        data.extend_from_slice(row(block, dim, r));
+    }
+    Matrix::from_vec(rows.len(), dim, data)
+}
+
 /// The forward tape of one mini-batch.
 #[derive(Debug, Default)]
 pub struct EpisodeTape {
     nodes: Vec<TapeNode>,
+    /// Sampled-neighbor inputs of all nodes, back to back.
+    children: Vec<Child>,
+    /// `hops[k - 1]` holds the hop-`k` nodes' values.
+    hops: Vec<HopBlock>,
     memo: HashMap<(u8, u32), usize>,
     memoize: bool,
     /// Accumulated gradients w.r.t. input feature rows (for models with
@@ -78,6 +132,8 @@ impl EpisodeTape {
     /// Clears the tape for the next mini-batch (capacity retained).
     pub fn clear(&mut self) {
         self.nodes.clear();
+        self.children.clear();
+        self.hops.iter_mut().for_each(HopBlock::clear);
         self.memo.clear();
         self.feature_grads.clear();
     }
@@ -97,16 +153,27 @@ impl EpisodeTape {
         (self.hits, self.misses)
     }
 
-    /// The output embedding of a tape node.
+    /// The output embedding of a (flushed) tape node.
     pub fn output(&self, idx: usize) -> &[f32] {
-        &self.nodes[idx].output
+        let node = &self.nodes[idx];
+        let block = &self.hops[node.k - 1];
+        row(&block.output, block.out_dim, node.row)
     }
 
-    /// Adds `grad` to a node's output gradient (called by the loss).
+    /// Adds `grad` to a (flushed) node's output gradient (called by the
+    /// loss).
     pub fn add_grad(&mut self, idx: usize, grad: &[f32]) {
-        let g = &mut self.nodes[idx].grad;
-        for (a, &b) in g.iter_mut().zip(grad) {
-            *a += b;
+        let node = &self.nodes[idx];
+        let block = &mut self.hops[node.k - 1];
+        add_into(&mut block.grad[node.row * block.out_dim..][..block.out_dim], grad);
+    }
+
+    /// `h^(k-1)` behind a child reference, borrowed from the features or
+    /// from the hop block below.
+    fn resolve<'a>(&'a self, features: &'a FeatureMatrix, c: Child) -> &'a [f32] {
+        match c {
+            Child::Feature(v) => features.row(v),
+            Child::Node(i) => self.output(i),
         }
     }
 }
@@ -188,6 +255,15 @@ impl GnnEncoder {
         self.dim_in
     }
 
+    /// Width of `h^(k-1)`, the input of hop `k`.
+    fn hop_in_dim(&self, k: usize) -> usize {
+        if k == 1 {
+            self.dim_in
+        } else {
+            self.dims[k - 2]
+        }
+    }
+
     /// Forward pass: computes `h^(kmax)_v` on the tape and returns its node
     /// index. Neighborhoods are read through `access` and subsampled by
     /// `sampler` with this encoder's fan-outs.
@@ -200,14 +276,46 @@ impl GnnEncoder {
         tape: &mut EpisodeTape,
         rng: &mut R,
     ) -> usize {
-        self.embed(access, features, sampler, v, self.kmax(), tape, rng)
+        let idx = self.plan(access, sampler, v, tape, rng);
+        self.flush(features, tape);
+        idx
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn embed<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
+    /// [`forward`](Self::forward) for every root with one flush: the same
+    /// node indices, outputs, tape and RNG state as calling it per root, at
+    /// one COMBINE per hop for the whole batch.
+    pub fn forward_batch<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
         &self,
         access: &A,
         features: &FeatureMatrix,
+        sampler: &S,
+        roots: &[VertexId],
+        tape: &mut EpisodeTape,
+        rng: &mut R,
+    ) -> Vec<usize> {
+        let idxs = roots.iter().map(|&v| self.plan(access, sampler, v, tape, rng)).collect();
+        self.flush(features, tape);
+        idxs
+    }
+
+    /// Plan phase for one root: pushes the tape nodes `h^(kmax)_v` needs and
+    /// returns the root's node index. Its values exist after the next
+    /// [`flush`](Self::flush).
+    pub(crate) fn plan<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
+        &self,
+        access: &A,
+        sampler: &S,
+        v: VertexId,
+        tape: &mut EpisodeTape,
+        rng: &mut R,
+    ) -> usize {
+        tape.hops.resize_with(self.kmax(), HopBlock::default);
+        self.plan_hop(access, sampler, v, self.kmax(), tape, rng)
+    }
+
+    fn plan_hop<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
+        &self,
+        access: &A,
         sampler: &S,
         v: VertexId,
         k: usize,
@@ -224,64 +332,62 @@ impl GnnEncoder {
         tape.misses += 1;
 
         // SAMPLE: fan-out for hop k (deeper hops use later fanout entries).
-        let fanout = self.fanouts[k - 1];
-        let nbr_records = access.neighbors(v, k);
-        let sampled = sampler.sample_one(v, nbr_records, fanout, rng);
+        let sampled = sampler.sample_one(v, access.neighbors(v, k), self.fanouts[k - 1], rng);
 
         // Recurse: h^(k-1) of self and of each sampled neighbor.
-        let child_self = self.child(access, features, sampler, v, k - 1, tape, rng);
-        let child_nbrs: Vec<Child> = sampled
-            .iter()
-            .map(|&u| self.child(access, features, sampler, u, k - 1, tape, rng))
-            .collect();
-
-        let h_self = self.resolve(features, tape, child_self);
-        let nbr_embs: Vec<Vec<f32>> =
-            child_nbrs.iter().map(|&c| self.resolve(features, tape, c)).collect();
-        let nbr_refs: Vec<&[f32]> = nbr_embs.iter().map(Vec::as_slice).collect();
-
-        // AGGREGATE.
-        let in_dim = if k == 1 { self.dim_in } else { self.dims[k - 2] };
-        let mut h_nbr = vec![0.0f32; in_dim];
-        self.aggregator.forward(&h_self, &nbr_refs, &mut h_nbr);
-
-        // COMBINE.
-        let self_m = Matrix::from_vec(1, in_dim, h_self.clone());
-        let nbr_m = Matrix::from_vec(1, in_dim, h_nbr.clone());
-        let out_m = self.combiners[k - 1].forward(&self_m, &nbr_m);
-        let output = out_m.as_slice().to_vec();
+        let mut child = |u: VertexId, tape: &mut EpisodeTape| {
+            if k == 1 {
+                Child::Feature(u)
+            } else {
+                Child::Node(self.plan_hop(access, sampler, u, k - 1, tape, rng))
+            }
+        };
+        let child_self = child(v, tape);
+        let nbrs: Vec<Child> = sampled.iter().map(|&u| child(u, tape)).collect();
+        let first = tape.children.len();
+        tape.children.extend(nbrs);
 
         let idx = tape.nodes.len();
-        let grad = vec![0.0; output.len()];
-        tape.nodes.push(TapeNode { v, k, child_self, child_nbrs, h_self, h_nbr, output, grad });
+        let block = &mut tape.hops[k - 1];
+        let row = block.nodes.len();
+        block.nodes.push(idx);
+        tape.nodes.push(TapeNode { k, row, child_self, child_nbrs: first..tape.children.len() });
         if tape.memoize {
             tape.memo.insert((k as u8, v.0), idx);
         }
         idx
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn child<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
-        &self,
-        access: &A,
-        features: &FeatureMatrix,
-        sampler: &S,
-        v: VertexId,
-        k: usize,
-        tape: &mut EpisodeTape,
-        rng: &mut R,
-    ) -> Child {
-        if k == 0 {
-            Child::Feature(v)
-        } else {
-            Child::Node(self.embed(access, features, sampler, v, k, tape, rng))
-        }
-    }
+    /// Flush phase: for hop `k = 1..kmax`, AGGREGATE every planned node into
+    /// one stacked block and COMBINE the block in one call.
+    pub(crate) fn flush(&self, features: &FeatureMatrix, tape: &mut EpisodeTape) {
+        for k in 1..=tape.hops.len() {
+            let block = &tape.hops[k - 1];
+            let pending = &block.nodes[block.flushed_rows()..];
+            if pending.is_empty() {
+                continue;
+            }
+            let in_dim = self.hop_in_dim(k);
+            let mut h_self = Matrix::zeros(pending.len(), in_dim);
+            let mut h_nbr = Matrix::zeros(pending.len(), in_dim);
+            let mut nbrs: Vec<&[f32]> = Vec::new();
+            for (r, &i) in pending.iter().enumerate() {
+                let node = &tape.nodes[i];
+                let own = tape.resolve(features, node.child_self);
+                h_self.row_mut(r).copy_from_slice(own);
+                nbrs.clear();
+                let kids = &tape.children[node.child_nbrs.clone()];
+                nbrs.extend(kids.iter().map(|&c| tape.resolve(features, c)));
+                self.aggregator.forward(own, &nbrs, h_nbr.row_mut(r));
+            }
+            let output = self.combiners[k - 1].forward(&h_self, &h_nbr);
 
-    fn resolve(&self, features: &FeatureMatrix, tape: &EpisodeTape, c: Child) -> Vec<f32> {
-        match c {
-            Child::Feature(v) => features.row(v).to_vec(),
-            Child::Node(i) => tape.nodes[i].output.clone(),
+            let block = &mut tape.hops[k - 1];
+            block.out_dim = output.cols;
+            block.h_self.extend_from_slice(h_self.as_slice());
+            block.h_nbr.extend_from_slice(h_nbr.as_slice());
+            block.output.extend_from_slice(output.as_slice());
+            block.grad.resize(block.output.len(), 0.0);
         }
     }
 
@@ -289,38 +395,70 @@ impl GnnEncoder {
     /// [`EpisodeTape::add_grad`] and accumulates parameter gradients in the
     /// combiners (and feature gradients on the tape). Call
     /// [`step`](Self::step) afterwards to apply them.
+    ///
+    /// Hops run `kmax..1`; within a hop the nodes that received a gradient
+    /// are stacked in descending tape order, which is the order a
+    /// node-at-a-time reverse sweep would add their terms to `dW` and to
+    /// each input's gradient.
     pub fn backward(&mut self, tape: &mut EpisodeTape, features: &FeatureMatrix) {
-        for i in (0..tape.nodes.len()).rev() {
-            if tape.nodes[i].grad.iter().all(|&g| g == 0.0) {
+        let EpisodeTape { nodes, children, hops, feature_grads, .. } = tape;
+        for k in (1..=hops.len()).rev() {
+            let (below, at) = hops.split_at_mut(k - 1);
+            let block = &at[0];
+            let (in_dim, out_dim) = (self.hop_in_dim(k), block.out_dim);
+            let rows: Vec<usize> = (0..block.flushed_rows())
+                .rev()
+                .filter(|&r| row(&block.grad, out_dim, r).iter().any(|&g| g != 0.0))
+                .collect();
+            if rows.is_empty() {
                 continue;
             }
-            let node = tape.nodes[i].clone();
-            let in_dim = node.h_self.len();
-            let self_m = Matrix::from_vec(1, in_dim, node.h_self.clone());
-            let nbr_m = Matrix::from_vec(1, in_dim, node.h_nbr.clone());
-            let out_m = Matrix::from_vec(1, node.output.len(), node.output.clone());
-            let grad_m = Matrix::from_vec(1, node.grad.len(), node.grad.clone());
-            let (d_self, d_nbr) =
-                self.combiners[node.k - 1].backward(&self_m, &nbr_m, &out_m, &grad_m);
+            let (d_self, d_nbr) = self.combiners[k - 1].backward(
+                &gather(&block.h_self, in_dim, &rows),
+                &gather(&block.h_nbr, in_dim, &rows),
+                &gather(&block.output, out_dim, &rows),
+                &gather(&block.grad, out_dim, &rows),
+            );
 
-            // Route d_self.
-            route(tape, features, node.child_self, d_self.as_slice());
+            // Inputs live in the hop block below (k > 1) or in the features.
+            let (below_out, below_grad): (&[f32], &mut [f32]) = match below.last_mut() {
+                Some(HopBlock { output, grad, .. }) => (output, grad),
+                None => (&[], &mut []),
+            };
+            let mut route = |child: Child, grad: &[f32]| match child {
+                Child::Node(j) => {
+                    add_into(&mut below_grad[nodes[j].row * in_dim..][..in_dim], grad)
+                }
+                Child::Feature(v) => add_into(
+                    feature_grads.entry(v.0).or_insert_with(|| vec![0.0; grad.len()]),
+                    grad,
+                ),
+            };
+            let mut nbrs: Vec<&[f32]> = Vec::new();
+            let mut nbr_grads: Vec<Vec<f32>> = Vec::new();
+            for (i, &r) in rows.iter().enumerate() {
+                let node = &nodes[block.nodes[r]];
+                route(node.child_self, d_self.row(i));
 
-            // AGGREGATE backward: distribute d_nbr to each sampled neighbor.
-            if !node.child_nbrs.is_empty() {
-                let nbr_embs: Vec<Vec<f32>> = node
-                    .child_nbrs
-                    .iter()
-                    .map(|&c| match c {
-                        Child::Feature(v) => features.row(v).to_vec(),
-                        Child::Node(j) => tape.nodes[j].output.clone(),
-                    })
-                    .collect();
-                let nbr_refs: Vec<&[f32]> = nbr_embs.iter().map(Vec::as_slice).collect();
-                let mut grads = vec![vec![0.0f32; in_dim]; nbr_refs.len()];
-                self.aggregator.backward(&node.h_self, &nbr_refs, d_nbr.as_slice(), &mut grads);
-                for (&c, g) in node.child_nbrs.iter().zip(&grads) {
-                    route(tape, features, c, g);
+                // AGGREGATE backward: distribute d_nbr to each sampled neighbor.
+                let kids = &children[node.child_nbrs.clone()];
+                if kids.is_empty() {
+                    continue;
+                }
+                nbrs.clear();
+                nbrs.extend(kids.iter().map(|&c| match c {
+                    Child::Feature(v) => features.row(v),
+                    Child::Node(j) => row(below_out, in_dim, nodes[j].row),
+                }));
+                nbr_grads.resize(kids.len(), Vec::new());
+                for g in &mut nbr_grads {
+                    g.clear();
+                    g.resize(in_dim, 0.0);
+                }
+                let own = row(&block.h_self, in_dim, r);
+                self.aggregator.backward(own, &nbrs, d_nbr.row(i), &mut nbr_grads);
+                for (&c, g) in kids.iter().zip(&nbr_grads) {
+                    route(c, g);
                 }
             }
         }
@@ -405,30 +543,13 @@ impl GnnEncoder {
         rng: &mut R,
     ) -> Matrix {
         let mut tape = EpisodeTape::new();
+        let idxs = self.forward_batch(access, features, sampler, seeds, &mut tape, rng);
         let mut out = Matrix::zeros(seeds.len(), self.out_dim());
-        for (i, &v) in seeds.iter().enumerate() {
-            let idx = self.forward(access, features, sampler, v, &mut tape, rng);
+        for (i, idx) in idxs.into_iter().enumerate() {
             out.row_mut(i).copy_from_slice(tape.output(idx));
         }
         out.l2_normalize_rows();
         out
-    }
-}
-
-fn route(tape: &mut EpisodeTape, _features: &FeatureMatrix, child: Child, grad: &[f32]) {
-    match child {
-        Child::Node(j) => {
-            let g = &mut tape.nodes[j].grad;
-            for (a, &b) in g.iter_mut().zip(grad) {
-                *a += b;
-            }
-        }
-        Child::Feature(v) => {
-            let entry = tape.feature_grads.entry(v.0).or_insert_with(|| vec![0.0; grad.len()]);
-            for (a, &b) in entry.iter_mut().zip(grad) {
-                *a += b;
-            }
-        }
     }
 }
 

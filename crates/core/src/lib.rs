@@ -28,7 +28,7 @@ pub mod models;
 pub mod trainer;
 
 pub use automl::{select_model, Candidate, Leaderboard, SelectionResult};
-pub use framework::{Child, EpisodeTape, FullNeighborhood, GnnEncoder};
+pub use framework::{EpisodeTape, FullNeighborhood, GnnEncoder};
 pub use trainer::{
     contrastive_step, embed_all, evaluate_split, train_unsupervised, BatchOutcome, EmbeddingModel,
     MatrixEmbeddings, TrainConfig, TrainReport,

@@ -216,9 +216,14 @@ pub fn train_asgcn(graph: &AttributedHeterogeneousGraph, config: &GcnConfig) -> 
         losses.extend(report.epoch_losses);
         // Adapt sampling weights: probe gradient magnitudes on a seed batch.
         let mut tape = crate::framework::EpisodeTape::new();
-        for _ in 0..32 {
-            let v = VertexId(rng.gen_range(0..graph.num_vertices() as u32));
-            let idx = encoder.forward(graph, &features, &sampler, v, &mut tape, &mut rng);
+        let roots: Vec<usize> = (0..32)
+            .map(|_| {
+                let v = VertexId(rng.gen_range(0..graph.num_vertices() as u32));
+                encoder.plan(graph, &sampler, v, &mut tape, &mut rng)
+            })
+            .collect();
+        encoder.flush(&features, &mut tape);
+        for idx in roots {
             let out = tape.output(idx).to_vec();
             tape.add_grad(idx, &out); // self-similarity probe
         }

@@ -107,8 +107,9 @@ pub struct BatchOutcome {
     pub feature_grads: HashMap<u32, Vec<f32>>,
 }
 
-/// One contrastive mini-batch over pre-sampled positive `edges`: forward,
-/// loss, backward, and dense-parameter step. Shared verbatim between
+/// One contrastive mini-batch over pre-sampled positive `edges`: forward
+/// (one COMBINE per hop for the whole batch), loss, backward, and
+/// dense-parameter step. Shared verbatim between
 /// [`train_unsupervised`] and the distributed runtime workers, so both
 /// produce bit-identical trajectories from the same RNG stream.
 ///
@@ -125,18 +126,27 @@ pub fn contrastive_step<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
     negatives: usize,
     rng: &mut R,
 ) -> BatchOutcome {
+    // Plan every root of the batch — the sampling draws interleave with the
+    // negative draws exactly as a forward per root would — then one flush.
     let mut tape = EpisodeTape::new();
-    let mut loss_sum = 0.0f64;
-    let mut pairs = 0usize;
+    let mut roots = Vec::with_capacity(edges.len());
     for &e in edges {
         let rec = graph.edge(e);
-        let iu = encoder.forward(access, features, sampler, rec.src, &mut tape, rng);
-        let iv = encoder.forward(access, features, sampler, rec.dst, &mut tape, rng);
+        let iu = encoder.plan(access, sampler, rec.src, &mut tape, rng);
+        let iv = encoder.plan(access, sampler, rec.dst, &mut tape, rng);
         // Negatives share the positive destination's vertex type, so
         // training contrasts match the link-prediction protocol.
         let negative = UniformNegative { vtype: Some(graph.vertex_type(rec.dst)) };
         let negs = negative.sample(graph, &[rec.src, rec.dst], negatives, rng);
+        let inegs: Vec<usize> =
+            negs.into_iter().map(|n| encoder.plan(access, sampler, n, &mut tape, rng)).collect();
+        roots.push((iu, iv, inegs));
+    }
+    encoder.flush(features, &mut tape);
 
+    let mut loss_sum = 0.0f64;
+    let mut pairs = 0usize;
+    for (iu, iv, inegs) in roots {
         // Positive pair.
         let (zu, zv) = (tape.output(iu).to_vec(), tape.output(iv).to_vec());
         let s = aligraph_tensor::dot(&zu, &zv);
@@ -146,8 +156,7 @@ pub fn contrastive_step<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
         tape.add_grad(iv, &scaled(&zu, g));
 
         // Negatives.
-        for n in negs {
-            let ing = encoder.forward(access, features, sampler, n, &mut tape, rng);
+        for ing in inegs {
             let zn = tape.output(ing).to_vec();
             let s = aligraph_tensor::dot(&zu, &zn);
             loss_sum += logistic_loss(s, false) as f64;

@@ -73,7 +73,9 @@ impl DenseLayer {
 
     /// Backward pass: given the batch input `x`, the forward output
     /// `activated`, and `grad_out = dL/dy`, accumulates parameter gradients
-    /// and returns `dL/dx`.
+    /// and returns `dL/dx`. The accumulators take the batch's terms one row
+    /// at a time, so a call over stacked rows leaves the same bits as one
+    /// call per row in the same order.
     pub fn backward(&mut self, x: &Matrix, activated: &Matrix, grad_out: &Matrix) -> Matrix {
         let mut g = grad_out.clone();
         match self.act {
@@ -83,9 +85,11 @@ impl DenseLayer {
             Activation::Sigmoid => activations::sigmoid_backward(&mut g, activated),
         }
         // dW = x^T g ; db = column sums of g ; dx = g W^T.
-        self.grad_w.add_assign(&x.transpose_matmul(&g));
-        for (gb, s) in self.grad_b.iter_mut().zip(g.column_sums()) {
-            *gb += s;
+        x.transpose_matmul_acc(&g, &mut self.grad_w);
+        for r in 0..g.rows {
+            for (gb, &s) in self.grad_b.iter_mut().zip(g.row(r)) {
+                *gb += s;
+            }
         }
         g.matmul_transpose(&self.w)
     }
@@ -100,8 +104,11 @@ impl DenseLayer {
         self.grad_w.clip(5.0);
         self.opt_w.step(self.w.as_mut_slice(), self.grad_w.as_slice());
         self.opt_b.step(&mut self.b, &self.grad_b);
-        self.grad_w.scale(0.0);
-        self.grad_b.iter_mut().for_each(|g| *g = 0.0);
+        // `fill`, not `scale(0.0)`: the next batch must accumulate from +0.0
+        // whatever this one left (a negative entry times 0.0 is -0.0, a NaN
+        // stays NaN).
+        self.grad_w.as_mut_slice().fill(0.0);
+        self.grad_b.fill(0.0);
     }
 
     /// Read-only weights (tests, serialization).
@@ -265,6 +272,41 @@ mod tests {
         let mut truncated = a.state_vec();
         truncated.pop();
         assert!(b.load_state_vec(&truncated).is_err());
+    }
+
+    #[test]
+    fn step_clears_gradients_to_positive_zero() {
+        // Negative and NaN gradients: `scale(0.0)` left -0.0 and NaN behind.
+        let mut l = DenseLayer::new(2, 2, Activation::Linear, 0.01, 5);
+        let x = Matrix::from_vec(1, 2, vec![1.0, f32::NAN]);
+        let y = l.forward(&x);
+        l.backward(&x, &y, &Matrix::from_vec(1, 2, vec![-1.0, -2.0]));
+        assert!(l.grad_w.get(0, 0) < 0.0 && l.grad_w.get(1, 0).is_nan() && l.grad_b[0] < 0.0);
+        l.step(1);
+        for g in l.grad_w.as_slice().iter().chain(&l.grad_b) {
+            assert_eq!(g.to_bits(), 0.0f32.to_bits());
+        }
+    }
+
+    #[test]
+    fn stacked_backward_equals_one_backward_per_row() {
+        let mut stacked = DenseLayer::new(5, 3, Activation::Relu, 0.05, 6);
+        let mut per_row = stacked.clone();
+        let mut rng = seeded_rng(7);
+        let x = Matrix::uniform(9, 5, 1.0, &mut rng);
+        let g = Matrix::uniform(9, 3, 1.0, &mut rng);
+        let y = stacked.forward(&x);
+        let dx = stacked.backward(&x, &y, &g);
+        for r in 0..x.rows {
+            let one = |m: &Matrix| Matrix::from_vec(1, m.cols, m.row(r).to_vec());
+            let dx_r = per_row.backward(&one(&x), &one(&y), &one(&g));
+            assert_eq!(dx_r.as_slice(), dx.row(r));
+        }
+        stacked.step(9);
+        per_row.step(9);
+        for (a, b) in stacked.param_vec().iter().zip(per_row.param_vec()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

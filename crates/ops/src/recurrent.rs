@@ -42,15 +42,9 @@ impl LstmAggregator {
     fn step(&self, x: &[f32], h: &mut [f32], c: &mut [f32]) {
         let d = self.dim;
         // gates = [x ; h] @ W, laid out as [i f o g].
-        let mut gates = vec![0.0f32; 4 * d];
-        for (r, &xv) in x.iter().chain(h.iter()).enumerate() {
-            if xv == 0.0 {
-                continue;
-            }
-            for (gidx, g) in gates.iter_mut().enumerate() {
-                *g += xv * self.w.get(r, gidx);
-            }
-        }
+        let xh = Matrix::from_vec(1, 2 * d, [x, &*h].concat());
+        let gates = xh.matmul(&self.w);
+        let gates = gates.as_slice();
         for j in 0..d {
             let i = sigmoid(gates[j]);
             let f = sigmoid(gates[d + j]);

@@ -443,7 +443,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
         needed.sort_unstable_by_key(|v| v.0);
         needed.dedup();
 
-        let mut forwards = 0usize;
+        let mut misses: Vec<VertexId> = Vec::new();
         for &v in &needed {
             let owned = owner_of(v) == worker;
             if let Some(e) = shared.cache.get(&v.0) {
@@ -504,8 +504,14 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
                     continue;
                 }
             }
-            let idx = encoder.forward(view, &shared.features, &sampler, v, &mut tape, &mut rng);
-            forwards += 1;
+            misses.push(v);
+        }
+        // One forward over every cache miss of the batch: one COMBINE per
+        // hop, however many seeds missed.
+        let idxs =
+            encoder.forward_batch(view, &shared.features, &sampler, &misses, &mut tape, &mut rng);
+        let forwards = misses.len();
+        for (&v, idx) in misses.iter().zip(idxs) {
             let mut out = tape.output(idx).to_vec();
             aligraph_tensor::l2_normalize(&mut out);
             let out = Arc::new(out);
@@ -536,9 +542,9 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
                 },
                 JobKind::Score { other } => {
                     match (resolved.get(&job.vertex.0), resolved.get(&other.0)) {
-                        (Some(a), Some(b)) => Reply::Score(
-                            a.embedding.iter().zip(b.embedding.iter()).map(|(x, y)| x * y).sum(),
-                        ),
+                        (Some(a), Some(b)) => {
+                            Reply::Score(aligraph_tensor::dot(&a.embedding, &b.embedding))
+                        }
                         _ => {
                             let e = failed.get(&job.vertex.0).or_else(|| failed.get(&other.0));
                             // invariant: at least one side is unresolved here

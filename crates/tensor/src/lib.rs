@@ -21,6 +21,7 @@
 
 pub mod activations;
 pub mod embedding;
+mod gemm;
 pub mod init;
 pub mod loss;
 pub mod matrix;
@@ -41,11 +42,13 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
-/// Dot product of two equal-length slices.
+/// Dot product of two equal-length slices, summed left to right from an
+/// explicit `+0.0` (`Iterator::sum` seeds `-0.0` from Rust 1.83 on and `+0.0`
+/// before, which made an empty or all-`-0.0` product depend on the compiler).
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(0.0, |sum, (x, y)| sum + x * y)
 }
 
 /// Cosine similarity (0 when either vector is ~zero).
@@ -87,6 +90,14 @@ mod tests {
         assert!(sigmoid(100.0) > 0.999);
         assert!(sigmoid(-100.0) < 0.001);
         assert!((sigmoid(2.0) + sigmoid(-2.0) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn dot_seeds_positive_zero_on_every_toolchain() {
+        assert_eq!(dot(&[], &[]).to_bits(), 0.0f32.to_bits());
+        assert_eq!(dot(&[0.0; 3], &[0.0; 3]).to_bits(), 0.0f32.to_bits());
+        assert_eq!(dot(&[-0.0; 3], &[0.0; 3]).to_bits(), 0.0f32.to_bits());
+        assert_eq!(dot(&[-1.0], &[0.0]).to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

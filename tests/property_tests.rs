@@ -130,6 +130,25 @@ proptest! {
             prop_assert!((x - y).abs() < 1e-4);
         }
     }
+
+    /// Float contract: on any shape, every element of the three blocked
+    /// products is the left-to-right sum over ascending `k` from `+0.0`,
+    /// one rounded multiply and one rounded add per term.
+    #[test]
+    fn blocked_products_keep_the_scalar_summation_order(
+        m in 0usize..23, k in 0usize..70, n in 1usize..41, seed in 0u64..1000,
+    ) {
+        let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(seed);
+        let a = Matrix::uniform(m, k, 1.0, &mut rng);
+        let b = Matrix::uniform(k, n, 1.0, &mut rng);
+        let want = Matrix::from_fn(m, n, |i, j| (0..k).fold(0.0, |s, t| s + a.get(i, t) * b.get(t, j)));
+        let (at, bt) = (a.transpose(), b.transpose());
+        for got in [a.matmul(&b), a.matmul_transpose(&bt), at.transpose_matmul(&b)] {
+            for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
 }
 
 proptest! {
