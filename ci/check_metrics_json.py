@@ -6,9 +6,12 @@ Usage:
     check_metrics_json.py METRICS.json [--command NAME] [--expect-prefix P]...
 
 --command       assert the snapshot was produced by this subcommand
---expect-prefix assert at least one series name starts with P (repeatable;
-                this is how CI pins "a train-bench run reports storage,
-                sampling, and runtime metrics in one snapshot")
+--expect-prefix assert at least one series whose name starts with P is
+                *alive* — a non-zero `value` (counter, gauge) or `count`
+                (histogram). Repeatable; this is how CI pins "a train-bench
+                run reports storage, sampling, and runtime metrics in one
+                snapshot". Registered-but-zero does not pass: a series that
+                nothing ever records would otherwise guard dead code.
 """
 
 import argparse
@@ -47,6 +50,7 @@ def main() -> None:
         fail("`metrics` is not an array")
 
     names = []
+    alive = []
     for i, m in enumerate(doc["metrics"]):
         where = f"metrics[{i}]"
         for key in schema["metric_required"]:
@@ -68,10 +72,17 @@ def main() -> None:
                 "schema when adding a layer)"
             )
         names.append(m["name"])
+        if m.get("count" if m["kind"] == "histogram" else "value", 0) != 0:
+            alive.append(m["name"])
 
     for prefix in args.expect_prefix:
         if not any(n.startswith(prefix) for n in names):
             fail(f"no series named `{prefix}*` (got {sorted(set(names))})")
+        if not any(n.startswith(prefix) for n in alive):
+            fail(
+                f"every `{prefix}*` series is zero — registered but never "
+                "recorded; the row's workload does not exercise it"
+            )
 
     print(
         f"check_metrics_json: OK: {args.metrics} — {len(names)} series"

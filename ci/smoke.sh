@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The CLI bench smokes, as one table. Each row runs
 #   aligraph <command> <args> --metrics-json OUT/<name>-metrics.json
-# then validates the JSON (schema, producing command, expected series
-# prefixes) and, where the row names a committed baseline, diffs the run
-# against it with ci/compare_bench.py.
+# then validates the JSON (schema, producing command, and for each expected
+# prefix at least one series the run actually recorded into — a prefix
+# whose series are all zero fails) and, where the row names a committed
+# baseline, diffs the run against it with ci/compare_bench.py.
 #
 #   ci/smoke.sh            run every row
 #   ci/smoke.sh <name>...  run the named rows
@@ -17,13 +18,13 @@ train-bench          | train-bench        | --workers 2 --epochs 2 --scale 0.005
 train-bench-chaos    | train-bench        | --fault-seed 42 --drop-rate 0.2 --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 | chaos.faults_injected chaos.retries |
 train-bench-kill     | train-bench        | --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --checkpoint-dir $out/train-bench-kill-ckpts --kill-worker 1 --kill-at-step 5 | chaos.faults_injected runtime.ps. |
 serve-bench          | serve-bench        | --requests 1000 --clients 2 --workers 2 --scale 0.05 | serving.requests serving.latency_ns |
-serve-under-update   | serve-under-update | --requests 2000 --clients 2 --workers 2 --scale 0.02 --update-every-ms 1 --slo-p99-ms 250 | streaming.ingest. streaming.serve.latency_ns streaming.epoch streaming.cache | BENCH_serve_under_update.json --presence-only
-serve-under-update-chaos | serve-under-update | --fault-seed 42 --drop-rate 0.2 --requests 2000 --clients 2 --workers 2 --scale 0.02 --update-every-ms 1 --slo-p99-ms 250 | streaming.ingest.lag_ticks chaos.faults_injected |
+serve-under-update   | serve-under-update | --requests 200000 --clients 2 --workers 2 --scale 0.02 --update-every-ms 1 --slo-p99-ms 250 | streaming.ingest. streaming.serve.latency_ns streaming.epoch streaming.cache | BENCH_serve_under_update.json --presence-only
+serve-under-update-chaos | serve-under-update | --fault-seed 42 --drop-rate 0.2 --requests 200000 --clients 2 --workers 2 --scale 0.02 --update-every-ms 1 --slo-p99-ms 250 | streaming.ingest.lag_ticks chaos.faults_injected |
 closed-loop          | closed-loop        | --cycles 4 --seed 42 --slo-freshness-ticks 200 | loop.freshness_ticks loop.cycles streaming.ingest. runtime.ps. | BENCH_closed_loop.json
 closed-loop-chaos    | closed-loop        | --cycles 2 --seed 42 --fault-seed 7 --drop-rate 0.2 --slo-freshness-ticks 200 | loop.freshness_ticks chaos.faults_injected |
-rebalance-bench      | rebalance-bench    | --workers 4 --epochs 3 --scale 0.01 --merge 1 | topology.route. topology.migration. | BENCH_rebalance.json --presence-only
+rebalance-bench      | rebalance-bench    | --workers 4 --epochs 3 --scale 0.01 --merge 1 | topology.migration. | BENCH_rebalance.json --presence-only
 rebalance-bench-chaos | rebalance-bench   | --workers 4 --epochs 3 --scale 0.01 --fault-seed 7 --drop-rate 0.2 | topology.migration. chaos.faults_injected |
-tiered-bench         | tiered-bench       | --scale 10 --workers 4 --resident-budget 1000000 | tier.reads tier.resident_bytes tier.prefetch. tier.io. | BENCH_tiered_storage.json --presence-only
+tiered-bench         | tiered-bench       | --scale 10 --workers 4 --resident-budget 1000000 | tier.reads tier.resident_bytes tier.io. | BENCH_tiered_storage.json --presence-only
 "
 
 ran=0

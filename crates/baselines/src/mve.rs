@@ -4,8 +4,7 @@
 //! attention weights proportional to how well the view explains its edges.
 
 use crate::common::{BaselineEmbeddings, SkipGramParams};
-use aligraph::EmbeddingModel;
-use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, VertexId};
+use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType};
 use aligraph_sampling::walks::{skipgram_pairs, uniform_walk, WalkDirection};
 use aligraph_sampling::{NegativeSampler, UnigramNegative};
 use aligraph_tensor::loss::{logistic_loss, sgns_update};
@@ -99,11 +98,6 @@ pub fn train_mve(
         }
     }
     BaselineEmbeddings { matrix }
-}
-
-/// Per-view embedding access for diagnostics.
-pub fn view_embedding(model: &BaselineEmbeddings, v: VertexId) -> Vec<f32> {
-    model.embedding(v)
 }
 
 #[cfg(test)]

@@ -45,21 +45,19 @@ pub use seq::Sequencer;
 /// Channel tag of parameter-server pushes (`worker → shard`). A tag is the
 /// first argument of [`FaultPlane::channel_with`]: each one gives its
 /// channel family a fault stream independent of the others over the same
-/// directed pair. The whole inventory:
+/// directed pair. The whole inventory (2 is retired and never reused, so
+/// the streams of 3–5 stay what they were):
 ///
 /// | tag | constant | channel `(from, to)` | sender |
 /// |---|---|---|---|
 /// | 0 | [`PS_PUSH_TAG`] | worker, shard | `runtime` PS `push_faulted` |
 /// | 1 | [`PS_PULL_TAG`] | shard, worker | `runtime` PS `drain_into_faulted` |
-/// | 2 | [`BUCKET_SUBMIT_TAG`] | 0, bucket | `storage` `BucketExecutor::submit_faulted` |
 /// | 3 | [`SERVING_FETCH_TAG`] | worker, owner | `serving` cache-miss k-hop gather |
 /// | 4 | [`UPDATE_INGEST_TAG`] | 0, shard | `streaming` batch ingest |
 /// | 5 | [`MIGRATION_TAG`] | src, dst | `storage` `Cluster::rebalance` and `runtime` PS `rehome` |
 pub const PS_PUSH_TAG: u64 = 0;
 /// Channel tag of parameter-server pull responses (`shard → worker`).
 pub const PS_PULL_TAG: u64 = 1;
-/// Channel tag of storage bucket-executor submissions (`0 → bucket`).
-pub const BUCKET_SUBMIT_TAG: u64 = 2;
 /// Channel tag of serving shard fetches (`worker → owner`).
 pub const SERVING_FETCH_TAG: u64 = 3;
 /// Channel tag of streaming update-ingest batches (`0 → shard`).
@@ -93,14 +91,7 @@ mod tests {
 
     #[test]
     fn channel_tags_are_distinct() {
-        let tags = [
-            PS_PUSH_TAG,
-            PS_PULL_TAG,
-            BUCKET_SUBMIT_TAG,
-            SERVING_FETCH_TAG,
-            UPDATE_INGEST_TAG,
-            MIGRATION_TAG,
-        ];
+        let tags = [PS_PUSH_TAG, PS_PULL_TAG, SERVING_FETCH_TAG, UPDATE_INGEST_TAG, MIGRATION_TAG];
         for (i, a) in tags.iter().enumerate() {
             assert!(tags[i + 1..].iter().all(|b| a != b), "tag {a} is used twice");
         }

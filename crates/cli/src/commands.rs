@@ -952,7 +952,6 @@ pub fn tiered_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
 pub fn metrics_demo(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     use aligraph_sampling::WeightedNeighborhood;
     use aligraph_serving::{ServingConfig, ServingService};
-    use aligraph_telemetry::Report;
 
     let common =
         CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.004 })?;

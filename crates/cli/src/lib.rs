@@ -31,7 +31,7 @@ pub mod commands;
 
 pub use args::{Args, CliError, CommonArgs, CommonDefaults};
 
-use aligraph_telemetry::{Json, Registry, Report};
+use aligraph_telemetry::{Json, Registry};
 use std::sync::Arc;
 
 /// Entry point shared by `main` and the tests: parses, dispatches, and (on

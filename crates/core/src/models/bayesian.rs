@@ -83,11 +83,6 @@ impl TrainedBayesian {
         out.iter_mut().for_each(|o| *o = o.tanh());
         out
     }
-
-    /// The uncorrected prior embedding (the Table 12 baseline).
-    pub fn prior_embedding(&self, v: VertexId) -> Vec<f32> {
-        self.prior.row(v.index()).to_vec()
-    }
 }
 
 impl EmbeddingModel for TrainedBayesian {

@@ -184,17 +184,6 @@ impl DynamicGraph {
     pub fn delta(&self, t: usize) -> Result<&SnapshotDelta> {
         self.deltas.get(t).ok_or(GraphError::SnapshotOutOfRange { t, len: self.deltas.len() })
     }
-
-    /// Total burst events across the whole series.
-    pub fn total_burst_events(&self) -> usize {
-        self.deltas
-            .iter()
-            .map(|d| {
-                d.added.iter().filter(|e| e.kind == EvolutionKind::Burst).count()
-                    + d.removed.iter().filter(|e| e.kind == EvolutionKind::Burst).count()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -233,8 +222,5 @@ mod tests {
         };
         assert_eq!(delta.added_of(EvolutionKind::Burst).count(), 1);
         assert_eq!(delta.added_of(EvolutionKind::Normal).count(), 1);
-        let g = erdos_renyi(4, 4, 0).unwrap();
-        let d = DynamicGraph::new(vec![g], vec![delta]).unwrap();
-        assert_eq!(d.total_burst_events(), 1);
     }
 }

@@ -16,9 +16,6 @@
 //! under-approximates on generic ones — the right trade for taint
 //! analysis, where a spurious edge costs a review and a missed edge costs
 //! a reproducibility bug hunt.
-//!
-//! This module also hosts the `no-deprecated-calls` pass: any resolved
-//! edge into a `#[deprecated]` workspace item is flagged at the call site.
 
 use crate::parse::{parse_fns, FnItem};
 use crate::rules::FileCtx;
@@ -318,35 +315,6 @@ fn file_matches(path: &str, q: &str) -> bool {
     false
 }
 
-/// The `no-deprecated-calls` pass: every resolved edge into a
-/// `#[deprecated]` workspace item is flagged at the call site (test code
-/// included — deprecated shims should have no callers at all before
-/// removal).
-pub fn check_deprecated(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    for (i, edges) in ws.calls.iter().enumerate() {
-        for e in edges {
-            if !ws.fns[e.to].item.deprecated {
-                continue;
-            }
-            let file = &ws.files[ws.fns[i].file];
-            out.push(Diagnostic {
-                rule: "no-deprecated-calls",
-                path: file.path.clone(),
-                line: e.line,
-                message: format!(
-                    "call to deprecated `{}` (defined at {}:{}) — migrate before the shim \
-                     is removed",
-                    ws.qualified_name(e.to),
-                    ws.node_path(e.to),
-                    ws.fns[e.to].item.line,
-                ),
-                chain: Vec::new(),
-                waived: file.waiver_reason("no-deprecated-calls", e.line).map(str::to_string),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,22 +362,6 @@ mod tests {
         let f = w.find("f")[0];
         assert_eq!(w.calls[f].len(), 1);
         assert_eq!(w.qualified_name(w.calls[f][0].to), "Gen::new");
-    }
-
-    #[test]
-    fn deprecated_calls_are_flagged_with_definition_site() {
-        let w = ws(&[(
-            "crates/storage/src/c.rs",
-            "#[deprecated(note = \"use builder\")]\npub fn legacy() {}\n\
-             pub fn caller() { legacy(); }\n",
-        )]);
-        let mut out = Vec::new();
-        check_deprecated(&w, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].rule, "no-deprecated-calls");
-        assert_eq!(out[0].line, 3);
-        assert!(out[0].message.contains("legacy"));
-        assert!(out[0].waived.is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    wall-clock/entropy/unordered-iteration flow into seeded paths, with
 //!    the full source→sink call chain) and [`protocol`]
 //!    (`channel-protocol`: every chaos-plane send sequenced, every
-//!    delivery-driver call fed by a sequence origin) — plus the `no-deprecated-calls` edge check. The
+//!    delivery-driver call fed by a sequence origin). The
 //!    token-level rules in [`rules`] (`no-unwrap-in-lib`,
 //!    `relaxed-needs-justification`, `forbid-unsafe`,
 //!    `telemetry-never-branches`, `backoff-needs-cap`) still cover the
@@ -70,10 +70,6 @@ pub fn analysis_rules() -> Vec<(&'static str, &'static str)> {
             "chaos-plane sends carry ChannelSeqs sequence numbers, and every sequence number \
              handed to the delivery driver has an origin",
         ),
-        (
-            "no-deprecated-calls",
-            "no calls to #[deprecated] workspace items — migrate before shims are removed",
-        ),
     ]
 }
 
@@ -104,9 +100,6 @@ pub fn analyze_workspace(root: &Path, only: Option<&[String]>) -> io::Result<Ana
         }
     }
     let ws = Workspace::build(ctxs);
-    if wants("no-deprecated-calls") {
-        graph::check_deprecated(&ws, &mut diags);
-    }
     if wants(taint::RULE) {
         taint::check(&ws, &mut diags);
     }

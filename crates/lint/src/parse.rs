@@ -5,7 +5,7 @@
 //! accepted:
 //!
 //! * `fn` items with their name, enclosing `impl` type, in-file module
-//!   path, visibility, `#[deprecated]` attribute, and body span;
+//!   path, visibility, and body span;
 //! * call sites inside each body (`free_fn(…)`, `Type::assoc(…)`,
 //!   `recv.method(…)`), the raw material of the workspace call graph;
 //! * determinism **source events** — wall-clock reads, OS entropy, thread
@@ -100,8 +100,6 @@ pub struct FnItem {
     pub end_line: u32,
     /// Declared `pub` (any visibility scope).
     pub is_pub: bool,
-    /// Carries a `#[deprecated…]` attribute.
-    pub deprecated: bool,
     /// Annotated `// aligraph::seeded` at the signature.
     pub seeded_mark: bool,
     /// Parameter names, in order (patterns collapse to their first ident).
@@ -198,23 +196,18 @@ impl<'a> Parser<'a> {
         let mut scopes: Vec<Scope> = Vec::new();
         let mut depth = 0u32;
         let mut pending_pub = false;
-        let mut pending_deprecated = false;
         let mut i = 0usize;
         while i < code.len() {
             let t = &code[i];
             match t.kind {
                 TokenKind::Pound => {
-                    // `#[attr]` / `#![attr]`: bracket-match and record facts.
+                    // `#[attr]` / `#![attr]`: bracket-match and skip.
                     let mut j = i + 1;
                     if code.get(j).is_some_and(|t| t.kind == TokenKind::Bang) {
                         j += 1;
                     }
                     if code.get(j).is_some_and(|t| t.kind == TokenKind::Punct('[')) {
-                        let close = match_delims(code, j, '[', ']');
-                        if code[j + 1..close].iter().any(|t| t.is_ident("deprecated")) {
-                            pending_deprecated = true;
-                        }
-                        i = close + 1;
+                        i = match_delims(code, j, '[', ']') + 1;
                         continue;
                     }
                     i += 1;
@@ -261,7 +254,7 @@ impl<'a> Parser<'a> {
                     } else {
                         i += 1; // `mod name;`
                     }
-                    (pending_pub, pending_deprecated) = (false, false);
+                    pending_pub = false;
                 }
                 TokenKind::Ident if t.text == "impl" => {
                     if let Some(open) = find_block_open(code, i) {
@@ -272,11 +265,11 @@ impl<'a> Parser<'a> {
                     } else {
                         i += 1;
                     }
-                    (pending_pub, pending_deprecated) = (false, false);
+                    pending_pub = false;
                 }
                 TokenKind::Ident if t.text == "fn" => {
-                    i = self.parse_fn(i, &mut scopes, &mut depth, pending_pub, pending_deprecated);
-                    (pending_pub, pending_deprecated) = (false, false);
+                    i = self.parse_fn(i, &mut scopes, &mut depth, pending_pub);
+                    pending_pub = false;
                 }
                 TokenKind::Ident if t.text == "use" || t.text == "macro_rules" => {
                     // Skip to `;` (use) or past the matched body (macros) so
@@ -290,12 +283,12 @@ impl<'a> Parser<'a> {
                     while i < code.len() && code[i].kind != TokenKind::Punct(';') {
                         i += 1;
                     }
-                    (pending_pub, pending_deprecated) = (false, false);
+                    pending_pub = false;
                 }
                 _ => {
                     self.body_token(i, &mut scopes);
                     if t.kind == TokenKind::Punct(';') {
-                        (pending_pub, pending_deprecated) = (false, false);
+                        pending_pub = false;
                     }
                     i += 1;
                 }
@@ -312,7 +305,6 @@ impl<'a> Parser<'a> {
         scopes: &mut Vec<Scope>,
         depth: &mut u32,
         is_pub: bool,
-        deprecated: bool,
     ) -> usize {
         let code = self.code;
         let Some(name_tok) = code.get(at + 1).filter(|t| t.kind == TokenKind::Ident) else {
@@ -383,7 +375,6 @@ impl<'a> Parser<'a> {
             line: code[at].line,
             end_line: code.get(open.unwrap_or(k)).map_or(code[at].line, |t| t.line),
             is_pub,
-            deprecated,
             seeded_mark: self.ctx.has_seeded_mark(code[at].line),
             params,
             calls: Vec::new(),
@@ -811,9 +802,9 @@ pub fn old() {}
 pub fn plan(seed: u64) {}
 "#;
         let fns = parse(src);
-        assert!(fns.iter().find(|f| f.name == "old").unwrap().deprecated);
+        assert!(fns.iter().find(|f| f.name == "old").unwrap().is_pub);
         assert!(fns.iter().find(|f| f.name == "plan").unwrap().seeded_mark);
-        assert!(!fns.iter().find(|f| f.name == "plan").unwrap().deprecated);
+        assert!(!fns.iter().find(|f| f.name == "old").unwrap().seeded_mark);
     }
 
     #[test]

@@ -346,12 +346,12 @@ impl std::fmt::Debug for Rule {
 }
 
 /// The token-level rule catalogue, in diagnostic order. The interprocedural
-/// rules (`determinism-taint`, `channel-protocol`, `no-deprecated-calls`)
-/// live in the [`crate::taint`], [`crate::protocol`], and [`crate::graph`]
-/// passes; [`crate::analysis_rules`] lists the whole catalogue. The old
-/// purely local `no-wallclock-in-seeded-paths`/`no-entropy` rules were
-/// subsumed by `determinism-taint`, which tracks entropy/wall-clock *flow*
-/// through the workspace call graph instead of flagging every token.
+/// rules (`determinism-taint`, `channel-protocol`) live in the
+/// [`crate::taint`] and [`crate::protocol`] passes;
+/// [`crate::analysis_rules`] lists the whole catalogue. The old purely
+/// local `no-wallclock-in-seeded-paths`/`no-entropy` rules were subsumed by
+/// `determinism-taint`, which tracks entropy/wall-clock *flow* through the
+/// workspace call graph instead of flagging every token.
 pub fn all_rules() -> Vec<Rule> {
     vec![
         Rule {

@@ -3,7 +3,7 @@
 //! interaction being served to the first model version trained on it going
 //! live.
 
-use aligraph_telemetry::{Json, RegistrySnapshot, Report};
+use aligraph_telemetry::RegistrySnapshot;
 use std::fmt;
 
 /// A point-in-time summary of a closed-loop run. Every field is derived
@@ -91,46 +91,6 @@ impl fmt::Display for LoopReport {
     }
 }
 
-impl Report for LoopReport {
-    fn render_text(&self) -> String {
-        self.to_string()
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("cycles", Json::UInt(self.cycles)),
-            ("interactions", Json::UInt(self.interactions)),
-            ("freshness_p50_ticks", Json::UInt(self.freshness_p50_ticks)),
-            ("freshness_p99_ticks", Json::UInt(self.freshness_p99_ticks)),
-            ("freshness_max_ticks", Json::UInt(self.freshness_max_ticks)),
-            ("rows_repulled", Json::UInt(self.rows_repulled)),
-            ("swap_epoch", Json::UInt(self.swap_epoch)),
-            ("swaps", Json::UInt(self.swaps)),
-            ("hub_dropped", Json::UInt(self.hub_dropped)),
-            ("ingest_batches", Json::UInt(self.ingest_batches)),
-            ("ingest_lag_p99_ticks", Json::UInt(self.ingest_lag_p99_ticks)),
-            ("ticks", Json::UInt(self.ticks)),
-        ])
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.cycles += other.cycles;
-        self.interactions += other.interactions;
-        // Percentiles of pooled runs are not recoverable from summaries;
-        // keep the max (conservative tail).
-        self.freshness_p50_ticks = self.freshness_p50_ticks.max(other.freshness_p50_ticks);
-        self.freshness_p99_ticks = self.freshness_p99_ticks.max(other.freshness_p99_ticks);
-        self.freshness_max_ticks = self.freshness_max_ticks.max(other.freshness_max_ticks);
-        self.rows_repulled += other.rows_repulled;
-        self.swap_epoch = self.swap_epoch.max(other.swap_epoch);
-        self.swaps += other.swaps;
-        self.hub_dropped += other.hub_dropped;
-        self.ingest_batches += other.ingest_batches;
-        self.ingest_lag_p99_ticks = self.ingest_lag_p99_ticks.max(other.ingest_lag_p99_ticks);
-        self.ticks += other.ticks;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,34 +115,8 @@ mod tests {
         assert_eq!(report.swap_epoch, 5);
         assert_eq!(report.ingest_batches, 4);
         assert!(report.freshness_p99_ticks >= 64, "bucketed p99 near 90");
-        let text = report.render_text();
+        let text = report.to_string();
         assert!(text.contains("4 cycles"));
         assert!(text.contains("freshness"));
-        let json = report.to_json().to_string();
-        assert!(json.contains(r#""cycles":4"#));
-        assert!(json.contains(r#""swap_epoch":5"#));
-    }
-
-    #[test]
-    fn merge_is_additive_on_counts_and_max_on_tails() {
-        let mut a = LoopReport {
-            cycles: 2,
-            interactions: 100,
-            freshness_p99_ticks: 40,
-            swap_epoch: 3,
-            ..Default::default()
-        };
-        let b = LoopReport {
-            cycles: 2,
-            interactions: 60,
-            freshness_p99_ticks: 25,
-            swap_epoch: 5,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.cycles, 4);
-        assert_eq!(a.interactions, 160);
-        assert_eq!(a.freshness_p99_ticks, 40);
-        assert_eq!(a.swap_epoch, 5);
     }
 }

@@ -15,10 +15,9 @@
 //!   embedding with the aggregated neighborhood (GraphSAGE concatenation,
 //!   GCN-style sum) through a trainable dense layer;
 //! * [`layer::DenseLayer`] — the shared trainable building block;
-//! * [`cache::MaterializationCache`] — the §3.4 optimization behind Table 5:
-//!   intermediate hop embeddings `ĥ^(k)_v` are stored per mini-batch and
-//!   shared among vertices, eliminating redundant recomputation. The cache
-//!   can be disabled to reproduce the "W/O our implementation" column.
+//! * [`cache::MaterializationCache`] — a standalone copy of the §3.4
+//!   materialisation idea that nothing outside its tests constructs; what
+//!   Table 5 times is `EpisodeTape`'s memo in the `aligraph` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]

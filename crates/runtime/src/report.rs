@@ -2,7 +2,6 @@
 //! staleness histogram, and comm traffic split by tier.
 
 use aligraph_storage::{AccessStatsSnapshot, TierMeterSnapshot};
-use aligraph_telemetry::{Json, Report};
 use std::fmt;
 
 /// Per-worker totals.
@@ -151,120 +150,6 @@ impl fmt::Display for DistReport {
     }
 }
 
-fn tier_json(s: &TierMeterSnapshot) -> Json {
-    Json::obj(vec![
-        ("local_ops", Json::UInt(s.local_ops)),
-        ("cached_ops", Json::UInt(s.cached_ops)),
-        ("remote_ops", Json::UInt(s.remote_ops)),
-        ("cold_ops", Json::UInt(s.cold_ops)),
-        ("local_bytes", Json::UInt(s.local_bytes)),
-        ("cached_bytes", Json::UInt(s.cached_bytes)),
-        ("remote_bytes", Json::UInt(s.remote_bytes)),
-        ("cold_bytes", Json::UInt(s.cold_bytes)),
-        ("virtual_ns", Json::UInt(s.virtual_ns)),
-    ])
-}
-
-impl Report for DistReport {
-    fn render_text(&self) -> String {
-        self.to_string()
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("workers", Json::UInt(self.workers as u64)),
-            ("staleness", Json::UInt(self.staleness)),
-            ("epochs", Json::UInt(self.epoch_losses.len() as u64)),
-            (
-                "epoch_losses",
-                Json::Arr(self.epoch_losses.iter().map(|&l| Json::Float(l)).collect()),
-            ),
-            ("final_loss", Json::Float(self.final_loss())),
-            ("early_stopped", Json::Bool(self.early_stopped)),
-            ("edges_total", Json::UInt(self.edges_total)),
-            ("wall_ns", Json::UInt(self.wall_ns)),
-            ("makespan_ns", Json::UInt(self.makespan_ns)),
-            ("modeled_edges_per_sec", Json::Float(self.modeled_edges_per_sec())),
-            (
-                "staleness_hist",
-                Json::Arr(self.staleness_hist.iter().map(|&n| Json::UInt(n)).collect()),
-            ),
-            (
-                "per_worker",
-                Json::Arr(
-                    self.per_worker
-                        .iter()
-                        .map(|w| {
-                            Json::obj(vec![
-                                ("edges", Json::UInt(w.edges)),
-                                ("busy_ns", Json::UInt(w.busy_ns)),
-                                ("comm_ns", Json::UInt(w.comm_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("ps", tier_json(&self.ps)),
-            (
-                "adjacency",
-                Json::obj(vec![
-                    ("local", Json::UInt(self.adjacency.local)),
-                    ("cached_remote", Json::UInt(self.adjacency.cached_remote)),
-                    ("remote", Json::UInt(self.adjacency.remote)),
-                    ("cold", Json::UInt(self.adjacency.cold)),
-                    ("replacements", Json::UInt(self.adjacency.replacements)),
-                    ("virtual_ns", Json::UInt(self.adjacency.virtual_ns)),
-                ]),
-            ),
-            ("checkpoints_written", Json::UInt(self.checkpoints_written)),
-            ("recoveries", Json::UInt(self.recoveries)),
-            ("faults_injected", Json::UInt(self.faults_injected)),
-            ("retries", Json::UInt(self.retries)),
-            ("rebalances", Json::UInt(self.rebalances)),
-        ])
-    }
-
-    /// Combines two runs: traffic and work add, the makespan takes the max,
-    /// epoch losses and per-worker rows concatenate, staleness histograms
-    /// add bin-wise (the wider run sets the bin count).
-    fn merge(&mut self, other: &Self) {
-        self.workers = self.workers.max(other.workers);
-        self.staleness = self.staleness.max(other.staleness);
-        self.epoch_losses.extend_from_slice(&other.epoch_losses);
-        self.early_stopped |= other.early_stopped;
-        self.per_worker.extend_from_slice(&other.per_worker);
-        if other.staleness_hist.len() > self.staleness_hist.len() {
-            self.staleness_hist.resize(other.staleness_hist.len(), 0);
-        }
-        for (bin, &n) in other.staleness_hist.iter().enumerate() {
-            self.staleness_hist[bin] += n;
-        }
-        self.edges_total += other.edges_total;
-        self.wall_ns += other.wall_ns;
-        self.makespan_ns = self.makespan_ns.max(other.makespan_ns);
-        self.ps.local_ops += other.ps.local_ops;
-        self.ps.cached_ops += other.ps.cached_ops;
-        self.ps.remote_ops += other.ps.remote_ops;
-        self.ps.cold_ops += other.ps.cold_ops;
-        self.ps.local_bytes += other.ps.local_bytes;
-        self.ps.cached_bytes += other.ps.cached_bytes;
-        self.ps.remote_bytes += other.ps.remote_bytes;
-        self.ps.cold_bytes += other.ps.cold_bytes;
-        self.ps.virtual_ns += other.ps.virtual_ns;
-        self.adjacency.local += other.adjacency.local;
-        self.adjacency.cached_remote += other.adjacency.cached_remote;
-        self.adjacency.remote += other.adjacency.remote;
-        self.adjacency.cold += other.adjacency.cold;
-        self.adjacency.replacements += other.adjacency.replacements;
-        self.adjacency.virtual_ns += other.adjacency.virtual_ns;
-        self.checkpoints_written += other.checkpoints_written;
-        self.recoveries += other.recoveries;
-        self.faults_injected += other.faults_injected;
-        self.retries += other.retries;
-        self.rebalances += other.rebalances;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,30 +175,5 @@ mod tests {
         assert!(text.contains("workers 2"));
         assert!(text.contains("0:3 1:7"));
         assert!(!DistReport::default().to_string().is_empty());
-    }
-
-    #[test]
-    fn report_trait_json_and_merge() {
-        let mut a = DistReport {
-            workers: 2,
-            edges_total: 10,
-            staleness_hist: vec![1],
-            ps: TierMeterSnapshot { remote_bytes: 8, ..TierMeterSnapshot::default() },
-            ..DistReport::default()
-        };
-        let b = DistReport {
-            workers: 2,
-            edges_total: 5,
-            staleness_hist: vec![2, 3],
-            ..DistReport::default()
-        };
-        let j = a.to_json();
-        assert_eq!(j.get("edges_total"), Some(&Json::UInt(10)));
-        assert_eq!(j.get("ps").and_then(|p| p.get("remote_bytes")), Some(&Json::UInt(8)));
-        assert_eq!(a.render_text(), a.to_string());
-        a.merge(&b);
-        assert_eq!(a.edges_total, 15);
-        assert_eq!(a.staleness_hist, vec![3, 3]);
-        assert_eq!(a.ps.remote_bytes, 8);
     }
 }

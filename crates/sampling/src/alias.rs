@@ -115,11 +115,6 @@ impl AliasTable {
         &self.prob
     }
 
-    /// The alias redirect targets (for bit-exact equivalence oracles).
-    pub fn aliases(&self) -> &[u32] {
-        &self.alias
-    }
-
     /// True when the table is over zero outcomes (never constructed so).
     pub fn is_empty(&self) -> bool {
         self.prob.is_empty()

@@ -8,7 +8,7 @@
 //! [`Registry`] snapshot carries this layer next to storage and runtime.
 
 use aligraph_storage::{AccessStatsSnapshot, CacheStats};
-use aligraph_telemetry::{Counter, Histogram, Json, Registry, RegistrySnapshot, Report};
+use aligraph_telemetry::{Counter, Histogram, Registry};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -162,37 +162,6 @@ pub struct ServingReport {
 }
 
 impl ServingReport {
-    /// Rebuilds the report from a registry snapshot — the serve-bench path:
-    /// one snapshot, many views. `elapsed` is the measurement window.
-    pub fn from_snapshot(snap: &RegistrySnapshot, elapsed: Duration) -> ServingReport {
-        let latency = snap.histogram("serving.latency_ns", &[]);
-        let completed = snap.counter("serving.completed", &[]);
-        let secs = elapsed.as_secs_f64();
-        ServingReport {
-            requests: snap.counter("serving.requests", &[("outcome", "admitted")]),
-            completed,
-            rejected: snap.counter("serving.requests", &[("outcome", "rejected")]),
-            batches: snap.counter("serving.batches", &[]),
-            forwards: snap.counter("serving.forwards", &[]),
-            tape_hits: snap.counter("serving.tape", &[("event", "hit")]),
-            tape_misses: snap.counter("serving.tape", &[("event", "miss")]),
-            degraded: snap.counter("serving.degraded", &[]),
-            p50_us: latency.quantile(0.5) as f64 / 1_000.0,
-            p95_us: latency.quantile(0.95) as f64 / 1_000.0,
-            p99_us: latency.quantile(0.99) as f64 / 1_000.0,
-            qps: if secs > 0.0 { completed as f64 / secs } else { 0.0 },
-            cache: CacheStats::from_snapshot(snap, "serving.cache"),
-            access: AccessStatsSnapshot {
-                local: snap.counter("serving.access", &[("tier", "local")]),
-                cached_remote: snap.counter("serving.access", &[("tier", "cached_remote")]),
-                remote: snap.counter("serving.access", &[("tier", "remote")]),
-                cold: snap.counter("serving.access", &[("tier", "cold")]),
-                replacements: snap.counter("serving.access.replacements", &[]),
-                virtual_ns: snap.counter("serving.access.virtual_ns", &[]),
-            },
-        }
-    }
-
     /// Mean requests per drained batch.
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
@@ -249,67 +218,6 @@ impl fmt::Display for ServingReport {
     }
 }
 
-impl Report for ServingReport {
-    fn render_text(&self) -> String {
-        self.to_string()
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("requests", Json::UInt(self.requests)),
-            ("completed", Json::UInt(self.completed)),
-            ("rejected", Json::UInt(self.rejected)),
-            ("batches", Json::UInt(self.batches)),
-            ("forwards", Json::UInt(self.forwards)),
-            ("tape_hits", Json::UInt(self.tape_hits)),
-            ("tape_misses", Json::UInt(self.tape_misses)),
-            ("degraded", Json::UInt(self.degraded)),
-            ("p50_us", Json::Float(self.p50_us)),
-            ("p95_us", Json::Float(self.p95_us)),
-            ("p99_us", Json::Float(self.p99_us)),
-            ("qps", Json::Float(self.qps)),
-            ("cache", self.cache.to_json()),
-            (
-                "access",
-                Json::obj(vec![
-                    ("local", Json::UInt(self.access.local)),
-                    ("cached_remote", Json::UInt(self.access.cached_remote)),
-                    ("remote", Json::UInt(self.access.remote)),
-                    ("cold", Json::UInt(self.access.cold)),
-                    ("replacements", Json::UInt(self.access.replacements)),
-                    ("virtual_ns", Json::UInt(self.access.virtual_ns)),
-                ]),
-            ),
-        ])
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.requests += other.requests;
-        self.completed += other.completed;
-        self.rejected += other.rejected;
-        self.batches += other.batches;
-        self.forwards += other.forwards;
-        self.tape_hits += other.tape_hits;
-        self.tape_misses += other.tape_misses;
-        self.degraded += other.degraded;
-        // Percentiles of pooled runs are not recoverable from summaries;
-        // keep the max (conservative tail) and recompute QPS additively.
-        self.p50_us = self.p50_us.max(other.p50_us);
-        self.p95_us = self.p95_us.max(other.p95_us);
-        self.p99_us = self.p99_us.max(other.p99_us);
-        self.qps += other.qps;
-        self.cache.merge(&other.cache);
-        self.access = AccessStatsSnapshot {
-            local: self.access.local + other.access.local,
-            cached_remote: self.access.cached_remote + other.access.cached_remote,
-            remote: self.access.remote + other.access.remote,
-            cold: self.access.cold + other.access.cold,
-            replacements: self.access.replacements + other.access.replacements,
-            virtual_ns: self.access.virtual_ns + other.access.virtual_ns,
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,42 +255,13 @@ mod tests {
         m.latency(Duration::from_micros(20));
         let direct =
             m.report(Duration::from_secs(1), CacheStats::default(), AccessStatsSnapshot::default());
-        let rebuilt = ServingReport::from_snapshot(&registry.snapshot(), Duration::from_secs(1));
-        assert_eq!(rebuilt.requests, direct.requests);
-        assert_eq!(rebuilt.completed, direct.completed);
-        assert_eq!(rebuilt.rejected, direct.rejected);
-        assert_eq!(rebuilt.forwards, direct.forwards);
-        assert_eq!(rebuilt.tape_hits, direct.tape_hits);
-        assert_eq!(rebuilt.p99_us, direct.p99_us);
-        assert_eq!(rebuilt.qps, direct.qps);
-    }
-
-    #[test]
-    fn report_trait_render_and_merge() {
-        let mut a = ServingReport {
-            requests: 10,
-            completed: 8,
-            batches: 2,
-            qps: 100.0,
-            p99_us: 5.0,
-            ..Default::default()
-        };
-        let b = ServingReport {
-            requests: 5,
-            completed: 5,
-            batches: 1,
-            qps: 50.0,
-            p99_us: 9.0,
-            ..Default::default()
-        };
-        assert!(a.render_text().contains("req/s"));
-        let json = a.to_json().to_string();
-        assert!(json.contains(r#""requests":10"#));
-        assert!(json.contains(r#""cache":{"#));
-        a.merge(&b);
-        assert_eq!(a.requests, 15);
-        assert_eq!(a.completed, 13);
-        assert!((a.qps - 150.0).abs() < 1e-9);
-        assert_eq!(a.p99_us, 9.0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("serving.requests", &[("outcome", "admitted")]), direct.requests);
+        assert_eq!(snap.counter("serving.completed", &[]), direct.completed);
+        assert_eq!(snap.counter("serving.requests", &[("outcome", "rejected")]), direct.rejected);
+        assert_eq!(snap.counter("serving.forwards", &[]), direct.forwards);
+        assert_eq!(snap.counter("serving.tape", &[("event", "hit")]), direct.tape_hits);
+        let p99_us = snap.histogram("serving.latency_ns", &[]).quantile(0.99) as f64 / 1_000.0;
+        assert_eq!(p99_us, direct.p99_us);
     }
 }

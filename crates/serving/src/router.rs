@@ -1,5 +1,8 @@
 //! Replica-aware request routing for the serving layer.
 //!
+//! **Not wired in:** only this module's tests construct a router; the
+//! service routes by the pinned view's owner table (DESIGN.md §2.17).
+//!
 //! A [`ReplicaRouter`] sits between admission and the shard queues: every
 //! seed routes through the storage cluster's versioned
 //! [`Topology`](aligraph_storage::Topology), so serving follows the

@@ -687,11 +687,20 @@ mod tests {
         }
         let direct = service.report(Duration::from_secs(1));
         let snap = registry.snapshot();
-        let rebuilt = crate::metrics::ServingReport::from_snapshot(&snap, Duration::from_secs(1));
-        assert_eq!(rebuilt.completed, 3);
-        assert_eq!(rebuilt.completed, direct.completed);
-        assert_eq!(rebuilt.cache, direct.cache);
-        assert_eq!(rebuilt.access, direct.access);
+        assert_eq!(direct.completed, 3);
+        assert_eq!(snap.counter("serving.completed", &[]), direct.completed);
+        assert_eq!(CacheStats::from_snapshot(&snap, "serving.cache"), direct.cache);
+        let access = direct.access;
+        for (tier, n) in [
+            ("local", access.local),
+            ("cached_remote", access.cached_remote),
+            ("remote", access.remote),
+            ("cold", access.cold),
+        ] {
+            assert_eq!(snap.counter("serving.access", &[("tier", tier)]), n, "{tier}");
+        }
+        assert_eq!(snap.counter("serving.access.replacements", &[]), access.replacements);
+        assert_eq!(snap.counter("serving.access.virtual_ns", &[]), access.virtual_ns);
         assert_eq!(snap.counter("serving.requests", &[("outcome", "admitted")]), 3);
         assert!(snap.histogram("serving.latency_ns", &[]).count >= 3);
         service.shutdown();

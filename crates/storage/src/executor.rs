@@ -12,9 +12,6 @@
 //! [`ExecutorStopped`] instead of a panic, so callers can propagate the
 //! condition (e.g. a serving worker draining during shutdown).
 
-use aligraph_chaos::{
-    FaultPlane, HopKind, RecoveryMode, RetryError, RetryPolicy, BUCKET_SUBMIT_TAG,
-};
 use crossbeam::channel::{bounded, Sender};
 use crossbeam::queue::SegQueue;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -126,32 +123,6 @@ impl<Op: Send + 'static> BucketExecutor<Op> {
         self.buckets[self.bucket_of(v)].queue.push(op);
     }
 
-    /// [`submit`](Self::submit) through a [`FaultPlane`]: the client→bucket
-    /// hop becomes a fault-plane channel ([`BUCKET_SUBMIT_TAG`], keyed by
-    /// bucket), with `seq` the caller's per-channel message counter, crossed
-    /// as one [`HopKind::Unacked`] hop of [`FaultPlane::deliver`] —
-    /// fire-and-forget submissions carry no acknowledgement, so the
-    /// ack-loss fault degenerates to a successful delivery. Returns the
-    /// virtual ticks the faults cost, or [`RetryError`] if the retry
-    /// deadline exhausts.
-    pub fn submit_faulted(
-        &self,
-        v: u32,
-        seq: u64,
-        op: Op,
-        plane: &FaultPlane,
-        policy: &RetryPolicy,
-    ) -> Result<u64, RetryError> {
-        let bucket = self.bucket_of(v);
-        let channel = FaultPlane::channel_with(BUCKET_SUBMIT_TAG, 0, bucket as u64);
-        // Nobody observes the op in flight, so it is queued once the hop is
-        // through (`Full` recovery: `Ok` means delivered).
-        let sent =
-            plane.deliver(channel, seq, policy, RecoveryMode::Full, HopKind::Unacked, || {})?;
-        self.buckets[bucket].queue.push(op);
-        Ok(sent.ticks)
-    }
-
     /// Synchronous round-trip to the bucket owning `v`: `make` wraps the
     /// reply sender into an operation, and the executor's answer is awaited.
     pub fn round_trip<R>(
@@ -239,27 +210,6 @@ mod tests {
         exec.barrier(TestOp::Flush).unwrap();
         let total: u64 = (0..3).map(|b| exec.round_trip_to(b, TestOp::Read).unwrap()).sum();
         assert_eq!(total, 300);
-    }
-
-    #[test]
-    fn faulted_submission_applies_every_op_exactly_once() {
-        use aligraph_chaos::FaultPlan;
-        let exec = spawn_counters(3);
-        let plane = FaultPlane::new(FaultPlan::with_seed(9, 0.2));
-        let policy = RetryPolicy::default();
-        let mut seqs = [0u64; 3];
-        let mut ticks = 0u64;
-        for v in 0..600u32 {
-            let b = exec.bucket_of(v);
-            let seq = seqs[b];
-            seqs[b] += 1;
-            ticks += exec.submit_faulted(v, seq, TestOp::Add(1), &plane, &policy).unwrap();
-        }
-        exec.barrier(TestOp::Flush).unwrap();
-        let total: u64 = (0..3).map(|b| exec.round_trip_to(b, TestOp::Read).unwrap()).sum();
-        assert_eq!(total, 600, "a 20% fault rate must not lose or duplicate ops");
-        assert!(ticks > 0, "injected delays/backoffs must cost virtual time");
-        assert!(plane.snapshot().faults_injected > 0);
     }
 
     #[test]

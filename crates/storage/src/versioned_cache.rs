@@ -22,7 +22,7 @@
 //! `streaming.cache`) is fixed by the owning layer at construction.
 
 use crate::lru::LruCache;
-use aligraph_telemetry::{Counter, Gauge, Json, Registry, RegistrySnapshot};
+use aligraph_telemetry::{Counter, Gauge, Registry, RegistrySnapshot};
 use parking_lot::Mutex;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,29 +67,6 @@ impl CacheStats {
             stale_rejects: event("stale_reject"),
             len: snap.gauge(&format!("{series_prefix}.len"), &[]).max(0) as usize,
         }
-    }
-
-    /// Adds another run's counters (occupancy takes the latest level).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.invalidations += other.invalidations;
-        self.stale_rejects += other.stale_rejects;
-        self.len = other.len;
-    }
-
-    /// The `"cache"` object of the layers' JSON reports.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("hits", Json::UInt(self.hits)),
-            ("misses", Json::UInt(self.misses)),
-            ("evictions", Json::UInt(self.evictions)),
-            ("invalidations", Json::UInt(self.invalidations)),
-            ("stale_rejects", Json::UInt(self.stale_rejects)),
-            ("len", Json::UInt(self.len as u64)),
-            ("hit_rate", Json::Float(self.hit_rate())),
-        ])
     }
 }
 

@@ -2,7 +2,7 @@
 //! and the CI SLO gate parses.
 
 use aligraph_storage::CacheStats;
-use aligraph_telemetry::{Json, RegistrySnapshot, Report};
+use aligraph_telemetry::RegistrySnapshot;
 use std::fmt;
 use std::time::Duration;
 
@@ -110,58 +110,6 @@ impl fmt::Display for StreamingReport {
     }
 }
 
-impl Report for StreamingReport {
-    fn render_text(&self) -> String {
-        self.to_string()
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("epoch", Json::UInt(self.epoch)),
-            ("batches", Json::UInt(self.batches)),
-            ("adds", Json::UInt(self.adds)),
-            ("removes", Json::UInt(self.removes)),
-            ("attrs", Json::UInt(self.attrs)),
-            ("lag_p50_ticks", Json::UInt(self.lag_p50_ticks)),
-            ("lag_p99_ticks", Json::UInt(self.lag_p99_ticks)),
-            ("lag_max_ticks", Json::UInt(self.lag_max_ticks)),
-            ("pin_age_p99", Json::UInt(self.pin_age_p99)),
-            ("pin_age_max", Json::UInt(self.pin_age_max)),
-            ("gathers", Json::UInt(self.gathers)),
-            ("p50_ms", Json::Float(self.p50_ms)),
-            ("p95_ms", Json::Float(self.p95_ms)),
-            ("p99_ms", Json::Float(self.p99_ms)),
-            ("qps", Json::Float(self.qps)),
-            ("repairs", Json::UInt(self.repairs)),
-            ("repaired_slots", Json::UInt(self.repaired_slots)),
-            ("cache", self.cache.to_json()),
-        ])
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.epoch = self.epoch.max(other.epoch);
-        self.batches += other.batches;
-        self.adds += other.adds;
-        self.removes += other.removes;
-        self.attrs += other.attrs;
-        // Percentiles of pooled runs are not recoverable from summaries;
-        // keep the max (conservative tail) and recompute QPS additively.
-        self.lag_p50_ticks = self.lag_p50_ticks.max(other.lag_p50_ticks);
-        self.lag_p99_ticks = self.lag_p99_ticks.max(other.lag_p99_ticks);
-        self.lag_max_ticks = self.lag_max_ticks.max(other.lag_max_ticks);
-        self.pin_age_p99 = self.pin_age_p99.max(other.pin_age_p99);
-        self.pin_age_max = self.pin_age_max.max(other.pin_age_max);
-        self.gathers += other.gathers;
-        self.p50_ms = self.p50_ms.max(other.p50_ms);
-        self.p95_ms = self.p95_ms.max(other.p95_ms);
-        self.p99_ms = self.p99_ms.max(other.p99_ms);
-        self.qps += other.qps;
-        self.repairs += other.repairs;
-        self.repaired_slots += other.repaired_slots;
-        self.cache.merge(&other.cache);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,37 +134,8 @@ mod tests {
         assert!(report.lag_p99_ticks >= 56, "bucketed p99 near 64");
         assert!(report.p99_ms > 1.0 && report.p99_ms < 3.0, "~2 ms bucket");
         assert!((report.cache.hit_rate() - 0.75).abs() < 1e-9);
-        let text = report.render_text();
+        let text = report.to_string();
         assert!(text.contains("epoch 3"));
         assert!(text.contains("p99"));
-        let json = report.to_json().to_string();
-        assert!(json.contains(r#""epoch":3"#));
-        assert!(json.contains(r#""cache":{"#));
-    }
-
-    #[test]
-    fn merge_is_additive_on_counts_and_max_on_tails() {
-        let mut a = StreamingReport {
-            epoch: 3,
-            batches: 3,
-            gathers: 100,
-            qps: 50.0,
-            p99_ms: 2.0,
-            ..Default::default()
-        };
-        let b = StreamingReport {
-            epoch: 5,
-            batches: 2,
-            gathers: 60,
-            qps: 30.0,
-            p99_ms: 1.0,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.epoch, 5);
-        assert_eq!(a.batches, 5);
-        assert_eq!(a.gathers, 160);
-        assert!((a.qps - 80.0).abs() < 1e-9);
-        assert_eq!(a.p99_ms, 2.0);
     }
 }

@@ -169,7 +169,7 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`], cheap to merge and serialize.
+/// A point-in-time copy of a [`Histogram`], cheap to serialize.
 /// Only non-empty buckets are kept (sparse `(index, count)` pairs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -211,50 +211,6 @@ impl HistogramSnapshot {
             return 0.0;
         }
         self.sum as f64 / self.count as f64
-    }
-
-    /// Adds another snapshot's samples into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        let mut merged: Vec<(u32, u64)> = Vec::with_capacity(self.buckets.len());
-        let (mut a, mut b) = (self.buckets.iter().peekable(), other.buckets.iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ia, na)), Some(&&(ib, nb))) => {
-                    if ia == ib {
-                        merged.push((ia, na + nb));
-                        a.next();
-                        b.next();
-                    } else if ia < ib {
-                        merged.push((ia, na));
-                        a.next();
-                    } else {
-                        merged.push((ib, nb));
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&x)) => {
-                    merged.push(x);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.buckets = merged;
     }
 }
 
@@ -320,29 +276,6 @@ mod tests {
             let err = (got as f64 - oracle as f64).abs() / oracle as f64;
             assert!(err <= 0.125, "q={q}: got {got}, oracle {oracle}, err {err}");
         }
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let (a, b, c) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for i in 0..1000u64 {
-            let v = i * 37 + 5;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            c.record(v);
-        }
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m, c.snapshot());
-        // Merging an empty snapshot is a no-op; merging into empty clones.
-        let mut e = HistogramSnapshot::default();
-        e.merge(&m);
-        assert_eq!(e, c.snapshot());
-        m.merge(&HistogramSnapshot::default());
-        assert_eq!(m, c.snapshot());
     }
 
     #[test]

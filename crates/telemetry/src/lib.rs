@@ -13,8 +13,8 @@
 //! - [`Span`] / [`SpanScope`] — drop-guard wall-clock timing into a
 //!   histogram, with a per-thread handle cache so shard-pinned workers do
 //!   not contend on shared state.
-//! - [`Report`] — the one trait every human/JSON report surface implements
-//!   (`render_text`, `to_json`, `merge`).
+//! - [`RegistrySnapshot`] — the one JSON surface (`--metrics-json`); report
+//!   structs render text through `Display` and nothing else.
 //!
 //! Determinism contract: telemetry records values but **never branches on
 //! them** — no code path may read a metric to make a decision. A run with a
@@ -29,12 +29,10 @@ mod histogram;
 mod json;
 mod metric;
 mod registry;
-mod report;
 mod span;
 
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use json::Json;
 pub use metric::{Counter, Gauge};
 pub use registry::{MetricValue, Registry, RegistrySnapshot, Series, SeriesKey};
-pub use report::Report;
 pub use span::{Span, SpanScope, Stopwatch};

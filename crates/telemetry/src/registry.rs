@@ -11,7 +11,6 @@
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::json::Json;
 use crate::metric::{Counter, Gauge};
-use crate::report::Report;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -286,14 +285,9 @@ impl RegistrySnapshot {
     pub fn has_prefix(&self, prefix: &str) -> bool {
         self.series.iter().any(|s| s.key.name.starts_with(prefix))
     }
-}
 
-fn labels_json(labels: &[(String, String)]) -> Json {
-    Json::Obj(labels.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone()))).collect())
-}
-
-impl Report for RegistrySnapshot {
-    fn render_text(&self) -> String {
+    /// Human-readable table, one series per line.
+    pub fn render_text(&self) -> String {
         if self.series.is_empty() {
             return "(no metrics)\n".to_string();
         }
@@ -325,7 +319,9 @@ impl Report for RegistrySnapshot {
         out
     }
 
-    fn to_json(&self) -> Json {
+    /// Stable JSON rendering: series in key order, fixed field order, so
+    /// output is byte-identical for identical inputs.
+    pub fn to_json(&self) -> Json {
         let metrics = self
             .series
             .iter()
@@ -360,23 +356,10 @@ impl Report for RegistrySnapshot {
             .collect();
         Json::obj(vec![("metrics", Json::Arr(metrics))])
     }
+}
 
-    fn merge(&mut self, other: &Self) {
-        for s in &other.series {
-            match self.series.iter_mut().find(|mine| mine.key == s.key) {
-                Some(mine) => match (&mut mine.value, &s.value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = *b,
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                    // Kind mismatch can't happen for snapshots taken from
-                    // registries (registration panics first); keep ours.
-                    _ => {}
-                },
-                None => self.series.push(s.clone()),
-            }
-        }
-        self.series.sort_by(|a, b| a.key.cmp(&b.key));
-    }
+fn labels_json(labels: &[(String, String)]) -> Json {
+    Json::Obj(labels.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone()))).collect())
 }
 
 #[cfg(test)]
@@ -447,23 +430,6 @@ mod tests {
         assert!(json.contains(r#""p99":"#));
         assert!(snap.has_prefix("a."));
         assert!(!snap.has_prefix("zz."));
-    }
-
-    #[test]
-    fn snapshots_merge() {
-        let r1 = Registry::new();
-        let r2 = Registry::new();
-        r1.counter("n", &[]).add(1);
-        r2.counter("n", &[]).add(2);
-        r2.counter("only2", &[]).add(9);
-        r1.histogram("h", &[]).record(5);
-        r2.histogram("h", &[]).record(500);
-        let mut m = r1.snapshot();
-        m.merge(&r2.snapshot());
-        assert_eq!(m.counter("n", &[]), 3);
-        assert_eq!(m.counter("only2", &[]), 9);
-        let h = m.histogram("h", &[]);
-        assert_eq!((h.count, h.min, h.max), (2, 5, 500));
     }
 
     #[test]

@@ -71,15 +71,6 @@ pub fn l2_normalize(v: &mut [f32]) {
     }
 }
 
-/// `a += scale * b`.
-#[inline]
-pub fn axpy(a: &mut [f32], scale: f32, b: &[f32]) {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += scale * y;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,8 +100,5 @@ mod tests {
         let mut v = vec![3.0, 4.0];
         l2_normalize(&mut v);
         assert!((v[0] - 0.6).abs() < 1e-6 && (v[1] - 0.8).abs() < 1e-6);
-        let mut a = vec![1.0, 1.0];
-        axpy(&mut a, 2.0, &[1.0, 3.0]);
-        assert_eq!(a, vec![3.0, 7.0]);
     }
 }

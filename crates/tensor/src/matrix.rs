@@ -174,14 +174,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise product (Hadamard), in place.
-    pub fn hadamard_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
-        }
-    }
-
     /// Adds a bias row vector to every row.
     pub fn add_row_vector(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols);
@@ -298,9 +290,6 @@ mod tests {
         assert_eq!(a.as_slice(), &[2.0, 0.0, 6.0, 0.0]);
         a.clip(3.0);
         assert_eq!(a.as_slice(), &[2.0, 0.0, 3.0, 0.0]);
-        let mut h = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        h.hadamard_assign(&Matrix::from_vec(2, 2, vec![2.0, 0.5, 1.0, 0.25]));
-        assert_eq!(h.as_slice(), &[2.0, 1.0, 3.0, 1.0]);
     }
 
     #[test]

@@ -18,8 +18,7 @@ use aligraph_suite::runtime::{
 };
 use aligraph_suite::sampling::TopKNeighborhood;
 use aligraph_suite::serving::{ServeError, ServingConfig, ServingFaultConfig, ServingService};
-use aligraph_suite::storage::{BucketExecutor, CacheStrategy, Cluster, CostModel};
-use crossbeam::channel::Sender;
+use aligraph_suite::storage::{CacheStrategy, Cluster, CostModel};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -158,47 +157,6 @@ fn crash_with_corrupted_checkpoint_recovers_bit_exact() {
     assert_eq!(fbits(&faulted.encoder.dense_param_vec()), fbits(&clean.encoder.dense_param_vec()));
     assert_eq!(faulted.features.as_slice(), clean.features.as_slice());
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-enum CountOp {
-    Add(u64),
-    Read(Sender<u64>),
-    Flush(Sender<()>),
-}
-
-/// No deadlock, no loss, no duplication: the bucket executor under a 20%
-/// drop rate applies every submission exactly once and the barrier drains.
-/// Liveness is the test finishing at all — retries are bounded by the
-/// policy's attempt cap, never an unbounded spin.
-#[test]
-fn executor_survives_twenty_percent_drop_without_deadlock() {
-    let exec = BucketExecutor::spawn(vec![0u64; 4], |total: &mut u64, op| match op {
-        CountOp::Add(x) => *total += x,
-        CountOp::Read(reply) => {
-            let _ = reply.send(*total);
-        }
-        CountOp::Flush(reply) => {
-            let _ = reply.send(());
-        }
-    });
-    let plane = FaultPlane::new(FaultPlan::with_seed(3, 0.2));
-    let policy = RetryPolicy::default();
-    let mut seqs = [0u64; 4];
-    let mut ticks = 0u64;
-    for v in 0..2_000u32 {
-        let b = exec.bucket_of(v);
-        let seq = seqs[b];
-        seqs[b] += 1;
-        ticks += exec
-            .submit_faulted(v, seq, CountOp::Add(1), &plane, &policy)
-            .expect("default retry policy outlasts a 20% drop rate");
-    }
-    exec.barrier(CountOp::Flush).unwrap();
-    let total: u64 = (0..4).map(|b| exec.round_trip_to(b, CountOp::Read).unwrap()).sum();
-    assert_eq!(total, 2_000, "every op applies exactly once under faults");
-    assert!(ticks > 0, "faults must cost virtual time");
-    assert!(plane.snapshot().faults_injected > 0);
-    assert!(plane.snapshot().retries > 0);
 }
 
 fn click_delta(i: u32) -> SnapshotDelta {
@@ -391,7 +349,6 @@ mod parent_pins {
     const INGEST: (FaultSnapshot, u64) = (FaultSnapshot { faults_injected: 60, retries: 25 }, 86);
     const REBALANCE: (FaultSnapshot, u64) =
         (FaultSnapshot { faults_injected: 31, retries: 11 }, 54);
-    const SUBMIT: (FaultSnapshot, u64) = (FaultSnapshot { faults_injected: 94, retries: 36 }, 176);
 
     #[test]
     fn training_draws_the_parent_fault_stream() {
@@ -441,24 +398,5 @@ mod parent_pins {
             )
             .expect("split");
         assert_eq!((plane.snapshot(), report.lag_ticks), REBALANCE);
-    }
-
-    #[test]
-    fn bucket_submissions_draw_the_parent_fault_stream() {
-        let exec = BucketExecutor::spawn(vec![0u64; 4], |total: &mut u64, op| {
-            if let CountOp::Add(x) = op {
-                *total += x;
-            }
-        });
-        let plane = FaultPlane::new(FaultPlan::with_seed(7, 0.2));
-        let policy = RetryPolicy::default();
-        let mut seqs = [0u64; 4];
-        let mut ticks = 0u64;
-        for v in 0..200u32 {
-            let b = exec.bucket_of(v);
-            ticks += exec.submit_faulted(v, seqs[b], CountOp::Add(1), &plane, &policy).unwrap();
-            seqs[b] += 1;
-        }
-        assert_eq!((plane.snapshot(), ticks), SUBMIT);
     }
 }

@@ -7,7 +7,7 @@ use aligraph_graph::{AttributedHeterogeneousGraph, Featurizer};
 use aligraph_partition::EdgeCutHash;
 use aligraph_runtime::{DistOutcome, DistTrainer, EncoderSpec, RuntimeConfig};
 use aligraph_storage::{CacheStrategy, Cluster, CostModel};
-use aligraph_telemetry::{Registry, Report};
+use aligraph_telemetry::Registry;
 use std::sync::Arc;
 
 fn graph() -> Arc<AttributedHeterogeneousGraph> {
