@@ -24,7 +24,7 @@ closed-loop          | closed-loop        | --cycles 4 --seed 42 --slo-freshness
 closed-loop-chaos    | closed-loop        | --cycles 2 --seed 42 --fault-seed 7 --drop-rate 0.2 --slo-freshness-ticks 200 | loop.freshness_ticks chaos.faults_injected |
 rebalance-bench      | rebalance-bench    | --workers 4 --epochs 3 --scale 0.01 --merge 1 | topology.migration. | BENCH_rebalance.json --presence-only
 rebalance-bench-chaos | rebalance-bench   | --workers 4 --epochs 3 --scale 0.01 --fault-seed 7 --drop-rate 0.2 | topology.migration. chaos.faults_injected |
-tiered-bench         | tiered-bench       | --scale 10 --workers 4 --resident-budget 1000000 | tier.reads tier.resident_bytes tier.io. | BENCH_tiered_storage.json --presence-only
+tiered-bench         | tiered-bench       | --scale 10 --workers 4 --resident-budget 1000000 | tier.reads tier.resident_bytes tier.io. tier.admit | BENCH_tiered_storage.json --presence-only
 "
 
 ran=0

@@ -830,9 +830,11 @@ pub fn rebalance_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, 
 /// model fingerprint (epoch losses + dense parameters + trained features)
 /// must be bit-identical to the all-hot oracle's, the oracle must never
 /// read cold, and a tight run whose budget is genuinely below the all-hot
-/// footprint must actually serve training reads from the cold tier. The
-/// largest point's tight run publishes into `registry` (`tier.*`,
-/// `storage.*`, `sampling.*`, `runtime.*`).
+/// footprint must actually serve training reads from the cold tier. Each
+/// point's line reports the tight run's cold reads and, per training step,
+/// cold reads and cold (encoded) bytes decoded. The largest point's tight
+/// run publishes into `registry` (`tier.*`, `storage.*`, `sampling.*`,
+/// `runtime.*`).
 ///
 /// `--resident-budget` caps the top point and scales linearly down the
 /// curve; when omitted every point gets 10% of its own all-hot footprint.
@@ -887,11 +889,10 @@ pub fn tiered_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
         } else {
             (all_hot / 10).max(1)
         };
-        let reg = if i == points.len() - 1 {
-            Arc::clone(registry)
-        } else {
-            Arc::new(Registry::disabled())
-        };
+        // Only the largest point publishes; the others count into a
+        // registry of their own, read below for the cold bytes.
+        let reg =
+            if i == points.len() - 1 { Arc::clone(registry) } else { Arc::new(Registry::new()) };
         let (cluster, tight) = scenario.run(
             scenario.cfg.clone(),
             &reg,
@@ -902,13 +903,21 @@ pub fn tiered_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
         let peak = tier.peak_resident_bytes();
         let fp_oracle = oracle.fingerprint();
         let fp_tight = tight.fingerprint();
+        // What a cold read costs is the bytes it decodes, not that it
+        // happened: report both, per training step.
+        let steps = (scenario.cfg.workers * scenario.cfg.epochs * scenario.cfg.batches_per_epoch)
+            .max(1) as u64;
+        let cold_bytes = reg.snapshot().counter("tier.io.bytes", &[("tier", "cold")]);
         writeln!(
             out,
             "  point {point:>6.2}: {} vertices / {} edges  all-hot {all_hot} B  budget \
-             {budget} B  peak {peak} B  cold training reads {}  fingerprint {fp_tight:016x} ({})",
+             {budget} B  peak {peak} B  cold training reads {} ({}/step, {} B/step)  \
+             fingerprint {fp_tight:016x} ({})",
             graph.num_vertices(),
             graph.num_edges(),
             tight.report.adjacency.cold,
+            tight.report.adjacency.cold / steps,
+            cold_bytes / steps,
             if fp_tight == fp_oracle { "bit-exact vs all-hot" } else { "DIVERGED" },
         )
         .ok();

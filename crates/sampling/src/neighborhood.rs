@@ -107,7 +107,7 @@ impl NeighborAccess for ClusterView<'_> {
     }
 
     fn prefetch_hint(&self, frontier: &[VertexId], _hop: usize) {
-        self.cluster.prefetch(frontier);
+        self.cluster.prefetch(self.from, frontier);
     }
 }
 

@@ -471,14 +471,18 @@ impl Cluster {
         self.tier.as_ref()
     }
 
-    /// Announces the sampler's next frontier to the cold tier so cold
-    /// decodes overlap gather/aggregate (no-op on untired clusters).
-    /// Returns how many rows the prefetch pipeline issued.
-    pub fn prefetch(&self, frontier: &[VertexId]) -> usize {
-        match &self.tier {
-            Some(tier) => tier.prefetch(frontier),
-            None => 0,
+    /// Announces the next frontier of the sampler on shard `from` to the
+    /// cold tier so cold decodes overlap gather/aggregate. Only rows
+    /// resident on `from` are staged: every other vertex is read through
+    /// that shard's neighbor cache or remotely, never from the tier. A no-op
+    /// on an untiered cluster or an out-of-range shard. Returns how many
+    /// rows the prefetch pipeline issued.
+    pub fn prefetch(&self, from: WorkerId, frontier: &[VertexId]) -> usize {
+        if self.tier.is_none() {
+            return 0;
         }
+        let server = self.servers.read().get(from.index()).cloned();
+        server.map_or(0, |s| s.prefetch(frontier))
     }
 
     /// Fraction of vertices statically cached per shard (identical across

@@ -145,40 +145,140 @@ pub fn encode_adjacency(nbrs: &[Neighbor], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes an adjacency row encoded by [`encode_adjacency`]. The whole
-/// buffer must be consumed.
-pub fn decode_adjacency(buf: &[u8]) -> Result<Vec<Neighbor>, CodecError> {
+/// Largest encoded footprint of one adjacency record: three 10-byte varints,
+/// the etype byte and the 4-byte weight.
+const MAX_NEIGHBOR_BYTES: usize = 35;
+
+/// One adjacency record as stored: deltas not yet applied.
+struct RawNeighbor {
+    dv: u64,
+    etype: u8,
+    weight: f32,
+    attr: u64,
+    de: u64,
+}
+
+/// Reads one record through the checked readers — the tail of a row, where
+/// a worst-case record no longer fits the bytes that remain.
+fn get_neighbor(buf: &[u8], pos: &mut usize) -> Result<RawNeighbor, CodecError> {
+    let dv = get_varint(buf, pos)?;
+    let etype = *buf.get(*pos).ok_or(CodecError::Truncated { offset: *pos })?;
+    *pos += 1;
+    let weight = get_f32(buf, pos)?;
+    let attr = get_varint(buf, pos)?;
+    let de = get_varint(buf, pos)?;
+    Ok(RawNeighbor { dv, etype, weight, attr, de })
+}
+
+/// Reads the varint at `w[*o..]`, where `w` is the window `buf[base..]` that
+/// holds a whole worst-case record: 1- and 2-byte values (nearly all of a
+/// near-sorted row) inline, anything longer through [`get_varint`] on the
+/// buffer itself, so an overlong varint reports the same error at the same
+/// offset as the checked path.
+#[inline(always)]
+fn window_varint(
+    buf: &[u8],
+    base: usize,
+    w: &[u8; MAX_NEIGHBOR_BYTES],
+    o: &mut usize,
+) -> Result<u64, CodecError> {
+    let b0 = w[*o];
+    if b0 < 0x80 {
+        *o += 1;
+        return Ok(u64::from(b0));
+    }
+    let b1 = w[*o + 1];
+    if b1 < 0x80 {
+        *o += 2;
+        return Ok(u64::from(b0 & 0x7f) | u64::from(b1) << 7);
+    }
+    let mut pos = base + *o;
+    let v = get_varint(buf, &mut pos)?;
+    *o = pos - base;
+    Ok(v)
+}
+
+/// Decodes an adjacency row encoded by [`encode_adjacency`] into `nbrs`
+/// (cleared first) and, when asked, its cumulative weight table into `cdf`
+/// in the same pass — `acc += weight` in row order, the summation
+/// [`crate::server`]'s `build_cdf` does, so the two agree bit for bit. The
+/// whole buffer must be consumed; on error the outputs hold a prefix of the
+/// row and must not be used.
+///
+/// While a worst-case 35-byte record still fits the remaining bytes, a
+/// record is decoded per loop trip behind that one bounds check; the last
+/// few records of a row go through the checked readers.
+pub fn decode_adjacency_into(
+    buf: &[u8],
+    nbrs: &mut Vec<Neighbor>,
+    mut cdf: Option<&mut Vec<f32>>,
+) -> Result<(), CodecError> {
+    nbrs.clear();
+    if let Some(cdf) = cdf.as_deref_mut() {
+        cdf.clear();
+    }
     let mut pos = 0usize;
     let count = get_varint(buf, &mut pos)?;
     let remaining = buf.len() - pos;
     if count > remaining as u64 / MIN_NEIGHBOR_BYTES {
         return Err(CodecError::CountTooLarge { declared: count, remaining });
     }
-    let mut nbrs = Vec::with_capacity(count as usize);
+    let count = count as usize;
+    nbrs.reserve(count);
+    if let Some(cdf) = cdf.as_deref_mut() {
+        cdf.reserve(count);
+    }
     let mut prev_vertex: i64 = 0;
     let mut prev_edge: u64 = 0;
-    for _ in 0..count {
-        let dv = unzigzag(get_varint(buf, &mut pos)?);
-        let vertex = prev_vertex.wrapping_add(dv);
+    let mut acc = 0.0f32;
+    let mut emit = |raw: RawNeighbor| {
+        let vertex = prev_vertex.wrapping_add(unzigzag(raw.dv));
         prev_vertex = vertex;
-        let etype = *buf.get(pos).ok_or(CodecError::Truncated { offset: pos })?;
-        pos += 1;
-        let weight = get_f32(buf, &mut pos)?;
-        let attr = get_varint(buf, &mut pos)?;
-        let de = unzigzag(get_varint(buf, &mut pos)?);
-        let edge = prev_edge.wrapping_add(de as u64);
+        let edge = prev_edge.wrapping_add(unzigzag(raw.de) as u64);
         prev_edge = edge;
         nbrs.push(Neighbor {
             vertex: VertexId(vertex as u32),
-            etype: EdgeType(etype),
-            weight,
-            attr: AttrId(attr as u32),
+            etype: EdgeType(raw.etype),
+            weight: raw.weight,
+            attr: AttrId(raw.attr as u32),
             edge: EdgeId(edge),
         });
+        if let Some(cdf) = cdf.as_deref_mut() {
+            acc += raw.weight;
+            cdf.push(acc);
+        }
+    };
+    let mut left = count;
+    while left > 0 {
+        let window = buf.get(pos..pos + MAX_NEIGHBOR_BYTES);
+        let Some(w) = window.and_then(|w| <&[u8; MAX_NEIGHBOR_BYTES]>::try_from(w).ok()) else {
+            break;
+        };
+        let mut o = 0usize;
+        let dv = window_varint(buf, pos, w, &mut o)?;
+        let etype = w[o];
+        let weight = f32::from_le_bytes([w[o + 1], w[o + 2], w[o + 3], w[o + 4]]);
+        o += 5;
+        let attr = window_varint(buf, pos, w, &mut o)?;
+        let de = window_varint(buf, pos, w, &mut o)?;
+        pos += o;
+        emit(RawNeighbor { dv, etype, weight, attr, de });
+        left -= 1;
+    }
+    for _ in 0..left {
+        emit(get_neighbor(buf, &mut pos)?);
     }
     if pos != buf.len() {
         return Err(CodecError::TrailingBytes { extra: buf.len() - pos });
     }
+    Ok(())
+}
+
+/// Decodes an adjacency row encoded by [`encode_adjacency`]. The whole
+/// buffer must be consumed.
+pub fn decode_adjacency(buf: &[u8]) -> Result<Vec<Neighbor>, CodecError> {
+    let mut nbrs = Vec::new();
+    decode_adjacency_into(buf, &mut nbrs, None)?;
     Ok(nbrs)
 }
 
@@ -219,9 +319,156 @@ pub fn decode_feature_row(buf: &[u8]) -> Result<Vec<f32>, CodecError> {
     Ok(row)
 }
 
+/// The byte-at-a-time decoder [`decode_adjacency_into`] replaced, kept as
+/// the oracle its differential tests compare against: same rows bit for
+/// bit, same error at the same offset.
+#[cfg(test)]
+fn decode_adjacency_scalar(buf: &[u8]) -> Result<Vec<Neighbor>, CodecError> {
+    let mut pos = 0usize;
+    let count = get_varint(buf, &mut pos)?;
+    let remaining = buf.len() - pos;
+    if count > remaining as u64 / MIN_NEIGHBOR_BYTES {
+        return Err(CodecError::CountTooLarge { declared: count, remaining });
+    }
+    let mut nbrs = Vec::with_capacity(count as usize);
+    let mut prev_vertex: i64 = 0;
+    let mut prev_edge: u64 = 0;
+    for _ in 0..count {
+        let dv = unzigzag(get_varint(buf, &mut pos)?);
+        let vertex = prev_vertex.wrapping_add(dv);
+        prev_vertex = vertex;
+        let etype = *buf.get(pos).ok_or(CodecError::Truncated { offset: pos })?;
+        pos += 1;
+        let weight = get_f32(buf, &mut pos)?;
+        let attr = get_varint(buf, &mut pos)?;
+        let de = unzigzag(get_varint(buf, &mut pos)?);
+        let edge = prev_edge.wrapping_add(de as u64);
+        prev_edge = edge;
+        nbrs.push(Neighbor {
+            vertex: VertexId(vertex as u32),
+            etype: EdgeType(etype),
+            weight,
+            attr: AttrId(attr as u32),
+            edge: EdgeId(edge),
+        });
+    }
+    if pos != buf.len() {
+        return Err(CodecError::TrailingBytes { extra: buf.len() - pos });
+    }
+    Ok(nbrs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Every field of every record as raw bits, so NaN payloads and signed
+    /// zeros compare exactly.
+    fn bits(nbrs: &[Neighbor]) -> Vec<(u32, u8, u32, u32, u64)> {
+        nbrs.iter()
+            .map(|n| (n.vertex.0, n.etype.0, n.weight.to_bits(), n.attr.0, n.edge.0))
+            .collect()
+    }
+
+    /// Decodes `buf` through the fused fast path and through the scalar
+    /// oracle and demands the same outcome: the same rows bit for bit with
+    /// a CDF bit-equal to `build_cdf`'s separate pass, or the same error.
+    fn assert_matches_oracle(buf: &[u8]) -> Result<(), TestCaseError> {
+        // Dirty reused buffers: the decoder must clear them.
+        let mut nbrs = vec![nb(9, 9, 9.0, 9, 9); 3];
+        let mut cdf = vec![9.0f32; 5];
+        let fast = decode_adjacency_into(buf, &mut nbrs, Some(&mut cdf));
+        match (fast, decode_adjacency_scalar(buf)) {
+            (Ok(()), Ok(want)) => {
+                prop_assert_eq!(bits(&nbrs), bits(&want));
+                let want_cdf = crate::server::build_cdf(&want);
+                prop_assert_eq!(
+                    cdf.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+                    want_cdf.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
+                );
+                // Without a CDF, and through the allocating wrapper.
+                prop_assert_eq!(decode_adjacency_into(buf, &mut nbrs, None), Ok(()));
+                prop_assert_eq!(bits(&nbrs), bits(&want));
+                prop_assert_eq!(decode_adjacency(buf).map(|n| bits(&n)), Ok(bits(&want)));
+            }
+            (fast, want) => prop_assert_eq!(fast, want.map(|_| ())),
+        }
+        Ok(())
+    }
+
+    /// A value of a width class: 1-, 2- and 3-byte varints, `u32::MAX`,
+    /// and the 10-byte ones.
+    fn shaped(class: u64, entropy: u64) -> u64 {
+        match class % 6 {
+            0 => entropy % 128,
+            1 => 128 + entropy % 16_256,
+            2 => 16_384 + entropy % 2_000_000,
+            3 => u64::from(u32::MAX),
+            4 => u64::MAX,
+            _ => entropy,
+        }
+    }
+
+    /// A row written field by field from raw wire values — any varint width
+    /// in any position, any weight bits — rather than from `Neighbor`s,
+    /// which would never produce a 10-byte attr.
+    fn wire_row(records: &[(u64, u64, u32, u8)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, records.len() as u64);
+        for &(classes, entropy, weight_bits, etype) in records {
+            put_varint(&mut buf, shaped(classes, entropy));
+            buf.push(etype);
+            // One class forces a NaN with the entropy as its payload.
+            let nan = if classes % 7 == 0 { 0x7fc0_0000 } else { 0 };
+            buf.extend_from_slice(&(weight_bits | nan).to_le_bytes());
+            put_varint(&mut buf, shaped(classes / 6, entropy.rotate_left(21)));
+            put_varint(&mut buf, shaped(classes / 36, entropy.rotate_left(42)));
+        }
+        buf
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Valid rows of 0..40 records (so also rows shorter than one
+        /// 35-byte window, where only the checked tail runs), and every
+        /// truncation of them.
+        #[test]
+        fn fused_decode_matches_scalar_oracle_on_rows_and_truncations(
+            records in prop::collection::vec(
+                (0u64..216, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 0..40),
+        ) {
+            let buf = wire_row(&records);
+            prop_assert!(decode_adjacency_scalar(&buf).is_ok());
+            assert_matches_oracle(&buf)?;
+            for cut in 0..buf.len() {
+                prop_assert!(decode_adjacency_scalar(&buf[..cut]).is_err());
+                assert_matches_oracle(&buf[..cut])?;
+            }
+        }
+
+        /// Single-byte flips, and an overlong varint spliced in at a random
+        /// offset: whatever the scalar decoder makes of the damage — another
+        /// row, or an error at some offset — the fused one makes the same.
+        #[test]
+        fn fused_decode_matches_scalar_oracle_on_corrupt_rows(
+            records in prop::collection::vec(
+                (0u64..216, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 1..40),
+            flips in prop::collection::vec((0usize..=usize::MAX, 1u8..=255), 1..24),
+        ) {
+            let buf = wire_row(&records);
+            for &(at, mask) in &flips {
+                let mut bad = buf.clone();
+                bad[at % buf.len()] ^= mask;
+                assert_matches_oracle(&bad)?;
+                let mut overlong = buf.clone();
+                let at = at % buf.len();
+                overlong.splice(at..at, [0xff; 11]);
+                assert_matches_oracle(&overlong)?;
+            }
+        }
+    }
 
     fn nb(v: u32, etype: u8, weight: f32, attr: u32, edge: u64) -> Neighbor {
         Neighbor {

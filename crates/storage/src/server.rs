@@ -148,6 +148,12 @@ impl GraphServer {
         self.tier.as_ref().map(|t| &t.store)
     }
 
+    /// Announces this shard's next sampling frontier to the cold tier
+    /// ([`TieredStore::prefetch`]); a no-op returning 0 without one.
+    pub fn prefetch(&self, frontier: &[VertexId]) -> usize {
+        self.tier.as_ref().map_or(0, |tier| tier.store.prefetch(tier.shard, frontier))
+    }
+
     /// The cumulative weight table of a resident vertex, if any.
     pub fn weight_cdf(&self, v: VertexId) -> Option<Arc<[f32]>> {
         if let Some(tier) = &self.tier {
@@ -242,10 +248,10 @@ impl GraphServer {
         model: &CostModel,
     ) -> AccessKind {
         if let Some(tier) = &self.tier {
-            if tier.store.is_resident(tier.shard, v.0) {
-                // Resident: the tier read decides hot vs cold (and promotes
-                // the row, demoting an LRU victim if over budget).
-                let (_, _, how) = tier.store.read_adjacency(v);
+            // Resident: the tier read decides hot vs cold (and promotes the
+            // row if the admission rule takes it) — residency, lookup and
+            // decode under the tier's one lock.
+            if let Some(how) = tier.store.classify(tier.shard, v) {
                 return match how {
                     TierRead::Hot => {
                         stats.record(AccessKind::Local, model);
@@ -347,12 +353,18 @@ impl GraphServer {
 /// Cumulative weight table over one adjacency row.
 pub(crate) fn build_cdf(nbrs: &[Neighbor]) -> Arc<[f32]> {
     let mut cdf = Vec::with_capacity(nbrs.len());
+    fill_cdf(nbrs, &mut cdf);
+    Arc::from(cdf)
+}
+
+/// [`build_cdf`] into a reused buffer (cleared first).
+pub(crate) fn fill_cdf(nbrs: &[Neighbor], cdf: &mut Vec<f32>) {
+    cdf.clear();
     let mut acc = 0.0f32;
     for n in nbrs {
         acc += n.weight;
         cdf.push(acc);
     }
-    Arc::from(cdf)
 }
 
 #[cfg(test)]

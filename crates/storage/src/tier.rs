@@ -6,23 +6,39 @@
 //! vertex's adjacency row is delta-varint encoded ([`crate::codec`]) into
 //! per-shard FNV-sealed segments ([`crate::segment`]); feature rows join
 //! via [`TieredStore::attach_features`]. A **hot set** of decoded rows is
-//! bounded by a resident-byte budget ([`TierConfig::resident_budget`]):
-//! placement seeds it with the highest-importance vertices (Imp(v) =
-//! in-degree / out-degree, paper Eq. 1 at hop 1) and an LRU demotes the
-//! coldest row when a promotion would burst the budget
-//! ([`crate::lru::LruCache::iter_lru`] is the eviction oracle). Every read
-//! not served hot decodes from the newest segment generation holding the
-//! row and is metered as [`AccessKind::Cold`] by the caller; decode results
-//! are **bit-exact** against the all-hot oracle — that is the tier's
-//! headline invariant, pinned by `tests/storage_integration.rs`.
+//! bounded by a resident-byte budget ([`TierConfig::resident_budget`]).
+//!
+//! **Which adjacency rows it holds** is the paper's importance rule (§3.2,
+//! Algorithm 2), not recency. Imp(v) = in-degree / out-degree (Eq. 1 at hop
+//! one) is reads per resident byte: a row is read once per in-edge and
+//! costs bytes per out-edge. The build ranks the rows by it, seeds the
+//! ranked prefix that fits the budget, and records the threshold `τ` as the
+//! importance of the first ranked row that no longer fits (`plan_hot_set`).
+//! From then on an adjacency row is admitted hot iff `Imp(v) ≥ τ` and it
+//! fits the budget alone; any other row is **pass-through**: decoded into
+//! one reused row buffer, served, admitted nowhere and demoting nothing.
+//! With no budget `τ` is 0 and every row is admitted. Among the admitted
+//! rows, and for feature rows — always admitted, because dirty-row
+//! writeback rides on demotion — an LRU demotes the coldest row when a
+//! promotion would burst the budget ([`crate::lru::LruCache::iter_lru`] is
+//! the eviction oracle). Every read not served hot decodes from the newest
+//! segment generation holding the row and is metered as
+//! [`AccessKind::Cold`] by the caller; decode results are **bit-exact**
+//! against the all-hot oracle — that is the tier's headline invariant,
+//! pinned by `tests/storage_integration.rs`.
 //!
 //! The **prefetch pipeline** ([`TieredStore::prefetch`]) batches the cold
 //! decodes of an upcoming sampling frontier into a double buffer: the
 //! sampler announces the next frontier (deterministic issue order — sorted,
-//! deduplicated), decodes land in the standby buffer, and the buffers swap
-//! so gather/aggregate overlaps the decode. A read served from the buffer
-//! still counts as a cold op, but only `prefetch_hit_ns` lands on the
-//! blocking clock ([`crate::cost::AccessStats::record_overlapped_cold`]);
+//! deduplicated, only rows resident on the issuing shard: the rest are
+//! read through the neighbor cache or remotely, never from here), decodes
+//! land in the standby buffer, and the buffers swap so gather/aggregate
+//! overlaps the decode. A staged row serves the reads its frontier
+//! announced — named twice, it is decoded once — and follows the admission
+//! rule like any other: an admitted row moves to the hot set with its first
+//! read, a pass-through row leaves with its last. A read served from the
+//! buffer still counts as a cold op, but only `prefetch_hit_ns` lands on
+//! the blocking clock ([`crate::cost::AccessStats::record_overlapped_cold`]);
 //! the full `cold_ns` is charged to the overlapped storage clock
 //! (`tier.io.virtual_ns`). Everything is virtual-tick metered — no wall
 //! clock anywhere near a seeded path.
@@ -33,11 +49,13 @@
 //! only so the differential tests can prove they would catch a writeback
 //! bug, mirroring the chaos plane's broken-recovery variants.
 
-use crate::codec::{decode_adjacency, decode_feature_row, encode_adjacency, encode_feature_row};
+use crate::codec::{
+    decode_adjacency_into, decode_feature_row, encode_adjacency, encode_feature_row,
+};
 use crate::cost::{AccessKind, CostModel, TierMeter};
 use crate::lru::LruCache;
 use crate::segment::{Segment, SegmentError, SegmentKind};
-use crate::server::{build_cdf, VertexRecord};
+use crate::server::{build_cdf, fill_cdf, VertexRecord};
 use aligraph_graph::{AttributedHeterogeneousGraph, FeatureMatrix, Neighbor, VertexId};
 use aligraph_telemetry::{Counter, Gauge, Registry};
 use parking_lot::Mutex;
@@ -146,6 +164,12 @@ impl HotRow {
     }
 }
 
+/// [`HotRow::bytes`] of a graph-built adjacency row of `degree` neighbors
+/// (one CDF entry per neighbor).
+fn adjacency_bytes(degree: usize) -> u64 {
+    32 + degree as u64 * 28
+}
+
 #[derive(Debug)]
 struct TierMetrics {
     resident_bytes: Arc<Gauge>,
@@ -159,6 +183,8 @@ struct TierMetrics {
     demote_clean: Arc<Counter>,
     demote_writeback: Arc<Counter>,
     demote_dropped: Arc<Counter>,
+    admit_admitted: Arc<Counter>,
+    admit_bypassed: Arc<Counter>,
     prefetch_issued: Arc<Counter>,
     prefetch_wasted: Arc<Counter>,
     prefetch_virtual_ns: Arc<Counter>,
@@ -181,6 +207,8 @@ impl TierMetrics {
             demote_clean: r.counter("tier.demotions", &[("outcome", "clean")]),
             demote_writeback: r.counter("tier.demotions", &[("outcome", "writeback")]),
             demote_dropped: r.counter("tier.demotions", &[("outcome", "dropped")]),
+            admit_admitted: r.counter("tier.admit", &[("outcome", "admitted")]),
+            admit_bypassed: r.counter("tier.admit", &[("outcome", "bypassed")]),
             prefetch_issued: r.counter("tier.prefetch.issued", &[]),
             prefetch_wasted: r.counter("tier.prefetch.wasted", &[]),
             prefetch_virtual_ns: r.counter("tier.prefetch.virtual_ns", &[]),
@@ -200,9 +228,23 @@ impl TierMetrics {
     }
 }
 
-/// A decoded adjacency row staged by the prefetch pipeline: the neighbor
-/// list plus its weight CDF.
-type PrefetchedRow = (Arc<[Neighbor]>, Arc<[f32]>);
+/// A decoded adjacency row in shareable form — what the hot set and the
+/// prefetch stage hold and what a caller gets back: the neighbor list plus
+/// its weight CDF.
+type SharedRow = (Arc<[Neighbor]>, Arc<[f32]>);
+
+/// One row of the prefetch stage. It serves exactly the reads its frontier
+/// announced — a frontier naming a row twice decodes it once — and then
+/// leaves, so the stage never turns into an uncharged cache.
+#[derive(Debug)]
+struct Staged {
+    row: SharedRow,
+    /// How many times the announced frontier names the row.
+    announced: u32,
+    /// Reads served from it since; a row still at 0 when the next frontier
+    /// replaces it was wasted.
+    served: u32,
+}
 
 #[derive(Debug)]
 struct TierState {
@@ -226,7 +268,13 @@ struct TierState {
     writeback_pending: BTreeMap<u32, Arc<[f32]>>,
     /// The prefetch double-buffer's active side: decoded adjacency rows the
     /// announced frontier is about to read.
-    prefetch_active: HashMap<u32, PrefetchedRow>,
+    prefetch_active: HashMap<u32, Staged>,
+    /// The row buffer every cold adjacency decode lands in (neighbors and
+    /// weight CDF), reused across reads: one row at a time, bounded by the
+    /// largest row, and — like the prefetch stage — not charged to the
+    /// budget. A pass-through read never leaves it.
+    row_nbrs: Vec<Neighbor>,
+    row_cdf: Vec<f32>,
     /// Whether feature segments exist.
     has_features: bool,
 }
@@ -256,6 +304,11 @@ impl TierState {
             .is_some_and(|w| w & (1u64 << (v as usize % 64)) != 0)
     }
 
+    /// The row buffer's content in shareable form.
+    fn shared_row(&self) -> SharedRow {
+        (self.row_nbrs.as_slice().into(), self.row_cdf.as_slice().into())
+    }
+
     fn segment_bytes(&self) -> u64 {
         self.adj_segments
             .iter()
@@ -274,6 +327,16 @@ pub struct TieredStore {
     /// Build-time owner of each vertex — the shard whose segments hold its
     /// rows (stable across migrations; adjacency is immutable).
     owner: Vec<u32>,
+    /// Imp(v) = in-degree / out-degree per vertex (paper Eq. 1 at hop 1; 0
+    /// for sinks, matching `ImportanceTable`), computed once per build.
+    importance: Vec<f64>,
+    /// Vertex ids by descending importance, vertex id as the deterministic
+    /// tie-break.
+    ranking: Vec<u32>,
+    /// The admission threshold: the importance of the first ranked row the
+    /// budget could not seed (0 when every row fits or there is no budget)
+    /// — see [`plan_hot_set`].
+    tau: f64,
     cfg: TierConfig,
     cost: CostModel,
     state: Mutex<TierState>,
@@ -312,9 +375,7 @@ impl TieredStore {
             }
             adj_segments.push(vec![seg]);
         }
-        let store = Self::assemble(graph, owners, shards, adj_segments, cfg, cost, registry);
-        store.seed_hot_set();
-        Ok(store)
+        Ok(Self::assemble(graph, owners, shards, adj_segments, cfg, cost, registry))
     }
 
     /// Reopens a disk-backed tier from its segment files, verifying every
@@ -380,10 +441,12 @@ impl TieredStore {
         }
         let store = Self::assemble(graph, owners, shards, adj_segments, cfg, cost, registry);
         store.metrics.seal_rejections.add(rejections);
-        store.seed_hot_set();
         Ok(store)
     }
 
+    /// Puts the store together over built or reopened segments: residency
+    /// from `owners`, the importance table and ranking (one pass, one sort
+    /// per build), and the seeded hot set with its threshold `τ`.
     fn assemble(
         graph: Arc<AttributedHeterogeneousGraph>,
         owners: &[u32],
@@ -407,74 +470,55 @@ impl TieredStore {
             feat_segments: vec![Vec::new(); shards],
             writeback_pending: BTreeMap::new(),
             prefetch_active: HashMap::new(),
+            row_nbrs: Vec::new(),
+            row_cdf: Vec::new(),
             has_features: false,
         };
         for v in graph.vertices() {
             state.set_resident(owners[v.index()] as usize, v.0, true);
         }
+        let importance: Vec<f64> = graph
+            .vertices()
+            .map(|v| match graph.out_degree(v) {
+                0 => 0.0,
+                d_out => graph.in_degree(v) as f64 / d_out as f64,
+            })
+            .collect();
+        let mut ranking: Vec<u32> = graph.vertices().map(|v| v.0).collect();
+        ranking.sort_by(|&a, &b| {
+            importance[b as usize].total_cmp(&importance[a as usize]).then(a.cmp(&b))
+        });
+        let (seeds, tau) = plan_hot_set(&graph, &importance, &ranking, cfg.resident_budget);
         let metrics = TierMetrics::registered(registry);
         metrics.segment_bytes.set(state.segment_bytes() as i64);
-        Arc::new(TieredStore {
+        let store = TieredStore {
             graph,
             owner: owners.to_vec(),
+            importance,
+            ranking,
+            tau,
             cfg,
             cost,
             state: Mutex::new(state),
             metrics,
             io_meter: TierMeter::registered(registry, "tier.io"),
-        })
-    }
-
-    /// Importance-ranked vertex ids: Imp(v) = in-degree / out-degree (paper
-    /// Eq. 1 at hop 1; 0 for sinks, matching `ImportanceTable`), descending,
-    /// vertex id as the deterministic tie-break.
-    fn importance_ranking(&self) -> Vec<u32> {
-        let mut ranked: Vec<(f64, u32)> = self
-            .graph
-            .vertices()
-            .map(|v| {
-                let d_out = self.graph.out_degree(v);
-                let imp =
-                    if d_out == 0 { 0.0 } else { self.graph.in_degree(v) as f64 / d_out as f64 };
-                (imp, v.0)
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        ranked.into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// Seeds the hot set: walk the importance ranking, take adjacency rows
-    /// while they fit the budget, then insert the chosen prefix in reverse
-    /// so the *least* important hot row is also the least recently used —
-    /// the first demotion victim.
-    fn seed_hot_set(&self) {
-        let ranking = self.importance_ranking();
-        let mut chosen = Vec::new();
-        let mut bytes = 0u64;
-        for &v in &ranking {
-            let nbrs = self.graph.out_neighbors(VertexId(v));
-            let sz = 32
-                + nbrs.len() as u64 * 24
-                + if nbrs.is_empty() { 0 } else { nbrs.len() as u64 * 4 };
-            if let Some(budget) = self.cfg.resident_budget {
-                if bytes + sz > budget {
-                    continue;
-                }
+        };
+        {
+            // Least important first, so the least important hot row is also
+            // the least recently used — the first demotion victim.
+            let mut state = store.state.lock();
+            for &v in seeds.iter().rev() {
+                let nbrs: Arc<[Neighbor]> = store.graph.out_neighbors(VertexId(v)).into();
+                let cdf = build_cdf(&nbrs);
+                store.admit(
+                    &mut state,
+                    RowKey { kind: KIND_ADJ, vertex: v },
+                    HotRow::Adjacency { nbrs, cdf },
+                );
             }
-            bytes += sz;
-            chosen.push(v);
+            store.publish_gauges(&state);
         }
-        let mut state = self.state.lock();
-        for &v in chosen.iter().rev() {
-            let nbrs: Arc<[Neighbor]> = self.graph.out_neighbors(VertexId(v)).into();
-            let cdf = if nbrs.is_empty() { Arc::from(Vec::new()) } else { build_cdf(&nbrs) };
-            self.admit(
-                &mut state,
-                RowKey { kind: KIND_ADJ, vertex: v },
-                HotRow::Adjacency { nbrs, cdf },
-            );
-        }
-        self.publish_gauges(&state);
+        Arc::new(store)
     }
 
     /// Encodes every vertex's feature row into its owner shard's feature
@@ -501,12 +545,11 @@ impl TieredStore {
             self.metrics.segment_bytes.set(state.segment_bytes() as i64);
         }
         // Admit hot feature rows for the importance prefix that still fits.
-        let ranking = self.importance_ranking();
         let row_sz = 32 + features.dim as u64 * 4;
         let mut state = self.state.lock();
         let mut chosen = Vec::new();
         let mut bytes = state.hot_bytes;
-        for &v in &ranking {
+        for &v in &self.ranking {
             if let Some(budget) = self.cfg.resident_budget {
                 if bytes + row_sz > budget {
                     break;
@@ -570,37 +613,23 @@ impl TieredStore {
     }
 
     /// Reads one adjacency row (with its weight CDF) through the tier.
-    /// Always bit-exact against `graph.out_neighbors(v)`; the second tuple
+    /// Always bit-exact against `graph.out_neighbors(v)`; the third tuple
     /// element says how the read was served.
     pub fn read_adjacency(&self, v: VertexId) -> (Arc<[Neighbor]>, Arc<[f32]>, TierRead) {
-        let key = RowKey { kind: KIND_ADJ, vertex: v.0 };
         let mut state = self.state.lock();
-        if let Some(HotRow::Adjacency { nbrs, cdf }) = state.hot.get(&key) {
-            let out = (Arc::clone(nbrs), Arc::clone(cdf), TierRead::Hot);
-            self.metrics.read(TierRead::Hot);
-            return out;
-        }
-        if let Some((nbrs, cdf)) = state.prefetch_active.remove(&v.0) {
-            self.admit(
-                &mut state,
-                key,
-                HotRow::Adjacency { nbrs: Arc::clone(&nbrs), cdf: Arc::clone(&cdf) },
-            );
-            self.publish_gauges(&state);
-            self.metrics.read(TierRead::Prefetched);
-            return (nbrs, cdf, TierRead::Prefetched);
-        }
-        let (nbrs, how) = self.decode_adjacency_row(&state, v);
-        let cdf: Arc<[f32]> =
-            if nbrs.is_empty() { Arc::from(Vec::new()) } else { build_cdf(&nbrs) };
-        self.admit(
-            &mut state,
-            key,
-            HotRow::Adjacency { nbrs: Arc::clone(&nbrs), cdf: Arc::clone(&cdf) },
-        );
-        self.publish_gauges(&state);
-        self.metrics.read(how);
+        let (how, row) = self.read_row(&mut state, v, true);
+        // invariant: `read_row` returns the row whenever it is asked to.
+        let (nbrs, cdf) = row.expect("row was requested");
         (nbrs, cdf, how)
+    }
+
+    /// Meters one adjacency read of `v` from `shard` without handing out the
+    /// data — what [`crate::server::GraphServer::classify`] needs: residency
+    /// check, hot lookup and cold decode under one lock, no `Arc` cloned.
+    /// `None` when `v` is not resident on `shard`.
+    pub(crate) fn classify(&self, shard: usize, v: VertexId) -> Option<TierRead> {
+        let mut state = self.state.lock();
+        state.is_resident(shard, v.0).then(|| self.read_row(&mut state, v, false).0)
     }
 
     /// The weight CDF of `v`'s adjacency (`None` for isolated vertices).
@@ -613,21 +642,93 @@ impl TieredStore {
         }
     }
 
-    fn decode_adjacency_row(&self, state: &TierState, v: VertexId) -> (Arc<[Neighbor]>, TierRead) {
+    /// The one adjacency read every entry point goes through: the hot set,
+    /// then the prefetch stage, then a cold decode into the reused row
+    /// buffer. Counts the read by source, applies the admission rule to a
+    /// row that was not hot, and materialises `Arc`s only for a row that is
+    /// admitted or that the caller asked for (`want_row`) — a pass-through
+    /// row nobody asked for stays in the buffer.
+    fn read_row(
+        &self,
+        state: &mut TierState,
+        v: VertexId,
+        want_row: bool,
+    ) -> (TierRead, Option<SharedRow>) {
+        let key = RowKey { kind: KIND_ADJ, vertex: v.0 };
+        if let Some(HotRow::Adjacency { nbrs, cdf }) = state.hot.get(&key) {
+            self.metrics.read(TierRead::Hot);
+            return (TierRead::Hot, want_row.then(|| (Arc::clone(nbrs), Arc::clone(cdf))));
+        }
+        // A staged row serves the reads its frontier announced.
+        let staged = state.prefetch_active.get_mut(&v.0).map(|staged| {
+            staged.served += 1;
+            (staged.row.clone(), staged.served >= staged.announced)
+        });
+        let how = match staged {
+            Some(_) => TierRead::Prefetched,
+            None => self.decode_cold(state, v),
+        };
+        self.metrics.read(how);
+        let degree = staged.as_ref().map_or(state.row_nbrs.len(), |((nbrs, _), _)| nbrs.len());
+        let admitted = self.admits(v.0, degree);
+        if staged.as_ref().is_some_and(|&(_, spent)| admitted || spent) {
+            // An admitted row moves from the stage to the hot set; a
+            // pass-through row leaves with its last announced read.
+            state.prefetch_active.remove(&v.0);
+        }
+        if !(admitted || want_row) {
+            return (how, None);
+        }
+        let (nbrs, cdf) = staged.map_or_else(|| state.shared_row(), |(row, _)| row);
+        if admitted {
+            let row = HotRow::Adjacency { nbrs: Arc::clone(&nbrs), cdf: Arc::clone(&cdf) };
+            self.admit(state, key, row);
+            self.publish_gauges(state);
+        }
+        (how, want_row.then_some((nbrs, cdf)))
+    }
+
+    /// The admission rule for an adjacency row that is not hot: `Imp(v) ≥ τ`
+    /// and the row fits the budget alone. Counted where it is decided
+    /// (`tier.admit{outcome}`).
+    fn admits(&self, v: u32, degree: usize) -> bool {
+        let oversized = self.cfg.resident_budget.is_some_and(|b| adjacency_bytes(degree) > b);
+        let admitted = self.is_important(v) && !oversized;
+        if admitted {
+            self.metrics.admit_admitted.inc();
+        } else {
+            self.metrics.admit_bypassed.inc();
+        }
+        admitted
+    }
+
+    /// The importance half of the admission rule: `Imp(v) ≥ τ`.
+    fn is_important(&self, v: u32) -> bool {
+        self.importance.get(v as usize).is_some_and(|&imp| imp >= self.tau)
+    }
+
+    /// Decodes `v`'s adjacency row and its weight CDF, in one pass, into the
+    /// reused row buffer from the newest segment generation holding the row,
+    /// metering the cold I/O.
+    fn decode_cold(&self, state: &mut TierState, v: VertexId) -> TierRead {
+        let TierState { adj_segments, row_nbrs, row_cdf, .. } = state;
         let shard = self.owner.get(v.index()).copied().unwrap_or(0) as usize;
-        if let Some(gens) = state.adj_segments.get(shard) {
+        if let Some(gens) = adj_segments.get(shard) {
             for seg in gens.iter().rev() {
                 if let Some(bytes) = seg.lookup(v.0) {
-                    if let Ok(nbrs) = decode_adjacency(bytes) {
+                    if decode_adjacency_into(bytes, row_nbrs, Some(row_cdf)).is_ok() {
                         self.io_meter.record(AccessKind::Cold, bytes.len() as u64, &self.cost);
-                        return (nbrs.into(), TierRead::Cold);
+                        return TierRead::Cold;
                     }
                 }
             }
         }
         // Not in any generation (or undecodable): serve from the shared
         // graph — correctness never depends on the cold copy.
-        (self.graph.out_neighbors(v).into(), TierRead::Materialized)
+        row_nbrs.clear();
+        row_nbrs.extend_from_slice(self.graph.out_neighbors(v));
+        fill_cdf(row_nbrs, row_cdf);
+        TierRead::Materialized
     }
 
     /// Reads one feature row through the tier. `None` when no features are
@@ -690,43 +791,48 @@ impl TieredStore {
         self.publish_gauges(&state);
     }
 
-    /// Announces the next sampling frontier: decodes each cold adjacency
-    /// row into the standby buffer (deterministic issue order — sorted,
-    /// deduplicated) and swaps buffers. Rows left unread in the old buffer
+    /// Announces the next sampling frontier of the worker on `shard`:
+    /// decodes each adjacency row that is resident there and not hot into
+    /// the standby buffer (deterministic issue order — sorted,
+    /// deduplicated) and swaps buffers. Rows resident elsewhere are left
+    /// alone — that worker reads them through its neighbor cache or
+    /// remotely, never from the tier. Rows left unread in the old buffer
     /// count as wasted prefetch. Decode cost lands on the overlapped
     /// storage clock, not the blocking one. Returns how many rows were
     /// issued.
-    pub fn prefetch(&self, frontier: &[VertexId]) -> usize {
-        let mut ids: Vec<u32> = frontier
-            .iter()
-            .map(|v| v.0)
-            .filter(|&v| (v as usize) < self.graph.num_vertices())
-            .collect();
+    pub fn prefetch(&self, shard: usize, frontier: &[VertexId]) -> usize {
+        let mut ids: Vec<u32> = frontier.iter().map(|v| v.0).collect();
         ids.sort_unstable();
-        ids.dedup();
-        let mut state = self.state.lock();
-        let mut standby = HashMap::with_capacity(ids.len());
-        let mut issued = 0usize;
+        // Each distinct id with how often the frontier names it.
+        let mut runs: Vec<(u32, u32)> = Vec::with_capacity(ids.len());
         for v in ids {
+            match runs.last_mut() {
+                Some((last, announced)) if *last == v => *announced += 1,
+                _ => runs.push((v, 1)),
+            }
+        }
+        let mut state = self.state.lock();
+        let mut standby = HashMap::with_capacity(runs.len());
+        let mut issued = 0usize;
+        for (v, announced) in runs {
             let key = RowKey { kind: KIND_ADJ, vertex: v };
-            if state.hot.peek(&key).is_some() {
+            if !state.is_resident(shard, v) || state.hot.peek(&key).is_some() {
                 continue;
             }
-            if let Some(entry) = state.prefetch_active.remove(&v) {
+            if let Some(staged) = state.prefetch_active.remove(&v) {
                 // Still staged from the previous frontier: carry it over
                 // without re-decoding.
-                standby.insert(v, entry);
+                standby.insert(v, Staged { row: staged.row, announced, served: 0 });
                 continue;
             }
-            let (nbrs, _) = self.decode_adjacency_row(&state, VertexId(v));
-            let cdf: Arc<[f32]> =
-                if nbrs.is_empty() { Arc::from(Vec::new()) } else { build_cdf(&nbrs) };
+            self.decode_cold(&mut state, VertexId(v));
             self.metrics.prefetch_virtual_ns.add(self.cost.cold_ns);
-            standby.insert(v, (nbrs, cdf));
+            standby.insert(v, Staged { row: state.shared_row(), announced, served: 0 });
             issued += 1;
         }
         self.metrics.prefetch_issued.add(issued as u64);
-        self.metrics.prefetch_wasted.add(state.prefetch_active.len() as u64);
+        let wasted = state.prefetch_active.values().filter(|staged| staged.served == 0).count();
+        self.metrics.prefetch_wasted.add(wasted as u64);
         state.prefetch_active = standby;
         issued
     }
@@ -778,19 +884,24 @@ impl TieredStore {
     /// resident on `shard`) — the tiered form of
     /// [`crate::server::GraphServer::extract`].
     pub fn extract(&self, shard: usize, v: VertexId) -> Option<VertexRecord> {
-        if !self.is_resident(shard, v.0) {
+        let mut state = self.state.lock();
+        if !state.is_resident(shard, v.0) {
             return None;
         }
-        let (nbrs, cdf, _) = self.read_adjacency(v);
+        let (nbrs, cdf) = self.read_row(&mut state, v, true).1?;
         Some(VertexRecord { vertex: v, neighbors: nbrs.iter().copied().collect(), weight_cdf: cdf })
     }
 
-    /// Installs one migrated vertex record as resident on `shard` (and hot
-    /// — a freshly migrated row is about to be read).
+    /// Installs one migrated vertex record as resident on `shard` — and hot
+    /// (a freshly migrated row is about to be read) when the admission rule
+    /// takes it.
     pub fn absorb(&self, shard: usize, rec: VertexRecord) {
         self.ensure_shard(shard);
         let mut state = self.state.lock();
         state.set_resident(shard, rec.vertex.0, true);
+        if !self.admits(rec.vertex.0, rec.neighbors.len()) {
+            return;
+        }
         let nbrs: Arc<[Neighbor]> = rec.neighbors.into();
         self.admit(
             &mut state,
@@ -858,6 +969,41 @@ impl TieredStore {
     }
 }
 
+/// Walks the importance ranking and returns the adjacency rows to seed hot
+/// — the ranked prefix that fits `budget` — with the admission threshold
+/// `τ`: the importance of the first ranked row that did not fit. A row that
+/// alone exceeds the whole budget is skipped (it is never admitted), and
+/// the walk stops at the cut rather than packing smaller rows from further
+/// down into the remainder: one of those would seed a row the threshold
+/// then keeps out, and taking `τ` from it would collapse the threshold to
+/// the tail's importance. `τ` is 0 — every row qualifies, plain LRU — with
+/// no budget, when everything fits, and when every row of positive
+/// importance fits and the cut falls among the `Imp = 0` rows, where
+/// importance no longer ranks anything and recency is the only signal left
+/// for the remainder.
+fn plan_hot_set(
+    graph: &AttributedHeterogeneousGraph,
+    importance: &[f64],
+    ranking: &[u32],
+    budget: Option<u64>,
+) -> (Vec<u32>, f64) {
+    let Some(budget) = budget else { return (ranking.to_vec(), 0.0) };
+    let mut seeds = Vec::new();
+    let mut bytes = 0u64;
+    for &v in ranking {
+        let sz = adjacency_bytes(graph.out_degree(VertexId(v)));
+        if sz > budget {
+            continue;
+        }
+        if bytes + sz > budget {
+            return (seeds, importance[v as usize]);
+        }
+        bytes += sz;
+        seeds.push(v);
+    }
+    (seeds, 0.0)
+}
+
 fn segment_path(dir: &std::path::Path, shard: usize, kind: SegmentKind, gen: usize) -> PathBuf {
     let k = match kind {
         SegmentKind::Adjacency => "adj",
@@ -874,6 +1020,13 @@ mod tests {
     use aligraph_partition::{EdgeCutHash, Partitioner};
 
     fn setup(budget: Option<u64>) -> (Arc<AttributedHeterogeneousGraph>, Arc<TieredStore>) {
+        setup_registered(budget, &Registry::disabled())
+    }
+
+    fn setup_registered(
+        budget: Option<u64>,
+        registry: &Registry,
+    ) -> (Arc<AttributedHeterogeneousGraph>, Arc<TieredStore>) {
         let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
         let part = EdgeCutHash.partition(&g, 4);
         let owners: Vec<u32> = g.vertices().map(|v| part.owner_of(v).0).collect();
@@ -883,10 +1036,16 @@ mod tests {
             4,
             TierConfig::with_budget(budget),
             CostModel::default(),
-            &Registry::disabled(),
+            registry,
         )
         .unwrap();
         (g, store)
+    }
+
+    impl TieredStore {
+        fn is_hot(&self, v: VertexId) -> bool {
+            self.state.lock().hot.peek(&RowKey { kind: KIND_ADJ, vertex: v.0 }).is_some()
+        }
     }
 
     #[test]
@@ -914,13 +1073,21 @@ mod tests {
 
     #[test]
     fn budget_is_enforced_with_lru_demotion() {
-        let (g, store) = setup(Some(2_000));
+        let registry = Registry::new();
+        let (g, store) = setup_registered(Some(2_000), &registry);
         assert!(store.resident_bytes() <= 2_000);
         for v in g.vertices() {
             store.read_adjacency(v);
             assert!(store.resident_bytes() <= 2_000, "budget burst at {v:?}");
         }
         assert!(store.peak_resident_bytes() <= 2_000);
+        // The sweep did press on the budget: the rows at the threshold do
+        // not all fit, so admitting one demoted another, while the rows
+        // below it passed through.
+        let snap = registry.snapshot();
+        assert!(snap.counter_total("tier.demotions") > 0, "no demotion: vacuous");
+        assert!(snap.counter("tier.admit", &[("outcome", "admitted")]) > 0);
+        assert!(snap.counter("tier.admit", &[("outcome", "bypassed")]) > 0);
         // Infinite budget: everything stays hot after a full sweep.
         let (g2, store2) = setup(None);
         for v in g2.vertices() {
@@ -938,9 +1105,8 @@ mod tests {
     #[test]
     fn importance_seeding_puts_hubs_hot() {
         let (g, store) = setup(Some(6_000));
-        let ranking = store.importance_ranking();
         // The top-ranked vertex must be served hot right away.
-        let top = VertexId(ranking[0]);
+        let top = VertexId(store.ranking[0]);
         assert!(matches!(store.read_adjacency(top).2, TierRead::Hot));
         let _ = g;
     }
@@ -958,16 +1124,19 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        // Overwrite a row, force demotion pressure, then read it back.
+        // Overwrite a row, force demotion pressure, then read it back. The
+        // pressure is a feature-row sweep: feature rows are always admitted,
+        // where most adjacency rows of this graph pass through.
         let v0 = g.vertices().next().unwrap();
         let new_row: Vec<f32> = (0..8).map(|i| i as f32 * 0.25).collect();
         store.write_row(v0, &new_row);
-        for v in g.vertices().take(400) {
-            store.read_adjacency(v);
+        for v in g.vertices().skip(1).take(400) {
+            store.feature_row(v).unwrap();
         }
         store.flush_writeback().unwrap();
-        let (row, _) = store.feature_row(v0).unwrap();
+        let (row, how) = store.feature_row(v0).unwrap();
         assert_eq!(&row[..], &new_row[..], "dirty row survived demotion via writeback");
+        assert_eq!(how, TierRead::Cold, "the row was demoted and came back from its segment");
     }
 
     #[test]
@@ -993,9 +1162,10 @@ mod tests {
         store.attach_features(&features).unwrap();
         let v0 = g.vertices().next().unwrap();
         store.write_row(v0, &[9.0; 8]);
-        // Evict v0 by touching everything else.
-        for v in g.vertices() {
-            store.read_adjacency(v);
+        // Evict v0 by touching every other feature row (always admitted;
+        // most adjacency rows of this graph would pass through instead).
+        for v in g.vertices().skip(1) {
+            store.feature_row(v).unwrap();
         }
         let (row, _) = store.feature_row(v0).unwrap();
         assert_ne!(&row[..], &[9.0; 8], "DropDirty must lose the write (teeth)");
@@ -1003,26 +1173,187 @@ mod tests {
 
     #[test]
     fn prefetch_overlaps_and_double_buffers() {
-        let (g, store) = setup(Some(2_000));
-        let frontier: Vec<VertexId> = g.vertices().skip(50).take(16).collect();
-        let issued = store.prefetch(&frontier);
-        assert!(issued > 0);
-        assert!(
-            store.is_prefetched(frontier[0]) || {
-                // Hot rows are skipped by prefetch; at least one cold row must
-                // have been staged given the tight budget.
-                frontier.iter().any(|&v| store.is_prefetched(v))
-            }
-        );
-        let staged = frontier.iter().find(|&&v| store.is_prefetched(v)).copied().unwrap();
-        let (_, _, how) = store.read_adjacency(staged);
+        let registry = Registry::new();
+        let (g, store) = setup_registered(Some(2_000), &registry);
+        // A row the admission rule takes but the seeded prefix did not
+        // reach, a pass-through row of the same shard, and a stretch of
+        // vertices of every shard.
+        let qualifying =
+            g.vertices().find(|&v| store.is_important(v.0) && !store.is_hot(v)).unwrap();
+        let shard = store.owner[qualifying.index()] as usize;
+        let bypassed = g
+            .vertices()
+            .find(|&v| !store.is_important(v.0) && store.is_resident(shard, v.0))
+            .unwrap();
+        let frontier: Vec<VertexId> =
+            g.vertices().skip(50).take(16).chain([qualifying, bypassed, bypassed]).collect();
+        let expected: Vec<bool> =
+            frontier.iter().map(|&v| store.is_resident(shard, v.0) && !store.is_hot(v)).collect();
+        let issued = store.prefetch(shard, &frontier);
+        // Staged: exactly the rows resident on the issuing shard and not hot.
+        assert_eq!(issued + 1, expected.iter().filter(|&&e| e).count(), "one row is named twice");
+        assert!(expected.contains(&false), "the frontier must also hold rows that are skipped");
+        for (&v, &want) in frontier.iter().zip(&expected) {
+            assert_eq!(store.is_prefetched(v), want, "{v:?}");
+        }
+        let (_, _, how) = store.read_adjacency(qualifying);
         assert_eq!(how, TierRead::Prefetched);
         // Second read of the same row is hot now.
-        assert_eq!(store.read_adjacency(staged).2, TierRead::Hot);
-        // A new frontier swaps the double buffer; unread rows count wasted.
-        let issued2 = store.prefetch(&g.vertices().take(8).collect::<Vec<_>>());
-        let _ = issued2;
-        assert!(!store.is_prefetched(staged));
+        assert_eq!(store.read_adjacency(qualifying).2, TierRead::Hot);
+        assert!(!store.is_prefetched(qualifying), "an admitted row leaves the stage");
+        // A staged pass-through row is admitted nowhere and serves exactly
+        // the reads its frontier announced: named twice, it is decoded once,
+        // served twice, and gone.
+        let resident = store.resident_bytes();
+        assert_eq!(store.read_adjacency(bypassed).2, TierRead::Prefetched);
+        assert_eq!(store.read_adjacency(bypassed).2, TierRead::Prefetched);
+        assert_eq!(store.read_adjacency(bypassed).2, TierRead::Cold);
+        assert_eq!(store.resident_bytes(), resident);
+        // A new frontier swaps the double buffer: a row it names again is
+        // carried over, the rest are gone — the ones never read as wasted.
+        let unread: Vec<VertexId> =
+            frontier.iter().copied().filter(|&v| store.is_prefetched(v)).collect();
+        assert!(unread.len() > 1);
+        assert_eq!(store.prefetch(shard, &unread[..1]), 0, "carried over, not decoded again");
+        assert!(store.is_prefetched(unread[0]));
+        assert!(!unread[1..].iter().any(|&v| store.is_prefetched(v)));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("tier.prefetch.issued", &[]), issued as u64);
+        assert_eq!(snap.counter("tier.prefetch.wasted", &[]), unread.len() as u64 - 1);
+    }
+
+    #[test]
+    fn cluster_prefetch_stages_only_rows_local_to_the_issuing_worker() {
+        use crate::cluster::Cluster;
+        use aligraph_partition::WorkerId;
+        let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
+        let registry = Registry::new();
+        let (cluster, _) = Cluster::builder(Arc::clone(&g))
+            .shards(2)
+            .registry(&registry)
+            .tier_config(TierConfig::with_budget(Some(2_000)))
+            .build();
+        let tier = cluster.tier().unwrap();
+        // A mixed frontier: both shards' vertices, hot and cold rows.
+        let frontier: Vec<VertexId> = g.vertices().collect();
+        let local_cold: Vec<VertexId> = frontier
+            .iter()
+            .copied()
+            .filter(|&v| tier.is_resident(0, v.0) && !tier.is_hot(v))
+            .collect();
+        assert!(!local_cold.is_empty() && local_cold.len() < frontier.len());
+        assert!(frontier.iter().any(|&v| tier.is_resident(0, v.0) && tier.is_hot(v)));
+        let issued = cluster.prefetch(WorkerId(0), &frontier);
+        assert_eq!(issued, local_cold.len(), "issued = the local rows that were not hot");
+        for &v in &frontier {
+            assert_eq!(tier.is_prefetched(v), local_cold.contains(&v), "{v:?}");
+        }
+        // Everything staged is something worker 0 reads from the tier:
+        // nothing is wasted when the frontier is then read.
+        for &v in &frontier {
+            cluster.neighbors_from(WorkerId(0), v, 1).unwrap();
+        }
+        cluster.prefetch(WorkerId(0), &[]);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("tier.prefetch.issued", &[]), issued as u64);
+        assert_eq!(snap.counter("tier.prefetch.wasted", &[]), 0);
+        // An out-of-range worker and an untiered cluster issue nothing.
+        assert_eq!(cluster.prefetch(WorkerId(7), &frontier), 0);
+        let (untiered, _) = Cluster::builder(g).shards(2).build();
+        assert_eq!(untiered.prefetch(WorkerId(0), &frontier), 0);
+    }
+
+    /// One hub larger than the whole budget, ten mid rows that tie on
+    /// importance and overflow the budget between them, and a tail of
+    /// `Imp = 0` singletons small enough to fit any remainder.
+    fn hub_and_singletons() -> Arc<AttributedHeterogeneousGraph> {
+        use aligraph_graph::{EdgeType, GraphBuilder, VertexType};
+        let mut b = GraphBuilder::directed();
+        b.add_vertices(VertexType(0), 111);
+        let mut edge = |s: u32, d: u32| {
+            b.add_edge(VertexId(s), VertexId(d), EdgeType(0), 1.0).unwrap();
+        };
+        for item in 1..=10u32 {
+            // Hub 0: 40 out-edges (1 152 B decoded), in-edges from every
+            // singleton: Imp = 100 / 40 = 2.5, the top of the ranking.
+            for _ in 0..4 {
+                edge(0, item);
+            }
+            // Items 1..=10: 5 out-edges (172 B), 9 in-edges: Imp = 1.8.
+            for k in 1..=5 {
+                edge(item, (item - 1 + k) % 10 + 1);
+            }
+        }
+        // Singletons 11..=110: one out-edge (60 B), no in-edge: Imp = 0.
+        for single in 11..=110u32 {
+            edge(single, 0);
+        }
+        Arc::new(b.build())
+    }
+
+    #[test]
+    fn threshold_sits_at_the_cut_and_gates_admission() {
+        let g = hub_and_singletons();
+        let registry = Registry::new();
+        let store = TieredStore::build(
+            Arc::clone(&g),
+            &vec![0; g.num_vertices()],
+            1,
+            TierConfig::with_budget(Some(1_000)),
+            CostModel::default(),
+            &registry,
+        )
+        .unwrap();
+        let (hub, seeded, at_cut, single) = (VertexId(0), VertexId(5), VertexId(6), VertexId(11));
+        // Five 172 B items fit 1 000 B, the sixth is the cut. The hub ranks
+        // above them all and is skipped, not taken for the threshold; the
+        // 60 B singletons that would fit the remainder are not seeded, and
+        // their importance is not the threshold.
+        assert_eq!(store.tau, 1.8);
+        assert_eq!(store.resident_bytes(), 5 * 172);
+        assert!(store.is_hot(seeded) && !store.is_hot(at_cut) && !store.is_hot(hub));
+        let demotions = || registry.snapshot().counter_total("tier.demotions");
+        let admit = |outcome| registry.snapshot().counter("tier.admit", &[("outcome", outcome)]);
+        // The hub is important enough but never fits: cold every time,
+        // evicting nothing. A singleton is below the threshold: the same.
+        for v in [hub, hub, single, single] {
+            let (nbrs, cdf, how) = store.read_adjacency(v);
+            assert_eq!(how, TierRead::Cold);
+            assert_eq!(&nbrs[..], g.out_neighbors(v));
+            assert_eq!(cdf.len(), nbrs.len());
+            assert!(!store.is_hot(v));
+        }
+        assert_eq!((demotions(), store.resident_bytes()), (0, 5 * 172));
+        assert_eq!((admit("admitted"), admit("bypassed")), (0, 4));
+        // A row at the threshold qualifies: cold once, then hot, at the
+        // price of the least recently used seeded row.
+        assert_eq!(store.read_adjacency(at_cut).2, TierRead::Cold);
+        assert_eq!(store.read_adjacency(at_cut).2, TierRead::Hot);
+        assert_eq!((demotions(), store.resident_bytes()), (1, 5 * 172));
+        assert_eq!((admit("admitted"), admit("bypassed")), (1, 4));
+        assert!(!store.is_hot(seeded), "the least important seeded row went first");
+        assert!(store.peak_resident_bytes() <= 1_000);
+
+        // A budget that holds the hub and every item puts the cut inside the
+        // `Imp = 0` tail, where importance ranks nothing: the threshold is 0
+        // and the remainder is plain LRU over the singletons.
+        let roomy = TieredStore::build(
+            Arc::clone(&g),
+            &vec![0; g.num_vertices()],
+            1,
+            TierConfig::with_budget(Some(3_000)),
+            CostModel::default(),
+            &Registry::disabled(),
+        )
+        .unwrap();
+        assert_eq!(roomy.tau, 0.0);
+        assert_eq!(roomy.resident_bytes(), 1_152 + 10 * 172 + 2 * 60);
+        assert!(roomy.is_hot(hub) && roomy.is_hot(at_cut) && roomy.is_hot(single));
+        let unseeded = VertexId(20);
+        assert_eq!(roomy.read_adjacency(unseeded).2, TierRead::Cold);
+        assert_eq!(roomy.read_adjacency(unseeded).2, TierRead::Hot);
+        assert!(!roomy.is_hot(VertexId(12)), "the last seeded singleton made room");
+        assert!(roomy.peak_resident_bytes() <= 3_000);
     }
 
     #[test]
@@ -1113,5 +1444,10 @@ mod tests {
             + snap.counter("tier.reads", &[("src", "materialized")]);
         assert_eq!(reads, 50);
         assert!(snap.counter("tier.io.ops", &[("tier", "cold")]) > 0);
+        // Every read that was not hot took exactly one admission decision.
+        assert_eq!(
+            snap.counter_total("tier.admit"),
+            reads - snap.counter("tier.reads", &[("src", "hot")])
+        );
     }
 }
