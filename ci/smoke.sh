@@ -4,7 +4,11 @@
 # then validates the JSON (schema, producing command, and for each expected
 # prefix at least one series the run actually recorded into — a prefix
 # whose series are all zero fails) and, where the row names a committed
-# baseline, diffs the run against it with ci/compare_bench.py.
+# baseline, diffs the run against it with ci/compare_bench.py. A baseline
+# row compares values unless it says --presence-only: closed-loop,
+# rebalance-bench and tiered-bench are seeded and lock-stepped (every series
+# that is not a wall clock repeats exactly); serve-under-update's counters
+# follow its updater thread's timing.
 #
 #   ci/smoke.sh            run every row
 #   ci/smoke.sh <name>...  run the named rows
@@ -22,9 +26,9 @@ serve-under-update   | serve-under-update | --requests 200000 --clients 2 --work
 serve-under-update-chaos | serve-under-update | --fault-seed 42 --drop-rate 0.2 --requests 200000 --clients 2 --workers 2 --scale 0.02 --update-every-ms 1 --slo-p99-ms 250 | streaming.ingest.lag_ticks chaos.faults_injected |
 closed-loop          | closed-loop        | --cycles 4 --seed 42 --slo-freshness-ticks 200 | loop.freshness_ticks loop.cycles streaming.ingest. runtime.ps. | BENCH_closed_loop.json
 closed-loop-chaos    | closed-loop        | --cycles 2 --seed 42 --fault-seed 7 --drop-rate 0.2 --slo-freshness-ticks 200 | loop.freshness_ticks chaos.faults_injected |
-rebalance-bench      | rebalance-bench    | --workers 4 --epochs 3 --scale 0.01 --merge 1 | topology.migration. | BENCH_rebalance.json --presence-only
+rebalance-bench      | rebalance-bench    | --workers 4 --epochs 3 --scale 0.01 --merge 1 | topology.migration. | BENCH_rebalance.json
 rebalance-bench-chaos | rebalance-bench   | --workers 4 --epochs 3 --scale 0.01 --fault-seed 7 --drop-rate 0.2 | topology.migration. chaos.faults_injected |
-tiered-bench         | tiered-bench       | --scale 10 --workers 4 --resident-budget 1000000 | tier.reads tier.resident_bytes tier.io. tier.admit | BENCH_tiered_storage.json --presence-only
+tiered-bench         | tiered-bench       | --scale 10 --workers 4 --resident-budget 1000000 | tier.reads tier.resident_bytes tier.io. tier.admit | BENCH_tiered_storage.json
 "
 
 ran=0

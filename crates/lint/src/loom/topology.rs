@@ -32,7 +32,7 @@ use std::sync::Arc;
 /// migrate to shard 2, the split target), 2 and 3 start on shard 1.
 const OWNERS: [u32; 4] = [0, 0, 1, 1];
 /// Shard slots (slot 2 is the pre-allocated split target, live from the
-/// start so replica walks stay stable).
+/// start so the live table never changes length).
 const SLOTS: usize = 3;
 /// The vertices the migrator moves, in order.
 const MOVES: [u32; 2] = [0, 1];
@@ -139,7 +139,7 @@ impl VThread<TopoState> for Migrator {
         // All vertices cut over: publish the next epoch, retiring the
         // source copies under the write lock so no reader can route by the
         // new epoch against mid-retirement state.
-        let cur = s.topo.view();
+        let cur = s.topo.pin();
         let next = cur.advance(
             Arc::new(s.residency.snapshot()),
             Arc::new((0..SLOTS).map(|slot| cur.is_live(slot as u32)).collect()),
@@ -200,7 +200,7 @@ impl VThread<TopoState> for Reader {
             return;
         }
         let pin = s.topo.pin();
-        if let Err(m) = pin.view().verify() {
+        if let Err(m) = pin.verify() {
             s.errors.push(m);
         }
         if pin.epoch() < self.last_epoch {
@@ -266,7 +266,7 @@ impl Workload for TopologyWorkload {
     fn setup(&self) -> (TopoState, Threads<TopoState>) {
         let owners: Arc<Vec<u32>> = Arc::new(OWNERS.to_vec());
         let live = Arc::new(vec![true; SLOTS]);
-        let view = TopologyView::new(0, Arc::clone(&owners), live, 1);
+        let view = TopologyView::new(0, Arc::clone(&owners), live);
         let mut data = vec![[false; SLOTS]; OWNERS.len()];
         for (v, &o) in OWNERS.iter().enumerate() {
             data[v][o as usize] = true;
@@ -307,7 +307,7 @@ impl Workload for TopologyWorkload {
             // visible mid-flight.
             return state.split.verify();
         }
-        let view = state.topo.view();
+        let view = state.topo.pin();
         view.verify()?;
         if view.epoch() != 1 {
             return Err(format!("final epoch {} != 1 after one publish", view.epoch()));

@@ -3,7 +3,6 @@
 //! backpressure, not unbounded buffering).
 
 use aligraph_graph::VertexId;
-use aligraph_storage::ExecutorStopped;
 use std::fmt;
 
 /// Why a serving request could not be answered.
@@ -21,8 +20,6 @@ pub enum ServeError {
     ShuttingDown,
     /// The vertex id is outside the served graph.
     UnknownVertex(VertexId),
-    /// A storage-layer bucket executor stopped underneath the service.
-    Storage(ExecutorStopped),
     /// The shard fetch for the vertex exhausted its retry deadline and the
     /// fallback embedding is stale beyond the configured version bound, so
     /// degraded mode refuses to serve it.
@@ -46,7 +43,6 @@ impl fmt::Display for ServeError {
             ),
             ServeError::ShuttingDown => write!(f, "serving service is shutting down"),
             ServeError::UnknownVertex(v) => write!(f, "vertex {} is not in the served graph", v.0),
-            ServeError::Storage(e) => write!(f, "storage layer stopped: {e}"),
             ServeError::Unavailable { vertex, stale_by, bound } => write!(
                 f,
                 "vertex {} unavailable: shard fetch exhausted retries and the \
@@ -58,9 +54,3 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-impl From<ExecutorStopped> for ServeError {
-    fn from(e: ExecutorStopped) -> Self {
-        ServeError::Storage(e)
-    }
-}

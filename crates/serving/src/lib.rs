@@ -44,14 +44,12 @@
 pub mod batcher;
 pub mod error;
 pub mod metrics;
-pub mod router;
 pub mod service;
 pub mod swap;
 
 pub use aligraph_sampling::plane::EpochView;
 pub use error::ServeError;
 pub use metrics::{ServingMetrics, ServingReport};
-pub use router::{ReplicaRouter, RouteDecision};
 pub use service::{
     affected_seeds, ServedEmbedding, ServingConfig, ServingFaultConfig, ServingService,
 };

@@ -11,26 +11,24 @@
 //! Membership is *elastic*: the builder seeds a versioned
 //! [`crate::topology::Topology`] (epoch 0 = the logical
 //! partition) and routing goes through it —
-//! [`route_replica`](Cluster::route_replica) returns a load-ranked
-//! [`ReplicaSet`] instead of a bare worker id, and
-//! [`rebalance`](Cluster::rebalance) (see [`crate::migrate`]) splits or
-//! merges shards while both sides keep serving. The *logical* partition
-//! stays fixed for the life of the run (it drives sampling streams and the
-//! training worker count); only physical residency moves.
+//! [`primary_of`](Cluster::primary_of) reads the current epoch's owner
+//! table, and [`rebalance`](Cluster::rebalance) (see [`crate::migrate`])
+//! splits or merges shards while both sides keep serving. The *logical*
+//! partition stays fixed for the life of the run (it drives sampling streams
+//! and the training worker count); only physical residency moves.
 
 use crate::cost::{AccessKind, AccessStats, CostModel, TierMeter};
 use crate::neighbor_cache::{CacheStrategy, NeighborCache};
 use crate::segment::SegmentError;
 use crate::server::GraphServer;
 use crate::tier::{TierConfig, TieredStore};
-use crate::topology::{ReplicaSet, Residency, RouteError, ShardLoads, Topology, TopologyView};
+use crate::topology::{Residency, RouteError, Topology, TopologyView};
 use aligraph_graph::{
     AttributedHeterogeneousGraph, DegreeTable, ImportanceTable, Neighbor, VertexId,
 };
 use aligraph_partition::{EdgeCutHash, Partition, Partitioner, WorkerId};
 use aligraph_telemetry::{Registry, Stopwatch};
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,15 +68,12 @@ impl ClusterBuildReport {
     }
 }
 
-/// Fluent construction of a [`Cluster`]: one builder (the old positional
-/// `build` / `build_registered` pair is gone), with replication factor and
-/// initial shard count as first-class knobs.
+/// Fluent construction of a [`Cluster`].
 ///
 /// ```ignore
 /// let (cluster, report) = Cluster::builder(graph)
 ///     .partitioner(&EdgeCutHash)
 ///     .shards(8)
-///     .replication(2)
 ///     .cache(CacheStrategy::ImportanceBudget { k: 2, fraction: 0.2 })
 ///     .registry(&registry)
 ///     .build();
@@ -87,7 +82,6 @@ pub struct ClusterBuilder<'a> {
     graph: Arc<AttributedHeterogeneousGraph>,
     partitioner: &'a dyn Partitioner,
     shards: usize,
-    replication: usize,
     strategy: CacheStrategy,
     max_hop: usize,
     cost: CostModel,
@@ -99,7 +93,6 @@ impl std::fmt::Debug for ClusterBuilder<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterBuilder")
             .field("shards", &self.shards)
-            .field("replication", &self.replication)
             .field("strategy", &self.strategy)
             .field("max_hop", &self.max_hop)
             .finish_non_exhaustive()
@@ -108,14 +101,13 @@ impl std::fmt::Debug for ClusterBuilder<'_> {
 
 impl<'a> ClusterBuilder<'a> {
     /// A builder with the defaults: hash edge-cut partitioner, one shard,
-    /// replication 1, no neighbor cache, hop depth 2, default cost model,
-    /// no telemetry registry.
+    /// no neighbor cache, hop depth 2, default cost model, no telemetry
+    /// registry.
     pub fn new(graph: Arc<AttributedHeterogeneousGraph>) -> Self {
         ClusterBuilder {
             graph,
             partitioner: &EdgeCutHash,
             shards: 1,
-            replication: 1,
             strategy: CacheStrategy::None,
             max_hop: 2,
             cost: CostModel::default(),
@@ -133,13 +125,6 @@ impl<'a> ClusterBuilder<'a> {
     /// Initial shard (worker) count. Clamped to at least 1.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
-        self
-    }
-
-    /// Replication factor for replica-aware routing (default 1: primaries
-    /// only).
-    pub fn replication(mut self, r: usize) -> Self {
-        self.replication = r;
         self
     }
 
@@ -161,9 +146,8 @@ impl<'a> ClusterBuilder<'a> {
         self
     }
 
-    /// Publish access stats and routing/migration meters into `registry`
-    /// (`storage.access{tier=...}`, `topology.route.*`,
-    /// `topology.migration.*`).
+    /// Publish access stats and the migration meter into `registry`
+    /// (`storage.access{tier=...}`, `topology.migration.*`).
     pub fn registry(mut self, r: &'a Registry) -> Self {
         self.registry = Some(r);
         self
@@ -265,9 +249,8 @@ impl<'a> ClusterBuilder<'a> {
             shard_times,
             num_workers: p,
         };
-        let view = TopologyView::identity(&partition, graph.num_vertices(), self.replication);
+        let view = TopologyView::identity(&partition, graph.num_vertices());
         let residency = Residency::from_owners(view.owners());
-        let loads = (0..p).map(|_| AtomicU64::new(0)).collect();
         let cluster = Cluster {
             graph,
             partition,
@@ -276,9 +259,7 @@ impl<'a> ClusterBuilder<'a> {
             topology: Topology::new(view),
             stats: Arc::new(AccessStats::registered(registry, "storage")),
             cost: self.cost,
-            route_meter: TierMeter::registered(registry, "topology.route"),
             migration_meter: TierMeter::registered(registry, "topology.migration"),
-            loads: RwLock::new(loads),
             tier,
         };
         Ok((cluster, report))
@@ -302,14 +283,8 @@ pub struct Cluster {
     pub(crate) topology: Topology,
     stats: Arc<AccessStats>,
     cost: CostModel,
-    /// Accounts routing decisions: local = primary, cached = load-shed to a
-    /// replica, remote = degraded fallback (primary not live).
-    pub(crate) route_meter: TierMeter,
     /// Accounts live-migration traffic (all of it crosses shards).
     pub(crate) migration_meter: TierMeter,
-    /// Routed-operation counters per shard slot — the load snapshot behind
-    /// replica ranking.
-    pub(crate) loads: RwLock<Vec<AtomicU64>>,
     /// The cold tier shared by every shard, when built tiered.
     pub(crate) tier: Option<Arc<TieredStore>>,
 }
@@ -363,44 +338,7 @@ impl Cluster {
     /// The vertex's primary shard at the current membership epoch.
     #[inline]
     pub fn primary_of(&self, v: VertexId) -> Result<WorkerId, RouteError> {
-        self.topology.view().primary_of(v)
-    }
-
-    /// Load-aware replica routing: the vertex's replica set at the current
-    /// epoch ranked least-loaded first. Accounts the decision through the
-    /// `topology.route` meter (local = primary preferred, cached = shed to
-    /// a replica, remote = degraded fallback with the primary not live) and
-    /// charges the preferred shard's load counter.
-    pub fn route_replica(&self, v: VertexId) -> Result<ReplicaSet, RouteError> {
-        let view = self.topology.view();
-        let set = view.route(v, &self.loads_snapshot())?;
-        let chosen = set.preferred();
-        let kind = if view.is_live(set.primary.0) {
-            if chosen == set.primary {
-                AccessKind::Local
-            } else {
-                AccessKind::CachedRemote
-            }
-        } else {
-            AccessKind::Remote
-        };
-        self.route_meter.record(kind, 0, &self.cost);
-        let loads = self.loads.read();
-        if let Some(slot) = loads.get(chosen.index()) {
-            // ordering: load counters are heuristic routing state; routing
-            // correctness never depends on their exact value.
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(set)
-    }
-
-    /// A point-in-time copy of per-shard routed load.
-    pub fn loads_snapshot(&self) -> ShardLoads {
-        let loads = self.loads.read();
-        ShardLoads {
-            // ordering: see route_replica — heuristic counters.
-            ops: loads.iter().map(|l| l.load(Ordering::Relaxed)).collect(),
-        }
+        self.topology.pin().primary_of(v)
     }
 
     /// Shared access statistics.
@@ -411,11 +349,6 @@ impl Cluster {
     /// The cost model in effect.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// The routing meter (`topology.route`).
-    pub fn route_meter(&self) -> &TierMeter {
-        &self.route_meter
     }
 
     /// The migration meter (`topology.migration`).
@@ -598,25 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_routing_balances_load() {
-        let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
-        let (c, _) = Cluster::builder(g).shards(2).replication(2).build();
-        let v = c.graph().vertices().next().unwrap();
-        let first = c.route_replica(v).unwrap();
-        assert_eq!(first.ranked.len(), 2);
-        // Load the preferred shard; the next decision must shed to the
-        // other replica.
-        for _ in 0..8 {
-            c.route_replica(v).unwrap();
-        }
-        let loads = c.loads_snapshot();
-        assert!(loads.ops[0] > 0 && loads.ops[1] > 0, "load must spread: {:?}", loads.ops);
-        let meter = c.route_meter().snapshot();
-        assert!(meter.local_ops > 0, "primary-preferred decisions are local");
-        assert!(meter.cached_ops > 0, "load-shed decisions are cached-tier");
-    }
-
-    #[test]
     fn importance_cache_reduces_remote_traffic() {
         let (none, _) = tiny_cluster(4, CacheStrategy::None);
         let (cached, _) = tiny_cluster(4, CacheStrategy::ImportanceBudget { k: 2, fraction: 0.3 });
@@ -656,14 +570,12 @@ mod tests {
         let home = c.primary_of(v).unwrap();
         c.neighbors_from(home, v, 1).unwrap();
         c.neighbors_from(WorkerId(1 - home.0), v, 1).unwrap();
-        c.route_replica(v).unwrap();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("storage.access", &[("tier", "local")]), 1);
         // Fully-budgeted cache serves the non-local read.
         assert_eq!(snap.counter("storage.access", &[("tier", "cached_remote")]), 1);
         assert_eq!(snap.counter("storage.neighbor_cache", &[("event", "hit")]), 1);
         assert!(snap.counter("storage.access.virtual_ns", &[]) > 0);
-        assert_eq!(snap.counter("topology.route.ops", &[("tier", "local")]), 1);
     }
 
     #[test]

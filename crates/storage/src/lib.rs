@@ -27,10 +27,9 @@
 //! * [`cost`] — simulated local/remote access costs and atomic statistics;
 //! * [`topology`] / [`migrate`] — elastic membership: a versioned
 //!   [`topology::Topology`] (monotonic epochs, published like the streaming
-//!   layer's `EpochManager`) owns routing as load-ranked
-//!   [`topology::ReplicaSet`]s, and [`migrate`] implements online shard
-//!   split/merge with live subgraph migration over the chaos plane while
-//!   both shards keep serving.
+//!   layer's `EpochManager`) owns routing — one owner per vertex per epoch —
+//!   and [`migrate`] implements online shard split/merge with live subgraph
+//!   migration over the chaos plane while both shards keep serving.
 //!
 //! The "network" is simulated: every shard can physically reach the whole
 //! graph, but accesses to vertices owned by another worker are accounted (and
@@ -70,7 +69,5 @@ pub use neighbor_cache::{CacheStrategy, NeighborCache};
 pub use segment::{Segment, SegmentError, SegmentKind};
 pub use server::{GraphServer, VertexRecord};
 pub use tier::{EvictionMode, TierBacking, TierConfig, TierRead, TieredStore};
-pub use topology::{
-    ReplicaSet, Residency, RouteError, ShardLoads, Topology, TopologyPin, TopologyView,
-};
+pub use topology::{Residency, RouteError, Topology, TopologyView};
 pub use versioned_cache::{CacheStats, VersionedCache};

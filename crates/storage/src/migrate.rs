@@ -10,7 +10,9 @@
 //! ([`FaultPlane::deliver`]) under a capped-backoff [`RetryPolicy`]; a
 //! [`Sequencer`] collapses lost-ack resends and late duplicates to
 //! exactly-once application. Faults therefore cost only
-//! modelled ticks, never data — unless recovery is deliberately broken
+//! modelled ticks, never data (a retry budget that runs out mid-stream flips
+//! the landed vertices back and publishes nothing: old membership or new,
+//! never a third) — unless recovery is deliberately broken
 //! ([`RecoveryMode::NoRetry`]), in which case a lost record still flips the
 //! cutover and the destination serves a vertex it never received: the bug
 //! the migration chaos suite exists to catch.
@@ -31,7 +33,6 @@ use crate::topology::RouteError;
 use aligraph_chaos::{FaultPlane, HopKind, RecoveryMode, RetryPolicy, Sequencer, MIGRATION_TAG};
 use aligraph_graph::VertexId;
 use aligraph_partition::WorkerId;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// A membership change request against the current topology.
@@ -75,7 +76,9 @@ pub struct MigrationReport {
     pub epoch: u64,
 }
 
-/// Why a rebalance failed (before any cutover flipped).
+/// Why a rebalance failed. Either way nothing was published and the cluster
+/// is the membership it was asked to change: a bad op is rejected before any
+/// record moves, an exhausted retry budget takes back every cutover it made.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MigrationError {
     /// The requested operation does not name live, distinct shards of the
@@ -160,6 +163,13 @@ impl Cluster {
     /// and the new membership epoch publishes with the source retirement in
     /// its sweep. Both shards serve throughout.
     ///
+    /// All or nothing: if the retry budget runs out mid-stream, the vertices
+    /// already cut over flip back to the source (which still holds every
+    /// copy), the destination retires what it absorbed, a split's new slot is
+    /// released and no epoch publishes — a retry starts from the membership
+    /// this call found. Neighbor-cache seeds a *merge* destination already
+    /// took stay: they are accounting (a warmer cache), never residency.
+    ///
     /// `mode` selects the recovery discipline; anything but
     /// [`RecoveryMode::Full`] is a deliberately broken variant for the
     /// chaos suite ([`RecoveryMode::NoRetry`] loses records but flips their
@@ -172,7 +182,7 @@ impl Cluster {
         policy: &RetryPolicy,
         mode: RecoveryMode,
     ) -> Result<MigrationReport, MigrationError> {
-        let view = self.topology.view();
+        let view = self.topology.pin();
         let (src, dst) = match op {
             RebalanceOp::Split { shard } => {
                 if !view.is_live(shard) {
@@ -219,7 +229,6 @@ impl Cluster {
                 ),
             });
             self.servers.write().push(server);
-            self.loads.write().push(AtomicU64::new(0));
         }
 
         let (src_server, dst_server) = {
@@ -257,6 +266,8 @@ impl Cluster {
             records.push(MigrationRecord::CacheSeed { v, depth });
         }
 
+        let moved_ids: Vec<u32> = moving.iter().map(|v| v.0).collect();
+
         // Stream through the chaos plane's delivery driver; the sequencer
         // makes the copies it lands (lost-ack resends, late replays) apply
         // once.
@@ -291,6 +302,14 @@ impl Cluster {
             };
             let sent =
                 plane.deliver(channel, seq, policy, mode, HopKind::Acked, land).map_err(|e| {
+                    // Nothing was published: undo what landed in reverse
+                    // commit order — flip back (the source holds every copy),
+                    // drop the destination's, release a split's new slot.
+                    for &v in &moving {
+                        self.residency.cutover(v, src);
+                    }
+                    dst_server.retire(&moved_ids);
+                    self.servers.write().truncate(view.num_shards());
                     MigrationError::RetriesExhausted {
                         from: src,
                         to: dst,
@@ -323,7 +342,6 @@ impl Cluster {
         }
         let next = Arc::new(view.advance(primary, Arc::new(live)));
         let epoch = next.epoch();
-        let moved_ids: Vec<u32> = moving.iter().map(|v| v.0).collect();
         self.topology.publish_with(next, |_| src_server.retire(&moved_ids));
 
         Ok(MigrationReport {
@@ -343,7 +361,7 @@ impl Cluster {
     /// the broken-cutover variant routes lost vertices to a shard that
     /// never absorbed them and fails here.
     pub fn verify_residency(&self) -> Result<(), String> {
-        let view = self.topology.view();
+        let view = self.topology.pin();
         view.verify()?;
         let servers = self.servers.read();
         for v in self.graph().vertices() {
@@ -368,6 +386,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::neighbor_cache::CacheStrategy;
+    use crate::tier::TierConfig;
     use aligraph_chaos::FaultPlan;
     use aligraph_graph::generate::TaobaoConfig;
     use aligraph_partition::EdgeCutHash;
@@ -419,7 +438,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.moved, drained);
         assert_eq!(c.server(WorkerId(2)).num_owned(), 0);
-        let view = c.topology().view();
+        let view = c.topology().pin();
         assert!(!view.is_live(2), "merged-away slot retires");
         assert_eq!(view.num_live(), 2);
         c.verify_residency().unwrap();
@@ -512,6 +531,59 @@ mod tests {
             assert!(matches!(err, MigrationError::BadOp(_)), "{err}");
         }
         assert_eq!(c.topology().current_epoch(), 0, "rejected ops publish nothing");
+    }
+
+    /// Everything a failed rebalance must hand back as it found it.
+    fn membership(c: &Cluster) -> (usize, u64, Vec<u32>, Vec<usize>) {
+        let owned = (0..c.num_shards()).map(|w| c.server(WorkerId(w as u32)).num_owned()).collect();
+        (c.num_shards(), c.topology().current_epoch(), c.residency_snapshot(), owned)
+    }
+
+    /// Runs `op` into a retry budget that gives out mid-stream, then again
+    /// over a clean plane, against the same `op` on a fresh cluster.
+    fn exhaust_then_retry(build: impl Fn() -> Cluster, op: RebalanceOp) {
+        let c = build();
+        let before = membership(&c);
+        let lossy = FaultPlane::new(FaultPlan::with_seed(0, 0.3));
+        let tight = RetryPolicy { base_ticks: 1, max_attempts: 2 };
+        let err = c.rebalance(op, &lossy, &tight, RecoveryMode::Full).unwrap_err();
+        assert!(
+            matches!(err, MigrationError::RetriesExhausted { seq, .. } if seq > 0),
+            "the budget must give out after some record has cut over: {err}"
+        );
+        assert_eq!(membership(&c), before, "a failed rebalance leaves the membership it found");
+        c.verify_residency().unwrap();
+
+        let fresh = build();
+        let policy = RetryPolicy::default();
+        let retried = c.rebalance(op, &clean_plane(), &policy, RecoveryMode::Full).unwrap();
+        let first = fresh.rebalance(op, &clean_plane(), &policy, RecoveryMode::Full).unwrap();
+        assert_eq!(
+            (retried.to, retried.moved, retried.epoch),
+            (first.to, first.moved, first.epoch),
+            "the retry is the rebalance a fresh cluster performs"
+        );
+        assert_eq!(membership(&c), membership(&fresh));
+        c.verify_residency().unwrap();
+    }
+
+    #[test]
+    fn exhausted_rebalance_leaves_the_parent_membership() {
+        let build = || cluster(2, CacheStrategy::None);
+        exhaust_then_retry(build, RebalanceOp::Split { shard: 0 });
+        // A merge destination keeps its own vertices; only the moving set
+        // goes back.
+        exhaust_then_retry(build, RebalanceOp::Merge { from: 0, into: 1 });
+    }
+
+    #[test]
+    fn exhausted_rebalance_rolls_back_the_tier_residency() {
+        let build = || {
+            let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
+            let tier = TierConfig::with_budget(Some(4_000));
+            Cluster::builder(g).shards(2).tier_config(tier).build().0
+        };
+        exhaust_then_retry(build, RebalanceOp::Split { shard: 0 });
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Versioned cluster membership: monotonic topology epochs that own routing.
 //!
-//! The cluster's membership used to be fixed at build time — `route(v)`
-//! consulted the partition and `num_workers()` never changed. Elastic
-//! membership replaces that with a published [`TopologyView`]: an immutable,
-//! sealed snapshot of *physical residency* (which shard currently holds each
-//! vertex, which shard slots are live, and the replication factor), versioned
-//! under strictly monotonic epochs exactly like the streaming layer's
-//! `EpochManager`. Readers pin a view for the length of a request, so one
-//! request routes against one membership version no matter how many
-//! rebalances land meanwhile.
+//! Membership is a published [`TopologyView`]: an immutable, sealed snapshot
+//! of *physical residency* (which shard currently holds each vertex and which
+//! shard slots are live), versioned under strictly monotonic epochs exactly
+//! like the streaming layer's `EpochManager`. Every vertex has one owner per
+//! epoch; readers pin a view for the length of a request, so one request
+//! routes against one membership version no matter how many rebalances land
+//! meanwhile.
 //!
 //! The *logical* placement — the training partition that drives sampling
 //! streams and seed purity — stays fixed per run; only physical residency
@@ -47,11 +45,6 @@ pub enum RouteError {
         /// Vertices the topology covers.
         num_vertices: usize,
     },
-    /// Every replica of the vertex is on a retired (non-live) shard.
-    NoLiveReplica {
-        /// The unroutable vertex.
-        vertex: u32,
-    },
 }
 
 impl std::fmt::Display for RouteError {
@@ -63,64 +56,15 @@ impl std::fmt::Display for RouteError {
             RouteError::VertexOutOfRange { vertex, num_vertices } => {
                 write!(f, "vertex {vertex} out of range: topology covers {num_vertices} vertices")
             }
-            RouteError::NoLiveReplica { vertex } => {
-                write!(f, "vertex {vertex} has no live replica")
-            }
         }
     }
 }
 
 impl std::error::Error for RouteError {}
 
-/// A point-in-time copy of per-shard load (operations routed so far).
-/// Routing treats it as an opaque snapshot: [`TopologyView::route`] is a
-/// pure function of `(vertex, view, loads)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardLoads {
-    /// Cumulative routed operations per shard slot.
-    pub ops: Vec<u64>,
-}
-
-impl ShardLoads {
-    /// A zeroed snapshot for `n` shard slots.
-    pub fn zeroed(n: usize) -> Self {
-        ShardLoads { ops: vec![0; n] }
-    }
-
-    fn of(&self, shard: u32) -> u64 {
-        self.ops.get(shard as usize).copied().unwrap_or(0)
-    }
-}
-
-/// The replicas able to serve one vertex, ranked least-loaded first.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaSet {
-    /// The vertex's primary (owning) shard — possibly retired, in which
-    /// case it is absent from `ranked` and serving it is a degraded route.
-    pub primary: WorkerId,
-    /// All live replicas, ordered by `(load, shard id)` ascending. Never
-    /// empty; contains `primary` exactly when the primary slot is live.
-    pub ranked: Vec<WorkerId>,
-}
-
-impl ReplicaSet {
-    /// The replica a load-aware router should hit first.
-    pub fn preferred(&self) -> WorkerId {
-        // invariant: `ranked` is constructed non-empty (it always contains
-        // the primary) by TopologyView::route.
-        *self.ranked.first().expect("replica set is never empty")
-    }
-
-    /// Whether the preferred replica is the primary.
-    pub fn prefers_primary(&self) -> bool {
-        self.preferred() == self.primary
-    }
-}
-
-/// One immutable membership version: per-vertex primary shard, per-slot
-/// liveness, replication factor — sealed under a fingerprint so a torn
-/// publish (fields from two versions) is detectable by exactly the check
-/// the mini-loom target runs.
+/// One immutable membership version: per-vertex primary shard and per-slot
+/// liveness — sealed under a fingerprint so a torn publish (fields from two
+/// versions) is detectable by exactly the check the mini-loom target runs.
 #[derive(Debug, Clone)]
 pub struct TopologyView {
     epoch: u64,
@@ -129,34 +73,28 @@ pub struct TopologyView {
     /// Shard slot → live? Retired (merged-away) slots stay allocated but
     /// dead, so slot indices are stable across the topology's whole life.
     live: Arc<Vec<bool>>,
-    replication: usize,
     fingerprint: u64,
 }
 
 impl TopologyView {
     /// Seals a view from its parts.
-    pub fn new(
-        epoch: u64,
-        primary: Arc<Vec<u32>>,
-        live: Arc<Vec<bool>>,
-        replication: usize,
-    ) -> Self {
-        let fingerprint = Self::seal(epoch, &primary, &live, replication);
-        TopologyView { epoch, primary, live, replication, fingerprint }
+    pub fn new(epoch: u64, primary: Arc<Vec<u32>>, live: Arc<Vec<bool>>) -> Self {
+        let fingerprint = Self::seal(epoch, &primary, &live);
+        TopologyView { epoch, primary, live, fingerprint }
     }
 
     /// Epoch 0: physical residency equals the logical partition, every slot
     /// live.
-    pub fn identity(partition: &Partition, num_vertices: usize, replication: usize) -> Self {
+    pub fn identity(partition: &Partition, num_vertices: usize) -> Self {
         let primary: Vec<u32> =
             (0..num_vertices as u32).map(|v| partition.owner_of(VertexId(v)).0).collect();
         let live = vec![true; partition.num_workers.max(1)];
-        Self::new(0, Arc::new(primary), Arc::new(live), replication.max(1))
+        Self::new(0, Arc::new(primary), Arc::new(live))
     }
 
-    fn seal(epoch: u64, primary: &[u32], live: &[bool], replication: usize) -> u64 {
+    fn seal(epoch: u64, primary: &[u32], live: &[bool]) -> u64 {
         let mut h = Fnv1a::new();
-        h.bytes(&epoch.to_le_bytes()).bytes(&(replication as u64).to_le_bytes());
+        h.bytes(&epoch.to_le_bytes());
         for &p in primary {
             h.bytes(&p.to_le_bytes());
         }
@@ -170,7 +108,7 @@ impl TopologyView {
     /// seal must match the fields. A publish that lands field-by-field
     /// (instead of swapping one sealed value) fails this mid-flight.
     pub fn verify(&self) -> Result<(), String> {
-        if Self::seal(self.epoch, &self.primary, &self.live, self.replication) != self.fingerprint {
+        if Self::seal(self.epoch, &self.primary, &self.live) != self.fingerprint {
             return Err(format!(
                 "torn topology: epoch {} fields do not match their seal",
                 self.epoch
@@ -187,11 +125,6 @@ impl TopologyView {
     /// The sealed fingerprint.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Replication factor (1 = primaries only).
-    pub fn replication(&self) -> usize {
-        self.replication
     }
 
     /// Total shard slots (live + retired).
@@ -229,61 +162,10 @@ impl TopologyView {
         }
     }
 
-    /// All live replicas of `v`: the primary plus the next
-    /// `replication - 1` live slots in wrapping slot order. A pure function
-    /// of `(v, epoch)` — replica placement never depends on load.
-    pub fn replicas_of(&self, v: VertexId) -> Result<Vec<WorkerId>, RouteError> {
-        let p = self.primary_of(v)?;
-        let n = self.live.len();
-        let mut out = Vec::with_capacity(self.replication);
-        for step in 0..n {
-            let slot = ((p.0 as usize + step) % n) as u32;
-            if self.is_live(slot) {
-                out.push(WorkerId(slot));
-                if out.len() == self.replication {
-                    break;
-                }
-            }
-        }
-        if out.is_empty() {
-            return Err(RouteError::NoLiveReplica { vertex: v.0 });
-        }
-        Ok(out)
-    }
-
-    /// Load-aware routing: the replica set of `v` ranked by
-    /// `(load, shard id)` ascending under the given load snapshot. Pure in
-    /// `(v, epoch, loads)` — two calls with identical inputs rank
-    /// identically.
-    pub fn route(&self, v: VertexId, loads: &ShardLoads) -> Result<ReplicaSet, RouteError> {
-        let primary = self.primary_of(v)?;
-        let mut ranked = self.replicas_of(v)?;
-        ranked.sort_by_key(|w| (loads.of(w.0), w.0));
-        Ok(ReplicaSet { primary, ranked })
-    }
-
     /// The successor view: same coverage, new residency/liveness, next
     /// epoch.
     pub fn advance(&self, primary: Arc<Vec<u32>>, live: Arc<Vec<bool>>) -> TopologyView {
-        Self::new(self.epoch + 1, primary, live, self.replication)
-    }
-}
-
-/// A reader's hold on one membership epoch.
-#[derive(Debug, Clone)]
-pub struct TopologyPin {
-    view: Arc<TopologyView>,
-}
-
-impl TopologyPin {
-    /// The pinned epoch (never changes under the pin).
-    pub fn epoch(&self) -> u64 {
-        self.view.epoch()
-    }
-
-    /// The pinned view.
-    pub fn view(&self) -> &Arc<TopologyView> {
-        &self.view
+        Self::new(self.epoch + 1, primary, live)
     }
 }
 
@@ -311,13 +193,9 @@ impl Topology {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Pins the current epoch for a request.
-    pub fn pin(&self) -> TopologyPin {
-        TopologyPin { view: Arc::clone(&self.current.read()) }
-    }
-
-    /// The current view (cheap Arc clone).
-    pub fn view(&self) -> Arc<TopologyView> {
+    /// Pins the current view for a request (cheap `Arc` clone): the holder
+    /// keeps its epoch no matter how many publishes land meanwhile.
+    pub fn pin(&self) -> Arc<TopologyView> {
         Arc::clone(&self.current.read())
     }
 
@@ -395,17 +273,17 @@ mod tests {
     use aligraph_graph::generate::TaobaoConfig;
     use aligraph_partition::{EdgeCutHash, Partitioner};
 
-    fn tiny_view(workers: usize, replication: usize) -> TopologyView {
+    fn tiny_view(workers: usize) -> TopologyView {
         let g = TaobaoConfig::tiny().generate().unwrap();
         let p = EdgeCutHash.partition(&g, workers);
-        TopologyView::identity(&p, g.num_vertices(), replication)
+        TopologyView::identity(&p, g.num_vertices())
     }
 
     #[test]
     fn identity_view_routes_like_the_partition() {
         let g = TaobaoConfig::tiny().generate().unwrap();
         let p = EdgeCutHash.partition(&g, 3);
-        let view = TopologyView::identity(&p, g.num_vertices(), 1);
+        let view = TopologyView::identity(&p, g.num_vertices());
         assert_eq!(view.epoch(), 0);
         assert_eq!(view.num_shards(), 3);
         view.verify().unwrap();
@@ -416,81 +294,26 @@ mod tests {
 
     #[test]
     fn every_vertex_has_exactly_one_primary_per_epoch() {
-        let view = tiny_view(4, 2);
+        let view = tiny_view(4);
         for v in 0..view.num_vertices() as u32 {
             let p = view.primary_of(VertexId(v)).unwrap();
             assert!(p.0 < 4);
-            let reps = view.replicas_of(VertexId(v)).unwrap();
-            assert_eq!(reps[0], p, "primary leads the replica list");
-            assert_eq!(reps.len(), 2);
-            assert_ne!(reps[0], reps[1]);
         }
-    }
-
-    #[test]
-    fn route_is_pure_in_vertex_epoch_and_loads() {
-        let view = tiny_view(4, 3);
-        let loads = ShardLoads { ops: vec![9, 0, 5, 2] };
-        for v in 0..view.num_vertices() as u32 {
-            let a = view.route(VertexId(v), &loads).unwrap();
-            let b = view.route(VertexId(v), &loads).unwrap();
-            assert_eq!(a, b, "same (v, epoch, loads) must rank identically");
-            // Ranked by (load, id): strictly non-decreasing load.
-            for pair in a.ranked.windows(2) {
-                let (x, y) = (pair[0].0 as usize, pair[1].0 as usize);
-                assert!(
-                    (loads.ops[x], x) <= (loads.ops[y], y),
-                    "replica ranking must follow (load, id)"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn load_snapshot_picks_least_loaded_replica() {
-        let view = tiny_view(2, 2);
-        let v = VertexId(0);
-        let p = view.primary_of(v).unwrap();
-        let other = WorkerId(1 - p.0);
-        let mut loads = ShardLoads::zeroed(2);
-        loads.ops[p.index()] = 100;
-        let r = view.route(v, &loads).unwrap();
-        assert_eq!(r.preferred(), other);
-        assert!(!r.prefers_primary());
-        assert_eq!(r.primary, p);
-    }
-
-    #[test]
-    fn replicas_skip_dead_slots() {
-        let primary = Arc::new(vec![0u32, 1, 2]);
-        let live = Arc::new(vec![true, false, true]);
-        let view = TopologyView::new(5, primary, live, 2);
-        let reps = view.replicas_of(VertexId(1)).unwrap();
-        // Slot 1 is dead: its vertices' primaries would have been moved off
-        // it before retirement in practice, but the replica walk must still
-        // only return live slots.
-        assert!(reps.iter().all(|w| view.is_live(w.0)));
-    }
-
-    #[test]
-    fn no_live_replica_is_an_error_not_a_panic() {
-        let view = TopologyView::new(1, Arc::new(vec![0]), Arc::new(vec![false]), 2);
-        assert_eq!(view.replicas_of(VertexId(0)), Err(RouteError::NoLiveReplica { vertex: 0 }));
     }
 
     #[test]
     fn out_of_range_vertex_is_a_typed_error() {
-        let view = tiny_view(2, 1);
+        let view = tiny_view(2);
         let beyond = VertexId(view.num_vertices() as u32);
         assert!(matches!(view.primary_of(beyond), Err(RouteError::VertexOutOfRange { .. })));
     }
 
     #[test]
     fn epochs_are_strictly_monotonic_across_publishes() {
-        let topo = Topology::new(tiny_view(2, 1));
+        let topo = Topology::new(tiny_view(2));
         let mut seen = vec![topo.current_epoch()];
         for _ in 0..5 {
-            let cur = topo.view();
+            let cur = topo.pin();
             let next = cur.advance(
                 Arc::new(cur.owners().as_ref().clone()),
                 Arc::new((0..cur.num_shards()).map(|s| cur.is_live(s as u32)).collect()),
@@ -505,21 +328,21 @@ mod tests {
 
     #[test]
     fn pins_keep_their_epoch_across_publishes() {
-        let topo = Topology::new(tiny_view(2, 1));
+        let topo = Topology::new(tiny_view(2));
         let pin0 = topo.pin();
-        let cur = topo.view();
-        let next = cur.advance(Arc::new(cur.owners().as_ref().clone()), Arc::new(vec![true, true]));
+        let next =
+            pin0.advance(Arc::new(pin0.owners().as_ref().clone()), Arc::new(vec![true, true]));
         let mut swept_at = None;
         topo.publish_with(Arc::new(next), |v| swept_at = Some(v.epoch()));
         assert_eq!(swept_at, Some(1));
         assert_eq!(pin0.epoch(), 0);
         assert_eq!(topo.pin().epoch(), 1);
-        pin0.view().verify().unwrap();
+        pin0.verify().unwrap();
     }
 
     #[test]
     fn torn_view_fails_verification() {
-        let view = tiny_view(2, 1);
+        let view = tiny_view(2);
         let mut torn = view.clone();
         torn.epoch += 1; // header from the next version over the old seal
         assert!(torn.verify().is_err());
