@@ -44,8 +44,8 @@ pub use alias::{AliasTable, IncrementalAlias};
 pub use dynamic::{DynamicNeighborhood, DynamicWeights, WeightUpdateMode};
 pub use negative::{NegativeSampler, UniformNegative, UnigramNegative};
 pub use neighborhood::{
-    reverse_reach, ContextTree, InNeighborAccess, Layer, NeighborAccess, NeighborhoodSampler,
-    TopKNeighborhood, UniformNeighborhood, WeightedNeighborhood,
+    ContextTree, Layer, NeighborAccess, NeighborhoodSampler, TopKNeighborhood, UniformNeighborhood,
+    WeightedNeighborhood,
 };
 pub use pipeline::{SampleBatch, SamplingPipeline};
 pub use plane::{

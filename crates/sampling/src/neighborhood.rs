@@ -33,32 +33,21 @@ impl NeighborAccess for AttributedHeterogeneousGraph {
     }
 }
 
-/// Read access to *in*-neighborhoods of one graph view, for reverse
-/// reachability: "who can sample their way to this vertex?".
-pub trait InNeighborAccess {
-    /// In-neighbor records of `v` in this view.
-    fn in_neighbors_of(&self, v: VertexId) -> &[Neighbor];
-}
-
-impl InNeighborAccess for AttributedHeterogeneousGraph {
-    #[inline]
-    fn in_neighbors_of(&self, v: VertexId) -> &[Neighbor] {
-        self.in_neighbors(v)
-    }
-}
-
-/// The vertices within `depth` in-hops of `sources` over the union of the
-/// given `views`, including the sources themselves.
+/// The vertices within `depth` in-hops of `sources` in any one of the given
+/// `views` (one BFS per view, results united), including the sources
+/// themselves.
 ///
-/// This is the invalidation core shared by the serving overlay and the
-/// streaming update plane: a k-hop encoder's output for seed `s` can only
-/// change when `s` reaches a modified vertex within its sampling horizon,
-/// i.e. when `s` is in the reverse reach of the touched set. Passing both
-/// the pre- and post-delta views catches paths that only exist on one side
-/// (an added edge creates reach-paths that exist only *after* the delta, a
-/// removed edge's paths existed only *before*).
-pub fn reverse_reach<V: InNeighborAccess + ?Sized>(
-    views: &[&V],
+/// This is the invalidation rule of the dynamic-graph plane, in its plain
+/// hash-set form: a k-hop encoder's output for seed `s` can only change
+/// when `s` reaches a modified vertex within its sampling horizon, i.e.
+/// when `s` is in the reverse reach of the touched set. Passing both the
+/// pre- and post-delta views catches paths that only exist on one side (an
+/// added edge creates reach-paths that exist only *after* the delta, a
+/// removed edge's paths existed only *before*). `plane::affected` walks the
+/// same rule over a bitmap; this is the oracle its tests compare it with.
+#[cfg(test)]
+pub(crate) fn reverse_reach(
+    views: &[&crate::plane::EpochView],
     sources: &std::collections::HashSet<VertexId>,
     depth: usize,
 ) -> std::collections::HashSet<VertexId> {
@@ -72,7 +61,7 @@ pub fn reverse_reach<V: InNeighborAccess + ?Sized>(
         for _ in 0..depth {
             let mut next = Vec::new();
             for &v in &frontier {
-                for n in view.in_neighbors_of(v) {
+                for n in view.in_neighbors(v) {
                     if seen.insert(n.vertex) {
                         reached.insert(n.vertex);
                         next.push(n.vertex);

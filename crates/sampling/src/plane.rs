@@ -8,9 +8,17 @@
 //! alias tables and feature vectors. The rules this module owns:
 //!
 //! * **copy on first touch, never write a published version** — a row is
-//!   copied from the base the first time an update edits it, every map and
-//!   row sits behind an `Arc` edited through `Arc::make_mut`, so applying a
-//!   batch costs O(touched rows) and a pinned version never changes;
+//!   copied from the base the first time an update edits it; rows live in a
+//!   persistent trie over the vertex ids (`Index`) whose nodes and rows
+//!   sit behind `Arc`s edited through `Arc::make_mut`, so a pinned version
+//!   never changes;
+//! * **an update costs what it touches, not what came before it** — a
+//!   batch's first edit of a row copies the `depth` nodes above its slot and
+//!   the row (later edits find them unshared), and the row's alias table is
+//!   repaired once; a read is `depth` dependent loads; publishing drops
+//!   exactly what the batch copied. What still grows with history is
+//!   memory: feature overrides and first-touch copies — a row retracted
+//!   back to its base row included — stay until ROADMAP item 3's compaction;
 //! * **session consistency** — readers [`pin`](EpochManager::pin) one epoch
 //!   and read exactly that version, however many batches land meanwhile;
 //!   published epochs are strictly increasing;
@@ -20,14 +28,14 @@
 //!   old cache or the reverse.
 
 use crate::alias::{AliasTable, IncrementalAlias};
-use crate::neighborhood::{reverse_reach, InNeighborAccess, NeighborAccess};
+use crate::neighborhood::NeighborAccess;
 use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch, UpdateEvent};
 use aligraph_graph::{
     AttrId, AttributedHeterogeneousGraph, EdgeId, EdgeType, FeatureMatrix, Neighbor, VertexId,
 };
 use aligraph_storage::VersionedCache;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -80,9 +88,9 @@ impl Applied {
 }
 
 /// A touched out-row and the alias table over its weights, kept in one
-/// entry so an edit copies them together (two copied maps per edge-only
-/// batch, not three) and `alias.weights == row weights` holds by
-/// construction. On an unweighted overlay the alias stays empty.
+/// entry so an edit copies them together (one index path, not two) and
+/// `alias.weights == row weights` holds by construction. On an unweighted
+/// overlay the alias stays empty.
 #[derive(Debug, Clone)]
 struct OutRow {
     row: Vec<Neighbor>,
@@ -105,6 +113,125 @@ impl OutRow {
     }
 }
 
+/// Slots per [`Index`] node, as a power of two — chosen by measurement
+/// (`results/pr20_perf_pairs.md`): wider nodes cost more per copied path,
+/// narrower ones add a level to every read.
+const NODE_BITS: u32 = 4;
+const NODE_SLOTS: usize = 1 << NODE_BITS;
+
+#[derive(Debug, Clone)]
+enum Node<T> {
+    Inner([Option<Arc<Node<T>>>; NODE_SLOTS]),
+    Leaf([Option<Arc<T>>; NODE_SLOTS]),
+}
+
+/// A persistent map over the dense vertex-id space: a radix trie of fixed
+/// depth (sized from the vertex count), every node behind an `Arc`. `clone`
+/// is one `Arc` bump; an edit of a clone copies only the nodes above the
+/// slot it writes, and later edits find them unshared — so whoever holds
+/// the original keeps reading the version it had.
+#[derive(Debug, Clone)]
+struct Index<T> {
+    root: Option<Arc<Node<T>>>,
+    /// Key bits below the root node's slot index: `NODE_BITS · (depth − 1)`.
+    top_shift: u32,
+    len: usize,
+}
+
+impl<T: Clone> Index<T> {
+    /// An empty index over keys `0..n`.
+    fn new(n: usize) -> Self {
+        let mut top_shift = 0;
+        while (n.saturating_sub(1) >> top_shift) >= NODE_SLOTS {
+            top_shift += NODE_BITS;
+        }
+        Index { root: None, top_shift, len: 0 }
+    }
+
+    fn get(&self, k: u32) -> Option<&Arc<T>> {
+        let in_range = ((k >> self.top_shift) as usize) < NODE_SLOTS;
+        let (mut node, mut shift) = (self.root.as_ref().filter(|_| in_range)?, self.top_shift);
+        loop {
+            let i = (k >> shift) as usize % NODE_SLOTS;
+            match &**node {
+                Node::Inner(kids) => node = kids[i].as_ref()?,
+                Node::Leaf(items) => return items[i].as_ref(),
+            }
+            shift -= NODE_BITS;
+        }
+    }
+
+    /// `k`'s slot, with every node above it made this index's own (created
+    /// when absent, copied when a clone still shares it).
+    fn slot_mut(&mut self, k: u32) -> &mut Option<Arc<T>> {
+        // invariant: every write is behind `ShardOverlay::owns`, whose
+        // table has one entry per vertex of the base this index was sized
+        // from; only reads can be out of range, and `get` answers `None`.
+        assert!(((k >> self.top_shift) as usize) < NODE_SLOTS, "vertex {k} beyond the index");
+        let (mut slot, mut shift) = (&mut self.root, self.top_shift);
+        loop {
+            let node = slot.get_or_insert_with(|| {
+                Arc::new(match shift {
+                    0 => Node::Leaf(std::array::from_fn(|_| None)),
+                    _ => Node::Inner(std::array::from_fn(|_| None)),
+                })
+            });
+            let i = (k >> shift) as usize % NODE_SLOTS;
+            match Arc::make_mut(node) {
+                Node::Inner(kids) => slot = &mut kids[i],
+                Node::Leaf(items) => return &mut items[i],
+            }
+            shift -= NODE_BITS;
+        }
+    }
+
+    /// Edits `k`'s entry in place, built by `first_touch` when the index has
+    /// none yet. Copies only what a clone still shares.
+    fn edit(&mut self, k: u32, first_touch: impl FnOnce() -> T, edit: impl FnOnce(&mut T)) {
+        let slot = self.slot_mut(k);
+        let fresh = slot.is_none();
+        edit(Arc::make_mut(slot.get_or_insert_with(|| Arc::new(first_touch()))));
+        self.len += fresh as usize;
+    }
+
+    fn insert(&mut self, k: u32, value: Arc<T>) {
+        let fresh = self.slot_mut(k).replace(value).is_none();
+        self.len += fresh as usize;
+    }
+
+    /// Takes `k`'s entry out. Emptied nodes stay: only a change of owner
+    /// removes, and the key range bounds the trie anyway.
+    fn remove(&mut self, k: u32) -> Option<Arc<T>> {
+        self.get(k)?;
+        self.len -= 1;
+        self.slot_mut(k).take()
+    }
+
+    /// The keys present, ascending.
+    fn keys(&self) -> Vec<u32> {
+        fn walk<T>(node: &Node<T>, prefix: u32, out: &mut Vec<u32>) {
+            let key = |i: usize| (prefix << NODE_BITS) | i as u32;
+            match node {
+                Node::Inner(kids) => {
+                    for (i, kid) in kids.iter().enumerate() {
+                        if let Some(kid) = kid {
+                            walk(kid, key(i), out);
+                        }
+                    }
+                }
+                Node::Leaf(items) => {
+                    out.extend((0..NODE_SLOTS).filter(|&i| items[i].is_some()).map(key))
+                }
+            }
+        }
+        let mut out = Vec::with_capacity(self.len);
+        if let Some(root) = &self.root {
+            walk(root, 0, &mut out);
+        }
+        out
+    }
+}
+
 /// One vertex's extracted overlay state, handed from its previous owner to
 /// its new owner when an ownership table is adopted mid-stream. `None`
 /// fields mean the previous owner never touched that aspect (the base
@@ -119,8 +246,8 @@ pub struct VertexOverlay {
 /// One shard's persistent overlay: the adjacency rows, alias tables and
 /// feature overrides of the vertices it owns that differ from the base
 /// snapshot. Cloning is O(1) (`Arc` bumps); a clone that is then edited
-/// copies only the maps and rows the edit writes, so whoever holds the
-/// original keeps reading the version it had.
+/// copies only the index paths and rows the edit writes, so whoever holds
+/// the original keeps reading the version it had.
 #[derive(Debug, Clone)]
 pub struct ShardOverlay {
     base: Arc<AttributedHeterogeneousGraph>,
@@ -133,53 +260,55 @@ pub struct ShardOverlay {
     /// rows, so it must for touched ones too — and then nobody would read
     /// the tables that cost about a third of applying a batch.
     weighted: bool,
-    out_rows: Arc<HashMap<u32, Arc<OutRow>>>,
-    in_rows: Arc<HashMap<u32, Arc<Vec<Neighbor>>>>,
-    feats: Arc<HashMap<u32, Arc<Vec<f32>>>>,
+    out_rows: Index<OutRow>,
+    in_rows: Index<Vec<Neighbor>>,
+    feats: Index<Vec<f32>>,
 }
 
 impl ShardOverlay {
     /// An empty overlay for shard `me` over the base snapshot.
     pub fn new(base: Arc<AttributedHeterogeneousGraph>, owners: Arc<Vec<u32>>, me: u32) -> Self {
+        let n = base.num_vertices();
         ShardOverlay {
             base,
             owners,
             me,
             weighted: true,
-            out_rows: Arc::default(),
-            in_rows: Arc::default(),
-            feats: Arc::default(),
+            out_rows: Index::new(n),
+            in_rows: Index::new(n),
+            feats: Index::new(n),
         }
     }
 
     /// The overlaid out-row of `v`, when this shard has touched it.
     pub fn out_row(&self, v: VertexId) -> Option<&[Neighbor]> {
-        self.out_rows.get(&v.0).map(|e| e.row.as_slice())
+        self.out_rows.get(v.0).map(|e| e.row.as_slice())
     }
 
     /// The overlaid in-row of `v`, when this shard has touched it.
     pub fn in_row(&self, v: VertexId) -> Option<&[Neighbor]> {
-        self.in_rows.get(&v.0).map(|r| r.as_slice())
+        self.in_rows.get(v.0).map(|r| r.as_slice())
     }
 
     /// The incrementally maintained alias table of `v`, when touched.
     pub fn alias(&self, v: VertexId) -> Option<&IncrementalAlias> {
-        self.out_rows.get(&v.0).map(|e| &e.alias)
+        self.out_rows.get(v.0).map(|e| &e.alias)
     }
 
     /// The overlaid feature vector of `v`, when touched.
     pub fn features(&self, v: VertexId) -> Option<&[f32]> {
-        self.feats.get(&v.0).map(|f| f.as_slice())
+        self.feats.get(v.0).map(|f| f.as_slice())
     }
 
-    /// All incrementally maintained alias tables (for the rebuild oracle).
+    /// All incrementally maintained alias tables, ascending by vertex (for
+    /// the rebuild oracle).
     pub fn alias_entries(&self) -> impl Iterator<Item = (u32, &IncrementalAlias)> {
-        self.out_rows.iter().map(|(&v, e)| (v, &e.alias))
+        self.out_rows.keys().into_iter().filter_map(|v| Some((v, self.alias(VertexId(v))?)))
     }
 
     /// Number of adjacency rows this shard has overlaid.
     pub fn overlay_rows(&self) -> usize {
-        self.out_rows.len()
+        self.out_rows.len
     }
 
     fn owns(&self, v: VertexId) -> bool {
@@ -206,7 +335,7 @@ impl ShardOverlay {
                     };
                     if self.owns(src) {
                         let first = || OutRow::from_base(&self.base, src, weighted);
-                        edit_row(&mut self.out_rows, src, first, |e| {
+                        self.out_rows.edit(src.0, first, |e| {
                             e.row.push(rec(dst));
                             if weighted {
                                 e.alias.push(weight);
@@ -216,7 +345,7 @@ impl ShardOverlay {
                     }
                     if self.owns(dst) {
                         let first = || self.base.in_neighbors(dst).to_vec();
-                        edit_row(&mut self.in_rows, dst, first, |row| row.push(rec(src)));
+                        self.in_rows.edit(dst.0, first, |row| row.push(rec(src)));
                     }
                 }
                 UpdateEvent::RemoveEdge { src, dst, etype } => {
@@ -224,7 +353,7 @@ impl ShardOverlay {
                         let row = self.out_row(src).unwrap_or(self.base.out_neighbors(src));
                         if let Some(i) = position(row, dst, etype) {
                             let first = || OutRow::from_base(&self.base, src, weighted);
-                            edit_row(&mut self.out_rows, src, first, |e| {
+                            self.out_rows.edit(src.0, first, |e| {
                                 e.row.remove(i);
                                 // Order-preserving removal keeps alias
                                 // indices aligned with row indices.
@@ -239,7 +368,7 @@ impl ShardOverlay {
                         let row = self.in_row(dst).unwrap_or(self.base.in_neighbors(dst));
                         if let Some(i) = position(row, src, etype) {
                             let first = || self.base.in_neighbors(dst).to_vec();
-                            edit_row(&mut self.in_rows, dst, first, |row| {
+                            self.in_rows.edit(dst.0, first, |row| {
                                 row.remove(i);
                             });
                         }
@@ -247,7 +376,7 @@ impl ShardOverlay {
                 }
                 UpdateEvent::SetFeatures { vertex, ref features } => {
                     if self.owns(vertex) {
-                        Arc::make_mut(&mut self.feats).insert(vertex.0, Arc::new(features.clone()));
+                        self.feats.insert(vertex.0, Arc::new(features.clone()));
                         feats.insert(vertex.0);
                     }
                 }
@@ -255,12 +384,14 @@ impl ShardOverlay {
         }
         // The incremental-maintenance hot path: one in-place repair per
         // touched row, buffer-reusing, O(Σ touched degrees) — never a
-        // rebuild of untouched tables.
+        // rebuild of untouched tables; the edits above left each touched row
+        // and its index path unshared, so nothing is copied here.
         let (mut repairs, mut repaired_slots) = (0u64, 0u64);
-        if weighted && !rows.is_empty() {
-            let out_rows = Arc::make_mut(&mut self.out_rows);
-            for v in &rows {
-                let Some(e) = out_rows.get_mut(v).map(Arc::make_mut) else { continue };
+        if weighted {
+            for &v in &rows {
+                let Some(e) = self.out_rows.slot_mut(v).as_mut().map(Arc::make_mut) else {
+                    continue;
+                };
                 if e.alias.is_dirty() {
                     e.alias.repair();
                     repairs += 1;
@@ -287,27 +418,18 @@ impl ShardOverlay {
     /// fallbacks.
     pub fn adopt_owners(&mut self, owners: Arc<Vec<u32>>) -> Vec<(u32, u32, VertexOverlay)> {
         self.owners = owners;
-        let leaving: BTreeSet<u32> = self
-            .out_rows
-            .keys()
-            .chain(self.in_rows.keys())
-            .chain(self.feats.keys())
-            .copied()
+        let leaving: BTreeSet<u32> = [self.out_rows.keys(), self.in_rows.keys(), self.feats.keys()]
+            .into_iter()
+            .flatten()
             .filter(|&v| !self.owns(VertexId(v)))
             .collect();
-        if leaving.is_empty() {
-            return Vec::new();
-        }
-        let out_rows = Arc::make_mut(&mut self.out_rows);
-        let in_rows = Arc::make_mut(&mut self.in_rows);
-        let feats = Arc::make_mut(&mut self.feats);
         leaving
             .into_iter()
             .map(|v| {
                 let state = VertexOverlay {
-                    out: out_rows.remove(&v),
-                    in_row: in_rows.remove(&v),
-                    feats: feats.remove(&v),
+                    out: self.out_rows.remove(v),
+                    in_row: self.in_rows.remove(v),
+                    feats: self.feats.remove(v),
                 };
                 (v, self.owners.get(v as usize).copied().unwrap_or(0), state)
             })
@@ -320,13 +442,13 @@ impl ShardOverlay {
     /// duplicate absorb is harmless.
     pub fn absorb(&mut self, v: u32, state: VertexOverlay) {
         if let Some(e) = state.out {
-            Arc::make_mut(&mut self.out_rows).insert(v, e);
+            self.out_rows.insert(v, e);
         }
         if let Some(r) = state.in_row {
-            Arc::make_mut(&mut self.in_rows).insert(v, r);
+            self.in_rows.insert(v, r);
         }
         if let Some(f) = state.feats {
-            Arc::make_mut(&mut self.feats).insert(v, f);
+            self.feats.insert(v, f);
         }
     }
 }
@@ -334,19 +456,6 @@ impl ShardOverlay {
 /// Index of the first record of `row` pointing at `far` with type `etype`.
 fn position(row: &[Neighbor], far: VertexId, etype: EdgeType) -> Option<usize> {
     row.iter().position(|n| n.vertex == far && n.etype == etype)
-}
-
-/// Materializes `v`'s entry in an overlay map (built by `first_touch` from
-/// the base snapshot when the overlay has none yet) and edits it in place.
-/// Both `make_mut`s copy only what a published version still shares.
-fn edit_row<T: Clone>(
-    rows: &mut Arc<HashMap<u32, Arc<T>>>,
-    v: VertexId,
-    first_touch: impl FnOnce() -> T,
-    edit: impl FnOnce(&mut T),
-) {
-    let row = Arc::make_mut(rows).entry(v.0).or_insert_with(|| Arc::new(first_touch()));
-    edit(Arc::make_mut(row));
 }
 
 /// One immutable graph version: base snapshot + per-shard overlays.
@@ -474,7 +583,7 @@ impl EpochView {
 
     /// Out-neighbors of `v` at this epoch.
     pub fn out_neighbors(&self, v: VertexId) -> &[Neighbor] {
-        self.shard_of(v).out_row(v).unwrap_or(self.base.out_neighbors(v))
+        self.out_row_and_alias(v).0
     }
 
     /// In-neighbors of `v` at this epoch.
@@ -490,10 +599,26 @@ impl EpochView {
     /// The weighted-sampling alias table of `v`'s out-row at this epoch
     /// (`None` when the row is empty or degenerate).
     pub fn alias(&self, v: VertexId) -> Option<&AliasTable> {
-        match self.shard_of(v).alias(v) {
-            Some(inc) => inc.table(),
-            None => self.base_alias.get(v.0 as usize)?.as_deref(),
+        self.out_row_and_alias(v).1
+    }
+
+    /// [`out_neighbors`](Self::out_neighbors) and [`alias`](Self::alias) of
+    /// `v` from one owner-table load and one overlay lookup — what a
+    /// sampler expanding `v` reads.
+    pub fn out_row_and_alias(&self, v: VertexId) -> (&[Neighbor], Option<&AliasTable>) {
+        let base_alias = || self.base_alias.get(v.0 as usize)?.as_deref();
+        match self.shard_of(v).out_rows.get(v.0) {
+            Some(e) => (&e.row, e.alias.table()),
+            None => (self.base.out_neighbors(v), base_alias()),
         }
+    }
+
+    /// Overlay entries at this epoch, summed over the shards: `[out-rows,
+    /// in-rows, feature rows]` — the state that grows with the stream's
+    /// history until it is compacted.
+    pub fn overlay_rows(&self) -> [usize; 3] {
+        let sum = |len: fn(&ShardOverlay) -> usize| self.shards.iter().map(len).sum();
+        [sum(|s| s.out_rows.len), sum(|s| s.in_rows.len), sum(|s| s.feats.len)]
     }
 }
 
@@ -504,35 +629,61 @@ impl NeighborAccess for EpochView {
     }
 }
 
-impl InNeighborAccess for EpochView {
-    #[inline]
-    fn in_neighbors_of(&self, v: VertexId) -> &[Neighbor] {
-        self.in_neighbors(v)
-    }
-}
-
 /// The cached keys a change can reach: every vertex whose `kmax`-hop
-/// gather reads a touched row or feature vector.
+/// gather reads a touched row or feature vector, ascending and
+/// duplicate-free. `touched` must name vertices of the views (it comes from
+/// applying a batch that passed [`EpochView::check`]).
 ///
 /// A `kmax`-hop reader samples the out-row of every vertex it expands at
 /// depths `0..kmax-1` from the seed and reads features at every hop
 /// including the last frontier — hence rows reach back `kmax - 1` in-hops
-/// and features `kmax`. The reverse BFS runs over both views: an added edge
+/// and features `kmax`. Each source set is walked over both views, one
+/// reverse BFS per view (not one over their union graph): an added edge
 /// creates reach-paths that only exist *after* the change, a removed edge's
-/// paths only existed *before*.
+/// paths only existed *before*. The result is the union of the four walks.
 pub fn affected(
     pre: &EpochView,
     post: &EpochView,
     touched: &Touched,
     kmax: usize,
-) -> HashSet<VertexId> {
-    let sources = |ids: &[u32]| ids.iter().map(|&v| VertexId(v)).collect::<HashSet<_>>();
-    let views = [pre, post];
-    let mut reached = reverse_reach(&views, &sources(&touched.feats), kmax);
-    if kmax > 0 {
-        reached.extend(reverse_reach(&views, &sources(&touched.rows), kmax - 1));
+) -> Vec<VertexId> {
+    // Sets bit `v`; true when it was clear.
+    fn mark(bits: &mut [u64], v: u32) -> bool {
+        let (word, bit) = (&mut bits[v as usize / 64], 1u64 << (v % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
-    reached
+    let words = pre.num_vertices().div_ceil(64);
+    let (mut reached, mut seen) = (vec![0u64; words], vec![0u64; words]);
+    // The vertices of the walk in progress, in discovery order: its BFS
+    // levels are consecutive ranges, and it is the list `seen` is cleared by.
+    let mut walk: Vec<u32> = Vec::new();
+    for (sources, depth) in [(&touched.feats, Some(kmax)), (&touched.rows, kmax.checked_sub(1))] {
+        let Some(depth) = depth else { continue };
+        for view in [pre, post] {
+            walk.extend(sources.iter().copied().filter(|&v| mark(&mut seen, v)));
+            let mut level = 0..walk.len();
+            for _ in 0..depth {
+                for i in level.clone() {
+                    let row = view.in_neighbors(VertexId(walk[i]));
+                    walk.extend(row.iter().map(|n| n.vertex.0).filter(|&v| mark(&mut seen, v)));
+                }
+                level = level.end..walk.len();
+            }
+            for v in walk.drain(..) {
+                reached[v as usize / 64] |= std::mem::take(&mut seen[v as usize / 64]);
+            }
+        }
+    }
+    let mut out = Vec::with_capacity(reached.iter().map(|w| w.count_ones() as usize).sum());
+    for (i, mut word) in reached.into_iter().enumerate() {
+        while word != 0 {
+            out.push(VertexId(i as u32 * 64 + word.trailing_zeros()));
+            word &= word - 1;
+        }
+    }
+    out
 }
 
 /// What one [`EpochManager::commit`] published.
@@ -625,8 +776,12 @@ impl EpochManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neighborhood::reverse_reach;
     use aligraph_graph::ids::well_known::*;
     use aligraph_graph::{AttrVector, Featurizer, GraphBuilder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeMap, HashSet};
 
     fn chain() -> (Arc<AttributedHeterogeneousGraph>, Vec<VertexId>) {
         // a -> b -> c -> d
@@ -805,10 +960,7 @@ mod tests {
     }
 
     fn reach(pre: &EpochView, post: &EpochView, applied: &Applied, kmax: usize) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> =
-            affected(pre, post, &applied.touched, kmax).into_iter().collect();
-        out.sort_unstable();
-        out
+        affected(pre, post, &applied.touched, kmax)
     }
 
     #[test]
@@ -852,5 +1004,247 @@ mod tests {
         let (post_rm, applied_rm) = post.apply_batch(&UpdateBatch { events: vec![rm] });
         let k2_rm = reach(&post, &post_rm, &applied_rm, 2);
         assert!(k2_rm.contains(&vs[0]), "pre-change in-edge a->b missed: {k2_rm:?}");
+    }
+
+    // ------------------------------------------------------ the index
+
+    impl<T> Index<T> {
+        /// Levels between the root and an entry.
+        fn depth(&self) -> usize {
+            (self.top_shift / NODE_BITS) as usize + 1
+        }
+
+        /// Nodes of `self` that `prev` does not hold at the same position:
+        /// what the edits between the two versions copied or created. The
+        /// count needs no instrumentation of the write path — a node either
+        /// is the same allocation in both versions or it is not.
+        fn nodes_not_in(&self, prev: &Self) -> usize {
+            fn walk<T>(node: &Arc<Node<T>>, prev: Option<&Arc<Node<T>>>) -> usize {
+                if prev.is_some_and(|p| Arc::ptr_eq(node, p)) {
+                    return 0;
+                }
+                let Node::Inner(kids) = &**node else { return 1 };
+                let below = kids.iter().enumerate().filter_map(|(i, kid)| {
+                    let was = match prev.map(|p| &**p) {
+                        Some(Node::Inner(prev_kids)) => prev_kids[i].as_ref(),
+                        _ => None,
+                    };
+                    Some(walk(kid.as_ref()?, was))
+                });
+                1 + below.sum::<usize>()
+            }
+            self.root.as_ref().map_or(0, |root| walk(root, prev.root.as_ref()))
+        }
+    }
+
+    impl ShardOverlay {
+        fn nodes_not_in(&self, prev: &Self) -> usize {
+            self.out_rows.nodes_not_in(&prev.out_rows)
+                + self.in_rows.nodes_not_in(&prev.in_rows)
+                + self.feats.nodes_not_in(&prev.feats)
+        }
+    }
+
+    fn model_entries(model: &BTreeMap<u32, u64>) -> Vec<(u32, u64)> {
+        model.iter().map(|(&k, &v)| (k, v)).collect()
+    }
+
+    fn index_entries(index: &Index<u64>) -> Vec<(u32, u64)> {
+        index.keys().into_iter().map(|k| (k, **index.get(k).expect("a listed key reads"))).collect()
+    }
+
+    /// The index against a `BTreeMap`, over seeded random interleavings of
+    /// insert / edit-in-place / remove / clone. Every retained clone is
+    /// re-checked after every later edit: a snapshot never changes.
+    #[test]
+    fn index_matches_a_btreemap_and_snapshots_never_change() {
+        // Key-space sizes on both sides of each level boundary of the
+        // 16-way trie, and 31 / 32 / 33 for the other fan-outs measured.
+        for n in [1usize, 15, 16, 17, 31, 32, 33, 255, 256, 257, 1025, 4097] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let mut index: Index<u64> = Index::new(n);
+            let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut snapshots = Vec::new();
+            // The ends of the range and both sides of every node boundary
+            // get most of the traffic; the rest is uniform.
+            let mut edges: Vec<u32> = vec![0, n as u32 - 1];
+            edges
+                .extend((1..4).flat_map(|l| [(1u32 << (NODE_BITS * l)) - 1, 1 << (NODE_BITS * l)]));
+            edges.retain(|&k| (k as usize) < n);
+            for step in 0..600u64 {
+                let k = match rng.gen_range(0..3) {
+                    0 => rng.gen_range(0..n as u32),
+                    _ => edges[rng.gen_range(0..edges.len())],
+                };
+                match rng.gen_range(0..10) {
+                    0..=3 => {
+                        index.insert(k, Arc::new(step));
+                        model.insert(k, step);
+                    }
+                    4..=6 => {
+                        index.edit(k, || 1_000_000, |v| *v += step);
+                        *model.entry(k).or_insert(1_000_000) += step;
+                    }
+                    7..=8 => assert_eq!(index.remove(k).map(|v| *v), model.remove(&k)),
+                    _ => {
+                        if snapshots.len() == 8 {
+                            snapshots.remove(0);
+                        }
+                        snapshots.push((index.clone(), model_entries(&model)));
+                    }
+                }
+                assert_eq!(index.len, model.len(), "n {n} step {step}");
+                assert_eq!(index.get(k).map(|v| **v), model.get(&k).copied());
+                assert_eq!(index_entries(&index), model_entries(&model), "n {n} step {step}");
+                for (snapshot, was) in &snapshots {
+                    assert_eq!(&index_entries(snapshot), was, "n {n} step {step}: snapshot moved");
+                    assert_eq!(snapshot.len, was.len());
+                }
+            }
+            // Reads beyond the key space answer `None`, on an index of any
+            // depth, and so does a removal.
+            for k in [n as u32, (n as u32).next_power_of_two() * NODE_SLOTS as u32, u32::MAX] {
+                assert!(index.get(k).is_none(), "n {n} key {k}");
+                assert!(index.remove(k).is_none());
+            }
+        }
+    }
+
+    /// `n` isolated vertices: every row starts empty, so a batch's cost is
+    /// the index's alone.
+    fn isolated(n: usize) -> Arc<AttributedHeterogeneousGraph> {
+        let mut b = GraphBuilder::directed();
+        for _ in 0..n {
+            b.add_vertex(USER, AttrVector::empty());
+        }
+        Arc::new(b.build())
+    }
+
+    /// History independence, pinned by a count (CI gates no wall clock): the
+    /// ingest worker's situation — a published clone of the overlay is still
+    /// alive whenever the next batch is applied — over 2 000 batches of 32
+    /// adds + the previous 32 retracted + 8 feature rewrites. The index nodes
+    /// a batch copies must depend on what the batch touches, not on how many
+    /// batches came before. With the shared hash maps this index replaced
+    /// the same quantity — entries re-cloned because a published version
+    /// shares the map — is the maps' whole length: some 1 400 entries at
+    /// batch 20 and ~96 000 at batch 2 000 here, 70 × larger, and growing for
+    /// as long as the stream keeps touching new vertices.
+    #[test]
+    fn a_batch_copies_what_it_touches_however_long_the_stream_has_run() {
+        let n = 1usize << 16;
+        // Unweighted: alias repairs are not what is counted, and an
+        // unoptimized build spends a tenth of this test on them.
+        let mut store = ShardOverlay { weighted: false, ..one_shard(&isolated(n)) };
+        let mut rng = StdRng::seed_from_u64(20);
+        let mut vertex = move || VertexId(rng.gen_range(0..n as u32));
+        let mut prev_adds: Vec<(VertexId, VertexId)> = Vec::new();
+        // Nodes copied by batches 20, 40, … 2 000.
+        let mut copied = Vec::new();
+        for batch in 1..=2_000 {
+            let published = store.clone();
+            let mut events: Vec<UpdateEvent> = prev_adds
+                .drain(..)
+                .map(|(src, dst)| UpdateEvent::RemoveEdge { src, dst, etype: CLICK })
+                .collect();
+            for _ in 0..32 {
+                let (src, dst) = (vertex(), vertex());
+                prev_adds.push((src, dst));
+                events.push(add(src, dst, 1.0));
+            }
+            for _ in 0..8 {
+                events.push(UpdateEvent::SetFeatures { vertex: vertex(), features: vec![0.5; 4] });
+            }
+            store.apply(&events);
+            if batch % 20 == 0 {
+                // An edge event writes two slots (out-row, in-row), a
+                // feature event one; each slot's path is `depth` nodes.
+                let slots = 2 * (events.len() - 8) + 8;
+                let nodes = store.nodes_not_in(&published);
+                assert!(
+                    nodes > 0 && nodes <= slots * store.out_rows.depth(),
+                    "batch {batch}: {nodes}"
+                );
+                copied.push(nodes);
+            }
+        }
+        let entries = store.out_rows.len + store.in_rows.len + store.feats.len;
+        assert!(entries > 90_000, "the stream must leave a long history behind");
+        let (early, late) = (copied[0], copied[99]);
+        assert!(late <= 2 * early, "batch 2000 copied {late} nodes, batch 20 copied {early}");
+    }
+
+    // ------------------------------------------- affected vs the oracle
+
+    /// The rule as the parent stated it: hash-set BFS per view per source
+    /// set, united.
+    fn affected_oracle(
+        pre: &EpochView,
+        post: &EpochView,
+        touched: &Touched,
+        kmax: usize,
+    ) -> Vec<VertexId> {
+        let sources = |ids: &[u32]| ids.iter().map(|&v| VertexId(v)).collect::<HashSet<_>>();
+        let views = [pre, post];
+        let mut reached = reverse_reach(&views, &sources(&touched.feats), kmax);
+        if kmax > 0 {
+            reached.extend(reverse_reach(&views, &sources(&touched.rows), kmax - 1));
+        }
+        let mut out: Vec<VertexId> = reached.into_iter().collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn affected_equals_the_hash_set_oracle_on_random_graphs_with_a_hub() {
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // 70 vertices so the bitmap's last word is partial; vertex 0 is
+            // a hub most vertices point at, vertex 1 its own in-neighbor.
+            let n = 70u32;
+            let mut b = GraphBuilder::directed();
+            let vs: Vec<VertexId> =
+                (0..n).map(|_| b.add_vertex(USER, AttrVector::empty())).collect();
+            for &v in &vs[2..] {
+                if rng.gen_range(0..4) != 0 {
+                    b.add_edge(v, vs[0], CLICK, 1.0).unwrap();
+                }
+            }
+            b.add_edge(vs[1], vs[1], CLICK, 1.0).unwrap();
+            for _ in 0..90 {
+                let (src, dst) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                b.add_edge(VertexId(src), VertexId(dst), CLICK, 1.0).unwrap();
+            }
+            let g = Arc::new(b.build());
+            let mut pre = view_of(&g, 2);
+            for round in 0..12 {
+                // Removals of edges that exist (their paths are only in the
+                // pre view), additions (only in the post view), feature
+                // rewrites, and the hub and the self-loop among the sources.
+                let mut events = Vec::new();
+                for _ in 0..rng.gen_range(0..4) {
+                    let src = VertexId(rng.gen_range(0..n));
+                    if let Some(rec) = pre.out_neighbors(src).first() {
+                        events.push(UpdateEvent::RemoveEdge { src, dst: rec.vertex, etype: CLICK });
+                    }
+                }
+                for _ in 0..rng.gen_range(0..4) {
+                    let (src, dst) = (rng.gen_range(0..3 + round), rng.gen_range(0..n));
+                    events.push(add(VertexId(src), VertexId(dst), 1.0));
+                }
+                for _ in 0..rng.gen_range(0..3) {
+                    let vertex = VertexId(rng.gen_range(0..n));
+                    events.push(UpdateEvent::SetFeatures { vertex, features: vec![1.0, 2.0] });
+                }
+                let (post, applied) = pre.apply_batch(&UpdateBatch { events });
+                for kmax in 0..=3 {
+                    let got = affected(&pre, &post, &applied.touched, kmax);
+                    let want = affected_oracle(&pre, &post, &applied.touched, kmax);
+                    assert_eq!(got, want, "seed {seed} round {round} kmax {kmax}");
+                    assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, duplicate-free");
+                }
+                pre = post;
+            }
+        }
     }
 }

@@ -41,7 +41,7 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -393,13 +393,14 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> Drop for ServingSer
 
 /// Serving keys whose embedding a delta may change: the plane's
 /// [`affected`] rule over the out-rows of the delta's source endpoints (a
-/// superset of the rows [`ServingService::apply_delta`] finds changed).
+/// superset of the rows [`ServingService::apply_delta`] finds changed),
+/// ascending and duplicate-free.
 pub fn affected_seeds(
     pre: &EpochView,
     post: &EpochView,
     delta: &SnapshotDelta,
     kmax: usize,
-) -> HashSet<VertexId> {
+) -> Vec<VertexId> {
     let rows: BTreeSet<u32> = delta.added.iter().chain(&delta.removed).map(|e| e.src.0).collect();
     affected(pre, post, &Touched { rows: rows.into_iter().collect(), feats: Vec::new() }, kmax)
 }

@@ -99,6 +99,8 @@ struct Metrics {
     gathers: Arc<Counter>,
     repairs: Arc<Counter>,
     repaired_slots: Arc<Counter>,
+    /// Overlay entries of the published epoch: out-rows, in-rows, features.
+    overlay_rows: [Arc<Gauge>; 3],
 }
 
 impl Metrics {
@@ -115,6 +117,8 @@ impl Metrics {
             gathers: registry.counter("streaming.serve.gathers", &[]),
             repairs: registry.counter("streaming.alias.repairs", &[]),
             repaired_slots: registry.counter("streaming.alias.repaired_slots", &[]),
+            overlay_rows: ["out", "in", "feat"]
+                .map(|kind| registry.gauge("streaming.overlay.rows", &[("kind", kind)])),
         }
     }
 }
@@ -198,6 +202,7 @@ impl StreamingService {
         let done = self.epochs.commit(self.fanouts.len(), &self.cache, |pre| {
             (pre.with_shards(views), outcome.applied)
         });
+        let overlay_rows = self.epochs.pin().overlay_rows();
         drop(pipeline);
         for ev in &batch.events {
             match ev.kind() {
@@ -211,6 +216,9 @@ impl StreamingService {
         self.metrics.repairs.add(done.applied.repairs);
         self.metrics.repaired_slots.add(done.applied.repaired_slots);
         self.metrics.epoch.set(done.epoch as i64);
+        for (gauge, rows) in self.metrics.overlay_rows.iter().zip(overlay_rows) {
+            gauge.set(rows as i64);
+        }
         Ok(IngestReceipt {
             epoch: done.epoch,
             touched_rows: done.applied.touched.rows,
@@ -368,12 +376,12 @@ fn compute_gather(view: &EpochView, v: VertexId, seed: u64, fanouts: &[usize]) -
         let scale = 1.0 / (hop + 2) as f32;
         let mut next = Vec::with_capacity(frontier.len() * fanout);
         for &u in &frontier {
-            let row = view.out_neighbors(u);
+            let (row, alias) = view.out_row_and_alias(u);
             if row.is_empty() {
                 continue;
             }
             for _ in 0..fanout {
-                let pick = match view.alias(u) {
+                let pick = match alias {
                     Some(t) => t.sample(&mut rng),
                     // Degenerate weights (e.g. all zero): uniform fallback.
                     None => rng.gen_range(0..row.len()),
@@ -414,6 +422,10 @@ mod tests {
 
     /// a chain 0 -> 1 -> 2 -> 3 -> 4 plus an isolated far vertex 5.
     fn service(config: StreamingConfig) -> StreamingService {
+        service_with_registry(config, &Registry::disabled())
+    }
+
+    fn service_with_registry(config: StreamingConfig, registry: &Registry) -> StreamingService {
         let mut b = GraphBuilder::directed();
         let vs: Vec<VertexId> = (0..6).map(|_| b.add_vertex(USER, AttrVector::empty())).collect();
         for w in vs[..5].windows(2) {
@@ -421,7 +433,7 @@ mod tests {
         }
         let g = Arc::new(b.build());
         let feats = Arc::new(Featurizer::new(8).matrix(&g));
-        StreamingService::start(g, feats, config)
+        StreamingService::start_with_registry(g, feats, config, registry)
     }
 
     fn add(src: u32, dst: u32) -> UpdateEvent {
@@ -621,5 +633,82 @@ mod tests {
         assert_eq!(after.vector[0], 9.0);
         svc.oracle_check().unwrap();
         svc.shutdown();
+    }
+
+    /// What a reader can see of one graph version: per vertex, the words of
+    /// its out-row (neighbor, weight bits), alias-table bits and feature bits.
+    fn everything(view: &EpochView) -> Vec<Vec<u32>> {
+        (0..view.num_vertices() as u32)
+            .map(|v| {
+                let (row, alias) = view.out_row_and_alias(VertexId(v));
+                let mut words = vec![row.len() as u32];
+                words.extend(row.iter().flat_map(|n| [n.vertex.0, n.weight.to_bits()]));
+                words.extend(alias.iter().flat_map(|t| t.probs()).map(|p| p.to_bits()));
+                words.extend(view.features(VertexId(v)).iter().map(|f| f.to_bits()));
+                words
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pins_taken_along_a_long_stream_keep_reading_what_they_read() {
+        // A 300-vertex chain over two shards: ids span three index levels.
+        let mut b = GraphBuilder::directed();
+        let vs: Vec<VertexId> = (0..300).map(|_| b.add_vertex(USER, AttrVector::empty())).collect();
+        for w in vs.windows(2) {
+            b.add_edge(w[0], w[1], CLICK, 1.0).unwrap();
+        }
+        let g = Arc::new(b.build());
+        let feats = Arc::new(Featurizer::new(8).matrix(&g));
+        let svc = StreamingService::start(g, feats, StreamingConfig::default());
+        let mut updates = crate::UpdateWorkload::new(11, 300, 8);
+        let mut pins = Vec::new();
+        for batch in 0..300u64 {
+            if batch % 50 == 0 {
+                let session = svc.session();
+                let read = everything(session.view());
+                pins.push((session, read));
+            }
+            // Each batch retracts the previous one's additions.
+            let receipt = svc.ingest(&updates.next_batch(8, 2)).unwrap();
+            assert_eq!(receipt.epoch, batch + 1);
+        }
+        for (session, read) in &pins {
+            assert_eq!(&everything(session.view()), read, "pin of epoch {}", session.epoch());
+        }
+        // The versions really differed, and the newest one is sound.
+        assert_ne!(pins[0].1, everything(svc.session().view()));
+        svc.oracle_check().unwrap();
+        drop(pins);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn overlay_size_gauges_follow_the_published_epoch_and_change_nothing() {
+        let registry = Registry::new();
+        let base = service(StreamingConfig::default());
+        let metered = service_with_registry(StreamingConfig::default(), &registry);
+        let batch = UpdateBatch {
+            events: vec![
+                add(0, 2),
+                add(1, 2),
+                UpdateEvent::SetFeatures { vertex: VertexId(5), features: vec![3.0; 8] },
+            ],
+        };
+        let (a, b) = (base.ingest(&batch).unwrap(), metered.ingest(&batch).unwrap());
+        assert_eq!((a.touched_rows, a.affected), (b.touched_rows, b.affected));
+        for v in 0..6 {
+            let (x, y) =
+                (base.session().gather(VertexId(v)), metered.session().gather(VertexId(v)));
+            assert_eq!(x.vector, y.vector, "telemetry on vs off, vertex {v}");
+        }
+        // Two out-rows (0, 1), one in-row (2), one feature override (5).
+        assert_eq!(metered.epochs.pin().overlay_rows(), [2, 1, 1]);
+        let snap = registry.snapshot();
+        for (kind, rows) in [("out", 2), ("in", 1), ("feat", 1)] {
+            assert_eq!(snap.gauge("streaming.overlay.rows", &[("kind", kind)]), rows, "{kind}");
+        }
+        base.shutdown();
+        metered.shutdown();
     }
 }
