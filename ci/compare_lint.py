@@ -9,8 +9,10 @@ Two modes:
 
 * **Baseline diff** (default) — validate the report against
   ci/lint-schema.json, then fail if any *active* (unwaived) diagnostic is
-  missing from the committed baseline. Stale baseline entries only warn,
-  so the baseline can shrink without blocking and can never silently grow.
+  missing from the committed baseline, or if more findings are waived than
+  the baseline's `waived` count. Stale baseline entries and a lower waived
+  count only warn, so the baseline can shrink without blocking and can
+  never silently grow.
 * **Self-test** (`--expect-rule`, repeatable) — for the deliberately-buggy
   fixture workspaces: assert the report contains at least one active
   diagnostic per named rule, proving the analyzer still catches the
@@ -120,10 +122,25 @@ def main() -> None:
             + "\n  ".join(lines)
         )
 
+    waived, ceiling = report["summary"]["waived"], baseline["waived"]
+    if waived > ceiling:
+        reasons = [
+            f"{d['path']}:{d['line']}: [{d['rule']}] {d['waiver_reason']}"
+            for d in report["diagnostics"]
+            if d["waived"]
+        ]
+        fail(
+            f"{waived} waived diagnostic(s), the baseline allows {ceiling} "
+            f"(drop a waiver or raise `waived` in the baseline and say why):\n  "
+            + "\n  ".join(reasons)
+        )
+
     seen = {fingerprint(d) for d in active}
     stale = allowed - seen
     for fp in sorted(stale):
         print(f"compare_lint: WARN: stale baseline entry (no longer reported): {fp}")
+    if waived < ceiling:
+        print(f"compare_lint: WARN: {waived} waived, baseline allows {ceiling}: lower it")
 
     print(
         f"compare_lint: OK: {len(active)} active / "

@@ -64,6 +64,21 @@ impl Args {
         Ok(Args { command, options })
     }
 
+    /// Refuses any option that is neither in `known` nor `--metrics-json`:
+    /// commands read only the keys they know, so a misspelt flag would
+    /// otherwise run with the default and exit 0.
+    pub fn expect_only(&self, known: &[&str]) -> Result<(), CliError> {
+        let unread = |k: &&str| *k != "metrics-json" && !known.contains(k);
+        match self.options.keys().map(String::as_str).filter(unread).min() {
+            None => Ok(()),
+            Some(key) => Err(CliError::Usage(format!(
+                "`{}` takes no --{key}; it reads: --{}",
+                self.command,
+                known.join(" --")
+            ))),
+        }
+    }
+
     /// A required string option.
     pub fn required(&self, key: &str) -> Result<&str, CliError> {
         self.options

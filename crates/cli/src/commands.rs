@@ -43,7 +43,7 @@ fn load(args: &Args) -> Result<AttributedHeterogeneousGraph, CliError> {
     Ok(read_graph(file)?)
 }
 
-/// `aligraph generate --kind taobao|amazon|ba [--scale F] [--seed N] --out FILE`
+/// `aligraph generate` (flags: the command's `HELP` line, here and below).
 pub fn generate(args: &Args) -> Result<String, CliError> {
     let kind = args.get_or("kind", "taobao");
     let scale: f64 = args.num_or("scale", 0.001)?;
@@ -78,7 +78,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `aligraph stats --graph FILE`
+/// `aligraph stats`
 pub fn stats(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
     let degs: Vec<f64> = g.vertices().map(|v| (g.in_degree(v) + g.out_degree(v)) as f64).collect();
@@ -104,7 +104,7 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `aligraph partition --graph FILE [--workers N] [--algo ...]`
+/// `aligraph partition`
 pub fn partition(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
     let workers: usize = args.num_or("workers", 8)?;
@@ -153,7 +153,7 @@ fn train_model(
     })
 }
 
-/// `aligraph train --graph FILE [--model M] [--dim N] --out FILE`
+/// `aligraph train`
 pub fn train(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
     let model_name = args.get_or("model", "graphsage");
@@ -175,7 +175,7 @@ pub fn train(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `aligraph eval --graph FILE [--model M] [--test-fraction F] [--seed N]`
+/// `aligraph eval`
 pub fn eval(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
     let model_name = args.get_or("model", "graphsage");
@@ -188,7 +188,7 @@ pub fn eval(args: &Args) -> Result<String, CliError> {
     Ok(format!("{model_name} link prediction: {metrics}"))
 }
 
-/// `aligraph automl --graph FILE` — the §7 model-selection tournament.
+/// `aligraph automl` — the §7 model-selection tournament.
 pub fn automl(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
     let dim: usize = args.num_or("dim", 24)?;
@@ -268,13 +268,10 @@ fn drive_clients<C: Send, B: Send>(
     })
 }
 
-/// `aligraph serve-bench [--requests N] [--clients N] [--workers N]
-/// [--scale F] [--seed N] [--delta-every-ms N] [--batch N] [--queue N]
-/// [--cache N] [--fault-seed N] [--drop-rate F] [--max-stale N]` — replays a
-/// synthetic Taobao-small request stream against
-/// the online serving layer while a writer thread interleaves dynamic graph
-/// updates, then prints the latency/throughput report. Serving metrics
-/// publish into `registry` as `serving.*` series.
+/// `aligraph serve-bench` — replays a synthetic Taobao-small request stream
+/// against the online serving layer while a writer thread interleaves
+/// dynamic graph updates, then prints the latency/throughput report.
+/// Serving metrics publish into `registry` as `serving.*` series.
 pub fn serve_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     use aligraph_graph::dynamic::{EdgeEvent, EvolutionKind, SnapshotDelta};
     use aligraph_graph::ids::well_known::CLICK;
@@ -403,10 +400,7 @@ pub fn serve_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
     Ok(out)
 }
 
-/// `aligraph serve-under-update [--requests N] [--clients N] [--workers N]
-/// [--scale F] [--seed N] [--update-every-ms N] [--update-adds N]
-/// [--update-attrs N] [--dim N] [--cache N] [--slo-p99-ms F]
-/// [--fault-seed N] [--drop-rate F]` — drives the streaming dynamic-graph
+/// `aligraph serve-under-update` — drives the streaming dynamic-graph
 /// service with seeded mixed read/update traffic: an updater thread feeds
 /// power-law-skewed edge/feature batches through the ingest pipeline while
 /// client threads gather through epoch-pinned sessions. Verifies session
@@ -490,7 +484,6 @@ pub fn serve_under_update(args: &Args, registry: &Arc<Registry>) -> Result<Strin
     let elapsed = start.elapsed();
     let report = StreamingReport::from_snapshot(&registry.snapshot(), elapsed);
     let oracle = service.oracle_check();
-    service.shutdown();
 
     let mut out = String::new();
     writeln!(
@@ -650,11 +643,7 @@ impl TrainScenario {
     }
 }
 
-/// `aligraph train-bench [--workers N] [--scale F] [--seed N] [--epochs N]
-/// [--batches N] [--batch N] [--negatives N] [--staleness N] [--dim N]
-/// [--sparse-lr F] [--checkpoint-dir DIR] [--checkpoint-every N]
-/// [--kill-worker N] [--kill-at-step N] [--fault-seed N] [--drop-rate F]` —
-/// runs the distributed training
+/// `aligraph train-bench` — runs the distributed training
 /// runtime on a synthetic Taobao graph with N shard-pinned workers, then
 /// repeats with 1 worker on the same graph and reports the modelled speedup,
 /// staleness histogram and parameter-server traffic by tier. The multi-worker
@@ -819,9 +808,7 @@ pub fn rebalance_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, 
     Ok(out)
 }
 
-/// `aligraph tiered-bench [--scale S] [--workers N] [--seed N]
-/// [--resident-budget BYTES] [--epochs N] [--batches N] [--batch N]
-/// [--dim N]` — the out-of-core scale curve. At graph sizes S/4, S/2 and S
+/// `aligraph tiered-bench` — the out-of-core scale curve. At graph sizes S/4, S/2 and S
 /// (S in hundredths of `TaobaoConfig::large_sim()`, so `--scale 100` is the
 /// full taobao-large graph) it builds the tiered cluster twice per point:
 /// once all-hot (infinite budget, detached registry) as the oracle, once
@@ -953,11 +940,11 @@ pub fn tiered_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
     Ok(out)
 }
 
-/// `aligraph metrics-demo [--workers N] [--scale F] [--seed N]` — exercises
-/// every instrumented layer against one registry (a short distributed
-/// training run for `storage.*` / `sampling.*` / `runtime.*`, then a burst
-/// of serving requests for `serving.*`) and prints the unified telemetry
-/// table. Combine with `--metrics-json PATH` for the machine-readable form.
+/// `aligraph metrics-demo` — exercises every instrumented layer against
+/// one registry (a short distributed training run for `storage.*` /
+/// `sampling.*` / `runtime.*`, then a burst of serving requests for
+/// `serving.*`) and prints the unified telemetry table. Combine with
+/// `--metrics-json PATH` for the machine-readable form.
 pub fn metrics_demo(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     use aligraph_sampling::WeightedNeighborhood;
     use aligraph_serving::{ServingConfig, ServingService};

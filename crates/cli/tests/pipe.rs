@@ -19,3 +19,15 @@ fn closed_stdout_is_a_clean_exit() {
     assert!(stderr.is_empty(), "stderr: {stderr}");
     assert_eq!(out.status.code(), Some(0));
 }
+
+#[test]
+fn a_misspelt_flag_exits_2_with_the_flag_named() {
+    let out = Command::new(env!("CARGO_BIN_EXE_aligraph"))
+        .args(["train-bench", "--resident-budjet", "1000"])
+        .output()
+        .expect("spawn aligraph");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no work was reported");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--resident-budjet"), "stderr: {stderr}");
+}

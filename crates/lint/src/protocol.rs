@@ -197,6 +197,36 @@ mod tests {
     }
 
     #[test]
+    fn a_same_named_free_fn_in_another_crate_feeds_a_driver_call() {
+        // Serving's `worker_loop` before its counter was named `next_seq`:
+        // a sequence identifier, no origin, one caller without one either.
+        const SERVING: (&str, &str) = (
+            "crates/serving/src/service.rs",
+            "pub fn start(plane: &FaultPlane) { worker_loop(plane); }\n\
+             fn worker_loop(plane: &FaultPlane) {\n\
+                 let mut remote_seq = 0u64;\n\
+                 let seq = remote_seq;\n\
+                 plane.deliver(3, seq, &POLICY, RecoveryMode::Full, HopKind::Unacked, || {}).ok();\n\
+             }\n",
+        );
+        assert_eq!(active(&run(&[SERVING])), 1);
+        // Free-fn calls resolve by bare name across crates, so another
+        // crate's caller of *its* `worker_loop` counted as this one's.
+        let fed = run(&[
+            SERVING,
+            (
+                "crates/streaming/src/ingest.rs",
+                "pub fn spawn() { let next_seq = 0u64; worker_loop(next_seq); }\n\
+                 fn worker_loop(first: u64) {}\n",
+            ),
+        ]);
+        assert_eq!(active(&fed), 0, "{fed:?}");
+        // The fix: the counter is an origin and is named as one.
+        let named = (SERVING.0, &*SERVING.1.replace("remote_seq", "next_seq"));
+        assert_eq!(active(&run(&[named])), 0);
+    }
+
+    #[test]
     fn unsequenced_send_is_flagged_but_seq_and_reply_sends_pass() {
         let out = run(&[(
             "crates/streaming/src/s.rs",

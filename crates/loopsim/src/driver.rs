@@ -368,7 +368,6 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
     }
 
     service.oracle_check().map_err(LoopError::Config)?;
-    service.shutdown();
 
     // Content fingerprint only: version number + trained feature rows +
     // dense parameters. Deliberately NOT the sealed ModelVersion

@@ -14,16 +14,15 @@
 //! * [`combine::Combiner`] — **COMBINE** merges a vertex's previous-hop
 //!   embedding with the aggregated neighborhood (GraphSAGE concatenation,
 //!   GCN-style sum) through a trainable dense layer;
-//! * [`layer::DenseLayer`] — the shared trainable building block;
-//! * [`cache::MaterializationCache`] — a standalone copy of the §3.4
-//!   materialisation idea that nothing outside its tests constructs; what
-//!   Table 5 times is `EpisodeTape`'s memo in the `aligraph` crate.
+//! * [`layer::DenseLayer`] — the shared trainable building block.
+//!
+//! The §3.4 materialisation of intermediate `ĥ^(k)` vectors (Table 5) is
+//! `EpisodeTape`'s memo in the `aligraph` crate, not an operator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod aggregate;
-pub mod cache;
 pub mod combine;
 pub mod layer;
 pub mod recurrent;
@@ -32,7 +31,6 @@ pub use aggregate::{
     Aggregator, AttentionAggregator, MaxPoolAggregator, MeanAggregator, SumAggregator,
     WeightedMeanAggregator,
 };
-pub use cache::MaterializationCache;
 pub use combine::{Combiner, ConcatCombiner, GcnCombiner};
 pub use layer::{Activation, DenseLayer};
 pub use recurrent::{LstmAggregator, PoolNnAggregator};

@@ -48,9 +48,7 @@ pub use neighborhood::{
     WeightedNeighborhood,
 };
 pub use pipeline::{SampleBatch, SamplingPipeline};
-pub use plane::{
-    affected, Applied, Committed, EpochManager, EpochView, ShardOverlay, Touched, VertexOverlay,
-};
+pub use plane::{affected, Applied, Committed, EpochManager, EpochView, ShardOverlay, Touched};
 pub use seeding::{worker_rng, worker_seed};
 pub use telemetry::MeteredNeighborhood;
 pub use traverse::{ShardEdgePools, TraverseSampler, UniformTraverse, WeightedEdgeTraverse};

@@ -237,7 +237,7 @@ impl<T: Clone> Index<T> {
 /// fields mean the previous owner never touched that aspect (the base
 /// snapshot still serves it correctly on any shard).
 #[derive(Debug, Clone, Default)]
-pub struct VertexOverlay {
+struct VertexOverlay {
     out: Option<Arc<OutRow>>,
     in_row: Option<Arc<Vec<Neighbor>>>,
     feats: Option<Arc<Vec<f32>>>,
@@ -416,7 +416,7 @@ impl ShardOverlay {
     /// be [`absorb`](Self::absorb)ed by their new owners before the next
     /// epoch publishes, or their streamed edits would be lost to base-row
     /// fallbacks.
-    pub fn adopt_owners(&mut self, owners: Arc<Vec<u32>>) -> Vec<(u32, u32, VertexOverlay)> {
+    fn adopt_owners(&mut self, owners: Arc<Vec<u32>>) -> Vec<(u32, u32, VertexOverlay)> {
         self.owners = owners;
         let leaving: BTreeSet<u32> = [self.out_rows.keys(), self.in_rows.keys(), self.feats.keys()]
             .into_iter()
@@ -440,7 +440,7 @@ impl ShardOverlay {
     /// Present fields overwrite (the emigrant state is newer by
     /// construction); absent fields leave any local state alone, so a
     /// duplicate absorb is harmless.
-    pub fn absorb(&mut self, v: u32, state: VertexOverlay) {
+    fn absorb(&mut self, v: u32, state: VertexOverlay) {
         if let Some(e) = state.out {
             self.out_rows.insert(v, e);
         }
@@ -493,25 +493,39 @@ impl EpochView {
 
     /// The next version: same base and routing, new shard overlays.
     pub fn with_shards(&self, shards: Vec<ShardOverlay>) -> EpochView {
-        self.with_routing(Arc::clone(&self.owners), shards)
-    }
-
-    /// The next version with re-pointed ownership: a new owner table plus
-    /// the post-handoff shard overlays, same base. This is how streaming
-    /// routing follows an elastic rebalance — readers at this epoch resolve
-    /// every vertex through the new table, and the overlays already hold
-    /// the migrated state, so the graph bits are unchanged.
-    pub fn with_routing(&self, owners: Arc<Vec<u32>>, shards: Vec<ShardOverlay>) -> EpochView {
-        debug_assert_eq!(owners.len(), self.num_vertices());
         debug_assert_eq!(shards.len(), self.shards.len());
         EpochView {
             epoch: self.epoch + 1,
             base: Arc::clone(&self.base),
             base_feats: Arc::clone(&self.base_feats),
             base_alias: Arc::clone(&self.base_alias),
-            owners,
+            owners: Arc::clone(&self.owners),
             shards,
         }
+    }
+
+    /// The next version with ownership re-pointed at `owners` — how online
+    /// routing follows an elastic rebalance. Every shard adopts the table
+    /// and gives up the overlay state of the vertices that left it, and the
+    /// new owners absorb it, so readers at the new epoch resolve every
+    /// vertex through the new table and read the bits they read before;
+    /// `self` is untouched. `Err` says why the table does not fit.
+    pub fn adopt_owners(&self, owners: Arc<Vec<u32>>) -> Result<EpochView, String> {
+        let (n, count) = (self.num_vertices(), self.shards.len());
+        if owners.len() != n {
+            return Err(format!("owner table covers {} vertices, graph has {n}", owners.len()));
+        }
+        if let Some(bad) = owners.iter().find(|&&o| o as usize >= count) {
+            return Err(format!("owner {bad} out of range for {count} shards"));
+        }
+        let mut shards = self.shards.clone();
+        let mut moved: Vec<_> =
+            shards.iter_mut().flat_map(|s| s.adopt_owners(Arc::clone(&owners))).collect();
+        moved.sort_by_key(|&(v, ..)| v);
+        for (v, dst, state) in moved {
+            shards[dst as usize].absorb(v, state);
+        }
+        Ok(EpochView { owners, ..self.with_shards(shards) })
     }
 
     /// Applies a batch to every shard on the caller's thread and returns
@@ -1121,7 +1135,7 @@ mod tests {
     }
 
     /// History independence, pinned by a count (CI gates no wall clock): the
-    /// ingest worker's situation — a published clone of the overlay is still
+    /// ingest path's situation — a published clone of the overlay is still
     /// alive whenever the next batch is applied — over 2 000 batches of 32
     /// adds + the previous 32 retracted + 8 feature rewrites. The index nodes
     /// a batch copies must depend on what the batch touches, not on how many

@@ -419,7 +419,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
     let mut tape = EpisodeTape::new();
     // Message counter for this worker's faulted remote fetches; the channel
     // keys the owner shard, so (channel, seq) identifies each fetch.
-    let mut remote_seq = 0u64;
+    let mut next_seq = 0u64;
 
     while let Some(batch) = next_batch(&rx, cfg.max_batch, cfg.max_batch_delay) {
         // Pin the graph version once per batch; the whole batch is
@@ -466,8 +466,8 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
             if let (Some(plane), Some(fc)) = (&shared.plane, &cfg.fault) {
                 let channel =
                     FaultPlane::channel_with(SERVING_FETCH_TAG, worker as u64, owner_of(v) as u64);
-                let seq = remote_seq;
-                remote_seq += 1;
+                let seq = next_seq;
+                next_seq += 1;
                 // Fetches are idempotent reads nobody acknowledges: a lost
                 // ack is a delivery, a delay costs only virtual time, and
                 // the forward runs after the hop (nothing lands in flight).

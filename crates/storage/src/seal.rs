@@ -12,9 +12,10 @@
 //!   bounds-checked [`Cursor`], so a truncated, bit-flipped or foreign
 //!   buffer is a typed error and never a panic or a garbage decode.
 //! * **Durability.** [`write_atomic`] writes a temp file beside the
-//!   target, `sync_all`s it, and only then `rename`s it into place, so a
-//!   crash leaves the old file or the new one — never a torn or
-//!   zero-length file under the final name. A stale
+//!   target, `sync_all`s it, only then `rename`s it into place and syncs
+//!   the directory, so a crash leaves the old file or the new one — never
+//!   a torn or zero-length file under the final name — and a returned
+//!   write stays written. A stale
 //!   `*.tmp` from a crashed writer is inert: readers never match it and
 //!   the next write truncates it.
 
@@ -196,7 +197,12 @@ impl<'a> Cursor<'a> {
 
 /// Writes `bytes` to `path` atomically and durably: parent directory
 /// created, temp file `<name>.tmp` beside the target, `write_all`,
-/// `sync_all`, `rename`.
+/// `sync_all`, `rename`, then (on Unix) `sync_all` of the parent directory.
+///
+/// The contract: after a crash at any point `path` holds either its old
+/// content (or nothing, if it did not exist) or all of `bytes`, never a
+/// mix; and once the call has returned `Ok` the new name itself is on disk.
+/// A leftover `<name>.tmp` is the only trace an interrupted call leaves.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
     fs::create_dir_all(dir)?;
@@ -210,7 +216,13 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         // and a crash leaves a zero-length file under the final name.
         f.sync_all()?;
     }
-    fs::rename(tmp, path)
+    fs::rename(tmp, path)?;
+    // The rename is an edit of the directory: until that is synced too, a
+    // crash can bring back the old entry. Other platforms cannot open a
+    // directory for this and order the rename themselves.
+    #[cfg(unix)]
+    fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 #[cfg(test)]

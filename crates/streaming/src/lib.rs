@@ -16,9 +16,10 @@
 //!   the serving crate and re-exported here: per-shard copy-on-write
 //!   overlays with **incrementally repaired** alias tables, published as
 //!   monotonic epochs that readers **pin** (session consistency);
-//! * [`ingest`] — the coordinator + per-shard ingest workers. Batches
-//!   travel over a chaos-wrapped channel (fault tag 4) with sequence
-//!   numbers; a [`aligraph_chaos::Sequencer`] dedups retried duplicates so
+//! * [`ingest`] — the coordinator: each batch gets a sequence number,
+//!   crosses a chaos-wrapped channel (fault tag 4) once per shard, and is
+//!   applied in shard order on the caller's thread; a per-shard
+//!   [`aligraph_chaos::Sequencer`] dedups the copies that land, so
 //!   drop/delay/reorder faults cost only modelled ticks, never correctness;
 //! * [`serve`] — [`serve::StreamingService`]: epoch-pinned sessions,
 //!   deterministic per-vertex k-hop gathers, an epoch-tagged sample cache
@@ -27,8 +28,9 @@
 //! * [`report`] — the `streaming.*` telemetry rollup.
 //!
 //! ```text
-//! updates ──submit(seq)──> [chaos tag 4] ──> shard workers (Sequencer dedup)
-//!                                              │ apply + alias repair
+//! updates ──resolve(seq)──> [chaos tag 4, one hop per shard] ──> Sequencer dedup
+//!                                              │ apply + alias repair, in
+//!                                              │ shard order, caller's thread
 //!                                              ▼
 //!                        epoch N+1 ── reverse k-hop invalidate ──> VersionedCache
 //!                                              │
@@ -51,7 +53,7 @@ pub mod report;
 pub mod serve;
 
 pub use aligraph_chaos::UPDATE_INGEST_TAG;
-pub use aligraph_sampling::plane::{EpochManager, EpochView, ShardOverlay, Touched, VertexOverlay};
+pub use aligraph_sampling::plane::{EpochManager, EpochView, ShardOverlay, Touched};
 pub use event::{UpdateBatch, UpdateEvent, UpdateWorkload};
 pub use ingest::{IngestError, IngestFaultConfig};
 pub use report::StreamingReport;

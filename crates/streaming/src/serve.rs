@@ -32,7 +32,7 @@ use std::sync::Arc;
 /// Tunables of a [`StreamingService`].
 #[derive(Debug, Clone)]
 pub struct StreamingConfig {
-    /// Ingest shards (one worker thread each).
+    /// Ingest shards (one overlay and one fault-plane hop each).
     pub shards: usize,
     /// Per-hop sampling fanouts; `len()` is the gather depth `kmax`.
     pub fanouts: Vec<usize>,
@@ -147,9 +147,9 @@ impl StreamingService {
     }
 
     /// Starts the service: hash-partitions vertex ownership across the
-    /// shards, builds the base alias tables once, spawns one ingest worker
-    /// per shard, and publishes epoch 0. All `streaming.*` (and, when a
-    /// fault plan is armed, `chaos.*`) series land in `registry`.
+    /// shards, builds the base alias tables once and publishes epoch 0. All
+    /// `streaming.*` (and, when a fault plan is armed, `chaos.*`) series land
+    /// in `registry`.
     pub fn start_with_registry(
         base: Arc<AttributedHeterogeneousGraph>,
         feats: Arc<FeatureMatrix>,
@@ -160,36 +160,28 @@ impl StreamingService {
         let part = EdgeCutHash.partition(&base, shards);
         let owners: Arc<Vec<u32>> =
             Arc::new(part.vertex_owner.iter().map(|w| w.index() as u32).collect());
-        let base_alias: Arc<Vec<Option<Arc<AliasTable>>>> = Arc::new(
-            (0..base.num_vertices())
-                .map(|v| {
-                    let w: Vec<f32> =
-                        base.out_neighbors(VertexId(v as u32)).iter().map(|n| n.weight).collect();
-                    AliasTable::new(&w).map(Arc::new)
-                })
-                .collect(),
-        );
+        let base_alias = base_alias(&base);
         let (plan, policy) = match &config.fault {
             Some(f) => (f.plan.clone(), f.policy),
             None => (FaultPlan::default(), RetryPolicy::default()),
         };
-        let plane = Arc::new(FaultPlane::registered(plan, registry));
+        let plane = FaultPlane::registered(plan, registry);
         let view = EpochView::initial(base, feats, base_alias, owners, shards);
-        let pipeline = Mutex::new(IngestPipeline::spawn(view.shards().to_vec(), plane, policy));
         StreamingService {
             epochs: EpochManager::new(view),
             cache: VersionedCache::registered(config.cache_capacity, registry, "streaming.cache"),
-            pipeline,
+            pipeline: Mutex::new(IngestPipeline::new(shards, plane, policy)),
             fanouts: config.fanouts,
             seed: config.seed,
             metrics: Metrics::registered(registry),
         }
     }
 
-    /// Applies one batch: checks it, fans it out to the shards through the
-    /// (possibly faulted) ingest channel, and commits the shards' overlays
-    /// as the next epoch with the plane's targeted cache sweep. The pipeline
-    /// lock is held through the commit so concurrent callers publish
+    /// Applies one batch on the caller's thread: checks it, crosses the
+    /// (possibly faulted) ingest channel once per shard, and commits the
+    /// head's shards with the batch applied as the next epoch, with the
+    /// plane's targeted cache sweep. The pipeline lock is held through the
+    /// commit — it is all that orders concurrent callers — so they publish
     /// strictly increasing epochs in submit order.
     pub fn ingest(&self, batch: &UpdateBatch) -> Result<IngestReceipt, IngestError> {
         let mut pipeline = self.pipeline.lock();
@@ -197,10 +189,11 @@ impl StreamingService {
             .pin()
             .check(batch)
             .map_err(|(index, reason)| IngestError::BadEvent { index, reason })?;
-        let outcome = pipeline.submit(Arc::new(batch.events.clone()))?;
-        let (views, lag_ticks) = (outcome.views, outcome.lag_ticks);
+        let hops = pipeline.resolve()?;
         let done = self.epochs.commit(self.fanouts.len(), &self.cache, |pre| {
-            (pre.with_shards(views), outcome.applied)
+            let mut shards = pre.shards().to_vec();
+            let applied = pipeline.apply(&hops, &mut shards, &batch.events);
+            (pre.with_shards(shards), applied)
         });
         let overlay_rows = self.epochs.pin().overlay_rows();
         drop(pipeline);
@@ -212,7 +205,7 @@ impl StreamingService {
             }
         }
         self.metrics.batches.inc();
-        self.metrics.lag.record(lag_ticks);
+        self.metrics.lag.record(hops.lag_ticks);
         self.metrics.repairs.add(done.applied.repairs);
         self.metrics.repaired_slots.add(done.applied.repaired_slots);
         self.metrics.epoch.set(done.epoch as i64);
@@ -225,7 +218,7 @@ impl StreamingService {
             touched_feats: done.applied.touched.feats,
             invalidated: done.invalidated,
             affected: done.affected,
-            lag_ticks,
+            lag_ticks: hops.lag_ticks,
             repairs: done.applied.repairs,
             repaired_slots: done.applied.repaired_slots,
         })
@@ -234,27 +227,20 @@ impl StreamingService {
     /// Re-points vertex ownership at `owners` — the streaming half of an
     /// elastic rebalance, typically fed from the storage layer's topology
     /// epoch after a shard split/merge so ingest routing follows the
-    /// membership version. The overlay state of every moved vertex migrates
-    /// between shard workers *before* the next epoch publishes, so a read
-    /// at the new epoch sees exactly the pre-move bits; no cache entry is
-    /// invalidated because no graph data changed, only placement. Returns
-    /// the epoch the new routing published under.
+    /// membership version. The overlay state of every moved vertex changes
+    /// shards *in* the epoch that publishes the table
+    /// ([`EpochView::adopt_owners`]), so a read at the new epoch sees
+    /// exactly the pre-move bits and the next batch applies on the new
+    /// owner; no cache entry is invalidated because no graph data changed,
+    /// only placement. Returns the epoch the new routing published under.
     pub fn adopt_owners(&self, owners: Arc<Vec<u32>>) -> Result<u64, IngestError> {
-        let mut pipeline = self.pipeline.lock();
-        let pre = self.epochs.pin();
-        if owners.len() != pre.num_vertices() {
-            return Err(IngestError::BadOwners(format!(
-                "owner table covers {} vertices, graph has {}",
-                owners.len(),
-                pre.num_vertices()
-            )));
-        }
-        let views = pipeline.adopt_owners(Arc::clone(&owners))?;
+        // Held for its ordering: this pin stays the head until the commit.
+        let pipeline = self.pipeline.lock();
+        let next = self.epochs.pin().adopt_owners(owners).map_err(IngestError::BadOwners)?;
         // Placement-only change: nothing is touched, so the commit sweeps
         // nothing and every cached gather stays bit-correct at the new epoch.
-        let done = self.epochs.commit(self.fanouts.len(), &self.cache, |pre| {
-            (pre.with_routing(owners, views), Applied::default())
-        });
+        let done =
+            self.epochs.commit(self.fanouts.len(), &self.cache, |_| (next, Applied::default()));
         drop(pipeline);
         self.metrics.epoch.set(done.epoch as i64);
         Ok(done.epoch)
@@ -313,10 +299,19 @@ impl StreamingService {
         Ok(())
     }
 
-    /// Stops the ingest workers and drops the service.
-    pub fn shutdown(self) {
-        self.pipeline.into_inner().shutdown();
-    }
+    /// Drops the service. Ingest runs on its callers' threads, so there is
+    /// nothing to stop or join; the consuming signature is kept for the
+    /// callers written against the worker pool (`perf/` among them).
+    pub fn shutdown(self) {}
+}
+
+/// The alias table of every base out-row, built once at startup.
+pub(crate) fn base_alias(base: &AttributedHeterogeneousGraph) -> Arc<Vec<Option<Arc<AliasTable>>>> {
+    let table = |v| {
+        let w: Vec<f32> = base.out_neighbors(VertexId(v)).iter().map(|n| n.weight).collect();
+        AliasTable::new(&w).map(Arc::new)
+    };
+    Arc::new((0..base.num_vertices() as u32).map(table).collect())
 }
 
 /// A reader's handle: one pinned epoch for its whole lifetime.
@@ -452,8 +447,6 @@ mod tests {
         let svc2 = service(StreamingConfig::default());
         let c = svc2.session().gather(VertexId(0));
         assert_eq!(a.vector, c.vector);
-        svc.shutdown();
-        svc2.shutdown();
     }
 
     #[test]
@@ -476,7 +469,6 @@ mod tests {
         let new = svc.session();
         assert_eq!(new.epoch(), 1);
         svc.oracle_check().unwrap();
-        svc.shutdown();
     }
 
     #[test]
@@ -491,7 +483,6 @@ mod tests {
         assert_eq!(hit.epoch, 1);
         assert_eq!(svc.cache_stats().hits, 1);
         svc.oracle_check().unwrap();
-        svc.shutdown();
     }
 
     #[test]
@@ -522,7 +513,6 @@ mod tests {
         let row: Vec<u32> = pin.out_neighbors(VertexId(1)).iter().map(|n| n.vertex.0).collect();
         assert!(row.contains(&4) && row.contains(&3), "got {row:?}");
         svc.oracle_check().unwrap();
-        svc.shutdown();
     }
 
     #[test]
@@ -536,7 +526,6 @@ mod tests {
             svc.adopt_owners(Arc::new(vec![7u32; 6])),
             Err(IngestError::BadOwners(_))
         ));
-        svc.shutdown();
     }
 
     #[test]
@@ -564,7 +553,6 @@ mod tests {
         assert!(Arc::ptr_eq(&cached.vector, &svc.session().gather(VertexId(0)).vector));
         assert_eq!(svc.ingest(&UpdateBatch { events: vec![add(0, 2)] }).unwrap().epoch, 1);
         svc.oracle_check().unwrap();
-        svc.shutdown();
     }
 
     /// Every shard's published out-rows, by vertex.
@@ -632,7 +620,6 @@ mod tests {
         assert_ne!(before.vector, after.vector);
         assert_eq!(after.vector[0], 9.0);
         svc.oracle_check().unwrap();
-        svc.shutdown();
     }
 
     /// What a reader can see of one graph version: per vertex, the words of
@@ -650,9 +637,8 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn pins_taken_along_a_long_stream_keep_reading_what_they_read() {
-        // A 300-vertex chain over two shards: ids span three index levels.
+    /// A 300-vertex chain over two shards: ids span three index levels.
+    fn long_chain() -> StreamingService {
         let mut b = GraphBuilder::directed();
         let vs: Vec<VertexId> = (0..300).map(|_| b.add_vertex(USER, AttrVector::empty())).collect();
         for w in vs.windows(2) {
@@ -660,7 +646,12 @@ mod tests {
         }
         let g = Arc::new(b.build());
         let feats = Arc::new(Featurizer::new(8).matrix(&g));
-        let svc = StreamingService::start(g, feats, StreamingConfig::default());
+        StreamingService::start(g, feats, StreamingConfig::default())
+    }
+
+    #[test]
+    fn pins_taken_along_a_long_stream_keep_reading_what_they_read() {
+        let svc = long_chain();
         let mut updates = crate::UpdateWorkload::new(11, 300, 8);
         let mut pins = Vec::new();
         for batch in 0..300u64 {
@@ -680,7 +671,45 @@ mod tests {
         assert_ne!(pins[0].1, everything(svc.session().view()));
         svc.oracle_check().unwrap();
         drop(pins);
-        svc.shutdown();
+    }
+
+    #[test]
+    fn concurrent_writers_publish_a_gapless_log_that_replays_serially() {
+        // Ingest runs on its callers' threads: the pipeline lock is all that
+        // orders four writers racing from one barrier.
+        const WRITERS: usize = 4;
+        const BATCHES: usize = 25;
+        let svc = long_chain();
+        let start = std::sync::Barrier::new(WRITERS);
+        let mut log: Vec<(u64, UpdateBatch)> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS as u64)
+                .map(|w| {
+                    let (svc, start) = (&svc, &start);
+                    scope.spawn(move || {
+                        let mut updates = crate::UpdateWorkload::new(100 + w, 300, 8);
+                        start.wait();
+                        (0..BATCHES)
+                            .map(|_| {
+                                let batch = updates.next_batch(8, 2);
+                                (svc.ingest(&batch).unwrap().epoch, batch)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            writers.into_iter().flat_map(|w| w.join().expect("writer panicked")).collect()
+        });
+        log.sort_by_key(|(epoch, _)| *epoch);
+        let epochs: Vec<u64> = log.iter().map(|(epoch, _)| *epoch).collect();
+        assert_eq!(epochs, (1..=(WRITERS * BATCHES) as u64).collect::<Vec<_>>());
+        svc.oracle_check().unwrap();
+        // The same batches, one writer, in the order the epochs say they
+        // applied: every row, alias table and feature vector is equal.
+        let serial = long_chain();
+        for (epoch, batch) in &log {
+            assert_eq!(serial.ingest(batch).unwrap().epoch, *epoch);
+        }
+        assert_eq!(everything(svc.session().view()), everything(serial.session().view()));
     }
 
     #[test]
@@ -708,7 +737,5 @@ mod tests {
         for (kind, rows) in [("out", 2), ("in", 1), ("feat", 1)] {
             assert_eq!(snap.gauge("streaming.overlay.rows", &[("kind", kind)]), rows, "{kind}");
         }
-        base.shutdown();
-        metered.shutdown();
     }
 }
