@@ -8,7 +8,11 @@
 # row compares values unless it says --presence-only: closed-loop,
 # rebalance-bench and tiered-bench are seeded and lock-stepped (every series
 # that is not a wall clock repeats exactly); serve-under-update's counters
-# follow its updater thread's timing.
+# follow its updater thread's timing. A row whose baseline is `clean-run`
+# is compared against its own shape run without the fault flags: an unarmed
+# plane is the fault-free run, so every value the clean run publishes must
+# come out equal (the extra `chaos.*` series, all zero, are the current
+# run's alone).
 #
 #   ci/smoke.sh            run every row
 #   ci/smoke.sh <name>...  run the named rows
@@ -19,6 +23,7 @@ out="${RUNNER_TEMP:-$(mktemp -d)}"
 # name | command | args | expected series prefixes | baseline [compare flags]
 table="
 train-bench          | train-bench        | --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --checkpoint-dir $out/train-bench-ckpts | storage. sampling. runtime.ps. |
+train-bench-unarmed  | train-bench        | --fault-seed 42 --drop-rate 0 --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 | storage. sampling. runtime.ps. | clean-run --tolerance 0
 train-bench-chaos    | train-bench        | --fault-seed 42 --drop-rate 0.2 --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 | chaos.faults_injected chaos.retries |
 train-bench-kill     | train-bench        | --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --checkpoint-dir $out/train-bench-kill-ckpts --kill-worker 1 --kill-at-step 5 | chaos.faults_injected runtime.ps. |
 serve-bench          | serve-bench        | --requests 1000 --clients 2 --workers 2 --scale 0.05 | serving.requests serving.latency_ns |
@@ -46,6 +51,12 @@ while IFS='|' read -r name command args prefixes baseline; do
     python3 ci/check_metrics_json.py "$json" --command $command \
         $(printf -- '--expect-prefix %s ' $prefixes)
     read -r baseline_file compare_flags <<<"$baseline"
+    if [ "$baseline_file" = clean-run ]; then
+        baseline_file="$out/$name-clean-metrics.json"
+        # shellcheck disable=SC2086,SC2001
+        cargo run --release -q -p aligraph-cli -- $command \
+            $(sed -E 's/--(fault-seed|drop-rate) [^ ]+//g' <<<"$args") --metrics-json "$baseline_file"
+    fi
     if [ -n "$baseline_file" ]; then
         # shellcheck disable=SC2086
         python3 ci/compare_bench.py "$baseline_file" "$json" $compare_flags

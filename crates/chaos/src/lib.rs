@@ -39,7 +39,9 @@ mod retry;
 mod seq;
 
 pub use plan::{CrashPoint, Delivery, FaultPlan, FaultPlane, FaultSnapshot};
-pub use retry::{HopKind, RecoveryMode, RetryError, RetryPolicy, Sent, MAX_BACKOFF_TICKS, TICK_NS};
+pub use retry::{
+    FaultConfig, HopKind, RecoveryMode, RetryError, RetryPolicy, Sent, MAX_BACKOFF_TICKS, TICK_NS,
+};
 pub use seq::Sequencer;
 
 /// Channel tag of parameter-server pushes (`worker → shard`). A tag is the
@@ -50,8 +52,8 @@ pub use seq::Sequencer;
 ///
 /// | tag | constant | channel `(from, to)` | sender |
 /// |---|---|---|---|
-/// | 0 | [`PS_PUSH_TAG`] | worker, shard | `runtime` PS `push_faulted` |
-/// | 1 | [`PS_PULL_TAG`] | shard, worker | `runtime` PS `drain_into_faulted` |
+/// | 0 | [`PS_PUSH_TAG`] | worker, shard | `runtime` PS `push` |
+/// | 1 | [`PS_PULL_TAG`] | shard, worker | `runtime` PS `drain_into` |
 /// | 3 | [`SERVING_FETCH_TAG`] | worker, owner | `serving` cache-miss k-hop gather |
 /// | 4 | [`UPDATE_INGEST_TAG`] | 0, shard | `streaming` batch ingest |
 /// | 5 | [`MIGRATION_TAG`] | src, dst | `storage` `Cluster::rebalance` and `runtime` PS `rehome` |

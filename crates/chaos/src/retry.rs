@@ -1,7 +1,7 @@
 //! Capped exponential backoff with a retry deadline, and the one delivery
 //! driver that spends it.
 
-use crate::plan::{Delivery, FaultPlane};
+use crate::plan::{Delivery, FaultPlan, FaultPlane};
 
 /// The hard ceiling on any single backoff wait, in virtual ticks. The
 /// workspace's one retry loop ([`FaultPlane::deliver`]) takes its waits
@@ -89,6 +89,26 @@ impl RetryPolicy {
     /// Whether `attempt` is past the deadline (no send allowed).
     pub fn exhausted(&self, attempt: u32) -> bool {
         attempt >= self.max_attempts.max(1)
+    }
+}
+
+/// How a subsystem attaches to the chaos plane: the plan its plane runs and
+/// the retry budget its sends spend. One type for every attachment — the
+/// training runtime's PS channels, streaming's ingest channel, serving's
+/// fetch channel — and its `Default` is the unarmed plane, which delivers
+/// every message at zero ticks: the fault-free run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FaultConfig {
+    /// The seeded fault plan (what to inject, where, how often).
+    pub plan: FaultPlan,
+    /// Capped-backoff retry budget for faulted sends.
+    pub policy: RetryPolicy,
+}
+
+impl FaultConfig {
+    /// The common CLI shape: fault seed + drop rate, defaults elsewhere.
+    pub fn with_seed(seed: u64, drop_rate: f64) -> Self {
+        FaultConfig { plan: FaultPlan::with_seed(seed, drop_rate), policy: RetryPolicy::default() }
     }
 }
 
@@ -185,7 +205,6 @@ impl FaultPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultPlan;
 
     #[test]
     fn schedule_is_monotone_and_capped() {

@@ -5,6 +5,7 @@
 //! `--metrics-json`) normalize through [`CommonArgs`] so every command
 //! parses, defaults, and clamps them the same way.
 
+use aligraph_chaos::FaultConfig;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -125,7 +126,8 @@ impl Default for CommonDefaults {
 /// `--metrics-json PATH` (where to dump the run's telemetry snapshot), and
 /// the chaos-plane pair `--fault-seed N` / `--drop-rate F` (a fault plane is
 /// attached iff `--fault-seed` is given; the rate defaults to 0.1 and clamps
-/// to `[0, 0.999]`).
+/// to `[0, 0.999]`), built once into the [`FaultConfig`] every command that
+/// takes them hands to its subsystem.
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// Base RNG seed.
@@ -136,27 +138,25 @@ pub struct CommonArgs {
     pub scale: f64,
     /// Where to write the metrics JSON (`None` = don't).
     pub metrics_json: Option<PathBuf>,
-    /// Chaos-plane seed (`None` = no fault injection).
-    pub fault_seed: Option<u64>,
-    /// Per-message fault probability for the chaos plane.
-    pub drop_rate: f64,
+    /// The chaos-plane attachment (`None` = no fault injection).
+    pub fault: Option<FaultConfig>,
 }
 
 impl CommonArgs {
     /// Parses the shared flags out of `args`, falling back to `defaults`.
     pub fn from_args(args: &Args, defaults: CommonDefaults) -> Result<CommonArgs, CliError> {
         let path = args.get_or("metrics-json", "");
-        let fault_seed = match args.get_or("fault-seed", "") {
+        let drop_rate = args.num_or("drop-rate", 0.1f64)?;
+        let fault = match args.get_or("fault-seed", "") {
             "" => None,
-            _ => Some(args.num_or("fault-seed", 0u64)?),
+            _ => Some(FaultConfig::with_seed(args.num_or("fault-seed", 0u64)?, drop_rate)),
         };
         Ok(CommonArgs {
             seed: args.num_or("seed", defaults.seed)?,
             workers: args.num_or("workers", defaults.workers)?.max(1),
             scale: args.num_or("scale", defaults.scale)?,
             metrics_json: if path.is_empty() { None } else { Some(PathBuf::from(path)) },
-            fault_seed,
-            drop_rate: args.num_or("drop-rate", 0.1f64)?.clamp(0.0, 0.999),
+            fault,
         })
     }
 }
@@ -196,7 +196,7 @@ mod tests {
         let c = CommonArgs::from_args(&a, d).unwrap();
         assert_eq!((c.seed, c.workers, c.scale), (7, 4, 0.5));
         assert!(c.metrics_json.is_none());
-        assert!(c.fault_seed.is_none(), "no fault plane unless --fault-seed given");
+        assert!(c.fault.is_none(), "no fault plane unless --fault-seed given");
 
         let a = Args::parse(&argv(&[
             "bench",
@@ -219,13 +219,12 @@ mod tests {
     fn chaos_flags_parse_and_clamp() {
         let d = CommonDefaults::default();
         let a = Args::parse(&argv(&["bench", "--fault-seed", "42", "--drop-rate", "0.2"])).unwrap();
-        let c = CommonArgs::from_args(&a, d).unwrap();
-        assert_eq!(c.fault_seed, Some(42));
-        assert_eq!(c.drop_rate, 0.2);
+        let plan = CommonArgs::from_args(&a, d).unwrap().fault.expect("--fault-seed given").plan;
+        assert_eq!((plan.seed, plan.drop_rate), (42, 0.2));
 
         let a = Args::parse(&argv(&["bench", "--fault-seed", "7", "--drop-rate", "1.5"])).unwrap();
-        let c = CommonArgs::from_args(&a, d).unwrap();
-        assert_eq!(c.drop_rate, 0.999, "rate clamps below certain loss");
+        let plan = CommonArgs::from_args(&a, d).unwrap().fault.expect("--fault-seed given").plan;
+        assert_eq!(plan.drop_rate, 0.999, "rate clamps below certain loss");
 
         let a = Args::parse(&argv(&["bench", "--fault-seed", "x"])).unwrap();
         assert!(matches!(CommonArgs::from_args(&a, d), Err(CliError::Usage(_))));

@@ -276,7 +276,7 @@ pub fn serve_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
     use aligraph_graph::dynamic::{EdgeEvent, EvolutionKind, SnapshotDelta};
     use aligraph_graph::ids::well_known::CLICK;
     use aligraph_sampling::WeightedNeighborhood;
-    use aligraph_serving::{ServeError, ServingConfig, ServingFaultConfig, ServingService};
+    use aligraph_serving::{ServeError, ServingConfig, ServingService};
 
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.1 })?;
     let requests: u64 = args.num_or("requests", 10_000u64)?;
@@ -284,19 +284,14 @@ pub fn serve_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
     let workers = common.workers;
     let seed = common.seed;
     let delta_every_ms: u64 = args.num_or("delta-every-ms", 2u64)?.max(1);
-    let max_stale: u64 = args.num_or("max-stale", 8u64)?;
-    let fault = common.fault_seed.map(|fault_seed| ServingFaultConfig {
-        plan: aligraph_chaos::FaultPlan::with_seed(fault_seed, common.drop_rate),
-        policy: aligraph_chaos::RetryPolicy::default(),
-        max_stale_versions: max_stale,
-    });
     let config = ServingConfig {
         workers,
         max_batch: args.num_or("batch", 32usize)?,
         queue_capacity: args.num_or("queue", 512usize)?,
         cache_capacity: args.num_or("cache", 4_096usize)?,
         seed,
-        fault,
+        fault: common.fault.clone(),
+        max_stale_versions: args.num_or("max-stale", 8u64)?,
         ..Default::default()
     };
 
@@ -408,9 +403,7 @@ pub fn serve_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
 /// the bit-exact incremental-vs-rebuild oracle at the end, and fails the
 /// run when serve p99 exceeds the `--slo-p99-ms` SLO.
 pub fn serve_under_update(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
-    use aligraph_streaming::{
-        IngestFaultConfig, StreamingConfig, StreamingReport, StreamingService, UpdateWorkload,
-    };
+    use aligraph_streaming::{StreamingConfig, StreamingReport, StreamingService, UpdateWorkload};
 
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.05 })?;
     let requests: u64 = args.num_or("requests", 6_000u64)?;
@@ -421,15 +414,11 @@ pub fn serve_under_update(args: &Args, registry: &Arc<Registry>) -> Result<Strin
     let attrs: usize = args.num_or("update-attrs", 2usize)?;
     let dim: usize = args.num_or("dim", 16usize)?.max(1);
     let slo_p99_ms: f64 = args.num_or("slo-p99-ms", 20.0f64)?;
-    let fault = common.fault_seed.map(|fault_seed| IngestFaultConfig {
-        plan: aligraph_chaos::FaultPlan::with_seed(fault_seed, common.drop_rate),
-        policy: aligraph_chaos::RetryPolicy::default(),
-    });
     let config = StreamingConfig {
         shards: common.workers.max(1),
         cache_capacity: args.num_or("cache", 4_096usize)?,
         seed,
-        fault,
+        fault: common.fault.clone(),
         ..Default::default()
     };
 
@@ -650,8 +639,8 @@ impl TrainScenario {
 /// run publishes into `registry` (`storage.*`, `sampling.*`, `runtime.*`);
 /// the baseline uses a detached registry so it cannot pollute the snapshot.
 pub fn train_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
-    use aligraph_chaos::CrashPoint;
-    use aligraph_runtime::{ChaosConfig, CheckpointConfig};
+    use aligraph_chaos::{CrashPoint, FaultConfig};
+    use aligraph_runtime::CheckpointConfig;
     use std::path::PathBuf;
 
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 4, scale: 0.02 })?;
@@ -670,13 +659,11 @@ pub fn train_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
             every_steps: args.num_or("checkpoint-every", 0u64)?,
         });
     }
-    if let Some(fault_seed) = common.fault_seed {
-        run_cfg.chaos = Some(ChaosConfig::with_seed(fault_seed, common.drop_rate));
-    }
+    run_cfg.chaos = common.fault.clone();
     if !args.get_or("kill-worker", "").is_empty() {
         // A kill is one more entry of the chaos plan's crash schedule; with
         // no `--fault-seed` the plan drops nothing and only crashes.
-        let chaos = run_cfg.chaos.get_or_insert_with(|| ChaosConfig::with_seed(0, 0.0));
+        let chaos = run_cfg.chaos.get_or_insert_with(FaultConfig::default);
         chaos.plan.crash_schedule.push(CrashPoint {
             worker: args.num_or("kill-worker", 0u32)?,
             at_step: args.num_or("kill-at-step", 1u64)?.max(1),
@@ -722,7 +709,7 @@ pub fn train_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
 /// migration traffic, and the modeled throughput; exits with an error if a
 /// single mantissa bit diverged.
 pub fn rebalance_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
-    use aligraph_runtime::{ChaosConfig, RebalancePlan};
+    use aligraph_runtime::RebalancePlan;
     use aligraph_storage::RebalanceOp;
 
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 4, scale: 0.02 })?;
@@ -735,12 +722,9 @@ pub fn rebalance_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, 
     // A split needs an epoch on either side of it.
     let epochs = scenario.cfg.epochs.max(2);
     let split_after = args.num_or("split-after", 1usize)?.clamp(1, epochs - 1);
-    let merge = !args.get_or("merge", "").is_empty();
+    let merge = args.num_or("merge", 0u64)? != 0;
 
-    let mut run_cfg = RuntimeConfig { epochs, ..scenario.cfg.clone() };
-    if let Some(fault_seed) = common.fault_seed {
-        run_cfg.chaos = Some(ChaosConfig::with_seed(fault_seed, common.drop_rate));
-    }
+    let run_cfg = RuntimeConfig { epochs, chaos: common.fault.clone(), ..scenario.cfg.clone() };
     let mut plans = vec![RebalancePlan {
         after_epoch: split_after,
         op: RebalanceOp::Split { shard: 0 },
@@ -1008,7 +992,6 @@ pub fn metrics_demo(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
 /// `--slo-freshness-ticks N`) a freshness p99 beyond the SLO.
 pub fn closed_loop(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     use aligraph_loopsim::{run_loop, LoopConfig, LoopError};
-    use aligraph_streaming::IngestFaultConfig;
     use std::path::PathBuf;
 
     let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.02 })?;
@@ -1042,10 +1025,7 @@ pub fn closed_loop(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
         batch_size: batch,
         staleness,
         checkpoint_dir,
-        fault: common.fault_seed.map(|fault_seed| IngestFaultConfig {
-            plan: aligraph_chaos::FaultPlan::with_seed(fault_seed, common.drop_rate),
-            policy: aligraph_chaos::RetryPolicy::default(),
-        }),
+        fault: common.fault.clone(),
     };
 
     let outcome = run_loop(&cfg, registry).map_err(|e| match e {
@@ -1245,6 +1225,24 @@ mod tests {
         let out = train_bench(&args(&line.split(' ').collect::<Vec<_>>()), &reg).unwrap();
         assert!(out.contains("recoveries 1  faults 1"), "{out}");
         assert_eq!(reg.snapshot().counter("chaos.faults_injected", &[("kind", "crash")]), 1);
+    }
+
+    #[test]
+    fn rebalance_bench_merge_flag_is_a_number() {
+        // The `rebalance-bench` smoke row's topology over short epochs;
+        // `--merge 0` is off.
+        let run = |merge: &str| {
+            let line = format!(
+                "rebalance-bench --workers 4 --epochs 3 --scale 0.01 --batches 2 --batch 8 \
+                 --dim 8 --merge {merge}"
+            );
+            rebalance_bench(&args(&line.split(' ').collect::<Vec<_>>()), &registry())
+        };
+        assert!(!run("0").unwrap().contains("merge it back"));
+        let merged = run("1").unwrap();
+        assert!(merged.contains("merge it back after epoch 2"), "{merged}");
+        assert!(merged.contains("rebalances applied 2"), "{merged}");
+        assert!(matches!(run("yes"), Err(CliError::Usage(_))));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # aligraph-lint
 //!
 //! In-repo correctness tooling for the AliGraph reproduction, in two
-//! halves (DESIGN.md §2.13, §2.18):
+//! halves (DESIGN.md §2.18):
 //!
 //! 1. **Static analysis v2** — [`lexer`] is a small hand-rolled Rust lexer
 //!    (string/comment/attribute aware, no `syn`, consistent with the

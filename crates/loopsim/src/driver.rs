@@ -35,7 +35,7 @@ use aligraph_runtime::{
 };
 use aligraph_serving::{ModelStore, ModelVersion, SwapError};
 use aligraph_storage::{CacheStrategy, Cluster, CostModel};
-use aligraph_streaming::{IngestFaultConfig, StreamingConfig, StreamingService};
+use aligraph_streaming::{FaultConfig, StreamingConfig, StreamingService};
 use aligraph_telemetry::Registry;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -74,7 +74,7 @@ pub struct LoopConfig {
     pub checkpoint_dir: PathBuf,
     /// Optional chaos plane over the streaming ingest channel (tag 4).
     /// Faults cost freshness ticks, never model divergence.
-    pub fault: Option<IngestFaultConfig>,
+    pub fault: Option<FaultConfig>,
 }
 
 impl LoopConfig {
@@ -259,11 +259,9 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
         staleness: cfg.staleness,
         seed: cfg.seed,
         sparse_lr: 0.05,
-        patience: None,
         min_delta: 0.0,
         checkpoint: Some(CheckpointConfig { dir: cfg.checkpoint_dir.clone(), every_steps: 0 }),
-        chaos: None,
-        rebalance: Vec::new(),
+        ..RuntimeConfig::default()
     };
 
     let freshness_hist = registry.histogram("loop.freshness_ticks", &[]);

@@ -4,7 +4,7 @@
 
 use aligraph_tensor::activations;
 use aligraph_tensor::init::{seeded_rng, xavier_uniform};
-use aligraph_tensor::{Adam, Matrix, Optimizer};
+use aligraph_tensor::{Adam, Matrix};
 
 /// Activation applied after the affine map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -31,9 +31,8 @@ pub mod ssp;
 
 pub use checkpoint::{latest_checkpoint, latest_valid_checkpoint, Checkpoint, WorkerCkpt};
 pub use error::RuntimeError;
-pub use ps::{ChannelSeqs, PsShardState, SparseParamServer};
+pub use ps::{PsShardState, SparseParamServer};
 pub use report::{DistReport, WorkerReport};
 pub use runtime::{
-    ChaosConfig, CheckpointConfig, DistOutcome, DistTrainer, EncoderSpec, RebalancePlan,
-    RuntimeConfig,
+    CheckpointConfig, DistOutcome, DistTrainer, EncoderSpec, RebalancePlan, RuntimeConfig,
 };

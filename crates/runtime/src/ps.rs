@@ -12,12 +12,15 @@
 //! batched into one message per shard per step — the request batching the
 //! paper's platform applies to all cross-worker traffic — so a message
 //! costs one model latency regardless of row count, while payload bytes
-//! accumulate per row.
+//! accumulate per row. Every one of those messages crosses the server's
+//! [`FaultPlane`] through its delivery driver; a fresh server holds an
+//! unarmed plane, which delivers everything at zero ticks — that *is* the
+//! fault-free run, there is no second send path.
 
 use crate::error::RuntimeError;
 use aligraph_chaos::{
-    FaultPlane, HopKind, RecoveryMode, RetryPolicy, MIGRATION_TAG, PS_PULL_TAG, PS_PUSH_TAG,
-    TICK_NS,
+    FaultPlan, FaultPlane, HopKind, RecoveryMode, RetryPolicy, MIGRATION_TAG, PS_PULL_TAG,
+    PS_PUSH_TAG, TICK_NS,
 };
 use aligraph_graph::{FeatureMatrix, VertexId};
 use aligraph_partition::Partition;
@@ -53,17 +56,17 @@ pub struct PsShardState {
 
 /// Sender-held sequence counters for one worker's fault-plane channels:
 /// one push stream and one pull-response stream per destination shard.
-/// Fresh counters per run attempt pair with the server's fresh
-/// `applied_seq` table, so a recovery restart replays cleanly.
-#[derive(Debug, Clone)]
-pub struct ChannelSeqs {
+/// They live and die with the server, so a recovery attempt's fresh server
+/// pairs fresh counters with its fresh `applied_seq` table and replays
+/// cleanly.
+#[derive(Debug)]
+struct ChannelSeqs {
     push: Vec<u64>,
     pull: Vec<u64>,
 }
 
 impl ChannelSeqs {
-    /// Zeroed counters for `shards` destination shards.
-    pub fn new(shards: usize) -> Self {
+    fn new(shards: usize) -> Self {
         ChannelSeqs { push: vec![0; shards], pull: vec![0; shards] }
     }
 
@@ -109,6 +112,15 @@ pub struct SparseParamServer {
     /// duplicates of an applied row move are discarded, which is what makes
     /// the destructive move idempotent under lost acks.
     rehome_applied: Mutex<BTreeMap<(u32, u32), u64>>,
+    /// The plane every push, pull and rehome message crosses. Unarmed and
+    /// off the registry until [`attach`](Self::attach)ed to a run's.
+    plane: Arc<FaultPlane>,
+    policy: RetryPolicy,
+    /// Recovery machinery of the push and pull channels.
+    mode: RecoveryMode,
+    /// `seqs[worker]`: that worker's sender-side counters, locked for the
+    /// whole push or drain so its messages leave in sequence order.
+    seqs: Vec<Mutex<ChannelSeqs>>,
 }
 
 impl SparseParamServer {
@@ -192,7 +204,28 @@ impl SparseParamServer {
             shard_bytes,
             rehome_seq: Mutex::new(BTreeMap::new()),
             rehome_applied: Mutex::new(BTreeMap::new()),
+            plane: Arc::new(FaultPlane::new(FaultPlan::default())),
+            policy: RetryPolicy::default(),
+            mode: RecoveryMode::Full,
+            seqs: (0..workers).map(|_| Mutex::new(ChannelSeqs::new(slots))).collect(),
         }
+    }
+
+    /// Routes the server's messages through a run's `plane` under `policy`,
+    /// with `mode` as the push and pull channels' recovery machinery. With
+    /// [`RecoveryMode::Full`] the surviving update stream is byte-identical
+    /// to the fault-free one — only the modelled time differs; the broken
+    /// modes exist for the chaos suite's divergence-detection tests.
+    pub fn attach(
+        mut self,
+        plane: Arc<FaultPlane>,
+        policy: RetryPolicy,
+        mode: RecoveryMode,
+    ) -> Self {
+        self.plane = plane;
+        self.policy = policy;
+        self.mode = mode;
+        self
     }
 
     /// The shard slot currently owning a vertex's row.
@@ -232,97 +265,18 @@ impl SparseParamServer {
     /// Pushes one step's row-sparse feature gradients from worker `from` to
     /// the owning shards and marks the rows dirty for every worker's next
     /// drain. Rows are batched into **one message per destination shard**
-    /// (the paper's request batching): each involved shard costs one
-    /// [`CostModel`] latency, and every row adds its payload bytes to that
-    /// message's tier. Returns the modelled comm time in nanoseconds.
+    /// (the paper's request batching): each is sequence-numbered on its
+    /// `from → shard` channel and crosses the plane as one
+    /// [`HopKind::Acked`] hop; the copies a lost ack or the reorder fault
+    /// land are discarded by the shard's sequence dedup. A delivered message
+    /// costs one [`CostModel`] latency plus its rows' payload bytes on that
+    /// message's tier, and each tick the hop cost adds [`TICK_NS`]. Returns
+    /// the modelled comm time in nanoseconds.
     ///
     /// Row updates commute (each touches one row under the shard lock), so
     /// the non-deterministic `HashMap` iteration order cannot change the
     /// resulting parameters.
     pub fn push(&self, from: usize, grads: &HashMap<u32, Vec<f32>>) -> Result<u64, RuntimeError> {
-        let row_bytes = self.dim as u64 * 4;
-        let mut shard_rows = vec![0u64; self.shards.len()];
-        let mut ordered: Vec<(&u32, &Vec<f32>)> = grads.iter().collect();
-        ordered.sort_unstable_by_key(|(v, _)| **v);
-        for (&v, g) in ordered {
-            let w = self.owner_slot(v);
-            {
-                let mut shard =
-                    self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-                let slot = shard.slot_of[&v] as usize;
-                shard.table.adagrad_update(slot, g, self.lr);
-            }
-            shard_rows[w] += 1;
-            for set in &self.dirty {
-                set.lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?.insert(v);
-            }
-        }
-        let mut ns = 0u64;
-        for (w, &rows) in shard_rows.iter().enumerate() {
-            if rows > 0 {
-                let kind = if w == from { AccessKind::Local } else { AccessKind::Remote };
-                ns += self.stats.record(kind, rows * row_bytes, &self.cost);
-                self.shard_bytes[w].add(rows * row_bytes);
-            }
-        }
-        Ok(ns)
-    }
-
-    /// Pull barrier for worker `who`: copies every row updated since its
-    /// last drain from the owning shard into `replica`. After this call the
-    /// replica is element-identical to the server (rows not drained were
-    /// never pushed to, by induction). Pulls batch like pushes: one metered
-    /// message per shard that contributed rows. Returns modelled comm
-    /// nanoseconds.
-    pub fn drain_into(&self, who: usize, replica: &mut FeatureMatrix) -> Result<u64, RuntimeError> {
-        let mut rows: Vec<u32> = {
-            let mut set =
-                self.dirty[who].lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?;
-            set.drain().collect()
-        };
-        rows.sort_unstable();
-        let row_bytes = self.dim as u64 * 4;
-        let mut shard_rows = vec![0u64; self.shards.len()];
-        for v in rows {
-            let w = self.owner_slot(v);
-            {
-                let shard =
-                    self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-                let slot = shard.slot_of[&v] as usize;
-                replica.row_mut(VertexId(v)).copy_from_slice(shard.table.row(slot));
-            }
-            shard_rows[w] += 1;
-        }
-        let mut ns = 0u64;
-        for (w, &n) in shard_rows.iter().enumerate() {
-            if n > 0 {
-                let kind = if w == who { AccessKind::Local } else { AccessKind::Remote };
-                ns += self.stats.record(kind, n * row_bytes, &self.cost);
-                self.shard_bytes[w].add(n * row_bytes);
-            }
-        }
-        Ok(ns)
-    }
-
-    /// [`push`](Self::push) through a [`FaultPlane`]: each per-shard message
-    /// is sequence-numbered on its `from → shard` channel and crosses the
-    /// plane as one [`HopKind::Acked`] hop of [`FaultPlane::deliver`] (each
-    /// tick it costs adds [`TICK_NS`] of modelled comm time). The copies a
-    /// lost ack or the reorder fault land are discarded by the shard's
-    /// sequence dedup. With [`RecoveryMode::Full`] the surviving update
-    /// stream is byte-identical to the fault-free one — only the modelled
-    /// time differs. The broken modes exist for the chaos suite's
-    /// divergence-detection tests.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push_faulted(
-        &self,
-        from: usize,
-        grads: &HashMap<u32, Vec<f32>>,
-        plane: &FaultPlane,
-        policy: &RetryPolicy,
-        mode: RecoveryMode,
-        seqs: &mut ChannelSeqs,
-    ) -> Result<u64, RuntimeError> {
         let row_bytes = self.dim as u64 * 4;
         let mut by_shard: Vec<Vec<(u32, &[f32])>> = vec![Vec::new(); self.shards.len()];
         let mut ordered: Vec<(&u32, &Vec<f32>)> = grads.iter().collect();
@@ -330,6 +284,7 @@ impl SparseParamServer {
         for (&v, g) in ordered {
             by_shard[self.owner_slot(v)].push((v, g.as_slice()));
         }
+        let mut seqs = self.seqs[from].lock().map_err(|_| RuntimeError::Poisoned("ps seqs"))?;
         let mut ns = 0u64;
         for (w, rows) in by_shard.iter().enumerate() {
             if rows.is_empty() {
@@ -340,10 +295,11 @@ impl SparseParamServer {
             // The driver's `land` cannot fail; a poisoned lock stops
             // further applies and surfaces after the hop.
             let mut applied = Ok(());
-            let sent = plane
-                .deliver(channel, seq, policy, mode, HopKind::Acked, || {
+            let sent = self
+                .plane
+                .deliver(channel, seq, &self.policy, self.mode, HopKind::Acked, || {
                     if applied.is_ok() {
-                        applied = self.apply_push_message(w, from, seq, rows, mode);
+                        applied = self.apply_push_message(w, from, seq, rows);
                     }
                 })
                 .map_err(|e| {
@@ -367,9 +323,8 @@ impl SparseParamServer {
         from: usize,
         seq: u64,
         rows: &[(u32, &[f32])],
-        mode: RecoveryMode,
     ) -> Result<(), RuntimeError> {
-        if mode != RecoveryMode::NoDedup {
+        if self.mode != RecoveryMode::NoDedup {
             let mut expected =
                 self.applied_seq[w].lock().map_err(|_| RuntimeError::Poisoned("ps seq table"))?;
             if seq < expected[from] {
@@ -391,23 +346,20 @@ impl SparseParamServer {
         Ok(())
     }
 
-    /// [`drain_into`](Self::drain_into) through a [`FaultPlane`]: each
-    /// per-shard pull response is sequence-numbered on its `shard → who`
-    /// channel and crosses the plane as one [`HopKind::Reply`] hop. Pull
-    /// responses are idempotent reads, so no dedup is needed — but under
-    /// [`RecoveryMode::NoRetry`] a dropped response permanently loses its
-    /// rows (they were already drained from the dirty set), leaving the
-    /// replica stale forever: exactly the silent divergence the chaos suite
-    /// must catch.
-    pub fn drain_into_faulted(
-        &self,
-        who: usize,
-        replica: &mut FeatureMatrix,
-        plane: &FaultPlane,
-        policy: &RetryPolicy,
-        mode: RecoveryMode,
-        seqs: &mut ChannelSeqs,
-    ) -> Result<u64, RuntimeError> {
+    /// Pull barrier for worker `who`: copies every row updated since its
+    /// last drain from the owning shard into `replica`. After this call the
+    /// replica is element-identical to the server (rows not drained were
+    /// never pushed to, by induction). Pulls batch like pushes: one metered
+    /// response per shard that contributed rows, sequence-numbered on its
+    /// `shard → who` channel and crossing the plane as one
+    /// [`HopKind::Reply`] hop. Responses are idempotent reads, so no dedup
+    /// is needed — but under [`RecoveryMode::NoRetry`] a dropped response
+    /// permanently loses its rows (they were already drained from the dirty
+    /// set), leaving the replica stale forever: exactly the silent
+    /// divergence the chaos suite must catch. Returns modelled comm
+    /// nanoseconds.
+    pub fn drain_into(&self, who: usize, replica: &mut FeatureMatrix) -> Result<u64, RuntimeError> {
+        let mut seqs = self.seqs[who].lock().map_err(|_| RuntimeError::Poisoned("ps seqs"))?;
         let mut rows: Vec<u32> = {
             let mut set =
                 self.dirty[who].lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?;
@@ -428,8 +380,10 @@ impl SparseParamServer {
             let channel = FaultPlane::channel_with(PS_PULL_TAG, w as u64, who as u64);
             // Re-reading is idempotent, so the rows are copied once, after
             // the hop: nothing lands while it is in flight.
-            let sent =
-                plane.deliver(channel, seq, policy, mode, HopKind::Reply, || {}).map_err(|e| {
+            let sent = self
+                .plane
+                .deliver(channel, seq, &self.policy, self.mode, HopKind::Reply, || {})
+                .map_err(|e| {
                     RuntimeError::Unrecoverable(format!("ps pull {w}->{who} seq {seq}: {e}"))
                 })?;
             ns += sent.ticks * TICK_NS;
@@ -548,8 +502,9 @@ impl SparseParamServer {
     /// Re-homes embedding rows to follow a new physical residency (the
     /// storage layer's post-rebalance `Residency` snapshot): every row whose
     /// owner table disagrees with `residency` moves to its new shard slot
-    /// over the chaos plane (tag [`MIGRATION_TAG`], one batched message per
-    /// `(src, dst)` shard pair, sequence-deduplicated).
+    /// over the server's plane (tag [`MIGRATION_TAG`], one batched message
+    /// per `(src, dst)` shard pair, sequence-deduplicated) under `mode`, the
+    /// migration stream's own recovery machinery.
     ///
     /// Must be called at a quiescent point — the epoch-boundary allreduce
     /// barrier, where every worker is parked and no push or drain is in
@@ -560,13 +515,7 @@ impl SparseParamServer {
     /// ownership but lands zero rows at the destination — the deliberate
     /// data loss the migration chaos test must catch. Returns modelled comm
     /// nanoseconds.
-    pub fn rehome(
-        &self,
-        residency: &[u32],
-        plane: &FaultPlane,
-        policy: &RetryPolicy,
-        mode: RecoveryMode,
-    ) -> Result<u64, RuntimeError> {
+    pub fn rehome(&self, residency: &[u32], mode: RecoveryMode) -> Result<u64, RuntimeError> {
         if residency.len() != self.owner.len() {
             return Err(RuntimeError::Unrecoverable(format!(
                 "rehome residency covers {} vertices, PS has {}",
@@ -597,15 +546,16 @@ impl SparseParamServer {
             let seq = {
                 let mut seqs =
                     self.rehome_seq.lock().map_err(|_| RuntimeError::Poisoned("rehome seq"))?;
-                let slot = seqs.entry((src, dst)).or_insert(0);
-                let s = *slot;
-                *slot += 1;
+                let next_seq = seqs.entry((src, dst)).or_insert(0);
+                let s = *next_seq;
+                *next_seq += 1;
                 s
             };
             let channel = FaultPlane::channel_with(MIGRATION_TAG, u64::from(src), u64::from(dst));
             let mut applied = Ok(());
-            let sent = plane
-                .deliver(channel, seq, policy, mode, HopKind::Acked, || {
+            let sent = self
+                .plane
+                .deliver(channel, seq, &self.policy, mode, HopKind::Acked, || {
                     if applied.is_ok() {
                         applied = self.apply_rehome(src, dst, seq, rows, mode, true);
                     }
@@ -854,37 +804,69 @@ mod tests {
         assert_eq!(registry.snapshot().counter("runtime.ps.bytes", &[("shard", "0")]), 0);
     }
 
-    /// Runs a fixed 12-step push/drain workload on 2 workers through a
-    /// fault plane, returning final server params ++ worker-0 replica and
-    /// the plane's fault counters. `drop = 0` with `Full` is the clean
-    /// baseline (the plane delivers everything).
-    fn run_workload(
-        mode: RecoveryMode,
-        drop: f64,
-        seed: u64,
-    ) -> (Vec<f32>, aligraph_chaos::FaultSnapshot) {
-        use aligraph_chaos::FaultPlan;
-        let (ps, f, _) = setup(2);
-        let plane = FaultPlane::new(FaultPlan::with_seed(seed, drop));
-        let policy = RetryPolicy::default();
-        let mut seqs = [ChannelSeqs::new(2), ChannelSeqs::new(2)];
+    fn seeded_plane(seed: u64, drop: f64) -> Arc<FaultPlane> {
+        Arc::new(FaultPlane::new(FaultPlan::with_seed(seed, drop)))
+    }
+
+    /// Runs a fixed 12-step push/drain workload on 2 workers of `ps`,
+    /// returning final server params ++ both replicas and the modelled
+    /// nanoseconds the pushes and drains reported.
+    fn drive_workload(ps: &SparseParamServer, f: &FeatureMatrix) -> (Vec<f32>, u64) {
         let mut replicas = [f.clone(), f.clone()];
+        let mut ns = 0u64;
         for step in 0..12u32 {
-            for (w, seq) in seqs.iter_mut().enumerate() {
+            for w in 0..2 {
                 let mut grads = HashMap::new();
                 for k in 0..4u32 {
                     let v = (step * 7 + k * 3 + w as u32) % f.len() as u32;
                     grads.insert(v, vec![0.1 * (k as f32 + 1.0); 8]);
                 }
-                ps.push_faulted(w, &grads, &plane, &policy, mode, seq).unwrap();
+                ns += ps.push(w, &grads).unwrap();
             }
-            for (w, (replica, seq)) in replicas.iter_mut().zip(seqs.iter_mut()).enumerate() {
-                ps.drain_into_faulted(w, replica, &plane, &policy, mode, seq).unwrap();
+            for (w, replica) in replicas.iter_mut().enumerate() {
+                ns += ps.drain_into(w, replica).unwrap();
             }
         }
         let mut out = ps.materialize().unwrap().as_slice().to_vec();
-        out.extend_from_slice(replicas[0].as_slice());
-        (out, plane.snapshot())
+        for replica in &replicas {
+            out.extend_from_slice(replica.as_slice());
+        }
+        (out, ns)
+    }
+
+    /// [`drive_workload`] on a server attached to a seeded plane, returning
+    /// the state and the plane's fault counters. `drop = 0` with `Full` is
+    /// the clean baseline (the plane delivers everything).
+    fn run_workload(
+        mode: RecoveryMode,
+        drop: f64,
+        seed: u64,
+    ) -> (Vec<f32>, aligraph_chaos::FaultSnapshot) {
+        let (ps, f, _) = setup(2);
+        let plane = seeded_plane(seed, drop);
+        let ps = ps.attach(Arc::clone(&plane), RetryPolicy::default(), mode);
+        (drive_workload(&ps, &f).0, plane.snapshot())
+    }
+
+    #[test]
+    fn unarmed_is_clean() {
+        let (fresh, f, _) = setup(2);
+        let (attached, _, _) = setup(2);
+        let plane = seeded_plane(9, 0.0);
+        let attached =
+            attached.attach(Arc::clone(&plane), RetryPolicy::default(), RecoveryMode::Full);
+        let (a, a_ns) = drive_workload(&fresh, &f);
+        let (b, b_ns) = drive_workload(&attached, &f);
+        assert_eq!(
+            a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            "a fresh server and one on a zero-drop plane must agree bit for bit"
+        );
+        assert!(a_ns > 0, "the workload must move rows");
+        assert_eq!(a_ns, b_ns, "an unarmed hop costs zero ticks");
+        assert_eq!(fresh.stats().snapshot(), attached.stats().snapshot());
+        assert_eq!(plane.snapshot(), aligraph_chaos::FaultSnapshot::default());
+        assert_eq!(fresh.plane.snapshot(), aligraph_chaos::FaultSnapshot::default());
     }
 
     #[test]
@@ -918,7 +900,6 @@ mod tests {
     /// An elastic PS (one spare slot) after a few training pushes, plus the
     /// residency that moves every even-id worker-0 vertex to the spare slot.
     fn elastic_setup() -> (SparseParamServer, Partition, Vec<u32>) {
-        use aligraph_chaos::FaultPlan;
         let g = TaobaoConfig::tiny().generate().unwrap();
         let f = Featurizer::new(8).matrix(&g);
         let p = EdgeCutHash.partition(&g, 2);
@@ -932,15 +913,12 @@ mod tests {
         );
         // A few pushes so AdaGrad accumulators exist and must survive the
         // move bit-for-bit.
-        let plane = FaultPlane::new(FaultPlan::default());
-        let policy = RetryPolicy::default();
-        let mut seqs = ChannelSeqs::new(ps.num_shards());
         for step in 0..4u32 {
             let mut grads = HashMap::new();
             for k in 0..4u32 {
                 grads.insert((step * 5 + k) % f.len() as u32, vec![0.2; 8]);
             }
-            ps.push_faulted(0, &grads, &plane, &policy, RecoveryMode::Full, &mut seqs).unwrap();
+            ps.push(0, &grads).unwrap();
         }
         let residency: Vec<u32> = (0..f.len() as u32)
             .map(|v| {
@@ -957,13 +935,10 @@ mod tests {
 
     #[test]
     fn rehome_moves_rows_losslessly() {
-        use aligraph_chaos::FaultPlan;
         let (ps, _, residency) = elastic_setup();
         let before = ps.materialize().unwrap();
         let before_state = ps.export().unwrap();
-        let plane = FaultPlane::new(FaultPlan::default());
-        let ns =
-            ps.rehome(&residency, &plane, &RetryPolicy::default(), RecoveryMode::Full).unwrap();
+        let ns = ps.rehome(&residency, RecoveryMode::Full).unwrap();
         assert!(ns > 0, "a real move must cost modelled time");
         // The math is location-independent: materialized rows identical.
         assert_eq!(ps.materialize().unwrap().as_slice(), before.as_slice());
@@ -978,8 +953,7 @@ mod tests {
             assert!(!before_state[0].ids.contains(&v) || !after_state[0].ids.contains(&v));
         }
         // A second identical rehome is a no-op (nothing left to move).
-        let ns2 =
-            ps.rehome(&residency, &plane, &RetryPolicy::default(), RecoveryMode::Full).unwrap();
+        let ns2 = ps.rehome(&residency, RecoveryMode::Full).unwrap();
         assert_eq!(ns2, 0);
         // Pushes to moved rows now land on the new shard and still train.
         let mut grads = HashMap::new();
@@ -990,30 +964,26 @@ mod tests {
 
     #[test]
     fn faulted_rehome_matches_clean_rehome_exactly() {
-        use aligraph_chaos::FaultPlan;
         let (clean_ps, _, residency) = elastic_setup();
-        let plane = FaultPlane::new(FaultPlan::default());
-        clean_ps.rehome(&residency, &plane, &RetryPolicy::default(), RecoveryMode::Full).unwrap();
+        clean_ps.rehome(&residency, RecoveryMode::Full).unwrap();
         let clean = clean_ps.export().unwrap();
         for seed in [1u64, 7, 42] {
             let (ps, _, residency) = elastic_setup();
-            let plane = FaultPlane::new(FaultPlan::with_seed(seed, 0.4));
-            ps.rehome(&residency, &plane, &RetryPolicy::default(), RecoveryMode::Full).unwrap();
+            let ps = ps.attach(seeded_plane(seed, 0.4), RetryPolicy::default(), RecoveryMode::Full);
+            ps.rehome(&residency, RecoveryMode::Full).unwrap();
             assert_eq!(ps.export().unwrap(), clean, "seed {seed}: faulted rehome diverged");
         }
     }
 
     #[test]
     fn broken_rehome_zero_fills_lost_rows() {
-        use aligraph_chaos::FaultPlan;
         let (clean_ps, _, residency) = elastic_setup();
-        let plane = FaultPlane::new(FaultPlan::default());
-        clean_ps.rehome(&residency, &plane, &RetryPolicy::default(), RecoveryMode::Full).unwrap();
+        clean_ps.rehome(&residency, RecoveryMode::Full).unwrap();
         let clean = clean_ps.materialize().unwrap();
         let diverged = (0..8u64).any(|seed| {
             let (ps, _, residency) = elastic_setup();
-            let plane = FaultPlane::new(FaultPlan::with_seed(seed, 0.9));
-            ps.rehome(&residency, &plane, &RetryPolicy::default(), RecoveryMode::NoRetry).unwrap();
+            let ps = ps.attach(seeded_plane(seed, 0.9), RetryPolicy::default(), RecoveryMode::Full);
+            ps.rehome(&residency, RecoveryMode::NoRetry).unwrap();
             ps.materialize().unwrap().as_slice() != clean.as_slice()
         });
         assert!(diverged, "lost migration payloads went undetected");
@@ -1022,14 +992,11 @@ mod tests {
     #[test]
     fn rehome_rejects_bad_shapes() {
         let (ps, _, residency) = elastic_setup();
-        use aligraph_chaos::FaultPlan;
-        let plane = FaultPlane::new(FaultPlan::default());
-        let policy = RetryPolicy::default();
         // Wrong vertex count.
-        assert!(ps.rehome(&residency[..3], &plane, &policy, RecoveryMode::Full).is_err());
+        assert!(ps.rehome(&residency[..3], RecoveryMode::Full).is_err());
         // Destination slot beyond the pre-allocated range.
         let bad: Vec<u32> = residency.iter().map(|&d| if d == 2 { 9 } else { d }).collect();
-        assert!(ps.rehome(&bad, &plane, &policy, RecoveryMode::Full).is_err());
+        assert!(ps.rehome(&bad, RecoveryMode::Full).is_err());
     }
 
     #[test]

@@ -19,11 +19,11 @@
 
 use crate::checkpoint::{latest_valid_checkpoint, Checkpoint, WorkerCkpt};
 use crate::error::RuntimeError;
-use crate::ps::{ChannelSeqs, SparseParamServer};
+use crate::ps::SparseParamServer;
 use crate::report::{DistReport, WorkerReport};
 use crate::ssp::{Abort, Coordinator, Deposit, Rendezvous};
 use aligraph::{contrastive_step, GnnEncoder};
-use aligraph_chaos::{FaultPlane, RecoveryMode, RetryPolicy};
+use aligraph_chaos::{FaultConfig, FaultPlane, RecoveryMode, RetryPolicy};
 use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, FeatureMatrix};
 use aligraph_partition::WorkerId;
 use aligraph_sampling::neighborhood::ClusterView;
@@ -47,34 +47,6 @@ pub struct CheckpointConfig {
     pub every_steps: u64,
 }
 
-/// Chaos-plane configuration: a seeded [`aligraph_chaos::FaultPlan`] over
-/// every PS push/pull channel — and its `crash_schedule`, the one way to
-/// kill a worker mid-run — plus the recovery machinery's parameters.
-/// Excluded from the config fingerprint, so a chaos run's checkpoints
-/// interchange with fault-free ones — which is what lets the chaos suite
-/// assert bit-exact convergence against the fault-free baseline.
-#[derive(Debug, Clone)]
-pub struct ChaosConfig {
-    /// The seeded fault plan (what to inject, where, how often).
-    pub plan: aligraph_chaos::FaultPlan,
-    /// Capped-backoff retry policy for faulted sends.
-    pub policy: RetryPolicy,
-    /// Recovery machinery selection. [`RecoveryMode::Full`] is the real
-    /// system; the broken variants exist for divergence-detection tests.
-    pub mode: RecoveryMode,
-}
-
-impl ChaosConfig {
-    /// The common CLI shape: fault seed + drop rate, defaults elsewhere.
-    pub fn with_seed(seed: u64, drop_rate: f64) -> Self {
-        ChaosConfig {
-            plan: aligraph_chaos::FaultPlan::with_seed(seed, drop_rate),
-            policy: RetryPolicy::default(),
-            mode: RecoveryMode::Full,
-        }
-    }
-}
-
 /// One scheduled elastic topology change: after training epoch
 /// `after_epoch` completes (1-based), apply `op` to the cluster and re-home
 /// the parameter-server rows to match, all inside the epoch-boundary
@@ -96,11 +68,12 @@ pub struct RebalancePlan {
     pub mode: RecoveryMode,
 }
 
-/// Per-attempt chaos runtime handles threaded through the worker loop.
-struct ChaosRt<'p> {
-    plane: &'p FaultPlane,
+/// The run's chaos plane and retry budget. Always present: a run without
+/// a [`RuntimeConfig::chaos`] gets an unarmed plane, which delivers
+/// everything at zero ticks and fires nothing.
+struct ChaosRt {
+    plane: Arc<FaultPlane>,
     policy: RetryPolicy,
-    mode: RecoveryMode,
 }
 
 /// Configuration of a distributed training run.
@@ -133,8 +106,18 @@ pub struct RuntimeConfig {
     /// Checkpointing (`None` disables; fault recovery then restarts from
     /// scratch).
     pub checkpoint: Option<CheckpointConfig>,
-    /// Chaos plane over every PS channel (`None` disables).
-    pub chaos: Option<ChaosConfig>,
+    /// Chaos plane over every PS push/pull channel, the migration channel,
+    /// and — through the plan's `crash_schedule`, the one way to kill a
+    /// worker mid-run — the workers themselves (`None` = unarmed, and no
+    /// `chaos.*` series published). Excluded from the config fingerprint,
+    /// so a chaos run's checkpoints interchange with fault-free ones —
+    /// which is what lets the chaos suite assert bit-exact convergence
+    /// against the fault-free baseline.
+    pub chaos: Option<FaultConfig>,
+    /// Recovery machinery of the PS channels. [`RecoveryMode::Full`] is the
+    /// real system; the broken variants exist for divergence-detection
+    /// tests.
+    pub recovery: RecoveryMode,
     /// Elastic topology changes to apply at epoch boundaries, in order.
     pub rebalance: Vec<RebalancePlan>,
 }
@@ -154,6 +137,7 @@ impl Default for RuntimeConfig {
             min_delta: 1e-4,
             checkpoint: None,
             chaos: None,
+            recovery: RecoveryMode::Full,
             rebalance: Vec::new(),
         }
     }
@@ -411,30 +395,31 @@ impl<'a> DistTrainer<'a> {
         // The plane (and the crash latches in it) outlives the attempt
         // loop: fault counters accumulate across recoveries, and each
         // scheduled crash fires exactly once per run (not once per attempt).
-        let plane =
-            self.cfg.chaos.as_ref().map(|c| FaultPlane::registered(c.plan.clone(), &self.registry));
-        let max_recoveries =
-            8 + self.cfg.chaos.as_ref().map_or(0, |c| c.plan.crash_schedule.len() as u64);
+        // A run without a chaos config crosses an unarmed plane kept off the
+        // registry, so it publishes no `chaos.*` series.
+        let detached = Registry::disabled();
+        let (fault, registry) = match &self.cfg.chaos {
+            Some(fault) => (fault.clone(), &*self.registry),
+            None => (FaultConfig::default(), &detached),
+        };
+        let max_recoveries = 8 + fault.plan.crash_schedule.len() as u64;
+        let chaos = ChaosRt {
+            plane: Arc::new(FaultPlane::registered(fault.plan, registry)),
+            policy: fault.policy,
+        };
         let mut resume = resume;
         let mut recoveries = 0u64;
         loop {
-            let chaos = self.cfg.chaos.as_ref().zip(plane.as_ref()).map(|(c, plane)| ChaosRt {
-                plane,
-                policy: c.policy,
-                mode: c.mode,
-            });
-            match self.run_attempt(resume.take(), &checkpoints, chaos.as_ref()) {
+            match self.run_attempt(resume.take(), &checkpoints, &chaos) {
                 Ok(mut outcome) => {
                     outcome.report.wall_ns = started.elapsed_ns();
                     outcome.report.recoveries = recoveries;
                     // ordering: read after all worker threads joined inside
                     // run_attempt; the join synchronizes, Relaxed suffices.
                     outcome.report.checkpoints_written = checkpoints.load(Ordering::Relaxed);
-                    if let Some(plane) = &plane {
-                        let snap = plane.snapshot();
-                        outcome.report.faults_injected = snap.faults_injected;
-                        outcome.report.retries = snap.retries;
-                    }
+                    let snap = chaos.plane.snapshot();
+                    outcome.report.faults_injected = snap.faults_injected;
+                    outcome.report.retries = snap.retries;
                     return Ok(outcome);
                 }
                 Err(RuntimeError::Fault { .. }) => {
@@ -467,7 +452,7 @@ impl<'a> DistTrainer<'a> {
         &self,
         resume: Option<Checkpoint>,
         checkpoints: &AtomicU64,
-        chaos: Option<&ChaosRt<'_>>,
+        chaos: &ChaosRt,
     ) -> Result<DistOutcome, RuntimeError> {
         let cfg = &self.cfg;
         let p = cfg.workers;
@@ -487,7 +472,8 @@ impl<'a> DistTrainer<'a> {
             *self.cluster.cost_model(),
             &self.registry,
             cfg.workers.max(self.cluster.num_shards()) + splits,
-        );
+        )
+        .attach(Arc::clone(&chaos.plane), chaos.policy, cfg.recovery);
         // Registered counters are shared registry-wide, so a fault-recovery
         // retry must zero them to report only its own traffic (matching the
         // fresh-per-attempt counters the PS had before telemetry).
@@ -618,7 +604,7 @@ impl<'a> DistTrainer<'a> {
         shared: &Mutex<SharedTrain>,
         checkpoints: &AtomicU64,
         rebalances: &AtomicU64,
-        chaos: Option<&ChaosRt<'_>>,
+        chaos: &ChaosRt,
     ) -> Result<WorkerDone, RuntimeError> {
         let cfg = &self.cfg;
         let graph: &AttributedHeterogeneousGraph = self.cluster.graph();
@@ -648,11 +634,6 @@ impl<'a> DistTrainer<'a> {
             comm_ns = wk.comm_ns;
             hist.copy_from_slice(&wk.hist);
         }
-        // Fresh per attempt, pairing with the PS's fresh `applied_seq`
-        // table: a recovery restart replays its channels from sequence 0.
-        // Sized by PS slots, not workers — after an elastic split, pushes
-        // route to the spare shard's channel.
-        let mut seqs = ChannelSeqs::new(ps.num_shards());
         let pools = ShardEdgePools::build(graph, self.cluster.partition(), WorkerId(me as u32));
         let view = ClusterView { cluster: self.cluster, from: WorkerId(me as u32) };
         let sampler = MeteredNeighborhood::new(UniformNeighborhood, &self.registry, "uniform");
@@ -662,7 +643,7 @@ impl<'a> DistTrainer<'a> {
         let mut t = t0;
         while t < total_steps {
             co.acquire(me)?;
-            if chaos.is_some_and(|cx| cx.plane.crash_fires(me as u32, t)) {
+            if chaos.plane.crash_fires(me as u32, t) {
                 co.crash(Abort::Fault { worker: me as u32 })?;
                 return Err(RuntimeError::Fault { worker: me as u32 });
             }
@@ -671,17 +652,7 @@ impl<'a> DistTrainer<'a> {
             // `s` steps old, then record the age this step computed at.
             let mut age = t - last_drain;
             if age > cfg.staleness {
-                comm_ns += match chaos {
-                    Some(cx) => ps.drain_into_faulted(
-                        me,
-                        &mut replica,
-                        cx.plane,
-                        &cx.policy,
-                        cx.mode,
-                        &mut seqs,
-                    )?,
-                    None => ps.drain_into(me, &mut replica)?,
-                };
+                comm_ns += ps.drain_into(me, &mut replica)?;
                 last_drain = t;
                 age = 0;
             }
@@ -709,17 +680,7 @@ impl<'a> DistTrainer<'a> {
                 pairs += out.pairs as u64;
                 edges += batch.len() as u64;
                 comm_ns += ps.record_reads(me, out.feature_grads.keys());
-                comm_ns += match chaos {
-                    Some(cx) => ps.push_faulted(
-                        me,
-                        &out.feature_grads,
-                        cx.plane,
-                        &cx.policy,
-                        cx.mode,
-                        &mut seqs,
-                    )?,
-                    None => ps.push(me, &out.feature_grads)?,
-                };
+                comm_ns += ps.push(me, &out.feature_grads)?;
             } else {
                 busy_ns += start.elapsed_ns();
             }
@@ -882,22 +843,14 @@ impl<'a> DistTrainer<'a> {
         index: usize,
         plan: &RebalancePlan,
         ps: &SparseParamServer,
-        chaos: Option<&ChaosRt<'_>>,
+        chaos: &ChaosRt,
     ) -> Result<(), RuntimeError> {
-        let clean;
-        let (plane, policy) = match chaos {
-            Some(cx) => (cx.plane, cx.policy),
-            None => {
-                clean = FaultPlane::new(aligraph_chaos::FaultPlan::default());
-                (&clean, RetryPolicy::default())
-            }
-        };
         if self.cluster.topology().current_epoch() <= index as u64 {
             self.cluster
-                .rebalance(plan.op, plane, &policy, plan.mode)
+                .rebalance(plan.op, &chaos.plane, &chaos.policy, plan.mode)
                 .map_err(|e| RuntimeError::Unrecoverable(format!("rebalance failed: {e}")))?;
         }
-        ps.rehome(&self.cluster.residency_snapshot(), plane, &policy, plan.mode)?;
+        ps.rehome(&self.cluster.residency_snapshot(), plan.mode)?;
         Ok(())
     }
 }
@@ -916,7 +869,7 @@ fn write_checkpoint(
     deps: &[Deposit],
     ps: &SparseParamServer,
     dir: &Path,
-    chaos: Option<&ChaosRt<'_>>,
+    chaos: &ChaosRt,
 ) -> Result<(), RuntimeError> {
     let ckpt = Checkpoint {
         fingerprint,
@@ -942,13 +895,11 @@ fn write_checkpoint(
         shards: ps.export()?,
     };
     let path = ckpt.write_to_dir(dir)?;
-    if let Some(cx) = chaos {
-        if let Some(offset) = cx.plane.corrupts_checkpoint(global_step) {
-            let mut bytes = std::fs::read(&path)?;
-            let i = (offset % bytes.len() as u64) as usize;
-            bytes[i] ^= 0xff;
-            std::fs::write(&path, &bytes)?;
-        }
+    if let Some(offset) = chaos.plane.corrupts_checkpoint(global_step) {
+        let mut bytes = std::fs::read(&path)?;
+        let i = (offset % bytes.len() as u64) as usize;
+        bytes[i] ^= 0xff;
+        std::fs::write(&path, &bytes)?;
     }
     Ok(())
 }

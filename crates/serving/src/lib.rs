@@ -50,7 +50,5 @@ pub mod swap;
 pub use aligraph_sampling::plane::EpochView;
 pub use error::ServeError;
 pub use metrics::{ServingMetrics, ServingReport};
-pub use service::{
-    affected_seeds, ServedEmbedding, ServingConfig, ServingFaultConfig, ServingService,
-};
+pub use service::{affected_seeds, ServedEmbedding, ServingConfig, ServingService};
 pub use swap::{ModelPin, ModelStore, ModelVersion, SwapError};

@@ -28,7 +28,7 @@ use crate::error::ServeError;
 use crate::metrics::{ServingMetrics, ServingReport};
 use aligraph::{EpisodeTape, GnnEncoder};
 use aligraph_chaos::{
-    FaultPlan, FaultPlane, HopKind, RecoveryMode, RetryPolicy, SERVING_FETCH_TAG,
+    FaultConfig, FaultPlane, HopKind, RecoveryMode, RetryPolicy, SERVING_FETCH_TAG,
 };
 use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch};
 use aligraph_graph::features::{FeatureMatrix, Featurizer};
@@ -37,7 +37,7 @@ use aligraph_partition::{EdgeCutHash, Partitioner};
 use aligraph_sampling::{affected, EpochManager, EpochView, NeighborhoodSampler, Touched};
 use aligraph_storage::{AccessKind, AccessStats, CacheStats, CostModel, VersionedCache};
 use aligraph_telemetry::Registry;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,11 +70,18 @@ pub struct ServingConfig {
     /// Seed for encoder weights and per-worker sampling RNG streams. All
     /// workers build identical encoder replicas from this seed.
     pub seed: u64,
-    /// Optional chaos-plane attachment: when set, every cache-missing
-    /// forward's k-hop gather becomes a fault-plane channel hop that can
-    /// fail past its retry deadline, at which point the worker degrades to
-    /// the version-tagged fallback store (see [`ServingFaultConfig`]).
-    pub fault: Option<ServingFaultConfig>,
+    /// Optional chaos-plane attachment. The plane wraps the inter-shard
+    /// k-hop gather a cache miss implies on a partitioned store
+    /// ([`SERVING_FETCH_TAG`], keyed by the seed's owner shard). A fetch
+    /// whose retries exhaust falls back to the last successfully computed
+    /// embedding for that vertex *if* it is at most `max_stale_versions`
+    /// graph versions old — served with `degraded = true` and counted under
+    /// `serving.degraded`. Entries staler than the bound are never served;
+    /// the request fails with [`ServeError::Unavailable`] instead.
+    pub fault: Option<FaultConfig>,
+    /// How many graph versions old a fallback embedding may be and still be
+    /// served (degraded) when the live fetch fails. Read only with `fault`.
+    pub max_stale_versions: u64,
 }
 
 impl Default for ServingConfig {
@@ -90,29 +97,9 @@ impl Default for ServingConfig {
             cache_capacity: 4096,
             seed: 7,
             fault: None,
+            max_stale_versions: 8,
         }
     }
-}
-
-/// Chaos-plane attachment for a [`ServingService`].
-///
-/// The plane wraps the inter-shard k-hop gather a cache miss implies on a
-/// partitioned store ([`SERVING_FETCH_TAG`], keyed by the seed's owner shard). A
-/// fetch whose retries exhaust falls back
-/// to the last successfully computed embedding for that vertex *if* it is at
-/// most `max_stale_versions` graph versions old — served with
-/// `degraded = true` and counted under `serving.degraded`. Entries staler
-/// than the bound are never served; the request fails with
-/// [`ServeError::Unavailable`] instead.
-#[derive(Debug, Clone)]
-pub struct ServingFaultConfig {
-    /// The seeded fault plan (drop rate, delays, reordering).
-    pub plan: FaultPlan,
-    /// Retry/backoff policy for faulted fetches.
-    pub policy: RetryPolicy,
-    /// How many graph versions old a fallback embedding may be and still be
-    /// served (degraded) when the live fetch fails.
-    pub max_stale_versions: u64,
 }
 
 /// An embedding plus the explicit degraded-mode tag: `degraded` is `true`
@@ -126,25 +113,34 @@ pub struct ServedEmbedding {
     pub degraded: bool,
 }
 
-/// A served result (or a per-request failure raised inside the batch).
-enum Reply {
-    Embedding(ServedEmbedding),
-    Score(f32),
-    Failed(ServeError),
-}
+/// Where a job's result (or the per-request failure raised inside the
+/// batch) goes.
+type ReplyTo<T> = Sender<Result<T, ServeError>>;
 
+/// How often a caller looks for its reply, yielding the CPU between looks,
+/// before it parks on the reply channel — about 0.4 ms, several forwards. A
+/// caller that parks at once pays a thread wake-up per request, and on a
+/// virtualised host a wake-up that finds its CPU halted costs more than the
+/// forward it waits for, by an amount that changes from minute to minute. A
+/// yielding caller keeps the CPU awake and hands it to the worker; a reply
+/// that takes longer than this (a deep queue) is waited for parked, as before.
+const REPLY_POLLS: usize = 1_000;
+
+/// What a job asks for, holding the reply channel of that answer's type.
 enum JobKind {
-    Embed,
+    Embed {
+        reply: ReplyTo<ServedEmbedding>,
+    },
     /// Cosine score against a second vertex (resolved in the same batch).
     Score {
         other: VertexId,
+        reply: ReplyTo<f32>,
     },
 }
 
 struct Job {
     vertex: VertexId,
     kind: JobKind,
-    reply: Sender<Reply>,
     enqueued: Instant,
 }
 
@@ -165,8 +161,9 @@ struct Shared<S> {
     cost: CostModel,
     config: ServingConfig,
     sampler: S,
-    /// The chaos plane, when `config.fault` is set.
-    plane: Option<FaultPlane>,
+    /// The chaos plane and the fetches' retry budget, when `config.fault`
+    /// is set.
+    fault: Option<(FaultPlane, RetryPolicy)>,
     /// Version-tagged fallback embeddings for degraded mode. Deliberately
     /// *not* invalidated by deltas — surviving invalidation is its purpose;
     /// the version tag is what bounds how stale a served entry can be.
@@ -225,8 +222,10 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
             owners,
             config.workers,
         );
-        let plane =
-            config.fault.as_ref().map(|fc| FaultPlane::registered(fc.plan.clone(), registry));
+        let fault = config
+            .fault
+            .as_ref()
+            .map(|fc| (FaultPlane::registered(fc.plan.clone(), registry), fc.policy));
         let shared = Arc::new(Shared {
             epochs: EpochManager::new(view),
             features,
@@ -236,7 +235,7 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
             cost: CostModel::default(),
             config,
             sampler,
-            plane,
+            fault,
             fallback: Mutex::new(HashMap::new()),
         });
         let mut senders = Vec::new();
@@ -259,22 +258,14 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
     /// `degraded = true` means the live shard fetch failed under the chaos
     /// plane and the result came from the bounded fallback store.
     pub fn embedding_tagged(&self, v: VertexId) -> Result<ServedEmbedding, ServeError> {
-        match self.submit(v, JobKind::Embed)? {
-            Reply::Embedding(e) => Ok(e),
-            Reply::Score(_) => unreachable!("embed jobs get embedding replies"),
-            Reply::Failed(_) => unreachable!("submit surfaces failures as Err"),
-        }
+        self.submit(v, |reply| JobKind::Embed { reply })
     }
 
     /// Cosine similarity of the current embeddings of `u` and `v` — the
     /// recommendation-style "score this candidate" call.
     pub fn score(&self, u: VertexId, v: VertexId) -> Result<f32, ServeError> {
         self.owner_of(v)?;
-        match self.submit(u, JobKind::Score { other: v })? {
-            Reply::Score(s) => Ok(s),
-            Reply::Embedding(_) => unreachable!("score jobs get score replies"),
-            Reply::Failed(_) => unreachable!("submit surfaces failures as Err"),
-        }
+        self.submit(u, |reply| JobKind::Score { other: v, reply })
     }
 
     /// The worker that owns `v` under the current epoch's owner table.
@@ -284,12 +275,19 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
         Ok(*owner as usize)
     }
 
-    fn submit(&self, v: VertexId, kind: JobKind) -> Result<Reply, ServeError> {
+    /// Enqueues one job on `v`'s owner and waits for its answer, looking
+    /// [`REPLY_POLLS`] times before parking; `kind` wraps the reply channel,
+    /// so a job can only be answered in its own type.
+    fn submit<T>(
+        &self,
+        v: VertexId,
+        kind: impl FnOnce(ReplyTo<T>) -> JobKind,
+    ) -> Result<T, ServeError> {
         let owner = self.owner_of(v)?;
         let (tx, rx) = bounded(1);
         // aligraph::allow(determinism-taint): enqueue timestamp
         // feeds only the queue-latency histogram; no control flow reads it.
-        let job = Job { vertex: v, kind, reply: tx, enqueued: Instant::now() };
+        let job = Job { vertex: v, kind: kind(tx), enqueued: Instant::now() };
         match self.senders[owner].try_send(job) {
             Ok(()) => self.shared.metrics.admitted(),
             Err(TrySendError::Full(_)) => {
@@ -301,11 +299,14 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
             }
             Err(TrySendError::Disconnected(_)) => return Err(ServeError::ShuttingDown),
         }
-        match rx.recv() {
-            Ok(Reply::Failed(e)) => Err(e),
-            Ok(reply) => Ok(reply),
-            Err(_) => Err(ServeError::ShuttingDown),
+        for _ in 0..REPLY_POLLS {
+            match rx.try_recv() {
+                Ok(reply) => return reply,
+                Err(TryRecvError::Empty) => std::thread::yield_now(),
+                Err(TryRecvError::Disconnected) => break,
+            }
         }
+        rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
 
     /// Rough time for the rejected worker to drain one queue's worth of
@@ -362,9 +363,9 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
     }
 
     /// The attached chaos plane, when the service was started with a
-    /// [`ServingFaultConfig`]. Tests arm/disarm it to bracket fault phases.
+    /// [`ServingConfig::fault`]. Tests arm/disarm it to bracket fault phases.
     pub fn fault_plane(&self) -> Option<&FaultPlane> {
-        self.shared.plane.as_ref()
+        self.shared.fault.as_ref().map(|(plane, _)| plane)
     }
 
     /// Full latency/throughput report over `elapsed`.
@@ -437,8 +438,8 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
         let mut failed: HashMap<u32, ServeError> = HashMap::new();
         for job in &batch {
             needed.push(job.vertex);
-            if let JobKind::Score { other } = job.kind {
-                needed.push(other);
+            if let JobKind::Score { other, .. } = &job.kind {
+                needed.push(*other);
             }
         }
         needed.sort_unstable_by_key(|v| v.0);
@@ -463,7 +464,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
             // attached that gather can fail past the retry deadline, at
             // which point the worker serves the bounded fallback (degraded)
             // or, beyond the staleness bound, fails the request.
-            if let (Some(plane), Some(fc)) = (&shared.plane, &cfg.fault) {
+            if let Some((plane, policy)) = &shared.fault {
                 let channel =
                     FaultPlane::channel_with(SERVING_FETCH_TAG, worker as u64, owner_of(v) as u64);
                 let seq = next_seq;
@@ -474,7 +475,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
                 let fetched = plane.deliver(
                     channel,
                     seq,
-                    &fc.policy,
+                    policy,
                     RecoveryMode::Full,
                     HopKind::Unacked,
                     || {},
@@ -483,7 +484,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
                     let entry = shared.fallback.lock().get(&v.0).cloned();
                     match entry {
                         Some((ver, emb))
-                            if version.saturating_sub(ver) <= fc.max_stale_versions =>
+                            if version.saturating_sub(ver) <= cfg.max_stale_versions =>
                         {
                             shared.metrics.degraded();
                             resolved
@@ -497,7 +498,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
                                 ServeError::Unavailable {
                                     vertex: v,
                                     stale_by,
-                                    bound: fc.max_stale_versions,
+                                    bound: cfg.max_stale_versions,
                                 },
                             );
                         }
@@ -517,7 +518,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
             aligraph_tensor::l2_normalize(&mut out);
             let out = Arc::new(out);
             shared.cache.insert(v.0, version, Arc::clone(&out));
-            if shared.plane.is_some() {
+            if shared.fault.is_some() {
                 // Refresh the fallback on every successful forward so
                 // degraded mode serves the freshest surviving result.
                 shared.fallback.lock().insert(v.0, (version, Arc::clone(&out)));
@@ -530,34 +531,28 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
         let (hits1, misses1) = tape.stats();
         shared.metrics.batch(batch_len, forwards, hits1 - hits0, misses1 - misses0);
 
+        // invariant: a vertex missing from `resolved` always has a `failed`
+        // entry — the resolution loop inserts into exactly one of the two
+        // maps for every needed vertex.
+        let answer = |v: VertexId| {
+            resolved
+                .get(&v.0)
+                .ok_or_else(|| failed.get(&v.0).expect("unresolved vertex has failure").clone())
+        };
         for job in batch {
-            let reply = match job.kind {
-                JobKind::Embed => match resolved.get(&job.vertex.0) {
-                    Some(e) => Reply::Embedding(e.clone()),
-                    // invariant: a vertex missing from `resolved` always has
-                    // a `failed` entry — the resolution loop inserts into
-                    // exactly one of the two maps for every needed vertex.
-                    None => Reply::Failed(
-                        failed.get(&job.vertex.0).expect("unresolved vertex has failure").clone(),
-                    ),
-                },
-                JobKind::Score { other } => {
-                    match (resolved.get(&job.vertex.0), resolved.get(&other.0)) {
-                        (Some(a), Some(b)) => {
-                            Reply::Score(aligraph_tensor::dot(&a.embedding, &b.embedding))
-                        }
-                        _ => {
-                            let e = failed.get(&job.vertex.0).or_else(|| failed.get(&other.0));
-                            // invariant: at least one side is unresolved here
-                            // and every unresolved vertex has a failure entry.
-                            Reply::Failed(e.expect("unresolved vertex has failure").clone())
-                        }
-                    }
-                }
-            };
             shared.metrics.latency(job.enqueued.elapsed());
             // A client that gave up (dropped the receiver) is not an error.
-            let _ = job.reply.send(reply);
+            match job.kind {
+                JobKind::Embed { reply } => {
+                    let _ = reply.send(answer(job.vertex).cloned());
+                }
+                JobKind::Score { other, reply } => {
+                    let score = answer(job.vertex).and_then(|a| {
+                        Ok(aligraph_tensor::dot(&a.embedding, &answer(other)?.embedding))
+                    });
+                    let _ = reply.send(score);
+                }
+            }
         }
     }
 }
@@ -729,11 +724,11 @@ mod tests {
             // non-owned vertices) on essentially every request.
             cache_capacity: 1,
             max_batch_delay: Duration::from_micros(200),
-            fault: Some(ServingFaultConfig {
-                plan: FaultPlan::with_seed(21, 0.95),
+            fault: Some(FaultConfig {
+                plan: aligraph_chaos::FaultPlan::with_seed(21, 0.95),
                 policy: RetryPolicy { base_ticks: 1, max_attempts: 2 },
-                max_stale_versions: 3,
             }),
+            max_stale_versions: 3,
             ..Default::default()
         };
         let service = ServingService::start_with_registry(

@@ -22,15 +22,6 @@ use aligraph_chaos::{
 };
 use aligraph_sampling::{Applied, ShardOverlay};
 
-/// Chaos configuration of the ingest channel.
-#[derive(Debug, Clone)]
-pub struct IngestFaultConfig {
-    /// The seeded fault plan for the ingest channels.
-    pub plan: aligraph_chaos::FaultPlan,
-    /// Retry/backoff budget for faulted batch sends.
-    pub policy: RetryPolicy,
-}
-
 /// Why an ingest failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {

@@ -52,10 +52,10 @@ pub mod ingest;
 pub mod report;
 pub mod serve;
 
-pub use aligraph_chaos::UPDATE_INGEST_TAG;
+pub use aligraph_chaos::{FaultConfig, UPDATE_INGEST_TAG};
 pub use aligraph_sampling::plane::{EpochManager, EpochView, ShardOverlay, Touched};
 pub use event::{UpdateBatch, UpdateEvent, UpdateWorkload};
-pub use ingest::{IngestError, IngestFaultConfig};
+pub use ingest::IngestError;
 pub use report::StreamingReport;
 pub use serve::{Gathered, IngestReceipt, Session, StreamingConfig, StreamingService};
 

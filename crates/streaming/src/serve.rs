@@ -16,9 +16,9 @@
 //!   epochs advance in submit order, strictly increasing.
 
 use crate::event::UpdateBatch;
-use crate::ingest::{IngestError, IngestFaultConfig, IngestPipeline};
+use crate::ingest::{IngestError, IngestPipeline};
 use crate::mix2;
-use aligraph_chaos::{FaultPlan, FaultPlane, RetryPolicy};
+use aligraph_chaos::{FaultConfig, FaultPlane};
 use aligraph_graph::{AttributedHeterogeneousGraph, FeatureMatrix, VertexId};
 use aligraph_partition::{EdgeCutHash, Partitioner};
 use aligraph_sampling::{AliasTable, Applied, EpochManager, EpochView};
@@ -40,8 +40,9 @@ pub struct StreamingConfig {
     pub cache_capacity: usize,
     /// Service seed: the only entropy source of the gather plane.
     pub seed: u64,
-    /// Optional chaos configuration of the ingest channel (tag 4).
-    pub fault: Option<IngestFaultConfig>,
+    /// Chaos configuration of the ingest channel (tag 4); `None` is the
+    /// unarmed plane.
+    pub fault: Option<FaultConfig>,
 }
 
 impl Default for StreamingConfig {
@@ -161,16 +162,13 @@ impl StreamingService {
         let owners: Arc<Vec<u32>> =
             Arc::new(part.vertex_owner.iter().map(|w| w.index() as u32).collect());
         let base_alias = base_alias(&base);
-        let (plan, policy) = match &config.fault {
-            Some(f) => (f.plan.clone(), f.policy),
-            None => (FaultPlan::default(), RetryPolicy::default()),
-        };
-        let plane = FaultPlane::registered(plan, registry);
+        let fault = config.fault.unwrap_or_default();
+        let plane = FaultPlane::registered(fault.plan, registry);
         let view = EpochView::initial(base, feats, base_alias, owners, shards);
         StreamingService {
             epochs: EpochManager::new(view),
             cache: VersionedCache::registered(config.cache_capacity, registry, "streaming.cache"),
-            pipeline: Mutex::new(IngestPipeline::new(shards, plane, policy)),
+            pipeline: Mutex::new(IngestPipeline::new(shards, plane, fault.policy)),
             fanouts: config.fanouts,
             seed: config.seed,
             metrics: Metrics::registered(registry),
@@ -412,6 +410,7 @@ fn cosine(a: &[f32], b: &[f32]) -> f32 {
 mod tests {
     use super::*;
     use crate::event::UpdateEvent;
+    use aligraph_chaos::{FaultPlan, RetryPolicy};
     use aligraph_graph::ids::well_known::*;
     use aligraph_graph::{AttrVector, Featurizer, GraphBuilder};
 
@@ -571,7 +570,7 @@ mod tests {
         // ingest with it) and a lost ack under seed 2 (the copy lands: a
         // batch reported as failed gets published with the next epoch).
         for seed in [9, 2] {
-            let fault = Some(IngestFaultConfig {
+            let fault = Some(FaultConfig {
                 plan: FaultPlan::with_seed(seed, 0.5),
                 policy: RetryPolicy { base_ticks: 1, max_attempts: 1 },
             });

@@ -10,9 +10,9 @@
 //! * [`activations`] — `relu` / `sigmoid` / `tanh` / row `softmax` with
 //!   derivatives,
 //! * [`init`] — seeded Xavier/He initializers,
-//! * [`optim`] — SGD (momentum), Adam, AdaGrad,
+//! * [`optim`] — Adam, for dense layer parameters,
 //! * [`embedding::EmbeddingTable`] — dense embedding rows with sparse
-//!   (row-wise) gradient updates, as used by every random-walk model,
+//!   (row-wise) SGD / AdaGrad updates, as used by every random-walk model,
 //! * [`loss`] — logistic pair losses and negative-sampling skip-gram
 //!   gradients shared by DeepWalk-family trainers.
 
@@ -29,7 +29,7 @@ pub mod optim;
 
 pub use embedding::EmbeddingTable;
 pub use matrix::Matrix;
-pub use optim::{AdaGrad, Adam, Optimizer, Sgd};
+pub use optim::Adam;
 
 /// Numerically safe sigmoid.
 #[inline]

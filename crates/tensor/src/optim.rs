@@ -1,64 +1,7 @@
-//! First-order optimizers. Each optimizer instance owns the state for one
-//! parameter tensor (the models hold one optimizer per weight matrix).
-
-/// A gradient-descent style optimizer over one flat parameter vector.
-pub trait Optimizer {
-    /// Applies one update step: mutates `params` using `grads`.
-    fn step(&mut self, params: &mut [f32], grads: &[f32]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (for decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<f32>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0, velocity: Vec::new() }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd { lr, momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        debug_assert_eq!(params.len(), grads.len());
-        if self.momentum == 0.0 {
-            for (p, &g) in params.iter_mut().zip(grads) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for ((p, &g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
+//! The dense-parameter optimizer. Each instance owns the state for one
+//! parameter tensor (the models hold one per weight matrix). Sparse
+//! embedding rows take AdaGrad steps inside
+//! [`EmbeddingTable::adagrad_update`](crate::EmbeddingTable::adagrad_update).
 
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
@@ -101,10 +44,9 @@ impl Adam {
         self.v = data[2 + k..].to_vec();
         Ok(())
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f32], grads: &[f32]) {
+    /// Applies one update step: mutates `params` using `grads`.
+    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         debug_assert_eq!(params.len(), grads.len());
         if self.m.len() != params.len() {
             self.m = vec![0.0; params.len()];
@@ -122,89 +64,22 @@ impl Optimizer for Adam {
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// AdaGrad — the classic choice for sparse embedding updates.
-#[derive(Debug, Clone)]
-pub struct AdaGrad {
-    lr: f32,
-    eps: f32,
-    accum: Vec<f32>,
-}
-
-impl AdaGrad {
-    /// AdaGrad with accumulator epsilon `1e-8`.
-    pub fn new(lr: f32) -> Self {
-        AdaGrad { lr, eps: 1e-8, accum: Vec::new() }
-    }
-}
-
-impl Optimizer for AdaGrad {
-    fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        debug_assert_eq!(params.len(), grads.len());
-        if self.accum.len() != params.len() {
-            self.accum = vec![0.0; params.len()];
-        }
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.accum[i] += g * g;
-            params[i] -= self.lr * g / (self.accum[i].sqrt() + self.eps);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimize f(x) = (x - 3)^2; gradient 2(x-3).
-    fn optimize(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    #[test]
+    fn adam_converges() {
+        // Minimize f(x) = (x - 3)^2; gradient 2(x-3).
+        let mut opt = Adam::new(0.1);
         let mut x = [0.0f32];
-        for _ in 0..steps {
+        for _ in 0..300 {
             let g = [2.0 * (x[0] - 3.0)];
             opt.step(&mut x, &g);
         }
-        x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        assert!((optimize(&mut opt, 100) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        assert!((optimize(&mut opt, 200) - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn adam_converges() {
-        let mut opt = Adam::new(0.1);
-        assert!((optimize(&mut opt, 300) - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn adagrad_converges() {
-        let mut opt = AdaGrad::new(1.0);
-        assert!((optimize(&mut opt, 300) - 3.0).abs() < 1e-2);
+        assert!((x[0] - 3.0).abs() < 1e-2);
     }
 
     #[test]
@@ -223,21 +98,5 @@ mod tests {
         assert_eq!(x[1].to_bits(), y[1].to_bits());
         assert!(Adam::new(0.1).load_state_vec(&[0.0]).is_err());
         assert!(Adam::new(0.1).load_state_vec(&[0.0; 5]).is_err());
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
-    }
-
-    #[test]
-    fn sgd_single_step_math() {
-        let mut opt = Sgd::new(0.5);
-        let mut p = [1.0f32];
-        opt.step(&mut p, &[2.0]);
-        assert!((p[0] - 0.0).abs() < 1e-6);
     }
 }

@@ -8,16 +8,18 @@
 //! recovery variants exist to prove these assertions have teeth: switching
 //! retry off must visibly diverge.
 
-use aligraph_suite::chaos::{CrashPoint, FaultPlan, FaultPlane, RecoveryMode, RetryPolicy};
+use aligraph_suite::chaos::{
+    CrashPoint, FaultConfig, FaultPlan, FaultPlane, RecoveryMode, RetryPolicy,
+};
 use aligraph_suite::graph::dynamic::{EdgeEvent, EvolutionKind, SnapshotDelta};
 use aligraph_suite::graph::ids::well_known::CLICK;
 use aligraph_suite::graph::{FeatureMatrix, Featurizer, TaobaoConfig, VertexId};
 use aligraph_suite::partition::EdgeCutHash;
 use aligraph_suite::runtime::{
-    ChaosConfig, CheckpointConfig, DistOutcome, DistTrainer, EncoderSpec, RuntimeConfig,
+    CheckpointConfig, DistOutcome, DistTrainer, EncoderSpec, RuntimeConfig,
 };
 use aligraph_suite::sampling::TopKNeighborhood;
-use aligraph_suite::serving::{ServeError, ServingConfig, ServingFaultConfig, ServingService};
+use aligraph_suite::serving::{ServeError, ServingConfig, ServingService};
 use aligraph_suite::storage::{CacheStrategy, Cluster, CostModel};
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,7 +83,7 @@ fn chaos_sweep_converges_bit_exact_across_seeds_and_drop_rates() {
     for seed in 1..=8u64 {
         for &drop_rate in &[0.05, 0.2] {
             let cfg = RuntimeConfig {
-                chaos: Some(ChaosConfig::with_seed(seed, drop_rate)),
+                chaos: Some(FaultConfig::with_seed(seed, drop_rate)),
                 ..base_cfg(2)
             };
             let chaotic = train(cfg, &cluster, &features);
@@ -117,9 +119,11 @@ fn no_retry_variant_is_caught_by_divergence() {
     let clean = train(base_cfg(2), &cluster, &features);
 
     let diverged = (1..=4u64).any(|seed| {
-        let mut chaos = ChaosConfig::with_seed(seed, 0.2);
-        chaos.mode = RecoveryMode::NoRetry;
-        let cfg = RuntimeConfig { chaos: Some(chaos), ..base_cfg(2) };
+        let cfg = RuntimeConfig {
+            chaos: Some(FaultConfig::with_seed(seed, 0.2)),
+            recovery: RecoveryMode::NoRetry,
+            ..base_cfg(2)
+        };
         let broken = train(cfg, &cluster, &features);
         broken.report.faults_injected > 0
             && (fbits(&broken.encoder.dense_param_vec()) != fbits(&clean.encoder.dense_param_vec())
@@ -146,7 +150,7 @@ fn crash_with_corrupted_checkpoint_recovers_bit_exact() {
     plan.corrupt_checkpoint = true;
     let cfg = RuntimeConfig {
         checkpoint: Some(CheckpointConfig { dir: dir.clone(), every_steps: 3 }),
-        chaos: Some(ChaosConfig { plan, ..ChaosConfig::with_seed(5, 0.1) }),
+        chaos: Some(FaultConfig { plan, ..FaultConfig::default() }),
         ..base_cfg(2)
     };
     let faulted = train(cfg, &cluster, &features);
@@ -184,11 +188,11 @@ fn serving_degrades_within_bound_and_fails_closed_beyond() {
     let config = ServingConfig {
         cache_capacity: 1, // force (faulted) forwards instead of cache hits
         max_batch_delay: Duration::from_micros(200),
-        fault: Some(ServingFaultConfig {
+        fault: Some(FaultConfig {
             plan: FaultPlan::with_seed(21, 0.95),
             policy: RetryPolicy { base_ticks: 1, max_attempts: 2 },
-            max_stale_versions: bound,
         }),
+        max_stale_versions: bound,
         ..Default::default()
     };
     let service = ServingService::start(Arc::clone(&graph), TopKNeighborhood, config);
@@ -239,6 +243,72 @@ fn serving_degrades_within_bound_and_fails_closed_beyond() {
     assert!(unavailable > 0, "some fallback entries must have aged out");
 }
 
+/// One `FaultConfig` *value* attaches all three subsystems in turn — the
+/// type is shared, not merely same-shaped — and each keeps its promise
+/// under it: training and streaming land bit-exactly on their fault-free
+/// runs (faults cost only modelled time), serving never hands out an
+/// untagged stale embedding.
+#[test]
+fn one_fault_config_value_attaches_every_subsystem() {
+    use aligraph_suite::streaming::{StreamingConfig, StreamingService, UpdateWorkload};
+    use aligraph_telemetry::Registry;
+    let fault = FaultConfig::with_seed(7, 0.2);
+
+    let (cluster, features) = setup(2);
+    let clean = train(base_cfg(2), &cluster, &features);
+    let cfg = RuntimeConfig { chaos: Some(fault.clone()), ..base_cfg(2) };
+    let chaotic = train(cfg, &cluster, &features);
+    assert!(chaotic.report.faults_injected > 0 && chaotic.report.retries > 0);
+    assert_eq!(chaotic.fingerprint(), clean.fingerprint(), "training diverged under faults");
+
+    let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+    let n = graph.num_vertices() as u32;
+    let feats = Arc::new(Featurizer::new(DIM).matrix(&graph));
+    let stream = |fault: Option<FaultConfig>| {
+        let config = StreamingConfig { shards: 2, seed: 7, fault, ..Default::default() };
+        let svc = StreamingService::start(Arc::clone(&graph), Arc::clone(&feats), config);
+        let mut workload = UpdateWorkload::new(7, n, DIM);
+        let mut lag = 0u64;
+        let touched: Vec<_> = (0..20)
+            .map(|_| {
+                let r = svc.ingest(&workload.next_batch(6, 2)).expect("ingest");
+                lag += r.lag_ticks;
+                (r.epoch, r.touched_rows, r.touched_feats)
+            })
+            .collect();
+        svc.oracle_check().expect("rebuild oracle");
+        let session = svc.session();
+        let gathers: Vec<_> = (0..n).map(|v| session.gather(VertexId(v)).vector).collect();
+        (touched, gathers, lag)
+    };
+    let (clean_touched, clean_gathers, clean_lag) = stream(None);
+    let (touched, gathers, lag) = stream(Some(fault.clone()));
+    assert_eq!((touched, gathers), (clean_touched, clean_gathers), "ingest diverged under faults");
+    assert!(clean_lag == 0 && lag > 0, "faults cost lag ticks, and only faults do");
+
+    let registry = Registry::new();
+    let serve = |fault: Option<FaultConfig>, registry: &Registry| {
+        let config =
+            ServingConfig { cache_capacity: 1, fault, max_stale_versions: 3, ..Default::default() };
+        let svc = ServingService::start_with_registry(
+            Arc::clone(&graph),
+            TopKNeighborhood,
+            config,
+            registry,
+        );
+        (0..n)
+            .map(|v| svc.embedding_tagged(VertexId(v)).expect("inside the retry budget"))
+            .collect()
+    };
+    let clean_served: Vec<_> = serve(None, &Registry::disabled());
+    let served: Vec<_> = serve(Some(fault), &registry);
+    assert!(registry.snapshot().counter_total("chaos.faults_injected") > 0);
+    for (v, (a, b)) in served.iter().zip(&clean_served).enumerate() {
+        assert!(!a.degraded, "vertex {v}: a fetch that got through is never tagged degraded");
+        assert_eq!(a.embedding, b.embedding, "vertex {v}: served embedding diverged");
+    }
+}
+
 /// The fault stream itself is deterministic: the same seed yields the same
 /// fault count and the same retry count, run after run — the repro
 /// one-liner in the README depends on it.
@@ -246,7 +316,7 @@ fn serving_degrades_within_bound_and_fails_closed_beyond() {
 fn fault_stream_is_a_pure_function_of_the_seed() {
     let (cluster, features) = setup(2);
     let run = |seed: u64| {
-        let cfg = RuntimeConfig { chaos: Some(ChaosConfig::with_seed(seed, 0.2)), ..base_cfg(2) };
+        let cfg = RuntimeConfig { chaos: Some(FaultConfig::with_seed(seed, 0.2)), ..base_cfg(2) };
         let out = train(cfg, &cluster, &features);
         (out.report.faults_injected, out.report.retries)
     };
@@ -340,9 +410,7 @@ mod parent_pins {
     use super::*;
     use aligraph_suite::chaos::FaultSnapshot;
     use aligraph_suite::storage::RebalanceOp;
-    use aligraph_suite::streaming::{
-        IngestFaultConfig, StreamingConfig, StreamingService, UpdateWorkload,
-    };
+    use aligraph_suite::streaming::{StreamingConfig, StreamingService, UpdateWorkload};
     use aligraph_telemetry::Registry;
 
     const TRAIN: FaultSnapshot = FaultSnapshot { faults_injected: 71, retries: 29 };
@@ -353,7 +421,7 @@ mod parent_pins {
     #[test]
     fn training_draws_the_parent_fault_stream() {
         let (cluster, features) = setup(2);
-        let cfg = RuntimeConfig { chaos: Some(ChaosConfig::with_seed(7, 0.2)), ..base_cfg(2) };
+        let cfg = RuntimeConfig { chaos: Some(FaultConfig::with_seed(7, 0.2)), ..base_cfg(2) };
         let report = train(cfg, &cluster, &features).report;
         let got =
             FaultSnapshot { faults_injected: report.faults_injected, retries: report.retries };
@@ -366,10 +434,7 @@ mod parent_pins {
         let n = graph.num_vertices() as u32;
         let feats = Arc::new(Featurizer::new(DIM).matrix(&graph));
         let registry = Registry::new();
-        let fault = Some(IngestFaultConfig {
-            plan: FaultPlan::with_seed(7, 0.2),
-            policy: RetryPolicy::default(),
-        });
+        let fault = Some(FaultConfig::with_seed(7, 0.2));
         let config = StreamingConfig { shards: 2, seed: 7, fault, ..Default::default() };
         let svc = StreamingService::start_with_registry(graph, feats, config, &registry);
         let mut workload = UpdateWorkload::new(7, n, DIM);

@@ -1,4 +1,4 @@
-//! Workspace-level gates for `aligraph-lint` (DESIGN.md §2.13, §2.18).
+//! Workspace-level gates for `aligraph-lint` (DESIGN.md §2.18).
 //!
 //! These contracts are pinned here rather than inside the lint crate's unit
 //! tests, because they are statements about the *whole repository*:

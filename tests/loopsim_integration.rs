@@ -3,9 +3,8 @@
 //! function of its seeds, and ingest chaos costs only freshness ticks —
 //! never model divergence.
 
-use aligraph_chaos::{FaultPlan, RetryPolicy};
+use aligraph_chaos::FaultConfig;
 use aligraph_loopsim::{run_loop, LoopConfig};
-use aligraph_streaming::IngestFaultConfig;
 use aligraph_telemetry::Registry;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -51,10 +50,7 @@ fn ingest_chaos_costs_freshness_ticks_never_divergence() {
     let clean = run_loop(&cfg("chaos-base"), &Arc::new(Registry::new())).expect("clean loop");
 
     let mut faulted_cfg = cfg("chaos-drop");
-    faulted_cfg.fault = Some(IngestFaultConfig {
-        plan: FaultPlan::with_seed(7, 0.2),
-        policy: RetryPolicy::default(),
-    });
+    faulted_cfg.fault = Some(FaultConfig::with_seed(7, 0.2));
     let faulted = run_loop(&faulted_cfg, &Arc::new(Registry::new())).expect("faulted loop");
 
     assert_eq!(

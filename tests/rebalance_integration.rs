@@ -9,11 +9,11 @@
 //! recovery variant ([`RecoveryMode::NoRetry`]) exists to prove the
 //! assertion has teeth: losing migrated subgraphs must visibly diverge.
 
-use aligraph_suite::chaos::RecoveryMode;
+use aligraph_suite::chaos::{FaultConfig, RecoveryMode};
 use aligraph_suite::graph::{FeatureMatrix, Featurizer, TaobaoConfig};
 use aligraph_suite::partition::EdgeCutHash;
 use aligraph_suite::runtime::{
-    ChaosConfig, DistOutcome, DistTrainer, EncoderSpec, RebalancePlan, RuntimeConfig,
+    DistOutcome, DistTrainer, EncoderSpec, RebalancePlan, RuntimeConfig,
 };
 use aligraph_suite::storage::{CacheStrategy, Cluster, CostModel, RebalanceOp};
 use std::sync::Arc;
@@ -85,7 +85,7 @@ fn mid_training_split_is_bit_exact_under_chaos() {
     for chaos in [None, Some((3u64, 0.05)), Some((3u64, 0.2)), Some((9u64, 0.2))] {
         let cfg = RuntimeConfig {
             rebalance: vec![split_after(1)],
-            chaos: chaos.map(|(seed, rate)| ChaosConfig::with_seed(seed, rate)),
+            chaos: chaos.map(|(seed, rate)| FaultConfig::with_seed(seed, rate)),
             ..base_cfg(2)
         };
         let elastic = train(cfg, &cluster, &features);
@@ -134,7 +134,7 @@ fn split_then_merge_roundtrip_is_bit_exact() {
                 mode: RecoveryMode::Full,
             },
         ],
-        chaos: Some(ChaosConfig::with_seed(5, 0.2)),
+        chaos: Some(FaultConfig::with_seed(5, 0.2)),
         ..base_cfg(2)
     };
     let round = train(cfg, &cluster, &features);
@@ -160,7 +160,7 @@ fn broken_migration_recovery_diverges_for_some_seed() {
                 op: RebalanceOp::Split { shard: 0 },
                 mode: RecoveryMode::NoRetry,
             }],
-            chaos: Some(ChaosConfig::with_seed(seed, 0.2)),
+            chaos: Some(FaultConfig::with_seed(seed, 0.2)),
             ..base_cfg(2)
         };
         match DistTrainer::new(&cluster, &features, spec(), cfg).unwrap().train() {

@@ -2,15 +2,15 @@
 //! parity, checkpoint round-trips, corruption handling, fault recovery, and
 //! modelled scaling.
 
-use aligraph_suite::chaos::CrashPoint;
+use aligraph_suite::chaos::{CrashPoint, FaultConfig};
 use aligraph_suite::core::{train_unsupervised, GnnEncoder, TrainConfig};
 use aligraph_suite::graph::{
     AttributedHeterogeneousGraph, FeatureMatrix, Featurizer, TaobaoConfig,
 };
 use aligraph_suite::partition::EdgeCutHash;
 use aligraph_suite::runtime::{
-    latest_valid_checkpoint, ChaosConfig, CheckpointConfig, DistTrainer, EncoderSpec,
-    RuntimeConfig, RuntimeError,
+    latest_valid_checkpoint, CheckpointConfig, DistTrainer, EncoderSpec, RuntimeConfig,
+    RuntimeError,
 };
 use aligraph_suite::sampling::UniformNeighborhood;
 use aligraph_suite::storage::{CacheStrategy, Cluster, CostModel};
@@ -195,11 +195,12 @@ fn corrupt_and_mismatched_checkpoints_error_cleanly() {
 }
 
 /// A chaos plan that drops nothing and kills `worker` right before global
-/// step `at_step`. The run still goes through `push_faulted` /
-/// `drain_into_faulted`, so the bit-equalities below also pin that a
-/// zero-drop chaos run is identical to the clean twins.
-fn kill(worker: u32, at_step: u64) -> Option<ChaosConfig> {
-    let mut chaos = ChaosConfig::with_seed(0, 0.0);
+/// step `at_step`. Its plane is registered and crash-scheduled where the
+/// uninterrupted run's is the unarmed default; both cross it through the
+/// same `push` / `drain_into`, so the bit-equalities below hold by
+/// construction.
+fn kill(worker: u32, at_step: u64) -> Option<FaultConfig> {
+    let mut chaos = FaultConfig::with_seed(0, 0.0);
     chaos.plan.crash_schedule.push(CrashPoint { worker, at_step });
     Some(chaos)
 }

@@ -16,17 +16,17 @@
 //! * **The rebuild oracle** — after any of the above, every incrementally
 //!   repaired alias table equals a from-scratch rebuild bit-for-bit.
 
-use aligraph_suite::chaos::{FaultPlan, RetryPolicy};
+use aligraph_suite::chaos::FaultConfig;
 use aligraph_suite::graph::ids::well_known::{CLICK, USER};
 use aligraph_suite::graph::{AttrVector, Featurizer, GraphBuilder, TaobaoConfig, VertexId};
 use aligraph_suite::streaming::{
-    IngestFaultConfig, StreamingConfig, StreamingService, UpdateBatch, UpdateEvent, UpdateWorkload,
+    StreamingConfig, StreamingService, UpdateBatch, UpdateEvent, UpdateWorkload,
 };
 use std::sync::Arc;
 
 const DIM: usize = 8;
 
-fn taobao_service(seed: u64, fault: Option<IngestFaultConfig>) -> (StreamingService, u32) {
+fn taobao_service(seed: u64, fault: Option<FaultConfig>) -> (StreamingService, u32) {
     let mut cfg = TaobaoConfig::small_sim().scaled(0.004);
     cfg.seed = seed;
     let graph = Arc::new(cfg.generate().expect("valid config"));
@@ -76,10 +76,7 @@ fn faulted_ingest_is_bit_exact_with_fault_free_run() {
         clean.shutdown();
 
         for drop_rate in [0.05, 0.2] {
-            let fault = Some(IngestFaultConfig {
-                plan: FaultPlan::with_seed(seed ^ 0xFA, drop_rate),
-                policy: RetryPolicy::default(),
-            });
+            let fault = Some(FaultConfig::with_seed(seed ^ 0xFA, drop_rate));
             let (chaotic, n2) = taobao_service(seed, fault);
             assert_eq!(n, n2);
             let (trace, gathers, lag) = run_trace(&chaotic, seed, n, 25);
