@@ -23,13 +23,13 @@
 //! owns what the faults force into existence: [`FaultPlane::deliver`], the
 //! one sender-side protocol every faulted hop runs (retry under
 //! [`RetryPolicy`]'s capped backoff until the deadline, land-and-resend on
-//! a lost ack, replay late duplicates), and [`Sequencer`]
-//! (sequence-numbered, idempotent delivery — duplicates and reorderings
-//! collapse to exactly-once, in-order application). With both in place,
-//! the headline property holds: for any fault seed with `drop_rate < 1`,
-//! a training run converges to the bit-exact same final parameters as the
-//! fault-free run, because the same messages apply exactly once in the
-//! same order — faults only cost modelled time.
+//! a lost ack, replay late duplicates) on a [`Seq`] that only the sender's
+//! [`SeqCounter`] makes, and [`Sequencer`] (receiver-side dedup: duplicates
+//! and reorderings collapse to exactly-once, in-order application). With
+//! both in place, the headline property holds: for any fault seed with
+//! `drop_rate < 1`, a training run converges to the bit-exact same final
+//! parameters as the fault-free run, because the same messages apply
+//! exactly once in the same order — faults only cost modelled time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
@@ -42,7 +42,7 @@ pub use plan::{CrashPoint, Delivery, FaultPlan, FaultPlane, FaultSnapshot};
 pub use retry::{
     FaultConfig, HopKind, RecoveryMode, RetryError, RetryPolicy, Sent, MAX_BACKOFF_TICKS, TICK_NS,
 };
-pub use seq::Sequencer;
+pub use seq::{Seq, SeqCounter, Sequencer};
 
 /// Channel tag of parameter-server pushes (`worker → shard`). A tag is the
 /// first argument of [`FaultPlane::channel_with`]: each one gives its

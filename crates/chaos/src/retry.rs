@@ -1,7 +1,7 @@
 //! Capped exponential backoff with a retry deadline, and the one delivery
 //! driver that spends it.
 
-use crate::plan::{Delivery, FaultPlan, FaultPlane};
+use crate::{Delivery, FaultPlan, FaultPlane, Seq};
 
 /// The hard ceiling on any single backoff wait, in virtual ticks. The
 /// workspace's one retry loop ([`FaultPlane::deliver`]) takes its waits
@@ -154,11 +154,19 @@ impl FaultPlane {
     /// more per lost ack and per replayed late duplicate on a
     /// [`HopKind::Acked`] hop — the copies the receiver's sequence dedup
     /// ([`RecoveryMode::NoDedup`] is its business) must discard.
+    ///
+    /// `seq` is a [`Seq`], so the sender numbered it; an integer is refused:
+    ///
+    /// ```compile_fail,E0308
+    /// # use aligraph_chaos::*;
+    /// let plane = FaultPlane::new(FaultPlan::default());
+    /// plane.deliver(0, 7, &RetryPolicy::default(), RecoveryMode::Full, HopKind::Acked, || {});
+    /// ```
     #[inline]
     pub fn deliver(
         &self,
         channel: u64,
-        seq: u64,
+        seq: Seq,
         policy: &RetryPolicy,
         mode: RecoveryMode,
         kind: HopKind,
@@ -177,7 +185,7 @@ impl FaultPlane {
                 self.note_retry();
                 ticks += policy.backoff_ticks(attempt);
             }
-            match self.decide(channel, seq, attempt) {
+            match self.decide(channel, seq.0, attempt) {
                 Delivery::Deliver => break true,
                 Delivery::Delay(d) => {
                     ticks += d;
@@ -194,7 +202,7 @@ impl FaultPlane {
         if delivered {
             land();
             // The reorder fault: a stale duplicate shows up after delivery.
-            if kind == HopKind::Acked && self.replays_duplicate(channel, seq) {
+            if kind == HopKind::Acked && self.replays_duplicate(channel, seq.0) {
                 land();
             }
         }
@@ -274,7 +282,7 @@ mod tests {
     ) -> (Result<Sent, RetryError>, u32, u64) {
         let plane = FaultPlane::new(plan());
         let mut lands = 0u32;
-        let sent = plane.deliver(CHANNEL, seq, policy, mode, kind, || lands += 1);
+        let sent = plane.deliver(CHANNEL, Seq(seq), policy, mode, kind, || lands += 1);
         (sent, lands, plane.snapshot().retries)
     }
 
@@ -376,7 +384,14 @@ mod tests {
         }
         let other = FaultPlane::new(FaultPlan::with_seed(6, 0.5));
         let differs = (0..300).any(|seq| {
-            let b = other.deliver(CHANNEL, seq, &POLICY, RecoveryMode::Full, HopKind::Acked, || {});
+            let b = other.deliver(
+                CHANNEL,
+                Seq(seq),
+                &POLICY,
+                RecoveryMode::Full,
+                HopKind::Acked,
+                || {},
+            );
             b != drive(seq, &POLICY, RecoveryMode::Full, HopKind::Acked).0
         });
         assert!(differs, "another seed draws another fault stream");

@@ -2,6 +2,36 @@
 
 use std::collections::BTreeMap;
 
+/// A sender-assigned sequence number, what
+/// [`FaultPlane::deliver`](crate::FaultPlane::deliver) takes to name a
+/// message. Outside this crate only [`SeqCounter::next_seq`] makes one, so
+/// the compiler checks at every call that the sender numbered it:
+///
+/// ```compile_fail,E0603
+/// let seq = aligraph_chaos::Seq(7); // the field is private to the chaos crate
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seq(pub(crate) u64);
+
+impl Seq {
+    /// The number, for the receiver's dedup.
+    pub fn get(self) -> u64 {
+        self.0
+    }
+}
+
+/// A sender's counter for one stream of messages, numbering them from 0.
+#[derive(Debug, Clone, Default)]
+pub struct SeqCounter(u64);
+
+impl SeqCounter {
+    /// The next message's number.
+    pub fn next_seq(&mut self) -> Seq {
+        self.0 += 1;
+        Seq(self.0 - 1)
+    }
+}
+
 /// Receiver-side sequencer for one directed channel: payloads tagged with
 /// a sender-assigned sequence number come out exactly once, in sequence
 /// order, no matter how the fault plane duplicates or reorders them.
@@ -59,6 +89,19 @@ impl<T> Sequencer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_counter_numbers_from_zero_and_a_clone_resumes_where_it_was() {
+        let mut counter = SeqCounter::default();
+        assert_eq!(counter.next_seq().get(), 0);
+        // Ingest's draw-then-commit: a draw from a clone leaves the counter
+        // where it was until the clone is stored back.
+        let mut draft = counter.clone();
+        assert_eq!(draft.next_seq().get(), 1);
+        assert_eq!(counter.clone().next_seq().get(), 1, "an abandoned draw keeps its number");
+        counter = draft;
+        assert_eq!((counter.next_seq().get(), counter.next_seq().get()), (2, 3));
+    }
 
     #[test]
     fn in_order_stream_passes_straight_through() {

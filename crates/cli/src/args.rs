@@ -125,9 +125,10 @@ impl Default for CommonDefaults {
 /// `--seed N`, `--workers N` (clamped to >= 1), `--scale F`,
 /// `--metrics-json PATH` (where to dump the run's telemetry snapshot), and
 /// the chaos-plane pair `--fault-seed N` / `--drop-rate F` (a fault plane is
-/// attached iff `--fault-seed` is given; the rate defaults to 0.1 and clamps
-/// to `[0, 0.999]`), built once into the [`FaultConfig`] every command that
-/// takes them hands to its subsystem.
+/// attached iff `--fault-seed` is given, and a `--drop-rate` without it is a
+/// usage error; the rate defaults to 0.1 and clamps to `[0, 0.999]`), built
+/// once into the [`FaultConfig`] every command that takes them hands to its
+/// subsystem.
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// Base RNG seed.
@@ -148,7 +149,8 @@ impl CommonArgs {
         let path = args.get_or("metrics-json", "");
         let drop_rate = args.num_or("drop-rate", 0.1f64)?;
         let fault = match args.get_or("fault-seed", "") {
-            "" => None,
+            "" if args.get_or("drop-rate", "").is_empty() => None,
+            "" => return Err(CliError::Usage("--drop-rate needs --fault-seed".into())),
             _ => Some(FaultConfig::with_seed(args.num_or("fault-seed", 0u64)?, drop_rate)),
         };
         Ok(CommonArgs {
@@ -228,5 +230,10 @@ mod tests {
 
         let a = Args::parse(&argv(&["bench", "--fault-seed", "x"])).unwrap();
         assert!(matches!(CommonArgs::from_args(&a, d), Err(CliError::Usage(_))));
+
+        // A rate with no seed would run fault-free and exit 0.
+        let a = Args::parse(&argv(&["bench", "--drop-rate", "0.5"])).unwrap();
+        let err = CommonArgs::from_args(&a, d).expect_err("a rate needs a seed");
+        assert!(matches!(&err, CliError::Usage(m) if m.contains("--fault-seed")), "{err}");
     }
 }

@@ -147,12 +147,13 @@ SHARED FLAGS:
                           registry snapshot as stable JSON (all commands)
     --seed N / --workers N / --scale F parse identically everywhere
     --fault-seed N        attach the deterministic chaos plane, seeded with N
-                          (train-bench / serve-bench / serve-under-update /
-                          closed-loop);
+                          (train-bench / rebalance-bench / serve-bench /
+                          serve-under-update / closed-loop);
                           faults and retries are counted in the report and
                           metrics JSON
     --drop-rate F         per-message fault probability for the chaos plane
-                          (default 0.1, clamped to [0, 0.999])
+                          (default 0.1, clamped to [0, 0.999]); needs
+                          --fault-seed
     --resident-budget N   byte cap for the cold storage tier's hot set
                           (train-bench / tiered-bench); 0 or absent keeps
                           train-bench untiered and lets tiered-bench default

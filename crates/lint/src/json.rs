@@ -142,12 +142,12 @@ mod tests {
                     waived: None,
                 },
                 Diagnostic {
-                    rule: "channel-protocol",
+                    rule: "no-unwrap-in-lib",
                     path: "crates/b/src/y.rs".into(),
                     line: 7,
-                    message: "raw send".into(),
+                    message: "unwrap in library code".into(),
                     chain: Vec::new(),
-                    waived: Some("control plane".into()),
+                    waived: Some("startup only".into()),
                 },
             ],
         }
@@ -161,7 +161,7 @@ mod tests {
         assert!(j.contains("\"rule\": \"determinism-taint\""));
         assert!(j.contains("wall-clock \\\"now\\\" flows"), "{j}");
         assert!(j.contains("\"waived\": true"));
-        assert!(j.contains("\"waiver_reason\": \"control plane\""));
+        assert!(j.contains("\"waiver_reason\": \"startup only\""));
         assert!(j.contains("\"summary\": { \"active\": 1, \"waived\": 1 }"));
     }
 

@@ -6,15 +6,12 @@
 //! 1. **Static analysis v2** — [`lexer`] is a small hand-rolled Rust lexer
 //!    (string/comment/attribute aware, no `syn`, consistent with the
 //!    offline `vendor/` policy); [`parse`] recovers `fn` items, call
-//!    sites, and determinism/protocol events from the token stream;
-//!    [`graph`] links them into a workspace-wide call graph. Two
-//!    interprocedural passes run on it — [`taint`] (`determinism-taint`:
+//!    sites, and determinism events from the token stream; [`graph`]
+//!    links them into a workspace-wide call graph. One interprocedural
+//!    pass runs on it — [`taint`] (`determinism-taint`:
 //!    wall-clock/entropy/unordered-iteration flow into seeded paths, with
-//!    the full source→sink call chain) and [`protocol`]
-//!    (`channel-protocol`: every chaos-plane send sequenced, every
-//!    delivery-driver call fed by a sequence origin). The
-//!    token-level rules in [`rules`] (`no-unwrap-in-lib`,
-//!    `relaxed-needs-justification`, `forbid-unsafe`,
+//!    the full source→sink call chain). The token-level rules in [`rules`]
+//!    (`no-unwrap-in-lib`, `relaxed-needs-justification`, `forbid-unsafe`,
 //!    `telemetry-never-branches`, `backoff-needs-cap`) still cover the
 //!    single-site invariants. [`json`] renders everything as SARIF-lite
 //!    JSON diffed against `ci/lint-baseline.json`.
@@ -44,7 +41,6 @@ pub mod json;
 pub mod lexer;
 pub mod loom;
 pub mod parse;
-pub mod protocol;
 pub mod rules;
 pub mod taint;
 pub mod walk;
@@ -59,18 +55,11 @@ use std::path::Path;
 /// The interprocedural rule catalogue: `(name, description)` pairs,
 /// complementing [`all_rules`] for `--list-rules` and rule filtering.
 pub fn analysis_rules() -> Vec<(&'static str, &'static str)> {
-    vec![
-        (
-            taint::RULE,
-            "no wall-clock/entropy/thread-id/unordered-iteration flow into seeded paths \
+    vec![(
+        taint::RULE,
+        "no wall-clock/entropy/thread-id/unordered-iteration flow into seeded paths \
              (workspace call-graph taint)",
-        ),
-        (
-            protocol::RULE,
-            "chaos-plane sends carry ChannelSeqs sequence numbers, and every sequence number \
-             handed to the delivery driver has an origin",
-        ),
-    ]
+    )]
 }
 
 /// Runs the full static analysis (token rules + call-graph passes) over
@@ -102,9 +91,6 @@ pub fn analyze_workspace(root: &Path, only: Option<&[String]>) -> io::Result<Ana
     let ws = Workspace::build(ctxs);
     if wants(taint::RULE) {
         taint::check(&ws, &mut diags);
-    }
-    if wants(protocol::RULE) {
-        protocol::check(&ws, &mut diags);
     }
     diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(AnalysisReport {

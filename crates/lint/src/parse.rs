@@ -10,11 +10,7 @@
 //!   `recv.method(…)`), the raw material of the workspace call graph;
 //! * determinism **source events** — wall-clock reads, OS entropy, thread
 //!   ids, and iteration over unordered maps (a `HashMap`/`HashSet`-typed
-//!   local or parameter walked without an adjacent sort);
-//! * channel **protocol events** — `.send(…)` sites with their receiver
-//!   and whether the message carries a `seq`, and `.deliver(…)` calls of
-//!   the fault plane's delivery driver — the raw material of the
-//!   channel-protocol pass.
+//!   local or parameter walked without an adjacent sort.
 //!
 //! Brace/paren matching is structural; unknown constructs are skipped, so
 //! the parser degrades to "fewer facts", never to a crash.
@@ -73,18 +69,6 @@ pub struct CallSite {
     pub line: u32,
 }
 
-/// One `.send(…)` site inside a function body.
-#[derive(Debug, Clone)]
-pub struct SendSite {
-    /// 1-based line.
-    pub line: u32,
-    /// Nearest identifier left of `.send` — the channel endpoint name.
-    pub receiver: String,
-    /// True when the send's argument list mentions a `seq`-carrying
-    /// identifier (the message is sequence-numbered).
-    pub carries_seq: bool,
-}
-
 /// One parsed `fn` item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
@@ -108,13 +92,6 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
     /// Determinism source events in the body.
     pub sources: Vec<SourceSite>,
-    /// `.send(…)` sites in the body.
-    pub sends: Vec<SendSite>,
-    /// Lines of `.deliver(…)` fault-plane driver calls in the body.
-    pub delivers: Vec<u32>,
-    /// Every identifier mentioned in the signature + body (protocol-token
-    /// membership checks).
-    pub idents: HashSet<String>,
 }
 
 /// Keywords that look like calls when followed by `(`.
@@ -362,12 +339,6 @@ impl<'a> Parser<'a> {
                 _ => None,
             })
             .collect();
-        let mut idents = HashSet::new();
-        for t in &code[at..open.unwrap_or(k).min(code.len())] {
-            if t.kind == TokenKind::Ident {
-                idents.insert(t.text.clone());
-            }
-        }
         let item = FnItem {
             name: name_tok.text.clone(),
             qual,
@@ -379,9 +350,6 @@ impl<'a> Parser<'a> {
             params,
             calls: Vec::new(),
             sources: Vec::new(),
-            sends: Vec::new(),
-            delivers: Vec::new(),
-            idents,
         };
         let idx = self.out.len();
         self.out.push(item);
@@ -396,7 +364,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Attributes one body token to the innermost open `fn`, extracting
-    /// call sites, sources, sends, and driver calls.
+    /// call sites and sources.
     fn body_token(&mut self, i: usize, scopes: &mut [Scope]) {
         let Some(Scope::Fn { idx, unordered, .. }) =
             scopes.iter_mut().rev().find(|s| matches!(s, Scope::Fn { .. }))
@@ -409,7 +377,6 @@ impl<'a> Parser<'a> {
         if t.kind != TokenKind::Ident {
             return;
         }
-        self.out[idx].idents.insert(t.text.clone());
         let next = code.get(i + 1);
         let called = next.is_some_and(|n| n.kind == TokenKind::Punct('('));
         let is_macro = next.is_some_and(|n| n.kind == TokenKind::Bang);
@@ -521,23 +488,6 @@ impl<'a> Parser<'a> {
 
         if !called || is_macro {
             return;
-        }
-        // `.send(…)` / `.deliver(…)` protocol events.
-        if t.text == "send" && dot_before {
-            let close = match_delims(code, i + 1, '(', ')');
-            let carries_seq = code[i + 2..close].iter().any(|a| {
-                a.kind == TokenKind::Ident && (a.text == "seq" || a.text.ends_with("_seq"))
-            });
-            let receiver = code[..i.saturating_sub(1)]
-                .iter()
-                .rev()
-                .take(8)
-                .find(|t| t.kind == TokenKind::Ident)
-                .map_or_else(String::new, |t| t.text.clone());
-            self.out[idx].sends.push(SendSite { line: t.line, receiver, carries_seq });
-        }
-        if t.text == "deliver" && (dot_before || path_before) {
-            self.out[idx].delivers.push(t.line);
         }
         // Call site.
         if KEYWORDS.contains(&t.text.as_str()) {
@@ -772,24 +722,6 @@ fn h() {
 }
 ";
         assert!(parse(shadowed)[0].sources.is_empty(), "{:?}", parse(shadowed)[0].sources);
-    }
-
-    #[test]
-    fn send_and_deliver_events() {
-        let src = "
-fn f(tx: &Sender<Msg>, plane: &FaultPlane) {
-    tx.send(Msg::Update { seq, rows }).unwrap();
-    reply.send(out).ok();
-    plane.deliver(channel, seq, &policy, mode, HopKind::Acked, || {}).ok();
-}
-";
-        let fns = parse(src);
-        assert_eq!(fns[0].sends.len(), 2);
-        assert!(fns[0].sends[0].carries_seq);
-        assert_eq!(fns[0].sends[0].receiver, "tx");
-        assert!(!fns[0].sends[1].carries_seq);
-        assert_eq!(fns[0].sends[1].receiver, "reply");
-        assert_eq!(fns[0].delivers.len(), 1);
     }
 
     #[test]

@@ -346,8 +346,7 @@ impl std::fmt::Debug for Rule {
 }
 
 /// The token-level rule catalogue, in diagnostic order. The interprocedural
-/// rules (`determinism-taint`, `channel-protocol`) live in the
-/// [`crate::taint`] and [`crate::protocol`] passes;
+/// rule (`determinism-taint`) lives in the [`crate::taint`] pass;
 /// [`crate::analysis_rules`] lists the whole catalogue. The old purely
 /// local `no-wallclock-in-seeded-paths`/`no-entropy` rules were subsumed by
 /// `determinism-taint`, which tracks entropy/wall-clock *flow* through the

@@ -19,8 +19,8 @@
 
 use crate::error::RuntimeError;
 use aligraph_chaos::{
-    FaultPlan, FaultPlane, HopKind, RecoveryMode, RetryPolicy, MIGRATION_TAG, PS_PULL_TAG,
-    PS_PUSH_TAG, TICK_NS,
+    FaultPlan, FaultPlane, HopKind, RecoveryMode, RetryPolicy, Seq, SeqCounter, MIGRATION_TAG,
+    PS_PULL_TAG, PS_PUSH_TAG, TICK_NS,
 };
 use aligraph_graph::{FeatureMatrix, VertexId};
 use aligraph_partition::Partition;
@@ -54,32 +54,21 @@ pub struct PsShardState {
     pub accum: Option<Vec<f32>>,
 }
 
-/// Sender-held sequence counters for one worker's fault-plane channels:
-/// one push stream and one pull-response stream per destination shard.
-/// They live and die with the server, so a recovery attempt's fresh server
-/// pairs fresh counters with its fresh `applied_seq` table and replays
-/// cleanly.
+/// Sender-held [`SeqCounter`]s for one worker's fault-plane channels, the
+/// only source of the [`Seq`]s its messages cross the plane with: one push
+/// stream and one pull-response stream per destination shard. They live
+/// and die with the server, so a recovery attempt's fresh server pairs
+/// fresh counters with its fresh `applied_seq` table and replays cleanly.
 #[derive(Debug)]
 struct ChannelSeqs {
-    push: Vec<u64>,
-    pull: Vec<u64>,
+    push: Vec<SeqCounter>,
+    pull: Vec<SeqCounter>,
 }
 
 impl ChannelSeqs {
     fn new(shards: usize) -> Self {
-        ChannelSeqs { push: vec![0; shards], pull: vec![0; shards] }
-    }
-
-    fn next_push(&mut self, shard: usize) -> u64 {
-        let s = self.push[shard];
-        self.push[shard] += 1;
-        s
-    }
-
-    fn next_pull(&mut self, shard: usize) -> u64 {
-        let s = self.pull[shard];
-        self.pull[shard] += 1;
-        s
+        let counters = vec![SeqCounter::default(); shards];
+        ChannelSeqs { push: counters.clone(), pull: counters }
     }
 }
 
@@ -106,8 +95,8 @@ pub struct SparseParamServer {
     /// Payload bytes landed on each destination shard (pushes + pulls),
     /// published as `runtime.ps.bytes{shard=<w>}`.
     shard_bytes: Vec<Arc<Counter>>,
-    /// Sender-held next sequence number per `(src, dst)` rehome channel.
-    rehome_seq: Mutex<BTreeMap<(u32, u32), u64>>,
+    /// Sender-held counter per `(src, dst)` rehome channel.
+    rehome_seq: Mutex<BTreeMap<(u32, u32), SeqCounter>>,
     /// Receiver-side expected sequence per `(src, dst)` rehome channel:
     /// duplicates of an applied row move are discarded, which is what makes
     /// the destructive move idempotent under lost acks.
@@ -290,7 +279,7 @@ impl SparseParamServer {
             if rows.is_empty() {
                 continue;
             }
-            let seq = seqs.next_push(w);
+            let seq = seqs.push[w].next_seq();
             let channel = FaultPlane::channel_with(PS_PUSH_TAG, from as u64, w as u64);
             // The driver's `land` cannot fail; a poisoned lock stops
             // further applies and surfaces after the hop.
@@ -303,7 +292,10 @@ impl SparseParamServer {
                     }
                 })
                 .map_err(|e| {
-                    RuntimeError::Unrecoverable(format!("ps push {from}->{w} seq {seq}: {e}"))
+                    RuntimeError::Unrecoverable(format!(
+                        "ps push {from}->{w} seq {}: {e}",
+                        seq.get()
+                    ))
                 })?;
             applied?;
             ns += sent.ticks * TICK_NS;
@@ -321,16 +313,16 @@ impl SparseParamServer {
         &self,
         w: usize,
         from: usize,
-        seq: u64,
+        seq: Seq,
         rows: &[(u32, &[f32])],
     ) -> Result<(), RuntimeError> {
         if self.mode != RecoveryMode::NoDedup {
             let mut expected =
                 self.applied_seq[w].lock().map_err(|_| RuntimeError::Poisoned("ps seq table"))?;
-            if seq < expected[from] {
+            if seq.get() < expected[from] {
                 return Ok(()); // duplicate of an already-applied delta
             }
-            expected[from] = seq + 1;
+            expected[from] = seq.get() + 1;
         }
         for &(v, g) in rows {
             {
@@ -376,7 +368,7 @@ impl SparseParamServer {
             if rows.is_empty() {
                 continue;
             }
-            let seq = seqs.next_pull(w);
+            let seq = seqs.pull[w].next_seq();
             let channel = FaultPlane::channel_with(PS_PULL_TAG, w as u64, who as u64);
             // Re-reading is idempotent, so the rows are copied once, after
             // the hop: nothing lands while it is in flight.
@@ -384,7 +376,10 @@ impl SparseParamServer {
                 .plane
                 .deliver(channel, seq, &self.policy, self.mode, HopKind::Reply, || {})
                 .map_err(|e| {
-                    RuntimeError::Unrecoverable(format!("ps pull {w}->{who} seq {seq}: {e}"))
+                    RuntimeError::Unrecoverable(format!(
+                        "ps pull {w}->{who} seq {}: {e}",
+                        seq.get()
+                    ))
                 })?;
             ns += sent.ticks * TICK_NS;
             if !sent.delivered {
@@ -543,14 +538,13 @@ impl SparseParamServer {
         let row_bytes = self.dim as u64 * 4;
         let mut ns = 0u64;
         for (&(src, dst), rows) in &moves {
-            let seq = {
-                let mut seqs =
-                    self.rehome_seq.lock().map_err(|_| RuntimeError::Poisoned("rehome seq"))?;
-                let next_seq = seqs.entry((src, dst)).or_insert(0);
-                let s = *next_seq;
-                *next_seq += 1;
-                s
-            };
+            let seq = self
+                .rehome_seq
+                .lock()
+                .map_err(|_| RuntimeError::Poisoned("rehome seq"))?
+                .entry((src, dst))
+                .or_default()
+                .next_seq();
             let channel = FaultPlane::channel_with(MIGRATION_TAG, u64::from(src), u64::from(dst));
             let mut applied = Ok(());
             let sent = self
@@ -561,7 +555,10 @@ impl SparseParamServer {
                     }
                 })
                 .map_err(|e| {
-                    RuntimeError::Unrecoverable(format!("ps rehome {src}->{dst} seq {seq}: {e}"))
+                    RuntimeError::Unrecoverable(format!(
+                        "ps rehome {src}->{dst} seq {}: {e}",
+                        seq.get()
+                    ))
                 })?;
             applied?;
             ns += sent.ticks * TICK_NS;
@@ -597,7 +594,7 @@ impl SparseParamServer {
         &self,
         src: u32,
         dst: u32,
-        seq: u64,
+        seq: Seq,
         rows: &[u32],
         mode: RecoveryMode,
         with_payload: bool,
@@ -606,10 +603,10 @@ impl SparseParamServer {
             let mut applied =
                 self.rehome_applied.lock().map_err(|_| RuntimeError::Poisoned("rehome applied"))?;
             let cursor = applied.entry((src, dst)).or_insert(0);
-            if seq < *cursor {
+            if seq.get() < *cursor {
                 return Ok(()); // duplicate of an already-applied move
             }
-            *cursor = seq + 1;
+            *cursor = seq.get() + 1;
         }
         // Extract the moving rows from the source shard and rebuild it
         // around the hole. A NoDedup double-apply finds the rows already

@@ -28,7 +28,7 @@ use crate::error::ServeError;
 use crate::metrics::{ServingMetrics, ServingReport};
 use aligraph::{EpisodeTape, GnnEncoder};
 use aligraph_chaos::{
-    FaultConfig, FaultPlane, HopKind, RecoveryMode, RetryPolicy, SERVING_FETCH_TAG,
+    FaultConfig, FaultPlane, HopKind, RecoveryMode, RetryPolicy, SeqCounter, SERVING_FETCH_TAG,
 };
 use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch};
 use aligraph_graph::features::{FeatureMatrix, Featurizer};
@@ -420,7 +420,7 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
     let mut tape = EpisodeTape::new();
     // Message counter for this worker's faulted remote fetches; the channel
     // keys the owner shard, so (channel, seq) identifies each fetch.
-    let mut next_seq = 0u64;
+    let mut seqs = SeqCounter::default();
 
     while let Some(batch) = next_batch(&rx, cfg.max_batch, cfg.max_batch_delay) {
         // Pin the graph version once per batch; the whole batch is
@@ -467,14 +467,12 @@ fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
             if let Some((plane, policy)) = &shared.fault {
                 let channel =
                     FaultPlane::channel_with(SERVING_FETCH_TAG, worker as u64, owner_of(v) as u64);
-                let seq = next_seq;
-                next_seq += 1;
                 // Fetches are idempotent reads nobody acknowledges: a lost
                 // ack is a delivery, a delay costs only virtual time, and
                 // the forward runs after the hop (nothing lands in flight).
                 let fetched = plane.deliver(
                     channel,
-                    seq,
+                    seqs.next_seq(),
                     policy,
                     RecoveryMode::Full,
                     HopKind::Unacked,

@@ -6,16 +6,16 @@
 //! **both shards keep serving**: the destination absorbs each record before
 //! the per-vertex [`Residency`](crate::topology::Residency) cutover flips,
 //! and the source copy only retires inside the next topology publish's
-//! sweep. Every record crosses the plane through its delivery driver
-//! ([`FaultPlane::deliver`]) under a capped-backoff [`RetryPolicy`]; a
-//! [`Sequencer`] collapses lost-ack resends and late duplicates to
-//! exactly-once application. Faults therefore cost only
-//! modelled ticks, never data (a retry budget that runs out mid-stream flips
-//! the landed vertices back and publishes nothing: old membership or new,
-//! never a third) — unless recovery is deliberately broken
-//! ([`RecoveryMode::NoRetry`]), in which case a lost record still flips the
-//! cutover and the destination serves a vertex it never received: the bug
-//! the migration chaos suite exists to catch.
+//! sweep. Every record, numbered by the rebalance's own [`SeqCounter`],
+//! crosses the plane through its delivery driver ([`FaultPlane::deliver`])
+//! under a capped-backoff [`RetryPolicy`]; a [`Sequencer`] collapses
+//! lost-ack resends and late duplicates to exactly-once application.
+//! Faults therefore cost only modelled ticks, never data (a retry budget
+//! that runs out mid-stream flips the landed vertices back and publishes
+//! nothing: old membership or new, never a third) — unless recovery is
+//! deliberately broken ([`RecoveryMode::NoRetry`]), in which case a lost
+//! record still flips the cutover and the destination serves a vertex it
+//! never received: the bug the migration chaos suite exists to catch.
 //!
 //! The protocol per vertex:
 //!
@@ -30,7 +30,9 @@ use crate::cost::AccessKind;
 use crate::neighbor_cache::NeighborCache;
 use crate::server::{GraphServer, VertexRecord};
 use crate::topology::RouteError;
-use aligraph_chaos::{FaultPlane, HopKind, RecoveryMode, RetryPolicy, Sequencer, MIGRATION_TAG};
+use aligraph_chaos::{
+    FaultPlane, HopKind, RecoveryMode, RetryPolicy, SeqCounter, Sequencer, MIGRATION_TAG,
+};
 use aligraph_graph::VertexId;
 use aligraph_partition::WorkerId;
 use std::sync::Arc;
@@ -272,19 +274,20 @@ impl Cluster {
         // makes the copies it lands (lost-ack resends, late replays) apply
         // once.
         let channel = FaultPlane::channel_with(MIGRATION_TAG, u64::from(src), u64::from(dst));
+        let mut seqs = SeqCounter::default();
         let mut sequencer: Sequencer<MigrationRecord> = Sequencer::new();
         let mut bytes = 0u64;
         let mut lag_ticks = 0u64;
         let mut lost = 0u64;
-        for (seq, record) in records.into_iter().enumerate() {
-            let seq = seq as u64;
+        for record in records {
+            let seq = seqs.next_seq();
             let land = || {
                 bytes += record.bytes();
                 self.migration_meter.record(AccessKind::Remote, record.bytes(), self.cost_model());
                 let ready = if matches!(mode, RecoveryMode::NoDedup) {
                     vec![record.clone()]
                 } else {
-                    sequencer.offer(seq, record.clone())
+                    sequencer.offer(seq.get(), record.clone())
                 };
                 for rec in ready {
                     match rec {
@@ -313,7 +316,7 @@ impl Cluster {
                     MigrationError::RetriesExhausted {
                         from: src,
                         to: dst,
-                        seq,
+                        seq: seq.get(),
                         attempts: e.attempts,
                     }
                 })?;

@@ -1,6 +1,6 @@
-//! The update-ingest pipeline: a coordinator that sequence-numbers each
-//! batch, crosses the fault plane once per shard and applies what landed,
-//! in shard order, on the caller's thread.
+//! The update-ingest pipeline: a coordinator that numbers each batch from
+//! its `SeqCounter`, crosses the fault plane once per shard and applies
+//! what landed, in shard order, on the caller's thread.
 //!
 //! The hop to shard `w` travels the fault-plane channel
 //! `channel_with(UPDATE_INGEST_TAG, 0, w)` (see the chaos crate's channel
@@ -18,7 +18,7 @@
 
 use crate::event::UpdateEvent;
 use aligraph_chaos::{
-    FaultPlane, HopKind, RecoveryMode, RetryPolicy, Sequencer, UPDATE_INGEST_TAG,
+    FaultPlane, HopKind, RecoveryMode, RetryPolicy, Seq, SeqCounter, Sequencer, UPDATE_INGEST_TAG,
 };
 use aligraph_sampling::{Applied, ShardOverlay};
 
@@ -63,7 +63,7 @@ impl std::error::Error for IngestError {}
 /// One batch past the fault plane: what the hop to each shard landed.
 #[derive(Debug)]
 pub(crate) struct Hops {
-    seq: u64,
+    seq: Seq,
     /// Copies landed per shard; those past the first are lost-ack resends
     /// and replayed late duplicates.
     copies: Vec<u32>,
@@ -72,7 +72,7 @@ pub(crate) struct Hops {
     pub lag_ticks: u64,
 }
 
-/// The coordinator: owns the next sequence number and the receiving end of
+/// The coordinator: owns the batch counter and the receiving end of
 /// every shard's hop. It holds no graph state — the published head view is
 /// the only holder, and [`apply`](Self::apply) edits a clone of its shards.
 /// One batch is in flight at a time (the service serializes submits), which
@@ -83,7 +83,7 @@ pub(crate) struct IngestPipeline {
     /// Crate-visible so tests can disarm it.
     pub(crate) plane: FaultPlane,
     policy: RetryPolicy,
-    next_seq: u64,
+    seqs: SeqCounter,
     /// One per shard: discards the extra copies its hop lands.
     sequencers: Vec<Sequencer<()>>,
 }
@@ -92,7 +92,7 @@ impl IngestPipeline {
     /// A pipeline in front of `shards` shard overlays.
     pub fn new(shards: usize, plane: FaultPlane, policy: RetryPolicy) -> Self {
         let sequencers = (0..shards).map(|_| Sequencer::new()).collect();
-        IngestPipeline { plane, policy, next_seq: 0, sequencers }
+        IngestPipeline { plane, policy, seqs: SeqCounter::default(), sequencers }
     }
 
     /// Resolves the next batch's hop to every shard through the fault plane
@@ -100,7 +100,9 @@ impl IngestPipeline {
     /// towards any shard reaches no shard and keeps its sequence number,
     /// exactly like one refused before the send.
     pub fn resolve(&mut self) -> Result<Hops, IngestError> {
-        let seq = self.next_seq;
+        // A clone draws the number; it is stored back once every hop resolved.
+        let mut seqs = self.seqs.clone();
+        let seq = seqs.next_seq();
         // The plane's decisions are pure, so every shard's hop resolves
         // before anything is applied: a half-delivered batch would leave the
         // skipped shard's sequencer waiting on a gap that never fills, or
@@ -114,10 +116,14 @@ impl IngestPipeline {
                 .deliver(channel, seq, &self.policy, RecoveryMode::Full, HopKind::Acked, || {
                     *landed += 1
                 })
-                .map_err(|e| IngestError::RetriesExhausted { shard, seq, attempts: e.attempts })?;
+                .map_err(|e| IngestError::RetriesExhausted {
+                    shard,
+                    seq: seq.get(),
+                    attempts: e.attempts,
+                })?;
             lag_ticks += sent.ticks;
         }
-        self.next_seq += 1;
+        self.seqs = seqs;
         Ok(Hops { seq, copies, lag_ticks })
     }
 
@@ -140,7 +146,7 @@ impl IngestPipeline {
                 // every shard's hop has resolved, so no sequencer ever waits
                 // on a gap — an offer releases this batch or (a duplicate)
                 // nothing, and the payload can stay with the caller.
-                if !sequencer.offer(hops.seq, ()).is_empty() {
+                if !sequencer.offer(hops.seq.get(), ()).is_empty() {
                     parts.push(shard.apply(events));
                 }
             }

@@ -401,14 +401,17 @@ fn corrupted_segment_rejected_by_seal_and_rematerialized() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The fault stream each layer draws, pinned to the numbers the hand-rolled
-/// retry loops produced at the parent of PR 15 (computed there, written
-/// here): the one delivery driver must consume the same `Delivery` per
-/// `(channel, seq, attempt)`, count the same faults and retries, and cost
-/// the same virtual ticks — at every one of the sites it replaced.
+/// The fault stream each of the six senders draws, pinned to the numbers
+/// its parent produced (computed there, written here): training, ingest and
+/// rebalance at the parent of PR 15, whose one delivery driver replaced
+/// their hand-rolled retry loops; PS rehome and the serving fetch at the
+/// parent of PR 25, whose `Seq` replaced their `u64` counters. Each must
+/// consume the same `Delivery` per `(channel, seq, attempt)`, count the
+/// same faults and retries, and cost the same virtual ticks.
 mod parent_pins {
     use super::*;
     use aligraph_suite::chaos::FaultSnapshot;
+    use aligraph_suite::runtime::RebalancePlan;
     use aligraph_suite::storage::RebalanceOp;
     use aligraph_suite::streaming::{StreamingConfig, StreamingService, UpdateWorkload};
     use aligraph_telemetry::Registry;
@@ -417,6 +420,8 @@ mod parent_pins {
     const INGEST: (FaultSnapshot, u64) = (FaultSnapshot { faults_injected: 60, retries: 25 }, 86);
     const REBALANCE: (FaultSnapshot, u64) =
         (FaultSnapshot { faults_injected: 31, retries: 11 }, 54);
+    const REHOME: (FaultSnapshot, u64) = (FaultSnapshot { faults_injected: 113, retries: 44 }, 1);
+    const FETCH: FaultSnapshot = FaultSnapshot { faults_injected: 98, retries: 37 };
 
     #[test]
     fn training_draws_the_parent_fault_stream() {
@@ -463,5 +468,50 @@ mod parent_pins {
             )
             .expect("split");
         assert_eq!((plane.snapshot(), report.lag_ticks), REBALANCE);
+    }
+
+    /// The PS rehome hop, measured on the parent of PR 25 (no earlier pin
+    /// covered it): one split after epoch 1 adds its stream to training's.
+    #[test]
+    fn rebalance_in_training_draws_the_parent_fault_stream() {
+        let (cluster, features) = setup(2);
+        let cfg = RuntimeConfig {
+            chaos: Some(FaultConfig::with_seed(7, 0.2)),
+            rebalance: vec![RebalancePlan {
+                after_epoch: 1,
+                op: RebalanceOp::Split { shard: 0 },
+                mode: RecoveryMode::Full,
+            }],
+            ..base_cfg(2)
+        };
+        let report = train(cfg, &cluster, &features).report;
+        let got =
+            FaultSnapshot { faults_injected: report.faults_injected, retries: report.retries };
+        assert_eq!((got, report.rebalances), REHOME);
+    }
+
+    /// The serving fetch hop, measured on the parent of PR 25: one
+    /// sequential pass over every vertex, every read a cache miss.
+    #[test]
+    fn serving_fetch_draws_the_parent_fault_stream() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        let n = graph.num_vertices() as u32;
+        let registry = Registry::new();
+        let config = ServingConfig {
+            cache_capacity: 1,
+            fault: Some(FaultConfig::with_seed(7, 0.2)),
+            max_stale_versions: 3,
+            ..Default::default()
+        };
+        let svc = ServingService::start_with_registry(graph, TopKNeighborhood, config, &registry);
+        for v in 0..n {
+            svc.embedding_tagged(VertexId(v)).expect("inside the retry budget");
+        }
+        let snap = registry.snapshot();
+        let got = FaultSnapshot {
+            faults_injected: snap.counter_total("chaos.faults_injected"),
+            retries: snap.counter("chaos.retries", &[]),
+        };
+        assert_eq!(got, FETCH);
     }
 }

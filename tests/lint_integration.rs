@@ -4,13 +4,12 @@
 //! tests, because they are statements about the *whole repository*:
 //!
 //! 1. The workspace is analysis-clean: the token rules **and** the
-//!    interprocedural passes (determinism taint, channel protocol) report
-//!    zero active violations, so CI's baseline diff can only fail when a
-//!    change introduces new debt.
+//!    interprocedural determinism-taint pass report zero active violations,
+//!    so CI's baseline diff can only fail when a change introduces new debt.
 //! 2. The call graph covers the workspace: every `pub fn` in the storage,
 //!    runtime, and streaming crates resolves to a graph node, and the
-//!    planted fixture workspaces still yield their exact violations —
-//!    including the full source→sink call path for the taint chain.
+//!    planted fixture workspace still yields its exact violation — the
+//!    full source→sink call path of the taint chain.
 //! 3. The mini-loom targets hold over a seed sweep: the lock-free bucket
 //!    executor, the striped telemetry counter, and the sparse parameter
 //!    server each survive hundreds of adversarial interleavings against
@@ -102,15 +101,6 @@ fn every_pub_fn_in_core_crates_resolves_to_a_call_graph_node() {
             line
         );
     }
-    // The channel-protocol pass keys on calls of the fault plane's delivery
-    // driver: it must see exactly the six senders that cross the plane,
-    // or its clean sweep is a statement about nothing.
-    let mut hops: Vec<String> = (0..ws.fns.len())
-        .filter(|&i| ws.is_traversal_node(i) && !ws.fns[i].item.delivers.is_empty())
-        .map(|i| ws.qualified_name(i))
-        .collect();
-    hops.sort();
-    assert_eq!(hops.len(), 6, "faulted hops seen by channel-protocol: {hops:?}");
     assert!(
         expected.len() > 150,
         "property checked only {} pub fns — walk regressed?",
@@ -134,25 +124,12 @@ fn planted_taint_fixture_reports_the_exact_chain() {
 }
 
 #[test]
-fn planted_protocol_fixture_reports_both_contract_halves() {
-    let report = analyze("crates/lint/fixtures/proto_ws");
-    let active: Vec<_> = report.active().collect();
-    // Two, not three, since PR 15: the delivery driver cannot be called
-    // without a `RetryPolicy`, so the "no retry machinery" diagnostic went
-    // to the compiler.
-    assert_eq!(active.len(), 2, "{active:?}");
-    assert!(active.iter().all(|d| d.rule == "channel-protocol"));
-    assert!(active.iter().any(|d| d.message.contains("no sequence identifier")));
-    assert!(active.iter().any(|d| d.message.contains("raw `.send(…)`")));
-}
-
-#[test]
 fn json_report_round_trips_the_summary() {
-    let report = analyze("crates/lint/fixtures/proto_ws");
+    let report = analyze("crates/lint/fixtures/taint_ws");
     let json = report.to_json();
     assert!(json.contains("\"version\": 1"), "{json}");
-    assert!(json.contains("\"active\": 2"), "{json}");
-    assert!(json.contains("channel-protocol"), "{json}");
+    assert!(json.contains("\"active\": 1"), "{json}");
+    assert!(json.contains("determinism-taint"), "{json}");
 }
 
 #[test]
