@@ -10,7 +10,9 @@
 //! steps next, so the explored space is every interleaving of those units.
 //! Structures whose reads are *not* one unit (the striped counter's
 //! 16-stripe snapshot sum) are driven through per-stripe hooks so the read
-//! really does tear across concurrent writes.
+//! really does tear across concurrent writes. A thread may also be
+//! *blocked* (parked on a lock or a condition); when every unfinished
+//! thread is blocked the run is a deadlock — how a lost wake-up shows.
 //!
 //! A run is a pure function of its seed: schedules come from [`SplitMix`],
 //! never from the OS, and every divergence report carries the seed,
@@ -18,6 +20,7 @@
 //! (see [`Explorer::replay`]).
 
 pub mod bucket;
+pub mod combiner;
 pub mod counter;
 pub mod overlay;
 pub mod ps;
@@ -58,6 +61,11 @@ impl SplitMix {
 pub trait VThread<S> {
     /// True when the thread has nothing left to run.
     fn done(&self, state: &S) -> bool;
+    /// True while the thread is parked and may not be scheduled; it runs
+    /// again once shared state wakes it.
+    fn blocked(&self, _state: &S) -> bool {
+        false
+    }
     /// Executes the thread's next unit of work.
     fn step(&mut self, state: &mut S);
 }
@@ -119,23 +127,44 @@ pub trait Workload {
 }
 
 /// Runs one schedule to completion. `pick` chooses among runnable thread
-/// indices; the executed schedule is returned for replay.
+/// indices; the executed schedule is returned for replay, with a deadlock
+/// report if the run stopped with every unfinished thread blocked.
 fn run_one<S>(
     state: &mut S,
     threads: &mut [Box<dyn VThread<S>>],
     mut pick: impl FnMut(&[usize]) -> usize,
-) -> Vec<usize> {
+) -> (Vec<usize>, Option<String>) {
     let mut schedule = Vec::new();
     let mut runnable = Vec::with_capacity(threads.len());
     loop {
         runnable.clear();
-        runnable.extend(threads.iter().enumerate().filter(|(_, t)| !t.done(state)).map(|(i, _)| i));
+        runnable.extend(
+            threads
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| !t.done(state) && !t.blocked(state))
+                .map(|(i, _)| i),
+        );
         if runnable.is_empty() {
-            return schedule;
+            let stuck: Vec<usize> =
+                (0..threads.len()).filter(|&i| !threads[i].done(state)).collect();
+            let deadlock = (!stuck.is_empty()).then(|| {
+                format!("deadlock: threads {stuck:?} are parked and nothing can wake them")
+            });
+            return (schedule, deadlock);
         }
         let idx = runnable[pick(&runnable).min(runnable.len() - 1)];
         threads[idx].step(state);
         schedule.push(idx);
+    }
+}
+
+/// The first failure of a finished run: an in-flight error, a deadlock, or
+/// the final shadow-model check.
+fn verdict<W: Workload>(w: &W, state: &W::State, deadlock: Option<String>) -> Result<(), String> {
+    match W::errors(state).first().cloned().or(deadlock) {
+        Some(message) => Err(message),
+        None => w.check_final(state),
     }
 }
 
@@ -156,19 +185,14 @@ impl Explorer {
             let mut rng = SplitMix::new(self.seed ^ i.wrapping_mul(0xA076_1D64_78BD_642F));
             let mut rr = 0usize;
             let policy = if i == 0 { Policy::RoundRobin } else { Policy::Random };
-            let schedule = run_one(&mut state, &mut threads, |runnable| match policy {
+            let (schedule, deadlock) = run_one(&mut state, &mut threads, |runnable| match policy {
                 Policy::Random => rng.below(runnable.len()),
                 Policy::RoundRobin => {
                     rr += 1;
                     (rr - 1) % runnable.len()
                 }
             });
-            let outcome = W::errors(&state)
-                .first()
-                .cloned()
-                .map(Err)
-                .unwrap_or_else(|| w.check_final(&state));
-            if let Err(message) = outcome {
+            if let Err(message) = verdict(w, &state, deadlock) {
                 return Err(Divergence { message, schedule, interleaving: Some(i) });
             }
         }
@@ -180,7 +204,7 @@ impl Explorer {
     pub fn replay<W: Workload>(w: &W, schedule: &[usize]) -> Result<(), Divergence> {
         let (mut state, mut threads) = w.setup();
         let mut cursor = 0usize;
-        let executed = run_one(&mut state, &mut threads, |runnable| {
+        let (executed, deadlock) = run_one(&mut state, &mut threads, |runnable| {
             // Follow the recorded schedule while it lasts (skipping entries
             // whose thread already finished), then fall back to index 0.
             while cursor < schedule.len() {
@@ -192,9 +216,11 @@ impl Explorer {
             }
             0
         });
-        let outcome =
-            W::errors(&state).first().cloned().map(Err).unwrap_or_else(|| w.check_final(&state));
-        outcome.map_err(|message| Divergence { message, schedule: executed, interleaving: None })
+        verdict(w, &state, deadlock).map_err(|message| Divergence {
+            message,
+            schedule: executed,
+            interleaving: None,
+        })
     }
 }
 
@@ -266,8 +292,8 @@ mod tests {
         // must execute the same number of steps.
         let (mut state, mut threads) = TwoAdders.setup();
         let mut rng = SplitMix::new(9);
-        let schedule = run_one(&mut state, &mut threads, |r| rng.below(r.len()));
-        assert_eq!(schedule.len(), 8);
+        let (schedule, deadlock) = run_one(&mut state, &mut threads, |r| rng.below(r.len()));
+        assert_eq!((schedule.len(), deadlock), (8, None));
         Explorer::replay(&TwoAdders, &schedule).unwrap();
     }
 }

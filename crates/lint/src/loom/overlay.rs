@@ -1,22 +1,29 @@
 //! Mini-loom target: the graph plane's epoch views + version-tagged
 //! embedding cache under concurrent dynamic deltas.
 //!
-//! The serving worker's cache-fill is a three-step protocol — pin the
-//! current [`EpochView`], compute on the pin, insert the result into the
-//! [`VersionedCache`] *tagged with the pin's epoch* — racing a writer
-//! that swaps in the next epoch view and invalidates the reverse-BFS
-//! [`affected_seeds`] set. The invariant this workload checks is the serving
-//! layer's headline guarantee: **a cache hit always equals a fresh recompute
-//! on the current overlay** — no stale version ever escapes through the
-//! cache, no matter how the swap interleaves with in-flight fills.
+//! A serving request first probes the [`VersionedCache`] on the caller's
+//! thread, with no pin; a miss is then filled by the shard's combiner in
+//! three steps — pin the current [`EpochView`], compute on the pin, insert
+//! the result *tagged with the pin's epoch*. Both race a writer running
+//! `EpochManager::commit`: under the publish lock it swaps in the next
+//! epoch view and advances the cache past the reverse-BFS
+//! [`affected_seeds`] set, and a pin waits for that lock. The invariant
+//! this workload checks is the serving layer's headline guarantee: **a
+//! cache hit always equals a fresh recompute on the current view** (the
+//! view a pin returns) — no stale version ever escapes through the cache,
+//! however the commit interleaves with probes and in-flight fills.
 //!
-//! Two mechanisms together make that hold, and each has a buggy twin the
-//! explorer catches:
+//! Three mechanisms together make that hold; the first two have a buggy
+//! twin the explorer catches:
 //!
 //! * inserts carry the *snapshot* version and the cache rejects any insert
-//!   not at its current version (the `buggy` variant tags inserts with the
-//!   cache's current version instead — the classic TOCTOU: compute on the
-//!   old graph, publish as if current);
+//!   not at its current version (the [`Bug::CurrentVersionInsert`] twin
+//!   tags inserts with the cache's current version instead — the classic
+//!   TOCTOU: compute on the old graph, publish as if current);
+//! * the cache sweep runs before the publish lock is released, so no pin
+//!   sees the new view while the cache still holds what it changed (the
+//!   [`Bug::SweepAfterPublish`] twin releases first, and a caller-side hit
+//!   in between serves the old embedding against the new view);
 //! * `advance` removes exactly the reverse-BFS affected seeds, so entries
 //!   that survive a version bump are provably fingerprint-identical.
 //!
@@ -63,26 +70,47 @@ fn decode(e: &[f32]) -> u64 {
     (u64::from(e[0].to_bits()) << 32) | u64::from(e[1].to_bits())
 }
 
-/// Shared state: the swappable current overlay, the real cache, and the
-/// sequential error log.
+/// A deliberately broken fill or commit, each of which must be caught.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bug {
+    /// Readers tag inserts with the cache's *current* version instead of
+    /// their snapshot's (TOCTOU).
+    CurrentVersionInsert,
+    /// The writer releases the publish lock — the new view becomes
+    /// pinnable — before it sweeps the cache.
+    SweepAfterPublish,
+}
+
+/// Shared state: the current overlay (what a pin returns), the real cache,
+/// the writer's publish lock, and the sequential error log.
 #[derive(Debug)]
 pub struct OverlayState {
     overlay: Arc<EpochView>,
     cache: VersionedCache<u32, Arc<Vec<f32>>>,
-    /// Buggy twin: readers tag inserts with the cache's *current* version
-    /// instead of their snapshot's (TOCTOU).
-    buggy: bool,
+    /// The writer holds the publish lock; pins wait for it.
+    publishing: bool,
+    bug: Option<Bug>,
     errors: Vec<String>,
 }
 
-/// The delta writer: each step applies one scripted delta exactly the way
-/// the plane's `EpochManager::commit` does under `apply_delta` — build the
-/// next version, compute the reverse-BFS affected set, swap, advance the
-/// cache — as one atomic unit (the real code serializes writers across all
-/// four and runs the last two under the publish lock).
+/// Where the writer is inside one commit.
+enum Commit {
+    /// Build the next version and its reverse-BFS affected set, then take
+    /// the publish lock and swap the view in.
+    Publish,
+    /// Advance the cache past the affected set.
+    Sweep(Arc<EpochView>, Vec<u32>),
+    /// Release the publish lock: the new view is pinnable from here on.
+    Release(Arc<EpochView>, Vec<u32>),
+}
+
+/// The delta writer: applies each scripted delta in the steps of the
+/// plane's `EpochManager::commit` under `apply_delta` (publish, sweep,
+/// release). A probe takes no lock and may run between any two of them.
 struct DeltaWriter {
     deltas: Vec<SnapshotDelta>,
     at: usize,
+    commit: Commit,
 }
 
 impl VThread<OverlayState> for DeltaWriter {
@@ -90,22 +118,50 @@ impl VThread<OverlayState> for DeltaWriter {
         self.at >= self.deltas.len()
     }
     fn step(&mut self, s: &mut OverlayState) {
-        let delta = &self.deltas[self.at];
-        self.at += 1;
-        let pre = Arc::clone(&s.overlay);
-        let post = Arc::new(pre.apply(delta));
-        let affected = affected_seeds(&pre, &post, delta, KMAX);
-        s.overlay = Arc::clone(&post);
-        s.cache.advance(post.epoch(), affected.iter().map(|v| v.0));
+        let late_sweep = s.bug == Some(Bug::SweepAfterPublish);
+        self.commit = match std::mem::replace(&mut self.commit, Commit::Publish) {
+            Commit::Publish => {
+                let delta = &self.deltas[self.at];
+                let post = Arc::new(s.overlay.apply(delta));
+                let affected =
+                    affected_seeds(&s.overlay, &post, delta, KMAX).iter().map(|v| v.0).collect();
+                s.publishing = true;
+                if late_sweep {
+                    Commit::Release(post, affected)
+                } else {
+                    Commit::Sweep(post, affected)
+                }
+            }
+            Commit::Sweep(post, affected) => {
+                s.cache.advance(post.epoch(), affected.iter().copied());
+                if late_sweep {
+                    self.at += 1;
+                    Commit::Publish
+                } else {
+                    Commit::Release(post, affected)
+                }
+            }
+            Commit::Release(post, affected) => {
+                s.overlay = Arc::clone(&post);
+                s.publishing = false;
+                if late_sweep {
+                    Commit::Sweep(post, affected)
+                } else {
+                    self.at += 1;
+                    Commit::Publish
+                }
+            }
+        };
     }
 }
 
 /// Where a reader is inside one lookup-or-fill round.
 enum Phase {
-    /// Probe the cache; a hit is checked against the current overlay.
+    /// The caller-side probe: no pin, no lock; a hit is checked against
+    /// the current view.
     Lookup,
-    /// Pin the overlay snapshot (one scheduler step — the race window
-    /// opens here).
+    /// The combiner pins the current view (waits while the writer holds
+    /// the publish lock; the race window opens here).
     Snapshot,
     /// Compute the fingerprint on the pinned snapshot.
     Compute,
@@ -113,9 +169,9 @@ enum Phase {
     Insert,
 }
 
-/// A serving reader: repeatedly resolves one vertex through the
-/// snapshot → compute → insert protocol, checking every cache hit against a
-/// fresh recompute on the *current* overlay.
+/// A serving reader: repeatedly resolves one vertex — a probe, and on a
+/// miss the snapshot → compute → insert fill — checking every cache hit
+/// against a fresh recompute on the *current* view.
 struct Reader {
     v: VertexId,
     rounds_left: u32,
@@ -136,6 +192,9 @@ impl VThread<OverlayState> for Reader {
     fn done(&self, _: &OverlayState) -> bool {
         self.rounds_left == 0
     }
+    fn blocked(&self, s: &OverlayState) -> bool {
+        matches!(self.phase, Phase::Snapshot) && s.publishing
+    }
     fn step(&mut self, s: &mut OverlayState) {
         match self.phase {
             Phase::Lookup => match s.cache.get(&self.v.0) {
@@ -144,7 +203,7 @@ impl VThread<OverlayState> for Reader {
                     let got = decode(&e);
                     if got != want {
                         s.errors.push(format!(
-                            "stale hit for vertex {}: cached {got:#x} != current-overlay \
+                            "stale hit for vertex {}: cached {got:#x} != current-view \
                              fingerprint {want:#x} at version {}",
                             self.v.0,
                             s.overlay.epoch()
@@ -169,7 +228,10 @@ impl VThread<OverlayState> for Reader {
                 // invariant: the snapshot survives until the insert that
                 // consumes its version tag.
                 let snap = self.snap.as_ref().expect("snapshot pinned in previous phase");
-                let version = if s.buggy { s.cache.version() } else { snap.epoch() };
+                let version = match s.bug {
+                    Some(Bug::CurrentVersionInsert) => s.cache.version(),
+                    _ => snap.epoch(),
+                };
                 s.cache.insert(self.v.0, version, encode(self.value));
                 self.next_round();
             }
@@ -184,20 +246,20 @@ impl VThread<OverlayState> for Reader {
 pub struct OverlayWorkload {
     /// Lookup-or-fill rounds per reader.
     pub rounds: u32,
-    /// Use the TOCTOU insert-version bug (must be caught).
-    pub buggy: bool,
+    /// The bug to plant, if any (must be caught).
+    pub bug: Option<Bug>,
 }
 
 impl Default for OverlayWorkload {
     fn default() -> Self {
-        OverlayWorkload { rounds: 4, buggy: false }
+        OverlayWorkload { rounds: 4, bug: None }
     }
 }
 
 impl OverlayWorkload {
-    /// The buggy twin: inserts tagged with the cache's current version.
-    pub fn buggy() -> Self {
-        OverlayWorkload { buggy: true, ..Self::default() }
+    /// The buggy twin with `bug` planted.
+    pub fn buggy(bug: Bug) -> Self {
+        OverlayWorkload { bug: Some(bug), ..Self::default() }
     }
 }
 
@@ -205,10 +267,10 @@ impl Workload for OverlayWorkload {
     type State = OverlayState;
 
     fn name(&self) -> &'static str {
-        if self.buggy {
-            "serving-overlay-buggy"
-        } else {
-            "serving-overlay"
+        match self.bug {
+            None => "serving-overlay",
+            Some(Bug::CurrentVersionInsert) => "serving-overlay-current-version-insert",
+            Some(Bug::SweepAfterPublish) => "serving-overlay-sweep-after-publish",
         }
     }
 
@@ -228,7 +290,8 @@ impl Workload for OverlayWorkload {
         let state = OverlayState {
             overlay: Arc::new(EpochView::initial(graph, feats, Arc::default(), owners, 1)),
             cache: VersionedCache::registered(8, &Registry::disabled(), "serving.cache"),
-            buggy: self.buggy,
+            publishing: false,
+            bug: self.bug,
             errors: Vec::new(),
         };
         let toggle = |kind| EdgeEvent { src: vs[2], dst: vs[0], etype: CLICK, kind };
@@ -249,7 +312,7 @@ impl Workload for OverlayWorkload {
             value: 0,
         };
         let threads: Threads<OverlayState> = vec![
-            Box::new(DeltaWriter { deltas, at: 0 }),
+            Box::new(DeltaWriter { deltas, at: 0, commit: Commit::Publish }),
             // b and c are exactly the seeds the reverse BFS invalidates.
             Box::new(reader(vs[1])),
             Box::new(reader(vs[2])),
@@ -291,14 +354,29 @@ mod tests {
 
     #[test]
     fn toctou_insert_version_is_caught_and_replays() {
+        let w = OverlayWorkload::buggy(Bug::CurrentVersionInsert);
         let d = Explorer { seed: 42 }
-            .explore(&OverlayWorkload::buggy(), 400)
+            .explore(&w, 400)
             .expect_err("current-version insert tagging must let a stale value escape");
         assert!(d.message.contains("stale"), "{d}");
         // The recorded schedule reproduces the divergence bit-for-bit.
-        let replayed = Explorer::replay(&OverlayWorkload::buggy(), &d.schedule)
-            .expect_err("replay must reproduce the divergence");
+        let replayed =
+            Explorer::replay(&w, &d.schedule).expect_err("replay must reproduce the divergence");
         assert_eq!(replayed.message, d.message);
+    }
+
+    #[test]
+    fn a_caller_side_hit_between_publish_and_sweep_is_caught() {
+        let w = OverlayWorkload::buggy(Bug::SweepAfterPublish);
+        let d = Explorer { seed: 42 }
+            .explore(&w, 400)
+            .expect_err("a hit on the old entry after the new view is pinnable must be caught");
+        assert!(d.message.contains("stale hit"), "{d}");
+        let replayed =
+            Explorer::replay(&w, &d.schedule).expect_err("replay must reproduce the divergence");
+        assert_eq!(replayed.message, d.message);
+        // The same schedule with the sweep under the publish lock is clean.
+        Explorer::replay(&OverlayWorkload::default(), &d.schedule).unwrap();
     }
 
     #[test]

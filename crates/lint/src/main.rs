@@ -3,6 +3,7 @@
 #![forbid(unsafe_code)]
 
 use aligraph_lint::loom::bucket::BucketWorkload;
+use aligraph_lint::loom::combiner::CombinerWorkload;
 use aligraph_lint::loom::counter::CounterWorkload;
 use aligraph_lint::loom::overlay::OverlayWorkload;
 use aligraph_lint::loom::ps::PsWorkload;
@@ -27,7 +28,7 @@ fn usage() -> ExitCode {
         "usage:\n  aligraph-lint [--root DIR] [--deny-all] [--json] [--rule NAME]... \
          [--list-rules]\n  \
          aligraph-lint concurrency [--seed N] [--interleavings N] \
-         [--target bucket|counter|ps|overlay|swap|topology|all]"
+         [--target bucket|combiner|counter|ps|overlay|swap|topology|all]"
     );
     ExitCode::from(2)
 }
@@ -149,6 +150,10 @@ fn run_concurrency(args: &[String]) -> ExitCode {
         let w = BucketWorkload::default();
         run(w.name(), explorer.explore(&w, interleavings));
     }
+    if target == "all" || target == "combiner" {
+        let w = CombinerWorkload::default();
+        run(w.name(), explorer.explore(&w, interleavings));
+    }
     if target == "all" || target == "counter" {
         let w = CounterWorkload::default();
         run(w.name(), explorer.explore(&w, interleavings));
@@ -176,8 +181,8 @@ fn run_concurrency(args: &[String]) -> ExitCode {
             }
         }
     }
-    if !["all", "bucket", "counter", "ps", "overlay", "swap", "topology"].contains(&target.as_str())
-    {
+    let targets = ["all", "bucket", "combiner", "counter", "ps", "overlay", "swap", "topology"];
+    if !targets.contains(&target.as_str()) {
         return usage();
     }
     if failed {

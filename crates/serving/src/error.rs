@@ -8,7 +8,7 @@ use std::fmt;
 /// Why a serving request could not be answered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The owning worker's admission queue is full. The caller should back
+    /// The owning shard's pending list is full. The caller should back
     /// off for roughly `retry_after_ms` before retrying.
     Overloaded {
         /// Capacity of the queue that rejected the request.
@@ -16,8 +16,9 @@ pub enum ServeError {
         /// Suggested client back-off in milliseconds.
         retry_after_ms: u64,
     },
-    /// The service is shutting down; no further requests will be served.
-    ShuttingDown,
+    /// The micro-batch holding this request panicked on the thread of the
+    /// caller that was combining it; the request was not served.
+    BatchPanicked,
     /// The vertex id is outside the served graph.
     UnknownVertex(VertexId),
     /// The shard fetch for the vertex exhausted its retry deadline and the
@@ -41,7 +42,7 @@ impl fmt::Display for ServeError {
                 f,
                 "serving queue full (capacity {queue_capacity}); retry after ~{retry_after_ms} ms"
             ),
-            ServeError::ShuttingDown => write!(f, "serving service is shutting down"),
+            ServeError::BatchPanicked => write!(f, "the micro-batch serving this request panicked"),
             ServeError::UnknownVertex(v) => write!(f, "vertex {} is not in the served graph", v.0),
             ServeError::Unavailable { vertex, stale_by, bound } => write!(
                 f,

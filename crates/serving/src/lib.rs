@@ -8,9 +8,12 @@
 //!
 //! Pieces:
 //!
-//! * [`service::ServingService`] — bounded-queue admission with
-//!   backpressure, workers pinned to storage shards, adaptive micro-batching
-//!   ([`batcher`]) that dedups overlapping k-hop neighborhoods through a
+//! * [`service::ServingService`] — a service with no threads of its own: a
+//!   request is rejected with a retry hint when its owner shard's bounded
+//!   pending list is full, a cache hit is answered on the caller's thread,
+//!   and a miss is published on the list and *flat-combined* — whichever
+//!   caller holds the shard's lock runs everyone's pending misses as one
+//!   micro-batch that dedups overlapping k-hop neighborhoods through a
 //!   shared memoizing episode tape;
 //! * the graph state is [`aligraph_sampling::plane`], shared with the
 //!   streaming crate: copy-on-write [`EpochView`] versions so online deltas
@@ -31,17 +34,21 @@
 //!   are detectable.
 //!
 //! ```text
-//! clients ──try_send──> [worker queues] ──micro-batch──> forward (dedup+cache)
-//!                 │ full?                      ▲                │
-//!                 └──> Overloaded{retry}       │ pin            ▼
-//! deltas ──apply_delta──> EpochView N+1 ───────┘        VersionedCache@N
-//!                          └── plane::affected ─────────── invalidate ┘
+//! client ──[shard pending] full?──> Overloaded{retry}   (cache untouched)
+//!    │ admitted: probe VersionedCache@N ──hit──> answer (caller's thread)
+//!    │ miss
+//!    └──publish slot + its probes──> [shard pending]
+//!                        │ try_lock owner: the holder combines
+//!                        ▼
+//!          micro-batch (≤ max_batch) ──pin──> forward (dedup) ──fill slots
+//!                                        ▲                  │ insert @N
+//! deltas ──apply_delta──> EpochView N+1 ─┘                  ▼
+//!                          └── plane::affected ───── invalidate cache
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod batcher;
 pub mod error;
 pub mod metrics;
 pub mod service;

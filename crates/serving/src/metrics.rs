@@ -1,6 +1,6 @@
 //! Latency/throughput accounting for the serving layer.
 //!
-//! Workers record per-request latencies (enqueue → reply) into a bounded
+//! Callers record per-request latencies (call → answer) into a bounded
 //! telemetry [`Histogram`] — no per-sample buffer — plus batch-level
 //! counters; [`ServingMetrics::report`] folds them into a [`ServingReport`]
 //! with tail percentiles, QPS and the cache/dedup evidence the serve-bench
@@ -63,8 +63,8 @@ impl ServingMetrics {
         self.rejected.inc();
     }
 
-    /// Records one drained batch: its size, how many encoder forward passes
-    /// it actually ran, and the episode-tape memo counters.
+    /// Records one combined micro-batch: its size, how many encoder forward
+    /// passes it actually ran, and the episode-tape memo counters.
     pub fn batch(&self, size: usize, forwards: usize, tape_hits: u64, tape_misses: u64) {
         self.batches.inc();
         self.completed.add(size as u64);
@@ -74,7 +74,13 @@ impl ServingMetrics {
         self.batch_size.record(size as u64);
     }
 
-    /// Records one request's enqueue-to-reply latency.
+    /// Counts a request answered from the cache on its caller's thread,
+    /// outside any batch.
+    pub fn answered_inline(&self) {
+        self.completed.inc();
+    }
+
+    /// Records one request's call-to-answer latency.
     pub fn latency(&self, d: Duration) {
         self.latency_ns.record_duration(d);
     }
@@ -112,6 +118,7 @@ impl ServingMetrics {
             completed,
             rejected: self.rejected.get(),
             batches: self.batches.get(),
+            batched: self.batch_size.snapshot().sum,
             forwards: self.forwards.get(),
             tape_hits: self.tape_hits.get(),
             tape_misses: self.tape_misses.get(),
@@ -129,14 +136,18 @@ impl ServingMetrics {
 /// A point-in-time serving summary.
 #[derive(Debug, Clone, Default)]
 pub struct ServingReport {
-    /// Requests admitted to a queue.
+    /// Requests admitted: answered from the cache at once, or published
+    /// to their owner shard's pending list.
     pub requests: u64,
     /// Requests answered.
     pub completed: u64,
     /// Requests rejected with a retry hint.
     pub rejected: u64,
-    /// Batches drained.
+    /// Micro-batches combined.
     pub batches: u64,
+    /// Requests answered inside a micro-batch; the rest of `completed` were
+    /// cache hits answered on their caller's thread.
+    pub batched: u64,
     /// Encoder forward passes (unique seeds actually computed). Strictly
     /// below `completed` whenever batching dedup or the cache did any work.
     pub forwards: u64,
@@ -147,7 +158,7 @@ pub struct ServingReport {
     /// Requests answered from the stale-but-bounded fallback store while
     /// the chaos plane was failing shard fetches (tagged `degraded=true`).
     pub degraded: u64,
-    /// Median enqueue-to-reply latency, microseconds (bucket midpoint).
+    /// Median call-to-answer latency, microseconds (bucket midpoint).
     pub p50_us: f64,
     /// 95th-percentile latency, microseconds.
     pub p95_us: f64,
@@ -162,12 +173,13 @@ pub struct ServingReport {
 }
 
 impl ServingReport {
-    /// Mean requests per drained batch.
+    /// Mean requests per micro-batch (cache hits answered inline are in no
+    /// batch).
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0
         } else {
-            self.completed as f64 / self.batches as f64
+            self.batched as f64 / self.batches as f64
         }
     }
 }
@@ -187,9 +199,11 @@ impl fmt::Display for ServingReport {
         writeln!(f, "throughput: {:.0} req/s", self.qps)?;
         writeln!(
             f,
-            "batching: {} batches (mean size {:.1}), {} encoder forwards for {} requests",
+            "batching: {} batches (mean size {:.1}), {} answered inline from the cache, \
+             {} encoder forwards for {} requests",
             self.batches,
             self.mean_batch_size(),
+            self.completed.saturating_sub(self.batched),
             self.forwards,
             self.completed
         )?;

@@ -1,21 +1,26 @@
-//! The online serving service: bounded admission, worker pinning, batched
-//! forward passes, versioned caching, and delta-driven invalidation.
+//! The online serving service: bounded admission, per-shard flat combining,
+//! batched forward passes, versioned caching, and delta-driven invalidation.
+//! No thread belongs to the service; every request runs on its caller's.
 //!
 //! Request flow:
 //!
 //! 1. A client calls [`ServingService::embedding`] / [`score`]. The request
-//!    is routed to the worker that *owns* the vertex under the storage
-//!    partition (shard affinity: the seed's 1-hop row is a local read for
-//!    that worker). Admission is a `try_send` onto the worker's bounded
-//!    queue — a full queue rejects immediately with a retry hint instead of
-//!    buffering without bound ([`ServeError::Overloaded`]).
-//! 2. The worker drains an adaptive micro-batch (flush on size or deadline,
-//!    [`crate::batcher`]), pins the current [`EpochView`] of the graph plane,
-//!    and resolves the batch's *unique* vertices: embedding-cache hits are
-//!    reused, misses run the k-hop SAMPLE → AGGREGATE → COMBINE forward on
-//!    one shared memoizing [`EpisodeTape`], so overlapping neighborhoods
-//!    within the batch are computed once (§3.4 applied to inference).
-//! 3. [`ServingService::apply_delta`] commits the delta to the plane
+//!    belongs to the shard that *owns* the vertex under the storage
+//!    partition; when that shard's pending list is full it is rejected at
+//!    once with a retry hint ([`ServeError::Overloaded`]), before it touches
+//!    the cache.
+//! 2. An admitted request probes the embedding cache. When every vertex it
+//!    needs hits, the answer is returned at once: a hit waits for nobody.
+//! 3. A miss publishes its slot on the shard's pending list and `try_lock`s
+//!    the shard's owner state. Whoever holds it *combines* (flat combining;
+//!    Hendler, Incze, Shavit & Tzafrir, SPAA 2010): it takes up to
+//!    `max_batch` pending slots, oldest first, pins the current
+//!    [`EpochView`], and runs the *unique* vertices their probes missed
+//!    through one k-hop forward on one memoizing [`EpisodeTape`] (§3.4
+//!    applied to inference), answering every slot it took, until its own is
+//!    answered. A batch is whatever queued while the previous one ran, so
+//!    batching follows load with no timer.
+//! 4. [`ServingService::apply_delta`] commits the delta to the plane
 //!    ([`EpochManager::commit`]): the next version copy-on-write, and exactly
 //!    the cache entries whose k-hop neighborhood it touched invalidated;
 //!    version-tagged inserts keep in-flight batches from publishing stale
@@ -23,7 +28,6 @@
 //!
 //! [`score`]: ServingService::score
 
-use crate::batcher::next_batch;
 use crate::error::ServeError;
 use crate::metrics::{ServingMetrics, ServingReport};
 use aligraph::{EpisodeTape, GnnEncoder};
@@ -37,28 +41,25 @@ use aligraph_partition::{EdgeCutHash, Partitioner};
 use aligraph_sampling::{affected, EpochManager, EpochView, NeighborhoodSampler, Touched};
 use aligraph_storage::{AccessKind, AccessStats, CacheStats, CostModel, VersionedCache};
 use aligraph_telemetry::Registry;
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`ServingService`].
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
-    /// Worker threads; vertices are pinned to workers by the storage
-    /// partitioner, so this is also the shard count.
+    /// Shard count: vertices are pinned to shards by the storage
+    /// partitioner, and each shard combines its own micro-batches. No thread
+    /// is started per shard.
     pub workers: usize,
-    /// Per-worker admission queue depth; `try_send` beyond it rejects.
+    /// Per-shard pending-list depth; a request arriving at a full list is
+    /// rejected.
     pub queue_capacity: usize,
     /// Micro-batch size cap.
     pub max_batch: usize,
-    /// Micro-batch latency budget: a batch is flushed at the latest this
-    /// long after its first request arrived.
-    pub max_batch_delay: Duration,
     /// Input feature dimension (hashed from vertex attributes).
     pub feature_dim: usize,
     /// Per-hop output dimensions of the encoder.
@@ -67,8 +68,8 @@ pub struct ServingConfig {
     pub fanouts: Vec<usize>,
     /// Embedding-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Seed for encoder weights and per-worker sampling RNG streams. All
-    /// workers build identical encoder replicas from this seed.
+    /// Seed for encoder weights and per-shard sampling RNG streams. All
+    /// shards build identical encoder replicas from this seed.
     pub seed: u64,
     /// Optional chaos-plane attachment. The plane wraps the inter-shard
     /// k-hop gather a cache miss implies on a partitioned store
@@ -90,7 +91,6 @@ impl Default for ServingConfig {
             workers: 2,
             queue_capacity: 256,
             max_batch: 32,
-            max_batch_delay: Duration::from_millis(2),
             feature_dim: 16,
             dims: vec![32, 16],
             fanouts: vec![8, 4],
@@ -113,44 +113,63 @@ pub struct ServedEmbedding {
     pub degraded: bool,
 }
 
-/// Where a job's result (or the per-request failure raised inside the
-/// batch) goes.
-type ReplyTo<T> = Sender<Result<T, ServeError>>;
+/// How often a caller whose miss another caller is combining looks again —
+/// for its answer, or for the owner lock — yielding the CPU between looks,
+/// before it parks on the lock: about 0.4 ms, several forwards. On a
+/// virtualised host a parked caller's wake-up can cost more than the
+/// forward it waits for.
+const SPINS: usize = 1_000;
 
-/// How often a caller looks for its reply, yielding the CPU between looks,
-/// before it parks on the reply channel — about 0.4 ms, several forwards. A
-/// caller that parks at once pays a thread wake-up per request, and on a
-/// virtualised host a wake-up that finds its CPU halted costs more than the
-/// forward it waits for, by an amount that changes from minute to minute. A
-/// yielding caller keeps the CPU awake and hands it to the worker; a reply
-/// that takes longer than this (a deep queue) is waited for parked, as before.
-const REPLY_POLLS: usize = 1_000;
+/// The result for each of a request's two vertices.
+type Answer = [Result<ServedEmbedding, ServeError>; 2];
 
-/// What a job asks for, holding the reply channel of that answer's type.
-enum JobKind {
-    Embed {
-        reply: ReplyTo<ServedEmbedding>,
-    },
-    /// Cosine score against a second vertex (resolved in the same batch).
-    Score {
-        other: VertexId,
-        reply: ReplyTo<f32>,
-    },
+/// A live (not degraded) answer.
+fn served(embedding: &Arc<Vec<f32>>) -> ServedEmbedding {
+    ServedEmbedding { embedding: Arc::clone(embedding), degraded: false }
 }
 
-struct Job {
-    vertex: VertexId,
-    kind: JobKind,
-    enqueued: Instant,
+/// One request: its vertex and a second one — a score's other endpoint, or
+/// the vertex itself for an embedding — with what the caller's cache probe
+/// found for each, so a combiner looks no key up twice. A probe's hit
+/// answers its own slot only: another slot of the batch may have been
+/// issued after a delta invalidated that entry. A combiner fills `answer`
+/// while it holds the owner lock; only the caller takes it.
+struct Slot {
+    vertices: [VertexId; 2],
+    probed: [Option<Arc<Vec<f32>>>; 2],
+    answer: Mutex<Option<Answer>>,
+}
+
+/// What a shard's combiner runs with: an encoder replica, the memoizing
+/// tape, the shard's sampling RNG stream and its fetch-message counter.
+struct OwnerState<S> {
+    shard: usize,
+    encoder: GnnEncoder,
+    sampler: S,
+    rng: StdRng,
+    tape: EpisodeTape,
+    /// Message counter for this shard's faulted remote fetches; the channel
+    /// keys the owner shard, so (channel, seq) identifies each fetch.
+    seqs: SeqCounter,
+}
+
+/// One owner shard: the misses waiting for a combiner and the state a
+/// combiner holds.
+struct Shard<S> {
+    /// Published slots no combiner has taken yet, oldest first; at most
+    /// `queue_capacity`.
+    pending: Mutex<VecDeque<Arc<Slot>>>,
+    owner: Mutex<OwnerState<S>>,
 }
 
 /// Version-tagged fallback entries: vertex → (graph epoch at capture,
 /// embedding).
 type FallbackStore = HashMap<u32, (u64, Arc<Vec<f32>>)>;
 
-/// State shared by the front-end handle and all workers.
-struct Shared<S> {
-    /// The graph plane: workers pin one epoch per micro-batch, and the
+/// The online inference front-end. Cheap to share by reference: every
+/// request runs on its caller's thread.
+pub struct ServingService<S: NeighborhoodSampler + Clone> {
+    /// The graph plane: a combiner pins one epoch per micro-batch, and the
     /// pinned view's owner table routes requests.
     epochs: EpochManager,
     features: Arc<FeatureMatrix>,
@@ -160,7 +179,6 @@ struct Shared<S> {
     stats: AccessStats,
     cost: CostModel,
     config: ServingConfig,
-    sampler: S,
     /// The chaos plane and the fetches' retry budget, when `config.fault`
     /// is set.
     fault: Option<(FaultPlane, RetryPolicy)>,
@@ -168,28 +186,21 @@ struct Shared<S> {
     /// *not* invalidated by deltas — surviving invalidation is its purpose;
     /// the version tag is what bounds how stale a served entry can be.
     fallback: Mutex<FallbackStore>,
+    shards: Vec<Shard<S>>,
 }
 
-/// The online inference front-end. Cheap to share by reference; dropping it
-/// joins the workers.
-pub struct ServingService<S: NeighborhoodSampler + Clone + Send + Sync + 'static> {
-    shared: Arc<Shared<S>>,
-    senders: Vec<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> std::fmt::Debug for ServingService<S> {
+impl<S: NeighborhoodSampler + Clone> std::fmt::Debug for ServingService<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServingService").field("workers", &self.workers.len()).finish()
+        f.debug_struct("ServingService").field("shards", &self.shards.len()).finish()
     }
 }
 
-impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
-    /// Partitions `graph`, spawns the worker pool, and returns the serving
-    /// handle. Encoder weights are derived from `config.seed` (every worker
-    /// holds an identical replica, so routing never changes a result).
-    /// Telemetry stays detached; use
-    /// [`start_with_registry`](Self::start_with_registry) to publish it.
+impl<S: NeighborhoodSampler + Clone> ServingService<S> {
+    /// Partitions `graph` and returns the serving handle. Encoder weights
+    /// are derived from `config.seed` (every shard holds an identical
+    /// replica, so routing never changes a result). Telemetry stays
+    /// detached; use [`start_with_registry`](Self::start_with_registry) to
+    /// publish it.
     pub fn start(
         graph: Arc<AttributedHeterogeneousGraph>,
         sampler: S,
@@ -206,7 +217,7 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
         config: ServingConfig,
         registry: &Registry,
     ) -> Self {
-        assert!(config.workers >= 1, "at least one worker");
+        assert!(config.workers >= 1, "at least one shard");
         assert!(
             !config.fanouts.is_empty() && config.dims.len() == config.fanouts.len(),
             "dims and fanouts must be non-empty and of equal length"
@@ -226,7 +237,28 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
             .fault
             .as_ref()
             .map(|fc| (FaultPlane::registered(fc.plan.clone(), registry), fc.policy));
-        let shared = Arc::new(Shared {
+        let shards = (0..config.workers)
+            .map(|shard| Shard {
+                pending: Mutex::new(VecDeque::new()),
+                owner: Mutex::new(OwnerState {
+                    shard,
+                    encoder: GnnEncoder::sage(
+                        config.feature_dim,
+                        &config.dims,
+                        &config.fanouts,
+                        0.01,
+                        config.seed,
+                    ),
+                    sampler: sampler.clone(),
+                    rng: StdRng::seed_from_u64(
+                        config.seed ^ ((shard as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                    ),
+                    tape: EpisodeTape::new(),
+                    seqs: SeqCounter::default(),
+                }),
+            })
+            .collect();
+        ServingService {
             epochs: EpochManager::new(view),
             features,
             cache: VersionedCache::registered(config.cache_capacity, registry, "serving.cache"),
@@ -234,19 +266,10 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
             stats: AccessStats::registered(registry, "serving"),
             cost: CostModel::default(),
             config,
-            sampler,
             fault,
             fallback: Mutex::new(HashMap::new()),
-        });
-        let mut senders = Vec::new();
-        let mut workers = Vec::new();
-        for w in 0..shared.config.workers {
-            let (tx, rx) = bounded::<Job>(shared.config.queue_capacity);
-            senders.push(tx);
-            let shared = Arc::clone(&shared);
-            workers.push(std::thread::spawn(move || worker_loop(shared, rx, w)));
+            shards,
         }
-        ServingService { shared, senders, workers }
     }
 
     /// The current embedding of `v` (L2-normalized, `dims.last()` wide).
@@ -258,63 +281,124 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
     /// `degraded = true` means the live shard fetch failed under the chaos
     /// plane and the result came from the bounded fallback store.
     pub fn embedding_tagged(&self, v: VertexId) -> Result<ServedEmbedding, ServeError> {
-        self.submit(v, |reply| JobKind::Embed { reply })
+        let [served, _] = self.submit([v, v])?;
+        served
     }
 
     /// Cosine similarity of the current embeddings of `u` and `v` — the
     /// recommendation-style "score this candidate" call.
     pub fn score(&self, u: VertexId, v: VertexId) -> Result<f32, ServeError> {
-        self.owner_of(v)?;
-        self.submit(u, |reply| JobKind::Score { other: v, reply })
+        let [a, b] = self.submit([u, v])?;
+        Ok(aligraph_tensor::dot(&a?.embedding, &b?.embedding))
     }
 
-    /// The worker that owns `v` under the current epoch's owner table.
-    fn owner_of(&self, v: VertexId) -> Result<usize, ServeError> {
-        let pin = self.shared.epochs.pin();
-        let owner = pin.owners().get(v.index()).ok_or(ServeError::UnknownVertex(v))?;
-        Ok(*owner as usize)
-    }
-
-    /// Enqueues one job on `v`'s owner and waits for its answer, looking
-    /// [`REPLY_POLLS`] times before parking; `kind` wraps the reply channel,
-    /// so a job can only be answered in its own type.
-    fn submit<T>(
-        &self,
-        v: VertexId,
-        kind: impl FnOnce(ReplyTo<T>) -> JobKind,
-    ) -> Result<T, ServeError> {
-        let owner = self.owner_of(v)?;
-        let (tx, rx) = bounded(1);
-        // aligraph::allow(determinism-taint): enqueue timestamp
-        // feeds only the queue-latency histogram; no control flow reads it.
-        let job = Job { vertex: v, kind: kind(tx), enqueued: Instant::now() };
-        match self.senders[owner].try_send(job) {
-            Ok(()) => self.shared.metrics.admitted(),
-            Err(TrySendError::Full(_)) => {
-                self.shared.metrics.rejected();
-                return Err(ServeError::Overloaded {
-                    queue_capacity: self.shared.config.queue_capacity,
-                    retry_after_ms: self.retry_hint_ms(),
-                });
-            }
-            Err(TrySendError::Disconnected(_)) => return Err(ServeError::ShuttingDown),
+    /// Answers a request for `vertices` (routed by the first): from the
+    /// cache on this thread when both hit, else through the owner shard's
+    /// combiner.
+    fn submit(&self, vertices: [VertexId; 2]) -> Result<Answer, ServeError> {
+        // aligraph::allow(determinism-taint): request timestamp feeds
+        // only the latency histogram; no control flow reads it.
+        let start = Instant::now();
+        let [u, v] = vertices;
+        let (owner, other_owned) = {
+            let pin = self.epochs.pin();
+            let owner_of = |v: VertexId| pin.owners().get(v.index()).copied();
+            let other = owner_of(v).ok_or(ServeError::UnknownVertex(v))?;
+            let owner = owner_of(u).ok_or(ServeError::UnknownVertex(u))?;
+            (owner as usize, other == owner)
+        };
+        let shard = &self.shards[owner];
+        // Admission, probe and publish are one step under the pending lock,
+        // so a rejected request never touches the cache and an admitted
+        // miss always finds room.
+        let mut pending = shard.pending.lock();
+        if pending.len() >= self.config.queue_capacity {
+            drop(pending);
+            self.metrics.rejected();
+            return Err(ServeError::Overloaded {
+                queue_capacity: self.config.queue_capacity,
+                retry_after_ms: self.retry_hint_ms(),
+            });
         }
-        for _ in 0..REPLY_POLLS {
-            match rx.try_recv() {
-                Ok(reply) => return reply,
-                Err(TryRecvError::Empty) => std::thread::yield_now(),
-                Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+        let first = self.cache.get(&u.0);
+        let second = if v == u { first.clone() } else { self.cache.get(&v.0) };
+        let slot = Slot { vertices, probed: [first, second], answer: Mutex::new(None) };
+        self.admit(&slot, other_owned);
+        let answer = if let [Some(a), Some(b)] = &slot.probed {
+            drop(pending);
+            self.metrics.answered_inline();
+            [Ok(served(a)), Ok(served(b))]
+        } else {
+            let slot = Arc::new(slot);
+            pending.push_back(Arc::clone(&slot));
+            drop(pending);
+            self.wait(shard, &slot)
+        };
+        self.metrics.latency(start.elapsed());
+        Ok(answer)
     }
 
-    /// Rough time for the rejected worker to drain one queue's worth of
-    /// requests, from the observed mean latency. Purely advisory.
+    /// Counts an admitted request and the access tier of each vertex its
+    /// probe looked up: the owner's vertex is `Local`; a score's other
+    /// endpoint on another shard is `CachedRemote` on a hit (the remote
+    /// fetch the cache absorbed) and `Remote` on a miss.
+    fn admit(&self, slot: &Slot, other_owned: bool) {
+        self.metrics.admitted();
+        self.stats.record(AccessKind::Local, &self.cost);
+        if slot.vertices[1] != slot.vertices[0] {
+            let kind = match (other_owned, slot.probed[1].is_some()) {
+                (true, _) => AccessKind::Local,
+                (false, true) => AccessKind::CachedRemote,
+                (false, false) => AccessKind::Remote,
+            };
+            self.stats.record(kind, &self.cost);
+        }
+    }
+
+    /// Waits for `slot`'s answer. A caller that does not get the owner lock
+    /// looks again, yielding, [`SPINS`] times and then parks on the lock,
+    /// whose holder releases it only after answering every slot it took. A
+    /// caller that gets it combines: it runs micro-batches of up to
+    /// `max_batch` pending slots, oldest first, until its own is answered.
+    fn wait(&self, shard: &Shard<S>, slot: &Slot) -> Answer {
+        let mut looks = 0;
+        let mut owner = loop {
+            let owner =
+                if looks < SPINS { shard.owner.try_lock() } else { Some(shard.owner.lock()) };
+            if let Some(answer) = slot.answer.lock().take() {
+                return answer;
+            }
+            if let Some(owner) = owner {
+                break owner;
+            }
+            looks += 1;
+            std::thread::yield_now();
+        };
+        // While this caller holds the lock its unanswered slot is still
+        // pending, unless the combiner that took it panicked before filling
+        // it.
+        loop {
+            let batch: Vec<Arc<Slot>> = {
+                let mut pending = shard.pending.lock();
+                let n = pending.len().min(self.config.max_batch.max(1));
+                pending.drain(..n).collect()
+            };
+            if batch.is_empty() {
+                return [Err(ServeError::BatchPanicked), Err(ServeError::BatchPanicked)];
+            }
+            self.run_batch(&mut owner, &batch);
+            if let Some(answer) = slot.answer.lock().take() {
+                return answer;
+            }
+        }
+    }
+
+    /// Rough time for a shard's combiners to drain a full pending list,
+    /// from the observed mean latency. Purely advisory.
     fn retry_hint_ms(&self) -> u64 {
-        let mean_us = self.shared.metrics.mean_latency_us().max(100);
-        let per_batch = self.shared.config.max_batch.max(1) as u64;
-        let batches = (self.shared.config.queue_capacity as u64).div_ceil(per_batch);
+        let mean_us = self.metrics.mean_latency_us().max(100);
+        let per_batch = self.config.max_batch.max(1) as u64;
+        let batches = (self.config.queue_capacity as u64).div_ceil(per_batch);
         (batches * mean_us / 1_000).clamp(1, 1_000)
     }
 
@@ -326,69 +410,161 @@ impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> ServingService<S> {
     /// check (an unknown vertex id) applies nothing and returns 0.
     pub fn apply_delta(&self, delta: &SnapshotDelta) -> usize {
         let batch = UpdateBatch::from(delta);
-        if self.shared.epochs.pin().check(&batch).is_err() {
+        if self.epochs.pin().check(&batch).is_err() {
             return 0;
         }
-        let kmax = self.shared.config.fanouts.len();
-        self.shared
-            .epochs
-            .commit(kmax, &self.shared.cache, |pre| pre.apply_batch(&batch))
-            .invalidated
+        let kmax = self.config.fanouts.len();
+        self.epochs.commit(kmax, &self.cache, |pre| pre.apply_batch(&batch)).invalidated
     }
 
     /// The graph version requests are currently served against.
     pub fn graph_version(&self) -> u64 {
-        self.shared.epochs.current_epoch()
+        self.epochs.current_epoch()
     }
 
     /// A read-only pin of the current graph version (for recompute checks).
     pub fn overlay_snapshot(&self) -> Arc<EpochView> {
-        self.shared.epochs.pin()
+        self.epochs.pin()
     }
 
     /// Embedding-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
+        self.cache.stats()
     }
 
     /// Encoder forward passes run so far (dedup evidence: stays below the
     /// number of completed requests whenever batching or caching helps).
     pub fn forwards_so_far(&self) -> u64 {
-        self.shared.metrics.forwards_so_far()
+        self.metrics.forwards_so_far()
     }
 
     /// The effective configuration.
     pub fn config(&self) -> &ServingConfig {
-        &self.shared.config
+        &self.config
     }
 
     /// The attached chaos plane, when the service was started with a
     /// [`ServingConfig::fault`]. Tests arm/disarm it to bracket fault phases.
     pub fn fault_plane(&self) -> Option<&FaultPlane> {
-        self.shared.fault.as_ref().map(|(plane, _)| plane)
+        self.fault.as_ref().map(|(plane, _)| plane)
     }
 
     /// Full latency/throughput report over `elapsed`.
     pub fn report(&self, elapsed: Duration) -> ServingReport {
-        self.shared.metrics.report(elapsed, self.shared.cache.stats(), self.shared.stats.snapshot())
+        self.metrics.report(elapsed, self.cache.stats(), self.stats.snapshot())
     }
 
-    /// Stops admission and joins the workers (also done on drop).
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
+    /// Drops the service. Requests run on their callers' threads, so there
+    /// is nothing to stop or join; the consuming signature is kept for the
+    /// callers written against the worker pool (`perf/` among them).
+    pub fn shutdown(self) {}
 
-    fn stop(&mut self) {
-        self.senders.clear(); // disconnects queues; workers drain then exit
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+    /// One micro-batch on the owner shard: pins the graph version once,
+    /// computes the vertices the batch's probes missed against that one
+    /// view, and fills every slot.
+    fn run_batch(&self, owner: &mut OwnerState<S>, batch: &[Arc<Slot>]) {
+        let cfg = &self.config;
+        let pin = self.epochs.pin();
+        let (view, version) = (pin.as_ref(), pin.epoch());
+        let owner_of = |v: VertexId| view.owners()[v.index()] as usize;
+        let OwnerState { shard, encoder, sampler, rng, tape, seqs } = owner;
+        tape.clear();
+        let (hits0, misses0) = tape.stats();
+
+        // Unique vertices some slot's probe missed (dedup across requests).
+        let needed: BTreeSet<u32> = batch
+            .iter()
+            .flat_map(|slot| slot.vertices.iter().zip(&slot.probed))
+            .filter(|(_, probed)| probed.is_none())
+            .map(|(v, _)| v.0)
+            .collect();
+
+        let mut resolved: HashMap<u32, ServedEmbedding> = HashMap::new();
+        let mut failed: HashMap<u32, ServeError> = HashMap::new();
+        let mut misses: Vec<VertexId> = Vec::new();
+        for &id in &needed {
+            let v = VertexId(id);
+            // A cache miss forces a k-hop gather whose deeper hops cross
+            // into remote shards on a partitioned store; with a chaos plane
+            // attached that gather can fail past the retry deadline, at
+            // which point the combiner serves the bounded fallback
+            // (degraded) or, beyond the staleness bound, fails the request.
+            if let Some((plane, policy)) = &self.fault {
+                let channel =
+                    FaultPlane::channel_with(SERVING_FETCH_TAG, *shard as u64, owner_of(v) as u64);
+                // Fetches are idempotent reads nobody acknowledges: a lost
+                // ack is a delivery, a delay costs only virtual time, and
+                // the forward runs after the hop (nothing lands in flight).
+                let fetched = plane.deliver(
+                    channel,
+                    seqs.next_seq(),
+                    policy,
+                    RecoveryMode::Full,
+                    HopKind::Unacked,
+                    || {},
+                );
+                if fetched.is_err() {
+                    let entry = self.fallback.lock().get(&id).cloned();
+                    match entry {
+                        Some((ver, emb))
+                            if version.saturating_sub(ver) <= cfg.max_stale_versions =>
+                        {
+                            self.metrics.degraded();
+                            resolved.insert(id, ServedEmbedding { embedding: emb, degraded: true });
+                        }
+                        entry => {
+                            let stale_by =
+                                entry.map_or(u64::MAX, |(ver, _)| version.saturating_sub(ver));
+                            failed.insert(
+                                id,
+                                ServeError::Unavailable {
+                                    vertex: v,
+                                    stale_by,
+                                    bound: cfg.max_stale_versions,
+                                },
+                            );
+                        }
+                    }
+                    continue;
+                }
+            }
+            misses.push(v);
         }
-    }
-}
+        // One forward over every cache miss of the batch: one COMBINE per
+        // hop, however many seeds missed.
+        let idxs = encoder.forward_batch(view, &self.features, sampler, &misses, tape, rng);
+        for (&v, idx) in misses.iter().zip(idxs) {
+            let mut out = tape.output(idx).to_vec();
+            aligraph_tensor::l2_normalize(&mut out);
+            let out = Arc::new(out);
+            self.cache.insert(v.0, version, Arc::clone(&out));
+            if self.fault.is_some() {
+                // Refresh the fallback on every successful forward so
+                // degraded mode serves the freshest surviving result.
+                self.fallback.lock().insert(v.0, (version, Arc::clone(&out)));
+            }
+            resolved.insert(v.0, served(&out));
+        }
 
-impl<S: NeighborhoodSampler + Clone + Send + Sync + 'static> Drop for ServingService<S> {
-    fn drop(&mut self) {
-        self.stop();
+        // Record batch counters before answering so a client that acts on
+        // its answer (e.g. asks for a report) sees its own request counted.
+        let (hits1, misses1) = tape.stats();
+        self.metrics.batch(batch.len(), misses.len(), hits1 - hits0, misses1 - misses0);
+
+        let answer = |slot: &Slot, i: usize| {
+            let Some(hit) = &slot.probed[i] else {
+                let v = slot.vertices[i].0;
+                // invariant: a vertex its probe missed is needed, and the
+                // resolution loop put every needed vertex into exactly one
+                // of `resolved` and `failed`.
+                let failure = || failed.get(&v).expect("unresolved vertex has failure").clone();
+                return resolved.get(&v).cloned().ok_or_else(failure);
+            };
+            Ok(served(hit))
+        };
+        for slot in batch {
+            *slot.answer.lock() = Some([answer(slot, 0), answer(slot, 1)]);
+        }
     }
 }
 
@@ -406,167 +582,19 @@ pub fn affected_seeds(
     affected(pre, post, &Touched { rows: rows.into_iter().collect(), feats: Vec::new() }, kmax)
 }
 
-fn worker_loop<S: NeighborhoodSampler + Clone + Send + Sync + 'static>(
-    shared: Arc<Shared<S>>,
-    rx: Receiver<Job>,
-    worker: usize,
-) {
-    let cfg = &shared.config;
-    // An encoder replica: same seed on every worker => identical weights.
-    let encoder = GnnEncoder::sage(cfg.feature_dim, &cfg.dims, &cfg.fanouts, 0.01, cfg.seed);
-    let sampler = shared.sampler.clone();
-    let mut rng =
-        StdRng::seed_from_u64(cfg.seed ^ ((worker as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
-    let mut tape = EpisodeTape::new();
-    // Message counter for this worker's faulted remote fetches; the channel
-    // keys the owner shard, so (channel, seq) identifies each fetch.
-    let mut seqs = SeqCounter::default();
-
-    while let Some(batch) = next_batch(&rx, cfg.max_batch, cfg.max_batch_delay) {
-        // Pin the graph version once per batch; the whole batch is
-        // answered against this consistent view.
-        let pin = shared.epochs.pin();
-        let (view, version) = (pin.as_ref(), pin.epoch());
-        let owner_of = |v: VertexId| view.owners()[v.index()] as usize;
-        tape.clear();
-        let (hits0, misses0) = tape.stats();
-
-        // Unique vertices the batch needs (dedup across requests).
-        let batch_len = batch.len();
-        let mut needed: Vec<VertexId> = Vec::new();
-        let mut resolved: HashMap<u32, ServedEmbedding> = HashMap::new();
-        let mut failed: HashMap<u32, ServeError> = HashMap::new();
-        for job in &batch {
-            needed.push(job.vertex);
-            if let JobKind::Score { other, .. } = &job.kind {
-                needed.push(*other);
-            }
-        }
-        needed.sort_unstable_by_key(|v| v.0);
-        needed.dedup();
-
-        let mut misses: Vec<VertexId> = Vec::new();
-        for &v in &needed {
-            let owned = owner_of(v) == worker;
-            if let Some(e) = shared.cache.get(&v.0) {
-                // Seed-level accounting: a cache hit spares the k-hop work;
-                // for a non-owned vertex that is the remote fetch the cache
-                // absorbed.
-                let kind = if owned { AccessKind::Local } else { AccessKind::CachedRemote };
-                shared.stats.record(kind, &shared.cost);
-                resolved.insert(v.0, ServedEmbedding { embedding: e, degraded: false });
-                continue;
-            }
-            let kind = if owned { AccessKind::Local } else { AccessKind::Remote };
-            shared.stats.record(kind, &shared.cost);
-            // A cache miss forces a k-hop gather whose deeper hops cross
-            // into remote shards on a partitioned store; with a chaos plane
-            // attached that gather can fail past the retry deadline, at
-            // which point the worker serves the bounded fallback (degraded)
-            // or, beyond the staleness bound, fails the request.
-            if let Some((plane, policy)) = &shared.fault {
-                let channel =
-                    FaultPlane::channel_with(SERVING_FETCH_TAG, worker as u64, owner_of(v) as u64);
-                // Fetches are idempotent reads nobody acknowledges: a lost
-                // ack is a delivery, a delay costs only virtual time, and
-                // the forward runs after the hop (nothing lands in flight).
-                let fetched = plane.deliver(
-                    channel,
-                    seqs.next_seq(),
-                    policy,
-                    RecoveryMode::Full,
-                    HopKind::Unacked,
-                    || {},
-                );
-                if fetched.is_err() {
-                    let entry = shared.fallback.lock().get(&v.0).cloned();
-                    match entry {
-                        Some((ver, emb))
-                            if version.saturating_sub(ver) <= cfg.max_stale_versions =>
-                        {
-                            shared.metrics.degraded();
-                            resolved
-                                .insert(v.0, ServedEmbedding { embedding: emb, degraded: true });
-                        }
-                        entry => {
-                            let stale_by =
-                                entry.map_or(u64::MAX, |(ver, _)| version.saturating_sub(ver));
-                            failed.insert(
-                                v.0,
-                                ServeError::Unavailable {
-                                    vertex: v,
-                                    stale_by,
-                                    bound: cfg.max_stale_versions,
-                                },
-                            );
-                        }
-                    }
-                    continue;
-                }
-            }
-            misses.push(v);
-        }
-        // One forward over every cache miss of the batch: one COMBINE per
-        // hop, however many seeds missed.
-        let idxs =
-            encoder.forward_batch(view, &shared.features, &sampler, &misses, &mut tape, &mut rng);
-        let forwards = misses.len();
-        for (&v, idx) in misses.iter().zip(idxs) {
-            let mut out = tape.output(idx).to_vec();
-            aligraph_tensor::l2_normalize(&mut out);
-            let out = Arc::new(out);
-            shared.cache.insert(v.0, version, Arc::clone(&out));
-            if shared.fault.is_some() {
-                // Refresh the fallback on every successful forward so
-                // degraded mode serves the freshest surviving result.
-                shared.fallback.lock().insert(v.0, (version, Arc::clone(&out)));
-            }
-            resolved.insert(v.0, ServedEmbedding { embedding: out, degraded: false });
-        }
-
-        // Record batch counters before replying so a client that acts on its
-        // reply (e.g. asks for a report) sees its own request counted.
-        let (hits1, misses1) = tape.stats();
-        shared.metrics.batch(batch_len, forwards, hits1 - hits0, misses1 - misses0);
-
-        // invariant: a vertex missing from `resolved` always has a `failed`
-        // entry — the resolution loop inserts into exactly one of the two
-        // maps for every needed vertex.
-        let answer = |v: VertexId| {
-            resolved
-                .get(&v.0)
-                .ok_or_else(|| failed.get(&v.0).expect("unresolved vertex has failure").clone())
-        };
-        for job in batch {
-            shared.metrics.latency(job.enqueued.elapsed());
-            // A client that gave up (dropped the receiver) is not an error.
-            match job.kind {
-                JobKind::Embed { reply } => {
-                    let _ = reply.send(answer(job.vertex).cloned());
-                }
-                JobKind::Score { other, reply } => {
-                    let score = answer(job.vertex).and_then(|a| {
-                        Ok(aligraph_tensor::dot(&a.embedding, &answer(other)?.embedding))
-                    });
-                    let _ = reply.send(score);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aligraph_graph::dynamic::{EdgeEvent, EvolutionKind};
     use aligraph_graph::generate::TaobaoConfig;
     use aligraph_graph::ids::well_known::CLICK;
+    use aligraph_graph::Neighbor;
     use aligraph_sampling::TopKNeighborhood;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn small_service() -> (Arc<AttributedHeterogeneousGraph>, ServingService<TopKNeighborhood>) {
         let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
-        let config =
-            ServingConfig { max_batch_delay: Duration::from_micros(200), ..Default::default() };
+        let config = ServingConfig::default();
         let service = ServingService::start(Arc::clone(&graph), TopKNeighborhood, config);
         (graph, service)
     }
@@ -668,8 +696,7 @@ mod tests {
     fn start_with_registry_publishes_serving_series() {
         let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
         let registry = Registry::new();
-        let config =
-            ServingConfig { max_batch_delay: Duration::from_micros(200), ..Default::default() };
+        let config = ServingConfig::default();
         let service = ServingService::start_with_registry(
             Arc::clone(&graph),
             TopKNeighborhood,
@@ -721,7 +748,6 @@ mod tests {
             // Capacity 1 forces a cache miss (and hence a faulted fetch for
             // non-owned vertices) on essentially every request.
             cache_capacity: 1,
-            max_batch_delay: Duration::from_micros(200),
             fault: Some(FaultConfig {
                 plan: aligraph_chaos::FaultPlan::with_seed(21, 0.95),
                 policy: RetryPolicy { base_ticks: 1, max_attempts: 2 },
@@ -781,6 +807,238 @@ mod tests {
         }
         assert!(unavailable > 0, "stale-beyond-bound fetch failures must surface as errors");
         service.shutdown();
+    }
+
+    /// One client, one request at a time, over a cache small enough to
+    /// evict: scores across two owners and of a vertex with itself, and a
+    /// delta in the middle. The constants were measured on the worker-pool
+    /// service this one replaced; every counter but `batches` must match
+    /// them, because a hit answered on the caller's thread is not a batch.
+    #[test]
+    fn a_sequential_request_script_keeps_the_parent_counters() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        let config = ServingConfig { workers: 2, cache_capacity: 6, ..Default::default() };
+        let service = ServingService::start(Arc::clone(&graph), TopKNeighborhood, config);
+        let owners = service.overlay_snapshot().owners().to_vec();
+        let v = VertexId;
+        // The first vertex from `from` on that `of`'s shard does not own.
+        let other_owner =
+            |of: u32, from: u32| (from..).map(v).find(|u| owners[u.index()] != owners[of as usize]);
+        let (far, far_cold) = (other_owner(0, 1).unwrap(), other_owner(4, 20).unwrap());
+        let embeds = |ids: &[u32]| {
+            for &u in ids {
+                service.embedding(v(u)).unwrap();
+            }
+        };
+        let scores = || {
+            service.score(v(0), far).unwrap();
+            service.score(far, v(0)).unwrap();
+            service.score(v(3), v(3)).unwrap();
+            service.score(v(5), v(0)).unwrap();
+            service.score(v(4), far_cold).unwrap();
+        };
+        embeds(&[0, 1, 2, 3, 4, 5, 0, 1, 6, 7, 8, 9, 10, 0, 2]);
+        scores();
+        assert!(service.apply_delta(&click_delta(0)) >= 1);
+        embeds(&[0, 1, 2, 3, 11, 12, 0, 5]);
+        scores();
+
+        let r = service.report(Duration::from_secs(1));
+        let cache = (r.cache.hits, r.cache.misses, r.cache.evictions, r.cache.invalidations);
+        assert_eq!(cache, (15, 26, 19, 1), "hits, misses, evictions, invalidations");
+        let access = (r.access.local, r.access.cached_remote, r.access.remote);
+        assert_eq!(access, (33, 6, 2), "local, cached_remote, remote");
+        assert_eq!((r.forwards, r.completed, r.requests), (26, 33, 33));
+        // `batches` is not pinned: the worker pool ran 33, one a request; a
+        // combiner runs one only for each of the 24 requests with a miss.
+    }
+
+    /// TopK, except that it panics when asked to sample `panic_on`'s row
+    /// and holds the first sampling of `hold_on`'s row until released.
+    #[derive(Clone)]
+    struct PlantedSampler {
+        panic_on: VertexId,
+        hold_on: VertexId,
+        held: Arc<AtomicBool>,
+        go: Arc<AtomicBool>,
+    }
+
+    // ordering: SeqCst throughout; the test thread spins on `held` and sets
+    // `go`, and nothing else rides on these flags.
+    impl PlantedSampler {
+        fn new(panic_on: VertexId, hold_on: VertexId) -> Self {
+            let flag = || Arc::new(AtomicBool::new(false));
+            PlantedSampler { panic_on, hold_on, held: flag(), go: flag() }
+        }
+
+        /// Returns once a combiner is held inside `hold_on`'s row.
+        fn wait_held(&self) {
+            while !self.held.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+
+        fn release(&self) {
+            self.go.store(true, Ordering::SeqCst);
+        }
+    }
+
+    impl NeighborhoodSampler for PlantedSampler {
+        fn sample_one<R: rand::Rng>(
+            &self,
+            target: VertexId,
+            nbrs: &[Neighbor],
+            count: usize,
+            rng: &mut R,
+        ) -> Vec<VertexId> {
+            assert_ne!(target, self.panic_on, "planted sampler panic");
+            if target == self.hold_on && !self.held.swap(true, Ordering::SeqCst) {
+                while !self.go.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+            TopKNeighborhood.sample_one(target, nbrs, count, rng)
+        }
+    }
+
+    /// The rows a two-hop forward of `v` may sample: `v`'s and its
+    /// out-neighbours'.
+    fn reach(graph: &AttributedHeterogeneousGraph, v: VertexId) -> Vec<VertexId> {
+        let mut out: Vec<VertexId> = graph.out_neighbors(v).iter().map(|n| n.vertex).collect();
+        out.push(v);
+        out
+    }
+
+    fn wait_pending<S: NeighborhoodSampler + Clone>(service: &ServingService<S>, n: usize) {
+        while service.shards[0].pending.lock().len() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A miss's slot as `submit` publishes it.
+    fn miss(v: u32) -> Arc<Slot> {
+        Arc::new(Slot {
+            vertices: [VertexId(v); 2],
+            probed: [None, None],
+            answer: Mutex::new(None),
+        })
+    }
+
+    /// A combiner that panics answers the other slots of its batch with
+    /// `BatchPanicked` instead of leaving their callers parked, and the
+    /// shard combines again afterwards.
+    #[test]
+    fn a_panicking_batch_answers_its_other_slots_and_the_shard_serves_on() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        // `a` and `c` never sample `p`'s row.
+        let p = VertexId(0);
+        let mut far = (1..graph.num_vertices() as u32)
+            .map(VertexId)
+            .filter(|&v| !reach(&graph, v).contains(&p));
+        let (a, c) = (far.next().unwrap(), far.next().unwrap());
+        let sampler = PlantedSampler::new(p, a);
+        let config = ServingConfig { workers: 1, max_batch: 2, ..Default::default() };
+        let service = ServingService::start(Arc::clone(&graph), sampler.clone(), config);
+        let service = &service;
+        std::thread::scope(|scope| {
+            let first = scope.spawn(move || service.embedding(a));
+            sampler.wait_held();
+            // `a`'s combiner holds the owner lock: `p` and `c` queue behind
+            // it and are combined together once it lets go.
+            let panicking = scope.spawn(move || service.embedding(p));
+            let other = scope.spawn(move || service.embedding(c));
+            wait_pending(service, 2);
+            sampler.release();
+            assert!(first.join().expect("no panic").is_ok());
+            let outcomes = [panicking.join(), other.join()];
+            let panicked = outcomes.iter().filter(|o| o.is_err()).count();
+            let aborted =
+                outcomes.iter().filter(|o| matches!(o, Ok(Err(ServeError::BatchPanicked)))).count();
+            assert_eq!((panicked, aborted), (1, 1), "one combiner panicked, one slot aborted");
+        });
+        assert!(service.embedding(c).is_ok(), "the shard combines again after a panic");
+    }
+
+    /// X's score probes `w` as a hit; then a delta changes `w` and Y, asking
+    /// after it, probes a miss. When one combine takes both slots, X's probe
+    /// must not answer Y: a read issued after `apply_delta` sees the delta.
+    #[test]
+    fn a_probe_hit_answers_only_its_own_slot() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        let n = graph.num_vertices() as u32;
+        // `w`'s row is shorter than the top fan-out, so swapping one of its
+        // edges changes its embedding; warming `w` never samples `a`'s row.
+        let w = (0..n).map(VertexId).find(|&v| (1..4).contains(&graph.out_neighbors(v).len()));
+        let w = w.expect("some vertex has a short row");
+        let a = (0..n).map(VertexId).find(|v| !reach(&graph, w).contains(v)).unwrap();
+        let u = (0..n).map(VertexId).find(|&v| v != w && v != a).unwrap();
+        let first = graph.out_neighbors(w)[0];
+        let t = (0..n).map(VertexId).find(|t| !reach(&graph, w).contains(t)).unwrap();
+        let edge = |dst| EdgeEvent { src: w, dst, etype: first.etype, kind: EvolutionKind::Normal };
+        let delta = SnapshotDelta { added: vec![edge(t)], removed: vec![edge(first.vertex)] };
+
+        let sampler = PlantedSampler::new(VertexId(u32::MAX), a);
+        let config = ServingConfig { workers: 1, max_batch: 4, ..Default::default() };
+        let service = ServingService::start(Arc::clone(&graph), sampler.clone(), config);
+        let service = &service;
+        let before = service.embedding(w).unwrap();
+        let y = std::thread::scope(|scope| {
+            let holder = scope.spawn(move || service.embedding(a));
+            sampler.wait_held();
+            let x = scope.spawn(move || service.score(u, w));
+            wait_pending(service, 1);
+            assert!(service.apply_delta(&delta) >= 1, "the delta invalidates w");
+            let y = scope.spawn(move || service.embedding(w));
+            wait_pending(service, 2);
+            sampler.release();
+            assert!(holder.join().unwrap().is_ok() && x.join().unwrap().is_ok());
+            y.join().unwrap().unwrap()
+        });
+        let r = service.report(Duration::from_secs(1));
+        assert_eq!(r.batches, 3, "warm-up, holder, then X and Y combined together");
+        let after = service.embedding(w).unwrap();
+        assert_ne!(before, after, "the delta changed w's embedding");
+        assert_eq!(y, after, "Y was answered with w before the delta");
+    }
+
+    /// Five misses on a shard with `max_batch` 2: the caller of the third
+    /// combines, taking the oldest two and then its own with the fourth,
+    /// and leaves the fifth pending.
+    #[test]
+    fn a_combine_takes_at_most_max_batch_slots_oldest_first() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        let config = ServingConfig { workers: 1, max_batch: 2, ..Default::default() };
+        let service = ServingService::start(graph, TopKNeighborhood, config);
+        let shard = &service.shards[0];
+        let slots: Vec<Arc<Slot>> = (0..5).map(miss).collect();
+        shard.pending.lock().extend(slots.iter().cloned());
+        let own = service.wait(shard, &slots[2]);
+        assert!(own.iter().all(Result::is_ok));
+        // The caller took its own answer; the fifth slot is still pending.
+        let answered: Vec<bool> = slots.iter().map(|s| s.answer.lock().is_some()).collect();
+        assert_eq!(answered, [true, true, false, true, false]);
+        let pending = shard.pending.lock();
+        assert!(pending.len() == 1 && Arc::ptr_eq(&pending[0], &slots[4]));
+        let r = service.report(Duration::from_secs(1));
+        assert_eq!((r.batches, r.batched), (2, 4));
+    }
+
+    /// A full pending list rejects before the probe, so a rejected request
+    /// leaves the cache's counters and recency alone — a hit included.
+    #[test]
+    fn a_rejected_request_leaves_the_cache_untouched() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        let config = ServingConfig { workers: 1, queue_capacity: 1, ..Default::default() };
+        let service = ServingService::start(graph, TopKNeighborhood, config);
+        service.embedding(VertexId(0)).unwrap();
+        let before = service.cache_stats();
+        service.shards[0].pending.lock().push_back(miss(2));
+        for v in [0, 1] {
+            let rejected = service.embedding(VertexId(v));
+            assert!(matches!(rejected, Err(ServeError::Overloaded { .. })), "{rejected:?}");
+        }
+        assert_eq!(service.cache_stats(), before);
+        assert_eq!(service.report(Duration::from_secs(1)).rejected, 2);
     }
 
     #[test]

@@ -187,7 +187,6 @@ fn serving_degrades_within_bound_and_fails_closed_beyond() {
     let bound = 3u64;
     let config = ServingConfig {
         cache_capacity: 1, // force (faulted) forwards instead of cache hits
-        max_batch_delay: Duration::from_micros(200),
         fault: Some(FaultConfig {
             plan: FaultPlan::with_seed(21, 0.95),
             policy: RetryPolicy { base_ticks: 1, max_attempts: 2 },

@@ -25,8 +25,7 @@ fn tiny_graph() -> Arc<aligraph_suite::graph::AttributedHeterogeneousGraph> {
 #[test]
 fn no_stale_embeddings_after_delta() {
     let graph = tiny_graph();
-    let config =
-        ServingConfig { max_batch_delay: Duration::from_micros(200), ..Default::default() };
+    let config = ServingConfig::default();
     let service = ServingService::start(Arc::clone(&graph), TopKNeighborhood, config);
     let cfg = service.config().clone();
 
@@ -151,12 +150,7 @@ fn overflowing_the_queue_rejects_with_retry_hint_without_blocking() {
 #[test]
 fn batched_path_issues_fewer_sampler_walks_than_requests() {
     let graph = tiny_graph();
-    let config = ServingConfig {
-        workers: 2,
-        max_batch: 16,
-        max_batch_delay: Duration::from_millis(1),
-        ..Default::default()
-    };
+    let config = ServingConfig { workers: 2, max_batch: 16, ..Default::default() };
     let service = ServingService::start(Arc::clone(&graph), TopKNeighborhood, config);
     let service = &service;
 
