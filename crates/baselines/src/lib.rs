@@ -22,9 +22,6 @@
 //! cannot process attributes and/or multiple types of vertices, we simply
 //! ignore this information".
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod anrl;
 pub mod common;
 pub mod deepwalk;

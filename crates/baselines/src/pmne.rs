@@ -37,6 +37,10 @@ pub fn train_pmne(
         // The merged network *is* the AHG with types ignored, which is what
         // node2vec over all edge types walks.
         PmneVariant::N => train_node2vec(graph, params, 1.0, 1.0),
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop adds every edge type's view, and a graph has at least one"
+        )]
         PmneVariant::R => {
             let mut combined: Option<BaselineEmbeddings> = None;
             let mut layer_params = params.clone();
@@ -50,8 +54,6 @@ pub fn train_pmne(
                     Some(c) => c.concat(&layer),
                 });
             }
-            // invariant: the builder loop above adds every edge type's view,
-            // and graphs are non-empty by construction
             combined.expect("graphs have at least one edge type")
         }
         PmneVariant::C => {

@@ -22,15 +22,14 @@ pub fn train_tne(
     params: &SkipGramParams,
     smoothness: f32,
 ) -> BaselineEmbeddings {
-    // invariant: DynamicGraph always materializes snapshot 0
+    #[expect(clippy::expect_used, reason = "a DynamicGraph always materializes snapshot 0")]
     let n = dynamic.snapshot(0).expect("non-empty").num_vertices();
     let mut prev: Option<Matrix> = None;
     let mut input = EmbeddingTable::new(n, params.dim, params.seed);
     let mut output = EmbeddingTable::zeros(n, params.dim);
 
     for t in 0..dynamic.num_snapshots() {
-        // invariant: t ranges over 0..num_snapshots(), so the index is in
-        // range
+        #[expect(clippy::expect_used, reason = "t ranges over 0..num_snapshots()")]
         let graph = dynamic.snapshot(t).expect("in range");
         let mut rng = StdRng::seed_from_u64(params.seed + 1000 * t as u64);
         let corpus = generate_corpus(

@@ -2,6 +2,8 @@
 //! linear-scan weighted draw — the design choice behind the NEGATIVE
 //! sampler's latency in Table 4.
 
+#![expect(clippy::expect_used, reason = "a benchmark aborts on a broken setup")]
+
 use aligraph_bench::taobao_small_bench;
 use aligraph_sampling::{AliasTable, NegativeSampler, UnigramNegative};
 use criterion::{criterion_group, criterion_main, Criterion};

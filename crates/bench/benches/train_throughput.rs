@@ -4,6 +4,8 @@
 //! own cost-model report supplies the numbers (the container is
 //! single-core, so wall-clock scaling is meaningless; see DESIGN.md).
 
+#![expect(clippy::expect_used, reason = "a benchmark aborts on a broken setup")]
+
 use aligraph_bench::{f, header, row, taobao_small_bench};
 use aligraph_graph::Featurizer;
 use aligraph_partition::EdgeCutHash;

@@ -9,6 +9,7 @@ use aligraph::models::hep::{train_hep, HepConfig};
 use aligraph_bench::{f, header, row};
 use aligraph_graph::generate::TaobaoConfig;
 
+#[expect(clippy::expect_used, reason = "an experiment aborts on a broken fixture")]
 fn main() {
     println!("# Figure 10 — per-batch cost of AHEP vs HEP\n");
     // A dense behavior graph (mean degree ~40): embedding propagation's cost

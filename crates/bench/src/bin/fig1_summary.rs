@@ -21,6 +21,7 @@ use aligraph_eval::{link_prediction_split, micro_f1, LinkMetrics};
 use aligraph_graph::ids::well_known::ITEM;
 use aligraph_graph::{DynamicGraph, EvolutionKind, VertexId};
 
+#[expect(clippy::expect_used, reason = "an experiment aborts on a broken fixture")]
 fn main() {
     println!("# Figure 1 — normalized effectiveness of the in-house models\n");
     header(&["model", "metric", "best competitor", "AliGraph", "lift"]);

@@ -10,6 +10,7 @@ use aligraph_partition::EdgeCutHash;
 use aligraph_storage::{CacheStrategy, Cluster, CostModel};
 use std::sync::Arc;
 
+#[expect(clippy::expect_used, reason = "an experiment aborts on a broken fixture")]
 fn main() {
     println!("# Figure 7 — graph building time vs number of workers\n");
     let datasets = [

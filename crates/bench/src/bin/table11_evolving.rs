@@ -18,6 +18,7 @@ fn scores(pred: &[usize], truth: &[usize], classes: usize) -> (f64, f64) {
     (micro_f1(pred, truth), macro_f1(pred, truth, classes))
 }
 
+#[expect(clippy::expect_used, reason = "an experiment aborts on a broken fixture")]
 fn main() {
     println!("# Table 11 — Evolving GNN vs competitors (dynamic multi-class link prediction)\n");
     let full = dynamic_algo();

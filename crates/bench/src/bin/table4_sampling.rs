@@ -11,10 +11,10 @@ use aligraph_sampling::{
     UnigramNegative,
 };
 use aligraph_storage::{CacheStrategy, Cluster, CostModel};
+use aligraph_telemetry::Stopwatch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Instant;
 
 const BATCH: usize = 512;
 const ROUNDS: u32 = 20;
@@ -46,7 +46,7 @@ fn main() {
         let etype = aligraph_graph::EdgeType(0);
 
         // TRAVERSE: a batch of edges.
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         for _ in 0..ROUNDS {
             let edges = UniformTraverse.sample_edges(&graph, etype, BATCH, &mut rng);
             std::hint::black_box(edges);
@@ -56,7 +56,7 @@ fn main() {
         // NEIGHBORHOOD: 2-hop context [10, 5] through the cluster.
         let view = ClusterView { cluster: &cluster, from: WorkerId(0) };
         let seeds = UniformTraverse.sample_vertices(&graph, None, BATCH, &mut rng);
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         for _ in 0..ROUNDS {
             let ctx = UniformNeighborhood.sample_context(&view, &seeds, None, &[10, 5], &mut rng);
             std::hint::black_box(ctx.context_size());
@@ -64,7 +64,7 @@ fn main() {
         let neighborhood_ms = t0.elapsed().as_secs_f64() * 1e3 / ROUNDS as f64;
 
         // NEGATIVE: 10 negatives per seed.
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         for _ in 0..ROUNDS {
             for &v in &seeds {
                 std::hint::black_box(negative.sample(&graph, &[v], 10, &mut rng));

@@ -11,9 +11,9 @@ use aligraph::{EpisodeTape, GnnEncoder};
 use aligraph_bench::{f, header, row, taobao_large_bench, taobao_small_bench};
 use aligraph_graph::{Featurizer, VertexId};
 use aligraph_sampling::UniformNeighborhood;
+use aligraph_telemetry::Stopwatch;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::time::Instant;
 
 const BATCH: usize = 256;
 const ROUNDS: u32 = 10;
@@ -32,7 +32,7 @@ fn run(graph: &aligraph_graph::AttributedHeterogeneousGraph, memoized: bool) -> 
         let seeds: Vec<VertexId> = (0..BATCH).map(|_| VertexId(rng.gen_range(0..n))).collect();
         let mut tape =
             if memoized { EpisodeTape::new() } else { EpisodeTape::without_memoization() };
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         for &v in &seeds {
             let idx =
                 encoder.forward(graph, &features, &UniformNeighborhood, v, &mut tape, &mut rng);

@@ -8,6 +8,7 @@ use aligraph_graph::generate::barabasi_albert;
 use aligraph_graph::powerlaw::{fit_exponent, head_mass};
 use aligraph_graph::{DegreeTable, ImportanceTable};
 
+#[expect(clippy::expect_used, reason = "an experiment aborts on a broken fixture")]
 fn main() {
     println!("# Theorems 1 & 2 — power-law propagation to k-hop degrees and importance\n");
     let graph = barabasi_albert(20_000, 4, 0x7e0u64).expect("valid config");

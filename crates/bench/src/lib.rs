@@ -10,8 +10,10 @@
 //!   sizes (default 1.0; the defaults are already ~1000× below production);
 //! * `ALIGRAPH_FAST=1` — shrink the algorithm experiments for smoke runs.
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
+#![expect(
+    clippy::expect_used,
+    reason = "the experiment fixtures' configs are fixed and valid; a failure aborts the run"
+)]
 
 use aligraph_graph::generate::{amazon_sim_scaled, DynamicConfig, TaobaoConfig};
 use aligraph_graph::{AttributedHeterogeneousGraph, DynamicGraph};

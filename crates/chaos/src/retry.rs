@@ -5,8 +5,8 @@ use crate::{Delivery, FaultPlan, FaultPlane, Seq};
 
 /// The hard ceiling on any single backoff wait, in virtual ticks. The
 /// workspace's one retry loop ([`FaultPlane::deliver`]) takes its waits
-/// from [`RetryPolicy::backoff_ticks`], which saturates here — the
-/// `backoff-needs-cap` lint rule keeps any new loop to the same standard.
+/// from [`RetryPolicy::backoff_ticks`], which saturates here, so a wait
+/// is capped by type.
 pub const MAX_BACKOFF_TICKS: u64 = 1 << 10;
 
 /// Modelled duration of one virtual tick, in nanoseconds: how injected

@@ -18,14 +18,14 @@ use aligraph_partition::{
 };
 use aligraph_runtime::{DistOutcome, DistTrainer, EncoderSpec, RuntimeConfig};
 use aligraph_storage::{CacheStrategy, Cluster, CostModel, TierConfig};
-use aligraph_telemetry::Registry;
+use aligraph_telemetry::{Registry, Stopwatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The synthetic graph a bench runs on: `cfg` generated under `seed`.
 fn synth_graph(
@@ -237,6 +237,7 @@ fn skewed_vertex(rng: &mut StdRng, n: u32) -> VertexId {
 /// its own RNG seeded from `(seed, client)`, while `background` (the
 /// graph-update writer) runs on a thread of its own until the last client
 /// is done. Returns every client's result and the background's.
+#[expect(clippy::expect_used, reason = "a panicked client or background thread re-raises here")]
 fn drive_clients<C: Send, B: Send>(
     requests: u64,
     clients: usize,
@@ -304,7 +305,7 @@ pub fn serve_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
         registry,
     );
 
-    let start = Instant::now();
+    let start = Stopwatch::start();
     let (per_client, (applied, invalidated)) = drive_clients(
         requests,
         clients,
@@ -428,7 +429,7 @@ pub fn serve_under_update(args: &Args, registry: &Arc<Registry>) -> Result<Strin
     let service =
         StreamingService::start_with_registry(Arc::clone(&graph), feats, config, registry);
 
-    let start = Instant::now();
+    let start = Stopwatch::start();
     let (per_client, update_failures) = drive_clients(
         requests,
         clients,
@@ -852,6 +853,7 @@ pub fn tiered_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
             &Arc::new(Registry::disabled()),
             Some(TierConfig::with_budget(None)),
         )?;
+        #[expect(clippy::expect_used, reason = "a cluster built with a TierConfig has a tier")]
         let all_hot =
             oracle_cluster.tier().expect("tiered build always has a tier").resident_bytes();
 
@@ -869,6 +871,7 @@ pub fn tiered_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
             &reg,
             Some(TierConfig::with_budget(Some(budget))),
         )?;
+        #[expect(clippy::expect_used, reason = "a cluster built with a TierConfig has a tier")]
         let tier = cluster.tier().expect("tiered build always has a tier");
 
         let peak = tier.peak_resident_bytes();

@@ -23,9 +23,6 @@
 //! The library half exposes the argument parser and command runners so the
 //! behaviour is unit-testable; `main.rs` is a two-line shim.
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod args;
 pub mod commands;
 

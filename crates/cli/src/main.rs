@@ -1,7 +1,5 @@
 //! The `aligraph` binary: parse, dispatch, print, exit.
 
-#![forbid(unsafe_code)]
-
 use std::io::{ErrorKind, Write};
 
 fn main() {

@@ -245,8 +245,11 @@ impl GnnEncoder {
     }
 
     /// Output embedding dimension.
+    #[expect(
+        clippy::expect_used,
+        reason = "SageConfig validates that dims is non-empty at construction"
+    )]
     pub fn out_dim(&self) -> usize {
-        // invariant: SageConfig validates dims is non-empty at construction
         *self.dims.last().expect("at least one hop")
     }
 

@@ -19,9 +19,6 @@
 //!   `TrainConfig::patience`) early stopping: the two §7 future-work items
 //!   that fit a single-machine reproduction.
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod automl;
 pub mod framework;
 pub mod models;

@@ -125,8 +125,10 @@ fn reweight_burst(
             } else {
                 nb.weight
             };
-            // invariant: source edges come from a valid graph, so vertex ids
-            // and types are in range
+            #[expect(
+                clippy::expect_used,
+                reason = "edges copied from a valid graph have in-range ids and types"
+            )]
             b.add_edge(v, nb.vertex, nb.etype, w).expect("copying valid edges");
         }
     }
@@ -136,10 +138,13 @@ fn reweight_burst(
 /// Trains the Evolving GNN across all snapshots of `dynamic`, ending with a
 /// classification head fit on the final snapshot's edges.
 pub fn train_evolving(dynamic: &DynamicGraph, config: &EvolvingConfig) -> TrainedEvolving {
-    // invariant: DynamicGraph always materializes snapshot 0
+    #[expect(clippy::expect_used, reason = "a DynamicGraph always materializes snapshot 0")]
     let first = dynamic.snapshot(0).expect("at least one snapshot");
     let n = first.num_vertices();
-    // invariant: SageConfig validates dims is non-empty at construction
+    #[expect(
+        clippy::expect_used,
+        reason = "SageConfig validates that dims is non-empty at construction"
+    )]
     let d = *config.sage.dims.last().expect("at least one layer");
     let mut states = Matrix::zeros(n, d);
     let mut encoder = GnnEncoder::sage(
@@ -152,14 +157,12 @@ pub fn train_evolving(dynamic: &DynamicGraph, config: &EvolvingConfig) -> Traine
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xe0);
 
     for t in 0..dynamic.num_snapshots() {
-        // invariant: t ranges over 0..num_snapshots(), so the index is in
-        // range
+        #[expect(clippy::expect_used, reason = "t ranges over 0..num_snapshots()")]
         let snapshot = dynamic.snapshot(t).expect("in range");
         // Burst links of this step get dampened before aggregation.
+        #[expect(clippy::expect_used, reason = "t ranges over 0..num_snapshots()")]
         let burst: std::collections::HashSet<(u32, u32, u8)> = dynamic
             .delta(t)
-            // invariant: t ranges over 0..num_snapshots(), so the delta index
-            // is in range
             .expect("in range")
             .added_of(EvolutionKind::Burst)
             .map(|e| (e.src.0, e.dst.0, e.etype.0))
@@ -188,7 +191,7 @@ pub fn train_evolving(dynamic: &DynamicGraph, config: &EvolvingConfig) -> Traine
     }
 
     // ---- Edge-type head on the final snapshot. ----
-    // invariant: num_snapshots() >= 1 is a DynamicGraph construction invariant
+    #[expect(clippy::expect_used, reason = "a DynamicGraph has at least one snapshot")]
     let last = dynamic.snapshot(dynamic.num_snapshots() - 1).expect("non-empty");
     let num_classes = last.num_edge_types() as usize;
     let mut model =

@@ -113,8 +113,10 @@ impl FastGcnSampler {
             .vertices()
             .map(|v| (graph.in_degree(v) + graph.out_degree(v)) as f32 + 1e-3)
             .collect();
-        // invariant: weights has one entry per vertex and every entry is >=
-        // 1e-3, so the table is non-empty with positive mass
+        #[expect(
+            clippy::expect_used,
+            reason = "one weight >= 1e-3 per vertex: the table is non-empty with positive mass"
+        )]
         let table = aligraph_sampling::AliasTable::new(&weights).expect("non-empty graph");
         let mut candidate_set = HashSet::with_capacity(size);
         // Bounded attempts: the set saturates on small graphs.
@@ -228,6 +230,10 @@ pub fn train_asgcn(graph: &AttributedHeterogeneousGraph, config: &GcnConfig) -> 
             tape.add_grad(idx, &out); // self-similarity probe
         }
         encoder.backward(&mut tape, &features);
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "order-insensitive: keys are unique and a synchronous backward adds to v's slot only"
+        )]
         for (&v, g) in &tape.feature_grads {
             let mag: f32 = g.iter().map(|x| x.abs()).sum();
             weights.backward(VertexId(v), mag);

@@ -128,10 +128,10 @@ impl LevelGraph {
         out
     }
 
-    /// Samples a random positive edge (excluding self loops). Retained as
-    /// the edge-sampled training alternative to the walk corpus (exercised
-    /// by tests; the default pipeline uses walks).
-    #[allow(dead_code)]
+    /// Samples a random positive edge (excluding self loops): the
+    /// edge-sampled alternative to the walk corpus, which only the tests
+    /// use (the pipeline uses walks).
+    #[cfg(test)]
     fn sample_edge(&self, rng: &mut StdRng) -> Option<(usize, usize)> {
         for _ in 0..64 {
             let i = rng.gen_range(0..self.n());

@@ -130,6 +130,10 @@ pub fn train_mixture(
                     uniform_walk(graph, v, config.walk_length, None, WalkDirection::Both, &mut rng);
                 for (center, ctx) in skipgram_pairs(&walk, config.window) {
                     // E-step (hard): pick the sense explaining the pair best.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "GatneConfig validates senses >= 1, so max_by is non-empty"
+                    )]
                     let best = (0..config.senses)
                         .max_by(|&a, &b| {
                             let sa =
@@ -138,8 +142,6 @@ pub fn train_mixture(
                                 sense_tables[b].dot_with(center.index(), &context, ctx.index());
                             sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
                         })
-                        // invariant: num_senses >= 1 is validated by
-                        // GatneConfig, so max_by over senses is non-empty
                         .expect("senses >= 1");
                     counts[center.index()][best] += 1.0;
                     // M-step: one SGNS update on the chosen sense.

@@ -115,7 +115,7 @@ pub struct BatchOutcome {
 ///
 /// Neighborhoods are read through `access` (the graph itself, or a
 /// shard-local `ClusterView`); edge records and negatives come from `graph`.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the training step's inputs, each used once")]
 pub fn contrastive_step<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
     encoder: &mut GnnEncoder,
     graph: &AttributedHeterogeneousGraph,

@@ -3,6 +3,11 @@
 //! granularity cannot change a bit, (c) a node without a gradient pushes
 //! nothing towards the parameter server.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph::{contrastive_step, EpisodeTape, FullNeighborhood, GnnEncoder};
 use aligraph_graph::generate::TaobaoConfig;
 use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, FeatureMatrix, Featurizer, VertexId};

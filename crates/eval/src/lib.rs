@@ -6,9 +6,6 @@
 //! micro/macro F1 for the multi-class dynamic-graph experiment (Table 11).
 //! "Each metric is averaged among different types of edges."
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod metrics;
 pub mod split;
 

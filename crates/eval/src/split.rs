@@ -76,6 +76,10 @@ pub fn link_prediction_split(
             if held.contains(&nbr.edge.index()) {
                 test_pos.push(HeldOutEdge { src: v, dst: nbr.vertex, etype: nbr.etype });
             } else {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "edges copied from an existing graph have in-range endpoints and types"
+                )]
                 b.add_edge_with_attrs(
                     v,
                     nbr.vertex,
@@ -87,8 +91,6 @@ pub fn link_prediction_split(
                         .cloned()
                         .unwrap_or_else(AttrVector::empty),
                 )
-                // invariant: edges are copied from an existing graph, so
-                // endpoints and types are in range
                 .expect("edges of an existing graph are valid");
             }
         }

@@ -73,18 +73,6 @@ impl AttrValue {
             AttrValue::Blob(b) => b.len() + 8,
         }
     }
-
-    /// A scalar view used by the default featurizer: ints and floats map to
-    /// their value, categoricals to their code, text/blob to their length.
-    pub fn as_scalar(&self) -> f32 {
-        match self {
-            AttrValue::Int(v) => *v as f32,
-            AttrValue::Float(v) => *v,
-            AttrValue::Categorical(v) => *v as f32,
-            AttrValue::Text(s) => s.len() as f32,
-            AttrValue::Blob(b) => b.len() as f32,
-        }
-    }
 }
 
 /// An attribute record: the full feature vector `A_V(v)` or `A_E(e)` attached
@@ -234,13 +222,6 @@ mod tests {
         let c = idx.intern(AttrVector(vec![AttrValue::Float(-1.5)]));
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn scalar_views() {
-        assert_eq!(AttrValue::Int(7).as_scalar(), 7.0);
-        assert_eq!(AttrValue::Categorical(3).as_scalar(), 3.0);
-        assert_eq!(AttrValue::Text("ab".into()).as_scalar(), 2.0);
     }
 
     #[test]

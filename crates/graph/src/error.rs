@@ -5,13 +5,6 @@ use crate::ids::{EdgeType, VertexId, VertexType};
 /// Errors produced by the graph crate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraphError {
-    /// A vertex id was out of range for this graph.
-    VertexOutOfRange {
-        /// The offending id.
-        vertex: VertexId,
-        /// Number of vertices in the graph.
-        len: usize,
-    },
     /// An edge referenced a vertex that does not exist yet.
     DanglingEdge {
         /// Source endpoint.
@@ -42,9 +35,6 @@ pub enum GraphError {
 impl std::fmt::Display for GraphError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GraphError::VertexOutOfRange { vertex, len } => {
-                write!(f, "vertex {vertex} out of range (graph has {len} vertices)")
-            }
             GraphError::DanglingEdge { src, dst } => {
                 write!(f, "edge ({src}, {dst}) references a vertex that was never added")
             }
@@ -69,7 +59,7 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = GraphError::VertexOutOfRange { vertex: VertexId(9), len: 3 };
+        let e = GraphError::DanglingEdge { src: VertexId(9), dst: VertexId(3) };
         assert!(e.to_string().contains("v9"));
         let e = GraphError::NonPositiveWeight { weight: -1.0 };
         assert!(e.to_string().contains("-1"));

@@ -451,8 +451,10 @@ fn build_snapshot(
     let mut b = GraphBuilder::directed().with_capacity(n, edges.len());
     b.add_vertices(VertexType(0), n);
     for &(src, dst, etype, w) in edges {
-        // invariant: the generator emitted src/dst below n and etype below the
-        // declared count
+        #[expect(
+            clippy::expect_used,
+            reason = "the generator emits src/dst below n and etype below the declared count"
+        )]
         b.add_edge(src, dst, etype, w).expect("generator edges are always in range");
     }
     b.build()
@@ -476,8 +478,10 @@ impl ZipfSampler {
     }
 
     fn sample(&self, rng: &mut StdRng) -> usize {
-        // invariant: cumulative is built with one entry per vertex and n > 0
-        // is asserted by the generator
+        #[expect(
+            clippy::expect_used,
+            reason = "cumulative has one entry per vertex and the generator asserts n > 0"
+        )]
         let total = *self.cumulative.last().expect("n > 0");
         let x = rng.gen::<f64>() * total;
         self.cumulative.partition_point(|&c| c < x).min(self.cumulative.len() - 1)
@@ -490,6 +494,7 @@ fn skewed_index(rng: &mut StdRng, n: usize) -> usize {
     ((u * u) * n as f64) as usize % n
 }
 
+#[expect(clippy::expect_used, reason = "callers pass a table built from at least one weight")]
 fn pick_weighted(rng: &mut StdRng, table: &[(EdgeType, f64)]) -> EdgeType {
     let total: f64 = table.iter().map(|(_, w)| w).sum();
     let mut x = rng.gen::<f64>() * total;
@@ -499,8 +504,6 @@ fn pick_weighted(rng: &mut StdRng, table: &[(EdgeType, f64)]) -> EdgeType {
         }
         x -= w;
     }
-    // invariant: callers pass a non-empty alias table built from at least one
-    // weight
     table.last().expect("non-empty table").0
 }
 

@@ -121,16 +121,6 @@ impl AttributedHeterogeneousGraph {
         (0..self.vtypes.len() as u32).map(VertexId)
     }
 
-    /// Checks a vertex id, returning a typed error for out-of-range ids.
-    #[inline]
-    pub fn check_vertex(&self, v: VertexId) -> Result<()> {
-        if v.index() < self.vtypes.len() {
-            Ok(())
-        } else {
-            Err(GraphError::VertexOutOfRange { vertex: v, len: self.vtypes.len() })
-        }
-    }
-
     /// Type of a vertex (`T_V`).
     #[inline]
     pub fn vertex_type(&self, v: VertexId) -> VertexType {
@@ -145,11 +135,10 @@ impl AttributedHeterogeneousGraph {
 
     /// The vertex attribute record `A_V(v)`, resolved through `I_V`.
     #[inline]
+    #[expect(clippy::expect_used, reason = "every vattrs entry was interned during build")]
     pub fn vertex_attrs(&self, v: VertexId) -> &AttrVector {
         self.vertex_attr_index
             .get(self.vattrs[v.index()])
-            // invariant: vattrs entries are produced by interning during
-            // build, so the id is always present
             .expect("vertex attr ids are always interned at build time")
     }
 
@@ -226,11 +215,6 @@ impl AttributedHeterogeneousGraph {
             weight: n.weight,
             attr: n.attr,
         }
-    }
-
-    /// Sum of out-edge weights of `v`, used by weighted samplers.
-    pub fn out_weight_sum(&self, v: VertexId) -> f32 {
-        self.out_neighbors(v).iter().map(|n| n.weight).sum()
     }
 
     /// Approximate bytes held by adjacency structure (the `O(n·N_D)` term).
@@ -620,19 +604,5 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_vertices(), 15);
         assert_eq!(g.vertex_type(VertexId(12)), ITEM);
-    }
-
-    #[test]
-    fn out_weight_sum() {
-        let g = toy();
-        assert!((g.out_weight_sum(VertexId(0)) - 3.0).abs() < 1e-6);
-        assert_eq!(g.out_weight_sum(VertexId(3)), 0.0);
-    }
-
-    #[test]
-    fn check_vertex_bounds() {
-        let g = toy();
-        assert!(g.check_vertex(VertexId(3)).is_ok());
-        assert!(g.check_vertex(VertexId(4)).is_err());
     }
 }

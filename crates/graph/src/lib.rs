@@ -20,9 +20,6 @@
 //! slices sorted by edge type, so per-edge-type neighborhoods are contiguous
 //! sub-slices found by binary search.
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod attr;
 pub mod degrees;
 pub mod dynamic;

@@ -63,28 +63,6 @@ pub fn head_mass(samples: &[f64], head_fraction: f64) -> f64 {
     sorted[..head_len.min(sorted.len())].iter().sum::<f64>() / total
 }
 
-/// Log-binned histogram `(bin_center, count)` — the standard way to plot a
-/// heavy-tailed degree distribution.
-pub fn log_histogram(samples: &[f64], bins_per_decade: usize) -> Vec<(f64, usize)> {
-    let positive: Vec<f64> = samples.iter().copied().filter(|&x| x > 0.0).collect();
-    if positive.is_empty() || bins_per_decade == 0 {
-        return Vec::new();
-    }
-    let max = positive.iter().cloned().fold(f64::MIN, f64::max);
-    let num_bins = ((max.log10().max(0.0) + 1.0) * bins_per_decade as f64).ceil() as usize + 1;
-    let mut counts = vec![0usize; num_bins];
-    for &x in &positive {
-        let bin = (x.log10().max(0.0) * bins_per_decade as f64) as usize;
-        counts[bin.min(num_bins - 1)] += 1;
-    }
-    counts
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, c)| c > 0)
-        .map(|(b, c)| (10f64.powf((b as f64 + 0.5) / bins_per_decade as f64), c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,16 +103,6 @@ mod tests {
         assert!(head_mass(&heavy, 0.2) > 0.5);
         assert!(head_mass(&uniform, 0.2) < 0.35);
         assert_eq!(head_mass(&[], 0.2), 0.0);
-    }
-
-    #[test]
-    fn log_histogram_bins() {
-        let h = log_histogram(&[1.0, 1.0, 10.0, 100.0], 1);
-        assert!(!h.is_empty());
-        let total: usize = h.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 4);
-        assert!(log_histogram(&[], 1).is_empty());
-        assert!(log_histogram(&[1.0], 0).is_empty());
     }
 
     #[test]

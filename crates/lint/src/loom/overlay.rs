@@ -218,15 +218,19 @@ impl VThread<OverlayState> for Reader {
                 self.phase = Phase::Compute;
             }
             Phase::Compute => {
-                // invariant: Snapshot always runs before Compute and sets
-                // the pinned overlay.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the Snapshot phase runs before Compute and pins the overlay"
+                )]
                 let snap = self.snap.as_ref().expect("snapshot pinned in previous phase");
                 self.value = fingerprint(snap, self.v);
                 self.phase = Phase::Insert;
             }
             Phase::Insert => {
-                // invariant: the snapshot survives until the insert that
-                // consumes its version tag.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the snapshot stays pinned until the insert that consumes its version tag"
+                )]
                 let snap = self.snap.as_ref().expect("snapshot pinned in previous phase");
                 let version = match s.bug {
                     Some(Bug::CurrentVersionInsert) => s.cache.version(),
@@ -279,7 +283,10 @@ impl Workload for OverlayWorkload {
         let mut b = GraphBuilder::directed();
         let vs: Vec<VertexId> = (0..4).map(|_| b.add_vertex(USER, AttrVector::empty())).collect();
         for w in vs.windows(2) {
-            // invariant: chain endpoints were just added to the builder.
+            #[expect(
+                clippy::expect_used,
+                reason = "the chain's endpoints were just added to the builder"
+            )]
             b.add_edge(w[0], w[1], CLICK, 1.0).expect("vertices exist");
         }
         let graph = Arc::new(b.build());

@@ -41,6 +41,10 @@ impl Shadow {
     /// The same per-element update as `EmbeddingTable::adagrad_update`,
     /// expression-for-expression, so results match bitwise.
     fn push(&mut self, rows: &HashMap<u32, Vec<f32>>) {
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "order-insensitive: each key updates its own row slots, and the dirty sets are sets"
+        )]
         for (&v, g) in rows {
             let base = v as usize * DIM;
             for (j, &gj) in g.iter().enumerate() {

@@ -125,7 +125,10 @@ impl VThread<SwapState> for Publisher {
     fn step(&mut self, s: &mut SwapState) {
         let v = self.next;
         if !s.buggy {
-            // invariant: versions strictly increase, so publish never fails.
+            #[expect(
+                clippy::expect_used,
+                reason = "versions strictly increase, so publish never fails"
+            )]
             s.store.publish(ModelVersion::new(v, v * 10, rows_for(v))).expect("monotonic publish");
             self.next += 1;
             return;

@@ -1,6 +1,4 @@
-//! The `aligraph-lint` binary: static-analysis gate + mini-loom runner.
-
-#![forbid(unsafe_code)]
+//! The `aligraph-lint` binary: the mini-loom runner.
 
 use aligraph_lint::loom::bucket::BucketWorkload;
 use aligraph_lint::loom::combiner::CombinerWorkload;
@@ -10,104 +8,23 @@ use aligraph_lint::loom::ps::PsWorkload;
 use aligraph_lint::loom::swap::SwapWorkload;
 use aligraph_lint::loom::topology::TopologyWorkload;
 use aligraph_lint::loom::{Explorer, Workload};
-use aligraph_lint::{all_rules, analysis_rules, analyze_workspace};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("concurrency") {
-        run_concurrency(&args[1..])
-    } else {
-        run_lint(&args)
+    match args.split_first() {
+        Some((cmd, rest)) if cmd == "concurrency" => run_concurrency(rest),
+        _ => usage(),
     }
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  aligraph-lint [--root DIR] [--deny-all] [--json] [--rule NAME]... \
-         [--list-rules]\n  \
-         aligraph-lint concurrency [--seed N] [--interleavings N] \
+        "usage: aligraph-lint concurrency [--seed N] [--interleavings N] \
          [--target bucket|combiner|counter|ps|overlay|swap|topology|all]"
     );
     ExitCode::from(2)
 }
-
-// ------------------------------------------------------------------- lint
-
-fn run_lint(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut deny_all = false;
-    let mut json = false;
-    let mut only: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => match it.next() {
-                Some(d) => root = PathBuf::from(d),
-                None => return usage(),
-            },
-            "--deny-all" => deny_all = true,
-            "--json" => json = true,
-            "--rule" => match it.next() {
-                Some(r) => only.push(r.clone()),
-                None => return usage(),
-            },
-            "--list-rules" => {
-                for r in all_rules() {
-                    println!("{:32} {}", r.name, r.description);
-                }
-                for (name, desc) in analysis_rules() {
-                    println!("{name:32} {desc}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            _ => return usage(),
-        }
-    }
-
-    // Anchor at the workspace root so repo-relative classification holds
-    // when invoked from a crate directory.
-    if !root.join("Cargo.toml").exists() && root.join("../../Cargo.toml").exists() {
-        root = root.join("../..");
-    }
-
-    let only = (!only.is_empty()).then_some(only);
-    let report = match analyze_workspace(&root, only.as_deref()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("aligraph-lint: analyzing {}: {e}", root.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if json {
-        // Machine output: CI diffs this against ci/lint-baseline.json via
-        // ci/compare_lint.py; the exit code stays 0 so the comparison (not
-        // the producer) decides pass/fail.
-        print!("{}", report.to_json());
-        return ExitCode::SUCCESS;
-    }
-    let active: Vec<_> = report.active().collect();
-    for d in &active {
-        println!("{d}");
-    }
-    println!(
-        "aligraph-lint: {} file(s) scanned, {} fn(s) in call graph, {} violation(s), \
-         {} waived{}",
-        report.files_scanned,
-        report.functions,
-        active.len(),
-        report.waived_count(),
-        if deny_all { " [deny-all]" } else { "" }
-    );
-    if deny_all && !active.is_empty() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-// ------------------------------------------------------------ concurrency
 
 fn run_concurrency(args: &[String]) -> ExitCode {
     let mut seed = 42u64;

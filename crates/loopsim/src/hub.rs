@@ -147,8 +147,10 @@ impl DataHub {
 
         let mut batch = UpdateBatch::default();
         for (user, item) in click_order {
-            // invariant: every key in click_order was inserted into
-            // click_count above.
+            #[expect(
+                clippy::expect_used,
+                reason = "every key in click_order was counted in click_count above"
+            )]
             let count = *click_count.get(&(user.0, item.0)).expect("counted click pair");
             batch.events.push(UpdateEvent::AddEdge {
                 src: user,
@@ -158,8 +160,10 @@ impl DataHub {
             });
         }
         for vertex in drift_order {
-            // invariant: every vertex in drift_order was inserted into
-            // drift_latest above.
+            #[expect(
+                clippy::expect_used,
+                reason = "every vertex in drift_order was inserted into drift_latest above"
+            )]
             let features = drift_latest.remove(&vertex.0).expect("latest drift row");
             batch.events.push(UpdateEvent::SetFeatures { vertex, features });
         }

@@ -86,7 +86,6 @@ mod tests {
     use aligraph_graph::generate::TaobaoConfig;
 
     fn graph() -> AttributedHeterogeneousGraph {
-        // invariant: the tiny Taobao generator always succeeds.
         TaobaoConfig::tiny().generate().expect("tiny taobao sim")
     }
 

@@ -19,9 +19,6 @@
 //! The §3.4 materialisation of intermediate `ĥ^(k)` vectors (Table 5) is
 //! `EpisodeTape`'s memo in the `aligraph` crate, not an operator.
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod aggregate;
 pub mod combine;
 pub mod layer;

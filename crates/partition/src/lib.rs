@@ -23,9 +23,6 @@
 //! layer (and user plugins) can swap them freely. [`quality::PartitionQuality`]
 //! scores any produced [`Partition`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod metis_like;
 pub mod partition;
 pub mod quality;

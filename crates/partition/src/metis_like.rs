@@ -177,8 +177,10 @@ impl MetisLike {
         // Leftovers (disconnected bits): least-loaded worker.
         for v in 0..n {
             if part[v] == u32::MAX {
-                // invariant: p >= 1 is validated at partitioner construction,
-                // so min_by_key is non-empty
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the partitioner validates p >= 1 at construction"
+                )]
                 let k = (0..p).min_by_key(|&k| loads[k]).expect("p >= 1") as u32;
                 part[v] = k;
                 loads[k as usize] += vweight[v] as u64;
@@ -215,13 +217,15 @@ impl MetisLike {
                 for &(u, w) in &adj[v] {
                     conn[part[u as usize] as usize] += w;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the partitioner validates p >= 1 at construction"
+                )]
                 let (best, best_conn) = conn
                     .iter()
                     .copied()
                     .enumerate()
                     .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    // invariant: p >= 1 is validated at partitioner
-                    // construction, so the iterator is non-empty
                     .expect("p >= 1");
                 if best != from && best_conn > conn[from] && loads[best] + vweight[v] as u64 <= cap
                 {

@@ -145,6 +145,10 @@ impl Partitioner for VertexCutGreedy {
         for v in graph.vertices() {
             for nbr in graph.out_neighbors(v) {
                 let (src, dst) = (v, nbr.vertex);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the partitioner validates p >= 1 at construction"
+                )]
                 let best = (0..p)
                     .filter(|&w| loads[w] < capacity)
                     .min_by_key(|&w| {
@@ -161,8 +165,6 @@ impl Partitioner for VertexCutGreedy {
                     })
                     // All workers at capacity can only happen through slack
                     // rounding; fall back to the least loaded.
-                    // invariant: p >= 1 is validated at construction, so the
-                    // least-loaded fallback is non-empty
                     .unwrap_or_else(|| (0..p).min_by_key(|&w| loads[w]).expect("p >= 1"));
                 edge_owner[nbr.edge.index()] = WorkerId(best as u32);
                 loads[best] += 1;

@@ -63,6 +63,7 @@ impl PartitionQuality {
     }
 }
 
+#[expect(clippy::expect_used, reason = "the early return above leaves loads non-empty")]
 fn imbalance(loads: &[usize]) -> f64 {
     if loads.is_empty() {
         return 1.0;
@@ -72,7 +73,6 @@ fn imbalance(loads: &[usize]) -> f64 {
         return 1.0;
     }
     let mean = total as f64 / loads.len() as f64;
-    // invariant: the early return above guarantees loads is non-empty here
     *loads.iter().max().expect("non-empty") as f64 / mean
 }
 

@@ -56,8 +56,7 @@ impl Partitioner for StreamingLdg {
             sizes[best] += 1;
         }
 
-        // invariant: the loop above assigned an owner to every vertex exactly
-        // once
+        #[expect(clippy::expect_used, reason = "the loop above assigns every vertex an owner")]
         let vertex_owner = owner.into_iter().map(|o| o.expect("all assigned")).collect();
         Partition::from_vertex_owners(graph, p, vertex_owner)
     }

@@ -19,9 +19,6 @@
 //!   dense model + optimizer state, RNG states, step counters) with
 //!   mid-epoch restore and corruption detection.
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod checkpoint;
 pub mod error;
 pub mod ps;

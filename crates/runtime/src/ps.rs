@@ -167,9 +167,11 @@ impl SparseParamServer {
                 for &v in &ids {
                     weights.extend_from_slice(features.row(VertexId(v)));
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the loop above sized weights as ids.len() * dim"
+                )]
                 let table = EmbeddingTable::from_flat(ids.len(), dim, weights)
-                    // invariant: weights was built as ids.len() * dim entries
-                    // in the loop above
                     .expect("weights sized from ids");
                 let slot_of = ids.iter().enumerate().map(|(s, &v)| (v, s as u32)).collect();
                 Mutex::new(PsShard { ids, slot_of, table })

@@ -590,7 +590,7 @@ impl<'a> DistTrainer<'a> {
     }
 
     /// One worker's whole life: step loop, rendezvous, checkpoints, fault.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one worker's whole state, threaded once")]
     fn worker_loop(
         &self,
         me: usize,
@@ -860,7 +860,7 @@ impl<'a> DistTrainer<'a> {
 /// plan corrupts checkpoints, the plane picks a seeded subset of steps and
 /// flips one byte in the written file — recovery must detect the bad
 /// checksum and fall back to the previous valid checkpoint.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a checkpoint is the sum of these parts")]
 fn write_checkpoint(
     fingerprint: u64,
     global_step: u64,

@@ -136,8 +136,11 @@ impl Coordinator {
             if let Some(a) = &st.crashed {
                 return Err(a.to_error());
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "SspCoordinator::new requires at least one worker"
+            )]
             let min =
-                // invariant: SspCoordinator::new requires at least one worker
                 (0..st.steps.len()).min_by_key(|&w| (st.steps[w], w)).expect("at least one worker");
             if min == me {
                 return Ok(());
@@ -175,9 +178,11 @@ impl Coordinator {
         st.deposits[me] = Some(deposit);
         st.arrived += 1;
         if st.arrived == st.steps.len() {
+            #[expect(
+                clippy::expect_used,
+                reason = "arrived == steps.len() means every deposit slot was filled this round"
+            )]
             let deposits: Vec<Deposit> =
-                // invariant: arrived == steps.len() means every deposit slot
-                // was filled this round
                 st.deposits.iter_mut().map(|d| d.take().expect("every worker deposited")).collect();
             st.arrived = 0;
             match leader(deposits) {

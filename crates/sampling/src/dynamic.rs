@@ -83,12 +83,14 @@ impl DynamicWeights {
 
     /// Current weight of `v`. In asynchronous mode this can fail with
     /// [`ExecutorStopped`] if the backing service has shut down.
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor sets exactly one of local and service; local returned above"
+    )]
     pub fn get(&self, v: VertexId) -> Result<f32, ExecutorStopped> {
         if let Some(local) = &self.local {
             return Ok(local.read()[v.index()]);
         }
-        // invariant: the constructor sets exactly one of local/service; local
-        // returned above
         self.service.as_ref().expect("one backend is set").get(v)
     }
 
@@ -99,8 +101,10 @@ impl DynamicWeights {
             local.write()[v.index()] += delta;
             return;
         }
-        // invariant: the constructor sets exactly one of local/service; local
-        // returned above
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor sets exactly one of local and service; local returned above"
+        )]
         self.service.as_ref().expect("one backend is set").update(v, delta);
     }
 

@@ -26,9 +26,6 @@
 //! * [`telemetry`] — metered sampler wrappers publishing per-kind draw
 //!   counts and latencies without perturbing the wrapped RNG stream.
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod alias;
 pub mod dynamic;
 pub mod negative;

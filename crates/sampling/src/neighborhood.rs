@@ -88,10 +88,11 @@ pub struct ClusterView<'a> {
 
 impl NeighborAccess for ClusterView<'_> {
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "the view's worker and every sampled vertex come from the cluster itself"
+    )]
     fn neighbors(&self, v: VertexId, hop: usize) -> &[Neighbor] {
-        // invariant: the view's `from` worker and every sampled vertex come
-        // from the cluster itself (samplers walk the cluster's own graph),
-        // so the route is always in range.
         self.cluster.neighbors_from(self.from, v, hop).expect("view routes within the cluster")
     }
 

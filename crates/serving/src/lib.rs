@@ -46,9 +46,6 @@
 //!                          └── plane::affected ───── invalidate cache
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod error;
 pub mod metrics;
 pub mod service;

@@ -40,13 +40,13 @@ use aligraph_graph::{AttributedHeterogeneousGraph, VertexId};
 use aligraph_partition::{EdgeCutHash, Partitioner};
 use aligraph_sampling::{affected, EpochManager, EpochView, NeighborhoodSampler, Touched};
 use aligraph_storage::{AccessKind, AccessStats, CacheStats, CostModel, VersionedCache};
-use aligraph_telemetry::Registry;
+use aligraph_telemetry::{Registry, Stopwatch};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs for a [`ServingService`].
 #[derive(Debug, Clone)]
@@ -296,9 +296,7 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
     /// cache on this thread when both hit, else through the owner shard's
     /// combiner.
     fn submit(&self, vertices: [VertexId; 2]) -> Result<Answer, ServeError> {
-        // aligraph::allow(determinism-taint): request timestamp feeds
-        // only the latency histogram; no control flow reads it.
-        let start = Instant::now();
+        let start = Stopwatch::start();
         let [u, v] = vertices;
         let (owner, other_owned) = {
             let pin = self.epochs.pin();
@@ -554,9 +552,10 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
         let answer = |slot: &Slot, i: usize| {
             let Some(hit) = &slot.probed[i] else {
                 let v = slot.vertices[i].0;
-                // invariant: a vertex its probe missed is needed, and the
-                // resolution loop put every needed vertex into exactly one
-                // of `resolved` and `failed`.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the resolution loop puts every needed vertex in resolved or failed"
+                )]
                 let failure = || failed.get(&v).expect("unresolved vertex has failure").clone();
                 return resolved.get(&v).cloned().ok_or_else(failure);
             };

@@ -166,9 +166,11 @@ impl<'a> ClusterBuilder<'a> {
     ///
     /// Panics only if a *disk-backed* cold tier fails on I/O; use
     /// [`try_build`](Self::try_build) to handle that case.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented: panics only on a disk-backed tier's I/O error"
+    )]
     pub fn build(self) -> (Cluster, ClusterBuildReport) {
-        // invariant: of every builder configuration, only a disk-backed
-        // tier performs fallible I/O during build.
         self.try_build().expect("disk-backed tier build failed")
     }
 

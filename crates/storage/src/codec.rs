@@ -116,11 +116,11 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+#[expect(clippy::expect_used, reason = "the slice above is exactly 4 bytes")]
 fn get_f32(buf: &[u8], pos: &mut usize) -> Result<f32, CodecError> {
     let end = pos.checked_add(4).ok_or(CodecError::Truncated { offset: *pos })?;
     let bytes = buf.get(*pos..end).ok_or(CodecError::Truncated { offset: *pos })?;
     *pos = end;
-    // invariant: the slice above is exactly 4 bytes.
     Ok(f32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
 }
 

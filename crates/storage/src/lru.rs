@@ -151,6 +151,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Iterates live entries from most- to least-recently used, without
     /// touching recency or stats.
+    #[expect(
+        clippy::expect_used,
+        reason = "only live entries are linked into the recency list; freed slots sit on the free list"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         let mut idx = self.head;
         std::iter::from_fn(move || {
@@ -159,8 +163,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             }
             let entry = &self.slab[idx];
             idx = entry.next;
-            // invariant: only live entries are linked into the recency
-            // list; recycled slots (value None) sit on the free list.
             Some((&entry.key, entry.value.as_ref().expect("linked entry is live")))
         })
     }
@@ -169,6 +171,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// used — without touching recency or stats. `iter_lru().next()` is the
     /// entry [`put`](Self::put) would evict next; the cold tier's placement
     /// oracle walks this to pick demotion victims deterministically.
+    #[expect(
+        clippy::expect_used,
+        reason = "only live entries are linked into the recency list; freed slots sit on the free list"
+    )]
     pub fn iter_lru(&self) -> impl Iterator<Item = (&K, &V)> {
         let mut idx = self.tail;
         std::iter::from_fn(move || {
@@ -177,8 +183,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             }
             let entry = &self.slab[idx];
             idx = entry.prev;
-            // invariant: only live entries are linked into the recency
-            // list; recycled slots (value None) sit on the free list.
             Some((&entry.key, entry.value.as_ref().expect("linked entry is live")))
         })
     }

@@ -258,9 +258,10 @@ impl Cluster {
         // neighbor-cache entries (the destination starts cold on a split).
         let mut records: Vec<MigrationRecord> = Vec::with_capacity(moving.len());
         for &v in &moving {
-            // invariant: v was selected from src's residency above and
-            // nothing else mutates residency during a rebalance (one
-            // rebalance at a time — the driver serializes them).
+            #[expect(
+                clippy::expect_used,
+                reason = "v was selected from src's residency above, and the driver serializes rebalances"
+            )]
             let rec = src_server.extract(v).expect("moving vertex resident on source shard");
             records.push(MigrationRecord::Vertex(rec));
         }

@@ -56,8 +56,6 @@ pub struct GraphServer {
     neighbor_cache: NeighborCache,
     /// LRU in front of the vertex attribute index `I_V` (paper §3.2).
     vertex_attr_cache: Mutex<LruCache<AttrId, AttrVector>>,
-    /// LRU in front of the edge attribute index `I_E`.
-    edge_attr_cache: Mutex<LruCache<AttrId, AttrVector>>,
     /// Cold-tier binding. When present the server materializes **nothing**
     /// itself: residency, adjacency rows, and weight CDFs live in the shared
     /// [`TieredStore`] (decoded hot set + compressed segments), and resident
@@ -117,7 +115,6 @@ impl GraphServer {
             weight_cdf: RwLock::new(HashMap::new()),
             neighbor_cache,
             vertex_attr_cache: Mutex::new(LruCache::new(attr_cache_capacity)),
-            edge_attr_cache: Mutex::new(LruCache::new(attr_cache_capacity)),
             tier: None,
         }
     }
@@ -327,23 +324,6 @@ impl GraphServer {
         record
     }
 
-    /// Edge attributes through the LRU-fronted index `I_E`.
-    pub fn edge_attrs(&self, id: AttrId, stats: &AccessStats, model: &CostModel) -> AttrVector {
-        let mut cache = self.edge_attr_cache.lock();
-        if let Some(hit) = cache.get(&id) {
-            let out = hit.clone();
-            stats.record(AccessKind::Local, model);
-            return out;
-        }
-        let record =
-            self.graph.edge_attr_index().get(id).cloned().unwrap_or_else(AttrVector::empty);
-        if cache.put(id, record.clone()) {
-            stats.record_replacement(model);
-        }
-        stats.record(AccessKind::Local, model);
-        record
-    }
-
     /// (hits, misses, evictions) of the vertex attribute LRU.
     pub fn vertex_attr_cache_stats(&self) -> (u64, u64, u64) {
         self.vertex_attr_cache.lock().stats()
@@ -465,15 +445,5 @@ mod tests {
         let (hits, misses, _) = server.vertex_attr_cache_stats();
         assert_eq!(hits, 1);
         assert_eq!(misses, 1);
-    }
-
-    #[test]
-    fn edge_attr_cache_roundtrip() {
-        let (g, server) = setup(CacheStrategy::None);
-        let stats = AccessStats::new();
-        let model = CostModel::default();
-        let id = g.out_neighbors(VertexId(0))[0].attr;
-        let rec = server.edge_attrs(id, &stats, &model);
-        assert_eq!(&rec, g.edge_attr_index().get(id).unwrap());
     }
 }

@@ -618,7 +618,7 @@ impl TieredStore {
     pub fn read_adjacency(&self, v: VertexId) -> (Arc<[Neighbor]>, Arc<[f32]>, TierRead) {
         let mut state = self.state.lock();
         let (how, row) = self.read_row(&mut state, v, true);
-        // invariant: `read_row` returns the row whenever it is asked to.
+        #[expect(clippy::expect_used, reason = "read_row returns the row whenever it is asked to")]
         let (nbrs, cdf) = row.expect("row was requested");
         (nbrs, cdf, how)
     }
@@ -929,8 +929,10 @@ impl TieredStore {
         state.hot_bytes += sz;
         if let Some(budget) = self.cfg.resident_budget {
             while state.hot_bytes > budget && !state.hot.is_empty() {
-                // invariant: the cache is non-empty, so eviction order has
-                // a head.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the loop condition holds the cache non-empty"
+                )]
                 let victim = *state.hot.iter_lru().next().expect("non-empty cache").0;
                 self.demote(state, victim);
             }

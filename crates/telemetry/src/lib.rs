@@ -22,9 +22,6 @@
 //! bit-identical (the regression test in the workspace `tests/` enforces
 //! this for training loss trajectories).
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 mod histogram;
 mod json;
 mod metric;

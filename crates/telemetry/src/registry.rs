@@ -99,6 +99,11 @@ impl Registry {
         self.series.is_some()
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "one key registered as two metric kinds is a documented fail-loudly contract \
+                  (DESIGN.md §2.12), not a recoverable condition"
+    )]
     fn lookup<T, F: FnOnce() -> Arc<T>>(
         &self,
         name: &str,
@@ -111,16 +116,16 @@ impl Registry {
             return make();
         };
         let key = SeriesKey::new(name, labels);
-        // invariant: the only panic possible under this lock is the kind-
-        // collision below, which is a deliberate fail-fast on a programming
-        // error — a poisoned registry means the process is already going down.
+        // The only panic possible under this lock is the kind collision
+        // below, a deliberate fail-fast on a programming error: a poisoned
+        // registry means the process is already going down.
+        #[expect(
+            clippy::expect_used,
+            reason = "only the kind-collision panic can poison this lock"
+        )]
         let mut map = series.lock().expect("telemetry registry poisoned");
         match map.get(&key) {
             Some(h) => unwrap(h).unwrap_or_else(|| {
-                // aligraph::allow(no-unwrap-in-lib): registering one series
-                // key as two different metric kinds is a documented
-                // fail-loudly API contract (DESIGN.md §2.12), not a
-                // recoverable condition.
                 panic!(
                     "telemetry series {} already registered as a {}, requested as a different kind",
                     key.render(),
@@ -184,8 +189,10 @@ impl Registry {
         let Some(series) = &self.series else {
             return RegistrySnapshot::default();
         };
-        // invariant: see lookup() — only the deliberate kind-collision
-        // panic can poison this lock.
+        #[expect(
+            clippy::expect_used,
+            reason = "only the kind-collision panic can poison this lock"
+        )]
         let map = series.lock().expect("telemetry registry poisoned");
         let series = map
             .iter()

@@ -21,6 +21,7 @@ pub struct Span {
 impl Span {
     /// Starts timing into `hist`.
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "telemetry owns the wall clock")]
     pub fn enter(hist: &Arc<Histogram>) -> Span {
         Span { hist: hist.clone(), start: Instant::now() }
     }
@@ -40,15 +41,16 @@ impl Drop for Span {
 
 /// A started wall-clock measurement that is read, not branched on.
 ///
-/// Telemetry owns the clock in this workspace: `aligraph-lint`'s
-/// `determinism-taint` pass flags raw `Instant::now()` that flows into
-/// seeded paths (this crate is exempt), and every other layer that wants to
-/// *report* how long something took (cluster build phases, run wall time,
-/// per-epoch timings) goes through a `Stopwatch`. Like [`Span`], it
-/// records; unlike [`Span`], the caller chooses where the reading lands
-/// (a report struct, a histogram, a log line). Using a reading to steer
-/// control flow in a seeded path is still a bug — and still caught,
-/// because deadlines need arithmetic on `Instant`s, not elapsed readings.
+/// Telemetry owns the clock in this workspace: `clippy.toml` disallows
+/// `Instant::now()` everywhere, and only this constructor and
+/// [`Span::enter`] carry the reasoned `#[expect]`. Every other layer that
+/// wants to *report* how long something took (cluster build phases, run
+/// wall time, per-epoch timings, a request's latency) goes through a
+/// `Stopwatch`. Like [`Span`], it records; unlike [`Span`], the caller
+/// chooses where the reading lands (a report struct, a histogram, a log
+/// line). Using a reading to steer control flow in a seeded path is still
+/// a bug; a deadline would need an `Instant`, which no `Stopwatch` hands
+/// out.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -57,6 +59,7 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts measuring.
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "telemetry owns the wall clock")]
     pub fn start() -> Stopwatch {
         Stopwatch { start: Instant::now() }
     }

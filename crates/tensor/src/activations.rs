@@ -20,11 +20,6 @@ pub fn relu_backward(grad: &mut Matrix, activated: &Matrix) {
     }
 }
 
-/// Leaky ReLU forward, in place.
-pub fn leaky_relu(m: &mut Matrix, slope: f32) {
-    m.map_inplace(|x| if x > 0.0 { x } else { slope * x });
-}
-
 /// Elementwise sigmoid, in place.
 pub fn sigmoid_inplace(m: &mut Matrix) {
     m.map_inplace(sigmoid);
@@ -96,13 +91,6 @@ mod tests {
         let mut g = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
         relu_backward(&mut g, &m);
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn leaky_relu_keeps_negative_slope() {
-        let mut m = Matrix::from_vec(1, 2, vec![-10.0, 10.0]);
-        leaky_relu(&mut m, 0.1);
-        assert_eq!(m.as_slice(), &[-1.0, 10.0]);
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl EmbeddingTable {
         if self.accum.is_none() {
             self.accum = Some(vec![0.0; self.n * self.dim]);
         }
-        // invariant: accum was initialized to Some two lines above when None
+        #[expect(clippy::expect_used, reason = "accum was set to Some just above when it was None")]
         let accum = self.accum.as_mut().expect("just initialized");
         let base = i * self.dim;
         for (j, &g) in grad.iter().enumerate() {
@@ -124,17 +124,6 @@ impl EmbeddingTable {
             return Err(format!("weight buffer {} != {n} x {dim}", weights.len()));
         }
         Ok(EmbeddingTable { dim, n, weights, accum: None })
-    }
-
-    /// Applies a batch of row-sparse gradient deltas through the per-row
-    /// AdaGrad rule — the sparse push operation of a parameter server.
-    pub fn apply_sparse<'a, I>(&mut self, deltas: I, lr: f32)
-    where
-        I: IntoIterator<Item = (usize, &'a [f32])>,
-    {
-        for (i, grad) in deltas {
-            self.adagrad_update(i, grad, lr);
-        }
     }
 
     /// AdaGrad accumulators, `None` until the first adaptive update.
@@ -212,17 +201,6 @@ mod tests {
         t.adagrad_update(0, &[1.0], 1.0);
         let second = before - t.row(0)[0];
         assert!(second < first, "adagrad steps must shrink: {first} then {second}");
-    }
-
-    #[test]
-    fn apply_sparse_matches_adagrad_updates() {
-        let mut a = EmbeddingTable::new(4, 3, 7);
-        let mut b = a.clone();
-        a.adagrad_update(1, &[0.5, -0.5, 0.1], 0.1);
-        a.adagrad_update(3, &[1.0, 0.0, -1.0], 0.1);
-        b.apply_sparse([(1usize, &[0.5, -0.5, 0.1][..]), (3, &[1.0, 0.0, -1.0][..])], 0.1);
-        assert_eq!(a.as_slice(), b.as_slice());
-        assert_eq!(a.accum_slice(), b.accum_slice());
     }
 
     #[test]

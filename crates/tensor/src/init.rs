@@ -11,12 +11,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::uniform(rows, cols, bound, rng)
 }
 
-/// He-style uniform (`sqrt(6/fan_in)`) for ReLU layers.
-pub fn he_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
-    let bound = (6.0 / rows as f32).sqrt();
-    Matrix::uniform(rows, cols, bound, rng)
-}
-
 /// A seeded RNG for reproducible model initialization.
 pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -43,14 +37,6 @@ mod tests {
         let mut rng2 = seeded_rng(4);
         let m2 = xavier_uniform(10, 20, &mut rng2);
         assert_eq!(m.as_slice(), m2.as_slice());
-    }
-
-    #[test]
-    fn he_bound() {
-        let mut rng = seeded_rng(5);
-        let m = he_uniform(24, 8, &mut rng);
-        let bound = (6.0f32 / 24.0).sqrt();
-        assert!(m.as_slice().iter().all(|&x| x.abs() <= bound + 1e-6));
     }
 
     #[test]

@@ -16,9 +16,6 @@
 //! * [`loss`] — logistic pair losses and negative-sampling skip-gram
 //!   gradients shared by DeepWalk-family trainers.
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub mod activations;
 pub mod embedding;
 mod gemm;

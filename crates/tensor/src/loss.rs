@@ -65,14 +65,6 @@ pub fn sgns_update(
     loss
 }
 
-/// Mean binary cross-entropy over scored pairs `(score, label)`.
-pub fn mean_bce(pairs: &[(f32, bool)]) -> f32 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    pairs.iter().map(|&(s, l)| logistic_loss(s, l)).sum::<f32>() / pairs.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,12 +107,5 @@ mod tests {
             last = sgns_update(&mut input, &mut output, 0, 1, &[2, 3], 0.2);
         }
         assert!(last < first);
-    }
-
-    #[test]
-    fn mean_bce_basics() {
-        assert_eq!(mean_bce(&[]), 0.0);
-        let v = mean_bce(&[(10.0, true), (-10.0, false)]);
-        assert!(v < 0.01);
     }
 }

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example dynamic_fraud`
 
+#![expect(clippy::expect_used, reason = "an example aborts on a setup error")]
+
 use aligraph_suite::core::models::evolving::{train_evolving, EvolvingConfig};
 use aligraph_suite::eval::micro_f1;
 use aligraph_suite::graph::generate::DynamicConfig;

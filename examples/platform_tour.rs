@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example platform_tour`
 
+#![expect(clippy::expect_used, reason = "an example aborts on a setup error")]
+
 use aligraph_suite::graph::generate::TaobaoConfig;
 use aligraph_suite::graph::{DegreeTable, ImportanceTable, VertexId};
 use aligraph_suite::partition::WorkerId;

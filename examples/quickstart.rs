@@ -10,6 +10,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![expect(clippy::expect_used, reason = "an example aborts on a setup error")]
+
 use aligraph_suite::core::models::graphsage::{train_graphsage, GraphSageConfig};
 use aligraph_suite::core::trainer::evaluate_split;
 use aligraph_suite::eval::link_prediction_split;

@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example recommendation`
 
+#![expect(clippy::expect_used, reason = "an example aborts on a setup error")]
+
 use aligraph_suite::core::models::gatne::{train_gatne, GatneConfig};
 use aligraph_suite::core::models::mixture::{train_mixture, MixtureConfig};
 use aligraph_suite::eval::hit_rate_at_k;

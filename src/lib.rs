@@ -4,9 +4,6 @@
 //! The actual implementation lives in the `crates/` members; see `DESIGN.md`
 //! for the full inventory.
 
-#![forbid(unsafe_code)]
-#![warn(missing_debug_implementations)]
-
 pub use aligraph as core;
 pub use aligraph_baselines as baselines;
 pub use aligraph_chaos as chaos;

@@ -2,8 +2,6 @@
 //! (`cargo run --release -- <command> ...`) — a shim over
 //! [`aligraph_cli::run`], identical in behavior to the `aligraph` binary.
 
-#![forbid(unsafe_code)]
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match aligraph_cli::run(&argv) {

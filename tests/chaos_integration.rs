@@ -8,6 +8,12 @@
 //! recovery variants exist to prove these assertions have teeth: switching
 //! retry off must visibly diverge.
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph_suite::chaos::{
     CrashPoint, FaultConfig, FaultPlan, FaultPlane, RecoveryMode, RetryPolicy,
 };

@@ -4,6 +4,11 @@
 //! worker had already pushed — a startup race invisible to single-run
 //! tests.)
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph_suite::graph::{Featurizer, TaobaoConfig};
 use aligraph_suite::partition::EdgeCutHash;
 use aligraph_suite::runtime::{DistTrainer, EncoderSpec, RuntimeConfig};

@@ -2,6 +2,11 @@
 //! family trains on one shared heterogeneous graph and produces usable
 //! embeddings through the common [`EmbeddingModel`] interface.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph_suite::baselines::{
     train_deepwalk, train_line, train_mne, train_mve, train_node2vec, train_pmne, LineOrder,
     PmneVariant, SkipGramParams,

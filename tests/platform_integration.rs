@@ -2,6 +2,11 @@
 //! storage → sampling pipeline → GNN training → evaluation, the whole
 //! Figure 3 stack in one test file.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph_suite::core::models::graphsage::{train_graphsage, GraphSageConfig};
 use aligraph_suite::core::trainer::evaluate_split;
 use aligraph_suite::eval::link_prediction_split;

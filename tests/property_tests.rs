@@ -72,7 +72,7 @@ proptest! {
     #[test]
     fn lru_capacity_and_freshness(ops in prop::collection::vec((0u32..20, 0u32..100), 1..200), cap in 1usize..16) {
         let mut lru = LruCache::new(cap);
-        let mut latest = std::collections::HashMap::new();
+        let mut latest = std::collections::BTreeMap::new();
         for &(k, v) in &ops {
             lru.put(k, v);
             latest.insert(k, v);

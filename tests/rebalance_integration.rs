@@ -9,6 +9,12 @@
 //! recovery variant ([`RecoveryMode::NoRetry`]) exists to prove the
 //! assertion has teeth: losing migrated subgraphs must visibly diverge.
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph_suite::chaos::{FaultConfig, RecoveryMode};
 use aligraph_suite::graph::{FeatureMatrix, Featurizer, TaobaoConfig};
 use aligraph_suite::partition::EdgeCutHash;

@@ -2,6 +2,11 @@
 //! parity, checkpoint round-trips, corruption handling, fault recovery, and
 //! modelled scaling.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph_suite::chaos::{CrashPoint, FaultConfig};
 use aligraph_suite::core::{train_unsupervised, GnnEncoder, TrainConfig};
 use aligraph_suite::graph::{

@@ -2,6 +2,11 @@
 //! updates, bounded-queue backpressure, and batching dedup — the three
 //! behaviours the serving design guarantees.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph_suite::core::GnnEncoder;
 use aligraph_suite::graph::dynamic::{EdgeEvent, EvolutionKind, SnapshotDelta};
 use aligraph_suite::graph::features::Featurizer;
@@ -9,10 +14,11 @@ use aligraph_suite::graph::generate::TaobaoConfig;
 use aligraph_suite::graph::{Neighbor, VertexId};
 use aligraph_suite::sampling::{NeighborhoodSampler, TopKNeighborhood};
 use aligraph_suite::serving::{ServeError, ServingConfig, ServingService};
+use aligraph_telemetry::Stopwatch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn tiny_graph() -> Arc<aligraph_suite::graph::AttributedHeterogeneousGraph> {
     Arc::new(TaobaoConfig::tiny().generate().expect("valid config"))
@@ -125,7 +131,7 @@ fn overflowing_the_queue_rejects_with_retry_hint_without_blocking() {
         std::thread::sleep(Duration::from_millis(40));
 
         // Third request: queue full — must reject immediately.
-        let start = Instant::now();
+        let start = Stopwatch::start();
         let result = service.embedding(VertexId(2));
         let waited = start.elapsed();
         match result {

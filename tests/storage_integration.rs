@@ -9,6 +9,12 @@
 //! deliberately broken eviction mode ([`EvictionMode::DropDirty`]) must
 //! visibly diverge — proof the oracle would catch a real writeback bug.
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph_graph::generate::TaobaoConfig;
 use aligraph_graph::{AttributedHeterogeneousGraph, FeatureMatrix, Featurizer, VertexId};
 use aligraph_partition::{EdgeCutHash, Partitioner, WorkerId};

@@ -16,6 +16,11 @@
 //! * **The rebuild oracle** — after any of the above, every incrementally
 //!   repaired alias table equals a from-scratch rebuild bit-for-bit.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph_suite::chaos::FaultConfig;
 use aligraph_suite::graph::ids::well_known::{CLICK, USER};
 use aligraph_suite::graph::{AttrVector, Featurizer, GraphBuilder, TaobaoConfig, VertexId};
@@ -45,7 +50,7 @@ fn taobao_service(seed: u64, fault: Option<FaultConfig>) -> (StreamingService, u
 /// plus the final gathers of the first vertices — everything that must be
 /// invariant under ingest-channel faults. Update lag is deliberately NOT in
 /// the trace: it is the one thing faults are allowed to cost.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "the trace tuple is spelled out where it is built")]
 fn run_trace(
     svc: &StreamingService,
     seed: u64,

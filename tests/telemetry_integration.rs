@@ -2,6 +2,11 @@
 //! runtime, and the determinism contract — telemetry observes a run, it
 //! never perturbs one.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
+)]
+
 use aligraph_graph::generate::TaobaoConfig;
 use aligraph_graph::{AttributedHeterogeneousGraph, Featurizer};
 use aligraph_partition::EdgeCutHash;
