@@ -294,4 +294,19 @@ mod tests {
         assert_eq!(trained.embeddings.matrix.rows, g.num_vertices());
         assert!(!trained.report.epoch_losses.is_empty());
     }
+
+    /// The weight adaptation walks `feature_grads`, a hash map whose order
+    /// differs between two runs; the walk must not reach the result.
+    #[test]
+    fn asgcn_is_a_function_of_the_seed() {
+        let g = tiny();
+        let bits = |t: &TrainedGcn| {
+            let losses: Vec<u64> = t.report.epoch_losses.iter().map(|l| l.to_bits()).collect();
+            let emb: Vec<u32> =
+                t.embeddings.matrix.as_slice().iter().map(|x| x.to_bits()).collect();
+            (losses, emb)
+        };
+        let first = bits(&train_asgcn(&g, &GcnConfig::quick()));
+        assert_eq!(first, bits(&train_asgcn(&g, &GcnConfig::quick())));
+    }
 }

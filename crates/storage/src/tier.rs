@@ -8,14 +8,19 @@
 //! via [`TieredStore::attach_features`]. A **hot set** of decoded rows is
 //! bounded by a resident-byte budget ([`TierConfig::resident_budget`]).
 //!
-//! **Which adjacency rows it holds** is the paper's importance rule (§3.2,
-//! Algorithm 2), not recency. Imp(v) = in-degree / out-degree (Eq. 1 at hop
-//! one) is reads per resident byte: a row is read once per in-edge and
-//! costs bytes per out-edge. The build ranks the rows by it, seeds the
-//! ranked prefix that fits the budget, and records the threshold `τ` as the
-//! importance of the first ranked row that no longer fits (`plan_hot_set`).
-//! From then on an adjacency row is admitted hot iff `Imp(v) ≥ τ` and it
-//! fits the budget alone; any other row is **pass-through**: decoded into
+//! **Which adjacency rows it holds** is the paper's threshold rule (§3.2,
+//! Algorithm 2), not recency, keyed by what a miss costs here: decoded
+//! bytes. A row is read about once per in-edge, each cold read decodes its
+//! `enc(v)` encoded bytes (its length in the newest segment generation
+//! holding it — what `tier.io.bytes` meters), and it occupies
+//! `adjacency_bytes(D_out)` when hot, so the key is decoded bytes saved
+//! per resident byte: `D_in(v) × enc(v) / adjacency_bytes(D_out(v))`. (The
+//! paper's `Imp = D_in / D_out` counts misses, right when every miss costs
+//! the same.) The build ranks the rows by it, seeds the ranked prefix that
+//! fits the budget, and records the threshold `τ` as the key of the first
+//! ranked row that no longer fits (`plan_hot_set`). From then on an
+//! adjacency row is admitted hot iff `key(v) ≥ τ` and it fits the budget
+//! alone; any other row is **pass-through**: decoded into
 //! one reused row buffer, served, admitted nowhere and demoting nothing.
 //! With no budget `τ` is 0 and every row is admitted. Among the admitted
 //! rows, and for feature rows — always admitted, because dirty-row
@@ -327,15 +332,16 @@ pub struct TieredStore {
     /// Build-time owner of each vertex — the shard whose segments hold its
     /// rows (stable across migrations; adjacency is immutable).
     owner: Vec<u32>,
-    /// Imp(v) = in-degree / out-degree per vertex (paper Eq. 1 at hop 1; 0
-    /// for sinks, matching `ImportanceTable`), computed once per build.
+    /// The admission key per vertex — decoded bytes saved per resident
+    /// byte, `D_in(v) × enc(v) / adjacency_bytes(D_out(v))`, 0 for a row no
+    /// edge points at — computed once per build from the segment bytes.
     importance: Vec<f64>,
-    /// Vertex ids by descending importance, vertex id as the deterministic
+    /// Vertex ids by descending key, vertex id as the deterministic
     /// tie-break.
     ranking: Vec<u32>,
-    /// The admission threshold: the importance of the first ranked row the
-    /// budget could not seed (0 when every row fits or there is no budget)
-    /// — see [`plan_hot_set`].
+    /// The admission threshold: the key of the first ranked row the budget
+    /// could not seed (0 when every row fits or there is no budget) — see
+    /// [`plan_hot_set`].
     tau: f64,
     cfg: TierConfig,
     cost: CostModel,
@@ -351,7 +357,7 @@ impl TieredStore {
     /// Builds the tier: encodes every vertex's adjacency into its owner
     /// shard's generation-0 segment (written to disk under a `Disk`
     /// backing), seeds residency from `owners`, and admits the
-    /// highest-importance rows hot until the budget is reached.
+    /// highest-ranked rows hot until the budget is reached.
     pub fn build(
         graph: Arc<AttributedHeterogeneousGraph>,
         owners: &[u32],
@@ -445,8 +451,9 @@ impl TieredStore {
     }
 
     /// Puts the store together over built or reopened segments: residency
-    /// from `owners`, the importance table and ranking (one pass, one sort
-    /// per build), and the seeded hot set with its threshold `τ`.
+    /// from `owners`, the admission key and ranking (one pass over the
+    /// segments' index, one sort per build), and the seeded hot set with
+    /// its threshold `τ`.
     fn assemble(
         graph: Arc<AttributedHeterogeneousGraph>,
         owners: &[u32],
@@ -477,11 +484,18 @@ impl TieredStore {
         for v in graph.vertices() {
             state.set_resident(owners[v.index()] as usize, v.0, true);
         }
+        // Decoded bytes saved per resident byte: reads × the encoded bytes a
+        // cold read decodes, over the bytes the row occupies hot.
         let importance: Vec<f64> = graph
             .vertices()
-            .map(|v| match graph.out_degree(v) {
-                0 => 0.0,
-                d_out => graph.in_degree(v) as f64 / d_out as f64,
+            .map(|v| {
+                let enc = state.adj_segments[owners[v.index()] as usize]
+                    .iter()
+                    .rev()
+                    .find_map(|seg| seg.lookup(v.0))
+                    .map_or(0, <[u8]>::len);
+                let saved = graph.in_degree(v) as f64 * enc as f64;
+                saved / adjacency_bytes(graph.out_degree(v)) as f64
             })
             .collect();
         let mut ranking: Vec<u32> = graph.vertices().map(|v| v.0).collect();
@@ -522,7 +536,7 @@ impl TieredStore {
     }
 
     /// Encodes every vertex's feature row into its owner shard's feature
-    /// segment and admits high-importance rows hot under the remaining
+    /// segment and admits the highest-ranked rows hot under the remaining
     /// budget.
     pub fn attach_features(&self, features: &FeatureMatrix) -> Result<(), SegmentError> {
         let shards = self.num_shards();
@@ -544,7 +558,7 @@ impl TieredStore {
             state.has_features = true;
             self.metrics.segment_bytes.set(state.segment_bytes() as i64);
         }
-        // Admit hot feature rows for the importance prefix that still fits.
+        // Admit hot feature rows for the ranked prefix that still fits.
         let row_sz = 32 + features.dim as u64 * 4;
         let mut state = self.state.lock();
         let mut chosen = Vec::new();
@@ -688,7 +702,7 @@ impl TieredStore {
         (how, want_row.then_some((nbrs, cdf)))
     }
 
-    /// The admission rule for an adjacency row that is not hot: `Imp(v) ≥ τ`
+    /// The admission rule for an adjacency row that is not hot: `key(v) ≥ τ`
     /// and the row fits the budget alone. Counted where it is decided
     /// (`tier.admit{outcome}`).
     fn admits(&self, v: u32, degree: usize) -> bool {
@@ -702,7 +716,7 @@ impl TieredStore {
         admitted
     }
 
-    /// The importance half of the admission rule: `Imp(v) ≥ τ`.
+    /// The key half of the admission rule: `key(v) ≥ τ`.
     fn is_important(&self, v: u32) -> bool {
         self.importance.get(v as usize).is_some_and(|&imp| imp >= self.tau)
     }
@@ -971,18 +985,17 @@ impl TieredStore {
     }
 }
 
-/// Walks the importance ranking and returns the adjacency rows to seed hot
-/// — the ranked prefix that fits `budget` — with the admission threshold
-/// `τ`: the importance of the first ranked row that did not fit. A row that
-/// alone exceeds the whole budget is skipped (it is never admitted), and
-/// the walk stops at the cut rather than packing smaller rows from further
-/// down into the remainder: one of those would seed a row the threshold
-/// then keeps out, and taking `τ` from it would collapse the threshold to
-/// the tail's importance. `τ` is 0 — every row qualifies, plain LRU — with
-/// no budget, when everything fits, and when every row of positive
-/// importance fits and the cut falls among the `Imp = 0` rows, where
-/// importance no longer ranks anything and recency is the only signal left
-/// for the remainder.
+/// Walks the key ranking and returns the adjacency rows to seed hot — the
+/// ranked prefix that fits `budget` — with the admission threshold `τ`: the
+/// key of the first ranked row that did not fit. A row that alone exceeds
+/// the whole budget is skipped (it is never admitted), and the walk stops
+/// at the cut rather than packing smaller rows from further down into the
+/// remainder: one of those would seed a row the threshold then keeps out,
+/// and taking `τ` from it would collapse the threshold to the tail's key.
+/// `τ` is 0 — every row qualifies, plain LRU — with no budget, when
+/// everything fits, and when every row of positive key fits and the cut
+/// falls among the key-0 rows (no in-edges), where the key no longer ranks
+/// anything and recency is the only signal left for the remainder.
 fn plan_hot_set(
     graph: &AttributedHeterogeneousGraph,
     importance: &[f64],
@@ -1107,10 +1120,57 @@ mod tests {
     #[test]
     fn importance_seeding_puts_hubs_hot() {
         let (g, store) = setup(Some(6_000));
-        // The top-ranked vertex must be served hot right away.
-        let top = VertexId(store.ranking[0]);
-        assert!(matches!(store.read_adjacency(top).2, TierRead::Hot));
-        let _ = g;
+        // The key weighs a row's reads by the bytes each one decodes, so the
+        // hubs — the most in-edges, the largest rows — rank first, and the
+        // seeded prefix serves them hot from the start.
+        let mut hubs: Vec<VertexId> = g.vertices().collect();
+        hubs.sort_by_key(|&v| std::cmp::Reverse(g.in_degree(v)));
+        assert_eq!(store.ranking[0], hubs[0].0);
+        for &hub in &hubs[..8] {
+            assert_eq!(store.read_adjacency(hub).2, TierRead::Hot, "{hub:?}");
+        }
+    }
+
+    #[test]
+    fn equal_in_out_ratio_ranks_the_row_that_decodes_more_bytes_first() {
+        use aligraph_graph::{EdgeType, GraphBuilder, VertexType};
+        // Row 0: 1 out-edge, 3 in-edges. Row 1: 10 out-edges, 30 in-edges.
+        // Both have D_in / D_out = 3, so the paper's key ties them and the
+        // vertex id would put row 0 first; row 1 is read ten times as often
+        // and decodes about nine times the bytes a read.
+        let mut b = GraphBuilder::directed();
+        b.add_vertices(VertexType(0), 42);
+        let mut edge = |s: u32, d: u32| {
+            b.add_edge(VertexId(s), VertexId(d), EdgeType(0), 1.0).unwrap();
+        };
+        edge(0, 2);
+        for d in 2..12 {
+            edge(1, d);
+        }
+        for feeder in 12..42 {
+            edge(feeder, 1);
+            if feeder < 15 {
+                edge(feeder, 0);
+            }
+        }
+        let g = Arc::new(b.build());
+        let (small, large) = (VertexId(0), VertexId(1));
+        assert_eq!(
+            g.in_degree(small) * g.out_degree(large),
+            g.in_degree(large) * g.out_degree(small)
+        );
+        let store = TieredStore::build(
+            Arc::clone(&g),
+            &vec![0; g.num_vertices()],
+            1,
+            TierConfig::with_budget(None),
+            CostModel::default(),
+            &Registry::disabled(),
+        )
+        .unwrap();
+        let enc = |v: VertexId| store.state.lock().adj_segments[0][0].lookup(v.0).unwrap().len();
+        assert!(enc(large) > enc(small));
+        assert_eq!(store.ranking[..2], [large.0, small.0]);
     }
 
     #[test]
@@ -1265,9 +1325,9 @@ mod tests {
         assert_eq!(untiered.prefetch(WorkerId(0), &frontier), 0);
     }
 
-    /// One hub larger than the whole budget, ten mid rows that tie on
-    /// importance and overflow the budget between them, and a tail of
-    /// `Imp = 0` singletons small enough to fit any remainder.
+    /// One hub larger than the whole budget, ten mid rows of equal degrees
+    /// that overflow the budget between them, and a tail of key-0
+    /// singletons (no in-edges) small enough to fit any remainder.
     fn hub_and_singletons() -> Arc<AttributedHeterogeneousGraph> {
         use aligraph_graph::{EdgeType, GraphBuilder, VertexType};
         let mut b = GraphBuilder::directed();
@@ -1277,16 +1337,16 @@ mod tests {
         };
         for item in 1..=10u32 {
             // Hub 0: 40 out-edges (1 152 B decoded), in-edges from every
-            // singleton: Imp = 100 / 40 = 2.5, the top of the ranking.
+            // singleton: the top of the ranking.
             for _ in 0..4 {
                 edge(0, item);
             }
-            // Items 1..=10: 5 out-edges (172 B), 9 in-edges: Imp = 1.8.
+            // Items 1..=10: 5 out-edges (172 B), 9 in-edges.
             for k in 1..=5 {
                 edge(item, (item - 1 + k) % 10 + 1);
             }
         }
-        // Singletons 11..=110: one out-edge (60 B), no in-edge: Imp = 0.
+        // Singletons 11..=110: one out-edge (60 B), no in-edge: key 0.
         for single in 11..=110u32 {
             edge(single, 0);
         }
@@ -1306,14 +1366,26 @@ mod tests {
             &registry,
         )
         .unwrap();
-        let (hub, seeded, at_cut, single) = (VertexId(0), VertexId(5), VertexId(6), VertexId(11));
-        // Five 172 B items fit 1 000 B, the sixth is the cut. The hub ranks
-        // above them all and is skipped, not taken for the threshold; the
-        // 60 B singletons that would fit the remainder are not seeded, and
-        // their importance is not the threshold.
-        assert_eq!(store.tau, 1.8);
+        let (hub, single) = (VertexId(0), VertexId(11));
+        let key = |v: VertexId| store.importance[v.index()];
+        // The hub ranks above every item and alone exceeds the budget: it is
+        // skipped, not taken for the threshold.
+        assert_eq!(store.ranking[0], hub.0);
+        assert!(adjacency_bytes(g.out_degree(hub)) > 1_000 && !store.is_hot(hub));
+        assert_ne!(store.tau, key(hub));
+        // The items rank next. Five 172 B items fit 1 000 B: the seeded rows
+        // are that ranked prefix, and `τ` is the key of the sixth, the first
+        // ranked row that does not fit.
+        let items: Vec<VertexId> = store.ranking[1..11].iter().map(|&v| VertexId(v)).collect();
+        assert!(items.iter().all(|v| (1..=10).contains(&v.0)));
+        assert!(items[..5].iter().all(|&v| store.is_hot(v)));
+        assert!(!items[5..].iter().any(|&v| store.is_hot(v)));
+        let (seeded, at_cut) = (items[4], items[5]);
+        assert_eq!(store.tau, key(at_cut));
         assert_eq!(store.resident_bytes(), 5 * 172);
-        assert!(store.is_hot(seeded) && !store.is_hot(at_cut) && !store.is_hot(hub));
+        // The 60 B singletons that would fit the remainder are not seeded,
+        // and their key is not the threshold.
+        assert!(!store.is_hot(single) && key(single) < store.tau);
         let demotions = || registry.snapshot().counter_total("tier.demotions");
         let admit = |outcome| registry.snapshot().counter("tier.admit", &[("outcome", outcome)]);
         // The hub is important enough but never fits: cold every time,
@@ -1333,12 +1405,12 @@ mod tests {
         assert_eq!(store.read_adjacency(at_cut).2, TierRead::Hot);
         assert_eq!((demotions(), store.resident_bytes()), (1, 5 * 172));
         assert_eq!((admit("admitted"), admit("bypassed")), (1, 4));
-        assert!(!store.is_hot(seeded), "the least important seeded row went first");
+        assert!(!store.is_hot(seeded), "the lowest-ranked seeded row went first");
         assert!(store.peak_resident_bytes() <= 1_000);
 
         // A budget that holds the hub and every item puts the cut inside the
-        // `Imp = 0` tail, where importance ranks nothing: the threshold is 0
-        // and the remainder is plain LRU over the singletons.
+        // key-0 tail, where the key ranks nothing: the threshold is 0 and
+        // the remainder is plain LRU over the singletons.
         let roomy = TieredStore::build(
             Arc::clone(&g),
             &vec![0; g.num_vertices()],
@@ -1396,6 +1468,7 @@ mod tests {
             &registry,
         )
         .unwrap();
+        let built = (store.importance.clone(), store.ranking.clone(), store.tau);
         drop(store);
         // Flip one byte in shard 0's segment file.
         let path = segment_path(&dir, 0, SegmentKind::Adjacency, 0);
@@ -1409,6 +1482,9 @@ mod tests {
                 .unwrap();
         let snap = registry2.snapshot();
         assert_eq!(snap.counter("tier.seal_rejections", &[]), 1);
+        // The key reads segment bytes; the re-materialized shard's are the
+        // built ones, so the keys, the ranking and `τ` are too.
+        assert_eq!((store2.importance.clone(), store2.ranking.clone(), store2.tau), built);
         // Reads are still bit-exact: the shard was re-materialized.
         for v in g.vertices() {
             let (nbrs, _, _) = store2.read_adjacency(v);

@@ -17,7 +17,7 @@ use aligraph_suite::serving::{ServeError, ServingConfig, ServingService};
 use aligraph_telemetry::Stopwatch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 fn tiny_graph() -> Arc<aligraph_suite::graph::AttributedHeterogeneousGraph> {
@@ -84,12 +84,43 @@ fn no_stale_embeddings_after_delta() {
     assert_ne!(served.as_slice(), before.as_slice(), "delta changed v's row");
 }
 
-/// A sampler that sleeps before delegating — pins the worker long enough to
-/// fill its admission queue deterministically.
+/// A sampler whose first call announces that its caller holds the combiner
+/// and then blocks until the gate opens — pins the combiner for exactly as
+/// long as the test needs it, with no sleep to out-wait.
 #[derive(Clone)]
-struct SlowSampler(Duration);
+struct GatedSampler(Arc<Gate>);
 
-impl NeighborhoodSampler for SlowSampler {
+/// `(entered, open)` under one lock, and the condition both wait on. Each
+/// update sets one flag, so a poisoned lock still holds valid state (and
+/// the drop guard below must not panic).
+#[derive(Default)]
+struct Gate(Mutex<(bool, bool)>, Condvar);
+
+impl Gate {
+    fn wait_until(&self, done: impl Fn(&(bool, bool)) -> bool) {
+        let mut state = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        while !done(&state) {
+            state = self.1.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn set(&self, update: impl FnOnce(&mut (bool, bool))) {
+        update(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner));
+        self.1.notify_all();
+    }
+}
+
+/// Opens the gate when dropped, so a failed assertion releases the blocked
+/// combiner instead of hanging the scope that joins it.
+struct OpenOnDrop<'a>(&'a Gate);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.set(|state| state.1 = true);
+    }
+}
+
+impl NeighborhoodSampler for GatedSampler {
     fn sample_one<R: Rng>(
         &self,
         target: VertexId,
@@ -97,7 +128,8 @@ impl NeighborhoodSampler for SlowSampler {
         count: usize,
         rng: &mut R,
     ) -> Vec<VertexId> {
-        std::thread::sleep(self.0);
+        self.0.set(|state| state.0 = true);
+        self.0.wait_until(|state| state.1);
         TopKNeighborhood.sample_one(target, nbrs, count, rng)
     }
 }
@@ -111,24 +143,32 @@ fn overflowing_the_queue_rejects_with_retry_hint_without_blocking() {
         workers: 1,
         queue_capacity: 1,
         max_batch: 1,
-        cache_capacity: 0, // every request must run the (slow) forward
+        cache_capacity: 0, // every request must run the (gated) forward
         ..Default::default()
     };
+    let gate = Arc::new(Gate::default());
     let service =
-        ServingService::start(Arc::clone(&graph), SlowSampler(Duration::from_millis(150)), config);
+        ServingService::start(Arc::clone(&graph), GatedSampler(Arc::clone(&gate)), config);
     let service = &service;
 
     std::thread::scope(|scope| {
-        // First request: picked up by the worker, now stuck in SlowSampler.
+        let _open = OpenOnDrop(&gate);
+        // First request: it takes the combiner, drains its own slot from the
+        // pending list and blocks in the sampler.
         scope.spawn(move || {
             let _ = service.embedding(VertexId(0));
         });
-        std::thread::sleep(Duration::from_millis(40));
-        // Second request: sits in the queue (capacity 1).
+        gate.wait_until(|state| state.0);
+        // Second request: admitted into the empty pending list (capacity 1),
+        // where it stays while the combiner is held. Admission and publish
+        // are one step under the pending lock, so once it is counted it is
+        // pending.
         scope.spawn(move || {
             let _ = service.embedding(VertexId(1));
         });
-        std::thread::sleep(Duration::from_millis(40));
+        while service.report(Duration::ZERO).requests < 2 {
+            std::thread::yield_now();
+        }
 
         // Third request: queue full — must reject immediately.
         let start = Stopwatch::start();
