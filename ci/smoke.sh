@@ -5,9 +5,11 @@
 # prefix at least one series the run actually recorded into — a prefix
 # whose series are all zero fails) and, where the row names a committed
 # baseline, diffs the run against it with ci/compare_bench.py. A baseline
-# row compares values unless it says --presence-only: closed-loop,
-# rebalance-bench and tiered-bench are seeded and lock-stepped (every series
-# that is not a wall clock repeats exactly); serve-under-update's counters
+# row compares values unless it says --presence-only: train-bench,
+# closed-loop, rebalance-bench and tiered-bench are seeded and lock-stepped
+# (every series that is not a wall clock repeats exactly; train-bench's are
+# compared at --tolerance 0, so its metered PS traffic is pinned to the
+# byte); serve-under-update's counters
 # follow its updater thread's timing. A row whose baseline is `clean-run`
 # is compared against its own shape run without the fault flags: an unarmed
 # plane is the fault-free run, so every value the clean run publishes must
@@ -22,7 +24,7 @@ out="${RUNNER_TEMP:-$(mktemp -d)}"
 
 # name | command | args | expected series prefixes | baseline [compare flags]
 table="
-train-bench          | train-bench        | --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --checkpoint-dir $out/train-bench-ckpts | storage. sampling. runtime.ps. |
+train-bench          | train-bench        | --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --checkpoint-dir $out/train-bench-ckpts | storage. sampling. runtime.ps. | BENCH_train.json --tolerance 0
 train-bench-unarmed  | train-bench        | --fault-seed 42 --drop-rate 0 --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 | storage. sampling. runtime.ps. | clean-run --tolerance 0
 train-bench-chaos    | train-bench        | --fault-seed 42 --drop-rate 0.2 --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 | chaos.faults_injected chaos.retries |
 train-bench-kill     | train-bench        | --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --checkpoint-dir $out/train-bench-kill-ckpts --kill-worker 1 --kill-at-step 5 | chaos.faults_injected runtime.ps. |

@@ -27,20 +27,52 @@ use aligraph_partition::Partition;
 use aligraph_storage::{AccessKind, CostModel, TierMeter};
 use aligraph_telemetry::{Counter, Registry};
 use aligraph_tensor::EmbeddingTable;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
+
+/// `PsShard::slot_of` entry of a row the shard does not hold.
+const NOT_HELD: u32 = u32::MAX;
 
 /// One shard: the embedding rows of the vertices one worker owns.
 #[derive(Debug)]
 struct PsShard {
     /// Owned vertex ids in ascending order.
     ids: Vec<u32>,
-    /// Vertex id → row slot in `table`.
-    slot_of: HashMap<u32, u32>,
+    /// Vertex id → row slot in `table`, dense ([`NOT_HELD`] if not here).
+    slot_of: Vec<u32>,
     /// The shard's rows (AdaGrad accumulators live inside).
     table: EmbeddingTable,
+}
+
+impl PsShard {
+    /// A shard holding `ids` (ascending) in `table`, out of `n` vertices.
+    fn new(ids: Vec<u32>, table: EmbeddingTable, n: usize) -> Self {
+        let mut slot_of = vec![NOT_HELD; n];
+        ids.iter().enumerate().for_each(|(s, &v)| slot_of[v as usize] = s as u32);
+        PsShard { ids, slot_of, table }
+    }
+
+    /// Errors on the first of a message's rows the shard does not hold, so
+    /// a message is checked whole before any of its rows is touched.
+    fn check_held(&self, mut rows: impl Iterator<Item = u32>) -> Result<(), RuntimeError> {
+        let missing = rows.find(|&v| self.slot_of.get(v as usize).is_none_or(|&s| s == NOT_HELD));
+        missing.map_or(Ok(()), |v| Err(RuntimeError::Unrecoverable(format!("ps lacks row {v}"))))
+    }
+}
+
+/// Clears a dirty bitmap, returning the rows it marked in ascending order.
+fn take_marks(marks: &mut [u64]) -> Vec<u32> {
+    let mut rows = Vec::new();
+    for (i, word) in marks.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            rows.push(i as u32 * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+    rows
 }
 
 /// Serializable state of one PS shard (checkpoint payload).
@@ -84,8 +116,8 @@ pub struct SparseParamServer {
     /// the struct is shared across worker threads.
     owner: Vec<AtomicU32>,
     shards: Vec<Mutex<PsShard>>,
-    /// Per-worker dirty sets: rows updated since that worker last drained.
-    dirty: Vec<Mutex<HashSet<u32>>>,
+    /// Per-worker dirty bitmaps: rows updated since that worker last drained.
+    dirty: Vec<Mutex<Vec<u64>>>,
     /// `applied_seq[shard][sender]`: next delta sequence number expected on
     /// the `sender → shard` push channel. Retried deltas whose sequence
     /// number is below this were already applied and are discarded — the
@@ -173,11 +205,10 @@ impl SparseParamServer {
                 )]
                 let table = EmbeddingTable::from_flat(ids.len(), dim, weights)
                     .expect("weights sized from ids");
-                let slot_of = ids.iter().enumerate().map(|(s, &v)| (v, s as u32)).collect();
-                Mutex::new(PsShard { ids, slot_of, table })
+                Mutex::new(PsShard::new(ids, table, n))
             })
             .collect();
-        let dirty = (0..workers).map(|_| Mutex::new(HashSet::new())).collect();
+        let dirty = (0..workers).map(|_| Mutex::new(vec![0u64; n.div_ceil(64)])).collect();
         let applied_seq = (0..slots).map(|_| Mutex::new(vec![0u64; workers])).collect();
         let shard_bytes = (0..slots)
             .map(|w| registry.counter("runtime.ps.bytes", &[("shard", &w.to_string())]))
@@ -228,11 +259,6 @@ impl SparseParamServer {
         self.owner[v as usize].load(Ordering::Acquire) as usize
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -266,13 +292,17 @@ impl SparseParamServer {
     ///
     /// Row updates commute (each touches one row under the shard lock), so
     /// the non-deterministic `HashMap` iteration order cannot change the
-    /// resulting parameters.
+    /// resulting parameters. An unknown row, or one of the wrong width, is
+    /// an error before any message leaves.
     pub fn push(&self, from: usize, grads: &HashMap<u32, Vec<f32>>) -> Result<u64, RuntimeError> {
         let row_bytes = self.dim as u64 * 4;
         let mut by_shard: Vec<Vec<(u32, &[f32])>> = vec![Vec::new(); self.shards.len()];
         let mut ordered: Vec<(&u32, &Vec<f32>)> = grads.iter().collect();
         ordered.sort_unstable_by_key(|(v, _)| **v);
         for (&v, g) in ordered {
+            if v as usize >= self.num_vertices || g.len() != self.dim {
+                return Err(RuntimeError::Unrecoverable(format!("ps push: bad row {v}")));
+            }
             by_shard[self.owner_slot(v)].push((v, g.as_slice()));
         }
         let mut seqs = self.seqs[from].lock().map_err(|_| RuntimeError::Poisoned("ps seqs"))?;
@@ -326,15 +356,16 @@ impl SparseParamServer {
             }
             expected[from] = seq.get() + 1;
         }
+        let mut shard = self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
+        shard.check_held(rows.iter().map(|&(v, _)| v))?;
         for &(v, g) in rows {
-            {
-                let mut shard =
-                    self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-                let slot = shard.slot_of[&v] as usize;
-                shard.table.adagrad_update(slot, g, self.lr);
-            }
-            for set in &self.dirty {
-                set.lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?.insert(v);
+            let slot = shard.slot_of[v as usize] as usize;
+            shard.table.adagrad_update(slot, g, self.lr);
+        }
+        for marks in &self.dirty {
+            let mut marks = marks.lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?;
+            for &(v, _) in rows {
+                marks[v as usize / 64] |= 1 << (v % 64);
             }
         }
         Ok(())
@@ -354,12 +385,9 @@ impl SparseParamServer {
     /// nanoseconds.
     pub fn drain_into(&self, who: usize, replica: &mut FeatureMatrix) -> Result<u64, RuntimeError> {
         let mut seqs = self.seqs[who].lock().map_err(|_| RuntimeError::Poisoned("ps seqs"))?;
-        let mut rows: Vec<u32> = {
-            let mut set =
-                self.dirty[who].lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?;
-            set.drain().collect()
-        };
-        rows.sort_unstable();
+        let rows = take_marks(
+            &mut self.dirty[who].lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?,
+        );
         let row_bytes = self.dim as u64 * 4;
         let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
         for v in rows {
@@ -387,10 +415,10 @@ impl SparseParamServer {
             if !sent.delivered {
                 continue; // deliberately broken: rows stay stale
             }
+            let shard = self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
+            shard.check_held(rows.iter().copied())?;
             for &v in rows {
-                let shard =
-                    self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-                let slot = shard.slot_of[&v] as usize;
+                let slot = shard.slot_of[v as usize] as usize;
                 replica.row_mut(VertexId(v)).copy_from_slice(shard.table.row(slot));
             }
             let kind = if w == who { AccessKind::Local } else { AccessKind::Remote };
@@ -467,26 +495,24 @@ impl SparseParamServer {
                     self.dim
                 )));
             }
+            if let Some(v) = state.ids.iter().find(|&&v| v as usize >= self.num_vertices) {
+                return Err(RuntimeError::Checkpoint(format!(
+                    "PS shard {i}: checkpoint id {v} beyond {} vertices",
+                    self.num_vertices
+                )));
+            }
             let mut shard = shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
             if shard.ids != state.ids {
                 let table =
                     EmbeddingTable::from_flat(state.ids.len(), self.dim, state.weights.clone())
                         .map_err(|e| RuntimeError::Checkpoint(format!("PS shard {i}: {e}")))?;
-                shard.ids = state.ids.clone();
-                shard.slot_of = state.ids.iter().enumerate().map(|(s, &v)| (v, s as u32)).collect();
-                shard.table = table;
+                *shard = PsShard::new(state.ids.clone(), table, self.num_vertices);
             }
             shard
                 .table
                 .load_state(&state.weights, state.accum.as_deref())
                 .map_err(|e| RuntimeError::Checkpoint(format!("PS shard {i}: {e}")))?;
             for &v in &state.ids {
-                if v as usize >= self.owner.len() {
-                    return Err(RuntimeError::Checkpoint(format!(
-                        "PS shard {i}: checkpoint id {v} beyond {} vertices",
-                        self.owner.len()
-                    )));
-                }
                 // ordering: Release pairs with owner_slot()'s Acquire; load
                 // runs before any worker thread starts, so this is belt and
                 // braces.
@@ -691,9 +717,7 @@ impl SparseParamServer {
         }
         let table = EmbeddingTable::from_flat(ids.len(), dim, weights.clone())
             .map_err(|e| RuntimeError::Unrecoverable(format!("rehome rebuild: {e}")))?;
-        shard.slot_of = ids.iter().enumerate().map(|(s, &v)| (v, s as u32)).collect();
-        shard.ids = ids;
-        shard.table = table;
+        *shard = PsShard::new(ids, table, shard.slot_of.len());
         if any_accum {
             shard
                 .table
@@ -753,6 +777,93 @@ mod tests {
         let before = ps.stats().snapshot().total_ops();
         ps.drain_into(0, &mut replica).unwrap();
         assert_eq!(ps.stats().snapshot().total_ops(), before);
+    }
+
+    /// Worker `who`'s pending dirty marks, read without clearing them.
+    fn pending(ps: &SparseParamServer, who: usize) -> Vec<u32> {
+        take_marks(&mut ps.dirty[who].lock().unwrap().clone())
+    }
+
+    #[test]
+    fn overlapping_pushes_drain_as_one_ascending_union_per_worker() {
+        let (ps, f, p) = setup(2);
+        let p = &p;
+        let owned_by =
+            |w: usize| (0..f.len() as u32).filter(move |&v| p.owner_of(VertexId(v)).index() == w);
+        let (a, b): (Vec<u32>, Vec<u32>) =
+            (owned_by(0).take(3).collect(), owned_by(1).take(2).collect());
+        let first: HashMap<u32, Vec<f32>> =
+            [a[2], a[0], b[1]].iter().map(|&v| (v, vec![0.5; 8])).collect();
+        let second: HashMap<u32, Vec<f32>> =
+            [a[1], a[0], b[0]].iter().map(|&v| (v, vec![-0.25; 8])).collect();
+        ps.push(0, &first).unwrap();
+        ps.push(1, &second).unwrap();
+        let mut union = vec![a[0], a[1], a[2], b[0], b[1]];
+        union.sort_unstable();
+        assert_eq!((pending(&ps, 0), pending(&ps, 1)), (union.clone(), union.clone()));
+
+        let server = ps.materialize().unwrap();
+        let mut replicas = [f.clone(), f.clone()];
+        for (w, replica) in replicas.iter_mut().enumerate() {
+            let before = ps.stats().snapshot();
+            ps.drain_into(w, replica).unwrap();
+            let after = ps.stats().snapshot();
+            // One metered response from each of the two contributing shards.
+            assert_eq!(after.total_ops() - before.total_ops(), 2);
+            assert_eq!(after.local_ops - before.local_ops, 1);
+            assert_eq!(
+                (after.local_bytes + after.remote_bytes)
+                    - (before.local_bytes + before.remote_bytes),
+                union.len() as u64 * 8 * 4
+            );
+            assert_eq!(replica.as_slice(), server.as_slice());
+            assert!(pending(&ps, w).is_empty());
+            if w == 0 {
+                assert_eq!(pending(&ps, 1), union, "worker 1's marks stay until it drains");
+            }
+            // A second drain moves nothing.
+            ps.drain_into(w, replica).unwrap();
+            assert_eq!(ps.stats().snapshot(), after);
+        }
+    }
+
+    #[test]
+    fn a_row_the_server_does_not_hold_is_an_error() {
+        let (ps, f, p) = setup(2);
+        let n = f.len() as u32;
+        let before = ps.materialize().unwrap();
+        // Vertex `n` is unknown; the valid row beside it must not apply.
+        let bad: HashMap<u32, Vec<f32>> = [(0, vec![1.0; 8]), (n, vec![1.0; 8])].into();
+        assert!(matches!(ps.push(0, &bad), Err(RuntimeError::Unrecoverable(_))));
+        // So is a row of the wrong width.
+        let narrow: HashMap<u32, Vec<f32>> = [(0, vec![1.0; 7])].into();
+        assert!(matches!(ps.push(0, &narrow), Err(RuntimeError::Unrecoverable(_))));
+        assert_eq!(ps.materialize().unwrap().as_slice(), before.as_slice());
+        assert!(pending(&ps, 0).is_empty());
+        // A following valid push still applies.
+        ps.push(0, &[(0, vec![1.0; 8])].into()).unwrap();
+        assert_ne!(ps.materialize().unwrap().as_slice(), before.as_slice());
+        assert_eq!(pending(&ps, 1), vec![0]);
+
+        // A checkpoint that drops a row from every shard leaves the owner
+        // table naming a shard that no longer holds it.
+        let mut state = ps.export().unwrap();
+        let home = p.owner_of(VertexId(0)).index();
+        let slot = state[home].ids.iter().position(|&v| v == 0).unwrap();
+        state[home].ids.remove(slot);
+        state[home].weights.drain(slot * 8..(slot + 1) * 8);
+        state[home].accum.as_mut().unwrap().drain(slot * 8..(slot + 1) * 8);
+        let fresh = SparseParamServer::new(&p, &f, 0.1, CostModel::default());
+        fresh.load(&state).unwrap();
+        let held = fresh.materialize().unwrap();
+        let grads: HashMap<u32, Vec<f32>> = [(0, vec![1.0; 8])].into();
+        assert!(matches!(fresh.push(0, &grads), Err(RuntimeError::Unrecoverable(_))));
+        assert_eq!(fresh.materialize().unwrap().as_slice(), held.as_slice());
+        // A drain owed that row fails the same way, replica untouched.
+        fresh.dirty[0].lock().unwrap()[0] |= 1;
+        let mut replica = f.clone();
+        assert!(matches!(fresh.drain_into(0, &mut replica), Err(RuntimeError::Unrecoverable(_))));
+        assert_eq!(replica.as_slice(), f.as_slice());
     }
 
     #[test]

@@ -634,7 +634,7 @@ impl<'a> DistTrainer<'a> {
             comm_ns = wk.comm_ns;
             hist.copy_from_slice(&wk.hist);
         }
-        let pools = ShardEdgePools::build(graph, self.cluster.partition(), WorkerId(me as u32));
+        let pools = ShardEdgePools::of(self.cluster, WorkerId(me as u32));
         let view = ClusterView { cluster: self.cluster, from: WorkerId(me as u32) };
         let sampler = MeteredNeighborhood::new(UniformNeighborhood, &self.registry, "uniform");
         let staleness_hist = self.registry.histogram("runtime.staleness", &[]);

@@ -5,8 +5,10 @@
 use crate::alias::AliasTable;
 use aligraph_graph::{AttributedHeterogeneousGraph, EdgeId, EdgeType, VertexId, VertexType};
 use aligraph_partition::{Partition, WorkerId};
+use aligraph_storage::Cluster;
 use aligraph_telemetry::Registry;
 use rand::Rng;
+use std::sync::Arc;
 
 /// A pluggable TRAVERSE sampler.
 pub trait TraverseSampler {
@@ -143,15 +145,14 @@ impl TraverseSampler for WeightedEdgeTraverse {
     }
 }
 
-/// Per-shard TRAVERSE rosters: for one worker, the edges of each type whose
-/// source vertex the worker owns — the "local subgraph" a shard-pinned
-/// trainer samples from. Rosters preserve the global `edges_of_type` order,
-/// so with a single worker `sample` is draw-for-draw identical to
+/// Per-shard TRAVERSE rosters: for one worker, the edges of each type the
+/// partition places on it — the "local subgraph" a shard-pinned trainer
+/// samples from. Rosters preserve the global `edges_of_type` order, so with
+/// a single worker `sample` is draw-for-draw identical to
 /// [`UniformTraverse::sample_edges`] on the full graph.
 #[derive(Debug, Clone)]
 pub struct ShardEdgePools {
-    pools: Vec<Vec<EdgeId>>,
-    num_edges: usize,
+    pools: Vec<Arc<[EdgeId]>>,
 }
 
 impl ShardEdgePools {
@@ -161,18 +162,19 @@ impl ShardEdgePools {
         partition: &Partition,
         worker: WorkerId,
     ) -> Self {
-        let pools: Vec<Vec<EdgeId>> = (0..graph.num_edge_types())
+        let pools = (0..graph.num_edge_types())
             .map(|t| {
-                graph
-                    .edges_of_type(EdgeType(t))
-                    .iter()
-                    .copied()
-                    .filter(|&e| partition.owner_of_edge(e) == worker)
-                    .collect()
+                let roster = graph.edges_of_type(EdgeType(t)).iter().copied();
+                roster.filter(|&e| partition.owner_of_edge(e) == worker).collect()
             })
             .collect();
-        let num_edges = pools.iter().map(Vec::len).sum();
-        ShardEdgePools { pools, num_edges }
+        ShardEdgePools { pools }
+    }
+
+    /// [`build`](Self::build) over `cluster`'s graph and partition, from the
+    /// rosters the cluster filtered once ([`Cluster::edge_rosters`]).
+    pub fn of(cluster: &Cluster, worker: WorkerId) -> Self {
+        ShardEdgePools { pools: cluster.edge_rosters(worker).to_vec() }
     }
 
     /// Uniform batch of shard-local edges of one type. An empty pool yields
@@ -185,16 +187,6 @@ impl ShardEdgePools {
         };
         (0..batch).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
     }
-
-    /// Total shard-local edges across all types.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// True when this shard owns no edges at all.
-    pub fn is_empty(&self) -> bool {
-        self.num_edges == 0
-    }
 }
 
 #[cfg(test)]
@@ -203,6 +195,7 @@ mod tests {
     use aligraph_graph::generate::TaobaoConfig;
     use aligraph_graph::ids::well_known::*;
     use aligraph_graph::{AttrVector, GraphBuilder};
+    use aligraph_partition::{EdgeCutHash, Partitioner, VertexCutGreedy};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -267,15 +260,24 @@ mod tests {
         assert_eq!(s.sample_edges(&g, BUY, 32, &mut a), plain.sample_edges(&g, BUY, 32, &mut b));
     }
 
+    fn num_edges(pools: &ShardEdgePools) -> usize {
+        pools.pools.iter().map(|p| p.len()).sum()
+    }
+
+    fn cluster(g: &Arc<AttributedHeterogeneousGraph>, p: &dyn Partitioner, n: usize) -> Cluster {
+        Cluster::builder(Arc::clone(g)).partitioner(p).shards(n).build().0
+    }
+
     #[test]
     fn shard_pools_partition_edges_and_replay_global_order() {
-        use aligraph_partition::{EdgeCutHash, Partitioner};
         let g = TaobaoConfig::tiny().generate().unwrap();
         // One worker: pools must equal the global rosters, and sampling must
         // replay UniformTraverse::sample_edges draw for draw.
         let p1 = EdgeCutHash.partition(&g, 1);
-        let pool = ShardEdgePools::build(&g, &p1, aligraph_partition::WorkerId(0));
-        assert_eq!(pool.num_edges(), g.num_edge_records());
+        let pool = ShardEdgePools::build(&g, &p1, WorkerId(0));
+        for t in 0..g.num_edge_types() {
+            assert_eq!(&pool.pools[usize::from(t)][..], g.edges_of_type(EdgeType(t)));
+        }
         let mut a = StdRng::seed_from_u64(11);
         let mut b = StdRng::seed_from_u64(11);
         assert_eq!(pool.sample(BUY, 64, &mut a), UniformTraverse.sample_edges(&g, BUY, 64, &mut b));
@@ -286,19 +288,54 @@ mod tests {
         // Four workers: pools are disjoint, cover every edge, and each edge
         // sits with its source's owner.
         let p4 = EdgeCutHash.partition(&g, 4);
-        let pools: Vec<ShardEdgePools> = (0..4)
-            .map(|w| ShardEdgePools::build(&g, &p4, aligraph_partition::WorkerId(w)))
-            .collect();
-        assert_eq!(
-            pools.iter().map(ShardEdgePools::num_edges).sum::<usize>(),
-            g.num_edge_records()
-        );
+        let pools: Vec<ShardEdgePools> =
+            (0..4).map(|w| ShardEdgePools::build(&g, &p4, WorkerId(w))).collect();
+        assert_eq!(pools.iter().map(num_edges).sum::<usize>(), g.num_edge_records());
         for (w, pool) in pools.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(w as u64);
             for e in pool.sample(BUY, 32, &mut rng) {
                 assert_eq!(p4.owner_of(g.edge(e).src).index(), w);
             }
         }
+    }
+
+    #[test]
+    fn cluster_rosters_equal_the_filtered_build_for_every_worker() {
+        let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
+        let vertex_cut = VertexCutGreedy::default();
+        for (name, partitioner) in
+            [("edge-cut", &EdgeCutHash as &dyn Partitioner), ("vertex-cut", &vertex_cut)]
+        {
+            let c = cluster(&g, partitioner, 4);
+            let p = c.partition();
+            for w in 0..4 {
+                let shared = ShardEdgePools::of(&c, WorkerId(w));
+                let built = ShardEdgePools::build(&g, p, WorkerId(w));
+                assert_eq!(shared.pools, built.pools, "{name}: worker {w}");
+            }
+            assert!(ShardEdgePools::of(&c, WorkerId(4)).pools.is_empty(), "{name}");
+        }
+        // The vertex cut has teeth here: some edge does not live with its
+        // source's owner, so rosters keyed by source would differ.
+        let p = vertex_cut.partition(&g, 4);
+        let moved = (0..g.num_edge_types())
+            .flat_map(|t| g.edges_of_type(EdgeType(t)).iter().copied())
+            .any(|e| p.owner_of_edge(e) != p.owner_of(g.edge(e).src));
+        assert!(moved, "every vertex-cut edge sits with its source");
+    }
+
+    #[test]
+    fn one_worker_cluster_pools_replay_uniform_traverse() {
+        let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
+        let c = cluster(&g, &EdgeCutHash, 1);
+        let pool = ShardEdgePools::of(&c, WorkerId(0));
+        assert_eq!(num_edges(&pool), g.num_edge_records());
+        let mut a = StdRng::seed_from_u64(12);
+        let mut b = StdRng::seed_from_u64(12);
+        for t in [BUY, CLICK, EdgeType(7), BUY] {
+            assert_eq!(pool.sample(t, 64, &mut a), UniformTraverse.sample_edges(&g, t, 64, &mut b));
+        }
+        assert_eq!(a.gen_range(0..1_000u32), b.gen_range(0..1_000u32));
     }
 
     #[test]

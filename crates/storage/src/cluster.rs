@@ -24,12 +24,13 @@ use crate::server::GraphServer;
 use crate::tier::{TierConfig, TieredStore};
 use crate::topology::{Residency, RouteError, Topology, TopologyView};
 use aligraph_graph::{
-    AttributedHeterogeneousGraph, DegreeTable, ImportanceTable, Neighbor, VertexId,
+    AttributedHeterogeneousGraph, DegreeTable, EdgeId, EdgeType, ImportanceTable, Neighbor,
+    VertexId,
 };
 use aligraph_partition::{EdgeCutHash, Partition, Partitioner, WorkerId};
 use aligraph_telemetry::{Registry, Stopwatch};
 use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Timing breakdown of a cluster build (Figure 7's measurement).
@@ -263,6 +264,7 @@ impl<'a> ClusterBuilder<'a> {
             cost: self.cost,
             migration_meter: TierMeter::registered(registry, "topology.migration"),
             tier,
+            edge_rosters: OnceLock::new(),
         };
         Ok((cluster, report))
     }
@@ -289,6 +291,8 @@ pub struct Cluster {
     pub(crate) migration_meter: TierMeter,
     /// The cold tier shared by every shard, when built tiered.
     pub(crate) tier: Option<Arc<TieredStore>>,
+    /// `[worker][edge type]` rosters, built by the first `edge_rosters` call.
+    edge_rosters: OnceLock<Vec<Vec<Arc<[EdgeId]>>>>,
 }
 
 impl Cluster {
@@ -317,6 +321,23 @@ impl Cluster {
     /// Physical shard slots in the current topology (live + retired).
     pub fn num_shards(&self) -> usize {
         self.servers.read().len()
+    }
+
+    /// Worker `w`'s edges of each type under the logical partition, in
+    /// `edges_of_type` order: every worker's, built in one pass on the first
+    /// call and shared after it (the partition never changes).
+    pub fn edge_rosters(&self, w: WorkerId) -> &[Arc<[EdgeId]>] {
+        let all = self.edge_rosters.get_or_init(|| {
+            let types = self.graph.num_edge_types();
+            let mut rosters = vec![vec![Vec::new(); types.into()]; self.partition.num_workers];
+            for t in 0..types {
+                for &e in self.graph.edges_of_type(EdgeType(t)) {
+                    rosters[self.partition.owner_of_edge(e).index()][usize::from(t)].push(e);
+                }
+            }
+            rosters.into_iter().map(|r| r.into_iter().map(Arc::from).collect()).collect()
+        });
+        all.get(w.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The versioned membership.
