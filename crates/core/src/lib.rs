@@ -27,6 +27,7 @@ pub mod trainer;
 pub use automl::{select_model, Candidate, Leaderboard, SelectionResult};
 pub use framework::{EpisodeTape, FullNeighborhood, GnnEncoder};
 pub use trainer::{
-    contrastive_step, embed_all, evaluate_split, train_unsupervised, BatchOutcome, EmbeddingModel,
-    MatrixEmbeddings, TrainConfig, TrainReport,
+    contrastive_step, embed_all, evaluate_split, finish_contrastive, plan_contrastive,
+    train_unsupervised, BatchOutcome, EmbeddingModel, MatrixEmbeddings, PlannedBatch, TrainConfig,
+    TrainReport,
 };

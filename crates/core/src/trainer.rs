@@ -107,14 +107,24 @@ pub struct BatchOutcome {
     pub feature_grads: HashMap<u32, Vec<f32>>,
 }
 
+/// A contrastive mini-batch whose sampling is done ([`plan_contrastive`]):
+/// the planned tape and each positive edge's root nodes, waiting for
+/// [`finish_contrastive`].
+#[derive(Debug)]
+pub struct PlannedBatch {
+    tape: EpisodeTape,
+    /// Tape nodes of each positive edge: source, destination, negatives.
+    roots: Vec<(usize, usize, Vec<usize>)>,
+    /// Negatives per positive.
+    negatives: usize,
+}
+
 /// One contrastive mini-batch over pre-sampled positive `edges`: forward
 /// (one COMBINE per hop for the whole batch), loss, backward, and
-/// dense-parameter step. Shared verbatim between
-/// [`train_unsupervised`] and the distributed runtime workers, so both
-/// produce bit-identical trajectories from the same RNG stream.
-///
-/// Neighborhoods are read through `access` (the graph itself, or a
-/// shard-local `ClusterView`); edge records and negatives come from `graph`.
+/// dense-parameter step — [`plan_contrastive`] then
+/// [`finish_contrastive`]. Shared verbatim between [`train_unsupervised`]
+/// and the distributed runtime workers, so both produce bit-identical
+/// trajectories from the same RNG stream.
 #[allow(clippy::too_many_arguments, reason = "the training step's inputs, each used once")]
 pub fn contrastive_step<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
     encoder: &mut GnnEncoder,
@@ -126,8 +136,26 @@ pub fn contrastive_step<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
     negatives: usize,
     rng: &mut R,
 ) -> BatchOutcome {
-    // Plan every root of the batch — the sampling draws interleave with the
-    // negative draws exactly as a forward per root would — then one flush.
+    let batch = plan_contrastive(encoder, graph, access, sampler, edges, negatives, rng);
+    finish_contrastive(encoder, features, batch)
+}
+
+/// The sampling half of [`contrastive_step`]: plans every root of the
+/// batch — the neighborhood draws interleave with the negative draws
+/// exactly as a forward per root would. It reads the graph, `access` and
+/// `rng`, never a feature or a parameter.
+///
+/// Neighborhoods are read through `access` (the graph itself, or a
+/// shard-local `ClusterView`); edge records and negatives come from `graph`.
+pub fn plan_contrastive<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
+    encoder: &GnnEncoder,
+    graph: &AttributedHeterogeneousGraph,
+    access: &A,
+    sampler: &S,
+    edges: &[EdgeId],
+    negatives: usize,
+    rng: &mut R,
+) -> PlannedBatch {
     let mut tape = EpisodeTape::new();
     let mut roots = Vec::with_capacity(edges.len());
     for &e in edges {
@@ -142,10 +170,22 @@ pub fn contrastive_step<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
             negs.into_iter().map(|n| encoder.plan(access, sampler, n, &mut tape, rng)).collect();
         roots.push((iu, iv, inegs));
     }
+    PlannedBatch { tape, roots, negatives }
+}
+
+/// The compute half of [`contrastive_step`]: one flush over `features`,
+/// loss, backward and the dense-parameter step.
+pub fn finish_contrastive(
+    encoder: &mut GnnEncoder,
+    features: &FeatureMatrix,
+    batch: PlannedBatch,
+) -> BatchOutcome {
+    let PlannedBatch { mut tape, roots, negatives } = batch;
     encoder.flush(features, &mut tape);
 
     let mut loss_sum = 0.0f64;
     let mut pairs = 0usize;
+    let edges = roots.len();
     for (iu, iv, inegs) in roots {
         // Positive pair.
         let (zu, zv) = (tape.output(iu).to_vec(), tape.output(iv).to_vec());
@@ -167,7 +207,7 @@ pub fn contrastive_step<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
         pairs += 1 + negatives;
     }
     encoder.backward(&mut tape, features);
-    encoder.step(edges.len());
+    encoder.step(edges);
     BatchOutcome { loss_sum, pairs, feature_grads: std::mem::take(&mut tape.feature_grads) }
 }
 

@@ -12,7 +12,8 @@
 //!   by the graph partition; workers push row-sparse AdaGrad deltas and
 //!   pull with bounded staleness, every message metered through the storage
 //!   cost model;
-//! * [`ssp::Coordinator`] — deterministic lockstep scheduling plus the
+//! * [`ssp::Coordinator`] — deterministic scheduling on two token rings
+//!   (sampling, compute), each lockstep, plus the
 //!   epoch-boundary allreduce rendezvous, so every run (including restores
 //!   and fault recoveries) replays bit-for-bit from its seed;
 //! * [`checkpoint::Checkpoint`] — versioned on-disk snapshots (PS shards,

@@ -34,12 +34,13 @@ pub struct DistReport {
     pub staleness_hist: Vec<u64>,
     /// Total positive edges consumed across workers.
     pub edges_total: u64,
-    /// Wall-clock nanoseconds as executed on this machine (workers are
-    /// serialized here, so this is roughly the *sum* of worker times).
+    /// Wall-clock nanoseconds as executed on this machine (at most one
+    /// worker's sampling overlaps another's compute here, so this is
+    /// roughly the *sum* of the workers' compute times).
     pub wall_ns: u64,
     /// Modelled cluster makespan: `max` over workers of busy + comm time —
     /// what `p` real machines would take, given the per-worker costs
-    /// measured exactly by serializing them.
+    /// measured with each half of a step run one worker at a time.
     pub makespan_ns: u64,
     /// Parameter-server traffic by tier.
     pub ps: TierMeterSnapshot,
@@ -73,7 +74,7 @@ impl DistReport {
         self.edges_total as f64 / (self.makespan_ns as f64 / 1e9)
     }
 
-    /// As-executed throughput on this machine (workers serialized).
+    /// As-executed throughput on this machine.
     pub fn wall_edges_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
             return 0.0;

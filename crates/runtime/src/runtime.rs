@@ -5,13 +5,23 @@
 //!
 //! Workers are simulated as threads, one per [`Cluster`] partition. Each
 //! worker samples mini-batches **from its own edge shard**, computes
-//! gradients with the shared tape machinery ([`contrastive_step`]), pushes
-//! row-sparse feature gradients to the PS shard owning each vertex, and
-//! averages dense layer parameters with the other workers at every epoch
-//! boundary. The [`Coordinator`] serializes workers in strict round-robin
-//! order, so every run is a deterministic function of its seed — including
-//! runs resumed from a checkpoint and runs interrupted by the fault
-//! injector.
+//! gradients with the shared tape machinery ([`aligraph::contrastive_step`]
+//! in its two halves), pushes row-sparse feature gradients to the PS shard
+//! owning each vertex, and averages dense layer parameters with the other
+//! workers at every epoch boundary.
+//!
+//! A step is two turns on the [`Coordinator`]'s two token rings. The
+//! *sample* turn ([`plan_contrastive`]) is the only one that reads the
+//! cluster: edge pool, tier, neighbor cache, access meter. The *compute*
+//! turn drains the PS into the worker's replica, runs
+//! [`finish_contrastive`] on it and pushes; it reads the replica, the
+//! encoder and the PS, never the cluster. Each ring runs its workers in
+//! strict round-robin order, so worker `w + 1` samples step `t` while
+//! worker `w` computes it, and both the cluster and the PS see the same
+//! sequence of calls as under one token. Every run is therefore a
+//! deterministic function of its seed — including runs resumed from a
+//! checkpoint and runs interrupted by the fault injector, whose crash waits
+//! for its compute turn before it tears the run down.
 //!
 //! With one worker, staleness 0 and a frozen sparse learning rate, the loop
 //! degenerates to exactly [`aligraph::train_unsupervised`] — the
@@ -21,8 +31,8 @@ use crate::checkpoint::{latest_valid_checkpoint, Checkpoint, WorkerCkpt};
 use crate::error::RuntimeError;
 use crate::ps::SparseParamServer;
 use crate::report::{DistReport, WorkerReport};
-use crate::ssp::{Abort, Coordinator, Deposit, Rendezvous};
-use aligraph::{contrastive_step, GnnEncoder};
+use crate::ssp::{Abort, Coordinator, Deposit, Rendezvous, Ring};
+use aligraph::{finish_contrastive, plan_contrastive, GnnEncoder};
 use aligraph_chaos::{FaultConfig, FaultPlane, RecoveryMode, RetryPolicy};
 use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, FeatureMatrix};
 use aligraph_partition::WorkerId;
@@ -642,12 +652,25 @@ impl<'a> DistTrainer<'a> {
 
         let mut t = t0;
         while t < total_steps {
-            co.acquire(me)?;
+            // Sample turn: every read of the shared cluster this step makes.
+            co.acquire(Ring::Sample, me)?;
             if chaos.plane.crash_fires(me as u32, t) {
-                co.crash(Abort::Fault { worker: me as u32 })?;
+                co.crash_at_cut(me, Abort::Fault { worker: me as u32 })?;
                 return Err(RuntimeError::Fault { worker: me as u32 });
             }
+            let sampling = Stopwatch::start();
+            // Same draw sequence as the sequential trainer: edge type, then
+            // the batch, then the step's internal sampling.
+            let etype = EdgeType(rng.gen_range(0..graph.num_edge_types().max(1)));
+            let batch = pools.sample(etype, cfg.batch_size, &mut rng);
+            let planned = (!batch.is_empty()).then(|| {
+                plan_contrastive(&encoder, graph, &view, &sampler, &batch, cfg.negatives, &mut rng)
+            });
+            busy_ns += sampling.elapsed_ns();
+            co.release(Ring::Sample, me)?;
 
+            // Compute turn: the replica, the encoder and the PS only.
+            co.acquire(Ring::Compute, me)?;
             // Bounded staleness: drain the PS once the replica is more than
             // `s` steps old, then record the age this step computed at.
             let mut age = t - last_drain;
@@ -658,33 +681,17 @@ impl<'a> DistTrainer<'a> {
             }
             hist[age as usize] += 1;
             staleness_hist.record(age);
-
-            let start = Stopwatch::start();
-            // Same draw sequence as the sequential trainer: edge type, then
-            // the batch, then the step's internal sampling.
-            let etype = EdgeType(rng.gen_range(0..graph.num_edge_types().max(1)));
-            let batch = pools.sample(etype, cfg.batch_size, &mut rng);
-            if !batch.is_empty() {
-                let out = contrastive_step(
-                    &mut encoder,
-                    graph,
-                    &view,
-                    &replica,
-                    &sampler,
-                    &batch,
-                    cfg.negatives,
-                    &mut rng,
-                );
-                busy_ns += start.elapsed_ns();
+            if let Some(planned) = planned {
+                let computing = Stopwatch::start();
+                let out = finish_contrastive(&mut encoder, &replica, planned);
+                busy_ns += computing.elapsed_ns();
                 loss_sum += out.loss_sum;
                 pairs += out.pairs as u64;
                 edges += batch.len() as u64;
                 comm_ns += ps.record_reads(me, out.feature_grads.keys());
                 comm_ns += ps.push(me, &out.feature_grads)?;
-            } else {
-                busy_ns += start.elapsed_ns();
             }
-            co.complete(me)?;
+            co.release(Ring::Compute, me)?;
             t += 1;
 
             let deposit = |state: bool| Deposit {

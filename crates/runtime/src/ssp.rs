@@ -1,15 +1,24 @@
-//! Deterministic worker scheduling: a coordinator that serializes simulated
-//! workers in strict `(completed_steps, worker_id)` order and runs the
+//! Deterministic worker scheduling: a coordinator that passes two token
+//! rings around the simulated workers — a [`Ring::Sample`] ring for the
+//! half of a step that reads the shared cluster and a [`Ring::Compute`]
+//! ring for the half that trains and pushes — and runs the
 //! epoch/checkpoint rendezvous.
 //!
 //! Real distributed trainers interleave workers arbitrarily; on this
 //! simulator the coordinator pins the interleaving so every run is
-//! reproducible from its seed. The schedule keeps workers in lockstep
-//! (nobody starts step `t + 1` before everyone finished step `t`), which
-//! has two consequences the rest of the runtime relies on:
+//! reproducible from its seed. Each ring serializes its half of every step
+//! in strict `(count, worker_id)` order, and a worker takes its sample turn
+//! for step `t` before its compute turn for `t`. So worker `w + 1` samples
+//! step `t` while worker `w` computes it, yet every cluster read happens in
+//! the same global order as a one-token schedule would give, and every
+//! parameter-server push too. Each ring keeps its workers in lockstep
+//! (nobody samples, or completes, step `t + 1` before everyone has sampled,
+//! or completed, step `t`), which has two consequences the rest of the
+//! runtime relies on:
 //!
-//! * every step boundary where all workers have completed `t` steps is a
-//!   **consistent cut** — the mid-epoch checkpoint points;
+//! * every step boundary where all workers have completed `t` steps and
+//!   none has sampled further is a **consistent cut** — the rendezvous
+//!   points, which a worker reaches before it samples again;
 //! * bounded staleness `s` governs *data visibility* (how long a worker may
 //!   train on an un-drained replica), not run-ahead, so staleness effects
 //!   are isolated from scheduling noise.
@@ -82,8 +91,21 @@ pub struct Rendezvous {
     pub stop: bool,
 }
 
+/// The two token rings every training step passes through, in order. A
+/// ring's token goes to the strict `(count, worker id)` minimum of its
+/// counts, so each ring alone runs its workers in round-robin order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ring {
+    /// The sampling half of a step: every read of the shared cluster.
+    Sample,
+    /// The compute half: replica drain, flush, backward, PS push.
+    Compute,
+}
+
 struct CoState {
-    /// Completed steps per worker.
+    /// Steps each worker has sampled (the sample ring's counts).
+    sampled: Vec<u64>,
+    /// Completed steps per worker (the compute ring's counts).
     steps: Vec<u64>,
     /// Torn down?
     crashed: Option<Abort>,
@@ -92,6 +114,15 @@ struct CoState {
     deposits: Vec<Option<Deposit>>,
     generation: u64,
     outcome: Option<std::sync::Arc<Rendezvous>>,
+}
+
+impl CoState {
+    fn counts(&mut self, ring: Ring) -> &mut Vec<u64> {
+        match ring {
+            Ring::Sample => &mut self.sampled,
+            Ring::Compute => &mut self.steps,
+        }
+    }
 }
 
 /// The scheduler + rendezvous shared by one attempt's workers.
@@ -107,12 +138,13 @@ impl std::fmt::Debug for Coordinator {
 }
 
 impl Coordinator {
-    /// A coordinator for `workers` workers that have each already completed
-    /// `start_step` steps (0 for a fresh run, the checkpoint step after a
-    /// restore).
+    /// A coordinator for `workers` workers that have each already sampled
+    /// and completed `start_step` steps (0 for a fresh run, the checkpoint
+    /// step after a restore).
     pub fn new(workers: usize, start_step: u64) -> Self {
         Coordinator {
             state: Mutex::new(CoState {
+                sampled: vec![start_step; workers],
                 steps: vec![start_step; workers],
                 crashed: None,
                 arrived: 0,
@@ -128,31 +160,28 @@ impl Coordinator {
         self.state.lock().map_err(|_| RuntimeError::Poisoned("coordinator"))
     }
 
-    /// Blocks until worker `me` is the strict `(steps, id)` minimum — its
-    /// turn to run one step. Errors out if the run was torn down.
-    pub fn acquire(&self, me: usize) -> Result<(), RuntimeError> {
+    /// Blocks until worker `me` holds `ring`'s token: it is the strict
+    /// `(count, id)` minimum of the ring's counts. Errors out if the run was
+    /// torn down.
+    pub fn acquire(&self, ring: Ring, me: usize) -> Result<(), RuntimeError> {
         let mut st = self.lock()?;
         loop {
             if let Some(a) = &st.crashed {
                 return Err(a.to_error());
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "SspCoordinator::new requires at least one worker"
-            )]
-            let min =
-                (0..st.steps.len()).min_by_key(|&w| (st.steps[w], w)).expect("at least one worker");
-            if min == me {
+            let counts = st.counts(ring);
+            let mine = (counts[me], me);
+            if counts.iter().enumerate().all(|(w, &c)| w == me || mine < (c, w)) {
                 return Ok(());
             }
             st = self.cv.wait(st).map_err(|_| RuntimeError::Poisoned("coordinator"))?;
         }
     }
 
-    /// Marks worker `me`'s current step complete and wakes the next worker.
-    pub fn complete(&self, me: usize) -> Result<(), RuntimeError> {
+    /// Counts worker `me`'s turn on `ring` done and passes the token on.
+    pub fn release(&self, ring: Ring, me: usize) -> Result<(), RuntimeError> {
         let mut st = self.lock()?;
-        st.steps[me] += 1;
+        st.counts(ring)[me] += 1;
         self.cv.notify_all();
         Ok(())
     }
@@ -222,35 +251,118 @@ impl Coordinator {
         self.cv.notify_all();
         Ok(())
     }
+
+    /// Tears the run down from worker `me`'s sample turn at the cut a
+    /// one-token schedule would crash at. `me` keeps the sample token, so no
+    /// later step is sampled, and waits for its compute turn, so every
+    /// earlier step's compute has completed.
+    pub fn crash_at_cut(&self, me: usize, abort: Abort) -> Result<(), RuntimeError> {
+        self.acquire(Ring::Compute, me)?;
+        self.crash(abort)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    /// One worker's pass through both rings for step `t`, logged.
+    fn step(co: &Coordinator, log: &Mutex<Vec<(Ring, usize, u64)>>, me: usize, t: u64) {
+        for ring in [Ring::Sample, Ring::Compute] {
+            co.acquire(ring, me).unwrap();
+            log.lock().unwrap().push((ring, me, t));
+            co.release(ring, me).unwrap();
+        }
+    }
 
     #[test]
     fn schedule_is_strict_round_robin() {
-        // 3 workers, 4 steps each: the acquire order must be
+        // 3 workers, 4 steps each: each ring's turn order must be
         // 0,1,2,0,1,2,... regardless of thread scheduling.
-        let co = Arc::new(Coordinator::new(3, 0));
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let co = Coordinator::new(3, 0);
+        let log = Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for me in 0..3usize {
-                let co = co.clone();
-                let order = order.clone();
-                s.spawn(move || {
-                    for _ in 0..4 {
-                        co.acquire(me).unwrap();
-                        order.lock().unwrap().push(me);
-                        co.complete(me).unwrap();
-                    }
-                });
+                let (co, log) = (&co, &log);
+                s.spawn(move || (0..4).for_each(|t| step(co, log, me, t)));
             }
         });
-        let order = order.lock().unwrap();
-        assert_eq!(*order, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        let log = log.into_inner().unwrap();
+        for ring in [Ring::Sample, Ring::Compute] {
+            let order: Vec<usize> =
+                log.iter().filter(|e| e.0 == ring).map(|&(_, me, _)| me).collect();
+            assert_eq!(order, [0, 1, 2].repeat(4), "{ring:?} ring");
+        }
+    }
+
+    #[test]
+    fn a_sample_turn_overlaps_a_compute_turn() {
+        // Worker 0 holds its compute turn for step 0 until worker 1 has
+        // sampled step 0. With one token for the whole step worker 1 could
+        // not start before worker 0 completes: the handshake would deadlock.
+        let co = Coordinator::new(2, 0);
+        let (sampled, wait_sampled) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                co.acquire(Ring::Sample, 1).unwrap();
+                co.release(Ring::Sample, 1).unwrap();
+                sampled.send(()).unwrap();
+            });
+            co.acquire(Ring::Sample, 0).unwrap();
+            co.release(Ring::Sample, 0).unwrap();
+            co.acquire(Ring::Compute, 0).unwrap();
+            let overlap = wait_sampled.recv_timeout(Duration::from_secs(30));
+            co.release(Ring::Compute, 0).unwrap();
+            assert!(overlap.is_ok(), "worker 1 never sampled while worker 0 computed");
+        });
+    }
+
+    #[test]
+    fn a_crash_at_a_sample_turn_keeps_the_lock_step_cut() {
+        // Worker 1's crash fires at its sample turn for step 2, just after
+        // worker 0 sampled step 2 and before worker 0 computes it. The
+        // one-token schedule crashed with worker 0's step 2 complete and its
+        // step 3 not started; the two rings must crash at the same cut.
+        let (co, log) = (&Coordinator::new(2, 0), &Mutex::new(Vec::new()));
+        let (crashing, wait_crashing) = mpsc::channel();
+        let worker0 = std::thread::scope(|s| {
+            let worker1 = s.spawn(move || {
+                (0..2).for_each(|t| step(co, log, 1, t));
+                co.acquire(Ring::Sample, 1).unwrap();
+                crashing.send(()).unwrap();
+                co.crash_at_cut(1, Abort::Fault { worker: 1 }).unwrap();
+            });
+            (|| -> Result<(), RuntimeError> {
+                for t in 0..4 {
+                    co.acquire(Ring::Sample, 0)?;
+                    log.lock().unwrap().push((Ring::Sample, 0, t));
+                    co.release(Ring::Sample, 0)?;
+                    if t == 2 {
+                        // A crash that did not wait for worker 1's compute
+                        // turn would land now; give it the time to.
+                        wait_crashing.recv().unwrap();
+                        for _ in 0..1_000 {
+                            if worker1.is_finished() {
+                                break;
+                            }
+                            std::thread::yield_now();
+                        }
+                    }
+                    co.acquire(Ring::Compute, 0)?;
+                    log.lock().unwrap().push((Ring::Compute, 0, t));
+                    co.release(Ring::Compute, 0)?;
+                }
+                Ok(())
+            })()
+        });
+        assert!(matches!(worker0, Err(RuntimeError::Fault { worker: 1 })));
+        let log = log.lock().unwrap();
+        assert!(log.contains(&(Ring::Compute, 0, 2)), "worker 0's step 2 completes: {log:?}");
+        assert!(!log.contains(&(Ring::Sample, 0, 3)), "step 3 is never sampled: {log:?}");
+        assert_eq!(log.len(), 2 * 2 * 2 + 2, "both rings: steps 0-1 of both, step 2 of worker 0");
     }
 
     #[test]
@@ -285,21 +397,22 @@ mod tests {
         std::thread::scope(|s| {
             let co0 = co.clone();
             let h = s.spawn(move || {
-                // Worker 1 never runs step 0, so worker 0 finishes its step
-                // and then blocks at the rendezvous until the crash.
-                co0.acquire(0).unwrap();
-                co0.complete(0).unwrap();
+                // Worker 1 never computes step 0, so worker 0 finishes its
+                // step and then blocks at the rendezvous until the crash.
+                co0.acquire(Ring::Compute, 0).unwrap();
+                co0.release(Ring::Compute, 0).unwrap();
                 co0.rendezvous(0, Deposit::default(), |_| Ok(Rendezvous::default()))
             });
             let co1 = co.clone();
             s.spawn(move || {
-                co1.acquire(1).unwrap();
+                co1.acquire(Ring::Compute, 1).unwrap();
                 co1.crash(Abort::Fault { worker: 1 }).unwrap();
             });
             assert!(matches!(h.join().unwrap(), Err(RuntimeError::Fault { worker: 1 })));
         });
         // Post-crash waits fail immediately instead of hanging.
-        assert!(co.acquire(0).is_err());
+        assert!(co.acquire(Ring::Sample, 0).is_err());
+        assert!(co.acquire(Ring::Compute, 0).is_err());
     }
 
     #[test]

@@ -18,7 +18,8 @@ use aligraph_suite::runtime::{
     RuntimeError,
 };
 use aligraph_suite::sampling::UniformNeighborhood;
-use aligraph_suite::storage::{CacheStrategy, Cluster, CostModel};
+use aligraph_suite::storage::{AccessStatsSnapshot, CacheStrategy, Cluster, CostModel, TierConfig};
+use aligraph_telemetry::Registry;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -326,6 +327,94 @@ fn warm_start_is_bit_exact_across_staleness_bounds() {
                 "features diverged at staleness {staleness} resuming from {resume_step}",
             );
             std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+/// What a 4-worker run over a tiered cluster must repeat exactly: the
+/// trained model, the cluster's access meter, and the tier's read and
+/// demotion totals.
+#[derive(Debug, PartialEq, Eq)]
+struct TieredRun {
+    fingerprint: u64,
+    adjacency: AccessStatsSnapshot,
+    tier_reads: u64,
+    tier_demotions: u64,
+}
+
+fn tiered_run(staleness: u64) -> TieredRun {
+    let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+    let features = Featurizer::new(DIM).matrix(&graph);
+    let registry = Arc::new(Registry::new());
+    let (cluster, _) = Cluster::builder(graph)
+        .partitioner(&EdgeCutHash)
+        .shards(4)
+        .cache(CacheStrategy::Lru { fraction: 0.05 })
+        .max_hop(2)
+        .cost_model(CostModel::default())
+        .registry(&registry)
+        .tier_config(TierConfig::with_budget(Some(20_000)))
+        .build();
+    let cfg = RuntimeConfig { staleness, epochs: 2, ..base_cfg(4) };
+    let out = DistTrainer::new(&cluster, &features, spec(), cfg)
+        .expect("valid config")
+        .with_registry(Arc::clone(&registry))
+        .train()
+        .expect("fault-free run");
+    let snap = registry.snapshot();
+    TieredRun {
+        fingerprint: out.fingerprint(),
+        adjacency: out.report.adjacency,
+        tier_reads: snap.counter_total("tier.reads"),
+        tier_demotions: snap.counter_total("tier.demotions"),
+    }
+}
+
+/// The worker loop's schedule may overlap one worker's sampling with
+/// another's compute, but every read of the shared cluster — tier LRU,
+/// decode, neighbor cache, access meter — must still happen in the
+/// lock-step order. These constants were captured from the lock-step
+/// schedule; each run of the pipelined one must reproduce them.
+#[test]
+fn tiered_four_worker_runs_repeat_the_lock_step_counters() {
+    let expected = [
+        (
+            0u64,
+            TieredRun {
+                fingerprint: 0x35d8_f485_402e_30e0,
+                adjacency: AccessStatsSnapshot {
+                    local: 1809,
+                    cached_remote: 951,
+                    remote: 2457,
+                    cold: 582,
+                    replacements: 2018,
+                    virtual_ns: 83_900_750,
+                },
+                tier_reads: 2391,
+                tier_demotions: 566,
+            },
+        ),
+        (
+            2,
+            TieredRun {
+                fingerprint: 0xffad_015a_15d4_b1de,
+                adjacency: AccessStatsSnapshot {
+                    local: 1809,
+                    cached_remote: 951,
+                    remote: 2457,
+                    cold: 582,
+                    replacements: 2018,
+                    virtual_ns: 83_900_750,
+                },
+                tier_reads: 2391,
+                tier_demotions: 566,
+            },
+        ),
+    ];
+    for (staleness, want) in expected {
+        assert!(want.tier_reads > 0 && want.tier_demotions > 0, "the budget must bind");
+        for run in 0..10 {
+            assert_eq!(tiered_run(staleness), want, "staleness {staleness}, run {run}");
         }
     }
 }
