@@ -1,10 +1,10 @@
-//! Ablation: lock-free request-flow buckets (Figure 6) vs a global mutex,
-//! under concurrent sampler weight updates.
+//! Ablation: request-flow buckets (Figure 6, one lock per bucket) vs a
+//! global mutex, under concurrent sampler weight updates.
 
 #![expect(clippy::expect_used, reason = "a benchmark aborts on a broken setup")]
 
 use aligraph_graph::VertexId;
-use aligraph_storage::{LockFreeWeightService, MutexWeightService, WeightService};
+use aligraph_storage::{BucketWeightService, MutexWeightService, WeightService};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,16 +27,15 @@ fn hammer(service: Arc<dyn WeightService>) {
     for t in threads {
         t.join().expect("worker");
     }
-    service.flush().expect("service running");
 }
 
 fn bench_buckets(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_bucket");
     group.sample_size(10).measurement_time(Duration::from_secs(5));
 
-    group.bench_function("lock_free_buckets", |b| {
+    group.bench_function("buckets", |b| {
         b.iter(|| {
-            let svc: Arc<dyn WeightService> = Arc::new(LockFreeWeightService::new(N, 4, 0.0));
+            let svc: Arc<dyn WeightService> = Arc::new(BucketWeightService::new(N, 4, 0.0));
             hammer(Arc::clone(&svc));
         })
     });

@@ -2,8 +2,8 @@
 //!
 //! Every inter-shard channel in the simulated cluster — parameter-server
 //! pushes and pulls in the training runtime, shard fetches in the serving
-//! layer, bucket submissions in the storage executor, update-ingest batches
-//! in the streaming service, and live-migration transfers — can be wrapped
+//! layer, update-ingest batches in the streaming service, and
+//! live-migration transfers — can be wrapped
 //! by a [`FaultPlane`]; each family has its own channel tag (the
 //! [`PS_PUSH_TAG`] table lists all six).
 //! Driven by a [`FaultPlan`] and a SplitMix64 hash of

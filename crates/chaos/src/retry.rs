@@ -124,8 +124,8 @@ pub enum HopKind {
     /// An idempotent read whose reply *is* the payload (PS pull): a lost
     /// ack is a lost reply — retry, nothing lands, nothing replays.
     Reply,
-    /// Nobody waits for an acknowledgement (bucket submission, serving
-    /// k-hop gather): a lost ack is a delivery, and nothing replays.
+    /// Nobody waits for an acknowledgement (serving k-hop gather): a lost
+    /// ack is a delivery, and nothing replays.
     Unacked,
 }
 

@@ -2,12 +2,12 @@
 //!
 //! The mini-loom concurrency checker for the AliGraph reproduction
 //! (DESIGN.md §2.18). [`loom`] is a seeded virtual-thread scheduler that
-//! drives seven targets — the storage bucket executor, serving's flat
-//! combiner, the telemetry striped counter, the epoch overlay, the sparse
-//! parameter server, the model hot swap and the topology publish — through
-//! thousands of interleavings per seed, checking every history against a
-//! sequential shadow model (linearizability of totals, no lost updates,
-//! snapshot monotonicity, bit-exact replica freshness).
+//! drives six targets — serving's flat combiner, the telemetry striped
+//! counter, the epoch overlay, the sparse parameter server, the model hot
+//! swap and the topology publish — through thousands of interleavings per
+//! seed, checking every history against a sequential shadow model (no lost
+//! updates, snapshot monotonicity, bit-exact replica freshness, no torn
+//! publish).
 //!
 //! The static rules — no unsafe, no unwrap in library code, no wall clock
 //! or entropy in seeded code — are not here: they are the root

@@ -5,7 +5,7 @@
 //! Unlike real loom, which reorders at the individual-atomic-access level,
 //! this checker interleaves at *operation* granularity: each virtual thread
 //! is a deterministic state machine whose `step` performs one linearizable
-//! unit of work (one queue push, one stripe read, one PS push). The
+//! unit of work (one stripe write, one PS push, one cache probe). The
 //! scheduler — seeded xorshift or strict round-robin — picks which thread
 //! steps next, so the explored space is every interleaving of those units.
 //! Structures whose reads are *not* one unit (the striped counter's
@@ -19,7 +19,6 @@
 //! interleaving index, and the exact schedule so it replays bit-identically
 //! (see [`Explorer::replay`]).
 
-pub mod bucket;
 pub mod combiner;
 pub mod counter;
 pub mod overlay;
@@ -56,8 +55,7 @@ impl SplitMix {
 
 /// One virtual thread: a deterministic state machine over the shared state
 /// `S`. `step` runs one linearizable unit; `done` reports completion (it
-/// may depend on shared state, e.g. a consumer that exits once the stop
-/// flag is visible and its queue is dry).
+/// may depend on shared state).
 pub trait VThread<S> {
     /// True when the thread has nothing left to run.
     fn done(&self, state: &S) -> bool;
@@ -113,7 +111,7 @@ pub trait Workload {
     /// The shared state the virtual threads operate on.
     type State;
 
-    /// Short name for reports (`"bucket-executor"`, …).
+    /// Short name for reports (`"striped-counter"`, …).
     fn name(&self) -> &'static str;
 
     /// Builds a fresh state and thread set for one interleaving.

@@ -1,6 +1,5 @@
 //! The `aligraph-lint` binary: the mini-loom runner.
 
-use aligraph_lint::loom::bucket::BucketWorkload;
 use aligraph_lint::loom::combiner::CombinerWorkload;
 use aligraph_lint::loom::counter::CounterWorkload;
 use aligraph_lint::loom::overlay::OverlayWorkload;
@@ -21,7 +20,7 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: aligraph-lint concurrency [--seed N] [--interleavings N] \
-         [--target bucket|combiner|counter|ps|overlay|swap|topology|all]"
+         [--target combiner|counter|ps|overlay|swap|topology|all]"
     );
     ExitCode::from(2)
 }
@@ -63,10 +62,6 @@ fn run_concurrency(args: &[String]) -> ExitCode {
         }
     };
 
-    if target == "all" || target == "bucket" {
-        let w = BucketWorkload::default();
-        run(w.name(), explorer.explore(&w, interleavings));
-    }
     if target == "all" || target == "combiner" {
         let w = CombinerWorkload::default();
         run(w.name(), explorer.explore(&w, interleavings));
@@ -98,7 +93,7 @@ fn run_concurrency(args: &[String]) -> ExitCode {
             }
         }
     }
-    let targets = ["all", "bucket", "combiner", "counter", "ps", "overlay", "swap", "topology"];
+    let targets = ["all", "combiner", "counter", "ps", "overlay", "swap", "topology"];
     if !targets.contains(&target.as_str()) {
         return usage();
     }

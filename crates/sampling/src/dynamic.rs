@@ -7,14 +7,14 @@
 //! training algorithm."
 //!
 //! [`DynamicWeights`] holds one weight per vertex plus a registered gradient
-//! function. In **synchronous** mode updates are applied inline under a
-//! read-write lock; in **asynchronous** mode they are pushed through the
-//! lock-free request-flow buckets of the storage layer (Figure 6) and take
-//! effect when the owning bucket thread drains them.
+//! function. In **synchronous** mode updates are applied inline to the
+//! sampler's own table under a read-write lock; in **asynchronous** mode
+//! they go to a shared [`WeightService`] — the request-flow buckets of the
+//! storage layer (Figure 6) — under the owning bucket's lock.
 
 use crate::neighborhood::NeighborhoodSampler;
 use aligraph_graph::{Neighbor, VertexId};
-use aligraph_storage::{ExecutorStopped, WeightService};
+use aligraph_storage::WeightService;
 use parking_lot::RwLock;
 use rand::Rng;
 use std::sync::Arc;
@@ -22,29 +22,32 @@ use std::sync::Arc;
 /// How backward updates are applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightUpdateMode {
-    /// Applied inline before `backward` returns.
+    /// Applied inline to the sampler's own table before `backward` returns.
     Synchronous,
-    /// Enqueued to the owning request-flow bucket; visible after the bucket
-    /// drains (or after [`DynamicWeights::flush`]).
+    /// Applied under the owning bucket's lock of a shared
+    /// [`WeightService`]; visible before `backward` returns.
     Asynchronous,
 }
 
 type GradientFn = dyn Fn(f32) -> f32 + Send + Sync;
 
+/// Where the weights live.
+enum Backend {
+    /// The sampler's own table ([`WeightUpdateMode::Synchronous`]).
+    Local(RwLock<Vec<f32>>),
+    /// A shared service ([`WeightUpdateMode::Asynchronous`]).
+    Shared(Arc<dyn WeightService>),
+}
+
 /// A per-vertex dynamic weight table with a registered gradient function.
 pub struct DynamicWeights {
-    local: Option<RwLock<Vec<f32>>>,
-    service: Option<Arc<dyn WeightService>>,
+    backend: Backend,
     gradient: Box<GradientFn>,
-    mode: WeightUpdateMode,
 }
 
 impl std::fmt::Debug for DynamicWeights {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DynamicWeights")
-            .field("mode", &self.mode)
-            .field("backend", if self.local.is_some() { &"local" } else { &"service" })
-            .finish()
+        f.debug_struct("DynamicWeights").field("mode", &self.mode()).finish()
     }
 }
 
@@ -52,21 +55,14 @@ impl DynamicWeights {
     /// Synchronous table over `n` vertices initialized to `initial`.
     pub fn synchronous(n: usize, initial: f32) -> Self {
         DynamicWeights {
-            local: Some(RwLock::new(vec![initial; n])),
-            service: None,
+            backend: Backend::Local(RwLock::new(vec![initial; n])),
             gradient: Box::new(|g| -g), // default: descend the gradient
-            mode: WeightUpdateMode::Synchronous,
         }
     }
 
-    /// Asynchronous table backed by a (lock-free bucket) weight service.
+    /// Asynchronous table backed by a shared (bucketed) weight service.
     pub fn asynchronous(service: Arc<dyn WeightService>) -> Self {
-        DynamicWeights {
-            local: None,
-            service: Some(service),
-            gradient: Box::new(|g| -g),
-            mode: WeightUpdateMode::Asynchronous,
-        }
+        DynamicWeights { backend: Backend::Shared(service), gradient: Box::new(|g| -g) }
     }
 
     /// Registers the sampler's gradient function: the delta applied to a
@@ -78,42 +74,27 @@ impl DynamicWeights {
 
     /// The update mode in effect.
     pub fn mode(&self) -> WeightUpdateMode {
-        self.mode
+        match self.backend {
+            Backend::Local(_) => WeightUpdateMode::Synchronous,
+            Backend::Shared(_) => WeightUpdateMode::Asynchronous,
+        }
     }
 
-    /// Current weight of `v`. In asynchronous mode this can fail with
-    /// [`ExecutorStopped`] if the backing service has shut down.
-    #[expect(
-        clippy::expect_used,
-        reason = "the constructor sets exactly one of local and service; local returned above"
-    )]
-    pub fn get(&self, v: VertexId) -> Result<f32, ExecutorStopped> {
-        if let Some(local) = &self.local {
-            return Ok(local.read()[v.index()]);
+    /// Current weight of `v`.
+    pub fn get(&self, v: VertexId) -> f32 {
+        match &self.backend {
+            Backend::Local(local) => local.read()[v.index()],
+            Backend::Shared(service) => service.get(v),
         }
-        self.service.as_ref().expect("one backend is set").get(v)
     }
 
     /// Backward pass: applies `gradient(raw_grad)` to the weight of `v`.
     pub fn backward(&self, v: VertexId, raw_grad: f32) {
         let delta = (self.gradient)(raw_grad);
-        if let Some(local) = &self.local {
-            local.write()[v.index()] += delta;
-            return;
+        match &self.backend {
+            Backend::Local(local) => local.write()[v.index()] += delta,
+            Backend::Shared(service) => service.update(v, delta),
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "the constructor sets exactly one of local and service; local returned above"
-        )]
-        self.service.as_ref().expect("one backend is set").update(v, delta);
-    }
-
-    /// Blocks until asynchronous updates are visible (no-op in sync mode).
-    pub fn flush(&self) -> Result<(), ExecutorStopped> {
-        if let Some(service) = &self.service {
-            service.flush()?;
-        }
-        Ok(())
     }
 }
 
@@ -137,12 +118,8 @@ impl NeighborhoodSampler for DynamicNeighborhood {
         if nbrs.is_empty() {
             return Vec::new();
         }
-        // A stopped weight service (service shutting down mid-draw)
-        // degrades to the static edge weights rather than panicking.
-        let probs: Vec<f32> = nbrs
-            .iter()
-            .map(|n| n.weight * self.weights.get(n.vertex).unwrap_or(1.0).max(1e-3))
-            .collect();
+        let probs: Vec<f32> =
+            nbrs.iter().map(|n| n.weight * self.weights.get(n.vertex).max(1e-3)).collect();
         let total: f32 = probs.iter().sum();
         (0..count)
             .map(|_| {
@@ -164,7 +141,7 @@ mod tests {
     use super::*;
     use aligraph_graph::ids::well_known::*;
     use aligraph_graph::{AttrVector, GraphBuilder};
-    use aligraph_storage::LockFreeWeightService;
+    use aligraph_storage::BucketWeightService;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -172,7 +149,7 @@ mod tests {
     fn synchronous_backward_applies_immediately() {
         let w = DynamicWeights::synchronous(10, 1.0);
         w.backward(VertexId(3), 0.25);
-        assert!((w.get(VertexId(3)).unwrap() - 0.75).abs() < 1e-6); // default f = -g
+        assert!((w.get(VertexId(3)) - 0.75).abs() < 1e-6); // default f = -g
         assert_eq!(w.mode(), WeightUpdateMode::Synchronous);
     }
 
@@ -181,17 +158,16 @@ mod tests {
         let lr = 0.1f32;
         let w = DynamicWeights::synchronous(4, 1.0).register_gradient(move |g| -lr * g);
         w.backward(VertexId(0), 1.0);
-        assert!((w.get(VertexId(0)).unwrap() - 0.9).abs() < 1e-6);
+        assert!((w.get(VertexId(0)) - 0.9).abs() < 1e-6);
     }
 
     #[test]
     fn asynchronous_through_lock_free_buckets() {
-        let service = Arc::new(LockFreeWeightService::new(16, 2, 1.0));
+        let service = Arc::new(BucketWeightService::new(16, 2, 1.0));
         let w = DynamicWeights::asynchronous(service);
         assert_eq!(w.mode(), WeightUpdateMode::Asynchronous);
         w.backward(VertexId(5), 0.5);
-        w.flush().unwrap();
-        assert!((w.get(VertexId(5)).unwrap() - 0.5).abs() < 1e-6);
+        assert!((w.get(VertexId(5)) - 0.5).abs() < 1e-6);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   walks (the corpus generators of every skip-gram model);
 //! * [`dynamic`] — samplers that own **dynamic weights** with a registered
 //!   backward/update function, the "gradient of the sampler" mechanism of
-//!   §3.3, optionally routed through the lock-free request buckets;
+//!   §3.3, optionally routed through the storage layer's request-flow
+//!   buckets;
 //! * [`pipeline`] — the `sampling(s1, s2, s3, batch_size)` stage of Figure 5;
 //! * [`plane`] — the dynamic-graph plane: per-shard copy-on-write overlays
 //!   over the immutable store, published as pinned, monotonic epochs — the

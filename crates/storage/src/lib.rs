@@ -12,12 +12,11 @@
 //! * [`neighbor_cache`] — **importance-based caching of k-hop out-neighbors
 //!   of important vertices** (Algorithm 2 lines 5–9, Eq. 1), with `Random`
 //!   and `Lru` alternatives for the Figure 9 strategy comparison;
-//! * [`bucket`] — the lock-free request-flow buckets of Figure 6: vertices
-//!   grouped per server, each group's read/update operations draining
-//!   through a lock-free queue bound to one thread that owns the group's
-//!   data outright, so no data lock is ever taken
-//!   ([`bucket::LockFreeWeightService`], benchmarked against a global
-//!   mutex); the queue/thread plumbing is [`executor`];
+//! * [`bucket`] — the request-flow buckets of Figure 6: vertices grouped
+//!   by `v % num_buckets`, each group's weights behind a lock of their own,
+//!   so a group's reads and updates apply in order and no global lock is
+//!   taken ([`bucket::BucketWeightService`], benchmarked against a global
+//!   mutex);
 //! * [`versioned_cache`] — the one version-tagged LRU both online layers
 //!   cache through (`serving` embeddings per graph version, `streaming`
 //!   gathers per epoch): stale inserts rejected, targeted invalidation;
@@ -41,7 +40,6 @@ pub mod bucket;
 pub mod cluster;
 pub mod codec;
 pub mod cost;
-pub mod executor;
 pub mod lru;
 pub mod migrate;
 pub mod neighbor_cache;
@@ -53,13 +51,12 @@ pub mod topology;
 pub mod versioned_cache;
 
 pub use aligraph_chaos::MIGRATION_TAG;
-pub use bucket::{LockFreeWeightService, MutexWeightService, WeightService};
+pub use bucket::{BucketWeightService, MutexWeightService, WeightService};
 pub use cluster::{Cluster, ClusterBuildReport, ClusterBuilder};
 pub use codec::CodecError;
 pub use cost::{
     AccessKind, AccessStats, AccessStatsSnapshot, CostModel, TierMeter, TierMeterSnapshot,
 };
-pub use executor::{BucketExecutor, ExecutorStopped};
 pub use lru::LruCache;
 pub use migrate::{MigrationError, MigrationReport, RebalanceOp};
 pub use neighbor_cache::{CacheStrategy, NeighborCache};

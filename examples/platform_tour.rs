@@ -1,5 +1,5 @@
 //! A tour of the platform's system layers: storage, partitioning, caching,
-//! sampling, and the lock-free request buckets — with live statistics.
+//! sampling, and the request-flow buckets — with live statistics.
 //!
 //! Run with: `cargo run --release --example platform_tour`
 
@@ -11,8 +11,8 @@ use aligraph_suite::partition::WorkerId;
 use aligraph_suite::partition::{
     EdgeCutHash, Grid2D, MetisLike, PartitionQuality, Partitioner, StreamingLdg, VertexCutGreedy,
 };
-use aligraph_suite::sampling::{DynamicWeights, WeightUpdateMode};
-use aligraph_suite::storage::{CacheStrategy, Cluster, CostModel, LockFreeWeightService};
+use aligraph_suite::sampling::DynamicWeights;
+use aligraph_suite::storage::{BucketWeightService, CacheStrategy, Cluster, CostModel};
 use std::sync::Arc;
 
 fn main() {
@@ -83,17 +83,16 @@ fn main() {
         snap.cache_hit_rate() * 100.0,
     );
 
-    // --- Lock-free request-flow buckets (Figure 6). ---
-    println!("\n## lock-free buckets");
-    let service = Arc::new(LockFreeWeightService::new(graph.num_vertices(), 4, 1.0));
-    let weights = DynamicWeights::asynchronous(service.clone()).register_gradient(|g| -0.1 * g);
+    // --- Request-flow buckets (Figure 6): one lock per vertex group. ---
+    println!("\n## request-flow buckets");
+    let service = Arc::new(BucketWeightService::new(graph.num_vertices(), 4, 1.0));
+    let weights = DynamicWeights::asynchronous(service).register_gradient(|g| -0.1 * g);
     for i in 0..1_000u32 {
         weights.backward(VertexId(i % 64), 1.0);
     }
-    weights.flush().expect("service running");
     println!(
         "after 1000 async sampler updates: weight(v0) = {:.3} (mode {:?})",
-        weights.get(VertexId(0)).expect("service running"),
-        WeightUpdateMode::Asynchronous,
+        weights.get(VertexId(0)),
+        weights.mode(),
     );
 }

@@ -10,18 +10,17 @@
 //! 2. Every atomic `Ordering::` use in a crate's non-test sources has an
 //!    `// ordering:` justification on its line or in the five above (a
 //!    note's comment block counts to its last line).
-//! 3. The mini-loom targets hold over a seed sweep: the lock-free bucket
-//!    executor, the striped telemetry counter, and the sparse parameter
-//!    server each survive hundreds of adversarial interleavings against
-//!    their sequential shadow models — and the known-bad drain-loop variant
-//!    is still caught.
+//! 3. The mini-loom targets hold over a seed sweep: the striped telemetry
+//!    counter, the sparse parameter server and the model hot swap each
+//!    survive hundreds of adversarial interleavings against their
+//!    sequential shadow models — and the known-bad field-by-field publish
+//!    is still caught and replays.
 
 #![expect(
     clippy::expect_used,
     reason = "a failed fixture setup in a test helper aborts the test, as in the #[test] itself"
 )]
 
-use aligraph_lint::loom::bucket::BucketWorkload;
 use aligraph_lint::loom::counter::CounterWorkload;
 use aligraph_lint::loom::ps::PsWorkload;
 use aligraph_lint::loom::swap::SwapWorkload;
@@ -116,21 +115,6 @@ fn every_atomic_ordering_use_is_justified_nearby() {
         "atomic orderings without an `// ordering:` note:\n{}",
         bare.join("\n")
     );
-}
-
-#[test]
-fn bucket_executor_survives_interleavings() {
-    let w = BucketWorkload::default();
-    Explorer { seed: 7 }.explore(&w, 300).expect("no divergence");
-}
-
-#[test]
-fn buggy_bucket_executor_is_caught_from_suite() {
-    // The stop-before-pop drain loop loses queued updates under the right
-    // schedule; the explorer must find that schedule.
-    let w = BucketWorkload::buggy();
-    let div = Explorer { seed: 7 }.explore(&w, 300).expect_err("divergence expected");
-    assert!(div.message.contains("lost"), "unexpected divergence: {}", div.message);
 }
 
 #[test]
