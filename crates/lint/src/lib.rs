@@ -2,10 +2,9 @@
 //!
 //! The mini-loom concurrency checker for the AliGraph reproduction
 //! (DESIGN.md §2.18). [`loom`] is a seeded virtual-thread scheduler that
-//! drives six targets — serving's flat combiner, the telemetry striped
-//! counter, the epoch overlay, the sparse parameter server, the model hot
-//! swap and the topology publish — through thousands of interleavings per
-//! seed, checking every history against a sequential shadow model (no lost
+//! drives five targets — serving's flat combiner, the telemetry striped
+//! counter, the epoch overlay, the sparse parameter server and the
+//! topology publish — through thousands of interleavings per seed, checking every history against a sequential shadow model (no lost
 //! updates, snapshot monotonicity, bit-exact replica freshness, no torn
 //! publish).
 //!

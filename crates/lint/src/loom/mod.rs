@@ -23,7 +23,6 @@ pub mod combiner;
 pub mod counter;
 pub mod overlay;
 pub mod ps;
-pub mod swap;
 pub mod topology;
 
 /// SplitMix64 — tiny, seedable, and good enough to scatter schedules.

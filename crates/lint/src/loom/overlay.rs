@@ -5,7 +5,7 @@
 //! thread, with no pin; a miss is then filled by the shard's combiner in
 //! three steps — pin the current [`EpochView`], compute on the pin, insert
 //! the result *tagged with the pin's epoch*. Both race a writer running
-//! `EpochManager::commit`: under the publish lock it swaps in the next
+//! `plane::commit`: under the publish lock it swaps in the next
 //! epoch view and advances the cache past the reverse-BFS
 //! [`affected_seeds`] set, and a pin waits for that lock. The invariant
 //! this workload checks is the serving layer's headline guarantee: **a
@@ -105,7 +105,7 @@ enum Commit {
 }
 
 /// The delta writer: applies each scripted delta in the steps of the
-/// plane's `EpochManager::commit` under `apply_delta` (publish, sweep,
+/// plane's `commit` under `apply_delta` (publish, sweep,
 /// release). A probe takes no lock and may run between any two of them.
 struct DeltaWriter {
     deltas: Vec<SnapshotDelta>,

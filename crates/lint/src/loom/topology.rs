@@ -4,12 +4,14 @@
 //! The elastic-membership contract (DESIGN.md §2.17): a reader must never
 //! observe a half-published membership epoch, and routing must never point
 //! at a shard that does not hold the vertex's data. The real structures
-//! make both atomic — [`Topology::publish_with`] swaps one sealed
+//! make both atomic — the [`Published`] cell swaps one sealed
 //! [`TopologyView`] under a lock, and [`Residency::cutover`] is a single
 //! Release store whose protocol requires the destination to absorb the
 //! vertex's data *first*.
 //!
-//! Two buggy twins prove the checker has teeth:
+//! The cell is the same one the online graph plane and the deployed model
+//! publish through (DESIGN.md §2.15), so this target's torn-publish twin
+//! stands for all three. Two buggy twins prove the checker has teeth:
 //!
 //! * [`SplitTopology`] — the torn-publish twin: an in-place membership
 //!   record whose publisher writes the epoch header, the owner table, and
@@ -25,7 +27,7 @@
 use super::{Threads, VThread, Workload};
 use aligraph_graph::VertexId;
 use aligraph_storage::seal::Fnv1a;
-use aligraph_storage::{Residency, Topology, TopologyView};
+use aligraph_storage::{Published, Residency, TopologyView};
 use std::sync::Arc;
 
 /// Vertices the tiny cluster covers: 0 and 1 start on shard 0 (and will
@@ -86,7 +88,7 @@ impl SplitTopology {
 /// data-presence model, and the split twin beside them.
 #[derive(Debug)]
 pub struct TopoState {
-    topo: Topology,
+    topo: Published<TopologyView>,
     residency: Residency,
     /// `data[v][shard]`: whether the shard holds `v`'s subgraph (the
     /// absorb/retire model the migrator drives).
@@ -139,17 +141,21 @@ impl VThread<TopoState> for Migrator {
         // All vertices cut over: publish the next epoch, retiring the
         // source copies under the write lock so no reader can route by the
         // new epoch against mid-retirement state.
-        let cur = s.topo.pin();
+        let writer = s.topo.write();
+        let cur = writer.head();
         let next = cur.advance(
             Arc::new(s.residency.snapshot()),
             Arc::new((0..SLOTS).map(|slot| cur.is_live(slot as u32)).collect()),
         );
         let data = &mut s.data;
-        s.topo.publish_with(Arc::new(next), |_| {
+        let published = writer.publish(next, || {
             for &v in &MOVES {
                 data[v as usize][0] = false;
             }
         });
+        if let Err(e) = published {
+            s.errors.push(e.to_string());
+        }
         self.published = true;
     }
 }
@@ -272,7 +278,7 @@ impl Workload for TopologyWorkload {
             data[v][o as usize] = true;
         }
         let state = TopoState {
-            topo: Topology::new(view),
+            topo: Published::new(view),
             residency: Residency::from_owners(&owners),
             data,
             split: SplitTopology::initial(),

@@ -4,7 +4,6 @@ use aligraph_lint::loom::combiner::CombinerWorkload;
 use aligraph_lint::loom::counter::CounterWorkload;
 use aligraph_lint::loom::overlay::OverlayWorkload;
 use aligraph_lint::loom::ps::PsWorkload;
-use aligraph_lint::loom::swap::SwapWorkload;
 use aligraph_lint::loom::topology::TopologyWorkload;
 use aligraph_lint::loom::{Explorer, Workload};
 use std::process::ExitCode;
@@ -20,7 +19,7 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: aligraph-lint concurrency [--seed N] [--interleavings N] \
-         [--target combiner|counter|ps|overlay|swap|topology|all]"
+         [--target combiner|counter|ps|overlay|topology|all]"
     );
     ExitCode::from(2)
 }
@@ -74,10 +73,6 @@ fn run_concurrency(args: &[String]) -> ExitCode {
         let w = OverlayWorkload::default();
         run(w.name(), explorer.explore(&w, interleavings));
     }
-    if target == "all" || target == "swap" {
-        let w = SwapWorkload::default();
-        run(w.name(), explorer.explore(&w, interleavings));
-    }
     if target == "all" || target == "topology" {
         let w = TopologyWorkload::default();
         run(w.name(), explorer.explore(&w, interleavings));
@@ -93,7 +88,7 @@ fn run_concurrency(args: &[String]) -> ExitCode {
             }
         }
     }
-    let targets = ["all", "combiner", "counter", "ps", "overlay", "swap", "topology"];
+    let targets = ["all", "combiner", "counter", "ps", "overlay", "topology"];
     if !targets.contains(&target.as_str()) {
         return usage();
     }

@@ -15,8 +15,8 @@
 //!    checkpoint with only the ingest-touched feature rows re-pulled from
 //!    the post-ingest epoch view ([`aligraph_runtime::Checkpoint::patch_feature_rows`]);
 //! 4. **deploy** — the new model seals into a [`ModelVersion`] and
-//!    atomically hot-swaps into the [`ModelStore`]; in-flight pins keep
-//!    serving the old version untouched.
+//!    atomically hot-swaps into the model's [`Published`] cell; in-flight
+//!    pins keep serving the old version untouched.
 //!
 //! Freshness of an interaction = (tick its model version went live) −
 //! (tick it was served). The whole loop is a pure function of
@@ -33,8 +33,8 @@ use aligraph_runtime::{
     latest_valid_checkpoint, CheckpointConfig, DistOutcome, DistTrainer, EncoderSpec,
     RuntimeConfig, RuntimeError,
 };
-use aligraph_serving::{ModelStore, ModelVersion, SwapError};
-use aligraph_storage::{CacheStrategy, Cluster, CostModel};
+use aligraph_serving::ModelVersion;
+use aligraph_storage::{CacheStrategy, Cluster, CostModel, Published};
 use aligraph_streaming::{FaultConfig, StreamingConfig, StreamingService};
 use aligraph_telemetry::Registry;
 use std::collections::BTreeMap;
@@ -114,8 +114,6 @@ pub enum LoopError {
         /// The version whose seal did not match its contents.
         version: u64,
     },
-    /// The model store rejected a publish.
-    Swap(SwapError),
     /// Checkpoint-directory housekeeping failed.
     Io(std::io::Error),
     /// The loop's own invariants broke (e.g. no checkpoint after a cycle).
@@ -131,7 +129,6 @@ impl std::fmt::Display for LoopError {
             LoopError::Atomicity { version } => {
                 write!(f, "hot-swap atomicity violated: pinned version {version} failed verify")
             }
-            LoopError::Swap(e) => write!(f, "swap: {e}"),
             LoopError::Io(e) => write!(f, "io: {e}"),
             LoopError::Config(m) => write!(f, "config: {m}"),
         }
@@ -149,12 +146,6 @@ impl From<RuntimeError> for LoopError {
 impl From<std::io::Error> for LoopError {
     fn from(e: std::io::Error) -> Self {
         LoopError::Io(e)
-    }
-}
-
-impl From<SwapError> for LoopError {
-    fn from(e: SwapError) -> Self {
-        LoopError::Swap(e)
     }
 }
 
@@ -191,15 +182,24 @@ fn wipe_checkpoints(dir: &PathBuf) -> Result<(), LoopError> {
     Ok(())
 }
 
-/// Seals a trained outcome into a publishable model version: every
-/// vertex's (trained) feature row, keyed by vertex id.
-fn seal_version(version: u64, tick: u64, outcome: &DistOutcome, dim: usize) -> ModelVersion {
+/// Seals a trained outcome into a model version — every vertex's (trained)
+/// feature row, keyed by vertex id — and deploys it. A version that does
+/// not follow the deployed one is a scheduler bug.
+fn deploy(
+    store: &Published<ModelVersion>,
+    version: u64,
+    tick: u64,
+    outcome: &DistOutcome,
+    dim: usize,
+) -> Result<(), LoopError> {
     let flat = outcome.features.as_slice();
     let mut rows = BTreeMap::new();
     for v in 0..(flat.len() / dim) {
         rows.insert(v as u32, flat[v * dim..(v + 1) * dim].to_vec());
     }
-    ModelVersion::new(version, tick, rows)
+    let next = ModelVersion::new(version, tick, rows);
+    store.write().publish(next, || {}).map_err(|e| LoopError::Config(e.to_string()))?;
+    Ok(())
 }
 
 /// Runs the closed loop to completion. All `loop.*` (plus the constituent
@@ -238,7 +238,7 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
         },
         registry,
     );
-    let store = ModelStore::new();
+    let store = Published::new(ModelVersion::new(0, 0, BTreeMap::new()));
     let mut traffic = TrafficGen::new(&graph, cfg.seed ^ 0x007a_ff1c)
         .ok_or_else(|| LoopError::Graph("graph has no USER or no ITEM vertices".into()))?
         .with_drift_rate(cfg.drift_rate);
@@ -259,7 +259,6 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
         staleness: cfg.staleness,
         seed: cfg.seed,
         sparse_lr: 0.05,
-        min_delta: 0.0,
         checkpoint: Some(CheckpointConfig { dir: cfg.checkpoint_dir.clone(), every_steps: 0 }),
         ..RuntimeConfig::default()
     };
@@ -283,7 +282,7 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
         .with_registry(Arc::clone(registry));
     let mut outcome = trainer.train()?;
     tick += cfg.batches_per_epoch as u64 + 1;
-    store.publish(seal_version(1, 0, &outcome, cfg.dim))?;
+    deploy(&store, 1, 0, &outcome, cfg.dim)?;
     swaps_ctr.inc();
     swap_gauge.set(1);
 
@@ -295,13 +294,13 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
             let user = traffic.draw_user();
             let session = service.session();
             let pin = store.pin();
-            if !pin.model().verify() {
-                return Err(LoopError::Atomicity { version: pin.model().version() });
+            if !pin.verify() {
+                return Err(LoopError::Atomicity { version: pin.version() });
             }
             for _ in 0..cfg.interactions_per_user {
                 let item = traffic.draw_item();
                 let _ = session.score(user, item);
-                let _ = pin.model().embedding(item.0);
+                let _ = pin.embedding(item.0);
                 tick += 1;
                 interactions_ctr.inc();
                 hub.append(HubEvent::Click { user, item, tick });
@@ -311,8 +310,8 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
             }
             // The pin rode through the whole session; a swap landing
             // mid-session must never have torn what it serves.
-            if !pin.model().verify() {
-                return Err(LoopError::Atomicity { version: pin.model().version() });
+            if !pin.verify() {
+                return Err(LoopError::Atomicity { version: pin.version() });
             }
         }
         dropped_before = hub.dropped() - dropped_before;
@@ -353,7 +352,7 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
         // every interaction this version was trained on.
         tick += 1;
         let version = cycle as u64 + 1;
-        store.publish(seal_version(version, data_tick, &outcome, cfg.dim))?;
+        deploy(&store, version, data_tick, &outcome, cfg.dim)?;
         swaps_ctr.inc();
         swap_gauge.set(version as i64);
         for born in &compacted.born_ticks {
@@ -373,7 +372,7 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
     // legitimately shifts; the loop's convergence claim is about *what*
     // the model is, not *when* its data arrived.
     let final_pin = store.pin();
-    let mut fingerprint = mix2(0x100b, final_pin.model().version());
+    let mut fingerprint = mix2(0x100b, final_pin.version());
     for f in outcome.features.as_slice() {
         fingerprint = mix2(fingerprint, f.to_bits() as u64);
     }
@@ -381,7 +380,7 @@ pub fn run_loop(cfg: &LoopConfig, registry: &Arc<Registry>) -> Result<LoopOutcom
         fingerprint = mix2(fingerprint, p.to_bits() as u64);
     }
     Ok(LoopOutcome {
-        final_version: final_pin.model().version(),
+        final_version: final_pin.version(),
         fingerprint,
         ticks: tick,
         freshness,

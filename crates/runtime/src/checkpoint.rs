@@ -1,6 +1,6 @@
 //! Versioned on-disk checkpoints: everything needed to resume a distributed
 //! run mid-epoch — PS shards, per-worker dense model + optimizer state, RNG
-//! states, step counters, and the loss/early-stop bookkeeping.
+//! states, step counters, and the epoch losses.
 //!
 //! Binary layout (little-endian), version 1:
 //!
@@ -67,9 +67,11 @@ pub struct Checkpoint {
     pub global_step: u64,
     /// Completed-epoch mean losses.
     pub epoch_losses: Vec<f64>,
-    /// Best epoch loss so far (early stopping).
+    /// Early-stop word of the v1 layout: best epoch loss so far. The
+    /// distributed runtime does not stop early and writes `f64::INFINITY`.
     pub best_loss: f64,
-    /// Consecutive non-improving epochs so far.
+    /// Early-stop word of the v1 layout: non-improving epochs so far. The
+    /// runtime writes 0.
     pub stall: u64,
     /// Allreduced dense parameters — present only at epoch boundaries,
     /// applied after per-worker state so restored workers start the next

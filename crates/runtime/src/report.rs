@@ -25,8 +25,6 @@ pub struct DistReport {
     pub staleness: u64,
     /// Mean contrastive loss per epoch (cluster-wide).
     pub epoch_losses: Vec<f64>,
-    /// Whether early stopping fired.
-    pub early_stopped: bool,
     /// Per-worker totals.
     pub per_worker: Vec<WorkerReport>,
     /// `hist[a]` = steps computed on a replica `a` steps stale (summed over
@@ -99,10 +97,9 @@ impl fmt::Display for DistReport {
         )?;
         writeln!(
             f,
-            "loss {:.6} (first {:.6}){}",
+            "loss {:.6} (first {:.6})",
             self.final_loss(),
-            self.epoch_losses.first().copied().unwrap_or(f64::NAN),
-            if self.early_stopped { "  [early stop]" } else { "" }
+            self.epoch_losses.first().copied().unwrap_or(f64::NAN)
         )?;
         writeln!(
             f,

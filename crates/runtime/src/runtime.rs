@@ -109,10 +109,6 @@ pub struct RuntimeConfig {
     /// AdaGrad learning rate for sparse feature-row updates (0 freezes the
     /// input features, matching the sequential trainer).
     pub sparse_lr: f32,
-    /// Early stopping patience over epoch losses (`None` disables).
-    pub patience: Option<usize>,
-    /// Minimum epoch-loss improvement that counts as progress.
-    pub min_delta: f64,
     /// Checkpointing (`None` disables; fault recovery then restarts from
     /// scratch).
     pub checkpoint: Option<CheckpointConfig>,
@@ -143,8 +139,6 @@ impl Default for RuntimeConfig {
             staleness: 0,
             seed: 42,
             sparse_lr: 0.0,
-            patience: None,
-            min_delta: 1e-4,
             checkpoint: None,
             chaos: None,
             recovery: RecoveryMode::Full,
@@ -205,16 +199,6 @@ impl DistOutcome {
         }
         h.finish()
     }
-}
-
-/// Cross-worker training bookkeeping guarded by one mutex; leaders mutate
-/// it at rendezvous points.
-#[derive(Default)]
-struct SharedTrain {
-    epoch_losses: Vec<f64>,
-    best_loss: f64,
-    stall: u64,
-    early_stopped: bool,
 }
 
 /// Plain data a worker thread returns on success.
@@ -319,11 +303,6 @@ impl<'a> DistTrainer<'a> {
         push(self.cfg.staleness);
         push(self.cfg.seed);
         push(self.cfg.sparse_lr.to_bits() as u64);
-        push(match self.cfg.patience {
-            None => u64::MAX,
-            Some(p) => p as u64,
-        });
-        push(self.cfg.min_delta.to_bits());
         push(self.spec.dim_in as u64);
         for &d in &self.spec.dims {
             push(d as u64);
@@ -492,15 +471,9 @@ impl<'a> DistTrainer<'a> {
             ps.load(&ck.shards)?;
         }
 
-        let shared = Mutex::new(match &resume {
-            Some(ck) => SharedTrain {
-                epoch_losses: ck.epoch_losses.clone(),
-                best_loss: ck.best_loss,
-                stall: ck.stall,
-                early_stopped: false,
-            },
-            None => SharedTrain { best_loss: f64::INFINITY, ..SharedTrain::default() },
-        });
+        // Completed-epoch mean losses; the rendezvous leader appends.
+        let shared =
+            Mutex::new(resume.as_ref().map_or_else(Vec::new, |ck| ck.epoch_losses.clone()));
         let co = Coordinator::new(p, t0);
         let rebalances = AtomicU64::new(0);
         // Materialized once, before any worker can push: each worker's
@@ -560,7 +533,7 @@ impl<'a> DistTrainer<'a> {
             return Err(e);
         }
 
-        let shared =
+        let epoch_losses =
             shared.into_inner().map_err(|_| RuntimeError::Poisoned("shared train state"))?;
         let mut encoder = self.spec.build();
         encoder.load_dense_state_vec(&done[0].state).map_err(RuntimeError::Unrecoverable)?;
@@ -579,8 +552,7 @@ impl<'a> DistTrainer<'a> {
         let report = DistReport {
             workers: p,
             staleness: cfg.staleness,
-            epoch_losses: shared.epoch_losses,
-            early_stopped: shared.early_stopped,
+            epoch_losses,
             edges_total: per_worker.iter().map(|w| w.edges).sum(),
             makespan_ns: per_worker.iter().map(|w| w.busy_ns + w.comm_ns).max().unwrap_or(0),
             per_worker,
@@ -611,7 +583,7 @@ impl<'a> DistTrainer<'a> {
         mut replica: FeatureMatrix,
         ps: &SparseParamServer,
         co: &Coordinator,
-        shared: &Mutex<SharedTrain>,
+        shared: &Mutex<Vec<f64>>,
         checkpoints: &AtomicU64,
         rebalances: &AtomicU64,
         chaos: &ChaosRt,
@@ -716,10 +688,10 @@ impl<'a> DistTrainer<'a> {
                     && t < total_steps
                 {
                     let out = co.rendezvous(me, deposit(false), |deps| {
-                        let sh = shared
+                        let losses = shared
                             .lock()
                             .map_err(|_| RuntimeError::Poisoned("shared train state"))?;
-                        write_checkpoint(fingerprint, t, &sh, None, &deps, ps, &ck.dir, chaos)?;
+                        write_checkpoint(fingerprint, t, &losses, None, &deps, ps, &ck.dir, chaos)?;
                         // ordering: report-only tally read after worker
                         // joins; the join synchronizes, Relaxed suffices.
                         checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -741,7 +713,7 @@ impl<'a> DistTrainer<'a> {
             }
 
             // Epoch boundary: average dense parameters, account the epoch
-            // loss, decide early stop, checkpoint the averaged state.
+            // loss, checkpoint the averaged state.
             if t.is_multiple_of(batches) {
                 let out = co.rendezvous(me, deposit(true), |mut deps| {
                     // Times the leader's allreduce + epoch bookkeeping into
@@ -763,25 +735,12 @@ impl<'a> DistTrainer<'a> {
                             rebalances.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    let mut sh =
+                    let mut losses =
                         shared.lock().map_err(|_| RuntimeError::Poisoned("shared train state"))?;
                     let loss: f64 = deps.iter().map(|d| d.loss_sum).sum();
                     let n: u64 = deps.iter().map(|d| d.pairs).sum();
                     let mean = loss / n.max(1) as f64;
-                    sh.epoch_losses.push(mean);
-                    let mut stop = false;
-                    if let Some(patience) = cfg.patience {
-                        if mean + cfg.min_delta < sh.best_loss {
-                            sh.best_loss = mean;
-                            sh.stall = 0;
-                        } else {
-                            sh.stall += 1;
-                            if sh.stall >= patience as u64 {
-                                sh.early_stopped = true;
-                                stop = true;
-                            }
-                        }
-                    }
+                    losses.push(mean);
                     // Synchronous allreduce: elementwise mean of every
                     // worker's dense parameters. With one worker this is the
                     // bitwise identity (sum of one, divided by 1).
@@ -807,7 +766,7 @@ impl<'a> DistTrainer<'a> {
                         write_checkpoint(
                             fingerprint,
                             t,
-                            &sh,
+                            &losses,
                             Some(&avg),
                             &deps,
                             ps,
@@ -819,7 +778,7 @@ impl<'a> DistTrainer<'a> {
                         checkpoints.fetch_add(1, Ordering::Relaxed);
                         drain = Some(ps.materialize()?);
                     }
-                    Ok(Rendezvous { avg_params: Some(avg), drain, stop })
+                    Ok(Rendezvous { avg_params: Some(avg), drain })
                 })?;
                 let avg = out.avg_params.as_ref().ok_or(RuntimeError::Poisoned("allreduce"))?;
                 encoder.load_dense_param_vec(avg).map_err(RuntimeError::Unrecoverable)?;
@@ -828,9 +787,6 @@ impl<'a> DistTrainer<'a> {
                 }
                 loss_sum = 0.0;
                 pairs = 0;
-                if out.stop {
-                    break;
-                }
             }
         }
         Ok(WorkerDone { state: encoder.dense_state_vec(), edges, busy_ns, comm_ns, hist })
@@ -871,7 +827,7 @@ impl<'a> DistTrainer<'a> {
 fn write_checkpoint(
     fingerprint: u64,
     global_step: u64,
-    sh: &SharedTrain,
+    epoch_losses: &[f64],
     avg_params: Option<&[f32]>,
     deps: &[Deposit],
     ps: &SparseParamServer,
@@ -881,9 +837,9 @@ fn write_checkpoint(
     let ckpt = Checkpoint {
         fingerprint,
         global_step,
-        epoch_losses: sh.epoch_losses.clone(),
-        best_loss: sh.best_loss,
-        stall: sh.stall,
+        epoch_losses: epoch_losses.to_vec(),
+        best_loss: f64::INFINITY,
+        stall: 0,
         avg_params: avg_params.map(<[f32]>::to_vec),
         workers: deps
             .iter()

@@ -87,8 +87,6 @@ pub struct Rendezvous {
     /// self-contained restore point at any staleness bound (a restore
     /// rebuilds replicas from the same materialized state).
     pub drain: Option<aligraph_graph::FeatureMatrix>,
-    /// Early-stop signal: workers leave their epoch loop.
-    pub stop: bool,
 }
 
 /// The two token rings every training step passes through, in order. A

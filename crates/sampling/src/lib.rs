@@ -22,8 +22,10 @@
 //!   buckets;
 //! * [`pipeline`] — the `sampling(s1, s2, s3, batch_size)` stage of Figure 5;
 //! * [`plane`] — the dynamic-graph plane: per-shard copy-on-write overlays
-//!   over the immutable store, published as pinned, monotonic epochs — the
-//!   one online graph state the serving and streaming services both read;
+//!   over the immutable store, published as pinned, monotonic epochs
+//!   through storage's publish cell ([`aligraph_storage::Published`]), with
+//!   [`plane::commit`] as the one write path — the one online graph state
+//!   the serving and streaming services both read;
 //! * [`telemetry`] — metered sampler wrappers publishing per-kind draw
 //!   counts and latencies without perturbing the wrapped RNG stream.
 
@@ -46,7 +48,7 @@ pub use neighborhood::{
     WeightedNeighborhood,
 };
 pub use pipeline::{SampleBatch, SamplingPipeline};
-pub use plane::{affected, Applied, Committed, EpochManager, EpochView, ShardOverlay, Touched};
+pub use plane::{affected, commit, Applied, Committed, EpochView, ShardOverlay, Touched};
 pub use seeding::{worker_rng, worker_seed};
 pub use telemetry::MeteredNeighborhood;
 pub use traverse::{ShardEdgePools, TraverseSampler, UniformTraverse, WeightedEdgeTraverse};

@@ -19,13 +19,14 @@
 //!   exactly what the batch copied. What still grows with history is
 //!   memory: feature overrides and first-touch copies — a row retracted
 //!   back to its base row included — stay until ROADMAP item 3's compaction;
-//! * **session consistency** — readers [`pin`](EpochManager::pin) one epoch
-//!   and read exactly that version, however many batches land meanwhile;
-//!   published epochs are strictly increasing;
+//! * **session consistency** — views publish through a
+//!   [`Published`](aligraph_storage::Published) cell (DESIGN.md §2.15): readers pin one epoch and read
+//!   exactly that version, however many batches land meanwhile; published
+//!   epochs are strictly increasing;
 //! * **targeted invalidation** — [`affected`] is the set of cached keys a
-//!   change can reach, and [`EpochManager::commit`] sweeps it from the
-//!   cache under the publish lock, so no reader sees the new epoch with the
-//!   old cache or the reverse.
+//!   change can reach, and [`commit`] sweeps it from the cache under the
+//!   publish lock, so no reader sees the new epoch with the old cache or
+//!   the reverse.
 
 use crate::alias::{AliasTable, IncrementalAlias};
 use crate::neighborhood::NeighborAccess;
@@ -33,10 +34,8 @@ use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch, UpdateEvent};
 use aligraph_graph::{
     AttrId, AttributedHeterogeneousGraph, EdgeId, EdgeType, FeatureMatrix, Neighbor, VertexId,
 };
-use aligraph_storage::VersionedCache;
-use parking_lot::{Mutex, RwLock};
+use aligraph_storage::{StaleEpoch, Versioned, VersionedCache, Writer};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Attribute record id for overlay-added edges, which carry no attributes
@@ -700,7 +699,13 @@ pub fn affected(
     out
 }
 
-/// What one [`EpochManager::commit`] published.
+impl Versioned for EpochView {
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+}
+
+/// What one [`commit`] published.
 #[derive(Debug, Clone)]
 pub struct Committed {
     /// The epoch the change published under.
@@ -713,78 +718,25 @@ pub struct Committed {
     pub invalidated: usize,
 }
 
-/// Publishes monotonic epochs and hands out pins.
-#[derive(Debug)]
-pub struct EpochManager {
-    current: RwLock<Arc<EpochView>>,
-    epoch: AtomicU64,
-    /// Serializes writers from "pin the head" to "publish its successor".
-    writer: Mutex<()>,
-}
-
-impl EpochManager {
-    /// A manager starting at `view`'s epoch.
-    pub fn new(view: EpochView) -> Self {
-        let epoch = AtomicU64::new(view.epoch());
-        EpochManager { current: RwLock::new(Arc::new(view)), epoch, writer: Mutex::new(()) }
-    }
-
-    /// The latest published epoch, read without the lock (every gather asks
-    /// it for its pin's age). Monotonic: two reads by one thread never go
-    /// backwards.
-    pub fn current_epoch(&self) -> u64 {
-        // ordering: Acquire pairs with publish_with()'s Release store, so a
-        // reader that sees epoch E also sees every write that built E's
-        // view (the shard overlays travel through the lock as well).
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Pins the current epoch for a session: the `Arc` keeps the whole
-    /// view alive, so every read through it is against one graph version.
-    pub fn pin(&self) -> Arc<EpochView> {
-        Arc::clone(&self.current.read())
-    }
-
-    /// Publishes `next` as the new current epoch. `sweep` runs under the
-    /// write lock *after* the version number moves, so no reader can race
-    /// between the epoch advancing and the cache invalidation sweep: a pin
-    /// taken before the lock sees the old epoch and the old cache version;
-    /// a pin taken after sees both new.
-    pub fn publish_with<F: FnOnce(&Arc<EpochView>)>(&self, next: Arc<EpochView>, sweep: F) {
-        let mut cur = self.current.write();
-        debug_assert!(next.epoch() > cur.epoch(), "epochs must be strictly increasing");
-        // ordering: Release pairs with current_epoch()'s Acquire; pins
-        // additionally synchronize through the RwLock.
-        self.epoch.store(next.epoch(), Ordering::Release);
-        *cur = Arc::clone(&next);
-        sweep(&next);
-    }
-
-    /// The one write path of the plane: builds the head's successor with
-    /// `build`, computes the [`affected`] set of what it touched for a
-    /// `kmax`-hop reader over both versions, publishes, and sweeps exactly
-    /// that set out of `cache` under the publish lock. Writers are
-    /// serialized, so epochs advance in call order; in-flight readers of
-    /// the old version finish on their pin and their late cache inserts are
-    /// version-checked away.
-    pub fn commit<V: Clone>(
-        &self,
-        kmax: usize,
-        cache: &VersionedCache<u32, V>,
-        build: impl FnOnce(&EpochView) -> (EpochView, Applied),
-    ) -> Committed {
-        let writer = self.writer.lock();
-        let pre = self.pin();
-        let (next, applied) = build(&pre);
-        let affected = affected(&pre, &next, &applied.touched, kmax);
-        let epoch = next.epoch();
-        let mut invalidated = 0;
-        self.publish_with(Arc::new(next), |_| {
-            invalidated = cache.advance(epoch, affected.iter().map(|v| v.0));
-        });
-        drop(writer);
-        Committed { epoch, applied, affected: affected.len(), invalidated }
-    }
+/// The one write path of the plane: publishes `next`, built from `writer`'s
+/// head with `applied`, computes the [`affected`] set of what it touched for
+/// a `kmax`-hop reader over both versions, and sweeps exactly that set out
+/// of `cache` under the publish lock. Writers are serialized, so epochs
+/// advance in the order writers take the cell; in-flight readers of the old
+/// version finish on their pin and their late cache inserts are
+/// version-checked away.
+pub fn commit<V: Clone>(
+    writer: Writer<'_, EpochView>,
+    next: EpochView,
+    applied: Applied,
+    kmax: usize,
+    cache: &VersionedCache<u32, V>,
+) -> Result<Committed, StaleEpoch> {
+    let affected = affected(writer.head(), &next, &applied.touched, kmax);
+    let epoch = next.epoch();
+    let mut invalidated = 0;
+    writer.publish(next, || invalidated = cache.advance(epoch, affected.iter().map(|v| v.0)))?;
+    Ok(Committed { epoch, applied, affected: affected.len(), invalidated })
 }
 
 #[cfg(test)]
@@ -961,16 +913,19 @@ mod tests {
     #[test]
     fn pins_keep_their_epoch_across_publishes() {
         let (g, vs) = chain();
-        let mgr = EpochManager::new(view_of(&g, 4));
-        let pin0 = mgr.pin();
-        let (next, _) = pin0.apply_batch(&UpdateBatch { events: vec![add(vs[0], vs[2], 1.0)] });
-        let mut swept_at = None;
-        mgr.publish_with(Arc::new(next), |v| swept_at = Some(v.epoch()));
-        assert_eq!(swept_at, Some(1));
-        assert_eq!(mgr.current_epoch(), 1);
+        let plane = aligraph_storage::Published::new(view_of(&g, 4));
+        let cache = VersionedCache::registered(8, &aligraph_telemetry::Registry::disabled(), "t");
+        cache.insert(vs[0].0, 0, 7);
+        let pin0 = plane.pin();
+        let w = plane.write();
+        let (next, applied) =
+            w.head().apply_batch(&UpdateBatch { events: vec![add(vs[0], vs[2], 1.0)] });
+        let done = commit(w, next, applied, 1, &cache).unwrap();
+        assert_eq!((done.epoch, done.affected, done.invalidated), (1, 1, 1));
+        assert_eq!((plane.current_epoch(), cache.version()), (1, 1));
         // The old pin still reads version 0; a new pin sees version 1.
         assert_eq!((pin0.epoch(), pin0.out_neighbors(vs[0]).len()), (0, 1));
-        assert_eq!((mgr.pin().epoch(), mgr.pin().out_neighbors(vs[0]).len()), (1, 2));
+        assert_eq!((plane.pin().epoch(), plane.pin().out_neighbors(vs[0]).len()), (1, 2));
     }
 
     fn reach(pre: &EpochView, post: &EpochView, applied: &Applied, kmax: usize) -> Vec<VertexId> {

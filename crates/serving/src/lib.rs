@@ -27,11 +27,11 @@
 //!   could have changed);
 //! * [`metrics::ServingReport`] — p50/p95/p99 latency, QPS, cache hit rate,
 //!   and the batching-dedup evidence (`forwards < completed`);
-//! * [`swap::ModelStore`] — the atomic versioned model hot-swap used by the
-//!   closed production loop: publishes are a single pointer replacement,
-//!   in-flight [`swap::ModelPin`]s finish on the version they started with,
-//!   and every [`swap::ModelVersion`] is self-fingerprinted so torn reads
-//!   are detectable.
+//! * [`swap::ModelVersion`] — the unit of the closed production loop's
+//!   atomic model hot-swap: deployed through storage's publish cell
+//!   ([`aligraph_storage::Published`]) under its version number, so
+//!   in-flight pins finish on the version they started with, and
+//!   self-fingerprinted so torn reads are detectable.
 //!
 //! ```text
 //! client ──[shard pending] full?──> Overloaded{retry}   (cache untouched)
@@ -55,4 +55,4 @@ pub use aligraph_sampling::plane::EpochView;
 pub use error::ServeError;
 pub use metrics::{ServingMetrics, ServingReport};
 pub use service::{affected_seeds, ServedEmbedding, ServingConfig, ServingService};
-pub use swap::{ModelPin, ModelStore, ModelVersion, SwapError};
+pub use swap::ModelVersion;

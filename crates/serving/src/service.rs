@@ -21,7 +21,7 @@
 //!    answered. A batch is whatever queued while the previous one ran, so
 //!    batching follows load with no timer.
 //! 4. [`ServingService::apply_delta`] commits the delta to the plane
-//!    ([`EpochManager::commit`]): the next version copy-on-write, and exactly
+//!    ([`commit`]): the next version copy-on-write, and exactly
 //!    the cache entries whose k-hop neighborhood it touched invalidated;
 //!    version-tagged inserts keep in-flight batches from publishing stale
 //!    results.
@@ -38,8 +38,8 @@ use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch};
 use aligraph_graph::features::{FeatureMatrix, Featurizer};
 use aligraph_graph::{AttributedHeterogeneousGraph, VertexId};
 use aligraph_partition::{EdgeCutHash, Partitioner};
-use aligraph_sampling::{affected, EpochManager, EpochView, NeighborhoodSampler, Touched};
-use aligraph_storage::{AccessKind, AccessStats, CacheStats, CostModel, VersionedCache};
+use aligraph_sampling::{affected, commit, EpochView, NeighborhoodSampler, Touched};
+use aligraph_storage::{AccessKind, AccessStats, CacheStats, CostModel, Published, VersionedCache};
 use aligraph_telemetry::{Registry, Stopwatch};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -171,7 +171,7 @@ type FallbackStore = HashMap<u32, (u64, Arc<Vec<f32>>)>;
 pub struct ServingService<S: NeighborhoodSampler + Clone> {
     /// The graph plane: a combiner pins one epoch per micro-batch, and the
     /// pinned view's owner table routes requests.
-    epochs: EpochManager,
+    epochs: Published<EpochView>,
     features: Arc<FeatureMatrix>,
     /// Served embeddings, tagged with the epoch they were computed against.
     cache: VersionedCache<u32, Arc<Vec<f32>>>,
@@ -259,7 +259,7 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
             })
             .collect();
         ServingService {
-            epochs: EpochManager::new(view),
+            epochs: Published::new(view),
             features,
             cache: VersionedCache::registered(config.cache_capacity, registry, "serving.cache"),
             metrics: ServingMetrics::registered(registry),
@@ -408,11 +408,13 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
     /// check (an unknown vertex id) applies nothing and returns 0.
     pub fn apply_delta(&self, delta: &SnapshotDelta) -> usize {
         let batch = UpdateBatch::from(delta);
-        if self.epochs.pin().check(&batch).is_err() {
+        let writer = self.epochs.write();
+        if writer.head().check(&batch).is_err() {
             return 0;
         }
+        let (next, applied) = writer.head().apply_batch(&batch);
         let kmax = self.config.fanouts.len();
-        self.epochs.commit(kmax, &self.cache, |pre| pre.apply_batch(&batch)).invalidated
+        commit(writer, next, applied, kmax, &self.cache).map_or(0, |done| done.invalidated)
     }
 
     /// The graph version requests are currently served against.

@@ -3,23 +3,21 @@
 //! The closed production loop ends by *deploying* freshly trained
 //! embeddings into the serving layer. The deployment contract is the whole
 //! point: a gather must never observe a half-swapped model — either it sees
-//! version N in full or version N+1 in full. [`ModelStore`] enforces that by
-//! making the published unit a single immutable [`ModelVersion`] behind one
-//! pointer swap, and making staleness explicit through [`ModelPin`]s:
-//! in-flight sessions that pinned version N keep reading N untouched while
-//! new sessions pick up N+1.
+//! version N in full or version N+1 in full. The published unit is one
+//! immutable [`ModelVersion`], deployed through storage's publish cell
+//! ([`Published`](aligraph_storage::Published), DESIGN.md §2.15) under its
+//! version number: in-flight sessions that pinned version N keep reading N
+//! untouched while new sessions pick up N+1, and a publish that does not
+//! move the version forward is refused.
 //!
 //! Every [`ModelVersion`] carries a self-fingerprint over its contents so
 //! torn reads are *detectable*, not just forbidden: [`ModelVersion::verify`]
 //! recomputes the fingerprint and fails on any version/row/fingerprint
-//! mismatch. The mini-loom `model-swap` target drives concurrent gatherers
-//! against a publisher on exactly this API (and catches a deliberately
-//! broken field-by-field twin).
+//! mismatch.
 
 use aligraph_storage::seal::Fnv1a;
-use parking_lot::RwLock;
+use aligraph_storage::Versioned;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 
 /// One immutable deployed model: a version number, the virtual tick its
@@ -101,103 +99,16 @@ impl ModelVersion {
     }
 }
 
-/// Error returned when a publish would move the store backwards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwapError {
-    /// Version currently deployed.
-    pub current: u64,
-    /// Version the publish attempted.
-    pub attempted: u64,
-}
-
-impl fmt::Display for SwapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "model swap must be monotonic: attempted version {} over deployed {}",
-            self.attempted, self.current
-        )
-    }
-}
-
-impl std::error::Error for SwapError {}
-
-/// The version-tagged deployed-model store. Readers pin, publishers swap;
-/// the swap is a single `Arc` pointer replacement under the write lock, so
-/// there is no observable intermediate state.
-#[derive(Debug)]
-pub struct ModelStore {
-    current: RwLock<Arc<ModelVersion>>,
-    swaps: std::sync::atomic::AtomicU64,
-}
-
-impl ModelStore {
-    /// A store holding version 0: empty, trained through tick 0.
-    pub fn new() -> Self {
-        ModelStore {
-            current: RwLock::new(Arc::new(ModelVersion::new(0, 0, BTreeMap::new()))),
-            swaps: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Atomically deploys `next`. Fails (leaving the store untouched) if
-    /// `next.version()` does not strictly increase — republishng an old
-    /// model is always a bug in the loop scheduler.
-    pub fn publish(&self, next: ModelVersion) -> Result<(), SwapError> {
-        let mut guard = self.current.write();
-        if next.version <= guard.version {
-            return Err(SwapError { current: guard.version, attempted: next.version });
-        }
-        *guard = Arc::new(next);
-        // ordering: Relaxed suffices — the counter is telemetry only, never
-        // read to establish happens-before with the swapped contents.
-        self.swaps.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Pins the currently deployed version. The pin keeps that version
-    /// alive and immutable for its whole lifetime, however many publishes
-    /// happen in the meantime — in-flight sessions finish on the model they
-    /// started with.
-    pub fn pin(&self) -> ModelPin {
-        ModelPin { version: Arc::clone(&self.current.read()) }
-    }
-
-    /// Version number currently deployed (for telemetry; racy by nature —
-    /// use [`ModelStore::pin`] to read contents).
-    pub fn current_version(&self) -> u64 {
-        self.current.read().version
-    }
-
-    /// Number of successful publishes so far.
-    pub fn swap_count(&self) -> u64 {
-        // ordering: Relaxed — see `publish`.
-        self.swaps.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-impl Default for ModelStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A read pin on one deployed [`ModelVersion`].
-#[derive(Debug, Clone)]
-pub struct ModelPin {
-    version: Arc<ModelVersion>,
-}
-
-impl ModelPin {
-    /// The pinned version's contents.
-    pub fn model(&self) -> &ModelVersion {
-        &self.version
+impl Versioned for ModelVersion {
+    fn epoch(&self) -> u64 {
+        self.version
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aligraph_storage::Published;
 
     fn rows(pairs: &[(u32, &[f32])]) -> BTreeMap<u32, Vec<f32>> {
         pairs.iter().map(|(k, v)| (*k, v.to_vec())).collect()
@@ -241,29 +152,18 @@ mod tests {
     }
 
     #[test]
-    fn publish_is_monotonic() {
-        let store = ModelStore::new();
-        assert_eq!(store.current_version(), 0);
-        store.publish(ModelVersion::new(1, 5, rows(&[(0, &[1.0])]))).unwrap();
-        assert_eq!(store.current_version(), 1);
-        let err = store.publish(ModelVersion::new(1, 6, rows(&[]))).unwrap_err();
-        assert_eq!(err, SwapError { current: 1, attempted: 1 });
-        assert_eq!(store.swap_count(), 1);
-    }
-
-    #[test]
     fn old_pin_survives_a_swap() {
-        let store = ModelStore::new();
-        store.publish(ModelVersion::new(1, 5, rows(&[(0, &[1.0])]))).unwrap();
+        let store = Published::new(ModelVersion::new(1, 5, rows(&[(0, &[1.0])])));
         let pin = store.pin();
-        store.publish(ModelVersion::new(2, 9, rows(&[(0, &[2.0])]))).unwrap();
+        store.write().publish(ModelVersion::new(2, 9, rows(&[(0, &[2.0])])), || {}).unwrap();
         // The in-flight pin still reads version 1 in full...
-        assert_eq!(pin.model().version(), 1);
-        assert_eq!(pin.model().embedding(0).unwrap().as_slice(), &[1.0]);
-        assert!(pin.model().verify());
+        assert_eq!(pin.version(), 1);
+        assert_eq!(pin.embedding(0).unwrap().as_slice(), &[1.0]);
+        assert!(pin.verify());
         // ...while a fresh pin sees version 2.
         let fresh = store.pin();
-        assert_eq!(fresh.model().version(), 2);
-        assert_eq!(fresh.model().embedding(0).unwrap().as_slice(), &[2.0]);
+        assert_eq!(fresh.version(), 2);
+        assert_eq!(fresh.embedding(0).unwrap().as_slice(), &[2.0]);
+        assert!(fresh.verify());
     }
 }

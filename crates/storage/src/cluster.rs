@@ -8,9 +8,8 @@
 //! the as-executed wall time and the distributed makespan (slowest shard),
 //! which is what a real cluster's build time would be.
 //!
-//! Membership is *elastic*: the builder seeds a versioned
-//! [`crate::topology::Topology`] (epoch 0 = the logical
-//! partition) and routing goes through it —
+//! Membership is *elastic*: the builder publishes an epoch-0
+//! [`TopologyView`] (the logical partition) and routing goes through it —
 //! [`primary_of`](Cluster::primary_of) reads the current epoch's owner
 //! table, and [`rebalance`](Cluster::rebalance) (see [`crate::migrate`])
 //! splits or merges shards while both sides keep serving. The *logical*
@@ -19,10 +18,11 @@
 
 use crate::cost::{AccessKind, AccessStats, CostModel, TierMeter};
 use crate::neighbor_cache::{CacheStrategy, NeighborCache};
+use crate::published::Published;
 use crate::segment::SegmentError;
 use crate::server::GraphServer;
 use crate::tier::{TierConfig, TieredStore};
-use crate::topology::{Residency, RouteError, Topology, TopologyView};
+use crate::topology::{Residency, RouteError, TopologyView};
 use aligraph_graph::{
     AttributedHeterogeneousGraph, DegreeTable, EdgeId, EdgeType, ImportanceTable, Neighbor,
     VertexId,
@@ -259,7 +259,7 @@ impl<'a> ClusterBuilder<'a> {
             partition,
             servers: RwLock::new(servers),
             residency,
-            topology: Topology::new(view),
+            topology: Published::new(view),
             stats: Arc::new(AccessStats::registered(registry, "storage")),
             cost: self.cost,
             migration_meter: TierMeter::registered(registry, "topology.migration"),
@@ -283,8 +283,9 @@ pub struct Cluster {
     pub(crate) servers: RwLock<Vec<Arc<GraphServer>>>,
     /// Per-vertex physical residency — the migration cutover table.
     pub(crate) residency: Residency,
-    /// Versioned membership; owns routing.
-    pub(crate) topology: Topology,
+    /// Versioned membership; owns routing. Its writer serializes
+    /// rebalances.
+    pub(crate) topology: Published<TopologyView>,
     stats: Arc<AccessStats>,
     cost: CostModel,
     /// Accounts live-migration traffic (all of it crosses shards).
@@ -341,7 +342,7 @@ impl Cluster {
     }
 
     /// The versioned membership.
-    pub fn topology(&self) -> &Topology {
+    pub fn topology(&self) -> &Published<TopologyView> {
         &self.topology
     }
 

@@ -24,11 +24,14 @@
 //!   atomic file writer behind checkpoints, [`segment`]s and every
 //!   torn-publish fingerprint;
 //! * [`cost`] — simulated local/remote access costs and atomic statistics;
-//! * [`topology`] / [`migrate`] — elastic membership: a versioned
-//!   [`topology::Topology`] (monotonic epochs, published like the streaming
-//!   layer's `EpochManager`) owns routing — one owner per vertex per epoch —
-//!   and [`migrate`] implements online shard split/merge with live subgraph
-//!   migration over the chaos plane while both shards keep serving.
+//! * [`published`] — the one publish cell every versioned snapshot goes
+//!   through (membership here, the online graph plane in `sampling`, the
+//!   deployed model in `serving`): readers pin, one writer at a time
+//!   publishes a strictly newer epoch with a sweep under the write lock;
+//! * [`topology`] / [`migrate`] — elastic membership: a published
+//!   [`topology::TopologyView`] owns routing — one owner per vertex per
+//!   epoch — and [`migrate`] implements online shard split/merge with live
+//!   subgraph migration over the chaos plane while both shards keep serving.
 //!
 //! The "network" is simulated: every shard can physically reach the whole
 //! graph, but accesses to vertices owned by another worker are accounted (and
@@ -43,6 +46,7 @@ pub mod cost;
 pub mod lru;
 pub mod migrate;
 pub mod neighbor_cache;
+pub mod published;
 pub mod seal;
 pub mod segment;
 pub mod server;
@@ -60,8 +64,9 @@ pub use cost::{
 pub use lru::LruCache;
 pub use migrate::{MigrationError, MigrationReport, RebalanceOp};
 pub use neighbor_cache::{CacheStrategy, NeighborCache};
+pub use published::{Published, StaleEpoch, Versioned, Writer};
 pub use segment::{Segment, SegmentError, SegmentKind};
 pub use server::{GraphServer, VertexRecord};
 pub use tier::{EvictionMode, TierBacking, TierConfig, TierRead, TieredStore};
-pub use topology::{Residency, RouteError, Topology, TopologyView};
+pub use topology::{Residency, RouteError, TopologyView};
 pub use versioned_cache::{CacheStats, VersionedCache};

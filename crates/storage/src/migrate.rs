@@ -22,12 +22,13 @@
 //! ```text
 //! extract(src) ──MIGRATION_TAG───> absorb(dst) ──> cutover(v, dst)   [commit]
 //!                                                     │
-//!                         publish_with(next epoch, sweep: src.retire(moved))
+//!                         publish(next epoch, sweep: src.retire(moved))
 //! ```
 
 use crate::cluster::{attr_cache_capacity, Cluster};
 use crate::cost::AccessKind;
 use crate::neighbor_cache::NeighborCache;
+use crate::published::StaleEpoch;
 use crate::server::{GraphServer, VertexRecord};
 use crate::topology::RouteError;
 use aligraph_chaos::{
@@ -99,6 +100,8 @@ pub enum MigrationError {
     },
     /// A routing lookup failed while validating the operation.
     Route(RouteError),
+    /// The topology refused the successor epoch.
+    Stale(StaleEpoch),
 }
 
 impl std::fmt::Display for MigrationError {
@@ -111,6 +114,7 @@ impl std::fmt::Display for MigrationError {
                  after {attempts} attempts"
             ),
             MigrationError::Route(e) => write!(f, "rebalance routing error: {e}"),
+            MigrationError::Stale(e) => write!(f, "rebalance not published: {e}"),
         }
     }
 }
@@ -163,7 +167,9 @@ impl Cluster {
     /// under `policy` and deduplicating through a [`Sequencer`]; each vertex
     /// cuts over atomically once its record is absorbed at the destination,
     /// and the new membership epoch publishes with the source retirement in
-    /// its sweep. Both shards serve throughout.
+    /// its sweep. Both shards serve throughout. The topology's writer is
+    /// held from the first look at the membership to the publish, so
+    /// rebalances of one cluster run one at a time.
     ///
     /// All or nothing: if the retry budget runs out mid-stream, the vertices
     /// already cut over flip back to the source (which still holds every
@@ -184,7 +190,8 @@ impl Cluster {
         policy: &RetryPolicy,
         mode: RecoveryMode,
     ) -> Result<MigrationReport, MigrationError> {
-        let view = self.topology.pin();
+        let writer = self.topology.write();
+        let view = Arc::clone(writer.head());
         let (src, dst) = match op {
             RebalanceOp::Split { shard } => {
                 if !view.is_live(shard) {
@@ -260,7 +267,7 @@ impl Cluster {
         for &v in &moving {
             #[expect(
                 clippy::expect_used,
-                reason = "v was selected from src's residency above, and the driver serializes rebalances"
+                reason = "v was selected from src's residency above, under the topology's writer"
             )]
             let rec = src_server.extract(v).expect("moving vertex resident on source shard");
             records.push(MigrationRecord::Vertex(rec));
@@ -270,6 +277,16 @@ impl Cluster {
         }
 
         let moved_ids: Vec<u32> = moving.iter().map(|v| v.0).collect();
+        // Nothing is published on failure: undo what landed in reverse
+        // commit order — flip back (the source holds every copy), drop the
+        // destination's, release a split's new slot.
+        let undo = || {
+            for &v in &moving {
+                self.residency.cutover(v, src);
+            }
+            dst_server.retire(&moved_ids);
+            self.servers.write().truncate(view.num_shards());
+        };
 
         // Stream through the chaos plane's delivery driver; the sequencer
         // makes the copies it lands (lost-ack resends, late replays) apply
@@ -306,14 +323,7 @@ impl Cluster {
             };
             let sent =
                 plane.deliver(channel, seq, policy, mode, HopKind::Acked, land).map_err(|e| {
-                    // Nothing was published: undo what landed in reverse
-                    // commit order — flip back (the source holds every copy),
-                    // drop the destination's, release a split's new slot.
-                    for &v in &moving {
-                        self.residency.cutover(v, src);
-                    }
-                    dst_server.retire(&moved_ids);
-                    self.servers.write().truncate(view.num_shards());
+                    undo();
                     MigrationError::RetriesExhausted {
                         from: src,
                         to: dst,
@@ -344,9 +354,11 @@ impl Cluster {
             RebalanceOp::Split { .. } => live.push(true),
             RebalanceOp::Merge { from, .. } => live[from as usize] = false,
         }
-        let next = Arc::new(view.advance(primary, Arc::new(live)));
-        let epoch = next.epoch();
-        self.topology.publish_with(next, |_| src_server.retire(&moved_ids));
+        let next = view.advance(primary, Arc::new(live));
+        let epoch = writer.publish(next, || src_server.retire(&moved_ids)).map_err(|e| {
+            undo();
+            MigrationError::Stale(e)
+        })?;
 
         Ok(MigrationReport {
             op,

@@ -2,8 +2,9 @@
 //!
 //! Membership is a published [`TopologyView`]: an immutable, sealed snapshot
 //! of *physical residency* (which shard currently holds each vertex and which
-//! shard slots are live), versioned under strictly monotonic epochs exactly
-//! like the streaming layer's `EpochManager`. Every vertex has one owner per
+//! shard slots are live), versioned under strictly monotonic epochs through
+//! the same [`Published`](crate::published::Published) cell as the online
+//! graph plane and the deployed model. Every vertex has one owner per
 //! epoch; readers pin a view for the length of a request, so one request
 //! routes against one membership version no matter how many rebalances land
 //! meanwhile.
@@ -21,11 +22,11 @@
 //! the sealed publish and the per-vertex flip against a sequential shadow
 //! model.
 
+use crate::published::Versioned;
 use crate::seal::Fnv1a;
 use aligraph_graph::VertexId;
 use aligraph_partition::{Partition, WorkerId};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// A routing request failed before any data was touched.
@@ -122,11 +123,6 @@ impl TopologyView {
         self.epoch
     }
 
-    /// The sealed fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Total shard slots (live + retired).
     pub fn num_shards(&self) -> usize {
         self.live.len()
@@ -169,49 +165,9 @@ impl TopologyView {
     }
 }
 
-/// Publishes monotonic membership epochs and hands out pins — the same
-/// discipline as `streaming::EpochManager`: one pointer swap per publish,
-/// the epoch counter and the view travelling together through the lock.
-#[derive(Debug)]
-pub struct Topology {
-    current: RwLock<Arc<TopologyView>>,
-    epoch: AtomicU64,
-}
-
-impl Topology {
-    /// A topology starting at `view`'s epoch.
-    pub fn new(view: TopologyView) -> Self {
-        let epoch = view.epoch();
-        Topology { current: RwLock::new(Arc::new(view)), epoch: AtomicU64::new(epoch) }
-    }
-
-    /// The latest published epoch (monotonic).
-    pub fn current_epoch(&self) -> u64 {
-        // ordering: Acquire pairs with publish_with()'s Release store, so a
-        // reader that sees epoch E also sees E's sealed view through the
-        // lock.
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Pins the current view for a request (cheap `Arc` clone): the holder
-    /// keeps its epoch no matter how many publishes land meanwhile.
-    pub fn pin(&self) -> Arc<TopologyView> {
-        Arc::clone(&self.current.read())
-    }
-
-    /// Publishes `next` as the new membership epoch. `sweep` runs under the
-    /// write lock *after* the epoch advances — source-shard retirement goes
-    /// here, so no reader can route by the new epoch while the old copies
-    /// are mid-retirement, and no reader on the old epoch loses its copy
-    /// (pins hold the old view alive).
-    pub fn publish_with<F: FnOnce(&Arc<TopologyView>)>(&self, next: Arc<TopologyView>, sweep: F) {
-        let mut cur = self.current.write();
-        debug_assert!(next.epoch() > cur.epoch(), "membership epochs must be strictly increasing");
-        // ordering: Release pairs with current_epoch()'s Acquire; pins
-        // additionally synchronize through the RwLock.
-        self.epoch.store(next.epoch(), Ordering::Release);
-        *cur = Arc::clone(&next);
-        sweep(&next);
+impl Versioned for TopologyView {
+    fn epoch(&self) -> u64 {
+        self.epoch
     }
 }
 
@@ -270,6 +226,7 @@ impl Residency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::published::Published;
     use aligraph_graph::generate::TaobaoConfig;
     use aligraph_partition::{EdgeCutHash, Partitioner};
 
@@ -309,35 +266,18 @@ mod tests {
     }
 
     #[test]
-    fn epochs_are_strictly_monotonic_across_publishes() {
-        let topo = Topology::new(tiny_view(2));
-        let mut seen = vec![topo.current_epoch()];
-        for _ in 0..5 {
-            let cur = topo.pin();
-            let next = cur.advance(
-                Arc::new(cur.owners().as_ref().clone()),
-                Arc::new((0..cur.num_shards()).map(|s| cur.is_live(s as u32)).collect()),
-            );
-            topo.publish_with(Arc::new(next), |_| {});
-            let e = topo.current_epoch();
-            assert!(e > *seen.last().unwrap(), "epochs must strictly increase");
-            seen.push(e);
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn pins_keep_their_epoch_across_publishes() {
-        let topo = Topology::new(tiny_view(2));
+        let topo = Published::new(tiny_view(2));
         let pin0 = topo.pin();
         let next =
             pin0.advance(Arc::new(pin0.owners().as_ref().clone()), Arc::new(vec![true, true]));
         let mut swept_at = None;
-        topo.publish_with(Arc::new(next), |v| swept_at = Some(v.epoch()));
+        topo.write().publish(next, || swept_at = Some(topo.current_epoch())).unwrap();
         assert_eq!(swept_at, Some(1));
         assert_eq!(pin0.epoch(), 0);
         assert_eq!(topo.pin().epoch(), 1);
         pin0.verify().unwrap();
+        topo.pin().verify().unwrap();
     }
 
     #[test]

@@ -21,6 +21,7 @@ use aligraph_chaos::{
     FaultPlane, HopKind, RecoveryMode, RetryPolicy, Seq, SeqCounter, Sequencer, UPDATE_INGEST_TAG,
 };
 use aligraph_sampling::{Applied, ShardOverlay};
+use aligraph_storage::StaleEpoch;
 
 /// Why an ingest failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,6 +44,8 @@ pub enum IngestError {
         /// What is wrong with it.
         reason: String,
     },
+    /// The plane refused the successor epoch; nothing was published.
+    Stale(StaleEpoch),
 }
 
 impl std::fmt::Display for IngestError {
@@ -54,11 +57,18 @@ impl std::fmt::Display for IngestError {
             ),
             IngestError::BadOwners(reason) => write!(f, "bad ownership table: {reason}"),
             IngestError::BadEvent { index, reason } => write!(f, "bad event {index}: {reason}"),
+            IngestError::Stale(e) => write!(f, "ingest not published: {e}"),
         }
     }
 }
 
 impl std::error::Error for IngestError {}
+
+impl From<StaleEpoch> for IngestError {
+    fn from(e: StaleEpoch) -> Self {
+        IngestError::Stale(e)
+    }
+}
 
 /// One batch past the fault plane: what the hop to each shard landed.
 #[derive(Debug)]

@@ -50,7 +50,7 @@ pub mod report;
 pub mod serve;
 
 pub use aligraph_chaos::{FaultConfig, UPDATE_INGEST_TAG};
-pub use aligraph_sampling::plane::{EpochManager, EpochView, ShardOverlay, Touched};
+pub use aligraph_sampling::plane::{EpochView, ShardOverlay, Touched};
 pub use event::{UpdateBatch, UpdateEvent, UpdateWorkload};
 pub use ingest::IngestError;
 pub use report::StreamingReport;

@@ -12,7 +12,9 @@
 //!   k-hop regions are identical produce bit-identical vectors — which is
 //!   exactly why a cache entry that survives the targeted reverse-k-hop
 //!   invalidation sweep is still *correct*, not merely tolerably stale.
-//! * **Monotonic epochs** — the ingest lock is held across publish, so
+//! * **Monotonic epochs** — views publish through one
+//!   [`Published`] cell (DESIGN.md §2.15), whose writer is held from
+//!   the head a batch is applied to until its successor publishes, so
 //!   epochs advance in submit order, strictly increasing.
 
 use crate::event::UpdateBatch;
@@ -21,8 +23,8 @@ use crate::mix2;
 use aligraph_chaos::{FaultConfig, FaultPlane};
 use aligraph_graph::{AttributedHeterogeneousGraph, FeatureMatrix, VertexId};
 use aligraph_partition::{EdgeCutHash, Partitioner};
-use aligraph_sampling::{AliasTable, Applied, EpochManager, EpochView};
-use aligraph_storage::{CacheStats, VersionedCache};
+use aligraph_sampling::{commit, AliasTable, Applied, EpochView};
+use aligraph_storage::{CacheStats, Published, VersionedCache};
 use aligraph_telemetry::{Counter, Gauge, Histogram, Registry, Span};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -128,7 +130,7 @@ impl Metrics {
 /// threads (`&self` everywhere except [`shutdown`](Self::shutdown)).
 #[derive(Debug)]
 pub struct StreamingService {
-    epochs: EpochManager,
+    epochs: Published<EpochView>,
     /// Gathered vectors, tagged with the epoch they were computed at.
     cache: VersionedCache<u32, Arc<Vec<f32>>>,
     pipeline: Mutex<IngestPipeline>,
@@ -166,7 +168,7 @@ impl StreamingService {
         let plane = FaultPlane::registered(fault.plan, registry);
         let view = EpochView::initial(base, feats, base_alias, owners, shards);
         StreamingService {
-            epochs: EpochManager::new(view),
+            epochs: Published::new(view),
             cache: VersionedCache::registered(config.cache_capacity, registry, "streaming.cache"),
             pipeline: Mutex::new(IngestPipeline::new(shards, plane, fault.policy)),
             fanouts: config.fanouts,
@@ -179,21 +181,19 @@ impl StreamingService {
     /// (possibly faulted) ingest channel once per shard, and commits the
     /// head's shards with the batch applied as the next epoch, with the
     /// plane's targeted cache sweep. The pipeline lock is held through the
-    /// commit — it is all that orders concurrent callers — so they publish
-    /// strictly increasing epochs in submit order.
+    /// commit, so concurrent callers cross the channel in the order they
+    /// publish: strictly increasing epochs in submit order.
     pub fn ingest(&self, batch: &UpdateBatch) -> Result<IngestReceipt, IngestError> {
         let mut pipeline = self.pipeline.lock();
-        self.epochs
-            .pin()
-            .check(batch)
-            .map_err(|(index, reason)| IngestError::BadEvent { index, reason })?;
+        let writer = self.epochs.write();
+        let head = writer.head();
+        head.check(batch).map_err(|(index, reason)| IngestError::BadEvent { index, reason })?;
         let hops = pipeline.resolve()?;
-        let done = self.epochs.commit(self.fanouts.len(), &self.cache, |pre| {
-            let mut shards = pre.shards().to_vec();
-            let applied = pipeline.apply(&hops, &mut shards, &batch.events);
-            (pre.with_shards(shards), applied)
-        });
-        let overlay_rows = self.epochs.pin().overlay_rows();
+        let mut shards = head.shards().to_vec();
+        let applied = pipeline.apply(&hops, &mut shards, &batch.events);
+        let next = head.with_shards(shards);
+        let overlay_rows = next.overlay_rows();
+        let done = commit(writer, next, applied, self.fanouts.len(), &self.cache)?;
         drop(pipeline);
         for ev in &batch.events {
             match ev.kind() {
@@ -232,14 +232,11 @@ impl StreamingService {
     /// owner; no cache entry is invalidated because no graph data changed,
     /// only placement. Returns the epoch the new routing published under.
     pub fn adopt_owners(&self, owners: Arc<Vec<u32>>) -> Result<u64, IngestError> {
-        // Held for its ordering: this pin stays the head until the commit.
-        let pipeline = self.pipeline.lock();
-        let next = self.epochs.pin().adopt_owners(owners).map_err(IngestError::BadOwners)?;
+        let writer = self.epochs.write();
+        let next = writer.head().adopt_owners(owners).map_err(IngestError::BadOwners)?;
         // Placement-only change: nothing is touched, so the commit sweeps
         // nothing and every cached gather stays bit-correct at the new epoch.
-        let done =
-            self.epochs.commit(self.fanouts.len(), &self.cache, |_| (next, Applied::default()));
-        drop(pipeline);
+        let done = commit(writer, next, Applied::default(), self.fanouts.len(), &self.cache)?;
         self.metrics.epoch.set(done.epoch as i64);
         Ok(done.epoch)
     }

@@ -10,11 +10,12 @@
 //! 2. Every atomic `Ordering::` use in a crate's non-test sources has an
 //!    `// ordering:` justification on its line or in the five above (a
 //!    note's comment block counts to its last line).
-//! 3. The mini-loom targets hold over a seed sweep: the striped telemetry
-//!    counter, the sparse parameter server and the model hot swap each
-//!    survive hundreds of adversarial interleavings against their
-//!    sequential shadow models — and the known-bad field-by-field publish
-//!    is still caught and replays.
+//! 3. The mini-loom targets hold over seeds of their own: the striped
+//!    telemetry counter, the sparse parameter server and the topology
+//!    publish — the publish cell every versioned snapshot goes through —
+//!    each survive hundreds of adversarial interleavings against their
+//!    sequential shadow models, and the known-bad field-by-field publish is
+//!    still caught and replays.
 
 #![expect(
     clippy::expect_used,
@@ -23,7 +24,7 @@
 
 use aligraph_lint::loom::counter::CounterWorkload;
 use aligraph_lint::loom::ps::PsWorkload;
-use aligraph_lint::loom::swap::SwapWorkload;
+use aligraph_lint::loom::topology::TopologyWorkload;
 use aligraph_lint::loom::Explorer;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -130,19 +131,19 @@ fn sparse_param_server_matches_shadow() {
 }
 
 #[test]
-fn model_swap_survives_interleavings() {
-    let w = SwapWorkload::default();
+fn topology_publish_survives_interleavings() {
+    let w = TopologyWorkload::default();
     Explorer { seed: 17 }.explore(&w, 300).expect("no divergence");
 }
 
 #[test]
-fn field_by_field_model_publish_is_caught_and_replays_from_suite() {
-    // The split twin publishes version, rows and seal as separate steps;
-    // some schedule must expose a torn model, and the recorded schedule
+fn field_by_field_topology_publish_is_caught_and_replays_from_suite() {
+    // The split twin publishes epoch, owners and seal as separate steps;
+    // some schedule must expose a torn view, and the recorded schedule
     // must reproduce it bit-for-bit.
-    let w = SwapWorkload::buggy();
+    let w = TopologyWorkload::torn_publish();
     let div = Explorer { seed: 17 }.explore(&w, 300).expect_err("divergence expected");
-    assert!(div.message.contains("torn model"), "unexpected divergence: {}", div.message);
+    assert!(div.message.contains("torn topology"), "unexpected divergence: {}", div.message);
     let replayed = Explorer::replay(&w, &div.schedule).expect_err("replay reproduces");
     assert_eq!(replayed.message, div.message);
 }

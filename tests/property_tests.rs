@@ -6,8 +6,8 @@ use aligraph_suite::graph::generate::{erdos_renyi, TaobaoConfig};
 use aligraph_suite::graph::Featurizer;
 use aligraph_suite::graph::{AttrValue, AttrVector, EdgeType, GraphBuilder, VertexId, VertexType};
 use aligraph_suite::partition::{EdgeCutHash, Partitioner, StreamingLdg, VertexCutGreedy};
-use aligraph_suite::sampling::{AliasTable, EpochManager, EpochView, IncrementalAlias};
-use aligraph_suite::storage::LruCache;
+use aligraph_suite::sampling::{AliasTable, EpochView, IncrementalAlias};
+use aligraph_suite::storage::{LruCache, Published};
 use aligraph_suite::streaming::{UpdateBatch, UpdateEvent};
 use aligraph_suite::tensor::Matrix;
 use proptest::prelude::*;
@@ -266,9 +266,9 @@ proptest! {
         }
     }
 
-    /// Plane invariant (ISSUE 6, ISSUE 14): published epochs are strictly
-    /// increasing, the head never runs backwards, no pinned session ever
-    /// observes the manager below its pin — and a pin's rows and features
+    /// Publish-cell invariant over plane views: published epochs are
+    /// strictly increasing, the head never runs backwards, no pinned session
+    /// ever observes the cell below its pin — and a pin's rows and features
     /// stay bit-unchanged however many later batches are applied on top of
     /// it (a published version is never written again).
     #[test]
@@ -282,7 +282,7 @@ proptest! {
         let g = Arc::new(b.build());
         let feats = Arc::new(Featurizer::new(2).matrix(&g));
         let owners = Arc::new(vec![0, 1, 0, 1]);
-        let mgr = EpochManager::new(EpochView::initial(g, feats, Arc::default(), owners, 2));
+        let cell = Published::new(EpochView::initial(g, feats, Arc::default(), owners, 2));
         // Everything a reader can see of one version, weights as bits.
         let bits = |view: &EpochView| -> Vec<u32> {
             let mut seen = Vec::new();
@@ -305,14 +305,15 @@ proptest! {
                     1 => UpdateEvent::RemoveEdge { src, dst, etype },
                     _ => UpdateEvent::SetFeatures { vertex: src, features: vec![step as f32; 2] },
                 };
-                let next = mgr.pin().apply_batch(&UpdateBatch { events: vec![event] }).0;
-                mgr.publish_with(Arc::new(next), |_| {});
+                let writer = cell.write();
+                let next = writer.head().apply_batch(&UpdateBatch { events: vec![event] }).0;
+                prop_assert!(writer.publish(next, || {}).is_ok(), "a successor was refused");
             } else {
-                let pin = mgr.pin();
+                let pin = cell.pin();
                 let seen = bits(&pin);
                 pins.push((pin, seen));
             }
-            let now = mgr.current_epoch();
+            let now = cell.current_epoch();
             prop_assert!(now >= last, "head ran backwards: {} < {}", now, last);
             last = now;
             for (p, _) in &pins {
