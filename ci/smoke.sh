@@ -8,9 +8,10 @@
 # row compares values unless it says --presence-only: train-bench,
 # closed-loop, rebalance-bench and tiered-bench are seeded and their
 # schedules pinned (every series that is not a wall clock repeats exactly;
-# train-bench's, train-bench-kill's and tiered-bench's are compared at
-# --tolerance 0, so the metered PS traffic, the tier's reads and the
-# staleness count of a crashed attempt are pinned exactly);
+# train-bench's, train-bench-kill's, closed-loop's and tiered-bench's are
+# compared at --tolerance 0, so the metered PS traffic, the tier's reads,
+# the staleness count of a crashed attempt and the streaming plane's
+# overlay rows, alias repairs and cache invalidations are pinned exactly);
 # serve-under-update's counters
 # follow its updater thread's timing. A row whose baseline is `clean-run`
 # is compared against its own shape run without the fault flags: an unarmed
@@ -33,7 +34,7 @@ train-bench-kill     | train-bench        | --workers 2 --epochs 2 --scale 0.005
 serve-bench          | serve-bench        | --requests 1000 --clients 2 --workers 2 --scale 0.05 | serving.requests serving.latency_ns |
 serve-under-update   | serve-under-update | --requests 200000 --clients 2 --workers 2 --scale 0.02 --update-every-ms 1 --slo-p99-ms 250 | streaming.ingest. streaming.serve.latency_ns streaming.epoch streaming.cache | BENCH_serve_under_update.json --presence-only
 serve-under-update-chaos | serve-under-update | --fault-seed 42 --drop-rate 0.2 --requests 200000 --clients 2 --workers 2 --scale 0.02 --update-every-ms 1 --slo-p99-ms 250 | streaming.ingest.lag_ticks chaos.faults_injected |
-closed-loop          | closed-loop        | --cycles 4 --seed 42 --slo-freshness-ticks 200 | loop.freshness_ticks loop.cycles streaming.ingest. runtime.ps. | BENCH_closed_loop.json
+closed-loop          | closed-loop        | --cycles 4 --seed 42 --slo-freshness-ticks 200 | loop.freshness_ticks loop.cycles streaming.ingest. runtime.ps. | BENCH_closed_loop.json --tolerance 0
 closed-loop-chaos    | closed-loop        | --cycles 2 --seed 42 --fault-seed 7 --drop-rate 0.2 --slo-freshness-ticks 200 | loop.freshness_ticks chaos.faults_injected |
 rebalance-bench      | rebalance-bench    | --workers 4 --epochs 3 --scale 0.01 --merge 1 | topology.migration. | BENCH_rebalance.json
 rebalance-bench-chaos | rebalance-bench   | --workers 4 --epochs 3 --scale 0.01 --fault-seed 7 --drop-rate 0.2 | topology.migration. chaos.faults_injected |

@@ -290,12 +290,11 @@ impl Workload for OverlayWorkload {
             b.add_edge(w[0], w[1], CLICK, 1.0).expect("vertices exist");
         }
         let graph = Arc::new(b.build());
-        // One shard owning every vertex; the fingerprint reads rows only, so
-        // the view carries one-wide features and no base alias index.
+        // The fingerprint reads rows only, so the view carries one-wide
+        // features and no base alias index.
         let feats = Arc::new(Featurizer::new(1).matrix(&graph));
-        let owners = Arc::new(vec![0; graph.num_vertices()]);
         let state = OverlayState {
-            overlay: Arc::new(EpochView::initial(graph, feats, Arc::default(), owners, 1)),
+            overlay: Arc::new(EpochView::initial(graph, feats, Arc::default())),
             cache: VersionedCache::registered(8, &Registry::disabled(), "serving.cache"),
             publishing: false,
             bug: self.bug,

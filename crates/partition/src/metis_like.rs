@@ -329,7 +329,7 @@ mod tests {
         }
         let mut rng_state = 1u64;
         let mut next = |m: usize| {
-            rng_state = splitmix64_local(rng_state);
+            rng_state = splitmix64(rng_state);
             (rng_state % m as u64) as u32
         };
         for c in 0..2u32 {
@@ -359,13 +359,6 @@ mod tests {
         );
         // Balance within tolerance.
         assert!(qm.vertex_imbalance < 1.3, "imbalance {}", qm.vertex_imbalance);
-    }
-
-    fn splitmix64_local(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
     }
 
     #[test]

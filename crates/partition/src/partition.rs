@@ -279,7 +279,9 @@ impl ReplicaSet {
     }
 }
 
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// The SplitMix64 finalizer: the mix the hash partitioners place vertices
+/// by. Anything that must agree with their placement calls this one.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -21,8 +21,8 @@
 //!   §3.3, optionally routed through the storage layer's request-flow
 //!   buckets;
 //! * [`pipeline`] — the `sampling(s1, s2, s3, batch_size)` stage of Figure 5;
-//! * [`plane`] — the dynamic-graph plane: per-shard copy-on-write overlays
-//!   over the immutable store, published as pinned, monotonic epochs
+//! * [`plane`] — the dynamic-graph plane: one copy-on-write overlay per
+//!   version over the immutable store, published as pinned, monotonic epochs
 //!   through storage's publish cell ([`aligraph_storage::Published`]), with
 //!   [`plane::commit`] as the one write path — the one online graph state
 //!   the serving and streaming services both read;
@@ -48,7 +48,7 @@ pub use neighborhood::{
     WeightedNeighborhood,
 };
 pub use pipeline::{SampleBatch, SamplingPipeline};
-pub use plane::{affected, commit, Applied, Committed, EpochView, ShardOverlay, Touched};
+pub use plane::{affected, commit, Applied, Committed, EpochView, Touched};
 pub use seeding::{worker_rng, worker_seed};
 pub use telemetry::MeteredNeighborhood;
 pub use traverse::{ShardEdgePools, TraverseSampler, UniformTraverse, WeightedEdgeTraverse};

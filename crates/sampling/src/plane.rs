@@ -3,9 +3,11 @@
 //!
 //! The offline store ([`AttributedHeterogeneousGraph`]) is immutable; a
 //! dynamic graph is a series of versions over it (paper §2). Each version
-//! is an [`EpochView`]: the base snapshot plus one persistent
-//! [`ShardOverlay`] per shard holding only the *touched* adjacency rows,
-//! alias tables and feature vectors. The rules this module owns:
+//! is an [`EpochView`]: the base snapshot plus one persistent overlay
+//! holding only the *touched* adjacency rows, alias tables and feature
+//! vectors. The overlay holds no placement: which shard serves or ingests
+//! a vertex is the service's business, not the graph state's. The rules
+//! this module owns:
 //!
 //! * **copy on first touch, never write a published version** — a row is
 //!   copied from the base the first time an update edits it; rows live in a
@@ -67,23 +69,6 @@ pub struct Applied {
     /// Total alias slots rewritten by those repairs (Σ row degrees) — the
     /// actual hot-path work, versus a full rebuild's Σ over *all* rows.
     pub repaired_slots: u64,
-}
-
-impl Applied {
-    /// The union of per-shard results (a vertex has one owner, so the parts
-    /// are disjoint; sorting restores the global order).
-    pub fn merge(parts: impl IntoIterator<Item = Applied>) -> Applied {
-        let mut all = Applied::default();
-        for part in parts {
-            all.touched.rows.extend(part.touched.rows);
-            all.touched.feats.extend(part.touched.feats);
-            all.repairs += part.repairs;
-            all.repaired_slots += part.repaired_slots;
-        }
-        all.touched.rows.sort_unstable();
-        all.touched.feats.sort_unstable();
-        all
-    }
 }
 
 /// A touched out-row and the alias table over its weights, kept in one
@@ -163,9 +148,10 @@ impl<T: Clone> Index<T> {
     /// `k`'s slot, with every node above it made this index's own (created
     /// when absent, copied when a clone still shares it).
     fn slot_mut(&mut self, k: u32) -> &mut Option<Arc<T>> {
-        // invariant: every write is behind `ShardOverlay::owns`, whose
-        // table has one entry per vertex of the base this index was sized
-        // from; only reads can be out of range, and `get` answers `None`.
+        // invariant: every write is behind `Overlay::apply`'s range guard,
+        // which skips an event naming a vertex beyond the base this index
+        // was sized from; only reads can be out of range, and `get`
+        // answers `None`.
         assert!(((k >> self.top_shift) as usize) < NODE_SLOTS, "vertex {k} beyond the index");
         let (mut slot, mut shift) = (&mut self.root, self.top_shift);
         loop {
@@ -198,14 +184,6 @@ impl<T: Clone> Index<T> {
         self.len += fresh as usize;
     }
 
-    /// Takes `k`'s entry out. Emptied nodes stay: only a change of owner
-    /// removes, and the key range bounds the trie anyway.
-    fn remove(&mut self, k: u32) -> Option<Arc<T>> {
-        self.get(k)?;
-        self.len -= 1;
-        self.slot_mut(k).take()
-    }
-
     /// The keys present, ascending.
     fn keys(&self) -> Vec<u32> {
         fn walk<T>(node: &Node<T>, prefix: u32, out: &mut Vec<u32>) {
@@ -231,29 +209,13 @@ impl<T: Clone> Index<T> {
     }
 }
 
-/// One vertex's extracted overlay state, handed from its previous owner to
-/// its new owner when an ownership table is adopted mid-stream. `None`
-/// fields mean the previous owner never touched that aspect (the base
-/// snapshot still serves it correctly on any shard).
-#[derive(Debug, Clone, Default)]
-struct VertexOverlay {
-    out: Option<Arc<OutRow>>,
-    in_row: Option<Arc<Vec<Neighbor>>>,
-    feats: Option<Arc<Vec<f32>>>,
-}
-
-/// One shard's persistent overlay: the adjacency rows, alias tables and
-/// feature overrides of the vertices it owns that differ from the base
-/// snapshot. Cloning is O(1) (`Arc` bumps); a clone that is then edited
-/// copies only the index paths and rows the edit writes, so whoever holds
-/// the original keeps reading the version it had.
+/// The persistent overlay of one graph version: the adjacency rows, alias
+/// tables and feature overrides that differ from the base snapshot, each
+/// keyed by its vertex. Cloning is O(1) (`Arc` bumps); a clone that is then
+/// edited copies only the index paths and rows the edit writes, so whoever
+/// holds the original keeps reading the version it had.
 #[derive(Debug, Clone)]
-pub struct ShardOverlay {
-    base: Arc<AttributedHeterogeneousGraph>,
-    /// Vertex → owning shard, shared with every other shard.
-    owners: Arc<Vec<u32>>,
-    /// This shard's id in `owners`.
-    me: u32,
+struct Overlay {
     /// Whether touched rows keep an alias table. An [`EpochView`] built
     /// without a base alias index answers `alias() == None` for untouched
     /// rows, so it must for touched ones too — and then nobody would read
@@ -264,65 +226,21 @@ pub struct ShardOverlay {
     feats: Index<Vec<f32>>,
 }
 
-impl ShardOverlay {
-    /// An empty overlay for shard `me` over the base snapshot.
-    pub fn new(base: Arc<AttributedHeterogeneousGraph>, owners: Arc<Vec<u32>>, me: u32) -> Self {
-        let n = base.num_vertices();
-        ShardOverlay {
-            base,
-            owners,
-            me,
-            weighted: true,
-            out_rows: Index::new(n),
-            in_rows: Index::new(n),
-            feats: Index::new(n),
-        }
-    }
-
-    /// The overlaid out-row of `v`, when this shard has touched it.
-    pub fn out_row(&self, v: VertexId) -> Option<&[Neighbor]> {
-        self.out_rows.get(v.0).map(|e| e.row.as_slice())
-    }
-
-    /// The overlaid in-row of `v`, when this shard has touched it.
-    pub fn in_row(&self, v: VertexId) -> Option<&[Neighbor]> {
-        self.in_rows.get(v.0).map(|r| r.as_slice())
-    }
-
-    /// The incrementally maintained alias table of `v`, when touched.
-    pub fn alias(&self, v: VertexId) -> Option<&IncrementalAlias> {
-        self.out_rows.get(v.0).map(|e| &e.alias)
-    }
-
-    /// The overlaid feature vector of `v`, when touched.
-    pub fn features(&self, v: VertexId) -> Option<&[f32]> {
-        self.feats.get(v.0).map(|f| f.as_slice())
-    }
-
-    /// All incrementally maintained alias tables, ascending by vertex (for
-    /// the rebuild oracle).
-    pub fn alias_entries(&self) -> impl Iterator<Item = (u32, &IncrementalAlias)> {
-        self.out_rows.keys().into_iter().filter_map(|v| Some((v, self.alias(VertexId(v))?)))
-    }
-
-    /// Number of adjacency rows this shard has overlaid.
-    pub fn overlay_rows(&self) -> usize {
-        self.out_rows.len
-    }
-
-    fn owns(&self, v: VertexId) -> bool {
-        self.owners.get(v.0 as usize).copied() == Some(self.me)
-    }
-
-    /// Applies one batch of events (ownership-filtered: this shard edits
-    /// only the rows/features of vertices it owns) and repairs every touched
-    /// alias table in place. A removal that matches no record touches
-    /// nothing.
-    pub fn apply(&mut self, events: &[UpdateEvent]) -> Applied {
-        let weighted = self.weighted;
+impl Overlay {
+    /// Applies one batch of events over `base` in one pass — an out-row
+    /// edit keyed by its source, an in-row edit by its destination, a
+    /// feature override by its vertex — and repairs every touched alias
+    /// table in place. A removal that matches no record touches nothing,
+    /// and so does an event naming a vertex beyond `base` (one that skipped
+    /// [`EpochView::check`]).
+    fn apply(&mut self, base: &AttributedHeterogeneousGraph, events: &[UpdateEvent]) -> Applied {
+        let (weighted, n) = (self.weighted, base.num_vertices());
         let mut rows: BTreeSet<u32> = BTreeSet::new();
         let mut feats: BTreeSet<u32> = BTreeSet::new();
         for ev in events {
+            if ends(ev).iter().any(|v| v.0 as usize >= n) {
+                continue;
+            }
             match *ev {
                 UpdateEvent::AddEdge { src, dst, etype, weight } => {
                     let rec = |vertex| Neighbor {
@@ -332,52 +250,46 @@ impl ShardOverlay {
                         attr: SYNTH_ATTR,
                         edge: SYNTH_EDGE,
                     };
-                    if self.owns(src) {
-                        let first = || OutRow::from_base(&self.base, src, weighted);
+                    let first = || OutRow::from_base(base, src, weighted);
+                    self.out_rows.edit(src.0, first, |e| {
+                        e.row.push(rec(dst));
+                        if weighted {
+                            e.alias.push(weight);
+                        }
+                    });
+                    rows.insert(src.0);
+                    let first = || base.in_neighbors(dst).to_vec();
+                    self.in_rows.edit(dst.0, first, |row| row.push(rec(src)));
+                }
+                UpdateEvent::RemoveEdge { src, dst, etype } => {
+                    let row = self
+                        .out_rows
+                        .get(src.0)
+                        .map_or(base.out_neighbors(src), |e| e.row.as_slice());
+                    if let Some(i) = position(row, dst, etype) {
+                        let first = || OutRow::from_base(base, src, weighted);
                         self.out_rows.edit(src.0, first, |e| {
-                            e.row.push(rec(dst));
+                            e.row.remove(i);
+                            // Order-preserving removal keeps alias indices
+                            // aligned with row indices.
                             if weighted {
-                                e.alias.push(weight);
+                                e.alias.remove(i);
                             }
                         });
                         rows.insert(src.0);
                     }
-                    if self.owns(dst) {
-                        let first = || self.base.in_neighbors(dst).to_vec();
-                        self.in_rows.edit(dst.0, first, |row| row.push(rec(src)));
-                    }
-                }
-                UpdateEvent::RemoveEdge { src, dst, etype } => {
-                    if self.owns(src) {
-                        let row = self.out_row(src).unwrap_or(self.base.out_neighbors(src));
-                        if let Some(i) = position(row, dst, etype) {
-                            let first = || OutRow::from_base(&self.base, src, weighted);
-                            self.out_rows.edit(src.0, first, |e| {
-                                e.row.remove(i);
-                                // Order-preserving removal keeps alias
-                                // indices aligned with row indices.
-                                if weighted {
-                                    e.alias.remove(i);
-                                }
-                            });
-                            rows.insert(src.0);
-                        }
-                    }
-                    if self.owns(dst) {
-                        let row = self.in_row(dst).unwrap_or(self.base.in_neighbors(dst));
-                        if let Some(i) = position(row, src, etype) {
-                            let first = || self.base.in_neighbors(dst).to_vec();
-                            self.in_rows.edit(dst.0, first, |row| {
-                                row.remove(i);
-                            });
-                        }
+                    let row =
+                        self.in_rows.get(dst.0).map_or(base.in_neighbors(dst), |r| r.as_slice());
+                    if let Some(i) = position(row, src, etype) {
+                        let first = || base.in_neighbors(dst).to_vec();
+                        self.in_rows.edit(dst.0, first, |row| {
+                            row.remove(i);
+                        });
                     }
                 }
                 UpdateEvent::SetFeatures { vertex, ref features } => {
-                    if self.owns(vertex) {
-                        self.feats.insert(vertex.0, Arc::new(features.clone()));
-                        feats.insert(vertex.0);
-                    }
+                    self.feats.insert(vertex.0, Arc::new(features.clone()));
+                    feats.insert(vertex.0);
                 }
             }
         }
@@ -407,48 +319,15 @@ impl ShardOverlay {
             repaired_slots,
         }
     }
+}
 
-    /// Adopts a new ownership table (typically the owner table of a storage
-    /// topology epoch after a shard split/merge) and extracts the overlay
-    /// state of every vertex that no longer belongs here. The returned
-    /// emigrants — `(vertex, new owner, state)`, ascending by vertex — must
-    /// be [`absorb`](Self::absorb)ed by their new owners before the next
-    /// epoch publishes, or their streamed edits would be lost to base-row
-    /// fallbacks.
-    fn adopt_owners(&mut self, owners: Arc<Vec<u32>>) -> Vec<(u32, u32, VertexOverlay)> {
-        self.owners = owners;
-        let leaving: BTreeSet<u32> = [self.out_rows.keys(), self.in_rows.keys(), self.feats.keys()]
-            .into_iter()
-            .flatten()
-            .filter(|&v| !self.owns(VertexId(v)))
-            .collect();
-        leaving
-            .into_iter()
-            .map(|v| {
-                let state = VertexOverlay {
-                    out: self.out_rows.remove(v),
-                    in_row: self.in_rows.remove(v),
-                    feats: self.feats.remove(v),
-                };
-                (v, self.owners.get(v as usize).copied().unwrap_or(0), state)
-            })
-            .collect()
-    }
-
-    /// Installs overlay state extracted from a vertex's previous owner.
-    /// Present fields overwrite (the emigrant state is newer by
-    /// construction); absent fields leave any local state alone, so a
-    /// duplicate absorb is harmless.
-    fn absorb(&mut self, v: u32, state: VertexOverlay) {
-        if let Some(e) = state.out {
-            self.out_rows.insert(v, e);
+/// The vertices an event names (a feature rewrite's twice).
+fn ends(ev: &UpdateEvent) -> [VertexId; 2] {
+    match *ev {
+        UpdateEvent::AddEdge { src, dst, .. } | UpdateEvent::RemoveEdge { src, dst, .. } => {
+            [src, dst]
         }
-        if let Some(r) = state.in_row {
-            self.in_rows.insert(v, r);
-        }
-        if let Some(f) = state.feats {
-            self.feats.insert(v, f);
-        }
+        UpdateEvent::SetFeatures { vertex, .. } => [vertex; 2],
     }
 }
 
@@ -457,7 +336,7 @@ fn position(row: &[Neighbor], far: VertexId, etype: EdgeType) -> Option<usize> {
     row.iter().position(|n| n.vertex == far && n.etype == etype)
 }
 
-/// One immutable graph version: base snapshot + per-shard overlays.
+/// One immutable graph version: the base snapshot and one overlay.
 #[derive(Debug, Clone)]
 pub struct EpochView {
     epoch: u64,
@@ -465,76 +344,37 @@ pub struct EpochView {
     base_feats: Arc<FeatureMatrix>,
     /// Alias tables of the base rows, built once at startup by a service
     /// that samples by weight (empty for one that does not); vertices enter
-    /// the per-shard incremental plane on first touch.
+    /// the incremental plane on first touch.
     base_alias: Arc<Vec<Option<Arc<AliasTable>>>>,
-    owners: Arc<Vec<u32>>,
-    shards: Vec<ShardOverlay>,
+    overlay: Overlay,
 }
 
 impl EpochView {
-    /// Epoch 0: the bare base snapshot with empty shard overlays.
+    /// Epoch 0: the bare base snapshot under an empty overlay.
     pub fn initial(
         base: Arc<AttributedHeterogeneousGraph>,
         base_feats: Arc<FeatureMatrix>,
         base_alias: Arc<Vec<Option<Arc<AliasTable>>>>,
-        owners: Arc<Vec<u32>>,
-        shards: usize,
     ) -> Self {
-        let weighted = !base_alias.is_empty();
-        let shards = (0..shards.max(1) as u32)
-            .map(|me| ShardOverlay {
-                weighted,
-                ..ShardOverlay::new(Arc::clone(&base), Arc::clone(&owners), me)
-            })
-            .collect();
-        EpochView { epoch: 0, base, base_feats, base_alias, owners, shards }
+        let n = base.num_vertices();
+        let overlay = Overlay {
+            weighted: !base_alias.is_empty(),
+            out_rows: Index::new(n),
+            in_rows: Index::new(n),
+            feats: Index::new(n),
+        };
+        EpochView { epoch: 0, base, base_feats, base_alias, overlay }
     }
 
-    /// The next version: same base and routing, new shard overlays.
-    pub fn with_shards(&self, shards: Vec<ShardOverlay>) -> EpochView {
-        debug_assert_eq!(shards.len(), self.shards.len());
-        EpochView {
-            epoch: self.epoch + 1,
-            base: Arc::clone(&self.base),
-            base_feats: Arc::clone(&self.base_feats),
-            base_alias: Arc::clone(&self.base_alias),
-            owners: Arc::clone(&self.owners),
-            shards,
-        }
-    }
-
-    /// The next version with ownership re-pointed at `owners` — how online
-    /// routing follows an elastic rebalance. Every shard adopts the table
-    /// and gives up the overlay state of the vertices that left it, and the
-    /// new owners absorb it, so readers at the new epoch resolve every
-    /// vertex through the new table and read the bits they read before;
-    /// `self` is untouched. `Err` says why the table does not fit.
-    pub fn adopt_owners(&self, owners: Arc<Vec<u32>>) -> Result<EpochView, String> {
-        let (n, count) = (self.num_vertices(), self.shards.len());
-        if owners.len() != n {
-            return Err(format!("owner table covers {} vertices, graph has {n}", owners.len()));
-        }
-        if let Some(bad) = owners.iter().find(|&&o| o as usize >= count) {
-            return Err(format!("owner {bad} out of range for {count} shards"));
-        }
-        let mut shards = self.shards.clone();
-        let mut moved: Vec<_> =
-            shards.iter_mut().flat_map(|s| s.adopt_owners(Arc::clone(&owners))).collect();
-        moved.sort_by_key(|&(v, ..)| v);
-        for (v, dst, state) in moved {
-            shards[dst as usize].absorb(v, state);
-        }
-        Ok(EpochView { owners, ..self.with_shards(shards) })
-    }
-
-    /// Applies a batch to every shard on the caller's thread and returns
-    /// the next version with what it touched. `self` is untouched — readers
-    /// pinned to it finish against it. The batch must have passed
+    /// Applies a batch on the caller's thread and returns the next version
+    /// with what it touched. `self` is untouched — readers pinned to it
+    /// finish against it. The batch must have passed
     /// [`check`](Self::check).
     pub fn apply_batch(&self, batch: &UpdateBatch) -> (EpochView, Applied) {
-        let mut shards = self.shards.clone();
-        let applied = Applied::merge(shards.iter_mut().map(|s| s.apply(&batch.events)));
-        (self.with_shards(shards), applied)
+        let mut next = self.clone();
+        next.epoch += 1;
+        let applied = next.overlay.apply(&self.base, &batch.events);
+        (next, applied)
     }
 
     /// [`apply_batch`](Self::apply_batch) of a lowered snapshot delta.
@@ -545,34 +385,28 @@ impl EpochView {
     /// The one admission check of the plane, run before anything is
     /// applied or sent: every vertex id in range, every weight finite,
     /// every feature row as wide as the base matrix. `Err` is the index of
-    /// the first bad event and why — an out-of-range id would otherwise
-    /// panic a later *reader* routing through the owner table.
+    /// the first bad event and why — an edge to an out-of-range id would
+    /// otherwise panic a later *reader* following it.
     pub fn check(&self, batch: &UpdateBatch) -> Result<(), (usize, String)> {
         let (n, dim) = (self.num_vertices(), self.base_feats.dim);
         let fault = |ev: &UpdateEvent| -> Option<String> {
-            let (ends, other) = match ev {
-                UpdateEvent::AddEdge { src, dst, weight, .. } => {
-                    ([*src, *dst], (!weight.is_finite()).then(|| format!("weight {weight}")))
+            let other = match ev {
+                UpdateEvent::AddEdge { weight, .. } => {
+                    (!weight.is_finite()).then(|| format!("weight {weight}"))
                 }
-                UpdateEvent::RemoveEdge { src, dst, .. } => ([*src, *dst], None),
-                UpdateEvent::SetFeatures { vertex, features } => {
+                UpdateEvent::RemoveEdge { .. } => None,
+                UpdateEvent::SetFeatures { features, .. } => {
                     let width = features.len();
-                    let short = || format!("feature row of {width}, base matrix has {dim}");
-                    ([*vertex; 2], (width != dim).then(short))
+                    (width != dim).then(|| format!("feature row of {width}, base matrix has {dim}"))
                 }
             };
-            let unknown = ends.iter().find(|v| v.0 as usize >= n);
+            let unknown = ends(ev).into_iter().find(|v| v.0 as usize >= n);
             unknown.map(|v| format!("vertex {} out of range (graph has {n})", v.0)).or(other)
         };
         match batch.events.iter().enumerate().find_map(|(i, ev)| Some((i, fault(ev)?))) {
             Some(bad) => Err(bad),
             None => Ok(()),
         }
-    }
-
-    /// The ownership table reads route by at this epoch.
-    pub fn owners(&self) -> &Arc<Vec<u32>> {
-        &self.owners
     }
 
     /// This view's epoch number.
@@ -585,15 +419,6 @@ impl EpochView {
         self.base.num_vertices()
     }
 
-    /// The per-shard overlays (for the rebuild oracle).
-    pub fn shards(&self) -> &[ShardOverlay] {
-        &self.shards
-    }
-
-    fn shard_of(&self, v: VertexId) -> &ShardOverlay {
-        &self.shards[self.owners[v.0 as usize] as usize]
-    }
-
     /// Out-neighbors of `v` at this epoch.
     pub fn out_neighbors(&self, v: VertexId) -> &[Neighbor] {
         self.out_row_and_alias(v).0
@@ -601,12 +426,12 @@ impl EpochView {
 
     /// In-neighbors of `v` at this epoch.
     pub fn in_neighbors(&self, v: VertexId) -> &[Neighbor] {
-        self.shard_of(v).in_row(v).unwrap_or(self.base.in_neighbors(v))
+        self.overlay.in_rows.get(v.0).map_or(self.base.in_neighbors(v), |r| r.as_slice())
     }
 
     /// Dense features of `v` at this epoch.
     pub fn features(&self, v: VertexId) -> &[f32] {
-        self.shard_of(v).features(v).unwrap_or(self.base_feats.row(v))
+        self.overlay.feats.get(v.0).map_or(self.base_feats.row(v), |f| f.as_slice())
     }
 
     /// The weighted-sampling alias table of `v`'s out-row at this epoch
@@ -616,22 +441,28 @@ impl EpochView {
     }
 
     /// [`out_neighbors`](Self::out_neighbors) and [`alias`](Self::alias) of
-    /// `v` from one owner-table load and one overlay lookup — what a
-    /// sampler expanding `v` reads.
+    /// `v` from one overlay lookup — what a sampler expanding `v` reads.
     pub fn out_row_and_alias(&self, v: VertexId) -> (&[Neighbor], Option<&AliasTable>) {
         let base_alias = || self.base_alias.get(v.0 as usize)?.as_deref();
-        match self.shard_of(v).out_rows.get(v.0) {
+        match self.overlay.out_rows.get(v.0) {
             Some(e) => (&e.row, e.alias.table()),
             None => (self.base.out_neighbors(v), base_alias()),
         }
     }
 
-    /// Overlay entries at this epoch, summed over the shards: `[out-rows,
-    /// in-rows, feature rows]` — the state that grows with the stream's
-    /// history until it is compacted.
+    /// Every incrementally maintained alias table at this epoch, ascending
+    /// by vertex (for the rebuild oracle).
+    pub fn alias_entries(&self) -> impl Iterator<Item = (u32, &IncrementalAlias)> {
+        let rows = &self.overlay.out_rows;
+        rows.keys().into_iter().filter_map(|v| Some((v, &rows.get(v)?.alias)))
+    }
+
+    /// Overlay entries at this epoch: `[out-rows, in-rows, feature rows]` —
+    /// the state that grows with the stream's history until it is
+    /// compacted.
     pub fn overlay_rows(&self) -> [usize; 3] {
-        let sum = |len: fn(&ShardOverlay) -> usize| self.shards.iter().map(len).sum();
-        [sum(|s| s.out_rows.len), sum(|s| s.in_rows.len), sum(|s| s.feats.len)]
+        let o = &self.overlay;
+        [o.out_rows.len, o.in_rows.len, o.feats.len]
     }
 }
 
@@ -759,12 +590,7 @@ mod tests {
         (Arc::new(b.build()), vs)
     }
 
-    fn one_shard(base: &Arc<AttributedHeterogeneousGraph>) -> ShardOverlay {
-        let owners = Arc::new(vec![0u32; base.num_vertices()]);
-        ShardOverlay::new(Arc::clone(base), owners, 0)
-    }
-
-    /// A one-shard view with `dim`-wide features and a full base alias index.
+    /// A view with `dim`-wide features and a full base alias index.
     fn view_of(base: &Arc<AttributedHeterogeneousGraph>, dim: usize) -> EpochView {
         let feats = Arc::new(Featurizer::new(dim).matrix(base));
         let alias = (0..base.num_vertices() as u32)
@@ -774,8 +600,7 @@ mod tests {
                 AliasTable::new(&w).map(Arc::new)
             })
             .collect();
-        let owners = Arc::new(vec![0; base.num_vertices()]);
-        EpochView::initial(Arc::clone(base), feats, Arc::new(alias), owners, 1)
+        EpochView::initial(Arc::clone(base), feats, Arc::new(alias))
     }
 
     fn add(src: VertexId, dst: VertexId, weight: f32) -> UpdateEvent {
@@ -786,23 +611,27 @@ mod tests {
         row.iter().map(|n| n.vertex).collect()
     }
 
+    fn batch(events: Vec<UpdateEvent>) -> UpdateBatch {
+        UpdateBatch { events }
+    }
+
     #[test]
     fn apply_edits_rows_and_repairs_alias_in_place() {
         let (g, vs) = chain();
-        let v0 = one_shard(&g);
-        let mut v1 = v0.clone();
-        let applied = v1.apply(&[
+        let v0 = view_of(&g, 2);
+        let (v1, applied) = v0.apply_batch(&batch(vec![
             add(vs[0], vs[2], 2.0),
             UpdateEvent::RemoveEdge { src: vs[1], dst: vs[2], etype: CLICK },
             UpdateEvent::SetFeatures { vertex: vs[3], features: vec![1.0, 2.0] },
-        ]);
+        ]));
         assert_eq!(applied.touched.rows, vec![vs[0].0, vs[1].0]);
         assert_eq!(applied.touched.feats, vec![vs[3].0]);
         assert_eq!(applied.repairs, 2);
-        let row0 = v1.out_row(vs[0]).unwrap();
+        let row0 = v1.out_neighbors(vs[0]);
         assert_eq!(ids(row0), vec![vs[1], vs[2]]);
-        assert!(v1.out_row(vs[1]).unwrap().is_empty());
-        assert_eq!(ids(v1.in_row(vs[2]).unwrap()), vec![vs[0]]);
+        assert!(v1.out_neighbors(vs[1]).is_empty());
+        assert_eq!(ids(v1.in_neighbors(vs[2])), vec![vs[0]]);
+        assert_eq!(v1.features(vs[3]), &[1.0, 2.0]);
         // Each touched alias is bit-exact against a from-scratch rebuild of
         // its current row weights.
         for (v, inc) in v1.alias_entries() {
@@ -810,72 +639,21 @@ mod tests {
         }
         let a0 = v1.alias(vs[0]).unwrap();
         let fresh = AliasTable::new(&row0.iter().map(|n| n.weight).collect::<Vec<_>>()).unwrap();
-        assert_eq!(a0.table().unwrap().probs(), fresh.probs());
+        assert_eq!(a0.probs(), fresh.probs());
         // Empty row => degenerate table, exactly like a rebuild would say.
-        assert!(v1.alias(vs[1]).unwrap().table().is_none());
-        // The version it was cloned from and the base snapshot are
+        assert!(v1.alias(vs[1]).is_none());
+        // The version it was built from and the base snapshot are
         // untouched, and untouched rows still fall through to the base (no
-        // copies made).
-        assert_eq!(v0.overlay_rows(), 0);
-        assert!(v0.features(vs[3]).is_none());
+        // copies made): two out-rows, one in-row, one feature override.
+        assert_eq!(v0.overlay_rows(), [0, 0, 0]);
+        assert_ne!(v0.features(vs[3]), &[1.0, 2.0]);
         assert_eq!(g.out_neighbors(vs[0]).len(), 1);
-        assert_eq!(v1.overlay_rows(), 2);
+        assert_eq!(v1.overlay_rows(), [2, 1, 1]);
         // A second edit of an already-overlaid row leaves the first
         // published copy as it was.
-        let mut v2 = v1.clone();
-        v2.apply(&[add(vs[0], vs[3], 1.0)]);
-        assert_eq!(v2.out_row(vs[0]).unwrap().len(), 3);
-        assert_eq!(v1.out_row(vs[0]).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn ownership_filters_edits() {
-        let (g, vs) = chain();
-        let owners = Arc::new(vec![0u32, 1, 0, 1]);
-        let mut s0 = ShardOverlay::new(Arc::clone(&g), Arc::clone(&owners), 0);
-        let mut s1 = ShardOverlay::new(Arc::clone(&g), owners, 1);
-        let events = [add(vs[0], vs[1], 1.0)];
-        let a0 = s0.apply(&events);
-        let a1 = s1.apply(&events);
-        // Shard 0 owns the source: out-row + alias. Shard 1 owns the
-        // destination: in-row only.
-        assert_eq!(a0.touched.rows, vec![vs[0].0]);
-        assert!(s0.in_row(vs[1]).is_none());
-        assert!(a1.touched.rows.is_empty());
-        assert_eq!(s1.in_row(vs[1]).unwrap().len(), 2);
-        assert_eq!(a1.repairs, 0);
-    }
-
-    #[test]
-    fn adopt_extracts_emigrants_and_absorb_restores_them() {
-        let (g, vs) = chain();
-        let mut s0 = one_shard(&g); // owns everything
-        s0.apply(&[
-            add(vs[0], vs[2], 2.0),
-            UpdateEvent::SetFeatures { vertex: vs[0], features: vec![5.0, 6.0] },
-        ]);
-        // Move vertex 0 to shard 1; everything else stays.
-        let next = Arc::new(vec![1u32, 0, 0, 0]);
-        let emigrants = s0.adopt_owners(Arc::clone(&next));
-        assert_eq!(emigrants.len(), 1);
-        let (v, dst, state) = emigrants.into_iter().next().unwrap();
-        assert_eq!((v, dst), (0, 1));
-        assert!(state.out.is_some() && state.feats.is_some());
-        // The old owner no longer holds (or serves) the moved overlay.
-        assert!(s0.out_row(vs[0]).is_none());
-        assert!(s0.features(vs[0]).is_none());
-        // The new owner absorbs it bit-for-bit, alias included.
-        let mut s1 = ShardOverlay::new(Arc::clone(&g), next, 1);
-        s1.absorb(v, state);
-        assert_eq!(s1.out_row(vs[0]).unwrap().len(), 2);
-        assert_eq!(s1.alias(vs[0]).unwrap().weights(), &[1.0, 2.0]);
-        assert_eq!(s1.features(vs[0]).unwrap(), &[5.0, 6.0]);
-        // Post-adoption edits to the moved vertex apply on the new owner
-        // only: routing followed the table.
-        let events = [add(vs[0], vs[3], 1.0)];
-        assert!(s0.apply(&events).touched.rows.is_empty());
-        assert_eq!(s1.apply(&events).touched.rows, vec![0]);
-        assert_eq!(s1.out_row(vs[0]).unwrap().len(), 3);
+        let (v2, _) = v1.apply_batch(&batch(vec![add(vs[0], vs[3], 1.0)]));
+        assert_eq!(v2.out_neighbors(vs[0]).len(), 3);
+        assert_eq!(v1.out_neighbors(vs[0]).len(), 2);
     }
 
     #[test]
@@ -886,17 +664,42 @@ mod tests {
         b.add_edge(u, i, CLICK, 1.0).unwrap();
         b.add_edge(u, i, BUY, 1.0).unwrap();
         let g = Arc::new(b.build());
-        let mut store = one_shard(&g);
-        let miss = store.apply(&[UpdateEvent::RemoveEdge { src: u, dst: i, etype: EdgeType(9) }]);
+        let view = view_of(&g, 2);
+        let remove = |etype| batch(vec![UpdateEvent::RemoveEdge { src: u, dst: i, etype }]);
+        let (after_miss, miss) = view.apply_batch(&remove(EdgeType(9)));
         assert!(miss.touched.rows.is_empty());
         assert_eq!(miss.repairs, 0);
-        assert_eq!(store.overlay_rows(), 0);
-        assert!(store.in_row(i).is_none());
-        let hit = store.apply(&[UpdateEvent::RemoveEdge { src: u, dst: i, etype: CLICK }]);
+        assert_eq!(after_miss.overlay_rows(), [0, 0, 0]);
+        let (after_hit, hit) = view.apply_batch(&remove(CLICK));
         assert_eq!(hit.touched.rows, vec![u.0]);
         let left = |row: &[Neighbor]| row.iter().map(|n| n.etype).collect::<Vec<_>>();
-        assert_eq!(left(store.out_row(u).unwrap()), vec![BUY]);
-        assert_eq!(left(store.in_row(i).unwrap()), vec![BUY]);
+        assert_eq!(left(after_hit.out_neighbors(u)), vec![BUY]);
+        assert_eq!(left(after_hit.in_neighbors(i)), vec![BUY]);
+    }
+
+    /// `check` refuses an event naming a vertex beyond the graph; one that
+    /// skipped it still touches nothing — no row, no trie slot, no base
+    /// lookup — whichever end is out of range.
+    #[test]
+    fn an_unchecked_event_naming_an_unknown_vertex_touches_nothing() {
+        let (g, vs) = chain();
+        let view = view_of(&g, 2);
+        for far in [VertexId(g.num_vertices() as u32), VertexId(u32::MAX)] {
+            let remove = |src, dst| UpdateEvent::RemoveEdge { src, dst, etype: CLICK };
+            for ev in [
+                add(vs[0], far, 1.0),
+                add(far, vs[0], 1.0),
+                remove(vs[0], far),
+                remove(far, vs[1]),
+                UpdateEvent::SetFeatures { vertex: far, features: vec![1.0, 2.0] },
+            ] {
+                let unchecked = batch(vec![ev]);
+                assert!(view.check(&unchecked).is_err());
+                let (next, applied) = view.apply_batch(&unchecked);
+                assert_eq!((applied.touched, applied.repairs), (Touched::default(), 0));
+                assert_eq!(next.overlay_rows(), [0, 0, 0]);
+            }
+        }
     }
 
     #[test]
@@ -918,8 +721,7 @@ mod tests {
         cache.insert(vs[0].0, 0, 7);
         let pin0 = plane.pin();
         let w = plane.write();
-        let (next, applied) =
-            w.head().apply_batch(&UpdateBatch { events: vec![add(vs[0], vs[2], 1.0)] });
+        let (next, applied) = w.head().apply_batch(&batch(vec![add(vs[0], vs[2], 1.0)]));
         let done = commit(w, next, applied, 1, &cache).unwrap();
         assert_eq!((done.epoch, done.affected, done.invalidated), (1, 1, 1));
         assert_eq!((plane.current_epoch(), cache.version()), (1, 1));
@@ -1006,7 +808,7 @@ mod tests {
         }
     }
 
-    impl ShardOverlay {
+    impl Overlay {
         fn nodes_not_in(&self, prev: &Self) -> usize {
             self.out_rows.nodes_not_in(&prev.out_rows)
                 + self.in_rows.nodes_not_in(&prev.in_rows)
@@ -1023,7 +825,7 @@ mod tests {
     }
 
     /// The index against a `BTreeMap`, over seeded random interleavings of
-    /// insert / edit-in-place / remove / clone. Every retained clone is
+    /// insert / edit-in-place / clone. Every retained clone is
     /// re-checked after every later edit: a snapshot never changes.
     #[test]
     fn index_matches_a_btreemap_and_snapshots_never_change() {
@@ -1045,7 +847,7 @@ mod tests {
                     0 => rng.gen_range(0..n as u32),
                     _ => edges[rng.gen_range(0..edges.len())],
                 };
-                match rng.gen_range(0..10) {
+                match rng.gen_range(0..8) {
                     0..=3 => {
                         index.insert(k, Arc::new(step));
                         model.insert(k, step);
@@ -1054,7 +856,6 @@ mod tests {
                         index.edit(k, || 1_000_000, |v| *v += step);
                         *model.entry(k).or_insert(1_000_000) += step;
                     }
-                    7..=8 => assert_eq!(index.remove(k).map(|v| *v), model.remove(&k)),
                     _ => {
                         if snapshots.len() == 8 {
                             snapshots.remove(0);
@@ -1071,10 +872,9 @@ mod tests {
                 }
             }
             // Reads beyond the key space answer `None`, on an index of any
-            // depth, and so does a removal.
+            // depth.
             for k in [n as u32, (n as u32).next_power_of_two() * NODE_SLOTS as u32, u32::MAX] {
                 assert!(index.get(k).is_none(), "n {n} key {k}");
-                assert!(index.remove(k).is_none());
             }
         }
     }
@@ -1102,16 +902,18 @@ mod tests {
     #[test]
     fn a_batch_copies_what_it_touches_however_long_the_stream_has_run() {
         let n = 1usize << 16;
-        // Unweighted: alias repairs are not what is counted, and an
-        // unoptimized build spends a tenth of this test on them.
-        let mut store = ShardOverlay { weighted: false, ..one_shard(&isolated(n)) };
+        // Unweighted (no base alias index): alias repairs are not what is
+        // counted, and an unoptimized build spends a tenth of this test on
+        // them.
+        let g = isolated(n);
+        let feats = Arc::new(Featurizer::new(4).matrix(&g));
+        let mut view = EpochView::initial(g, feats, Arc::default());
         let mut rng = StdRng::seed_from_u64(20);
         let mut vertex = move || VertexId(rng.gen_range(0..n as u32));
         let mut prev_adds: Vec<(VertexId, VertexId)> = Vec::new();
         // Nodes copied by batches 20, 40, … 2 000.
         let mut copied = Vec::new();
-        for batch in 1..=2_000 {
-            let published = store.clone();
+        for round in 1..=2_000 {
             let mut events: Vec<UpdateEvent> = prev_adds
                 .drain(..)
                 .map(|(src, dst)| UpdateEvent::RemoveEdge { src, dst, etype: CLICK })
@@ -1124,20 +926,23 @@ mod tests {
             for _ in 0..8 {
                 events.push(UpdateEvent::SetFeatures { vertex: vertex(), features: vec![0.5; 4] });
             }
-            store.apply(&events);
-            if batch % 20 == 0 {
-                // An edge event writes two slots (out-row, in-row), a
-                // feature event one; each slot's path is `depth` nodes.
-                let slots = 2 * (events.len() - 8) + 8;
-                let nodes = store.nodes_not_in(&published);
+            // An edge event writes two slots (out-row, in-row), a feature
+            // event one; each slot's path is `depth` nodes.
+            let slots = 2 * (events.len() - 8) + 8;
+            // `view`, the published version, stays alive while its
+            // successor is built.
+            let (next, _) = view.apply_batch(&batch(events));
+            if round % 20 == 0 {
+                let nodes = next.overlay.nodes_not_in(&view.overlay);
                 assert!(
-                    nodes > 0 && nodes <= slots * store.out_rows.depth(),
-                    "batch {batch}: {nodes}"
+                    nodes > 0 && nodes <= slots * view.overlay.out_rows.depth(),
+                    "batch {round}: {nodes}"
                 );
                 copied.push(nodes);
             }
+            view = next;
         }
-        let entries = store.out_rows.len + store.in_rows.len + store.feats.len;
+        let entries: usize = view.overlay_rows().iter().sum();
         assert!(entries > 90_000, "the stream must leave a long history behind");
         let (early, late) = (copied[0], copied[99]);
         assert!(late <= 2 * early, "batch 2000 copied {late} nodes, batch 20 copied {early}");

@@ -169,9 +169,11 @@ type FallbackStore = HashMap<u32, (u64, Arc<Vec<f32>>)>;
 /// The online inference front-end. Cheap to share by reference: every
 /// request runs on its caller's thread.
 pub struct ServingService<S: NeighborhoodSampler + Clone> {
-    /// The graph plane: a combiner pins one epoch per micro-batch, and the
-    /// pinned view's owner table routes requests.
+    /// The graph plane: a combiner pins one epoch per micro-batch.
     epochs: Published<EpochView>,
+    /// Vertex → owner shard, from the storage partition: routes requests
+    /// and keys the fetch channels.
+    owners: Vec<u32>,
     features: Arc<FeatureMatrix>,
     /// Served embeddings, tagged with the epoch they were computed against.
     cache: VersionedCache<u32, Arc<Vec<f32>>>,
@@ -224,15 +226,9 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
         );
         let features = Arc::new(Featurizer::new(config.feature_dim).matrix(&graph));
         let part = EdgeCutHash.partition(&graph, config.workers);
-        let owners = Arc::new(part.vertex_owner.iter().map(|w| w.index() as u32).collect());
+        let owners = part.vertex_owner.iter().map(|w| w.index() as u32).collect();
         // No base alias index: the encoder's samplers read rows, not tables.
-        let view = EpochView::initial(
-            graph,
-            Arc::clone(&features),
-            Arc::default(),
-            owners,
-            config.workers,
-        );
+        let view = EpochView::initial(graph, Arc::clone(&features), Arc::default());
         let fault = config
             .fault
             .as_ref()
@@ -260,6 +256,7 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
             .collect();
         ServingService {
             epochs: Published::new(view),
+            owners,
             features,
             cache: VersionedCache::registered(config.cache_capacity, registry, "serving.cache"),
             metrics: ServingMetrics::registered(registry),
@@ -298,14 +295,10 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
     fn submit(&self, vertices: [VertexId; 2]) -> Result<Answer, ServeError> {
         let start = Stopwatch::start();
         let [u, v] = vertices;
-        let (owner, other_owned) = {
-            let pin = self.epochs.pin();
-            let owner_of = |v: VertexId| pin.owners().get(v.index()).copied();
-            let other = owner_of(v).ok_or(ServeError::UnknownVertex(v))?;
-            let owner = owner_of(u).ok_or(ServeError::UnknownVertex(u))?;
-            (owner as usize, other == owner)
-        };
-        let shard = &self.shards[owner];
+        let owner_of = |v: VertexId| self.owners.get(v.index()).copied();
+        let other = owner_of(v).ok_or(ServeError::UnknownVertex(v))?;
+        let owner = owner_of(u).ok_or(ServeError::UnknownVertex(u))?;
+        let shard = &self.shards[owner as usize];
         // Admission, probe and publish are one step under the pending lock,
         // so a rejected request never touches the cache and an admitted
         // miss always finds room.
@@ -321,7 +314,7 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
         let first = self.cache.get(&u.0);
         let second = if v == u { first.clone() } else { self.cache.get(&v.0) };
         let slot = Slot { vertices, probed: [first, second], answer: Mutex::new(None) };
-        self.admit(&slot, other_owned);
+        self.admit(&slot, other == owner);
         let answer = if let [Some(a), Some(b)] = &slot.probed {
             drop(pending);
             self.metrics.answered_inline();
@@ -466,7 +459,6 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
         let cfg = &self.config;
         let pin = self.epochs.pin();
         let (view, version) = (pin.as_ref(), pin.epoch());
-        let owner_of = |v: VertexId| view.owners()[v.index()] as usize;
         let OwnerState { shard, encoder, sampler, rng, tape, seqs } = owner;
         tape.clear();
         let (hits0, misses0) = tape.stats();
@@ -490,8 +482,9 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
             // which point the combiner serves the bounded fallback
             // (degraded) or, beyond the staleness bound, fails the request.
             if let Some((plane, policy)) = &self.fault {
+                let owner = self.owners[v.index()];
                 let channel =
-                    FaultPlane::channel_with(SERVING_FETCH_TAG, *shard as u64, owner_of(v) as u64);
+                    FaultPlane::channel_with(SERVING_FETCH_TAG, *shard as u64, owner.into());
                 // Fetches are idempotent reads nobody acknowledges: a lost
                 // ack is a delivery, a delay costs only virtual time, and
                 // the forward runs after the hop (nothing lands in flight).
@@ -820,7 +813,7 @@ mod tests {
         let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
         let config = ServingConfig { workers: 2, cache_capacity: 6, ..Default::default() };
         let service = ServingService::start(Arc::clone(&graph), TopKNeighborhood, config);
-        let owners = service.overlay_snapshot().owners().to_vec();
+        let owners = service.owners.clone();
         let v = VertexId;
         // The first vertex from `from` on that `of`'s shard does not own.
         let other_owner =

@@ -35,7 +35,7 @@ use aligraph_chaos::{
     FaultPlane, HopKind, RecoveryMode, RetryPolicy, SeqCounter, Sequencer, MIGRATION_TAG,
 };
 use aligraph_graph::VertexId;
-use aligraph_partition::WorkerId;
+use aligraph_partition::{splitmix64, WorkerId};
 use std::sync::Arc;
 
 /// A membership change request against the current topology.
@@ -148,15 +148,12 @@ impl MigrationRecord {
 }
 
 /// Deterministic split assignment: which half of a shard a vertex joins.
-/// A pure function of the vertex id (splitmix-style mix), so every attempt
-/// of a recovering run moves the same set. Uses a *high* bit of the mix:
-/// the hash partitioner keys worker assignment to the low bits of the same
+/// A pure function of the vertex id ([`splitmix64`]), so every attempt of
+/// a recovering run moves the same set. Uses a *high* bit of the mix: the
+/// hash partitioner keys worker assignment to the low bits of the same
 /// mix, and sharing them would make a split move nothing (or everything).
 fn split_bit(v: u32) -> bool {
-    let mut x = u64::from(v).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ((x ^ (x >> 31)) >> 32) & 1 == 1
+    (splitmix64(u64::from(v)) >> 32) & 1 == 1
 }
 
 impl Cluster {

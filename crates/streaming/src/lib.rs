@@ -13,14 +13,14 @@
 //!   tests share (the [`UpdateEvent`]/[`UpdateBatch`] vocabulary lives in
 //!   [`aligraph_graph::dynamic`]);
 //! * the graph state itself is [`aligraph_sampling::plane`], shared with
-//!   the serving crate and re-exported here: per-shard copy-on-write
-//!   overlays with **incrementally repaired** alias tables, published as
+//!   the serving crate and re-exported here: one copy-on-write overlay per
+//!   version with **incrementally repaired** alias tables, published as
 //!   monotonic epochs that readers **pin** (session consistency);
-//! * [`ingest`] — the coordinator: each batch gets a sequence number,
-//!   crosses a chaos-wrapped channel (fault tag 4) once per shard, and is
-//!   applied in shard order on the caller's thread; a per-shard
-//!   [`aligraph_chaos::Sequencer`] dedups the copies that land, so
-//!   drop/delay/reorder faults cost only modelled ticks, never correctness;
+//! * [`ingest`] — the coordinator: each batch gets a sequence number and
+//!   crosses a chaos-wrapped channel (fault tag 4) once per shard; a
+//!   per-shard [`aligraph_chaos::Sequencer`] dedups the copies that land,
+//!   so drop/delay/reorder faults cost only modelled ticks, never
+//!   correctness, and the batch is applied once, on the caller's thread;
 //! * [`serve`] — [`serve::StreamingService`]: epoch-pinned sessions,
 //!   deterministic per-vertex k-hop gathers, an epoch-tagged sample cache
 //!   with targeted reverse k-hop invalidation, and the bit-exact
@@ -29,8 +29,8 @@
 //!
 //! ```text
 //! updates ──resolve(seq)──> [chaos tag 4, one hop per shard] ──> Sequencer dedup
-//!                                              │ apply + alias repair, in
-//!                                              │ shard order, caller's thread
+//!                                              │ apply + alias repair, once,
+//!                                              │ on the caller's thread
 //!                                              ▼
 //!                        epoch N+1 ── reverse k-hop invalidate ──> VersionedCache
 //!                                              │
@@ -50,7 +50,7 @@ pub mod report;
 pub mod serve;
 
 pub use aligraph_chaos::{FaultConfig, UPDATE_INGEST_TAG};
-pub use aligraph_sampling::plane::{EpochView, ShardOverlay, Touched};
+pub use aligraph_sampling::plane::{EpochView, Touched};
 pub use event::{UpdateBatch, UpdateEvent, UpdateWorkload};
 pub use ingest::IngestError;
 pub use report::StreamingReport;

@@ -22,8 +22,7 @@ use crate::ingest::{IngestError, IngestPipeline};
 use crate::mix2;
 use aligraph_chaos::{FaultConfig, FaultPlane};
 use aligraph_graph::{AttributedHeterogeneousGraph, FeatureMatrix, VertexId};
-use aligraph_partition::{EdgeCutHash, Partitioner};
-use aligraph_sampling::{commit, AliasTable, Applied, EpochView};
+use aligraph_sampling::{commit, AliasTable, EpochView};
 use aligraph_storage::{CacheStats, Published, VersionedCache};
 use aligraph_telemetry::{Counter, Gauge, Histogram, Registry, Span};
 use parking_lot::Mutex;
@@ -34,7 +33,7 @@ use std::sync::Arc;
 /// Tunables of a [`StreamingService`].
 #[derive(Debug, Clone)]
 pub struct StreamingConfig {
-    /// Ingest shards (one overlay and one fault-plane hop each).
+    /// Ingest shards (one fault-plane hop each).
     pub shards: usize,
     /// Per-hop sampling fanouts; `len()` is the gather depth `kmax`.
     pub fanouts: Vec<usize>,
@@ -149,28 +148,23 @@ impl StreamingService {
         Self::start_with_registry(base, feats, config, &Registry::disabled())
     }
 
-    /// Starts the service: hash-partitions vertex ownership across the
-    /// shards, builds the base alias tables once and publishes epoch 0. All
-    /// `streaming.*` (and, when a fault plan is armed, `chaos.*`) series land
-    /// in `registry`.
+    /// Starts the service: builds the base alias tables once and publishes
+    /// epoch 0 behind one ingest hop per shard. All `streaming.*` (and,
+    /// when a fault plan is armed, `chaos.*`) series land in `registry`.
     pub fn start_with_registry(
         base: Arc<AttributedHeterogeneousGraph>,
         feats: Arc<FeatureMatrix>,
         config: StreamingConfig,
         registry: &Registry,
     ) -> Self {
-        let shards = config.shards.max(1);
-        let part = EdgeCutHash.partition(&base, shards);
-        let owners: Arc<Vec<u32>> =
-            Arc::new(part.vertex_owner.iter().map(|w| w.index() as u32).collect());
         let base_alias = base_alias(&base);
         let fault = config.fault.unwrap_or_default();
         let plane = FaultPlane::registered(fault.plan, registry);
-        let view = EpochView::initial(base, feats, base_alias, owners, shards);
+        let view = EpochView::initial(base, feats, base_alias);
         StreamingService {
             epochs: Published::new(view),
             cache: VersionedCache::registered(config.cache_capacity, registry, "streaming.cache"),
-            pipeline: Mutex::new(IngestPipeline::new(shards, plane, fault.policy)),
+            pipeline: Mutex::new(IngestPipeline::new(config.shards.max(1), plane, fault.policy)),
             fanouts: config.fanouts,
             seed: config.seed,
             metrics: Metrics::registered(registry),
@@ -178,20 +172,18 @@ impl StreamingService {
     }
 
     /// Applies one batch on the caller's thread: checks it, crosses the
-    /// (possibly faulted) ingest channel once per shard, and commits the
-    /// head's shards with the batch applied as the next epoch, with the
-    /// plane's targeted cache sweep. The pipeline lock is held through the
-    /// commit, so concurrent callers cross the channel in the order they
-    /// publish: strictly increasing epochs in submit order.
+    /// (possibly faulted) ingest channel once per shard, applies it to the
+    /// head once and commits the result as the next epoch, with the plane's
+    /// targeted cache sweep. The pipeline lock is held through the commit,
+    /// so concurrent callers cross the channel in the order they publish:
+    /// strictly increasing epochs in submit order.
     pub fn ingest(&self, batch: &UpdateBatch) -> Result<IngestReceipt, IngestError> {
         let mut pipeline = self.pipeline.lock();
         let writer = self.epochs.write();
         let head = writer.head();
         head.check(batch).map_err(|(index, reason)| IngestError::BadEvent { index, reason })?;
         let hops = pipeline.resolve()?;
-        let mut shards = head.shards().to_vec();
-        let applied = pipeline.apply(&hops, &mut shards, &batch.events);
-        let next = head.with_shards(shards);
+        let (next, applied) = head.apply_batch(batch);
         let overlay_rows = next.overlay_rows();
         let done = commit(writer, next, applied, self.fanouts.len(), &self.cache)?;
         drop(pipeline);
@@ -222,25 +214,6 @@ impl StreamingService {
         })
     }
 
-    /// Re-points vertex ownership at `owners` — the streaming half of an
-    /// elastic rebalance, typically fed from the storage layer's topology
-    /// epoch after a shard split/merge so ingest routing follows the
-    /// membership version. The overlay state of every moved vertex changes
-    /// shards *in* the epoch that publishes the table
-    /// ([`EpochView::adopt_owners`]), so a read at the new epoch sees
-    /// exactly the pre-move bits and the next batch applies on the new
-    /// owner; no cache entry is invalidated because no graph data changed,
-    /// only placement. Returns the epoch the new routing published under.
-    pub fn adopt_owners(&self, owners: Arc<Vec<u32>>) -> Result<u64, IngestError> {
-        let writer = self.epochs.write();
-        let next = writer.head().adopt_owners(owners).map_err(IngestError::BadOwners)?;
-        // Placement-only change: nothing is touched, so the commit sweeps
-        // nothing and every cached gather stays bit-correct at the new epoch.
-        let done = commit(writer, next, Applied::default(), self.fanouts.len(), &self.cache)?;
-        self.metrics.epoch.set(done.epoch as i64);
-        Ok(done.epoch)
-    }
-
     /// Opens a session pinned to the current epoch.
     pub fn session(&self) -> Session<'_> {
         Session { svc: self, pin: self.epochs.pin() }
@@ -263,22 +236,16 @@ impl StreamingService {
     /// `Err` carries the first divergence found.
     pub fn oracle_check(&self) -> Result<(), String> {
         let view = self.epochs.pin();
-        for (shard_id, shard) in view.shards().iter().enumerate() {
-            for (v, inc) in shard.alias_entries() {
-                if !inc.bit_eq_rebuild() {
-                    return Err(format!(
-                        "shard {shard_id}: vertex {v} incremental alias != full rebuild"
-                    ));
-                }
-                let row_w: Vec<f32> =
-                    view.out_neighbors(VertexId(v)).iter().map(|n| n.weight).collect();
-                if inc.weights().len() != row_w.len()
-                    || inc.weights().iter().zip(&row_w).any(|(a, b)| a.to_bits() != b.to_bits())
-                {
-                    return Err(format!(
-                        "shard {shard_id}: vertex {v} alias weights diverge from its row"
-                    ));
-                }
+        for (v, inc) in view.alias_entries() {
+            if !inc.bit_eq_rebuild() {
+                return Err(format!("vertex {v}: incremental alias != full rebuild"));
+            }
+            let row_w: Vec<f32> =
+                view.out_neighbors(VertexId(v)).iter().map(|n| n.weight).collect();
+            if inc.weights().len() != row_w.len()
+                || inc.weights().iter().zip(&row_w).any(|(a, b)| a.to_bits() != b.to_bits())
+            {
+                return Err(format!("vertex {v}: alias weights diverge from its row"));
             }
         }
         if self.cache.version() == view.epoch() {
@@ -482,49 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn adoption_republishes_routing_without_changing_the_graph_bits() {
-        let svc = service(StreamingConfig::default());
-        // Give the owning shard of vertex 1 some overlay state to migrate.
-        svc.ingest(&UpdateBatch { events: vec![add(1, 4)] }).unwrap();
-        let before: Vec<_> = (0..6).map(|v| svc.session().gather(VertexId(v)).vector).collect();
-        // Flip every vertex to the other shard — the streaming half of a
-        // rebalance.
-        let old = Arc::clone(svc.epochs.pin().owners());
-        let flipped: Arc<Vec<u32>> = Arc::new(old.iter().map(|&o| 1 - o).collect());
-        let epoch = svc.adopt_owners(Arc::clone(&flipped)).unwrap();
-        assert_eq!(epoch, 2);
-        assert_eq!(svc.epochs.pin().owners(), &flipped);
-        // Placement-only epoch: every gather is bit-identical, and the
-        // oracle's recompute-everything sweep agrees.
-        let s = svc.session();
-        for v in 0..6u32 {
-            assert_eq!(s.gather(VertexId(v)).vector, before[v as usize], "vertex {v}");
-        }
-        svc.oracle_check().unwrap();
-        // A post-adoption edit to the moved vertex lands on its new owner,
-        // stacked on the migrated overlay (4 from before, 3 now).
-        let receipt = svc.ingest(&UpdateBatch { events: vec![add(1, 3)] }).unwrap();
-        assert_eq!(receipt.touched_rows, vec![1]);
-        let pin = svc.epochs.pin();
-        let row: Vec<u32> = pin.out_neighbors(VertexId(1)).iter().map(|n| n.vertex.0).collect();
-        assert!(row.contains(&4) && row.contains(&3), "got {row:?}");
-        svc.oracle_check().unwrap();
-    }
-
-    #[test]
-    fn adoption_rejects_tables_that_do_not_fit() {
-        let svc = service(StreamingConfig::default());
-        assert!(matches!(
-            svc.adopt_owners(Arc::new(vec![0u32; 3])),
-            Err(IngestError::BadOwners(_))
-        ));
-        assert!(matches!(
-            svc.adopt_owners(Arc::new(vec![7u32; 6])),
-            Err(IngestError::BadOwners(_))
-        ));
-    }
-
-    #[test]
     fn bad_events_are_refused_before_anything_is_sent() {
         let svc = service(StreamingConfig::default());
         let cached = svc.session().gather(VertexId(0));
@@ -551,12 +475,10 @@ mod tests {
         svc.oracle_check().unwrap();
     }
 
-    /// Every shard's published out-rows, by vertex.
-    fn rows(svc: &StreamingService) -> Vec<Option<Vec<aligraph_graph::Neighbor>>> {
+    /// The published out-rows, by vertex.
+    fn rows(svc: &StreamingService) -> Vec<Vec<aligraph_graph::Neighbor>> {
         let view = svc.epochs.pin();
-        (0..6)
-            .map(|v| view.shards().iter().find_map(|s| s.out_row(VertexId(v)).map(<[_]>::to_vec)))
-            .collect()
+        (0..6).map(|v| view.out_neighbors(VertexId(v)).to_vec()).collect()
     }
 
     #[test]
@@ -633,8 +555,8 @@ mod tests {
             .collect()
     }
 
-    /// A 300-vertex chain over two shards: ids span three index levels.
-    fn long_chain() -> StreamingService {
+    /// A 300-vertex chain: ids span three index levels.
+    fn long_chain_with(config: StreamingConfig) -> StreamingService {
         let mut b = GraphBuilder::directed();
         let vs: Vec<VertexId> = (0..300).map(|_| b.add_vertex(USER, AttrVector::empty())).collect();
         for w in vs.windows(2) {
@@ -642,7 +564,46 @@ mod tests {
         }
         let g = Arc::new(b.build());
         let feats = Arc::new(Featurizer::new(8).matrix(&g));
-        StreamingService::start(g, feats, StreamingConfig::default())
+        StreamingService::start(g, feats, config)
+    }
+
+    fn long_chain() -> StreamingService {
+        long_chain_with(StreamingConfig::default())
+    }
+
+    /// A fold of every word [`everything`] lists, and of every in-row.
+    fn digest(view: &EpochView) -> u64 {
+        let mut h = 0u64;
+        for (v, words) in everything(view).into_iter().enumerate() {
+            let in_row = view.in_neighbors(VertexId(v as u32));
+            let in_words = in_row.iter().flat_map(|n| [n.vertex.0, n.weight.to_bits()]);
+            for w in words.into_iter().chain([in_row.len() as u32]).chain(in_words) {
+                h = mix2(h, w as u64);
+            }
+        }
+        h
+    }
+
+    /// 240 batches of adds, retractions, feature rewrites and base-edge
+    /// removals (the later ones misses) end at the same bits on any number
+    /// of ingest shards: the digest the service produced when each shard
+    /// kept an overlay of the vertices it owned.
+    #[test]
+    fn a_long_stream_ends_at_the_golden_digest_on_any_shard_count() {
+        const GOLDEN: u64 = 0x0906_d00c_2d35_7cc4;
+        for shards in 1..=3 {
+            let svc = long_chain_with(StreamingConfig { shards, ..Default::default() });
+            let mut updates = crate::UpdateWorkload::new(33, 300, 8);
+            for i in 0..240u32 {
+                let mut batch = updates.next_batch(8, 2);
+                let src = VertexId(i % 150);
+                let dst = VertexId(src.0 + 1);
+                batch.events.push(UpdateEvent::RemoveEdge { src, dst, etype: CLICK });
+                svc.ingest(&batch).unwrap();
+            }
+            assert_eq!(digest(svc.session().view()), GOLDEN, "{shards} shards");
+            svc.oracle_check().unwrap();
+        }
     }
 
     #[test]

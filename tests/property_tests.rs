@@ -281,8 +281,7 @@ proptest! {
         b.add_edge(VertexId(1), VertexId(2), EdgeType(0), 0.5).unwrap();
         let g = Arc::new(b.build());
         let feats = Arc::new(Featurizer::new(2).matrix(&g));
-        let owners = Arc::new(vec![0, 1, 0, 1]);
-        let cell = Published::new(EpochView::initial(g, feats, Arc::default(), owners, 2));
+        let cell = Published::new(EpochView::initial(g, feats, Arc::default()));
         // Everything a reader can see of one version, weights as bits.
         let bits = |view: &EpochView| -> Vec<u32> {
             let mut seen = Vec::new();
