@@ -30,15 +30,15 @@
 //! `drop_rate < 1`, a training run converges to the bit-exact same final
 //! parameters as the fault-free run, because the same messages apply
 //! exactly once in the same order — faults only cost modelled time.
+//! Recovery is not a setting: there is no switch that turns either half
+//! off.
 
 mod plan;
 mod retry;
 mod seq;
 
 pub use plan::{CrashPoint, Delivery, FaultPlan, FaultPlane, FaultSnapshot};
-pub use retry::{
-    FaultConfig, HopKind, RecoveryMode, RetryError, RetryPolicy, Sent, MAX_BACKOFF_TICKS, TICK_NS,
-};
+pub use retry::{FaultConfig, HopKind, RetryError, RetryPolicy, MAX_BACKOFF_TICKS, TICK_NS};
 pub use seq::{Seq, SeqCounter, Sequencer};
 
 /// Channel tag of parameter-server pushes (`worker → shard`). A tag is the

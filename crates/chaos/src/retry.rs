@@ -13,23 +13,6 @@ pub const MAX_BACKOFF_TICKS: u64 = 1 << 10;
 /// delays and backoff waits enter the comm-time accounting.
 pub const TICK_NS: u64 = 1_000;
 
-/// How a faulted channel's sender/receiver pair recovers. `Full` is the
-/// real system; the broken variants exist so the chaos suite can prove it
-/// detects divergence when recovery is absent (tests with teeth), exactly
-/// like the mini-loom's known-bad workload variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryMode {
-    /// Retry with capped backoff; dedup duplicates by sequence number.
-    #[default]
-    Full,
-    /// Deliberately broken: dropped messages are silently lost (gradients
-    /// vanish, replicas go permanently stale).
-    NoRetry,
-    /// Deliberately broken: duplicates re-apply (a lost ack double-applies
-    /// its AdaGrad delta).
-    NoDedup,
-}
-
 /// The send gave up: every attempt up to the deadline faulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryError {
@@ -129,56 +112,40 @@ pub enum HopKind {
     Unacked,
 }
 
-/// How one [`FaultPlane::deliver`] ended short of the retry deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sent {
-    /// Whether the message got through. `false` only under the deliberately
-    /// broken [`RecoveryMode::NoRetry`], which gives up after the first
-    /// faulted send.
-    pub delivered: bool,
-    /// Virtual ticks the faults cost: retry backoff plus the injected
-    /// delay. The caller scales them into its own clock.
-    pub ticks: u64,
-    /// Sends performed, the successful one included.
-    pub attempts: u32,
-}
-
 impl FaultPlane {
     /// Sends message `seq` across `channel`: the whole sender-side recovery
     /// protocol, and the only way through the plane. Each send's fate is
     /// the plane's pure decision for `(channel, seq, attempt)`; a faulted
-    /// send is retried under `policy`'s capped backoff until its deadline
-    /// ([`RetryError`]), or abandoned at once under
-    /// [`RecoveryMode::NoRetry`] (`delivered = false`). `land` is the
+    /// send is retried under `policy`'s capped backoff until it gets
+    /// through or its deadline passes ([`RetryError`]). `land` is the
     /// message arriving at the receiver: it runs once on delivery, once
     /// more per lost ack and per replayed late duplicate on a
-    /// [`HopKind::Acked`] hop — the copies the receiver's sequence dedup
-    /// ([`RecoveryMode::NoDedup`] is its business) must discard.
+    /// [`HopKind::Acked`] hop — the copies the receiver's [`Sequencer`]
+    /// discards. Returns the virtual ticks the faults cost: retry backoff
+    /// plus the injected delay, which the caller scales into its own clock.
     ///
     /// `seq` is a [`Seq`], so the sender numbered it; an integer is refused:
     ///
     /// ```compile_fail,E0308
     /// # use aligraph_chaos::*;
     /// let plane = FaultPlane::new(FaultPlan::default());
-    /// plane.deliver(0, 7, &RetryPolicy::default(), RecoveryMode::Full, HopKind::Acked, || {});
+    /// plane.deliver(0, 7, &RetryPolicy::default(), HopKind::Acked, || {});
     /// ```
+    ///
+    /// [`Sequencer`]: crate::Sequencer
     #[inline]
     pub fn deliver(
         &self,
         channel: u64,
         seq: Seq,
         policy: &RetryPolicy,
-        mode: RecoveryMode,
         kind: HopKind,
         mut land: impl FnMut(),
-    ) -> Result<Sent, RetryError> {
+    ) -> Result<u64, RetryError> {
         let mut ticks = 0u64;
         let mut attempt = 0u32;
-        let delivered = loop {
+        loop {
             if attempt > 0 {
-                if mode == RecoveryMode::NoRetry {
-                    break false; // deliberately broken: the message is lost
-                }
                 if policy.exhausted(attempt) {
                     return Err(RetryError { attempts: attempt, backoff_ticks: ticks });
                 }
@@ -186,27 +153,25 @@ impl FaultPlane {
                 ticks += policy.backoff_ticks(attempt);
             }
             match self.decide(channel, seq.0, attempt) {
-                Delivery::Deliver => break true,
+                Delivery::Deliver => break,
                 Delivery::Delay(d) => {
                     ticks += d;
-                    break true;
+                    break;
                 }
-                Delivery::AckLost if kind == HopKind::Unacked => break true,
+                Delivery::AckLost if kind == HopKind::Unacked => break,
                 // Applied at the receiver, but the sender never learns: the
                 // resend is a duplicate the dedup discards.
                 Delivery::AckLost if kind == HopKind::Acked => land(),
                 Delivery::AckLost | Delivery::Drop | Delivery::Corrupt => {}
             }
             attempt += 1;
-        };
-        if delivered {
-            land();
-            // The reorder fault: a stale duplicate shows up after delivery.
-            if kind == HopKind::Acked && self.replays_duplicate(channel, seq.0) {
-                land();
-            }
         }
-        Ok(Sent { delivered, ticks, attempts: attempt + u32::from(delivered) })
+        land();
+        // The reorder fault: a stale duplicate shows up after delivery.
+        if kind == HopKind::Acked && self.replays_duplicate(channel, seq.0) {
+            land();
+        }
+        Ok(ticks)
     }
 }
 
@@ -274,16 +239,11 @@ mod tests {
 
     /// Runs the driver on a fresh plane; returns its result, how often
     /// `land` ran, and the retries it metered.
-    fn drive(
-        seq: u64,
-        policy: &RetryPolicy,
-        mode: RecoveryMode,
-        kind: HopKind,
-    ) -> (Result<Sent, RetryError>, u32, u64) {
+    fn drive(seq: u64, policy: &RetryPolicy, kind: HopKind) -> (Result<u64, RetryError>, u32, u64) {
         let plane = FaultPlane::new(plan());
         let mut lands = 0u32;
-        let sent = plane.deliver(CHANNEL, Seq(seq), policy, mode, kind, || lands += 1);
-        (sent, lands, plane.snapshot().retries)
+        let ticks = plane.deliver(CHANNEL, Seq(seq), policy, kind, || lands += 1);
+        (ticks, lands, plane.snapshot().retries)
     }
 
     const FATES: [fn(Delivery) -> bool; 5] = [
@@ -300,9 +260,8 @@ mod tests {
     const CORRUPT: usize = 4;
 
     #[test]
-    fn driver_table_every_fate_by_kind_by_mode() {
+    fn driver_table_every_fate_by_kind() {
         use HopKind::{Acked, Reply, Unacked};
-        use RecoveryMode::{Full, NoRetry};
         for (first, first_fate) in FATES.into_iter().enumerate() {
             // The second send, if the protocol makes one, goes through.
             let seq = seq_with(&[first_fate, FATES[DELIVER]], false);
@@ -311,23 +270,18 @@ mod tests {
                 _ => 0,
             };
             for kind in [Acked, Reply, Unacked] {
-                for mode in [Full, NoRetry] {
-                    // (delivered, lands, sends) the protocol owes this row.
-                    let want = match (first, kind, mode) {
-                        (DELIVER | DELAY, _, _) | (ACK_LOST, Unacked, _) => (true, 1, 1),
-                        (ACK_LOST, Acked, Full) => (true, 2, 2),
-                        (ACK_LOST, Acked, NoRetry) => (false, 1, 1),
-                        (_, _, Full) => (true, 1, 2),
-                        (_, _, _) => (false, 0, 1),
-                    };
-                    let row = format!("first fate {first}, {kind:?}, {mode:?}");
-                    let (sent, lands, retries) = drive(seq, &POLICY, mode, kind);
-                    let sent = sent.expect(&row);
-                    assert_eq!((sent.delivered, lands, sent.attempts), want, "{row}");
-                    let backoff = if want.2 == 2 { POLICY.backoff_ticks(1) } else { 0 };
-                    assert_eq!(sent.ticks, backoff + delay, "{row}: ticks = backoff + delay");
-                    assert_eq!(retries, u64::from(want.2 - 1), "{row}: one retry per resend");
-                }
+                // (lands, retries) the protocol owes this row.
+                let want = match (first, kind) {
+                    (DELIVER | DELAY, _) | (ACK_LOST, Unacked) => (1, 0),
+                    (ACK_LOST, Acked) => (2, 1),
+                    (_, _) => (1, 1),
+                };
+                let row = format!("first fate {first}, {kind:?}");
+                let (ticks, lands, retries) = drive(seq, &POLICY, kind);
+                let ticks = ticks.expect(&row);
+                assert_eq!((lands, retries), want, "{row}");
+                let backoff = if want.1 == 1 { POLICY.backoff_ticks(1) } else { 0 };
+                assert_eq!(ticks, backoff + delay, "{row}: ticks = backoff + delay");
             }
         }
     }
@@ -336,13 +290,14 @@ mod tests {
     fn driver_replays_late_duplicates_on_acked_hops_only() {
         let seq = seq_with(&[FATES[DELIVER]], true);
         for (kind, lands) in [(HopKind::Acked, 2), (HopKind::Reply, 1), (HopKind::Unacked, 1)] {
-            let (sent, got, _) = drive(seq, &POLICY, RecoveryMode::Full, kind);
-            assert_eq!((sent.unwrap().attempts, got), (1, lands), "{kind:?}");
+            let (ticks, got, retries) = drive(seq, &POLICY, kind);
+            assert_eq!((ticks, got, retries), (Ok(0), lands, 0), "{kind:?}");
         }
         // A message that never got through has no late duplicate.
         let seq = seq_with(&[FATES[DROP]], true);
-        let (sent, lands, _) = drive(seq, &POLICY, RecoveryMode::NoRetry, HopKind::Acked);
-        assert_eq!((sent.unwrap().delivered, lands), (false, 0));
+        let one = RetryPolicy { base_ticks: 3, max_attempts: 1 };
+        let (ticks, lands, _) = drive(seq, &one, HopKind::Acked);
+        assert_eq!((ticks.is_err(), lands), (true, 0));
     }
 
     #[test]
@@ -352,8 +307,8 @@ mod tests {
         let Delivery::Delay(d) = FaultPlane::new(plan()).decide(CHANNEL, seq, 1) else {
             unreachable!("scouted as a delay")
         };
-        let (sent, lands, _) = drive(seq, &POLICY, RecoveryMode::Full, HopKind::Acked);
-        assert_eq!(sent.unwrap().ticks, POLICY.backoff_ticks(1) + d);
+        let (ticks, lands, _) = drive(seq, &POLICY, HopKind::Acked);
+        assert_eq!(ticks, Ok(POLICY.backoff_ticks(1) + d));
         assert_eq!(lands, 1);
 
         // Deadlines of one and two sends; a lost ack lands before the
@@ -361,38 +316,31 @@ mod tests {
         let one = RetryPolicy { base_ticks: 3, max_attempts: 1 };
         let two = RetryPolicy { base_ticks: 3, max_attempts: 2 };
         let dropped = seq_with(&[FATES[DROP], FATES[CORRUPT]], false);
-        let (sent, lands, retries) = drive(dropped, &one, RecoveryMode::Full, HopKind::Acked);
-        assert_eq!(sent, Err(RetryError { attempts: 1, backoff_ticks: 0 }));
+        let (ticks, lands, retries) = drive(dropped, &one, HopKind::Acked);
+        assert_eq!(ticks, Err(RetryError { attempts: 1, backoff_ticks: 0 }));
         assert_eq!((lands, retries), (0, 0));
-        let (sent, lands, retries) = drive(dropped, &two, RecoveryMode::Full, HopKind::Acked);
-        assert_eq!(sent, Err(RetryError { attempts: 2, backoff_ticks: two.backoff_ticks(1) }));
+        let (ticks, lands, retries) = drive(dropped, &two, HopKind::Acked);
+        assert_eq!(ticks, Err(RetryError { attempts: 2, backoff_ticks: two.backoff_ticks(1) }));
         assert_eq!((lands, retries), (0, 1));
         let ack_lost = seq_with(&[FATES[ACK_LOST]], false);
-        let (sent, lands, _) = drive(ack_lost, &one, RecoveryMode::Full, HopKind::Acked);
-        assert_eq!((sent, lands), (Err(RetryError { attempts: 1, backoff_ticks: 0 }), 1));
-        let (sent, lands, _) = drive(ack_lost, &one, RecoveryMode::Full, HopKind::Reply);
-        assert_eq!((sent.is_err(), lands), (true, 0));
+        let (ticks, lands, _) = drive(ack_lost, &one, HopKind::Acked);
+        assert_eq!((ticks, lands), (Err(RetryError { attempts: 1, backoff_ticks: 0 }), 1));
+        let (ticks, lands, _) = drive(ack_lost, &one, HopKind::Reply);
+        assert_eq!((ticks.is_err(), lands), (true, 0));
     }
 
     #[test]
     fn driver_result_is_a_pure_function_of_plan_channel_and_seq() {
         for seq in 0..300 {
             for kind in [HopKind::Acked, HopKind::Reply, HopKind::Unacked] {
-                let a = drive(seq, &POLICY, RecoveryMode::Full, kind);
-                assert_eq!(a, drive(seq, &POLICY, RecoveryMode::Full, kind), "seq {seq} {kind:?}");
+                let a = drive(seq, &POLICY, kind);
+                assert_eq!(a, drive(seq, &POLICY, kind), "seq {seq} {kind:?}");
             }
         }
         let other = FaultPlane::new(FaultPlan::with_seed(6, 0.5));
         let differs = (0..300).any(|seq| {
-            let b = other.deliver(
-                CHANNEL,
-                Seq(seq),
-                &POLICY,
-                RecoveryMode::Full,
-                HopKind::Acked,
-                || {},
-            );
-            b != drive(seq, &POLICY, RecoveryMode::Full, HopKind::Acked).0
+            let b = other.deliver(CHANNEL, Seq(seq), &POLICY, HopKind::Acked, || {});
+            b != drive(seq, &POLICY, HopKind::Acked).0
         });
         assert!(differs, "another seed draws another fault stream");
     }

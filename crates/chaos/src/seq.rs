@@ -41,7 +41,9 @@ impl SeqCounter {
 /// buffered); it returns the run of payloads that just became deliverable.
 /// This is what makes retried parameter-server deltas idempotent: a lost
 /// ack makes the sender re-send an already-applied delta, and the
-/// sequencer drops the duplicate instead of double-applying AdaGrad.
+/// sequencer drops the duplicate instead of double-applying AdaGrad. It is
+/// the one dedup of every [`HopKind::Acked`](crate::HopKind::Acked)
+/// receiver: PS pushes and rehomes, migration records and ingest batches.
 #[derive(Debug, Clone)]
 pub struct Sequencer<T> {
     next: u64,

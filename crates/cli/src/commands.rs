@@ -726,16 +726,12 @@ pub fn rebalance_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, 
     let merge = args.num_or("merge", 0u64)? != 0;
 
     let run_cfg = RuntimeConfig { epochs, chaos: common.fault.clone(), ..scenario.cfg.clone() };
-    let mut plans = vec![RebalancePlan {
-        after_epoch: split_after,
-        op: RebalanceOp::Split { shard: 0 },
-        mode: Default::default(),
-    }];
+    let mut plans =
+        vec![RebalancePlan { after_epoch: split_after, op: RebalanceOp::Split { shard: 0 } }];
     if merge && split_after + 1 < epochs {
         plans.push(RebalancePlan {
             after_epoch: split_after + 1,
             op: RebalanceOp::Merge { from: workers as u32, into: 0 },
-            mode: Default::default(),
         });
     }
 

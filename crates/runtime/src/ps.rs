@@ -19,7 +19,7 @@
 
 use crate::error::RuntimeError;
 use aligraph_chaos::{
-    FaultPlan, FaultPlane, HopKind, RecoveryMode, RetryPolicy, Seq, SeqCounter, MIGRATION_TAG,
+    FaultPlan, FaultPlane, HopKind, RetryPolicy, Seq, SeqCounter, Sequencer, MIGRATION_TAG,
     PS_PULL_TAG, PS_PUSH_TAG, TICK_NS,
 };
 use aligraph_graph::{FeatureMatrix, VertexId};
@@ -90,7 +90,7 @@ pub struct PsShardState {
 /// only source of the [`Seq`]s its messages cross the plane with: one push
 /// stream and one pull-response stream per destination shard. They live
 /// and die with the server, so a recovery attempt's fresh server pairs
-/// fresh counters with its fresh `applied_seq` table and replays cleanly.
+/// fresh counters with its shards' fresh sequencers and replays cleanly.
 #[derive(Debug)]
 struct ChannelSeqs {
     push: Vec<SeqCounter>,
@@ -118,27 +118,25 @@ pub struct SparseParamServer {
     shards: Vec<Mutex<PsShard>>,
     /// Per-worker dirty bitmaps: rows updated since that worker last drained.
     dirty: Vec<Mutex<Vec<u64>>>,
-    /// `applied_seq[shard][sender]`: next delta sequence number expected on
-    /// the `sender → shard` push channel. Retried deltas whose sequence
-    /// number is below this were already applied and are discarded — the
-    /// idempotence that makes lost acks invisible to the math.
-    applied_seq: Vec<Mutex<Vec<u64>>>,
+    /// `pushed[shard][sender]`: the receiving end of the `sender → shard`
+    /// push channel. It releases each delta once; the copies a lost ack or a
+    /// late replay land are discarded — the idempotence that makes lost acks
+    /// invisible to the math.
+    pushed: Vec<Mutex<Vec<Sequencer<()>>>>,
     stats: TierMeter,
     /// Payload bytes landed on each destination shard (pushes + pulls),
     /// published as `runtime.ps.bytes{shard=<w>}`.
     shard_bytes: Vec<Arc<Counter>>,
     /// Sender-held counter per `(src, dst)` rehome channel.
     rehome_seq: Mutex<BTreeMap<(u32, u32), SeqCounter>>,
-    /// Receiver-side expected sequence per `(src, dst)` rehome channel:
-    /// duplicates of an applied row move are discarded, which is what makes
-    /// the destructive move idempotent under lost acks.
-    rehome_applied: Mutex<BTreeMap<(u32, u32), u64>>,
+    /// The receiving end of each `(src, dst)` rehome channel: duplicates of
+    /// an applied row move are discarded, which is what makes the
+    /// destructive move idempotent under lost acks.
+    rehomed: Mutex<BTreeMap<(u32, u32), Sequencer<()>>>,
     /// The plane every push, pull and rehome message crosses. Unarmed and
     /// off the registry until [`attach`](Self::attach)ed to a run's.
     plane: Arc<FaultPlane>,
     policy: RetryPolicy,
-    /// Recovery machinery of the push and pull channels.
-    mode: RecoveryMode,
     /// `seqs[worker]`: that worker's sender-side counters, locked for the
     /// whole push or drain so its messages leave in sequence order.
     seqs: Vec<Mutex<ChannelSeqs>>,
@@ -209,7 +207,9 @@ impl SparseParamServer {
             })
             .collect();
         let dirty = (0..workers).map(|_| Mutex::new(vec![0u64; n.div_ceil(64)])).collect();
-        let applied_seq = (0..slots).map(|_| Mutex::new(vec![0u64; workers])).collect();
+        let pushed = (0..slots)
+            .map(|_| Mutex::new((0..workers).map(|_| Sequencer::new()).collect()))
+            .collect();
         let shard_bytes = (0..slots)
             .map(|w| registry.counter("runtime.ps.bytes", &[("shard", &w.to_string())]))
             .collect();
@@ -221,32 +221,23 @@ impl SparseParamServer {
             owner,
             shards,
             dirty,
-            applied_seq,
+            pushed,
             stats: TierMeter::registered(registry, "runtime.ps"),
             shard_bytes,
             rehome_seq: Mutex::new(BTreeMap::new()),
-            rehome_applied: Mutex::new(BTreeMap::new()),
+            rehomed: Mutex::new(BTreeMap::new()),
             plane: Arc::new(FaultPlane::new(FaultPlan::default())),
             policy: RetryPolicy::default(),
-            mode: RecoveryMode::Full,
             seqs: (0..workers).map(|_| Mutex::new(ChannelSeqs::new(slots))).collect(),
         }
     }
 
-    /// Routes the server's messages through a run's `plane` under `policy`,
-    /// with `mode` as the push and pull channels' recovery machinery. With
-    /// [`RecoveryMode::Full`] the surviving update stream is byte-identical
-    /// to the fault-free one — only the modelled time differs; the broken
-    /// modes exist for the chaos suite's divergence-detection tests.
-    pub fn attach(
-        mut self,
-        plane: Arc<FaultPlane>,
-        policy: RetryPolicy,
-        mode: RecoveryMode,
-    ) -> Self {
+    /// Routes the server's messages through a run's `plane` under `policy`.
+    /// The surviving update stream is byte-identical to the fault-free one;
+    /// only the modelled time differs.
+    pub fn attach(mut self, plane: Arc<FaultPlane>, policy: RetryPolicy) -> Self {
         self.plane = plane;
         self.policy = policy;
-        self.mode = mode;
         self
     }
 
@@ -316,9 +307,9 @@ impl SparseParamServer {
             // The driver's `land` cannot fail; a poisoned lock stops
             // further applies and surfaces after the hop.
             let mut applied = Ok(());
-            let sent = self
+            let ticks = self
                 .plane
-                .deliver(channel, seq, &self.policy, self.mode, HopKind::Acked, || {
+                .deliver(channel, seq, &self.policy, HopKind::Acked, || {
                     if applied.is_ok() {
                         applied = self.apply_push_message(w, from, seq, rows);
                     }
@@ -330,12 +321,10 @@ impl SparseParamServer {
                     ))
                 })?;
             applied?;
-            ns += sent.ticks * TICK_NS;
-            if sent.delivered {
-                let kind = if w == from { AccessKind::Local } else { AccessKind::Remote };
-                ns += self.stats.record(kind, rows.len() as u64 * row_bytes, &self.cost);
-                self.shard_bytes[w].add(rows.len() as u64 * row_bytes);
-            }
+            ns += ticks * TICK_NS;
+            let kind = if w == from { AccessKind::Local } else { AccessKind::Remote };
+            ns += self.stats.record(kind, rows.len() as u64 * row_bytes, &self.cost);
+            self.shard_bytes[w].add(rows.len() as u64 * row_bytes);
         }
         Ok(ns)
     }
@@ -348,14 +337,14 @@ impl SparseParamServer {
         seq: Seq,
         rows: &[(u32, &[f32])],
     ) -> Result<(), RuntimeError> {
-        if self.mode != RecoveryMode::NoDedup {
-            let mut expected =
-                self.applied_seq[w].lock().map_err(|_| RuntimeError::Poisoned("ps seq table"))?;
-            if seq.get() < expected[from] {
-                return Ok(()); // duplicate of an already-applied delta
-            }
-            expected[from] = seq.get() + 1;
+        let mut pushed =
+            self.pushed[w].lock().map_err(|_| RuntimeError::Poisoned("ps push sequencers"))?;
+        // The sender drives one message at a time to delivery, so a copy
+        // releases its own delta or, as a duplicate, nothing.
+        if pushed[from].offer(seq.get(), ()).is_empty() {
+            return Ok(());
         }
+        drop(pushed);
         let mut shard = self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
         shard.check_held(rows.iter().map(|&(v, _)| v))?;
         for &(v, g) in rows {
@@ -378,11 +367,9 @@ impl SparseParamServer {
     /// response per shard that contributed rows, sequence-numbered on its
     /// `shard → who` channel and crossing the plane as one
     /// [`HopKind::Reply`] hop. Responses are idempotent reads, so no dedup
-    /// is needed — but under [`RecoveryMode::NoRetry`] a dropped response
-    /// permanently loses its rows (they were already drained from the dirty
-    /// set), leaving the replica stale forever: exactly the silent
-    /// divergence the chaos suite must catch. Returns modelled comm
-    /// nanoseconds.
+    /// is needed; a dropped response is re-sent, since its rows already left
+    /// the dirty set and would otherwise stay stale in the replica for ever.
+    /// Returns modelled comm nanoseconds.
     pub fn drain_into(&self, who: usize, replica: &mut FeatureMatrix) -> Result<u64, RuntimeError> {
         let mut seqs = self.seqs[who].lock().map_err(|_| RuntimeError::Poisoned("ps seqs"))?;
         let rows = take_marks(
@@ -402,19 +389,16 @@ impl SparseParamServer {
             let channel = FaultPlane::channel_with(PS_PULL_TAG, w as u64, who as u64);
             // Re-reading is idempotent, so the rows are copied once, after
             // the hop: nothing lands while it is in flight.
-            let sent = self
+            let ticks = self
                 .plane
-                .deliver(channel, seq, &self.policy, self.mode, HopKind::Reply, || {})
+                .deliver(channel, seq, &self.policy, HopKind::Reply, || {})
                 .map_err(|e| {
                     RuntimeError::Unrecoverable(format!(
                         "ps pull {w}->{who} seq {}: {e}",
                         seq.get()
                     ))
                 })?;
-            ns += sent.ticks * TICK_NS;
-            if !sent.delivered {
-                continue; // deliberately broken: rows stay stale
-            }
+            ns += ticks * TICK_NS;
             let shard = self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
             shard.check_held(rows.iter().copied())?;
             for &v in rows {
@@ -526,19 +510,15 @@ impl SparseParamServer {
     /// storage layer's post-rebalance `Residency` snapshot): every row whose
     /// owner table disagrees with `residency` moves to its new shard slot
     /// over the server's plane (tag [`MIGRATION_TAG`], one batched message
-    /// per `(src, dst)` shard pair, sequence-deduplicated) under `mode`, the
-    /// migration stream's own recovery machinery.
+    /// per `(src, dst)` shard pair, sequence-deduplicated).
     ///
     /// Must be called at a quiescent point — the epoch-boundary allreduce
     /// barrier, where every worker is parked and no push or drain is in
     /// flight. Row values and AdaGrad accumulators move losslessly, so the
     /// math after the move is bit-identical to not having moved; only the
     /// comm *accounting* changes (rows now local to a different slot).
-    /// Under [`RecoveryMode::NoRetry`] a lost move message still flips
-    /// ownership but lands zero rows at the destination — the deliberate
-    /// data loss the migration chaos test must catch. Returns modelled comm
-    /// nanoseconds.
-    pub fn rehome(&self, residency: &[u32], mode: RecoveryMode) -> Result<u64, RuntimeError> {
+    /// Returns modelled comm nanoseconds.
+    pub fn rehome(&self, residency: &[u32]) -> Result<u64, RuntimeError> {
         if residency.len() != self.owner.len() {
             return Err(RuntimeError::Unrecoverable(format!(
                 "rehome residency covers {} vertices, PS has {}",
@@ -575,11 +555,11 @@ impl SparseParamServer {
                 .next_seq();
             let channel = FaultPlane::channel_with(MIGRATION_TAG, u64::from(src), u64::from(dst));
             let mut applied = Ok(());
-            let sent = self
+            let ticks = self
                 .plane
-                .deliver(channel, seq, &self.policy, mode, HopKind::Acked, || {
+                .deliver(channel, seq, &self.policy, HopKind::Acked, || {
                     if applied.is_ok() {
-                        applied = self.apply_rehome(src, dst, seq, rows, mode, true);
+                        applied = self.apply_rehome(src, dst, seq, rows);
                     }
                 })
                 .map_err(|e| {
@@ -589,21 +569,9 @@ impl SparseParamServer {
                     ))
                 })?;
             applied?;
-            ns += sent.ticks * TICK_NS;
-            if sent.delivered {
-                ns += self.stats.record(
-                    AccessKind::Remote,
-                    rows.len() as u64 * row_bytes,
-                    &self.cost,
-                );
-                self.shard_bytes[dst as usize].add(rows.len() as u64 * row_bytes);
-            } else {
-                // The broken variant: ownership flips anyway, the payload
-                // never arrives, the destination re-homes the rows
-                // zero-filled. Training over them genuinely diverges — the
-                // teeth of the migration chaos test.
-                self.apply_rehome(src, dst, seq, rows, mode, false)?;
-            }
+            ns += ticks * TICK_NS;
+            ns += self.stats.record(AccessKind::Remote, rows.len() as u64 * row_bytes, &self.cost);
+            self.shard_bytes[dst as usize].add(rows.len() as u64 * row_bytes);
             for &v in rows {
                 // ordering: Release pairs with owner_slot()'s Acquire — a
                 // reader that sees the new owner also sees the moved row
@@ -616,30 +584,18 @@ impl SparseParamServer {
 
     /// Applies (or dedup-discards) one sequenced rehome message: removes
     /// the rows from `src`'s shard and inserts them into `dst`'s, carrying
-    /// weights and AdaGrad accumulators when `with_payload` (zero-filled
-    /// rows otherwise — the lost-message path of a broken recovery mode).
-    fn apply_rehome(
-        &self,
-        src: u32,
-        dst: u32,
-        seq: Seq,
-        rows: &[u32],
-        mode: RecoveryMode,
-        with_payload: bool,
-    ) -> Result<(), RuntimeError> {
-        if mode != RecoveryMode::NoDedup {
-            let mut applied =
-                self.rehome_applied.lock().map_err(|_| RuntimeError::Poisoned("rehome applied"))?;
-            let cursor = applied.entry((src, dst)).or_insert(0);
-            if seq.get() < *cursor {
-                return Ok(()); // duplicate of an already-applied move
-            }
-            *cursor = seq.get() + 1;
+    /// weights and AdaGrad accumulators.
+    fn apply_rehome(&self, src: u32, dst: u32, seq: Seq, rows: &[u32]) -> Result<(), RuntimeError> {
+        let mut rehomed =
+            self.rehomed.lock().map_err(|_| RuntimeError::Poisoned("rehome sequencers"))?;
+        // One move in flight per channel: a copy releases its own move or,
+        // as a duplicate, nothing.
+        if rehomed.entry((src, dst)).or_default().offer(seq.get(), ()).is_empty() {
+            return Ok(());
         }
+        drop(rehomed);
         // Extract the moving rows from the source shard and rebuild it
-        // around the hole. A NoDedup double-apply finds the rows already
-        // gone and skips them — the PS mirror of the storage layer's
-        // idempotent absorb.
+        // around the hole.
         let mut moving: BTreeMap<u32, (Vec<f32>, Option<Vec<f32>>)> = BTreeMap::new();
         {
             let mut shard =
@@ -650,36 +606,17 @@ impl SparseParamServer {
                     moving.insert(v, row);
                 }
             }
-            if !moving.is_empty() {
-                Self::install_rows(&mut shard, self.dim, remaining)?;
+            if moving.is_empty() {
+                return Ok(());
             }
+            Self::install_rows(&mut shard, self.dim, remaining)?;
         }
-        // Land them at the destination: carried payload normally,
-        // zero-filled rows when the move message was lost (the broken
-        // recovery mode's data loss — extraction already destroyed the
-        // source copy).
+        // Land them at the destination.
         let mut shard =
             self.shards[dst as usize].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
         let mut combined = Self::snapshot_rows(&shard, self.dim);
-        let mut landed = false;
-        for &v in rows {
-            let row = if with_payload {
-                match moving.remove(&v) {
-                    Some(row) => row,
-                    None => continue,
-                }
-            } else if combined.contains_key(&v) {
-                continue;
-            } else {
-                (vec![0.0; self.dim], None)
-            };
-            combined.insert(v, row);
-            landed = true;
-        }
-        if landed {
-            Self::install_rows(&mut shard, self.dim, combined)?;
-        }
-        Ok(())
+        combined.append(&mut moving);
+        Self::install_rows(&mut shard, self.dim, combined)
     }
 
     /// Snapshots a shard as id → (weights row, AdaGrad accumulator row).
@@ -945,16 +882,12 @@ mod tests {
     }
 
     /// [`drive_workload`] on a server attached to a seeded plane, returning
-    /// the state and the plane's fault counters. `drop = 0` with `Full` is
-    /// the clean baseline (the plane delivers everything).
-    fn run_workload(
-        mode: RecoveryMode,
-        drop: f64,
-        seed: u64,
-    ) -> (Vec<f32>, aligraph_chaos::FaultSnapshot) {
+    /// the state and the plane's fault counters. `drop = 0` is the clean
+    /// baseline (the plane delivers everything).
+    fn run_workload(drop: f64, seed: u64) -> (Vec<f32>, aligraph_chaos::FaultSnapshot) {
         let (ps, f, _) = setup(2);
         let plane = seeded_plane(seed, drop);
-        let ps = ps.attach(Arc::clone(&plane), RetryPolicy::default(), mode);
+        let ps = ps.attach(Arc::clone(&plane), RetryPolicy::default());
         (drive_workload(&ps, &f).0, plane.snapshot())
     }
 
@@ -963,8 +896,7 @@ mod tests {
         let (fresh, f, _) = setup(2);
         let (attached, _, _) = setup(2);
         let plane = seeded_plane(9, 0.0);
-        let attached =
-            attached.attach(Arc::clone(&plane), RetryPolicy::default(), RecoveryMode::Full);
+        let attached = attached.attach(Arc::clone(&plane), RetryPolicy::default());
         let (a, a_ns) = drive_workload(&fresh, &f);
         let (b, b_ns) = drive_workload(&attached, &f);
         assert_eq!(
@@ -981,10 +913,10 @@ mod tests {
 
     #[test]
     fn faulted_push_pull_is_bit_exact_with_full_recovery() {
-        let (clean, quiet) = run_workload(RecoveryMode::Full, 0.0, 0);
+        let (clean, quiet) = run_workload(0.0, 0);
         assert_eq!(quiet.faults_injected, 0);
         for seed in [1u64, 7, 42] {
-            let (faulted, snap) = run_workload(RecoveryMode::Full, 0.3, seed);
+            let (faulted, snap) = run_workload(0.3, seed);
             assert!(snap.faults_injected > 0, "seed {seed}: no faults fired");
             assert!(snap.retries > 0, "seed {seed}: no retries performed");
             assert_eq!(
@@ -993,18 +925,6 @@ mod tests {
                 "seed {seed}: faulted run diverged from clean run"
             );
         }
-    }
-
-    #[test]
-    fn broken_recovery_modes_are_caught_by_divergence() {
-        let (clean, _) = run_workload(RecoveryMode::Full, 0.0, 0);
-        // Teeth check: with recovery deliberately broken, some fault seed
-        // must produce bit-different parameters — otherwise the parity
-        // assertion above proves nothing.
-        let diverges =
-            |mode: RecoveryMode| (0..8u64).any(|seed| run_workload(mode, 0.3, seed).0 != clean);
-        assert!(diverges(RecoveryMode::NoRetry), "silent message loss went undetected");
-        assert!(diverges(RecoveryMode::NoDedup), "double-applied deltas went undetected");
     }
 
     /// An elastic PS (one spare slot) after a few training pushes, plus the
@@ -1048,7 +968,7 @@ mod tests {
         let (ps, _, residency) = elastic_setup();
         let before = ps.materialize().unwrap();
         let before_state = ps.export().unwrap();
-        let ns = ps.rehome(&residency, RecoveryMode::Full).unwrap();
+        let ns = ps.rehome(&residency).unwrap();
         assert!(ns > 0, "a real move must cost modelled time");
         // The math is location-independent: materialized rows identical.
         assert_eq!(ps.materialize().unwrap().as_slice(), before.as_slice());
@@ -1063,7 +983,7 @@ mod tests {
             assert!(!before_state[0].ids.contains(&v) || !after_state[0].ids.contains(&v));
         }
         // A second identical rehome is a no-op (nothing left to move).
-        let ns2 = ps.rehome(&residency, RecoveryMode::Full).unwrap();
+        let ns2 = ps.rehome(&residency).unwrap();
         assert_eq!(ns2, 0);
         // Pushes to moved rows now land on the new shard and still train.
         let mut grads = HashMap::new();
@@ -1075,38 +995,24 @@ mod tests {
     #[test]
     fn faulted_rehome_matches_clean_rehome_exactly() {
         let (clean_ps, _, residency) = elastic_setup();
-        clean_ps.rehome(&residency, RecoveryMode::Full).unwrap();
+        clean_ps.rehome(&residency).unwrap();
         let clean = clean_ps.export().unwrap();
         for seed in [1u64, 7, 42] {
             let (ps, _, residency) = elastic_setup();
-            let ps = ps.attach(seeded_plane(seed, 0.4), RetryPolicy::default(), RecoveryMode::Full);
-            ps.rehome(&residency, RecoveryMode::Full).unwrap();
+            let ps = ps.attach(seeded_plane(seed, 0.4), RetryPolicy::default());
+            ps.rehome(&residency).unwrap();
             assert_eq!(ps.export().unwrap(), clean, "seed {seed}: faulted rehome diverged");
         }
-    }
-
-    #[test]
-    fn broken_rehome_zero_fills_lost_rows() {
-        let (clean_ps, _, residency) = elastic_setup();
-        clean_ps.rehome(&residency, RecoveryMode::Full).unwrap();
-        let clean = clean_ps.materialize().unwrap();
-        let diverged = (0..8u64).any(|seed| {
-            let (ps, _, residency) = elastic_setup();
-            let ps = ps.attach(seeded_plane(seed, 0.9), RetryPolicy::default(), RecoveryMode::Full);
-            ps.rehome(&residency, RecoveryMode::NoRetry).unwrap();
-            ps.materialize().unwrap().as_slice() != clean.as_slice()
-        });
-        assert!(diverged, "lost migration payloads went undetected");
     }
 
     #[test]
     fn rehome_rejects_bad_shapes() {
         let (ps, _, residency) = elastic_setup();
         // Wrong vertex count.
-        assert!(ps.rehome(&residency[..3], RecoveryMode::Full).is_err());
+        assert!(ps.rehome(&residency[..3]).is_err());
         // Destination slot beyond the pre-allocated range.
         let bad: Vec<u32> = residency.iter().map(|&d| if d == 2 { 9 } else { d }).collect();
-        assert!(ps.rehome(&bad, RecoveryMode::Full).is_err());
+        assert!(ps.rehome(&bad).is_err());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::ps::SparseParamServer;
 use crate::report::{DistReport, WorkerReport};
 use crate::ssp::{Abort, Coordinator, Deposit, Rendezvous, Ring};
 use aligraph::{finish_contrastive, plan_contrastive, GnnEncoder};
-use aligraph_chaos::{FaultConfig, FaultPlane, RecoveryMode, RetryPolicy};
+use aligraph_chaos::{FaultConfig, FaultPlane, RetryPolicy};
 use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, FeatureMatrix};
 use aligraph_partition::WorkerId;
 use aligraph_sampling::neighborhood::ClusterView;
@@ -72,10 +72,6 @@ pub struct RebalancePlan {
     pub after_epoch: usize,
     /// The topology change.
     pub op: RebalanceOp,
-    /// Recovery machinery for the migration stream. [`RecoveryMode::Full`]
-    /// is the real system; the broken variants deliberately lose moved
-    /// subgraphs/rows so divergence tests have teeth.
-    pub mode: RecoveryMode,
 }
 
 /// The run's chaos plane and retry budget. Always present: a run without
@@ -120,10 +116,6 @@ pub struct RuntimeConfig {
     /// which is what lets the chaos suite assert bit-exact convergence
     /// against the fault-free baseline.
     pub chaos: Option<FaultConfig>,
-    /// Recovery machinery of the PS channels. [`RecoveryMode::Full`] is the
-    /// real system; the broken variants exist for divergence-detection
-    /// tests.
-    pub recovery: RecoveryMode,
     /// Elastic topology changes to apply at epoch boundaries, in order.
     pub rebalance: Vec<RebalancePlan>,
 }
@@ -141,7 +133,6 @@ impl Default for RuntimeConfig {
             sparse_lr: 0.0,
             checkpoint: None,
             chaos: None,
-            recovery: RecoveryMode::Full,
             rebalance: Vec::new(),
         }
     }
@@ -462,7 +453,7 @@ impl<'a> DistTrainer<'a> {
             &self.registry,
             cfg.workers.max(self.cluster.num_shards()) + splits,
         )
-        .attach(Arc::clone(&chaos.plane), chaos.policy, cfg.recovery);
+        .attach(Arc::clone(&chaos.plane), chaos.policy);
         // Registered counters are shared registry-wide, so a fault-recovery
         // retry must zero them to report only its own traffic (matching the
         // fresh-per-attempt counters the PS had before telemetry).
@@ -810,10 +801,10 @@ impl<'a> DistTrainer<'a> {
     ) -> Result<(), RuntimeError> {
         if self.cluster.topology().current_epoch() <= index as u64 {
             self.cluster
-                .rebalance(plan.op, &chaos.plane, &chaos.policy, plan.mode)
+                .rebalance(plan.op, &chaos.plane, &chaos.policy)
                 .map_err(|e| RuntimeError::Unrecoverable(format!("rebalance failed: {e}")))?;
         }
-        ps.rehome(&self.cluster.residency_snapshot(), plan.mode)?;
+        ps.rehome(&self.cluster.residency_snapshot())?;
         Ok(())
     }
 }

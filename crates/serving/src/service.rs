@@ -32,7 +32,7 @@ use crate::error::ServeError;
 use crate::metrics::{ServingMetrics, ServingReport};
 use aligraph::{EpisodeTape, GnnEncoder};
 use aligraph_chaos::{
-    FaultConfig, FaultPlane, HopKind, RecoveryMode, RetryPolicy, SeqCounter, SERVING_FETCH_TAG,
+    FaultConfig, FaultPlane, HopKind, RetryPolicy, SeqCounter, SERVING_FETCH_TAG,
 };
 use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch};
 use aligraph_graph::features::{FeatureMatrix, Featurizer};
@@ -488,14 +488,8 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
                 // Fetches are idempotent reads nobody acknowledges: a lost
                 // ack is a delivery, a delay costs only virtual time, and
                 // the forward runs after the hop (nothing lands in flight).
-                let fetched = plane.deliver(
-                    channel,
-                    seqs.next_seq(),
-                    policy,
-                    RecoveryMode::Full,
-                    HopKind::Unacked,
-                    || {},
-                );
+                let fetched =
+                    plane.deliver(channel, seqs.next_seq(), policy, HopKind::Unacked, || {});
                 if fetched.is_err() {
                     let entry = self.fallback.lock().get(&id).cloned();
                     match entry {

@@ -67,6 +67,6 @@ pub use neighbor_cache::{CacheStrategy, NeighborCache};
 pub use published::{Published, StaleEpoch, Versioned, Writer};
 pub use segment::{Segment, SegmentError, SegmentKind};
 pub use server::{GraphServer, VertexRecord};
-pub use tier::{EvictionMode, TierBacking, TierConfig, TierRead, TieredStore};
+pub use tier::{TierBacking, TierConfig, TierRead, TieredStore};
 pub use topology::{Residency, RouteError, TopologyView};
 pub use versioned_cache::{CacheStats, VersionedCache};

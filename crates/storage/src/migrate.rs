@@ -10,12 +10,9 @@
 //! crosses the plane through its delivery driver ([`FaultPlane::deliver`])
 //! under a capped-backoff [`RetryPolicy`]; a [`Sequencer`] collapses
 //! lost-ack resends and late duplicates to exactly-once application.
-//! Faults therefore cost only modelled ticks, never data (a retry budget
+//! Faults therefore cost only modelled ticks, never data: a retry budget
 //! that runs out mid-stream flips the landed vertices back and publishes
-//! nothing: old membership or new, never a third) — unless recovery is
-//! deliberately broken ([`RecoveryMode::NoRetry`]), in which case a lost
-//! record still flips the cutover and the destination serves a vertex it
-//! never received: the bug the migration chaos suite exists to catch.
+//! nothing — old membership or new, never a third.
 //!
 //! The protocol per vertex:
 //!
@@ -31,9 +28,7 @@ use crate::neighbor_cache::NeighborCache;
 use crate::published::StaleEpoch;
 use crate::server::{GraphServer, VertexRecord};
 use crate::topology::RouteError;
-use aligraph_chaos::{
-    FaultPlane, HopKind, RecoveryMode, RetryPolicy, SeqCounter, Sequencer, MIGRATION_TAG,
-};
+use aligraph_chaos::{FaultPlane, HopKind, RetryPolicy, SeqCounter, Sequencer, MIGRATION_TAG};
 use aligraph_graph::VertexId;
 use aligraph_partition::{splitmix64, WorkerId};
 use std::sync::Arc;
@@ -73,8 +68,6 @@ pub struct MigrationReport {
     pub bytes: u64,
     /// Modelled ticks of migration lag: injected delays plus retry backoff.
     pub lag_ticks: u64,
-    /// Records lost in flight (always 0 unless recovery is broken).
-    pub lost: u64,
     /// The membership epoch the rebalance published.
     pub epoch: u64,
 }
@@ -174,18 +167,11 @@ impl Cluster {
     /// released and no epoch publishes — a retry starts from the membership
     /// this call found. Neighbor-cache seeds a *merge* destination already
     /// took stay: they are accounting (a warmer cache), never residency.
-    ///
-    /// `mode` selects the recovery discipline; anything but
-    /// [`RecoveryMode::Full`] is a deliberately broken variant for the
-    /// chaos suite ([`RecoveryMode::NoRetry`] loses records but flips their
-    /// cutover anyway, [`RecoveryMode::NoDedup`] double-applies duplicates
-    /// — harmless for the idempotent absorb, double-counted in the meter).
     pub fn rebalance(
         &self,
         op: RebalanceOp,
         plane: &FaultPlane,
         policy: &RetryPolicy,
-        mode: RecoveryMode,
     ) -> Result<MigrationReport, MigrationError> {
         let writer = self.topology.write();
         let view = Arc::clone(writer.head());
@@ -293,18 +279,12 @@ impl Cluster {
         let mut sequencer: Sequencer<MigrationRecord> = Sequencer::new();
         let mut bytes = 0u64;
         let mut lag_ticks = 0u64;
-        let mut lost = 0u64;
         for record in records {
             let seq = seqs.next_seq();
             let land = || {
                 bytes += record.bytes();
                 self.migration_meter.record(AccessKind::Remote, record.bytes(), self.cost_model());
-                let ready = if matches!(mode, RecoveryMode::NoDedup) {
-                    vec![record.clone()]
-                } else {
-                    sequencer.offer(seq.get(), record.clone())
-                };
-                for rec in ready {
+                for rec in sequencer.offer(seq.get(), record.clone()) {
                     match rec {
                         MigrationRecord::Vertex(rec) => {
                             let v = rec.vertex;
@@ -318,8 +298,8 @@ impl Cluster {
                     }
                 }
             };
-            let sent =
-                plane.deliver(channel, seq, policy, mode, HopKind::Acked, land).map_err(|e| {
+            lag_ticks +=
+                plane.deliver(channel, seq, policy, HopKind::Acked, land).map_err(|e| {
                     undo();
                     MigrationError::RetriesExhausted {
                         from: src,
@@ -328,17 +308,6 @@ impl Cluster {
                         attempts: e.attempts,
                     }
                 })?;
-            lag_ticks += sent.ticks;
-            if !sent.delivered {
-                lost += 1;
-                // The deliberately broken cutover: the flip happens even
-                // though the destination never received the record, so the
-                // new epoch routes the vertex to a shard that cannot serve
-                // it. This is the bug the migration chaos test must catch.
-                if let MigrationRecord::Vertex(rec) = record {
-                    self.residency.cutover(rec.vertex, dst);
-                }
-            }
         }
 
         // Publish the successor epoch; the source retirement runs in the
@@ -357,22 +326,13 @@ impl Cluster {
             MigrationError::Stale(e)
         })?;
 
-        Ok(MigrationReport {
-            op,
-            from: src,
-            to: dst,
-            moved: moving.len(),
-            bytes,
-            lag_ticks,
-            lost,
-            epoch,
-        })
+        Ok(MigrationReport { op, from: src, to: dst, moved: moving.len(), bytes, lag_ticks, epoch })
     }
 
     /// The migration oracle: every vertex must be resident (`Local`) on its
-    /// primary shard of the current epoch. A clean rebalance always passes;
-    /// the broken-cutover variant routes lost vertices to a shard that
-    /// never absorbed them and fails here.
+    /// primary shard of the current epoch. A rebalance always passes; a
+    /// cutover that flipped a vertex to a shard that never absorbed it
+    /// fails here.
     pub fn verify_residency(&self) -> Result<(), String> {
         let view = self.topology.pin();
         view.verify()?;
@@ -418,17 +378,11 @@ mod tests {
         let c = cluster(2, CacheStrategy::None);
         let before = c.server(WorkerId(0)).num_owned();
         let report = c
-            .rebalance(
-                RebalanceOp::Split { shard: 0 },
-                &clean_plane(),
-                &RetryPolicy::default(),
-                RecoveryMode::Full,
-            )
+            .rebalance(RebalanceOp::Split { shard: 0 }, &clean_plane(), &RetryPolicy::default())
             .unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(report.from, 0);
         assert_eq!(report.to, 2);
-        assert_eq!(report.lost, 0);
         assert!(report.moved > 0, "a split of a populated shard moves vertices");
         assert_eq!(c.num_shards(), 3);
         assert_eq!(c.num_workers(), 2, "logical worker count never changes");
@@ -446,7 +400,6 @@ mod tests {
                 RebalanceOp::Merge { from: 2, into: 0 },
                 &clean_plane(),
                 &RetryPolicy::default(),
-                RecoveryMode::Full,
             )
             .unwrap();
         assert_eq!(report.moved, drained);
@@ -461,16 +414,9 @@ mod tests {
     fn split_then_merge_roundtrips_residency() {
         let c = cluster(2, CacheStrategy::None);
         let policy = RetryPolicy::default();
-        c.rebalance(RebalanceOp::Split { shard: 1 }, &clean_plane(), &policy, RecoveryMode::Full)
-            .unwrap();
-        let report = c
-            .rebalance(
-                RebalanceOp::Merge { from: 2, into: 1 },
-                &clean_plane(),
-                &policy,
-                RecoveryMode::Full,
-            )
-            .unwrap();
+        c.rebalance(RebalanceOp::Split { shard: 1 }, &clean_plane(), &policy).unwrap();
+        let report =
+            c.rebalance(RebalanceOp::Merge { from: 2, into: 1 }, &clean_plane(), &policy).unwrap();
         assert_eq!(report.epoch, 2);
         c.verify_residency().unwrap();
         // Every vertex is back on its original (logical) owner.
@@ -484,19 +430,15 @@ mod tests {
         let clean = cluster(2, CacheStrategy::ImportanceBudget { k: 2, fraction: 0.2 });
         let chaotic = cluster(2, CacheStrategy::ImportanceBudget { k: 2, fraction: 0.2 });
         let policy = RetryPolicy::default();
-        let a = clean
-            .rebalance(RebalanceOp::Split { shard: 0 }, &clean_plane(), &policy, RecoveryMode::Full)
-            .unwrap();
+        let a = clean.rebalance(RebalanceOp::Split { shard: 0 }, &clean_plane(), &policy).unwrap();
         let b = chaotic
             .rebalance(
                 RebalanceOp::Split { shard: 0 },
                 &FaultPlane::new(FaultPlan::with_seed(7, 0.2)),
                 &policy,
-                RecoveryMode::Full,
             )
             .unwrap();
         assert_eq!(a.moved, b.moved);
-        assert_eq!(b.lost, 0, "full recovery never loses records");
         assert!(b.lag_ticks > 0, "a 20% fault rate must cost modelled lag");
         assert!(b.bytes > a.bytes, "resends cost extra bytes");
         chaotic.verify_residency().unwrap();
@@ -517,17 +459,17 @@ mod tests {
 
     #[test]
     fn broken_cutover_is_caught_by_the_oracle() {
+        // The bug a lost record would cause if its cutover flipped anyway:
+        // the epoch routes a vertex to a shard that never absorbed it.
         let c = cluster(2, CacheStrategy::None);
-        let report = c
-            .rebalance(
-                RebalanceOp::Split { shard: 0 },
-                &FaultPlane::new(FaultPlan::with_seed(11, 0.3)),
-                &RetryPolicy::default(),
-                RecoveryMode::NoRetry,
-            )
-            .unwrap();
-        assert!(report.lost > 0, "a 30% drop rate with no retries must lose records");
+        let v = c.graph().vertices().find(|&v| c.residency.of(v) == 0).unwrap();
+        c.residency.cutover(v, 1);
+        let writer = c.topology.write();
+        let view = Arc::clone(writer.head());
+        let next = view.advance(Arc::new(c.residency.snapshot()), Arc::new(vec![true, true]));
+        writer.publish(next, || {}).unwrap();
         let err = c.verify_residency().unwrap_err();
+        assert!(err.contains(&format!("vertex {} routes to shard 1", v.0)), "{err}");
         assert!(err.contains("not resident"), "{err}");
     }
 
@@ -540,7 +482,7 @@ mod tests {
             RebalanceOp::Merge { from: 1, into: 1 },
             RebalanceOp::Merge { from: 5, into: 0 },
         ] {
-            let err = c.rebalance(op, &clean_plane(), &policy, RecoveryMode::Full).unwrap_err();
+            let err = c.rebalance(op, &clean_plane(), &policy).unwrap_err();
             assert!(matches!(err, MigrationError::BadOp(_)), "{err}");
         }
         assert_eq!(c.topology().current_epoch(), 0, "rejected ops publish nothing");
@@ -559,7 +501,7 @@ mod tests {
         let before = membership(&c);
         let lossy = FaultPlane::new(FaultPlan::with_seed(0, 0.3));
         let tight = RetryPolicy { base_ticks: 1, max_attempts: 2 };
-        let err = c.rebalance(op, &lossy, &tight, RecoveryMode::Full).unwrap_err();
+        let err = c.rebalance(op, &lossy, &tight).unwrap_err();
         assert!(
             matches!(err, MigrationError::RetriesExhausted { seq, .. } if seq > 0),
             "the budget must give out after some record has cut over: {err}"
@@ -569,8 +511,8 @@ mod tests {
 
         let fresh = build();
         let policy = RetryPolicy::default();
-        let retried = c.rebalance(op, &clean_plane(), &policy, RecoveryMode::Full).unwrap();
-        let first = fresh.rebalance(op, &clean_plane(), &policy, RecoveryMode::Full).unwrap();
+        let retried = c.rebalance(op, &clean_plane(), &policy).unwrap();
+        let first = fresh.rebalance(op, &clean_plane(), &policy).unwrap();
         assert_eq!(
             (retried.to, retried.moved, retried.epoch),
             (first.to, first.moved, first.epoch),

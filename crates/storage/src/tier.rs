@@ -50,9 +50,6 @@
 //!
 //! Dirty feature rows ([`TieredStore::write_row`]) are written back on
 //! demotion into fresh segment generations (sorted, deterministic bytes).
-//! [`EvictionMode::DropDirty`] deliberately skips the writeback — it exists
-//! only so the differential tests can prove they would catch a writeback
-//! bug, mirroring the chaos plane's broken-recovery variants.
 
 use crate::codec::{
     decode_adjacency_into, decode_feature_row, encode_adjacency, encode_feature_row,
@@ -81,19 +78,6 @@ pub enum TierBacking {
     Disk(PathBuf),
 }
 
-/// What demotion does with a dirty feature row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionMode {
-    /// Write dirty rows back into a fresh segment generation before the hot
-    /// copy is dropped. The only correct mode.
-    #[default]
-    Writeback,
-    /// **Deliberately broken**: demotion discards dirty rows. Exists so the
-    /// differential oracle tests can prove they would catch a writeback bug
-    /// (the broken-recovery pattern of the chaos plane).
-    DropDirty,
-}
-
 /// Cold-tier configuration.
 #[derive(Debug, Clone, Default)]
 pub struct TierConfig {
@@ -102,8 +86,6 @@ pub struct TierConfig {
     pub resident_budget: Option<u64>,
     /// Segment backing.
     pub backing: TierBacking,
-    /// Demotion behaviour for dirty rows.
-    pub eviction: EvictionMode,
 }
 
 impl TierConfig {
@@ -187,7 +169,6 @@ struct TierMetrics {
     reads_materialized: Arc<Counter>,
     demote_clean: Arc<Counter>,
     demote_writeback: Arc<Counter>,
-    demote_dropped: Arc<Counter>,
     admit_admitted: Arc<Counter>,
     admit_bypassed: Arc<Counter>,
     prefetch_issued: Arc<Counter>,
@@ -211,7 +192,6 @@ impl TierMetrics {
             reads_materialized: r.counter("tier.reads", &[("src", "materialized")]),
             demote_clean: r.counter("tier.demotions", &[("outcome", "clean")]),
             demote_writeback: r.counter("tier.demotions", &[("outcome", "writeback")]),
-            demote_dropped: r.counter("tier.demotions", &[("outcome", "dropped")]),
             admit_admitted: r.counter("tier.admit", &[("outcome", "admitted")]),
             admit_bypassed: r.counter("tier.admit", &[("outcome", "bypassed")]),
             prefetch_issued: r.counter("tier.prefetch.issued", &[]),
@@ -958,22 +938,17 @@ impl TieredStore {
         let Some(row) = state.hot.remove(&key) else { return };
         state.hot_bytes -= row.bytes();
         match row {
-            HotRow::Feature { row, dirty: true } => match self.cfg.eviction {
-                EvictionMode::Writeback => {
-                    self.metrics.demote_writeback.inc();
-                    state.writeback_pending.insert(key.vertex, row);
-                    if state.writeback_pending.len() >= WRITEBACK_FLUSH_ROWS {
-                        // A flush failure only matters under a disk backing;
-                        // the rows stay pending (and re-flushable) on error.
-                        let _ = self.flush_writeback_locked(state);
-                    }
+            // A dirty row's hot copy is its only copy: it is written back
+            // into a fresh segment generation before it leaves.
+            HotRow::Feature { row, dirty: true } => {
+                self.metrics.demote_writeback.inc();
+                state.writeback_pending.insert(key.vertex, row);
+                if state.writeback_pending.len() >= WRITEBACK_FLUSH_ROWS {
+                    // A flush failure only matters under a disk backing;
+                    // the rows stay pending (and re-flushable) on error.
+                    let _ = self.flush_writeback_locked(state);
                 }
-                EvictionMode::DropDirty => {
-                    // Deliberately broken: the dirty row is gone. The
-                    // differential oracle must notice.
-                    self.metrics.demote_dropped.inc();
-                }
-            },
+            }
             _ => self.metrics.demote_clean.inc(),
         }
     }
@@ -1203,34 +1178,22 @@ mod tests {
 
     #[test]
     fn drop_dirty_eviction_loses_writes() {
-        let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
-        let part = EdgeCutHash.partition(&g, 2);
-        let owners: Vec<u32> = g.vertices().map(|v| part.owner_of(v).0).collect();
-        let cfg = TierConfig {
-            resident_budget: Some(2_000),
-            eviction: EvictionMode::DropDirty,
-            ..TierConfig::default()
-        };
-        let store = TieredStore::build(
-            Arc::clone(&g),
-            &owners,
-            2,
-            cfg,
-            CostModel::default(),
-            &Registry::disabled(),
-        )
-        .unwrap();
+        // The bug the writeback exists to prevent: a dirty row's hot copy is
+        // its only copy, so a demotion that dropped it without writing it
+        // back would serve the old segment bytes again.
+        let (g, store) = setup(Some(2_000));
         let features = Featurizer::new(8).matrix(&g);
         store.attach_features(&features).unwrap();
         let v0 = g.vertices().next().unwrap();
         store.write_row(v0, &[9.0; 8]);
-        // Evict v0 by touching every other feature row (always admitted;
-        // most adjacency rows of this graph would pass through instead).
-        for v in g.vertices().skip(1) {
-            store.feature_row(v).unwrap();
+        {
+            let mut state = store.state.lock();
+            let row = state.hot.remove(&RowKey { kind: KIND_FEAT, vertex: v0.0 });
+            state.hot_bytes -= row.expect("a written row is hot").bytes();
         }
-        let (row, _) = store.feature_row(v0).unwrap();
-        assert_ne!(&row[..], &[9.0; 8], "DropDirty must lose the write (teeth)");
+        let (row, how) = store.feature_row(v0).unwrap();
+        assert_eq!(how, TierRead::Cold);
+        assert_eq!(&row[..], features.row(v0), "dropping the hot copy loses the write");
     }
 
     #[test]
@@ -1453,11 +1416,8 @@ mod tests {
         let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
         let part = EdgeCutHash.partition(&g, 2);
         let owners: Vec<u32> = g.vertices().map(|v| part.owner_of(v).0).collect();
-        let cfg = TierConfig {
-            resident_budget: Some(4_000),
-            backing: TierBacking::Disk(dir.clone()),
-            ..TierConfig::default()
-        };
+        let cfg =
+            TierConfig { resident_budget: Some(4_000), backing: TierBacking::Disk(dir.clone()) };
         let registry = Registry::new();
         let store = TieredStore::build(
             Arc::clone(&g),

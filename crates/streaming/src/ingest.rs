@@ -17,9 +17,7 @@
 //! service serialises writers, so the paper's thread per vertex group would
 //! protect nothing here and cost a wake-up a batch (DESIGN.md §2.15).
 
-use aligraph_chaos::{
-    FaultPlane, HopKind, RecoveryMode, RetryPolicy, SeqCounter, Sequencer, UPDATE_INGEST_TAG,
-};
+use aligraph_chaos::{FaultPlane, HopKind, RetryPolicy, SeqCounter, Sequencer, UPDATE_INGEST_TAG};
 use aligraph_storage::StaleEpoch;
 
 /// Why an ingest failed.
@@ -116,17 +114,14 @@ impl IngestPipeline {
         let mut copies = vec![0u32; self.sequencers.len()];
         for (shard, landed) in copies.iter_mut().enumerate() {
             let channel = FaultPlane::channel_with(UPDATE_INGEST_TAG, 0, shard as u64);
-            let sent = self
+            lag_ticks += self
                 .plane
-                .deliver(channel, seq, &self.policy, RecoveryMode::Full, HopKind::Acked, || {
-                    *landed += 1
-                })
+                .deliver(channel, seq, &self.policy, HopKind::Acked, || *landed += 1)
                 .map_err(|e| IngestError::RetriesExhausted {
                     shard,
                     seq: seq.get(),
                     attempts: e.attempts,
                 })?;
-            lag_ticks += sent.ticks;
         }
         self.seqs = seqs;
         let hops = Hops { copies, lag_ticks };

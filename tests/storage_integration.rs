@@ -5,9 +5,9 @@
 //! same seeded workload against the all-hot oracle (infinite budget) and
 //! against tight budgets (50%, 10% of the all-hot footprint), and demands
 //! bit-identical results: k-hop context trees, adjacency and feature
-//! gathers, training epoch losses, dense parameters, trained features. The
-//! deliberately broken eviction mode ([`EvictionMode::DropDirty`]) must
-//! visibly diverge — proof the oracle would catch a real writeback bug.
+//! gathers, training epoch losses, dense parameters, trained features.
+//! Each tight run also proves it pressed on the path it guards (cold reads,
+//! dirty rows written back), so no equality here holds vacuously.
 
 #![expect(
     clippy::expect_used,
@@ -23,7 +23,7 @@ use aligraph_sampling::neighborhood::ClusterView;
 use aligraph_sampling::{NeighborhoodSampler, UniformNeighborhood};
 use aligraph_storage::seal::Fnv1a;
 use aligraph_storage::tier::TierBacking;
-use aligraph_storage::{CacheStrategy, Cluster, CostModel, EvictionMode, TierConfig, TieredStore};
+use aligraph_storage::{CacheStrategy, Cluster, CostModel, TierConfig, TieredStore};
 use aligraph_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -252,53 +252,42 @@ fn build_tier(
     g: &Arc<AttributedHeterogeneousGraph>,
     features: &FeatureMatrix,
     budget: Option<u64>,
-    eviction: EvictionMode,
+    registry: &Registry,
 ) -> Arc<TieredStore> {
     let part = EdgeCutHash.partition(g, 2);
     let owners: Vec<u32> = g.vertices().map(|v| part.owner_of(v).0).collect();
-    let cfg = TierConfig { resident_budget: budget, backing: TierBacking::Memory, eviction };
-    let tier = TieredStore::build(
-        Arc::clone(g),
-        &owners,
-        2,
-        cfg,
-        CostModel::default(),
-        &Registry::disabled(),
-    )
-    .unwrap();
+    let cfg = TierConfig { resident_budget: budget, backing: TierBacking::Memory };
+    let tier =
+        TieredStore::build(Arc::clone(g), &owners, 2, cfg, CostModel::default(), registry).unwrap();
     tier.attach_features(features).unwrap();
     tier
 }
 
-/// Teeth — deliberately broken eviction must diverge: the same update
-/// workload under `Writeback` is bit-identical to the all-hot oracle, and
-/// under `DropDirty` (demote discards dirty rows) it is not.
+/// Differential oracle 3 — writes: the same update workload under a 10%
+/// budget is bit-identical to the all-hot oracle, and the tight run really
+/// did demote dirty rows through the writeback (a write's only copy is its
+/// hot row until then).
 #[test]
-fn broken_eviction_without_writeback_diverges() {
+fn feature_writes_survive_eviction_under_a_tight_budget() {
     let g = graph();
     let features = Featurizer::new(8).matrix(&g);
     let full = all_hot_bytes(&g);
     let tight = (full / 10).max(1);
 
     let oracle =
-        feature_update_workload(&build_tier(&g, &features, None, EvictionMode::Writeback), &g);
-    let writeback = feature_update_workload(
-        &build_tier(&g, &features, Some(tight), EvictionMode::Writeback),
-        &g,
-    );
+        feature_update_workload(&build_tier(&g, &features, None, &Registry::disabled()), &g);
+    let registry = Registry::new();
+    let writeback = feature_update_workload(&build_tier(&g, &features, Some(tight), &registry), &g);
     assert_eq!(
         writeback, oracle,
         "writeback eviction under a 10% budget must be bit-identical to all-hot"
     );
-
-    let dropped = feature_update_workload(
-        &build_tier(&g, &features, Some(tight), EvictionMode::DropDirty),
-        &g,
+    let snap = registry.snapshot();
+    assert!(
+        snap.counter("tier.demotions", &[("outcome", "writeback")]) > 0,
+        "no dirty row was ever demoted — vacuous test"
     );
-    assert_ne!(
-        dropped, oracle,
-        "evict-without-writeback must lose updates — otherwise these assertions have no teeth"
-    );
+    assert!(snap.counter("tier.writeback.rows", &[]) > 0, "nothing was written back");
 }
 
 /// The migration path stays correct on a tiered cluster: a shard split with
@@ -306,21 +295,14 @@ fn broken_eviction_without_writeback_diverges() {
 /// residency.
 #[test]
 fn tiered_cluster_survives_shard_split() {
-    use aligraph_chaos::{FaultPlan, FaultPlane, RecoveryMode, RetryPolicy};
+    use aligraph_chaos::{FaultPlan, FaultPlane, RetryPolicy};
     use aligraph_storage::RebalanceOp;
 
     let g = graph();
     let full = all_hot_bytes(&g);
     let (cluster, _) = tiered_cluster(&g, Some((full / 4).max(1)));
     let plane = FaultPlane::new(FaultPlan::default());
-    cluster
-        .rebalance(
-            RebalanceOp::Split { shard: 0 },
-            &plane,
-            &RetryPolicy::default(),
-            RecoveryMode::Full,
-        )
-        .unwrap();
+    cluster.rebalance(RebalanceOp::Split { shard: 0 }, &plane, &RetryPolicy::default()).unwrap();
     let tier = cluster.tier().unwrap();
     // Every vertex still resident somewhere, rows still bit-exact.
     let shards = cluster.num_shards();
@@ -378,11 +360,8 @@ fn sealed_writers_are_atomic_and_ignore_stale_temps() {
     let g = graph();
     let part = EdgeCutHash.partition(&g, 2);
     let owners: Vec<u32> = g.vertices().map(|v| part.owner_of(v).0).collect();
-    let cfg = TierConfig {
-        resident_budget: Some(4_000),
-        backing: TierBacking::Disk(seg_dir.clone()),
-        ..TierConfig::default()
-    };
+    let cfg =
+        TierConfig { resident_budget: Some(4_000), backing: TierBacking::Disk(seg_dir.clone()) };
     let build = |registry: &Registry| {
         TieredStore::build(Arc::clone(&g), &owners, 2, cfg.clone(), CostModel::default(), registry)
     };
