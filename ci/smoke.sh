@@ -17,7 +17,10 @@
 # is compared against its own shape run without the fault flags: an unarmed
 # plane is the fault-free run, so every value the clean run publishes must
 # come out equal (the extra `chaos.*` series, all zero, are the current
-# run's alone).
+# run's alone). A row whose baseline is `min-speedup X` checks no baseline
+# file: it fails unless the run prints a modelled speedup over 1 worker of
+# at least X. That bound is wall clock (a worker's busy time is measured),
+# so it lives here and not in the test suite.
 #
 #   ci/smoke.sh            run every row
 #   ci/smoke.sh <name>...  run the named rows
@@ -31,6 +34,8 @@ train-bench          | train-bench        | --workers 2 --epochs 2 --scale 0.005
 train-bench-unarmed  | train-bench        | --fault-seed 42 --drop-rate 0 --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 | storage. sampling. runtime.ps. | clean-run --tolerance 0
 train-bench-chaos    | train-bench        | --fault-seed 42 --drop-rate 0.2 --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 | chaos.faults_injected chaos.retries |
 train-bench-kill     | train-bench        | --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --checkpoint-dir $out/train-bench-kill-ckpts --kill-worker 1 --kill-at-step 5 | chaos.faults_injected runtime.ps. | BENCH_train_kill.json --tolerance 0
+train-bench-scaling  | train-bench        | --workers 4 --epochs 2 --scale 0.01 --batches 16 --batch 16 --dim 16 | runtime.ps. | min-speedup 2
+train-bench-stale-kill | train-bench      | --workers 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --staleness 2 --epochs 3 --checkpoint-every 3 --checkpoint-dir $out/train-bench-stale-kill-ckpts --kill-worker 1 --kill-at-step 7 | chaos.faults_injected runtime.ps. | BENCH_train_stale_kill.json --tolerance 0
 serve-bench          | serve-bench        | --requests 1000 --clients 2 --workers 2 --scale 0.05 | serving.requests serving.latency_ns |
 serve-under-update   | serve-under-update | --requests 200000 --clients 2 --workers 2 --scale 0.02 --update-every-ms 1 --slo-p99-ms 250 | streaming.ingest. streaming.serve.latency_ns streaming.epoch streaming.cache | BENCH_serve_under_update.json --presence-only
 serve-under-update-chaos | serve-under-update | --fault-seed 42 --drop-rate 0.2 --requests 200000 --clients 2 --workers 2 --scale 0.02 --update-every-ms 1 --slo-p99-ms 250 | streaming.ingest.lag_ticks chaos.faults_injected |
@@ -51,11 +56,16 @@ while IFS='|' read -r name command args prefixes baseline; do
     json="$out/$name-metrics.json"
     echo "== smoke: $name"
     # shellcheck disable=SC2086  # the table's args and prefixes are word lists
-    cargo run --release -q -p aligraph-cli -- $command $args --metrics-json "$json"
+    cargo run --release -q -p aligraph-cli -- $command $args --metrics-json "$json" | tee "$out/$name.txt"
     # shellcheck disable=SC2086
     python3 ci/check_metrics_json.py "$json" --command $command \
         $(printf -- '--expect-prefix %s ' $prefixes)
     read -r baseline_file compare_flags <<<"$baseline"
+    if [ "$baseline_file" = min-speedup ]; then
+        awk -v min="$compare_flags" '/^modeled speedup vs 1 worker:/ { found = 1; ok = $NF + 0 >= min + 0; print "smoke: modeled speedup " $NF ", at least " min "x required" }
+            END { exit !(found && ok) }' "$out/$name.txt"
+        baseline_file=""
+    fi
     if [ "$baseline_file" = clean-run ]; then
         baseline_file="$out/$name-clean-metrics.json"
         # shellcheck disable=SC2086,SC2001

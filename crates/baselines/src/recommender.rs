@@ -185,7 +185,7 @@ pub fn train_recommender(
             for (i, &target) in x.iter().enumerate() {
                 grad.set(0, i, out.get(0, i) - target); // σ-BCE gradient
             }
-            let dh = decoder.backward(&h, &out, &grad);
+            let dh = decoder.backward(h.clone(), &out, &grad);
             let mut dh = dh;
             if config.kind == RecommenderKind::BetaVae {
                 // KL shrinkage on the latent mean: pull toward 0.
@@ -193,7 +193,7 @@ pub fn train_recommender(
                     *g += config.regularization * m;
                 }
             }
-            encoder.backward(&input_m, &h, &dh);
+            encoder.backward(input_m, &h, &dh);
             decoder.step(1);
             encoder.step(1);
         }

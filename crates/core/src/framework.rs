@@ -396,8 +396,9 @@ impl GnnEncoder {
 
     /// Backward pass: consumes the gradients seeded with
     /// [`EpisodeTape::add_grad`] and accumulates parameter gradients in the
-    /// combiners (and feature gradients on the tape). Call
-    /// [`step`](Self::step) afterwards to apply them.
+    /// combiners (and feature gradients on the tape). A combiner's weight
+    /// gradient `xᵀg` is kept, not yet summed: call [`step`](Self::step)
+    /// afterwards to sum and apply it.
     ///
     /// Hops run `kmax..1`; within a hop the nodes that received a gradient
     /// are stacked in descending tape order, which is the order a
@@ -467,7 +468,9 @@ impl GnnEncoder {
         }
     }
 
-    /// Applies accumulated parameter gradients, averaged over `batch`.
+    /// Sums the weight gradients [`backward`](Self::backward) kept, in the
+    /// order it kept them, and applies the parameter gradients averaged
+    /// over `batch`.
     pub fn step(&mut self, batch: usize) {
         for c in &mut self.combiners {
             c.step(batch);

@@ -121,8 +121,8 @@ pub struct PlannedBatch {
 
 /// One contrastive mini-batch over pre-sampled positive `edges`: forward
 /// (one COMBINE per hop for the whole batch), loss, backward, and
-/// dense-parameter step — [`plan_contrastive`] then
-/// [`finish_contrastive`]. Shared verbatim between [`train_unsupervised`]
+/// dense-parameter step — [`plan_contrastive`], [`finish_contrastive`],
+/// then [`GnnEncoder::step`]. Shared verbatim between [`train_unsupervised`]
 /// and the distributed runtime workers, so both produce bit-identical
 /// trajectories from the same RNG stream.
 #[allow(clippy::too_many_arguments, reason = "the training step's inputs, each used once")]
@@ -137,7 +137,9 @@ pub fn contrastive_step<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
     rng: &mut R,
 ) -> BatchOutcome {
     let batch = plan_contrastive(encoder, graph, access, sampler, edges, negatives, rng);
-    finish_contrastive(encoder, features, batch)
+    let out = finish_contrastive(encoder, features, batch);
+    encoder.step(edges.len());
+    out
 }
 
 /// The sampling half of [`contrastive_step`]: plans every root of the
@@ -174,7 +176,10 @@ pub fn plan_contrastive<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
 }
 
 /// The compute half of [`contrastive_step`]: one flush over `features`,
-/// loss, backward and the dense-parameter step.
+/// loss and backward. The dense-parameter step is left to the caller
+/// ([`GnnEncoder::step`] with the batch's edge count): what it computes is
+/// read by no one before the encoder's next flush, so the distributed
+/// runtime runs it after handing on its compute turn.
 pub fn finish_contrastive(
     encoder: &mut GnnEncoder,
     features: &FeatureMatrix,
@@ -185,7 +190,6 @@ pub fn finish_contrastive(
 
     let mut loss_sum = 0.0f64;
     let mut pairs = 0usize;
-    let edges = roots.len();
     for (iu, iv, inegs) in roots {
         // Positive pair.
         let (zu, zv) = (tape.output(iu).to_vec(), tape.output(iv).to_vec());
@@ -207,7 +211,6 @@ pub fn finish_contrastive(
         pairs += 1 + negatives;
     }
     encoder.backward(&mut tape, features);
-    encoder.step(edges);
     BatchOutcome { loss_sum, pairs, feature_grads: std::mem::take(&mut tape.feature_grads) }
 }
 

@@ -13,6 +13,7 @@ use aligraph_graph::generate::TaobaoConfig;
 use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, FeatureMatrix, Featurizer, VertexId};
 use aligraph_ops::{
     Activation, AttentionAggregator, Combiner, ConcatCombiner, GcnCombiner, MeanAggregator,
+    PoolNnAggregator,
 };
 use aligraph_sampling::{TraverseSampler, UniformNeighborhood, UniformTraverse};
 use aligraph_storage::seal::Fnv1a;
@@ -78,6 +79,9 @@ mod parent_pins {
     const GCN: Pin = (4642579863486988288, 14132384659505439428, 5287094223426896009);
     const ATTENTION: Pin = (4638777193695019008, 11289163653942179518, 1047611632037594112);
     const UNMEMOIZED: Pin = (4640315368684363172, 16271556611886070442, 15485709130511495210);
+    /// Computed at `1ff01d6`, where `DenseLayer::backward` still added
+    /// `xᵀg` to the weight gradient on the spot.
+    const POOL_NN: Pin = (4638830152879439872, 15720174984615385299, 1958411836579903898);
 
     #[test]
     fn sage_lands_on_the_parent_bits() {
@@ -109,6 +113,24 @@ mod parent_pins {
             combiners,
         );
         assert_eq!(three_steps(encoder), ATTENTION);
+    }
+
+    /// The max-pooling network runs `DenseLayer::backward` once per tape
+    /// node, inside the aggregator, beside the combiners' once per hop.
+    #[test]
+    fn pool_nn_aggregator_lands_on_the_parent_bits() {
+        let combiners: Vec<Box<dyn Combiner>> = vec![
+            Box::new(ConcatCombiner::new(DIM, 16, Activation::Relu, 0.05, 13)),
+            Box::new(ConcatCombiner::new(16, 8, Activation::Linear, 0.05, 14)),
+        ];
+        let encoder = GnnEncoder::custom(
+            DIM,
+            vec![16, 8],
+            vec![5, 3],
+            Box::new(PoolNnAggregator::new(16, 0.05, 15)),
+            combiners,
+        );
+        assert_eq!(three_steps(encoder), POOL_NN);
     }
 
     /// The Table 5 baseline tape: three hand-rolled steps pulling twelve

@@ -90,8 +90,7 @@ impl Combiner for ConcatCombiner {
         output: &Matrix,
         grad_out: &Matrix,
     ) -> (Matrix, Matrix) {
-        let x = h_self.hcat(h_nbr);
-        let dx = self.layer.backward(&x, output, grad_out);
+        let dx = self.layer.backward(h_self.hcat(h_nbr), output, grad_out);
         dx.hsplit(self.in_dim)
     }
 
@@ -155,7 +154,7 @@ impl Combiner for GcnCombiner {
     ) -> (Matrix, Matrix) {
         let mut x = h_self.clone();
         x.add_assign(h_nbr);
-        let dx = self.layer.backward(&x, output, grad_out);
+        let dx = self.layer.backward(x, output, grad_out);
         (dx.clone(), dx)
     }
 

@@ -28,6 +28,10 @@ pub struct DenseLayer {
     act: Activation,
     grad_w: Matrix,
     grad_b: Vec<f32>,
+    /// `(x, g)` of every [`backward`](Self::backward) since the last
+    /// [`step`](Self::step), in call order: `dW += xᵀg` feeds only the
+    /// step, so it runs there.
+    pending: Vec<(Matrix, Matrix)>,
     opt_w: Adam,
     opt_b: Adam,
 }
@@ -42,6 +46,7 @@ impl DenseLayer {
             act,
             grad_w: Matrix::zeros(in_dim, out_dim),
             grad_b: vec![0.0; out_dim],
+            pending: Vec::new(),
             opt_w: Adam::new(lr),
             opt_b: Adam::new(lr),
         }
@@ -72,11 +77,14 @@ impl DenseLayer {
     }
 
     /// Backward pass: given the batch input `x`, the forward output
-    /// `activated`, and `grad_out = dL/dy`, accumulates parameter gradients
-    /// and returns `dL/dx`. The accumulators take the batch's terms one row
-    /// at a time, so a call over stacked rows leaves the same bits as one
-    /// call per row in the same order.
-    pub fn backward(&mut self, x: &Matrix, activated: &Matrix, grad_out: &Matrix) -> Matrix {
+    /// `activated`, and `grad_out = dL/dy`, accumulates the bias gradient
+    /// and returns `dL/dx`. The weight gradient `xᵀg` is kept, not computed:
+    /// nothing reads it before [`step`](Self::step), which adds the kept
+    /// terms in call order, so the bits are those of adding them here. The
+    /// accumulators take the batch's terms one row at a time, so a call over
+    /// stacked rows leaves the same bits as one call per row in the same
+    /// order.
+    pub fn backward(&mut self, x: Matrix, activated: &Matrix, grad_out: &Matrix) -> Matrix {
         let mut g = grad_out.clone();
         match self.act {
             Activation::Linear => {}
@@ -84,18 +92,27 @@ impl DenseLayer {
             Activation::Tanh => activations::tanh_backward(&mut g, activated),
             Activation::Sigmoid => activations::sigmoid_backward(&mut g, activated),
         }
-        // dW = x^T g ; db = column sums of g ; dx = g W^T.
-        x.transpose_matmul_acc(&g, &mut self.grad_w);
+        // db = column sums of g ; dx = g W^T ; dW = x^T g waits for `step`.
         for r in 0..g.rows {
             for (gb, &s) in self.grad_b.iter_mut().zip(g.row(r)) {
                 *gb += s;
             }
         }
-        g.matmul_transpose(&self.w)
+        let dx = g.matmul_transpose(&self.w);
+        self.pending.push((x, g));
+        dx
+    }
+
+    /// Runs the kept `dW += xᵀg` terms, oldest first.
+    pub(crate) fn accumulate(&mut self) {
+        for (x, g) in self.pending.drain(..) {
+            x.transpose_matmul_acc(&g, &mut self.grad_w);
+        }
     }
 
     /// Applies accumulated gradients (scaled by `1/batch`) and clears them.
     pub fn step(&mut self, batch: usize) {
+        self.accumulate();
         let scale = 1.0 / batch.max(1) as f32;
         self.grad_w.scale(scale);
         for gb in &mut self.grad_b {
@@ -182,6 +199,69 @@ impl DenseLayer {
 mod tests {
     use super::*;
 
+    impl DenseLayer {
+        /// The backward that added `xᵀg` to `grad_w` on the spot: the oracle
+        /// the kept-until-`step` one must equal bit for bit.
+        fn backward_eager(&mut self, x: &Matrix, activated: &Matrix, grad_out: &Matrix) -> Matrix {
+            let mut g = grad_out.clone();
+            match self.act {
+                Activation::Linear => {}
+                Activation::Relu => activations::relu_backward(&mut g, activated),
+                Activation::Tanh => activations::tanh_backward(&mut g, activated),
+                Activation::Sigmoid => activations::sigmoid_backward(&mut g, activated),
+            }
+            x.transpose_matmul_acc(&g, &mut self.grad_w);
+            for r in 0..g.rows {
+                for (gb, &s) in self.grad_b.iter_mut().zip(g.row(r)) {
+                    *gb += s;
+                }
+            }
+            g.matmul_transpose(&self.w)
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn kept_weight_gradient_equals_the_eager_oracle() {
+        // Four backwards of different heights and scales, so that adding
+        // their `xᵀg` in any other order rounds differently; then one step.
+        // One input is NaN, some are ±0, and `activated` zeros mask whole
+        // and partial rows through the ReLU.
+        let mut kept = DenseLayer::new(4, 3, Activation::Relu, 0.05, 12);
+        let mut eager = kept.clone();
+        let mut rng = seeded_rng(13);
+        for round in 0..2 {
+            for (i, rows) in [3usize, 1, 4, 2].into_iter().enumerate() {
+                let scale = [1.0e3, 0.37, 1.0e-2, 61.0][i];
+                let mut x = Matrix::uniform(rows, 4, scale, &mut rng);
+                let g = Matrix::uniform(rows, 3, 1.0 / scale, &mut rng);
+                let mut activated = Matrix::uniform(rows, 3, 1.0, &mut rng);
+                activated.as_mut_slice().iter_mut().for_each(|a| *a = a.abs() + 0.5);
+                if i == 0 {
+                    activated.row_mut(1).fill(0.0);
+                    activated.set(2, 0, 0.0);
+                    x.set(0, 1, f32::NAN);
+                }
+                if i == 2 {
+                    x.row_mut(0).copy_from_slice(&[0.0, -0.0, -0.0, 0.0]);
+                    x.set(3, 2, -0.0);
+                }
+                let dx = kept.backward(x.clone(), &activated, &g);
+                let dx_eager = eager.backward_eager(&x, &activated, &g);
+                assert_eq!(bits(dx.as_slice()), bits(dx_eager.as_slice()), "round {round} call {i}");
+            }
+            assert!(eager.grad_w.as_slice().iter().any(|v| v.is_nan()));
+            kept.step(10);
+            eager.step(10);
+            // Adam's moments carry the gradient's every bit into the state.
+            assert_eq!(bits(&kept.state_vec()), bits(&eager.state_vec()), "round {round}");
+            assert!(kept.pending.is_empty());
+        }
+    }
+
     #[test]
     fn forward_shapes() {
         let l = DenseLayer::new(4, 3, Activation::Relu, 0.01, 1);
@@ -199,7 +279,7 @@ mod tests {
         let x = Matrix::from_vec(1, 3, vec![0.3, -0.2, 0.5]);
         let y = l.forward(&x);
         let grad_out = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let dx = l.backward(&x, &y, &grad_out);
+        let dx = l.backward(x.clone(), &y, &grad_out);
         let eps = 1e-3;
         for j in 0..3 {
             let mut xp = x.clone();
@@ -231,7 +311,7 @@ mod tests {
                 loss += 0.5 * diff * diff;
                 g.set(i, 0, diff);
             }
-            l.backward(&x, &y, &g);
+            l.backward(x, &y, &g);
             l.step(16);
             first.get_or_insert(loss);
             last = loss;
@@ -247,7 +327,7 @@ mod tests {
         for _ in 0..3 {
             let y = a.forward(&x);
             let g = Matrix::from_vec(2, 2, vec![1.0, -1.0, 0.5, 0.5]);
-            a.backward(&x, &y, &g);
+            a.backward(x.clone(), &y, &g);
             a.step(2);
         }
         // param_vec/load_param_vec copy exactly.
@@ -259,8 +339,8 @@ mod tests {
         b.load_state_vec(&a.state_vec()).unwrap();
         let (ya, yb) = (a.forward(&x), b.forward(&x));
         let g = Matrix::from_vec(2, 2, vec![0.3, 0.3, -0.2, 0.1]);
-        a.backward(&x, &ya, &g);
-        b.backward(&x, &yb, &g);
+        a.backward(x.clone(), &ya, &g);
+        b.backward(x.clone(), &yb, &g);
         a.step(2);
         b.step(2);
         for (pa, pb) in a.param_vec().iter().zip(b.param_vec()) {
@@ -280,12 +360,15 @@ mod tests {
         let mut l = DenseLayer::new(2, 2, Activation::Linear, 0.01, 5);
         let x = Matrix::from_vec(1, 2, vec![1.0, f32::NAN]);
         let y = l.forward(&x);
-        l.backward(&x, &y, &Matrix::from_vec(1, 2, vec![-1.0, -2.0]));
+        l.backward(x, &y, &Matrix::from_vec(1, 2, vec![-1.0, -2.0]));
+        // `dW` waits in `pending` until the step; run it here to look.
+        l.accumulate();
         assert!(l.grad_w.get(0, 0) < 0.0 && l.grad_w.get(1, 0).is_nan() && l.grad_b[0] < 0.0);
         l.step(1);
         for g in l.grad_w.as_slice().iter().chain(&l.grad_b) {
             assert_eq!(g.to_bits(), 0.0f32.to_bits());
         }
+        assert!(l.pending.is_empty());
     }
 
     #[test]
@@ -296,10 +379,10 @@ mod tests {
         let x = Matrix::uniform(9, 5, 1.0, &mut rng);
         let g = Matrix::uniform(9, 3, 1.0, &mut rng);
         let y = stacked.forward(&x);
-        let dx = stacked.backward(&x, &y, &g);
+        let dx = stacked.backward(x.clone(), &y, &g);
         for r in 0..x.rows {
             let one = |m: &Matrix| Matrix::from_vec(1, m.cols, m.row(r).to_vec());
-            let dx_r = per_row.backward(&one(&x), &one(&y), &one(&g));
+            let dx_r = per_row.backward(one(&x), &one(&y), &one(&g));
             assert_eq!(dx_r.as_slice(), dx.row(r));
         }
         stacked.step(9);
@@ -315,7 +398,7 @@ mod tests {
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let y = l.forward(&x);
         let g = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let dx = l.backward(&x, &y, &g);
+        let dx = l.backward(x, &y, &g);
         // Wherever y == 0 the gradient contribution through that unit is 0.
         assert_eq!((dx.rows, dx.cols), (1, 2));
     }

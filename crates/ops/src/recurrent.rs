@@ -175,7 +175,12 @@ impl Aggregator for PoolNnAggregator {
         for (i, nbr) in neighbors.iter().enumerate() {
             x.row_mut(i).copy_from_slice(nbr);
         }
-        let dx = self.layer.lock().backward(&x, &t, &grad_t);
+        // This layer steps only through [`PoolNnAggregator::step`], which
+        // an encoder never calls, so its `dW` runs now rather than piling
+        // up one term per tape node for ever.
+        let mut layer = self.layer.lock();
+        let dx = layer.backward(x, &t, &grad_t);
+        layer.accumulate();
         for (i, g) in grad_neighbors.iter_mut().enumerate().take(dx.rows) {
             g.copy_from_slice(dx.row(i));
         }

@@ -10,15 +10,19 @@
 //! owning each vertex, and averages dense layer parameters with the other
 //! workers at every epoch boundary.
 //!
-//! A step is two turns on the [`Coordinator`]'s two token rings. The
-//! *sample* turn ([`plan_contrastive`]) is the only one that reads the
-//! cluster: edge pool, tier, neighbor cache, access meter. The *compute*
-//! turn drains the PS into the worker's replica, runs
-//! [`finish_contrastive`] on it and pushes; it reads the replica, the
-//! encoder and the PS, never the cluster. Each ring runs its workers in
-//! strict round-robin order, so worker `w + 1` samples step `t` while
-//! worker `w` computes it, and both the cluster and the PS see the same
-//! sequence of calls as under one token. Every run is therefore a
+//! A step is two turns on the [`Coordinator`]'s two token rings, then an
+//! update off both. The *sample* turn ([`plan_contrastive`]) is the only
+//! one that reads the cluster: edge pool, tier, neighbor cache, access
+//! meter. The *compute* turn drains the PS into the worker's replica, runs
+//! [`finish_contrastive`] (flush, loss, backward) on it and pushes; it
+//! reads the replica, the encoder and the PS, never the cluster. The
+//! *update* — the dense step ([`GnnEncoder::step`], with the weight
+//! gradients the backward kept) and the PS read meters — holds no token:
+//! the encoder is the worker's own until its next deposit, and the meters
+//! only add, so it runs while the next worker computes. Each ring runs its
+//! workers in strict round-robin order, so worker `w + 1` samples step `t`
+//! while worker `w` computes it, and both the cluster and the PS see the
+//! same sequence of calls as under one token. Every run is therefore a
 //! deterministic function of its seed — including runs resumed from a
 //! checkpoint and runs interrupted by the fault injector, whose crash waits
 //! for its compute turn before it tears the run down.
@@ -644,17 +648,30 @@ impl<'a> DistTrainer<'a> {
             }
             hist[age as usize] += 1;
             staleness_hist.record(age);
-            if let Some(planned) = planned {
-                let computing = Stopwatch::start();
-                let out = finish_contrastive(&mut encoder, &replica, planned);
-                busy_ns += computing.elapsed_ns();
+            let out = match planned {
+                Some(planned) => {
+                    let computing = Stopwatch::start();
+                    let out = finish_contrastive(&mut encoder, &replica, planned);
+                    busy_ns += computing.elapsed_ns();
+                    comm_ns += ps.push(me, &out.feature_grads)?;
+                    Some(out)
+                }
+                None => None,
+            };
+            co.release(Ring::Compute, me)?;
+
+            // Off the rings, while the next worker computes: what no later
+            // turn observes. The read meters only add, and the encoder is
+            // this worker's alone until its next deposit, which comes after.
+            if let Some(out) = out {
+                let stepping = Stopwatch::start();
+                encoder.step(batch.len());
+                busy_ns += stepping.elapsed_ns();
                 loss_sum += out.loss_sum;
                 pairs += out.pairs as u64;
                 edges += batch.len() as u64;
                 comm_ns += ps.record_reads(me, out.feature_grads.keys());
-                comm_ns += ps.push(me, &out.feature_grads)?;
             }
-            co.release(Ring::Compute, me)?;
             t += 1;
 
             let deposit = |state: bool| Deposit {

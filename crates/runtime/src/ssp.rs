@@ -1,7 +1,7 @@
 //! Deterministic worker scheduling: a coordinator that passes two token
 //! rings around the simulated workers — a [`Ring::Sample`] ring for the
 //! half of a step that reads the shared cluster and a [`Ring::Compute`]
-//! ring for the half that trains and pushes — and runs the
+//! ring for the half that computes gradients and pushes — and runs the
 //! epoch/checkpoint rendezvous.
 //!
 //! Real distributed trainers interleave workers arbitrarily; on this
@@ -96,7 +96,10 @@ pub struct Rendezvous {
 pub enum Ring {
     /// The sampling half of a step: every read of the shared cluster.
     Sample,
-    /// The compute half: replica drain, flush, backward, PS push.
+    /// The compute half: replica drain, flush, loss, backward, PS push.
+    /// The dense step is not in it: no later turn reads a worker's
+    /// encoder, so the worker steps after handing the token on, before
+    /// its next deposit or sample turn.
     Compute,
 }
 

@@ -255,11 +255,13 @@ fn fault_without_checkpoints_restarts_from_scratch() {
     assert_eq!(bits(&faulted.report.epoch_losses), bits(&clean.report.epoch_losses));
 }
 
-/// Tentpole acceptance — weak-scaling throughput: 4 workers must show at
-/// least 2x the modelled edges/s of 1 worker (each worker trains its own
-/// shard; comm is metered through the cost model).
+/// Weak scaling: 4 workers each train their own shard, so they consume 4x
+/// the edges of 1 worker, some of them on stale replicas, with remote
+/// traffic metered. The modelled 2x speedup over 1 worker is a wall-clock
+/// bound (`busy_ns` is measured time), so it is gated by the
+/// `train-bench-scaling` row of `ci/smoke.sh`, not here.
 #[test]
-fn four_workers_double_modeled_throughput() {
+fn four_workers_consume_four_shards_with_stale_remote_reads() {
     let (cluster1, features1) = setup(1);
     let mut cfg = base_cfg(1);
     cfg.epochs = 1;
@@ -272,19 +274,40 @@ fn four_workers_double_modeled_throughput() {
     let four = DistTrainer::new(&cluster4, &features4, spec(), cfg).unwrap().train().unwrap();
 
     assert_eq!(four.report.edges_total, 4 * one.report.edges_total);
-    let speedup = four.report.modeled_edges_per_sec() / one.report.modeled_edges_per_sec();
-    assert!(
-        speedup >= 2.0,
-        "modeled speedup {speedup:.2} < 2.0\n1w: {}\n4w: {}",
-        one.report,
-        four.report
-    );
+    assert!(four.report.per_worker.iter().all(|w| w.edges == one.report.edges_total));
     // The staleness histogram has entries beyond age 0 and remote traffic
     // was actually metered.
     assert_eq!(four.report.staleness_hist.len(), 3);
     assert!(four.report.staleness_hist.iter().skip(1).sum::<u64>() > 0);
     assert!(four.report.ps.remote_ops > 0);
     assert!(four.report.ps.remote_bytes > 0);
+}
+
+/// Staleness 2, a mid-epoch checkpoint every 3 steps and a kill at step 7:
+/// the dense step now runs after the compute turn, and it must still land
+/// in the encoder before the checkpoint deposit. The killed run equals the
+/// uninterrupted one, and both equal the parent's bits.
+#[test]
+fn stale_mid_epoch_kill_lands_on_the_parent_fingerprint() {
+    /// `DistOutcome::fingerprint` of both runs at `1ff01d6`, where the step
+    /// ran inside the compute turn.
+    const PARENT: u64 = 0xd79b_6e78_2a55_3eef;
+    let (cluster, features) = setup(2);
+    let run = |name: &str, chaos| {
+        let dir = tmp_dir(name);
+        let mut cfg = base_cfg(2);
+        cfg.staleness = 2;
+        cfg.checkpoint = Some(CheckpointConfig { dir: dir.clone(), every_steps: 3 });
+        cfg.chaos = chaos;
+        let out = DistTrainer::new(&cluster, &features, spec(), cfg).unwrap().train().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        out
+    };
+    let clean = run("stale-clean", None);
+    let killed = run("stale-kill", kill(1, 7));
+    assert_eq!(killed.report.recoveries, 1);
+    assert_eq!(clean.fingerprint(), PARENT, "{:#018x}", clean.fingerprint());
+    assert_eq!(killed.fingerprint(), PARENT, "{:#018x}", killed.fingerprint());
 }
 
 /// PR 7 satellite — warm-start beyond the staleness-0 boundary. Earlier the
