@@ -1,13 +1,15 @@
 //! Hand-rolled `--key value` argument parsing (the sanctioned dependency
 //! set has no CLI parser, and the surface is small enough not to need one).
 //!
-//! Flags shared by several subcommands (`--seed`, `--workers`, `--scale`,
-//! `--metrics-json`) normalize through [`CommonArgs`] so every command
-//! parses, defaults, and clamps them the same way.
+//! A command's [`Flag`] rows are the one declaration of its surface:
+//! [`Args::parse`] refuses any flag they do not name, [`Args::get`] falls
+//! back to a row's default, and `aligraph help` prints them. Flags shared by
+//! several subcommands (`--seed`, `--workers`, `--scale`) normalize through
+//! [`CommonArgs`] so every command clamps them the same way.
 
 use aligraph_chaos::FaultConfig;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::str::FromStr;
 
 /// CLI errors, split so the binary can pick exit codes.
 #[derive(Debug)]
@@ -40,95 +42,111 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Parsed invocation: a command plus `--key value` options.
+/// One `--flag` a command takes.
+///
+/// The metavar is the kind of value it takes: `N` (a count or an id),
+/// `BYTES`, `F` (a float), `FILE`, `DIR` or `PATH`, or a `|`-separated list
+/// of choices. The default is `None` for a required flag, `Some("")` for one
+/// that is off unless given, and otherwise the value the command runs with
+/// when the flag is absent.
+#[derive(Debug)]
+pub struct Flag {
+    /// The name, without its `--`.
+    pub name: &'static str,
+    /// The kind of value.
+    pub metavar: &'static str,
+    /// The value an absent flag takes (`None`: the flag is required).
+    pub default: Option<&'static str>,
+}
+
+impl Flag {
+    /// Whether `value` is of this flag's kind (defaults and docs are held to it).
+    #[cfg(test)]
+    pub(crate) fn accepts(&self, value: &str) -> bool {
+        match self.metavar {
+            "N" | "BYTES" => value.parse::<u64>().is_ok(),
+            "F" => value.parse::<f64>().is_ok(),
+            "FILE" | "DIR" | "PATH" => !value.is_empty(),
+            choices => choices.split('|').any(|c| c == value),
+        }
+    }
+}
+
+/// A flag that defaults to `default` (`""`: off unless given).
+pub(crate) const fn flag(name: &'static str, metavar: &'static str, default: &'static str) -> Flag {
+    Flag { name, metavar, default: Some(default) }
+}
+
+/// `--metrics-json PATH`, which every command takes.
+pub(crate) const METRICS_JSON: Flag = flag("metrics-json", "PATH", "");
+
+/// Parsed invocation: a command plus the `--key value` options it was given.
 #[derive(Debug, Clone)]
 pub struct Args {
-    /// The subcommand (first positional argument).
+    /// The subcommand.
     pub command: String,
+    flags: &'static [Flag],
     options: HashMap<String, String>,
 }
 
 impl Args {
-    /// Parses `argv` (without the program name).
-    pub fn parse(argv: &[String]) -> Result<Args, CliError> {
+    /// Parses `argv` (the options after the command name) against the
+    /// command's `flags`. A flag they do not declare is a usage error: a
+    /// misspelt flag would otherwise run with the default and exit 0.
+    pub fn parse(command: &str, flags: &'static [Flag], argv: &[String]) -> Result<Args, CliError> {
+        let mut args = Args { command: command.to_string(), flags, options: HashMap::new() };
         let mut it = argv.iter();
-        let command = it.next().cloned().ok_or_else(|| CliError::Usage(crate::HELP.to_string()))?;
-        let mut options = HashMap::new();
         while let Some(key) = it.next() {
             let key = key
                 .strip_prefix("--")
                 .ok_or_else(|| CliError::Usage(format!("expected --option, got `{key}`")))?;
+            if args.declared(key).is_err() {
+                let names = flags.iter().map(|f| f.name).collect::<Vec<_>>().join(" --");
+                let why = format!("`{command}` takes no --{key}; it reads: --{names}");
+                return Err(CliError::Usage(why));
+            }
             let value =
                 it.next().ok_or_else(|| CliError::Usage(format!("--{key} requires a value")))?;
-            options.insert(key.to_string(), value.clone());
+            args.options.insert(key.to_string(), value.clone());
         }
-        Ok(Args { command, options })
+        Ok(args)
     }
 
-    /// Refuses any option that is neither in `known` nor `--metrics-json`:
-    /// commands read only the keys they know, so a misspelt flag would
-    /// otherwise run with the default and exit 0.
-    pub fn expect_only(&self, known: &[&str]) -> Result<(), CliError> {
-        let unread = |k: &&str| *k != "metrics-json" && !known.contains(k);
-        match self.options.keys().map(String::as_str).filter(unread).min() {
-            None => Ok(()),
-            Some(key) => Err(CliError::Usage(format!(
-                "`{}` takes no --{key}; it reads: --{}",
-                self.command,
-                known.join(" --")
-            ))),
-        }
+    /// `--name`'s value as given, else its row's default; a required flag
+    /// that is absent is a usage error.
+    pub fn get<T: FromStr>(&self, name: &str) -> Result<T, CliError> {
+        let default = self.declared(name)?.default;
+        let value = self.options.get(name).map(String::as_str).or(default);
+        let value =
+            value.ok_or_else(|| CliError::Usage(format!("missing required option --{name}")))?;
+        parse_value(name, value)
     }
 
-    /// A required string option.
-    pub fn required(&self, key: &str) -> Result<&str, CliError> {
-        self.options
-            .get(key)
-            .map(String::as_str)
-            .ok_or_else(|| CliError::Usage(format!("missing required option --{key}")))
+    /// `--name`'s value if it was given and is not empty, else `None`; the
+    /// row's default is not read. For flags that are off unless given.
+    pub fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.declared(name)?;
+        self.options.get(name).filter(|v| !v.is_empty()).map(|v| parse_value(name, v)).transpose()
     }
 
-    /// An optional string option with a default.
-    pub fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.options.get(key).map(String::as_str).unwrap_or(default)
-    }
-
-    /// A parsed numeric option with a default.
-    pub fn num_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => {
-                v.parse().map_err(|_| CliError::Usage(format!("--{key}: cannot parse `{v}`")))
-            }
-        }
+    /// `name`'s row. Reading a flag the table does not declare is a bug in
+    /// the command, not a silent default.
+    fn declared(&self, name: &str) -> Result<&'static Flag, CliError> {
+        self.flags.iter().chain([&METRICS_JSON]).find(|f| f.name == name).ok_or_else(|| {
+            CliError::Runtime(format!(
+                "`{}` reads --{name}, which its flag table does not declare",
+                self.command
+            ))
+        })
     }
 }
 
-/// Per-command defaults for the shared flags.
-#[derive(Debug, Clone, Copy)]
-pub struct CommonDefaults {
-    /// Default `--seed`.
-    pub seed: u64,
-    /// Default `--workers`.
-    pub workers: usize,
-    /// Default `--scale`.
-    pub scale: f64,
-}
-
-impl Default for CommonDefaults {
-    fn default() -> Self {
-        CommonDefaults { seed: 42, workers: 2, scale: 0.01 }
-    }
+fn parse_value<T: FromStr>(name: &str, value: &str) -> Result<T, CliError> {
+    value.parse().map_err(|_| CliError::Usage(format!("--{name}: cannot parse `{value}`")))
 }
 
 /// The flags every benchmark-style subcommand shares, parsed once:
-/// `--seed N`, `--workers N` (clamped to >= 1), `--scale F`,
-/// `--metrics-json PATH` (where to dump the run's telemetry snapshot), and
-/// the chaos-plane pair `--fault-seed N` / `--drop-rate F` (a fault plane is
-/// attached iff `--fault-seed` is given, and a `--drop-rate` without it is a
-/// usage error; the rate defaults to 0.1 and clamps to `[0, 0.999]`), built
-/// once into the [`FaultConfig`] every command that takes them hands to its
-/// subsystem.
+/// `--seed N`, `--workers N` (clamped to >= 1) and `--scale F`.
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// Base RNG seed.
@@ -137,29 +155,31 @@ pub struct CommonArgs {
     pub workers: usize,
     /// Synthetic-graph scale factor.
     pub scale: f64,
-    /// Where to write the metrics JSON (`None` = don't).
-    pub metrics_json: Option<PathBuf>,
-    /// The chaos-plane attachment (`None` = no fault injection).
-    pub fault: Option<FaultConfig>,
 }
 
 impl CommonArgs {
-    /// Parses the shared flags out of `args`, falling back to `defaults`.
-    pub fn from_args(args: &Args, defaults: CommonDefaults) -> Result<CommonArgs, CliError> {
-        let path = args.get_or("metrics-json", "");
-        let drop_rate = args.num_or("drop-rate", 0.1f64)?;
-        let fault = match args.get_or("fault-seed", "") {
-            "" if args.get_or("drop-rate", "").is_empty() => None,
-            "" => return Err(CliError::Usage("--drop-rate needs --fault-seed".into())),
-            _ => Some(FaultConfig::with_seed(args.num_or("fault-seed", 0u64)?, drop_rate)),
-        };
+    /// Reads the shared flags out of `args`.
+    pub fn from_args(args: &Args) -> Result<CommonArgs, CliError> {
         Ok(CommonArgs {
-            seed: args.num_or("seed", defaults.seed)?,
-            workers: args.num_or("workers", defaults.workers)?.max(1),
-            scale: args.num_or("scale", defaults.scale)?,
-            metrics_json: if path.is_empty() { None } else { Some(PathBuf::from(path)) },
-            fault,
+            seed: args.get("seed")?,
+            workers: args.get::<usize>("workers")?.max(1),
+            scale: args.get("scale")?,
         })
+    }
+}
+
+/// The chaos-plane pair `--fault-seed N` / `--drop-rate F`, built into the
+/// [`FaultConfig`] a command hands to its subsystem: a fault plane is
+/// attached iff `--fault-seed` is given, a `--drop-rate` without it is a
+/// usage error, and the rate clamps to `[0, 0.999]`.
+pub fn fault_config(args: &Args) -> Result<Option<FaultConfig>, CliError> {
+    let drop_rate: f64 = args.get("drop-rate")?;
+    match args.opt("fault-seed")? {
+        Some(seed) => Ok(Some(FaultConfig::with_seed(seed, drop_rate))),
+        None if args.opt::<String>("drop-rate")?.is_some() => {
+            Err(CliError::Usage("--drop-rate needs --fault-seed".into()))
+        }
+        None => Ok(None),
     }
 }
 
@@ -167,73 +187,72 @@ impl CommonArgs {
 mod tests {
     use super::*;
 
-    fn argv(s: &[&str]) -> Vec<String> {
-        s.iter().map(|x| x.to_string()).collect()
+    const FLAGS: &[Flag] = &[
+        Flag { name: "kind", metavar: "taobao|ba", default: Some("taobao") },
+        Flag { name: "graph", metavar: "FILE", default: None },
+        Flag { name: "seed", metavar: "N", default: Some("7") },
+        Flag { name: "workers", metavar: "N", default: Some("4") },
+        Flag { name: "scale", metavar: "F", default: Some("0.5") },
+        Flag { name: "fault-seed", metavar: "N", default: Some("") },
+        Flag { name: "drop-rate", metavar: "F", default: Some("0.1") },
+    ];
+
+    fn parse(line: &str) -> Result<Args, CliError> {
+        Args::parse("bench", FLAGS, &line.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
     #[test]
     fn parses_command_and_options() {
-        let a = Args::parse(&argv(&["generate", "--kind", "taobao", "--scale", "0.5"])).unwrap();
-        assert_eq!(a.command, "generate");
-        assert_eq!(a.required("kind").unwrap(), "taobao");
-        assert_eq!(a.num_or("scale", 1.0f64).unwrap(), 0.5);
-        assert_eq!(a.num_or("seed", 7u64).unwrap(), 7);
-        assert_eq!(a.get_or("missing", "x"), "x");
+        let a = parse("--kind ba --graph g.tsv --scale 0.25").unwrap();
+        assert_eq!(a.command, "bench");
+        assert_eq!(a.get::<String>("kind").unwrap(), "ba");
+        assert_eq!(a.get::<String>("graph").unwrap(), "g.tsv");
+        assert_eq!(a.get::<f64>("scale").unwrap(), 0.25);
+        assert_eq!(a.get::<u64>("seed").unwrap(), 7, "an absent flag takes its row's default");
+        assert_eq!(a.opt::<u64>("fault-seed").unwrap(), None, "off unless given");
+        // Reading a name the table does not declare is an error, not a default.
+        assert!(matches!(a.get::<u64>("dim"), Err(CliError::Runtime(m)) if m.contains("--dim")));
+        assert!(matches!(a.opt::<u64>("dim"), Err(CliError::Runtime(_))));
     }
 
     #[test]
     fn rejects_malformed_invocations() {
-        assert!(matches!(Args::parse(&[]), Err(CliError::Usage(_))));
-        assert!(matches!(Args::parse(&argv(&["train", "positional"])), Err(CliError::Usage(_))));
-        assert!(matches!(Args::parse(&argv(&["train", "--graph"])), Err(CliError::Usage(_))));
-        let a = Args::parse(&argv(&["train", "--dim", "abc"])).unwrap();
-        assert!(matches!(a.num_or("dim", 8usize), Err(CliError::Usage(_))));
-        assert!(matches!(a.required("graph"), Err(CliError::Usage(_))));
+        assert!(matches!(parse("positional"), Err(CliError::Usage(_))));
+        assert!(matches!(parse("--graph"), Err(CliError::Usage(_))));
+        let undeclared = parse("--dim 8");
+        assert!(matches!(&undeclared, Err(CliError::Usage(m)) if m.contains("takes no --dim")));
+        let a = parse("--seed abc").unwrap();
+        assert!(matches!(a.get::<u64>("seed"), Err(CliError::Usage(_))));
+        let missing = a.get::<String>("graph");
+        assert!(matches!(missing, Err(CliError::Usage(m)) if m.contains("--graph")));
     }
 
     #[test]
     fn common_args_normalize_shared_flags() {
-        let d = CommonDefaults { seed: 7, workers: 4, scale: 0.5 };
-        let a = Args::parse(&argv(&["bench"])).unwrap();
-        let c = CommonArgs::from_args(&a, d).unwrap();
+        let c = CommonArgs::from_args(&parse("").unwrap()).unwrap();
         assert_eq!((c.seed, c.workers, c.scale), (7, 4, 0.5));
-        assert!(c.metrics_json.is_none());
-        assert!(c.fault.is_none(), "no fault plane unless --fault-seed given");
+        assert!(fault_config(&parse("").unwrap()).unwrap().is_none(), "no plane without a seed");
 
-        let a = Args::parse(&argv(&[
-            "bench",
-            "--seed",
-            "9",
-            "--workers",
-            "0",
-            "--scale",
-            "0.25",
-            "--metrics-json",
-            "/tmp/m.json",
-        ]))
-        .unwrap();
-        let c = CommonArgs::from_args(&a, d).unwrap();
+        let c =
+            CommonArgs::from_args(&parse("--seed 9 --workers 0 --scale 0.25").unwrap()).unwrap();
         assert_eq!((c.seed, c.workers, c.scale), (9, 1, 0.25), "workers clamp to 1");
-        assert_eq!(c.metrics_json.unwrap().to_string_lossy(), "/tmp/m.json");
+        let a = parse("--metrics-json /tmp/m.json").unwrap();
+        assert_eq!(a.opt::<String>("metrics-json").unwrap().as_deref(), Some("/tmp/m.json"));
     }
 
     #[test]
     fn chaos_flags_parse_and_clamp() {
-        let d = CommonDefaults::default();
-        let a = Args::parse(&argv(&["bench", "--fault-seed", "42", "--drop-rate", "0.2"])).unwrap();
-        let plan = CommonArgs::from_args(&a, d).unwrap().fault.expect("--fault-seed given").plan;
-        assert_eq!((plan.seed, plan.drop_rate), (42, 0.2));
-
-        let a = Args::parse(&argv(&["bench", "--fault-seed", "7", "--drop-rate", "1.5"])).unwrap();
-        let plan = CommonArgs::from_args(&a, d).unwrap().fault.expect("--fault-seed given").plan;
-        assert_eq!(plan.drop_rate, 0.999, "rate clamps below certain loss");
-
-        let a = Args::parse(&argv(&["bench", "--fault-seed", "x"])).unwrap();
-        assert!(matches!(CommonArgs::from_args(&a, d), Err(CliError::Usage(_))));
+        let plan = |line: &str| fault_config(&parse(line).unwrap()).map(|f| f.map(|f| f.plan));
+        let given = plan("--fault-seed 42 --drop-rate 0.2").unwrap().expect("--fault-seed given");
+        assert_eq!((given.seed, given.drop_rate), (42, 0.2));
+        let default = plan("--fault-seed 7").unwrap().expect("--fault-seed given");
+        assert_eq!(default.drop_rate, 0.1, "the row's default rate");
+        let clamped = plan("--fault-seed 7 --drop-rate 1.5").unwrap().expect("--fault-seed given");
+        assert_eq!(clamped.drop_rate, 0.999, "rate clamps below certain loss");
+        assert!(matches!(plan("--fault-seed x"), Err(CliError::Usage(_))));
 
         // A rate with no seed would run fault-free and exit 0.
-        let a = Args::parse(&argv(&["bench", "--drop-rate", "0.5"])).unwrap();
-        let err = CommonArgs::from_args(&a, d).expect_err("a rate needs a seed");
+        let err = plan("--drop-rate 0.5").expect_err("a rate needs a seed");
         assert!(matches!(&err, CliError::Usage(m) if m.contains("--fault-seed")), "{err}");
     }
 }

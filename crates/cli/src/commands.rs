@@ -1,7 +1,7 @@
 //! The subcommand implementations. Each returns its report as a `String`
 //! (printed by `main`, asserted on by the tests).
 
-use crate::args::{Args, CliError, CommonArgs, CommonDefaults};
+use crate::args::{fault_config, Args, CliError, CommonArgs};
 use aligraph::models::gatne::{train_gatne, GatneConfig};
 use aligraph::models::graphsage::{train_graphsage, GraphSageConfig};
 use aligraph::models::hep::{train_hep, HepConfig};
@@ -23,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::fs::File;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,24 +37,28 @@ fn synth_graph(
     Ok(Arc::new(cfg.generate()?))
 }
 
+/// Share of edges `eval` holds out for testing (and `automl` for
+/// validation).
+const HELD_OUT_FRACTION: f64 = 0.15;
+
 fn load(args: &Args) -> Result<AttributedHeterogeneousGraph, CliError> {
-    let path = args.required("graph")?;
+    let path: String = args.get("graph")?;
     let file =
-        File::open(path).map_err(|e| CliError::Runtime(format!("cannot open {path}: {e}")))?;
+        File::open(&path).map_err(|e| CliError::Runtime(format!("cannot open {path}: {e}")))?;
     Ok(read_graph(file)?)
 }
 
-/// `aligraph generate` (flags: the command's `HELP` line, here and below).
+/// `aligraph generate` (flags: the command's row in `COMMANDS`, here and
+/// below).
 pub fn generate(args: &Args) -> Result<String, CliError> {
-    let kind = args.get_or("kind", "taobao");
-    let scale: f64 = args.num_or("scale", 0.001)?;
-    let seed: u64 = args.num_or("seed", 42)?;
-    let graph = match kind {
+    let kind: String = args.get("kind")?;
+    let scale: f64 = args.get("scale")?;
+    let seed: u64 = args.get("seed")?;
+    let out: String = args.get("out")?;
+    let graph = match kind.as_str() {
         "taobao" => {
-            let mut cfg = TaobaoConfig::small_sim().scaled(scale);
-            cfg.seed = seed;
-            cfg.reverse_ui_prob = args.num_or("reverse", 0.15)?;
-            cfg.generate()?
+            TaobaoConfig { seed, reverse_ui_prob: 0.15, ..TaobaoConfig::small_sim().scaled(scale) }
+                .generate()?
         }
         "amazon" => {
             let n = ((10_166.0 * scale.max(0.01)) as usize).max(10);
@@ -62,12 +67,11 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
         }
         "ba" => {
             let n = ((20_000.0 * scale.max(0.001)) as usize).max(10);
-            barabasi_albert(n, args.num_or("attach", 4usize)?, seed)?
+            barabasi_albert(n, 4, seed)?
         }
         other => return Err(CliError::Usage(format!("unknown --kind `{other}`"))),
     };
-    let out = args.required("out")?;
-    let mut file = File::create(out)?;
+    let mut file = File::create(&out)?;
     write_graph(&graph, &mut file)?;
     Ok(format!(
         "wrote {} vertices / {} edges ({} vertex types, {} edge types) to {out}",
@@ -107,9 +111,9 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
 /// `aligraph partition`
 pub fn partition(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
-    let workers: usize = args.num_or("workers", 8)?;
-    let algo = args.get_or("algo", "hash");
-    let partitioner: Box<dyn Partitioner> = match algo {
+    let workers: usize = args.get("workers")?;
+    let algo: String = args.get("algo")?;
+    let partitioner: Box<dyn Partitioner> = match algo.as_str() {
         "hash" => Box::new(EdgeCutHash),
         "metis" => Box::new(MetisLike::default()),
         "vertex-cut" => Box::new(VertexCutGreedy::default()),
@@ -156,13 +160,13 @@ fn train_model(
 /// `aligraph train`
 pub fn train(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
-    let model_name = args.get_or("model", "graphsage");
-    let dim: usize = args.num_or("dim", 32)?;
-    let seed: u64 = args.num_or("seed", 42)?;
-    let model = train_model(&g, model_name, dim, seed)?;
+    let model_name: String = args.get("model")?;
+    let dim: usize = args.get("dim")?;
+    let seed: u64 = args.get("seed")?;
+    let out: String = args.get("out")?;
+    let model = train_model(&g, &model_name, dim, seed)?;
 
-    let out = args.required("out")?;
-    let mut file = std::io::BufWriter::new(File::create(out)?);
+    let mut file = std::io::BufWriter::new(File::create(&out)?);
     use std::io::Write;
     for v in g.vertices() {
         let e = model.embedding(v);
@@ -178,12 +182,11 @@ pub fn train(args: &Args) -> Result<String, CliError> {
 /// `aligraph eval`
 pub fn eval(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
-    let model_name = args.get_or("model", "graphsage");
-    let dim: usize = args.num_or("dim", 32)?;
-    let seed: u64 = args.num_or("seed", 42)?;
-    let fraction: f64 = args.num_or("test-fraction", 0.15)?;
-    let split = link_prediction_split(&g, fraction, seed);
-    let model = train_model(&split.train, model_name, dim, seed)?;
+    let model_name: String = args.get("model")?;
+    let dim: usize = args.get("dim")?;
+    let seed: u64 = args.get("seed")?;
+    let split = link_prediction_split(&g, HELD_OUT_FRACTION, seed);
+    let model = train_model(&split.train, &model_name, dim, seed)?;
     let metrics = evaluate_split(model.as_ref(), &split);
     Ok(format!("{model_name} link prediction: {metrics}"))
 }
@@ -191,8 +194,8 @@ pub fn eval(args: &Args) -> Result<String, CliError> {
 /// `aligraph automl` — the §7 model-selection tournament.
 pub fn automl(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
-    let dim: usize = args.num_or("dim", 24)?;
-    let seed: u64 = args.num_or("seed", 42)?;
+    let dim: usize = args.get("dim")?;
+    let seed: u64 = args.get("seed")?;
     let params = SkipGramParams { dim, seed, ..SkipGramParams::quick() };
     let p2 = params.clone();
     let board = select_model(
@@ -213,7 +216,7 @@ pub fn automl(args: &Args) -> Result<String, CliError> {
                 train_hep(g, &HepConfig::hep_quick(dim))
             }),
         ],
-        0.15,
+        HELD_OUT_FRACTION,
         seed,
     );
     let mut out = String::new();
@@ -279,20 +282,20 @@ pub fn serve_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
     use aligraph_sampling::WeightedNeighborhood;
     use aligraph_serving::{ServeError, ServingConfig, ServingService};
 
-    let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.1 })?;
-    let requests: u64 = args.num_or("requests", 10_000u64)?;
-    let clients: usize = args.num_or("clients", 4usize)?.max(1);
+    let common = CommonArgs::from_args(args)?;
+    let requests: u64 = args.get("requests")?;
+    let clients = args.get::<usize>("clients")?.max(1);
     let workers = common.workers;
     let seed = common.seed;
-    let delta_every_ms: u64 = args.num_or("delta-every-ms", 2u64)?.max(1);
+    let delta_every_ms = args.get::<u64>("delta-every-ms")?.max(1);
     let config = ServingConfig {
         workers,
-        max_batch: args.num_or("batch", 32usize)?,
-        queue_capacity: args.num_or("queue", 512usize)?,
-        cache_capacity: args.num_or("cache", 4_096usize)?,
+        max_batch: args.get("batch")?,
+        queue_capacity: args.get("queue")?,
+        cache_capacity: args.get("cache")?,
         seed,
-        fault: common.fault.clone(),
-        max_stale_versions: args.num_or("max-stale", 8u64)?,
+        fault: fault_config(args)?,
+        max_stale_versions: args.get("max-stale")?,
         ..Default::default()
     };
 
@@ -406,20 +409,18 @@ pub fn serve_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
 pub fn serve_under_update(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     use aligraph_streaming::{StreamingConfig, StreamingReport, StreamingService, UpdateWorkload};
 
-    let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.05 })?;
-    let requests: u64 = args.num_or("requests", 6_000u64)?;
-    let clients: usize = args.num_or("clients", 4usize)?.max(1);
+    let common = CommonArgs::from_args(args)?;
+    let requests: u64 = args.get("requests")?;
+    let clients = args.get::<usize>("clients")?.max(1);
     let seed = common.seed;
-    let update_every_ms: u64 = args.num_or("update-every-ms", 2u64)?.max(1);
-    let adds: usize = args.num_or("update-adds", 8usize)?;
-    let attrs: usize = args.num_or("update-attrs", 2usize)?;
-    let dim: usize = args.num_or("dim", 16usize)?.max(1);
-    let slo_p99_ms: f64 = args.num_or("slo-p99-ms", 20.0f64)?;
+    let update_every_ms = args.get::<u64>("update-every-ms")?.max(1);
+    let dim = args.get::<usize>("dim")?.max(1);
+    let slo_p99_ms: f64 = args.get("slo-p99-ms")?;
     let config = StreamingConfig {
-        shards: common.workers.max(1),
-        cache_capacity: args.num_or("cache", 4_096usize)?,
+        shards: common.workers,
+        cache_capacity: args.get("cache")?,
         seed,
-        fault: common.fault.clone(),
+        fault: fault_config(args)?,
         ..Default::default()
     };
 
@@ -456,12 +457,12 @@ pub fn serve_under_update(args: &Args, registry: &Arc<Registry>) -> Result<Strin
         },
         |done| {
             // The same churn shape the serving bench drives deltas with:
-            // each round retracts the previous round's additions, plus a
-            // few feature rewrites, all skewed toward the hot vertices.
+            // each round adds 8 edges and retracts the previous round's,
+            // plus 2 feature rewrites, all skewed toward the hot vertices.
             let mut workload = UpdateWorkload::new(seed ^ 0xd17a, n, dim);
             // ordering: see `drive_clients`.
             while !done.load(Ordering::Relaxed) {
-                if service.ingest(&workload.next_batch(adds, attrs)).is_err() {
+                if service.ingest(&workload.next_batch(8, 2)).is_err() {
                     return 1u64;
                 }
                 std::thread::sleep(Duration::from_millis(update_every_ms));
@@ -482,7 +483,7 @@ pub fn serve_under_update(args: &Args, registry: &Arc<Registry>) -> Result<Strin
          ({clients} clients, {} ingest shards)",
         graph.num_vertices(),
         graph.num_edges(),
-        common.workers.max(1),
+        common.workers,
     )
     .ok();
     writeln!(out, "{report}").ok();
@@ -513,49 +514,36 @@ pub fn serve_under_update(args: &Args, registry: &Arc<Registry>) -> Result<Strin
     Ok(out)
 }
 
-/// The shape of a training scenario: model width, epoch geometry, sampling
-/// fanouts, and the neighbor-cache strategy of the clusters it trains on.
-/// A command's constant is its defaults; [`with_flags`](Self::with_flags)
-/// reads the flags over them.
+/// The shape of a training scenario: the runtime config it trains under,
+/// its model width and sampling fanouts, and the neighbor-cache strategy of
+/// the clusters it trains on.
 #[derive(Debug, Clone)]
 struct TrainShape {
+    cfg: RuntimeConfig,
     dim: usize,
-    epochs: usize,
-    batches: usize,
-    batch: usize,
-    negatives: usize,
-    staleness: u64,
-    sparse_lr: f32,
     fanouts: [usize; 2],
     cache: CacheStrategy,
 }
 
-const TRAIN_BENCH_SHAPE: TrainShape = TrainShape {
-    dim: 32,
-    epochs: 2,
-    batches: 12,
-    batch: 32,
-    negatives: 4,
-    staleness: 2,
-    sparse_lr: 0.05,
-    fanouts: [5, 3],
-    cache: CacheStrategy::None,
-};
-
 impl TrainShape {
-    /// `self` with `--dim`, `--epochs`, `--batches`, `--batch`,
-    /// `--negatives`, `--staleness` and `--sparse-lr` read over it.
-    fn with_flags(self, args: &Args) -> Result<Self, CliError> {
-        Ok(TrainShape {
-            dim: args.num_or("dim", self.dim)?.max(1),
-            epochs: args.num_or("epochs", self.epochs)?.max(1),
-            batches: args.num_or("batches", self.batches)?.max(1),
-            batch: args.num_or("batch", self.batch)?.max(1),
-            negatives: args.num_or("negatives", self.negatives)?,
-            staleness: args.num_or("staleness", self.staleness)?,
-            sparse_lr: args.num_or("sparse-lr", self.sparse_lr)?,
-            ..self
-        })
+    /// The training benches' shape: `--workers`, `--seed`, `--epochs`,
+    /// `--batches`, `--batch`, `--negatives`, `--staleness`, `--sparse-lr`
+    /// and `--dim` (each command's defaults are its flag rows), fanouts
+    /// `[5, 3]`, no cache.
+    fn from_args(args: &Args, common: &CommonArgs) -> Result<Self, CliError> {
+        let cfg = RuntimeConfig {
+            workers: common.workers,
+            epochs: args.get::<usize>("epochs")?.max(1),
+            batches_per_epoch: args.get::<usize>("batches")?.max(1),
+            batch_size: args.get::<usize>("batch")?.max(1),
+            negatives: args.get("negatives")?,
+            staleness: args.get("staleness")?,
+            seed: common.seed,
+            sparse_lr: args.get("sparse-lr")?,
+            ..RuntimeConfig::default()
+        };
+        let dim = args.get::<usize>("dim")?.max(1);
+        Ok(TrainShape { cfg, dim, fanouts: [5, 3], cache: CacheStrategy::None })
     }
 }
 
@@ -572,35 +560,21 @@ struct TrainScenario {
 }
 
 impl TrainScenario {
-    /// Generates `graph_cfg` under `common.seed` and shapes the bench model
-    /// for it: `dims [d, ⌈d/2⌉]`, lr `0.05`, parameter seed `seed ^ 0x5eed`.
-    fn new(
-        common: &CommonArgs,
-        shape: TrainShape,
-        graph_cfg: TaobaoConfig,
-    ) -> Result<Self, CliError> {
-        let dim = shape.dim;
-        let cfg = RuntimeConfig {
-            workers: common.workers,
-            epochs: shape.epochs,
-            batches_per_epoch: shape.batches,
-            batch_size: shape.batch,
-            negatives: shape.negatives,
-            staleness: shape.staleness,
-            seed: common.seed,
-            sparse_lr: shape.sparse_lr,
-            ..RuntimeConfig::default()
-        };
-        let graph = synth_graph(graph_cfg, common.seed)?;
+    /// Generates `graph_cfg` under the shape's seed and shapes the bench
+    /// model for it: `dims [d, ⌈d/2⌉]`, lr `0.05`, parameter seed
+    /// `seed ^ 0x5eed`.
+    fn new(shape: TrainShape, graph_cfg: TaobaoConfig) -> Result<Self, CliError> {
+        let TrainShape { cfg, dim, fanouts, cache } = shape;
+        let graph = synth_graph(graph_cfg, cfg.seed)?;
         let features = Featurizer::new(dim).matrix(&graph);
         let spec = EncoderSpec {
             dim_in: dim,
             dims: vec![dim, dim / 2 + dim % 2],
-            fanouts: shape.fanouts.to_vec(),
+            fanouts: fanouts.to_vec(),
             lr: 0.05,
-            seed: common.seed ^ 0x5eed,
+            seed: cfg.seed ^ 0x5eed,
         };
-        Ok(TrainScenario { graph, features, spec, cfg, cache: shape.cache })
+        Ok(TrainScenario { graph, features, spec, cfg, cache })
     }
 
     /// Builds a fresh `cfg.workers`-shard hash-partitioned cluster (tiered
@@ -642,36 +616,31 @@ impl TrainScenario {
 pub fn train_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
     use aligraph_chaos::{CrashPoint, FaultConfig};
     use aligraph_runtime::CheckpointConfig;
-    use std::path::PathBuf;
 
-    let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 4, scale: 0.02 })?;
-    let workers = common.workers;
-    let scale = common.scale;
-    let seed = common.seed;
-    let shape = TRAIN_BENCH_SHAPE.with_flags(args)?;
-    let scenario = TrainScenario::new(&common, shape, TaobaoConfig::small_sim().scaled(scale))?;
+    let common = CommonArgs::from_args(args)?;
+    let fault = fault_config(args)?;
+    let (workers, scale, seed) = (common.workers, common.scale, common.seed);
+    let shape = TrainShape::from_args(args, &common)?;
+    let scenario = TrainScenario::new(shape, TaobaoConfig::small_sim().scaled(scale))?;
     let graph = &scenario.graph;
 
     let mut run_cfg = scenario.cfg.clone();
-    let ckpt_dir = args.get_or("checkpoint-dir", "");
-    if !ckpt_dir.is_empty() {
-        run_cfg.checkpoint = Some(CheckpointConfig {
-            dir: PathBuf::from(ckpt_dir),
-            every_steps: args.num_or("checkpoint-every", 0u64)?,
-        });
+    if let Some(dir) = args.opt::<PathBuf>("checkpoint-dir")? {
+        run_cfg.checkpoint =
+            Some(CheckpointConfig { dir, every_steps: args.get("checkpoint-every")? });
     }
-    run_cfg.chaos = common.fault.clone();
-    if !args.get_or("kill-worker", "").is_empty() {
+    run_cfg.chaos = fault;
+    if let Some(worker) = args.opt("kill-worker")? {
         // A kill is one more entry of the chaos plan's crash schedule; with
         // no `--fault-seed` the plan drops nothing and only crashes.
         let chaos = run_cfg.chaos.get_or_insert_with(FaultConfig::default);
-        chaos.plan.crash_schedule.push(CrashPoint {
-            worker: args.num_or("kill-worker", 0u32)?,
-            at_step: args.num_or("kill-at-step", 1u64)?.max(1),
-        });
+        chaos
+            .plan
+            .crash_schedule
+            .push(CrashPoint { worker, at_step: args.get::<u64>("kill-at-step")?.max(1) });
     }
 
-    let resident_budget: u64 = args.num_or("resident-budget", 0u64)?;
+    let resident_budget: u64 = args.get("resident-budget")?;
     let tier = || (resident_budget > 0).then(|| TierConfig::with_budget(Some(resident_budget)));
     let (_, multi) = scenario.run(run_cfg.clone(), registry, tier())?;
     let baseline_cfg = RuntimeConfig { workers: 1, checkpoint: None, chaos: None, ..run_cfg };
@@ -713,19 +682,18 @@ pub fn rebalance_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, 
     use aligraph_runtime::RebalancePlan;
     use aligraph_storage::RebalanceOp;
 
-    let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 4, scale: 0.02 })?;
-    let workers = common.workers;
-    let scale = common.scale;
-    let seed = common.seed;
-    let shape = TrainShape { epochs: 3, ..TRAIN_BENCH_SHAPE }.with_flags(args)?;
-    let scenario = TrainScenario::new(&common, shape, TaobaoConfig::small_sim().scaled(scale))?;
+    let common = CommonArgs::from_args(args)?;
+    let fault = fault_config(args)?;
+    let (workers, scale, seed) = (common.workers, common.scale, common.seed);
+    let shape = TrainShape::from_args(args, &common)?;
+    let scenario = TrainScenario::new(shape, TaobaoConfig::small_sim().scaled(scale))?;
     let graph = &scenario.graph;
     // A split needs an epoch on either side of it.
     let epochs = scenario.cfg.epochs.max(2);
-    let split_after = args.num_or("split-after", 1usize)?.clamp(1, epochs - 1);
-    let merge = args.num_or("merge", 0u64)? != 0;
+    let split_after = args.get::<usize>("split-after")?.clamp(1, epochs - 1);
+    let merge = args.get::<u64>("merge")? != 0;
 
-    let run_cfg = RuntimeConfig { epochs, chaos: common.fault.clone(), ..scenario.cfg.clone() };
+    let run_cfg = RuntimeConfig { epochs, chaos: fault, ..scenario.cfg.clone() };
     let mut plans =
         vec![RebalancePlan { after_epoch: split_after, op: RebalanceOp::Split { shard: 0 } }];
     if merge && split_after + 1 < epochs {
@@ -807,19 +775,10 @@ pub fn rebalance_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, 
 /// `--resident-budget` caps the top point and scales linearly down the
 /// curve; when omitted every point gets 10% of its own all-hot footprint.
 pub fn tiered_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
-    let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 4, scale: 10.0 })?;
-    let workers = common.workers;
-    let seed = common.seed;
-    let budget_arg: u64 = args.num_or("resident-budget", 0u64)?;
-    let mut shape = TrainShape {
-        dim: 16,
-        batches: 6,
-        batch: 16,
-        negatives: 2,
-        staleness: 0,
-        ..TRAIN_BENCH_SHAPE
-    }
-    .with_flags(args)?;
+    let common = CommonArgs::from_args(args)?;
+    let (workers, seed) = (common.workers, common.seed);
+    let budget_arg: u64 = args.get("resident-budget")?;
+    let mut shape = TrainShape::from_args(args, &common)?;
     shape.dim = shape.dim.max(2);
 
     let top = common.scale.max(0.04);
@@ -835,11 +794,8 @@ pub fn tiered_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
     .ok();
 
     for (i, &point) in points.iter().enumerate() {
-        let scenario = TrainScenario::new(
-            &common,
-            shape.clone(),
-            TaobaoConfig::large_sim().scaled(point / 100.0),
-        )?;
+        let scenario =
+            TrainScenario::new(shape.clone(), TaobaoConfig::large_sim().scaled(point / 100.0))?;
         let graph = &scenario.graph;
 
         // All-hot oracle: an unbounded budget keeps every row hot from build
@@ -932,25 +888,25 @@ pub fn metrics_demo(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
     use aligraph_sampling::WeightedNeighborhood;
     use aligraph_serving::{ServingConfig, ServingService};
 
-    let common =
-        CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.004 })?;
+    let common = CommonArgs::from_args(args)?;
 
     // Storage + sampling + runtime: a short distributed-training run with an
     // LRU neighbor cache so cache events show up too. The shape is fixed: the
     // demo reads no training flag.
-    let shape = TrainShape {
-        dim: 8,
+    let cfg = RuntimeConfig {
+        workers: common.workers,
         epochs: 1,
-        batches: 4,
-        batch: 8,
+        batches_per_epoch: 4,
+        batch_size: 8,
         negatives: 2,
         staleness: 1,
-        fanouts: [4, 2],
-        cache: CacheStrategy::Lru { fraction: 0.1 },
-        ..TRAIN_BENCH_SHAPE
+        seed: common.seed,
+        sparse_lr: 0.05,
+        ..RuntimeConfig::default()
     };
-    let scenario =
-        TrainScenario::new(&common, shape, TaobaoConfig::small_sim().scaled(common.scale))?;
+    let shape =
+        TrainShape { cfg, dim: 8, fanouts: [4, 2], cache: CacheStrategy::Lru { fraction: 0.1 } };
+    let scenario = TrainScenario::new(shape, TaobaoConfig::small_sim().scaled(common.scale))?;
     scenario.run(scenario.cfg.clone(), registry, None)?;
     let graph = &scenario.graph;
 
@@ -990,43 +946,11 @@ pub fn metrics_demo(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
 /// Fails on a hot-swap atomicity violation or (with
 /// `--slo-freshness-ticks N`) a freshness p99 beyond the SLO.
 pub fn closed_loop(args: &Args, registry: &Arc<Registry>) -> Result<String, CliError> {
-    use aligraph_loopsim::{run_loop, LoopConfig, LoopError};
-    use std::path::PathBuf;
+    use aligraph_loopsim::{run_loop, LoopError};
 
-    let common = CommonArgs::from_args(args, CommonDefaults { seed: 42, workers: 2, scale: 0.02 })?;
-    let cycles: usize = args.num_or("cycles", 4usize)?.max(1);
-    let users: usize = args.num_or("users", 8usize)?.max(1);
-    let interactions: usize = args.num_or("interactions", 6usize)?.max(1);
-    let dim: usize = args.num_or("dim", 16usize)?.max(2);
-    let hub_capacity: usize = args.num_or("hub-capacity", 256usize)?.max(1);
-    let drift_rate: f64 = args.num_or("drift-rate", 0.15f64)?;
-    let batches: usize = args.num_or("batches", 6usize)?.max(1);
-    let batch: usize = args.num_or("batch", 16usize)?.max(1);
-    let staleness: u64 = args.num_or("staleness", 1u64)?;
+    let cfg = loop_config(args)?;
     // 0 disables the gate.
-    let slo_freshness: u64 = args.num_or("slo-freshness-ticks", 0u64)?;
-    let checkpoint_dir = match args.get_or("checkpoint-dir", "") {
-        "" => std::env::temp_dir().join(format!("aligraph-closed-loop-{}", std::process::id())),
-        p => PathBuf::from(p),
-    };
-
-    let cfg = LoopConfig {
-        cycles,
-        users,
-        interactions_per_user: interactions,
-        seed: common.seed,
-        scale: common.scale,
-        dim,
-        workers: common.workers.max(1),
-        hub_capacity,
-        drift_rate,
-        batches_per_epoch: batches,
-        batch_size: batch,
-        staleness,
-        checkpoint_dir,
-        fault: common.fault.clone(),
-    };
-
+    let slo_freshness: u64 = args.get("slo-freshness-ticks")?;
     let outcome = run_loop(&cfg, registry).map_err(|e| match e {
         LoopError::Atomicity { version } => CliError::Runtime(format!(
             "hot-swap atomicity violated: pinned model version {version} failed verify"
@@ -1037,11 +961,8 @@ pub fn closed_loop(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
     let mut out = String::new();
     writeln!(
         out,
-        "closed-loop: {cycles} cycles x {users} sessions x {interactions} interactions \
-         (seed {}, {} workers, scale {})",
-        common.seed,
-        common.workers.max(1),
-        common.scale,
+        "closed-loop: {} cycles x {} sessions x {} interactions (seed {}, {} workers, scale {})",
+        cfg.cycles, cfg.users, cfg.interactions_per_user, cfg.seed, cfg.workers, cfg.scale,
     )
     .ok();
     writeln!(
@@ -1063,12 +984,35 @@ pub fn closed_loop(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
     Ok(out)
 }
 
+/// `closed-loop`'s flags over [`LoopConfig::small`], which sets the rest
+/// (sessions, interactions, hub capacity, drift rate).
+fn loop_config(args: &Args) -> Result<aligraph_loopsim::LoopConfig, CliError> {
+    let common = CommonArgs::from_args(args)?;
+    let checkpoint_dir = args.opt::<PathBuf>("checkpoint-dir")?.unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("aligraph-closed-loop-{}", std::process::id()))
+    });
+    Ok(aligraph_loopsim::LoopConfig {
+        cycles: args.get::<usize>("cycles")?.max(1),
+        scale: common.scale,
+        dim: args.get::<usize>("dim")?.max(2),
+        workers: common.workers,
+        batches_per_epoch: args.get::<usize>("batches")?.max(1),
+        batch_size: args.get::<usize>("batch")?.max(1),
+        staleness: args.get("staleness")?,
+        fault: fault_config(args)?,
+        ..aligraph_loopsim::LoopConfig::small(common.seed, checkpoint_dir)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Args {
-        Args::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap()
+    /// `line` (a command and its options) parsed against the command's rows.
+    fn args(line: &str) -> Args {
+        let words: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let command = crate::COMMANDS.iter().find(|c| c.name == words[0]).unwrap();
+        Args::parse(&words[0], command.flags, &words[1..]).unwrap()
     }
 
     fn tmp(name: &str) -> String {
@@ -1077,21 +1021,28 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
+    fn registry() -> Arc<Registry> {
+        Arc::new(Registry::new())
+    }
+
+    fn assert_shows(out: &str, shown: &[&str]) {
+        for s in shown {
+            assert!(out.contains(s), "`{s}` missing from:\n{out}");
+        }
+    }
+
     #[test]
     fn generate_stats_partition_roundtrip() {
         let path = tmp("toy.tsv");
-        let msg =
-            generate(&args(&["generate", "--kind", "taobao", "--scale", "0.002", "--out", &path]))
-                .unwrap();
-        assert!(msg.contains("wrote"));
+        let msg = generate(&args(&format!("generate --kind taobao --scale 0.002 --out {path}")));
+        assert!(msg.unwrap().contains("wrote"));
 
-        let s = stats(&args(&["stats", "--graph", &path])).unwrap();
+        let s = stats(&args(&format!("stats --graph {path}"))).unwrap();
         assert!(s.contains("vertices:"));
         assert!(s.contains("edge types:      4"));
 
-        let p =
-            partition(&args(&["partition", "--graph", &path, "--workers", "4", "--algo", "ldg"]))
-                .unwrap();
+        let p = partition(&args(&format!("partition --graph {path} --workers 4 --algo ldg")));
+        let p = p.unwrap();
         assert!(p.contains("streaming-ldg"), "{p}");
         assert!(p.contains("edge-cut"));
     }
@@ -1099,109 +1050,45 @@ mod tests {
     #[test]
     fn train_writes_embeddings_and_eval_reports() {
         let path = tmp("toy2.tsv");
-        generate(&args(&["generate", "--kind", "amazon", "--scale", "0.02", "--out", &path]))
-            .unwrap();
+        generate(&args(&format!("generate --kind amazon --scale 0.02 --out {path}"))).unwrap();
         let emb = tmp("emb.tsv");
-        let msg = train(&args(&[
-            "train", "--graph", &path, "--model", "deepwalk", "--dim", "16", "--out", &emb,
-        ]))
-        .unwrap();
-        assert!(msg.contains("deepwalk"));
+        let line = format!("train --graph {path} --model deepwalk --dim 16 --out {emb}");
+        assert!(train(&args(&line)).unwrap().contains("deepwalk"));
         let content = std::fs::read_to_string(&emb).unwrap();
         let first = content.lines().next().unwrap();
         assert_eq!(first.split('\t').count(), 17); // id + 16 dims
 
-        let e =
-            eval(&args(&["eval", "--graph", &path, "--model", "deepwalk", "--dim", "16"])).unwrap();
+        let e = eval(&args(&format!("eval --graph {path} --model deepwalk --dim 16"))).unwrap();
         assert!(e.contains("ROC-AUC"), "{e}");
-    }
-
-    fn registry() -> std::sync::Arc<aligraph_telemetry::Registry> {
-        std::sync::Arc::new(aligraph_telemetry::Registry::new())
     }
 
     #[test]
     fn serve_bench_reports_latency_and_cache_evidence() {
-        let out = serve_bench(
-            &args(&[
-                "serve-bench",
-                "--requests",
-                "400",
-                "--clients",
-                "2",
-                "--workers",
-                "2",
-                "--scale",
-                "0.003",
-                "--delta-every-ms",
-                "1",
-            ]),
-            &registry(),
-        )
-        .unwrap();
-        assert!(out.contains("400 requests served"), "{out}");
-        assert!(out.contains("p50"), "{out}");
-        assert!(out.contains("req/s"), "{out}");
-        assert!(out.contains("embedding cache: hit rate"), "{out}");
-        assert!(out.contains("deltas applied"), "{out}");
-        assert!(out.contains("0 failures"), "{out}");
+        let line = "serve-bench --requests 400 --clients 2 --workers 2 --scale 0.003 \
+                    --delta-every-ms 1";
+        let out = serve_bench(&args(line), &registry()).unwrap();
+        assert_shows(&out, &["400 requests served", "p50", "req/s", "embedding cache: hit rate"]);
+        assert_shows(&out, &["deltas applied", "0 failures"]);
     }
 
     #[test]
     fn serve_under_update_holds_the_slo_and_oracle() {
-        let out = serve_under_update(
-            &args(&[
-                "serve-under-update",
-                "--requests",
-                "300",
-                "--clients",
-                "2",
-                "--workers",
-                "2",
-                "--scale",
-                "0.003",
-                "--update-every-ms",
-                "1",
-                "--slo-p99-ms",
-                "2000",
-            ]),
-            &registry(),
-        )
-        .unwrap();
-        assert!(out.contains("serve-under-update: 300 requests"), "{out}");
-        assert!(out.contains("epoch"), "{out}");
-        assert!(out.contains("bit-exact vs full rebuild"), "{out}");
-        assert!(out.contains("SLO: serve p99"), "{out}");
+        let line = "serve-under-update --requests 300 --clients 2 --workers 2 --scale 0.003 \
+                    --update-every-ms 1 --slo-p99-ms 2000";
+        let out = serve_under_update(&args(line), &registry()).unwrap();
+        let shown = ["serve-under-update: 300 requests", "epoch", "bit-exact vs full rebuild"];
+        assert_shows(&out, &shown);
+        assert_shows(&out, &["SLO: serve p99"]);
     }
 
     #[test]
     fn train_bench_reports_speedup_and_comm_tiers() {
         let reg = registry();
-        let out = train_bench(
-            &args(&[
-                "train-bench",
-                "--workers",
-                "2",
-                "--scale",
-                "0.005",
-                "--epochs",
-                "1",
-                "--batches",
-                "4",
-                "--batch",
-                "8",
-                "--staleness",
-                "1",
-                "--dim",
-                "8",
-            ]),
-            &reg,
-        )
-        .unwrap();
-        assert!(out.contains("train-bench: 2 workers"), "{out}");
-        assert!(out.contains("staleness hist ["), "{out}");
-        assert!(out.contains("ps comm: local"), "{out}");
-        assert!(out.contains("modeled speedup vs 1 worker:"), "{out}");
+        let line = "train-bench --workers 2 --scale 0.005 --epochs 1 --batches 4 --batch 8 \
+                    --staleness 1 --dim 8";
+        let out = train_bench(&args(line), &reg).unwrap();
+        assert_shows(&out, &["train-bench: 2 workers", "staleness hist [", "ps comm: local"]);
+        assert_shows(&out, &["modeled speedup vs 1 worker:"]);
         // One registry carries storage, sampling, and runtime series at once.
         let snap = reg.snapshot();
         assert!(snap.has_prefix("storage."), "storage series missing");
@@ -1221,7 +1108,7 @@ mod tests {
              --checkpoint-dir {dir} --kill-worker 1 --kill-at-step 5"
         );
         let reg = registry();
-        let out = train_bench(&args(&line.split(' ').collect::<Vec<_>>()), &reg).unwrap();
+        let out = train_bench(&args(&line), &reg).unwrap();
         assert!(out.contains("recoveries 1  faults 1"), "{out}");
         assert_eq!(reg.snapshot().counter("chaos.faults_injected", &[("kind", "crash")]), 1);
     }
@@ -1235,7 +1122,7 @@ mod tests {
                 "rebalance-bench --workers 4 --epochs 3 --scale 0.01 --batches 2 --batch 8 \
                  --dim 8 --merge {merge}"
             );
-            rebalance_bench(&args(&line.split(' ').collect::<Vec<_>>()), &registry())
+            rebalance_bench(&args(&line), &registry())
         };
         assert!(!run("0").unwrap().contains("merge it back"));
         let merged = run("1").unwrap();
@@ -1247,28 +1134,10 @@ mod tests {
     #[test]
     fn tiered_bench_holds_budget_and_matches_oracle() {
         let reg = registry();
-        let out = tiered_bench(
-            &args(&[
-                "tiered-bench",
-                "--scale",
-                "1",
-                "--workers",
-                "2",
-                "--epochs",
-                "1",
-                "--batches",
-                "3",
-                "--batch",
-                "8",
-                "--dim",
-                "8",
-            ]),
-            &reg,
-        )
-        .unwrap();
-        assert!(out.contains("tiered-bench: scale curve"), "{out}");
+        let line = "tiered-bench --scale 1 --workers 2 --epochs 1 --batches 3 --batch 8 --dim 8";
+        let out = tiered_bench(&args(line), &reg).unwrap();
+        assert_shows(&out, &["tiered-bench: scale curve", "scale curve complete"]);
         assert_eq!(out.matches("bit-exact vs all-hot").count(), 3, "{out}");
-        assert!(out.contains("scale curve complete"), "{out}");
         // The largest point's tight run published cold-tier series.
         let snap = reg.snapshot();
         assert!(snap.has_prefix("tier."), "tier series missing");
@@ -1282,30 +1151,33 @@ mod tests {
     }
 
     #[test]
+    fn closed_loop_defaults_are_the_small_loop() {
+        let dir = tmp("closed-loop-ckpts");
+        let cfg = loop_config(&args(&format!("closed-loop --checkpoint-dir {dir}"))).unwrap();
+        let small = aligraph_loopsim::LoopConfig::small(42, PathBuf::from(dir));
+        assert_eq!(format!("{cfg:?}"), format!("{small:?}"));
+    }
+
+    #[test]
     fn metrics_demo_prints_all_four_layers() {
         let reg = registry();
-        let out = metrics_demo(&args(&["metrics-demo", "--workers", "2"]), &reg).unwrap();
-        for prefix in ["storage.access", "sampling.draws", "runtime.ps.ops", "serving.requests"] {
-            assert!(out.contains(prefix), "table missing {prefix}:\n{out}");
-        }
+        let out = metrics_demo(&args("metrics-demo --workers 2"), &reg).unwrap();
+        assert_shows(
+            &out,
+            &["storage.access", "sampling.draws", "runtime.ps.ops", "serving.requests"],
+        );
         assert!(reg.snapshot().counter("serving.completed", &[]) >= 32);
     }
 
     #[test]
     fn unknown_options_error_cleanly() {
         let path = tmp("toy3.tsv");
-        generate(&args(&["generate", "--kind", "ba", "--scale", "0.002", "--out", &path])).unwrap();
-        assert!(matches!(
-            partition(&args(&["partition", "--graph", &path, "--algo", "nope"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            train(&args(&["train", "--graph", &path, "--model", "nope", "--out", "x"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            load(&args(&["stats", "--graph", "/definitely/missing"])),
-            Err(CliError::Runtime(_))
-        ));
+        generate(&args(&format!("generate --kind ba --scale 0.002 --out {path}"))).unwrap();
+        let algo = partition(&args(&format!("partition --graph {path} --algo nope")));
+        assert!(matches!(algo, Err(CliError::Usage(_))));
+        let model = train(&args(&format!("train --graph {path} --model nope --out x")));
+        assert!(matches!(model, Err(CliError::Usage(_))));
+        let missing = load(&args("stats --graph /definitely/missing"));
+        assert!(matches!(missing, Err(CliError::Runtime(_))));
     }
 }

@@ -251,7 +251,11 @@ mod tests {
                 }
                 let dx = kept.backward(x.clone(), &activated, &g);
                 let dx_eager = eager.backward_eager(&x, &activated, &g);
-                assert_eq!(bits(dx.as_slice()), bits(dx_eager.as_slice()), "round {round} call {i}");
+                assert_eq!(
+                    bits(dx.as_slice()),
+                    bits(dx_eager.as_slice()),
+                    "round {round} call {i}"
+                );
             }
             assert!(eager.grad_w.as_slice().iter().any(|v| v.is_nan()));
             kept.step(10);
