@@ -22,6 +22,11 @@
 # at least X. That bound is wall clock (a worker's busy time is measured),
 # so it lives here and not in the test suite.
 #
+# When both the train-bench and train-bench-kill rows ran, their checkpoint
+# files are compared byte for byte: a checkpoint is a function of the seed
+# and the cut, so the killed run writes the clean run's bytes at step 4
+# (before the kill) and at step 8 (after the restore).
+#
 #   ci/smoke.sh            run every row
 #   ci/smoke.sh <name>...  run the named rows
 set -euo pipefail
@@ -47,6 +52,7 @@ tiered-bench         | tiered-bench       | --scale 10 --workers 4 --resident-bu
 "
 
 ran=0
+ran_rows=" "
 while IFS='|' read -r name command args prefixes baseline; do
     name="$(echo $name)"
     [ -n "$name" ] || continue
@@ -77,7 +83,15 @@ while IFS='|' read -r name command args prefixes baseline; do
         python3 ci/compare_bench.py "$baseline_file" "$json" $compare_flags
     fi
     ran=$((ran + 1))
+    ran_rows+="$name "
 done <<<"$table"
+
+if [[ "$ran_rows" == *" train-bench "* && "$ran_rows" == *" train-bench-kill "* ]]; then
+    for ckpt in ckpt-0000000004.bin ckpt-0000000008.bin; do
+        cmp "$out/train-bench-ckpts/$ckpt" "$out/train-bench-kill-ckpts/$ckpt"
+        echo "smoke: $ckpt identical in the clean and killed runs"
+    done
+fi
 
 [ "$ran" -gt 0 ] || { echo "smoke: no row named: $*" >&2; exit 2; }
 echo "smoke: $ran row(s) OK"

@@ -1,22 +1,26 @@
 //! Versioned on-disk checkpoints: everything needed to resume a distributed
 //! run mid-epoch — PS shards, per-worker dense model + optimizer state, RNG
-//! states, step counters, and the epoch losses.
+//! states, drain clocks and partial epoch losses — and nothing else. What a
+//! run only reports (edges, busy and comm time, the staleness histogram)
+//! stays out, so a checkpoint's bytes are a function of the seed and the
+//! cut: a killed-and-restored run writes the same file as an unkilled one.
 //!
-//! Binary layout (little-endian), version 1:
+//! Binary layout (little-endian), version 2:
 //!
 //! ```text
 //! magic "ALGRCKP1" | u32 version | u64 config fingerprint | u64 global_step
-//! epoch_losses: u32 len, f64 × len | f64 best_loss | u64 stall
+//! epoch_losses: u32 len, f64 × len
 //! avg_params:   u8 present, [u32 len, f32 × len]
 //! workers:      u32 count, per worker:
 //!               rng u64 × 4 | u64 last_drain | f64 loss_sum | u64 pairs
-//!               u64 edges | u64 busy_ns | u64 comm_ns
-//!               hist u32 len, u64 × len | dense state u32 len, f32 × len
+//!               dense state u32 len, f32 × len
 //! ps shards:    u32 count, per shard:
 //!               ids u32 len, u32 × len | weights u32 len, f32 × len
 //!               accum u8 present, [f32 × weights len]
 //! trailer:      u64 FNV-1a of all preceding bytes
 //! ```
+//!
+//! A version-1 file is refused by its version word.
 //!
 //! The fingerprint hashes the *structural* configuration (workers, batch
 //! shape, seeds, model dims — not epoch count or fault/checkpoint plumbing)
@@ -33,9 +37,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"ALGRCKP1";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-/// One worker's resumable state.
+/// One worker's resumable state: the record a worker starts from (fresh
+/// or restored), keeps up to date as it steps, and deposits at every cut.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkerCkpt {
     /// Raw RNG state after the worker's last completed step.
@@ -46,14 +51,6 @@ pub struct WorkerCkpt {
     pub loss_sum: f64,
     /// Partial epoch pair count.
     pub pairs: u64,
-    /// Lifetime positive edges consumed.
-    pub edges: u64,
-    /// Lifetime measured compute nanoseconds.
-    pub busy_ns: u64,
-    /// Lifetime modelled comm nanoseconds.
-    pub comm_ns: u64,
-    /// Staleness histogram.
-    pub hist: Vec<u64>,
     /// Dense parameters + optimizer state (pre-allreduce at boundaries).
     pub dense_state: Vec<f32>,
 }
@@ -67,12 +64,6 @@ pub struct Checkpoint {
     pub global_step: u64,
     /// Completed-epoch mean losses.
     pub epoch_losses: Vec<f64>,
-    /// Early-stop word of the v1 layout: best epoch loss so far. The
-    /// distributed runtime does not stop early and writes `f64::INFINITY`.
-    pub best_loss: f64,
-    /// Early-stop word of the v1 layout: non-improving epochs so far. The
-    /// runtime writes 0.
-    pub stall: u64,
     /// Allreduced dense parameters — present only at epoch boundaries,
     /// applied after per-worker state so restored workers start the next
     /// epoch from the averaged model, exactly like uninterrupted ones.
@@ -103,12 +94,6 @@ impl Writer {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }
     }
-    fn u64s(&mut self, vs: &[u64]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u64(v);
-        }
-    }
 }
 
 /// A short read, named by the section it happened in (the cursor knows
@@ -126,8 +111,6 @@ fn read_body(r: &mut Cursor<'_>, section: &mut &'static str) -> Result<Checkpoin
     let fingerprint = r.u64()?;
     let global_step = r.u64()?;
     let epoch_losses = r.counted(f64::from_le_bytes)?;
-    let best_loss = r.f64()?;
-    let stall = r.u64()?;
     let avg_params = match r.u8()? {
         0 => None,
         _ => Some(r.counted(f32::from_le_bytes)?),
@@ -141,10 +124,6 @@ fn read_body(r: &mut Cursor<'_>, section: &mut &'static str) -> Result<Checkpoin
             last_drain: r.u64()?,
             loss_sum: r.f64()?,
             pairs: r.u64()?,
-            edges: r.u64()?,
-            busy_ns: r.u64()?,
-            comm_ns: r.u64()?,
-            hist: r.counted(u64::from_le_bytes)?,
             dense_state: r.counted(f32::from_le_bytes)?,
         });
     }
@@ -160,16 +139,7 @@ fn read_body(r: &mut Cursor<'_>, section: &mut &'static str) -> Result<Checkpoin
         };
         shards.push(PsShardState { ids, weights, accum });
     }
-    Ok(Checkpoint {
-        fingerprint,
-        global_step,
-        epoch_losses,
-        best_loss,
-        stall,
-        avg_params,
-        workers,
-        shards,
-    })
+    Ok(Checkpoint { fingerprint, global_step, epoch_losses, avg_params, workers, shards })
 }
 
 impl Checkpoint {
@@ -184,8 +154,6 @@ impl Checkpoint {
         for &l in &self.epoch_losses {
             w.f64(l);
         }
-        w.f64(self.best_loss);
-        w.u64(self.stall);
         match &self.avg_params {
             None => w.buf.push(0),
             Some(p) => {
@@ -201,10 +169,6 @@ impl Checkpoint {
             w.u64(wk.last_drain);
             w.f64(wk.loss_sum);
             w.u64(wk.pairs);
-            w.u64(wk.edges);
-            w.u64(wk.busy_ns);
-            w.u64(wk.comm_ns);
-            w.u64s(&wk.hist);
             w.f32s(&wk.dense_state);
         }
         w.u32(self.shards.len() as u32);
@@ -330,12 +294,6 @@ fn checkpoint_files(dir: &Path) -> Result<Vec<PathBuf>, RuntimeError> {
     Ok(files)
 }
 
-/// The newest checkpoint in `dir` (by step number in the file name), if any.
-/// Used by fault recovery to pick its restore point.
-pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, RuntimeError> {
-    Ok(checkpoint_files(dir)?.pop())
-}
-
 /// The newest checkpoint in `dir` that parses and passes its checksum,
 /// scanning newest-first so a corrupted or truncated latest file falls back
 /// to the previous valid one instead of aborting recovery. Returns `None`
@@ -358,18 +316,12 @@ mod tests {
             fingerprint: 0xdead_beef,
             global_step: 17,
             epoch_losses: vec![0.9, 0.7],
-            best_loss: 0.7,
-            stall: 1,
             avg_params: Some(vec![1.0, -2.5, 3.25]),
             workers: vec![WorkerCkpt {
                 rng: [1, 2, 3, 4],
                 last_drain: 16,
                 loss_sum: 2.5,
                 pairs: 10,
-                edges: 320,
-                busy_ns: 1_000,
-                comm_ns: 2_000,
-                hist: vec![5, 2],
                 dense_state: vec![0.5; 7],
             }],
             shards: vec![PsShardState {
@@ -384,10 +336,10 @@ mod tests {
     fn byte_roundtrip_is_exact() {
         let c = sample();
         let bytes = c.to_bytes();
-        // Checkpoint v1 is pinned: the trailer seals every byte before it,
+        // Checkpoint v2 is pinned: the trailer seals every byte before it,
         // so this one constant fixes the whole on-disk format.
-        assert_eq!(bytes.len(), 326);
-        assert_eq!(bytes[bytes.len() - 8..], 0x43ae_b3f2_500e_9bcb_u64.to_le_bytes());
+        assert_eq!(bytes.len(), 266);
+        assert_eq!(bytes[bytes.len() - 8..], 0xdcba_e9fb_7a26_03d8_u64.to_le_bytes());
         assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), c);
     }
 
@@ -412,21 +364,28 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(Checkpoint::from_bytes(&bad).unwrap_err().to_string().contains("magic"));
+        // A resealed file whose version word says 1 is refused by version,
+        // not misparsed as a short or damaged v2 body.
+        let mut v1 = bytes[..bytes.len() - 8].to_vec();
+        v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        seal::close(&mut v1);
+        let err = Checkpoint::from_bytes(&v1).unwrap_err();
+        assert!(matches!(&err, RuntimeError::Checkpoint(m) if m.contains("version 1")), "{err}");
     }
 
     #[test]
     fn dir_write_and_latest_selection() {
         let dir = std::env::temp_dir().join(format!("algr-ckpt-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        assert_eq!(latest_checkpoint(&dir).unwrap(), None);
+        assert_eq!(latest_valid_checkpoint(&dir).unwrap(), None);
         let mut a = sample();
         a.global_step = 5;
         let mut b = sample();
         b.global_step = 40;
         a.write_to_dir(&dir).unwrap();
         let path_b = b.write_to_dir(&dir).unwrap();
-        assert_eq!(latest_checkpoint(&dir).unwrap(), Some(path_b.clone()));
-        assert_eq!(Checkpoint::read_from(&path_b).unwrap().global_step, 40);
+        let (path, ckpt) = latest_valid_checkpoint(&dir).unwrap().unwrap();
+        assert_eq!((path, ckpt.global_step), (path_b, 40));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,12 +13,13 @@
 //!   pull with bounded staleness, every message metered through the storage
 //!   cost model;
 //! * [`ssp::Coordinator`] — deterministic scheduling on two token rings
-//!   (sampling, compute), each lockstep, plus the
-//!   epoch-boundary allreduce rendezvous, so every run (including restores
-//!   and fault recoveries) replays bit-for-bit from its seed;
+//!   (sampling, compute), each lockstep, plus the one rendezvous every
+//!   epoch end and checkpoint cut runs through, so every run (including
+//!   restores and fault recoveries) replays bit-for-bit from its seed;
 //! * [`checkpoint::Checkpoint`] — versioned on-disk snapshots (PS shards,
-//!   dense model + optimizer state, RNG states, step counters) with
-//!   mid-epoch restore and corruption detection.
+//!   dense model + optimizer state, RNG states, drain clocks, partial epoch
+//!   losses) with mid-epoch restore and corruption detection; their bytes
+//!   are a function of the seed and the cut.
 
 pub mod checkpoint;
 pub mod error;
@@ -27,7 +28,7 @@ pub mod report;
 pub mod runtime;
 pub mod ssp;
 
-pub use checkpoint::{latest_checkpoint, latest_valid_checkpoint, Checkpoint, WorkerCkpt};
+pub use checkpoint::{latest_valid_checkpoint, Checkpoint, WorkerCkpt};
 pub use error::RuntimeError;
 pub use ps::{PsShardState, SparseParamServer};
 pub use report::{DistReport, WorkerReport};

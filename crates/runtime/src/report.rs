@@ -4,7 +4,9 @@
 use aligraph_storage::{AccessStatsSnapshot, TierMeterSnapshot};
 use std::fmt;
 
-/// Per-worker totals.
+/// Per-worker totals over the steps this call ran: a resumed run counts
+/// from its checkpoint, a recovered one from its restore point. Report-only:
+/// none of them is checkpointed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerReport {
     /// Positive edges consumed.
@@ -28,17 +30,19 @@ pub struct DistReport {
     /// Per-worker totals.
     pub per_worker: Vec<WorkerReport>,
     /// `hist[a]` = steps computed on a replica `a` steps stale (summed over
-    /// workers); length `s + 1`.
+    /// workers, over the steps this call ran); length `s + 1`.
     pub staleness_hist: Vec<u64>,
-    /// Total positive edges consumed across workers.
+    /// Total positive edges consumed across workers in the steps this call
+    /// ran.
     pub edges_total: u64,
-    /// Wall-clock nanoseconds as executed on this machine (at most one
-    /// worker's sampling overlaps another's compute here, so this is
-    /// roughly the *sum* of the workers' compute times).
+    /// Wall-clock nanoseconds of this call as executed on this machine,
+    /// fault recoveries included. One sample turn, one compute turn and the
+    /// other workers' token-free updates run at once, so this is far from
+    /// what `p` machines would take.
     pub wall_ns: u64,
-    /// Modelled cluster makespan: `max` over workers of busy + comm time —
-    /// what `p` real machines would take, given the per-worker costs
-    /// measured with each half of a step run one worker at a time.
+    /// Modelled cluster makespan of the steps this call ran: `max` over
+    /// workers of busy + comm time — what `p` real machines would take, if
+    /// each worker's measured busy time were its own machine's.
     pub makespan_ns: u64,
     /// Parameter-server traffic by tier.
     pub ps: TierMeterSnapshot,

@@ -196,15 +196,6 @@ impl DistOutcome {
     }
 }
 
-/// Plain data a worker thread returns on success.
-struct WorkerDone {
-    state: Vec<f32>,
-    edges: u64,
-    busy_ns: u64,
-    comm_ns: u64,
-    hist: Vec<u64>,
-}
-
 /// The distributed trainer: borrows a built [`Cluster`] and initial
 /// features, owns its run configuration.
 pub struct DistTrainer<'a> {
@@ -318,11 +309,6 @@ impl<'a> DistTrainer<'a> {
         self.run(None)
     }
 
-    /// Resumes from a checkpoint file and continues to `cfg.epochs`.
-    pub fn train_from(&self, path: &Path) -> Result<DistOutcome, RuntimeError> {
-        self.train_from_checkpoint(Checkpoint::read_from(path)?)
-    }
-
     /// Resumes from an already-loaded checkpoint and continues to
     /// `cfg.epochs`. This is the closed loop's warm-start entry point: the
     /// caller may patch re-pulled feature rows into the shard state
@@ -356,16 +342,6 @@ impl<'a> DistTrainer<'a> {
                 "checkpoint is at step {} but this run only has {} steps",
                 ckpt.global_step, total
             )));
-        }
-        for (w, wk) in ckpt.workers.iter().enumerate() {
-            if wk.hist.len() != self.cfg.staleness as usize + 1 {
-                return Err(RuntimeError::Checkpoint(format!(
-                    "worker {w} histogram has {} bins, staleness {} needs {}",
-                    wk.hist.len(),
-                    self.cfg.staleness,
-                    self.cfg.staleness + 1
-                )));
-            }
         }
         Ok(())
     }
@@ -440,10 +416,6 @@ impl<'a> DistTrainer<'a> {
     ) -> Result<DistOutcome, RuntimeError> {
         let cfg = &self.cfg;
         let p = cfg.workers;
-        let batches = cfg.batches_per_epoch as u64;
-        let total_steps = batches * cfg.epochs as u64;
-        let t0 = resume.as_ref().map_or(0, |c| c.global_step);
-        let fingerprint = self.fingerprint();
 
         // Pre-allocate one PS slot per scheduled split so slot indices and
         // sequence tables stay stable across every rebalance of the run.
@@ -469,7 +441,7 @@ impl<'a> DistTrainer<'a> {
         // Completed-epoch mean losses; the rendezvous leader appends.
         let shared =
             Mutex::new(resume.as_ref().map_or_else(Vec::new, |ck| ck.epoch_losses.clone()));
-        let co = Coordinator::new(p, t0);
+        let co = Coordinator::new(p, resume.as_ref().map_or(0, |ck| ck.global_step));
         let rebalances = AtomicU64::new(0);
         // Materialized once, before any worker can push: each worker's
         // starting replica must be the time-t0 server state, not whatever
@@ -478,19 +450,20 @@ impl<'a> DistTrainer<'a> {
         let initial_replica = &initial_replica;
         let resume = resume.as_ref();
 
-        let results: Vec<Result<WorkerDone, RuntimeError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..p)
-                .map(|me| {
-                    let ps = &ps;
-                    let co = &co;
-                    let shared = &shared;
-                    let rebalances = &rebalances;
+        // Report totals cover this attempt's steps: each worker writes its
+        // own, and none of them travels through a rendezvous or a file.
+        let mut per_worker = vec![WorkerReport::default(); p];
+        let mut hists = vec![vec![0u64; cfg.staleness as usize + 1]; p];
+        let results: Vec<Result<Vec<f32>, RuntimeError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = per_worker
+                .iter_mut()
+                .zip(&mut hists)
+                .enumerate()
+                .map(|(me, (report, hist))| {
+                    let (ps, co, shared, rebalances) = (&ps, &co, &shared, &rebalances);
                     scope.spawn(move || {
                         self.worker_loop(
                             me,
-                            t0,
-                            total_steps,
-                            fingerprint,
                             resume,
                             initial_replica.clone(),
                             ps,
@@ -499,6 +472,8 @@ impl<'a> DistTrainer<'a> {
                             checkpoints,
                             rebalances,
                             chaos,
+                            report,
+                            hist,
                         )
                     })
                 })
@@ -516,10 +491,10 @@ impl<'a> DistTrainer<'a> {
         // A non-fault error wins (it is the root cause); otherwise any fault
         // sends the attempt loop to recovery.
         let mut fault = None;
-        let mut done = Vec::with_capacity(p);
+        let mut states = Vec::with_capacity(p);
         for r in results {
             match r {
-                Ok(d) => done.push(d),
+                Ok(state) => states.push(state),
                 Err(e @ RuntimeError::Fault { .. }) => fault = Some(e),
                 Err(e) => return Err(e),
             }
@@ -531,17 +506,13 @@ impl<'a> DistTrainer<'a> {
         let epoch_losses =
             shared.into_inner().map_err(|_| RuntimeError::Poisoned("shared train state"))?;
         let mut encoder = self.spec.build();
-        encoder.load_dense_state_vec(&done[0].state).map_err(RuntimeError::Unrecoverable)?;
+        encoder.load_dense_state_vec(&states[0]).map_err(RuntimeError::Unrecoverable)?;
         let features = ps.materialize()?;
 
-        let per_worker: Vec<WorkerReport> = done
-            .iter()
-            .map(|d| WorkerReport { edges: d.edges, busy_ns: d.busy_ns, comm_ns: d.comm_ns })
-            .collect();
         let mut staleness_hist = vec![0u64; cfg.staleness as usize + 1];
-        for d in &done {
-            for (bin, &n) in d.hist.iter().enumerate() {
-                staleness_hist[bin] += n;
+        for hist in &hists {
+            for (sum, n) in staleness_hist.iter_mut().zip(hist) {
+                *sum += n;
             }
         }
         let report = DistReport {
@@ -567,13 +538,13 @@ impl<'a> DistTrainer<'a> {
     }
 
     /// One worker's whole life: step loop, rendezvous, checkpoints, fault.
+    /// Its resumable state is one [`WorkerCkpt`] record (fresh, or the
+    /// restored checkpoint's); its report totals go straight to `report`
+    /// and `hist`. Returns the final dense state.
     #[allow(clippy::too_many_arguments, reason = "one worker's whole state, threaded once")]
     fn worker_loop(
         &self,
         me: usize,
-        t0: u64,
-        total_steps: u64,
-        fingerprint: u64,
         resume: Option<&Checkpoint>,
         mut replica: FeatureMatrix,
         ps: &SparseParamServer,
@@ -582,42 +553,33 @@ impl<'a> DistTrainer<'a> {
         checkpoints: &AtomicU64,
         rebalances: &AtomicU64,
         chaos: &ChaosRt,
-    ) -> Result<WorkerDone, RuntimeError> {
+        report: &mut WorkerReport,
+        hist: &mut [u64],
+    ) -> Result<Vec<f32>, RuntimeError> {
         let cfg = &self.cfg;
         let graph: &AttributedHeterogeneousGraph = self.cluster.graph();
         let batches = cfg.batches_per_epoch as u64;
+        let total_steps = batches * cfg.epochs as u64;
 
         let mut encoder = self.spec.build();
-        let mut rng = worker_rng(cfg.seed, me as u32);
-        let mut last_drain = t0;
-        let mut loss_sum = 0.0f64;
-        let mut pairs = 0u64;
-        let mut edges = 0u64;
-        let mut busy_ns = 0u64;
-        let mut comm_ns = 0u64;
-        let mut hist = vec![0u64; cfg.staleness as usize + 1];
+        let mut rec =
+            WorkerCkpt { rng: worker_rng(cfg.seed, me as u32).state(), ..WorkerCkpt::default() };
+        let mut t = 0;
         if let Some(ck) = resume {
-            let wk = &ck.workers[me];
-            encoder.load_dense_state_vec(&wk.dense_state).map_err(RuntimeError::Checkpoint)?;
+            rec = ck.workers[me].clone();
+            encoder.load_dense_state_vec(&rec.dense_state).map_err(RuntimeError::Checkpoint)?;
             if let Some(avg) = &ck.avg_params {
                 encoder.load_dense_param_vec(avg).map_err(RuntimeError::Checkpoint)?;
             }
-            rng = StdRng::from_state(wk.rng);
-            last_drain = wk.last_drain;
-            loss_sum = wk.loss_sum;
-            pairs = wk.pairs;
-            edges = wk.edges;
-            busy_ns = wk.busy_ns;
-            comm_ns = wk.comm_ns;
-            hist.copy_from_slice(&wk.hist);
+            t = ck.global_step;
         }
+        let mut rng = StdRng::from_state(rec.rng);
         let pools = ShardEdgePools::of(self.cluster, WorkerId(me as u32));
         let view = ClusterView { cluster: self.cluster, from: WorkerId(me as u32) };
         let sampler = MeteredNeighborhood::new(UniformNeighborhood, &self.registry, "uniform");
         let staleness_hist = self.registry.histogram("runtime.staleness", &[]);
         let allreduce_ns = self.registry.histogram("runtime.allreduce_ns", &[]);
 
-        let mut t = t0;
         while t < total_steps {
             // Sample turn: every read of the shared cluster this step makes.
             co.acquire(Ring::Sample, me)?;
@@ -633,17 +595,17 @@ impl<'a> DistTrainer<'a> {
             let planned = (!batch.is_empty()).then(|| {
                 plan_contrastive(&encoder, graph, &view, &sampler, &batch, cfg.negatives, &mut rng)
             });
-            busy_ns += sampling.elapsed_ns();
+            report.busy_ns += sampling.elapsed_ns();
             co.release(Ring::Sample, me)?;
 
             // Compute turn: the replica, the encoder and the PS only.
             co.acquire(Ring::Compute, me)?;
             // Bounded staleness: drain the PS once the replica is more than
             // `s` steps old, then record the age this step computed at.
-            let mut age = t - last_drain;
+            let mut age = t - rec.last_drain;
             if age > cfg.staleness {
-                comm_ns += ps.drain_into(me, &mut replica)?;
-                last_drain = t;
+                report.comm_ns += ps.drain_into(me, &mut replica)?;
+                rec.last_drain = t;
                 age = 0;
             }
             hist[age as usize] += 1;
@@ -652,8 +614,8 @@ impl<'a> DistTrainer<'a> {
                 Some(planned) => {
                     let computing = Stopwatch::start();
                     let out = finish_contrastive(&mut encoder, &replica, planned);
-                    busy_ns += computing.elapsed_ns();
-                    comm_ns += ps.push(me, &out.feature_grads)?;
+                    report.busy_ns += computing.elapsed_ns();
+                    report.comm_ns += ps.push(me, &out.feature_grads)?;
                     Some(out)
                 }
                 None => None,
@@ -666,73 +628,43 @@ impl<'a> DistTrainer<'a> {
             if let Some(out) = out {
                 let stepping = Stopwatch::start();
                 encoder.step(batch.len());
-                busy_ns += stepping.elapsed_ns();
-                loss_sum += out.loss_sum;
-                pairs += out.pairs as u64;
-                edges += batch.len() as u64;
-                comm_ns += ps.record_reads(me, out.feature_grads.keys());
+                report.busy_ns += stepping.elapsed_ns();
+                rec.loss_sum += out.loss_sum;
+                rec.pairs += out.pairs as u64;
+                report.edges += batch.len() as u64;
+                report.comm_ns += ps.record_reads(me, out.feature_grads.keys());
             }
             t += 1;
 
-            let deposit = |state: bool| Deposit {
-                params: if state { encoder.dense_param_vec() } else { Vec::new() },
-                state: encoder.dense_state_vec(),
-                rng: rng.state(),
-                loss_sum,
-                pairs,
-                last_drain,
-                edges,
-                busy_ns,
-                comm_ns,
-                hist: hist.clone(),
-            };
-
-            // Mid-epoch checkpoint rendezvous (consistent cut: everyone has
-            // completed exactly t steps).
-            if let Some(ck) = &cfg.checkpoint {
-                if ck.every_steps > 0
-                    && t.is_multiple_of(ck.every_steps)
-                    && !t.is_multiple_of(batches)
-                    && t < total_steps
-                {
-                    let out = co.rendezvous(me, deposit(false), |deps| {
-                        let losses = shared
-                            .lock()
-                            .map_err(|_| RuntimeError::Poisoned("shared train state"))?;
-                        write_checkpoint(fingerprint, t, &losses, None, &deps, ps, &ck.dir, chaos)?;
-                        // ordering: report-only tally read after worker
-                        // joins; the join synchronizes, Relaxed suffices.
-                        checkpoints.fetch_add(1, Ordering::Relaxed);
-                        // Checkpoint cuts refresh every replica to the
-                        // materialized server state — exactly the state a
-                        // restore rebuilds (`initial_replica`) — so resumes
-                        // are bit-exact at any staleness bound. The drain
-                        // *schedule* (`last_drain`) is deliberately left
-                        // untouched: pending drains still fire at the same
-                        // steps, and the refresh itself cannot change what
-                        // a later drain would deliver (undrained dirty rows
-                        // are re-read from the server either way).
-                        Ok(Rendezvous { drain: Some(ps.materialize()?), ..Rendezvous::default() })
-                    })?;
-                    if let Some(m) = &out.drain {
-                        replica = m.clone();
-                    }
-                }
+            // A cut: everyone has completed exactly t steps. An epoch end
+            // always is one; so is a checkpoint step (`is_multiple_of(0)`
+            // is false for t > 0, so `every_steps = 0` means epoch ends
+            // only).
+            let epoch_end = t.is_multiple_of(batches);
+            let ckpt =
+                cfg.checkpoint.as_ref().filter(|ck| epoch_end || t.is_multiple_of(ck.every_steps));
+            if !epoch_end && ckpt.is_none() {
+                continue;
             }
-
-            // Epoch boundary: average dense parameters, account the epoch
-            // loss, checkpoint the averaged state.
-            if t.is_multiple_of(batches) {
-                let out = co.rendezvous(me, deposit(true), |mut deps| {
-                    // Times the leader's allreduce + epoch bookkeeping into
-                    // `runtime.allreduce_ns` (recorded when the guard drops).
-                    let _allreduce = Span::enter(&allreduce_ns);
+            rec.rng = rng.state();
+            rec.dense_state = encoder.dense_state_vec();
+            let params = if epoch_end { encoder.dense_param_vec() } else { Vec::new() };
+            let deposit = Deposit { state: rec.clone(), params };
+            let out = co.rendezvous(me, deposit, |mut deps| {
+                // Times the leader's epoch bookkeeping, allreduce and
+                // checkpoint into `runtime.allreduce_ns` (recorded when the
+                // guard drops), on epoch ends only.
+                let _allreduce = epoch_end.then(|| Span::enter(&allreduce_ns));
+                let mut losses =
+                    shared.lock().map_err(|_| RuntimeError::Poisoned("shared train state"))?;
+                let mut avg = None;
+                if epoch_end {
                     // Elastic boundary: every worker is parked at this
                     // rendezvous — no push, pull, sample, or drain is in
                     // flight — so scheduled topology changes migrate
-                    // residency (graph shards + PS rows) here. Runs before
-                    // the checkpoint below so the cut captures the
-                    // post-move shard layout.
+                    // residency (graph shards + PS rows) here, before the
+                    // checkpoint below, so the cut captures the post-move
+                    // shard layout.
                     let epoch = (t / batches) as usize;
                     for (i, plan) in cfg.rebalance.iter().enumerate() {
                         if plan.after_epoch == epoch {
@@ -743,61 +675,54 @@ impl<'a> DistTrainer<'a> {
                             rebalances.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    let mut losses =
-                        shared.lock().map_err(|_| RuntimeError::Poisoned("shared train state"))?;
-                    let loss: f64 = deps.iter().map(|d| d.loss_sum).sum();
-                    let n: u64 = deps.iter().map(|d| d.pairs).sum();
-                    let mean = loss / n.max(1) as f64;
-                    losses.push(mean);
-                    // Synchronous allreduce: elementwise mean of every
-                    // worker's dense parameters. With one worker this is the
-                    // bitwise identity (sum of one, divided by 1).
-                    let mut avg = std::mem::take(&mut deps[0].params);
-                    for d in &deps[1..] {
-                        for (a, b) in avg.iter_mut().zip(&d.params) {
-                            *a += *b;
-                        }
+                    let loss: f64 = deps.iter().map(|d| d.state.loss_sum).sum();
+                    let n: u64 = deps.iter().map(|d| d.state.pairs).sum();
+                    losses.push(loss / n.max(1) as f64);
+                    avg = Some(allreduce(&mut deps));
+                    // The epoch just closed: a checkpoint at its end stores
+                    // zeroed loss accumulators beside the averaged params.
+                    for d in &mut deps {
+                        d.state.loss_sum = 0.0;
+                        d.state.pairs = 0;
                     }
-                    let inv = 1.0 / deps.len() as f32;
-                    for a in &mut avg {
-                        *a *= inv;
-                    }
-                    let mut drain = None;
-                    if let Some(ck) = &cfg.checkpoint {
-                        // Epoch checkpoints store zeroed loss accumulators
-                        // (the epoch just closed) plus the averaged params,
-                        // and refresh replicas like the mid-epoch cut above.
-                        for d in &mut deps {
-                            d.loss_sum = 0.0;
-                            d.pairs = 0;
-                        }
-                        write_checkpoint(
-                            fingerprint,
-                            t,
-                            &losses,
-                            Some(&avg),
-                            &deps,
-                            ps,
-                            &ck.dir,
-                            chaos,
-                        )?;
-                        // ordering: report-only tally read after worker
-                        // joins; the join synchronizes, Relaxed suffices.
-                        checkpoints.fetch_add(1, Ordering::Relaxed);
-                        drain = Some(ps.materialize()?);
-                    }
-                    Ok(Rendezvous { avg_params: Some(avg), drain })
-                })?;
-                let avg = out.avg_params.as_ref().ok_or(RuntimeError::Poisoned("allreduce"))?;
-                encoder.load_dense_param_vec(avg).map_err(RuntimeError::Unrecoverable)?;
-                if let Some(m) = &out.drain {
-                    replica = m.clone();
                 }
-                loss_sum = 0.0;
-                pairs = 0;
+                let mut drain = None;
+                if let Some(ck) = ckpt {
+                    let ckpt = Checkpoint {
+                        fingerprint: self.fingerprint(),
+                        global_step: t,
+                        epoch_losses: losses.clone(),
+                        avg_params: avg.clone(),
+                        workers: deps.into_iter().map(|d| d.state).collect(),
+                        shards: ps.export()?,
+                    };
+                    write_checkpoint(&ckpt, &ck.dir, chaos)?;
+                    // ordering: report-only tally read after worker joins;
+                    // the join synchronizes, Relaxed suffices.
+                    checkpoints.fetch_add(1, Ordering::Relaxed);
+                    // Checkpoint cuts refresh every replica to the
+                    // materialized server state — exactly the state a
+                    // restore rebuilds (`initial_replica`) — so resumes are
+                    // bit-exact at any staleness bound. The drain
+                    // *schedule* (`last_drain`) is deliberately left
+                    // untouched: pending drains still fire at the same
+                    // steps, and the refresh itself cannot change what a
+                    // later drain would deliver (undrained dirty rows are
+                    // re-read from the server either way).
+                    drain = Some(ps.materialize()?);
+                }
+                Ok(Rendezvous { avg_params: avg, drain })
+            })?;
+            if let Some(avg) = &out.avg_params {
+                encoder.load_dense_param_vec(avg).map_err(RuntimeError::Unrecoverable)?;
+                rec.loss_sum = 0.0;
+                rec.pairs = 0;
+            }
+            if let Some(m) = &out.drain {
+                replica = m.clone();
             }
         }
-        Ok(WorkerDone { state: encoder.dense_state_vec(), edges, busy_ns, comm_ns, hist })
+        Ok(encoder.dense_state_vec())
     }
 
     /// Applies one scheduled rebalance (leader-only, all workers parked).
@@ -826,47 +751,31 @@ impl<'a> DistTrainer<'a> {
     }
 }
 
-/// Assembles and atomically writes one checkpoint from the rendezvous
-/// deposits (leader-only; runs under the coordinator lock). When the chaos
-/// plan corrupts checkpoints, the plane picks a seeded subset of steps and
-/// flips one byte in the written file — recovery must detect the bad
-/// checksum and fall back to the previous valid checkpoint.
-#[allow(clippy::too_many_arguments, reason = "a checkpoint is the sum of these parts")]
-fn write_checkpoint(
-    fingerprint: u64,
-    global_step: u64,
-    epoch_losses: &[f64],
-    avg_params: Option<&[f32]>,
-    deps: &[Deposit],
-    ps: &SparseParamServer,
-    dir: &Path,
-    chaos: &ChaosRt,
-) -> Result<(), RuntimeError> {
-    let ckpt = Checkpoint {
-        fingerprint,
-        global_step,
-        epoch_losses: epoch_losses.to_vec(),
-        best_loss: f64::INFINITY,
-        stall: 0,
-        avg_params: avg_params.map(<[f32]>::to_vec),
-        workers: deps
-            .iter()
-            .map(|d| WorkerCkpt {
-                rng: d.rng,
-                last_drain: d.last_drain,
-                loss_sum: d.loss_sum,
-                pairs: d.pairs,
-                edges: d.edges,
-                busy_ns: d.busy_ns,
-                comm_ns: d.comm_ns,
-                hist: d.hist.clone(),
-                dense_state: d.state.clone(),
-            })
-            .collect(),
-        shards: ps.export()?,
-    };
+/// Synchronous allreduce: the elementwise mean of every worker's dense
+/// parameters, summed in worker order. With one worker this is the bitwise
+/// identity (sum of one, divided by 1).
+fn allreduce(deps: &mut [Deposit]) -> Vec<f32> {
+    let mut avg = std::mem::take(&mut deps[0].params);
+    for d in &deps[1..] {
+        for (a, b) in avg.iter_mut().zip(&d.params) {
+            *a += *b;
+        }
+    }
+    let inv = 1.0 / deps.len() as f32;
+    for a in &mut avg {
+        *a *= inv;
+    }
+    avg
+}
+
+/// Atomically writes one checkpoint (leader-only; runs under the
+/// coordinator lock). When the chaos plan corrupts checkpoints, the plane
+/// picks a seeded subset of steps and flips one byte in the written file —
+/// recovery must detect the bad checksum and fall back to the previous
+/// valid checkpoint.
+fn write_checkpoint(ckpt: &Checkpoint, dir: &Path, chaos: &ChaosRt) -> Result<(), RuntimeError> {
     let path = ckpt.write_to_dir(dir)?;
-    if let Some(offset) = chaos.plane.corrupts_checkpoint(global_step) {
+    if let Some(offset) = chaos.plane.corrupts_checkpoint(ckpt.global_step) {
         let mut bytes = std::fs::read(&path)?;
         let i = (offset % bytes.len() as u64) as usize;
         bytes[i] ^= 0xff;

@@ -2,7 +2,7 @@
 //! rings around the simulated workers — a [`Ring::Sample`] ring for the
 //! half of a step that reads the shared cluster and a [`Ring::Compute`]
 //! ring for the half that computes gradients and pushes — and runs the
-//! epoch/checkpoint rendezvous.
+//! rendezvous at every epoch end and checkpoint cut.
 //!
 //! Real distributed trainers interleave workers arbitrarily; on this
 //! simulator the coordinator pins the interleaving so every run is
@@ -27,6 +27,7 @@
 //! failed leader computation wakes every waiter with an error instead of
 //! deadlocking or panicking.
 
+use crate::checkpoint::WorkerCkpt;
 use crate::error::RuntimeError;
 use std::sync::{Condvar, Mutex};
 
@@ -51,29 +52,14 @@ impl Abort {
     }
 }
 
-/// What one worker contributes at a rendezvous.
+/// What one worker contributes at a rendezvous: its resumable state at the
+/// cut, and at an epoch end the dense parameters to average.
 #[derive(Debug, Clone, Default)]
 pub struct Deposit {
-    /// Dense parameters (pre-average), flattened.
+    /// The worker's record, as a checkpoint at this cut stores it.
+    pub state: WorkerCkpt,
+    /// Dense parameters (pre-average), flattened; empty at a mid-epoch cut.
     pub params: Vec<f32>,
-    /// Dense parameters + optimizer state, flattened.
-    pub state: Vec<f32>,
-    /// The worker's RNG state after its last completed step.
-    pub rng: [u64; 4],
-    /// Running loss sum of the current epoch.
-    pub loss_sum: f64,
-    /// Running pair count of the current epoch.
-    pub pairs: u64,
-    /// Step of the worker's last replica drain.
-    pub last_drain: u64,
-    /// Positive edges consumed so far (throughput numerator).
-    pub edges: u64,
-    /// Measured compute time so far, nanoseconds.
-    pub busy_ns: u64,
-    /// Modelled comm time so far, nanoseconds.
-    pub comm_ns: u64,
-    /// Staleness histogram: `hist[a]` = steps run at replica age `a`.
-    pub hist: Vec<u64>,
 }
 
 /// What the rendezvous leader hands back to every worker.
@@ -81,7 +67,7 @@ pub struct Deposit {
 pub struct Rendezvous {
     /// Averaged dense parameters (epoch barriers only).
     pub avg_params: Option<Vec<f32>>,
-    /// Replica refresh (checkpoint rendezvous only): the materialized
+    /// Replica refresh (checkpoint cuts only): the materialized
     /// server state at the cut. Every worker adopts it as its replica —
     /// without touching its drain schedule — so the checkpoint is a
     /// self-contained restore point at any staleness bound (a restore
@@ -375,12 +361,13 @@ mod tests {
                 let co = co.clone();
                 let leader_runs = leader_runs.clone();
                 s.spawn(move || {
-                    let dep = Deposit { loss_sum: me as f64, ..Deposit::default() };
+                    let state = WorkerCkpt { loss_sum: me as f64, ..WorkerCkpt::default() };
+                    let dep = Deposit { state, ..Deposit::default() };
                     let out = co
                         .rendezvous(me, dep, |deps| {
                             leader_runs.fetch_add(1, Ordering::SeqCst);
                             // Deposits arrive in worker order, not arrival order.
-                            let sums: Vec<f64> = deps.iter().map(|d| d.loss_sum).collect();
+                            let sums: Vec<f64> = deps.iter().map(|d| d.state.loss_sum).collect();
                             assert_eq!(sums, vec![0.0, 1.0, 2.0, 3.0]);
                             Ok(Rendezvous { avg_params: Some(vec![1.5]), ..Rendezvous::default() })
                         })

@@ -14,13 +14,13 @@ use aligraph_suite::graph::{
 };
 use aligraph_suite::partition::EdgeCutHash;
 use aligraph_suite::runtime::{
-    latest_valid_checkpoint, CheckpointConfig, DistTrainer, EncoderSpec, RuntimeConfig,
-    RuntimeError,
+    latest_valid_checkpoint, Checkpoint, CheckpointConfig, DistOutcome, DistTrainer, EncoderSpec,
+    RuntimeConfig, RuntimeError,
 };
 use aligraph_suite::sampling::UniformNeighborhood;
 use aligraph_suite::storage::{AccessStatsSnapshot, CacheStrategy, Cluster, CostModel, TierConfig};
 use aligraph_telemetry::Registry;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const DIM: usize = 16;
@@ -60,6 +60,11 @@ fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("algr-rt-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Resumes `trainer` from the checkpoint file at `path`.
+fn resume(trainer: &DistTrainer<'_>, path: &Path) -> Result<DistOutcome, RuntimeError> {
+    trainer.train_from_checkpoint(Checkpoint::read_from(path)?)
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -130,7 +135,7 @@ fn epoch_checkpoint_roundtrip_is_bit_exact() {
     assert_eq!(first.report.checkpoints_written, 1);
 
     let resumed = DistTrainer::new(&cluster, &features, spec(), base_cfg(2)).unwrap();
-    let resumed = resumed.train_from(&dir.join("ckpt-0000000008.bin")).unwrap();
+    let resumed = resume(&resumed, &dir.join("ckpt-0000000008.bin")).unwrap();
 
     assert_eq!(bits(&resumed.report.epoch_losses), bits(&full.report.epoch_losses));
     assert_eq!(fbits(&resumed.encoder.dense_param_vec()), fbits(&full.encoder.dense_param_vec()));
@@ -156,7 +161,7 @@ fn mid_epoch_checkpoint_roundtrip_is_bit_exact() {
     assert!(interrupted.report.checkpoints_written >= 6);
 
     let resumed = DistTrainer::new(&cluster, &features, spec(), base_cfg(2)).unwrap();
-    let resumed = resumed.train_from(&dir.join("ckpt-0000000005.bin")).unwrap();
+    let resumed = resume(&resumed, &dir.join("ckpt-0000000005.bin")).unwrap();
 
     assert_eq!(bits(&resumed.report.epoch_losses), bits(&full.report.epoch_losses));
     assert_eq!(fbits(&resumed.encoder.dense_param_vec()), fbits(&full.encoder.dense_param_vec()));
@@ -182,17 +187,17 @@ fn corrupt_and_mismatched_checkpoints_error_cleanly() {
 
     // Truncation.
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-    assert!(matches!(trainer.train_from(&path), Err(RuntimeError::Checkpoint(_))));
+    assert!(matches!(resume(&trainer, &path), Err(RuntimeError::Checkpoint(_))));
     // Bit flip.
     let mut bad = bytes.clone();
     bad[bytes.len() / 3] ^= 0xff;
     std::fs::write(&path, &bad).unwrap();
-    assert!(matches!(trainer.train_from(&path), Err(RuntimeError::Checkpoint(_))));
+    assert!(matches!(resume(&trainer, &path), Err(RuntimeError::Checkpoint(_))));
     // Structurally different run (other seed) must refuse the checkpoint.
     std::fs::write(&path, &bytes).unwrap();
     let other_cfg = RuntimeConfig { seed: 999, ..base_cfg(2) };
     let other = DistTrainer::new(&cluster, &features, spec(), other_cfg).unwrap();
-    let err = match other.train_from(&path) {
+    let err = match resume(&other, &path) {
         Err(e) => e,
         Ok(_) => panic!("fingerprint mismatch must be rejected"),
     };
@@ -286,7 +291,10 @@ fn four_workers_consume_four_shards_with_stale_remote_reads() {
 /// Staleness 2, a mid-epoch checkpoint every 3 steps and a kill at step 7:
 /// the dense step now runs after the compute turn, and it must still land
 /// in the encoder before the checkpoint deposit. The killed run equals the
-/// uninterrupted one, and both equal the parent's bits.
+/// uninterrupted one, and both equal the parent's bits. A checkpoint is a
+/// function of the seed and the cut, so both runs also write the same
+/// files, byte for byte, at every cut — before the kill and after the
+/// restore alike.
 #[test]
 fn stale_mid_epoch_kill_lands_on_the_parent_fingerprint() {
     /// `DistOutcome::fingerprint` of both runs at `1ff01d6`, where the step
@@ -300,14 +308,31 @@ fn stale_mid_epoch_kill_lands_on_the_parent_fingerprint() {
         cfg.checkpoint = Some(CheckpointConfig { dir: dir.clone(), every_steps: 3 });
         cfg.chaos = chaos;
         let out = DistTrainer::new(&cluster, &features, spec(), cfg).unwrap().train().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-        out
+        (out, dir)
     };
-    let clean = run("stale-clean", None);
-    let killed = run("stale-kill", kill(1, 7));
+    let (clean, clean_dir) = run("stale-clean", None);
+    let (killed, killed_dir) = run("stale-kill", kill(1, 7));
     assert_eq!(killed.report.recoveries, 1);
     assert_eq!(clean.fingerprint(), PARENT, "{:#018x}", clean.fingerprint());
     assert_eq!(killed.fingerprint(), PARENT, "{:#018x}", killed.fingerprint());
+
+    let files = |dir: &Path| {
+        let mut names: Vec<_> =
+            std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        names.sort();
+        names
+    };
+    let names = files(&clean_dir);
+    // Cuts at 3, 6, 8, 9, 12, 15, 16, 18, 21, 24; the kill restores from 6.
+    assert_eq!(names.len(), 10, "{names:?}");
+    assert_eq!(files(&killed_dir), names);
+    for name in &names {
+        let clean_bytes = std::fs::read(clean_dir.join(name)).unwrap();
+        let killed_bytes = std::fs::read(killed_dir.join(name)).unwrap();
+        assert!(clean_bytes == killed_bytes, "{name:?} differs between the clean and killed runs");
+    }
+    std::fs::remove_dir_all(&clean_dir).unwrap();
+    std::fs::remove_dir_all(&killed_dir).unwrap();
 }
 
 /// PR 7 satellite — warm-start beyond the staleness-0 boundary. Earlier the
@@ -332,7 +357,7 @@ fn warm_start_is_bit_exact_across_staleness_bounds() {
             let full = full.train().unwrap();
 
             let resumed = DistTrainer::new(&cluster, &features, spec(), cfg).unwrap();
-            let resumed = resumed.train_from(&dir.join(resume_step)).unwrap();
+            let resumed = resume(&resumed, &dir.join(resume_step)).unwrap();
 
             assert_eq!(
                 bits(&resumed.report.epoch_losses),
@@ -471,9 +496,8 @@ fn empty_delta_warm_start_is_a_noop() {
             "zero-step resume must not move the model (staleness {staleness})",
         );
         assert_eq!(resumed.features.as_slice(), trained.features.as_slice());
-        // Counters restore from the checkpoint; a zero-step resume adds
-        // nothing on top of the trained run's totals.
-        assert_eq!(resumed.report.edges_total, trained.report.edges_total);
+        // The report covers the steps this call ran: none.
+        assert_eq!(resumed.report.edges_total, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
