@@ -179,7 +179,7 @@ pub fn plan_contrastive<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
 /// loss and backward. The dense-parameter step is left to the caller
 /// ([`GnnEncoder::step`] with the batch's edge count): what it computes is
 /// read by no one before the encoder's next flush, so the distributed
-/// runtime runs it after handing on its compute turn.
+/// runtime runs it after its push.
 pub fn finish_contrastive(
     encoder: &mut GnnEncoder,
     features: &FeatureMatrix,

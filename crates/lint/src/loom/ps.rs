@@ -1,18 +1,24 @@
-//! Mini-loom target: [`SparseParamServer`] push/pull.
+//! Mini-loom target: [`SparseParamServer`] push/pull at cuts.
 //!
-//! Virtual workers interleave row-sparse AdaGrad pushes with replica
-//! drains against the *real* parameter server, while a sequential shadow —
-//! an independent reimplementation of the row update and the dirty-set
-//! protocol, not a second `SparseParamServer` — applies the identical
-//! operation in the same step. Because every push touches disjoint
-//! per-element state and f32 arithmetic is deterministic, the shadow must
-//! stay **bit-exact**, not approximately equal.
+//! Virtual workers run rounds of drain-then-push against the *real*
+//! parameter server, while a sequential shadow — an independent
+//! reimplementation of the row update and of the cut protocol, not a
+//! second `SparseParamServer` — stages the identical pushes and applies
+//! them at the cut after their round in `(round, sender)` order. A worker's
+//! drain of round `r` is *blocked* until every worker has pushed `r`
+//! rounds, as the runtime's coordinator makes it wait for cut `r`. Because
+//! every push touches disjoint per-element state and f32 arithmetic is
+//! deterministic, the shadow must stay **bit-exact**, not approximately
+//! equal.
 //!
 //! Checked per history:
 //!
-//! * **replica freshness** — after `drain_into(w, …)`, every row the
-//!   shadow's dirty protocol says worker `w` owed is bit-identical to the
-//!   shadow server row (catches lost dirty marks / stale replicas);
+//! * **replica freshness** — after `drain_into(w, …)` in round `r`, worker
+//!   `w`'s whole replica is bit-identical to the shadow at cut `r` (catches
+//!   lost dirty marks and stale replicas);
+//! * **cut visibility** — no drain shows a push from its own round, however
+//!   many workers pushed that round before it drained (catches a push that
+//!   applies on arrival);
 //! * **no lost updates** — the final `materialize()` equals the shadow
 //!   weights exactly, whatever order pushes and drains interleaved in.
 
@@ -22,53 +28,58 @@ use aligraph_graph::{FeatureMatrix, Featurizer, VertexId};
 use aligraph_partition::{EdgeCutHash, Partition, Partitioner};
 use aligraph_runtime::SparseParamServer;
 use aligraph_storage::CostModel;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 const DIM: usize = 8;
 const LR: f32 = 0.1;
 
+/// One staged push: its round, its sender, and its rows in ascending order.
+type Push = (u32, usize, BTreeMap<u32, Vec<f32>>);
+
 /// Sequential shadow of the server: row weights, AdaGrad accumulators, and
-/// the per-worker dirty protocol.
+/// the pushes staged for a later cut.
 #[derive(Debug, Clone)]
 struct Shadow {
     weights: Vec<f32>,
     accum: Vec<f32>,
-    dirty: Vec<HashSet<u32>>,
+    staged: Vec<Push>,
 }
 
 impl Shadow {
-    /// The same per-element update as `EmbeddingTable::adagrad_update`,
-    /// expression-for-expression, so results match bitwise.
-    fn push(&mut self, rows: &HashMap<u32, Vec<f32>>) {
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "order-insensitive: each key updates its own row slots, and the dirty sets are sets"
-        )]
-        for (&v, g) in rows {
-            let base = v as usize * DIM;
-            for (j, &gj) in g.iter().enumerate() {
-                let a = &mut self.accum[base + j];
-                *a += gj * gj;
-                self.weights[base + j] -= LR * gj / (a.sqrt() + 1e-8);
-            }
-            for set in &mut self.dirty {
-                set.insert(v);
+    /// Applies every staged push of a round below `cut`, in `(round,
+    /// sender)` order, with the same per-element update as
+    /// `EmbeddingTable::adagrad_update`, expression for expression, so
+    /// results match bitwise.
+    fn apply_cut(&mut self, cut: u32) {
+        let (mut due, later): (Vec<Push>, Vec<Push>) =
+            std::mem::take(&mut self.staged).into_iter().partition(|p| p.0 < cut);
+        self.staged = later;
+        due.sort_by_key(|p| (p.0, p.1));
+        for (_, _, rows) in due {
+            for (v, g) in rows {
+                let base = v as usize * DIM;
+                for (j, &gj) in g.iter().enumerate() {
+                    let a = &mut self.accum[base + j];
+                    *a += gj * gj;
+                    self.weights[base + j] -= LR * gj / (a.sqrt() + 1e-8);
+                }
             }
         }
     }
 
-    fn drain(&mut self, who: usize) -> Vec<u32> {
-        let mut rows: Vec<u32> = self.dirty[who].drain().collect();
-        rows.sort_unstable();
-        rows
+    /// True if a push staged in `round` touches row `v`.
+    fn staged_in(&self, round: u32, v: u32) -> bool {
+        self.staged.iter().any(|(r, _, rows)| *r == round && rows.contains_key(&v))
     }
 }
 
-/// Shared state: the real server, per-worker replicas, and the shadow.
+/// Shared state: the real server, per-worker replicas and push counts, and
+/// the shadow.
 pub struct PsState {
     ps: SparseParamServer,
     replicas: Vec<FeatureMatrix>,
+    pushed: Vec<u32>,
     shadow: Shadow,
     errors: Vec<String>,
 }
@@ -79,14 +90,14 @@ impl std::fmt::Debug for PsState {
     }
 }
 
-/// One worker: alternates push and drain steps for `rounds` rounds.
+/// One worker: `rounds` rounds of a drain at the round's cut, then a push.
 struct PsWorker {
     id: usize,
     round: u32,
     rounds: u32,
     num_vertices: usize,
-    /// false → next step pushes; true → next step drains.
-    drain_next: bool,
+    /// false → next step drains; true → next step pushes.
+    drained: bool,
 }
 
 impl PsWorker {
@@ -110,37 +121,47 @@ impl VThread<PsState> for PsWorker {
     fn done(&self, _: &PsState) -> bool {
         self.round >= self.rounds
     }
+    fn blocked(&self, s: &PsState) -> bool {
+        !self.drained && s.pushed.iter().any(|&p| p < self.round)
+    }
     fn step(&mut self, s: &mut PsState) {
-        if !self.drain_next {
+        if self.drained {
             let grads = self.grads();
             if let Err(e) = s.ps.push(self.id, &grads) {
                 s.errors.push(format!("push failed: {e}"));
             }
-            s.shadow.push(&grads);
-            self.drain_next = true;
+            s.shadow.staged.push((self.round, self.id, grads.into_iter().collect()));
+            s.pushed[self.id] += 1;
+            self.drained = false;
+            self.round += 1;
             return;
         }
-        // Drain: the replica must come back bit-identical to the shadow
-        // server for every row the dirty protocol owed this worker.
-        let owed = s.shadow.drain(self.id);
+        // Drain at cut `round`: the replica must come back bit-identical to
+        // the shadow server at that cut, row for row.
+        s.shadow.apply_cut(self.round);
         if let Err(e) = s.ps.drain_into(self.id, &mut s.replicas[self.id]) {
             s.errors.push(format!("drain failed: {e}"));
         }
-        for v in owed {
+        for v in 0..self.num_vertices as u32 {
             let base = v as usize * DIM;
             let got = s.replicas[self.id].row(VertexId(v));
             let want = &s.shadow.weights[base..base + DIM];
-            if got != want {
-                s.errors.push(format!(
-                    "stale replica: worker {} row {v} = {:?} != shadow {:?}",
-                    self.id,
-                    &got[..2.min(got.len())],
-                    &want[..2]
-                ));
+            if got == want {
+                continue;
             }
+            let (id, r) = (self.id, self.round);
+            s.errors.push(if s.shadow.staged_in(r, v) {
+                format!("own-round push visible: worker {id}'s round-{r} drain shows row {v}")
+            } else {
+                format!(
+                    "stale replica: worker {id} row {v} = {:?} != shadow {:?}",
+                    &got[..2],
+                    &want[..2]
+                )
+            });
+            break;
         }
-        self.drain_next = false;
-        self.round += 1;
+        self.drained = true;
     }
 }
 
@@ -152,7 +173,7 @@ pub struct PsWorkload {
     features: Arc<FeatureMatrix>,
     /// Worker count (= PS shards).
     pub workers: usize,
-    /// Push+drain rounds per worker.
+    /// Drain+push rounds per worker.
     pub rounds: u32,
 }
 
@@ -187,10 +208,11 @@ impl Workload for PsWorkload {
         let state = PsState {
             ps,
             replicas: (0..self.workers).map(|_| (*self.features).clone()).collect(),
+            pushed: vec![0; self.workers],
             shadow: Shadow {
                 weights: self.features.as_slice().to_vec(),
                 accum: vec![0.0; self.features.as_slice().len()],
-                dirty: (0..self.workers).map(|_| HashSet::new()).collect(),
+                staged: Vec::new(),
             },
             errors: Vec::new(),
         };
@@ -201,7 +223,7 @@ impl Workload for PsWorkload {
                     round: 0,
                     rounds: self.rounds,
                     num_vertices: n,
-                    drain_next: false,
+                    drained: false,
                 }) as Box<dyn VThread<PsState>>
             })
             .collect();
@@ -214,8 +236,10 @@ impl Workload for PsWorkload {
 
     fn check_final(&self, state: &PsState) -> Result<(), String> {
         let real = state.ps.materialize().map_err(|e| format!("materialize failed: {e}"))?;
-        if real.as_slice() != state.shadow.weights.as_slice() {
-            let idx = real.as_slice().iter().zip(&state.shadow.weights).position(|(a, b)| a != b);
+        let mut shadow = state.shadow.clone();
+        shadow.apply_cut(self.rounds);
+        if real.as_slice() != shadow.weights.as_slice() {
+            let idx = real.as_slice().iter().zip(&shadow.weights).position(|(a, b)| a != b);
             return Err(format!(
                 "lost update: server diverges from sequential shadow at flat index {idx:?}"
             ));
@@ -238,7 +262,7 @@ mod tests {
     #[test]
     fn shadow_matches_bitwise_on_round_robin() {
         // The first interleaving is strict round-robin — the lockstep
-        // schedule the runtime's coordinator actually produces.
+        // schedule the runtime's sample ring produces.
         let w = PsWorkload::new(2, 4).unwrap();
         Explorer { seed: 7 }.explore(&w, 1).unwrap();
     }

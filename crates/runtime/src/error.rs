@@ -15,6 +15,16 @@ pub enum RuntimeError {
     Unrecoverable(String),
     /// A shared lock was poisoned by a panicking thread.
     Poisoned(&'static str),
+    /// A worker drained the parameter server before every worker had
+    /// pushed the steps below its cut.
+    DrainBeforeCut {
+        /// The draining worker.
+        worker: usize,
+        /// Its cut: the steps every worker must have pushed.
+        cut: u64,
+        /// The first worker that has pushed fewer.
+        behind: usize,
+    },
     /// The injected fault fired (internal: the attempt loop converts this
     /// into a restore-and-retry; it only escapes if recovery keeps failing).
     Fault {
@@ -30,6 +40,9 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
             RuntimeError::Unrecoverable(m) => write!(f, "training aborted: {m}"),
             RuntimeError::Poisoned(what) => write!(f, "poisoned lock: {what}"),
+            RuntimeError::DrainBeforeCut { worker, cut, behind } => {
+                write!(f, "worker {worker} drained at cut {cut} before worker {behind} reached it")
+            }
             RuntimeError::Fault { worker } => write!(f, "worker {worker} killed by fault plan"),
         }
     }

@@ -4,11 +4,23 @@
 //!
 //! Workers *push* row-sparse AdaGrad deltas to the owning shard after every
 //! step, and *pull* by draining dirty rows into a local replica at most
-//! `staleness` steps later. Every push, pull, and read is metered through
-//! the storage [`CostModel`] so the comm accounting in the benches stays
-//! honest: reads of replica rows count as `Local` (own shard) or
-//! `CachedRemote` (remote-owned row served from the replica), while pushes
-//! and pulls that cross shards count as `Remote`. Pushes and pulls are
+//! `staleness` steps later.
+//!
+//! A push is tagged with its sender's step (the sender's push count so far)
+//! and staged in the shard's inbox. Nothing it carries is visible before
+//! the **cut** after that step, the point where every worker has pushed it.
+//! The first read of a later cut — a drain, [`materialize`], [`export`] or
+//! [`rehome`] — applies the staged messages below the cut in `(step,
+//! sender)` order. So whichever thread gets there first, every reader of
+//! cut `t` sees the same rows: all of steps `< t`, none of step `t` (SSP's
+//! visibility, Ho et al., NIPS 2013), and no worker's compute waits on
+//! another's.
+//!
+//! Every push, pull, and read is metered through the storage [`CostModel`]
+//! so the comm accounting in the benches stays honest: reads of replica
+//! rows count as `Local` (own shard) or `CachedRemote` (remote-owned row
+//! served from the replica), while pushes and pulls that cross shards
+//! count as `Remote`. Pushes and pulls are
 //! batched into one message per shard per step — the request batching the
 //! paper's platform applies to all cross-worker traffic — so a message
 //! costs one model latency regardless of row count, while payload bytes
@@ -16,6 +28,10 @@
 //! [`FaultPlane`] through its delivery driver; a fresh server holds an
 //! unarmed plane, which delivers everything at zero ticks — that *is* the
 //! fault-free run, there is no second send path.
+//!
+//! [`materialize`]: SparseParamServer::materialize
+//! [`export`]: SparseParamServer::export
+//! [`rehome`]: SparseParamServer::rehome
 
 use crate::error::RuntimeError;
 use aligraph_chaos::{
@@ -28,12 +44,25 @@ use aligraph_storage::{AccessKind, CostModel, TierMeter};
 use aligraph_telemetry::{Counter, Registry};
 use aligraph_tensor::EmbeddingTable;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 
 /// `PsShard::slot_of` entry of a row the shard does not hold.
 const NOT_HELD: u32 = u32::MAX;
+
+/// One delivered push message, held in its shard's inbox until the cut
+/// after its step.
+#[derive(Debug)]
+struct Staged {
+    /// The sender's push count when it sent this message.
+    step: u64,
+    from: usize,
+    /// The rows, ascending.
+    rows: Vec<u32>,
+    /// `rows.len()` gradient rows, flat, in `rows` order.
+    grads: Vec<f32>,
+}
 
 /// One shard: the embedding rows of the vertices one worker owns.
 #[derive(Debug)]
@@ -44,6 +73,8 @@ struct PsShard {
     slot_of: Vec<u32>,
     /// The shard's rows (AdaGrad accumulators live inside).
     table: EmbeddingTable,
+    /// Delivered pushes not yet applied.
+    inbox: Vec<Staged>,
 }
 
 impl PsShard {
@@ -51,7 +82,7 @@ impl PsShard {
     fn new(ids: Vec<u32>, table: EmbeddingTable, n: usize) -> Self {
         let mut slot_of = vec![NOT_HELD; n];
         ids.iter().enumerate().for_each(|(s, &v)| slot_of[v as usize] = s as u32);
-        PsShard { ids, slot_of, table }
+        PsShard { ids, slot_of, table, inbox: Vec::new() }
     }
 
     /// Errors on the first of a message's rows the shard does not hold, so
@@ -140,6 +171,9 @@ pub struct SparseParamServer {
     /// `seqs[worker]`: that worker's sender-side counters, locked for the
     /// whole push or drain so its messages leave in sequence order.
     seqs: Vec<Mutex<ChannelSeqs>>,
+    /// `steps[worker]`: the pushes that worker has made, each staged whole
+    /// before the count goes up. A push's tag is this count.
+    steps: Vec<AtomicU64>,
 }
 
 impl SparseParamServer {
@@ -229,6 +263,7 @@ impl SparseParamServer {
             plane: Arc::new(FaultPlane::new(FaultPlan::default())),
             policy: RetryPolicy::default(),
             seqs: (0..workers).map(|_| Mutex::new(ChannelSeqs::new(slots))).collect(),
+            steps: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -271,20 +306,21 @@ impl SparseParamServer {
     }
 
     /// Pushes one step's row-sparse feature gradients from worker `from` to
-    /// the owning shards and marks the rows dirty for every worker's next
-    /// drain. Rows are batched into **one message per destination shard**
-    /// (the paper's request batching): each is sequence-numbered on its
-    /// `from → shard` channel and crosses the plane as one
+    /// the owning shards, where they wait for the cut after this step (see
+    /// the module docs), and counts the step. An empty map sends nothing but
+    /// still counts. Rows are batched into **one message per destination
+    /// shard** (the paper's request batching): each is sequence-numbered on
+    /// its `from → shard` channel and crosses the plane as one
     /// [`HopKind::Acked`] hop; the copies a lost ack or the reorder fault
     /// land are discarded by the shard's sequence dedup. A delivered message
     /// costs one [`CostModel`] latency plus its rows' payload bytes on that
     /// message's tier, and each tick the hop cost adds [`TICK_NS`]. Returns
     /// the modelled comm time in nanoseconds.
     ///
-    /// Row updates commute (each touches one row under the shard lock), so
-    /// the non-deterministic `HashMap` iteration order cannot change the
-    /// resulting parameters. An unknown row, or one of the wrong width, is
-    /// an error before any message leaves.
+    /// Each message carries its rows ascending, so `HashMap` iteration
+    /// order cannot reach the parameters. An unknown row, or one of the
+    /// wrong width, is an error before any message leaves, and the step
+    /// does not count.
     pub fn push(&self, from: usize, grads: &HashMap<u32, Vec<f32>>) -> Result<u64, RuntimeError> {
         let row_bytes = self.dim as u64 * 4;
         let mut by_shard: Vec<Vec<(u32, &[f32])>> = vec![Vec::new(); self.shards.len()];
@@ -297,6 +333,9 @@ impl SparseParamServer {
             by_shard[self.owner_slot(v)].push((v, g.as_slice()));
         }
         let mut seqs = self.seqs[from].lock().map_err(|_| RuntimeError::Poisoned("ps seqs"))?;
+        // ordering: only `from`'s own pushes store this count, and they
+        // hold `seqs[from]`.
+        let step = self.steps[from].load(Ordering::Relaxed);
         let mut ns = 0u64;
         for (w, rows) in by_shard.iter().enumerate() {
             if rows.is_empty() {
@@ -305,13 +344,13 @@ impl SparseParamServer {
             let seq = seqs.push[w].next_seq();
             let channel = FaultPlane::channel_with(PS_PUSH_TAG, from as u64, w as u64);
             // The driver's `land` cannot fail; a poisoned lock stops
-            // further applies and surfaces after the hop.
+            // further stages and surfaces after the hop.
             let mut applied = Ok(());
             let ticks = self
                 .plane
                 .deliver(channel, seq, &self.policy, HopKind::Acked, || {
                     if applied.is_ok() {
-                        applied = self.apply_push_message(w, from, seq, rows);
+                        applied = self.stage_push_message(w, from, seq, step, rows);
                     }
                 })
                 .map_err(|e| {
@@ -326,15 +365,20 @@ impl SparseParamServer {
             ns += self.stats.record(kind, rows.len() as u64 * row_bytes, &self.cost);
             self.shard_bytes[w].add(rows.len() as u64 * row_bytes);
         }
+        // ordering: Release pairs with the Acquire loads in `min_cut` and
+        // `drain_into`, so a reader that counts this step finds its
+        // messages in the inboxes.
+        self.steps[from].store(step + 1, Ordering::Release);
         Ok(ns)
     }
 
-    /// Applies (or dedup-discards) one sequenced push message on shard `w`.
-    fn apply_push_message(
+    /// Stages (or dedup-discards) one sequenced push message on shard `w`.
+    fn stage_push_message(
         &self,
         w: usize,
         from: usize,
         seq: Seq,
+        step: u64,
         rows: &[(u32, &[f32])],
     ) -> Result<(), RuntimeError> {
         let mut pushed =
@@ -347,30 +391,74 @@ impl SparseParamServer {
         drop(pushed);
         let mut shard = self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
         shard.check_held(rows.iter().map(|&(v, _)| v))?;
-        for &(v, g) in rows {
-            let slot = shard.slot_of[v as usize] as usize;
-            shard.table.adagrad_update(slot, g, self.lr);
-        }
-        for marks in &self.dirty {
-            let mut marks = marks.lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?;
-            for &(v, _) in rows {
-                marks[v as usize / 64] |= 1 << (v % 64);
+        let grads = rows.iter().flat_map(|&(_, g)| g.iter().copied()).collect();
+        shard.inbox.push(Staged {
+            step,
+            from,
+            rows: rows.iter().map(|&(v, _)| v).collect(),
+            grads,
+        });
+        Ok(())
+    }
+
+    /// The cut every worker has reached: the smallest push count.
+    fn min_cut(&self) -> u64 {
+        // ordering: Acquire pairs with `push`'s Release store.
+        self.steps.iter().map(|s| s.load(Ordering::Acquire)).min().unwrap_or(0)
+    }
+
+    /// Applies every staged message with a step below `cut`, shard by shard
+    /// from slot `first` on, each shard's in `(step, sender)` order, and
+    /// marks the rows dirty for every worker. Each shard's inbox is taken
+    /// and applied under its lock, so a concurrent caller at the same cut
+    /// either applies a message or waits until it has been applied.
+    fn apply_cut(&self, cut: u64, first: usize) -> Result<(), RuntimeError> {
+        let n = self.shards.len();
+        for w in (0..n).map(|i| (first + i) % n) {
+            let mut shard =
+                self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
+            shard.inbox.sort_unstable_by_key(|m| (m.step, m.from));
+            let due = shard.inbox.partition_point(|m| m.step < cut);
+            let due: Vec<Staged> = shard.inbox.drain(..due).collect();
+            for m in &due {
+                shard.check_held(m.rows.iter().copied())?;
+                for (&v, g) in m.rows.iter().zip(m.grads.chunks_exact(self.dim)) {
+                    let slot = shard.slot_of[v as usize] as usize;
+                    shard.table.adagrad_update(slot, g, self.lr);
+                }
+            }
+            for marks in &self.dirty {
+                let mut marks = marks.lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?;
+                for &v in due.iter().flat_map(|m| &m.rows) {
+                    marks[v as usize / 64] |= 1 << (v % 64);
+                }
             }
         }
         Ok(())
     }
 
-    /// Pull barrier for worker `who`: copies every row updated since its
-    /// last drain from the owning shard into `replica`. After this call the
-    /// replica is element-identical to the server (rows not drained were
-    /// never pushed to, by induction). Pulls batch like pushes: one metered
-    /// response per shard that contributed rows, sequence-numbered on its
-    /// `shard → who` channel and crossing the plane as one
-    /// [`HopKind::Reply`] hop. Responses are idempotent reads, so no dedup
-    /// is needed; a dropped response is re-sent, since its rows already left
-    /// the dirty set and would otherwise stay stale in the replica for ever.
-    /// Returns modelled comm nanoseconds.
+    /// Pull barrier for worker `who` at the cut of its own push count `t`:
+    /// applies the staged pushes of every step below `t` (starting at
+    /// `who`'s own shard), then copies every row updated since its last
+    /// drain from the owning shard into `replica`. After this call the
+    /// replica is element-identical to the server at cut `t` (rows not
+    /// drained were never pushed to, by induction). A worker that has not
+    /// yet pushed step `t - 1` makes it a [`RuntimeError::DrainBeforeCut`],
+    /// with nothing applied or copied: waiting for the cut is the caller's
+    /// job. Pulls batch like pushes: one metered response per shard that
+    /// contributed rows, sequence-numbered on its `shard → who` channel and
+    /// crossing the plane as one [`HopKind::Reply`] hop. Responses are
+    /// idempotent reads, so no dedup is needed; a dropped response is
+    /// re-sent, since its rows already left the dirty set and would
+    /// otherwise stay stale in the replica for ever. Returns modelled comm
+    /// nanoseconds.
     pub fn drain_into(&self, who: usize, replica: &mut FeatureMatrix) -> Result<u64, RuntimeError> {
+        // ordering: only `who` stores its own count.
+        let cut = self.steps[who].load(Ordering::Relaxed);
+        if let Some(behind) = self.steps.iter().position(|s| s.load(Ordering::Acquire) < cut) {
+            return Err(RuntimeError::DrainBeforeCut { worker: who, cut, behind });
+        }
+        self.apply_cut(cut, who)?;
         let mut seqs = self.seqs[who].lock().map_err(|_| RuntimeError::Poisoned("ps seqs"))?;
         let rows = take_marks(
             &mut self.dirty[who].lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?,
@@ -429,9 +517,11 @@ impl SparseParamServer {
         ns
     }
 
-    /// A full dense copy of the server's current rows — the initial replica
-    /// of a (re)starting worker, and the final feature matrix of a run.
+    /// A full dense copy of the server's rows at the cut every worker has
+    /// reached — the initial replica of a (re)starting worker, and the
+    /// final feature matrix of a run.
     pub fn materialize(&self) -> Result<FeatureMatrix, RuntimeError> {
+        self.apply_cut(self.min_cut(), 0)?;
         let mut out = FeatureMatrix::zeros(self.num_vertices, self.dim);
         for shard in &self.shards {
             let shard = shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
@@ -442,8 +532,10 @@ impl SparseParamServer {
         Ok(out)
     }
 
-    /// Serializable shard states for checkpointing.
+    /// Serializable shard states for checkpointing, at the cut every worker
+    /// has reached.
     pub fn export(&self) -> Result<Vec<PsShardState>, RuntimeError> {
+        self.apply_cut(self.min_cut(), 0)?;
         self.shards
             .iter()
             .map(|shard| {
@@ -512,11 +604,13 @@ impl SparseParamServer {
     /// over the server's plane (tag [`MIGRATION_TAG`], one batched message
     /// per `(src, dst)` shard pair, sequence-deduplicated).
     ///
-    /// Must be called at a quiescent point — the epoch-boundary allreduce
-    /// barrier, where every worker is parked and no push or drain is in
-    /// flight. Row values and AdaGrad accumulators move losslessly, so the
-    /// math after the move is bit-identical to not having moved; only the
-    /// comm *accounting* changes (rows now local to a different slot).
+    /// Must be called at a cut every worker has reached — the
+    /// epoch-boundary allreduce barrier, where every worker is parked and no
+    /// push or drain is in flight. It applies what the cut owes first; a
+    /// push staged beyond the cut is an error, since its rows may move. Row
+    /// values and AdaGrad accumulators move losslessly, so the math after
+    /// the move is bit-identical to not having moved; only the comm
+    /// *accounting* changes (rows now local to a different slot).
     /// Returns modelled comm nanoseconds.
     pub fn rehome(&self, residency: &[u32]) -> Result<u64, RuntimeError> {
         if residency.len() != self.owner.len() {
@@ -525,6 +619,12 @@ impl SparseParamServer {
                 residency.len(),
                 self.owner.len()
             )));
+        }
+        self.apply_cut(self.min_cut(), 0)?;
+        for shard in &self.shards {
+            if !shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?.inbox.is_empty() {
+                return Err(RuntimeError::Unrecoverable("rehome between cuts".into()));
+            }
         }
         // Group the moves: (src, dst) -> ascending vertex ids. BTreeMap so
         // message order (and thus fault-plane decisions) is deterministic.
@@ -702,6 +802,9 @@ mod tests {
         let snap = ps.stats().snapshot();
         assert_eq!((snap.local_ops, snap.remote_ops), (1, 1));
         assert_eq!(snap.remote_bytes, 8 * 4);
+        // Worker 1's step closes the cut; an empty push sends nothing.
+        ps.push(1, &HashMap::new()).unwrap();
+        assert_eq!(ps.stats().snapshot(), snap);
 
         // Replica still stale, drain fixes it for both workers.
         assert_ne!(replica.as_slice(), ps.materialize().unwrap().as_slice());
@@ -735,11 +838,13 @@ mod tests {
             [a[1], a[0], b[0]].iter().map(|&v| (v, vec![-0.25; 8])).collect();
         ps.push(0, &first).unwrap();
         ps.push(1, &second).unwrap();
+        // Staged pushes mark nothing until a read of the cut applies them.
+        assert_eq!((pending(&ps, 0), pending(&ps, 1)), (vec![], vec![]));
+        let server = ps.materialize().unwrap();
         let mut union = vec![a[0], a[1], a[2], b[0], b[1]];
         union.sort_unstable();
         assert_eq!((pending(&ps, 0), pending(&ps, 1)), (union.clone(), union.clone()));
 
-        let server = ps.materialize().unwrap();
         let mut replicas = [f.clone(), f.clone()];
         for (w, replica) in replicas.iter_mut().enumerate() {
             let before = ps.stats().snapshot();
@@ -777,8 +882,9 @@ mod tests {
         assert!(matches!(ps.push(0, &narrow), Err(RuntimeError::Unrecoverable(_))));
         assert_eq!(ps.materialize().unwrap().as_slice(), before.as_slice());
         assert!(pending(&ps, 0).is_empty());
-        // A following valid push still applies.
+        // A following valid push still applies: the failed ones were no step.
         ps.push(0, &[(0, vec![1.0; 8])].into()).unwrap();
+        ps.push(1, &HashMap::new()).unwrap();
         assert_ne!(ps.materialize().unwrap().as_slice(), before.as_slice());
         assert_eq!(pending(&ps, 1), vec![0]);
 
@@ -792,6 +898,7 @@ mod tests {
         state[home].accum.as_mut().unwrap().drain(slot * 8..(slot + 1) * 8);
         let fresh = SparseParamServer::new(&p, &f, 0.1, CostModel::default());
         fresh.load(&state).unwrap();
+        fresh.push(1, &HashMap::new()).unwrap();
         let held = fresh.materialize().unwrap();
         let grads: HashMap<u32, Vec<f32>> = [(0, vec![1.0; 8])].into();
         assert!(matches!(fresh.push(0, &grads), Err(RuntimeError::Unrecoverable(_))));
@@ -819,7 +926,11 @@ mod tests {
         let mut grads = HashMap::new();
         grads.insert(0u32, vec![0.5; 8]);
         ps.push(0, &grads).unwrap();
+        for w in 1..3 {
+            ps.push(w, &HashMap::new()).unwrap();
+        }
         let state = ps.export().unwrap();
+        assert!(state.iter().any(|s| s.accum.is_some()), "the export applies the cut");
         let fresh = SparseParamServer::new(&p, &f, 0.1, CostModel::default());
         fresh.load(&state).unwrap();
         assert_eq!(fresh.materialize().unwrap().as_slice(), ps.materialize().unwrap().as_slice());
@@ -949,6 +1060,7 @@ mod tests {
                 grads.insert((step * 5 + k) % f.len() as u32, vec![0.2; 8]);
             }
             ps.push(0, &grads).unwrap();
+            ps.push(1, &HashMap::new()).unwrap();
         }
         let residency: Vec<u32> = (0..f.len() as u32)
             .map(|v| {
@@ -989,7 +1101,11 @@ mod tests {
         let mut grads = HashMap::new();
         grads.insert(moved[0], vec![1.0; 8]);
         ps.push(1, &grads).unwrap();
+        ps.push(0, &HashMap::new()).unwrap();
         assert_ne!(ps.materialize().unwrap().as_slice(), before.as_slice());
+        // A rehome with a push staged beyond the cut is refused.
+        ps.push(1, &grads).unwrap();
+        assert!(ps.rehome(&residency).is_err());
     }
 
     #[test]
@@ -1024,6 +1140,74 @@ mod tests {
         let mut grads = HashMap::new();
         grads.insert(0u32, vec![3.0; 8]);
         ps.push(1, &grads).unwrap();
+        ps.push(0, &HashMap::new()).unwrap();
         assert_eq!(ps.materialize().unwrap().as_slice(), f.as_slice());
+    }
+
+    #[test]
+    fn a_drain_before_its_cut_is_an_error_and_applies_nothing() {
+        let (ps, f, _) = setup(2);
+        ps.push(0, &[(0, vec![1.0; 8])].into()).unwrap();
+        let mut replica = f.clone();
+        let err = ps.drain_into(0, &mut replica).unwrap_err();
+        assert_eq!(err, RuntimeError::DrainBeforeCut { worker: 0, cut: 1, behind: 1 });
+        assert_eq!(replica.as_slice(), f.as_slice());
+        assert!(ps.shards.iter().any(|s| !s.lock().unwrap().inbox.is_empty()), "still staged");
+        assert!(pending(&ps, 0).is_empty() && pending(&ps, 1).is_empty());
+        // Worker 1 may drain cut 0 meanwhile; it sees none of step 0.
+        let mut replica1 = f.clone();
+        ps.drain_into(1, &mut replica1).unwrap();
+        assert_eq!(replica1.as_slice(), f.as_slice());
+        ps.push(1, &HashMap::new()).unwrap();
+        ps.drain_into(0, &mut replica).unwrap();
+        assert_ne!(replica.as_slice(), f.as_slice());
+        assert_eq!(replica.as_slice(), ps.materialize().unwrap().as_slice());
+    }
+
+    #[test]
+    fn an_empty_push_advances_the_senders_step() {
+        let (ps, f, _) = setup(2);
+        let mut replica = f.clone();
+        for step in 1..=3u64 {
+            ps.push(0, &HashMap::new()).unwrap();
+            ps.push(1, &HashMap::new()).unwrap();
+            assert_eq!(ps.steps[0].load(Ordering::Relaxed), step);
+            ps.drain_into(0, &mut replica).unwrap();
+        }
+        assert_eq!(ps.stats().snapshot().total_ops(), 0, "an empty push sends no message");
+        assert_eq!(replica.as_slice(), f.as_slice());
+    }
+
+    #[test]
+    fn same_step_pushes_to_one_row_apply_in_sender_order_whatever_arrives_first() {
+        // AdaGrad is order-sensitive through its accumulator, so the two
+        // gradients give different bits in different orders.
+        let (a, b): (HashMap<u32, Vec<f32>>, HashMap<u32, Vec<f32>>) =
+            ([(0, vec![0.9; 8])].into(), [(0, vec![-0.3; 8])].into());
+        let bits = |ps: &SparseParamServer| -> Vec<u32> {
+            ps.materialize().unwrap().as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        let (zero_first, _, _) = setup(2);
+        zero_first.push(0, &a).unwrap();
+        zero_first.push(1, &b).unwrap();
+        let (one_first, _, _) = setup(2);
+        one_first.push(1, &b).unwrap();
+        one_first.push(0, &a).unwrap();
+        // The oracle: worker 0's gradient in one cut, worker 1's in the next.
+        let (serial, _, _) = setup(2);
+        serial.push(0, &a).unwrap();
+        serial.push(1, &HashMap::new()).unwrap();
+        serial.materialize().unwrap();
+        serial.push(0, &HashMap::new()).unwrap();
+        serial.push(1, &b).unwrap();
+        let (reversed, _, _) = setup(2);
+        reversed.push(1, &b).unwrap();
+        reversed.push(0, &HashMap::new()).unwrap();
+        reversed.materialize().unwrap();
+        reversed.push(1, &HashMap::new()).unwrap();
+        reversed.push(0, &a).unwrap();
+        assert_eq!(bits(&zero_first), bits(&serial));
+        assert_eq!(bits(&one_first), bits(&serial));
+        assert_ne!(bits(&reversed), bits(&serial), "the orders must differ in bits");
     }
 }

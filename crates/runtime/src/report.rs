@@ -36,9 +36,9 @@ pub struct DistReport {
     /// ran.
     pub edges_total: u64,
     /// Wall-clock nanoseconds of this call as executed on this machine,
-    /// fault recoveries included. One sample turn, one compute turn and the
-    /// other workers' token-free updates run at once, so this is far from
-    /// what `p` machines would take.
+    /// fault recoveries included. One sample turn and the other workers'
+    /// compute run at once, so this is far from what `p` machines would
+    /// take.
     pub wall_ns: u64,
     /// Modelled cluster makespan of the steps this call ran: `max` over
     /// workers of busy + comm time — what `p` real machines would take, if

@@ -10,22 +10,23 @@
 //! owning each vertex, and averages dense layer parameters with the other
 //! workers at every epoch boundary.
 //!
-//! A step is two turns on the [`Coordinator`]'s two token rings, then an
-//! update off both. The *sample* turn ([`plan_contrastive`]) is the only
-//! one that reads the cluster: edge pool, tier, neighbor cache, access
-//! meter. The *compute* turn drains the PS into the worker's replica, runs
-//! [`finish_contrastive`] (flush, loss, backward) on it and pushes; it
-//! reads the replica, the encoder and the PS, never the cluster. The
-//! *update* — the dense step ([`GnnEncoder::step`], with the weight
-//! gradients the backward kept) and the PS read meters — holds no token:
-//! the encoder is the worker's own until its next deposit, and the meters
-//! only add, so it runs while the next worker computes. Each ring runs its
-//! workers in strict round-robin order, so worker `w + 1` samples step `t`
-//! while worker `w` computes it, and both the cluster and the PS see the
-//! same sequence of calls as under one token. Every run is therefore a
-//! deterministic function of its seed — including runs resumed from a
-//! checkpoint and runs interrupted by the fault injector, whose crash waits
-//! for its compute turn before it tears the run down.
+//! A step is one turn on the [`Coordinator`]'s sample ring, then the
+//! worker's own work. The *sample* turn ([`plan_contrastive`]) is the only
+//! part that reads the cluster: edge pool, tier, neighbor cache, access
+//! meter. The ring runs its workers in strict round-robin order, so the
+//! cluster sees the same sequence of calls as under one token. Then the
+//! worker waits for the cut if its replica is due a drain, drains the PS,
+//! runs [`finish_contrastive`] (flush, loss, backward) on the replica and
+//! pushes; last comes the *update*, the dense step ([`GnnEncoder::step`],
+//! with the weight gradients the backward kept) and the PS read meters.
+//! None of that is shared: the PS stages a push until the cut after its
+//! step and applies it there in `(step, worker)` order, so every worker's
+//! drain at step `t` reads the same state (every step before `t`, no step
+//! `t` push), however the workers' forward and backward overlap. Every run
+//! is therefore a deterministic function of its seed — including runs
+//! resumed from a checkpoint and runs interrupted by the fault injector,
+//! whose crash waits until no other worker has a step in flight before it
+//! tears the run down.
 //!
 //! With one worker, staleness 0 and a frozen sparse learning rate, the loop
 //! degenerates to exactly [`aligraph::train_unsupervised`] — the
@@ -35,7 +36,7 @@ use crate::checkpoint::{latest_valid_checkpoint, Checkpoint, WorkerCkpt};
 use crate::error::RuntimeError;
 use crate::ps::SparseParamServer;
 use crate::report::{DistReport, WorkerReport};
-use crate::ssp::{Abort, Coordinator, Deposit, Rendezvous, Ring};
+use crate::ssp::{Abort, Coordinator, Deposit, Rendezvous};
 use aligraph::{finish_contrastive, plan_contrastive, GnnEncoder};
 use aligraph_chaos::{FaultConfig, FaultPlane, RetryPolicy};
 use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, FeatureMatrix};
@@ -47,6 +48,7 @@ use aligraph_storage::{Cluster, RebalanceOp};
 use aligraph_telemetry::{Registry, Span, Stopwatch};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -582,7 +584,7 @@ impl<'a> DistTrainer<'a> {
 
         while t < total_steps {
             // Sample turn: every read of the shared cluster this step makes.
-            co.acquire(Ring::Sample, me)?;
+            co.acquire(me)?;
             if chaos.plane.crash_fires(me as u32, t) {
                 co.crash_at_cut(me, Abort::Fault { worker: me as u32 })?;
                 return Err(RuntimeError::Fault { worker: me as u32 });
@@ -596,35 +598,33 @@ impl<'a> DistTrainer<'a> {
                 plan_contrastive(&encoder, graph, &view, &sampler, &batch, cfg.negatives, &mut rng)
             });
             report.busy_ns += sampling.elapsed_ns();
-            co.release(Ring::Sample, me)?;
+            co.release(me)?;
 
-            // Compute turn: the replica, the encoder and the PS only.
-            co.acquire(Ring::Compute, me)?;
-            // Bounded staleness: drain the PS once the replica is more than
-            // `s` steps old, then record the age this step computed at.
+            // The rest is this worker's own: the replica, the encoder, and
+            // pushes the PS holds until the cut after this step.
+            // Bounded staleness: drain the PS at cut `t` once the replica is
+            // more than `s` steps old, then record the age this step
+            // computed at.
             let mut age = t - rec.last_drain;
             if age > cfg.staleness {
+                co.await_cut(t)?;
                 report.comm_ns += ps.drain_into(me, &mut replica)?;
                 rec.last_drain = t;
                 age = 0;
             }
             hist[age as usize] += 1;
             staleness_hist.record(age);
-            let out = match planned {
-                Some(planned) => {
-                    let computing = Stopwatch::start();
-                    let out = finish_contrastive(&mut encoder, &replica, planned);
-                    report.busy_ns += computing.elapsed_ns();
-                    report.comm_ns += ps.push(me, &out.feature_grads)?;
-                    Some(out)
-                }
-                None => None,
-            };
-            co.release(Ring::Compute, me)?;
+            let out = planned.map(|planned| {
+                let computing = Stopwatch::start();
+                let out = finish_contrastive(&mut encoder, &replica, planned);
+                report.busy_ns += computing.elapsed_ns();
+                out
+            });
+            // An empty batch pushes an empty map: the step still counts.
+            let grads = out.as_ref().map(|o| &o.feature_grads);
+            report.comm_ns += ps.push(me, grads.unwrap_or(&HashMap::new()))?;
+            co.finish_step(me)?;
 
-            // Off the rings, while the next worker computes: what no later
-            // turn observes. The read meters only add, and the encoder is
-            // this worker's alone until its next deposit, which comes after.
             if let Some(out) = out {
                 let stepping = Stopwatch::start();
                 encoder.step(batch.len());

@@ -1,20 +1,20 @@
-//! Deterministic worker scheduling: a coordinator that passes two token
-//! rings around the simulated workers — a [`Ring::Sample`] ring for the
-//! half of a step that reads the shared cluster and a [`Ring::Compute`]
-//! ring for the half that computes gradients and pushes — and runs the
-//! rendezvous at every epoch end and checkpoint cut.
+//! Deterministic worker scheduling: a coordinator that passes one token
+//! ring around the simulated workers for the half of a step that reads the
+//! shared cluster, lets each worker wait for a **cut** before it drains the
+//! parameter server, and runs the rendezvous at every epoch end and
+//! checkpoint cut.
 //!
 //! Real distributed trainers interleave workers arbitrarily; on this
-//! simulator the coordinator pins the interleaving so every run is
-//! reproducible from its seed. Each ring serializes its half of every step
-//! in strict `(count, worker_id)` order, and a worker takes its sample turn
-//! for step `t` before its compute turn for `t`. So worker `w + 1` samples
-//! step `t` while worker `w` computes it, yet every cluster read happens in
-//! the same global order as a one-token schedule would give, and every
-//! parameter-server push too. Each ring keeps its workers in lockstep
-//! (nobody samples, or completes, step `t + 1` before everyone has sampled,
-//! or completed, step `t`), which has two consequences the rest of the
-//! runtime relies on:
+//! simulator the coordinator pins every order-sensitive interleaving so
+//! each run is reproducible from its seed. The sample ring serializes the
+//! sampling half of every step in strict `(count, worker_id)` order, so
+//! every cluster read happens in the same global order as a one-token
+//! schedule would give. The rest of a step is the worker's own: the
+//! parameter server stages pushes and applies them only at a cut (see
+//! [`crate::ps`]), so two workers compute and push at the same time and
+//! still read the same rows. The ring keeps its workers in lockstep (nobody
+//! samples step `t + 1` before everyone has sampled step `t`), which has
+//! two consequences the rest of the runtime relies on:
 //!
 //! * every step boundary where all workers have completed `t` steps and
 //!   none has sampled further is a **consistent cut** — the rendezvous
@@ -75,24 +75,10 @@ pub struct Rendezvous {
     pub drain: Option<aligraph_graph::FeatureMatrix>,
 }
 
-/// The two token rings every training step passes through, in order. A
-/// ring's token goes to the strict `(count, worker id)` minimum of its
-/// counts, so each ring alone runs its workers in round-robin order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ring {
-    /// The sampling half of a step: every read of the shared cluster.
-    Sample,
-    /// The compute half: replica drain, flush, loss, backward, PS push.
-    /// The dense step is not in it: no later turn reads a worker's
-    /// encoder, so the worker steps after handing the token on, before
-    /// its next deposit or sample turn.
-    Compute,
-}
-
 struct CoState {
     /// Steps each worker has sampled (the sample ring's counts).
     sampled: Vec<u64>,
-    /// Completed steps per worker (the compute ring's counts).
+    /// Steps each worker has completed: pushed, so the PS holds them.
     steps: Vec<u64>,
     /// Torn down?
     crashed: Option<Abort>,
@@ -101,15 +87,6 @@ struct CoState {
     deposits: Vec<Option<Deposit>>,
     generation: u64,
     outcome: Option<std::sync::Arc<Rendezvous>>,
-}
-
-impl CoState {
-    fn counts(&mut self, ring: Ring) -> &mut Vec<u64> {
-        match ring {
-            Ring::Sample => &mut self.sampled,
-            Ring::Compute => &mut self.steps,
-        }
-    }
 }
 
 /// The scheduler + rendezvous shared by one attempt's workers.
@@ -147,30 +124,53 @@ impl Coordinator {
         self.state.lock().map_err(|_| RuntimeError::Poisoned("coordinator"))
     }
 
-    /// Blocks until worker `me` holds `ring`'s token: it is the strict
-    /// `(count, id)` minimum of the ring's counts. Errors out if the run was
-    /// torn down.
-    pub fn acquire(&self, ring: Ring, me: usize) -> Result<(), RuntimeError> {
+    /// Blocks until `ready` holds or the run is torn down (an error).
+    fn wait_until(
+        &self,
+        ready: impl Fn(&CoState) -> bool,
+    ) -> Result<std::sync::MutexGuard<'_, CoState>, RuntimeError> {
         let mut st = self.lock()?;
         loop {
             if let Some(a) = &st.crashed {
                 return Err(a.to_error());
             }
-            let counts = st.counts(ring);
-            let mine = (counts[me], me);
-            if counts.iter().enumerate().all(|(w, &c)| w == me || mine < (c, w)) {
-                return Ok(());
+            if ready(&st) {
+                return Ok(st);
             }
             st = self.cv.wait(st).map_err(|_| RuntimeError::Poisoned("coordinator"))?;
         }
     }
 
-    /// Counts worker `me`'s turn on `ring` done and passes the token on.
-    pub fn release(&self, ring: Ring, me: usize) -> Result<(), RuntimeError> {
+    /// Blocks until worker `me` holds the sample ring's token: it is the
+    /// strict `(count, id)` minimum of the sampled counts.
+    pub fn acquire(&self, me: usize) -> Result<(), RuntimeError> {
+        self.wait_until(|st| {
+            let mine = (st.sampled[me], me);
+            st.sampled.iter().enumerate().all(|(w, &c)| w == me || mine < (c, w))
+        })
+        .map(drop)
+    }
+
+    /// Counts worker `me`'s sample turn done and passes the token on.
+    pub fn release(&self, me: usize) -> Result<(), RuntimeError> {
         let mut st = self.lock()?;
-        st.counts(ring)[me] += 1;
+        st.sampled[me] += 1;
         self.cv.notify_all();
         Ok(())
+    }
+
+    /// Counts worker `me`'s step complete: its push is on the PS.
+    pub fn finish_step(&self, me: usize) -> Result<(), RuntimeError> {
+        let mut st = self.lock()?;
+        st.steps[me] += 1;
+        self.cv.notify_all();
+        Ok(())
+    }
+
+    /// Blocks until cut `t`: every worker has completed `t` steps, so a
+    /// drain reads every push below `t`.
+    pub fn await_cut(&self, t: u64) -> Result<(), RuntimeError> {
+        self.wait_until(|st| st.steps.iter().all(|&c| c >= t)).map(drop)
     }
 
     /// Rendezvous: deposits `me`'s contribution and blocks until all workers
@@ -217,15 +217,9 @@ impl Coordinator {
             }
         } else {
             let gen = st.generation;
-            loop {
-                if let Some(a) = &st.crashed {
-                    return Err(a.to_error());
-                }
-                if st.generation != gen {
-                    return st.outcome.clone().ok_or(RuntimeError::Poisoned("rendezvous outcome"));
-                }
-                st = self.cv.wait(st).map_err(|_| RuntimeError::Poisoned("coordinator"))?;
-            }
+            drop(st);
+            let st = self.wait_until(|st| st.generation != gen)?;
+            st.outcome.clone().ok_or(RuntimeError::Poisoned("rendezvous outcome"))
         }
     }
 
@@ -241,10 +235,13 @@ impl Coordinator {
 
     /// Tears the run down from worker `me`'s sample turn at the cut a
     /// one-token schedule would crash at. `me` keeps the sample token, so no
-    /// later step is sampled, and waits for its compute turn, so every
-    /// earlier step's compute has completed.
+    /// later step is sampled, and waits until no other worker has a sampled
+    /// step in flight, so every earlier step has completed.
     pub fn crash_at_cut(&self, me: usize, abort: Abort) -> Result<(), RuntimeError> {
-        self.acquire(Ring::Compute, me)?;
+        self.wait_until(|st| {
+            st.sampled.iter().zip(&st.steps).enumerate().all(|(w, (s, c))| w == me || s == c)
+        })
+        .map(drop)?;
         self.crash(abort)
     }
 }
@@ -256,19 +253,21 @@ mod tests {
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
-    /// One worker's pass through both rings for step `t`, logged.
-    fn step(co: &Coordinator, log: &Mutex<Vec<(Ring, usize, u64)>>, me: usize, t: u64) {
-        for ring in [Ring::Sample, Ring::Compute] {
-            co.acquire(ring, me).unwrap();
-            log.lock().unwrap().push((ring, me, t));
-            co.release(ring, me).unwrap();
-        }
+    /// One worker's step `t`, logged: its sample turn, then, at cut `t`,
+    /// its completion.
+    fn step(co: &Coordinator, log: &Mutex<Vec<(&str, usize, u64)>>, me: usize, t: u64) {
+        co.acquire(me).unwrap();
+        log.lock().unwrap().push(("sample", me, t));
+        co.release(me).unwrap();
+        co.await_cut(t).unwrap();
+        log.lock().unwrap().push(("step", me, t));
+        co.finish_step(me).unwrap();
     }
 
     #[test]
     fn schedule_is_strict_round_robin() {
-        // 3 workers, 4 steps each: each ring's turn order must be
-        // 0,1,2,0,1,2,... regardless of thread scheduling.
+        // 3 workers, 4 steps each: the sample turns must go 0,1,2,0,1,2,...
+        // regardless of thread scheduling.
         let co = Coordinator::new(3, 0);
         let log = Mutex::new(Vec::new());
         std::thread::scope(|s| {
@@ -278,58 +277,60 @@ mod tests {
             }
         });
         let log = log.into_inner().unwrap();
-        for ring in [Ring::Sample, Ring::Compute] {
-            let order: Vec<usize> =
-                log.iter().filter(|e| e.0 == ring).map(|&(_, me, _)| me).collect();
-            assert_eq!(order, [0, 1, 2].repeat(4), "{ring:?} ring");
-        }
+        let order: Vec<usize> =
+            log.iter().filter(|e| e.0 == "sample").map(|&(_, me, _)| me).collect();
+        assert_eq!(order, [0, 1, 2].repeat(4));
     }
 
     #[test]
-    fn a_sample_turn_overlaps_a_compute_turn() {
-        // Worker 0 holds its compute turn for step 0 until worker 1 has
-        // sampled step 0. With one token for the whole step worker 1 could
-        // not start before worker 0 completes: the handshake would deadlock.
+    fn a_worker_finishes_a_step_while_another_is_inside_it() {
+        // Worker 0 stays inside step 0 until worker 1 has finished step 0.
+        // Were the steps' compute taken in turns, worker 1 could not finish
+        // before worker 0: the handshake would time out.
         let co = Coordinator::new(2, 0);
-        let (sampled, wait_sampled) = mpsc::channel();
+        let (finished, wait_finished) = mpsc::channel();
         std::thread::scope(|s| {
             s.spawn(|| {
-                co.acquire(Ring::Sample, 1).unwrap();
-                co.release(Ring::Sample, 1).unwrap();
-                sampled.send(()).unwrap();
+                co.acquire(1).unwrap();
+                co.release(1).unwrap();
+                co.await_cut(0).unwrap();
+                co.finish_step(1).unwrap();
+                finished.send(()).unwrap();
             });
-            co.acquire(Ring::Sample, 0).unwrap();
-            co.release(Ring::Sample, 0).unwrap();
-            co.acquire(Ring::Compute, 0).unwrap();
-            let overlap = wait_sampled.recv_timeout(Duration::from_secs(30));
-            co.release(Ring::Compute, 0).unwrap();
-            assert!(overlap.is_ok(), "worker 1 never sampled while worker 0 computed");
+            co.acquire(0).unwrap();
+            co.release(0).unwrap();
+            co.await_cut(0).unwrap();
+            let overlap = wait_finished.recv_timeout(Duration::from_secs(30));
+            co.finish_step(0).unwrap();
+            assert!(overlap.is_ok(), "worker 1 never finished step 0 inside worker 0's");
+            // Cut 1 is reached once both have finished step 0.
+            co.await_cut(1).unwrap();
         });
     }
 
     #[test]
     fn a_crash_at_a_sample_turn_keeps_the_lock_step_cut() {
         // Worker 1's crash fires at its sample turn for step 2, just after
-        // worker 0 sampled step 2 and before worker 0 computes it. The
+        // worker 0 sampled step 2 and before worker 0 finishes it. The
         // one-token schedule crashed with worker 0's step 2 complete and its
-        // step 3 not started; the two rings must crash at the same cut.
+        // step 3 not started; the cut schedule must crash at the same cut.
         let (co, log) = (&Coordinator::new(2, 0), &Mutex::new(Vec::new()));
         let (crashing, wait_crashing) = mpsc::channel();
         let worker0 = std::thread::scope(|s| {
             let worker1 = s.spawn(move || {
                 (0..2).for_each(|t| step(co, log, 1, t));
-                co.acquire(Ring::Sample, 1).unwrap();
+                co.acquire(1).unwrap();
                 crashing.send(()).unwrap();
                 co.crash_at_cut(1, Abort::Fault { worker: 1 }).unwrap();
             });
             (|| -> Result<(), RuntimeError> {
                 for t in 0..4 {
-                    co.acquire(Ring::Sample, 0)?;
-                    log.lock().unwrap().push((Ring::Sample, 0, t));
-                    co.release(Ring::Sample, 0)?;
+                    co.acquire(0)?;
+                    log.lock().unwrap().push(("sample", 0, t));
+                    co.release(0)?;
                     if t == 2 {
-                        // A crash that did not wait for worker 1's compute
-                        // turn would land now; give it the time to.
+                        // A crash that did not wait for worker 0's step in
+                        // flight would land now; give it the time to.
                         wait_crashing.recv().unwrap();
                         for _ in 0..1_000 {
                             if worker1.is_finished() {
@@ -338,18 +339,18 @@ mod tests {
                             std::thread::yield_now();
                         }
                     }
-                    co.acquire(Ring::Compute, 0)?;
-                    log.lock().unwrap().push((Ring::Compute, 0, t));
-                    co.release(Ring::Compute, 0)?;
+                    co.await_cut(t)?;
+                    log.lock().unwrap().push(("step", 0, t));
+                    co.finish_step(0)?;
                 }
                 Ok(())
             })()
         });
         assert!(matches!(worker0, Err(RuntimeError::Fault { worker: 1 })));
         let log = log.lock().unwrap();
-        assert!(log.contains(&(Ring::Compute, 0, 2)), "worker 0's step 2 completes: {log:?}");
-        assert!(!log.contains(&(Ring::Sample, 0, 3)), "step 3 is never sampled: {log:?}");
-        assert_eq!(log.len(), 2 * 2 * 2 + 2, "both rings: steps 0-1 of both, step 2 of worker 0");
+        assert!(log.contains(&("step", 0, 2)), "worker 0's step 2 completes: {log:?}");
+        assert!(!log.contains(&("sample", 0, 3)), "step 3 is never sampled: {log:?}");
+        assert_eq!(log.len(), 2 * 2 * 2 + 2, "steps 0-1 of both, step 2 of worker 0");
     }
 
     #[test]
@@ -381,26 +382,34 @@ mod tests {
 
     #[test]
     fn crash_wakes_scheduler_and_rendezvous_waiters() {
-        let co = Arc::new(Coordinator::new(2, 0));
+        let co = Arc::new(Coordinator::new(3, 0));
         std::thread::scope(|s| {
-            let co0 = co.clone();
-            let h = s.spawn(move || {
-                // Worker 1 never computes step 0, so worker 0 finishes its
-                // step and then blocks at the rendezvous until the crash.
-                co0.acquire(Ring::Compute, 0).unwrap();
-                co0.release(Ring::Compute, 0).unwrap();
-                co0.rendezvous(0, Deposit::default(), |_| Ok(Rendezvous::default()))
+            // Worker 2 never finishes step 0, so worker 0 waits for cut 1
+            // and worker 1 at the rendezvous until the crash.
+            let (waiting, wait_waiting) = mpsc::channel();
+            let (co0, waiting0) = (co.clone(), waiting.clone());
+            let at_cut = s.spawn(move || {
+                co0.finish_step(0).unwrap();
+                waiting0.send(()).unwrap();
+                co0.await_cut(1)
             });
             let co1 = co.clone();
-            s.spawn(move || {
-                co1.acquire(Ring::Compute, 1).unwrap();
-                co1.crash(Abort::Fault { worker: 1 }).unwrap();
+            let at_rendezvous = s.spawn(move || {
+                co1.finish_step(1).unwrap();
+                waiting.send(()).unwrap();
+                co1.rendezvous(1, Deposit::default(), |_| Ok(Rendezvous::default()))
             });
-            assert!(matches!(h.join().unwrap(), Err(RuntimeError::Fault { worker: 1 })));
+            wait_waiting.iter().take(2).for_each(drop);
+            co.crash(Abort::Fault { worker: 2 }).unwrap();
+            assert!(matches!(at_cut.join().unwrap(), Err(RuntimeError::Fault { worker: 2 })));
+            assert!(matches!(
+                at_rendezvous.join().unwrap(),
+                Err(RuntimeError::Fault { worker: 2 })
+            ));
         });
         // Post-crash waits fail immediately instead of hanging.
-        assert!(co.acquire(Ring::Sample, 0).is_err());
-        assert!(co.acquire(Ring::Compute, 0).is_err());
+        assert!(co.acquire(0).is_err());
+        assert!(co.await_cut(0).is_err());
     }
 
     #[test]

@@ -289,17 +289,17 @@ fn four_workers_consume_four_shards_with_stale_remote_reads() {
 }
 
 /// Staleness 2, a mid-epoch checkpoint every 3 steps and a kill at step 7:
-/// the dense step now runs after the compute turn, and it must still land
-/// in the encoder before the checkpoint deposit. The killed run equals the
-/// uninterrupted one, and both equal the parent's bits. A checkpoint is a
+/// the dense step runs after the push, and it must still land in the
+/// encoder before the checkpoint deposit. The killed run equals the
+/// uninterrupted one, and both equal the pinned bits. A checkpoint is a
 /// function of the seed and the cut, so both runs also write the same
 /// files, byte for byte, at every cut — before the kill and after the
 /// restore alike.
 #[test]
 fn stale_mid_epoch_kill_lands_on_the_parent_fingerprint() {
-    /// `DistOutcome::fingerprint` of both runs at `1ff01d6`, where the step
-    /// ran inside the compute turn.
-    const PARENT: u64 = 0xd79b_6e78_2a55_3eef;
+    /// `DistOutcome::fingerprint` of both runs, with every push applied at
+    /// the cut after its step.
+    const PARENT: u64 = 0x134e_4182_4f63_2483;
     let (cluster, features) = setup(2);
     let run = |name: &str, chaos| {
         let dir = tmp_dir(name);
@@ -418,18 +418,19 @@ fn tiered_run(staleness: u64) -> TieredRun {
     }
 }
 
-/// The worker loop's schedule may overlap one worker's sampling with
-/// another's compute, but every read of the shared cluster — tier LRU,
-/// decode, neighbor cache, access meter — must still happen in the
-/// lock-step order. These constants were captured from the lock-step
-/// schedule; each run of the pipelined one must reproduce them.
+/// The worker loop runs the workers' compute at the same time, but every
+/// read of the shared cluster — tier LRU, decode, neighbor cache, access
+/// meter — must still happen in the lock-step order. The counters were
+/// captured from the lock-step schedule and the fingerprints from the cut
+/// schedule (a drain at step `t` sees no step-`t` push); each run must
+/// reproduce them.
 #[test]
 fn tiered_four_worker_runs_repeat_the_lock_step_counters() {
     let expected = [
         (
             0u64,
             TieredRun {
-                fingerprint: 0x35d8_f485_402e_30e0,
+                fingerprint: 0xd4d9_7f6f_42fe_ec1b,
                 adjacency: AccessStatsSnapshot {
                     local: 1809,
                     cached_remote: 951,
@@ -445,7 +446,7 @@ fn tiered_four_worker_runs_repeat_the_lock_step_counters() {
         (
             2,
             TieredRun {
-                fingerprint: 0xffad_015a_15d4_b1de,
+                fingerprint: 0x1ce0_7008_d73a_cee0,
                 adjacency: AccessStatsSnapshot {
                     local: 1809,
                     cached_remote: 951,
