@@ -757,7 +757,7 @@ pub fn rebalance_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, 
     Ok(out)
 }
 
-/// `aligraph tiered-bench` — the out-of-core scale curve. At graph sizes S/4, S/2 and S
+/// `aligraph tiered-bench` — the tiered-storage scale curve. At graph sizes S/4, S/2 and S
 /// (S in hundredths of `TaobaoConfig::large_sim()`, so `--scale 100` is the
 /// full taobao-large graph) it builds the tiered cluster twice per point:
 /// once all-hot (infinite budget, detached registry) as the oracle, once
@@ -767,10 +767,11 @@ pub fn rebalance_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, 
 /// must be bit-identical to the all-hot oracle's, the oracle must never
 /// read cold, and a tight run whose budget is genuinely below the all-hot
 /// footprint must actually serve training reads from the cold tier. Each
-/// point's line reports the tight run's cold reads and, per training step,
-/// cold reads and cold (encoded) bytes decoded. The largest point's tight
-/// run publishes into `registry` (`tier.*`, `storage.*`, `sampling.*`,
-/// `runtime.*`).
+/// point's line reports the encoded segment bytes the budget does not
+/// count (`tier.segment_bytes`), the tight run's cold reads and, per
+/// training step, cold reads and cold (encoded) bytes decoded. The largest
+/// point's tight run publishes into `registry` (`tier.*`, `storage.*`,
+/// `sampling.*`, `runtime.*`).
 ///
 /// `--resident-budget` caps the top point and scales linearly down the
 /// curve; when omitted every point gets 10% of its own all-hot footprint.
@@ -833,14 +834,16 @@ pub fn tiered_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, Cli
         // happened: report both, per training step.
         let steps = (scenario.cfg.workers * scenario.cfg.epochs * scenario.cfg.batches_per_epoch)
             .max(1) as u64;
-        let cold_bytes = reg.snapshot().counter("tier.io.bytes", &[("tier", "cold")]);
+        let snap = reg.snapshot();
+        let cold_bytes = snap.counter("tier.io.bytes", &[("tier", "cold")]);
         writeln!(
             out,
             "  point {point:>6.2}: {} vertices / {} edges  all-hot {all_hot} B  budget \
-             {budget} B  peak {peak} B  cold training reads {} ({}/step, {} B/step)  \
-             fingerprint {fp_tight:016x} ({})",
+             {budget} B  peak {peak} B  segments {} B  cold training reads {} ({}/step, {} \
+             B/step)  fingerprint {fp_tight:016x} ({})",
             graph.num_vertices(),
             graph.num_edges(),
+            snap.gauge("tier.segment_bytes", &[]),
             tight.report.adjacency.cold,
             tight.report.adjacency.cold / steps,
             cold_bytes / steps,
@@ -1142,6 +1145,9 @@ mod tests {
         let snap = reg.snapshot();
         assert!(snap.has_prefix("tier."), "tier series missing");
         assert!(snap.gauge("tier.resident_bytes", &[]) > 0);
+        // The largest point's line prints the gauge's encoded segment bytes.
+        let segments = format!("  segments {} B  ", snap.gauge("tier.segment_bytes", &[]));
+        assert!(out.lines().nth(3).is_some_and(|l| l.contains(&segments)), "{out}");
         assert!(
             snap.counter("tier.reads", &[("src", "cold")])
                 + snap.counter("tier.reads", &[("src", "prefetch")])

@@ -19,7 +19,6 @@
 use crate::cost::{AccessKind, AccessStats, CostModel, TierMeter};
 use crate::neighbor_cache::{CacheStrategy, NeighborCache};
 use crate::published::Published;
-use crate::segment::SegmentError;
 use crate::server::GraphServer;
 use crate::tier::{TierConfig, TieredStore};
 use crate::topology::{Residency, RouteError, TopologyView};
@@ -164,20 +163,7 @@ impl<'a> ClusterBuilder<'a> {
 
     /// Partitions the graph, ingests all shards, seeds the epoch-0 topology
     /// and returns the serving cluster plus the build timing report.
-    ///
-    /// Panics only if a *disk-backed* cold tier fails on I/O; use
-    /// [`try_build`](Self::try_build) to handle that case.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented: panics only on a disk-backed tier's I/O error"
-    )]
     pub fn build(self) -> (Cluster, ClusterBuildReport) {
-        self.try_build().expect("disk-backed tier build failed")
-    }
-
-    /// Fallible [`build`](Self::build): errors instead of panicking when a
-    /// disk-backed cold tier hits I/O trouble.
-    pub fn try_build(self) -> Result<(Cluster, ClusterBuildReport), SegmentError> {
         let p = self.shards.max(1);
         let graph = self.graph;
 
@@ -218,7 +204,7 @@ impl<'a> ClusterBuilder<'a> {
                 // decoded-resident footprint is the budget, not the graph.
                 let owners: Vec<u32> = graph.vertices().map(|v| partition.owner_of(v).0).collect();
                 let store =
-                    TieredStore::build(Arc::clone(&graph), &owners, p, cfg, self.cost, registry)?;
+                    TieredStore::build(Arc::clone(&graph), &owners, p, cfg, self.cost, registry);
                 let capacity = attr_cache_capacity(&graph);
                 let mut servers = Vec::with_capacity(p);
                 let mut shard_times = Vec::with_capacity(p);
@@ -266,7 +252,7 @@ impl<'a> ClusterBuilder<'a> {
             tier,
             edge_rosters: OnceLock::new(),
         };
-        Ok((cluster, report))
+        (cluster, report)
     }
 }
 

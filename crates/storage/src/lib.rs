@@ -21,8 +21,8 @@
 //!   cache through (`serving` embeddings per graph version, `streaming`
 //!   gathers per epoch): stale inserts rejected, targeted invalidation;
 //! * [`seal`] — the one FNV-1a hasher, sealed-buffer reader/writer and
-//!   atomic file writer behind checkpoints, [`segment`]s and every
-//!   torn-publish fingerprint;
+//!   atomic file writer behind checkpoints (the only files written), the
+//!   in-memory [`segment`]s and every torn-publish fingerprint;
 //! * [`cost`] — simulated local/remote access costs and atomic statistics;
 //! * [`published`] — the one publish cell every versioned snapshot goes
 //!   through (membership here, the online graph plane in `sampling`, the
@@ -67,6 +67,6 @@ pub use neighbor_cache::{CacheStrategy, NeighborCache};
 pub use published::{Published, StaleEpoch, Versioned, Writer};
 pub use segment::{Segment, SegmentError, SegmentKind};
 pub use server::{GraphServer, VertexRecord};
-pub use tier::{TierBacking, TierConfig, TierRead, TieredStore};
+pub use tier::{TierConfig, TierRead, TieredStore};
 pub use topology::{Residency, RouteError, TopologyView};
 pub use versioned_cache::{CacheStats, VersionedCache};

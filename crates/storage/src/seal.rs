@@ -1,9 +1,10 @@
 //! Sealed files: one FNV-1a hasher, one trailer rule, one atomic writer.
 //!
-//! Every durable artifact in the workspace (training checkpoints, cold-tier
-//! segments) and every torn-publish fingerprint (topology views, model
-//! versions, trained-model outcomes) goes through this module, so the two
-//! rules below are written — and tested — exactly once:
+//! Every sealed buffer in the workspace (training checkpoints, in-memory
+//! cold-tier segments) and every torn-publish fingerprint (topology views,
+//! model versions, trained-model outcomes) goes through this module, so the
+//! two rules below are written — and tested — exactly once. Checkpoints are
+//! the only files it writes:
 //!
 //! * **Format.** A sealed buffer is `magic ‖ fields ‖ trailer`, where the
 //!   trailer is the little-endian FNV-1a 64 of every byte before it.

@@ -1,13 +1,14 @@
-//! Sealed cold-tier segments: the durable form of compressed rows.
+//! Sealed cold-tier segments: the compressed form of rows, held in memory.
 //!
 //! One [`Segment`] holds many encoded rows ([`crate::codec`]) for one shard
 //! and one row kind, behind a sorted vertex index for O(log n) lookup. The
-//! byte layout is fully self-describing and **FNV-sealed**: the final eight
-//! bytes are an FNV-1a hash over everything before them, verified on every
-//! deserialization — a chaos-flipped byte anywhere in the file is rejected
-//! as [`SegmentError::SealMismatch`] instead of decoding into garbage,
-//! mirroring how `latest_valid_checkpoint` skips CRC-corrupt checkpoint
-//! files. The seal rule and the atomic disk write are [`crate::seal`]'s.
+//! tier keeps segments in memory and never writes them to a file; the
+//! serialized form ([`Segment::to_bytes`] / [`Segment::from_bytes`]) is a
+//! self-describing, **FNV-sealed** byte stream: the final eight bytes are
+//! an FNV-1a hash over everything before them, verified on every
+//! deserialization, so a flipped byte anywhere is rejected as
+//! [`SegmentError::SealMismatch`] instead of decoding into garbage. The
+//! seal rule is [`crate::seal`]'s.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -24,7 +25,6 @@
 //! ```
 
 use crate::seal::{self, SealError, Truncated};
-use std::path::Path;
 
 /// Magic bytes opening every segment.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"ALGRSEG1";
@@ -80,9 +80,6 @@ pub enum SegmentError {
     IndexUnsorted,
     /// A row's (offset, len) range fell outside the payload.
     RowOutOfBounds,
-    /// Filesystem failure (message carried as text; `std::io::Error` is
-    /// neither `Clone` nor `PartialEq`).
-    Io(String),
 }
 
 impl std::fmt::Display for SegmentError {
@@ -97,7 +94,6 @@ impl std::fmt::Display for SegmentError {
             }
             SegmentError::IndexUnsorted => write!(f, "segment index not sorted"),
             SegmentError::RowOutOfBounds => write!(f, "row range outside payload"),
-            SegmentError::Io(msg) => write!(f, "segment io: {msg}"),
         }
     }
 }
@@ -240,16 +236,6 @@ impl Segment {
         }
         Ok(Segment { kind, shard, index, payload })
     }
-
-    /// Writes the sealed bytes atomically ([`seal::write_atomic`]).
-    pub fn write_to(&self, path: &Path) -> Result<(), SegmentError> {
-        seal::write_atomic(path, &self.to_bytes()).map_err(|e| SegmentError::Io(e.to_string()))
-    }
-
-    /// Reads and verifies a segment file.
-    pub fn read_from(path: &Path) -> Result<Segment, SegmentError> {
-        Segment::from_bytes(&std::fs::read(path).map_err(|e| SegmentError::Io(e.to_string()))?)
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +259,7 @@ mod tests {
         let seg = sample_segment();
         let bytes = seg.to_bytes();
         // The `ALGRSEG1` byte stream is pinned: the trailer seals every byte
-        // before it, so this one constant fixes the whole on-disk format.
+        // before it, so this one constant fixes the whole byte format.
         assert_eq!(bytes.len(), 1123);
         assert_eq!(bytes[bytes.len() - 8..], 0x268c_1ca5_3452_799d_u64.to_le_bytes());
         let back = Segment::from_bytes(&bytes).unwrap();
@@ -333,25 +319,5 @@ mod tests {
         let back = Segment::from_bytes(&seg.to_bytes()).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.encoded_bytes(), 0);
-    }
-
-    #[test]
-    fn disk_roundtrip_is_atomic_and_sealed() {
-        let dir =
-            std::env::temp_dir().join(format!("aligraph-segment-test-{}", std::process::id()));
-        let path = dir.join("shard-2-feat-gen0.seg");
-        let seg = sample_segment();
-        seg.write_to(&path).unwrap();
-        // No temp file left behind.
-        assert!(!path.with_extension("seg.tmp").exists());
-        let back = Segment::read_from(&path).unwrap();
-        assert_eq!(back, seg);
-        // Corrupt one byte on disk: the read must reject it.
-        let mut raw = std::fs::read(&path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0x01;
-        std::fs::write(&path, &raw).unwrap();
-        assert!(matches!(Segment::read_from(&path), Err(SegmentError::SealMismatch { .. })));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

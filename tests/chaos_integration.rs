@@ -306,79 +306,6 @@ fn fault_stream_is_a_pure_function_of_the_seed() {
     assert_ne!(run(42), run(43), "different seeds explore different fault sequences");
 }
 
-/// Cold-tier corruption teeth (ISSUE 10): a chaos-flipped segment file is
-/// rejected by its FNV seal on reopen, the read path falls back to
-/// re-materializing the shard from the shared graph (the cold-tier mirror
-/// of `latest_valid_checkpoint` skipping CRC-corrupt checkpoints), and
-/// every row still reads back bit-exactly. Un-flipped shards must NOT be
-/// rebuilt — the rejection is surgical.
-#[test]
-fn corrupted_segment_rejected_by_seal_and_rematerialized() {
-    use aligraph_partition::Partitioner;
-    use aligraph_storage::tier::TierBacking;
-    use aligraph_storage::{TierConfig, TieredStore};
-    use aligraph_telemetry::Registry;
-
-    let dir = std::env::temp_dir().join(format!("algr-chaos-segment-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
-    let part = EdgeCutHash.partition(&graph, 3);
-    let owners: Vec<u32> = graph.vertices().map(|v| part.owner_of(v).0).collect();
-    let cfg = TierConfig { resident_budget: Some(8_192), backing: TierBacking::Disk(dir.clone()) };
-
-    let built = TieredStore::build(
-        Arc::clone(&graph),
-        &owners,
-        3,
-        cfg.clone(),
-        CostModel::default(),
-        &Registry::disabled(),
-    )
-    .expect("disk-backed build");
-    drop(built);
-
-    // Chaos: deterministically flip one byte in every shard-1 segment, the
-    // same corruption style the checkpoint chaos plane injects.
-    let mut flipped = 0;
-    for entry in std::fs::read_dir(&dir).expect("segment dir") {
-        let path = entry.expect("dir entry").path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string();
-        if name.starts_with("shard-0001") {
-            let mut raw = std::fs::read(&path).expect("segment bytes");
-            let mid = raw.len() / 2;
-            raw[mid] ^= 0x10;
-            std::fs::write(&path, &raw).expect("write corrupted segment");
-            flipped += 1;
-        }
-    }
-    assert!(flipped > 0, "shard 1 must have at least one segment file");
-
-    let registry = Registry::new();
-    let reopened =
-        TieredStore::reopen(Arc::clone(&graph), &owners, 3, cfg, CostModel::default(), &registry)
-            .expect("reopen falls back instead of failing");
-
-    // The seal caught the flip — exactly once per corrupted shard.
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.counter("tier.seal_rejections", &[]),
-        1,
-        "exactly the flipped shard must be rejected"
-    );
-
-    // Fallback re-materialization: every row on every shard bit-exact.
-    for v in graph.vertices() {
-        let (nbrs, _, _) = reopened.read_adjacency(v);
-        assert_eq!(&nbrs[..], graph.out_neighbors(v), "row {v:?} diverged after fallback");
-    }
-
-    // The re-written shard-1 file is sealed and valid again.
-    use aligraph_storage::Segment;
-    let rewritten = dir.join("shard-0001-adj-gen0000.seg");
-    assert!(Segment::read_from(&rewritten).is_ok(), "fallback must re-write a valid segment");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The fault stream each of the six senders draws, pinned to the numbers
 /// its parent produced (computed there, written here): training, ingest and
 /// rebalance at the parent of PR 15, whose one delivery driver replaced

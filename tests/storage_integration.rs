@@ -22,7 +22,6 @@ use aligraph_runtime::{DistOutcome, DistTrainer, EncoderSpec, RuntimeConfig};
 use aligraph_sampling::neighborhood::ClusterView;
 use aligraph_sampling::{NeighborhoodSampler, UniformNeighborhood};
 use aligraph_storage::seal::Fnv1a;
-use aligraph_storage::tier::TierBacking;
 use aligraph_storage::{CacheStrategy, Cluster, CostModel, TierConfig, TieredStore};
 use aligraph_telemetry::Registry;
 use rand::rngs::StdRng;
@@ -256,9 +255,8 @@ fn build_tier(
 ) -> Arc<TieredStore> {
     let part = EdgeCutHash.partition(g, 2);
     let owners: Vec<u32> = g.vertices().map(|v| part.owner_of(v).0).collect();
-    let cfg = TierConfig { resident_budget: budget, backing: TierBacking::Memory };
-    let tier =
-        TieredStore::build(Arc::clone(g), &owners, 2, cfg, CostModel::default(), registry).unwrap();
+    let cfg = TierConfig::with_budget(budget);
+    let tier = TieredStore::build(Arc::clone(g), &owners, 2, cfg, CostModel::default(), registry);
     tier.attach_features(features).unwrap();
     tier
 }
@@ -316,15 +314,14 @@ fn tiered_cluster_survives_shard_split() {
     }
 }
 
-/// Both durable writers — checkpoints and segments — go through
+/// The one durable writer — checkpoints — goes through
 /// `seal::write_atomic`: the file reads back equal, no temp sibling is left
 /// behind, and a stale `*.tmp` from a crashed writer is neither picked up
-/// by recovery (`latest_valid_checkpoint`, `TieredStore::reopen`) nor in
-/// the way of the next write to the same name.
+/// by recovery (`latest_valid_checkpoint`) nor in the way of the next write
+/// to the same name.
 #[test]
 fn sealed_writers_are_atomic_and_ignore_stale_temps() {
     use aligraph_runtime::{latest_valid_checkpoint, Checkpoint};
-    use aligraph_storage::Segment;
 
     let dir = std::env::temp_dir().join(format!("aligraph-sealed-writers-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -339,8 +336,8 @@ fn sealed_writers_are_atomic_and_ignore_stale_temps() {
     };
     let torn = b"half a file, from a writer that died before its rename";
 
-    // Checkpoints. The crashed writer was on a *newer* step than anything
-    // valid on disk, and a second one died on the very name written next.
+    // The crashed writer was on a *newer* step than anything valid on
+    // disk, and a second one died on the very name written next.
     let ckpt_dir = dir.join("ckpt");
     std::fs::create_dir_all(&ckpt_dir).unwrap();
     std::fs::write(ckpt_dir.join("ckpt-0000000009.bin.tmp"), torn).unwrap();
@@ -352,33 +349,5 @@ fn sealed_writers_are_atomic_and_ignore_stale_temps() {
     let (latest, loaded) = latest_valid_checkpoint(&ckpt_dir).unwrap().unwrap();
     assert_eq!((latest, &loaded), (path, &ckpt), "the stale step-9 temp is not a candidate");
 
-    // Segments, through the tier: build over a directory holding a stale
-    // temp for shard 0's file, then reopen with one for shard 1's.
-    let seg_dir = dir.join("seg");
-    std::fs::create_dir_all(&seg_dir).unwrap();
-    std::fs::write(seg_dir.join("shard-0000-adj-gen0000.seg.tmp"), torn).unwrap();
-    let g = graph();
-    let part = EdgeCutHash.partition(&g, 2);
-    let owners: Vec<u32> = g.vertices().map(|v| part.owner_of(v).0).collect();
-    let cfg =
-        TierConfig { resident_budget: Some(4_000), backing: TierBacking::Disk(seg_dir.clone()) };
-    let build = |registry: &Registry| {
-        TieredStore::build(Arc::clone(&g), &owners, 2, cfg.clone(), CostModel::default(), registry)
-    };
-    drop(build(&Registry::disabled()).unwrap());
-    assert!(tmp_files(&seg_dir).is_empty(), "stale temp overwritten and renamed away");
-    let seg_path = seg_dir.join("shard-0000-adj-gen0000.seg");
-    let seg = Segment::read_from(&seg_path).unwrap();
-    assert_eq!(std::fs::read(&seg_path).unwrap(), seg.to_bytes());
-
-    std::fs::write(seg_dir.join("shard-0001-adj-gen0000.seg.tmp"), torn).unwrap();
-    let registry = Registry::new();
-    let reopened =
-        TieredStore::reopen(Arc::clone(&g), &owners, 2, cfg, CostModel::default(), &registry)
-            .unwrap();
-    assert_eq!(registry.snapshot().counter("tier.seal_rejections", &[]), 0);
-    for v in g.vertices() {
-        assert_eq!(&reopened.read_adjacency(v).0[..], g.out_neighbors(v));
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
