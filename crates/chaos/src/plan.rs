@@ -237,6 +237,19 @@ impl FaultPlane {
         fires
     }
 
+    /// The first scheduled crash not fired yet that a run of `workers`
+    /// workers resuming at `from_step` can meet, in the order a one-token
+    /// schedule meets them (step, then worker); `None` while disarmed.
+    pub fn next_crash(&self, workers: usize, from_step: u64) -> Option<CrashPoint> {
+        let pending = |(c, fired): &(&CrashPoint, &AtomicBool)| {
+            // ordering: SeqCst, the same as the latch's swap in crash_fires.
+            (c.worker as usize) < workers && c.at_step >= from_step && !fired.load(Ordering::SeqCst)
+        };
+        let schedule = self.plan.crash_schedule.iter().zip(&self.crash_fired);
+        let next = schedule.filter(pending).map(|(c, _)| *c).min_by_key(|c| (c.at_step, c.worker));
+        next.filter(|_| self.is_armed())
+    }
+
     /// Whether the checkpoint written at `step` gets a byte flipped, and at
     /// which byte offset (mod file length). Seeded per step so some
     /// checkpoints in a run survive and restore can fall back to them.
@@ -345,8 +358,12 @@ mod tests {
         let p = FaultPlane::new(plan);
         assert!(!p.crash_fires(0, 10));
         assert!(!p.crash_fires(1, 11));
+        let point = Some(CrashPoint { worker: 1, at_step: 10 });
+        assert_eq!(p.next_crash(2, 0), point);
+        assert_eq!((p.next_crash(1, 0), p.next_crash(2, 11)), (None, None), "out of reach");
         assert!(p.crash_fires(1, 10));
         assert!(!p.crash_fires(1, 10), "each entry fires once");
+        assert_eq!(p.next_crash(2, 0), None, "a fired entry is not pending");
         assert_eq!(p.snapshot().faults_injected, 1);
     }
 

@@ -23,6 +23,7 @@ pub mod combiner;
 pub mod counter;
 pub mod overlay;
 pub mod ps;
+pub mod tier;
 pub mod topology;
 
 /// SplitMix64 — tiny, seedable, and good enough to scatter schedules.

@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn shadow_matches_bitwise_on_round_robin() {
         // The first interleaving is strict round-robin — the lockstep
-        // schedule the runtime's sample ring produces.
+        // schedule of workers that run their steps at the same pace.
         let w = PsWorkload::new(2, 4).unwrap();
         Explorer { seed: 7 }.explore(&w, 1).unwrap();
     }

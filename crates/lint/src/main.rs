@@ -4,6 +4,7 @@ use aligraph_lint::loom::combiner::CombinerWorkload;
 use aligraph_lint::loom::counter::CounterWorkload;
 use aligraph_lint::loom::overlay::OverlayWorkload;
 use aligraph_lint::loom::ps::PsWorkload;
+use aligraph_lint::loom::tier::TierWorkload;
 use aligraph_lint::loom::topology::TopologyWorkload;
 use aligraph_lint::loom::{Explorer, Workload};
 use std::process::ExitCode;
@@ -19,7 +20,7 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: aligraph-lint concurrency [--seed N] [--interleavings N] \
-         [--target combiner|counter|ps|overlay|topology|all]"
+         [--target combiner|counter|ps|overlay|tier|topology|all]"
     );
     ExitCode::from(2)
 }
@@ -77,18 +78,26 @@ fn run_concurrency(args: &[String]) -> ExitCode {
         let w = TopologyWorkload::default();
         run(w.name(), explorer.explore(&w, interleavings));
     }
-    // Last target: the error arm assigns `failed` directly, which is only
+    // Last targets: the error arms assign `failed` directly, which is only
     // legal once the `run` closure (which also captures it) is dead.
-    if target == "all" || target == "ps" {
-        match PsWorkload::new(3, 3) {
-            Ok(w) => run(w.name(), explorer.explore(&w, interleavings)),
-            Err(e) => {
-                eprintln!("mini-loom: ps setup failed: {e}");
-                failed = true;
-            }
-        }
+    let ps = (target == "all" || target == "ps").then(|| PsWorkload::new(3, 3));
+    let tier = (target == "all" || target == "tier").then(|| TierWorkload::new(seed));
+    let mut setup_failed = Vec::new();
+    match ps {
+        Some(Ok(w)) => run(w.name(), explorer.explore(&w, interleavings)),
+        Some(Err(e)) => setup_failed.push(format!("ps setup failed: {e}")),
+        None => {}
     }
-    let targets = ["all", "combiner", "counter", "ps", "overlay", "topology"];
+    match tier {
+        Some(Ok(w)) => run(w.name(), explorer.explore(&w, interleavings)),
+        Some(Err(e)) => setup_failed.push(format!("tier setup failed: {e}")),
+        None => {}
+    }
+    for e in &setup_failed {
+        eprintln!("mini-loom: {e}");
+        failed = true;
+    }
+    let targets = ["all", "combiner", "counter", "ps", "overlay", "tier", "topology"];
     if !targets.contains(&target.as_str()) {
         return usage();
     }

@@ -12,11 +12,11 @@
 //!   by the graph partition; workers push row-sparse AdaGrad deltas and
 //!   pull with bounded staleness, every message metered through the storage
 //!   cost model;
-//! * [`ssp::Coordinator`] — deterministic scheduling: one lockstep token
-//!   ring for sampling, a wait for the cut before a drain, and the one
-//!   rendezvous every epoch end and checkpoint cut runs through, so every
-//!   run (including restores and fault recoveries) replays bit-for-bit from
-//!   its seed;
+//! * [`ssp::Coordinator`] — deterministic scheduling with no token: a wait
+//!   for the cut before a drain, the one rendezvous every epoch end and
+//!   checkpoint cut runs through, and a scheduled crash's cut, so every run
+//!   (including restores and fault recoveries) replays bit-for-bit from its
+//!   seed;
 //! * [`checkpoint::Checkpoint`] — versioned on-disk snapshots (PS shards,
 //!   dense model + optimizer state, RNG states, drain clocks, partial epoch
 //!   losses) with mid-epoch restore and corruption detection; their bytes

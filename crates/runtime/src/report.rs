@@ -16,6 +16,9 @@ pub struct WorkerReport {
     /// Modelled comm nanoseconds (PS pushes/pulls/reads under the cost
     /// model).
     pub comm_ns: u64,
+    /// Wall-clock nanoseconds blocked waiting for a cut or at a rendezvous
+    /// (the leader's work there included). Reported, never branched on.
+    pub wait_ns: u64,
 }
 
 /// Outcome metrics of one distributed training run.
@@ -36,9 +39,8 @@ pub struct DistReport {
     /// ran.
     pub edges_total: u64,
     /// Wall-clock nanoseconds of this call as executed on this machine,
-    /// fault recoveries included. One sample turn and the other workers'
-    /// compute run at once, so this is far from what `p` machines would
-    /// take.
+    /// fault recoveries included. The workers share this machine's cores,
+    /// so this is far from what `p` machines would take.
     pub wall_ns: u64,
     /// Modelled cluster makespan of the steps this call ran: `max` over
     /// workers of busy + comm time — what `p` real machines would take, if
@@ -113,6 +115,11 @@ impl fmt::Display for DistReport {
             self.wall_edges_per_sec(),
             ms(self.wall_ns)
         )?;
+        write!(f, "wait at cuts and rendezvous:")?;
+        for (w, report) in self.per_worker.iter().enumerate() {
+            write!(f, "  w{w} {:.1} ms", ms(report.wait_ns))?;
+        }
+        writeln!(f)?;
         write!(f, "staleness hist [")?;
         for (a, &n) in self.staleness_hist.iter().enumerate() {
             write!(f, "{}{a}:{n}", if a == 0 { "" } else { " " })?;
@@ -162,7 +169,14 @@ mod tests {
             workers: 2,
             staleness: 1,
             epoch_losses: vec![0.9, 0.5],
-            per_worker: vec![WorkerReport { edges: 500, busy_ns: 1_000_000, comm_ns: 0 }; 2],
+            per_worker: vec![
+                WorkerReport {
+                    edges: 500,
+                    busy_ns: 1_000_000,
+                    ..WorkerReport::default()
+                };
+                2
+            ],
             staleness_hist: vec![3, 7],
             edges_total: 1_000,
             wall_ns: 2_000_000,

@@ -10,23 +10,23 @@
 //! owning each vertex, and averages dense layer parameters with the other
 //! workers at every epoch boundary.
 //!
-//! A step is one turn on the [`Coordinator`]'s sample ring, then the
-//! worker's own work. The *sample* turn ([`plan_contrastive`]) is the only
-//! part that reads the cluster: edge pool, tier, neighbor cache, access
-//! meter. The ring runs its workers in strict round-robin order, so the
-//! cluster sees the same sequence of calls as under one token. Then the
-//! worker waits for the cut if its replica is due a drain, drains the PS,
-//! runs [`finish_contrastive`] (flush, loss, backward) on the replica and
+//! Every worker runs its steps at once with the others; the
+//! [`Coordinator`] only counts them. A step first *samples*
+//! ([`plan_contrastive`]), the only part that reads the cluster: the
+//! worker's own edge pool, neighbor cache and tier shard, and the access
+//! meters, whose counts add up the same in any order. Then the worker waits
+//! for the cut if its replica is due a drain, drains the PS, runs
+//! [`finish_contrastive`] (flush, loss, backward) on the replica and
 //! pushes; last comes the *update*, the dense step ([`GnnEncoder::step`],
 //! with the weight gradients the backward kept) and the PS read meters.
 //! None of that is shared: the PS stages a push until the cut after its
 //! step and applies it there in `(step, worker)` order, so every worker's
 //! drain at step `t` reads the same state (every step before `t`, no step
-//! `t` push), however the workers' forward and backward overlap. Every run
-//! is therefore a deterministic function of its seed — including runs
-//! resumed from a checkpoint and runs interrupted by the fault injector,
-//! whose crash waits until no other worker has a step in flight before it
-//! tears the run down.
+//! `t` push), however the workers' steps overlap. Every run is therefore a
+//! deterministic function of its seed — including runs resumed from a
+//! checkpoint and runs interrupted by the fault injector, whose crash stops
+//! every worker at the cut computed from the schedule when the attempt
+//! starts (see [`crate::ssp`]).
 //!
 //! With one worker, staleness 0 and a frozen sparse learning rate, the loop
 //! degenerates to exactly [`aligraph::train_unsupervised`] — the
@@ -36,7 +36,7 @@ use crate::checkpoint::{latest_valid_checkpoint, Checkpoint, WorkerCkpt};
 use crate::error::RuntimeError;
 use crate::ps::SparseParamServer;
 use crate::report::{DistReport, WorkerReport};
-use crate::ssp::{Abort, Coordinator, Deposit, Rendezvous};
+use crate::ssp::{Coordinator, Deposit, Rendezvous};
 use aligraph::{finish_contrastive, plan_contrastive, GnnEncoder};
 use aligraph_chaos::{FaultConfig, FaultPlane, RetryPolicy};
 use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, FeatureMatrix};
@@ -443,7 +443,8 @@ impl<'a> DistTrainer<'a> {
         // Completed-epoch mean losses; the rendezvous leader appends.
         let shared =
             Mutex::new(resume.as_ref().map_or_else(Vec::new, |ck| ck.epoch_losses.clone()));
-        let co = Coordinator::new(p, resume.as_ref().map_or(0, |ck| ck.global_step));
+        let start_step = resume.as_ref().map_or(0, |ck| ck.global_step);
+        let co = Coordinator::new(p, start_step, chaos.plane.next_crash(p, start_step));
         let rebalances = AtomicU64::new(0);
         // Materialized once, before any worker can push: each worker's
         // starting replica must be the time-t0 server state, not whatever
@@ -583,12 +584,8 @@ impl<'a> DistTrainer<'a> {
         let allreduce_ns = self.registry.histogram("runtime.allreduce_ns", &[]);
 
         while t < total_steps {
-            // Sample turn: every read of the shared cluster this step makes.
-            co.acquire(me)?;
-            if chaos.plane.crash_fires(me as u32, t) {
-                co.crash_at_cut(me, Abort::Fault { worker: me as u32 })?;
-                return Err(RuntimeError::Fault { worker: me as u32 });
-            }
+            co.stop_at_crash_cut(me, t, || chaos.plane.crash_fires(me as u32, t))?;
+            // Sample: every read of the shared cluster this step makes.
             let sampling = Stopwatch::start();
             // Same draw sequence as the sequential trainer: edge type, then
             // the batch, then the step's internal sampling.
@@ -598,7 +595,6 @@ impl<'a> DistTrainer<'a> {
                 plan_contrastive(&encoder, graph, &view, &sampler, &batch, cfg.negatives, &mut rng)
             });
             report.busy_ns += sampling.elapsed_ns();
-            co.release(me)?;
 
             // The rest is this worker's own: the replica, the encoder, and
             // pushes the PS holds until the cut after this step.
@@ -607,7 +603,9 @@ impl<'a> DistTrainer<'a> {
             // computed at.
             let mut age = t - rec.last_drain;
             if age > cfg.staleness {
+                let waiting = Stopwatch::start();
                 co.await_cut(t)?;
+                report.wait_ns += waiting.elapsed_ns();
                 report.comm_ns += ps.drain_into(me, &mut replica)?;
                 rec.last_drain = t;
                 age = 0;
@@ -650,6 +648,7 @@ impl<'a> DistTrainer<'a> {
             rec.dense_state = encoder.dense_state_vec();
             let params = if epoch_end { encoder.dense_param_vec() } else { Vec::new() };
             let deposit = Deposit { state: rec.clone(), params };
+            let waiting = Stopwatch::start();
             let out = co.rendezvous(me, deposit, |mut deps| {
                 // Times the leader's epoch bookkeeping, allreduce and
                 // checkpoint into `runtime.allreduce_ns` (recorded when the
@@ -713,6 +712,7 @@ impl<'a> DistTrainer<'a> {
                 }
                 Ok(Rendezvous { avg_params: avg, drain })
             })?;
+            report.wait_ns += waiting.elapsed_ns();
             if let Some(avg) = &out.avg_params {
                 encoder.load_dense_param_vec(avg).map_err(RuntimeError::Unrecoverable)?;
                 rec.loss_sum = 0.0;

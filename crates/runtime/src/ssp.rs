@@ -1,27 +1,20 @@
-//! Deterministic worker scheduling: a coordinator that passes one token
-//! ring around the simulated workers for the half of a step that reads the
-//! shared cluster, lets each worker wait for a **cut** before it drains the
-//! parameter server, and runs the rendezvous at every epoch end and
-//! checkpoint cut.
+//! Deterministic worker scheduling without a token: a coordinator that
+//! counts each worker's completed steps, lets a worker wait for a **cut**
+//! (every worker has completed `t` steps) before it drains the parameter
+//! server, runs the rendezvous at every epoch end and checkpoint cut, and
+//! stops every worker at a scheduled crash's cut.
 //!
-//! Real distributed trainers interleave workers arbitrarily; on this
-//! simulator the coordinator pins every order-sensitive interleaving so
-//! each run is reproducible from its seed. The sample ring serializes the
-//! sampling half of every step in strict `(count, worker_id)` order, so
-//! every cluster read happens in the same global order as a one-token
-//! schedule would give. The rest of a step is the worker's own: the
-//! parameter server stages pushes and applies them only at a cut (see
-//! [`crate::ps`]), so two workers compute and push at the same time and
-//! still read the same rows. The ring keeps its workers in lockstep (nobody
-//! samples step `t + 1` before everyone has sampled step `t`), which has
-//! two consequences the rest of the runtime relies on:
+//! No read a worker makes depends on how the workers interleave: it samples
+//! through its own shard (edge pool, neighbor cache, tier state, each
+//! driven by its own RNG stream), and the parameter server applies pushes
+//! only at a cut (see [`crate::ps`]). So the workers run their steps at
+//! once and every run is still a function of its seed. A drain at step `t`
+//! waits for cut `t`, so bounded staleness `s` governs *data visibility*,
+//! and a worker runs at most `s + 1` steps ahead of the slowest.
 //!
-//! * every step boundary where all workers have completed `t` steps and
-//!   none has sampled further is a **consistent cut** — the rendezvous
-//!   points, which a worker reaches before it samples again;
-//! * bounded staleness `s` governs *data visibility* (how long a worker may
-//!   train on an un-drained replica), not run-ahead, so staleness effects
-//!   are isolated from scheduling noise.
+//! The **crash cut** of a scheduled crash `(w, t)`: workers below `w`
+//! complete step `t`, `w` and the workers above it complete `t − 1`, and
+//! nobody starts a step past that — where a one-token schedule crashes.
 //!
 //! All waits return `Result`: a crashed worker (fault injection) or a
 //! failed leader computation wakes every waiter with an error instead of
@@ -29,6 +22,7 @@
 
 use crate::checkpoint::WorkerCkpt;
 use crate::error::RuntimeError;
+use aligraph_chaos::CrashPoint;
 use std::sync::{Condvar, Mutex};
 
 /// Why a run was torn down early.
@@ -75,9 +69,13 @@ pub struct Rendezvous {
     pub drain: Option<aligraph_graph::FeatureMatrix>,
 }
 
+/// How many steps worker `w` completes before `crash` fires: the workers
+/// below the crashing one complete its step, the others the one before.
+fn stop(crash: &CrashPoint, w: usize) -> u64 {
+    crash.at_step + u64::from(w < crash.worker as usize)
+}
+
 struct CoState {
-    /// Steps each worker has sampled (the sample ring's counts).
-    sampled: Vec<u64>,
     /// Steps each worker has completed: pushed, so the PS holds them.
     steps: Vec<u64>,
     /// Torn down?
@@ -89,10 +87,12 @@ struct CoState {
     outcome: Option<std::sync::Arc<Rendezvous>>,
 }
 
-/// The scheduler + rendezvous shared by one attempt's workers.
+/// The cuts + rendezvous shared by one attempt's workers.
 pub struct Coordinator {
     state: Mutex<CoState>,
     cv: Condvar,
+    /// The attempt's first scheduled crash, if any.
+    crash: Option<CrashPoint>,
 }
 
 impl std::fmt::Debug for Coordinator {
@@ -102,13 +102,13 @@ impl std::fmt::Debug for Coordinator {
 }
 
 impl Coordinator {
-    /// A coordinator for `workers` workers that have each already sampled
-    /// and completed `start_step` steps (0 for a fresh run, the checkpoint
-    /// step after a restore).
-    pub fn new(workers: usize, start_step: u64) -> Self {
+    /// A coordinator for `workers` workers that have each already completed
+    /// `start_step` steps (0 for a fresh run, the checkpoint step after a
+    /// restore), stopping them at `crash`'s cut when one is scheduled.
+    pub fn new(workers: usize, start_step: u64, crash: Option<CrashPoint>) -> Self {
         Coordinator {
+            crash,
             state: Mutex::new(CoState {
-                sampled: vec![start_step; workers],
                 steps: vec![start_step; workers],
                 crashed: None,
                 arrived: 0,
@@ -139,24 +139,6 @@ impl Coordinator {
             }
             st = self.cv.wait(st).map_err(|_| RuntimeError::Poisoned("coordinator"))?;
         }
-    }
-
-    /// Blocks until worker `me` holds the sample ring's token: it is the
-    /// strict `(count, id)` minimum of the sampled counts.
-    pub fn acquire(&self, me: usize) -> Result<(), RuntimeError> {
-        self.wait_until(|st| {
-            let mine = (st.sampled[me], me);
-            st.sampled.iter().enumerate().all(|(w, &c)| w == me || mine < (c, w))
-        })
-        .map(drop)
-    }
-
-    /// Counts worker `me`'s sample turn done and passes the token on.
-    pub fn release(&self, me: usize) -> Result<(), RuntimeError> {
-        let mut st = self.lock()?;
-        st.sampled[me] += 1;
-        self.cv.notify_all();
-        Ok(())
     }
 
     /// Counts worker `me`'s step complete: its push is on the PS.
@@ -233,16 +215,28 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Tears the run down from worker `me`'s sample turn at the cut a
-    /// one-token schedule would crash at. `me` keeps the sample token, so no
-    /// later step is sampled, and waits until no other worker has a sampled
-    /// step in flight, so every earlier step has completed.
-    pub fn crash_at_cut(&self, me: usize, abort: Abort) -> Result<(), RuntimeError> {
-        self.wait_until(|st| {
-            st.sampled.iter().zip(&st.steps).enumerate().all(|(w, (s, c))| w == me || s == c)
-        })
-        .map(drop)?;
-        self.crash(abort)
+    /// Stops worker `me` before step `t` when `t` is its place on the crash
+    /// cut, and returns at once otherwise. There the crashing worker calls
+    /// `fire` (the chaos plane's once-only latch), waits until every other
+    /// worker has completed its steps up to the cut, and tears the run down;
+    /// the others wait for that. Either way the attempt's abort comes back
+    /// as the error.
+    pub fn stop_at_crash_cut<R>(
+        &self,
+        me: usize,
+        t: u64,
+        fire: impl FnOnce() -> R,
+    ) -> Result<(), RuntimeError> {
+        let Some(crash) = self.crash.filter(|crash| t >= stop(crash, me)) else { return Ok(()) };
+        if me == crash.worker as usize {
+            fire();
+            let stopped = |st: &CoState| {
+                st.steps.iter().enumerate().all(|(w, &c)| w == me || c >= stop(&crash, w))
+            };
+            drop(self.wait_until(stopped)?);
+            self.crash(Abort::Fault { worker: crash.worker })?;
+        }
+        self.wait_until(|_| false).map(drop)
     }
 }
 
@@ -250,55 +244,22 @@ impl Coordinator {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{mpsc, Arc};
+    use std::sync::{mpsc, Arc, Barrier};
     use std::time::Duration;
-
-    /// One worker's step `t`, logged: its sample turn, then, at cut `t`,
-    /// its completion.
-    fn step(co: &Coordinator, log: &Mutex<Vec<(&str, usize, u64)>>, me: usize, t: u64) {
-        co.acquire(me).unwrap();
-        log.lock().unwrap().push(("sample", me, t));
-        co.release(me).unwrap();
-        co.await_cut(t).unwrap();
-        log.lock().unwrap().push(("step", me, t));
-        co.finish_step(me).unwrap();
-    }
-
-    #[test]
-    fn schedule_is_strict_round_robin() {
-        // 3 workers, 4 steps each: the sample turns must go 0,1,2,0,1,2,...
-        // regardless of thread scheduling.
-        let co = Coordinator::new(3, 0);
-        let log = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for me in 0..3usize {
-                let (co, log) = (&co, &log);
-                s.spawn(move || (0..4).for_each(|t| step(co, log, me, t)));
-            }
-        });
-        let log = log.into_inner().unwrap();
-        let order: Vec<usize> =
-            log.iter().filter(|e| e.0 == "sample").map(|&(_, me, _)| me).collect();
-        assert_eq!(order, [0, 1, 2].repeat(4));
-    }
 
     #[test]
     fn a_worker_finishes_a_step_while_another_is_inside_it() {
         // Worker 0 stays inside step 0 until worker 1 has finished step 0.
-        // Were the steps' compute taken in turns, worker 1 could not finish
-        // before worker 0: the handshake would time out.
-        let co = Coordinator::new(2, 0);
+        // Were the steps taken in turns, worker 1 could not finish before
+        // worker 0: the handshake would time out.
+        let co = Coordinator::new(2, 0, None);
         let (finished, wait_finished) = mpsc::channel();
         std::thread::scope(|s| {
             s.spawn(|| {
-                co.acquire(1).unwrap();
-                co.release(1).unwrap();
                 co.await_cut(0).unwrap();
                 co.finish_step(1).unwrap();
                 finished.send(()).unwrap();
             });
-            co.acquire(0).unwrap();
-            co.release(0).unwrap();
             co.await_cut(0).unwrap();
             let overlap = wait_finished.recv_timeout(Duration::from_secs(30));
             co.finish_step(0).unwrap();
@@ -308,54 +269,76 @@ mod tests {
         });
     }
 
+    /// Runs `workers` workers for up to 4 steps each into `crash`'s cut and
+    /// returns their log. Every worker must end on the crash's abort, fired
+    /// once. Unless it is the crashing worker, `slow` is held inside its
+    /// last step until the crash has fired, so a crash that did not wait
+    /// for it would land early.
+    fn run_to_crash(
+        workers: usize,
+        crash: CrashPoint,
+        slow: usize,
+    ) -> Vec<(&'static str, usize, u64)> {
+        let (co, log) = (Coordinator::new(workers, 0, Some(crash)), Mutex::new(Vec::new()));
+        let (fired, inside) = (AtomicU64::new(0), Barrier::new(2));
+        let held = slow != crash.worker as usize;
+        let run = |me: usize| -> Result<(), RuntimeError> {
+            for t in 0..4 {
+                co.stop_at_crash_cut(me, t, || {
+                    fired.fetch_add(1, Ordering::SeqCst);
+                    if held {
+                        inside.wait();
+                    }
+                })?;
+                log.lock().unwrap().push(("sample", me, t));
+                if held && me == slow && t + 1 == stop(&crash, me) {
+                    inside.wait();
+                }
+                co.await_cut(t)?;
+                log.lock().unwrap().push(("step", me, t));
+                co.finish_step(me)?;
+            }
+            Ok(())
+        };
+        let results: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|me| s.spawn(move || run(me))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let fault = RuntimeError::Fault { worker: crash.worker };
+        assert!(results.iter().all(|r| r.as_ref().err() == Some(&fault)), "{results:?}");
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "the crash fires once");
+        log.into_inner().unwrap()
+    }
+
     #[test]
     fn a_crash_at_a_sample_turn_keeps_the_lock_step_cut() {
-        // Worker 1's crash fires at its sample turn for step 2, just after
-        // worker 0 sampled step 2 and before worker 0 finishes it. The
-        // one-token schedule crashed with worker 0's step 2 complete and its
-        // step 3 not started; the cut schedule must crash at the same cut.
-        let (co, log) = (&Coordinator::new(2, 0), &Mutex::new(Vec::new()));
-        let (crashing, wait_crashing) = mpsc::channel();
-        let worker0 = std::thread::scope(|s| {
-            let worker1 = s.spawn(move || {
-                (0..2).for_each(|t| step(co, log, 1, t));
-                co.acquire(1).unwrap();
-                crashing.send(()).unwrap();
-                co.crash_at_cut(1, Abort::Fault { worker: 1 }).unwrap();
-            });
-            (|| -> Result<(), RuntimeError> {
-                for t in 0..4 {
-                    co.acquire(0)?;
-                    log.lock().unwrap().push(("sample", 0, t));
-                    co.release(0)?;
-                    if t == 2 {
-                        // A crash that did not wait for worker 0's step in
-                        // flight would land now; give it the time to.
-                        wait_crashing.recv().unwrap();
-                        for _ in 0..1_000 {
-                            if worker1.is_finished() {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                    co.await_cut(t)?;
-                    log.lock().unwrap().push(("step", 0, t));
-                    co.finish_step(0)?;
-                }
-                Ok(())
-            })()
-        });
-        assert!(matches!(worker0, Err(RuntimeError::Fault { worker: 1 })));
-        let log = log.lock().unwrap();
+        // Worker 1's crash is scheduled before its step 2. The one-token
+        // schedule crashed with worker 0's step 2 complete and its step 3
+        // not started; the crash cut must stop at the same place, even with
+        // worker 0 still inside step 2 when worker 1 reaches the crash.
+        let log = run_to_crash(2, CrashPoint { worker: 1, at_step: 2 }, 0);
         assert!(log.contains(&("step", 0, 2)), "worker 0's step 2 completes: {log:?}");
         assert!(!log.contains(&("sample", 0, 3)), "step 3 is never sampled: {log:?}");
         assert_eq!(log.len(), 2 * 2 * 2 + 2, "steps 0-1 of both, step 2 of worker 0");
     }
 
     #[test]
+    fn the_crash_cut_stops_each_worker_at_its_count() {
+        // A crash at (1, 2) among three workers: worker 0 completes step 2,
+        // workers 1 and 2 complete step 1, and nobody samples further,
+        // whichever of them is slow.
+        for slow in 0..3 {
+            let log = run_to_crash(3, CrashPoint { worker: 1, at_step: 2 }, slow);
+            for (me, done) in [(0, 3), (1, 2), (2, 2)] {
+                let count = |what: &str| log.iter().filter(|e| e.0 == what && e.1 == me).count();
+                assert_eq!((count("sample"), count("step")), (done, done), "{me}, {slow}: {log:?}");
+            }
+        }
+    }
+
+    #[test]
     fn rendezvous_runs_leader_once_with_all_deposits() {
-        let co = Arc::new(Coordinator::new(4, 0));
+        let co = Arc::new(Coordinator::new(4, 0, None));
         let leader_runs = Arc::new(AtomicU64::new(0));
         std::thread::scope(|s| {
             for me in 0..4usize {
@@ -382,7 +365,7 @@ mod tests {
 
     #[test]
     fn crash_wakes_scheduler_and_rendezvous_waiters() {
-        let co = Arc::new(Coordinator::new(3, 0));
+        let co = Arc::new(Coordinator::new(3, 0, None));
         std::thread::scope(|s| {
             // Worker 2 never finishes step 0, so worker 0 waits for cut 1
             // and worker 1 at the rendezvous until the crash.
@@ -408,13 +391,12 @@ mod tests {
             ));
         });
         // Post-crash waits fail immediately instead of hanging.
-        assert!(co.acquire(0).is_err());
         assert!(co.await_cut(0).is_err());
     }
 
     #[test]
     fn leader_error_tears_down_every_worker() {
-        let co = Arc::new(Coordinator::new(2, 0));
+        let co = Arc::new(Coordinator::new(2, 0, None));
         let results: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..2usize)
                 .map(|me| {

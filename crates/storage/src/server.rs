@@ -154,10 +154,7 @@ impl GraphServer {
     /// The cumulative weight table of a resident vertex, if any.
     pub fn weight_cdf(&self, v: VertexId) -> Option<Arc<[f32]>> {
         if let Some(tier) = &self.tier {
-            if tier.store.is_resident(tier.shard, v.0) {
-                return tier.store.weight_cdf(v);
-            }
-            return None;
+            return tier.store.weight_cdf(tier.shard, v);
         }
         self.weight_cdf.read().get(&v.0).cloned()
     }
@@ -247,7 +244,8 @@ impl GraphServer {
         if let Some(tier) = &self.tier {
             // Resident: the tier read decides hot vs cold (and promotes the
             // row if the admission rule takes it) — residency, lookup and
-            // decode under the tier's one lock.
+            // decode under this shard's lock, which no other worker's read
+            // takes.
             if let Some(how) = tier.store.classify(tier.shard, v) {
                 return match how {
                     TierRead::Hot => {

@@ -59,6 +59,16 @@
 //!
 //! Dirty feature rows ([`TieredStore::write_row`]) are written back on
 //! demotion into fresh segment generations (sorted, deterministic bytes).
+//!
+//! **Each shard owns its tier state**: its hot-row LRU, residency bitmap,
+//! feature generations, writeback staging, prefetch stage and row buffer
+//! sit behind that shard's own lock, under its share of the budget (the
+//! bytes of the seeded rows it owns plus an equal split of the slack, so
+//! the shares sum to the budget; `τ` is global). A read through a shard
+//! touches only rows resident there, so each shard's hot set is a function
+//! of its own reader's sequence, and training workers sample at once. The
+//! immutable adjacency segments, the key and the ranking are read outside
+//! every lock; the entry points that name no shard route to the owner.
 
 use crate::codec::{
     decode_adjacency_into, decode_feature_row, encode_adjacency, encode_feature_row,
@@ -69,7 +79,7 @@ use crate::segment::{Segment, SegmentError, SegmentKind};
 use crate::server::{build_cdf, fill_cdf, VertexRecord};
 use aligraph_graph::{AttributedHeterogeneousGraph, FeatureMatrix, Neighbor, VertexId};
 use aligraph_telemetry::{Counter, Gauge, Registry};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -222,23 +232,33 @@ struct Staged {
     served: u32,
 }
 
+/// One shard's mutable tier state, behind that shard's own lock. A worker's
+/// tier reads touch only its own shard, so each shard's hot set is a
+/// function of that worker's read sequence alone, whatever the other
+/// workers do meanwhile.
 #[derive(Debug)]
-struct TierState {
+struct ShardTier {
+    /// This shard's slot in the store's tables.
+    slot: usize,
+    /// This shard's share of the resident budget (`None` = unbounded); see
+    /// [`budget_shares`].
+    budget: Option<u64>,
     /// Decoded hot rows, recency-ordered. Count capacity equals the maximum
     /// possible live entries (one adjacency + one feature row per vertex),
     /// so count-eviction never fires; the byte budget is enforced here.
     hot: LruCache<RowKey, HotRow>,
     hot_bytes: u64,
     peak_hot_bytes: u64,
-    /// Per-shard residency bitmaps (bit v = vertex v serves as Local from
-    /// that shard).
-    resident: Vec<Vec<u64>>,
-    resident_counts: Vec<usize>,
-    /// One adjacency segment per build shard: adjacency is immutable, so
-    /// it has one generation.
-    adj_segments: Vec<Segment>,
-    /// Per-shard feature segment generations, oldest first.
-    feat_segments: Vec<Vec<Segment>>,
+    /// What this shard has added to the `tier.resident_bytes`,
+    /// `tier.peak_resident_bytes` and `tier.hot_rows` gauges: each gauge
+    /// is the sum of the shards' parts.
+    published: [i64; 3],
+    /// Residency bitmap (bit v = vertex v serves as Local from this shard).
+    resident: Vec<u64>,
+    resident_count: usize,
+    /// Feature segment generations of the rows this shard owns, oldest
+    /// first; empty until features are attached.
+    feat_segments: Vec<Segment>,
     /// Dirty rows demoted but not yet flushed into a segment. A `BTreeMap`
     /// so the flush drains in sorted vertex order — one canonical byte
     /// stream per logical content.
@@ -252,51 +272,62 @@ struct TierState {
     /// budget. A pass-through read never leaves it.
     row_nbrs: Vec<Neighbor>,
     row_cdf: Vec<f32>,
-    /// Whether feature segments exist.
-    has_features: bool,
 }
 
-impl TierState {
-    fn set_resident(&mut self, shard: usize, v: u32, on: bool) {
-        let map = &mut self.resident[shard];
-        let (word, bit) = (v as usize / 64, v as usize % 64);
-        if word >= map.len() {
-            map.resize(word + 1, 0);
-        }
-        let mask = 1u64 << bit;
-        let was = map[word] & mask != 0;
-        if on && !was {
-            map[word] |= mask;
-            self.resident_counts[shard] += 1;
-        } else if !on && was {
-            map[word] &= !mask;
-            self.resident_counts[shard] -= 1;
+impl ShardTier {
+    fn new(slot: usize, budget: Option<u64>, vertices: usize) -> Self {
+        ShardTier {
+            slot,
+            budget,
+            // One adjacency plus one feature row per vertex is the hard cap
+            // on live hot entries.
+            hot: LruCache::new(2 * vertices + 2),
+            hot_bytes: 0,
+            peak_hot_bytes: 0,
+            published: [0; 3],
+            resident: vec![0u64; vertices.div_ceil(64)],
+            resident_count: 0,
+            feat_segments: Vec::new(),
+            writeback_pending: BTreeMap::new(),
+            prefetch_active: HashMap::new(),
+            row_nbrs: Vec::new(),
+            row_cdf: Vec::new(),
         }
     }
 
-    fn is_resident(&self, shard: usize, v: u32) -> bool {
-        self.resident
-            .get(shard)
-            .and_then(|map| map.get(v as usize / 64))
-            .is_some_and(|w| w & (1u64 << (v as usize % 64)) != 0)
+    fn set_resident(&mut self, v: u32, on: bool) {
+        let (word, bit) = (v as usize / 64, v as usize % 64);
+        if word >= self.resident.len() {
+            self.resident.resize(word + 1, 0);
+        }
+        let mask = 1u64 << bit;
+        let was = self.resident[word] & mask != 0;
+        if on && !was {
+            self.resident[word] |= mask;
+            self.resident_count += 1;
+        } else if !on && was {
+            self.resident[word] &= !mask;
+            self.resident_count -= 1;
+        }
+    }
+
+    fn is_resident(&self, v: u32) -> bool {
+        self.resident.get(v as usize / 64).is_some_and(|w| w & (1u64 << (v as usize % 64)) != 0)
     }
 
     /// The row buffer's content in shareable form.
     fn shared_row(&self) -> SharedRow {
         (self.row_nbrs.as_slice().into(), self.row_cdf.as_slice().into())
     }
-
-    fn segment_bytes(&self) -> u64 {
-        self.adj_segments
-            .iter()
-            .chain(self.feat_segments.iter().flatten())
-            .map(Segment::encoded_bytes)
-            .sum()
-    }
 }
 
+/// One shard's tier state behind its lock.
+type ShardHandle = Arc<Mutex<ShardTier>>;
+
 /// The out-of-core tier beneath a cluster's shards. One instance is shared
-/// by every [`crate::server::GraphServer`] of a tiered cluster.
+/// by every [`crate::server::GraphServer`] of a tiered cluster; each shard's
+/// hot set, residency, prefetch stage and feature generations sit behind
+/// that shard's own lock.
 #[derive(Debug)]
 pub struct TieredStore {
     graph: Arc<AttributedHeterogeneousGraph>,
@@ -310,13 +341,21 @@ pub struct TieredStore {
     /// Vertex ids by descending key, vertex id as the deterministic
     /// tie-break.
     ranking: Vec<u32>,
-    /// The admission threshold: the key of the first ranked row the budget
-    /// could not seed (0 when every row fits or there is no budget) — see
-    /// [`plan_hot_set`].
+    /// The admission threshold, one for every shard: the key of the first
+    /// ranked row the budget could not seed (0 when every row fits or there
+    /// is no budget) — see [`plan_hot_set`].
     tau: f64,
     cfg: TierConfig,
     cost: CostModel,
-    state: Mutex<TierState>,
+    /// One adjacency segment per build shard. Adjacency is immutable, so it
+    /// has one generation and is read outside every lock.
+    adj_segments: Vec<Segment>,
+    /// Per-shard state of the build's shards, indexed by slot. Fixed for
+    /// the store's life, so a read reaches its shard without a table lock.
+    built: Box<[ShardHandle]>,
+    /// The slots splits add after the build ([`TieredStore::ensure_shard`]),
+    /// from `built.len()` on.
+    added: RwLock<Vec<ShardHandle>>,
     metrics: TierMetrics,
     /// Cold-tier I/O metering: every segment decode records a `Cold` op
     /// with its encoded bytes on the overlapped storage clock
@@ -329,7 +368,8 @@ impl TieredStore {
     /// shard's generation-0 segment, seeds residency from `owners`, computes
     /// the admission key and ranking (one pass over the segments' index,
     /// one sort per build), and admits the highest-ranked rows hot until the
-    /// budget is reached, which fixes the threshold `τ`.
+    /// budget is reached, which fixes the threshold `τ` and each shard's
+    /// budget share.
     pub fn build(
         graph: Arc<AttributedHeterogeneousGraph>,
         owners: &[u32],
@@ -344,42 +384,20 @@ impl TieredStore {
             encode_adjacency(graph.out_neighbors(v), &mut buf);
             rows[owners[v.index()] as usize].push((v.0, buf));
         }
-        let adj_segments = rows
+        let adj_segments: Vec<Segment> = rows
             .into_iter()
             .enumerate()
             .map(|(shard, shard_rows)| {
                 Segment::build(SegmentKind::Adjacency, shard as u16, shard_rows)
             })
             .collect();
-        let n = graph.num_vertices();
-        let words = n.div_ceil(64);
-        let mut state = TierState {
-            // One adjacency plus one feature row per vertex is the hard cap
-            // on live hot entries.
-            hot: LruCache::new(2 * n + 2),
-            hot_bytes: 0,
-            peak_hot_bytes: 0,
-            resident: vec![vec![0u64; words]; shards],
-            resident_counts: vec![0; shards],
-            adj_segments,
-            feat_segments: vec![Vec::new(); shards],
-            writeback_pending: BTreeMap::new(),
-            prefetch_active: HashMap::new(),
-            row_nbrs: Vec::new(),
-            row_cdf: Vec::new(),
-            has_features: false,
-        };
-        for v in graph.vertices() {
-            state.set_resident(owners[v.index()] as usize, v.0, true);
-        }
         // Decoded bytes saved per resident byte: reads × the encoded bytes a
         // cold read decodes, over the bytes the row occupies hot.
         let importance: Vec<f64> = graph
             .vertices()
             .map(|v| {
-                let enc = state.adj_segments[owners[v.index()] as usize]
-                    .lookup(v.0)
-                    .map_or(0, <[u8]>::len);
+                let enc =
+                    adj_segments[owners[v.index()] as usize].lookup(v.0).map_or(0, <[u8]>::len);
                 let saved = graph.in_degree(v) as f64 * enc as f64;
                 saved / adjacency_bytes(graph.out_degree(v)) as f64
             })
@@ -389,9 +407,21 @@ impl TieredStore {
             importance[b as usize].total_cmp(&importance[a as usize]).then(a.cmp(&b))
         });
         let (seeds, tau) = plan_hot_set(&graph, &importance, &ranking, cfg.resident_budget);
+        let n = graph.num_vertices();
+        let mut states: Vec<ShardTier> =
+            budget_shares(&graph, owners, shards, &seeds, cfg.resident_budget)
+                .into_iter()
+                .enumerate()
+                .map(|(slot, share)| ShardTier::new(slot, share, n))
+                .collect();
+        for v in graph.vertices() {
+            states[owners[v.index()] as usize].set_resident(v.0, true);
+        }
         let metrics = TierMetrics::registered(registry);
-        metrics.segment_bytes.set(state.segment_bytes() as i64);
-        let store = TieredStore {
+        metrics
+            .segment_bytes
+            .add(adj_segments.iter().map(Segment::encoded_bytes).sum::<u64>() as i64);
+        let mut store = TieredStore {
             graph,
             owner: owners.to_vec(),
             importance,
@@ -399,121 +429,146 @@ impl TieredStore {
             tau,
             cfg,
             cost,
-            state: Mutex::new(state),
+            adj_segments,
+            built: Box::default(),
+            added: RwLock::new(Vec::new()),
             metrics,
             io_meter: TierMeter::registered(registry, "tier.io"),
         };
-        {
-            // Least important first, so the least important hot row is also
-            // the least recently used — the first demotion victim.
-            let mut state = store.state.lock();
-            for &v in seeds.iter().rev() {
-                let nbrs: Arc<[Neighbor]> = store.graph.out_neighbors(VertexId(v)).into();
-                let cdf = build_cdf(&nbrs);
-                store.admit(
-                    &mut state,
-                    RowKey { kind: KIND_ADJ, vertex: v },
-                    HotRow::Adjacency { nbrs, cdf },
-                );
-            }
-            store.publish_gauges(&state);
+        // Least important first, so the least important hot row is also the
+        // least recently used — the first demotion victim.
+        for &v in seeds.iter().rev() {
+            let nbrs: Arc<[Neighbor]> = store.graph.out_neighbors(VertexId(v)).into();
+            let cdf = build_cdf(&nbrs);
+            store.admit(
+                &mut states[owners[v as usize] as usize],
+                RowKey { kind: KIND_ADJ, vertex: v },
+                HotRow::Adjacency { nbrs, cdf },
+            );
         }
+        for st in &mut states {
+            store.publish_gauges(st);
+        }
+        store.built = states.into_iter().map(|st| Arc::new(Mutex::new(st))).collect();
         Arc::new(store)
     }
 
+    /// Runs `f` on shard `slot`'s state under its lock (`None` past the
+    /// last slot).
+    fn on_shard<R>(&self, slot: usize, f: impl FnOnce(&mut ShardTier) -> R) -> Option<R> {
+        if let Some(shard) = self.built.get(slot) {
+            return Some(f(&mut shard.lock()));
+        }
+        let added = self.added.read();
+        let shard = added.get(slot - self.built.len())?;
+        let out = f(&mut shard.lock());
+        Some(out)
+    }
+
+    /// Every shard's state, build slots first.
+    fn all_shards(&self) -> Vec<ShardHandle> {
+        self.built.iter().chain(self.added.read().iter()).cloned().collect()
+    }
+
+    /// Runs `f` on the state of the shard whose segments hold `v`'s rows:
+    /// the entry points that name no shard read through the owner.
+    fn on_owner<R>(&self, v: VertexId, f: impl FnOnce(&mut ShardTier) -> R) -> R {
+        let slot = self.owner.get(v.index()).copied().unwrap_or(0) as usize;
+        f(&mut self.built[slot].lock())
+    }
+
     /// Encodes every vertex's feature row into its owner shard's feature
-    /// segment and admits the highest-ranked rows hot under the remaining
-    /// budget.
+    /// segment and admits each shard's highest-ranked rows hot under what
+    /// remains of its budget share.
     pub fn attach_features(&self, features: &FeatureMatrix) -> Result<(), SegmentError> {
-        let shards = self.num_shards();
-        let mut rows: Vec<Vec<(u32, Vec<u8>)>> = vec![Vec::new(); shards];
+        let mut rows: Vec<Vec<(u32, Vec<u8>)>> = vec![Vec::new(); self.num_shards()];
         for v in self.graph.vertices() {
             let mut buf = Vec::new();
             encode_feature_row(features.row(v), &mut buf);
             rows[self.owner[v.index()] as usize].push((v.0, buf));
         }
-        {
-            let mut state = self.state.lock();
-            for (shard, shard_rows) in rows.into_iter().enumerate() {
-                let seg = Segment::build(SegmentKind::Feature, shard as u16, shard_rows);
-                state.feat_segments[shard] = vec![seg];
-            }
-            state.has_features = true;
-            self.metrics.segment_bytes.set(state.segment_bytes() as i64);
-        }
-        // Admit hot feature rows for the ranked prefix that still fits.
         let row_sz = 32 + features.dim as u64 * 4;
-        let mut state = self.state.lock();
-        let mut chosen = Vec::new();
-        let mut bytes = state.hot_bytes;
-        for &v in &self.ranking {
-            if let Some(budget) = self.cfg.resident_budget {
-                if bytes + row_sz > budget {
-                    break;
+        for (slot, shard_rows) in rows.into_iter().enumerate() {
+            self.on_shard(slot, |st| {
+                let seg = Segment::build(SegmentKind::Feature, slot as u16, shard_rows);
+                let old: u64 = st.feat_segments.iter().map(Segment::encoded_bytes).sum();
+                self.metrics.segment_bytes.add(seg.encoded_bytes() as i64 - old as i64);
+                st.feat_segments = vec![seg];
+                // Admit hot feature rows for the shard's ranked prefix that
+                // still fits its share.
+                let mut chosen = Vec::new();
+                let mut bytes = st.hot_bytes;
+                for &v in self.ranking.iter().filter(|&&v| self.owner[v as usize] as usize == slot)
+                {
+                    if st.budget.is_some_and(|budget| bytes + row_sz > budget) {
+                        break;
+                    }
+                    bytes += row_sz;
+                    chosen.push(v);
                 }
-            }
-            bytes += row_sz;
-            chosen.push(v);
+                for &v in chosen.iter().rev() {
+                    let row: Arc<[f32]> = features.row(VertexId(v)).into();
+                    self.admit(
+                        st,
+                        RowKey { kind: KIND_FEAT, vertex: v },
+                        HotRow::Feature { row, dirty: false },
+                    );
+                }
+                self.publish_gauges(st);
+            });
         }
-        for &v in chosen.iter().rev() {
-            let row: Arc<[f32]> = features.row(VertexId(v)).into();
-            self.admit(
-                &mut state,
-                RowKey { kind: KIND_FEAT, vertex: v },
-                HotRow::Feature { row, dirty: false },
-            );
-        }
-        self.publish_gauges(&state);
         Ok(())
     }
 
-    /// The configured budget.
+    /// The configured budget: the sum of the shards' shares.
     pub fn budget(&self) -> Option<u64> {
         self.cfg.resident_budget
     }
 
     /// Number of shards with segment storage.
     pub fn num_shards(&self) -> usize {
-        self.state.lock().adj_segments.len()
+        self.adj_segments.len()
     }
 
-    /// Current decoded hot bytes (the `tier.resident_bytes` gauge).
+    /// Current decoded hot bytes, summed over the shards (the
+    /// `tier.resident_bytes` gauge).
     pub fn resident_bytes(&self) -> u64 {
-        self.state.lock().hot_bytes
+        self.all_shards().iter().map(|s| s.lock().hot_bytes).sum()
     }
 
-    /// High-water mark of decoded hot bytes.
+    /// The sum of the shards' high-water marks of decoded hot bytes: at
+    /// most the budget, since no shard exceeds its share.
     pub fn peak_resident_bytes(&self) -> u64 {
-        self.state.lock().peak_hot_bytes
+        self.all_shards().iter().map(|s| s.lock().peak_hot_bytes).sum()
     }
 
     /// Whether `v` serves as `Local` from `shard`.
     pub fn is_resident(&self, shard: usize, v: u32) -> bool {
-        self.state.lock().is_resident(shard, v)
+        self.on_shard(shard, |st| st.is_resident(v)).unwrap_or(false)
     }
 
     /// Number of vertices resident on `shard`.
     pub fn num_resident(&self, shard: usize) -> usize {
-        self.state.lock().resident_counts.get(shard).copied().unwrap_or(0)
+        self.on_shard(shard, |st| st.resident_count).unwrap_or(0)
     }
 
-    /// Grows per-shard tables to cover `slot` (a split's new shard).
+    /// Grows the per-shard tables to cover `slot` (a split's new shard). A
+    /// new slot's budget share is 0: its rows pass through.
     pub fn ensure_shard(&self, slot: usize) {
-        let mut state = self.state.lock();
-        let words = self.graph.num_vertices().div_ceil(64);
-        while state.resident.len() <= slot {
-            state.resident.push(vec![0u64; words]);
-            state.resident_counts.push(0);
-            state.feat_segments.push(Vec::new());
+        let mut added = self.added.write();
+        while self.built.len() + added.len() <= slot {
+            let share = self.cfg.resident_budget.map(|_| 0);
+            let st =
+                ShardTier::new(self.built.len() + added.len(), share, self.graph.num_vertices());
+            added.push(Arc::new(Mutex::new(st)));
         }
     }
 
-    /// Reads one adjacency row (with its weight CDF) through the tier.
-    /// Always bit-exact against `graph.out_neighbors(v)`; the third tuple
-    /// element says how the read was served.
+    /// Reads one adjacency row (with its weight CDF) through its owner
+    /// shard. Always bit-exact against `graph.out_neighbors(v)`; the third
+    /// tuple element says how the read was served.
     pub fn read_adjacency(&self, v: VertexId) -> (Arc<[Neighbor]>, Arc<[f32]>, TierRead) {
-        let mut state = self.state.lock();
-        let (how, row) = self.read_row(&mut state, v, true);
+        let (how, row) = self.on_owner(v, |st| self.read_row(st, v, true));
         #[expect(clippy::expect_used, reason = "read_row returns the row whenever it is asked to")]
         let (nbrs, cdf) = row.expect("row was requested");
         (nbrs, cdf, how)
@@ -521,74 +576,73 @@ impl TieredStore {
 
     /// Meters one adjacency read of `v` from `shard` without handing out the
     /// data — what [`crate::server::GraphServer::classify`] needs: residency
-    /// check, hot lookup and cold decode under one lock, no `Arc` cloned.
-    /// `None` when `v` is not resident on `shard`.
+    /// check, hot lookup and cold decode under that shard's lock, no `Arc`
+    /// cloned. `None` when `v` is not resident on `shard`.
     pub(crate) fn classify(&self, shard: usize, v: VertexId) -> Option<TierRead> {
-        let mut state = self.state.lock();
-        state.is_resident(shard, v.0).then(|| self.read_row(&mut state, v, false).0)
+        self.on_shard(shard, |st| st.is_resident(v.0).then(|| self.read_row(st, v, false).0))
+            .flatten()
     }
 
-    /// The weight CDF of `v`'s adjacency (`None` for isolated vertices).
-    pub fn weight_cdf(&self, v: VertexId) -> Option<Arc<[f32]>> {
-        let (_, cdf, _) = self.read_adjacency(v);
-        if cdf.is_empty() {
-            None
-        } else {
-            Some(cdf)
-        }
+    /// The weight CDF of `v`'s adjacency as `shard` reads it (`None` when
+    /// `v` is not resident there or is isolated).
+    pub fn weight_cdf(&self, shard: usize, v: VertexId) -> Option<Arc<[f32]>> {
+        let row = self.on_shard(shard, |st| {
+            st.is_resident(v.0).then(|| self.read_row(st, v, true).1).flatten()
+        });
+        row.flatten().map(|(_, cdf)| cdf).filter(|cdf| !cdf.is_empty())
     }
 
-    /// The one adjacency read every entry point goes through: the hot set,
-    /// then the prefetch stage, then a cold decode into the reused row
-    /// buffer. Counts the read by source, applies the admission rule to a
-    /// row that was not hot, and materialises `Arc`s only for a row that is
-    /// admitted or that the caller asked for (`want_row`) — a pass-through
-    /// row nobody asked for stays in the buffer.
+    /// The one adjacency read every entry point goes through: the shard's
+    /// hot set, then its prefetch stage, then a cold decode into its reused
+    /// row buffer. Counts the read by source, applies the admission rule to
+    /// a row that was not hot, and materialises `Arc`s only for a row that
+    /// is admitted or that the caller asked for (`want_row`) — a
+    /// pass-through row nobody asked for stays in the buffer.
     fn read_row(
         &self,
-        state: &mut TierState,
+        st: &mut ShardTier,
         v: VertexId,
         want_row: bool,
     ) -> (TierRead, Option<SharedRow>) {
         let key = RowKey { kind: KIND_ADJ, vertex: v.0 };
-        if let Some(HotRow::Adjacency { nbrs, cdf }) = state.hot.get(&key) {
+        if let Some(HotRow::Adjacency { nbrs, cdf }) = st.hot.get(&key) {
             self.metrics.read(TierRead::Hot);
             return (TierRead::Hot, want_row.then(|| (Arc::clone(nbrs), Arc::clone(cdf))));
         }
         // A staged row serves the reads its frontier announced.
-        let staged = state.prefetch_active.get_mut(&v.0).map(|staged| {
+        let staged = st.prefetch_active.get_mut(&v.0).map(|staged| {
             staged.served += 1;
             (staged.row.clone(), staged.served >= staged.announced)
         });
         let how = match staged {
             Some(_) => TierRead::Prefetched,
-            None => self.decode_cold(state, v),
+            None => self.decode_cold(st, v),
         };
         self.metrics.read(how);
-        let degree = staged.as_ref().map_or(state.row_nbrs.len(), |((nbrs, _), _)| nbrs.len());
-        let admitted = self.admits(v.0, degree);
+        let degree = staged.as_ref().map_or(st.row_nbrs.len(), |((nbrs, _), _)| nbrs.len());
+        let admitted = self.admits(st.budget, v.0, degree);
         if staged.as_ref().is_some_and(|&(_, spent)| admitted || spent) {
             // An admitted row moves from the stage to the hot set; a
             // pass-through row leaves with its last announced read.
-            state.prefetch_active.remove(&v.0);
+            st.prefetch_active.remove(&v.0);
         }
         if !(admitted || want_row) {
             return (how, None);
         }
-        let (nbrs, cdf) = staged.map_or_else(|| state.shared_row(), |(row, _)| row);
+        let (nbrs, cdf) = staged.map_or_else(|| st.shared_row(), |(row, _)| row);
         if admitted {
             let row = HotRow::Adjacency { nbrs: Arc::clone(&nbrs), cdf: Arc::clone(&cdf) };
-            self.admit(state, key, row);
-            self.publish_gauges(state);
+            self.admit(st, key, row);
+            self.publish_gauges(st);
         }
         (how, want_row.then_some((nbrs, cdf)))
     }
 
     /// The admission rule for an adjacency row that is not hot: `key(v) ≥ τ`
-    /// and the row fits the budget alone. Counted where it is decided
-    /// (`tier.admit{outcome}`).
-    fn admits(&self, v: u32, degree: usize) -> bool {
-        let oversized = self.cfg.resident_budget.is_some_and(|b| adjacency_bytes(degree) > b);
+    /// and the row fits the shard's `budget` share alone. Counted where it
+    /// is decided (`tier.admit{outcome}`).
+    fn admits(&self, budget: Option<u64>, v: u32, degree: usize) -> bool {
+        let oversized = budget.is_some_and(|b| adjacency_bytes(degree) > b);
         let admitted = self.is_important(v) && !oversized;
         if admitted {
             self.metrics.admit_admitted.inc();
@@ -604,12 +658,12 @@ impl TieredStore {
     }
 
     /// Decodes `v`'s adjacency row and its weight CDF, in one pass, into the
-    /// reused row buffer from its owner shard's segment, metering the cold
-    /// I/O.
-    fn decode_cold(&self, state: &mut TierState, v: VertexId) -> TierRead {
-        let TierState { adj_segments, row_nbrs, row_cdf, .. } = state;
-        let shard = self.owner.get(v.index()).copied().unwrap_or(0) as usize;
-        if let Some(bytes) = adj_segments.get(shard).and_then(|seg| seg.lookup(v.0)) {
+    /// shard's reused row buffer from its owner shard's segment, metering
+    /// the cold I/O.
+    fn decode_cold(&self, st: &mut ShardTier, v: VertexId) -> TierRead {
+        let ShardTier { row_nbrs, row_cdf, .. } = st;
+        let owner = self.owner.get(v.index()).copied().unwrap_or(0) as usize;
+        if let Some(bytes) = self.adj_segments.get(owner).and_then(|seg| seg.lookup(v.0)) {
             if decode_adjacency_into(bytes, row_nbrs, Some(row_cdf)).is_ok() {
                 self.io_meter.record(AccessKind::Cold, bytes.len() as u64, &self.cost);
                 return TierRead::Cold;
@@ -623,69 +677,56 @@ impl TieredStore {
         TierRead::Materialized
     }
 
-    /// Reads one feature row through the tier. `None` when no features are
-    /// attached or `v` is out of range.
+    /// Reads one feature row through its owner shard. `None` when no
+    /// features are attached or `v` is out of range.
     pub fn feature_row(&self, v: VertexId) -> Option<(Arc<[f32]>, TierRead)> {
         if v.index() >= self.graph.num_vertices() {
             return None;
         }
         let key = RowKey { kind: KIND_FEAT, vertex: v.0 };
-        let mut state = self.state.lock();
-        if !state.has_features
-            && state.hot.peek(&key).is_none()
-            && state.writeback_pending.is_empty()
-        {
-            return None;
-        }
-        if let Some(HotRow::Feature { row, .. }) = state.hot.get(&key) {
-            let out = (Arc::clone(row), TierRead::Hot);
-            self.metrics.read(TierRead::Hot);
-            return Some(out);
-        }
-        if let Some(row) = state.writeback_pending.remove(&v.0) {
-            // A demoted-dirty row read back before its flush: promote it hot
-            // again, still dirty.
-            self.admit(&mut state, key, HotRow::Feature { row: Arc::clone(&row), dirty: true });
-            self.publish_gauges(&state);
-            self.metrics.read(TierRead::Hot);
-            return Some((row, TierRead::Hot));
-        }
-        let shard = self.owner.get(v.index()).copied().unwrap_or(0) as usize;
-        let mut found: Option<Arc<[f32]>> = None;
-        if let Some(gens) = state.feat_segments.get(shard) {
-            for seg in gens.iter().rev() {
-                if let Some(bytes) = seg.lookup(v.0) {
-                    if let Ok(row) = decode_feature_row(bytes) {
-                        self.io_meter.record(AccessKind::Cold, bytes.len() as u64, &self.cost);
-                        found = Some(row.into());
-                        break;
-                    }
-                }
+        self.on_owner(v, |st| {
+            if let Some(HotRow::Feature { row, .. }) = st.hot.get(&key) {
+                let out = (Arc::clone(row), TierRead::Hot);
+                self.metrics.read(TierRead::Hot);
+                return Some(out);
             }
-        }
-        let row = found?;
-        self.admit(&mut state, key, HotRow::Feature { row: Arc::clone(&row), dirty: false });
-        self.publish_gauges(&state);
-        self.metrics.read(TierRead::Cold);
-        Some((row, TierRead::Cold))
+            if let Some(row) = st.writeback_pending.remove(&v.0) {
+                // A demoted-dirty row read back before its flush: promote it
+                // hot again, still dirty.
+                self.admit(st, key, HotRow::Feature { row: Arc::clone(&row), dirty: true });
+                self.publish_gauges(st);
+                self.metrics.read(TierRead::Hot);
+                return Some((row, TierRead::Hot));
+            }
+            let (row, bytes) = st.feat_segments.iter().rev().find_map(|seg| {
+                let bytes = seg.lookup(v.0)?;
+                decode_feature_row(bytes).ok().map(|row| (Arc::<[f32]>::from(row), bytes.len()))
+            })?;
+            self.io_meter.record(AccessKind::Cold, bytes as u64, &self.cost);
+            self.admit(st, key, HotRow::Feature { row: Arc::clone(&row), dirty: false });
+            self.publish_gauges(st);
+            self.metrics.read(TierRead::Cold);
+            Some((row, TierRead::Cold))
+        })
     }
 
-    /// Overwrites one feature row (marked dirty; written back to a fresh
-    /// segment generation when demoted).
+    /// Overwrites one feature row on its owner shard (marked dirty; written
+    /// back to a fresh segment generation when demoted).
     pub fn write_row(&self, v: VertexId, row: &[f32]) {
         let key = RowKey { kind: KIND_FEAT, vertex: v.0 };
-        let mut state = self.state.lock();
-        state.writeback_pending.remove(&v.0);
-        if let Some(old) = state.hot.remove(&key) {
-            state.hot_bytes -= old.bytes();
-        }
-        self.admit(&mut state, key, HotRow::Feature { row: row.into(), dirty: true });
-        self.publish_gauges(&state);
+        self.on_owner(v, |st| {
+            st.writeback_pending.remove(&v.0);
+            if let Some(old) = st.hot.remove(&key) {
+                st.hot_bytes -= old.bytes();
+            }
+            self.admit(st, key, HotRow::Feature { row: row.into(), dirty: true });
+            self.publish_gauges(st);
+        });
     }
 
     /// Announces the next sampling frontier of the worker on `shard`:
     /// decodes each adjacency row that is resident there and not hot into
-    /// the standby buffer (deterministic issue order — sorted,
+    /// the shard's standby buffer (deterministic issue order — sorted,
     /// deduplicated) and swaps buffers. Rows resident elsewhere are left
     /// alone — that worker reads them through its neighbor cache or
     /// remotely, never from the tier. Rows left unread in the old buffer
@@ -703,153 +744,194 @@ impl TieredStore {
                 _ => runs.push((v, 1)),
             }
         }
-        let mut state = self.state.lock();
-        let mut standby = HashMap::with_capacity(runs.len());
-        let mut issued = 0usize;
-        for (v, announced) in runs {
-            let key = RowKey { kind: KIND_ADJ, vertex: v };
-            if !state.is_resident(shard, v) || state.hot.peek(&key).is_some() {
-                continue;
+        self.on_shard(shard, |st| {
+            let mut standby = HashMap::with_capacity(runs.len());
+            let mut issued = 0usize;
+            for (v, announced) in runs {
+                let key = RowKey { kind: KIND_ADJ, vertex: v };
+                if !st.is_resident(v) || st.hot.peek(&key).is_some() {
+                    continue;
+                }
+                if let Some(staged) = st.prefetch_active.remove(&v) {
+                    // Still staged from the previous frontier: carry it over
+                    // without re-decoding.
+                    standby.insert(v, Staged { row: staged.row, announced, served: 0 });
+                    continue;
+                }
+                self.decode_cold(st, VertexId(v));
+                self.metrics.prefetch_virtual_ns.add(self.cost.cold_ns);
+                standby.insert(v, Staged { row: st.shared_row(), announced, served: 0 });
+                issued += 1;
             }
-            if let Some(staged) = state.prefetch_active.remove(&v) {
-                // Still staged from the previous frontier: carry it over
-                // without re-decoding.
-                standby.insert(v, Staged { row: staged.row, announced, served: 0 });
-                continue;
-            }
-            self.decode_cold(&mut state, VertexId(v));
-            self.metrics.prefetch_virtual_ns.add(self.cost.cold_ns);
-            standby.insert(v, Staged { row: state.shared_row(), announced, served: 0 });
-            issued += 1;
-        }
-        self.metrics.prefetch_issued.add(issued as u64);
-        let wasted = state.prefetch_active.values().filter(|staged| staged.served == 0).count();
-        self.metrics.prefetch_wasted.add(wasted as u64);
-        state.prefetch_active = standby;
-        issued
+            self.metrics.prefetch_issued.add(issued as u64);
+            let wasted = st.prefetch_active.values().filter(|staged| staged.served == 0).count();
+            self.metrics.prefetch_wasted.add(wasted as u64);
+            st.prefetch_active = standby;
+            issued
+        })
+        .unwrap_or(0)
     }
 
-    /// Whether `v` currently sits in the prefetch buffer (test hook).
+    /// Whether `v`'s adjacency row is hot on `shard` (an observer: recency
+    /// is not touched).
+    pub fn is_hot_on(&self, shard: usize, v: VertexId) -> bool {
+        let key = RowKey { kind: KIND_ADJ, vertex: v.0 };
+        self.on_shard(shard, |st| st.hot.peek(&key).is_some()).unwrap_or(false)
+    }
+
+    /// Whether `v` currently sits in a shard's prefetch buffer (test hook).
     pub fn is_prefetched(&self, v: VertexId) -> bool {
-        self.state.lock().prefetch_active.contains_key(&v.0)
+        self.all_shards().iter().any(|s| s.lock().prefetch_active.contains_key(&v.0))
     }
 
-    /// Forces the writeback staging area into a segment generation (called
-    /// at epoch boundaries and before reads that must see every write
-    /// durable).
+    /// Forces every shard's writeback staging area into a segment
+    /// generation (called at epoch boundaries and before reads that must
+    /// see every write durable).
     pub fn flush_writeback(&self) -> Result<(), SegmentError> {
-        let mut state = self.state.lock();
-        self.flush_writeback_locked(&mut state);
+        for shard in self.all_shards() {
+            self.flush_writeback_locked(&mut shard.lock());
+        }
         Ok(())
     }
 
-    fn flush_writeback_locked(&self, state: &mut TierState) {
-        if state.writeback_pending.is_empty() {
+    fn flush_writeback_locked(&self, st: &mut ShardTier) {
+        if st.writeback_pending.is_empty() {
             return;
         }
-        let pending = std::mem::take(&mut state.writeback_pending);
-        let mut per_shard: Vec<Vec<(u32, Vec<u8>)>> = vec![Vec::new(); state.feat_segments.len()];
         // BTreeMap drains in vertex order — deterministic segment bytes.
-        for (v, row) in pending {
-            let mut buf = Vec::new();
-            encode_feature_row(&row, &mut buf);
-            let shard = self.owner.get(v as usize).copied().unwrap_or(0) as usize;
-            per_shard[shard].push((v, buf));
-        }
-        for (shard, rows) in per_shard.into_iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            self.metrics.writeback_rows.add(rows.len() as u64);
-            let seg = Segment::build(SegmentKind::Feature, shard as u16, rows);
-            state.feat_segments[shard].push(seg);
-            self.metrics.writeback_segments.inc();
-        }
-        self.metrics.segment_bytes.set(state.segment_bytes() as i64);
+        let rows: Vec<(u32, Vec<u8>)> = std::mem::take(&mut st.writeback_pending)
+            .into_iter()
+            .map(|(v, row)| {
+                let mut buf = Vec::new();
+                encode_feature_row(&row, &mut buf);
+                (v, buf)
+            })
+            .collect();
+        self.metrics.writeback_rows.add(rows.len() as u64);
+        let seg = Segment::build(SegmentKind::Feature, st.slot as u16, rows);
+        self.metrics.segment_bytes.add(seg.encoded_bytes() as i64);
+        st.feat_segments.push(seg);
+        self.metrics.writeback_segments.inc();
     }
 
     /// A movable copy of one resident vertex's state (`None` if not
     /// resident on `shard`) — the tiered form of
     /// [`crate::server::GraphServer::extract`].
     pub fn extract(&self, shard: usize, v: VertexId) -> Option<VertexRecord> {
-        let mut state = self.state.lock();
-        if !state.is_resident(shard, v.0) {
-            return None;
-        }
-        let (nbrs, cdf) = self.read_row(&mut state, v, true).1?;
+        let row =
+            self.on_shard(shard, |st| st.is_resident(v.0).then(|| self.read_row(st, v, true).1));
+        let (nbrs, cdf) = row.flatten().flatten()?;
         Some(VertexRecord { vertex: v, neighbors: nbrs.iter().copied().collect(), weight_cdf: cdf })
     }
 
     /// Installs one migrated vertex record as resident on `shard` — and hot
     /// (a freshly migrated row is about to be read) when the admission rule
-    /// takes it.
+    /// takes it under that shard's share.
     pub fn absorb(&self, shard: usize, rec: VertexRecord) {
         self.ensure_shard(shard);
-        let mut state = self.state.lock();
-        state.set_resident(shard, rec.vertex.0, true);
-        if !self.admits(rec.vertex.0, rec.neighbors.len()) {
-            return;
-        }
-        let nbrs: Arc<[Neighbor]> = rec.neighbors.into();
-        self.admit(
-            &mut state,
-            RowKey { kind: KIND_ADJ, vertex: rec.vertex.0 },
-            HotRow::Adjacency { nbrs, cdf: rec.weight_cdf },
-        );
-        self.publish_gauges(&state);
+        self.on_shard(shard, |st| {
+            st.set_resident(rec.vertex.0, true);
+            if !self.admits(st.budget, rec.vertex.0, rec.neighbors.len()) {
+                return;
+            }
+            let nbrs: Arc<[Neighbor]> = rec.neighbors.into();
+            self.admit(
+                st,
+                RowKey { kind: KIND_ADJ, vertex: rec.vertex.0 },
+                HotRow::Adjacency { nbrs, cdf: rec.weight_cdf },
+            );
+            self.publish_gauges(st);
+        });
     }
 
     /// Drops residency of the given vertices from `shard`.
     pub fn retire(&self, shard: usize, vertices: &[u32]) {
-        let mut state = self.state.lock();
-        for &v in vertices {
-            state.set_resident(shard, v, false);
-        }
+        self.on_shard(shard, |st| {
+            for &v in vertices {
+                st.set_resident(v, false);
+            }
+        });
     }
 
-    /// Inserts a hot row and demotes LRU victims until the budget holds.
-    fn admit(&self, state: &mut TierState, key: RowKey, row: HotRow) {
+    /// Inserts a hot row and demotes the shard's LRU victims until its
+    /// budget share holds.
+    fn admit(&self, st: &mut ShardTier, key: RowKey, row: HotRow) {
         let sz = row.bytes();
-        if let Some(old) = state.hot.remove(&key) {
-            state.hot_bytes -= old.bytes();
+        if let Some(old) = st.hot.remove(&key) {
+            st.hot_bytes -= old.bytes();
         }
-        state.hot.put(key, row);
-        state.hot_bytes += sz;
-        if let Some(budget) = self.cfg.resident_budget {
-            while state.hot_bytes > budget && !state.hot.is_empty() {
+        st.hot.put(key, row);
+        st.hot_bytes += sz;
+        if let Some(budget) = st.budget {
+            while st.hot_bytes > budget && !st.hot.is_empty() {
                 #[expect(
                     clippy::expect_used,
                     reason = "the loop condition holds the cache non-empty"
                 )]
-                let victim = *state.hot.iter_lru().next().expect("non-empty cache").0;
-                self.demote(state, victim);
+                let victim = *st.hot.iter_lru().next().expect("non-empty cache").0;
+                self.demote(st, victim);
             }
         }
-        state.peak_hot_bytes = state.peak_hot_bytes.max(state.hot_bytes);
+        st.peak_hot_bytes = st.peak_hot_bytes.max(st.hot_bytes);
     }
 
-    fn demote(&self, state: &mut TierState, key: RowKey) {
-        let Some(row) = state.hot.remove(&key) else { return };
-        state.hot_bytes -= row.bytes();
+    fn demote(&self, st: &mut ShardTier, key: RowKey) {
+        let Some(row) = st.hot.remove(&key) else { return };
+        st.hot_bytes -= row.bytes();
         match row {
             // A dirty row's hot copy is its only copy: it is written back
             // into a fresh segment generation before it leaves.
             HotRow::Feature { row, dirty: true } => {
                 self.metrics.demote_writeback.inc();
-                state.writeback_pending.insert(key.vertex, row);
-                if state.writeback_pending.len() >= WRITEBACK_FLUSH_ROWS {
-                    self.flush_writeback_locked(state);
+                st.writeback_pending.insert(key.vertex, row);
+                if st.writeback_pending.len() >= WRITEBACK_FLUSH_ROWS {
+                    self.flush_writeback_locked(st);
                 }
             }
             _ => self.metrics.demote_clean.inc(),
         }
     }
 
-    fn publish_gauges(&self, state: &TierState) {
-        self.metrics.resident_bytes.set(state.hot_bytes as i64);
-        self.metrics.peak_resident_bytes.set(state.peak_hot_bytes as i64);
-        self.metrics.hot_rows.set(state.hot.len() as i64);
+    /// Adds what changed in the shard's hot bytes, peak and row count since
+    /// its last publish to the store-wide gauges, so each gauge ends on the
+    /// sum over the shards whatever order they published in.
+    fn publish_gauges(&self, st: &mut ShardTier) {
+        let now = [st.hot_bytes as i64, st.peak_hot_bytes as i64, st.hot.len() as i64];
+        let gauges = [
+            &self.metrics.resident_bytes,
+            &self.metrics.peak_resident_bytes,
+            &self.metrics.hot_rows,
+        ];
+        for ((gauge, was), now) in gauges.into_iter().zip(&mut st.published).zip(now) {
+            gauge.add(now - *was);
+            *was = now;
+        }
     }
+}
+
+/// Splits the budget into one share per build shard: the bytes of the
+/// seeded rows the shard owns, plus an equal part of what the seeds left
+/// unspent (its odd bytes to the lowest slots), so the shares sum to the
+/// budget exactly and every shard's seeds fit its share. `None` for every
+/// shard when there is no budget.
+fn budget_shares(
+    graph: &AttributedHeterogeneousGraph,
+    owners: &[u32],
+    shards: usize,
+    seeds: &[u32],
+    budget: Option<u64>,
+) -> Vec<Option<u64>> {
+    let Some(budget) = budget else { return vec![None; shards] };
+    let mut shares = vec![0u64; shards];
+    for &v in seeds {
+        shares[owners[v as usize] as usize] += adjacency_bytes(graph.out_degree(VertexId(v)));
+    }
+    let slack = budget - shares.iter().sum::<u64>();
+    let (each, odd) = (slack / shards as u64, slack % shards as u64);
+    for (slot, share) in shares.iter_mut().enumerate() {
+        *share += each + u64::from((slot as u64) < odd);
+    }
+    shares.into_iter().map(Some).collect()
 }
 
 /// Walks the key ranking and returns the adjacency rows to seed hot — the
@@ -917,7 +999,7 @@ mod tests {
 
     impl TieredStore {
         fn is_hot(&self, v: VertexId) -> bool {
-            self.state.lock().hot.peek(&RowKey { kind: KIND_ADJ, vertex: v.0 }).is_some()
+            (0..self.all_shards().len()).any(|shard| self.is_hot_on(shard, v))
         }
     }
 
@@ -947,13 +1029,13 @@ mod tests {
     #[test]
     fn budget_is_enforced_with_lru_demotion() {
         let registry = Registry::new();
-        let (g, store) = setup_registered(Some(2_000), &registry);
-        assert!(store.resident_bytes() <= 2_000);
+        let (g, store) = setup_registered(Some(3_000), &registry);
+        assert!(store.resident_bytes() <= 3_000);
         for v in g.vertices() {
             store.read_adjacency(v);
-            assert!(store.resident_bytes() <= 2_000, "budget burst at {v:?}");
+            assert!(store.resident_bytes() <= 3_000, "budget burst at {v:?}");
         }
-        assert!(store.peak_resident_bytes() <= 2_000);
+        assert!(store.peak_resident_bytes() <= 3_000);
         // The sweep did press on the budget: the rows at the threshold do
         // not all fit, so admitting one demoted another, while the rows
         // below it passed through.
@@ -1025,7 +1107,7 @@ mod tests {
             CostModel::default(),
             &Registry::disabled(),
         );
-        let enc = |v: VertexId| store.state.lock().adj_segments[0].lookup(v.0).unwrap().len();
+        let enc = |v: VertexId| store.adj_segments[0].lookup(v.0).unwrap().len();
         assert!(enc(large) > enc(small));
         assert_eq!(store.ranking[..2], [large.0, small.0]);
     }
@@ -1063,16 +1145,15 @@ mod tests {
         // The bug the writeback exists to prevent: a dirty row's hot copy is
         // its only copy, so a demotion that dropped it without writing it
         // back would serve the old segment bytes again.
-        let (g, store) = setup(Some(2_000));
+        let (g, store) = setup(Some(3_000));
         let features = Featurizer::new(8).matrix(&g);
         store.attach_features(&features).unwrap();
         let v0 = g.vertices().next().unwrap();
         store.write_row(v0, &[9.0; 8]);
-        {
-            let mut state = store.state.lock();
-            let row = state.hot.remove(&RowKey { kind: KIND_FEAT, vertex: v0.0 });
-            state.hot_bytes -= row.expect("a written row is hot").bytes();
-        }
+        store.on_owner(v0, |st| {
+            let row = st.hot.remove(&RowKey { kind: KIND_FEAT, vertex: v0.0 });
+            st.hot_bytes -= row.expect("a written row is hot").bytes();
+        });
         let (row, how) = store.feature_row(v0).unwrap();
         assert_eq!(how, TierRead::Cold);
         assert_eq!(&row[..], features.row(v0), "dropping the hot copy loses the write");
@@ -1081,7 +1162,7 @@ mod tests {
     #[test]
     fn prefetch_overlaps_and_double_buffers() {
         let registry = Registry::new();
-        let (g, store) = setup_registered(Some(2_000), &registry);
+        let (g, store) = setup_registered(Some(3_000), &registry);
         // A row the admission rule takes but the seeded prefix did not
         // reach, a pass-through row of the same shard, and a stretch of
         // vertices of every shard.
@@ -1271,6 +1352,77 @@ mod tests {
         assert_eq!(roomy.read_adjacency(unseeded).2, TierRead::Hot);
         assert!(!roomy.is_hot(VertexId(12)), "the last seeded singleton made room");
         assert!(roomy.peak_resident_bytes() <= 3_000);
+    }
+
+    /// Each shard's hot rows, least recently used first.
+    fn hot_sets(store: &TieredStore) -> Vec<Vec<RowKey>> {
+        let shards = store.all_shards();
+        shards.iter().map(|s| s.lock().hot.iter_lru().map(|(k, _)| *k).collect()).collect()
+    }
+
+    #[test]
+    fn budget_shares_sum_to_the_budget_and_hold_each_shards_seeds() {
+        for budget in [2_000, 3_000, 6_000] {
+            let (g, store) = setup(Some(budget));
+            let shares: Vec<(u64, u64)> = store
+                .all_shards()
+                .iter()
+                .map(|s| {
+                    let st = s.lock();
+                    (st.budget.unwrap(), st.hot_bytes)
+                })
+                .collect();
+            assert_eq!(shares.iter().map(|s| s.0).sum::<u64>(), budget);
+            assert!(shares.iter().all(|&(share, seeded)| seeded <= share), "{shares:?}");
+            assert_eq!(store.peak_resident_bytes(), shares.iter().map(|s| s.1).sum::<u64>());
+            // The row at the cut qualifies (`τ` is still global) and fits the
+            // whole budget; it is admitted only if it fits its own shard's
+            // share, which at 2 000 B it does not.
+            let at_cut =
+                store.ranking.iter().copied().find(|&v| store.importance[v as usize] == store.tau);
+            let at_cut = VertexId(at_cut.unwrap());
+            let owner = store.owner[at_cut.index()] as usize;
+            let fits = adjacency_bytes(g.out_degree(at_cut)) <= shares[owner].0;
+            assert_eq!(fits, budget != 2_000, "budget {budget}: {shares:?}");
+            store.read_adjacency(at_cut);
+            assert_eq!(store.read_adjacency(at_cut).2 == TierRead::Hot, fits);
+            assert!(store.peak_resident_bytes() <= budget);
+        }
+        // No budget: every shard is unbounded and every row is seeded hot.
+        let (g, store) = setup(None);
+        assert!(store.all_shards().iter().all(|s| s.lock().budget.is_none()));
+        assert_eq!(hot_sets(&store).iter().map(Vec::len).sum::<usize>(), g.num_vertices());
+    }
+
+    #[test]
+    fn a_shards_reads_never_move_another_shards_hot_set() {
+        let registry = Registry::new();
+        let (g, store) = setup_registered(Some(3_000), &registry);
+        let features = Featurizer::new(8).matrix(&g);
+        store.attach_features(&features).unwrap();
+        let before = hot_sets(&store);
+        // Shard 1 reads every row resident on it twice, and every feature row
+        // it owns: its hot set churns under its share, the others' do not.
+        for v in g.vertices() {
+            store.classify(1, v);
+            store.classify(1, v);
+            if store.owner[v.index()] == 1 {
+                store.feature_row(v).unwrap();
+            }
+        }
+        let after = hot_sets(&store);
+        assert_ne!(after[1], before[1], "shard 1's reads must move its own hot set");
+        for s in [0, 2, 3] {
+            assert_eq!(after[s], before[s], "shard {s}'s hot set moved");
+        }
+        assert!(registry.snapshot().counter_total("tier.demotions") > 0, "no pressure: vacuous");
+        // The gauges are the shards' sums.
+        let snap = registry.snapshot();
+        let hot_rows: usize = after.iter().map(Vec::len).sum();
+        assert_eq!(snap.gauge("tier.hot_rows", &[]), hot_rows as i64);
+        assert_eq!(snap.gauge("tier.resident_bytes", &[]), store.resident_bytes() as i64);
+        assert_eq!(snap.gauge("tier.peak_resident_bytes", &[]), store.peak_resident_bytes() as i64);
+        assert!(store.peak_resident_bytes() <= 3_000);
     }
 
     #[test]
