@@ -15,7 +15,7 @@ pub struct Candidate<'a> {
     /// Display name.
     pub name: &'a str,
     /// Trains on the given (validation-held-out) graph and returns a model.
-    #[allow(clippy::type_complexity, reason = "a boxed trainer closure; an alias would hide it")]
+    #[expect(clippy::type_complexity, reason = "a boxed trainer closure; an alias would hide it")]
     pub train: Box<dyn Fn(&AttributedHeterogeneousGraph) -> Box<dyn EmbeddingModel> + 'a>,
 }
 

@@ -125,7 +125,7 @@ pub struct PlannedBatch {
 /// then [`GnnEncoder::step`]. Shared verbatim between [`train_unsupervised`]
 /// and the distributed runtime workers, so both produce bit-identical
 /// trajectories from the same RNG stream.
-#[allow(clippy::too_many_arguments, reason = "the training step's inputs, each used once")]
+#[expect(clippy::too_many_arguments, reason = "the training step's inputs, each used once")]
 pub fn contrastive_step<A: NeighborAccess, S: NeighborhoodSampler, R: Rng>(
     encoder: &mut GnnEncoder,
     graph: &AttributedHeterogeneousGraph,

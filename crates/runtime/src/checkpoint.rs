@@ -1,18 +1,19 @@
 //! Versioned on-disk checkpoints: everything needed to resume a distributed
 //! run mid-epoch — PS shards, per-worker dense model + optimizer state, RNG
-//! states, drain clocks and partial epoch losses — and nothing else. What a
-//! run only reports (edges, busy and comm time, the staleness histogram)
-//! stays out, so a checkpoint's bytes are a function of the seed and the
-//! cut: a killed-and-restored run writes the same file as an unkilled one.
+//! states and partial epoch losses — and nothing else: the drain schedule
+//! is a function of the step, and what a run only reports (edges, busy and
+//! comm time, the staleness histogram) stays out. So a checkpoint's bytes
+//! are a function of the seed and the cut: a killed-and-restored run writes
+//! the same file as an unkilled one.
 //!
-//! Binary layout (little-endian), version 2:
+//! Binary layout (little-endian), version 3:
 //!
 //! ```text
 //! magic "ALGRCKP1" | u32 version | u64 config fingerprint | u64 global_step
 //! epoch_losses: u32 len, f64 × len
 //! avg_params:   u8 present, [u32 len, f32 × len]
 //! workers:      u32 count, per worker:
-//!               rng u64 × 4 | u64 last_drain | f64 loss_sum | u64 pairs
+//!               rng u64 × 4 | f64 loss_sum | u64 pairs
 //!               dense state u32 len, f32 × len
 //! ps shards:    u32 count, per shard:
 //!               ids u32 len, u32 × len | weights u32 len, f32 × len
@@ -20,7 +21,7 @@
 //! trailer:      u64 FNV-1a of all preceding bytes
 //! ```
 //!
-//! A version-1 file is refused by its version word.
+//! A version-1 or version-2 file is refused by its version word.
 //!
 //! The fingerprint hashes the *structural* configuration (workers, batch
 //! shape, seeds, model dims — not epoch count or fault/checkpoint plumbing)
@@ -37,7 +38,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"ALGRCKP1";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// One worker's resumable state: the record a worker starts from (fresh
 /// or restored), keeps up to date as it steps, and deposits at every cut.
@@ -45,8 +46,6 @@ const VERSION: u32 = 2;
 pub struct WorkerCkpt {
     /// Raw RNG state after the worker's last completed step.
     pub rng: [u64; 4],
-    /// Step of the worker's last replica drain.
-    pub last_drain: u64,
     /// Partial epoch loss sum (zero at epoch-boundary checkpoints).
     pub loss_sum: f64,
     /// Partial epoch pair count.
@@ -121,7 +120,6 @@ fn read_body(r: &mut Cursor<'_>, section: &mut &'static str) -> Result<Checkpoin
     for _ in 0..n_workers {
         workers.push(WorkerCkpt {
             rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-            last_drain: r.u64()?,
             loss_sum: r.f64()?,
             pairs: r.u64()?,
             dense_state: r.counted(f32::from_le_bytes)?,
@@ -166,7 +164,6 @@ impl Checkpoint {
             for &s in &wk.rng {
                 w.u64(s);
             }
-            w.u64(wk.last_drain);
             w.f64(wk.loss_sum);
             w.u64(wk.pairs);
             w.f32s(&wk.dense_state);
@@ -319,7 +316,6 @@ mod tests {
             avg_params: Some(vec![1.0, -2.5, 3.25]),
             workers: vec![WorkerCkpt {
                 rng: [1, 2, 3, 4],
-                last_drain: 16,
                 loss_sum: 2.5,
                 pairs: 10,
                 dense_state: vec![0.5; 7],
@@ -336,10 +332,10 @@ mod tests {
     fn byte_roundtrip_is_exact() {
         let c = sample();
         let bytes = c.to_bytes();
-        // Checkpoint v2 is pinned: the trailer seals every byte before it,
+        // Checkpoint v3 is pinned: the trailer seals every byte before it,
         // so this one constant fixes the whole on-disk format.
-        assert_eq!(bytes.len(), 266);
-        assert_eq!(bytes[bytes.len() - 8..], 0xdcba_e9fb_7a26_03d8_u64.to_le_bytes());
+        assert_eq!(bytes.len(), 258);
+        assert_eq!(bytes[bytes.len() - 8..], 0xf2be_ad89_2424_613d_u64.to_le_bytes());
         assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), c);
     }
 
@@ -364,13 +360,25 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(Checkpoint::from_bytes(&bad).unwrap_err().to_string().contains("magic"));
-        // A resealed file whose version word says 1 is refused by version,
-        // not misparsed as a short or damaged v2 body.
-        let mut v1 = bytes[..bytes.len() - 8].to_vec();
-        v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
-        seal::close(&mut v1);
-        let err = Checkpoint::from_bytes(&v1).unwrap_err();
-        assert!(matches!(&err, RuntimeError::Checkpoint(m) if m.contains("version 1")), "{err}");
+        // A resealed file whose version word says 1, and a v2 file (its
+        // `last_drain` word after the worker's RNG: header 28 + losses 20 +
+        // avg_params 17 + worker count 4 + rng 32 bytes in), are refused by
+        // version, not misparsed as a short or damaged v3 body.
+        for (version, last_drain) in [(1u32, None), (2, Some(16u64))] {
+            let mut old = bytes[..bytes.len() - 8].to_vec();
+            old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+            if let Some(word) = last_drain {
+                old.splice(101..101, word.to_le_bytes());
+            }
+            seal::close(&mut old);
+            if last_drain.is_some() {
+                // The v2 writer's pinned bytes for this fixture.
+                assert_eq!(old[old.len() - 8..], 0xdcba_e9fb_7a26_03d8_u64.to_le_bytes());
+            }
+            let err = Checkpoint::from_bytes(&old).unwrap_err();
+            let named = format!("version {version}");
+            assert!(matches!(&err, RuntimeError::Checkpoint(m) if m.contains(&named)), "{err}");
+        }
     }
 
     #[test]

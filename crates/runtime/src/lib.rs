@@ -5,22 +5,22 @@
 //! data-parallel trainer (paper §2.3's distributed mode, simulated on one
 //! machine).
 //!
-//! * [`runtime::DistTrainer`] — N shard-pinned trainer workers (threads,
-//!   one per [`aligraph_storage::Cluster`] partition), each sampling
-//!   mini-batches from its own edge shard and training a local dense model;
+//! * [`runtime::DistTrainer`] — one worker per [`aligraph_storage::Cluster`]
+//!   partition, a value with a method per phase of its step, sampling its
+//!   own edge shard into a local dense model; on threads, or in series on
+//!   the caller's thread (one worker, or `train_in_series`), bit for bit;
 //! * [`ps::SparseParamServer`] — the input-feature embedding rows, sharded
 //!   by the graph partition; workers push row-sparse AdaGrad deltas and
 //!   pull with bounded staleness, every message metered through the storage
 //!   cost model;
 //! * [`ssp::Coordinator`] — deterministic scheduling with no token: a wait
-//!   for the cut before a drain, the one rendezvous every epoch end and
-//!   checkpoint cut runs through, and a scheduled crash's cut, so every run
-//!   (including restores and fault recoveries) replays bit-for-bit from its
-//!   seed;
+//!   for the cut before a drain, the rendezvous at every epoch end and
+//!   checkpoint cut, and a scheduled crash's cut, so every run (restores and
+//!   fault recoveries included) replays bit-for-bit from its seed;
 //! * [`checkpoint::Checkpoint`] — versioned on-disk snapshots (PS shards,
-//!   dense model + optimizer state, RNG states, drain clocks, partial epoch
-//!   losses) with mid-epoch restore and corruption detection; their bytes
-//!   are a function of the seed and the cut.
+//!   dense model + optimizer state, RNG states, partial epoch losses) with
+//!   mid-epoch restore and corruption detection; their bytes are a function
+//!   of the seed and the cut.
 
 pub mod checkpoint;
 pub mod error;

@@ -503,7 +503,15 @@ impl SparseParamServer {
     /// Meters the embedding-row reads of one training step (the rows the
     /// tape touched): own-shard rows are `Local`, remote-owned rows are
     /// `CachedRemote` because the replica serves them without a round trip.
-    pub fn record_reads<'a, I: IntoIterator<Item = &'a u32>>(&self, who: usize, rows: I) -> u64 {
+    /// An unknown row is an error before any meter moves.
+    pub fn record_reads<'a, I>(&self, who: usize, rows: I) -> Result<u64, RuntimeError>
+    where
+        I: IntoIterator<Item = &'a u32>,
+        I::IntoIter: Clone,
+    {
+        let rows = rows.into_iter();
+        let bad = rows.clone().find(|&&v| v as usize >= self.num_vertices);
+        bad.map_or(Ok(()), |v| Err(RuntimeError::Unrecoverable(format!("ps read: bad row {v}"))))?;
         let row_bytes = self.dim as u64 * 4;
         let mut ns = 0u64;
         for &v in rows {
@@ -514,7 +522,7 @@ impl SparseParamServer {
             };
             ns += self.stats.record(kind, row_bytes, &self.cost);
         }
-        ns
+        Ok(ns)
     }
 
     /// A full dense copy of the server's rows at the cut every worker has
@@ -915,9 +923,18 @@ mod tests {
         let (ps, f, p) = setup(2);
         let local = (0..f.len() as u32).find(|&v| p.owner_of(VertexId(v)).index() == 0).unwrap();
         let remote = (0..f.len() as u32).find(|&v| p.owner_of(VertexId(v)).index() == 1).unwrap();
-        ps.record_reads(0, [local, remote].iter());
+        ps.record_reads(0, [local, remote].iter()).unwrap();
         let snap = ps.stats().snapshot();
         assert_eq!((snap.local_ops, snap.cached_ops, snap.remote_ops), (1, 1, 0));
+    }
+
+    #[test]
+    fn an_unknown_read_row_is_an_error_and_meters_nothing() {
+        let (ps, f, _) = setup(2);
+        let before = ps.stats().snapshot();
+        let err = ps.record_reads(0, [0, f.len() as u32].iter()).unwrap_err();
+        assert!(matches!(&err, RuntimeError::Unrecoverable(m) if m.contains("bad row")), "{err}");
+        assert_eq!(ps.stats().snapshot(), before);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub struct WorkerReport {
     /// model).
     pub comm_ns: u64,
     /// Wall-clock nanoseconds blocked waiting for a cut or at a rendezvous
-    /// (the leader's work there included). Reported, never branched on.
+    /// (the leader's work included; in series none waits). Reported only.
     pub wait_ns: u64,
 }
 

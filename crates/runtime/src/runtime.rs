@@ -3,52 +3,45 @@
 //! synchronous epoch-boundary allreduce of dense parameters, periodic
 //! checkpoints, and fault injection with checkpoint recovery.
 //!
-//! Workers are simulated as threads, one per [`Cluster`] partition. Each
-//! worker samples mini-batches **from its own edge shard**, computes
-//! gradients with the shared tape machinery ([`aligraph::contrastive_step`]
-//! in its two halves), pushes row-sparse feature gradients to the PS shard
-//! owning each vertex, and averages dense layer parameters with the other
-//! workers at every epoch boundary.
+//! A worker per [`Cluster`] partition runs each step `t` in three
+//! phases. It *samples* its own edge shard ([`plan_contrastive`]): the only
+//! reads of the cluster, through its own pool, cache and tier shard. It
+//! *finishes*: at a drain step it waits for cut `t` and drains the PS into
+//! its replica, runs [`finish_contrastive`] on the replica, and pushes the
+//! row-sparse feature gradients, which the PS applies at the cut after the
+//! step. It *updates*: the dense step ([`GnnEncoder::step`]) and the PS read
+//! meters. At a cut (an epoch end with its dense allreduce, or a checkpoint
+//! step) every worker deposits its record, one leader closes the cut, and
+//! every worker adopts the outcome. The drain schedule is a function of the
+//! step: with staleness `s`, every worker, restored ones included, drains
+//! at step `t` iff `t > 0 && t % (s + 1) == 0`, and computes at age
+//! `t % (s + 1)`.
 //!
-//! Every worker runs its steps at once with the others; the
-//! [`Coordinator`] only counts them. A step first *samples*
-//! ([`plan_contrastive`]), the only part that reads the cluster: the
-//! worker's own edge pool, neighbor cache and tier shard, and the access
-//! meters, whose counts add up the same in any order. Then the worker waits
-//! for the cut if its replica is due a drain, drains the PS, runs
-//! [`finish_contrastive`] (flush, loss, backward) on the replica and
-//! pushes; last comes the *update*, the dense step ([`GnnEncoder::step`],
-//! with the weight gradients the backward kept) and the PS read meters.
-//! None of that is shared: the PS stages a push until the cut after its
-//! step and applies it there in `(step, worker)` order, so every worker's
-//! drain at step `t` reads the same state (every step before `t`, no step
-//! `t` push), however the workers' steps overlap. Every run is therefore a
-//! deterministic function of its seed — including runs resumed from a
-//! checkpoint and runs interrupted by the fault injector, whose crash stops
-//! every worker at the cut computed from the schedule when the attempt
-//! starts (see [`crate::ssp`]).
-//!
-//! With one worker, staleness 0 and a frozen sparse learning rate, the loop
-//! degenerates to exactly [`aligraph::train_unsupervised`] — the
-//! convergence-parity test pins the loss trajectories bit-for-bit.
+//! More than one worker run on threads and meet at the [`Coordinator`]; one,
+//! or any number through [`DistTrainer::train_in_series`], run on the
+//! caller's thread, step `t` of each in worker order, the leader inline.
+//! Both give the same bits, a function of the seed (see [`crate::ssp`]).
+//! With one worker, staleness 0 and a frozen sparse learning rate, a run is
+//! exactly [`aligraph::train_unsupervised`] (a parity test pins it).
 
 use crate::checkpoint::{latest_valid_checkpoint, Checkpoint, WorkerCkpt};
 use crate::error::RuntimeError;
 use crate::ps::SparseParamServer;
 use crate::report::{DistReport, WorkerReport};
 use crate::ssp::{Coordinator, Deposit, Rendezvous};
-use aligraph::{finish_contrastive, plan_contrastive, GnnEncoder};
+use aligraph::{finish_contrastive, plan_contrastive, BatchOutcome, GnnEncoder, PlannedBatch};
 use aligraph_chaos::{FaultConfig, FaultPlane, RetryPolicy};
-use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, FeatureMatrix};
+use aligraph_graph::{EdgeType, FeatureMatrix};
 use aligraph_partition::WorkerId;
 use aligraph_sampling::neighborhood::ClusterView;
 use aligraph_sampling::{worker_rng, MeteredNeighborhood, ShardEdgePools, UniformNeighborhood};
 use aligraph_storage::seal::Fnv1a;
 use aligraph_storage::{Cluster, RebalanceOp};
-use aligraph_telemetry::{Registry, Span, Stopwatch};
+use aligraph_telemetry::{Histogram, Registry, Span, Stopwatch};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -80,14 +73,6 @@ pub struct RebalancePlan {
     pub op: RebalanceOp,
 }
 
-/// The run's chaos plane and retry budget. Always present: a run without
-/// a [`RuntimeConfig::chaos`] gets an unarmed plane, which delivers
-/// everything at zero ticks and fires nothing.
-struct ChaosRt {
-    plane: Arc<FaultPlane>,
-    policy: RetryPolicy,
-}
-
 /// Configuration of a distributed training run.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -102,8 +87,9 @@ pub struct RuntimeConfig {
     pub batch_size: usize,
     /// Negatives per positive.
     pub negatives: usize,
-    /// Bounded staleness `s`: a worker may compute on a replica that is up
-    /// to `s` steps behind before it must drain the parameter server.
+    /// Bounded staleness `s`: every worker drains the parameter server at
+    /// each step `t > 0` with `t % (s + 1) == 0`, so it computes step `t`
+    /// on a replica `t % (s + 1)` steps behind.
     pub staleness: u64,
     /// Base seed; worker `w` derives its stream via
     /// [`aligraph_sampling::worker_seed`]`(seed, w)`.
@@ -306,9 +292,16 @@ impl<'a> DistTrainer<'a> {
     }
 
     /// Trains from scratch (restarting from the latest checkpoint only if
-    /// the fault injector fires).
+    /// the fault injector fires); one worker runs on the caller's thread.
     pub fn train(&self) -> Result<DistOutcome, RuntimeError> {
-        self.run(None)
+        self.run(None, false)
+    }
+
+    /// Trains like [`train`](Self::train) with every worker on the caller's
+    /// thread: step `t` of each in worker order, then the cut's leader
+    /// inline. Bit for bit the threaded run, which is tested against it.
+    pub fn train_in_series(&self) -> Result<DistOutcome, RuntimeError> {
+        self.run(None, true)
     }
 
     /// Resumes from an already-loaded checkpoint and continues to
@@ -320,37 +313,32 @@ impl<'a> DistTrainer<'a> {
     /// checkpointed model.
     pub fn train_from_checkpoint(&self, ckpt: Checkpoint) -> Result<DistOutcome, RuntimeError> {
         self.validate_checkpoint(&ckpt)?;
-        self.run(Some(ckpt))
+        self.run(Some(ckpt), false)
     }
 
     fn validate_checkpoint(&self, ckpt: &Checkpoint) -> Result<(), RuntimeError> {
+        let refuse = |m: String| Err(RuntimeError::Checkpoint(m));
         if ckpt.fingerprint != self.fingerprint() {
-            return Err(RuntimeError::Checkpoint(
+            return refuse(
                 "config fingerprint mismatch: checkpoint was written by a structurally \
                  different run (workers/batch/seed/model/graph changed)"
                     .into(),
-            ));
+            );
         }
-        if ckpt.workers.len() != self.cfg.workers {
-            return Err(RuntimeError::Checkpoint(format!(
-                "checkpoint has {} workers, config has {}",
-                ckpt.workers.len(),
-                self.cfg.workers
-            )));
+        let (workers, p) = (ckpt.workers.len(), self.cfg.workers);
+        if workers != p {
+            return refuse(format!("checkpoint has {workers} workers, config has {p}"));
         }
-        let total = self.cfg.batches_per_epoch as u64 * self.cfg.epochs as u64;
-        if ckpt.global_step > total {
-            return Err(RuntimeError::Checkpoint(format!(
-                "checkpoint is at step {} but this run only has {} steps",
-                ckpt.global_step, total
-            )));
+        let (step, n) = (ckpt.global_step, self.cfg.batches_per_epoch * self.cfg.epochs);
+        if step > n as u64 {
+            return refuse(format!("checkpoint is at step {step} but this run only has {n} steps"));
         }
         Ok(())
     }
 
     /// The attempt loop: run, and on an injected fault restore from the
     /// latest checkpoint (or from scratch) and retry.
-    fn run(&self, resume: Option<Checkpoint>) -> Result<DistOutcome, RuntimeError> {
+    fn run(&self, resume: Option<Checkpoint>, serial: bool) -> Result<DistOutcome, RuntimeError> {
         let started = Stopwatch::start();
         self.cluster.stats().reset();
         let checkpoints = AtomicU64::new(0);
@@ -358,28 +346,25 @@ impl<'a> DistTrainer<'a> {
         // loop: fault counters accumulate across recoveries, and each
         // scheduled crash fires exactly once per run (not once per attempt).
         // A run without a chaos config crosses an unarmed plane kept off the
-        // registry, so it publishes no `chaos.*` series.
+        // registry, which delivers everything at zero ticks, fires nothing
+        // and publishes no `chaos.*` series.
         let detached = Registry::disabled();
         let (fault, registry) = match &self.cfg.chaos {
             Some(fault) => (fault.clone(), &*self.registry),
             None => (FaultConfig::default(), &detached),
         };
         let max_recoveries = 8 + fault.plan.crash_schedule.len() as u64;
-        let chaos = ChaosRt {
-            plane: Arc::new(FaultPlane::registered(fault.plan, registry)),
-            policy: fault.policy,
-        };
-        let mut resume = resume;
-        let mut recoveries = 0u64;
+        let plane = Arc::new(FaultPlane::registered(fault.plan, registry));
+        let (mut resume, mut recoveries) = (resume, 0u64);
         loop {
-            match self.run_attempt(resume.take(), &checkpoints, &chaos) {
+            match self.run_attempt(resume.take(), serial, &checkpoints, &plane, fault.policy) {
                 Ok(mut outcome) => {
                     outcome.report.wall_ns = started.elapsed_ns();
                     outcome.report.recoveries = recoveries;
-                    // ordering: read after all worker threads joined inside
-                    // run_attempt; the join synchronizes, Relaxed suffices.
+                    // ordering: read after run_attempt's workers finished,
+                    // joined or on this thread; Relaxed suffices.
                     outcome.report.checkpoints_written = checkpoints.load(Ordering::Relaxed);
-                    let snap = chaos.plane.snapshot();
+                    let snap = plane.snapshot();
                     outcome.report.faults_injected = snap.faults_injected;
                     outcome.report.retries = snap.retries;
                     return Ok(outcome);
@@ -391,19 +376,14 @@ impl<'a> DistTrainer<'a> {
                             "fault recovery looped more than {max_recoveries} times"
                         )));
                     }
-                    resume = match &self.cfg.checkpoint {
-                        // Newest-first scan past corrupted/truncated files:
-                        // a chaos-flipped checkpoint falls back to the
-                        // previous valid one (or a scratch restart).
-                        Some(ck) => match latest_valid_checkpoint(&ck.dir)? {
-                            Some((_, ckpt)) => {
-                                self.validate_checkpoint(&ckpt)?;
-                                Some(ckpt)
-                            }
-                            None => None,
-                        },
-                        None => None,
-                    };
+                    // Newest-first scan past corrupted/truncated files: a
+                    // chaos-flipped checkpoint falls back to the previous
+                    // valid one (or a scratch restart).
+                    let dir = self.cfg.checkpoint.as_ref().map(|ck| ck.dir.as_path());
+                    resume = dir.map(latest_valid_checkpoint).transpose()?.flatten().map(|f| f.1);
+                    if let Some(ckpt) = &resume {
+                        self.validate_checkpoint(ckpt)?;
+                    }
                 }
                 Err(e) => return Err(e),
             }
@@ -413,8 +393,10 @@ impl<'a> DistTrainer<'a> {
     fn run_attempt(
         &self,
         resume: Option<Checkpoint>,
+        serial: bool,
         checkpoints: &AtomicU64,
-        chaos: &ChaosRt,
+        plane: &Arc<FaultPlane>,
+        policy: RetryPolicy,
     ) -> Result<DistOutcome, RuntimeError> {
         let cfg = &self.cfg;
         let p = cfg.workers;
@@ -431,7 +413,7 @@ impl<'a> DistTrainer<'a> {
             &self.registry,
             cfg.workers.max(self.cluster.num_shards()) + splits,
         )
-        .attach(Arc::clone(&chaos.plane), chaos.policy);
+        .attach(Arc::clone(plane), policy);
         // Registered counters are shared registry-wide, so a fault-recovery
         // retry must zero them to report only its own traffic (matching the
         // fresh-per-attempt counters the PS had before telemetry).
@@ -439,85 +421,36 @@ impl<'a> DistTrainer<'a> {
         if let Some(ck) = &resume {
             ps.load(&ck.shards)?;
         }
+        let start = resume.as_ref().map_or(0, |ck| ck.global_step);
+        let cx = Attempt {
+            trainer: self,
+            // Materialized once, before any worker can push: every worker
+            // starts from the time-t0 server state.
+            initial_replica: ps.materialize()?,
+            ps,
+            co: Coordinator::new(p, start, plane.next_crash(p, start)),
+            steps: start..cfg.batches_per_epoch as u64 * cfg.epochs as u64,
+            losses: Mutex::new(resume.as_ref().map_or_else(Vec::new, |ck| ck.epoch_losses.clone())),
+            resume,
+            plane,
+            policy,
+            checkpoints,
+            rebalances: AtomicU64::new(0),
+            allreduce_ns: self.registry.histogram("runtime.allreduce_ns", &[]),
+        };
+        let workers = if serial || p == 1 { cx.run_in_series() } else { cx.run_on_threads() }?;
 
-        // Completed-epoch mean losses; the rendezvous leader appends.
-        let shared =
-            Mutex::new(resume.as_ref().map_or_else(Vec::new, |ck| ck.epoch_losses.clone()));
-        let start_step = resume.as_ref().map_or(0, |ck| ck.global_step);
-        let co = Coordinator::new(p, start_step, chaos.plane.next_crash(p, start_step));
-        let rebalances = AtomicU64::new(0);
-        // Materialized once, before any worker can push: each worker's
-        // starting replica must be the time-t0 server state, not whatever
-        // the server holds when that worker's thread happens to start.
-        let initial_replica = ps.materialize()?;
-        let initial_replica = &initial_replica;
-        let resume = resume.as_ref();
-
-        // Report totals cover this attempt's steps: each worker writes its
-        // own, and none of them travels through a rendezvous or a file.
-        let mut per_worker = vec![WorkerReport::default(); p];
-        let mut hists = vec![vec![0u64; cfg.staleness as usize + 1]; p];
-        let results: Vec<Result<Vec<f32>, RuntimeError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = per_worker
-                .iter_mut()
-                .zip(&mut hists)
-                .enumerate()
-                .map(|(me, (report, hist))| {
-                    let (ps, co, shared, rebalances) = (&ps, &co, &shared, &rebalances);
-                    scope.spawn(move || {
-                        self.worker_loop(
-                            me,
-                            resume,
-                            initial_replica.clone(),
-                            ps,
-                            co,
-                            shared,
-                            checkpoints,
-                            rebalances,
-                            chaos,
-                            report,
-                            hist,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(RuntimeError::Unrecoverable("worker panicked".into()))
-                    })
-                })
-                .collect()
-        });
-
-        // A non-fault error wins (it is the root cause); otherwise any fault
-        // sends the attempt loop to recovery.
-        let mut fault = None;
-        let mut states = Vec::with_capacity(p);
-        for r in results {
-            match r {
-                Ok(state) => states.push(state),
-                Err(e @ RuntimeError::Fault { .. }) => fault = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(e) = fault {
-            return Err(e);
-        }
-
-        let epoch_losses =
-            shared.into_inner().map_err(|_| RuntimeError::Poisoned("shared train state"))?;
         let mut encoder = self.spec.build();
-        encoder.load_dense_state_vec(&states[0]).map_err(RuntimeError::Unrecoverable)?;
-        let features = ps.materialize()?;
-
-        let mut staleness_hist = vec![0u64; cfg.staleness as usize + 1];
-        for hist in &hists {
-            for (sum, n) in staleness_hist.iter_mut().zip(hist) {
-                *sum += n;
-            }
-        }
+        encoder
+            .load_dense_state_vec(&workers[0].encoder.dense_state_vec())
+            .map_err(RuntimeError::Unrecoverable)?;
+        let staleness_hist =
+            (0..=cfg.staleness as usize).map(|a| workers.iter().map(|w| w.hist[a]).sum()).collect();
+        // Consuming the workers frees their replicas before the final copy.
+        let per_worker: Vec<WorkerReport> = workers.into_iter().map(|w| w.report).collect();
+        let features = cx.ps.materialize()?;
+        let epoch_losses =
+            cx.losses.into_inner().map_err(|_| RuntimeError::Poisoned("shared train state"))?;
         let report = DistReport {
             workers: p,
             staleness: cfg.staleness,
@@ -526,227 +459,313 @@ impl<'a> DistTrainer<'a> {
             makespan_ns: per_worker.iter().map(|w| w.busy_ns + w.comm_ns).max().unwrap_or(0),
             per_worker,
             staleness_hist,
-            wall_ns: 0,
-            ps: ps.stats().snapshot(),
+            ps: cx.ps.stats().snapshot(),
             adjacency: self.cluster.stats().snapshot(),
-            checkpoints_written: 0,
-            recoveries: 0,
-            faults_injected: 0,
-            retries: 0,
-            // ordering: read after all worker threads joined above; the
-            // join synchronizes, Relaxed suffices.
-            rebalances: rebalances.load(Ordering::Relaxed),
+            rebalances: cx.rebalances.into_inner(),
+            ..DistReport::default()
         };
         Ok(DistOutcome { report, encoder, features })
     }
+}
 
-    /// One worker's whole life: step loop, rendezvous, checkpoints, fault.
-    /// Its resumable state is one [`WorkerCkpt`] record (fresh, or the
-    /// restored checkpoint's); its report totals go straight to `report`
-    /// and `hist`. Returns the final dense state.
-    #[allow(clippy::too_many_arguments, reason = "one worker's whole state, threaded once")]
-    fn worker_loop(
-        &self,
-        me: usize,
-        resume: Option<&Checkpoint>,
-        mut replica: FeatureMatrix,
-        ps: &SparseParamServer,
-        co: &Coordinator,
-        shared: &Mutex<Vec<f64>>,
-        checkpoints: &AtomicU64,
-        rebalances: &AtomicU64,
-        chaos: &ChaosRt,
-        report: &mut WorkerReport,
-        hist: &mut [u64],
-    ) -> Result<Vec<f32>, RuntimeError> {
-        let cfg = &self.cfg;
-        let graph: &AttributedHeterogeneousGraph = self.cluster.graph();
-        let batches = cfg.batches_per_epoch as u64;
-        let total_steps = batches * cfg.epochs as u64;
+/// What one attempt's workers share. `steps` run from the restore point to
+/// the end; `checkpoints` counts the whole run's, recoveries included; the
+/// leader appends each completed epoch's mean loss to `losses`.
+struct Attempt<'a> {
+    trainer: &'a DistTrainer<'a>,
+    ps: SparseParamServer,
+    co: Coordinator,
+    steps: Range<u64>,
+    resume: Option<Checkpoint>,
+    initial_replica: FeatureMatrix,
+    plane: &'a FaultPlane,
+    policy: RetryPolicy,
+    checkpoints: &'a AtomicU64,
+    losses: Mutex<Vec<f64>>,
+    rebalances: AtomicU64,
+    allreduce_ns: Arc<Histogram>,
+}
 
-        let mut encoder = self.spec.build();
+/// A cut at which the workers meet, each having completed `step` steps,
+/// and the directory of the checkpoint written there, if one is.
+#[derive(Debug, Clone, Copy)]
+struct Cut<'a> {
+    step: u64,
+    epoch_end: bool,
+    checkpoint: Option<&'a Path>,
+}
+
+impl<'a> Attempt<'a> {
+    /// The cut after `t` steps, if the workers meet there: every epoch end
+    /// and every checkpoint step (`is_multiple_of(0)` is false for t > 0,
+    /// so `every_steps = 0` means epoch ends only).
+    fn cut(&self, t: u64) -> Option<Cut<'a>> {
+        let cfg = &self.trainer.cfg;
+        let epoch_end = t.is_multiple_of(cfg.batches_per_epoch as u64);
+        let checkpoint =
+            cfg.checkpoint.as_ref().filter(|ck| epoch_end || t.is_multiple_of(ck.every_steps));
+        let checkpoint = checkpoint.map(|ck| ck.dir.as_path());
+        (epoch_end || checkpoint.is_some()).then_some(Cut { step: t, epoch_end, checkpoint })
+    }
+
+    /// Every worker on its own thread, meeting the others at the coordinator.
+    fn run_on_threads(&self) -> Result<Vec<Worker<'a>>, RuntimeError> {
+        let run = |me: usize| -> Result<Worker<'a>, RuntimeError> {
+            let mut w = Worker::new(me, self)?;
+            for t in self.steps.clone() {
+                w.step(t, self)?;
+                if let Some(cut) = self.cut(t + 1) {
+                    let deposit = w.deposit(cut);
+                    let waiting = Stopwatch::start();
+                    let out = self.co.rendezvous(me, deposit, |deps| self.lead(cut, deps))?;
+                    w.report.wait_ns += waiting.elapsed_ns();
+                    w.adopt(&out)?;
+                }
+            }
+            Ok(w)
+        };
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let workers = 0..self.trainer.cfg.workers;
+            let handles: Vec<_> = workers.map(|me| scope.spawn(move || run(me))).collect();
+            let panicked = || Err(RuntimeError::Unrecoverable("worker panicked".into()));
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|_| panicked())).collect()
+        });
+        // A non-fault error wins (it is the root cause); otherwise any fault
+        // sends the attempt loop to recovery.
+        let errors = results.iter().filter_map(|r| r.as_ref().err());
+        match errors.min_by_key(|e| matches!(e, RuntimeError::Fault { .. })) {
+            Some(e) => Err(e.clone()),
+            None => results.into_iter().collect(),
+        }
+    }
+
+    /// Every worker on the caller's thread: step `t` of each in worker
+    /// order, then the cut's leader inline. No wait a step makes blocks.
+    fn run_in_series(&self) -> Result<Vec<Worker<'a>>, RuntimeError> {
+        let workers = (0..self.trainer.cfg.workers).map(|me| Worker::new(me, self));
+        let mut workers = workers.collect::<Result<Vec<_>, _>>()?;
+        for t in self.steps.clone() {
+            for w in &mut workers {
+                w.step(t, self)?;
+            }
+            if let Some(cut) = self.cut(t + 1) {
+                let out = self.lead(cut, workers.iter_mut().map(|w| w.deposit(cut)).collect())?;
+                for w in &mut workers {
+                    w.adopt(&out)?;
+                }
+            }
+        }
+        Ok(workers)
+    }
+
+    /// Closes `cut` over the deposits, in worker order. At an epoch end:
+    /// the scheduled rebalances, the epoch's mean loss and the dense
+    /// allreduce. At a checkpoint cut: the file, and the materialized
+    /// server state every replica adopts.
+    fn lead(&self, cut: Cut<'_>, mut deps: Vec<Deposit>) -> Result<Rendezvous, RuntimeError> {
+        // Times the epoch bookkeeping, allreduce and checkpoint into
+        // `runtime.allreduce_ns` (recorded when the guard drops), on epoch
+        // ends only.
+        let _allreduce = cut.epoch_end.then(|| Span::enter(&self.allreduce_ns));
+        let mut losses =
+            self.losses.lock().map_err(|_| RuntimeError::Poisoned("shared train state"))?;
+        let mut avg = None;
+        if cut.epoch_end {
+            // Elastic boundary: no push, pull, sample, or drain is in flight,
+            // so scheduled topology changes migrate residency (graph shards
+            // + PS rows) here, before the checkpoint below, so the cut
+            // captures the post-move shard layout.
+            let epoch = (cut.step / self.trainer.cfg.batches_per_epoch as u64) as usize;
+            let plans = self.trainer.cfg.rebalance.iter().enumerate();
+            for (i, plan) in plans.filter(|(_, plan)| plan.after_epoch == epoch) {
+                self.rebalance(i, plan)?;
+            }
+            let loss: f64 = deps.iter().map(|d| d.state.loss_sum).sum();
+            let n: u64 = deps.iter().map(|d| d.state.pairs).sum();
+            losses.push(loss / n.max(1) as f64);
+            avg = Some(allreduce(&mut deps));
+            // The epoch just closed: a checkpoint at its end stores zeroed
+            // loss accumulators beside the averaged params.
+            deps.iter_mut().for_each(|d| (d.state.loss_sum, d.state.pairs) = (0.0, 0));
+        }
+        let mut drain = None;
+        if let Some(dir) = cut.checkpoint {
+            let ckpt = Checkpoint {
+                fingerprint: self.trainer.fingerprint(),
+                global_step: cut.step,
+                epoch_losses: losses.clone(),
+                avg_params: avg.clone(),
+                workers: deps.into_iter().map(|d| d.state).collect(),
+                shards: self.ps.export()?,
+            };
+            write_checkpoint(&ckpt, dir, self.plane)?;
+            // ordering: report-only tally read after the attempt loop.
+            self.checkpoints.fetch_add(1, Ordering::Relaxed);
+            // Every replica adopts the state a restore rebuilds, so resumes
+            // are bit-exact at any staleness bound; a later drain re-reads
+            // any undrained dirty row either way.
+            drain = Some(self.ps.materialize()?);
+        }
+        Ok(Rendezvous { avg_params: avg, drain })
+    }
+
+    /// Applies scheduled rebalance `index` (leader-only). The topology
+    /// outlives fault-recovery attempts, so plan `i` moves the graph only
+    /// from membership epoch `i` (a recovery re-run skips it). The PS is
+    /// fresh per attempt, so its rows always re-home, finding nothing to
+    /// move when the restored checkpoint has the post-move layout.
+    fn rebalance(&self, index: usize, plan: &RebalancePlan) -> Result<(), RuntimeError> {
+        let cluster = self.trainer.cluster;
+        if cluster.topology().current_epoch() <= index as u64 {
+            cluster
+                .rebalance(plan.op, self.plane, &self.policy)
+                .map_err(|e| RuntimeError::Unrecoverable(format!("rebalance failed: {e}")))?;
+        }
+        self.ps.rehome(&cluster.residency_snapshot())?;
+        // ordering: report-only tally read after the workers finish.
+        self.rebalances.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// One trainer worker: everything it keeps from step to step. `rec` is its
+/// resumable state (the RNG and dense state are copied in at each cut);
+/// `replica` holds the PS rows as of its last drain or checkpoint cut;
+/// `report` and `hist` (`hist[a]`: steps computed at replica age `a`) count
+/// this attempt's steps. Its meters are its own handles: under a disabled
+/// registry each worker's are distinct, so no two threads share a counter.
+struct Worker<'a> {
+    me: usize,
+    rec: WorkerCkpt,
+    rng: StdRng,
+    encoder: GnnEncoder,
+    replica: FeatureMatrix,
+    pools: ShardEdgePools,
+    view: ClusterView<'a>,
+    sampler: MeteredNeighborhood<UniformNeighborhood>,
+    staleness: Arc<Histogram>,
+    report: WorkerReport,
+    hist: Vec<u64>,
+}
+
+impl<'a> Worker<'a> {
+    /// Worker `me` at the attempt's first step.
+    fn new(me: usize, cx: &Attempt<'a>) -> Result<Self, RuntimeError> {
+        let (trainer, id) = (cx.trainer, WorkerId(me as u32));
+        let mut encoder = trainer.spec.build();
         let mut rec =
-            WorkerCkpt { rng: worker_rng(cfg.seed, me as u32).state(), ..WorkerCkpt::default() };
-        let mut t = 0;
-        if let Some(ck) = resume {
+            WorkerCkpt { rng: worker_rng(trainer.cfg.seed, id.0).state(), ..Default::default() };
+        if let Some(ck) = &cx.resume {
             rec = ck.workers[me].clone();
             encoder.load_dense_state_vec(&rec.dense_state).map_err(RuntimeError::Checkpoint)?;
             if let Some(avg) = &ck.avg_params {
                 encoder.load_dense_param_vec(avg).map_err(RuntimeError::Checkpoint)?;
             }
-            t = ck.global_step;
         }
-        let mut rng = StdRng::from_state(rec.rng);
-        let pools = ShardEdgePools::of(self.cluster, WorkerId(me as u32));
-        let view = ClusterView { cluster: self.cluster, from: WorkerId(me as u32) };
-        let sampler = MeteredNeighborhood::new(UniformNeighborhood, &self.registry, "uniform");
-        let staleness_hist = self.registry.histogram("runtime.staleness", &[]);
-        let allreduce_ns = self.registry.histogram("runtime.allreduce_ns", &[]);
-
-        while t < total_steps {
-            co.stop_at_crash_cut(me, t, || chaos.plane.crash_fires(me as u32, t))?;
-            // Sample: every read of the shared cluster this step makes.
-            let sampling = Stopwatch::start();
-            // Same draw sequence as the sequential trainer: edge type, then
-            // the batch, then the step's internal sampling.
-            let etype = EdgeType(rng.gen_range(0..graph.num_edge_types().max(1)));
-            let batch = pools.sample(etype, cfg.batch_size, &mut rng);
-            let planned = (!batch.is_empty()).then(|| {
-                plan_contrastive(&encoder, graph, &view, &sampler, &batch, cfg.negatives, &mut rng)
-            });
-            report.busy_ns += sampling.elapsed_ns();
-
-            // The rest is this worker's own: the replica, the encoder, and
-            // pushes the PS holds until the cut after this step.
-            // Bounded staleness: drain the PS at cut `t` once the replica is
-            // more than `s` steps old, then record the age this step
-            // computed at.
-            let mut age = t - rec.last_drain;
-            if age > cfg.staleness {
-                let waiting = Stopwatch::start();
-                co.await_cut(t)?;
-                report.wait_ns += waiting.elapsed_ns();
-                report.comm_ns += ps.drain_into(me, &mut replica)?;
-                rec.last_drain = t;
-                age = 0;
-            }
-            hist[age as usize] += 1;
-            staleness_hist.record(age);
-            let out = planned.map(|planned| {
-                let computing = Stopwatch::start();
-                let out = finish_contrastive(&mut encoder, &replica, planned);
-                report.busy_ns += computing.elapsed_ns();
-                out
-            });
-            // An empty batch pushes an empty map: the step still counts.
-            let grads = out.as_ref().map(|o| &o.feature_grads);
-            report.comm_ns += ps.push(me, grads.unwrap_or(&HashMap::new()))?;
-            co.finish_step(me)?;
-
-            if let Some(out) = out {
-                let stepping = Stopwatch::start();
-                encoder.step(batch.len());
-                report.busy_ns += stepping.elapsed_ns();
-                rec.loss_sum += out.loss_sum;
-                rec.pairs += out.pairs as u64;
-                report.edges += batch.len() as u64;
-                report.comm_ns += ps.record_reads(me, out.feature_grads.keys());
-            }
-            t += 1;
-
-            // A cut: everyone has completed exactly t steps. An epoch end
-            // always is one; so is a checkpoint step (`is_multiple_of(0)`
-            // is false for t > 0, so `every_steps = 0` means epoch ends
-            // only).
-            let epoch_end = t.is_multiple_of(batches);
-            let ckpt =
-                cfg.checkpoint.as_ref().filter(|ck| epoch_end || t.is_multiple_of(ck.every_steps));
-            if !epoch_end && ckpt.is_none() {
-                continue;
-            }
-            rec.rng = rng.state();
-            rec.dense_state = encoder.dense_state_vec();
-            let params = if epoch_end { encoder.dense_param_vec() } else { Vec::new() };
-            let deposit = Deposit { state: rec.clone(), params };
-            let waiting = Stopwatch::start();
-            let out = co.rendezvous(me, deposit, |mut deps| {
-                // Times the leader's epoch bookkeeping, allreduce and
-                // checkpoint into `runtime.allreduce_ns` (recorded when the
-                // guard drops), on epoch ends only.
-                let _allreduce = epoch_end.then(|| Span::enter(&allreduce_ns));
-                let mut losses =
-                    shared.lock().map_err(|_| RuntimeError::Poisoned("shared train state"))?;
-                let mut avg = None;
-                if epoch_end {
-                    // Elastic boundary: every worker is parked at this
-                    // rendezvous — no push, pull, sample, or drain is in
-                    // flight — so scheduled topology changes migrate
-                    // residency (graph shards + PS rows) here, before the
-                    // checkpoint below, so the cut captures the post-move
-                    // shard layout.
-                    let epoch = (t / batches) as usize;
-                    for (i, plan) in cfg.rebalance.iter().enumerate() {
-                        if plan.after_epoch == epoch {
-                            self.apply_rebalance(i, plan, ps, chaos)?;
-                            // ordering: report-only tally read after worker
-                            // joins; the join synchronizes, Relaxed
-                            // suffices.
-                            rebalances.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    let loss: f64 = deps.iter().map(|d| d.state.loss_sum).sum();
-                    let n: u64 = deps.iter().map(|d| d.state.pairs).sum();
-                    losses.push(loss / n.max(1) as f64);
-                    avg = Some(allreduce(&mut deps));
-                    // The epoch just closed: a checkpoint at its end stores
-                    // zeroed loss accumulators beside the averaged params.
-                    for d in &mut deps {
-                        d.state.loss_sum = 0.0;
-                        d.state.pairs = 0;
-                    }
-                }
-                let mut drain = None;
-                if let Some(ck) = ckpt {
-                    let ckpt = Checkpoint {
-                        fingerprint: self.fingerprint(),
-                        global_step: t,
-                        epoch_losses: losses.clone(),
-                        avg_params: avg.clone(),
-                        workers: deps.into_iter().map(|d| d.state).collect(),
-                        shards: ps.export()?,
-                    };
-                    write_checkpoint(&ckpt, &ck.dir, chaos)?;
-                    // ordering: report-only tally read after worker joins;
-                    // the join synchronizes, Relaxed suffices.
-                    checkpoints.fetch_add(1, Ordering::Relaxed);
-                    // Checkpoint cuts refresh every replica to the
-                    // materialized server state — exactly the state a
-                    // restore rebuilds (`initial_replica`) — so resumes are
-                    // bit-exact at any staleness bound. The drain
-                    // *schedule* (`last_drain`) is deliberately left
-                    // untouched: pending drains still fire at the same
-                    // steps, and the refresh itself cannot change what a
-                    // later drain would deliver (undrained dirty rows are
-                    // re-read from the server either way).
-                    drain = Some(ps.materialize()?);
-                }
-                Ok(Rendezvous { avg_params: avg, drain })
-            })?;
-            report.wait_ns += waiting.elapsed_ns();
-            if let Some(avg) = &out.avg_params {
-                encoder.load_dense_param_vec(avg).map_err(RuntimeError::Unrecoverable)?;
-                rec.loss_sum = 0.0;
-                rec.pairs = 0;
-            }
-            if let Some(m) = &out.drain {
-                replica = m.clone();
-            }
-        }
-        Ok(encoder.dense_state_vec())
+        Ok(Worker {
+            me,
+            rng: StdRng::from_state(rec.rng),
+            rec,
+            encoder,
+            replica: cx.initial_replica.clone(),
+            pools: ShardEdgePools::of(trainer.cluster, id),
+            view: ClusterView { cluster: trainer.cluster, from: id },
+            sampler: MeteredNeighborhood::new(UniformNeighborhood, &trainer.registry, "uniform"),
+            staleness: trainer.registry.histogram("runtime.staleness", &[]),
+            report: WorkerReport::default(),
+            hist: vec![0; trainer.cfg.staleness as usize + 1],
+        })
     }
 
-    /// Applies one scheduled rebalance (leader-only, all workers parked).
-    ///
-    /// The cluster's topology outlives fault-recovery attempts, so the
-    /// graph-side migration is guarded by the membership epoch — plan `i`
-    /// takes the topology from epoch `i` to `i + 1`, and a recovery re-run
-    /// that reaches this boundary again skips it. The PS is fresh per
-    /// attempt, so its rows always re-home here; when the restored
-    /// checkpoint already captured the post-move layout that re-home finds
-    /// nothing to move.
-    fn apply_rebalance(
-        &self,
-        index: usize,
-        plan: &RebalancePlan,
-        ps: &SparseParamServer,
-        chaos: &ChaosRt,
-    ) -> Result<(), RuntimeError> {
-        if self.cluster.topology().current_epoch() <= index as u64 {
-            self.cluster
-                .rebalance(plan.op, &chaos.plane, &chaos.policy)
-                .map_err(|e| RuntimeError::Unrecoverable(format!("rebalance failed: {e}")))?;
+    /// Step `t`, unless the attempt's crash stops this worker before it.
+    fn step(&mut self, t: u64, cx: &Attempt) -> Result<(), RuntimeError> {
+        cx.co.stop_at_crash_cut(self.me, t, || cx.plane.crash_fires(self.me as u32, t))?;
+        let (edges, planned) = self.sample(cx);
+        if let Some(out) = self.finish(t, cx, planned)? {
+            self.update(cx, edges, out)?;
         }
-        ps.rehome(&self.cluster.residency_snapshot())?;
+        Ok(())
+    }
+
+    /// Every read of the shared cluster the step makes, in the sequential
+    /// trainer's draw order: edge type, then the batch, then the step's own
+    /// sampling. Returns the batch's edge count and its plan.
+    fn sample(&mut self, cx: &Attempt) -> (usize, Option<PlannedBatch>) {
+        let (cfg, graph) = (&cx.trainer.cfg, cx.trainer.cluster.graph());
+        let sampling = Stopwatch::start();
+        let etype = EdgeType(self.rng.gen_range(0..graph.num_edge_types().max(1)));
+        let batch = self.pools.sample(etype, cfg.batch_size, &mut self.rng);
+        let planned = (!batch.is_empty()).then(|| {
+            let (n, sampler) = (cfg.negatives, &self.sampler);
+            plan_contrastive(&self.encoder, graph, &self.view, sampler, &batch, n, &mut self.rng)
+        });
+        self.report.busy_ns += sampling.elapsed_ns();
+        (batch.len(), planned)
+    }
+
+    /// At a drain step, waits for cut `t` and drains the PS into the
+    /// replica. Then finishes the batch on the replica and pushes its
+    /// gradients, which the PS holds until the cut after this step.
+    fn finish(
+        &mut self,
+        t: u64,
+        cx: &Attempt,
+        planned: Option<PlannedBatch>,
+    ) -> Result<Option<BatchOutcome>, RuntimeError> {
+        let age = t % (cx.trainer.cfg.staleness + 1);
+        if t > 0 && age == 0 {
+            let waiting = Stopwatch::start();
+            cx.co.await_cut(t)?;
+            self.report.wait_ns += waiting.elapsed_ns();
+            self.report.comm_ns += cx.ps.drain_into(self.me, &mut self.replica)?;
+        }
+        self.hist[age as usize] += 1;
+        self.staleness.record(age);
+        let out = planned.map(|planned| {
+            let computing = Stopwatch::start();
+            let out = finish_contrastive(&mut self.encoder, &self.replica, planned);
+            self.report.busy_ns += computing.elapsed_ns();
+            out
+        });
+        // An empty batch pushes an empty map: the step still counts.
+        let grads = out.as_ref().map(|o| &o.feature_grads);
+        self.report.comm_ns += cx.ps.push(self.me, grads.unwrap_or(&HashMap::new()))?;
+        cx.co.finish_step(self.me)?;
+        Ok(out)
+    }
+
+    /// The dense step over the batch's `n` edges, with the weight gradients
+    /// the backward kept; the epoch's loss sums; the PS read meters.
+    fn update(&mut self, cx: &Attempt, n: usize, out: BatchOutcome) -> Result<(), RuntimeError> {
+        let stepping = Stopwatch::start();
+        self.encoder.step(n);
+        self.report.busy_ns += stepping.elapsed_ns();
+        self.rec.loss_sum += out.loss_sum;
+        self.rec.pairs += out.pairs as u64;
+        self.report.edges += n as u64;
+        self.report.comm_ns += cx.ps.record_reads(self.me, out.feature_grads.keys())?;
+        Ok(())
+    }
+
+    /// This worker's part of `cut`: its record as of the cut, and at an
+    /// epoch end its dense parameters to average.
+    fn deposit(&mut self, cut: Cut<'_>) -> Deposit {
+        self.rec.rng = self.rng.state();
+        self.rec.dense_state = self.encoder.dense_state_vec();
+        let params = if cut.epoch_end { self.encoder.dense_param_vec() } else { Vec::new() };
+        Deposit { state: self.rec.clone(), params }
+    }
+
+    /// Takes the leader's outcome: the averaged parameters (the epoch's loss
+    /// sums restart) and, at a checkpoint cut, the refreshed replica.
+    fn adopt(&mut self, out: &Rendezvous) -> Result<(), RuntimeError> {
+        if let Some(avg) = &out.avg_params {
+            self.encoder.load_dense_param_vec(avg).map_err(RuntimeError::Unrecoverable)?;
+            (self.rec.loss_sum, self.rec.pairs) = (0.0, 0);
+        }
+        if let Some(m) = &out.drain {
+            self.replica = m.clone();
+        }
         Ok(())
     }
 }
@@ -757,25 +776,20 @@ impl<'a> DistTrainer<'a> {
 fn allreduce(deps: &mut [Deposit]) -> Vec<f32> {
     let mut avg = std::mem::take(&mut deps[0].params);
     for d in &deps[1..] {
-        for (a, b) in avg.iter_mut().zip(&d.params) {
-            *a += *b;
-        }
+        avg.iter_mut().zip(&d.params).for_each(|(a, b)| *a += *b);
     }
     let inv = 1.0 / deps.len() as f32;
-    for a in &mut avg {
-        *a *= inv;
-    }
+    avg.iter_mut().for_each(|a| *a *= inv);
     avg
 }
 
-/// Atomically writes one checkpoint (leader-only; runs under the
-/// coordinator lock). When the chaos plan corrupts checkpoints, the plane
-/// picks a seeded subset of steps and flips one byte in the written file —
-/// recovery must detect the bad checksum and fall back to the previous
-/// valid checkpoint.
-fn write_checkpoint(ckpt: &Checkpoint, dir: &Path, chaos: &ChaosRt) -> Result<(), RuntimeError> {
+/// Atomically writes one checkpoint (leader-only). When the chaos plan
+/// corrupts checkpoints, the plane picks a seeded subset of steps and flips
+/// one byte in the written file — recovery must detect the bad checksum and
+/// fall back to the previous valid checkpoint.
+fn write_checkpoint(ckpt: &Checkpoint, dir: &Path, plane: &FaultPlane) -> Result<(), RuntimeError> {
     let path = ckpt.write_to_dir(dir)?;
-    if let Some(offset) = chaos.plane.corrupts_checkpoint(ckpt.global_step) {
+    if let Some(offset) = plane.corrupts_checkpoint(ckpt.global_step) {
         let mut bytes = std::fs::read(&path)?;
         let i = (offset % bytes.len() as u64) as usize;
         bytes[i] ^= 0xff;

@@ -2,15 +2,17 @@
 //! counts each worker's completed steps, lets a worker wait for a **cut**
 //! (every worker has completed `t` steps) before it drains the parameter
 //! server, runs the rendezvous at every epoch end and checkpoint cut, and
-//! stops every worker at a scheduled crash's cut.
+//! stops every worker at a scheduled crash's cut. Workers run in series (in
+//! worker order) meet each wait before making it, and lead cuts themselves.
 //!
 //! No read a worker makes depends on how the workers interleave: it samples
 //! through its own shard (edge pool, neighbor cache, tier state, each
 //! driven by its own RNG stream), and the parameter server applies pushes
 //! only at a cut (see [`crate::ps`]). So the workers run their steps at
 //! once and every run is still a function of its seed. A drain at step `t`
-//! waits for cut `t`, so bounded staleness `s` governs *data visibility*,
-//! and a worker runs at most `s + 1` steps ahead of the slowest.
+//! (every `t > 0` with `t % (s + 1) == 0`) waits for cut `t`, so bounded
+//! staleness `s` governs *data visibility*, and a worker runs at most
+//! `s + 1` steps ahead of the slowest.
 //!
 //! The **crash cut** of a scheduled crash `(w, t)`: workers below `w`
 //! complete step `t`, `w` and the workers above it complete `t − 1`, and
@@ -24,27 +26,6 @@ use crate::checkpoint::WorkerCkpt;
 use crate::error::RuntimeError;
 use aligraph_chaos::CrashPoint;
 use std::sync::{Condvar, Mutex};
-
-/// Why a run was torn down early.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Abort {
-    /// Fault injection killed a worker; the attempt loop restores/retries.
-    Fault {
-        /// The killed worker.
-        worker: u32,
-    },
-    /// A worker or barrier leader hit a real error.
-    Failed(String),
-}
-
-impl Abort {
-    fn to_error(&self) -> RuntimeError {
-        match self {
-            Abort::Fault { worker } => RuntimeError::Fault { worker: *worker },
-            Abort::Failed(m) => RuntimeError::Unrecoverable(m.clone()),
-        }
-    }
-}
 
 /// What one worker contributes at a rendezvous: its resumable state at the
 /// cut, and at an epoch end the dense parameters to average.
@@ -61,11 +42,10 @@ pub struct Deposit {
 pub struct Rendezvous {
     /// Averaged dense parameters (epoch barriers only).
     pub avg_params: Option<Vec<f32>>,
-    /// Replica refresh (checkpoint cuts only): the materialized
-    /// server state at the cut. Every worker adopts it as its replica —
-    /// without touching its drain schedule — so the checkpoint is a
-    /// self-contained restore point at any staleness bound (a restore
-    /// rebuilds replicas from the same materialized state).
+    /// Replica refresh (checkpoint cuts only): the materialized server
+    /// state at the cut, which every worker adopts as its replica (leaving
+    /// the drain schedule alone), so the checkpoint is a self-contained
+    /// restore point at any staleness bound.
     pub drain: Option<aligraph_graph::FeatureMatrix>,
 }
 
@@ -78,8 +58,9 @@ fn stop(crash: &CrashPoint, w: usize) -> u64 {
 struct CoState {
     /// Steps each worker has completed: pushed, so the PS holds them.
     steps: Vec<u64>,
-    /// Torn down?
-    crashed: Option<Abort>,
+    /// Why the run was torn down, if it was: a [`RuntimeError::Fault`]
+    /// the attempt loop recovers from, or a leader's error.
+    crashed: Option<RuntimeError>,
     /// Rendezvous state.
     arrived: usize,
     deposits: Vec<Option<Deposit>>,
@@ -131,8 +112,8 @@ impl Coordinator {
     ) -> Result<std::sync::MutexGuard<'_, CoState>, RuntimeError> {
         let mut st = self.lock()?;
         loop {
-            if let Some(a) = &st.crashed {
-                return Err(a.to_error());
+            if let Some(e) = &st.crashed {
+                return Err(e.clone());
             }
             if ready(&st) {
                 return Ok(st);
@@ -170,8 +151,8 @@ impl Coordinator {
         F: FnOnce(Vec<Deposit>) -> Result<Rendezvous, RuntimeError>,
     {
         let mut st = self.lock()?;
-        if let Some(a) = &st.crashed {
-            return Err(a.to_error());
+        if let Some(e) = &st.crashed {
+            return Err(e.clone());
         }
         st.deposits[me] = Some(deposit);
         st.arrived += 1;
@@ -192,7 +173,7 @@ impl Coordinator {
                     Ok(out)
                 }
                 Err(e) => {
-                    st.crashed = Some(Abort::Failed(e.to_string()));
+                    st.crashed = Some(RuntimeError::Unrecoverable(e.to_string()));
                     self.cv.notify_all();
                     Err(e)
                 }
@@ -205,11 +186,11 @@ impl Coordinator {
         }
     }
 
-    /// Tears the run down: every current and future wait returns the abort.
-    pub fn crash(&self, abort: Abort) -> Result<(), RuntimeError> {
+    /// Tears the run down: every current and future wait returns `why`.
+    pub fn crash(&self, why: RuntimeError) -> Result<(), RuntimeError> {
         let mut st = self.lock()?;
         if st.crashed.is_none() {
-            st.crashed = Some(abort);
+            st.crashed = Some(why);
         }
         self.cv.notify_all();
         Ok(())
@@ -219,8 +200,8 @@ impl Coordinator {
     /// cut, and returns at once otherwise. There the crashing worker calls
     /// `fire` (the chaos plane's once-only latch), waits until every other
     /// worker has completed its steps up to the cut, and tears the run down;
-    /// the others wait for that. Either way the attempt's abort comes back
-    /// as the error.
+    /// the others wait for that. Either way the crash's
+    /// [`RuntimeError::Fault`] comes back as the error.
     pub fn stop_at_crash_cut<R>(
         &self,
         me: usize,
@@ -234,7 +215,7 @@ impl Coordinator {
                 st.steps.iter().enumerate().all(|(w, &c)| w == me || c >= stop(&crash, w))
             };
             drop(self.wait_until(stopped)?);
-            self.crash(Abort::Fault { worker: crash.worker })?;
+            self.crash(RuntimeError::Fault { worker: crash.worker })?;
         }
         self.wait_until(|_| false).map(drop)
     }
@@ -383,7 +364,7 @@ mod tests {
                 co1.rendezvous(1, Deposit::default(), |_| Ok(Rendezvous::default()))
             });
             wait_waiting.iter().take(2).for_each(drop);
-            co.crash(Abort::Fault { worker: 2 }).unwrap();
+            co.crash(RuntimeError::Fault { worker: 2 }).unwrap();
             assert!(matches!(at_cut.join().unwrap(), Err(RuntimeError::Fault { worker: 2 })));
             assert!(matches!(
                 at_rendezvous.join().unwrap(),

@@ -466,7 +466,7 @@ proptest! {
             global_step: step,
             epoch_losses: floats.iter().map(|b| f64::from(*b)).collect(),
             avg_params: (step % 2 == 0).then(|| weights.clone()),
-            workers: vec![WorkerCkpt { last_drain: step, pairs: 1, dense_state: weights.clone(), ..Default::default() }],
+            workers: vec![WorkerCkpt { pairs: 1, dense_state: weights.clone(), ..Default::default() }],
             shards: vec![PsShardState { ids: floats.clone(), weights: weights.clone(), accum: Some(weights) }],
         };
         let seg_bytes = segment.to_bytes();

@@ -18,7 +18,9 @@ use aligraph_suite::runtime::{
     RuntimeConfig, RuntimeError,
 };
 use aligraph_suite::sampling::UniformNeighborhood;
-use aligraph_suite::storage::{AccessStatsSnapshot, CacheStrategy, Cluster, CostModel, TierConfig};
+use aligraph_suite::storage::{
+    AccessStatsSnapshot, CacheStrategy, Cluster, CostModel, TierConfig, TierMeterSnapshot,
+};
 use aligraph_telemetry::Registry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -390,19 +392,26 @@ struct TieredRun {
     tier_demotions: u64,
 }
 
-fn tiered_run(staleness: u64) -> TieredRun {
+/// Four shards over a tier holding 20 000 decoded bytes, metered into
+/// `registry`.
+fn tiered_setup(registry: &Registry) -> (Cluster, FeatureMatrix) {
     let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
     let features = Featurizer::new(DIM).matrix(&graph);
-    let registry = Arc::new(Registry::new());
     let (cluster, _) = Cluster::builder(graph)
         .partitioner(&EdgeCutHash)
         .shards(4)
         .cache(CacheStrategy::Lru { fraction: 0.05 })
         .max_hop(2)
         .cost_model(CostModel::default())
-        .registry(&registry)
+        .registry(registry)
         .tier_config(TierConfig::with_budget(Some(20_000)))
         .build();
+    (cluster, features)
+}
+
+fn tiered_run(staleness: u64) -> TieredRun {
+    let registry = Arc::new(Registry::new());
+    let (cluster, features) = tiered_setup(&registry);
     let cfg = RuntimeConfig { staleness, epochs: 2, ..base_cfg(4) };
     let out = DistTrainer::new(&cluster, &features, spec(), cfg)
         .expect("valid config")
@@ -465,6 +474,126 @@ fn tiered_four_worker_runs_repeat_the_lock_step_counters() {
         assert!(want.tier_reads > 0 && want.tier_demotions > 0, "the budget must bind");
         for run in 0..10 {
             assert_eq!(tiered_run(staleness), want, "staleness {staleness}, run {run}");
+        }
+    }
+}
+
+/// Everything a run produces that two drivers of it must agree on besides
+/// its checkpoint files: the model bits, the metered traffic, the staleness
+/// histogram and the edges.
+#[derive(Debug, PartialEq)]
+struct RunBits {
+    fingerprint: u64,
+    epoch_losses: Vec<u64>,
+    ps: TierMeterSnapshot,
+    adjacency: AccessStatsSnapshot,
+    staleness_hist: Vec<u64>,
+    edges_total: u64,
+}
+
+/// Each checkpoint file's name and bytes, in name order.
+type Files = Vec<(std::ffi::OsString, Vec<u8>)>;
+
+/// Runs `cfg` on a fresh cluster (tiered or not) on threads or in series,
+/// checkpointing every `every` steps into a fresh directory when asked.
+fn run_bits(
+    name: &str,
+    tiered: bool,
+    cfg: &RuntimeConfig,
+    every: Option<u64>,
+    serial: bool,
+) -> (RunBits, Files) {
+    let (cluster, features) =
+        if tiered { tiered_setup(&Registry::new()) } else { setup(cfg.workers) };
+    let dir = tmp_dir(&format!("{name}-{}", if serial { "series" } else { "threads" }));
+    let mut cfg = cfg.clone();
+    cfg.checkpoint = every.map(|every_steps| CheckpointConfig { dir: dir.clone(), every_steps });
+    let trainer = DistTrainer::new(&cluster, &features, spec(), cfg).expect("valid config");
+    let out = if serial { trainer.train_in_series() } else { trainer.train() }.expect("run ends");
+    let mut files: Files = match std::fs::read_dir(&dir) {
+        Ok(entries) => entries
+            .map(|e| {
+                let path = e.expect("readable dir").path();
+                (
+                    path.file_name().expect("a file").to_owned(),
+                    std::fs::read(&path).expect("readable"),
+                )
+            })
+            .collect(),
+        Err(_) => Vec::new(),
+    };
+    files.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = RunBits {
+        fingerprint: out.fingerprint(),
+        epoch_losses: bits(&out.report.epoch_losses),
+        ps: out.report.ps,
+        adjacency: out.report.adjacency,
+        staleness_hist: out.report.staleness_hist,
+        edges_total: out.report.edges_total,
+    };
+    (run, files)
+}
+
+/// The serial driver is the reference for the threaded one: the same
+/// worker steps in worker order on one thread, each cut's leader inline.
+/// Every shape — mid-epoch checkpoints, a stale mid-epoch kill, a lossy
+/// chaos plane, four workers on a binding tier at two staleness bounds —
+/// must come out the same bit for bit, checkpoint files included.
+#[test]
+fn series_and_threads_agree_bit_for_bit() {
+    let mut chaos = FaultConfig::with_seed(7, 0.2);
+    chaos.plan.corrupt_checkpoint = true;
+    let shapes = [
+        ("mid-epoch", false, base_cfg(2), Some(5)),
+        (
+            "stale-kill",
+            false,
+            RuntimeConfig { staleness: 2, chaos: kill(1, 7), ..base_cfg(2) },
+            Some(3),
+        ),
+        ("chaos", false, RuntimeConfig { chaos: Some(chaos), ..base_cfg(2) }, Some(4)),
+        ("tiered-0", true, RuntimeConfig { epochs: 2, ..base_cfg(4) }, None),
+        ("tiered-2", true, RuntimeConfig { staleness: 2, epochs: 2, ..base_cfg(4) }, None),
+    ];
+    for (name, tiered, cfg, every) in shapes {
+        let (threads, threads_files) = run_bits(name, tiered, &cfg, every, false);
+        let (series, series_files) = run_bits(name, tiered, &cfg, every, true);
+        assert_eq!(threads, series, "{name}");
+        let names = |files: &Files| files.iter().map(|f| f.0.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&threads_files), names(&series_files), "{name}");
+        assert!(threads_files == series_files, "{name}: a checkpoint file's bytes differ");
+        assert_eq!(threads_files.is_empty(), every.is_none(), "{name}");
+        if name == "stale-kill" {
+            // The parent fingerprint of `stale_mid_epoch_kill_lands_on_the_parent_fingerprint`.
+            assert_eq!(series.fingerprint, 0x134e_4182_4f63_2483, "{:#018x}", series.fingerprint);
+        }
+    }
+}
+
+/// The drain schedule is a function of the step: every worker computes
+/// step `t` on a replica `t % (s + 1)` steps old, restored workers too. So
+/// the histogram of an attempt's steps is closed-form; a kill at step 7
+/// restores from the checkpoint at step 5, which is not a multiple of
+/// `s + 1` for `s` = 1..=3.
+#[test]
+fn the_staleness_histogram_follows_the_closed_form_schedule() {
+    for staleness in 0u64..=3 {
+        for killed in [false, true] {
+            let (cluster, features) = setup(2);
+            let dir = tmp_dir(&format!("schedule-{staleness}-{killed}"));
+            let mut cfg = RuntimeConfig { staleness, ..base_cfg(2) };
+            cfg.checkpoint = Some(CheckpointConfig { dir: dir.clone(), every_steps: 5 });
+            cfg.chaos = if killed { kill(1, 7) } else { None };
+            let out = DistTrainer::new(&cluster, &features, spec(), cfg).unwrap().train().unwrap();
+            assert_eq!(out.report.recoveries, u64::from(killed));
+            let first = if killed { 5 } else { 0 };
+            let steps = first..24u64;
+            let want: Vec<u64> = (0..=staleness)
+                .map(|a| 2 * steps.clone().filter(|t| t % (staleness + 1) == a).count() as u64)
+                .collect();
+            assert_eq!(out.report.staleness_hist, want, "staleness {staleness}, killed {killed}");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }

@@ -50,7 +50,7 @@ fn taobao_service(seed: u64, fault: Option<FaultConfig>) -> (StreamingService, u
 /// plus the final gathers of the first vertices — everything that must be
 /// invariant under ingest-channel faults. Update lag is deliberately NOT in
 /// the trace: it is the one thing faults are allowed to cost.
-#[allow(clippy::type_complexity, reason = "the trace tuple is spelled out where it is built")]
+#[expect(clippy::type_complexity, reason = "the trace tuple is spelled out where it is built")]
 fn run_trace(
     svc: &StreamingService,
     seed: u64,
