@@ -20,7 +20,12 @@
 # run's alone). A row whose baseline is `min-speedup X` checks no baseline
 # file: it fails unless the run prints a modelled speedup over 1 worker of
 # at least X. That bound is wall clock (a worker's busy time is measured),
-# so it lives here and not in the test suite.
+# so it lives here and not in the test suite. A row whose baseline is
+# `fails-within S TEXT` must fail: the command exits non-zero inside S
+# seconds and prints TEXT on stderr (no metrics JSON is written, so none is
+# checked). `train-bench-deadline` is such a row: one worker's send passes
+# its retry deadline while the other waits at a cut, and the run must end
+# with that error instead of hanging.
 #
 # When both the train-bench and train-bench-kill rows ran, their checkpoint
 # files are compared byte for byte: a checkpoint is a function of the seed
@@ -49,6 +54,7 @@ closed-loop-chaos    | closed-loop        | --cycles 2 --seed 42 --fault-seed 7 
 rebalance-bench      | rebalance-bench    | --workers 4 --epochs 3 --scale 0.01 --merge 1 | topology.migration. | BENCH_rebalance.json
 rebalance-bench-chaos | rebalance-bench   | --workers 4 --epochs 3 --scale 0.01 --fault-seed 7 --drop-rate 0.2 | topology.migration. chaos.faults_injected |
 tiered-bench         | tiered-bench       | --scale 10 --workers 4 --resident-budget 500000 | tier.reads tier.resident_bytes tier.io. tier.admit | BENCH_tiered_storage.json --tolerance 0
+train-bench-deadline | train-bench        | --workers 2 --fault-seed 3 --drop-rate 0.9 | | fails-within 40 retry deadline exhausted
 "
 
 ran=0
@@ -61,12 +67,29 @@ while IFS='|' read -r name command args prefixes baseline; do
     fi
     json="$out/$name-metrics.json"
     echo "== smoke: $name"
+    read -r baseline_file compare_flags <<<"$baseline"
+    if [ "$baseline_file" = fails-within ]; then
+        read -r bound expected <<<"$compare_flags"
+        cargo build --release -q -p aligraph-cli
+        status=0
+        # shellcheck disable=SC2086
+        timeout "$bound" cargo run --release -q -p aligraph-cli -- $command $args \
+            2>"$out/$name.err" || status=$?
+        cat "$out/$name.err"
+        if [ "$status" -eq 0 ] || [ "$status" -eq 124 ] || ! grep -qF "$expected" "$out/$name.err"; then
+            echo "smoke: $name exited $status (124 = still running after ${bound}s); a non-zero exit printing '$expected' was required" >&2
+            exit 1
+        fi
+        echo "smoke: $name failed as required (exit $status)"
+        ran=$((ran + 1))
+        ran_rows+="$name "
+        continue
+    fi
     # shellcheck disable=SC2086  # the table's args and prefixes are word lists
     cargo run --release -q -p aligraph-cli -- $command $args --metrics-json "$json" | tee "$out/$name.txt"
     # shellcheck disable=SC2086
     python3 ci/check_metrics_json.py "$json" --command $command \
         $(printf -- '--expect-prefix %s ' $prefixes)
-    read -r baseline_file compare_flags <<<"$baseline"
     if [ "$baseline_file" = min-speedup ]; then
         awk -v min="$compare_flags" '/^modeled speedup vs 1 worker:/ { found = 1; ok = $NF + 0 >= min + 0; print "smoke: modeled speedup " $NF ", at least " min "x required" }
             END { exit !(found && ok) }' "$out/$name.txt"

@@ -174,6 +174,11 @@ impl TaobaoConfig {
     /// weights) so the importance distribution matches Theorem 2's regime;
     /// user activity is mildly skewed.
     pub fn generate(&self) -> Result<AttributedHeterogeneousGraph> {
+        self.builder().map(GraphBuilder::build)
+    }
+
+    /// The generated vertices and edges, not yet built.
+    pub(crate) fn builder(&self) -> Result<GraphBuilder> {
         if self.users == 0 || self.items == 0 {
             return Err(GraphError::InvalidConfig("users and items must be > 0".into()));
         }
@@ -260,7 +265,7 @@ impl TaobaoConfig {
                 1.0,
             )?;
         }
-        Ok(b.build())
+        Ok(b)
     }
 }
 
@@ -274,6 +279,11 @@ pub fn amazon_sim(seed: u64) -> Result<AttributedHeterogeneousGraph> {
 
 /// The Amazon-style generator with explicit scale (used by quick tests).
 pub fn amazon_sim_scaled(n: usize, m: usize, seed: u64) -> Result<AttributedHeterogeneousGraph> {
+    amazon_builder(n, m, seed).map(GraphBuilder::build)
+}
+
+/// [`amazon_sim_scaled`]'s vertices and edges, not yet built.
+pub(crate) fn amazon_builder(n: usize, m: usize, seed: u64) -> Result<GraphBuilder> {
     if n < 2 {
         return Err(GraphError::InvalidConfig("amazon_sim needs n >= 2".into()));
     }
@@ -309,7 +319,7 @@ pub fn amazon_sim_scaled(n: usize, m: usize, seed: u64) -> Result<AttributedHete
         let etype = if rng.gen::<f64>() < 0.7 { well_known::CO_VIEW } else { well_known::CO_BUY };
         b.add_edge(VertexId(a as u32), VertexId(c as u32), etype, 1.0)?;
     }
-    Ok(b.build())
+    Ok(b)
 }
 
 /// Configuration for dynamic graph sequences `G(1..T)` with normal evolution

@@ -270,7 +270,10 @@ pub struct GraphBuilder {
     max_edge_type: u8,
 }
 
+/// One directed edge record. It has [`Neighbor`]'s size and alignment, so
+/// `build` turns the sorted records into `out_nbrs` in their own allocation.
 #[derive(Debug, Clone, Copy)]
+#[repr(align(8))]
 struct PendingEdge {
     src: VertexId,
     dst: VertexId,
@@ -278,6 +281,27 @@ struct PendingEdge {
     weight: f32,
     attr: AttrId,
 }
+
+/// An edge's in-adjacency sort key and id. It has [`Neighbor`]'s size and
+/// alignment, so `build` sorts these in the allocation that becomes
+/// `in_nbrs`.
+#[derive(Debug, Clone, Copy)]
+struct InKey {
+    dst: VertexId,
+    etype: EdgeType,
+    src: VertexId,
+    edge: EdgeId,
+}
+
+// `Vec::into_iter().map(..).collect()` reuses the source allocation only
+// when the two element types agree in size and alignment; otherwise each
+// conversion in `build` silently becomes a second record-sized array.
+const _: () = assert!(
+    size_of::<PendingEdge>() == size_of::<Neighbor>()
+        && align_of::<PendingEdge>() == align_of::<Neighbor>()
+        && size_of::<InKey>() == size_of::<Neighbor>()
+        && align_of::<InKey>() == align_of::<Neighbor>()
+);
 
 impl GraphBuilder {
     /// Builder for a directed graph (edge `(u,v)` ≠ `(v,u)`).
@@ -377,63 +401,53 @@ impl GraphBuilder {
 
     /// Assembles the immutable graph: sorts edge records by `(src, etype,
     /// dst)`, lays out both CSR directions, and builds per-type rosters.
+    ///
+    /// Memory: the peak is the finished graph plus one record array. The
+    /// in-adjacency keys are sorted in the allocation that becomes
+    /// `in_nbrs`, the sorted records become `out_nbrs` in place, and the
+    /// undirected mirror records are written into the edges' own buffer.
     pub fn build(self) -> AttributedHeterogeneousGraph {
         let n = self.vtypes.len();
         let logical_edges = self.edges.len();
-
-        // Materialize directed records (undirected edges become two records).
-        let mut records: Vec<PendingEdge> = if self.directed {
-            self.edges
-        } else {
-            let mut r = Vec::with_capacity(self.edges.len() * 2);
-            for e in &self.edges {
-                r.push(*e);
-                if e.src != e.dst {
-                    r.push(PendingEdge { src: e.dst, dst: e.src, ..*e });
-                }
-            }
-            r
-        };
+        let mut records = if self.directed { self.edges } else { mirrored(self.edges) };
         records.sort_unstable_by_key(|e| (e.src, e.etype, e.dst));
 
-        // Out-CSR + edge lookup.
-        let mut out_offsets = vec![0usize; n + 1];
-        for e in &records {
-            out_offsets[e.src.index() + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let mut out_nbrs = Vec::with_capacity(records.len());
-        let mut edge_src = Vec::with_capacity(records.len());
+        // An edge's id is its position in the sorted records.
+        let out_offsets = offsets(n, records.iter().map(|e| e.src));
+        let edge_src: Vec<VertexId> = records.iter().map(|e| e.src).collect();
         let mut edges_by_type: Vec<Vec<EdgeId>> = vec![Vec::new(); self.max_edge_type as usize + 1];
         for (i, e) in records.iter().enumerate() {
-            let id = EdgeId(i as u64);
-            out_nbrs.push(Neighbor {
-                vertex: e.dst,
-                etype: e.etype,
-                weight: e.weight,
-                attr: e.attr,
-                edge: id,
-            });
-            edge_src.push(e.src);
-            edges_by_type[e.etype.index()].push(id);
+            edges_by_type[e.etype.index()].push(EdgeId(i as u64));
         }
 
-        // In-CSR: same records re-sorted by (dst, etype, src), keeping EdgeId.
-        let mut in_records: Vec<(usize, &PendingEdge)> = records.iter().enumerate().collect();
-        in_records.sort_unstable_by_key(|(_, e)| (e.dst, e.etype, e.src));
-        let mut in_offsets = vec![0usize; n + 1];
-        for (_, e) in &in_records {
-            in_offsets[e.dst.index() + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let in_nbrs: Vec<Neighbor> = in_records
+        // In-CSR: the same records re-sorted by (dst, etype, src), keeping EdgeId.
+        let mut in_keys: Vec<InKey> = records
             .iter()
-            .map(|&(i, e)| Neighbor {
-                vertex: e.src,
+            .enumerate()
+            .map(|(i, e)| InKey { dst: e.dst, etype: e.etype, src: e.src, edge: EdgeId(i as u64) })
+            .collect();
+        in_keys.sort_unstable_by_key(|k| (k.dst, k.etype, k.src));
+        let in_offsets = offsets(n, in_keys.iter().map(|k| k.dst));
+        let in_nbrs: Vec<Neighbor> = in_keys
+            .into_iter()
+            .map(|k| {
+                let e = &records[k.edge.index()];
+                Neighbor {
+                    vertex: k.src,
+                    etype: k.etype,
+                    weight: e.weight,
+                    attr: e.attr,
+                    edge: k.edge,
+                }
+            })
+            .collect();
+
+        // Out-CSR, in the records' own allocation.
+        let out_nbrs: Vec<Neighbor> = records
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| Neighbor {
+                vertex: e.dst,
                 etype: e.etype,
                 weight: e.weight,
                 attr: e.attr,
@@ -466,6 +480,41 @@ impl GraphBuilder {
             logical_edges,
         }
     }
+}
+
+/// Each undirected edge as its directed records, `(u, v)` then `(v, u)` (a
+/// self-loop once), in the edges' own buffer. The grown buffer is filled
+/// from the back: edge `i`'s records land at or after slot `i`, so each
+/// edge is read before its slot is overwritten.
+fn mirrored(mut edges: Vec<PendingEdge>) -> Vec<PendingEdge> {
+    let Some(&fill) = edges.first() else { return edges };
+    let m = edges.len();
+    let mut end = 2 * m - edges.iter().filter(|e| e.src == e.dst).count();
+    edges.reserve_exact(end - m);
+    edges.resize(end, fill);
+    for i in (0..m).rev() {
+        let e = edges[i];
+        if e.src != e.dst {
+            end -= 1;
+            edges[end] = PendingEdge { src: e.dst, dst: e.src, ..e };
+        }
+        end -= 1;
+        edges[end] = e;
+    }
+    edges
+}
+
+/// CSR offsets over records whose owning vertices are `owners`, in order:
+/// vertex `v`'s records are `offsets[v]..offsets[v + 1]`.
+fn offsets(n: usize, owners: impl Iterator<Item = VertexId>) -> Vec<usize> {
+    let mut offsets = vec![0usize; n + 1];
+    for v in owners {
+        offsets[v.index() + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    offsets
 }
 
 #[cfg(test)]
@@ -592,6 +641,203 @@ mod tests {
         assert_eq!(g.vertex_attr_index().len(), 2);
         assert_eq!(g.edge_attr_index().len(), 2);
         assert!(g.attribute_bytes() * 10 < g.naive_attribute_bytes());
+    }
+
+    /// `PendingEdge` at its layout before `build` converted records in
+    /// place: 20 bytes, 4-aligned.
+    #[derive(Clone, Copy)]
+    struct OldRecord {
+        src: VertexId,
+        dst: VertexId,
+        etype: EdgeType,
+        weight: f32,
+        attr: AttrId,
+    }
+
+    /// `build` as it was before the in-place rewrite, over 20-byte records:
+    /// the oracle the rewrite must equal array for array.
+    fn build_oracle(b: GraphBuilder) -> AttributedHeterogeneousGraph {
+        let n = b.vtypes.len();
+        let logical_edges = b.edges.len();
+        let old = |e: &PendingEdge| OldRecord {
+            src: e.src,
+            dst: e.dst,
+            etype: e.etype,
+            weight: e.weight,
+            attr: e.attr,
+        };
+        let mut records: Vec<OldRecord> = if b.directed {
+            b.edges.iter().map(old).collect()
+        } else {
+            let mut r = Vec::with_capacity(b.edges.len() * 2);
+            for e in b.edges.iter().map(old) {
+                r.push(e);
+                if e.src != e.dst {
+                    r.push(OldRecord { src: e.dst, dst: e.src, ..e });
+                }
+            }
+            r
+        };
+        records.sort_unstable_by_key(|e| (e.src, e.etype, e.dst));
+
+        let mut out_offsets = vec![0usize; n + 1];
+        for e in &records {
+            out_offsets[e.src.index() + 1] += 1;
+        }
+        for i in 0..n {
+            out_offsets[i + 1] += out_offsets[i];
+        }
+        let mut out_nbrs = Vec::with_capacity(records.len());
+        let mut edge_src = Vec::with_capacity(records.len());
+        let mut edges_by_type: Vec<Vec<EdgeId>> = vec![Vec::new(); b.max_edge_type as usize + 1];
+        for (i, e) in records.iter().enumerate() {
+            let id = EdgeId(i as u64);
+            out_nbrs.push(Neighbor {
+                vertex: e.dst,
+                etype: e.etype,
+                weight: e.weight,
+                attr: e.attr,
+                edge: id,
+            });
+            edge_src.push(e.src);
+            edges_by_type[e.etype.index()].push(id);
+        }
+
+        let mut in_records: Vec<(usize, &OldRecord)> = records.iter().enumerate().collect();
+        in_records.sort_unstable_by_key(|(_, e)| (e.dst, e.etype, e.src));
+        let mut in_offsets = vec![0usize; n + 1];
+        for (_, e) in &in_records {
+            in_offsets[e.dst.index() + 1] += 1;
+        }
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let in_nbrs: Vec<Neighbor> = in_records
+            .iter()
+            .map(|&(i, e)| Neighbor {
+                vertex: e.src,
+                etype: e.etype,
+                weight: e.weight,
+                attr: e.attr,
+                edge: EdgeId(i as u64),
+            })
+            .collect();
+
+        let mut vertices_by_type: Vec<Vec<VertexId>> =
+            vec![Vec::new(); b.max_vertex_type as usize + 1];
+        for (i, t) in b.vtypes.iter().enumerate() {
+            vertices_by_type[t.index()].push(VertexId(i as u32));
+        }
+
+        AttributedHeterogeneousGraph {
+            vtypes: b.vtypes,
+            vattrs: b.vattrs,
+            out_offsets,
+            out_nbrs,
+            in_offsets,
+            in_nbrs,
+            edge_src,
+            vertex_attr_index: b.vertex_attr_index,
+            edge_attr_index: b.edge_attr_index,
+            num_vertex_types: b.max_vertex_type + 1,
+            num_edge_types: b.max_edge_type + 1,
+            vertices_by_type,
+            edges_by_type,
+            directed: b.directed,
+            logical_edges,
+        }
+    }
+
+    /// Asserts `a == b` element by element, naming the first difference.
+    fn same<T: PartialEq + std::fmt::Debug>(what: &str, a: &[T], b: &[T]) {
+        assert_eq!(a.len(), b.len(), "{what}: lengths differ");
+        if let Some(i) = (0..a.len()).find(|&i| a[i] != b[i]) {
+            panic!("{what}[{i}]: {:?} != {:?}", a[i], b[i]);
+        }
+    }
+
+    /// Every field of a neighbor record, the weight as its bits.
+    fn record_bits(nbrs: &[Neighbor]) -> Vec<(VertexId, EdgeType, u32, AttrId, EdgeId)> {
+        nbrs.iter().map(|n| (n.vertex, n.etype, n.weight.to_bits(), n.attr, n.edge)).collect()
+    }
+
+    /// Builds `make()` with `build` and with the oracle, and asserts every
+    /// array equal. Returns the built graph.
+    fn matches_oracle(make: impl Fn() -> GraphBuilder) -> AttributedHeterogeneousGraph {
+        let (g, o) = (make().build(), build_oracle(make()));
+        same("out_offsets", &g.out_offsets, &o.out_offsets);
+        same("out_nbrs", &record_bits(&g.out_nbrs), &record_bits(&o.out_nbrs));
+        same("in_offsets", &g.in_offsets, &o.in_offsets);
+        same("in_nbrs", &record_bits(&g.in_nbrs), &record_bits(&o.in_nbrs));
+        same("edge_src", &g.edge_src, &o.edge_src);
+        same("edges_by_type", &g.edges_by_type, &o.edges_by_type);
+        same("vertices_by_type", &g.vertices_by_type, &o.vertices_by_type);
+        assert_eq!(g.logical_edges, o.logical_edges);
+        g
+    }
+
+    /// Records that repeat their predecessor's `(src, etype, dst)`: parallel
+    /// edges, whose order both unstable sorts' ties decide.
+    fn parallel_edges(g: &AttributedHeterogeneousGraph) -> usize {
+        g.vertices()
+            .map(|v| {
+                g.out_neighbors(v)
+                    .windows(2)
+                    .filter(|w| (w[0].vertex, w[0].etype) == (w[1].vertex, w[1].etype))
+                    .count()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn build_matches_the_oracle_on_a_directed_taobao_graph() {
+        let cfg = crate::generate::TaobaoConfig {
+            reverse_ui_prob: 0.2,
+            ..crate::generate::TaobaoConfig::small_sim().scaled(0.03)
+        };
+        let g = matches_oracle(|| cfg.builder().unwrap());
+        assert!(g.is_directed());
+        assert!(parallel_edges(&g) > 100, "{} parallel edges", parallel_edges(&g));
+    }
+
+    #[test]
+    fn build_matches_the_oracle_on_an_undirected_amazon_graph() {
+        let g = matches_oracle(|| crate::generate::amazon_builder(2_000, 20_000, 5).unwrap());
+        assert!(!g.is_directed());
+        assert_eq!(g.num_edge_records(), 2 * g.num_edges());
+        assert!(parallel_edges(&g) > 0);
+    }
+
+    #[test]
+    fn build_matches_the_oracle_on_a_graph_with_self_loops() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let make = || {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut b = GraphBuilder::undirected();
+            b.add_vertices(USER, 300);
+            for _ in 0..6_000 {
+                let src = VertexId(rng.gen_range(0..300));
+                let dst = if rng.gen_bool(0.1) { src } else { VertexId(rng.gen_range(0..300)) };
+                let etype = if rng.gen_bool(0.5) { CLICK } else { BUY };
+                b.add_edge(src, dst, etype, 1.0 + rng.gen::<f32>()).unwrap();
+            }
+            b
+        };
+        let g = matches_oracle(make);
+        let loops = g
+            .vertices()
+            .flat_map(|v| g.out_neighbors(v).iter().filter(move |n| n.vertex == v))
+            .count();
+        assert!(loops > 300, "{loops} self-loops");
+        assert_eq!(g.num_edge_records(), 2 * g.num_edges() - loops);
+    }
+
+    #[test]
+    fn out_nbrs_is_built_in_the_records_allocation() {
+        let b = crate::generate::TaobaoConfig::tiny().builder().unwrap();
+        let records = b.edges.as_ptr() as usize;
+        let g = b.build();
+        assert_eq!(g.out_nbrs.as_ptr() as usize, records);
     }
 
     #[test]

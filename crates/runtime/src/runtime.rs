@@ -510,7 +510,7 @@ impl<'a> Attempt<'a> {
 
     /// Every worker on its own thread, meeting the others at the coordinator.
     fn run_on_threads(&self) -> Result<Vec<Worker<'a>>, RuntimeError> {
-        let run = |me: usize| -> Result<Worker<'a>, RuntimeError> {
+        let steps = |me: usize| -> Result<Worker<'a>, RuntimeError> {
             let mut w = Worker::new(me, self)?;
             for t in self.steps.clone() {
                 w.step(t, self)?;
@@ -523,6 +523,15 @@ impl<'a> Attempt<'a> {
                 }
             }
             Ok(w)
+        };
+        // A worker that stops on any error tears the coordinator down, or
+        // the others would wait at their next cut for ever.
+        let run = |me: usize| {
+            steps(me).inspect_err(|e| {
+                // `crash` fails only on a poisoned lock; the worker's own
+                // error is still the one to return.
+                let _ = self.co.crash(e.clone());
+            })
         };
         let results: Vec<_> = std::thread::scope(|scope| {
             let workers = 0..self.trainer.cfg.workers;

@@ -311,18 +311,39 @@ impl Cluster {
     }
 
     /// Worker `w`'s edges of each type under the logical partition, in
-    /// `edges_of_type` order: every worker's, built in one pass on the first
-    /// call and shared after it (the partition never changes).
+    /// `edges_of_type` order: every worker's, built on the first call and
+    /// shared after it (the partition never changes). A counting pass sizes
+    /// the rosters and a second pass fills them, so each is allocated once,
+    /// at its final size, with no growth slack and no copy.
     pub fn edge_rosters(&self, w: WorkerId) -> &[Arc<[EdgeId]>] {
         let all = self.edge_rosters.get_or_init(|| {
             let types = self.graph.num_edge_types();
-            let mut rosters = vec![vec![Vec::new(); types.into()]; self.partition.num_workers];
+            let owner = |e: EdgeId| self.partition.owner_of_edge(e).index();
+            let mut len = vec![vec![0; types.into()]; self.partition.num_workers];
             for t in 0..types {
                 for &e in self.graph.edges_of_type(EdgeType(t)) {
-                    rosters[self.partition.owner_of_edge(e).index()][usize::from(t)].push(e);
+                    len[owner(e)][usize::from(t)] += 1;
                 }
             }
-            rosters.into_iter().map(|r| r.into_iter().map(Arc::from).collect()).collect()
+            // `repeat_n` has an exact length, so each `Arc` is allocated once;
+            // each is unique here, so `make_mut` hands out its slice to fill.
+            let mut rosters: Vec<Vec<Arc<[EdgeId]>>> = len
+                .iter()
+                .map(|row| {
+                    row.iter().map(|&n| std::iter::repeat_n(EdgeId(0), n).collect()).collect()
+                })
+                .collect();
+            let mut slots: Vec<Vec<&mut [EdgeId]>> =
+                rosters.iter_mut().map(|r| r.iter_mut().map(Arc::make_mut).collect()).collect();
+            let mut filled = vec![vec![0; types.into()]; self.partition.num_workers];
+            for t in 0..types {
+                for &e in self.graph.edges_of_type(EdgeType(t)) {
+                    let (w, t) = (owner(e), usize::from(t));
+                    slots[w][t][filled[w][t]] = e;
+                    filled[w][t] += 1;
+                }
+            }
+            rosters
         });
         all.get(w.index()).map_or(&[], Vec::as_slice)
     }

@@ -146,6 +146,26 @@ fn crash_with_corrupted_checkpoint_recovers_bit_exact() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A send past its retry deadline is not a fault: the attempt loop does
+/// not recover from it, `train()` returns it. At this seed and drop rate
+/// one worker's send gives up while the other worker waits at its next
+/// cut; that worker must be woken with the error, not left waiting. The
+/// run is on a helper thread, so a hang fails the test instead of
+/// stalling the suite.
+#[test]
+fn one_worker_past_its_retry_deadline_fails_the_run_instead_of_hanging() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (cluster, features) = setup(2);
+        let cfg = RuntimeConfig { chaos: Some(FaultConfig::with_seed(3, 0.9)), ..base_cfg(2) };
+        let outcome = DistTrainer::new(&cluster, &features, spec(), cfg).unwrap().train();
+        tx.send(outcome.map(|_| ()).map_err(|e| e.to_string())).ok();
+    });
+    let outcome = rx.recv_timeout(Duration::from_secs(60)).expect("train() must return, not hang");
+    let err = outcome.expect_err("a send past its retry deadline fails the run");
+    assert!(err.contains("retry deadline exhausted"), "unexpected error: {err}");
+}
+
 fn click_delta(i: u32) -> SnapshotDelta {
     SnapshotDelta {
         added: vec![EdgeEvent {
