@@ -32,6 +32,12 @@
 # and the cut, so the killed run writes the clean run's bytes at step 4
 # (before the kill) and at step 8 (after the restore).
 #
+# The baselines pin counters, and no counter depends on a parameter value,
+# so each row that prints a model fingerprint must also print the one
+# pinned in `pins` below: model bits are checked, not only meters. A
+# killed run restores to its clean run's model, and a faulted run's model
+# is the fault-free one's, so those rows share a value.
+#
 #   ci/smoke.sh            run every row
 #   ci/smoke.sh <name>...  run the named rows
 set -euo pipefail
@@ -115,6 +121,29 @@ if [[ "$ran_rows" == *" train-bench "* && "$ran_rows" == *" train-bench-kill "* 
         echo "smoke: $ckpt identical in the clean and killed runs"
     done
 fi
+
+# name | the line its output must contain
+pins="
+train-bench            | model fingerprint 2a12bc1a8160d6f5
+train-bench-kill       | model fingerprint 2a12bc1a8160d6f5
+train-bench-unarmed    | model fingerprint 73874c5754074cf9
+train-bench-chaos      | model fingerprint 73874c5754074cf9
+train-bench-stale-kill | model fingerprint 309eb94cec01e473
+closed-loop            | final model: version 5  fingerprint ca070dae8bcb3bae
+tiered-bench           | fingerprint 6af11f3c37c9a787 (bit-exact vs all-hot)
+tiered-bench           | fingerprint 623febd03536ad30 (bit-exact vs all-hot)
+tiered-bench           | fingerprint f600cc468e2891bf (bit-exact vs all-hot)
+"
+while IFS='|' read -r name line; do
+    name="$(echo $name)"
+    line="$(sed -E 's/^ +| +$//g' <<<"$line")"
+    [[ -n "$name" && "$ran_rows" == *" $name "* ]] || continue
+    if ! grep -qF -- "$line" "$out/$name.txt"; then
+        echo "smoke: $name did not print '$line'" >&2
+        exit 1
+    fi
+    echo "smoke: $name printed '$line'"
+done <<<"$pins"
 
 [ "$ran" -gt 0 ] || { echo "smoke: no row named: $*" >&2; exit 2; }
 echo "smoke: $ran row(s) OK"

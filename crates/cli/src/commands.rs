@@ -655,6 +655,7 @@ pub fn train_bench(args: &Args, registry: &Arc<Registry>) -> Result<String, CliE
     )
     .ok();
     writeln!(out, "{}", multi.report).ok();
+    writeln!(out, "model fingerprint {:016x}", multi.fingerprint()).ok();
     writeln!(
         out,
         "baseline (1 worker): {:.0} edges/s modeled over {} edges",

@@ -13,19 +13,22 @@
 use crate::attr::AttrValue;
 use crate::graph::AttributedHeterogeneousGraph;
 use crate::ids::VertexId;
+use std::sync::Arc;
 
-/// A dense `n x dim` row-major feature matrix.
-#[derive(Debug, Clone)]
+/// A dense `n x dim` row-major feature matrix, copy-on-write: `clone()`
+/// shares the buffer (a pin), and a write copies it only while another
+/// clone is alive.
+#[derive(Debug, Clone, Default)]
 pub struct FeatureMatrix {
     /// Feature dimension per vertex.
     pub dim: usize,
-    data: Vec<f32>,
+    data: Arc<[f32]>,
 }
 
 impl FeatureMatrix {
     /// Creates a zero matrix.
     pub fn zeros(n: usize, dim: usize) -> Self {
-        FeatureMatrix { dim, data: vec![0.0; n * dim] }
+        FeatureMatrix { dim, data: std::iter::repeat_n(0.0, n * dim).collect() }
     }
 
     /// Number of rows (vertices).
@@ -45,16 +48,15 @@ impl FeatureMatrix {
         &self.data[v.index() * d..(v.index() + 1) * d]
     }
 
-    /// Mutable feature row.
-    #[inline]
-    pub fn row_mut(&mut self, v: VertexId) -> &mut [f32] {
-        let d = self.dim;
-        &mut self.data[v.index() * d..(v.index() + 1) * d]
-    }
-
     /// Raw backing slice.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
+    }
+
+    /// Raw backing slice, writable: the buffer is copied first if another
+    /// clone shares it, and kept otherwise.
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        Arc::make_mut(&mut self.data)
     }
 }
 
@@ -166,9 +168,8 @@ impl Featurizer {
     /// Feature matrix for all vertices.
     pub fn matrix(&self, graph: &AttributedHeterogeneousGraph) -> FeatureMatrix {
         let mut m = FeatureMatrix::zeros(graph.num_vertices(), self.dim);
-        for v in graph.vertices() {
-            let d = self.dim;
-            let row = &mut m.data[v.index() * d..(v.index() + 1) * d];
+        let rows = m.as_mut_slice().chunks_exact_mut(self.dim.max(1));
+        for (v, row) in graph.vertices().zip(rows) {
             self.featurize_into(graph, v, row);
         }
         m
@@ -269,10 +270,21 @@ mod tests {
     }
 
     #[test]
-    fn row_mut_writes() {
+    fn a_write_through_one_clone_leaves_the_other_unchanged() {
+        let mut a = FeatureMatrix::zeros(3, 4);
+        let b = a.clone();
+        assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr(), "a clone is a pin");
+        a.as_mut_slice()[9] = 7.0;
+        assert_eq!((a.row(VertexId(2))[1], b.row(VertexId(2))[1]), (7.0, 0.0));
+    }
+
+    #[test]
+    fn a_write_to_an_unshared_matrix_keeps_its_buffer() {
         let mut m = FeatureMatrix::zeros(3, 4);
-        m.row_mut(VertexId(1))[2] = 5.0;
-        assert_eq!(m.row(VertexId(1))[2], 5.0);
-        assert_eq!(m.row(VertexId(0))[2], 0.0);
+        let buffer = m.as_slice().as_ptr();
+        drop(m.clone());
+        m.as_mut_slice()[6] = 5.0;
+        assert_eq!(m.as_slice().as_ptr(), buffer);
+        assert_eq!((m.row(VertexId(1))[2], m.row(VertexId(0))[2]), (5.0, 0.0));
     }
 }

@@ -15,7 +15,10 @@
 //!
 //! * **replica freshness** — after `drain_into(w, …)` in round `r`, worker
 //!   `w`'s whole replica is bit-identical to the shadow at cut `r` (catches
-//!   lost dirty marks and stale replicas);
+//!   a pin taken before its cut's apply);
+//! * **held pins** — that replica, a pin kept while others apply later
+//!   cuts, is still the shadow at cut `r` when `w` next drains (catches an
+//!   apply that writes through a pin instead of copying);
 //! * **cut visibility** — no drain shows a push from its own round, however
 //!   many workers pushed that round before it drained (catches a push that
 //!   applies on arrival);
@@ -49,7 +52,7 @@ struct Shadow {
 impl Shadow {
     /// Applies every staged push of a round below `cut`, in `(round,
     /// sender)` order, with the same per-element update as
-    /// `EmbeddingTable::adagrad_update`, expression for expression, so
+    /// `aligraph_tensor::adagrad_row`, expression for expression, so
     /// results match bitwise.
     fn apply_cut(&mut self, cut: u32) {
         let (mut due, later): (Vec<Push>, Vec<Push>) =
@@ -74,11 +77,12 @@ impl Shadow {
     }
 }
 
-/// Shared state: the real server, per-worker replicas and push counts, and
-/// the shadow.
+/// Shared state: the real server, per-worker replicas (held from drain to
+/// drain) and the shadow weights at their cut, push counts, and the shadow.
 pub struct PsState {
     ps: SparseParamServer,
     replicas: Vec<FeatureMatrix>,
+    held: Vec<Vec<f32>>,
     pushed: Vec<u32>,
     shadow: Shadow,
     errors: Vec<String>,
@@ -136,6 +140,10 @@ impl VThread<PsState> for PsWorker {
             self.round += 1;
             return;
         }
+        // The replica held since the last drain must still be that cut's.
+        if s.replicas[self.id].as_slice() != s.held[self.id].as_slice() {
+            s.errors.push(format!("held pin moved: worker {}, round {}", self.id, self.round));
+        }
         // Drain at cut `round`: the replica must come back bit-identical to
         // the shadow server at that cut, row for row.
         s.shadow.apply_cut(self.round);
@@ -161,6 +169,7 @@ impl VThread<PsState> for PsWorker {
             });
             break;
         }
+        s.held[self.id] = s.shadow.weights.clone();
         self.drained = true;
     }
 }
@@ -208,6 +217,7 @@ impl Workload for PsWorkload {
         let state = PsState {
             ps,
             replicas: (0..self.workers).map(|_| (*self.features).clone()).collect(),
+            held: vec![self.features.as_slice().to_vec(); self.workers],
             pushed: vec![0; self.workers],
             shadow: Shadow {
                 weights: self.features.as_slice().to_vec(),

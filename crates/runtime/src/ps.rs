@@ -3,8 +3,15 @@
 //! vertex (the paper's storage-aware placement).
 //!
 //! Workers *push* row-sparse AdaGrad deltas to the owning shard after every
-//! step, and *pull* by draining dirty rows into a local replica at most
-//! `staleness` steps later.
+//! step, and *pull* by draining at most `staleness` steps later: a drain
+//! pins the server's rows as the worker's replica.
+//!
+//! The rows live once, in one vertex-indexed [`FeatureMatrix`] with one
+//! vertex-indexed AdaGrad accumulator beside it; a shard is an inbox, and
+//! its roster is the owner table's. The matrix is copy-on-write: a drain or
+//! a [`materialize`] clones the buffer, and an apply writes in place unless
+//! a pin of an older cut is alive, which keeps its cut as the apply copies
+//! the buffer once. The runtime's workers drop their pins before they push.
 //!
 //! A push is tagged with its sender's step (the sender's push count so far)
 //! and staged in the shard's inbox. Nothing it carries is visible before
@@ -42,13 +49,12 @@ use aligraph_graph::{FeatureMatrix, VertexId};
 use aligraph_partition::Partition;
 use aligraph_storage::{AccessKind, CostModel, TierMeter};
 use aligraph_telemetry::{Counter, Registry};
-use aligraph_tensor::EmbeddingTable;
+use aligraph_tensor::adagrad_row;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// `PsShard::slot_of` entry of a row the shard does not hold.
+/// Owner-table entry of a row no roster holds (a checkpoint that dropped it).
 const NOT_HELD: u32 = u32::MAX;
 
 /// One delivered push message, held in its shard's inbox until the cut
@@ -64,33 +70,23 @@ struct Staged {
     grads: Vec<f32>,
 }
 
-/// One shard: the embedding rows of the vertices one worker owns.
-#[derive(Debug)]
+/// One shard: the inbox of the rows the owner table gives it, and whether
+/// it has AdaGrad accumulators, as a table of its rows would (see
+/// `apply_rehome`), so [`export`](SparseParamServer::export) writes the
+/// checkpoint bytes per-shard tables did.
+#[derive(Debug, Default)]
 struct PsShard {
-    /// Owned vertex ids in ascending order.
-    ids: Vec<u32>,
-    /// Vertex id → row slot in `table`, dense ([`NOT_HELD`] if not here).
-    slot_of: Vec<u32>,
-    /// The shard's rows (AdaGrad accumulators live inside).
-    table: EmbeddingTable,
     /// Delivered pushes not yet applied.
     inbox: Vec<Staged>,
+    has_accum: bool,
 }
 
-impl PsShard {
-    /// A shard holding `ids` (ascending) in `table`, out of `n` vertices.
-    fn new(ids: Vec<u32>, table: EmbeddingTable, n: usize) -> Self {
-        let mut slot_of = vec![NOT_HELD; n];
-        ids.iter().enumerate().for_each(|(s, &v)| slot_of[v as usize] = s as u32);
-        PsShard { ids, slot_of, table, inbox: Vec::new() }
-    }
-
-    /// Errors on the first of a message's rows the shard does not hold, so
-    /// a message is checked whole before any of its rows is touched.
-    fn check_held(&self, mut rows: impl Iterator<Item = u32>) -> Result<(), RuntimeError> {
-        let missing = rows.find(|&v| self.slot_of.get(v as usize).is_none_or(|&s| s == NOT_HELD));
-        missing.map_or(Ok(()), |v| Err(RuntimeError::Unrecoverable(format!("ps lacks row {v}"))))
-    }
+/// Every shard's rows, once, indexed by vertex: the weights a drain pins,
+/// and the AdaGrad accumulators (zero on the rows of a shard without them).
+#[derive(Debug)]
+struct Rows {
+    weights: FeatureMatrix,
+    accum: Vec<f32>,
 }
 
 /// Clears a dirty bitmap, returning the rows it marked in ascending order.
@@ -141,13 +137,16 @@ pub struct SparseParamServer {
     dim: usize,
     lr: f32,
     cost: CostModel,
-    num_vertices: usize,
-    /// Vertex id → owning shard slot. Atomic because an elastic rebalance
+    /// Vertex id → owning shard slot ([`NOT_HELD`] if none): the shards'
+    /// rosters. Atomic because an elastic rebalance
     /// ([`rehome`](Self::rehome)) re-points rows at an epoch boundary while
     /// the struct is shared across worker threads.
     owner: Vec<AtomicU32>,
+    /// Lock order: `rows`, then a shard, then a dirty bitmap.
+    rows: Mutex<Rows>,
     shards: Vec<Mutex<PsShard>>,
-    /// Per-worker dirty bitmaps: rows updated since that worker last drained.
+    /// Per-worker dirty bitmaps: rows applied since that worker last
+    /// drained, the rows its next drain meters.
     dirty: Vec<Mutex<Vec<u64>>>,
     /// `pushed[shard][sender]`: the receiving end of the `sender → shard`
     /// push channel. It releases each delta once; the copies a lost ack or a
@@ -161,8 +160,8 @@ pub struct SparseParamServer {
     /// Sender-held counter per `(src, dst)` rehome channel.
     rehome_seq: Mutex<BTreeMap<(u32, u32), SeqCounter>>,
     /// The receiving end of each `(src, dst)` rehome channel: duplicates of
-    /// an applied row move are discarded, which is what makes the
-    /// destructive move idempotent under lost acks.
+    /// an applied move are discarded, which is what makes it idempotent
+    /// under lost acks.
     rehomed: Mutex<BTreeMap<(u32, u32), Sequencer<()>>>,
     /// The plane every push, pull and rehome message crosses. Unarmed and
     /// off the registry until [`attach`](Self::attach)ed to a run's.
@@ -174,6 +173,9 @@ pub struct SparseParamServer {
     /// `steps[worker]`: the pushes that worker has made, each staged whole
     /// before the count goes up. A push's tag is this count.
     steps: Vec<AtomicU64>,
+    /// `runtime.ps.shared_applies`: applies that found the weights pinned.
+    #[cfg(test)]
+    shared_applies: Arc<Counter>,
 }
 
 impl SparseParamServer {
@@ -204,7 +206,7 @@ impl SparseParamServer {
     /// receive rows when an elastic shard split
     /// ([`rehome`](Self::rehome)s) lands — pre-allocation keeps slot
     /// indices, sequence tables, and telemetry labels stable for the whole
-    /// run.
+    /// run. The server pins `features`: its first apply copies them.
     pub fn new_elastic(
         partition: &Partition,
         features: &FeatureMatrix,
@@ -214,32 +216,11 @@ impl SparseParamServer {
         slots: usize,
     ) -> Self {
         let n = features.len();
-        let dim = features.dim;
         let workers = partition.num_workers;
         let slots = slots.max(workers);
-        let mut owner = Vec::with_capacity(n);
-        let mut ids: Vec<Vec<u32>> = vec![Vec::new(); slots];
-        for v in 0..n as u32 {
-            let w = partition.owner_of(VertexId(v)).index();
-            owner.push(AtomicU32::new(w as u32));
-            ids[w].push(v);
-        }
-        let shards = ids
-            .into_iter()
-            .map(|ids| {
-                let mut weights = Vec::with_capacity(ids.len() * dim);
-                for &v in &ids {
-                    weights.extend_from_slice(features.row(VertexId(v)));
-                }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the loop above sized weights as ids.len() * dim"
-                )]
-                let table = EmbeddingTable::from_flat(ids.len(), dim, weights)
-                    .expect("weights sized from ids");
-                Mutex::new(PsShard::new(ids, table, n))
-            })
-            .collect();
+        let owner =
+            (0..n as u32).map(|v| AtomicU32::new(partition.owner_of(VertexId(v)).0)).collect();
+        let accum = vec![0.0; features.as_slice().len()];
         let dirty = (0..workers).map(|_| Mutex::new(vec![0u64; n.div_ceil(64)])).collect();
         let pushed = (0..slots)
             .map(|_| Mutex::new((0..workers).map(|_| Sequencer::new()).collect()))
@@ -248,12 +229,12 @@ impl SparseParamServer {
             .map(|w| registry.counter("runtime.ps.bytes", &[("shard", &w.to_string())]))
             .collect();
         SparseParamServer {
-            dim,
+            dim: features.dim,
             lr,
             cost,
-            num_vertices: n,
             owner,
-            shards,
+            rows: Mutex::new(Rows { weights: features.clone(), accum }),
+            shards: (0..slots).map(|_| Mutex::default()).collect(),
             dirty,
             pushed,
             stats: TierMeter::registered(registry, "runtime.ps"),
@@ -264,6 +245,8 @@ impl SparseParamServer {
             policy: RetryPolicy::default(),
             seqs: (0..workers).map(|_| Mutex::new(ChannelSeqs::new(slots))).collect(),
             steps: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            #[cfg(test)]
+            shared_applies: registry.counter("runtime.ps.shared_applies", &[]),
         }
     }
 
@@ -276,13 +259,21 @@ impl SparseParamServer {
         self
     }
 
-    /// The shard slot currently owning a vertex's row.
+    /// The shard slot currently owning a vertex's row ([`NOT_HELD`] if none).
     #[inline]
     fn owner_slot(&self, v: u32) -> usize {
-        // ordering: Acquire pairs with rehome()'s Release store, so a
-        // worker that sees the new owner also sees the moved row behind the
-        // destination shard's lock.
+        // ordering: Acquire pairs with the Release stores of `load` and
+        // `apply_rehome`, which run while no worker steps.
         self.owner[v as usize].load(Ordering::Acquire) as usize
+    }
+
+    /// The shard holding row `v`, or an error if no roster names it.
+    fn held_slot(&self, v: u32) -> Result<usize, RuntimeError> {
+        let w = self.owner_slot(v);
+        if w == NOT_HELD as usize {
+            return Err(RuntimeError::Unrecoverable(format!("ps lacks row {v}")));
+        }
+        Ok(w)
     }
 
     /// Number of shards.
@@ -318,19 +309,19 @@ impl SparseParamServer {
     /// the modelled comm time in nanoseconds.
     ///
     /// Each message carries its rows ascending, so `HashMap` iteration
-    /// order cannot reach the parameters. An unknown row, or one of the
-    /// wrong width, is an error before any message leaves, and the step
-    /// does not count.
+    /// order cannot reach the parameters. An unknown row, one no shard
+    /// holds, or one of the wrong width, is an error before any message
+    /// leaves, and the step does not count.
     pub fn push(&self, from: usize, grads: &HashMap<u32, Vec<f32>>) -> Result<u64, RuntimeError> {
         let row_bytes = self.dim as u64 * 4;
         let mut by_shard: Vec<Vec<(u32, &[f32])>> = vec![Vec::new(); self.shards.len()];
         let mut ordered: Vec<(&u32, &Vec<f32>)> = grads.iter().collect();
         ordered.sort_unstable_by_key(|(v, _)| **v);
         for (&v, g) in ordered {
-            if v as usize >= self.num_vertices || g.len() != self.dim {
+            if v as usize >= self.owner.len() || g.len() != self.dim {
                 return Err(RuntimeError::Unrecoverable(format!("ps push: bad row {v}")));
             }
-            by_shard[self.owner_slot(v)].push((v, g.as_slice()));
+            by_shard[self.held_slot(v)?].push((v, g.as_slice()));
         }
         let mut seqs = self.seqs[from].lock().map_err(|_| RuntimeError::Poisoned("ps seqs"))?;
         // ordering: only `from`'s own pushes store this count, and they
@@ -389,15 +380,9 @@ impl SparseParamServer {
             return Ok(());
         }
         drop(pushed);
-        let mut shard = self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-        shard.check_held(rows.iter().map(|&(v, _)| v))?;
         let grads = rows.iter().flat_map(|&(_, g)| g.iter().copied()).collect();
-        shard.inbox.push(Staged {
-            step,
-            from,
-            rows: rows.iter().map(|&(v, _)| v).collect(),
-            grads,
-        });
+        let staged = Staged { step, from, rows: rows.iter().map(|&(v, _)| v).collect(), grads };
+        self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?.inbox.push(staged);
         Ok(())
     }
 
@@ -407,76 +392,88 @@ impl SparseParamServer {
         self.steps.iter().map(|s| s.load(Ordering::Acquire)).min().unwrap_or(0)
     }
 
-    /// Applies every staged message with a step below `cut`, shard by shard
-    /// from slot `first` on, each shard's in `(step, sender)` order, and
-    /// marks the rows dirty for every worker. Each shard's inbox is taken
-    /// and applied under its lock, so a concurrent caller at the same cut
-    /// either applies a message or waits until it has been applied.
-    fn apply_cut(&self, cut: u64, first: usize) -> Result<(), RuntimeError> {
-        let n = self.shards.len();
-        for w in (0..n).map(|i| (first + i) % n) {
-            let mut shard =
-                self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
+    /// The rows at `cut`, locked: applies every staged message with a step
+    /// below `cut`, each shard's in `(step, sender)` order, and marks the
+    /// rows dirty for every worker. The inboxes are taken and applied under
+    /// the one rows lock, so a caller that finds nothing due has every due
+    /// message applied. The weights are made unique once, when something is
+    /// due: in place unless an older pin is alive.
+    fn rows_at(&self, cut: u64) -> Result<MutexGuard<'_, Rows>, RuntimeError> {
+        let mut rows = self.rows.lock().map_err(|_| RuntimeError::Poisoned("ps rows"))?;
+        let mut due = Vec::new();
+        for shard in &self.shards {
+            let mut shard = shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
             shard.inbox.sort_unstable_by_key(|m| (m.step, m.from));
-            let due = shard.inbox.partition_point(|m| m.step < cut);
-            let due: Vec<Staged> = shard.inbox.drain(..due).collect();
-            for m in &due {
-                shard.check_held(m.rows.iter().copied())?;
-                for (&v, g) in m.rows.iter().zip(m.grads.chunks_exact(self.dim)) {
-                    let slot = shard.slot_of[v as usize] as usize;
-                    shard.table.adagrad_update(slot, g, self.lr);
-                }
-            }
-            for marks in &self.dirty {
-                let mut marks = marks.lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?;
-                for &v in due.iter().flat_map(|m| &m.rows) {
-                    marks[v as usize / 64] |= 1 << (v % 64);
-                }
+            let n = shard.inbox.partition_point(|m| m.step < cut);
+            shard.has_accum |= n > 0;
+            due.extend(shard.inbox.drain(..n));
+        }
+        if due.is_empty() {
+            return Ok(rows);
+        }
+        let Rows { weights, accum } = &mut *rows;
+        #[cfg(test)]
+        let pinned = weights.as_slice().as_ptr();
+        let weights = weights.as_mut_slice();
+        #[cfg(test)]
+        if weights.as_ptr() != pinned {
+            self.shared_applies.add(1);
+        }
+        let d = self.dim;
+        for m in &due {
+            for (&v, g) in m.rows.iter().zip(m.grads.chunks_exact(d)) {
+                let row = v as usize * d..(v as usize + 1) * d;
+                adagrad_row(&mut weights[row.clone()], &mut accum[row], g, self.lr);
             }
         }
-        Ok(())
+        for marks in &self.dirty {
+            let mut marks = marks.lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?;
+            for &v in due.iter().flat_map(|m| &m.rows) {
+                marks[v as usize / 64] |= 1 << (v % 64);
+            }
+        }
+        Ok(rows)
     }
 
     /// Pull barrier for worker `who` at the cut of its own push count `t`:
-    /// applies the staged pushes of every step below `t` (starting at
-    /// `who`'s own shard), then copies every row updated since its last
-    /// drain from the owning shard into `replica`. After this call the
-    /// replica is element-identical to the server at cut `t` (rows not
-    /// drained were never pushed to, by induction). A worker that has not
-    /// yet pushed step `t - 1` makes it a [`RuntimeError::DrainBeforeCut`],
-    /// with nothing applied or copied: waiting for the cut is the caller's
-    /// job. Pulls batch like pushes: one metered response per shard that
-    /// contributed rows, sequence-numbered on its `shard → who` channel and
-    /// crossing the plane as one [`HopKind::Reply`] hop. Responses are
-    /// idempotent reads, so no dedup is needed; a dropped response is
-    /// re-sent, since its rows already left the dirty set and would
-    /// otherwise stay stale in the replica for ever. Returns modelled comm
-    /// nanoseconds.
+    /// applies the staged pushes of every step below `t`, then pins the
+    /// server's rows at cut `t` as `replica`. The rows stay at that cut
+    /// while `who` holds the pin: a later apply copies them first. A worker
+    /// that has not yet pushed step `t - 1` makes it a
+    /// [`RuntimeError::DrainBeforeCut`], with nothing applied or pinned:
+    /// waiting for the cut is the caller's job.
+    ///
+    /// The drain meters what a pull of a real cluster moves: every row
+    /// applied since `who`'s last drain, batched like pushes into one
+    /// metered response per owner shard, sequence-numbered on its
+    /// `shard → who` channel and crossing the plane as one
+    /// [`HopKind::Reply`] hop. Responses are idempotent reads, so no dedup
+    /// is needed; a dropped response is re-sent, since its rows already
+    /// left the dirty set. Returns modelled comm nanoseconds.
     pub fn drain_into(&self, who: usize, replica: &mut FeatureMatrix) -> Result<u64, RuntimeError> {
         // ordering: only `who` stores its own count.
         let cut = self.steps[who].load(Ordering::Relaxed);
         if let Some(behind) = self.steps.iter().position(|s| s.load(Ordering::Acquire) < cut) {
             return Err(RuntimeError::DrainBeforeCut { worker: who, cut, behind });
         }
-        self.apply_cut(cut, who)?;
+        let pin = self.rows_at(cut)?.weights.clone();
         let mut seqs = self.seqs[who].lock().map_err(|_| RuntimeError::Poisoned("ps seqs"))?;
         let rows = take_marks(
             &mut self.dirty[who].lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?,
         );
-        let row_bytes = self.dim as u64 * 4;
-        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
+        let mut by_shard = vec![0u64; self.shards.len()];
         for v in rows {
-            by_shard[self.owner_slot(v)].push(v);
+            by_shard[self.held_slot(v)?] += 1;
         }
+        let row_bytes = self.dim as u64 * 4;
         let mut ns = 0u64;
-        for (w, rows) in by_shard.iter().enumerate() {
-            if rows.is_empty() {
+        for (w, &rows) in by_shard.iter().enumerate() {
+            if rows == 0 {
                 continue;
             }
             let seq = seqs.pull[w].next_seq();
             let channel = FaultPlane::channel_with(PS_PULL_TAG, w as u64, who as u64);
-            // Re-reading is idempotent, so the rows are copied once, after
-            // the hop: nothing lands while it is in flight.
+            // The rows are pinned, not carried: nothing lands with the hop.
             let ticks = self
                 .plane
                 .deliver(channel, seq, &self.policy, HopKind::Reply, || {})
@@ -487,16 +484,11 @@ impl SparseParamServer {
                     ))
                 })?;
             ns += ticks * TICK_NS;
-            let shard = self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-            shard.check_held(rows.iter().copied())?;
-            for &v in rows {
-                let slot = shard.slot_of[v as usize] as usize;
-                replica.row_mut(VertexId(v)).copy_from_slice(shard.table.row(slot));
-            }
             let kind = if w == who { AccessKind::Local } else { AccessKind::Remote };
-            ns += self.stats.record(kind, rows.len() as u64 * row_bytes, &self.cost);
-            self.shard_bytes[w].add(rows.len() as u64 * row_bytes);
+            ns += self.stats.record(kind, rows * row_bytes, &self.cost);
+            self.shard_bytes[w].add(rows * row_bytes);
         }
+        *replica = pin;
         Ok(ns)
     }
 
@@ -510,7 +502,7 @@ impl SparseParamServer {
         I::IntoIter: Clone,
     {
         let rows = rows.into_iter();
-        let bad = rows.clone().find(|&&v| v as usize >= self.num_vertices);
+        let bad = rows.clone().find(|&&v| v as usize >= self.owner.len());
         bad.map_or(Ok(()), |v| Err(RuntimeError::Unrecoverable(format!("ps read: bad row {v}"))))?;
         let row_bytes = self.dim as u64 * 4;
         let mut ns = 0u64;
@@ -525,43 +517,44 @@ impl SparseParamServer {
         Ok(ns)
     }
 
-    /// A full dense copy of the server's rows at the cut every worker has
-    /// reached — the initial replica of a (re)starting worker, and the
-    /// final feature matrix of a run.
+    /// A pin of the server's rows at the cut every worker has reached — a
+    /// (re)starting worker's replica, a checkpoint cut's re-pin, and the
+    /// final feature matrix of a run. It is a clone of the buffer, not a
+    /// copy; a later apply copies the rows before it writes.
     pub fn materialize(&self) -> Result<FeatureMatrix, RuntimeError> {
-        self.apply_cut(self.min_cut(), 0)?;
-        let mut out = FeatureMatrix::zeros(self.num_vertices, self.dim);
-        for shard in &self.shards {
-            let shard = shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-            for (slot, &v) in shard.ids.iter().enumerate() {
-                out.row_mut(VertexId(v)).copy_from_slice(shard.table.row(slot));
-            }
-        }
-        Ok(out)
+        Ok(self.rows_at(self.min_cut())?.weights.clone())
     }
 
     /// Serializable shard states for checkpointing, at the cut every worker
-    /// has reached.
+    /// has reached: each shard's roster, read from the owner table, with
+    /// its rows, and its accumulators if it has them.
     pub fn export(&self) -> Result<Vec<PsShardState>, RuntimeError> {
-        self.apply_cut(self.min_cut(), 0)?;
-        self.shards
-            .iter()
-            .map(|shard| {
-                let shard = shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-                Ok(PsShardState {
-                    ids: shard.ids.clone(),
-                    weights: shard.table.as_slice().to_vec(),
-                    accum: shard.table.accum_slice().map(<[f32]>::to_vec),
-                })
-            })
-            .collect()
+        let rows = self.rows_at(self.min_cut())?;
+        let mut states = Vec::with_capacity(self.shards.len());
+        for shard in &self.shards {
+            let accum = shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?.has_accum;
+            states.push(PsShardState { ids: vec![], weights: vec![], accum: accum.then(Vec::new) });
+        }
+        let d = self.dim;
+        for v in 0..self.owner.len() as u32 {
+            let Some(state) = states.get_mut(self.owner_slot(v)) else { continue };
+            let row = v as usize * d..(v as usize + 1) * d;
+            state.ids.push(v);
+            state.weights.extend_from_slice(&rows.weights.as_slice()[row.clone()]);
+            if let Some(accum) = &mut state.accum {
+                accum.extend_from_slice(&rows.accum[row]);
+            }
+        }
+        Ok(states)
     }
 
     /// Restores shard contents from a checkpoint, *adopting* its rosters:
-    /// each shard rebuilds from the checkpointed id list, and the owner
-    /// table re-points accordingly. A checkpoint written after an elastic
-    /// rebalance therefore restores onto a fresh (partition-rostered)
-    /// server without a separate replay of the rebalance.
+    /// the owner table re-points to them, so a checkpoint written after an
+    /// elastic rebalance restores onto a fresh (partition-rostered) server
+    /// without a separate replay of the rebalance. Each roster must be
+    /// strictly ascending and name no vertex another roster names; a
+    /// vertex no roster names is held by no shard (and reads zero). The
+    /// whole checkpoint is checked before anything changes.
     pub fn load(&self, states: &[PsShardState]) -> Result<(), RuntimeError> {
         if states.len() != self.shards.len() {
             return Err(RuntimeError::Checkpoint(format!(
@@ -570,36 +563,49 @@ impl SparseParamServer {
                 self.shards.len()
             )));
         }
-        for (i, (shard, state)) in self.shards.iter().zip(states).enumerate() {
-            if state.weights.len() != state.ids.len() * self.dim {
-                return Err(RuntimeError::Checkpoint(format!(
-                    "PS shard {i}: {} weights for {} ids at dim {}",
-                    state.weights.len(),
-                    state.ids.len(),
-                    self.dim
-                )));
+        let (n, d) = (self.owner.len(), self.dim);
+        let mut named = vec![false; n];
+        for (i, state) in states.iter().enumerate() {
+            let refuse = |m: String| Err(RuntimeError::Checkpoint(format!("PS shard {i}: {m}")));
+            let (len, ids) = (state.ids.len() * d, state.ids.len());
+            if state.weights.len() != len {
+                return refuse(format!("{} weights for {ids} ids at dim {d}", state.weights.len()));
             }
-            if let Some(v) = state.ids.iter().find(|&&v| v as usize >= self.num_vertices) {
-                return Err(RuntimeError::Checkpoint(format!(
-                    "PS shard {i}: checkpoint id {v} beyond {} vertices",
-                    self.num_vertices
-                )));
+            if let Some(a) = state.accum.as_ref().filter(|a| a.len() != len) {
+                return refuse(format!("{} accumulators for {} weights", a.len(), len));
             }
-            let mut shard = shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-            if shard.ids != state.ids {
-                let table =
-                    EmbeddingTable::from_flat(state.ids.len(), self.dim, state.weights.clone())
-                        .map_err(|e| RuntimeError::Checkpoint(format!("PS shard {i}: {e}")))?;
-                *shard = PsShard::new(state.ids.clone(), table, self.num_vertices);
+            if !state.ids.windows(2).all(|p| p[0] < p[1]) {
+                return refuse("roster is not strictly ascending".into());
             }
-            shard
-                .table
-                .load_state(&state.weights, state.accum.as_deref())
-                .map_err(|e| RuntimeError::Checkpoint(format!("PS shard {i}: {e}")))?;
             for &v in &state.ids {
-                // ordering: Release pairs with owner_slot()'s Acquire; load
-                // runs before any worker thread starts, so this is belt and
-                // braces.
+                match named.get_mut(v as usize) {
+                    None => return refuse(format!("checkpoint id {v} beyond {n} vertices")),
+                    Some(seen) if *seen => return refuse(format!("vertex {v} is on two rosters")),
+                    Some(seen) => *seen = true,
+                }
+            }
+        }
+        let mut rows = self.rows.lock().map_err(|_| RuntimeError::Poisoned("ps rows"))?;
+        let Rows { weights, accum } = &mut *rows;
+        let weights = weights.as_mut_slice();
+        weights.fill(0.0);
+        accum.fill(0.0);
+        for owner in &self.owner {
+            // ordering: Release pairs with owner_slot()'s Acquire; load
+            // runs before any worker thread starts, so this is belt and
+            // braces.
+            owner.store(NOT_HELD, Ordering::Release);
+        }
+        for (i, (shard, state)) in self.shards.iter().zip(states).enumerate() {
+            shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?.has_accum =
+                state.accum.is_some();
+            for (k, &v) in state.ids.iter().enumerate() {
+                let (from, to) = (k * d..(k + 1) * d, v as usize * d..(v as usize + 1) * d);
+                weights[to.clone()].copy_from_slice(&state.weights[from.clone()]);
+                if let Some(a) = &state.accum {
+                    accum[to].copy_from_slice(&a[from]);
+                }
+                // ordering: as above.
                 self.owner[v as usize].store(i as u32, Ordering::Release);
             }
         }
@@ -607,19 +613,20 @@ impl SparseParamServer {
     }
 
     /// Re-homes embedding rows to follow a new physical residency (the
-    /// storage layer's post-rebalance `Residency` snapshot): every row whose
-    /// owner table disagrees with `residency` moves to its new shard slot
-    /// over the server's plane (tag [`MIGRATION_TAG`], one batched message
-    /// per `(src, dst)` shard pair, sequence-deduplicated).
+    /// storage layer's post-rebalance `Residency` snapshot): every held row
+    /// whose owner table disagrees with `residency` moves to its new shard
+    /// slot over the server's plane (tag [`MIGRATION_TAG`], one batched
+    /// message per `(src, dst)` shard pair, sequence-deduplicated).
     ///
     /// Must be called at a cut every worker has reached — the
     /// epoch-boundary allreduce barrier, where every worker is parked and no
     /// push or drain is in flight. It applies what the cut owes first; a
-    /// push staged beyond the cut is an error, since its rows may move. Row
-    /// values and AdaGrad accumulators move losslessly, so the math after
-    /// the move is bit-identical to not having moved; only the comm
-    /// *accounting* changes (rows now local to a different slot).
-    /// Returns modelled comm nanoseconds.
+    /// push staged beyond the cut is an error, since its rows may move. A
+    /// move re-points ownership: the rows and their AdaGrad accumulators
+    /// stay where they are, so the math after the move is bit-identical to
+    /// not having moved; only the comm *accounting* changes (rows now
+    /// local to a different slot), and each message is metered as the rows
+    /// it would carry. Returns modelled comm nanoseconds.
     pub fn rehome(&self, residency: &[u32]) -> Result<u64, RuntimeError> {
         if residency.len() != self.owner.len() {
             return Err(RuntimeError::Unrecoverable(format!(
@@ -628,7 +635,7 @@ impl SparseParamServer {
                 self.owner.len()
             )));
         }
-        self.apply_cut(self.min_cut(), 0)?;
+        drop(self.rows_at(self.min_cut())?);
         for shard in &self.shards {
             if !shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?.inbox.is_empty() {
                 return Err(RuntimeError::Unrecoverable("rehome between cuts".into()));
@@ -639,7 +646,7 @@ impl SparseParamServer {
         let mut moves: BTreeMap<(u32, u32), Vec<u32>> = BTreeMap::new();
         for (v, &dst) in residency.iter().enumerate() {
             let src = self.owner_slot(v as u32) as u32;
-            if src == dst {
+            if src == dst || src == NOT_HELD {
                 continue;
             }
             if dst as usize >= self.shards.len() {
@@ -680,19 +687,15 @@ impl SparseParamServer {
             ns += ticks * TICK_NS;
             ns += self.stats.record(AccessKind::Remote, rows.len() as u64 * row_bytes, &self.cost);
             self.shard_bytes[dst as usize].add(rows.len() as u64 * row_bytes);
-            for &v in rows {
-                // ordering: Release pairs with owner_slot()'s Acquire — a
-                // reader that sees the new owner also sees the moved row
-                // behind the destination shard's lock.
-                self.owner[v as usize].store(dst, Ordering::Release);
-            }
         }
         Ok(ns)
     }
 
-    /// Applies (or dedup-discards) one sequenced rehome message: removes
-    /// the rows from `src`'s shard and inserts them into `dst`'s, carrying
-    /// weights and AdaGrad accumulators.
+    /// Applies (or dedup-discards) one sequenced rehome message: re-points
+    /// the rows from `src` to `dst`. A shard has accumulators from its first
+    /// applied row or a checkpoint that gave it some; after a move `dst`
+    /// has them if it had them and rows, or if `src` had them, and `src`
+    /// keeps its only while it keeps a row.
     fn apply_rehome(&self, src: u32, dst: u32, seq: Seq, rows: &[u32]) -> Result<(), RuntimeError> {
         let mut rehomed =
             self.rehomed.lock().map_err(|_| RuntimeError::Poisoned("rehome sequencers"))?;
@@ -702,73 +705,22 @@ impl SparseParamServer {
             return Ok(());
         }
         drop(rehomed);
-        // Extract the moving rows from the source shard and rebuild it
-        // around the hole.
-        let mut moving: BTreeMap<u32, (Vec<f32>, Option<Vec<f32>>)> = BTreeMap::new();
-        {
-            let mut shard =
-                self.shards[src as usize].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-            let mut remaining = Self::snapshot_rows(&shard, self.dim);
-            for &v in rows {
-                if let Some(row) = remaining.remove(&v) {
-                    moving.insert(v, row);
-                }
-            }
-            if moving.is_empty() {
-                return Ok(());
-            }
-            Self::install_rows(&mut shard, self.dim, remaining)?;
+        // ordering: Acquire pairs with the Release stores below; a rehome
+        // runs where every worker is parked.
+        let holds = |w: u32| self.owner.iter().any(|o| o.load(Ordering::Acquire) == w);
+        let dst_held = holds(dst);
+        for &v in rows {
+            // ordering: Release pairs with owner_slot()'s Acquire.
+            self.owner[v as usize].store(dst, Ordering::Release);
         }
-        // Land them at the destination.
-        let mut shard =
-            self.shards[dst as usize].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-        let mut combined = Self::snapshot_rows(&shard, self.dim);
-        combined.append(&mut moving);
-        Self::install_rows(&mut shard, self.dim, combined)
-    }
-
-    /// Snapshots a shard as id → (weights row, AdaGrad accumulator row).
-    fn snapshot_rows(shard: &PsShard, dim: usize) -> BTreeMap<u32, (Vec<f32>, Option<Vec<f32>>)> {
-        let accum = shard.table.accum_slice();
-        shard
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(slot, &v)| {
-                let w = shard.table.row(slot).to_vec();
-                let a = accum.map(|acc| acc[slot * dim..(slot + 1) * dim].to_vec());
-                (v, (w, a))
-            })
-            .collect()
-    }
-
-    /// Rebuilds a shard to hold exactly `rows` (ascending by vertex id),
-    /// restoring AdaGrad accumulators when any row carries them.
-    fn install_rows(
-        shard: &mut PsShard,
-        dim: usize,
-        rows: BTreeMap<u32, (Vec<f32>, Option<Vec<f32>>)>,
-    ) -> Result<(), RuntimeError> {
-        let ids: Vec<u32> = rows.keys().copied().collect();
-        let mut weights = Vec::with_capacity(ids.len() * dim);
-        let mut accum = vec![0.0f32; ids.len() * dim];
-        let mut any_accum = false;
-        for (slot, (w, a)) in rows.values().enumerate() {
-            weights.extend_from_slice(w);
-            if let Some(a) = a {
-                accum[slot * dim..(slot + 1) * dim].copy_from_slice(a);
-                any_accum = true;
-            }
-        }
-        let table = EmbeddingTable::from_flat(ids.len(), dim, weights.clone())
-            .map_err(|e| RuntimeError::Unrecoverable(format!("rehome rebuild: {e}")))?;
-        *shard = PsShard::new(ids, table, shard.slot_of.len());
-        if any_accum {
-            shard
-                .table
-                .load_state(&weights, Some(&accum))
-                .map_err(|e| RuntimeError::Unrecoverable(format!("rehome rebuild: {e}")))?;
-        }
+        let lock =
+            |w: u32| self.shards[w as usize].lock().map_err(|_| RuntimeError::Poisoned("ps shard"));
+        let mut from = lock(src)?;
+        let carried = from.has_accum;
+        from.has_accum &= holds(src);
+        drop(from);
+        let mut to = lock(dst)?;
+        to.has_accum = (to.has_accum && dst_held) || carried;
         Ok(())
     }
 }
@@ -793,38 +745,6 @@ mod tests {
         let (ps, f, _) = setup(4);
         assert_eq!(ps.materialize().unwrap().as_slice(), f.as_slice());
         assert_eq!(ps.num_shards(), 4);
-    }
-
-    #[test]
-    fn push_then_drain_syncs_replica_with_tier_accounting() {
-        let (ps, f, p) = setup(2);
-        let mut replica = f.clone();
-        // Find one vertex owned by worker 0 and one by worker 1.
-        let local = (0..f.len() as u32).find(|&v| p.owner_of(VertexId(v)).index() == 0).unwrap();
-        let remote = (0..f.len() as u32).find(|&v| p.owner_of(VertexId(v)).index() == 1).unwrap();
-        let mut grads = HashMap::new();
-        grads.insert(local, vec![1.0; 8]);
-        grads.insert(remote, vec![-1.0; 8]);
-        let ns = ps.push(0, &grads).unwrap();
-        assert!(ns > 0);
-        let snap = ps.stats().snapshot();
-        assert_eq!((snap.local_ops, snap.remote_ops), (1, 1));
-        assert_eq!(snap.remote_bytes, 8 * 4);
-        // Worker 1's step closes the cut; an empty push sends nothing.
-        ps.push(1, &HashMap::new()).unwrap();
-        assert_eq!(ps.stats().snapshot(), snap);
-
-        // Replica still stale, drain fixes it for both workers.
-        assert_ne!(replica.as_slice(), ps.materialize().unwrap().as_slice());
-        ps.drain_into(0, &mut replica).unwrap();
-        assert_eq!(replica.as_slice(), ps.materialize().unwrap().as_slice());
-        let mut replica1 = f.clone();
-        ps.drain_into(1, &mut replica1).unwrap();
-        assert_eq!(replica1.as_slice(), replica.as_slice());
-        // A second drain moves nothing (dirty set consumed).
-        let before = ps.stats().snapshot().total_ops();
-        ps.drain_into(0, &mut replica).unwrap();
-        assert_eq!(ps.stats().snapshot().total_ops(), before);
     }
 
     /// Worker `who`'s pending dirty marks, read without clearing them.
@@ -953,6 +873,15 @@ mod tests {
         assert_eq!(fresh.materialize().unwrap().as_slice(), ps.materialize().unwrap().as_slice());
         // Wrong shard count is a checkpoint error, not a panic.
         assert!(matches!(fresh.load(&state[..2]), Err(RuntimeError::Checkpoint(_))));
+        // So are a roster out of order and one naming another's vertex, and
+        // neither changes anything.
+        let (mut unsorted, mut twice) = (state.clone(), state.clone());
+        unsorted[0].ids.swap(0, 1);
+        twice[1] = twice[0].clone();
+        for bad in [unsorted, twice] {
+            assert!(matches!(fresh.load(&bad), Err(RuntimeError::Checkpoint(_))));
+            assert_eq!(fresh.export().unwrap(), state);
+        }
     }
 
     #[test]
@@ -1226,5 +1155,85 @@ mod tests {
         assert_eq!(bits(&zero_first), bits(&serial));
         assert_eq!(bits(&one_first), bits(&serial));
         assert_ne!(bits(&reversed), bits(&serial), "the orders must differ in bits");
+    }
+
+    #[test]
+    fn a_pin_held_across_later_cuts_keeps_its_cut() {
+        let (ps, f, _) = setup(2);
+        let step = |k: u32| {
+            for w in 0..2 {
+                let v = (k * 11 + w as u32 * 5) % f.len() as u32;
+                ps.push(w, &[(v, vec![0.3 + k as f32; 8])].into()).unwrap();
+            }
+        };
+        step(0);
+        let (mut pin, mut later) = (FeatureMatrix::default(), FeatureMatrix::default());
+        ps.drain_into(0, &mut pin).unwrap();
+        let at_cut_1 = pin.as_slice().to_vec();
+        for k in 1..4 {
+            step(k);
+            ps.drain_into(1, &mut later).unwrap();
+        }
+        assert_eq!(pin.as_slice(), at_cut_1, "the pin keeps cut 1");
+        assert_ne!(later.as_slice(), at_cut_1, "cuts 2-4 applied rows");
+    }
+
+    #[test]
+    fn an_apply_takes_its_inboxes_under_the_rows_lock() {
+        let (ps, f, _) = setup(2);
+        ps.push(0, &[(0, vec![1.0; 8])].into()).unwrap();
+        ps.push(1, &[(f.len() as u32 - 1, vec![-1.0; 8])].into()).unwrap();
+        let staged = || ps.shards.iter().map(|s| s.lock().unwrap().inbox.len()).sum::<usize>();
+        let (rows, mut pin) = (ps.rows.lock().unwrap(), FeatureMatrix::default());
+        std::thread::scope(|s| {
+            let drainer = s.spawn(|| ps.drain_into(0, &mut pin));
+            // The drainer takes no inbox before it holds the rows lock, so a
+            // reader that finds the inboxes empty finds their rows applied.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert_eq!(staged(), 2);
+            drop(rows);
+            drainer.join().unwrap().unwrap();
+        });
+        assert_eq!(staged(), 0);
+        assert_ne!(pin.as_slice(), f.as_slice());
+        assert_eq!(ps.materialize().unwrap().as_slice(), pin.as_slice());
+    }
+
+    #[test]
+    fn export_has_accumulators_where_per_shard_tables_would() {
+        let (_, f, p) = setup(2);
+        let disabled = Registry::disabled();
+        let elastic =
+            || SparseParamServer::new_elastic(&p, &f, 0.1, CostModel::default(), &disabled, 3);
+        let flags = |ps: &SparseParamServer| -> Vec<bool> {
+            ps.export().unwrap().iter().map(|s| s.accum.is_some()).collect()
+        };
+        let mut home: Vec<u32> = (0..f.len() as u32).map(|v| p.owner_of(VertexId(v)).0).collect();
+        let owned = |w: u32| (0..f.len() as u32).filter(|&v| home[v as usize] == w).collect();
+        let (zero, one): (Vec<u32>, Vec<u32>) = (owned(0), owned(1));
+        let ps = elastic();
+        ps.push(0, &[(zero[0], vec![0.5; 8])].into()).unwrap();
+        ps.push(1, &HashMap::new()).unwrap();
+        // A shard has them from its first applied row. Rows bring them to
+        // the empty slot only from a shard that has them; a shard emptied
+        // of its rows has none.
+        let mut expect = |moves: &[u32], to: u32, after: [bool; 3]| {
+            moves.iter().for_each(|&v| home[v as usize] = to);
+            ps.rehome(&home).unwrap();
+            assert_eq!(flags(&ps), after, "{moves:?} to slot {to}");
+        };
+        expect(&one[..1], 2, [true, false, false]);
+        expect(&zero[..1], 2, [true, false, true]);
+        expect(&zero, 2, [false, false, true]);
+        // A checkpoint's `Some` is kept, even on an empty shard, which then
+        // brings none to rows it receives from a shard without them.
+        let mut state = ps.export().unwrap();
+        state[0].accum = Some(Vec::new());
+        let fresh = elastic();
+        fresh.load(&state).unwrap();
+        assert_eq!(fresh.export().unwrap(), state);
+        home[one[1] as usize] = 0;
+        fresh.rehome(&home).unwrap();
+        assert_eq!(flags(&fresh), [false, false, true]);
     }
 }

@@ -6,10 +6,12 @@
 //! A worker per [`Cluster`] partition runs each step `t` in three
 //! phases. It *samples* its own edge shard ([`plan_contrastive`]): the only
 //! reads of the cluster, through its own pool, cache and tier shard. It
-//! *finishes*: at a drain step it waits for cut `t` and drains the PS into
-//! its replica, runs [`finish_contrastive`] on the replica, and pushes the
-//! row-sparse feature gradients, which the PS applies at the cut after the
-//! step. It *updates*: the dense step ([`GnnEncoder::step`]) and the PS read
+//! *finishes*: at a drain step it waits for cut `t` and pins the PS rows as
+//! its replica (a clone of a copy-on-write buffer, not a copy), runs
+//! [`finish_contrastive`] on the replica, drops the pin after the last
+//! compute before its next drain, and pushes the row-sparse feature
+//! gradients, which the PS applies in place at the cut after the step. It
+//! *updates*: the dense step ([`GnnEncoder::step`]) and the PS read
 //! meters. At a cut (an epoch end with its dense allreduce, or a checkpoint
 //! step) every worker deposits its record, one leader closes the cut, and
 //! every worker adopts the outcome. The drain schedule is a function of the
@@ -28,7 +30,7 @@ use crate::checkpoint::{latest_valid_checkpoint, Checkpoint, WorkerCkpt};
 use crate::error::RuntimeError;
 use crate::ps::SparseParamServer;
 use crate::report::{DistReport, WorkerReport};
-use crate::ssp::{Coordinator, Deposit, Rendezvous};
+use crate::ssp::{Coordinator, Deposit};
 use aligraph::{finish_contrastive, plan_contrastive, BatchOutcome, GnnEncoder, PlannedBatch};
 use aligraph_chaos::{FaultConfig, FaultPlane, RetryPolicy};
 use aligraph_graph::{EdgeType, FeatureMatrix};
@@ -424,9 +426,6 @@ impl<'a> DistTrainer<'a> {
         let start = resume.as_ref().map_or(0, |ck| ck.global_step);
         let cx = Attempt {
             trainer: self,
-            // Materialized once, before any worker can push: every worker
-            // starts from the time-t0 server state.
-            initial_replica: ps.materialize()?,
             ps,
             co: Coordinator::new(p, start, plane.next_crash(p, start)),
             steps: start..cfg.batches_per_epoch as u64 * cfg.epochs as u64,
@@ -446,7 +445,8 @@ impl<'a> DistTrainer<'a> {
             .map_err(RuntimeError::Unrecoverable)?;
         let staleness_hist =
             (0..=cfg.staleness as usize).map(|a| workers.iter().map(|w| w.hist[a]).sum()).collect();
-        // Consuming the workers frees their replicas before the final copy.
+        // Consuming the workers drops their pins, so the final apply writes
+        // in place.
         let per_worker: Vec<WorkerReport> = workers.into_iter().map(|w| w.report).collect();
         let features = cx.ps.materialize()?;
         let epoch_losses =
@@ -477,7 +477,6 @@ struct Attempt<'a> {
     co: Coordinator,
     steps: Range<u64>,
     resume: Option<Checkpoint>,
-    initial_replica: FeatureMatrix,
     plane: &'a FaultPlane,
     policy: RetryPolicy,
     checkpoints: &'a AtomicU64,
@@ -519,7 +518,7 @@ impl<'a> Attempt<'a> {
                     let waiting = Stopwatch::start();
                     let out = self.co.rendezvous(me, deposit, |deps| self.lead(cut, deps))?;
                     w.report.wait_ns += waiting.elapsed_ns();
-                    w.adopt(&out)?;
+                    w.adopt(self, cut, out.as_deref())?;
                 }
             }
             Ok(w)
@@ -560,7 +559,7 @@ impl<'a> Attempt<'a> {
             if let Some(cut) = self.cut(t + 1) {
                 let out = self.lead(cut, workers.iter_mut().map(|w| w.deposit(cut)).collect())?;
                 for w in &mut workers {
-                    w.adopt(&out)?;
+                    w.adopt(self, cut, out.as_deref())?;
                 }
             }
         }
@@ -569,9 +568,8 @@ impl<'a> Attempt<'a> {
 
     /// Closes `cut` over the deposits, in worker order. At an epoch end:
     /// the scheduled rebalances, the epoch's mean loss and the dense
-    /// allreduce. At a checkpoint cut: the file, and the materialized
-    /// server state every replica adopts.
-    fn lead(&self, cut: Cut<'_>, mut deps: Vec<Deposit>) -> Result<Rendezvous, RuntimeError> {
+    /// allreduce. At a checkpoint cut: the file.
+    fn lead(&self, cut: Cut<'_>, mut deps: Vec<Deposit>) -> Result<Option<Vec<f32>>, RuntimeError> {
         // Times the epoch bookkeeping, allreduce and checkpoint into
         // `runtime.allreduce_ns` (recorded when the guard drops), on epoch
         // ends only.
@@ -597,7 +595,6 @@ impl<'a> Attempt<'a> {
             // loss accumulators beside the averaged params.
             deps.iter_mut().for_each(|d| (d.state.loss_sum, d.state.pairs) = (0.0, 0));
         }
-        let mut drain = None;
         if let Some(dir) = cut.checkpoint {
             let ckpt = Checkpoint {
                 fingerprint: self.trainer.fingerprint(),
@@ -610,12 +607,8 @@ impl<'a> Attempt<'a> {
             write_checkpoint(&ckpt, dir, self.plane)?;
             // ordering: report-only tally read after the attempt loop.
             self.checkpoints.fetch_add(1, Ordering::Relaxed);
-            // Every replica adopts the state a restore rebuilds, so resumes
-            // are bit-exact at any staleness bound; a later drain re-reads
-            // any undrained dirty row either way.
-            drain = Some(self.ps.materialize()?);
         }
-        Ok(Rendezvous { avg_params: avg, drain })
+        Ok(avg)
     }
 
     /// Applies scheduled rebalance `index` (leader-only). The topology
@@ -639,7 +632,8 @@ impl<'a> Attempt<'a> {
 
 /// One trainer worker: everything it keeps from step to step. `rec` is its
 /// resumable state (the RNG and dense state are copied in at each cut);
-/// `replica` holds the PS rows as of its last drain or checkpoint cut;
+/// `replica` pins the PS rows as of its last drain or checkpoint cut, from
+/// then to the last compute of its drain window, and is empty after;
 /// `report` and `hist` (`hist[a]`: steps computed at replica age `a`) count
 /// this attempt's steps. Its meters are its own handles: under a disabled
 /// registry each worker's are distinct, so no two threads share a counter.
@@ -676,7 +670,8 @@ impl<'a> Worker<'a> {
             rng: StdRng::from_state(rec.rng),
             rec,
             encoder,
-            replica: cx.initial_replica.clone(),
+            // The server is at the attempt's first cut until this pushes.
+            replica: cx.ps.materialize()?,
             pools: ShardEdgePools::of(trainer.cluster, id),
             view: ClusterView { cluster: trainer.cluster, from: id },
             sampler: MeteredNeighborhood::new(UniformNeighborhood, &trainer.registry, "uniform"),
@@ -712,9 +707,10 @@ impl<'a> Worker<'a> {
         (batch.len(), planned)
     }
 
-    /// At a drain step, waits for cut `t` and drains the PS into the
-    /// replica. Then finishes the batch on the replica and pushes its
-    /// gradients, which the PS holds until the cut after this step.
+    /// At a drain step, waits for cut `t` and pins the PS rows as the
+    /// replica. Then finishes the batch on the replica, drops the pin after
+    /// the last compute before the next drain (so the next apply writes in
+    /// place), and pushes its gradients, held until the cut after this step.
     fn finish(
         &mut self,
         t: u64,
@@ -736,6 +732,9 @@ impl<'a> Worker<'a> {
             self.report.busy_ns += computing.elapsed_ns();
             out
         });
+        if age == cx.trainer.cfg.staleness {
+            self.replica = FeatureMatrix::default();
+        }
         // An empty batch pushes an empty map: the step still counts.
         let grads = out.as_ref().map(|o| &o.feature_grads);
         self.report.comm_ns += cx.ps.push(self.me, grads.unwrap_or(&HashMap::new()))?;
@@ -765,15 +764,16 @@ impl<'a> Worker<'a> {
         Deposit { state: self.rec.clone(), params }
     }
 
-    /// Takes the leader's outcome: the averaged parameters (the epoch's loss
-    /// sums restart) and, at a checkpoint cut, the refreshed replica.
-    fn adopt(&mut self, out: &Rendezvous) -> Result<(), RuntimeError> {
-        if let Some(avg) = &out.avg_params {
+    /// Takes the averaged parameters (the epoch's loss sums restart) and, at
+    /// a checkpoint cut, pins the server, at the cut until this worker pushes:
+    /// what a restore rebuilds, so resumes are bit-exact at any staleness.
+    fn adopt(&mut self, cx: &Attempt, cut: Cut, avg: Option<&[f32]>) -> Result<(), RuntimeError> {
+        if let Some(avg) = avg {
             self.encoder.load_dense_param_vec(avg).map_err(RuntimeError::Unrecoverable)?;
             (self.rec.loss_sum, self.rec.pairs) = (0.0, 0);
         }
-        if let Some(m) = &out.drain {
-            self.replica = m.clone();
+        if cut.checkpoint.is_some() {
+            self.replica = cx.ps.materialize()?;
         }
         Ok(())
     }
@@ -805,4 +805,40 @@ fn write_checkpoint(ckpt: &Checkpoint, dir: &Path, plane: &FaultPlane) -> Result
         std::fs::write(&path, &bytes)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aligraph_graph::{generate::TaobaoConfig, Featurizer};
+
+    #[test]
+    fn workers_drop_their_pins_so_only_the_first_apply_copies() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().unwrap());
+        let features = Featurizer::new(8).matrix(&graph);
+        let (cluster, _) = Cluster::builder(graph).shards(2).build();
+        let spec =
+            EncoderSpec { dim_in: 8, dims: vec![8, 8], fanouts: vec![3, 2], lr: 0.05, seed: 7 };
+        let dir = std::env::temp_dir().join(format!("algr-rt-pins-{}", std::process::id()));
+        let cfg = RuntimeConfig {
+            workers: 2,
+            batches_per_epoch: 6,
+            sparse_lr: 0.05,
+            checkpoint: Some(CheckpointConfig { dir: dir.clone(), every_steps: 4 }),
+            ..RuntimeConfig::default()
+        };
+        for serial in [false, true] {
+            let registry = Arc::new(Registry::new());
+            let trainer = DistTrainer::new(&cluster, &features, spec.clone(), cfg.clone()).unwrap();
+            let trainer = trainer.with_registry(Arc::clone(&registry));
+            let outcome = if serial { trainer.train_in_series() } else { trainer.train() };
+            assert_eq!(outcome.unwrap().report.checkpoints_written, 6);
+            // The server starts as a pin of `features`, so its first apply
+            // copies; no later one does, as each worker drops its pin before
+            // its push and a checkpoint cut's re-pin holds that cut's rows.
+            let copies = registry.snapshot().counter("runtime.ps.shared_applies", &[]);
+            assert_eq!(copies, 1, "serial: {serial}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

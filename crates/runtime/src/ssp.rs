@@ -25,7 +25,7 @@
 use crate::checkpoint::WorkerCkpt;
 use crate::error::RuntimeError;
 use aligraph_chaos::CrashPoint;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// What one worker contributes at a rendezvous: its resumable state at the
 /// cut, and at an epoch end the dense parameters to average.
@@ -35,18 +35,6 @@ pub struct Deposit {
     pub state: WorkerCkpt,
     /// Dense parameters (pre-average), flattened; empty at a mid-epoch cut.
     pub params: Vec<f32>,
-}
-
-/// What the rendezvous leader hands back to every worker.
-#[derive(Debug, Default)]
-pub struct Rendezvous {
-    /// Averaged dense parameters (epoch barriers only).
-    pub avg_params: Option<Vec<f32>>,
-    /// Replica refresh (checkpoint cuts only): the materialized server
-    /// state at the cut, which every worker adopts as its replica (leaving
-    /// the drain schedule alone), so the checkpoint is a self-contained
-    /// restore point at any staleness bound.
-    pub drain: Option<aligraph_graph::FeatureMatrix>,
 }
 
 /// How many steps worker `w` completes before `crash` fires: the workers
@@ -65,7 +53,7 @@ struct CoState {
     arrived: usize,
     deposits: Vec<Option<Deposit>>,
     generation: u64,
-    outcome: Option<std::sync::Arc<Rendezvous>>,
+    outcome: Arc<Option<Vec<f32>>>,
 }
 
 /// The cuts + rendezvous shared by one attempt's workers.
@@ -95,7 +83,7 @@ impl Coordinator {
                 arrived: 0,
                 deposits: (0..workers).map(|_| None).collect(),
                 generation: 0,
-                outcome: None,
+                outcome: Arc::default(),
             }),
             cv: Condvar::new(),
         }
@@ -139,16 +127,17 @@ impl Coordinator {
     /// Rendezvous: deposits `me`'s contribution and blocks until all workers
     /// arrive. The last arriver runs `leader` over the deposits (in worker
     /// order) while holding the coordinator lock — rendezvous are serialized
-    /// anyway, so no extra concurrency is lost — and its result is handed to
-    /// every worker. A leader error tears the run down for everyone.
+    /// anyway, so no extra concurrency is lost — and its result, the
+    /// averaged dense parameters at an epoch end, is handed to every worker.
+    /// A leader error tears the run down for everyone.
     pub fn rendezvous<F>(
         &self,
         me: usize,
         deposit: Deposit,
         leader: F,
-    ) -> Result<std::sync::Arc<Rendezvous>, RuntimeError>
+    ) -> Result<Arc<Option<Vec<f32>>>, RuntimeError>
     where
-        F: FnOnce(Vec<Deposit>) -> Result<Rendezvous, RuntimeError>,
+        F: FnOnce(Vec<Deposit>) -> Result<Option<Vec<f32>>, RuntimeError>,
     {
         let mut st = self.lock()?;
         if let Some(e) = &st.crashed {
@@ -166,8 +155,8 @@ impl Coordinator {
             st.arrived = 0;
             match leader(deposits) {
                 Ok(out) => {
-                    let out = std::sync::Arc::new(out);
-                    st.outcome = Some(out.clone());
+                    let out = Arc::new(out);
+                    st.outcome = out.clone();
                     st.generation += 1;
                     self.cv.notify_all();
                     Ok(out)
@@ -181,8 +170,7 @@ impl Coordinator {
         } else {
             let gen = st.generation;
             drop(st);
-            let st = self.wait_until(|st| st.generation != gen)?;
-            st.outcome.clone().ok_or(RuntimeError::Poisoned("rendezvous outcome"))
+            Ok(self.wait_until(|st| st.generation != gen)?.outcome.clone())
         }
     }
 
@@ -334,10 +322,10 @@ mod tests {
                             // Deposits arrive in worker order, not arrival order.
                             let sums: Vec<f64> = deps.iter().map(|d| d.state.loss_sum).collect();
                             assert_eq!(sums, vec![0.0, 1.0, 2.0, 3.0]);
-                            Ok(Rendezvous { avg_params: Some(vec![1.5]), ..Rendezvous::default() })
+                            Ok(Some(vec![1.5]))
                         })
                         .unwrap();
-                    assert_eq!(out.avg_params.as_deref(), Some(&[1.5][..]));
+                    assert_eq!(out.as_deref(), Some(&[1.5][..]));
                 });
             }
         });
@@ -361,7 +349,7 @@ mod tests {
             let at_rendezvous = s.spawn(move || {
                 co1.finish_step(1).unwrap();
                 waiting.send(()).unwrap();
-                co1.rendezvous(1, Deposit::default(), |_| Ok(Rendezvous::default()))
+                co1.rendezvous(1, Deposit::default(), |_| Ok(None))
             });
             wait_waiting.iter().take(2).for_each(drop);
             co.crash(RuntimeError::Fault { worker: 2 }).unwrap();

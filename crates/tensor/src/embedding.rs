@@ -68,17 +68,9 @@ impl EmbeddingTable {
     /// AdaGrad row update with per-element accumulators.
     pub fn adagrad_update(&mut self, i: usize, grad: &[f32], lr: f32) {
         debug_assert_eq!(grad.len(), self.dim);
-        if self.accum.is_none() {
-            self.accum = Some(vec![0.0; self.n * self.dim]);
-        }
-        #[expect(clippy::expect_used, reason = "accum was set to Some just above when it was None")]
-        let accum = self.accum.as_mut().expect("just initialized");
-        let base = i * self.dim;
-        for (j, &g) in grad.iter().enumerate() {
-            let a = &mut accum[base + j];
-            *a += g * g;
-            self.weights[base + j] -= lr * g / (a.sqrt() + 1e-8);
-        }
+        let accum = self.accum.get_or_insert_with(|| vec![0.0; self.n * self.dim]);
+        let row = i * self.dim..(i + 1) * self.dim;
+        adagrad_row(&mut self.weights[row.clone()], &mut accum[row], grad, lr);
     }
 
     /// Dot product between two rows.
@@ -116,48 +108,16 @@ impl EmbeddingTable {
     pub fn as_slice(&self) -> &[f32] {
         &self.weights
     }
+}
 
-    /// Builds a table from an explicit row-major weight buffer — how a
-    /// parameter-server shard materializes just its owned rows.
-    pub fn from_flat(n: usize, dim: usize, weights: Vec<f32>) -> Result<Self, String> {
-        if weights.len() != n * dim {
-            return Err(format!("weight buffer {} != {n} x {dim}", weights.len()));
-        }
-        Ok(EmbeddingTable { dim, n, weights, accum: None })
-    }
-
-    /// AdaGrad accumulators, `None` until the first adaptive update.
-    pub fn accum_slice(&self) -> Option<&[f32]> {
-        self.accum.as_deref()
-    }
-
-    /// Restores weights (and optionally accumulators) captured from another
-    /// table of identical shape — the checkpoint-restore path.
-    pub fn load_state(&mut self, weights: &[f32], accum: Option<&[f32]>) -> Result<(), String> {
-        if weights.len() != self.n * self.dim {
-            return Err(format!(
-                "weight buffer {} != table {} x {}",
-                weights.len(),
-                self.n,
-                self.dim
-            ));
-        }
-        self.weights.copy_from_slice(weights);
-        match accum {
-            None => self.accum = None,
-            Some(a) => {
-                if a.len() != self.n * self.dim {
-                    return Err(format!(
-                        "accumulator buffer {} != table {} x {}",
-                        a.len(),
-                        self.n,
-                        self.dim
-                    ));
-                }
-                self.accum = Some(a.to_vec());
-            }
-        }
-        Ok(())
+/// AdaGrad on one row, element by element: `a += g²`, then
+/// `w -= lr·g / (√a + 1e-8)`. [`EmbeddingTable::adagrad_update`] and the
+/// parameter server's apply both run this, so their bits agree.
+#[inline]
+pub fn adagrad_row(weights: &mut [f32], accum: &mut [f32], grad: &[f32], lr: f32) {
+    for ((w, a), &g) in weights.iter_mut().zip(accum.iter_mut()).zip(grad) {
+        *a += g * g;
+        *w -= lr * g / (a.sqrt() + 1e-8);
     }
 }
 
@@ -201,23 +161,6 @@ mod tests {
         t.adagrad_update(0, &[1.0], 1.0);
         let second = before - t.row(0)[0];
         assert!(second < first, "adagrad steps must shrink: {first} then {second}");
-    }
-
-    #[test]
-    fn state_roundtrip_and_shape_errors() {
-        let mut a = EmbeddingTable::new(3, 2, 1);
-        a.adagrad_update(0, &[1.0, 1.0], 0.5);
-        let weights = a.as_slice().to_vec();
-        let accum = a.accum_slice().map(<[f32]>::to_vec);
-        let mut b = EmbeddingTable::zeros(3, 2);
-        b.load_state(&weights, accum.as_deref()).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
-        assert_eq!(a.accum_slice(), b.accum_slice());
-        assert!(b.load_state(&weights[..3], None).is_err());
-        assert!(b.load_state(&weights, Some(&weights[..3])).is_err());
-        assert!(EmbeddingTable::from_flat(2, 2, vec![0.0; 5]).is_err());
-        let t = EmbeddingTable::from_flat(2, 2, vec![1.0; 4]).unwrap();
-        assert_eq!(t.row(1), &[1.0, 1.0]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod loss;
 pub mod matrix;
 pub mod optim;
 
-pub use embedding::EmbeddingTable;
+pub use embedding::{adagrad_row, EmbeddingTable};
 pub use matrix::Matrix;
 pub use optim::Adam;
 
