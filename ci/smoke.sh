@@ -35,8 +35,9 @@
 # The baselines pin counters, and no counter depends on a parameter value,
 # so each row that prints a model fingerprint must also print the one
 # pinned in `pins` below: model bits are checked, not only meters. A
-# killed run restores to its clean run's model, and a faulted run's model
-# is the fault-free one's, so those rows share a value.
+# killed run restores to its clean run's model, a faulted run's model is
+# the fault-free one's, and a checkpoint applies nothing, so a run's model
+# does not depend on how often it checkpoints: those rows share a value.
 #
 #   ci/smoke.sh            run every row
 #   ci/smoke.sh <name>...  run the named rows
@@ -50,6 +51,7 @@ train-bench          | train-bench        | --workers 2 --epochs 2 --scale 0.005
 train-bench-unarmed  | train-bench        | --fault-seed 42 --drop-rate 0 --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 | storage. sampling. runtime.ps. | clean-run --tolerance 0
 train-bench-chaos    | train-bench        | --fault-seed 42 --drop-rate 0.2 --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 | chaos.faults_injected chaos.retries |
 train-bench-kill     | train-bench        | --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --checkpoint-dir $out/train-bench-kill-ckpts --kill-worker 1 --kill-at-step 5 | chaos.faults_injected runtime.ps. | BENCH_train_kill.json --tolerance 0
+train-bench-ckpt-every | train-bench      | --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --checkpoint-dir $out/train-bench-ckpt-every-ckpts --checkpoint-every 1 | storage. sampling. runtime.ps. | BENCH_train.json --tolerance 0
 train-bench-scaling  | train-bench        | --workers 4 --epochs 2 --scale 0.01 --batches 16 --batch 16 --dim 16 | runtime.ps. | min-speedup 2
 train-bench-stale-kill | train-bench      | --workers 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --staleness 2 --epochs 3 --checkpoint-every 3 --checkpoint-dir $out/train-bench-stale-kill-ckpts --kill-worker 1 --kill-at-step 7 | chaos.faults_injected runtime.ps. | BENCH_train_stale_kill.json --tolerance 0
 serve-bench          | serve-bench        | --requests 1000 --clients 2 --workers 2 --scale 0.05 | serving.requests serving.latency_ns |
@@ -124,11 +126,12 @@ fi
 
 # name | the line its output must contain
 pins="
-train-bench            | model fingerprint 2a12bc1a8160d6f5
-train-bench-kill       | model fingerprint 2a12bc1a8160d6f5
+train-bench            | model fingerprint 73874c5754074cf9
+train-bench-kill       | model fingerprint 73874c5754074cf9
+train-bench-ckpt-every | model fingerprint 73874c5754074cf9
 train-bench-unarmed    | model fingerprint 73874c5754074cf9
 train-bench-chaos      | model fingerprint 73874c5754074cf9
-train-bench-stale-kill | model fingerprint 309eb94cec01e473
+train-bench-stale-kill | model fingerprint e150d5dbf230007f
 closed-loop            | final model: version 5  fingerprint ca070dae8bcb3bae
 tiered-bench           | fingerprint 6af11f3c37c9a787 (bit-exact vs all-hot)
 tiered-bench           | fingerprint 623febd03536ad30 (bit-exact vs all-hot)

@@ -415,7 +415,12 @@ impl GraphBuilder {
         // An edge's id is its position in the sorted records.
         let out_offsets = offsets(n, records.iter().map(|e| e.src));
         let edge_src: Vec<VertexId> = records.iter().map(|e| e.src).collect();
-        let mut edges_by_type: Vec<Vec<EdgeId>> = vec![Vec::new(); self.max_edge_type as usize + 1];
+        // Each type's roster is counted first and allocated once, at its
+        // final size.
+        let mut per_type = vec![0usize; self.max_edge_type as usize + 1];
+        records.iter().for_each(|e| per_type[e.etype.index()] += 1);
+        let mut edges_by_type: Vec<Vec<EdgeId>> =
+            per_type.into_iter().map(Vec::with_capacity).collect();
         for (i, e) in records.iter().enumerate() {
             edges_by_type[e.etype.index()].push(EdgeId(i as u64));
         }
@@ -689,7 +694,12 @@ mod tests {
         }
         let mut out_nbrs = Vec::with_capacity(records.len());
         let mut edge_src = Vec::with_capacity(records.len());
-        let mut edges_by_type: Vec<Vec<EdgeId>> = vec![Vec::new(); b.max_edge_type as usize + 1];
+        let mut per_type = vec![0usize; b.max_edge_type as usize + 1];
+        for e in &records {
+            per_type[e.etype.index()] += 1;
+        }
+        let mut edges_by_type: Vec<Vec<EdgeId>> =
+            per_type.iter().map(|&count| Vec::with_capacity(count)).collect();
         for (i, e) in records.iter().enumerate() {
             let id = EdgeId(i as u64);
             out_nbrs.push(Neighbor {
@@ -771,6 +781,10 @@ mod tests {
         same("in_nbrs", &record_bits(&g.in_nbrs), &record_bits(&o.in_nbrs));
         same("edge_src", &g.edge_src, &o.edge_src);
         same("edges_by_type", &g.edges_by_type, &o.edges_by_type);
+        // Each roster is allocated once, at its final size.
+        for roster in g.edges_by_type.iter().chain(&o.edges_by_type) {
+            assert_eq!(roster.capacity(), roster.len());
+        }
         same("vertices_by_type", &g.vertices_by_type, &o.vertices_by_type);
         assert_eq!(g.logical_edges, o.logical_edges);
         g

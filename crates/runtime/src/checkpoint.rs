@@ -1,12 +1,15 @@
 //! Versioned on-disk checkpoints: everything needed to resume a distributed
-//! run mid-epoch — PS shards, per-worker dense model + optimizer state, RNG
-//! states and partial epoch losses — and nothing else: the drain schedule
-//! is a function of the step, and what a run only reports (edges, busy and
-//! comm time, the staleness histogram) stays out. So a checkpoint's bytes
-//! are a function of the seed and the cut: a killed-and-restored run writes
-//! the same file as an unkilled one.
+//! run mid-epoch — the parameter server as it stands (owners, rows,
+//! accumulators and the pushes staged for a later cut), per-worker dense
+//! model + optimizer state, RNG states and partial epoch losses — and
+//! nothing else: the drain schedule is a function of the step, and what a
+//! run only reports (edges, busy and comm time, the staleness histogram)
+//! stays out. Writing one applies nothing, so a run's model does not depend
+//! on how often it checkpoints, and its bytes are a function of the seed and
+//! the cut: a killed-and-restored run writes the same file as an unkilled
+//! one.
 //!
-//! Binary layout (little-endian), version 3:
+//! Binary layout (little-endian), version 4:
 //!
 //! ```text
 //! magic "ALGRCKP1" | u32 version | u64 config fingerprint | u64 global_step
@@ -15,13 +18,15 @@
 //! workers:      u32 count, per worker:
 //!               rng u64 × 4 | f64 loss_sum | u64 pairs
 //!               dense state u32 len, f32 × len
-//! ps shards:    u32 count, per shard:
-//!               ids u32 len, u32 × len | weights u32 len, f32 × len
-//!               accum u8 present, [f32 × weights len]
+//! ps:           owners u32 len, u32 × len (shard slot per vertex)
+//!               weights u32 len, f32 × len | accum u32 len, f32 × len
+//!               staged u32 count, per push in (step, sender) order:
+//!               u64 step | u32 sender | rows u32 len, u32 × len
+//!               grads u32 len, f32 × len
 //! trailer:      u64 FNV-1a of all preceding bytes
 //! ```
 //!
-//! A version-1 or version-2 file is refused by its version word.
+//! A version-1, -2 or -3 file is refused by its version word.
 //!
 //! The fingerprint hashes the *structural* configuration (workers, batch
 //! shape, seeds, model dims — not epoch count or fault/checkpoint plumbing)
@@ -31,14 +36,13 @@
 //! panic.
 
 use crate::error::RuntimeError;
-use crate::ps::PsShardState;
+use crate::ps::{PsState, StagedPush};
 use aligraph_storage::seal::{self, Cursor, Truncated};
-use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"ALGRCKP1";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// One worker's resumable state: the record a worker starts from (fresh
 /// or restored), keeps up to date as it steps, and deposits at every cut.
@@ -69,8 +73,8 @@ pub struct Checkpoint {
     pub avg_params: Option<Vec<f32>>,
     /// Per-worker state.
     pub workers: Vec<WorkerCkpt>,
-    /// Parameter-server shard contents.
-    pub shards: Vec<PsShardState>,
+    /// The parameter server at the cut.
+    pub ps: PsState,
 }
 
 struct Writer {
@@ -91,6 +95,12 @@ impl Writer {
         self.u32(vs.len() as u32);
         for v in vs {
             self.buf.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    fn u32s(&mut self, vs: &[u32]) {
+        self.u32(vs.len() as u32);
+        for &v in vs {
+            self.u32(v);
         }
     }
 }
@@ -125,19 +135,19 @@ fn read_body(r: &mut Cursor<'_>, section: &mut &'static str) -> Result<Checkpoin
             dense_state: r.counted(f32::from_le_bytes)?,
         });
     }
-    *section = "ps shards";
-    let n_shards = r.u32()? as usize;
-    let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
-    for _ in 0..n_shards {
-        let ids = r.counted(u32::from_le_bytes)?;
-        let weights = r.counted(f32::from_le_bytes)?;
-        let accum = match r.u8()? {
-            0 => None,
-            _ => Some(r.counted(f32::from_le_bytes)?),
-        };
-        shards.push(PsShardState { ids, weights, accum });
+    *section = "ps state";
+    let owners = r.counted(u32::from_le_bytes)?;
+    let weights = r.counted(f32::from_le_bytes)?;
+    let accum = r.counted(f32::from_le_bytes)?;
+    let n_staged = r.u32()? as usize;
+    let mut staged = Vec::with_capacity(n_staged.min(1 << 16));
+    for _ in 0..n_staged {
+        let (step, sender) = (r.u64()?, r.u32()?);
+        let rows = r.counted(u32::from_le_bytes)?;
+        staged.push(StagedPush { step, sender, rows, grads: r.counted(f32::from_le_bytes)? });
     }
-    Ok(Checkpoint { fingerprint, global_step, epoch_losses, avg_params, workers, shards })
+    let ps = PsState { owners, weights, accum, staged };
+    Ok(Checkpoint { fingerprint, global_step, epoch_losses, avg_params, workers, ps })
 }
 
 impl Checkpoint {
@@ -168,20 +178,15 @@ impl Checkpoint {
             w.u64(wk.pairs);
             w.f32s(&wk.dense_state);
         }
-        w.u32(self.shards.len() as u32);
-        for s in &self.shards {
-            w.u32(s.ids.len() as u32);
-            for &id in &s.ids {
-                w.u32(id);
-            }
-            w.f32s(&s.weights);
-            match &s.accum {
-                None => w.buf.push(0),
-                Some(a) => {
-                    w.buf.push(1);
-                    w.f32s(a);
-                }
-            }
+        w.u32s(&self.ps.owners);
+        w.f32s(&self.ps.weights);
+        w.f32s(&self.ps.accum);
+        w.u32(self.ps.staged.len() as u32);
+        for m in &self.ps.staged {
+            w.u64(m.step);
+            w.u32(m.sender);
+            w.u32s(&m.rows);
+            w.f32s(&m.grads);
         }
         seal::close(&mut w.buf);
         w.buf
@@ -212,7 +217,7 @@ impl Checkpoint {
         let ckpt = read_body(&mut r, &mut section).map_err(|e| corrupt(section, e))?;
         if !r.rest().is_empty() {
             return Err(RuntimeError::Checkpoint(format!(
-                "{} trailing bytes after ps shards",
+                "{} trailing bytes after the ps state",
                 r.rest().len()
             )));
         }
@@ -235,42 +240,51 @@ impl Checkpoint {
     }
 
     /// Overwrites the PS rows for the given vertices with fresh feature
-    /// values and clears their AdaGrad accumulators — the incremental
-    /// trainer's "re-pull touched rows" step: when an upstream update
-    /// changes a vertex's features, the next delta epoch must train from
-    /// the new values, not the stale learned ones. Returns how many rows
-    /// were patched; vertices not owned by any shard and rows whose length
-    /// is not `dim` are skipped.
+    /// values, clears their AdaGrad accumulators and drops their staged
+    /// gradients — the incremental trainer's "re-pull touched rows" step:
+    /// when an upstream update changes a vertex's features, the next delta
+    /// epoch must train from the new values, not the stale learned ones.
+    /// Returns how many rows were patched; vertices beyond the server, rows
+    /// whose length is not `dim`, and every row of a state whose rows are
+    /// not `dim` wide are skipped.
     pub fn patch_feature_rows<'a, I>(&mut self, dim: usize, rows: I) -> usize
     where
         I: IntoIterator<Item = (u32, &'a [f32])>,
     {
-        let mut slot: HashMap<u32, (usize, usize)> = HashMap::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            if shard.weights.len() != shard.ids.len() * dim {
-                continue;
-            }
-            for (i, &v) in shard.ids.iter().enumerate() {
-                slot.insert(v, (s, i));
-            }
+        let ps = &mut self.ps;
+        let n = ps.owners.len();
+        if dim == 0 || ps.weights.len() != n * dim || ps.accum.len() != n * dim {
+            return 0;
         }
-        let mut patched = 0;
+        let mut patched = vec![false; n];
+        let mut count = 0;
         for (v, feat) in rows {
-            if feat.len() != dim {
+            if feat.len() != dim || v as usize >= n {
                 continue;
             }
-            if let Some(&(s, i)) = slot.get(&v) {
-                let shard = &mut self.shards[s];
-                shard.weights[i * dim..(i + 1) * dim].copy_from_slice(feat);
-                if let Some(acc) = &mut shard.accum {
-                    for a in &mut acc[i * dim..(i + 1) * dim] {
-                        *a = 0.0;
-                    }
-                }
-                patched += 1;
-            }
+            let row = v as usize * dim..(v as usize + 1) * dim;
+            ps.weights[row.clone()].copy_from_slice(feat);
+            ps.accum[row].fill(0.0);
+            patched[v as usize] = true;
+            count += 1;
         }
-        patched
+        let is_patched = |v: &u32| patched.get(*v as usize).copied().unwrap_or(false);
+        for m in &mut ps.staged {
+            // A malformed message is left for `load` to refuse.
+            if m.grads.len() != m.rows.len() * dim || !m.rows.iter().any(is_patched) {
+                continue;
+            }
+            let (mut rows, mut grads) = (Vec::new(), Vec::new());
+            for (&v, g) in m.rows.iter().zip(m.grads.chunks_exact(dim)) {
+                if !is_patched(&v) {
+                    rows.push(v);
+                    grads.extend_from_slice(g);
+                }
+            }
+            (m.rows, m.grads) = (rows, grads);
+        }
+        ps.staged.retain(|m| !m.rows.is_empty());
+        count
     }
 }
 
@@ -320,11 +334,17 @@ mod tests {
                 pairs: 10,
                 dense_state: vec![0.5; 7],
             }],
-            shards: vec![PsShardState {
-                ids: vec![0, 2, 5],
-                weights: vec![0.1; 9],
-                accum: Some(vec![0.01; 9]),
-            }],
+            ps: PsState {
+                owners: vec![0, 1, 0],
+                weights: vec![0.1; 6],
+                accum: vec![0.01; 6],
+                staged: vec![StagedPush {
+                    step: 16,
+                    sender: 0,
+                    rows: vec![0, 2],
+                    grads: vec![0.5, -0.5, 0.25, -0.25],
+                }],
+            },
         }
     }
 
@@ -332,10 +352,10 @@ mod tests {
     fn byte_roundtrip_is_exact() {
         let c = sample();
         let bytes = c.to_bytes();
-        // Checkpoint v3 is pinned: the trailer seals every byte before it,
+        // Checkpoint v4 is pinned: the trailer seals every byte before it,
         // so this one constant fixes the whole on-disk format.
-        assert_eq!(bytes.len(), 258);
-        assert_eq!(bytes[bytes.len() - 8..], 0xf2be_ad89_2424_613d_u64.to_le_bytes());
+        assert_eq!(bytes.len(), 277);
+        assert_eq!(bytes[bytes.len() - 8..], 0xeb76_5bbd_e4ea_22a1_u64.to_le_bytes());
         assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), c);
     }
 
@@ -360,20 +380,28 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(Checkpoint::from_bytes(&bad).unwrap_err().to_string().contains("magic"));
-        // A resealed file whose version word says 1, and a v2 file (its
+        // A resealed file whose version word says 1, a v3 file (per-shard
+        // rosters after the worker's 80 bytes: one shard holding every
+        // vertex, its accumulators present) and a v2 file (a v3 body with a
         // `last_drain` word after the worker's RNG: header 28 + losses 20 +
-        // avg_params 17 + worker count 4 + rng 32 bytes in), are refused by
-        // version, not misparsed as a short or damaged v3 body.
-        for (version, last_drain) in [(1u32, None), (2, Some(16u64))] {
-            let mut old = bytes[..bytes.len() - 8].to_vec();
+        // avg_params 17 + worker count 4 + rng 32 bytes in) are refused by
+        // version, not misparsed as a short or damaged v4 body.
+        let mut v3 = Writer { buf: bytes[..149].to_vec() };
+        v3.u32(1);
+        v3.u32s(&[0, 1, 2]);
+        v3.f32s(&[0.1; 6]);
+        v3.buf.push(1);
+        v3.f32s(&[0.01; 6]);
+        let mut v2 = v3.buf.clone();
+        v2.splice(101..101, 16u64.to_le_bytes());
+        for (version, mut old) in [(1u32, bytes[..bytes.len() - 8].to_vec()), (2, v2), (3, v3.buf)]
+        {
             old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
-            if let Some(word) = last_drain {
-                old.splice(101..101, word.to_le_bytes());
-            }
             seal::close(&mut old);
-            if last_drain.is_some() {
-                // The v2 writer's pinned bytes for this fixture.
-                assert_eq!(old[old.len() - 8..], 0xdcba_e9fb_7a26_03d8_u64.to_le_bytes());
+            if version == 3 {
+                // The v3 writer's bytes for this fixture's rows on one shard.
+                assert_eq!(old.len(), 234);
+                assert_eq!(old[old.len() - 8..], 0x7dca_6a27_6807_283d_u64.to_le_bytes());
             }
             let err = Checkpoint::from_bytes(&old).unwrap_err();
             let named = format!("version {version}");

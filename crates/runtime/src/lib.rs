@@ -17,9 +17,10 @@
 //!   for the cut before a drain, the rendezvous at every epoch end and
 //!   checkpoint cut, and a scheduled crash's cut, so every run (restores and
 //!   fault recoveries included) replays bit-for-bit from its seed;
-//! * [`checkpoint::Checkpoint`] — versioned on-disk snapshots (PS shards,
-//!   dense model + optimizer state, RNG states, partial epoch losses) with
-//!   mid-epoch restore and corruption detection; their bytes are a function
+//! * [`checkpoint::Checkpoint`] — versioned on-disk snapshots (the PS as it
+//!   stands, staged pushes included; dense model + optimizer state, RNG
+//!   states, partial epoch losses) with mid-epoch restore and corruption
+//!   detection; writing one applies nothing, and their bytes are a function
 //!   of the seed and the cut.
 
 pub mod checkpoint;
@@ -31,7 +32,7 @@ pub mod ssp;
 
 pub use checkpoint::{latest_valid_checkpoint, Checkpoint, WorkerCkpt};
 pub use error::RuntimeError;
-pub use ps::{PsShardState, SparseParamServer};
+pub use ps::{PsState, SparseParamServer, StagedPush};
 pub use report::{DistReport, WorkerReport};
 pub use runtime::{
     CheckpointConfig, DistOutcome, DistTrainer, EncoderSpec, RebalancePlan, RuntimeConfig,

@@ -7,21 +7,23 @@
 //! pins the server's rows as the worker's replica.
 //!
 //! The rows live once, in one vertex-indexed [`FeatureMatrix`] with one
-//! vertex-indexed AdaGrad accumulator beside it; a shard is an inbox, and
-//! its roster is the owner table's. The matrix is copy-on-write: a drain or
-//! a [`materialize`] clones the buffer, and an apply writes in place unless
-//! a pin of an older cut is alive, which keeps its cut as the apply copies
+//! vertex-indexed AdaGrad accumulator beside it; a shard's roster is the
+//! owner table's. The matrix is copy-on-write: a drain or a
+//! [`materialize`] clones the buffer, and an apply writes in place unless a
+//! pin of an older cut is alive, which keeps its cut as the apply copies
 //! the buffer once. The runtime's workers drop their pins before they push.
 //!
 //! A push is tagged with its sender's step (the sender's push count so far)
-//! and staged in the shard's inbox. Nothing it carries is visible before
-//! the **cut** after that step, the point where every worker has pushed it.
-//! The first read of a later cut — a drain, [`materialize`], [`export`] or
-//! [`rehome`] — applies the staged messages below the cut in `(step,
-//! sender)` order. So whichever thread gets there first, every reader of
-//! cut `t` sees the same rows: all of steps `< t`, none of step `t` (SSP's
-//! visibility, Ho et al., NIPS 2013), and no worker's compute waits on
-//! another's.
+//! and staged in the server's one inbox, kept in `(step, sender)` order.
+//! Nothing it carries is visible before the **cut** after that step, the
+//! point where every worker has pushed it. The first drain or
+//! [`materialize`] of a later cut applies the staged messages below the
+//! cut in that order, whichever shards they were sent to. So whichever
+//! thread gets there first, every reader of cut `t` sees the same rows: all
+//! of steps `< t`, none of step `t` (SSP's visibility, Ho et al., NIPS
+//! 2013), and no worker's compute waits on another's. Nothing else
+//! applies: [`export`] copies the server as it stands, staged pushes
+//! included, and [`rehome`] only re-points owners.
 //!
 //! Every push, pull, and read is metered through the storage [`CostModel`]
 //! so the comm accounting in the benches stays honest: reads of replica
@@ -54,35 +56,27 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Owner-table entry of a row no roster holds (a checkpoint that dropped it).
-const NOT_HELD: u32 = u32::MAX;
-
-/// One delivered push message, held in its shard's inbox until the cut
-/// after its step.
-#[derive(Debug)]
-struct Staged {
+/// One delivered push message, staged until the cut after its step.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StagedPush {
     /// The sender's push count when it sent this message.
-    step: u64,
-    from: usize,
-    /// The rows, ascending.
-    rows: Vec<u32>,
+    pub step: u64,
+    /// The sending worker.
+    pub sender: u32,
+    /// The rows, strictly ascending.
+    pub rows: Vec<u32>,
     /// `rows.len()` gradient rows, flat, in `rows` order.
-    grads: Vec<f32>,
+    pub grads: Vec<f32>,
 }
 
-/// One shard: the inbox of the rows the owner table gives it, and whether
-/// it has AdaGrad accumulators, as a table of its rows would (see
-/// `apply_rehome`), so [`export`](SparseParamServer::export) writes the
-/// checkpoint bytes per-shard tables did.
-#[derive(Debug, Default)]
-struct PsShard {
-    /// Delivered pushes not yet applied.
-    inbox: Vec<Staged>,
-    has_accum: bool,
+impl StagedPush {
+    fn key(&self) -> (u64, u32) {
+        (self.step, self.sender)
+    }
 }
 
 /// Every shard's rows, once, indexed by vertex: the weights a drain pins,
-/// and the AdaGrad accumulators (zero on the rows of a shard without them).
+/// and their AdaGrad accumulators.
 #[derive(Debug)]
 struct Rows {
     weights: FeatureMatrix,
@@ -102,15 +96,18 @@ fn take_marks(marks: &mut [u64]) -> Vec<u32> {
     rows
 }
 
-/// Serializable state of one PS shard (checkpoint payload).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PsShardState {
-    /// Owned vertex ids, ascending.
-    pub ids: Vec<u32>,
-    /// Row-major weights, one row per id.
+/// The server as it stands (checkpoint payload): nothing in it is applied
+/// on the way out or in.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PsState {
+    /// Vertex id → owning shard slot.
+    pub owners: Vec<u32>,
+    /// Row-major weights, one row per vertex.
     pub weights: Vec<f32>,
-    /// AdaGrad accumulators, if any updates happened yet.
-    pub accum: Option<Vec<f32>>,
+    /// AdaGrad accumulators, one row per vertex.
+    pub accum: Vec<f32>,
+    /// The pushes not yet applied, stably sorted by `(step, sender)`.
+    pub staged: Vec<StagedPush>,
 }
 
 /// Sender-held [`SeqCounter`]s for one worker's fault-plane channels, the
@@ -137,14 +134,16 @@ pub struct SparseParamServer {
     dim: usize,
     lr: f32,
     cost: CostModel,
-    /// Vertex id → owning shard slot ([`NOT_HELD`] if none): the shards'
-    /// rosters. Atomic because an elastic rebalance
-    /// ([`rehome`](Self::rehome)) re-points rows at an epoch boundary while
-    /// the struct is shared across worker threads.
+    /// Vertex id → owning shard slot: the shards' rosters. Atomic because
+    /// an elastic rebalance ([`rehome`](Self::rehome)) re-points rows at an
+    /// epoch boundary while the struct is shared across worker threads.
     owner: Vec<AtomicU32>,
-    /// Lock order: `rows`, then a shard, then a dirty bitmap.
+    /// Shard slots, every owner below it.
+    slots: usize,
+    /// Lock order: `rows`, then `inbox`, then a dirty bitmap.
     rows: Mutex<Rows>,
-    shards: Vec<Mutex<PsShard>>,
+    /// Delivered pushes not yet applied, in `(step, sender)` order.
+    inbox: Mutex<Vec<StagedPush>>,
     /// Per-worker dirty bitmaps: rows applied since that worker last
     /// drained, the rows its next drain meters.
     dirty: Vec<Mutex<Vec<u64>>>,
@@ -233,8 +232,9 @@ impl SparseParamServer {
             lr,
             cost,
             owner,
+            slots,
             rows: Mutex::new(Rows { weights: features.clone(), accum }),
-            shards: (0..slots).map(|_| Mutex::default()).collect(),
+            inbox: Mutex::default(),
             dirty,
             pushed,
             stats: TierMeter::registered(registry, "runtime.ps"),
@@ -259,7 +259,7 @@ impl SparseParamServer {
         self
     }
 
-    /// The shard slot currently owning a vertex's row ([`NOT_HELD`] if none).
+    /// The shard slot currently owning a vertex's row.
     #[inline]
     fn owner_slot(&self, v: u32) -> usize {
         // ordering: Acquire pairs with the Release stores of `load` and
@@ -267,18 +267,9 @@ impl SparseParamServer {
         self.owner[v as usize].load(Ordering::Acquire) as usize
     }
 
-    /// The shard holding row `v`, or an error if no roster names it.
-    fn held_slot(&self, v: u32) -> Result<usize, RuntimeError> {
-        let w = self.owner_slot(v);
-        if w == NOT_HELD as usize {
-            return Err(RuntimeError::Unrecoverable(format!("ps lacks row {v}")));
-        }
-        Ok(w)
-    }
-
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.slots
     }
 
     /// Comm counters.
@@ -309,19 +300,19 @@ impl SparseParamServer {
     /// the modelled comm time in nanoseconds.
     ///
     /// Each message carries its rows ascending, so `HashMap` iteration
-    /// order cannot reach the parameters. An unknown row, one no shard
-    /// holds, or one of the wrong width, is an error before any message
-    /// leaves, and the step does not count.
+    /// order cannot reach the parameters. An unknown row, or one of the
+    /// wrong width, is an error before any message leaves, and the step
+    /// does not count.
     pub fn push(&self, from: usize, grads: &HashMap<u32, Vec<f32>>) -> Result<u64, RuntimeError> {
         let row_bytes = self.dim as u64 * 4;
-        let mut by_shard: Vec<Vec<(u32, &[f32])>> = vec![Vec::new(); self.shards.len()];
+        let mut by_shard: Vec<Vec<(u32, &[f32])>> = vec![Vec::new(); self.slots];
         let mut ordered: Vec<(&u32, &Vec<f32>)> = grads.iter().collect();
         ordered.sort_unstable_by_key(|(v, _)| **v);
         for (&v, g) in ordered {
             if v as usize >= self.owner.len() || g.len() != self.dim {
                 return Err(RuntimeError::Unrecoverable(format!("ps push: bad row {v}")));
             }
-            by_shard[self.held_slot(v)?].push((v, g.as_slice()));
+            by_shard[self.owner_slot(v)].push((v, g.as_slice()));
         }
         let mut seqs = self.seqs[from].lock().map_err(|_| RuntimeError::Poisoned("ps seqs"))?;
         // ordering: only `from`'s own pushes store this count, and they
@@ -363,7 +354,8 @@ impl SparseParamServer {
         Ok(ns)
     }
 
-    /// Stages (or dedup-discards) one sequenced push message on shard `w`.
+    /// Stages (or dedup-discards) one sequenced push message to shard `w`,
+    /// after the staged messages of its `(step, sender)` and every lower one.
     fn stage_push_message(
         &self,
         w: usize,
@@ -381,8 +373,11 @@ impl SparseParamServer {
         }
         drop(pushed);
         let grads = rows.iter().flat_map(|&(_, g)| g.iter().copied()).collect();
-        let staged = Staged { step, from, rows: rows.iter().map(|&(v, _)| v).collect(), grads };
-        self.shards[w].lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?.inbox.push(staged);
+        let rows = rows.iter().map(|&(v, _)| v).collect();
+        let staged = StagedPush { step, sender: from as u32, rows, grads };
+        let mut inbox = self.inbox.lock().map_err(|_| RuntimeError::Poisoned("ps inbox"))?;
+        let at = inbox.partition_point(|m| m.key() <= staged.key());
+        inbox.insert(at, staged);
         Ok(())
     }
 
@@ -393,21 +388,18 @@ impl SparseParamServer {
     }
 
     /// The rows at `cut`, locked: applies every staged message with a step
-    /// below `cut`, each shard's in `(step, sender)` order, and marks the
-    /// rows dirty for every worker. The inboxes are taken and applied under
-    /// the one rows lock, so a caller that finds nothing due has every due
-    /// message applied. The weights are made unique once, when something is
-    /// due: in place unless an older pin is alive.
+    /// below `cut`, in the inbox's `(step, sender)` order, and marks the rows
+    /// dirty for every worker. The inbox is taken and applied under the one
+    /// rows lock, so a caller that finds nothing due has every due message
+    /// applied. The weights are made unique once, when something is due: in
+    /// place unless an older pin is alive.
     fn rows_at(&self, cut: u64) -> Result<MutexGuard<'_, Rows>, RuntimeError> {
         let mut rows = self.rows.lock().map_err(|_| RuntimeError::Poisoned("ps rows"))?;
-        let mut due = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?;
-            shard.inbox.sort_unstable_by_key(|m| (m.step, m.from));
-            let n = shard.inbox.partition_point(|m| m.step < cut);
-            shard.has_accum |= n > 0;
-            due.extend(shard.inbox.drain(..n));
-        }
+        let due: Vec<StagedPush> = {
+            let mut inbox = self.inbox.lock().map_err(|_| RuntimeError::Poisoned("ps inbox"))?;
+            let n = inbox.partition_point(|m| m.step < cut);
+            inbox.drain(..n).collect()
+        };
         if due.is_empty() {
             return Ok(rows);
         }
@@ -461,9 +453,9 @@ impl SparseParamServer {
         let rows = take_marks(
             &mut self.dirty[who].lock().map_err(|_| RuntimeError::Poisoned("ps dirty set"))?,
         );
-        let mut by_shard = vec![0u64; self.shards.len()];
+        let mut by_shard = vec![0u64; self.slots];
         for v in rows {
-            by_shard[self.held_slot(v)?] += 1;
+            by_shard[self.owner_slot(v)] += 1;
         }
         let row_bytes = self.dim as u64 * 4;
         let mut ns = 0u64;
@@ -517,116 +509,107 @@ impl SparseParamServer {
         Ok(ns)
     }
 
-    /// A pin of the server's rows at the cut every worker has reached — a
-    /// (re)starting worker's replica, a checkpoint cut's re-pin, and the
+    /// A pin of the server's rows at the cut every worker has reached: the
     /// final feature matrix of a run. It is a clone of the buffer, not a
     /// copy; a later apply copies the rows before it writes.
     pub fn materialize(&self) -> Result<FeatureMatrix, RuntimeError> {
         Ok(self.rows_at(self.min_cut())?.weights.clone())
     }
 
-    /// Serializable shard states for checkpointing, at the cut every worker
-    /// has reached: each shard's roster, read from the owner table, with
-    /// its rows, and its accumulators if it has them.
-    pub fn export(&self) -> Result<Vec<PsShardState>, RuntimeError> {
-        let rows = self.rows_at(self.min_cut())?;
-        let mut states = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let accum = shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?.has_accum;
-            states.push(PsShardState { ids: vec![], weights: vec![], accum: accum.then(Vec::new) });
-        }
-        let d = self.dim;
-        for v in 0..self.owner.len() as u32 {
-            let Some(state) = states.get_mut(self.owner_slot(v)) else { continue };
-            let row = v as usize * d..(v as usize + 1) * d;
-            state.ids.push(v);
-            state.weights.extend_from_slice(&rows.weights.as_slice()[row.clone()]);
-            if let Some(accum) = &mut state.accum {
-                accum.extend_from_slice(&rows.accum[row]);
-            }
-        }
-        Ok(states)
+    /// A pin of the server's rows as they stand, nothing applied: a worker's
+    /// replica at the start of an attempt, the rows at its last drain.
+    pub(crate) fn pin(&self) -> Result<FeatureMatrix, RuntimeError> {
+        Ok(self.rows.lock().map_err(|_| RuntimeError::Poisoned("ps rows"))?.weights.clone())
     }
 
-    /// Restores shard contents from a checkpoint, *adopting* its rosters:
-    /// the owner table re-points to them, so a checkpoint written after an
-    /// elastic rebalance restores onto a fresh (partition-rostered) server
-    /// without a separate replay of the rebalance. Each roster must be
-    /// strictly ascending and name no vertex another roster names; a
-    /// vertex no roster names is held by no shard (and reads zero). The
-    /// whole checkpoint is checked before anything changes.
-    pub fn load(&self, states: &[PsShardState]) -> Result<(), RuntimeError> {
-        if states.len() != self.shards.len() {
-            return Err(RuntimeError::Checkpoint(format!(
-                "checkpoint has {} PS shards, runtime has {}",
-                states.len(),
-                self.shards.len()
-            )));
-        }
+    /// The server as it stands, for a checkpoint: the owner table, the rows
+    /// and their accumulators, and the staged pushes. Nothing is applied.
+    pub fn export(&self) -> Result<PsState, RuntimeError> {
+        let rows = self.rows.lock().map_err(|_| RuntimeError::Poisoned("ps rows"))?;
+        let staged = self.inbox.lock().map_err(|_| RuntimeError::Poisoned("ps inbox"))?.clone();
+        Ok(PsState {
+            owners: (0..self.owner.len() as u32).map(|v| self.owner_slot(v) as u32).collect(),
+            weights: rows.weights.as_slice().to_vec(),
+            accum: rows.accum.clone(),
+            staged,
+        })
+    }
+
+    /// Restores an [`export`](Self::export) taken at cut `step`: the owner
+    /// table (so a checkpoint written after an elastic rebalance restores
+    /// onto a fresh, partition-rostered server without a replay of the
+    /// rebalance), the rows, the staged pushes, and every worker's push
+    /// count at `step`. The state is outside input, so the whole of it is
+    /// checked before anything changes: every owner is a slot, and every
+    /// staged message, in `(step, sender)` order, has a sender below the
+    /// worker count, a step below `step`, strictly ascending rows of the
+    /// server and `rows × dim` gradients.
+    pub fn load(&self, state: &PsState, step: u64) -> Result<(), RuntimeError> {
         let (n, d) = (self.owner.len(), self.dim);
-        let mut named = vec![false; n];
-        for (i, state) in states.iter().enumerate() {
-            let refuse = |m: String| Err(RuntimeError::Checkpoint(format!("PS shard {i}: {m}")));
-            let (len, ids) = (state.ids.len() * d, state.ids.len());
-            if state.weights.len() != len {
-                return refuse(format!("{} weights for {ids} ids at dim {d}", state.weights.len()));
+        let refuse = |m: String| Err(RuntimeError::Checkpoint(format!("PS state: {m}")));
+        if state.owners.len() != n {
+            return refuse(format!("{} owners for {n} vertices", state.owners.len()));
+        }
+        if let Some(v) = state.owners.iter().position(|&o| o as usize >= self.slots) {
+            return refuse(format!(
+                "vertex {v} owned by slot {}, of {}",
+                state.owners[v], self.slots
+            ));
+        }
+        if state.weights.len() != n * d || state.accum.len() != n * d {
+            let (w, a) = (state.weights.len(), state.accum.len());
+            return refuse(format!("{w} weights and {a} accumulators for {n} rows of {d}"));
+        }
+        for (i, m) in state.staged.iter().enumerate() {
+            let refuse = |why: &str| refuse(format!("staged push {i}: {why}"));
+            if m.sender as usize >= self.steps.len() {
+                return refuse("sender beyond the workers");
             }
-            if let Some(a) = state.accum.as_ref().filter(|a| a.len() != len) {
-                return refuse(format!("{} accumulators for {} weights", a.len(), len));
+            if m.step >= step {
+                return refuse("step at or past the cut");
             }
-            if !state.ids.windows(2).all(|p| p[0] < p[1]) {
-                return refuse("roster is not strictly ascending".into());
+            if i > 0 && state.staged[i - 1].key() > m.key() {
+                return refuse("out of (step, sender) order");
             }
-            for &v in &state.ids {
-                match named.get_mut(v as usize) {
-                    None => return refuse(format!("checkpoint id {v} beyond {n} vertices")),
-                    Some(seen) if *seen => return refuse(format!("vertex {v} is on two rosters")),
-                    Some(seen) => *seen = true,
-                }
+            let beyond = m.rows.last().is_some_and(|&v| v as usize >= n);
+            if beyond || !m.rows.windows(2).all(|p| p[0] < p[1]) {
+                return refuse("rows not strictly ascending server rows");
+            }
+            if m.grads.len() != m.rows.len() * d {
+                return refuse("gradients not one row per row");
             }
         }
         let mut rows = self.rows.lock().map_err(|_| RuntimeError::Poisoned("ps rows"))?;
-        let Rows { weights, accum } = &mut *rows;
-        let weights = weights.as_mut_slice();
-        weights.fill(0.0);
-        accum.fill(0.0);
-        for owner in &self.owner {
-            // ordering: Release pairs with owner_slot()'s Acquire; load
-            // runs before any worker thread starts, so this is belt and
-            // braces.
-            owner.store(NOT_HELD, Ordering::Release);
+        rows.weights.as_mut_slice().copy_from_slice(&state.weights);
+        rows.accum.copy_from_slice(&state.accum);
+        *self.inbox.lock().map_err(|_| RuntimeError::Poisoned("ps inbox"))? = state.staged.clone();
+        // ordering: Release pairs with the Acquire loads of owner_slot(),
+        // min_cut() and drain_into(); load runs before any worker thread
+        // starts, so this is belt and braces.
+        for (owner, &slot) in self.owner.iter().zip(&state.owners) {
+            owner.store(slot, Ordering::Release);
         }
-        for (i, (shard, state)) in self.shards.iter().zip(states).enumerate() {
-            shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?.has_accum =
-                state.accum.is_some();
-            for (k, &v) in state.ids.iter().enumerate() {
-                let (from, to) = (k * d..(k + 1) * d, v as usize * d..(v as usize + 1) * d);
-                weights[to.clone()].copy_from_slice(&state.weights[from.clone()]);
-                if let Some(a) = &state.accum {
-                    accum[to].copy_from_slice(&a[from]);
-                }
-                // ordering: as above.
-                self.owner[v as usize].store(i as u32, Ordering::Release);
-            }
+        for count in &self.steps {
+            count.store(step, Ordering::Release);
         }
         Ok(())
     }
 
     /// Re-homes embedding rows to follow a new physical residency (the
-    /// storage layer's post-rebalance `Residency` snapshot): every held row
+    /// storage layer's post-rebalance `Residency` snapshot): every row
     /// whose owner table disagrees with `residency` moves to its new shard
     /// slot over the server's plane (tag [`MIGRATION_TAG`], one batched
     /// message per `(src, dst)` shard pair, sequence-deduplicated).
     ///
-    /// Must be called at a cut every worker has reached — the
-    /// epoch-boundary allreduce barrier, where every worker is parked and no
-    /// push or drain is in flight. It applies what the cut owes first; a
-    /// push staged beyond the cut is an error, since its rows may move. A
-    /// move re-points ownership: the rows and their AdaGrad accumulators
-    /// stay where they are, so the math after the move is bit-identical to
-    /// not having moved; only the comm *accounting* changes (rows now
-    /// local to a different slot), and each message is metered as the rows
-    /// it would carry. Returns modelled comm nanoseconds.
+    /// Called where no push or drain is in flight: the epoch-boundary
+    /// allreduce barrier, where every worker is parked. A move re-points
+    /// ownership and applies nothing: the rows, their AdaGrad accumulators
+    /// and the staged pushes stay where they are, and the inbox's `(step,
+    /// sender)` order does not depend on owners, so the math after the move
+    /// is bit-identical to not having moved; only the comm *accounting*
+    /// changes (rows now local to a different slot), and each message is
+    /// metered as the rows it would carry. Returns modelled comm
+    /// nanoseconds.
     pub fn rehome(&self, residency: &[u32]) -> Result<u64, RuntimeError> {
         if residency.len() != self.owner.len() {
             return Err(RuntimeError::Unrecoverable(format!(
@@ -635,25 +618,19 @@ impl SparseParamServer {
                 self.owner.len()
             )));
         }
-        drop(self.rows_at(self.min_cut())?);
-        for shard in &self.shards {
-            if !shard.lock().map_err(|_| RuntimeError::Poisoned("ps shard"))?.inbox.is_empty() {
-                return Err(RuntimeError::Unrecoverable("rehome between cuts".into()));
-            }
-        }
         // Group the moves: (src, dst) -> ascending vertex ids. BTreeMap so
         // message order (and thus fault-plane decisions) is deterministic.
         let mut moves: BTreeMap<(u32, u32), Vec<u32>> = BTreeMap::new();
         for (v, &dst) in residency.iter().enumerate() {
             let src = self.owner_slot(v as u32) as u32;
-            if src == dst || src == NOT_HELD {
+            if src == dst {
                 continue;
             }
-            if dst as usize >= self.shards.len() {
+            if dst as usize >= self.slots {
                 return Err(RuntimeError::Unrecoverable(format!(
                     "rehome of vertex {v} to slot {dst}, but PS has {} slots \
                      (pre-allocate with new_elastic)",
-                    self.shards.len()
+                    self.slots
                 )));
             }
             moves.entry((src, dst)).or_default().push(v as u32);
@@ -692,10 +669,7 @@ impl SparseParamServer {
     }
 
     /// Applies (or dedup-discards) one sequenced rehome message: re-points
-    /// the rows from `src` to `dst`. A shard has accumulators from its first
-    /// applied row or a checkpoint that gave it some; after a move `dst`
-    /// has them if it had them and rows, or if `src` had them, and `src`
-    /// keeps its only while it keeps a row.
+    /// the rows from `src` to `dst`.
     fn apply_rehome(&self, src: u32, dst: u32, seq: Seq, rows: &[u32]) -> Result<(), RuntimeError> {
         let mut rehomed =
             self.rehomed.lock().map_err(|_| RuntimeError::Poisoned("rehome sequencers"))?;
@@ -704,23 +678,10 @@ impl SparseParamServer {
         if rehomed.entry((src, dst)).or_default().offer(seq.get(), ()).is_empty() {
             return Ok(());
         }
-        drop(rehomed);
-        // ordering: Acquire pairs with the Release stores below; a rehome
-        // runs where every worker is parked.
-        let holds = |w: u32| self.owner.iter().any(|o| o.load(Ordering::Acquire) == w);
-        let dst_held = holds(dst);
         for &v in rows {
             // ordering: Release pairs with owner_slot()'s Acquire.
             self.owner[v as usize].store(dst, Ordering::Release);
         }
-        let lock =
-            |w: u32| self.shards[w as usize].lock().map_err(|_| RuntimeError::Poisoned("ps shard"));
-        let mut from = lock(src)?;
-        let carried = from.has_accum;
-        from.has_accum &= holds(src);
-        drop(from);
-        let mut to = lock(dst)?;
-        to.has_accum = (to.has_accum && dst_held) || carried;
         Ok(())
     }
 }
@@ -799,7 +760,7 @@ mod tests {
 
     #[test]
     fn a_row_the_server_does_not_hold_is_an_error() {
-        let (ps, f, p) = setup(2);
+        let (ps, f, _) = setup(2);
         let n = f.len() as u32;
         let before = ps.materialize().unwrap();
         // Vertex `n` is unknown; the valid row beside it must not apply.
@@ -815,27 +776,6 @@ mod tests {
         ps.push(1, &HashMap::new()).unwrap();
         assert_ne!(ps.materialize().unwrap().as_slice(), before.as_slice());
         assert_eq!(pending(&ps, 1), vec![0]);
-
-        // A checkpoint that drops a row from every shard leaves the owner
-        // table naming a shard that no longer holds it.
-        let mut state = ps.export().unwrap();
-        let home = p.owner_of(VertexId(0)).index();
-        let slot = state[home].ids.iter().position(|&v| v == 0).unwrap();
-        state[home].ids.remove(slot);
-        state[home].weights.drain(slot * 8..(slot + 1) * 8);
-        state[home].accum.as_mut().unwrap().drain(slot * 8..(slot + 1) * 8);
-        let fresh = SparseParamServer::new(&p, &f, 0.1, CostModel::default());
-        fresh.load(&state).unwrap();
-        fresh.push(1, &HashMap::new()).unwrap();
-        let held = fresh.materialize().unwrap();
-        let grads: HashMap<u32, Vec<f32>> = [(0, vec![1.0; 8])].into();
-        assert!(matches!(fresh.push(0, &grads), Err(RuntimeError::Unrecoverable(_))));
-        assert_eq!(fresh.materialize().unwrap().as_slice(), held.as_slice());
-        // A drain owed that row fails the same way, replica untouched.
-        fresh.dirty[0].lock().unwrap()[0] |= 1;
-        let mut replica = f.clone();
-        assert!(matches!(fresh.drain_into(0, &mut replica), Err(RuntimeError::Unrecoverable(_))));
-        assert_eq!(replica.as_slice(), f.as_slice());
     }
 
     #[test]
@@ -860,28 +800,76 @@ mod tests {
     #[test]
     fn export_load_roundtrip_and_mismatch_errors() {
         let (ps, f, p) = setup(3);
-        let mut grads = HashMap::new();
-        grads.insert(0u32, vec![0.5; 8]);
-        ps.push(0, &grads).unwrap();
+        ps.push(0, &[(0, vec![0.5; 8])].into()).unwrap();
         for w in 1..3 {
-            ps.push(w, &HashMap::new()).unwrap();
+            ps.push(w, &[(w as u32 * 7, vec![-0.25; 8])].into()).unwrap();
         }
+        ps.push(2, &[(5, vec![1.0; 8])].into()).unwrap();
+        ps.push(0, &HashMap::new()).unwrap();
+        ps.push(1, &HashMap::new()).unwrap();
+        // The export at cut 2 copies the server as it stands: nothing is
+        // applied.
         let state = ps.export().unwrap();
-        assert!(state.iter().any(|s| s.accum.is_some()), "the export applies the cut");
+        assert_eq!(state.weights, f.as_slice());
+        assert!(state.accum.iter().all(|&a| a == 0.0));
+        let keys: Vec<(u64, u32)> = state.staged.iter().map(StagedPush::key).collect();
+        assert_eq!(keys, [(0, 0), (0, 1), (0, 2), (1, 2)]);
+        // A load restores it with every push count at the cut, so the next
+        // read applies what the original's would.
         let fresh = SparseParamServer::new(&p, &f, 0.1, CostModel::default());
-        fresh.load(&state).unwrap();
-        assert_eq!(fresh.materialize().unwrap().as_slice(), ps.materialize().unwrap().as_slice());
-        // Wrong shard count is a checkpoint error, not a panic.
-        assert!(matches!(fresh.load(&state[..2]), Err(RuntimeError::Checkpoint(_))));
-        // So are a roster out of order and one naming another's vertex, and
-        // neither changes anything.
-        let (mut unsorted, mut twice) = (state.clone(), state.clone());
-        unsorted[0].ids.swap(0, 1);
-        twice[1] = twice[0].clone();
-        for bad in [unsorted, twice] {
-            assert!(matches!(fresh.load(&bad), Err(RuntimeError::Checkpoint(_))));
-            assert_eq!(fresh.export().unwrap(), state);
-        }
+        fresh.load(&state, 2).unwrap();
+        assert_eq!(fresh.export().unwrap(), state);
+        assert!(fresh.steps.iter().all(|s| s.load(Ordering::Relaxed) == 2));
+        assert_ne!(fresh.materialize().unwrap().as_slice(), f.as_slice());
+        ps.materialize().unwrap();
+        assert_eq!(fresh.export().unwrap(), ps.export().unwrap());
+        // A short owner table is a checkpoint error, not a panic, and
+        // changes nothing.
+        let mut short = state.clone();
+        short.owners.pop();
+        let before = fresh.export().unwrap();
+        assert!(matches!(fresh.load(&short, 2), Err(RuntimeError::Checkpoint(_))));
+        assert_eq!(fresh.export().unwrap(), before);
+    }
+
+    /// A row that moves between two of its pushes takes them in step
+    /// order, whatever shards they were sent to: bit for bit the server
+    /// that never moved it. AdaGrad's accumulator makes the order show.
+    #[test]
+    fn a_row_moved_between_its_pushes_applies_them_in_step_order() {
+        let (_, f, p) = setup(2);
+        let disabled = Registry::disabled();
+        let elastic =
+            || SparseParamServer::new_elastic(&p, &f, 0.1, CostModel::default(), &disabled, 3);
+        let v = (0..f.len() as u32).find(|&v| p.owner_of(VertexId(v)).index() == 1).unwrap();
+        let mut home: Vec<u32> = (0..f.len() as u32).map(|v| p.owner_of(VertexId(v)).0).collect();
+        home[v as usize] = 0;
+        let bits = |ps: &SparseParamServer| -> Vec<u32> {
+            ps.materialize().unwrap().as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        let run = |moved: bool| {
+            let ps = elastic();
+            ps.push(0, &[(v, vec![0.9; 8])].into()).unwrap();
+            if moved {
+                // Slot 1 to slot 0: the later push lands on a lower slot.
+                ps.rehome(&home).unwrap();
+            }
+            ps.push(0, &[(v, vec![-0.3; 8])].into()).unwrap();
+            ps.push(1, &HashMap::new()).unwrap();
+            ps.push(1, &HashMap::new()).unwrap();
+            ps
+        };
+        let (moved, stayed) = (run(true), run(false));
+        assert_eq!(moved.owner_slot(v), 0);
+        assert!(bits(&moved) == bits(&stayed), "row {v}'s pushes applied out of step order");
+        // The oracle: the two pushes applied at two cuts, in step order.
+        let serial = elastic();
+        serial.push(0, &[(v, vec![0.9; 8])].into()).unwrap();
+        serial.push(1, &HashMap::new()).unwrap();
+        serial.materialize().unwrap();
+        serial.push(0, &[(v, vec![-0.3; 8])].into()).unwrap();
+        serial.push(1, &HashMap::new()).unwrap();
+        assert!(bits(&moved) == bits(&serial), "row {v}'s pushes applied out of step order");
     }
 
     #[test]
@@ -1030,28 +1018,22 @@ mod tests {
         assert!(ns > 0, "a real move must cost modelled time");
         // The math is location-independent: materialized rows identical.
         assert_eq!(ps.materialize().unwrap().as_slice(), before.as_slice());
-        // Rows physically landed in the spare slot, with accumulators.
+        // Only the owner table changed: the spare slot owns the moved rows,
+        // and their rows and AdaGrad state are where they were.
         let after_state = ps.export().unwrap();
-        let moved: Vec<u32> =
-            (0..residency.len() as u32).filter(|&v| residency[v as usize] == 2).collect();
-        assert!(!moved.is_empty());
-        assert_eq!(after_state[2].ids, moved);
-        assert!(after_state[2].accum.is_some(), "AdaGrad state must move with the rows");
-        for &v in &moved {
-            assert!(!before_state[0].ids.contains(&v) || !after_state[0].ids.contains(&v));
-        }
+        assert_eq!(after_state.owners, residency);
+        assert_eq!(after_state.weights, before_state.weights);
+        assert_eq!(after_state.accum, before_state.accum);
+        let moved = residency.iter().position(|&slot| slot == 2).unwrap() as u32;
         // A second identical rehome is a no-op (nothing left to move).
         let ns2 = ps.rehome(&residency).unwrap();
         assert_eq!(ns2, 0);
         // Pushes to moved rows now land on the new shard and still train.
         let mut grads = HashMap::new();
-        grads.insert(moved[0], vec![1.0; 8]);
+        grads.insert(moved, vec![1.0; 8]);
         ps.push(1, &grads).unwrap();
         ps.push(0, &HashMap::new()).unwrap();
         assert_ne!(ps.materialize().unwrap().as_slice(), before.as_slice());
-        // A rehome with a push staged beyond the cut is refused.
-        ps.push(1, &grads).unwrap();
-        assert!(ps.rehome(&residency).is_err());
     }
 
     #[test]
@@ -1098,7 +1080,7 @@ mod tests {
         let err = ps.drain_into(0, &mut replica).unwrap_err();
         assert_eq!(err, RuntimeError::DrainBeforeCut { worker: 0, cut: 1, behind: 1 });
         assert_eq!(replica.as_slice(), f.as_slice());
-        assert!(ps.shards.iter().any(|s| !s.lock().unwrap().inbox.is_empty()), "still staged");
+        assert!(!ps.inbox.lock().unwrap().is_empty(), "still staged");
         assert!(pending(&ps, 0).is_empty() && pending(&ps, 1).is_empty());
         // Worker 1 may drain cut 0 meanwhile; it sees none of step 0.
         let mut replica1 = f.clone();
@@ -1183,12 +1165,12 @@ mod tests {
         let (ps, f, _) = setup(2);
         ps.push(0, &[(0, vec![1.0; 8])].into()).unwrap();
         ps.push(1, &[(f.len() as u32 - 1, vec![-1.0; 8])].into()).unwrap();
-        let staged = || ps.shards.iter().map(|s| s.lock().unwrap().inbox.len()).sum::<usize>();
+        let staged = || ps.inbox.lock().unwrap().len();
         let (rows, mut pin) = (ps.rows.lock().unwrap(), FeatureMatrix::default());
         std::thread::scope(|s| {
             let drainer = s.spawn(|| ps.drain_into(0, &mut pin));
-            // The drainer takes no inbox before it holds the rows lock, so a
-            // reader that finds the inboxes empty finds their rows applied.
+            // The drainer takes no message before it holds the rows lock, so
+            // a reader that finds the inbox empty finds its rows applied.
             std::thread::sleep(std::time::Duration::from_millis(50));
             assert_eq!(staged(), 2);
             drop(rows);
@@ -1197,43 +1179,5 @@ mod tests {
         assert_eq!(staged(), 0);
         assert_ne!(pin.as_slice(), f.as_slice());
         assert_eq!(ps.materialize().unwrap().as_slice(), pin.as_slice());
-    }
-
-    #[test]
-    fn export_has_accumulators_where_per_shard_tables_would() {
-        let (_, f, p) = setup(2);
-        let disabled = Registry::disabled();
-        let elastic =
-            || SparseParamServer::new_elastic(&p, &f, 0.1, CostModel::default(), &disabled, 3);
-        let flags = |ps: &SparseParamServer| -> Vec<bool> {
-            ps.export().unwrap().iter().map(|s| s.accum.is_some()).collect()
-        };
-        let mut home: Vec<u32> = (0..f.len() as u32).map(|v| p.owner_of(VertexId(v)).0).collect();
-        let owned = |w: u32| (0..f.len() as u32).filter(|&v| home[v as usize] == w).collect();
-        let (zero, one): (Vec<u32>, Vec<u32>) = (owned(0), owned(1));
-        let ps = elastic();
-        ps.push(0, &[(zero[0], vec![0.5; 8])].into()).unwrap();
-        ps.push(1, &HashMap::new()).unwrap();
-        // A shard has them from its first applied row. Rows bring them to
-        // the empty slot only from a shard that has them; a shard emptied
-        // of its rows has none.
-        let mut expect = |moves: &[u32], to: u32, after: [bool; 3]| {
-            moves.iter().for_each(|&v| home[v as usize] = to);
-            ps.rehome(&home).unwrap();
-            assert_eq!(flags(&ps), after, "{moves:?} to slot {to}");
-        };
-        expect(&one[..1], 2, [true, false, false]);
-        expect(&zero[..1], 2, [true, false, true]);
-        expect(&zero, 2, [false, false, true]);
-        // A checkpoint's `Some` is kept, even on an empty shard, which then
-        // brings none to rows it receives from a shard without them.
-        let mut state = ps.export().unwrap();
-        state[0].accum = Some(Vec::new());
-        let fresh = elastic();
-        fresh.load(&state).unwrap();
-        assert_eq!(fresh.export().unwrap(), state);
-        home[one[1] as usize] = 0;
-        fresh.rehome(&home).unwrap();
-        assert_eq!(flags(&fresh), [false, false, true]);
     }
 }

@@ -17,7 +17,9 @@
 //! every worker adopts the outcome. The drain schedule is a function of the
 //! step: with staleness `s`, every worker, restored ones included, drains
 //! at step `t` iff `t > 0 && t % (s + 1) == 0`, and computes at age
-//! `t % (s + 1)`.
+//! `t % (s + 1)`. A checkpoint records the server as it stands, staged
+//! pushes included, and applies nothing, so a run's bits do not depend on
+//! how often it checkpoints.
 //!
 //! More than one worker run on threads and meet at the [`Coordinator`]; one,
 //! or any number through [`DistTrainer::train_in_series`], run on the
@@ -266,7 +268,9 @@ impl<'a> DistTrainer<'a> {
     /// agree on to be loadable (graph shape, partition count, batch shape,
     /// seeds, model dims) — but *not* epoch count or the checkpoint/fault
     /// plumbing, so a run can be extended or re-run with different fault
-    /// plans.
+    /// plans. The checkpoint cadence stays out because a checkpoint is an
+    /// observation: it applies nothing, so the model is the same however
+    /// often one is written.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         let mut push = |v: u64| {
@@ -421,7 +425,7 @@ impl<'a> DistTrainer<'a> {
         // fresh-per-attempt counters the PS had before telemetry).
         ps.reset_stats();
         if let Some(ck) = &resume {
-            ps.load(&ck.shards)?;
+            ps.load(&ck.ps, ck.global_step)?;
         }
         let start = resume.as_ref().map_or(0, |ck| ck.global_step);
         let cx = Attempt {
@@ -518,7 +522,7 @@ impl<'a> Attempt<'a> {
                     let waiting = Stopwatch::start();
                     let out = self.co.rendezvous(me, deposit, |deps| self.lead(cut, deps))?;
                     w.report.wait_ns += waiting.elapsed_ns();
-                    w.adopt(self, cut, out.as_deref())?;
+                    w.adopt(out.as_deref())?;
                 }
             }
             Ok(w)
@@ -559,7 +563,7 @@ impl<'a> Attempt<'a> {
             if let Some(cut) = self.cut(t + 1) {
                 let out = self.lead(cut, workers.iter_mut().map(|w| w.deposit(cut)).collect())?;
                 for w in &mut workers {
-                    w.adopt(self, cut, out.as_deref())?;
+                    w.adopt(out.as_deref())?;
                 }
             }
         }
@@ -602,7 +606,7 @@ impl<'a> Attempt<'a> {
                 epoch_losses: losses.clone(),
                 avg_params: avg.clone(),
                 workers: deps.into_iter().map(|d| d.state).collect(),
-                shards: self.ps.export()?,
+                ps: self.ps.export()?,
             };
             write_checkpoint(&ckpt, dir, self.plane)?;
             // ordering: report-only tally read after the attempt loop.
@@ -632,8 +636,8 @@ impl<'a> Attempt<'a> {
 
 /// One trainer worker: everything it keeps from step to step. `rec` is its
 /// resumable state (the RNG and dense state are copied in at each cut);
-/// `replica` pins the PS rows as of its last drain or checkpoint cut, from
-/// then to the last compute of its drain window, and is empty after;
+/// `replica` pins the PS rows as of its last drain, from then to the last
+/// compute of its drain window, and is empty after;
 /// `report` and `hist` (`hist[a]`: steps computed at replica age `a`) count
 /// this attempt's steps. Its meters are its own handles: under a disabled
 /// registry each worker's are distinct, so no two threads share a counter.
@@ -652,7 +656,9 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    /// Worker `me` at the attempt's first step.
+    /// Worker `me` at the attempt's first step. It pins the rows as they
+    /// stand, the rows at its last drain (a restored server's are the
+    /// checkpoint's), unless that step is itself a drain.
     fn new(me: usize, cx: &Attempt<'a>) -> Result<Self, RuntimeError> {
         let (trainer, id) = (cx.trainer, WorkerId(me as u32));
         let mut encoder = trainer.spec.build();
@@ -665,13 +671,18 @@ impl<'a> Worker<'a> {
                 encoder.load_dense_param_vec(avg).map_err(RuntimeError::Checkpoint)?;
             }
         }
+        let first = cx.steps.start;
+        let replica = if drains(first, trainer.cfg.staleness) {
+            FeatureMatrix::default()
+        } else {
+            cx.ps.pin()?
+        };
         Ok(Worker {
             me,
             rng: StdRng::from_state(rec.rng),
             rec,
             encoder,
-            // The server is at the attempt's first cut until this pushes.
-            replica: cx.ps.materialize()?,
+            replica,
             pools: ShardEdgePools::of(trainer.cluster, id),
             view: ClusterView { cluster: trainer.cluster, from: id },
             sampler: MeteredNeighborhood::new(UniformNeighborhood, &trainer.registry, "uniform"),
@@ -718,7 +729,7 @@ impl<'a> Worker<'a> {
         planned: Option<PlannedBatch>,
     ) -> Result<Option<BatchOutcome>, RuntimeError> {
         let age = t % (cx.trainer.cfg.staleness + 1);
-        if t > 0 && age == 0 {
+        if drains(t, cx.trainer.cfg.staleness) {
             let waiting = Stopwatch::start();
             cx.co.await_cut(t)?;
             self.report.wait_ns += waiting.elapsed_ns();
@@ -764,19 +775,20 @@ impl<'a> Worker<'a> {
         Deposit { state: self.rec.clone(), params }
     }
 
-    /// Takes the averaged parameters (the epoch's loss sums restart) and, at
-    /// a checkpoint cut, pins the server, at the cut until this worker pushes:
-    /// what a restore rebuilds, so resumes are bit-exact at any staleness.
-    fn adopt(&mut self, cx: &Attempt, cut: Cut, avg: Option<&[f32]>) -> Result<(), RuntimeError> {
+    /// Takes the averaged parameters at an epoch end; the epoch's loss sums
+    /// restart.
+    fn adopt(&mut self, avg: Option<&[f32]>) -> Result<(), RuntimeError> {
         if let Some(avg) = avg {
             self.encoder.load_dense_param_vec(avg).map_err(RuntimeError::Unrecoverable)?;
             (self.rec.loss_sum, self.rec.pairs) = (0.0, 0);
         }
-        if cut.checkpoint.is_some() {
-            self.replica = cx.ps.materialize()?;
-        }
         Ok(())
     }
+}
+
+/// Whether a worker drains before step `t` at staleness `s`.
+fn drains(t: u64, s: u64) -> bool {
+    t > 0 && t.is_multiple_of(s + 1)
 }
 
 /// Synchronous allreduce: the elementwise mean of every worker's dense
@@ -820,24 +832,37 @@ mod tests {
         let spec =
             EncoderSpec { dim_in: 8, dims: vec![8, 8], fanouts: vec![3, 2], lr: 0.05, seed: 7 };
         let dir = std::env::temp_dir().join(format!("algr-rt-pins-{}", std::process::id()));
-        let cfg = RuntimeConfig {
-            workers: 2,
-            batches_per_epoch: 6,
-            sparse_lr: 0.05,
-            checkpoint: Some(CheckpointConfig { dir: dir.clone(), every_steps: 4 }),
-            ..RuntimeConfig::default()
-        };
-        for serial in [false, true] {
-            let registry = Arc::new(Registry::new());
-            let trainer = DistTrainer::new(&cluster, &features, spec.clone(), cfg.clone()).unwrap();
-            let trainer = trainer.with_registry(Arc::clone(&registry));
-            let outcome = if serial { trainer.train_in_series() } else { trainer.train() };
-            assert_eq!(outcome.unwrap().report.checkpoints_written, 6);
-            // The server starts as a pin of `features`, so its first apply
-            // copies; no later one does, as each worker drops its pin before
-            // its push and a checkpoint cut's re-pin holds that cut's rows.
-            let copies = registry.snapshot().counter("runtime.ps.shared_applies", &[]);
-            assert_eq!(copies, 1, "serial: {serial}");
+        // A kill at step 5 restores from the cut at step 4: a drain step at
+        // staleness 1, mid-window at staleness 2.
+        for (staleness, killed) in [(0, false), (1, true), (2, true)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut chaos = FaultConfig::default();
+            chaos.plan.crash_schedule.push(aligraph_chaos::CrashPoint { worker: 1, at_step: 5 });
+            let cfg = RuntimeConfig {
+                workers: 2,
+                batches_per_epoch: 6,
+                staleness,
+                sparse_lr: 0.05,
+                checkpoint: Some(CheckpointConfig { dir: dir.clone(), every_steps: 4 }),
+                chaos: killed.then_some(chaos),
+                ..RuntimeConfig::default()
+            };
+            for serial in [false, true] {
+                let _ = std::fs::remove_dir_all(&dir);
+                let registry = Arc::new(Registry::new());
+                let trainer = DistTrainer::new(&cluster, &features, spec.clone(), cfg.clone());
+                let trainer = trainer.unwrap().with_registry(Arc::clone(&registry));
+                let outcome = if serial { trainer.train_in_series() } else { trainer.train() };
+                let report = outcome.unwrap().report;
+                assert_eq!(report.checkpoints_written, 6);
+                assert_eq!(report.recoveries, u64::from(killed));
+                // The server starts as a pin of `features`, so its first
+                // apply copies; no later one does, as each worker drops its
+                // pin before its push, and a restored worker pins the loaded
+                // rows only when its first step is no drain.
+                let copies = registry.snapshot().counter("runtime.ps.shared_applies", &[]);
+                assert_eq!(copies, 1, "staleness {staleness}, serial: {serial}");
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,7 +5,9 @@
 
 use aligraph_chaos::FaultConfig;
 use aligraph_loopsim::{run_loop, LoopConfig};
+use aligraph_suite::runtime::{latest_valid_checkpoint, Checkpoint};
 use aligraph_telemetry::Registry;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -98,4 +100,49 @@ fn swap_and_freshness_accounting_hold() {
         assert!(age >= 1, "freshness below the publish barrier: {age}");
         assert!(age <= out.ticks, "freshness beyond the run span: {age}");
     }
+}
+
+/// The delta epoch re-pulls touched rows from a checkpoint that holds the
+/// pushes staged for its next drain (six steps an epoch at staleness 1 stage
+/// the last two at the epoch-end cut). A patched row keeps no staged
+/// gradient, so the drain leaves its new features as they are; every other
+/// row keeps its own, bit for bit.
+#[test]
+fn a_patched_row_keeps_no_staged_gradient() {
+    let mut cfg = cfg("patch");
+    cfg.cycles = 1;
+    run_loop(&cfg, &Arc::new(Registry::new())).expect("clean loop");
+    let (_, ckpt) = latest_valid_checkpoint(&cfg.checkpoint_dir).unwrap().expect("a cut");
+    let dim = cfg.dim;
+    let staged: BTreeSet<u32> = ckpt.ps.staged.iter().flat_map(|m| m.rows.clone()).collect();
+    assert!(staged.len() >= 2, "the cut stages pushes: {staged:?}");
+    let patch: Vec<u32> = staged.iter().copied().step_by(2).collect();
+    let fresh = vec![0.5f32; dim];
+    let mut patched = ckpt.clone();
+    let rows = patch.iter().map(|&v| (v, fresh.as_slice()));
+    assert_eq!(patched.patch_feature_rows(dim, rows), patch.len());
+    // Each staged gradient of a row, as (step, sender, row, bits).
+    let grads = |ckpt: &Checkpoint, keep: &dyn Fn(u32) -> bool| -> Vec<(u64, u32, u32, Vec<u32>)> {
+        let mut out = Vec::new();
+        for m in &ckpt.ps.staged {
+            for (&v, g) in m.rows.iter().zip(m.grads.chunks_exact(dim)) {
+                if keep(v) {
+                    out.push((m.step, m.sender, v, g.iter().map(|x| x.to_bits()).collect()));
+                }
+            }
+        }
+        out
+    };
+    let left = grads(&patched, &|v| patch.contains(&v)).len();
+    assert_eq!(left, 0, "staged gradients of patched rows");
+    let others = |v| !patch.contains(&v);
+    assert!(grads(&patched, &others) == grads(&ckpt, &others), "other rows' gradients moved");
+    assert!(!grads(&patched, &others).is_empty());
+    assert!(patched.ps.staged.iter().all(|m| !m.rows.is_empty()), "no empty push is kept");
+    for &v in &patch {
+        let row = v as usize * dim..(v as usize + 1) * dim;
+        assert_eq!(patched.ps.weights[row.clone()], fresh[..]);
+        assert!(patched.ps.accum[row].iter().all(|&a| a == 0.0));
+    }
+    let _ = std::fs::remove_dir_all(&cfg.checkpoint_dir);
 }

@@ -328,10 +328,13 @@ proptest! {
 // --- Cold-tier codec and segment invariants (ISSUE 10) -----------------
 
 use aligraph_suite::graph::{AttrId, EdgeId, Neighbor};
-use aligraph_suite::runtime::{Checkpoint, PsShardState, WorkerCkpt};
+use aligraph_suite::runtime::{
+    Checkpoint, PsState, RuntimeError, SparseParamServer, StagedPush, WorkerCkpt,
+};
 use aligraph_suite::storage::codec::{
     decode_adjacency, decode_feature_row, encode_adjacency, encode_feature_row,
 };
+use aligraph_suite::storage::CostModel;
 use aligraph_suite::storage::{seal, Segment, SegmentKind};
 
 /// Builds an adjacency row in one of the shapes the cold tier must survive:
@@ -453,6 +456,10 @@ proptest! {
     fn sealed_readers_reject_damage_without_panicking(
         rows in prop::collection::vec((0u32..10_000, prop::collection::vec(0u8..255, 0..40)), 0..16),
         floats in prop::collection::vec(0u32..u32::MAX, 0..48),
+        staged in prop::collection::vec(
+            (0u64..u64::MAX, 0u32..u32::MAX, prop::collection::vec(0u32..u32::MAX, 0..8)),
+            0..6,
+        ),
         step in 0u64..u64::MAX,
         cut in 0usize..100_000,
         flip in (0usize..100_000, 0u8..8),
@@ -467,7 +474,22 @@ proptest! {
             epoch_losses: floats.iter().map(|b| f64::from(*b)).collect(),
             avg_params: (step % 2 == 0).then(|| weights.clone()),
             workers: vec![WorkerCkpt { pairs: 1, dense_state: weights.clone(), ..Default::default() }],
-            shards: vec![PsShardState { ids: floats.clone(), weights: weights.clone(), accum: Some(weights) }],
+            ps: PsState {
+                owners: floats.clone(),
+                weights: weights.clone(),
+                accum: weights.clone(),
+                // Any staged push, valid or not: the reader checks the
+                // seal, and `load` the contents.
+                staged: staged
+                    .iter()
+                    .map(|(step, sender, rows)| StagedPush {
+                        step: *step,
+                        sender: *sender,
+                        rows: rows.clone(),
+                        grads: rows.iter().map(|b| f32::from_bits(*b)).collect(),
+                    })
+                    .collect(),
+            },
         };
         let seg_bytes = segment.to_bytes();
         let ckpt_bytes = checkpoint.to_bytes();
@@ -556,5 +578,73 @@ proptest! {
             .filter(|k| untouched_in_insertion_order.contains(k))
             .collect();
         prop_assert_eq!(untouched_evictions, untouched_in_insertion_order);
+    }
+}
+
+/// A server over 40 vertices of 4 features on 2 shards, and its pushes'
+/// state at cut 2: each worker pushes its rows of `pushes[step * 2 +
+/// worker]` (taken modulo the vertex count), a gradient of `step + 1` on
+/// each, in steps 0 and 1.
+fn staged_server(pushes: &[Vec<u32>]) -> Result<(SparseParamServer, PsState), RuntimeError> {
+    let mut b = GraphBuilder::directed();
+    b.add_vertices(VertexType(0), 40);
+    let g = b.build();
+    let features = Featurizer::new(4).matrix(&g);
+    let partition = EdgeCutHash.partition(&g, 2);
+    let ps = SparseParamServer::new(&partition, &features, 0.1, CostModel::default());
+    for (i, rows) in pushes.iter().enumerate() {
+        let grad = vec![(i / 2 + 1) as f32; 4];
+        let grads = rows.iter().map(|&v| (v % 40, grad.clone())).collect();
+        ps.push(i % 2, &grads)?;
+    }
+    let state = ps.export()?;
+    Ok((ps, state))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `load` takes a checkpoint's server state as outside input. One
+    /// defect — an owner beyond the slots, an owner table or weight array
+    /// of the wrong length, or a staged push with a sender beyond the
+    /// workers, a step at or past the cut, rows out of order or beyond the
+    /// server, gradients not one row per row, or pushes out of `(step,
+    /// sender)` order — is refused with `RuntimeError::Checkpoint`, and the
+    /// server is left as it was. The intact state loads.
+    #[test]
+    fn ps_load_refuses_each_malformed_state_and_changes_nothing(
+        pushes in prop::collection::vec(prop::collection::vec(0u32..1000, 1..6), 4..5),
+        defect in 0u8..9,
+        at in 0usize..1000,
+    ) {
+        let (ps, state) = staged_server(&pushes).unwrap();
+        prop_assert!(state.staged.len() >= 4, "every push stages a message");
+        let before = ps.export().unwrap();
+        let mut bad = state.clone();
+        let m = at % bad.staged.len();
+        let msg = &mut bad.staged[m];
+        match defect {
+            0 => bad.owners[at % 40] = 2,
+            1 => { bad.owners.pop(); }
+            2 => { bad.accum.push(0.0); }
+            3 => msg.sender = 2,
+            4 => msg.step = 2,
+            5 => {
+                let k = at % msg.rows.len();
+                msg.rows.insert(k + 1, msg.rows[k]);
+                let row = msg.grads[k * 4..(k + 1) * 4].to_vec();
+                msg.grads.splice((k + 1) * 4..(k + 1) * 4, row);
+            }
+            6 => {
+                *msg.rows.last_mut().unwrap() = 40;
+            }
+            7 => { msg.grads.pop(); }
+            _ => bad.staged.reverse(),
+        }
+        let refused = ps.load(&bad, 2);
+        prop_assert!(matches!(refused, Err(RuntimeError::Checkpoint(_))), "defect {}: {:?}", defect, refused);
+        prop_assert_eq!(ps.export().unwrap(), before);
+        prop_assert!(ps.load(&state, 2).is_ok());
+        prop_assert_eq!(ps.export().unwrap(), state);
     }
 }

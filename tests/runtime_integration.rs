@@ -293,28 +293,30 @@ fn four_workers_consume_four_shards_with_stale_remote_reads() {
 /// Staleness 2, a mid-epoch checkpoint every 3 steps and a kill at step 7:
 /// the dense step runs after the push, and it must still land in the
 /// encoder before the checkpoint deposit. The killed run equals the
-/// uninterrupted one, and both equal the pinned bits. A checkpoint is a
-/// function of the seed and the cut, so both runs also write the same
-/// files, byte for byte, at every cut — before the kill and after the
-/// restore alike.
+/// uninterrupted one, and both equal the pinned bits, those of the shape
+/// run without checkpoints. A checkpoint is a function of the seed and the
+/// cut, so both runs also write the same files, byte for byte, at every
+/// cut — before the kill and after the restore alike.
 #[test]
 fn stale_mid_epoch_kill_lands_on_the_parent_fingerprint() {
-    /// `DistOutcome::fingerprint` of both runs, with every push applied at
-    /// the cut after its step.
-    const PARENT: u64 = 0x134e_4182_4f63_2483;
+    /// `DistOutcome::fingerprint` of all three runs, with every push
+    /// applied at the first drain after its step.
+    const PARENT: u64 = 0x454c_6835_4783_280c;
     let (cluster, features) = setup(2);
-    let run = |name: &str, chaos| {
+    let run = |name: &str, checkpoint: bool, chaos| {
         let dir = tmp_dir(name);
         let mut cfg = base_cfg(2);
         cfg.staleness = 2;
-        cfg.checkpoint = Some(CheckpointConfig { dir: dir.clone(), every_steps: 3 });
+        cfg.checkpoint = checkpoint.then(|| CheckpointConfig { dir: dir.clone(), every_steps: 3 });
         cfg.chaos = chaos;
         let out = DistTrainer::new(&cluster, &features, spec(), cfg).unwrap().train().unwrap();
         (out, dir)
     };
-    let (clean, clean_dir) = run("stale-clean", None);
-    let (killed, killed_dir) = run("stale-kill", kill(1, 7));
+    let (plain, _) = run("stale-plain", false, None);
+    let (clean, clean_dir) = run("stale-clean", true, None);
+    let (killed, killed_dir) = run("stale-kill", true, kill(1, 7));
     assert_eq!(killed.report.recoveries, 1);
+    assert_eq!(plain.fingerprint(), PARENT, "{:#018x}", plain.fingerprint());
     assert_eq!(clean.fingerprint(), PARENT, "{:#018x}", clean.fingerprint());
     assert_eq!(killed.fingerprint(), PARENT, "{:#018x}", killed.fingerprint());
 
@@ -337,14 +339,13 @@ fn stale_mid_epoch_kill_lands_on_the_parent_fingerprint() {
     std::fs::remove_dir_all(&killed_dir).unwrap();
 }
 
-/// PR 7 satellite — warm-start beyond the staleness-0 boundary. Earlier the
-/// restore seeded every replica with the materialized server state at the
-/// cut while `last_drain` pointed before it, so with `staleness > 0` and a
-/// live sparse learning rate a resumed run computed on fresher features
-/// than the uninterrupted one. Checkpoint cuts now refresh every worker's
-/// replica to the same materialized state a restore rebuilds; this sweep
-/// pins bit-exact resumes across staleness bounds and both cut kinds
-/// (mid-epoch and epoch boundary).
+/// Warm-start beyond the staleness-0 boundary. A checkpoint holds the
+/// server as it stands: the rows at the workers' last drain, which a
+/// restored worker pins as its replica, and the pushes staged since, which
+/// its next drain applies. So with `staleness > 0` and a live sparse
+/// learning rate a resumed run computes on the rows the uninterrupted one
+/// does; this sweep pins bit-exact resumes across staleness bounds and
+/// both cut kinds (mid-epoch and epoch boundary).
 #[test]
 fn warm_start_is_bit_exact_across_staleness_bounds() {
     for staleness in [0u64, 1, 2] {
@@ -494,21 +495,21 @@ struct RunBits {
 /// Each checkpoint file's name and bytes, in name order.
 type Files = Vec<(std::ffi::OsString, Vec<u8>)>;
 
-/// Runs `cfg` on a fresh cluster (tiered or not) on threads or in series,
-/// checkpointing every `every` steps into a fresh directory when asked.
-fn run_bits(
+/// Runs `cfg` on `cluster` on threads or in series, checkpointing every
+/// `every` steps into a fresh directory when asked, and returns the run
+/// with the files it wrote.
+fn run_files(
+    cluster: &Cluster,
+    features: &FeatureMatrix,
     name: &str,
-    tiered: bool,
     cfg: &RuntimeConfig,
     every: Option<u64>,
     serial: bool,
-) -> (RunBits, Files) {
-    let (cluster, features) =
-        if tiered { tiered_setup(&Registry::new()) } else { setup(cfg.workers) };
+) -> (DistOutcome, Files) {
     let dir = tmp_dir(&format!("{name}-{}", if serial { "series" } else { "threads" }));
     let mut cfg = cfg.clone();
     cfg.checkpoint = every.map(|every_steps| CheckpointConfig { dir: dir.clone(), every_steps });
-    let trainer = DistTrainer::new(&cluster, &features, spec(), cfg).expect("valid config");
+    let trainer = DistTrainer::new(cluster, features, spec(), cfg).expect("valid config");
     let out = if serial { trainer.train_in_series() } else { trainer.train() }.expect("run ends");
     let mut files: Files = match std::fs::read_dir(&dir) {
         Ok(entries) => entries
@@ -524,6 +525,21 @@ fn run_bits(
     };
     files.sort();
     let _ = std::fs::remove_dir_all(&dir);
+    (out, files)
+}
+
+/// Runs `cfg` on a fresh cluster (tiered or not) on threads or in series,
+/// checkpointing every `every` steps into a fresh directory when asked.
+fn run_bits(
+    name: &str,
+    tiered: bool,
+    cfg: &RuntimeConfig,
+    every: Option<u64>,
+    serial: bool,
+) -> (RunBits, Files) {
+    let (cluster, features) =
+        if tiered { tiered_setup(&Registry::new()) } else { setup(cfg.workers) };
+    let (out, files) = run_files(&cluster, &features, name, cfg, every, serial);
     let run = RunBits {
         fingerprint: out.fingerprint(),
         epoch_losses: bits(&out.report.epoch_losses),
@@ -566,7 +582,51 @@ fn series_and_threads_agree_bit_for_bit() {
         assert_eq!(threads_files.is_empty(), every.is_none(), "{name}");
         if name == "stale-kill" {
             // The parent fingerprint of `stale_mid_epoch_kill_lands_on_the_parent_fingerprint`.
-            assert_eq!(series.fingerprint, 0x134e_4182_4f63_2483, "{:#018x}", series.fingerprint);
+            assert_eq!(series.fingerprint, 0x454c_6835_4783_280c, "{:#018x}", series.fingerprint);
+        }
+    }
+}
+
+/// A checkpoint is an observation. At staleness 0–3, for every cadence —
+/// none, epoch ends only, every 1, 2, 3 and 5 steps — on threads and in
+/// series, a run trains the model its shape trains without checkpoints.
+/// Seven steps an epoch put the epoch-end cut mid drain window at every
+/// staleness above 0. A kill at every cut restores from that cut to the
+/// same model, and the killed run writes the clean run's files byte for
+/// byte.
+#[test]
+fn a_checkpoint_cadence_never_moves_the_model() {
+    let (cluster, features) = setup(2);
+    for staleness in 0u64..=3 {
+        let cfg = RuntimeConfig {
+            staleness,
+            epochs: 2,
+            batches_per_epoch: 7,
+            batch_size: 8,
+            ..base_cfg(2)
+        };
+        let name = format!("cadence-{staleness}");
+        let plain = run_files(&cluster, &features, &name, &cfg, None, false).0.fingerprint();
+        for every in [None, Some(0), Some(1), Some(2), Some(3), Some(5)] {
+            let shape = format!("staleness {staleness}, every {every:?}");
+            let (clean, files) = run_files(&cluster, &features, &name, &cfg, every, false);
+            let series = run_files(&cluster, &features, &name, &cfg, every, true);
+            assert_eq!(clean.fingerprint(), plain, "{shape}: {:#018x}", clean.fingerprint());
+            assert_eq!(series.0.fingerprint(), plain, "{shape}, in series");
+            assert!(series.1 == files, "{shape}: the series run wrote other files");
+            let cuts = files.iter().map(|(name, _)| {
+                let name = name.to_str().expect("an ASCII name");
+                name["ckpt-".len()..name.len() - ".bin".len()].parse::<u64>().expect("a step")
+            });
+            for (i, cut) in cuts.filter(|&cut| cut < 14).enumerate() {
+                let mut killed = cfg.clone();
+                killed.chaos = kill(i as u32 % 2, cut);
+                let (out, killed_files) =
+                    run_files(&cluster, &features, &name, &killed, every, false);
+                assert_eq!(out.report.recoveries, 1, "{shape}, killed at {cut}");
+                assert_eq!(out.fingerprint(), plain, "{shape}, killed at {cut}");
+                assert!(killed_files == files, "{shape}, killed at {cut}: other files");
+            }
         }
     }
 }
