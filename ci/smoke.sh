@@ -45,6 +45,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 out="${RUNNER_TEMP:-$(mktemp -d)}"
 
+# The benchmark harness in perf/ is a package of its own, frozen between
+# benchmark changes, that calls the library: build it first, so a library
+# API change that breaks it fails here rather than at the next benchmark
+# run. A build only: it runs no workload and checks no number.
+cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
+
 # name | command | args | expected series prefixes | baseline [compare flags]
 table="
 train-bench          | train-bench        | --workers 2 --epochs 2 --scale 0.005 --batches 4 --batch 8 --dim 8 --checkpoint-dir $out/train-bench-ckpts | storage. sampling. runtime.ps. | BENCH_train.json --tolerance 0

@@ -101,14 +101,17 @@ pub fn leave_one_out(
     use aligraph_graph::ids::well_known::{ITEM, USER};
     use rand::prelude::*;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut held: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
+    let mut held: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
     let mut truth = Vec::new();
     for &u in graph.vertices_of_type(USER) {
-        let items: Vec<_> =
-            graph.out_neighbors(u).iter().filter(|n| graph.vertex_type(n.vertex) == ITEM).collect();
+        let items: Vec<_> = graph
+            .out_edge_ids(u)
+            .zip(graph.out_neighbors(u))
+            .filter(|(_, n)| graph.vertex_type(n.vertex) == ITEM)
+            .collect();
         if items.len() >= 2 {
-            let pick = items[rng.gen_range(0..items.len())];
-            held.insert(u.0, pick.edge.0);
+            let (e, pick) = items[rng.gen_range(0..items.len())];
+            held.insert(u.0, e);
             truth.push((u, pick.vertex));
         }
     }
@@ -118,8 +121,8 @@ pub fn leave_one_out(
         b.add_vertex(graph.vertex_type(v), graph.vertex_attrs(v).clone());
     }
     for v in graph.vertices() {
-        for nb in graph.out_neighbors(v) {
-            if held.get(&v.0) == Some(&nb.edge.0) {
+        for (e, nb) in graph.out_edge_ids(v).zip(graph.out_neighbors(v)) {
+            if held.get(&v.0) == Some(&e) {
                 continue;
             }
             b.add_edge(v, nb.vertex, nb.etype, nb.weight).expect("valid edges");

@@ -72,8 +72,8 @@ pub fn link_prediction_split(
     }
     let mut test_pos = Vec::with_capacity(held.len());
     for v in graph.vertices() {
-        for nbr in graph.out_neighbors(v) {
-            if held.contains(&nbr.edge.index()) {
+        for (e, nbr) in graph.out_edge_ids(v).zip(graph.out_neighbors(v)) {
+            if held.contains(&e) {
                 test_pos.push(HeldOutEdge { src: v, dst: nbr.vertex, etype: nbr.etype });
             } else {
                 #[expect(

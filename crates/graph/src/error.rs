@@ -23,6 +23,14 @@ pub enum GraphError {
     UnknownEdgeType(EdgeType),
     /// A generator was configured inconsistently.
     InvalidConfig(String),
+    /// An edge would take the builder past `u32::MAX` edge records, the
+    /// most an [`EdgeId`] can name.
+    ///
+    /// [`EdgeId`]: crate::ids::EdgeId
+    TooManyEdgeRecords {
+        /// The record count the edge would have made.
+        records: u64,
+    },
     /// A dynamic graph operation referenced a missing snapshot.
     SnapshotOutOfRange {
         /// Requested timestamp.
@@ -44,6 +52,9 @@ impl std::fmt::Display for GraphError {
             GraphError::UnknownVertexType(t) => write!(f, "unknown vertex type {}", t.0),
             GraphError::UnknownEdgeType(t) => write!(f, "unknown edge type {}", t.0),
             GraphError::InvalidConfig(msg) => write!(f, "invalid generator config: {msg}"),
+            GraphError::TooManyEdgeRecords { records } => {
+                write!(f, "{records} edge records exceed the u32 edge-id space")
+            }
             GraphError::SnapshotOutOfRange { t, len } => {
                 write!(f, "snapshot {t} out of range (dynamic graph has {len} snapshots)")
             }
@@ -65,5 +76,7 @@ mod tests {
         assert!(e.to_string().contains("-1"));
         let e = GraphError::InvalidConfig("users must be > 0".into());
         assert!(e.to_string().contains("users"));
+        let e = GraphError::TooManyEdgeRecords { records: 1 << 32 };
+        assert!(e.to_string().contains("4294967296"));
     }
 }

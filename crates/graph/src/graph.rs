@@ -15,21 +15,26 @@ use crate::error::GraphError;
 use crate::ids::{EdgeId, EdgeType, VertexId, VertexType};
 use crate::Result;
 
-/// One adjacency record: the far endpoint of an edge plus the edge's type,
-/// weight and interned attribute id.
+/// One adjacency record: the far endpoint of an edge plus the edge's
+/// weight, interned attribute id and type — 16 bytes. It carries no edge
+/// id: an out-record's id is its position
+/// ([`AttributedHeterogeneousGraph::out_edge_ids`]), and no reader asks an
+/// in-record for one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
     /// The far endpoint (destination for out-records, source for in-records).
     pub vertex: VertexId,
-    /// Edge type.
-    pub etype: EdgeType,
     /// Edge weight `W(u, v) > 0`.
     pub weight: f32,
     /// Interned edge attribute record in `I_E`.
     pub attr: AttrId,
-    /// Stable id of the underlying edge (shared by the out- and in-record).
-    pub edge: EdgeId,
+    /// Edge type.
+    pub etype: EdgeType,
 }
+
+// An adjacency record is a vertex, a weight, an attribute id and a type
+// byte; an edge id names at most `u32::MAX` records.
+const _: () = assert!(size_of::<Neighbor>() == 16 && size_of::<EdgeId>() == 4);
 
 /// A full edge record as returned by [`AttributedHeterogeneousGraph::edge`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +69,7 @@ pub struct AttributedHeterogeneousGraph {
     // In-adjacency CSR, records sorted by (dst, etype, src).
     in_offsets: Vec<usize>,
     in_nbrs: Vec<Neighbor>,
-    // Edge lookup: EdgeId -> position in `out_nbrs`, plus the source vertex.
+    // Edge lookup: an EdgeId is a position in `out_nbrs`; this is its source.
     edge_src: Vec<VertexId>,
     // Attribute interning indices.
     vertex_attr_index: AttrIndex,
@@ -169,8 +174,16 @@ impl AttributedHeterogeneousGraph {
     /// Out-neighbor records of `v` (all edge types), sorted by edge type.
     #[inline]
     pub fn out_neighbors(&self, v: VertexId) -> AdjacencySlice<'_> {
+        &self.out_nbrs[self.out_edge_ids(v)]
+    }
+
+    /// The ids of `v`'s out-records as indices ([`EdgeId::index`]), in
+    /// [`out_neighbors`](Self::out_neighbors) order: an edge's id is the
+    /// position of its out-record.
+    #[inline]
+    pub fn out_edge_ids(&self, v: VertexId) -> std::ops::Range<usize> {
         let i = v.index();
-        &self.out_nbrs[self.out_offsets[i]..self.out_offsets[i + 1]]
+        self.out_offsets[i]..self.out_offsets[i + 1]
     }
 
     /// In-neighbor records of `v` (all edge types), sorted by edge type.
@@ -217,11 +230,19 @@ impl AttributedHeterogeneousGraph {
         }
     }
 
-    /// Approximate bytes held by adjacency structure (the `O(n·N_D)` term).
+    /// Bytes allocated for the adjacency structure (the `O(n·N_D)` term),
+    /// by capacity: both record arrays, both offset arrays, `edge_src` and
+    /// the per-type edge rosters.
     pub fn adjacency_bytes(&self) -> usize {
-        (self.out_nbrs.len() + self.in_nbrs.len()) * std::mem::size_of::<Neighbor>()
-            + (self.out_offsets.len() + self.in_offsets.len()) * std::mem::size_of::<usize>()
-            + self.edge_src.len() * std::mem::size_of::<VertexId>()
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        bytes(&self.out_nbrs)
+            + bytes(&self.in_nbrs)
+            + bytes(&self.out_offsets)
+            + bytes(&self.in_offsets)
+            + bytes(&self.edge_src)
+            + self.edges_by_type.iter().map(bytes).sum::<usize>()
     }
 
     /// Approximate bytes held by attribute payloads (the `N_A·N_L` term).
@@ -264,16 +285,19 @@ pub struct GraphBuilder {
     vtypes: Vec<VertexType>,
     vattrs: Vec<AttrId>,
     edges: Vec<PendingEdge>,
+    /// Directed records the edges will make: two for an undirected edge
+    /// that is not a self-loop.
+    records: u64,
     vertex_attr_index: AttrIndex,
     edge_attr_index: AttrIndex,
     max_vertex_type: u8,
     max_edge_type: u8,
 }
 
-/// One directed edge record. It has [`Neighbor`]'s size and alignment, so
-/// `build` turns the sorted records into `out_nbrs` in their own allocation.
+/// One directed edge record: 20 bytes with [`Neighbor`]'s alignment, so
+/// `build` collects the sorted records into the 16-byte `out_nbrs` in their
+/// own allocation.
 #[derive(Debug, Clone, Copy)]
-#[repr(align(8))]
 struct PendingEdge {
     src: VertexId,
     dst: VertexId,
@@ -294,14 +318,27 @@ struct InKey {
 }
 
 // `Vec::into_iter().map(..).collect()` reuses the source allocation only
-// when the two element types agree in size and alignment; otherwise each
-// conversion in `build` silently becomes a second record-sized array.
+// when the two element types agree in alignment and the target is no
+// larger; otherwise each conversion in `build` silently becomes a second
+// record-sized array. `InKey` is exactly a `Neighbor`, so `in_nbrs` keeps
+// the keys' capacity.
 const _: () = assert!(
-    size_of::<PendingEdge>() == size_of::<Neighbor>()
+    size_of::<PendingEdge>() == 20
         && align_of::<PendingEdge>() == align_of::<Neighbor>()
         && size_of::<InKey>() == size_of::<Neighbor>()
         && align_of::<InKey>() == align_of::<Neighbor>()
 );
+
+/// The record count after `added` more records join `pending`, or
+/// [`GraphError::TooManyEdgeRecords`] once it would pass `u32::MAX`: an
+/// [`EdgeId`] is a record's position.
+fn grown_records(pending: u64, added: u64) -> Result<u64> {
+    let records = pending + added;
+    if records > u64::from(u32::MAX) {
+        return Err(GraphError::TooManyEdgeRecords { records });
+    }
+    Ok(records)
+}
 
 impl GraphBuilder {
     /// Builder for a directed graph (edge `(u,v)` ≠ `(v,u)`).
@@ -321,6 +358,7 @@ impl GraphBuilder {
             vtypes: Vec::new(),
             vattrs: Vec::new(),
             edges: Vec::new(),
+            records: 0,
             vertex_attr_index: AttrIndex::new(),
             edge_attr_index: AttrIndex::new(),
             max_vertex_type: 0,
@@ -356,8 +394,9 @@ impl GraphBuilder {
         first
     }
 
-    /// Adds an edge with attributes. Both endpoints must already exist and
-    /// the weight must be strictly positive (`W: E -> R+`, paper §2).
+    /// Adds an edge with attributes. Both endpoints must already exist, the
+    /// weight must be strictly positive (`W: E -> R+`, paper §2), and the
+    /// graph's edge records must stay within `u32::MAX`.
     pub fn add_edge_with_attrs(
         &mut self,
         src: VertexId,
@@ -372,6 +411,8 @@ impl GraphBuilder {
         if weight.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(GraphError::NonPositiveWeight { weight });
         }
+        let added = if self.directed || src == dst { 1 } else { 2 };
+        self.records = grown_records(self.records, added)?;
         self.max_edge_type = self.max_edge_type.max(etype.0);
         let attr = self.edge_attr_index.intern(attrs);
         self.edges.push(PendingEdge { src, dst, etype, weight, attr });
@@ -404,8 +445,9 @@ impl GraphBuilder {
     ///
     /// Memory: the peak is the finished graph plus one record array. The
     /// in-adjacency keys are sorted in the allocation that becomes
-    /// `in_nbrs`, the sorted records become `out_nbrs` in place, and the
-    /// undirected mirror records are written into the edges' own buffer.
+    /// `in_nbrs`, the sorted 20-byte records become the 16-byte `out_nbrs`
+    /// in place (the freed tail is handed back), and the undirected mirror
+    /// records are written into the edges' own buffer.
     pub fn build(self) -> AttributedHeterogeneousGraph {
         let n = self.vtypes.len();
         let logical_edges = self.edges.len();
@@ -422,14 +464,15 @@ impl GraphBuilder {
         let mut edges_by_type: Vec<Vec<EdgeId>> =
             per_type.into_iter().map(Vec::with_capacity).collect();
         for (i, e) in records.iter().enumerate() {
-            edges_by_type[e.etype.index()].push(EdgeId(i as u64));
+            edges_by_type[e.etype.index()].push(EdgeId(i as u32));
         }
 
-        // In-CSR: the same records re-sorted by (dst, etype, src), keeping EdgeId.
+        // In-CSR: the same records re-sorted by (dst, etype, src); the id
+        // finds each key's weight and attribute.
         let mut in_keys: Vec<InKey> = records
             .iter()
             .enumerate()
-            .map(|(i, e)| InKey { dst: e.dst, etype: e.etype, src: e.src, edge: EdgeId(i as u64) })
+            .map(|(i, e)| InKey { dst: e.dst, etype: e.etype, src: e.src, edge: EdgeId(i as u32) })
             .collect();
         in_keys.sort_unstable_by_key(|k| (k.dst, k.etype, k.src));
         let in_offsets = offsets(n, in_keys.iter().map(|k| k.dst));
@@ -437,28 +480,17 @@ impl GraphBuilder {
             .into_iter()
             .map(|k| {
                 let e = &records[k.edge.index()];
-                Neighbor {
-                    vertex: k.src,
-                    etype: k.etype,
-                    weight: e.weight,
-                    attr: e.attr,
-                    edge: k.edge,
-                }
+                Neighbor { vertex: k.src, weight: e.weight, attr: e.attr, etype: k.etype }
             })
             .collect();
 
-        // Out-CSR, in the records' own allocation.
-        let out_nbrs: Vec<Neighbor> = records
+        // Out-CSR, in the records' own allocation: the collect leaves a
+        // fifth of it spare, which `shrink_to_fit` returns.
+        let mut out_nbrs: Vec<Neighbor> = records
             .into_iter()
-            .enumerate()
-            .map(|(i, e)| Neighbor {
-                vertex: e.dst,
-                etype: e.etype,
-                weight: e.weight,
-                attr: e.attr,
-                edge: EdgeId(i as u64),
-            })
+            .map(|e| Neighbor { vertex: e.dst, weight: e.weight, attr: e.attr, etype: e.etype })
             .collect();
+        out_nbrs.shrink_to_fit();
 
         // Per-type vertex rosters.
         let mut vertices_by_type: Vec<Vec<VertexId>> =
@@ -576,20 +608,55 @@ mod tests {
         assert!(g.edges_of_type(CART).is_empty());
     }
 
+    /// An edge as `(src, dst, etype, weight bits, attr)`.
+    type EdgeKey = (VertexId, VertexId, EdgeType, u32, u32);
+
     #[test]
     fn edge_lookup_consistent_both_directions() {
-        let g = toy();
-        for v in g.vertices() {
-            for nbr in g.out_neighbors(v) {
-                let rec = g.edge(nbr.edge);
-                assert_eq!(rec.src, v);
-                assert_eq!(rec.dst, nbr.vertex);
+        let graphs = [
+            toy(),
+            crate::generate::TaobaoConfig::tiny().builder().unwrap().build(),
+            crate::generate::amazon_builder(300, 2_000, 5).unwrap().build(),
+        ];
+        for g in graphs {
+            // Out-record ids tile `0..num_edge_records()` vertex by vertex,
+            // and an id names the record at its position.
+            let mut next = 0;
+            let mut out: Vec<EdgeKey> = Vec::new();
+            for v in g.vertices() {
+                let ids = g.out_edge_ids(v);
+                assert_eq!(ids.start, next);
+                assert_eq!(ids.len(), g.out_degree(v));
+                next = ids.end;
+                for e in ids.clone() {
+                    let n = g.out_neighbors(v)[e - ids.start];
+                    let rec = g.edge(EdgeId(e as u32));
+                    assert_eq!(
+                        rec,
+                        EdgeRecord {
+                            src: v,
+                            dst: n.vertex,
+                            etype: n.etype,
+                            weight: n.weight,
+                            attr: n.attr
+                        }
+                    );
+                    out.push((v, n.vertex, n.etype, n.weight.to_bits(), n.attr.0));
+                }
             }
-            for nbr in g.in_neighbors(v) {
-                let rec = g.edge(nbr.edge);
-                assert_eq!(rec.dst, v);
-                assert_eq!(rec.src, nbr.vertex);
-            }
+            assert_eq!(next, g.num_edge_records());
+            // Each in-record matches exactly one out-record.
+            let mut inn: Vec<EdgeKey> = g
+                .vertices()
+                .flat_map(|v| {
+                    g.in_neighbors(v)
+                        .iter()
+                        .map(move |n| (n.vertex, v, n.etype, n.weight.to_bits(), n.attr.0))
+                })
+                .collect();
+            out.sort_unstable();
+            inn.sort_unstable();
+            assert_eq!(out, inn);
         }
     }
 
@@ -648,10 +715,10 @@ mod tests {
         assert!(g.attribute_bytes() * 10 < g.naive_attribute_bytes());
     }
 
-    /// `PendingEdge` at its layout before `build` converted records in
-    /// place: 20 bytes, 4-aligned.
+    /// A directed edge record, 20 bytes and 4-aligned, kept apart from
+    /// `PendingEdge` so the oracle does not share `build`'s layout.
     #[derive(Clone, Copy)]
-    struct OldRecord {
+    struct OracleRecord {
         src: VertexId,
         dst: VertexId,
         etype: EdgeType,
@@ -659,26 +726,26 @@ mod tests {
         attr: AttrId,
     }
 
-    /// `build` as it was before the in-place rewrite, over 20-byte records:
-    /// the oracle the rewrite must equal array for array.
+    /// `build` without in-place conversion, over separate arrays: the
+    /// oracle `build` must equal array for array.
     fn build_oracle(b: GraphBuilder) -> AttributedHeterogeneousGraph {
         let n = b.vtypes.len();
         let logical_edges = b.edges.len();
-        let old = |e: &PendingEdge| OldRecord {
+        let old = |e: &PendingEdge| OracleRecord {
             src: e.src,
             dst: e.dst,
             etype: e.etype,
             weight: e.weight,
             attr: e.attr,
         };
-        let mut records: Vec<OldRecord> = if b.directed {
+        let mut records: Vec<OracleRecord> = if b.directed {
             b.edges.iter().map(old).collect()
         } else {
             let mut r = Vec::with_capacity(b.edges.len() * 2);
             for e in b.edges.iter().map(old) {
                 r.push(e);
                 if e.src != e.dst {
-                    r.push(OldRecord { src: e.dst, dst: e.src, ..e });
+                    r.push(OracleRecord { src: e.dst, dst: e.src, ..e });
                 }
             }
             r
@@ -701,19 +768,17 @@ mod tests {
         let mut edges_by_type: Vec<Vec<EdgeId>> =
             per_type.iter().map(|&count| Vec::with_capacity(count)).collect();
         for (i, e) in records.iter().enumerate() {
-            let id = EdgeId(i as u64);
             out_nbrs.push(Neighbor {
                 vertex: e.dst,
-                etype: e.etype,
                 weight: e.weight,
                 attr: e.attr,
-                edge: id,
+                etype: e.etype,
             });
             edge_src.push(e.src);
-            edges_by_type[e.etype.index()].push(id);
+            edges_by_type[e.etype.index()].push(EdgeId(i as u32));
         }
 
-        let mut in_records: Vec<(usize, &OldRecord)> = records.iter().enumerate().collect();
+        let mut in_records: Vec<(usize, &OracleRecord)> = records.iter().enumerate().collect();
         in_records.sort_unstable_by_key(|(_, e)| (e.dst, e.etype, e.src));
         let mut in_offsets = vec![0usize; n + 1];
         for (_, e) in &in_records {
@@ -724,12 +789,11 @@ mod tests {
         }
         let in_nbrs: Vec<Neighbor> = in_records
             .iter()
-            .map(|&(i, e)| Neighbor {
+            .map(|&(_, e)| Neighbor {
                 vertex: e.src,
-                etype: e.etype,
                 weight: e.weight,
                 attr: e.attr,
-                edge: EdgeId(i as u64),
+                etype: e.etype,
             })
             .collect();
 
@@ -767,8 +831,8 @@ mod tests {
     }
 
     /// Every field of a neighbor record, the weight as its bits.
-    fn record_bits(nbrs: &[Neighbor]) -> Vec<(VertexId, EdgeType, u32, AttrId, EdgeId)> {
-        nbrs.iter().map(|n| (n.vertex, n.etype, n.weight.to_bits(), n.attr, n.edge)).collect()
+    fn record_bits(nbrs: &[Neighbor]) -> Vec<(VertexId, EdgeType, u32, AttrId)> {
+        nbrs.iter().map(|n| (n.vertex, n.etype, n.weight.to_bits(), n.attr)).collect()
     }
 
     /// Builds `make()` with `build` and with the oracle, and asserts every
@@ -781,10 +845,13 @@ mod tests {
         same("in_nbrs", &record_bits(&g.in_nbrs), &record_bits(&o.in_nbrs));
         same("edge_src", &g.edge_src, &o.edge_src);
         same("edges_by_type", &g.edges_by_type, &o.edges_by_type);
-        // Each roster is allocated once, at its final size.
+        // Each array is allocated at its final size: the rosters once, and
+        // the record arrays hold no spare capacity.
         for roster in g.edges_by_type.iter().chain(&o.edges_by_type) {
             assert_eq!(roster.capacity(), roster.len());
         }
+        assert_eq!(g.out_nbrs.capacity(), g.out_nbrs.len());
+        assert_eq!(g.in_nbrs.capacity(), g.in_nbrs.len());
         same("vertices_by_type", &g.vertices_by_type, &o.vertices_by_type);
         assert_eq!(g.logical_edges, o.logical_edges);
         g
@@ -852,6 +919,34 @@ mod tests {
         let records = b.edges.as_ptr() as usize;
         let g = b.build();
         assert_eq!(g.out_nbrs.as_ptr() as usize, records);
+    }
+
+    #[test]
+    fn adjacency_bytes_counts_capacities() {
+        let g = crate::generate::TaobaoConfig::tiny().builder().unwrap().build();
+        // Out- and in-record 16 B each, `edge_src` 4 B, a roster entry 4 B.
+        let offsets = 2 * (g.num_vertices() + 1) * size_of::<usize>();
+        assert_eq!(g.adjacency_bytes(), 40 * g.num_edge_records() + offsets);
+    }
+
+    #[test]
+    fn edge_records_stop_at_the_u32_id_space() {
+        let max = u64::from(u32::MAX);
+        let past = GraphError::TooManyEdgeRecords { records: max + 1 };
+        assert_eq!(grown_records(max - 2, 1), Ok(max - 1));
+        assert_eq!(grown_records(max - 1, 1), Ok(max));
+        assert_eq!(grown_records(max - 1, 2), Err(past.clone()));
+        assert_eq!(grown_records(max, 1), Err(past.clone()));
+        // The builder counts records, not edges: an undirected edge makes
+        // two unless it is a self-loop. No record is allocated here.
+        let mut b = GraphBuilder::undirected();
+        let (u, v) = (b.add_vertices(USER, 2), VertexId(1));
+        b.records = max - 1;
+        assert_eq!(b.add_edge(u, v, CLICK, 1.0), Err(past.clone()));
+        assert_eq!((b.num_edges(), b.records), (0, max - 1));
+        assert_eq!(b.add_edge(u, u, CLICK, 1.0), Ok(()));
+        assert_eq!(b.records, max);
+        assert_eq!(b.add_edge(u, u, CLICK, 1.0), Err(past));
     }
 
     #[test]

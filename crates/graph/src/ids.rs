@@ -37,9 +37,13 @@ impl std::fmt::Display for VertexId {
     }
 }
 
-/// Identifier of an edge: its position in the graph's edge arrays.
+/// Identifier of an edge record: its position in the graph's out-adjacency
+/// array. A graph holds at most `u32::MAX` records
+/// ([`GraphError::TooManyEdgeRecords`]).
+///
+/// [`GraphError::TooManyEdgeRecords`]: crate::error::GraphError::TooManyEdgeRecords
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct EdgeId(pub u64);
+pub struct EdgeId(pub u32);
 
 impl EdgeId {
     /// The id as an array index.

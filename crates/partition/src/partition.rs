@@ -56,10 +56,7 @@ impl Partition {
         assert_eq!(vertex_owner.len(), graph.num_vertices());
         let mut edge_owner = vec![WorkerId(0); graph.num_edge_records()];
         for v in graph.vertices() {
-            let w = vertex_owner[v.index()];
-            for n in graph.out_neighbors(v) {
-                edge_owner[n.edge.index()] = w;
-            }
+            edge_owner[graph.out_edge_ids(v)].fill(vertex_owner[v.index()]);
         }
         Partition { num_workers, vertex_owner, edge_owner }
     }
@@ -143,7 +140,7 @@ impl Partitioner for VertexCutGreedy {
         let mut edge_owner = vec![WorkerId(0); graph.num_edge_records()];
 
         for v in graph.vertices() {
-            for nbr in graph.out_neighbors(v) {
+            for (e, nbr) in graph.out_edge_ids(v).zip(graph.out_neighbors(v)) {
                 let (src, dst) = (v, nbr.vertex);
                 #[expect(
                     clippy::expect_used,
@@ -166,7 +163,7 @@ impl Partitioner for VertexCutGreedy {
                     // All workers at capacity can only happen through slack
                     // rounding; fall back to the least loaded.
                     .unwrap_or_else(|| (0..p).min_by_key(|&w| loads[w]).expect("p >= 1"));
-                edge_owner[nbr.edge.index()] = WorkerId(best as u32);
+                edge_owner[e] = WorkerId(best as u32);
                 loads[best] += 1;
                 replicas.insert(src, best);
                 replicas.insert(dst, best);
@@ -217,9 +214,9 @@ impl Partitioner for Grid2D {
         let mut edge_owner = vec![WorkerId(0); graph.num_edge_records()];
         for v in graph.vertices() {
             let row = (splitmix64(v.0 as u64) % rows as u64) as usize;
-            for nbr in graph.out_neighbors(v) {
+            for (e, nbr) in graph.out_edge_ids(v).zip(graph.out_neighbors(v)) {
                 let col = (splitmix64(nbr.vertex.0 as u64 ^ 0xc01) % cols as u64) as usize;
-                edge_owner[nbr.edge.index()] = WorkerId((row * cols + col) as u32);
+                edge_owner[e] = WorkerId((row * cols + col) as u32);
             }
         }
         let vertex_owner = graph
@@ -302,8 +299,8 @@ mod tests {
         assert!(loads.iter().all(|&l| l > 0), "loads {loads:?}");
         // Edges live with their source vertex.
         for v in g.vertices() {
-            for n in g.out_neighbors(v) {
-                assert_eq!(part.owner_of_edge(n.edge), part.owner_of(v));
+            for e in g.out_edge_ids(v) {
+                assert_eq!(part.owner_of_edge(EdgeId(e as u32)), part.owner_of(v));
             }
         }
     }

@@ -29,8 +29,8 @@ impl PartitionQuality {
             vec![Default::default(); graph.num_vertices()];
         for v in graph.vertices() {
             replica_sets[v.index()].insert(part.owner_of(v).0);
-            for nb in graph.out_neighbors(v) {
-                let w = part.owner_of_edge(nb.edge);
+            for (e, nb) in graph.out_edge_ids(v).zip(graph.out_neighbors(v)) {
+                let w = part.edge_owner[e];
                 replica_sets[v.index()].insert(w.0);
                 replica_sets[nb.vertex.index()].insert(w.0);
                 if part.owner_of(nb.vertex) != w {

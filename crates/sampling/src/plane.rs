@@ -34,7 +34,7 @@ use crate::alias::{AliasTable, IncrementalAlias};
 use crate::neighborhood::NeighborAccess;
 use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch, UpdateEvent};
 use aligraph_graph::{
-    AttrId, AttributedHeterogeneousGraph, EdgeId, EdgeType, FeatureMatrix, Neighbor, VertexId,
+    AttrId, AttributedHeterogeneousGraph, EdgeType, FeatureMatrix, Neighbor, VertexId,
 };
 use aligraph_storage::{StaleEpoch, Versioned, VersionedCache, Writer};
 use std::collections::BTreeSet;
@@ -43,9 +43,6 @@ use std::sync::Arc;
 /// Attribute record id for overlay-added edges, which carry no attributes
 /// (nothing on the online read path dereferences edge attributes).
 const SYNTH_ATTR: AttrId = AttrId(u32::MAX);
-/// Edge id for overlay-added edges (the base snapshot's id space is dense
-/// from 0, so the sentinel cannot collide).
-const SYNTH_EDGE: EdgeId = EdgeId(u64::MAX);
 
 /// The vertices a batch touched, split by what changed: `rows` are sources
 /// whose out-row (and alias table) changed, `feats` are vertices whose
@@ -243,13 +240,7 @@ impl Overlay {
             }
             match *ev {
                 UpdateEvent::AddEdge { src, dst, etype, weight } => {
-                    let rec = |vertex| Neighbor {
-                        vertex,
-                        etype,
-                        weight,
-                        attr: SYNTH_ATTR,
-                        edge: SYNTH_EDGE,
-                    };
+                    let rec = |vertex| Neighbor { vertex, weight, attr: SYNTH_ATTR, etype };
                     let first = || OutRow::from_base(base, src, weighted);
                     self.out_rows.edit(src.0, first, |e| {
                         e.row.push(rec(dst));

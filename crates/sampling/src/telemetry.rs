@@ -60,7 +60,7 @@ impl<S: NeighborhoodSampler> NeighborhoodSampler for MeteredNeighborhood<S> {
 mod tests {
     use super::*;
     use crate::neighborhood::UniformNeighborhood;
-    use aligraph_graph::{AttrId, EdgeId, EdgeType};
+    use aligraph_graph::{AttrId, EdgeType};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -68,10 +68,9 @@ mod tests {
         (0..n)
             .map(|v| Neighbor {
                 vertex: VertexId(v),
-                etype: EdgeType(0),
                 weight: 1.0,
                 attr: AttrId(0),
-                edge: EdgeId(v as u64),
+                etype: EdgeType(0),
             })
             .collect()
     }

@@ -7,10 +7,10 @@
 //! * **Adjacency rows** — delta-varint CSR: neighbor vertex ids are stored
 //!   as zigzag-encoded deltas (adjacency is built in insertion order, which
 //!   for generated and migrated graphs is near-sorted, so deltas are
-//!   small), edge ids likewise (they are allocated sequentially), edge
-//!   types as raw bytes, attribute ids as plain varints, and weights as raw
-//!   little-endian `f32` bits (floats must survive exactly — no lossy
-//!   transform).
+//!   small), edge types as raw bytes, attribute ids as plain varints, and
+//!   weights as raw little-endian `f32` bits (floats must survive exactly —
+//!   no lossy transform). A record carries no edge id: an out-record's id
+//!   is its position in the graph, not part of the row.
 //! * **Feature rows** — XOR-previous varints: each `f32`'s bit pattern is
 //!   XORed with the previous value's bits (Gorilla-style); embedding-like
 //!   rows have correlated magnitudes, so the XOR clears the high exponent
@@ -23,7 +23,7 @@
 //! ([`crate::segment`]); this layer's own checks are what keep a *corrupt*
 //! buffer from doing damage before the seal is consulted.
 
-use aligraph_graph::{AttrId, EdgeId, EdgeType, Neighbor, VertexId};
+use aligraph_graph::{AttrId, EdgeType, Neighbor, VertexId};
 
 /// Why a buffer failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,14 +125,13 @@ fn get_f32(buf: &[u8], pos: &mut usize) -> Result<f32, CodecError> {
 }
 
 /// Minimum encoded footprint of one adjacency record: 1-byte vertex delta,
-/// 1-byte etype, 4-byte weight, 1-byte attr, 1-byte edge delta.
-const MIN_NEIGHBOR_BYTES: u64 = 8;
+/// 1-byte etype, 4-byte weight, 1-byte attr.
+const MIN_NEIGHBOR_BYTES: u64 = 7;
 
 /// Encodes one vertex's out-adjacency row.
 pub fn encode_adjacency(nbrs: &[Neighbor], out: &mut Vec<u8>) {
     put_varint(out, nbrs.len() as u64);
     let mut prev_vertex: i64 = 0;
-    let mut prev_edge: u64 = 0;
     for n in nbrs {
         let v = i64::from(n.vertex.0);
         put_varint(out, zigzag(v - prev_vertex));
@@ -140,22 +139,19 @@ pub fn encode_adjacency(nbrs: &[Neighbor], out: &mut Vec<u8>) {
         out.push(n.etype.0);
         out.extend_from_slice(&n.weight.to_le_bytes());
         put_varint(out, u64::from(n.attr.0));
-        put_varint(out, zigzag(n.edge.0.wrapping_sub(prev_edge) as i64));
-        prev_edge = n.edge.0;
     }
 }
 
-/// Largest encoded footprint of one adjacency record: three 10-byte varints,
+/// Largest encoded footprint of one adjacency record: two 10-byte varints,
 /// the etype byte and the 4-byte weight.
-const MAX_NEIGHBOR_BYTES: usize = 35;
+const MAX_NEIGHBOR_BYTES: usize = 25;
 
-/// One adjacency record as stored: deltas not yet applied.
+/// One adjacency record as stored: the vertex delta not yet applied.
 struct RawNeighbor {
     dv: u64,
     etype: u8,
     weight: f32,
     attr: u64,
-    de: u64,
 }
 
 /// Reads one record through the checked readers — the tail of a row, where
@@ -166,8 +162,7 @@ fn get_neighbor(buf: &[u8], pos: &mut usize) -> Result<RawNeighbor, CodecError> 
     *pos += 1;
     let weight = get_f32(buf, pos)?;
     let attr = get_varint(buf, pos)?;
-    let de = get_varint(buf, pos)?;
-    Ok(RawNeighbor { dv, etype, weight, attr, de })
+    Ok(RawNeighbor { dv, etype, weight, attr })
 }
 
 /// Reads the varint at `w[*o..]`, where `w` is the window `buf[base..]` that
@@ -205,7 +200,7 @@ fn window_varint(
 /// whole buffer must be consumed; on error the outputs hold a prefix of the
 /// row and must not be used.
 ///
-/// While a worst-case 35-byte record still fits the remaining bytes, a
+/// While a worst-case 25-byte record still fits the remaining bytes, a
 /// record is decoded per loop trip behind that one bounds check; the last
 /// few records of a row go through the checked readers.
 pub fn decode_adjacency_into(
@@ -229,19 +224,15 @@ pub fn decode_adjacency_into(
         cdf.reserve(count);
     }
     let mut prev_vertex: i64 = 0;
-    let mut prev_edge: u64 = 0;
     let mut acc = 0.0f32;
     let mut emit = |raw: RawNeighbor| {
         let vertex = prev_vertex.wrapping_add(unzigzag(raw.dv));
         prev_vertex = vertex;
-        let edge = prev_edge.wrapping_add(unzigzag(raw.de) as u64);
-        prev_edge = edge;
         nbrs.push(Neighbor {
             vertex: VertexId(vertex as u32),
-            etype: EdgeType(raw.etype),
             weight: raw.weight,
             attr: AttrId(raw.attr as u32),
-            edge: EdgeId(edge),
+            etype: EdgeType(raw.etype),
         });
         if let Some(cdf) = cdf.as_deref_mut() {
             acc += raw.weight;
@@ -260,9 +251,8 @@ pub fn decode_adjacency_into(
         let weight = f32::from_le_bytes([w[o + 1], w[o + 2], w[o + 3], w[o + 4]]);
         o += 5;
         let attr = window_varint(buf, pos, w, &mut o)?;
-        let de = window_varint(buf, pos, w, &mut o)?;
         pos += o;
-        emit(RawNeighbor { dv, etype, weight, attr, de });
+        emit(RawNeighbor { dv, etype, weight, attr });
         left -= 1;
     }
     for _ in 0..left {
@@ -332,7 +322,6 @@ fn decode_adjacency_scalar(buf: &[u8]) -> Result<Vec<Neighbor>, CodecError> {
     }
     let mut nbrs = Vec::with_capacity(count as usize);
     let mut prev_vertex: i64 = 0;
-    let mut prev_edge: u64 = 0;
     for _ in 0..count {
         let dv = unzigzag(get_varint(buf, &mut pos)?);
         let vertex = prev_vertex.wrapping_add(dv);
@@ -341,15 +330,11 @@ fn decode_adjacency_scalar(buf: &[u8]) -> Result<Vec<Neighbor>, CodecError> {
         pos += 1;
         let weight = get_f32(buf, &mut pos)?;
         let attr = get_varint(buf, &mut pos)?;
-        let de = unzigzag(get_varint(buf, &mut pos)?);
-        let edge = prev_edge.wrapping_add(de as u64);
-        prev_edge = edge;
         nbrs.push(Neighbor {
             vertex: VertexId(vertex as u32),
-            etype: EdgeType(etype),
             weight,
             attr: AttrId(attr as u32),
-            edge: EdgeId(edge),
+            etype: EdgeType(etype),
         });
     }
     if pos != buf.len() {
@@ -365,10 +350,8 @@ mod tests {
 
     /// Every field of every record as raw bits, so NaN payloads and signed
     /// zeros compare exactly.
-    fn bits(nbrs: &[Neighbor]) -> Vec<(u32, u8, u32, u32, u64)> {
-        nbrs.iter()
-            .map(|n| (n.vertex.0, n.etype.0, n.weight.to_bits(), n.attr.0, n.edge.0))
-            .collect()
+    fn bits(nbrs: &[Neighbor]) -> Vec<(u32, u8, u32, u32)> {
+        nbrs.iter().map(|n| (n.vertex.0, n.etype.0, n.weight.to_bits(), n.attr.0)).collect()
     }
 
     /// Decodes `buf` through the fused fast path and through the scalar
@@ -376,7 +359,7 @@ mod tests {
     /// a CDF bit-equal to `build_cdf`'s separate pass, or the same error.
     fn assert_matches_oracle(buf: &[u8]) -> Result<(), TestCaseError> {
         // Dirty reused buffers: the decoder must clear them.
-        let mut nbrs = vec![nb(9, 9, 9.0, 9, 9); 3];
+        let mut nbrs = vec![nb(9, 9, 9.0, 9); 3];
         let mut cdf = vec![9.0f32; 5];
         let fast = decode_adjacency_into(buf, &mut nbrs, Some(&mut cdf));
         match (fast, decode_adjacency_scalar(buf)) {
@@ -423,7 +406,6 @@ mod tests {
             let nan = if classes % 7 == 0 { 0x7fc0_0000 } else { 0 };
             buf.extend_from_slice(&(weight_bits | nan).to_le_bytes());
             put_varint(&mut buf, shaped(classes / 6, entropy.rotate_left(21)));
-            put_varint(&mut buf, shaped(classes / 36, entropy.rotate_left(42)));
         }
         buf
     }
@@ -432,12 +414,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// Valid rows of 0..40 records (so also rows shorter than one
-        /// 35-byte window, where only the checked tail runs), and every
+        /// 25-byte window, where only the checked tail runs), and every
         /// truncation of them.
         #[test]
         fn fused_decode_matches_scalar_oracle_on_rows_and_truncations(
             records in prop::collection::vec(
-                (0u64..216, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 0..40),
+                (0u64..36, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 0..40),
         ) {
             let buf = wire_row(&records);
             prop_assert!(decode_adjacency_scalar(&buf).is_ok());
@@ -454,7 +436,7 @@ mod tests {
         #[test]
         fn fused_decode_matches_scalar_oracle_on_corrupt_rows(
             records in prop::collection::vec(
-                (0u64..216, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 1..40),
+                (0u64..36, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 1..40),
             flips in prop::collection::vec((0usize..=usize::MAX, 1u8..=255), 1..24),
         ) {
             let buf = wire_row(&records);
@@ -470,14 +452,8 @@ mod tests {
         }
     }
 
-    fn nb(v: u32, etype: u8, weight: f32, attr: u32, edge: u64) -> Neighbor {
-        Neighbor {
-            vertex: VertexId(v),
-            etype: EdgeType(etype),
-            weight,
-            attr: AttrId(attr),
-            edge: EdgeId(edge),
-        }
+    fn nb(v: u32, etype: u8, weight: f32, attr: u32) -> Neighbor {
+        Neighbor { vertex: VertexId(v), weight, attr: AttrId(attr), etype: EdgeType(etype) }
     }
 
     fn roundtrip_adj(nbrs: &[Neighbor]) {
@@ -490,7 +466,6 @@ mod tests {
             assert_eq!(a.etype, b.etype);
             assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "weights bit-exact");
             assert_eq!(a.attr, b.attr);
-            assert_eq!(a.edge, b.edge);
         }
     }
 
@@ -515,12 +490,12 @@ mod tests {
     #[test]
     fn adjacency_roundtrips() {
         roundtrip_adj(&[]);
-        roundtrip_adj(&[nb(0, 0, 1.0, 0, 0)]);
+        roundtrip_adj(&[nb(0, 0, 1.0, 0)]);
         roundtrip_adj(&[
-            nb(5, 1, 0.5, 7, 100),
-            nb(3, 2, -1.5, 7, 90), // deltas go negative
-            nb(u32::MAX, 0, f32::MIN_POSITIVE, u32::MAX, u64::MAX),
-            nb(0, 255, 0.0, 0, 0),
+            nb(5, 1, 0.5, 7),
+            nb(3, 2, -1.5, 7), // deltas go negative
+            nb(u32::MAX, 0, f32::MIN_POSITIVE, u32::MAX),
+            nb(0, 255, 0.0, 0),
         ]);
     }
 
@@ -528,17 +503,16 @@ mod tests {
     fn adjacency_preserves_weird_floats() {
         // NaN payloads and signed zeros must survive bit-for-bit.
         let nan = f32::from_bits(0x7fc0_1234);
-        roundtrip_adj(&[nb(1, 0, nan, 0, 1), nb(2, 0, -0.0, 0, 2)]);
+        roundtrip_adj(&[nb(1, 0, nan, 0), nb(2, 0, -0.0, 0)]);
         let mut buf = Vec::new();
-        encode_adjacency(&[nb(1, 0, nan, 0, 1)], &mut buf);
+        encode_adjacency(&[nb(1, 0, nan, 0)], &mut buf);
         let back = decode_adjacency(&buf).unwrap();
         assert_eq!(back[0].weight.to_bits(), 0x7fc0_1234);
     }
 
     #[test]
     fn sorted_adjacency_compresses() {
-        let nbrs: Vec<Neighbor> =
-            (0..1000).map(|i| nb(1000 + i, 1, 1.0, 42, 5000 + u64::from(i))).collect();
+        let nbrs: Vec<Neighbor> = (0..1000).map(|i| nb(1000 + i, 1, 1.0, 42)).collect();
         let mut buf = Vec::new();
         encode_adjacency(&nbrs, &mut buf);
         let raw = nbrs.len() * std::mem::size_of::<Neighbor>();
@@ -575,7 +549,7 @@ mod tests {
     #[test]
     fn truncated_buffers_error_not_panic() {
         let mut buf = Vec::new();
-        encode_adjacency(&[nb(1, 0, 1.0, 2, 3), nb(5, 1, 2.0, 2, 4)], &mut buf);
+        encode_adjacency(&[nb(1, 0, 1.0, 2), nb(5, 1, 2.0, 2)], &mut buf);
         for cut in 0..buf.len() {
             assert!(decode_adjacency(&buf[..cut]).is_err(), "cut at {cut} must fail");
         }

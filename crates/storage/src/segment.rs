@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! magic    8B  "ALGRSEG1"
-//! version  4B  u32 = 1
+//! version  4B  u32 = 2 (version 1's adjacency records also held an edge-id delta)
 //! kind     1B  0 = adjacency, 1 = feature
 //! reserved 1B  0
 //! shard    2B  u16
@@ -29,7 +29,7 @@ use crate::seal::{self, SealError, Truncated};
 /// Magic bytes opening every segment.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"ALGRSEG1";
 /// Current format version.
-pub const SEGMENT_VERSION: u32 = 1;
+pub const SEGMENT_VERSION: u32 = 2;
 
 /// What a segment's rows encode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,7 +261,7 @@ mod tests {
         // The `ALGRSEG1` byte stream is pinned: the trailer seals every byte
         // before it, so this one constant fixes the whole byte format.
         assert_eq!(bytes.len(), 1123);
-        assert_eq!(bytes[bytes.len() - 8..], 0x268c_1ca5_3452_799d_u64.to_le_bytes());
+        assert_eq!(bytes[bytes.len() - 8..], 0xfd82_691d_a231_1178_u64.to_le_bytes());
         let back = Segment::from_bytes(&bytes).unwrap();
         assert_eq!(back, seg);
         assert_eq!(back.kind(), SegmentKind::Feature);
@@ -303,6 +303,15 @@ mod tests {
                 "flip at {byte_at} gave {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_version_1_segment_is_refused() {
+        let bytes = sample_segment().to_bytes();
+        let mut v1 = bytes[..bytes.len() - 8].to_vec();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        seal::close(&mut v1);
+        assert_eq!(Segment::from_bytes(&v1), Err(SegmentError::BadVersion(1)));
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //!
 //! **Which adjacency rows it holds** is the paper's threshold rule (§3.2,
 //! Algorithm 2), not recency, keyed by what a miss costs here: decoded
-//! bytes. A row is read about once per in-edge, each cold read decodes its
-//! `enc(v)` encoded bytes (its length in its shard's adjacency segment —
-//! what `tier.io.bytes` meters), and it occupies
-//! `adjacency_bytes(D_out)` when hot, so the key is decoded bytes saved
-//! per resident byte: `D_in(v) × enc(v) / adjacency_bytes(D_out(v))`. (The
+//! bytes. A row is read about once per in-edge, each cold read is priced
+//! at `dec(v)` bytes (`priced_decode_bytes`: the row's length in a fixed
+//! record layout, computed from the graph, so a codec change does not
+//! re-rank rows), and it is charged `adjacency_bytes(D_out)` when hot, so
+//! the key is decoded bytes saved per resident byte:
+//! `D_in(v) × dec(v) / adjacency_bytes(D_out(v))`. (The
 //! paper's `Imp = D_in / D_out` counts misses, right when every miss costs
 //! the same.) The build ranks the rows by it, seeds the ranked prefix that
 //! fits the budget, and records the threshold `τ` as the key of the first
@@ -71,7 +72,7 @@
 //! every lock; the entry points that name no shard route to the owner.
 
 use crate::codec::{
-    decode_adjacency_into, decode_feature_row, encode_adjacency, encode_feature_row,
+    decode_adjacency_into, decode_feature_row, encode_adjacency, encode_feature_row, zigzag,
 };
 use crate::cost::{AccessKind, CostModel, TierMeter};
 use crate::lru::LruCache;
@@ -144,20 +145,57 @@ enum HotRow {
     Feature { row: Arc<[f32]>, dirty: bool },
 }
 
+/// What the resident budget charges for one decoded neighbor record: the
+/// record's size before records dropped their edge id (24 B). It
+/// over-bounds the 16-byte [`Neighbor`], so the budget still caps the real
+/// bytes, and `perf/`'s budget-share check is calibrated to it (its
+/// `train_tiered` budget is sized at 28 B a degree, this charge plus the
+/// CDF entry). Re-fitting it to 16 B moves that check, `τ` and the hot set
+/// together: ROADMAP item 2 (d).
+const CHARGED_NEIGHBOR_BYTES: u64 = 24;
+
 impl HotRow {
     /// Decoded in-memory footprint charged against the resident budget.
     fn bytes(&self) -> u64 {
         match self {
-            HotRow::Adjacency { nbrs, cdf } => 32 + nbrs.len() as u64 * 24 + cdf.len() as u64 * 4,
+            HotRow::Adjacency { nbrs, cdf } => {
+                32 + nbrs.len() as u64 * CHARGED_NEIGHBOR_BYTES + cdf.len() as u64 * 4
+            }
             HotRow::Feature { row, .. } => 32 + row.len() as u64 * 4,
         }
     }
 }
 
-/// [`HotRow::bytes`] of a graph-built adjacency row of `degree` neighbors
-/// (one CDF entry per neighbor).
+/// [`HotRow::bytes`] of a graph-built adjacency row of `degree` neighbors:
+/// one charged record and one 4-byte CDF entry per neighbor.
 fn adjacency_bytes(degree: usize) -> u64 {
-    32 + degree as u64 * 28
+    32 + degree as u64 * (CHARGED_NEIGHBOR_BYTES + 4)
+}
+
+/// What the admission key prices one cold read of `v`'s adjacency row at:
+/// the row's length in the record layout the key was fitted on, segment
+/// version 1 — a count varint, then per record a zigzag vertex delta, the
+/// etype byte, the 4-byte weight, the attr varint and a zigzag delta of the
+/// edge id (its out-record position). The price is a unit of the graph's
+/// rows, computed from the graph, not read from a segment, so a change to
+/// the codec's byte layout moves the encoded bytes (`tier.segment_bytes`,
+/// `tier.io.bytes`) and leaves the ranking, `τ` and the hot set where they
+/// are. It tracks what a decode walks: the version-2 row is this less about
+/// a byte a record.
+fn priced_decode_bytes(graph: &AttributedHeterogeneousGraph, v: VertexId) -> u64 {
+    let varint_len = |x: u64| u64::from((64 - x.leading_zeros()).max(1).div_ceil(7));
+    let nbrs = graph.out_neighbors(v);
+    let mut bytes = varint_len(nbrs.len() as u64);
+    let (mut prev_vertex, mut prev_edge) = (0i64, 0i64);
+    for (e, n) in graph.out_edge_ids(v).zip(nbrs) {
+        let (vertex, edge) = (i64::from(n.vertex.0), e as i64);
+        bytes += varint_len(zigzag(vertex - prev_vertex))
+            + 5
+            + varint_len(u64::from(n.attr.0))
+            + varint_len(zigzag(edge - prev_edge));
+        (prev_vertex, prev_edge) = (vertex, edge);
+    }
+    bytes
 }
 
 #[derive(Debug)]
@@ -391,14 +429,12 @@ impl TieredStore {
                 Segment::build(SegmentKind::Adjacency, shard as u16, shard_rows)
             })
             .collect();
-        // Decoded bytes saved per resident byte: reads × the encoded bytes a
-        // cold read decodes, over the bytes the row occupies hot.
+        // Decoded bytes saved per resident byte: reads × the bytes a cold
+        // read is priced at, over the bytes the row is charged hot.
         let importance: Vec<f64> = graph
             .vertices()
             .map(|v| {
-                let enc =
-                    adj_segments[owners[v.index()] as usize].lookup(v.0).map_or(0, <[u8]>::len);
-                let saved = graph.in_degree(v) as f64 * enc as f64;
+                let saved = graph.in_degree(v) as f64 * priced_decode_bytes(&graph, v) as f64;
                 saved / adjacency_bytes(graph.out_degree(v)) as f64
             })
             .collect();
@@ -1013,7 +1049,7 @@ mod tests {
             for (a, b) in nbrs.iter().zip(oracle) {
                 assert_eq!(a.vertex, b.vertex);
                 assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-                assert_eq!(a.edge, b.edge);
+                assert_eq!((a.etype, a.attr), (b.etype, b.attr));
             }
             // CDF matches the one the all-hot server would build.
             if !oracle.is_empty() {
@@ -1107,9 +1143,36 @@ mod tests {
             CostModel::default(),
             &Registry::disabled(),
         );
-        let enc = |v: VertexId| store.adj_segments[0].lookup(v.0).unwrap().len();
-        assert!(enc(large) > enc(small));
+        assert!(priced_decode_bytes(&g, large) > priced_decode_bytes(&g, small));
         assert_eq!(store.ranking[..2], [large.0, small.0]);
+    }
+
+    #[test]
+    fn a_cold_read_is_priced_at_the_version_1_row_length() {
+        use crate::codec::put_varint;
+        // The version-1 writer: today's record plus a zigzag delta of the
+        // edge id. The price stays this unit whatever the codec writes; the
+        // segments hold the same rows without the edge-id deltas.
+        let (g, store) = setup(None);
+        for v in g.vertices() {
+            let mut row = Vec::new();
+            let mut edge_delta_bytes = 0;
+            put_varint(&mut row, g.out_degree(v) as u64);
+            let (mut prev_vertex, mut prev_edge) = (0i64, 0i64);
+            for (e, n) in g.out_edge_ids(v).zip(g.out_neighbors(v)) {
+                put_varint(&mut row, zigzag(i64::from(n.vertex.0) - prev_vertex));
+                row.push(n.etype.0);
+                row.extend_from_slice(&n.weight.to_le_bytes());
+                put_varint(&mut row, u64::from(n.attr.0));
+                let before = row.len();
+                put_varint(&mut row, zigzag(e as i64 - prev_edge));
+                edge_delta_bytes += row.len() - before;
+                (prev_vertex, prev_edge) = (i64::from(n.vertex.0), e as i64);
+            }
+            assert_eq!(priced_decode_bytes(&g, v), row.len() as u64, "{v:?}");
+            let enc = store.adj_segments[store.owner[v.index()] as usize].lookup(v.0).unwrap();
+            assert_eq!(enc.len(), row.len() - edge_delta_bytes, "{v:?}");
+        }
     }
 
     #[test]

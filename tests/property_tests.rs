@@ -327,7 +327,7 @@ proptest! {
 
 // --- Cold-tier codec and segment invariants (ISSUE 10) -----------------
 
-use aligraph_suite::graph::{AttrId, EdgeId, Neighbor};
+use aligraph_suite::graph::{AttrId, Neighbor};
 use aligraph_suite::runtime::{
     Checkpoint, PsState, RuntimeError, SparseParamServer, StagedPush, WorkerCkpt,
 };
@@ -340,38 +340,27 @@ use aligraph_suite::storage::{seal, Segment, SegmentKind};
 /// Builds an adjacency row in one of the shapes the cold tier must survive:
 /// empty, singleton, chain (sorted sequential ids — delta coding's best
 /// case), star (every record the same hub), or a random power-law-ish row
-/// with forced extremes (`u32::MAX` vertex, `u64::MAX` edge, NaN-payload
+/// with forced extremes (`u32::MAX` vertex and attribute, NaN-payload
 /// weight) in the tail.
-fn shaped_row(shape: u8, raw: &[(u32, u8, u32, u64)], base: u32, hub: u32) -> Vec<Neighbor> {
-    let mk = |(v, t, w_bits, e): (u32, u8, u32, u64), attr: u32| Neighbor {
+fn shaped_row(shape: u8, raw: &[(u32, u8, u32)], base: u32, hub: u32) -> Vec<Neighbor> {
+    let mk = |(v, t, w_bits): (u32, u8, u32), attr: u32| Neighbor {
         vertex: VertexId(v),
-        etype: EdgeType(t),
         weight: f32::from_bits(w_bits),
         attr: AttrId(attr),
-        edge: EdgeId(e),
+        etype: EdgeType(t),
     };
     match shape {
         0 => Vec::new(),
         1 => raw.first().map(|&r| vec![mk(r, 7)]).unwrap_or_default(),
         2 => (0..raw.len() as u32)
-            .map(|i| {
-                mk(
-                    (
-                        base.wrapping_add(i),
-                        (i % 7) as u8,
-                        (i + 1).to_le_bytes()[0] as u32,
-                        u64::from(base) + u64::from(i),
-                    ),
-                    i,
-                )
-            })
+            .map(|i| mk((base.wrapping_add(i), (i % 7) as u8, (i + 1).to_le_bytes()[0] as u32), i))
             .collect(),
-        3 => (0..raw.len() as u32).map(|i| mk((hub, 0, 0x3f80_0000, u64::from(i)), 0)).collect(),
+        3 => (0..raw.len()).map(|_| mk((hub, 0, 0x3f80_0000), 0)).collect(),
         _ => {
             let mut row: Vec<Neighbor> =
                 raw.iter().enumerate().map(|(i, &r)| mk(r, i as u32)).collect();
             // Force the extremes every codec run must survive.
-            row.push(mk((u32::MAX, u8::MAX, f32::NAN.to_bits() | 1, u64::MAX), u32::MAX));
+            row.push(mk((u32::MAX, u8::MAX, f32::NAN.to_bits() | 1), u32::MAX));
             row
         }
     }
@@ -386,7 +375,7 @@ proptest! {
     #[test]
     fn codec_adjacency_roundtrip_bit_identical(
         shape in 0u8..5,
-        raw in prop::collection::vec((0u32..u32::MAX, 0u8..255, 0u32..u32::MAX, 0u64..u64::MAX), 0..300),
+        raw in prop::collection::vec((0u32..u32::MAX, 0u8..255, 0u32..u32::MAX), 0..300),
         base in 0u32..1_000_000,
         hub in 0u32..u32::MAX,
     ) {
@@ -400,7 +389,6 @@ proptest! {
             prop_assert_eq!(a.etype, b.etype);
             prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
             prop_assert_eq!(a.attr, b.attr);
-            prop_assert_eq!(a.edge, b.edge);
         }
     }
 
@@ -426,7 +414,7 @@ proptest! {
     #[test]
     fn codec_decoders_never_panic(
         shape in 0u8..5,
-        raw in prop::collection::vec((0u32..u32::MAX, 0u8..255, 0u32..u32::MAX, 0u64..u64::MAX), 0..64),
+        raw in prop::collection::vec((0u32..u32::MAX, 0u8..255, 0u32..u32::MAX), 0..64),
         cut in 0usize..100_000,
         flip in (0usize..100_000, 0u8..8),
         garbage in prop::collection::vec(0u8..255, 0..200),

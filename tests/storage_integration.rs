@@ -71,7 +71,8 @@ fn gather_fingerprint(tier: &TieredStore, g: &AttributedHeterogeneousGraph) -> u
         for n in nbrs.iter() {
             h.word(u64::from(n.vertex.0));
             h.word(u64::from(n.weight.to_bits()));
-            h.word(n.edge.0);
+            h.word(u64::from(n.attr.0));
+            h.word(u64::from(n.etype.0));
         }
         for c in cdf.iter() {
             h.word(u64::from(c.to_bits()));
