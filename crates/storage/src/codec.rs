@@ -4,13 +4,17 @@
 //! store's headline invariant is that a cold read equals the all-hot read
 //! bit for bit):
 //!
-//! * **Adjacency rows** — delta-varint CSR: neighbor vertex ids are stored
-//!   as zigzag-encoded deltas (adjacency is built in insertion order, which
-//!   for generated and migrated graphs is near-sorted, so deltas are
-//!   small), edge types as raw bytes, attribute ids as plain varints, and
-//!   weights as raw little-endian `f32` bits (floats must survive exactly —
-//!   no lossy transform). A record carries no edge id: an out-record's id
-//!   is its position in the graph, not part of the row.
+//! * **Adjacency rows** — block-columnar: a row's records go in blocks of
+//!   [`BLOCK_RECORDS`], and each block stores its fields as columns of one
+//!   fixed byte width apiece, the widths in a header byte. Neighbor ids are
+//!   zigzag deltas (adjacency is built in insertion order, which for
+//!   generated and migrated graphs is near-sorted, so deltas are small),
+//!   edge types a byte each or one byte for a block of one type, weights
+//!   raw little-endian `f32` bits (floats must survive exactly — no lossy
+//!   transform), and attribute ids at the width of the block's largest.
+//!   Fixed-width columns unpack without the serial chain of a varint's
+//!   continuation bits. A record carries no edge id: an out-record's id is
+//!   its position in the graph, not part of the row.
 //! * **Feature rows** — XOR-previous varints: each `f32`'s bit pattern is
 //!   XORed with the previous value's bits (Gorilla-style); embedding-like
 //!   rows have correlated magnitudes, so the XOR clears the high exponent
@@ -51,6 +55,14 @@ pub enum CodecError {
         /// Number of undecoded bytes.
         extra: usize,
     },
+    /// An adjacency block's header byte names a column width past its
+    /// maximum or sets the reserved bit.
+    BadBlockHeader {
+        /// Byte offset of the header.
+        offset: usize,
+        /// The header byte.
+        header: u8,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -62,6 +74,9 @@ impl std::fmt::Display for CodecError {
                 write!(f, "declared count {declared} exceeds {remaining} remaining bytes")
             }
             CodecError::TrailingBytes { extra } => write!(f, "{extra} trailing bytes"),
+            CodecError::BadBlockHeader { offset, header } => {
+                write!(f, "bad block header {header:#04x} at byte {offset}")
+            }
         }
     }
 }
@@ -116,102 +131,149 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-#[expect(clippy::expect_used, reason = "the slice above is exactly 4 bytes")]
-fn get_f32(buf: &[u8], pos: &mut usize) -> Result<f32, CodecError> {
-    let end = pos.checked_add(4).ok_or(CodecError::Truncated { offset: *pos })?;
-    let bytes = buf.get(*pos..end).ok_or(CodecError::Truncated { offset: *pos })?;
-    *pos = end;
-    Ok(f32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
+/// Records per block of an adjacency row; a row's last block holds the rest.
+pub const BLOCK_RECORDS: usize = 128;
+
+/// Widest vertex-delta column: the zigzag delta of two `u32` ids takes up
+/// to 33 bits.
+const MAX_DELTA_WIDTH: u8 = 5;
+
+/// Widest attr column: a `u32`.
+const MAX_ATTR_WIDTH: u8 = 4;
+
+/// Block header flag: the block's records share one etype, stored once.
+const CONSTANT_ETYPE: u8 = 0x40;
+
+/// Minimum encoded footprint of one adjacency record: its 4-byte weight.
+const MIN_NEIGHBOR_BYTES: u64 = 4;
+
+/// Bytes needed to hold `max` (0 for 0).
+fn byte_width(max: u64) -> u8 {
+    (64 - max.leading_zeros()).div_ceil(8) as u8
 }
 
-/// Minimum encoded footprint of one adjacency record: 1-byte vertex delta,
-/// 1-byte etype, 4-byte weight, 1-byte attr.
-const MIN_NEIGHBOR_BYTES: u64 = 7;
+/// The zigzag delta from vertex `a` to vertex `b`.
+fn vertex_delta(a: VertexId, b: VertexId) -> u64 {
+    zigzag(i64::from(b.0) - i64::from(a.0))
+}
 
-/// Encodes one vertex's out-adjacency row.
+/// Encodes one vertex's out-adjacency row: the record count as a varint,
+/// then blocks of up to [`BLOCK_RECORDS`] records, each stored as columns
+/// of fixed-width fields —
+///
+/// ```text
+/// header    1B  bits 0-2 delta width (0-5), bits 3-5 attr width (0-4),
+///               bit 6 constant etype, bit 7 zero
+/// first     varint  zigzag delta of the block's first vertex from the
+///               previous block's last (from 0 in the first block)
+/// deltas    (n-1) × delta width  zigzag delta from the previous record, LE
+/// etypes    n bytes, or 1 when the constant-etype bit is set
+/// weights   n × 4B  raw little-endian f32 bits
+/// attrs     n × attr width  LE
+/// ```
+///
+/// Each width is the fewest bytes that hold the block's largest value, so a
+/// near-sorted row stores one byte a delta and a graph with one attr id
+/// stores no attr column at all.
 pub fn encode_adjacency(nbrs: &[Neighbor], out: &mut Vec<u8>) {
     put_varint(out, nbrs.len() as u64);
-    let mut prev_vertex: i64 = 0;
-    for n in nbrs {
-        let v = i64::from(n.vertex.0);
-        put_varint(out, zigzag(v - prev_vertex));
-        prev_vertex = v;
-        out.push(n.etype.0);
-        out.extend_from_slice(&n.weight.to_le_bytes());
-        put_varint(out, u64::from(n.attr.0));
+    let mut prev = VertexId(0);
+    for block in nbrs.chunks(BLOCK_RECORDS) {
+        let deltas = || block.windows(2).map(|pair| vertex_delta(pair[0].vertex, pair[1].vertex));
+        let delta_width = byte_width(deltas().max().unwrap_or(0));
+        let attr_width = byte_width(block.iter().map(|n| u64::from(n.attr.0)).max().unwrap_or(0));
+        let etype = block[0].etype;
+        let constant = block.iter().all(|n| n.etype == etype);
+        out.push(delta_width | (attr_width << 3) | if constant { CONSTANT_ETYPE } else { 0 });
+        put_varint(out, vertex_delta(prev, block[0].vertex));
+        for d in deltas() {
+            out.extend_from_slice(&d.to_le_bytes()[..usize::from(delta_width)]);
+        }
+        if constant {
+            out.push(etype.0);
+        } else {
+            out.extend(block.iter().map(|n| n.etype.0));
+        }
+        for n in block {
+            out.extend_from_slice(&n.weight.to_le_bytes());
+        }
+        for n in block {
+            out.extend_from_slice(&n.attr.0.to_le_bytes()[..usize::from(attr_width)]);
+        }
+        prev = block[block.len() - 1].vertex;
     }
 }
 
-/// Largest encoded footprint of one adjacency record: two 10-byte varints,
-/// the etype byte and the 4-byte weight.
-const MAX_NEIGHBOR_BYTES: usize = 25;
-
-/// One adjacency record as stored: the vertex delta not yet applied.
-struct RawNeighbor {
-    dv: u64,
-    etype: u8,
-    weight: f32,
-    attr: u64,
+/// One block's header, checked: the column widths in bytes and whether the
+/// etype is stored once.
+#[derive(Clone, Copy)]
+struct BlockHeader {
+    delta_width: usize,
+    attr_width: usize,
+    constant_etype: bool,
 }
 
-/// Reads one record through the checked readers — the tail of a row, where
-/// a worst-case record no longer fits the bytes that remain.
-fn get_neighbor(buf: &[u8], pos: &mut usize) -> Result<RawNeighbor, CodecError> {
-    let dv = get_varint(buf, pos)?;
-    let etype = *buf.get(*pos).ok_or(CodecError::Truncated { offset: *pos })?;
-    *pos += 1;
-    let weight = get_f32(buf, pos)?;
-    let attr = get_varint(buf, pos)?;
-    Ok(RawNeighbor { dv, etype, weight, attr })
+impl BlockHeader {
+    /// Reads the header byte at `*pos`, advancing it. A width past its
+    /// column's maximum or a set reserved bit is [`CodecError::BadBlockHeader`].
+    fn read(buf: &[u8], pos: &mut usize) -> Result<BlockHeader, CodecError> {
+        let offset = *pos;
+        let header = *buf.get(offset).ok_or(CodecError::Truncated { offset })?;
+        let (delta_width, attr_width) = (header & 0x07, (header >> 3) & 0x07);
+        if header & 0x80 != 0 || delta_width > MAX_DELTA_WIDTH || attr_width > MAX_ATTR_WIDTH {
+            return Err(CodecError::BadBlockHeader { offset, header });
+        }
+        *pos += 1;
+        Ok(BlockHeader {
+            delta_width: usize::from(delta_width),
+            attr_width: usize::from(attr_width),
+            constant_etype: header & CONSTANT_ETYPE != 0,
+        })
+    }
+
+    /// Bytes of an `n`-record block's columns after its first-vertex varint.
+    fn columns_len(self, n: usize) -> usize {
+        (n - 1) * self.delta_width
+            + if self.constant_etype { 1 } else { n }
+            + 4 * n
+            + n * self.attr_width
+    }
 }
 
-/// Reads the varint at `w[*o..]`, where `w` is the window `buf[base..]` that
-/// holds a whole worst-case record: 1- and 2-byte values (nearly all of a
-/// near-sorted row) inline, anything longer through [`get_varint`] on the
-/// buffer itself, so an overlong varint reports the same error at the same
-/// offset as the checked path.
+/// Unpacks a column of `W`-byte little-endian values into `out`, one per
+/// element. A fixed `W` makes this a straight-line load per value, with
+/// no branch and no shift that depends on the data.
 #[inline(always)]
-fn window_varint(
-    buf: &[u8],
-    base: usize,
-    w: &[u8; MAX_NEIGHBOR_BYTES],
-    o: &mut usize,
-) -> Result<u64, CodecError> {
-    let b0 = w[*o];
-    if b0 < 0x80 {
-        *o += 1;
-        return Ok(u64::from(b0));
+fn unpack<const W: usize>(column: &[u8], out: &mut [u64]) {
+    for (o, bytes) in out.iter_mut().zip(column.chunks_exact(W)) {
+        let mut le = [0u8; 8];
+        le[..W].copy_from_slice(bytes);
+        *o = u64::from_le_bytes(le);
     }
-    let b1 = w[*o + 1];
-    if b1 < 0x80 {
-        *o += 2;
-        return Ok(u64::from(b0 & 0x7f) | u64::from(b1) << 7);
+}
+
+/// [`unpack`] at a checked header width (0 = every value is 0).
+fn unpack_column(column: &[u8], width: usize, out: &mut [u64]) {
+    match width {
+        1 => unpack::<1>(column, out),
+        2 => unpack::<2>(column, out),
+        3 => unpack::<3>(column, out),
+        4 => unpack::<4>(column, out),
+        5 => unpack::<5>(column, out),
+        _ => out.fill(0),
     }
-    let mut pos = base + *o;
-    let v = get_varint(buf, &mut pos)?;
-    *o = pos - base;
-    Ok(v)
 }
 
 /// Decodes an adjacency row encoded by [`encode_adjacency`] into `nbrs`
-/// (cleared first) and, when asked, its cumulative weight table into `cdf`
-/// in the same pass — `acc += weight` in row order, the summation
-/// [`crate::server`]'s `build_cdf` does, so the two agree bit for bit. The
-/// whole buffer must be consumed; on error the outputs hold a prefix of the
-/// row and must not be used.
+/// (cleared first). The whole buffer must be consumed; on error `nbrs`
+/// holds a prefix of the row and must not be used.
 ///
-/// While a worst-case 25-byte record still fits the remaining bytes, a
-/// record is decoded per loop trip behind that one bounds check; the last
-/// few records of a row go through the checked readers.
-pub fn decode_adjacency_into(
-    buf: &[u8],
-    nbrs: &mut Vec<Neighbor>,
-    mut cdf: Option<&mut Vec<f32>>,
-) -> Result<(), CodecError> {
+/// A block is one bounds check: its header and first vertex are read, the
+/// length of its columns follows from the header, and each column is
+/// unpacked at its fixed width before the records are assembled, the
+/// vertex ids by one running sum that carries across blocks.
+pub fn decode_adjacency_into(buf: &[u8], nbrs: &mut Vec<Neighbor>) -> Result<(), CodecError> {
     nbrs.clear();
-    if let Some(cdf) = cdf.as_deref_mut() {
-        cdf.clear();
-    }
     let mut pos = 0usize;
     let count = get_varint(buf, &mut pos)?;
     let remaining = buf.len() - pos;
@@ -220,43 +282,39 @@ pub fn decode_adjacency_into(
     }
     let count = count as usize;
     nbrs.reserve(count);
-    if let Some(cdf) = cdf.as_deref_mut() {
-        cdf.reserve(count);
-    }
-    let mut prev_vertex: i64 = 0;
-    let mut acc = 0.0f32;
-    let mut emit = |raw: RawNeighbor| {
-        let vertex = prev_vertex.wrapping_add(unzigzag(raw.dv));
-        prev_vertex = vertex;
-        nbrs.push(Neighbor {
-            vertex: VertexId(vertex as u32),
-            weight: raw.weight,
-            attr: AttrId(raw.attr as u32),
-            etype: EdgeType(raw.etype),
-        });
-        if let Some(cdf) = cdf.as_deref_mut() {
-            acc += raw.weight;
-            cdf.push(acc);
-        }
-    };
+    let mut deltas = [0u64; BLOCK_RECORDS];
+    let mut attrs = [0u64; BLOCK_RECORDS];
+    let mut etypes = [0u8; BLOCK_RECORDS];
+    let mut vertex = 0u32;
     let mut left = count;
     while left > 0 {
-        let window = buf.get(pos..pos + MAX_NEIGHBOR_BYTES);
-        let Some(w) = window.and_then(|w| <&[u8; MAX_NEIGHBOR_BYTES]>::try_from(w).ok()) else {
-            break;
-        };
-        let mut o = 0usize;
-        let dv = window_varint(buf, pos, w, &mut o)?;
-        let etype = w[o];
-        let weight = f32::from_le_bytes([w[o + 1], w[o + 2], w[o + 3], w[o + 4]]);
-        o += 5;
-        let attr = window_varint(buf, pos, w, &mut o)?;
-        pos += o;
-        emit(RawNeighbor { dv, etype, weight, attr });
-        left -= 1;
-    }
-    for _ in 0..left {
-        emit(get_neighbor(buf, &mut pos)?);
+        let n = left.min(BLOCK_RECORDS);
+        let header = BlockHeader::read(buf, &mut pos)?;
+        deltas[0] = get_varint(buf, &mut pos)?;
+        let end = pos + header.columns_len(n);
+        let columns = buf.get(pos..end).ok_or(CodecError::Truncated { offset: buf.len() })?;
+        pos = end;
+        let (delta_col, rest) = columns.split_at((n - 1) * header.delta_width);
+        let (etype_col, rest) = rest.split_at(if header.constant_etype { 1 } else { n });
+        let (weight_col, attr_col) = rest.split_at(4 * n);
+        unpack_column(delta_col, header.delta_width, &mut deltas[1..n]);
+        unpack_column(attr_col, header.attr_width, &mut attrs[..n]);
+        if header.constant_etype {
+            etypes[..n].fill(etype_col[0]);
+        } else {
+            etypes[..n].copy_from_slice(etype_col);
+        }
+        let records = deltas[..n].iter().zip(weight_col.chunks_exact(4)).zip(&attrs[..n]);
+        nbrs.extend(records.zip(&etypes[..n]).map(|(((&d, w), &attr), &etype)| {
+            vertex = vertex.wrapping_add(unzigzag(d) as u32);
+            Neighbor {
+                vertex: VertexId(vertex),
+                weight: f32::from_le_bytes([w[0], w[1], w[2], w[3]]),
+                attr: AttrId(attr as u32),
+                etype: EdgeType(etype),
+            }
+        }));
+        left -= n;
     }
     if pos != buf.len() {
         return Err(CodecError::TrailingBytes { extra: buf.len() - pos });
@@ -268,7 +326,7 @@ pub fn decode_adjacency_into(
 /// buffer must be consumed.
 pub fn decode_adjacency(buf: &[u8]) -> Result<Vec<Neighbor>, CodecError> {
     let mut nbrs = Vec::new();
-    decode_adjacency_into(buf, &mut nbrs, None)?;
+    decode_adjacency_into(buf, &mut nbrs)?;
     Ok(nbrs)
 }
 
@@ -309,33 +367,54 @@ pub fn decode_feature_row(buf: &[u8]) -> Result<Vec<f32>, CodecError> {
     Ok(row)
 }
 
-/// The byte-at-a-time decoder [`decode_adjacency_into`] replaced, kept as
-/// the oracle its differential tests compare against: same rows bit for
-/// bit, same error at the same offset.
+/// A record-at-a-time reader of the block layout, the oracle the columnar
+/// decoder's differential tests compare against: it reads each record's
+/// fields where the block header puts them, one checked read a field, and
+/// carries the vertex as an `i64` sum. Same rows bit for bit, same error
+/// at the same offset.
 #[cfg(test)]
-fn decode_adjacency_scalar(buf: &[u8]) -> Result<Vec<Neighbor>, CodecError> {
+fn decode_adjacency_per_record(buf: &[u8]) -> Result<Vec<Neighbor>, CodecError> {
+    let field = |at: usize, width: usize| -> Result<u64, CodecError> {
+        let bytes = buf.get(at..at + width).ok_or(CodecError::Truncated { offset: buf.len() })?;
+        Ok(bytes.iter().rev().fold(0, |v, &b| (v << 8) | u64::from(b)))
+    };
     let mut pos = 0usize;
     let count = get_varint(buf, &mut pos)?;
     let remaining = buf.len() - pos;
-    if count > remaining as u64 / MIN_NEIGHBOR_BYTES {
+    if count > remaining as u64 / 4 {
         return Err(CodecError::CountTooLarge { declared: count, remaining });
     }
-    let mut nbrs = Vec::with_capacity(count as usize);
-    let mut prev_vertex: i64 = 0;
-    for _ in 0..count {
-        let dv = unzigzag(get_varint(buf, &mut pos)?);
-        let vertex = prev_vertex.wrapping_add(dv);
-        prev_vertex = vertex;
-        let etype = *buf.get(pos).ok_or(CodecError::Truncated { offset: pos })?;
+    let count = count as usize;
+    let mut nbrs = Vec::new();
+    let mut vertex = 0i64;
+    for start in (0..count).step_by(BLOCK_RECORDS) {
+        let n = (count - start).min(BLOCK_RECORDS);
+        let header = field(pos, 1)? as u8;
+        let (delta_width, attr_width) = (usize::from(header & 7), usize::from((header >> 3) & 7));
+        if header >= 0x80 || delta_width > 5 || attr_width > 4 {
+            return Err(CodecError::BadBlockHeader { offset: pos, header });
+        }
+        let constant_etype = header & 0x40 != 0;
         pos += 1;
-        let weight = get_f32(buf, &mut pos)?;
-        let attr = get_varint(buf, &mut pos)?;
-        nbrs.push(Neighbor {
-            vertex: VertexId(vertex as u32),
-            weight,
-            attr: AttrId(attr as u32),
-            etype: EdgeType(etype),
-        });
+        let first = get_varint(buf, &mut pos)?;
+        let etypes = pos + (n - 1) * delta_width;
+        let weights = etypes + if constant_etype { 1 } else { n };
+        let attrs = weights + 4 * n;
+        for i in 0..n {
+            let delta =
+                if i == 0 { first } else { field(pos + (i - 1) * delta_width, delta_width)? };
+            vertex = vertex.wrapping_add(unzigzag(delta));
+            let etype = field(etypes + if constant_etype { 0 } else { i }, 1)?;
+            let weight = field(weights + 4 * i, 4)?;
+            let attr = field(attrs + attr_width * i, attr_width)?;
+            nbrs.push(Neighbor {
+                vertex: VertexId(vertex as u32),
+                weight: f32::from_bits(weight as u32),
+                attr: AttrId(attr as u32),
+                etype: EdgeType(etype as u8),
+            });
+        }
+        pos = attrs + attr_width * n;
     }
     if pos != buf.len() {
         return Err(CodecError::TrailingBytes { extra: buf.len() - pos });
@@ -354,24 +433,15 @@ mod tests {
         nbrs.iter().map(|n| (n.vertex.0, n.etype.0, n.weight.to_bits(), n.attr.0)).collect()
     }
 
-    /// Decodes `buf` through the fused fast path and through the scalar
-    /// oracle and demands the same outcome: the same rows bit for bit with
-    /// a CDF bit-equal to `build_cdf`'s separate pass, or the same error.
+    /// Decodes `buf` through the columnar decoder and through the
+    /// per-record oracle and demands the same outcome: the same rows bit
+    /// for bit, or the same error.
     fn assert_matches_oracle(buf: &[u8]) -> Result<(), TestCaseError> {
-        // Dirty reused buffers: the decoder must clear them.
+        // A dirty reused buffer: the decoder must clear it.
         let mut nbrs = vec![nb(9, 9, 9.0, 9); 3];
-        let mut cdf = vec![9.0f32; 5];
-        let fast = decode_adjacency_into(buf, &mut nbrs, Some(&mut cdf));
-        match (fast, decode_adjacency_scalar(buf)) {
+        let fast = decode_adjacency_into(buf, &mut nbrs);
+        match (fast, decode_adjacency_per_record(buf)) {
             (Ok(()), Ok(want)) => {
-                prop_assert_eq!(bits(&nbrs), bits(&want));
-                let want_cdf = crate::server::build_cdf(&want);
-                prop_assert_eq!(
-                    cdf.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
-                    want_cdf.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
-                );
-                // Without a CDF, and through the allocating wrapper.
-                prop_assert_eq!(decode_adjacency_into(buf, &mut nbrs, None), Ok(()));
                 prop_assert_eq!(bits(&nbrs), bits(&want));
                 prop_assert_eq!(decode_adjacency(buf).map(|n| bits(&n)), Ok(bits(&want)));
             }
@@ -393,61 +463,99 @@ mod tests {
         }
     }
 
-    /// A row written field by field from raw wire values — any varint width
-    /// in any position, any weight bits — rather than from `Neighbor`s,
-    /// which would never produce a 10-byte attr.
-    fn wire_row(records: &[(u64, u64, u32, u8)]) -> Vec<u8> {
+    /// A row written column by column from raw wire values — each block at
+    /// any widths its header allows (`shapes`, cycled: delta width
+    /// `shape % 6`, attr width `shape / 6 % 5`, constant etype when
+    /// `shape >= 30`), its first vertex at any varint width, any weight
+    /// bits — rather than through `encode_adjacency`, which writes only the
+    /// narrowest widths.
+    fn wire_row(records: &[(u64, u64, u32, u8)], shapes: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
         put_varint(&mut buf, records.len() as u64);
-        for &(classes, entropy, weight_bits, etype) in records {
-            put_varint(&mut buf, shaped(classes, entropy));
-            buf.push(etype);
-            // One class forces a NaN with the entropy as its payload.
-            let nan = if classes % 7 == 0 { 0x7fc0_0000 } else { 0 };
-            buf.extend_from_slice(&(weight_bits | nan).to_le_bytes());
-            put_varint(&mut buf, shaped(classes / 6, entropy.rotate_left(21)));
+        for (block, shape) in records.chunks(BLOCK_RECORDS).zip(shapes.iter().cycle()) {
+            let (delta_width, attr_width) = (usize::from(shape % 6), usize::from(shape / 6 % 5));
+            let constant = *shape >= 30;
+            let widths = (delta_width | (attr_width << 3)) as u8;
+            buf.push(widths | if constant { CONSTANT_ETYPE } else { 0 });
+            put_varint(&mut buf, shaped(block[0].0, block[0].1));
+            for &(_, entropy, _, _) in &block[1..] {
+                buf.extend_from_slice(&entropy.to_le_bytes()[..delta_width]);
+            }
+            if constant {
+                buf.push(block[0].3);
+            } else {
+                buf.extend(block.iter().map(|r| r.3));
+            }
+            for &(class, _, weight_bits, _) in block {
+                // One class forces a NaN with the entropy as its payload.
+                let nan = if class % 7 == 0 { 0x7fc0_0000 } else { 0 };
+                buf.extend_from_slice(&(weight_bits | nan).to_le_bytes());
+            }
+            for &(_, entropy, _, _) in block {
+                buf.extend_from_slice(&entropy.rotate_left(21).to_le_bytes()[..attr_width]);
+            }
         }
         buf
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(192))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Valid rows of 0..40 records (so also rows shorter than one
-        /// 25-byte window, where only the checked tail runs), and every
-        /// truncation of them.
+        /// Valid rows of 0..300 records — one, two and three blocks, at
+        /// every width — and every truncation of them.
         #[test]
-        fn fused_decode_matches_scalar_oracle_on_rows_and_truncations(
+        fn columnar_decode_matches_per_record_oracle_on_rows_and_truncations(
             records in prop::collection::vec(
-                (0u64..36, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 0..40),
+                (0u64..36, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 0..300),
+            shapes in prop::collection::vec(0u8..60, 1..4),
         ) {
-            let buf = wire_row(&records);
-            prop_assert!(decode_adjacency_scalar(&buf).is_ok());
+            let buf = wire_row(&records, &shapes);
+            prop_assert!(decode_adjacency_per_record(&buf).is_ok());
             assert_matches_oracle(&buf)?;
             for cut in 0..buf.len() {
-                prop_assert!(decode_adjacency_scalar(&buf[..cut]).is_err());
+                prop_assert!(decode_adjacency_per_record(&buf[..cut]).is_err());
                 assert_matches_oracle(&buf[..cut])?;
             }
         }
 
-        /// Single-byte flips, and an overlong varint spliced in at a random
-        /// offset: whatever the scalar decoder makes of the damage — another
-        /// row, or an error at some offset — the fused one makes the same.
+        /// Single-byte flips anywhere, headers and first-vertex varints
+        /// included: whatever the oracle makes of the damage — another row,
+        /// or an error at some offset — the columnar decoder makes the same.
         #[test]
-        fn fused_decode_matches_scalar_oracle_on_corrupt_rows(
+        fn columnar_decode_matches_per_record_oracle_on_corrupt_rows(
             records in prop::collection::vec(
-                (0u64..36, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 1..40),
+                (0u64..36, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 1..300),
+            shapes in prop::collection::vec(0u8..60, 1..4),
             flips in prop::collection::vec((0usize..=usize::MAX, 1u8..=255), 1..24),
         ) {
-            let buf = wire_row(&records);
+            let buf = wire_row(&records, &shapes);
             for &(at, mask) in &flips {
                 let mut bad = buf.clone();
                 bad[at % buf.len()] ^= mask;
                 assert_matches_oracle(&bad)?;
-                let mut overlong = buf.clone();
+            }
+        }
+
+        /// Bytes spliced in at a random offset — an overlong varint, or a
+        /// run of arbitrary bytes — shift every column after them: same
+        /// outcome as the oracle, same error variant at the same offset.
+        #[test]
+        fn columnar_decode_matches_per_record_oracle_on_spliced_bytes(
+            records in prop::collection::vec(
+                (0u64..36, 0u64..=u64::MAX, 0u32..=u32::MAX, 0u8..=255), 1..300),
+            shapes in prop::collection::vec(0u8..60, 1..4),
+            splices in prop::collection::vec(
+                (0usize..=usize::MAX, prop::collection::vec(0u8..=255, 1..12)), 1..12),
+        ) {
+            let buf = wire_row(&records, &shapes);
+            for (at, bytes) in &splices {
                 let at = at % buf.len();
+                let mut overlong = buf.clone();
                 overlong.splice(at..at, [0xff; 11]);
                 assert_matches_oracle(&overlong)?;
+                let mut spliced = buf.clone();
+                spliced.splice(at..at, bytes.iter().copied());
+                assert_matches_oracle(&spliced)?;
             }
         }
     }
@@ -460,6 +568,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_adjacency(nbrs, &mut buf);
         let back = decode_adjacency(&buf).unwrap();
+        assert_eq!(bits(&decode_adjacency_per_record(&buf).unwrap()), bits(&back));
         assert_eq!(back.len(), nbrs.len());
         for (a, b) in nbrs.iter().zip(&back) {
             assert_eq!(a.vertex, b.vertex);
@@ -517,6 +626,81 @@ mod tests {
         encode_adjacency(&nbrs, &mut buf);
         let raw = nbrs.len() * std::mem::size_of::<Neighbor>();
         assert!(buf.len() * 2 < raw, "encoded {} vs raw {raw}", buf.len());
+    }
+
+    #[test]
+    fn rows_on_each_side_of_a_block_boundary_roundtrip() {
+        for n in [0u32, 1, 127, 128, 129, 257] {
+            // Near-sorted ids with a far jump every 37th record, so some
+            // blocks start after a wide delta, and three etypes.
+            let row: Vec<Neighbor> = (0..n)
+                .map(|i| {
+                    let v = if i % 37 == 36 { 5_000_000 + i } else { 1_000 + 3 * i };
+                    nb(v, (i % 3) as u8, i as f32 * 0.5, 0)
+                })
+                .collect();
+            roundtrip_adj(&row);
+        }
+    }
+
+    #[test]
+    fn a_block_of_one_etype_stores_it_once() {
+        let encoded = |etype: fn(u32) -> u8| {
+            let row: Vec<Neighbor> = (0..128).map(|i| nb(i, etype(i), 1.0, 0)).collect();
+            roundtrip_adj(&row);
+            let mut buf = Vec::new();
+            encode_adjacency(&row, &mut buf);
+            buf
+        };
+        let (mixed, constant) = (encoded(|i| (i % 2) as u8), encoded(|_| 5));
+        // The count takes two bytes; the header follows.
+        assert_eq!(mixed[2] & CONSTANT_ETYPE, 0);
+        assert_eq!(constant[2] & CONSTANT_ETYPE, CONSTANT_ETYPE);
+        assert_eq!(mixed.len() - constant.len(), 127);
+    }
+
+    #[test]
+    fn attr_columns_take_the_width_of_the_largest_attr() {
+        for (width, attr) in [(0u8, 0u32), (1, 0xff), (2, 0x100), (3, 0xff_ffff), (4, u32::MAX)] {
+            let row = [nb(1, 0, 1.0, 0), nb(2, 0, 1.0, attr)];
+            let mut buf = Vec::new();
+            encode_adjacency(&row, &mut buf);
+            assert_eq!((buf[1] >> 3) & 7, width, "attr {attr:#x}");
+            roundtrip_adj(&row);
+        }
+    }
+
+    #[test]
+    fn a_jump_across_the_id_space_takes_a_five_byte_delta() {
+        for row in [
+            [nb(u32::MAX, 0, 1.0, 0), nb(0, 0, 1.0, 0)],
+            [nb(0, 0, 1.0, 0), nb(u32::MAX, 0, 1.0, 0)],
+        ] {
+            let mut buf = Vec::new();
+            encode_adjacency(&row, &mut buf);
+            assert_eq!(buf[1] & 7, 5);
+            roundtrip_adj(&row);
+        }
+    }
+
+    #[test]
+    fn a_header_width_out_of_range_is_a_typed_error() {
+        let row: Vec<Neighbor> = (0..129).map(|i| nb(i, 0, 1.0, 0)).collect();
+        let mut first_block = Vec::new();
+        encode_adjacency(&row[..128], &mut first_block);
+        let mut buf = Vec::new();
+        encode_adjacency(&row, &mut buf);
+        // Both counts take two bytes, so the second block's header sits
+        // where the one-block row ends.
+        for offset in [2, first_block.len()] {
+            for header in [6u8, 7, 5 << 3, 7 << 3, 0x80, 0xff] {
+                let mut bad = buf.clone();
+                bad[offset] = header;
+                let want = Err(CodecError::BadBlockHeader { offset, header });
+                assert_eq!(decode_adjacency(&bad), want);
+                assert_eq!(decode_adjacency_per_record(&bad), want);
+            }
+        }
     }
 
     #[test]

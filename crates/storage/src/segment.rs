@@ -14,7 +14,8 @@
 //!
 //! ```text
 //! magic    8B  "ALGRSEG1"
-//! version  4B  u32 = 2 (version 1's adjacency records also held an edge-id delta)
+//! version  4B  u32 = 3 (version 2 wrote adjacency rows a record at a time, in
+//!              LEB128 varints; version 1's records also held an edge-id delta)
 //! kind     1B  0 = adjacency, 1 = feature
 //! reserved 1B  0
 //! shard    2B  u16
@@ -29,12 +30,12 @@ use crate::seal::{self, SealError, Truncated};
 /// Magic bytes opening every segment.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"ALGRSEG1";
 /// Current format version.
-pub const SEGMENT_VERSION: u32 = 2;
+pub const SEGMENT_VERSION: u32 = 3;
 
 /// What a segment's rows encode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentKind {
-    /// Delta-varint adjacency rows.
+    /// Block-columnar adjacency rows.
     Adjacency,
     /// XOR-varint feature rows.
     Feature,
@@ -261,7 +262,7 @@ mod tests {
         // The `ALGRSEG1` byte stream is pinned: the trailer seals every byte
         // before it, so this one constant fixes the whole byte format.
         assert_eq!(bytes.len(), 1123);
-        assert_eq!(bytes[bytes.len() - 8..], 0xfd82_691d_a231_1178_u64.to_le_bytes());
+        assert_eq!(bytes[bytes.len() - 8..], 0xacc4_b622_50ba_36d7_u64.to_le_bytes());
         let back = Segment::from_bytes(&bytes).unwrap();
         assert_eq!(back, seg);
         assert_eq!(back.kind(), SegmentKind::Feature);
@@ -305,13 +306,24 @@ mod tests {
         }
     }
 
+    /// The sample segment's bytes re-sealed under another version word.
+    fn with_version(version: u32) -> Vec<u8> {
+        let bytes = sample_segment().to_bytes();
+        let mut out = bytes[..bytes.len() - 8].to_vec();
+        out[8..12].copy_from_slice(&version.to_le_bytes());
+        seal::close(&mut out);
+        out
+    }
+
     #[test]
     fn a_version_1_segment_is_refused() {
-        let bytes = sample_segment().to_bytes();
-        let mut v1 = bytes[..bytes.len() - 8].to_vec();
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        seal::close(&mut v1);
-        assert_eq!(Segment::from_bytes(&v1), Err(SegmentError::BadVersion(1)));
+        assert_eq!(Segment::from_bytes(&with_version(1)), Err(SegmentError::BadVersion(1)));
+    }
+
+    #[test]
+    fn a_version_2_segment_is_refused() {
+        // Version 2's record-at-a-time varint rows would misread as blocks.
+        assert_eq!(Segment::from_bytes(&with_version(2)), Err(SegmentError::BadVersion(2)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! deciding *what* stays hot.
 //!
 //! A [`TieredStore`] sits beneath the sharded store. At build time every
-//! vertex's adjacency row is delta-varint encoded ([`crate::codec`]) into
+//! vertex's adjacency row is block-columnar encoded ([`crate::codec`]) into
 //! per-shard segments ([`crate::segment`]); feature rows join
 //! via [`TieredStore::attach_features`]. A **hot set** of decoded rows is
 //! bounded by a resident-byte budget ([`TierConfig::resident_budget`]).
@@ -180,8 +180,8 @@ fn adjacency_bytes(degree: usize) -> u64 {
 /// rows, computed from the graph, not read from a segment, so a change to
 /// the codec's byte layout moves the encoded bytes (`tier.segment_bytes`,
 /// `tier.io.bytes`) and leaves the ranking, `τ` and the hot set where they
-/// are. It tracks what a decode walks: the version-2 row is this less about
-/// a byte a record.
+/// are. It counts what a decode produces, a record for a record, not the
+/// bytes of any one encoding: the version-3 segment row is shorter.
 fn priced_decode_bytes(graph: &AttributedHeterogeneousGraph, v: VertexId) -> u64 {
     let varint_len = |x: u64| u64::from((64 - x.leading_zeros()).max(1).div_ceil(7));
     let nbrs = graph.out_neighbors(v);
@@ -304,10 +304,11 @@ struct ShardTier {
     /// The prefetch double-buffer's active side: decoded adjacency rows the
     /// announced frontier is about to read.
     prefetch_active: HashMap<u32, Staged>,
-    /// The row buffer every cold adjacency decode lands in (neighbors and
-    /// weight CDF), reused across reads: one row at a time, bounded by the
-    /// largest row, and — like the prefetch stage — not charged to the
-    /// budget. A pass-through read never leaves it.
+    /// The row buffer every cold adjacency decode lands in, and the weight
+    /// CDF built from it for a row that is kept, reused across reads: one
+    /// row at a time, bounded by the largest row, and — like the prefetch
+    /// stage — not charged to the budget. A pass-through read never leaves
+    /// it.
     row_nbrs: Vec<Neighbor>,
     row_cdf: Vec<f32>,
 }
@@ -353,8 +354,11 @@ impl ShardTier {
         self.resident.get(v as usize / 64).is_some_and(|w| w & (1u64 << (v as usize % 64)) != 0)
     }
 
-    /// The row buffer's content in shareable form.
-    fn shared_row(&self) -> SharedRow {
+    /// The row buffer's content in shareable form, with its weight CDF —
+    /// built here, for a row that is admitted, staged or asked for, and
+    /// never for a pass-through read nobody asked for.
+    fn shared_row(&mut self) -> SharedRow {
+        fill_cdf(&self.row_nbrs, &mut self.row_cdf);
         (self.row_nbrs.as_slice().into(), self.row_cdf.as_slice().into())
     }
 }
@@ -373,8 +377,8 @@ pub struct TieredStore {
     /// rows (stable across migrations; adjacency is immutable).
     owner: Vec<u32>,
     /// The admission key per vertex — decoded bytes saved per resident
-    /// byte, `D_in(v) × enc(v) / adjacency_bytes(D_out(v))`, 0 for a row no
-    /// edge points at — computed once per build from the segment bytes.
+    /// byte, `D_in(v) × dec(v) / adjacency_bytes(D_out(v))`, 0 for a row no
+    /// edge points at — computed once per build from the graph.
     importance: Vec<f64>,
     /// Vertex ids by descending key, vertex id as the deterministic
     /// tie-break.
@@ -631,9 +635,10 @@ impl TieredStore {
     /// The one adjacency read every entry point goes through: the shard's
     /// hot set, then its prefetch stage, then a cold decode into its reused
     /// row buffer. Counts the read by source, applies the admission rule to
-    /// a row that was not hot, and materialises `Arc`s only for a row that
-    /// is admitted or that the caller asked for (`want_row`) — a
-    /// pass-through row nobody asked for stays in the buffer.
+    /// a row that was not hot, and builds the weight CDF and materialises
+    /// `Arc`s only for a row that is admitted or that the caller asked for
+    /// (`want_row`) — a pass-through row nobody asked for stays in the
+    /// buffer, without a CDF.
     fn read_row(
         &self,
         st: &mut ShardTier,
@@ -693,23 +698,21 @@ impl TieredStore {
         self.importance.get(v as usize).is_some_and(|&imp| imp >= self.tau)
     }
 
-    /// Decodes `v`'s adjacency row and its weight CDF, in one pass, into the
-    /// shard's reused row buffer from its owner shard's segment, metering
-    /// the cold I/O.
+    /// Decodes `v`'s adjacency row into the shard's reused row buffer from
+    /// its owner shard's segment, metering the cold I/O. No weight CDF: one
+    /// is built ([`ShardTier::shared_row`]) only for a row that is kept.
     fn decode_cold(&self, st: &mut ShardTier, v: VertexId) -> TierRead {
-        let ShardTier { row_nbrs, row_cdf, .. } = st;
         let owner = self.owner.get(v.index()).copied().unwrap_or(0) as usize;
         if let Some(bytes) = self.adj_segments.get(owner).and_then(|seg| seg.lookup(v.0)) {
-            if decode_adjacency_into(bytes, row_nbrs, Some(row_cdf)).is_ok() {
+            if decode_adjacency_into(bytes, &mut st.row_nbrs).is_ok() {
                 self.io_meter.record(AccessKind::Cold, bytes.len() as u64, &self.cost);
                 return TierRead::Cold;
             }
         }
         // Not in the segment (or undecodable): serve from the shared graph
         // — correctness never depends on the cold copy.
-        row_nbrs.clear();
-        row_nbrs.extend_from_slice(self.graph.out_neighbors(v));
-        fill_cdf(row_nbrs, row_cdf);
+        st.row_nbrs.clear();
+        st.row_nbrs.extend_from_slice(self.graph.out_neighbors(v));
         TierRead::Materialized
     }
 
@@ -1063,6 +1066,66 @@ mod tests {
     }
 
     #[test]
+    fn a_kept_rows_cdf_is_its_own_on_the_cold_prefetched_and_materialized_paths() {
+        let (g, mut store) = setup(Some(6_000));
+        let bits = |cdf: &[f32]| cdf.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let want = |v: VertexId| bits(&build_cdf(g.out_neighbors(v)));
+        let hot_cdf = |store: &TieredStore, v: VertexId| {
+            store.on_owner(v, |st| match st.hot.peek(&RowKey { kind: KIND_ADJ, vertex: v.0 }) {
+                Some(HotRow::Adjacency { cdf, .. }) => bits(cdf),
+                _ => panic!("{v:?} is not hot"),
+            })
+        };
+        // Rows of one shard that are not hot: three seeded rows demoted,
+        // which the admission rule takes back, and pass-through rows. Each
+        // read below follows another row's decode through the same row
+        // buffer, and no two of these rows have the same CDF, so a CDF left
+        // over from the previous row, or one never built, shows.
+        let shard = store.owner[store.ranking[0] as usize] as usize;
+        let of_shard =
+            |v: VertexId| store.owner[v.index()] as usize == shard && g.out_degree(v) > 0;
+        let kept: Vec<VertexId> =
+            g.vertices().filter(|&v| of_shard(v) && store.is_hot(v)).take(3).collect();
+        for &v in &kept {
+            store.on_owner(v, |st| store.demote(st, RowKey { kind: KIND_ADJ, vertex: v.0 }));
+        }
+        let passed: Vec<VertexId> =
+            g.vertices().filter(|&v| of_shard(v) && !store.is_important(v.0)).collect();
+        assert!(kept.len() == 3 && passed.len() >= 6, "too few rows: vacuous");
+        let used: Vec<VertexId> = kept.iter().chain(&passed[..6]).copied().collect();
+        for (i, &a) in used.iter().enumerate() {
+            for &b in &used[i + 1..] {
+                assert_ne!(want(a), want(b), "{a:?} and {b:?} have equal CDFs");
+            }
+        }
+        // Cold: a pass-through decode that builds no CDF, then an admitted
+        // row, then a pass-through row a caller asks for.
+        assert_eq!(store.classify(shard, passed[0]), Some(TierRead::Cold));
+        let (_, cdf, how) = store.read_adjacency(kept[0]);
+        assert_eq!((how, bits(&cdf)), (TierRead::Cold, want(kept[0])));
+        assert_eq!(hot_cdf(&store, kept[0]), want(kept[0]));
+        let (_, cdf, how) = store.read_adjacency(passed[1]);
+        assert_eq!((how, bits(&cdf)), (TierRead::Cold, want(passed[1])));
+        // Prefetched: each staged row carries its own CDF.
+        store.prefetch(shard, &[kept[1], passed[2], passed[3]]);
+        for v in [kept[1], passed[2], passed[3]] {
+            let (_, cdf, how) = store.read_adjacency(v);
+            assert_eq!((how, bits(&cdf)), (TierRead::Prefetched, want(v)), "{v:?}");
+        }
+        assert_eq!(hot_cdf(&store, kept[1]), want(kept[1]));
+        // Materialized: with the shard's segment gone, rows come from the
+        // graph through the same buffer.
+        Arc::get_mut(&mut store).unwrap().adj_segments[shard] =
+            Segment::build(SegmentKind::Adjacency, shard as u16, Vec::new());
+        assert_eq!(store.classify(shard, passed[4]), Some(TierRead::Materialized));
+        let (_, cdf, how) = store.read_adjacency(passed[5]);
+        assert_eq!((how, bits(&cdf)), (TierRead::Materialized, want(passed[5])));
+        let (_, cdf, how) = store.read_adjacency(kept[2]);
+        assert_eq!((how, bits(&cdf)), (TierRead::Materialized, want(kept[2])));
+        assert_eq!(hot_cdf(&store, kept[2]), want(kept[2]));
+    }
+
+    #[test]
     fn budget_is_enforced_with_lru_demotion() {
         let registry = Registry::new();
         let (g, store) = setup_registered(Some(3_000), &registry);
@@ -1150,13 +1213,13 @@ mod tests {
     #[test]
     fn a_cold_read_is_priced_at_the_version_1_row_length() {
         use crate::codec::put_varint;
-        // The version-1 writer: today's record plus a zigzag delta of the
-        // edge id. The price stays this unit whatever the codec writes; the
-        // segments hold the same rows without the edge-id deltas.
-        let (g, store) = setup(None);
+        // The version-1 writer: a record at a time, each a zigzag vertex
+        // delta, the etype, the weight, the attr varint and a zigzag delta
+        // of the edge id. The price stays this unit whatever the segments
+        // hold.
+        let (g, _) = setup(None);
         for v in g.vertices() {
             let mut row = Vec::new();
-            let mut edge_delta_bytes = 0;
             put_varint(&mut row, g.out_degree(v) as u64);
             let (mut prev_vertex, mut prev_edge) = (0i64, 0i64);
             for (e, n) in g.out_edge_ids(v).zip(g.out_neighbors(v)) {
@@ -1164,14 +1227,10 @@ mod tests {
                 row.push(n.etype.0);
                 row.extend_from_slice(&n.weight.to_le_bytes());
                 put_varint(&mut row, u64::from(n.attr.0));
-                let before = row.len();
                 put_varint(&mut row, zigzag(e as i64 - prev_edge));
-                edge_delta_bytes += row.len() - before;
                 (prev_vertex, prev_edge) = (i64::from(n.vertex.0), e as i64);
             }
             assert_eq!(priced_decode_bytes(&g, v), row.len() as u64, "{v:?}");
-            let enc = store.adj_segments[store.owner[v.index()] as usize].lookup(v.0).unwrap();
-            assert_eq!(enc.len(), row.len() - edge_delta_bytes, "{v:?}");
         }
     }
 
