@@ -8,10 +8,11 @@
 # row compares values unless it says --presence-only: train-bench,
 # closed-loop, rebalance-bench and tiered-bench are seeded and their
 # schedules pinned (every series that is not a wall clock repeats exactly;
-# train-bench's, train-bench-kill's, closed-loop's and tiered-bench's are
-# compared at --tolerance 0, so the metered PS traffic, the tier's reads,
-# the staleness count of a crashed attempt and the streaming plane's
-# overlay rows, alias repairs and cache invalidations are pinned exactly);
+# train-bench's, train-bench-kill's, closed-loop's, rebalance-bench's and
+# tiered-bench's are compared at --tolerance 0, so the metered PS traffic,
+# the tier's reads, the staleness count of a crashed attempt, the migration
+# stream's bytes and the streaming plane's overlay rows, alias repairs and
+# cache invalidations are pinned exactly);
 # serve-under-update's counters
 # follow its updater thread's timing. A row whose baseline is `clean-run`
 # is compared against its own shape run without the fault flags: an unarmed
@@ -65,7 +66,7 @@ serve-under-update   | serve-under-update | --requests 200000 --clients 2 --work
 serve-under-update-chaos | serve-under-update | --fault-seed 42 --drop-rate 0.2 --requests 200000 --clients 2 --workers 2 --scale 0.02 --update-every-ms 1 --slo-p99-ms 250 | streaming.ingest.lag_ticks chaos.faults_injected |
 closed-loop          | closed-loop        | --cycles 4 --seed 42 --slo-freshness-ticks 200 | loop.freshness_ticks loop.cycles streaming.ingest. runtime.ps. | BENCH_closed_loop.json --tolerance 0
 closed-loop-chaos    | closed-loop        | --cycles 2 --seed 42 --fault-seed 7 --drop-rate 0.2 --slo-freshness-ticks 200 | loop.freshness_ticks chaos.faults_injected |
-rebalance-bench      | rebalance-bench    | --workers 4 --epochs 3 --scale 0.01 --merge 1 | topology.migration. | BENCH_rebalance.json
+rebalance-bench      | rebalance-bench    | --workers 4 --epochs 3 --scale 0.01 --merge 1 | topology.migration. | BENCH_rebalance.json --tolerance 0
 rebalance-bench-chaos | rebalance-bench   | --workers 4 --epochs 3 --scale 0.01 --fault-seed 7 --drop-rate 0.2 | topology.migration. chaos.faults_injected |
 tiered-bench         | tiered-bench       | --scale 10 --workers 4 --resident-budget 500000 | tier.reads tier.resident_bytes tier.segment_bytes tier.io. tier.admit | BENCH_tiered_storage.json --tolerance 0
 train-bench-deadline | train-bench        | --workers 2 --fault-seed 3 --drop-rate 0.9 | | fails-within 40 retry deadline exhausted

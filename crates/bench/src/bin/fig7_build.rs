@@ -4,6 +4,9 @@
 //! minutes even for Taobao-large (vs hours on PowerGraph). Here the
 //! simulated datasets are ~20,000× smaller, so absolute times are in the
 //! millisecond–second range; the *scaling* with workers is the result.
+//! A shard's ingest builds only its residency bits and neighbor cache (the
+//! rows stay in the one shared graph), so the serial partition phase
+//! dominates and the curve is flat here (EXPERIMENTS.md, Fig 7).
 
 use aligraph_bench::{f, header, row, taobao_large_bench, taobao_small_bench};
 use aligraph_partition::EdgeCutHash;
@@ -53,8 +56,8 @@ fn main() {
             ]);
         }
     }
-    println!("\n'cluster build' = partition + slowest shard's ingest (the distributed");
-    println!("makespan; on a machine with >= `workers` cores it equals wall time).");
+    println!("\n'cluster build' = partition + importance + slowest shard's ingest (the");
+    println!("distributed makespan; on a machine with >= `workers` cores it equals wall time).");
     println!(
         "paper: build time decreases w.r.t. workers; Taobao-large builds in ~5 min on 400 workers."
     );

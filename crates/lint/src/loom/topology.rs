@@ -7,7 +7,8 @@
 //! make both atomic — the [`Published`] cell swaps one sealed
 //! [`TopologyView`] under a lock, and [`Residency::cutover`] is a single
 //! Release store whose protocol requires the destination to absorb the
-//! vertex's data *first*.
+//! vertex's data *first*. The shards are real [`GraphServer`]s, moved with
+//! `extract` / `absorb` / `retire` and checked with `is_local`.
 //!
 //! The cell is the same one the online graph plane and the deployed model
 //! publish through (DESIGN.md §2.15), so this target's torn-publish twin
@@ -25,9 +26,9 @@
 //!   absorb-then-flip protocol exists to prevent.
 
 use super::{Threads, VThread, Workload};
-use aligraph_graph::VertexId;
+use aligraph_graph::{GraphBuilder, VertexId, VertexType};
 use aligraph_storage::seal::Fnv1a;
-use aligraph_storage::{Published, Residency, TopologyView};
+use aligraph_storage::{GraphServer, NeighborCache, Published, Residency, TopologyView};
 use std::sync::Arc;
 
 /// Vertices the tiny cluster covers: 0 and 1 start on shard 0 (and will
@@ -84,15 +85,14 @@ impl SplitTopology {
     }
 }
 
-/// Shared state: the real versioned topology + residency + a per-shard
-/// data-presence model, and the split twin beside them.
+/// Shared state: the real versioned topology, residency and shard
+/// servers, and the split twin beside them.
 #[derive(Debug)]
 pub struct TopoState {
     topo: Published<TopologyView>,
     residency: Residency,
-    /// `data[v][shard]`: whether the shard holds `v`'s subgraph (the
-    /// absorb/retire model the migrator drives).
-    data: Vec<[bool; SLOTS]>,
+    /// One server per slot, over a graph of [`OWNERS`]`.len()` vertices.
+    servers: Vec<GraphServer>,
     split: SplitTopology,
     torn: bool,
     errors: Vec<String>,
@@ -100,7 +100,8 @@ pub struct TopoState {
 
 /// Where a per-vertex move (or a torn publish) is within its step window.
 enum Phase {
-    /// Copy the vertex's data to the destination shard.
+    /// Extract the vertex from the source shard and absorb it at the
+    /// destination.
     Absorb,
     /// Flip the residency slot (the commit point).
     Flip,
@@ -125,7 +126,10 @@ impl VThread<TopoState> for Migrator {
         if let Some(&v) = self.queue.first() {
             let absorb_now = matches!(self.phase, Phase::Absorb) != self.eager;
             if absorb_now {
-                s.data[v as usize][DST as usize] = true;
+                match s.servers[0].extract(VertexId(v)) {
+                    Some(rec) => s.servers[DST as usize].absorb(rec),
+                    None => s.errors.push(format!("vertex {v} left its source before moving")),
+                }
             } else {
                 s.residency.cutover(VertexId(v), DST);
             }
@@ -147,12 +151,8 @@ impl VThread<TopoState> for Migrator {
             Arc::new(s.residency.snapshot()),
             Arc::new((0..SLOTS).map(|slot| cur.is_live(slot as u32)).collect()),
         );
-        let data = &mut s.data;
-        let published = writer.publish(next, || {
-            for &v in &MOVES {
-                data[v as usize][0] = false;
-            }
-        });
+        let source = &s.servers[0];
+        let published = writer.publish(next, || source.retire(&MOVES));
         if let Err(e) = published {
             s.errors.push(e.to_string());
         }
@@ -217,9 +217,9 @@ impl VThread<TopoState> for Reader {
             ));
         }
         self.last_epoch = pin.epoch();
-        for v in 0..s.data.len() {
-            let shard = s.residency.of(VertexId(v as u32));
-            if !s.data[v][shard as usize] {
+        for v in 0..OWNERS.len() as u32 {
+            let shard = s.residency.of(VertexId(v));
+            if !s.servers[shard as usize].is_local(VertexId(v)) {
                 s.errors.push(format!("vertex {v} routed to shard {shard} which holds no copy"));
             }
         }
@@ -273,14 +273,22 @@ impl Workload for TopologyWorkload {
         let owners: Arc<Vec<u32>> = Arc::new(OWNERS.to_vec());
         let live = Arc::new(vec![true; SLOTS]);
         let view = TopologyView::new(0, Arc::clone(&owners), live);
-        let mut data = vec![[false; SLOTS]; OWNERS.len()];
-        for (v, &o) in OWNERS.iter().enumerate() {
-            data[v][o as usize] = true;
-        }
+        // Residency is all the target reads, so the graph needs no edges.
+        let mut builder = GraphBuilder::directed();
+        builder.add_vertices(VertexType(0), OWNERS.len());
+        let graph = Arc::new(builder.build());
+        let servers = (0..SLOTS as u32)
+            .map(|slot| {
+                let roster: Vec<VertexId> =
+                    graph.vertices().filter(|v| OWNERS[v.index()] == slot).collect();
+                let cache = NeighborCache::empty(OWNERS.len());
+                GraphServer::ingest(Arc::clone(&graph), &roster, cache, 1)
+            })
+            .collect();
         let state = TopoState {
             topo: Published::new(view),
             residency: Residency::from_owners(&owners),
-            data,
+            servers,
             split: SplitTopology::initial(),
             torn: self.torn,
             errors: Vec::new(),
@@ -325,15 +333,19 @@ impl Workload for TopologyWorkload {
             if state.residency.of(VertexId(v)) != DST {
                 return Err(format!("vertex {v} did not land on shard {DST}"));
             }
-            if state.data[v as usize][0] {
+            if state.servers[0].is_local(VertexId(v)) {
                 return Err(format!("vertex {v}'s source copy was never retired"));
             }
         }
-        for (v, shards) in state.data.iter().enumerate() {
-            let home = state.residency.of(VertexId(v as u32)) as usize;
-            if !shards[home] {
+        for v in 0..OWNERS.len() as u32 {
+            let home = state.residency.of(VertexId(v)) as usize;
+            if !state.servers[home].is_local(VertexId(v)) {
                 return Err(format!("vertex {v} routes to shard {home} holding no copy"));
             }
+        }
+        let owned: usize = state.servers.iter().map(GraphServer::num_owned).sum();
+        if owned != OWNERS.len() {
+            return Err(format!("shards hold {owned} vertices, not {}", OWNERS.len()));
         }
         Ok(())
     }

@@ -2,11 +2,11 @@
 //!
 //! [`ClusterBuilder`] is the code path behind the paper's Figure 7 (graph
 //! building time vs. number of workers): partitioning assigns every edge to
-//! a worker (Algorithm 2 lines 1–4), then one OS thread per worker ingests
-//! only its own shard — local adjacency plus per-vertex weight indexes and
-//! the neighbor cache. Each shard times itself, so the report exposes both
-//! the as-executed wall time and the distributed makespan (slowest shard),
-//! which is what a real cluster's build time would be.
+//! a worker (Algorithm 2 lines 1–4), then each worker's shard is ingested
+//! from its own roster — its residency bits and its neighbor cache; the
+//! rows stay in the one shared graph. Each shard times itself, so the
+//! report exposes both the as-executed wall time and the distributed
+//! makespan (slowest shard).
 //!
 //! Membership is *elastic*: the builder publishes an epoch-0
 //! [`TopologyView`] (the logical partition) and routing goes through it —
@@ -154,7 +154,7 @@ impl<'a> ClusterBuilder<'a> {
     }
 
     /// Serve shards out of a cold tier (compressed sealed segments under a
-    /// resident-byte budget) instead of materializing every adjacency row.
+    /// resident-byte budget) instead of treating every row as decoded and hot.
     /// See [`crate::tier`].
     pub fn tier_config(mut self, cfg: TierConfig) -> Self {
         self.tier = Some(cfg);
@@ -200,7 +200,7 @@ impl<'a> ClusterBuilder<'a> {
             Some(cfg) => {
                 // Tiered ingest: encode every shard's rows into sealed
                 // segments once (the tier build), then bind one thin server
-                // per shard. Nothing is materialized per shard, so the
+                // per shard. Nothing is kept per shard, so the
                 // decoded-resident footprint is the budget, not the graph.
                 let owners: Vec<u32> = graph.vertices().map(|v| partition.owner_of(v).0).collect();
                 let store =
@@ -212,7 +212,6 @@ impl<'a> ClusterBuilder<'a> {
                     let t = Stopwatch::start();
                     let cache = NeighborCache::build(&graph, &importance, &self.strategy);
                     servers.push(Arc::new(GraphServer::tiered(
-                        WorkerId(w as u32),
                         Arc::clone(&graph),
                         Arc::clone(&store),
                         w,
@@ -479,16 +478,10 @@ fn ingest_parallel(
     }
     let mut servers = Vec::with_capacity(p);
     let mut shard_times = Vec::with_capacity(p);
-    for (w, roster) in rosters.iter().enumerate() {
+    for roster in &rosters {
         let t0 = Stopwatch::start();
         let cache = NeighborCache::build(graph, importance, strategy);
-        servers.push(Arc::new(GraphServer::ingest(
-            WorkerId(w as u32),
-            Arc::clone(graph),
-            roster,
-            cache,
-            capacity,
-        )));
+        servers.push(Arc::new(GraphServer::ingest(Arc::clone(graph), roster, cache, capacity)));
         shard_times.push(t0.elapsed());
     }
     (servers, shard_times)

@@ -30,7 +30,7 @@ use crate::server::{GraphServer, VertexRecord};
 use crate::topology::RouteError;
 use aligraph_chaos::{FaultPlane, HopKind, RetryPolicy, SeqCounter, Sequencer, MIGRATION_TAG};
 use aligraph_graph::VertexId;
-use aligraph_partition::{splitmix64, WorkerId};
+use aligraph_partition::splitmix64;
 use std::sync::Arc;
 
 /// A membership change request against the current topology.
@@ -206,7 +206,6 @@ impl Cluster {
                 // serves out of the same shared store (its residency starts
                 // empty and fills as records absorb).
                 Some(ref store) => GraphServer::tiered(
-                    WorkerId(dst),
                     Arc::clone(self.graph()),
                     Arc::clone(store),
                     dst as usize,
@@ -214,7 +213,6 @@ impl Cluster {
                     attr_cache_capacity(self.graph()),
                 ),
                 None => GraphServer::empty(
-                    WorkerId(dst),
                     Arc::clone(self.graph()),
                     cache,
                     attr_cache_capacity(self.graph()),
@@ -362,7 +360,7 @@ mod tests {
     use crate::tier::TierConfig;
     use aligraph_chaos::FaultPlan;
     use aligraph_graph::generate::TaobaoConfig;
-    use aligraph_partition::EdgeCutHash;
+    use aligraph_partition::{EdgeCutHash, WorkerId};
 
     fn cluster(shards: usize, strategy: CacheStrategy) -> Cluster {
         let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
@@ -422,6 +420,50 @@ mod tests {
         // Every vertex is back on its original (logical) owner.
         for v in c.graph().vertices() {
             assert_eq!(c.primary_of(v).unwrap(), c.partition().owner_of(v));
+        }
+    }
+
+    /// Every shard holds exactly the vertices [`Residency`] routes to it.
+    ///
+    /// [`Residency`]: crate::topology::Residency
+    fn assert_shards_match_residency(c: &Cluster) {
+        c.verify_residency().unwrap();
+        let owners = c.residency_snapshot();
+        for slot in 0..c.num_shards() as u32 {
+            let server = c.server(WorkerId(slot));
+            let routed = owners.iter().filter(|&&o| o == slot).count();
+            assert_eq!(server.num_owned(), routed, "shard {slot} owns what routes to it");
+            for v in c.graph().vertices() {
+                assert_eq!(server.is_local(v), owners[v.index()] == slot, "vertex {v:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_then_merge_keeps_every_shard_in_step_with_residency() {
+        let tiered = || {
+            let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
+            let tier = TierConfig::with_budget(Some(4_000));
+            Cluster::builder(g).shards(3).tier_config(tier).build().0
+        };
+        // (moved, bytes) of the split, then of the merge: the migration
+        // stream is the same records whichever store the shards keep.
+        let pins = [(34, 3_672), (34, 3_672)];
+        for (name, c) in [("all-hot", cluster(3, CacheStrategy::None)), ("tiered", tiered())] {
+            assert_shards_match_residency(&c);
+            let policy = RetryPolicy::default();
+            let split =
+                c.rebalance(RebalanceOp::Split { shard: 1 }, &clean_plane(), &policy).unwrap();
+            assert_shards_match_residency(&c);
+            let merge = c
+                .rebalance(RebalanceOp::Merge { from: 3, into: 0 }, &clean_plane(), &policy)
+                .unwrap();
+            assert_shards_match_residency(&c);
+            assert_eq!(
+                [(split.moved, split.bytes), (merge.moved, merge.bytes)],
+                pins,
+                "{name} migration stream"
+            );
         }
     }
 

@@ -1,21 +1,21 @@
-//! One graph server (worker shard): owns a resident set of vertices, their
-//! full out-adjacency, LRU-fronted attribute access, and a local neighbor
-//! cache.
+//! One graph server (worker shard): owns a resident set of vertices,
+//! LRU-fronted attribute access, and a local neighbor cache. Rows are held
+//! once, in the shared graph; an all-hot shard keeps only a residency bit
+//! per vertex id.
 //!
 //! Residency is dynamic: a live migration [`absorb`](GraphServer::absorb)s
 //! vertex records onto a serving shard and [`retire`](GraphServer::retire)s
 //! them from the source at the next topology publish, so both shards serve
-//! throughout. The resident maps sit behind `RwLock`s for exactly that
-//! reason; the hot read path only takes the read side.
+//! throughout. The bits are atomic for exactly that reason: a read is one
+//! load, with no lock.
 
 use crate::cost::{AccessKind, AccessStats, CostModel};
 use crate::lru::LruCache;
 use crate::neighbor_cache::{CacheOutcome, NeighborCache};
 use crate::tier::{TierRead, TieredStore};
 use aligraph_graph::{AttrId, AttrVector, AttributedHeterogeneousGraph, Neighbor, VertexId};
-use aligraph_partition::WorkerId;
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One vertex's movable shard-resident state: the unit a live migration
@@ -24,40 +24,44 @@ use std::sync::Arc;
 pub struct VertexRecord {
     /// The vertex being moved.
     pub vertex: VertexId,
-    /// Its materialized out-adjacency.
+    /// Its out-adjacency.
     pub neighbors: Box<[Neighbor]>,
     /// Its cumulative edge-weight table (empty when the vertex has no
     /// out-edges).
     pub weight_cdf: Arc<[f32]>,
 }
 
+/// What migration meters for one neighbor on the wire: the record's size
+/// before it dropped its edge id (12 B of vertex, weight and packed
+/// type/attr, not the 16-byte [`Neighbor`]). It is the pinned wire price:
+/// `BENCH_rebalance.json`'s `topology.migration.bytes` is computed from it,
+/// as the tier's budget is from its `CHARGED_NEIGHBOR_BYTES`.
+const WIRE_NEIGHBOR_BYTES: u64 = 12;
+
 impl VertexRecord {
     /// Payload size of this record on the wire (what migration meters).
     pub fn bytes(&self) -> u64 {
-        4 + self.neighbors.len() as u64 * 12 + self.weight_cdf.len() as u64 * 4
+        4 + self.neighbors.len() as u64 * WIRE_NEIGHBOR_BYTES + self.weight_cdf.len() as u64 * 4
     }
 }
 
 /// A worker shard of the simulated cluster.
 ///
-/// The server materializes its own adjacency for resident vertices (this is
-/// the real work the parallel ingest of Figure 7 measures) and serves
-/// lookups with local / cached / remote accounting.
+/// The server keeps which vertices are resident on it and serves lookups
+/// with local / cached / remote accounting; the rows themselves are read
+/// from the shared graph.
 #[derive(Debug)]
 pub struct GraphServer {
-    worker: WorkerId,
     graph: Arc<AttributedHeterogeneousGraph>,
-    /// Materialized out-adjacency of resident vertices.
-    local_adjacency: RwLock<HashMap<u32, Box<[Neighbor]>>>,
-    /// Per-vertex cumulative edge-weight tables supporting O(log d) weighted
-    /// neighbor draws without rescanning the adjacency (built at ingest).
-    weight_cdf: RwLock<HashMap<u32, Arc<[f32]>>>,
+    /// Residency of an all-hot shard: bit `v % 64` of word `v / 64` is set
+    /// while vertex `v` is resident here (unused when tiered).
+    resident: Box<[AtomicU64]>,
     /// Neighbor cache for remote vertices (Algorithm 2).
     neighbor_cache: NeighborCache,
     /// LRU in front of the vertex attribute index `I_V` (paper §3.2).
     vertex_attr_cache: Mutex<LruCache<AttrId, AttrVector>>,
-    /// Cold-tier binding. When present the server materializes **nothing**
-    /// itself: residency, adjacency rows, and weight CDFs live in the shared
+    /// Cold-tier binding. When present the server keeps **nothing** itself:
+    /// residency, adjacency rows, and weight CDFs live in the shared
     /// [`TieredStore`] (decoded hot set + compressed segments), and resident
     /// reads whose row is cold are metered as [`AccessKind::Cold`].
     tier: Option<TierBinding>,
@@ -71,31 +75,20 @@ struct TierBinding {
 }
 
 impl GraphServer {
-    /// Ingests the worker's shard: copies the adjacency of every roster
-    /// vertex into local storage and builds the per-vertex cumulative
-    /// weight tables. `roster` is this worker's resident vertex list
-    /// (computed once by the cluster so each shard only touches its own
-    /// data — this is what makes parallel ingest scale with workers,
-    /// Figure 7).
+    /// Ingests the worker's shard: marks every roster vertex resident.
+    /// `roster` is this worker's resident vertex list (computed once by the
+    /// cluster). The rows stay in the shared graph, which is this
+    /// reproduction's one copy of the storage.
     pub fn ingest(
-        worker: WorkerId,
         graph: Arc<AttributedHeterogeneousGraph>,
         roster: &[VertexId],
         neighbor_cache: NeighborCache,
         attr_cache_capacity: usize,
     ) -> Self {
-        let server = Self::empty(worker, graph, neighbor_cache, attr_cache_capacity);
-        {
-            let mut adjacency = server.local_adjacency.write();
-            let mut cdfs = server.weight_cdf.write();
-            adjacency.reserve(roster.len());
-            for &v in roster {
-                let nbrs: Box<[Neighbor]> = server.graph.out_neighbors(v).into();
-                if !nbrs.is_empty() {
-                    cdfs.insert(v.0, build_cdf(&nbrs));
-                }
-                adjacency.insert(v.0, nbrs);
-            }
+        let mut server = Self::empty(graph, neighbor_cache, attr_cache_capacity);
+        for &v in roster {
+            let (word, bit) = bit_of(v.0);
+            *server.resident[word].get_mut() |= bit;
         }
         server
     }
@@ -103,31 +96,28 @@ impl GraphServer {
     /// A shard with no resident vertices yet — the starting state of a
     /// split destination, populated by [`absorb`](Self::absorb).
     pub fn empty(
-        worker: WorkerId,
         graph: Arc<AttributedHeterogeneousGraph>,
         neighbor_cache: NeighborCache,
         attr_cache_capacity: usize,
     ) -> Self {
+        let words = graph.num_vertices().div_ceil(64);
         GraphServer {
-            worker,
             graph,
-            local_adjacency: RwLock::new(HashMap::new()),
-            weight_cdf: RwLock::new(HashMap::new()),
+            resident: (0..words).map(|_| AtomicU64::new(0)).collect(),
             neighbor_cache,
             vertex_attr_cache: Mutex::new(LruCache::new(attr_cache_capacity)),
             tier: None,
         }
     }
 
-    /// A shard served out of a [`TieredStore`]: nothing is materialized
-    /// here — residency and rows live in the tier under its byte budget,
+    /// A shard served out of a [`TieredStore`]: nothing is kept here —
+    /// residency and rows live in the tier under its byte budget,
     /// which is what lets the cluster hold graphs 10–100× beyond the
     /// decoded-resident footprint. `shard` is this server's slot in the
     /// tier's residency tables (seeded by the tier build; a split
     /// destination starts empty and gains residency via
     /// [`absorb`](Self::absorb)).
     pub fn tiered(
-        worker: WorkerId,
         graph: Arc<AttributedHeterogeneousGraph>,
         store: Arc<TieredStore>,
         shard: usize,
@@ -135,14 +125,9 @@ impl GraphServer {
         attr_cache_capacity: usize,
     ) -> Self {
         store.ensure_shard(shard);
-        let mut server = Self::empty(worker, graph, neighbor_cache, attr_cache_capacity);
+        let mut server = Self::empty(graph, neighbor_cache, attr_cache_capacity);
         server.tier = Some(TierBinding { store, shard });
         server
-    }
-
-    /// The cold tier this server reads through, if any.
-    pub fn tier(&self) -> Option<&Arc<TieredStore>> {
-        self.tier.as_ref().map(|t| &t.store)
     }
 
     /// Announces this shard's next sampling frontier to the cold tier
@@ -151,34 +136,25 @@ impl GraphServer {
         self.tier.as_ref().map_or(0, |tier| tier.store.prefetch(tier.shard, frontier))
     }
 
-    /// The cumulative weight table of a resident vertex, if any.
-    pub fn weight_cdf(&self, v: VertexId) -> Option<Arc<[f32]>> {
-        if let Some(tier) = &self.tier {
-            return tier.store.weight_cdf(tier.shard, v);
-        }
-        self.weight_cdf.read().get(&v.0).cloned()
-    }
-
-    /// This server's worker id.
-    pub fn worker(&self) -> WorkerId {
-        self.worker
-    }
-
     /// Number of resident vertices.
     pub fn num_owned(&self) -> usize {
         if let Some(tier) = &self.tier {
             return tier.store.num_resident(tier.shard);
         }
-        self.local_adjacency.read().len()
+        // ordering: a count for reports and tests, read between rebalances.
+        self.resident.iter().map(|w| w.load(Ordering::Relaxed).count_ones() as usize).sum()
     }
 
-    /// Whether a vertex is resident on this server.
+    /// Whether a vertex is resident on this server (false beyond the graph).
     #[inline]
     pub fn is_local(&self, v: VertexId) -> bool {
         if let Some(tier) = &self.tier {
             return tier.store.is_resident(tier.shard, v.0);
         }
-        self.local_adjacency.read().contains_key(&v.0)
+        let (word, bit) = bit_of(v.0);
+        // ordering: Relaxed suffices; absorb() says why a reader routed
+        // here through Residency sees the bit.
+        self.resident.get(word).is_some_and(|w| w.load(Ordering::Relaxed) & bit != 0)
     }
 
     /// The neighbor cache (exposed for experiment reporting and migration).
@@ -193,25 +169,28 @@ impl GraphServer {
         if let Some(tier) = &self.tier {
             return tier.store.extract(tier.shard, v);
         }
-        let adjacency = self.local_adjacency.read();
-        let nbrs = adjacency.get(&v.0)?;
-        let weight_cdf =
-            self.weight_cdf.read().get(&v.0).cloned().unwrap_or_else(|| Arc::from(Vec::new()));
-        Some(VertexRecord { vertex: v, neighbors: nbrs.clone(), weight_cdf })
+        if !self.is_local(v) {
+            return None;
+        }
+        let nbrs = self.graph.out_neighbors(v);
+        Some(VertexRecord { vertex: v, neighbors: nbrs.into(), weight_cdf: build_cdf(nbrs) })
     }
 
     /// Installs one migrated vertex record; after this the vertex serves
-    /// as `Local` here. Idempotent (re-absorbing overwrites with identical
-    /// data — the graph is immutable).
+    /// as `Local` here. Idempotent. An all-hot shard sets the vertex's bit
+    /// and keeps none of the record: its row is the shared graph's.
     pub fn absorb(&self, rec: VertexRecord) {
         if let Some(tier) = &self.tier {
             tier.store.absorb(tier.shard, rec);
             return;
         }
-        if !rec.weight_cdf.is_empty() {
-            self.weight_cdf.write().insert(rec.vertex.0, rec.weight_cdf);
-        }
-        self.local_adjacency.write().insert(rec.vertex.0, rec.neighbors);
+        let (word, bit) = bit_of(rec.vertex.0);
+        // ordering: absorb-then-flip needs no more than Relaxed here. This
+        // fetch_or is sequenced before the migrator's Residency::cutover,
+        // a Release store; a reader that Acquire-loads the new owner
+        // synchronizes with that store, so the fetch_or happens before the
+        // reader's load of this word, which therefore sees the bit.
+        self.resident[word].fetch_or(bit, Ordering::Relaxed);
     }
 
     /// Drops residency of the given vertices (the migration publish sweep:
@@ -222,11 +201,12 @@ impl GraphServer {
             tier.store.retire(tier.shard, vertices);
             return;
         }
-        let mut adjacency = self.local_adjacency.write();
-        let mut cdfs = self.weight_cdf.write();
-        for v in vertices {
-            adjacency.remove(v);
-            cdfs.remove(v);
+        for &v in vertices {
+            let (word, bit) = bit_of(v);
+            // ordering: a retire runs in the topology publish's sweep, whose
+            // write lock orders it before every reader of the new epoch, or
+            // in a failed rebalance's undo, after the flip back to the source.
+            self.resident[word].fetch_and(!bit, Ordering::Relaxed);
         }
     }
 
@@ -271,7 +251,7 @@ impl GraphServer {
             stats.record(kind, model);
             return kind;
         }
-        let kind = if self.local_adjacency.read().contains_key(&v.0) {
+        let kind = if self.is_local(v) {
             AccessKind::Local
         } else {
             match self.neighbor_cache.lookup(v, hop, stats, model) {
@@ -328,6 +308,12 @@ impl GraphServer {
     }
 }
 
+/// The residency word of vertex id `v` and its bit in that word.
+#[inline]
+fn bit_of(v: u32) -> (usize, u64) {
+    ((v / 64) as usize, 1 << (v % 64))
+}
+
 /// Cumulative weight table over one adjacency row.
 pub(crate) fn build_cdf(nbrs: &[Neighbor]) -> Arc<[f32]> {
     let mut cdf = Vec::with_capacity(nbrs.len());
@@ -350,7 +336,7 @@ mod tests {
     use super::*;
     use crate::neighbor_cache::CacheStrategy;
     use aligraph_graph::generate::TaobaoConfig;
-    use aligraph_partition::{EdgeCutHash, Partitioner};
+    use aligraph_partition::{EdgeCutHash, Partitioner, WorkerId};
 
     fn setup(strategy: CacheStrategy) -> (Arc<AttributedHeterogeneousGraph>, GraphServer) {
         let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
@@ -358,12 +344,12 @@ mod tests {
         let cache = NeighborCache::build_fresh(&g, &strategy, 2);
         let roster: Vec<VertexId> =
             g.vertices().filter(|&v| part.owner_of(v) == WorkerId(0)).collect();
-        let server = GraphServer::ingest(WorkerId(0), g.clone(), &roster, cache, 64);
+        let server = GraphServer::ingest(g.clone(), &roster, cache, 64);
         (g, server)
     }
 
     #[test]
-    fn local_access_served_from_materialized_adjacency() {
+    fn local_access_served_from_the_shared_graph() {
         let (g, server) = setup(CacheStrategy::None);
         let stats = AccessStats::new();
         let model = CostModel::default();
@@ -405,7 +391,7 @@ mod tests {
             let cache = NeighborCache::build_fresh(&g, &CacheStrategy::None, 1);
             let roster: Vec<VertexId> =
                 g.vertices().filter(|&v| part.owner_of(v) == WorkerId(w)).collect();
-            let s = GraphServer::ingest(WorkerId(w), g.clone(), &roster, cache, 8);
+            let s = GraphServer::ingest(g.clone(), &roster, cache, 8);
             total += s.num_owned();
         }
         assert_eq!(total, g.num_vertices());
@@ -414,20 +400,45 @@ mod tests {
     #[test]
     fn extract_absorb_retire_moves_residency() {
         let (g, server) = setup(CacheStrategy::None);
-        let dest =
-            GraphServer::empty(WorkerId(9), g.clone(), NeighborCache::empty(g.num_vertices()), 8);
-        let v = g.vertices().find(|&v| server.is_local(v)).unwrap();
+        let dest = GraphServer::empty(g.clone(), NeighborCache::empty(g.num_vertices()), 8);
+        let v = g.vertices().find(|&v| server.is_local(v) && !g.out_neighbors(v).is_empty());
+        let v = v.unwrap();
         let rec = server.extract(v).unwrap();
         assert_eq!(&*rec.neighbors, g.out_neighbors(v));
-        dest.absorb(rec);
+        dest.absorb(rec.clone());
         // Both-sides window: source still serves until retirement.
         assert!(server.is_local(v));
         assert!(dest.is_local(v));
-        assert_eq!(dest.weight_cdf(v).is_some(), !g.out_neighbors(v).is_empty());
+        assert_eq!(dest.extract(v), Some(rec));
+        let owned = server.num_owned();
         server.retire(&[v.0]);
         assert!(!server.is_local(v));
-        assert!(server.weight_cdf(v).is_none());
         assert!(server.extract(v).is_none());
+        assert_eq!(server.num_owned(), owned - 1, "retire clears only the named vertex");
+        assert_eq!(dest.num_owned(), 1);
+    }
+
+    #[test]
+    fn all_hot_extract_ships_the_graph_row_and_its_cdf() {
+        let (g, server) = setup(CacheStrategy::None);
+        let mut resident = 0;
+        for v in g.vertices() {
+            let Some(rec) = server.extract(v) else {
+                assert!(!server.is_local(v), "a resident vertex {} extracts", v.0);
+                continue;
+            };
+            assert!(server.is_local(v));
+            resident += 1;
+            let nbrs = g.out_neighbors(v);
+            assert_eq!(rec.vertex, v);
+            assert_eq!(&*rec.neighbors, nbrs);
+            let bits = |cdf: &[f32]| cdf.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rec.weight_cdf), bits(&build_cdf(nbrs)), "vertex {}", v.0);
+        }
+        assert_eq!(resident, server.num_owned());
+        let beyond = VertexId(g.num_vertices() as u32);
+        assert!(!server.is_local(beyond));
+        assert!(server.extract(beyond).is_none());
     }
 
     #[test]

@@ -623,15 +623,6 @@ impl TieredStore {
             .flatten()
     }
 
-    /// The weight CDF of `v`'s adjacency as `shard` reads it (`None` when
-    /// `v` is not resident there or is isolated).
-    pub fn weight_cdf(&self, shard: usize, v: VertexId) -> Option<Arc<[f32]>> {
-        let row = self.on_shard(shard, |st| {
-            st.is_resident(v.0).then(|| self.read_row(st, v, true).1).flatten()
-        });
-        row.flatten().map(|(_, cdf)| cdf).filter(|cdf| !cdf.is_empty())
-    }
-
     /// The one adjacency read every entry point goes through: the shard's
     /// hot set, then its prefetch stage, then a cold decode into its reused
     /// row buffer. Counts the read by source, applies the admission rule to
