@@ -291,10 +291,10 @@ impl Workload for OverlayWorkload {
         }
         let graph = Arc::new(b.build());
         // The fingerprint reads rows only, so the view carries one-wide
-        // features and no base alias index.
+        // features and no base alias columns.
         let feats = Arc::new(Featurizer::new(1).matrix(&graph));
         let state = OverlayState {
-            overlay: Arc::new(EpochView::initial(graph, feats, Arc::default())),
+            overlay: Arc::new(EpochView::initial(graph, feats, None)),
             cache: VersionedCache::registered(8, &Registry::disabled(), "serving.cache"),
             publishing: false,
             bug: self.bug,

@@ -1,12 +1,16 @@
 //! Walker's alias method: O(n) build, O(1) weighted sampling.
 //!
 //! Used by the weighted TRAVERSE sampler, the unigram^0.75 NEGATIVE sampler,
-//! the item-popularity machinery in the benchmarks, and — through
-//! [`IncrementalAlias`] — the streaming update plane, which repairs one
-//! vertex's table in place after an edge event instead of rebuilding every
-//! table in the store.
+//! the item-popularity machinery in the benchmarks, and the streaming
+//! update plane: its base rows' tables are [`AliasColumns`] (two flat
+//! columns over a graph's out-edge ids), and a row an update touches
+//! moves to an [`IncrementalAlias`], repaired in place after each edit
+//! instead of rebuilding every table in the store. Every table, wherever
+//! it is stored, draws through one routine, [`AliasSlice::sample`].
 
+use aligraph_graph::{AttributedHeterogeneousGraph, VertexId};
 use rand::Rng;
+use std::ops::Range;
 
 /// Reusable scratch for [`build_into`]: the f64 intermediate probabilities
 /// and the small/large work stacks. Keeping these between repairs makes an
@@ -32,10 +36,11 @@ impl Clone for BuildScratch {
 /// (leaving `prob`/`alias` empty) when `weights` is empty or its sum is not
 /// a positive finite number.
 ///
-/// This is the *only* build routine: [`AliasTable::new`] and
-/// [`IncrementalAlias::repair`] both funnel through it, which is what makes
-/// incremental repair bit-exact against a from-scratch rebuild — same input
-/// weights, same f64 op sequence, same stacks, same output bits.
+/// This is the *only* build routine: [`AliasTable::new`],
+/// [`AliasColumns::build`] and [`IncrementalAlias::repair`] all funnel
+/// through it, which is what makes a column row and an incremental repair
+/// bit-exact against a from-scratch rebuild — same input weights, same f64
+/// op sequence, same stacks, same output bits.
 fn build_into(
     weights: &[f32],
     scratch: &mut BuildScratch,
@@ -84,6 +89,42 @@ fn build_into(
     true
 }
 
+/// A borrowed alias table: the acceptance probabilities and aliases of one
+/// table, wherever they are stored (an [`AliasTable`]'s own vectors or one
+/// row of [`AliasColumns`]).
+#[derive(Debug, Clone, Copy)]
+pub struct AliasSlice<'a> {
+    prob: &'a [f32],
+    alias: &'a [u32],
+}
+
+impl<'a> AliasSlice<'a> {
+    /// The acceptance probabilities (for bit-exact equivalence oracles).
+    pub fn probs(&self) -> &'a [f32] {
+        self.prob
+    }
+
+    /// Whether `other` is this table bit for bit: the same probability
+    /// bits and the same aliases.
+    pub fn bit_eq(&self, other: &AliasSlice<'_>) -> bool {
+        self.prob.len() == other.prob.len()
+            && self.prob.iter().zip(other.prob).all(|(a, b)| a.to_bits() == b.to_bits())
+            && self.alias == other.alias
+    }
+
+    /// Draws one outcome index: the one draw routine of every alias table,
+    /// so tables with equal bits draw equal indices from equal RNG states.
+    #[inline]
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+        let i = rng.gen_range(0..self.prob.len());
+        if rng.gen::<f32>() < self.prob[i] {
+            i
+        } else {
+            self.alias[i] as usize
+        }
+    }
+}
+
 /// An alias table over `n` outcomes with fixed weights.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AliasTable {
@@ -105,14 +146,14 @@ impl AliasTable {
         }
     }
 
+    /// The table as a borrowed [`AliasSlice`].
+    pub fn as_slice(&self) -> AliasSlice<'_> {
+        AliasSlice { prob: &self.prob, alias: &self.alias }
+    }
+
     /// Number of outcomes.
     pub fn len(&self) -> usize {
         self.prob.len()
-    }
-
-    /// The acceptance probabilities (for bit-exact equivalence oracles).
-    pub fn probs(&self) -> &[f32] {
-        &self.prob
     }
 
     /// True when the table is over zero outcomes (never constructed so).
@@ -120,15 +161,72 @@ impl AliasTable {
         self.prob.is_empty()
     }
 
-    /// Draws one outcome index.
+    /// Draws one outcome index ([`AliasSlice::sample`]).
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let i = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f32>() < self.prob[i] {
-            i
-        } else {
-            self.alias[i] as usize
+        self.as_slice().sample(rng)
+    }
+}
+
+/// The alias table of every out-row of one graph, held as two flat columns
+/// indexed by out-edge id: vertex `v`'s table is `out_edge_ids(v)` of each.
+/// A row with no table (empty, or weights with no positive finite sum)
+/// keeps `row.len()` zero slots, so every later row stays at its ids, and
+/// a clear bit in `valid`. The whole structure is 8 B an out-record plus
+/// ⌈n/64⌉ words, where a table per row would cost a heap object per vertex.
+#[derive(Debug)]
+pub struct AliasColumns {
+    prob: Box<[f32]>,
+    alias: Box<[u32]>,
+    /// Bit `v % 64` of word `v / 64` is set when vertex `v`'s row has a table.
+    valid: Box<[u64]>,
+}
+
+impl AliasColumns {
+    /// Builds every out-row's table of `graph`, in vertex id order — the
+    /// one Walker build a row, over one reused scratch and weights buffer,
+    /// so each row's bits are [`AliasTable::new`]'s over the same weights.
+    pub fn build(graph: &AttributedHeterogeneousGraph) -> Self {
+        let records = graph.num_edge_records();
+        let (mut prob, mut alias) = (Vec::with_capacity(records), Vec::with_capacity(records));
+        let mut valid = vec![0u64; graph.num_vertices().div_ceil(64)];
+        let mut scratch = BuildScratch::default();
+        let (mut weights, mut row_prob, mut row_alias) = (Vec::new(), Vec::new(), Vec::new());
+        for v in graph.vertices() {
+            let row = graph.out_neighbors(v);
+            weights.clear();
+            weights.extend(row.iter().map(|n| n.weight));
+            if build_into(&weights, &mut scratch, &mut row_prob, &mut row_alias) {
+                valid[v.index() / 64] |= 1 << (v.index() % 64);
+                prob.extend_from_slice(&row_prob);
+                alias.extend_from_slice(&row_alias);
+            } else {
+                prob.resize(prob.len() + row.len(), 0.0);
+                alias.resize(alias.len() + row.len(), 0);
+            }
         }
+        AliasColumns {
+            prob: prob.into_boxed_slice(),
+            alias: alias.into_boxed_slice(),
+            valid: valid.into_boxed_slice(),
+        }
+    }
+
+    /// Whether these columns line up with `graph`'s out-edge ids: a slot
+    /// per out-record and a bit per vertex.
+    pub(crate) fn fits(&self, graph: &AttributedHeterogeneousGraph) -> bool {
+        self.prob.len() == graph.num_edge_records()
+            && self.valid.len() == graph.num_vertices().div_ceil(64)
+    }
+
+    /// Vertex `v`'s table, or `None` when its row has none. `ids` must be
+    /// `v`'s [`out_edge_ids`](AttributedHeterogeneousGraph::out_edge_ids)
+    /// in the graph the columns were built from.
+    #[inline]
+    pub fn row(&self, v: VertexId, ids: Range<usize>) -> Option<AliasSlice<'_>> {
+        let word = *self.valid.get(v.index() / 64)?;
+        (word >> (v.index() % 64) & 1 != 0)
+            .then(|| AliasSlice { prob: &self.prob[ids.clone()], alias: &self.alias[ids] })
     }
 }
 
@@ -237,7 +335,7 @@ impl IncrementalAlias {
     /// with [`AliasTable::sample`]: identical RNG consumption and result.
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> Option<usize> {
-        self.table().map(|t| t.sample(rng))
+        self.table().map(|t| t.as_slice().sample(rng))
     }
 
     /// Bit-exact equivalence oracle against a from-scratch rebuild: `true`
@@ -245,15 +343,7 @@ impl IncrementalAlias {
     /// (including agreeing that the weights are degenerate).
     pub fn bit_eq_rebuild(&self) -> bool {
         match (AliasTable::new(&self.weights), self.valid) {
-            (Some(fresh), true) => {
-                fresh.prob.len() == self.table.prob.len()
-                    && fresh
-                        .prob
-                        .iter()
-                        .zip(&self.table.prob)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-                    && fresh.alias == self.table.alias
-            }
+            (Some(fresh), true) => fresh.as_slice().bit_eq(&self.table.as_slice()),
             (None, false) => true,
             _ => false,
         }
@@ -261,10 +351,76 @@ impl IncrementalAlias {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use aligraph_graph::ids::well_known::*;
+    use aligraph_graph::{AttrVector, GraphBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// 70 vertices (the validity bitset's second word is partial) whose
+    /// rows are the cases a column layout can get wrong: a weighted row
+    /// first, an empty row, a degenerate row (infinite weights: the builder
+    /// refuses zero ones, so this is the degenerate row a built graph can
+    /// hold) followed by a weighted one, and a weighted last vertex.
+    pub(crate) fn awkward_graph() -> AttributedHeterogeneousGraph {
+        let mut b = GraphBuilder::directed();
+        let vs: Vec<VertexId> = (0..70).map(|_| b.add_vertex(USER, AttrVector::empty())).collect();
+        let rows: [(usize, &[f32]); 5] = [
+            (0, &[1.0, 2.0, 4.0]),
+            (2, &[f32::INFINITY, f32::INFINITY]),
+            (3, &[0.5, 3.0]),
+            (40, &[7.0]),
+            (69, &[2.0, 1.0, 1.0, 5.0]),
+        ];
+        for (src, weights) in rows {
+            for (i, &w) in weights.iter().enumerate() {
+                b.add_edge(vs[src], vs[(src + i + 1) % 70], CLICK, w).unwrap();
+            }
+        }
+        b.build()
+    }
+
+    /// `AliasTable::new` over `v`'s out-row weights.
+    pub(crate) fn rebuilt(g: &AttributedHeterogeneousGraph, v: VertexId) -> Option<AliasTable> {
+        AliasTable::new(&g.out_neighbors(v).iter().map(|n| n.weight).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn every_column_row_is_bit_equal_to_a_rebuild_of_that_row() {
+        let g = awkward_graph();
+        let columns = AliasColumns::build(&g);
+        assert!(columns.fits(&g));
+        let mut tables = 0;
+        for v in g.vertices() {
+            let got = columns.row(v, g.out_edge_ids(v));
+            match (got, rebuilt(&g, v)) {
+                (Some(got), Some(want)) => {
+                    assert!(got.bit_eq(&want.as_slice()), "vertex {} differs", v.0);
+                    tables += 1;
+                }
+                (None, None) => {}
+                (got, want) => panic!("vertex {}: {got:?} against {want:?}", v.0),
+            }
+        }
+        assert_eq!(tables, 4, "the degenerate and empty rows have no table");
+    }
+
+    #[test]
+    fn a_slice_draws_the_index_sequence_its_table_draws() {
+        let g = awkward_graph();
+        let columns = AliasColumns::build(&g);
+        for v in [VertexId(0), VertexId(3), VertexId(69)] {
+            let slice = columns.row(v, g.out_edge_ids(v)).unwrap();
+            let table = rebuilt(&g, v).unwrap();
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(17), StdRng::seed_from_u64(17));
+            let a: Vec<usize> = (0..2_000).map(|_| slice.sample(&mut r1)).collect();
+            let b: Vec<usize> = (0..2_000).map(|_| table.sample(&mut r2)).collect();
+            assert_eq!(a, b, "vertex {}", v.0);
+            // The same RNG consumption: the streams are still in step.
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+        }
+    }
 
     #[test]
     fn rejects_degenerate_inputs() {

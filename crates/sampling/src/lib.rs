@@ -13,7 +13,8 @@
 //!
 //! Additional pieces the upper layers share:
 //!
-//! * [`alias::AliasTable`] — O(1) weighted sampling;
+//! * [`alias::AliasTable`] — O(1) weighted sampling, one table, or every
+//!   out-row's of a graph as [`alias::AliasColumns`];
 //! * [`walks`] — uniform, node2vec (p,q) and metapath-constrained random
 //!   walks (the corpus generators of every skip-gram model);
 //! * [`dynamic`] — samplers that own **dynamic weights** with a registered
@@ -40,7 +41,7 @@ pub mod telemetry;
 pub mod traverse;
 pub mod walks;
 
-pub use alias::{AliasTable, IncrementalAlias};
+pub use alias::{AliasColumns, AliasSlice, AliasTable, IncrementalAlias};
 pub use dynamic::{DynamicNeighborhood, DynamicWeights, WeightUpdateMode};
 pub use negative::{NegativeSampler, UniformNegative, UnigramNegative};
 pub use neighborhood::{

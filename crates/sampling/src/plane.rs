@@ -30,7 +30,7 @@
 //!   publish lock, so no reader sees the new epoch with the old cache or
 //!   the reverse.
 
-use crate::alias::{AliasTable, IncrementalAlias};
+use crate::alias::{AliasColumns, AliasSlice, AliasTable, IncrementalAlias};
 use crate::neighborhood::NeighborAccess;
 use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch, UpdateEvent};
 use aligraph_graph::{
@@ -214,7 +214,7 @@ impl<T: Clone> Index<T> {
 #[derive(Debug, Clone)]
 struct Overlay {
     /// Whether touched rows keep an alias table. An [`EpochView`] built
-    /// without a base alias index answers `alias() == None` for untouched
+    /// without base alias columns answers `alias() == None` for untouched
     /// rows, so it must for touched ones too — and then nobody would read
     /// the tables that cost about a third of applying a batch.
     weighted: bool,
@@ -333,23 +333,28 @@ pub struct EpochView {
     epoch: u64,
     base: Arc<AttributedHeterogeneousGraph>,
     base_feats: Arc<FeatureMatrix>,
-    /// Alias tables of the base rows, built once at startup by a service
-    /// that samples by weight (empty for one that does not); vertices enter
-    /// the incremental plane on first touch.
-    base_alias: Arc<Vec<Option<Arc<AliasTable>>>>,
+    /// Alias tables of the base rows as columns over the base's out-edge
+    /// ids, built once at startup by a service that samples by weight
+    /// (`None` for one that does not); vertices enter the incremental
+    /// plane on first touch.
+    base_alias: Option<Arc<AliasColumns>>,
     overlay: Overlay,
 }
 
 impl EpochView {
-    /// Epoch 0: the bare base snapshot under an empty overlay.
+    /// Epoch 0: the bare base snapshot under an empty overlay. Panics when
+    /// `base_alias` was built from another graph than `base`.
     pub fn initial(
         base: Arc<AttributedHeterogeneousGraph>,
         base_feats: Arc<FeatureMatrix>,
-        base_alias: Arc<Vec<Option<Arc<AliasTable>>>>,
+        base_alias: Option<Arc<AliasColumns>>,
     ) -> Self {
+        if let Some(columns) = &base_alias {
+            assert!(columns.fits(&base), "alias columns built from another graph");
+        }
         let n = base.num_vertices();
         let overlay = Overlay {
-            weighted: !base_alias.is_empty(),
+            weighted: base_alias.is_some(),
             out_rows: Index::new(n),
             in_rows: Index::new(n),
             feats: Index::new(n),
@@ -410,9 +415,9 @@ impl EpochView {
         self.base.num_vertices()
     }
 
-    /// Out-neighbors of `v` at this epoch.
+    /// Out-neighbors of `v` at this epoch (reads no alias column).
     pub fn out_neighbors(&self, v: VertexId) -> &[Neighbor] {
-        self.out_row_and_alias(v).0
+        self.overlay.out_rows.get(v.0).map_or(self.base.out_neighbors(v), |e| e.row.as_slice())
     }
 
     /// In-neighbors of `v` at this epoch.
@@ -427,17 +432,22 @@ impl EpochView {
 
     /// The weighted-sampling alias table of `v`'s out-row at this epoch
     /// (`None` when the row is empty or degenerate).
-    pub fn alias(&self, v: VertexId) -> Option<&AliasTable> {
+    pub fn alias(&self, v: VertexId) -> Option<AliasSlice<'_>> {
         self.out_row_and_alias(v).1
     }
 
     /// [`out_neighbors`](Self::out_neighbors) and [`alias`](Self::alias) of
-    /// `v` from one overlay lookup — what a sampler expanding `v` reads.
-    pub fn out_row_and_alias(&self, v: VertexId) -> (&[Neighbor], Option<&AliasTable>) {
-        let base_alias = || self.base_alias.get(v.0 as usize)?.as_deref();
+    /// `v` from one overlay lookup — what a sampler expanding `v` reads. A
+    /// touched row answers with its repaired table, an untouched one with
+    /// its slice of the base columns.
+    pub fn out_row_and_alias(&self, v: VertexId) -> (&[Neighbor], Option<AliasSlice<'_>>) {
         match self.overlay.out_rows.get(v.0) {
-            Some(e) => (&e.row, e.alias.table()),
-            None => (self.base.out_neighbors(v), base_alias()),
+            Some(e) => (&e.row, e.alias.table().map(AliasTable::as_slice)),
+            None => {
+                let columns = self.base_alias.as_deref();
+                let alias = columns.and_then(|c| c.row(v, self.base.out_edge_ids(v)));
+                (self.base.out_neighbors(v), alias)
+            }
         }
     }
 
@@ -581,17 +591,11 @@ mod tests {
         (Arc::new(b.build()), vs)
     }
 
-    /// A view with `dim`-wide features and a full base alias index.
+    /// A view with `dim`-wide features and the base alias columns.
     fn view_of(base: &Arc<AttributedHeterogeneousGraph>, dim: usize) -> EpochView {
         let feats = Arc::new(Featurizer::new(dim).matrix(base));
-        let alias = (0..base.num_vertices() as u32)
-            .map(|v| {
-                let w: Vec<f32> =
-                    base.out_neighbors(VertexId(v)).iter().map(|n| n.weight).collect();
-                AliasTable::new(&w).map(Arc::new)
-            })
-            .collect();
-        EpochView::initial(Arc::clone(base), feats, Arc::new(alias))
+        let alias = Arc::new(AliasColumns::build(base));
+        EpochView::initial(Arc::clone(base), feats, Some(alias))
     }
 
     fn add(src: VertexId, dst: VertexId, weight: f32) -> UpdateEvent {
@@ -630,7 +634,7 @@ mod tests {
         }
         let a0 = v1.alias(vs[0]).unwrap();
         let fresh = AliasTable::new(&row0.iter().map(|n| n.weight).collect::<Vec<_>>()).unwrap();
-        assert_eq!(a0.probs(), fresh.probs());
+        assert!(a0.bit_eq(&fresh.as_slice()));
         // Empty row => degenerate table, exactly like a rebuild would say.
         assert!(v1.alias(vs[1]).is_none());
         // The version it was built from and the base snapshot are
@@ -702,6 +706,34 @@ mod tests {
         assert_eq!(view.features(vs[0]).len(), 4);
         assert!(view.alias(vs[0]).is_some());
         assert!(view.alias(vs[3]).is_none(), "empty row has no table");
+    }
+
+    /// An untouched row answers with its slice of the base columns, bit
+    /// equal to a rebuild of the row (`None` included); a touched one with
+    /// its repaired table, and the rows after it keep their slices.
+    #[test]
+    fn a_base_row_answers_its_columns_slice_and_a_touched_row_its_repair() {
+        let g = Arc::new(crate::alias::tests::awkward_graph());
+        let same =
+            |view: &EpochView, v: VertexId, want: Option<AliasTable>| match (view.alias(v), want) {
+                (Some(got), Some(want)) => assert!(got.bit_eq(&want.as_slice()), "vertex {}", v.0),
+                (got, want) => assert!(got.is_none() && want.is_none(), "vertex {}", v.0),
+            };
+        let view = view_of(&g, 2);
+        for v in g.vertices() {
+            same(&view, v, crate::alias::tests::rebuilt(&g, v));
+        }
+        // The empty row gains a table; the degenerate one stays without.
+        let touched = [VertexId(1), VertexId(2)];
+        let (next, _) = view.apply_batch(&batch(touched.map(|v| add(v, VertexId(9), 1.0)).into()));
+        for v in touched {
+            let weights: Vec<f32> = next.out_neighbors(v).iter().map(|n| n.weight).collect();
+            same(&next, v, AliasTable::new(&weights));
+        }
+        assert!(next.alias(VertexId(1)).is_some());
+        for v in g.vertices().filter(|v| !touched.contains(v)) {
+            same(&next, v, crate::alias::tests::rebuilt(&g, v));
+        }
     }
 
     #[test]
@@ -893,12 +925,12 @@ mod tests {
     #[test]
     fn a_batch_copies_what_it_touches_however_long_the_stream_has_run() {
         let n = 1usize << 16;
-        // Unweighted (no base alias index): alias repairs are not what is
+        // Unweighted (no base alias columns): alias repairs are not what is
         // counted, and an unoptimized build spends a tenth of this test on
         // them.
         let g = isolated(n);
         let feats = Arc::new(Featurizer::new(4).matrix(&g));
-        let mut view = EpochView::initial(g, feats, Arc::default());
+        let mut view = EpochView::initial(g, feats, None);
         let mut rng = StdRng::seed_from_u64(20);
         let mut vertex = move || VertexId(rng.gen_range(0..n as u32));
         let mut prev_adds: Vec<(VertexId, VertexId)> = Vec::new();

@@ -227,8 +227,8 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
         let features = Arc::new(Featurizer::new(config.feature_dim).matrix(&graph));
         let part = EdgeCutHash.partition(&graph, config.workers);
         let owners = part.vertex_owner.iter().map(|w| w.index() as u32).collect();
-        // No base alias index: the encoder's samplers read rows, not tables.
-        let view = EpochView::initial(graph, Arc::clone(&features), Arc::default());
+        // No base alias columns: the encoder's samplers read rows, not tables.
+        let view = EpochView::initial(graph, Arc::clone(&features), None);
         let fault = config
             .fault
             .as_ref()

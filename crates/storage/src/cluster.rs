@@ -205,7 +205,6 @@ impl<'a> ClusterBuilder<'a> {
                 let owners: Vec<u32> = graph.vertices().map(|v| partition.owner_of(v).0).collect();
                 let store =
                     TieredStore::build(Arc::clone(&graph), &owners, p, cfg, self.cost, registry);
-                let capacity = attr_cache_capacity(&graph);
                 let mut servers = Vec::with_capacity(p);
                 let mut shard_times = Vec::with_capacity(p);
                 for w in 0..p {
@@ -216,7 +215,6 @@ impl<'a> ClusterBuilder<'a> {
                         Arc::clone(&store),
                         w,
                         cache,
-                        capacity,
                     )));
                     shard_times.push(t.elapsed());
                 }
@@ -470,7 +468,6 @@ fn ingest_parallel(
     strategy: &CacheStrategy,
     p: usize,
 ) -> (Vec<Arc<GraphServer>>, Vec<Duration>) {
-    let capacity = attr_cache_capacity(graph);
     // One routing pass assigns each vertex to its shard's roster.
     let mut rosters: Vec<Vec<VertexId>> = vec![Vec::new(); p];
     for v in graph.vertices() {
@@ -481,16 +478,10 @@ fn ingest_parallel(
     for roster in &rosters {
         let t0 = Stopwatch::start();
         let cache = NeighborCache::build(graph, importance, strategy);
-        servers.push(Arc::new(GraphServer::ingest(Arc::clone(graph), roster, cache, capacity)));
+        servers.push(Arc::new(GraphServer::ingest(Arc::clone(graph), roster, cache)));
         shard_times.push(t0.elapsed());
     }
     (servers, shard_times)
-}
-
-/// Attribute-LRU capacity used for every shard, including ones born later
-/// by a split.
-pub(crate) fn attr_cache_capacity(graph: &AttributedHeterogeneousGraph) -> usize {
-    (graph.num_vertices() / 50).max(256)
 }
 
 #[cfg(test)]

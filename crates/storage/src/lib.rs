@@ -7,8 +7,10 @@
 //!   a pluggable partitioner; every shard's ingest is timed in isolation so
 //!   the build report exposes the distributed makespan, the Figure 7
 //!   graph-building measurement;
-//! * [`lru::LruCache`] — the LRU caches placed in front of the attribute
-//!   indices `I_V` / `I_E`;
+//! * [`lru::LruCache`] — the one LRU under the version-tagged cache, the
+//!   `Lru` neighbor-cache strategy and the tier's hot set (the paper's
+//!   LRU in front of the attribute indices `I_V` / `I_E` is not reproduced
+//!   in the shard: nothing reads attributes through it);
 //! * [`neighbor_cache`] — **importance-based caching of k-hop out-neighbors
 //!   of important vertices** (Algorithm 2 lines 5–9, Eq. 1), with `Random`
 //!   and `Lru` alternatives for the Figure 9 strategy comparison;

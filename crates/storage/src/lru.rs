@@ -1,6 +1,7 @@
 //! A classic O(1) LRU cache (paper §3.2 places one in front of each
-//! attribute index, and Figure 9 compares an LRU *neighbor* cache against
-//! the importance-based strategy).
+//! attribute index; here it backs the version-tagged cache, the tier's hot
+//! set and the LRU *neighbor* cache Figure 9 compares against the
+//! importance-based strategy).
 //!
 //! Implementation: hash map into a slab-backed intrusive doubly-linked list,
 //! no allocation after warm-up.

@@ -22,7 +22,7 @@
 //!                         publish(next epoch, sweep: src.retire(moved))
 //! ```
 
-use crate::cluster::{attr_cache_capacity, Cluster};
+use crate::cluster::Cluster;
 use crate::cost::AccessKind;
 use crate::neighbor_cache::NeighborCache;
 use crate::published::StaleEpoch;
@@ -210,13 +210,8 @@ impl Cluster {
                     Arc::clone(store),
                     dst as usize,
                     cache,
-                    attr_cache_capacity(self.graph()),
                 ),
-                None => GraphServer::empty(
-                    Arc::clone(self.graph()),
-                    cache,
-                    attr_cache_capacity(self.graph()),
-                ),
+                None => GraphServer::empty(Arc::clone(self.graph()), cache),
             });
             self.servers.write().push(server);
         }

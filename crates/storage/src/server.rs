@@ -1,7 +1,6 @@
-//! One graph server (worker shard): owns a resident set of vertices,
-//! LRU-fronted attribute access, and a local neighbor cache. Rows are held
-//! once, in the shared graph; an all-hot shard keeps only a residency bit
-//! per vertex id.
+//! One graph server (worker shard): owns a resident set of vertices and a
+//! local neighbor cache. Rows are held once, in the shared graph; an
+//! all-hot shard keeps only a residency bit per vertex id.
 //!
 //! Residency is dynamic: a live migration [`absorb`](GraphServer::absorb)s
 //! vertex records onto a serving shard and [`retire`](GraphServer::retire)s
@@ -10,11 +9,9 @@
 //! load, with no lock.
 
 use crate::cost::{AccessKind, AccessStats, CostModel};
-use crate::lru::LruCache;
 use crate::neighbor_cache::{CacheOutcome, NeighborCache};
 use crate::tier::{TierRead, TieredStore};
-use aligraph_graph::{AttrId, AttrVector, AttributedHeterogeneousGraph, Neighbor, VertexId};
-use parking_lot::Mutex;
+use aligraph_graph::{AttributedHeterogeneousGraph, Neighbor, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -58,8 +55,6 @@ pub struct GraphServer {
     resident: Box<[AtomicU64]>,
     /// Neighbor cache for remote vertices (Algorithm 2).
     neighbor_cache: NeighborCache,
-    /// LRU in front of the vertex attribute index `I_V` (paper §3.2).
-    vertex_attr_cache: Mutex<LruCache<AttrId, AttrVector>>,
     /// Cold-tier binding. When present the server keeps **nothing** itself:
     /// residency, adjacency rows, and weight CDFs live in the shared
     /// [`TieredStore`] (decoded hot set + compressed segments), and resident
@@ -83,9 +78,8 @@ impl GraphServer {
         graph: Arc<AttributedHeterogeneousGraph>,
         roster: &[VertexId],
         neighbor_cache: NeighborCache,
-        attr_cache_capacity: usize,
     ) -> Self {
-        let mut server = Self::empty(graph, neighbor_cache, attr_cache_capacity);
+        let mut server = Self::empty(graph, neighbor_cache);
         for &v in roster {
             let (word, bit) = bit_of(v.0);
             *server.resident[word].get_mut() |= bit;
@@ -95,17 +89,12 @@ impl GraphServer {
 
     /// A shard with no resident vertices yet — the starting state of a
     /// split destination, populated by [`absorb`](Self::absorb).
-    pub fn empty(
-        graph: Arc<AttributedHeterogeneousGraph>,
-        neighbor_cache: NeighborCache,
-        attr_cache_capacity: usize,
-    ) -> Self {
+    pub fn empty(graph: Arc<AttributedHeterogeneousGraph>, neighbor_cache: NeighborCache) -> Self {
         let words = graph.num_vertices().div_ceil(64);
         GraphServer {
             graph,
             resident: (0..words).map(|_| AtomicU64::new(0)).collect(),
             neighbor_cache,
-            vertex_attr_cache: Mutex::new(LruCache::new(attr_cache_capacity)),
             tier: None,
         }
     }
@@ -122,10 +111,9 @@ impl GraphServer {
         store: Arc<TieredStore>,
         shard: usize,
         neighbor_cache: NeighborCache,
-        attr_cache_capacity: usize,
     ) -> Self {
         store.ensure_shard(shard);
-        let mut server = Self::empty(graph, neighbor_cache, attr_cache_capacity);
+        let mut server = Self::empty(graph, neighbor_cache);
         server.tier = Some(TierBinding { store, shard });
         server
     }
@@ -262,50 +250,6 @@ impl GraphServer {
         stats.record(kind, model);
         kind
     }
-
-    /// Out-neighbors of `v` as seen from this server. `hop` is the depth the
-    /// caller will expand to (a hop-2 expansion needs the cache to hold
-    /// 2-hop neighborhoods to avoid the remote call — Algorithm 2 caches
-    /// "1 to k-hop" neighbors for exactly this reason).
-    ///
-    /// Returns the adjacency slice plus how the access was served; the
-    /// access is recorded in `stats` under `model`. The simulation serves
-    /// the data from the shared graph either way; only the accounting
-    /// differs.
-    pub fn neighbors(
-        &self,
-        v: VertexId,
-        hop: usize,
-        stats: &AccessStats,
-        model: &CostModel,
-    ) -> (&[Neighbor], AccessKind) {
-        let kind = self.classify(v, hop, stats, model);
-        (self.graph.out_neighbors(v), kind)
-    }
-
-    /// Vertex attributes through the LRU-fronted index. Returns a clone (the
-    /// cache owns its copies); records a local access plus cache traffic.
-    pub fn vertex_attrs(&self, v: VertexId, stats: &AccessStats, model: &CostModel) -> AttrVector {
-        let id = self.graph.vertex_attr_id(v);
-        let mut cache = self.vertex_attr_cache.lock();
-        if let Some(hit) = cache.get(&id) {
-            let out = hit.clone();
-            stats.record(AccessKind::Local, model);
-            return out;
-        }
-        let record =
-            self.graph.vertex_attr_index().get(id).cloned().unwrap_or_else(AttrVector::empty);
-        if cache.put(id, record.clone()) {
-            stats.record_replacement(model);
-        }
-        stats.record(AccessKind::Local, model);
-        record
-    }
-
-    /// (hits, misses, evictions) of the vertex attribute LRU.
-    pub fn vertex_attr_cache_stats(&self) -> (u64, u64, u64) {
-        self.vertex_attr_cache.lock().stats()
-    }
 }
 
 /// The residency word of vertex id `v` and its bit in that word.
@@ -344,19 +288,17 @@ mod tests {
         let cache = NeighborCache::build_fresh(&g, &strategy, 2);
         let roster: Vec<VertexId> =
             g.vertices().filter(|&v| part.owner_of(v) == WorkerId(0)).collect();
-        let server = GraphServer::ingest(g.clone(), &roster, cache, 64);
+        let server = GraphServer::ingest(g.clone(), &roster, cache);
         (g, server)
     }
 
     #[test]
-    fn local_access_served_from_the_shared_graph() {
+    fn local_access_is_classified_local() {
         let (g, server) = setup(CacheStrategy::None);
         let stats = AccessStats::new();
         let model = CostModel::default();
         let local = g.vertices().find(|&v| server.is_local(v)).unwrap();
-        let (nbrs, kind) = server.neighbors(local, 1, &stats, &model);
-        assert_eq!(kind, AccessKind::Local);
-        assert_eq!(nbrs, g.out_neighbors(local));
+        assert_eq!(server.classify(local, 1, &stats, &model), AccessKind::Local);
         assert_eq!(stats.snapshot().local, 1);
     }
 
@@ -366,8 +308,7 @@ mod tests {
         let stats = AccessStats::new();
         let model = CostModel::default();
         let remote = g.vertices().find(|&v| !server.is_local(v)).unwrap();
-        let (_, kind) = server.neighbors(remote, 1, &stats, &model);
-        assert_eq!(kind, AccessKind::Remote);
+        assert_eq!(server.classify(remote, 1, &stats, &model), AccessKind::Remote);
         assert_eq!(stats.snapshot().remote, 1);
     }
 
@@ -377,8 +318,7 @@ mod tests {
         let stats = AccessStats::new();
         let model = CostModel::default();
         let remote = g.vertices().find(|&v| !server.is_local(v)).unwrap();
-        let (_, kind) = server.neighbors(remote, 2, &stats, &model);
-        assert_eq!(kind, AccessKind::CachedRemote);
+        assert_eq!(server.classify(remote, 2, &stats, &model), AccessKind::CachedRemote);
         assert!(stats.snapshot().virtual_ns < model.remote_ns);
     }
 
@@ -391,7 +331,7 @@ mod tests {
             let cache = NeighborCache::build_fresh(&g, &CacheStrategy::None, 1);
             let roster: Vec<VertexId> =
                 g.vertices().filter(|&v| part.owner_of(v) == WorkerId(w)).collect();
-            let s = GraphServer::ingest(g.clone(), &roster, cache, 8);
+            let s = GraphServer::ingest(g.clone(), &roster, cache);
             total += s.num_owned();
         }
         assert_eq!(total, g.num_vertices());
@@ -400,7 +340,7 @@ mod tests {
     #[test]
     fn extract_absorb_retire_moves_residency() {
         let (g, server) = setup(CacheStrategy::None);
-        let dest = GraphServer::empty(g.clone(), NeighborCache::empty(g.num_vertices()), 8);
+        let dest = GraphServer::empty(g.clone(), NeighborCache::empty(g.num_vertices()));
         let v = g.vertices().find(|&v| server.is_local(v) && !g.out_neighbors(v).is_empty());
         let v = v.unwrap();
         let rec = server.extract(v).unwrap();
@@ -439,20 +379,5 @@ mod tests {
         let beyond = VertexId(g.num_vertices() as u32);
         assert!(!server.is_local(beyond));
         assert!(server.extract(beyond).is_none());
-    }
-
-    #[test]
-    fn attr_cache_hits_on_repeat() {
-        let (g, server) = setup(CacheStrategy::None);
-        let stats = AccessStats::new();
-        let model = CostModel::default();
-        let v = VertexId(0);
-        let a1 = server.vertex_attrs(v, &stats, &model);
-        let a2 = server.vertex_attrs(v, &stats, &model);
-        assert_eq!(a1, a2);
-        assert_eq!(a1, *g.vertex_attrs(v));
-        let (hits, misses, _) = server.vertex_attr_cache_stats();
-        assert_eq!(hits, 1);
-        assert_eq!(misses, 1);
     }
 }

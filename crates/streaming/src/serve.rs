@@ -22,7 +22,7 @@ use crate::ingest::{IngestError, IngestPipeline};
 use crate::mix2;
 use aligraph_chaos::{FaultConfig, FaultPlane};
 use aligraph_graph::{AttributedHeterogeneousGraph, FeatureMatrix, VertexId};
-use aligraph_sampling::{commit, AliasTable, EpochView};
+use aligraph_sampling::{commit, AliasColumns, AliasTable, EpochView};
 use aligraph_storage::{CacheStats, Published, VersionedCache};
 use aligraph_telemetry::{Counter, Gauge, Histogram, Registry, Span};
 use parking_lot::Mutex;
@@ -148,7 +148,7 @@ impl StreamingService {
         Self::start_with_registry(base, feats, config, &Registry::disabled())
     }
 
-    /// Starts the service: builds the base alias tables once and publishes
+    /// Starts the service: builds the base alias columns once and publishes
     /// epoch 0 behind one ingest hop per shard. All `streaming.*` (and,
     /// when a fault plan is armed, `chaos.*`) series land in `registry`.
     pub fn start_with_registry(
@@ -229,17 +229,31 @@ impl StreamingService {
         self.cache.stats()
     }
 
-    /// The bit-exact equivalence oracle: every incrementally maintained
-    /// alias table must equal a from-scratch rebuild of its live row (same
-    /// bits), its stored weights must mirror the row weights, and every
-    /// live cache entry must equal a fresh recompute at the current epoch.
-    /// `Err` carries the first divergence found.
+    /// The bit-exact equivalence oracle: every vertex's alias table — a
+    /// slice of the base columns or an incrementally maintained table —
+    /// must equal a from-scratch rebuild of its live row (same bits, and
+    /// `None` for a row with none), an incremental table's stored weights
+    /// must mirror the row weights, and every live cache entry must equal
+    /// a fresh recompute at the current epoch. `Err` carries the first
+    /// divergence found.
     pub fn oracle_check(&self) -> Result<(), String> {
         let view = self.epochs.pin();
-        for (v, inc) in view.alias_entries() {
-            if !inc.bit_eq_rebuild() {
-                return Err(format!("vertex {v}: incremental alias != full rebuild"));
+        let mut row_w: Vec<f32> = Vec::new();
+        for v in (0..view.num_vertices() as u32).map(VertexId) {
+            let (row, alias) = view.out_row_and_alias(v);
+            row_w.clear();
+            row_w.extend(row.iter().map(|n| n.weight));
+            let fresh = AliasTable::new(&row_w);
+            let same = match (alias, &fresh) {
+                (Some(t), Some(fresh)) => t.bit_eq(&fresh.as_slice()),
+                (None, None) => true,
+                _ => false,
+            };
+            if !same {
+                return Err(format!("vertex {}: alias table != rebuild of its row", v.0));
             }
+        }
+        for (v, inc) in view.alias_entries() {
             let row_w: Vec<f32> =
                 view.out_neighbors(VertexId(v)).iter().map(|n| n.weight).collect();
             if inc.weights().len() != row_w.len()
@@ -267,13 +281,10 @@ impl StreamingService {
     pub fn shutdown(self) {}
 }
 
-/// The alias table of every base out-row, built once at startup.
-pub(crate) fn base_alias(base: &AttributedHeterogeneousGraph) -> Arc<Vec<Option<Arc<AliasTable>>>> {
-    let table = |v| {
-        let w: Vec<f32> = base.out_neighbors(VertexId(v)).iter().map(|n| n.weight).collect();
-        AliasTable::new(&w).map(Arc::new)
-    };
-    Arc::new((0..base.num_vertices() as u32).map(table).collect())
+/// The alias table of every base out-row, built once at startup as two
+/// columns over the base's out-edge ids.
+pub(crate) fn base_alias(base: &AttributedHeterogeneousGraph) -> Option<Arc<AliasColumns>> {
+    Some(Arc::new(AliasColumns::build(base)))
 }
 
 /// A reader's handle: one pinned epoch for its whole lifetime.

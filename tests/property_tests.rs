@@ -281,7 +281,7 @@ proptest! {
         b.add_edge(VertexId(1), VertexId(2), EdgeType(0), 0.5).unwrap();
         let g = Arc::new(b.build());
         let feats = Arc::new(Featurizer::new(2).matrix(&g));
-        let cell = Published::new(EpochView::initial(g, feats, Arc::default()));
+        let cell = Published::new(EpochView::initial(g, feats, None));
         // Everything a reader can see of one version, weights as bits.
         let bits = |view: &EpochView| -> Vec<u32> {
             let mut seen = Vec::new();
