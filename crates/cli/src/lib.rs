@@ -255,14 +255,15 @@ mod tests {
     const SKILL: &str = ".claude/skills/verify/SKILL.md";
 
     /// The words after the first invocation in `line`: `-p aligraph-cli --`,
-    /// `cargo run --release --`, or (where `bare`) an `aligraph` binary. A
-    /// `#` comment or a `|` ends it.
+    /// `cargo run --release --`, or (where `bare`) an `aligraph` binary —
+    /// not the package `-p aligraph` names. A `#` comment or a `|` ends it.
     fn invocation(line: &str, bare: bool) -> Option<Vec<String>> {
         let words: Vec<&str> = line.split_whitespace().collect();
+        let bin = |w: &str| w == "aligraph" || w.ends_with("/aligraph");
         let start = (0..words.len()).find_map(|i| match &words[i..] {
             ["-p", "aligraph-cli", "--", ..] => Some(i + 3),
             ["cargo", "run", "--release", "--", ..] => Some(i + 4),
-            [bin, ..] if bare && (*bin == "aligraph" || bin.ends_with("/aligraph")) => Some(i + 1),
+            [w, ..] if bare && bin(w) && (i == 0 || words[i - 1] != "-p") => Some(i + 1),
             _ => None,
         })?;
         let rest = words[start..].iter().take_while(|w| !w.starts_with('#') && **w != "|");
@@ -339,6 +340,14 @@ mod tests {
             })
             .collect();
         assert!(refused.is_empty(), "{refused:#?}");
+    }
+
+    #[test]
+    fn a_package_name_is_no_invocation_and_a_bad_binary_line_is_still_refused() {
+        assert_eq!(invocation("cargo test -q -p aligraph -p aligraph-sampling", true), None);
+        let bad = invocation("target/release/aligraph serve-bench --requestz 9", true).unwrap();
+        assert_eq!(bad, ["serve-bench", "--requestz", "9"]);
+        assert!(refusal(&bad, true).is_some_and(|why| why.contains("--requestz")), "{bad:?}");
     }
 
     #[test]

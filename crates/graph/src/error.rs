@@ -12,8 +12,8 @@ pub enum GraphError {
         /// Destination endpoint.
         dst: VertexId,
     },
-    /// An edge weight was not strictly positive (`W: E -> R+`).
-    NonPositiveWeight {
+    /// An edge weight was not positive and finite (`W: E -> R+`).
+    InvalidWeight {
         /// The offending weight.
         weight: f32,
     },
@@ -46,8 +46,8 @@ impl std::fmt::Display for GraphError {
             GraphError::DanglingEdge { src, dst } => {
                 write!(f, "edge ({src}, {dst}) references a vertex that was never added")
             }
-            GraphError::NonPositiveWeight { weight } => {
-                write!(f, "edge weight {weight} must be strictly positive")
+            GraphError::InvalidWeight { weight } => {
+                write!(f, "edge weight {weight} must be positive and finite")
             }
             GraphError::UnknownVertexType(t) => write!(f, "unknown vertex type {}", t.0),
             GraphError::UnknownEdgeType(t) => write!(f, "unknown edge type {}", t.0),
@@ -72,7 +72,7 @@ mod tests {
     fn display_messages() {
         let e = GraphError::DanglingEdge { src: VertexId(9), dst: VertexId(3) };
         assert!(e.to_string().contains("v9"));
-        let e = GraphError::NonPositiveWeight { weight: -1.0 };
+        let e = GraphError::InvalidWeight { weight: -1.0 };
         assert!(e.to_string().contains("-1"));
         let e = GraphError::InvalidConfig("users must be > 0".into());
         assert!(e.to_string().contains("users"));

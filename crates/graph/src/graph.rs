@@ -395,7 +395,7 @@ impl GraphBuilder {
     }
 
     /// Adds an edge with attributes. Both endpoints must already exist, the
-    /// weight must be strictly positive (`W: E -> R+`, paper §2), and the
+    /// weight must be positive and finite (`W: E -> R+`, paper §2), and the
     /// graph's edge records must stay within `u32::MAX`.
     pub fn add_edge_with_attrs(
         &mut self,
@@ -408,8 +408,8 @@ impl GraphBuilder {
         if src.index() >= self.vtypes.len() || dst.index() >= self.vtypes.len() {
             return Err(GraphError::DanglingEdge { src, dst });
         }
-        if weight.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(GraphError::NonPositiveWeight { weight });
+        if weight <= 0.0 || !weight.is_finite() {
+            return Err(GraphError::InvalidWeight { weight });
         }
         let added = if self.directed || src == dst { 1 } else { 2 };
         self.records = grown_records(self.records, added)?;
@@ -692,11 +692,11 @@ mod tests {
             b.add_edge(a, VertexId(5), CLICK, 1.0),
             Err(GraphError::DanglingEdge { .. })
         ));
-        assert!(matches!(b.add_edge(a, a, CLICK, 0.0), Err(GraphError::NonPositiveWeight { .. })));
-        assert!(matches!(
-            b.add_edge(a, a, CLICK, f32::NAN),
-            Err(GraphError::NonPositiveWeight { .. })
-        ));
+        for w in [0.0, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let refused = b.add_edge(a, a, CLICK, w);
+            assert!(matches!(refused, Err(GraphError::InvalidWeight { .. })), "weight {w}");
+        }
+        assert_eq!(b.num_edges(), 0);
     }
 
     #[test]

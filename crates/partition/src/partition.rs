@@ -95,14 +95,20 @@ pub trait Partitioner {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EdgeCutHash;
 
+impl EdgeCutHash {
+    /// `v`'s owner among `num_workers` workers (at least one): the rule
+    /// [`EdgeCutHash::partition`] applies to every vertex, for a caller that
+    /// routes by vertex and needs no per-edge owner table.
+    #[inline]
+    pub fn owner(v: VertexId, num_workers: usize) -> WorkerId {
+        WorkerId((splitmix64(v.0 as u64) % num_workers.max(1) as u64) as u32)
+    }
+}
+
 impl Partitioner for EdgeCutHash {
     fn partition(&self, graph: &AttributedHeterogeneousGraph, num_workers: usize) -> Partition {
-        let p = num_workers.max(1);
-        let owners = graph
-            .vertices()
-            .map(|v| WorkerId((splitmix64(v.0 as u64) % p as u64) as u32))
-            .collect();
-        Partition::from_vertex_owners(graph, p, owners)
+        let owners = graph.vertices().map(|v| Self::owner(v, num_workers)).collect();
+        Partition::from_vertex_owners(graph, num_workers.max(1), owners)
     }
 
     fn name(&self) -> &'static str {

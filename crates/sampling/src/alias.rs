@@ -353,22 +353,23 @@ impl IncrementalAlias {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use aligraph_graph::generate::TaobaoConfig;
     use aligraph_graph::ids::well_known::*;
-    use aligraph_graph::{AttrVector, GraphBuilder};
+    use aligraph_graph::{AttrVector, GraphBuilder, GraphError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// 70 vertices (the validity bitset's second word is partial) whose
     /// rows are the cases a column layout can get wrong: a weighted row
-    /// first, an empty row, a degenerate row (infinite weights: the builder
-    /// refuses zero ones, so this is the degenerate row a built graph can
-    /// hold) followed by a weighted one, and a weighted last vertex.
+    /// first, an empty row, a row of `f32::MAX` weights (their sum is past
+    /// `f32`, not past the build's `f64`) followed by a weighted one, and a
+    /// weighted last vertex.
     pub(crate) fn awkward_graph() -> AttributedHeterogeneousGraph {
         let mut b = GraphBuilder::directed();
         let vs: Vec<VertexId> = (0..70).map(|_| b.add_vertex(USER, AttrVector::empty())).collect();
         let rows: [(usize, &[f32]); 5] = [
             (0, &[1.0, 2.0, 4.0]),
-            (2, &[f32::INFINITY, f32::INFINITY]),
+            (2, &[f32::MAX, f32::MAX]),
             (3, &[0.5, 3.0]),
             (40, &[7.0]),
             (69, &[2.0, 1.0, 1.0, 5.0]),
@@ -403,7 +404,27 @@ pub(crate) mod tests {
                 (got, want) => panic!("vertex {}: {got:?} against {want:?}", v.0),
             }
         }
-        assert_eq!(tables, 4, "the degenerate and empty rows have no table");
+        assert_eq!(tables, 5, "only the empty rows have no table");
+    }
+
+    #[test]
+    fn the_builder_refuses_the_infinite_row_no_table_draws_from() {
+        assert!(AliasTable::new(&[f32::INFINITY, f32::INFINITY]).is_none());
+        let mut b = GraphBuilder::directed();
+        let v = b.add_vertex(USER, AttrVector::empty());
+        let refused = b.add_edge(v, v, CLICK, f32::INFINITY);
+        assert!(matches!(refused, Err(GraphError::InvalidWeight { .. })));
+    }
+
+    #[test]
+    fn every_non_empty_row_of_a_built_graph_has_a_table() {
+        for g in [awkward_graph(), TaobaoConfig::tiny().generate().unwrap()] {
+            let columns = AliasColumns::build(&g);
+            for v in g.vertices() {
+                let table = columns.row(v, g.out_edge_ids(v));
+                assert_eq!(table.is_some(), g.out_degree(v) > 0, "vertex {}", v.0);
+            }
+        }
     }
 
     #[test]

@@ -723,14 +723,14 @@ mod tests {
         for v in g.vertices() {
             same(&view, v, crate::alias::tests::rebuilt(&g, v));
         }
-        // The empty row gains a table; the degenerate one stays without.
+        // The empty row gains a table; the `f32::MAX` row keeps one.
         let touched = [VertexId(1), VertexId(2)];
         let (next, _) = view.apply_batch(&batch(touched.map(|v| add(v, VertexId(9), 1.0)).into()));
         for v in touched {
             let weights: Vec<f32> = next.out_neighbors(v).iter().map(|n| n.weight).collect();
             same(&next, v, AliasTable::new(&weights));
         }
-        assert!(next.alias(VertexId(1)).is_some());
+        assert!(touched.iter().all(|&v| next.alias(v).is_some()));
         for v in g.vertices().filter(|v| !touched.contains(v)) {
             same(&next, v, crate::alias::tests::rebuilt(&g, v));
         }

@@ -37,7 +37,7 @@ use aligraph_chaos::{
 use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch};
 use aligraph_graph::features::{FeatureMatrix, Featurizer};
 use aligraph_graph::{AttributedHeterogeneousGraph, VertexId};
-use aligraph_partition::{EdgeCutHash, Partitioner};
+use aligraph_partition::EdgeCutHash;
 use aligraph_sampling::{affected, commit, EpochView, NeighborhoodSampler, Touched};
 use aligraph_storage::{AccessKind, AccessStats, CacheStats, CostModel, Published, VersionedCache};
 use aligraph_telemetry::{Registry, Stopwatch};
@@ -225,8 +225,7 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
             "dims and fanouts must be non-empty and of equal length"
         );
         let features = Arc::new(Featurizer::new(config.feature_dim).matrix(&graph));
-        let part = EdgeCutHash.partition(&graph, config.workers);
-        let owners = part.vertex_owner.iter().map(|w| w.index() as u32).collect();
+        let owners = graph.vertices().map(|v| EdgeCutHash::owner(v, config.workers).0).collect();
         // No base alias columns: the encoder's samplers read rows, not tables.
         let view = EpochView::initial(graph, Arc::clone(&features), None);
         let fault = config
@@ -577,6 +576,7 @@ mod tests {
     use aligraph_graph::generate::TaobaoConfig;
     use aligraph_graph::ids::well_known::CLICK;
     use aligraph_graph::Neighbor;
+    use aligraph_partition::Partitioner;
     use aligraph_sampling::TopKNeighborhood;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -628,6 +628,18 @@ mod tests {
         let ev = service.embedding(v).unwrap();
         let dot: f32 = eu.iter().zip(ev.iter()).map(|(a, b)| a * b).sum();
         assert!((s - dot).abs() < 1e-6);
+    }
+
+    #[test]
+    fn serving_routes_by_the_hash_partitions_vertex_owners() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        for workers in [1, 3, 4] {
+            let config = ServingConfig { workers, ..Default::default() };
+            let service = ServingService::start(Arc::clone(&graph), TopKNeighborhood, config);
+            let part = EdgeCutHash.partition(&graph, workers);
+            let want: Vec<u32> = part.vertex_owner.iter().map(|w| w.0).collect();
+            assert_eq!(service.owners, want, "{workers} workers");
+        }
     }
 
     #[test]

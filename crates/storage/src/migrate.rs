@@ -443,7 +443,7 @@ mod tests {
         };
         // (moved, bytes) of the split, then of the merge: the migration
         // stream is the same records whichever store the shards keep.
-        let pins = [(34, 3_672), (34, 3_672)];
+        let pins = [(34, 2_788), (34, 2_788)];
         for (name, c) in [("all-hot", cluster(3, CacheStrategy::None)), ("tiered", tiered())] {
             assert_shards_match_residency(&c);
             let policy = RetryPolicy::default();

@@ -22,10 +22,7 @@ pub struct VertexRecord {
     /// The vertex being moved.
     pub vertex: VertexId,
     /// Its out-adjacency.
-    pub neighbors: Box<[Neighbor]>,
-    /// Its cumulative edge-weight table (empty when the vertex has no
-    /// out-edges).
-    pub weight_cdf: Arc<[f32]>,
+    pub neighbors: Arc<[Neighbor]>,
 }
 
 /// What migration meters for one neighbor on the wire: the record's size
@@ -38,7 +35,7 @@ const WIRE_NEIGHBOR_BYTES: u64 = 12;
 impl VertexRecord {
     /// Payload size of this record on the wire (what migration meters).
     pub fn bytes(&self) -> u64 {
-        4 + self.neighbors.len() as u64 * WIRE_NEIGHBOR_BYTES + self.weight_cdf.len() as u64 * 4
+        4 + self.neighbors.len() as u64 * WIRE_NEIGHBOR_BYTES
     }
 }
 
@@ -56,7 +53,7 @@ pub struct GraphServer {
     /// Neighbor cache for remote vertices (Algorithm 2).
     neighbor_cache: NeighborCache,
     /// Cold-tier binding. When present the server keeps **nothing** itself:
-    /// residency, adjacency rows, and weight CDFs live in the shared
+    /// residency and adjacency rows live in the shared
     /// [`TieredStore`] (decoded hot set + compressed segments), and resident
     /// reads whose row is cold are metered as [`AccessKind::Cold`].
     tier: Option<TierBinding>,
@@ -160,8 +157,7 @@ impl GraphServer {
         if !self.is_local(v) {
             return None;
         }
-        let nbrs = self.graph.out_neighbors(v);
-        Some(VertexRecord { vertex: v, neighbors: nbrs.into(), weight_cdf: build_cdf(nbrs) })
+        Some(VertexRecord { vertex: v, neighbors: self.graph.out_neighbors(v).into() })
     }
 
     /// Installs one migrated vertex record; after this the vertex serves
@@ -258,23 +254,6 @@ fn bit_of(v: u32) -> (usize, u64) {
     ((v / 64) as usize, 1 << (v % 64))
 }
 
-/// Cumulative weight table over one adjacency row.
-pub(crate) fn build_cdf(nbrs: &[Neighbor]) -> Arc<[f32]> {
-    let mut cdf = Vec::with_capacity(nbrs.len());
-    fill_cdf(nbrs, &mut cdf);
-    Arc::from(cdf)
-}
-
-/// [`build_cdf`] into a reused buffer (cleared first).
-pub(crate) fn fill_cdf(nbrs: &[Neighbor], cdf: &mut Vec<f32>) {
-    cdf.clear();
-    let mut acc = 0.0f32;
-    for n in nbrs {
-        acc += n.weight;
-        cdf.push(acc);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn all_hot_extract_ships_the_graph_row_and_its_cdf() {
+    fn all_hot_extract_ships_the_graph_row() {
         let (g, server) = setup(CacheStrategy::None);
         let mut resident = 0;
         for v in g.vertices() {
@@ -369,11 +348,9 @@ mod tests {
             };
             assert!(server.is_local(v));
             resident += 1;
-            let nbrs = g.out_neighbors(v);
             assert_eq!(rec.vertex, v);
-            assert_eq!(&*rec.neighbors, nbrs);
-            let bits = |cdf: &[f32]| cdf.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&rec.weight_cdf), bits(&build_cdf(nbrs)), "vertex {}", v.0);
+            assert_eq!(&*rec.neighbors, g.out_neighbors(v));
+            assert_eq!(rec.bytes(), 4 + 12 * rec.neighbors.len() as u64, "vertex {}", v.0);
         }
         assert_eq!(resident, server.num_owned());
         let beyond = VertexId(g.num_vertices() as u32);

@@ -77,7 +77,7 @@ use crate::codec::{
 use crate::cost::{AccessKind, CostModel, TierMeter};
 use crate::lru::LruCache;
 use crate::segment::{Segment, SegmentError, SegmentKind};
-use crate::server::{build_cdf, fill_cdf, VertexRecord};
+use crate::server::VertexRecord;
 use aligraph_graph::{AttributedHeterogeneousGraph, FeatureMatrix, Neighbor, VertexId};
 use aligraph_telemetry::{Counter, Gauge, Registry};
 use parking_lot::{Mutex, RwLock};
@@ -141,35 +141,31 @@ struct RowKey {
 
 #[derive(Debug, Clone)]
 enum HotRow {
-    Adjacency { nbrs: Arc<[Neighbor]>, cdf: Arc<[f32]> },
+    Adjacency { nbrs: Arc<[Neighbor]> },
     Feature { row: Arc<[f32]>, dirty: bool },
 }
 
-/// What the resident budget charges for one decoded neighbor record: the
-/// record's size before records dropped their edge id (24 B). It
-/// over-bounds the 16-byte [`Neighbor`], so the budget still caps the real
-/// bytes, and `perf/`'s budget-share check is calibrated to it (its
-/// `train_tiered` budget is sized at 28 B a degree, this charge plus the
-/// CDF entry). Re-fitting it to 16 B moves that check, `τ` and the hot set
+/// What the resident budget charges for one decoded neighbor: the pinned
+/// budget unit (28 B), which over-bounds the 16-byte [`Neighbor`], so the
+/// budget still caps the real bytes. `τ`, the hot set and `perf/`'s
+/// budget-share check (its `train_tiered` budget is sized at 28 B a
+/// degree) are all calibrated to it; re-fitting it to 16 B moves them
 /// together: ROADMAP item 2 (d).
-const CHARGED_NEIGHBOR_BYTES: u64 = 24;
+const CHARGED_NEIGHBOR_BYTES: u64 = 28;
 
 impl HotRow {
     /// Decoded in-memory footprint charged against the resident budget.
     fn bytes(&self) -> u64 {
         match self {
-            HotRow::Adjacency { nbrs, cdf } => {
-                32 + nbrs.len() as u64 * CHARGED_NEIGHBOR_BYTES + cdf.len() as u64 * 4
-            }
+            HotRow::Adjacency { nbrs } => adjacency_bytes(nbrs.len()),
             HotRow::Feature { row, .. } => 32 + row.len() as u64 * 4,
         }
     }
 }
 
-/// [`HotRow::bytes`] of a graph-built adjacency row of `degree` neighbors:
-/// one charged record and one 4-byte CDF entry per neighbor.
+/// [`HotRow::bytes`] of an adjacency row of `degree` neighbors.
 fn adjacency_bytes(degree: usize) -> u64 {
-    32 + degree as u64 * (CHARGED_NEIGHBOR_BYTES + 4)
+    32 + degree as u64 * CHARGED_NEIGHBOR_BYTES
 }
 
 /// What the admission key prices one cold read of `v`'s adjacency row at:
@@ -252,17 +248,12 @@ impl TierMetrics {
     }
 }
 
-/// A decoded adjacency row in shareable form — what the hot set and the
-/// prefetch stage hold and what a caller gets back: the neighbor list plus
-/// its weight CDF.
-type SharedRow = (Arc<[Neighbor]>, Arc<[f32]>);
-
 /// One row of the prefetch stage. It serves exactly the reads its frontier
 /// announced — a frontier naming a row twice decodes it once — and then
 /// leaves, so the stage never turns into an uncharged cache.
 #[derive(Debug)]
 struct Staged {
-    row: SharedRow,
+    row: Arc<[Neighbor]>,
     /// How many times the announced frontier names the row.
     announced: u32,
     /// Reads served from it since; a row still at 0 when the next frontier
@@ -304,13 +295,11 @@ struct ShardTier {
     /// The prefetch double-buffer's active side: decoded adjacency rows the
     /// announced frontier is about to read.
     prefetch_active: HashMap<u32, Staged>,
-    /// The row buffer every cold adjacency decode lands in, and the weight
-    /// CDF built from it for a row that is kept, reused across reads: one
-    /// row at a time, bounded by the largest row, and — like the prefetch
-    /// stage — not charged to the budget. A pass-through read never leaves
-    /// it.
+    /// The row buffer every cold adjacency decode lands in, reused across
+    /// reads: one row at a time, bounded by the largest row, and — like the
+    /// prefetch stage — not charged to the budget. A pass-through read
+    /// never leaves it.
     row_nbrs: Vec<Neighbor>,
-    row_cdf: Vec<f32>,
 }
 
 impl ShardTier {
@@ -330,7 +319,6 @@ impl ShardTier {
             writeback_pending: BTreeMap::new(),
             prefetch_active: HashMap::new(),
             row_nbrs: Vec::new(),
-            row_cdf: Vec::new(),
         }
     }
 
@@ -352,14 +340,6 @@ impl ShardTier {
 
     fn is_resident(&self, v: u32) -> bool {
         self.resident.get(v as usize / 64).is_some_and(|w| w & (1u64 << (v as usize % 64)) != 0)
-    }
-
-    /// The row buffer's content in shareable form, with its weight CDF —
-    /// built here, for a row that is admitted, staged or asked for, and
-    /// never for a pass-through read nobody asked for.
-    fn shared_row(&mut self) -> SharedRow {
-        fill_cdf(&self.row_nbrs, &mut self.row_cdf);
-        (self.row_nbrs.as_slice().into(), self.row_cdf.as_slice().into())
     }
 }
 
@@ -478,12 +458,11 @@ impl TieredStore {
         // Least important first, so the least important hot row is also the
         // least recently used — the first demotion victim.
         for &v in seeds.iter().rev() {
-            let nbrs: Arc<[Neighbor]> = store.graph.out_neighbors(VertexId(v)).into();
-            let cdf = build_cdf(&nbrs);
+            let nbrs = store.graph.out_neighbors(VertexId(v)).into();
             store.admit(
                 &mut states[owners[v as usize] as usize],
                 RowKey { kind: KIND_ADJ, vertex: v },
-                HotRow::Adjacency { nbrs, cdf },
+                HotRow::Adjacency { nbrs },
             );
         }
         for st in &mut states {
@@ -604,14 +583,14 @@ impl TieredStore {
         }
     }
 
-    /// Reads one adjacency row (with its weight CDF) through its owner
-    /// shard. Always bit-exact against `graph.out_neighbors(v)`; the third
-    /// tuple element says how the read was served.
-    pub fn read_adjacency(&self, v: VertexId) -> (Arc<[Neighbor]>, Arc<[f32]>, TierRead) {
+    /// Reads one adjacency row through its owner shard. Always bit-exact
+    /// against `graph.out_neighbors(v)`; the second tuple element says how
+    /// the read was served.
+    pub fn read_adjacency(&self, v: VertexId) -> (Arc<[Neighbor]>, TierRead) {
         let (how, row) = self.on_owner(v, |st| self.read_row(st, v, true));
         #[expect(clippy::expect_used, reason = "read_row returns the row whenever it is asked to")]
-        let (nbrs, cdf) = row.expect("row was requested");
-        (nbrs, cdf, how)
+        let nbrs = row.expect("row was requested");
+        (nbrs, how)
     }
 
     /// Meters one adjacency read of `v` from `shard` without handing out the
@@ -626,32 +605,31 @@ impl TieredStore {
     /// The one adjacency read every entry point goes through: the shard's
     /// hot set, then its prefetch stage, then a cold decode into its reused
     /// row buffer. Counts the read by source, applies the admission rule to
-    /// a row that was not hot, and builds the weight CDF and materialises
-    /// `Arc`s only for a row that is admitted or that the caller asked for
-    /// (`want_row`) — a pass-through row nobody asked for stays in the
-    /// buffer, without a CDF.
+    /// a row that was not hot, and materialises an `Arc` only for a row
+    /// that is admitted or that the caller asked for (`want_row`) — a
+    /// pass-through row nobody asked for stays in the buffer.
     fn read_row(
         &self,
         st: &mut ShardTier,
         v: VertexId,
         want_row: bool,
-    ) -> (TierRead, Option<SharedRow>) {
+    ) -> (TierRead, Option<Arc<[Neighbor]>>) {
         let key = RowKey { kind: KIND_ADJ, vertex: v.0 };
-        if let Some(HotRow::Adjacency { nbrs, cdf }) = st.hot.get(&key) {
+        if let Some(HotRow::Adjacency { nbrs }) = st.hot.get(&key) {
             self.metrics.read(TierRead::Hot);
-            return (TierRead::Hot, want_row.then(|| (Arc::clone(nbrs), Arc::clone(cdf))));
+            return (TierRead::Hot, want_row.then(|| Arc::clone(nbrs)));
         }
         // A staged row serves the reads its frontier announced.
         let staged = st.prefetch_active.get_mut(&v.0).map(|staged| {
             staged.served += 1;
-            (staged.row.clone(), staged.served >= staged.announced)
+            (Arc::clone(&staged.row), staged.served >= staged.announced)
         });
         let how = match staged {
             Some(_) => TierRead::Prefetched,
             None => self.decode_cold(st, v),
         };
         self.metrics.read(how);
-        let degree = staged.as_ref().map_or(st.row_nbrs.len(), |((nbrs, _), _)| nbrs.len());
+        let degree = staged.as_ref().map_or(st.row_nbrs.len(), |(nbrs, _)| nbrs.len());
         let admitted = self.admits(st.budget, v.0, degree);
         if staged.as_ref().is_some_and(|&(_, spent)| admitted || spent) {
             // An admitted row moves from the stage to the hot set; a
@@ -661,13 +639,12 @@ impl TieredStore {
         if !(admitted || want_row) {
             return (how, None);
         }
-        let (nbrs, cdf) = staged.map_or_else(|| st.shared_row(), |(row, _)| row);
+        let nbrs = staged.map_or_else(|| st.row_nbrs.as_slice().into(), |(row, _)| row);
         if admitted {
-            let row = HotRow::Adjacency { nbrs: Arc::clone(&nbrs), cdf: Arc::clone(&cdf) };
-            self.admit(st, key, row);
+            self.admit(st, key, HotRow::Adjacency { nbrs: Arc::clone(&nbrs) });
             self.publish_gauges(st);
         }
-        (how, want_row.then_some((nbrs, cdf)))
+        (how, want_row.then_some(nbrs))
     }
 
     /// The admission rule for an adjacency row that is not hot: `key(v) ≥ τ`
@@ -690,8 +667,7 @@ impl TieredStore {
     }
 
     /// Decodes `v`'s adjacency row into the shard's reused row buffer from
-    /// its owner shard's segment, metering the cold I/O. No weight CDF: one
-    /// is built ([`ShardTier::shared_row`]) only for a row that is kept.
+    /// its owner shard's segment, metering the cold I/O.
     fn decode_cold(&self, st: &mut ShardTier, v: VertexId) -> TierRead {
         let owner = self.owner.get(v.index()).copied().unwrap_or(0) as usize;
         if let Some(bytes) = self.adj_segments.get(owner).and_then(|seg| seg.lookup(v.0)) {
@@ -790,7 +766,8 @@ impl TieredStore {
                 }
                 self.decode_cold(st, VertexId(v));
                 self.metrics.prefetch_virtual_ns.add(self.cost.cold_ns);
-                standby.insert(v, Staged { row: st.shared_row(), announced, served: 0 });
+                let row = st.row_nbrs.as_slice().into();
+                standby.insert(v, Staged { row, announced, served: 0 });
                 issued += 1;
             }
             self.metrics.prefetch_issued.add(issued as u64);
@@ -850,8 +827,8 @@ impl TieredStore {
     pub fn extract(&self, shard: usize, v: VertexId) -> Option<VertexRecord> {
         let row =
             self.on_shard(shard, |st| st.is_resident(v.0).then(|| self.read_row(st, v, true).1));
-        let (nbrs, cdf) = row.flatten().flatten()?;
-        Some(VertexRecord { vertex: v, neighbors: nbrs.iter().copied().collect(), weight_cdf: cdf })
+        let neighbors = row.flatten().flatten()?;
+        Some(VertexRecord { vertex: v, neighbors })
     }
 
     /// Installs one migrated vertex record as resident on `shard` — and hot
@@ -864,11 +841,10 @@ impl TieredStore {
             if !self.admits(st.budget, rec.vertex.0, rec.neighbors.len()) {
                 return;
             }
-            let nbrs: Arc<[Neighbor]> = rec.neighbors.into();
             self.admit(
                 st,
                 RowKey { kind: KIND_ADJ, vertex: rec.vertex.0 },
-                HotRow::Adjacency { nbrs, cdf: rec.weight_cdf },
+                HotRow::Adjacency { nbrs: rec.neighbors },
             );
             self.publish_gauges(st);
         });
@@ -1037,7 +1013,7 @@ mod tests {
     fn every_adjacency_read_bit_exact_vs_graph() {
         let (g, store) = setup(Some(4_000));
         for v in g.vertices() {
-            let (nbrs, cdf, _) = store.read_adjacency(v);
+            let (nbrs, _) = store.read_adjacency(v);
             let oracle = g.out_neighbors(v);
             assert_eq!(nbrs.len(), oracle.len());
             for (a, b) in nbrs.iter().zip(oracle) {
@@ -1045,33 +1021,24 @@ mod tests {
                 assert_eq!(a.weight.to_bits(), b.weight.to_bits());
                 assert_eq!((a.etype, a.attr), (b.etype, b.attr));
             }
-            // CDF matches the one the all-hot server would build.
-            if !oracle.is_empty() {
-                let want = build_cdf(oracle);
-                assert_eq!(cdf.len(), want.len());
-                for (a, b) in cdf.iter().zip(want.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
         }
     }
 
     #[test]
-    fn a_kept_rows_cdf_is_its_own_on_the_cold_prefetched_and_materialized_paths() {
+    fn a_kept_row_is_its_own_on_the_cold_prefetched_and_materialized_paths() {
         let (g, mut store) = setup(Some(6_000));
-        let bits = |cdf: &[f32]| cdf.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        let want = |v: VertexId| bits(&build_cdf(g.out_neighbors(v)));
-        let hot_cdf = |store: &TieredStore, v: VertexId| {
+        let want = |v: VertexId| g.out_neighbors(v).to_vec();
+        let hot_row = |store: &TieredStore, v: VertexId| {
             store.on_owner(v, |st| match st.hot.peek(&RowKey { kind: KIND_ADJ, vertex: v.0 }) {
-                Some(HotRow::Adjacency { cdf, .. }) => bits(cdf),
+                Some(HotRow::Adjacency { nbrs }) => nbrs.to_vec(),
                 _ => panic!("{v:?} is not hot"),
             })
         };
         // Rows of one shard that are not hot: three seeded rows demoted,
         // which the admission rule takes back, and pass-through rows. Each
         // read below follows another row's decode through the same row
-        // buffer, and no two of these rows have the same CDF, so a CDF left
-        // over from the previous row, or one never built, shows.
+        // buffer, and no two of these rows are equal, so a row left over
+        // from the previous decode shows.
         let shard = store.owner[store.ranking[0] as usize] as usize;
         let of_shard =
             |v: VertexId| store.owner[v.index()] as usize == shard && g.out_degree(v) > 0;
@@ -1086,34 +1053,34 @@ mod tests {
         let used: Vec<VertexId> = kept.iter().chain(&passed[..6]).copied().collect();
         for (i, &a) in used.iter().enumerate() {
             for &b in &used[i + 1..] {
-                assert_ne!(want(a), want(b), "{a:?} and {b:?} have equal CDFs");
+                assert_ne!(want(a), want(b), "{a:?} and {b:?} have equal rows");
             }
         }
-        // Cold: a pass-through decode that builds no CDF, then an admitted
+        // Cold: a pass-through decode nobody asks for, then an admitted
         // row, then a pass-through row a caller asks for.
         assert_eq!(store.classify(shard, passed[0]), Some(TierRead::Cold));
-        let (_, cdf, how) = store.read_adjacency(kept[0]);
-        assert_eq!((how, bits(&cdf)), (TierRead::Cold, want(kept[0])));
-        assert_eq!(hot_cdf(&store, kept[0]), want(kept[0]));
-        let (_, cdf, how) = store.read_adjacency(passed[1]);
-        assert_eq!((how, bits(&cdf)), (TierRead::Cold, want(passed[1])));
-        // Prefetched: each staged row carries its own CDF.
+        let (nbrs, how) = store.read_adjacency(kept[0]);
+        assert_eq!((how, nbrs.to_vec()), (TierRead::Cold, want(kept[0])));
+        assert_eq!(hot_row(&store, kept[0]), want(kept[0]));
+        let (nbrs, how) = store.read_adjacency(passed[1]);
+        assert_eq!((how, nbrs.to_vec()), (TierRead::Cold, want(passed[1])));
+        // Prefetched: each staged row is its own decode.
         store.prefetch(shard, &[kept[1], passed[2], passed[3]]);
         for v in [kept[1], passed[2], passed[3]] {
-            let (_, cdf, how) = store.read_adjacency(v);
-            assert_eq!((how, bits(&cdf)), (TierRead::Prefetched, want(v)), "{v:?}");
+            let (nbrs, how) = store.read_adjacency(v);
+            assert_eq!((how, nbrs.to_vec()), (TierRead::Prefetched, want(v)), "{v:?}");
         }
-        assert_eq!(hot_cdf(&store, kept[1]), want(kept[1]));
+        assert_eq!(hot_row(&store, kept[1]), want(kept[1]));
         // Materialized: with the shard's segment gone, rows come from the
         // graph through the same buffer.
         Arc::get_mut(&mut store).unwrap().adj_segments[shard] =
             Segment::build(SegmentKind::Adjacency, shard as u16, Vec::new());
         assert_eq!(store.classify(shard, passed[4]), Some(TierRead::Materialized));
-        let (_, cdf, how) = store.read_adjacency(passed[5]);
-        assert_eq!((how, bits(&cdf)), (TierRead::Materialized, want(passed[5])));
-        let (_, cdf, how) = store.read_adjacency(kept[2]);
-        assert_eq!((how, bits(&cdf)), (TierRead::Materialized, want(kept[2])));
-        assert_eq!(hot_cdf(&store, kept[2]), want(kept[2]));
+        let (nbrs, how) = store.read_adjacency(passed[5]);
+        assert_eq!((how, nbrs.to_vec()), (TierRead::Materialized, want(passed[5])));
+        let (nbrs, how) = store.read_adjacency(kept[2]);
+        assert_eq!((how, nbrs.to_vec()), (TierRead::Materialized, want(kept[2])));
+        assert_eq!(hot_row(&store, kept[2]), want(kept[2]));
     }
 
     #[test]
@@ -1140,7 +1107,7 @@ mod tests {
         }
         let mut hot = 0;
         for v in g2.vertices() {
-            if matches!(store2.read_adjacency(v).2, TierRead::Hot) {
+            if matches!(store2.read_adjacency(v).1, TierRead::Hot) {
                 hot += 1;
             }
         }
@@ -1157,7 +1124,7 @@ mod tests {
         hubs.sort_by_key(|&v| std::cmp::Reverse(g.in_degree(v)));
         assert_eq!(store.ranking[0], hubs[0].0);
         for &hub in &hubs[..8] {
-            assert_eq!(store.read_adjacency(hub).2, TierRead::Hot, "{hub:?}");
+            assert_eq!(store.read_adjacency(hub).1, TierRead::Hot, "{hub:?}");
         }
     }
 
@@ -1297,18 +1264,18 @@ mod tests {
         for (&v, &want) in frontier.iter().zip(&expected) {
             assert_eq!(store.is_prefetched(v), want, "{v:?}");
         }
-        let (_, _, how) = store.read_adjacency(qualifying);
+        let (_, how) = store.read_adjacency(qualifying);
         assert_eq!(how, TierRead::Prefetched);
         // Second read of the same row is hot now.
-        assert_eq!(store.read_adjacency(qualifying).2, TierRead::Hot);
+        assert_eq!(store.read_adjacency(qualifying).1, TierRead::Hot);
         assert!(!store.is_prefetched(qualifying), "an admitted row leaves the stage");
         // A staged pass-through row is admitted nowhere and serves exactly
         // the reads its frontier announced: named twice, it is decoded once,
         // served twice, and gone.
         let resident = store.resident_bytes();
-        assert_eq!(store.read_adjacency(bypassed).2, TierRead::Prefetched);
-        assert_eq!(store.read_adjacency(bypassed).2, TierRead::Prefetched);
-        assert_eq!(store.read_adjacency(bypassed).2, TierRead::Cold);
+        assert_eq!(store.read_adjacency(bypassed).1, TierRead::Prefetched);
+        assert_eq!(store.read_adjacency(bypassed).1, TierRead::Prefetched);
+        assert_eq!(store.read_adjacency(bypassed).1, TierRead::Cold);
         assert_eq!(store.resident_bytes(), resident);
         // A new frontier swaps the double buffer: a row it names again is
         // carried over, the rest are gone — the ones never read as wasted.
@@ -1429,18 +1396,17 @@ mod tests {
         // The hub is important enough but never fits: cold every time,
         // evicting nothing. A singleton is below the threshold: the same.
         for v in [hub, hub, single, single] {
-            let (nbrs, cdf, how) = store.read_adjacency(v);
+            let (nbrs, how) = store.read_adjacency(v);
             assert_eq!(how, TierRead::Cold);
             assert_eq!(&nbrs[..], g.out_neighbors(v));
-            assert_eq!(cdf.len(), nbrs.len());
             assert!(!store.is_hot(v));
         }
         assert_eq!((demotions(), store.resident_bytes()), (0, 5 * 172));
         assert_eq!((admit("admitted"), admit("bypassed")), (0, 4));
         // A row at the threshold qualifies: cold once, then hot, at the
         // price of the least recently used seeded row.
-        assert_eq!(store.read_adjacency(at_cut).2, TierRead::Cold);
-        assert_eq!(store.read_adjacency(at_cut).2, TierRead::Hot);
+        assert_eq!(store.read_adjacency(at_cut).1, TierRead::Cold);
+        assert_eq!(store.read_adjacency(at_cut).1, TierRead::Hot);
         assert_eq!((demotions(), store.resident_bytes()), (1, 5 * 172));
         assert_eq!((admit("admitted"), admit("bypassed")), (1, 4));
         assert!(!store.is_hot(seeded), "the lowest-ranked seeded row went first");
@@ -1461,8 +1427,8 @@ mod tests {
         assert_eq!(roomy.resident_bytes(), 1_152 + 10 * 172 + 2 * 60);
         assert!(roomy.is_hot(hub) && roomy.is_hot(at_cut) && roomy.is_hot(single));
         let unseeded = VertexId(20);
-        assert_eq!(roomy.read_adjacency(unseeded).2, TierRead::Cold);
-        assert_eq!(roomy.read_adjacency(unseeded).2, TierRead::Hot);
+        assert_eq!(roomy.read_adjacency(unseeded).1, TierRead::Cold);
+        assert_eq!(roomy.read_adjacency(unseeded).1, TierRead::Hot);
         assert!(!roomy.is_hot(VertexId(12)), "the last seeded singleton made room");
         assert!(roomy.peak_resident_bytes() <= 3_000);
     }
@@ -1498,7 +1464,7 @@ mod tests {
             let fits = adjacency_bytes(g.out_degree(at_cut)) <= shares[owner].0;
             assert_eq!(fits, budget != 2_000, "budget {budget}: {shares:?}");
             store.read_adjacency(at_cut);
-            assert_eq!(store.read_adjacency(at_cut).2 == TierRead::Hot, fits);
+            assert_eq!(store.read_adjacency(at_cut).1 == TierRead::Hot, fits);
             assert!(store.peak_resident_bytes() <= budget);
         }
         // No budget: every shard is unbounded and every row is seeded hot.

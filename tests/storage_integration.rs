@@ -66,16 +66,13 @@ fn all_hot_bytes(g: &Arc<AttributedHeterogeneousGraph>) -> u64 {
 fn gather_fingerprint(tier: &TieredStore, g: &AttributedHeterogeneousGraph) -> u64 {
     let mut h = Fnv1a::new();
     for v in g.vertices() {
-        let (nbrs, cdf, _) = tier.read_adjacency(v);
+        let (nbrs, _) = tier.read_adjacency(v);
         h.word(nbrs.len() as u64);
         for n in nbrs.iter() {
             h.word(u64::from(n.vertex.0));
             h.word(u64::from(n.weight.to_bits()));
             h.word(u64::from(n.attr.0));
             h.word(u64::from(n.etype.0));
-        }
-        for c in cdf.iter() {
-            h.word(u64::from(c.to_bits()));
         }
         if let Some((row, _)) = tier.feature_row(v) {
             for f in row.iter() {
@@ -310,7 +307,7 @@ fn tiered_cluster_survives_shard_split() {
             (0..shards).any(|s| tier.is_resident(s, v.0)),
             "vertex {v:?} lost residency in the split"
         );
-        let (nbrs, _, _) = tier.read_adjacency(v);
+        let (nbrs, _) = tier.read_adjacency(v);
         assert_eq!(&nbrs[..], g.out_neighbors(v));
     }
 }
