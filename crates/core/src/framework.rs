@@ -334,8 +334,10 @@ impl GnnEncoder {
         }
         tape.misses += 1;
 
-        // SAMPLE: fan-out for hop k (deeper hops use later fanout entries).
-        let sampled = sampler.sample_one(v, access.neighbors(v, k), self.fanouts[k - 1], rng);
+        // SAMPLE: fan-out for hop k (deeper hops use later fanout entries),
+        // through the row's alias table where the access keeps one.
+        let (nbrs, alias) = access.row(v, k);
+        let sampled = sampler.sample_row(v, nbrs, alias, self.fanouts[k - 1], rng);
 
         // Recurse: h^(k-1) of self and of each sampled neighbor.
         let mut child = |u: VertexId, tape: &mut EpisodeTape| {

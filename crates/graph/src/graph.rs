@@ -69,8 +69,6 @@ pub struct AttributedHeterogeneousGraph {
     // In-adjacency CSR, records sorted by (dst, etype, src).
     in_offsets: Vec<usize>,
     in_nbrs: Vec<Neighbor>,
-    // Edge lookup: an EdgeId is a position in `out_nbrs`; this is its source.
-    edge_src: Vec<VertexId>,
     // Attribute interning indices.
     vertex_attr_index: AttrIndex,
     edge_attr_index: AttrIndex,
@@ -218,11 +216,16 @@ impl AttributedHeterogeneousGraph {
         self.in_offsets[i + 1] - self.in_offsets[i]
     }
 
-    /// Full edge record for an [`EdgeId`].
+    /// Full edge record for an [`EdgeId`]. An edge's id is the position of
+    /// its out-record, so its source is the vertex whose
+    /// [`out_edge_ids`](Self::out_edge_ids) hold it: a binary search over
+    /// the out-offsets, O(log n). A reader that needs no source reads
+    /// [`out_record`](Self::out_record).
     pub fn edge(&self, e: EdgeId) -> EdgeRecord {
         let n = &self.out_nbrs[e.index()];
+        let src = self.out_offsets.partition_point(|&o| o <= e.index()) - 1;
         EdgeRecord {
-            src: self.edge_src[e.index()],
+            src: VertexId(src as u32),
             dst: n.vertex,
             etype: n.etype,
             weight: n.weight,
@@ -230,9 +233,16 @@ impl AttributedHeterogeneousGraph {
         }
     }
 
+    /// The out-record of edge `e` (its destination, type, weight and
+    /// attribute), read in O(1): [`edge`](Self::edge) without the source.
+    #[inline]
+    pub fn out_record(&self, e: EdgeId) -> &Neighbor {
+        &self.out_nbrs[e.index()]
+    }
+
     /// Bytes allocated for the adjacency structure (the `O(n·N_D)` term),
-    /// by capacity: both record arrays, both offset arrays, `edge_src` and
-    /// the per-type edge rosters.
+    /// by capacity: both record arrays, both offset arrays and the per-type
+    /// edge rosters.
     pub fn adjacency_bytes(&self) -> usize {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * size_of::<T>()
@@ -241,7 +251,6 @@ impl AttributedHeterogeneousGraph {
             + bytes(&self.in_nbrs)
             + bytes(&self.out_offsets)
             + bytes(&self.in_offsets)
-            + bytes(&self.edge_src)
             + self.edges_by_type.iter().map(bytes).sum::<usize>()
     }
 
@@ -456,7 +465,6 @@ impl GraphBuilder {
 
         // An edge's id is its position in the sorted records.
         let out_offsets = offsets(n, records.iter().map(|e| e.src));
-        let edge_src: Vec<VertexId> = records.iter().map(|e| e.src).collect();
         // Each type's roster is counted first and allocated once, at its
         // final size.
         let mut per_type = vec![0usize; self.max_edge_type as usize + 1];
@@ -506,7 +514,6 @@ impl GraphBuilder {
             out_nbrs,
             in_offsets,
             in_nbrs,
-            edge_src,
             vertex_attr_index: self.vertex_attr_index,
             edge_attr_index: self.edge_attr_index,
             num_vertex_types: self.max_vertex_type + 1,
@@ -631,6 +638,7 @@ mod tests {
                 for e in ids.clone() {
                     let n = g.out_neighbors(v)[e - ids.start];
                     let rec = g.edge(EdgeId(e as u32));
+                    assert_eq!(g.out_record(EdgeId(e as u32)), &n);
                     assert_eq!(
                         rec,
                         EdgeRecord {
@@ -760,7 +768,6 @@ mod tests {
             out_offsets[i + 1] += out_offsets[i];
         }
         let mut out_nbrs = Vec::with_capacity(records.len());
-        let mut edge_src = Vec::with_capacity(records.len());
         let mut per_type = vec![0usize; b.max_edge_type as usize + 1];
         for e in &records {
             per_type[e.etype.index()] += 1;
@@ -774,7 +781,6 @@ mod tests {
                 attr: e.attr,
                 etype: e.etype,
             });
-            edge_src.push(e.src);
             edges_by_type[e.etype.index()].push(EdgeId(i as u32));
         }
 
@@ -810,7 +816,6 @@ mod tests {
             out_nbrs,
             in_offsets,
             in_nbrs,
-            edge_src,
             vertex_attr_index: b.vertex_attr_index,
             edge_attr_index: b.edge_attr_index,
             num_vertex_types: b.max_vertex_type + 1,
@@ -843,7 +848,6 @@ mod tests {
         same("out_nbrs", &record_bits(&g.out_nbrs), &record_bits(&o.out_nbrs));
         same("in_offsets", &g.in_offsets, &o.in_offsets);
         same("in_nbrs", &record_bits(&g.in_nbrs), &record_bits(&o.in_nbrs));
-        same("edge_src", &g.edge_src, &o.edge_src);
         same("edges_by_type", &g.edges_by_type, &o.edges_by_type);
         // Each array is allocated at its final size: the rosters once, and
         // the record arrays hold no spare capacity.
@@ -924,9 +928,9 @@ mod tests {
     #[test]
     fn adjacency_bytes_counts_capacities() {
         let g = crate::generate::TaobaoConfig::tiny().builder().unwrap().build();
-        // Out- and in-record 16 B each, `edge_src` 4 B, a roster entry 4 B.
+        // Out- and in-record 16 B each, a roster entry 4 B.
         let offsets = 2 * (g.num_vertices() + 1) * size_of::<usize>();
-        assert_eq!(g.adjacency_bytes(), 40 * g.num_edge_records() + offsets);
+        assert_eq!(g.adjacency_bytes(), 36 * g.num_edge_records() + offsets);
     }
 
     #[test]

@@ -1,35 +1,29 @@
 //! Walker's alias method: O(n) build, O(1) weighted sampling.
 //!
-//! Used by the weighted TRAVERSE sampler, the unigram^0.75 NEGATIVE sampler,
-//! the item-popularity machinery in the benchmarks, and the streaming
-//! update plane: its base rows' tables are [`AliasColumns`] (two flat
-//! columns over a graph's out-edge ids), and a row an update touches
-//! moves to an [`IncrementalAlias`], repaired in place after each edit
-//! instead of rebuilding every table in the store. Every table, wherever
-//! it is stored, draws through one routine, [`AliasSlice::sample`].
+//! Used by the weighted NEIGHBORHOOD sampler, the weighted TRAVERSE sampler,
+//! the unigram^0.75 NEGATIVE sampler, the item-popularity machinery in the
+//! benchmarks, and the update plane under both online services: its base
+//! rows' tables are [`AliasColumns`] (two flat columns over a graph's
+//! out-edge ids), and a row an update touches moves to an
+//! [`IncrementalAlias`], repaired in place after each edit instead of
+//! rebuilding every table in the store. Every table, wherever it is
+//! stored, draws through one routine, [`AliasSlice::sample`].
 
-use aligraph_graph::{AttributedHeterogeneousGraph, VertexId};
+use aligraph_graph::AttributedHeterogeneousGraph;
 use rand::Rng;
 use std::ops::Range;
 
 /// Reusable scratch for [`build_into`]: the f64 intermediate probabilities
-/// and the small/large work stacks. Keeping these between repairs makes an
-/// in-place rebuild allocation-free once the buffers have grown to the row's
-/// degree.
+/// and the small/large work stacks. It is working memory, not state: whoever
+/// runs a series of builds owns one for the series ([`AliasColumns::build`]
+/// for its rows, the plane's overlay for a batch's repairs), so the builds
+/// are allocation-free once the buffers have grown to the largest row, and
+/// no table keeps the buffers afterwards.
 #[derive(Debug, Default)]
-struct BuildScratch {
+pub(crate) struct BuildScratch {
     prob64: Vec<f64>,
     small: Vec<usize>,
     large: Vec<usize>,
-}
-
-/// Scratch is working memory, not state: a copy starts with none (the
-/// plane clones a table per published version; copying three dead buffers
-/// along would be most of that clone).
-impl Clone for BuildScratch {
-    fn clone(&self) -> Self {
-        BuildScratch::default()
-    }
 }
 
 /// The Walker build, writing into caller-owned buffers. Returns `false`
@@ -170,16 +164,14 @@ impl AliasTable {
 
 /// The alias table of every out-row of one graph, held as two flat columns
 /// indexed by out-edge id: vertex `v`'s table is `out_edge_ids(v)` of each.
-/// A row with no table (empty, or weights with no positive finite sum)
-/// keeps `row.len()` zero slots, so every later row stays at its ids, and
-/// a clear bit in `valid`. The whole structure is 8 B an out-record plus
-/// ⌈n/64⌉ words, where a table per row would cost a heap object per vertex.
+/// The builder admits only positive finite weights, so every non-empty row
+/// has a table and an empty row, whose range is empty, is the one row
+/// without. The whole structure is 8 B an out-record, where a table per row
+/// would cost a heap object per vertex.
 #[derive(Debug)]
 pub struct AliasColumns {
     prob: Box<[f32]>,
     alias: Box<[u32]>,
-    /// Bit `v % 64` of word `v / 64` is set when vertex `v`'s row has a table.
-    valid: Box<[u64]>,
 }
 
 impl AliasColumns {
@@ -189,43 +181,36 @@ impl AliasColumns {
     pub fn build(graph: &AttributedHeterogeneousGraph) -> Self {
         let records = graph.num_edge_records();
         let (mut prob, mut alias) = (Vec::with_capacity(records), Vec::with_capacity(records));
-        let mut valid = vec![0u64; graph.num_vertices().div_ceil(64)];
         let mut scratch = BuildScratch::default();
         let (mut weights, mut row_prob, mut row_alias) = (Vec::new(), Vec::new(), Vec::new());
         for v in graph.vertices() {
             let row = graph.out_neighbors(v);
             weights.clear();
             weights.extend(row.iter().map(|n| n.weight));
-            if build_into(&weights, &mut scratch, &mut row_prob, &mut row_alias) {
-                valid[v.index() / 64] |= 1 << (v.index() % 64);
-                prob.extend_from_slice(&row_prob);
-                alias.extend_from_slice(&row_alias);
-            } else {
-                prob.resize(prob.len() + row.len(), 0.0);
-                alias.resize(alias.len() + row.len(), 0);
-            }
+            let built = build_into(&weights, &mut scratch, &mut row_prob, &mut row_alias);
+            assert!(
+                built || row.is_empty(),
+                "vertex {}: a built graph's weights are positive",
+                v.0
+            );
+            prob.extend_from_slice(&row_prob);
+            alias.extend_from_slice(&row_alias);
         }
-        AliasColumns {
-            prob: prob.into_boxed_slice(),
-            alias: alias.into_boxed_slice(),
-            valid: valid.into_boxed_slice(),
-        }
+        AliasColumns { prob: prob.into_boxed_slice(), alias: alias.into_boxed_slice() }
     }
 
     /// Whether these columns line up with `graph`'s out-edge ids: a slot
-    /// per out-record and a bit per vertex.
+    /// per out-record.
     pub(crate) fn fits(&self, graph: &AttributedHeterogeneousGraph) -> bool {
         self.prob.len() == graph.num_edge_records()
-            && self.valid.len() == graph.num_vertices().div_ceil(64)
     }
 
-    /// Vertex `v`'s table, or `None` when its row has none. `ids` must be
-    /// `v`'s [`out_edge_ids`](AttributedHeterogeneousGraph::out_edge_ids)
-    /// in the graph the columns were built from.
+    /// The table over out-edge ids `ids`, which must be one vertex's
+    /// [`out_edge_ids`](AttributedHeterogeneousGraph::out_edge_ids) in the
+    /// graph the columns were built from; `None` for an empty row.
     #[inline]
-    pub fn row(&self, v: VertexId, ids: Range<usize>) -> Option<AliasSlice<'_>> {
-        let word = *self.valid.get(v.index() / 64)?;
-        (word >> (v.index() % 64) & 1 != 0)
+    pub fn row(&self, ids: Range<usize>) -> Option<AliasSlice<'_>> {
+        (!ids.is_empty())
             .then(|| AliasSlice { prob: &self.prob[ids.clone()], alias: &self.alias[ids] })
     }
 }
@@ -240,7 +225,9 @@ impl AliasColumns {
 /// invalidation sweep provably draws from the identical distribution it
 /// would under a full rebuild. Edits ([`set`](Self::set),
 /// [`push`](Self::push), [`remove`](Self::remove)) mark the table dirty;
-/// sampling a dirty table is a logic error (checked in debug builds).
+/// sampling a dirty table is a logic error (checked in debug builds). The
+/// table holds its weights and its table, no build scratch: a repair borrows
+/// its caller's.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalAlias {
     weights: Vec<f32>,
@@ -249,7 +236,6 @@ pub struct IncrementalAlias {
     /// (weights non-empty with a positive finite sum).
     valid: bool,
     dirty: bool,
-    scratch: BuildScratch,
 }
 
 impl IncrementalAlias {
@@ -307,15 +293,20 @@ impl IncrementalAlias {
         self.dirty = true;
     }
 
-    /// Rebuilds the prob/alias arrays in place from the current weights,
-    /// reusing all buffers. Returns whether the table is sampleable.
+    /// Rebuilds the prob/alias arrays in place from the current weights.
+    /// Returns whether the table is sampleable. The build's scratch is
+    /// allocated for this one call; the plane's overlay shares one scratch
+    /// among a batch's repairs.
     pub fn repair(&mut self) -> bool {
-        self.valid = build_into(
-            &self.weights,
-            &mut self.scratch,
-            &mut self.table.prob,
-            &mut self.table.alias,
-        );
+        self.repair_with(&mut BuildScratch::default())
+    }
+
+    /// [`repair`](Self::repair) over the caller's `scratch`: with the table's
+    /// own prob/alias buffers reused, allocation-free once `scratch` has
+    /// grown to the row's degree.
+    pub(crate) fn repair_with(&mut self, scratch: &mut BuildScratch) -> bool {
+        self.valid =
+            build_into(&self.weights, scratch, &mut self.table.prob, &mut self.table.alias);
         self.dirty = false;
         self.valid
     }
@@ -355,15 +346,14 @@ pub(crate) mod tests {
     use super::*;
     use aligraph_graph::generate::TaobaoConfig;
     use aligraph_graph::ids::well_known::*;
-    use aligraph_graph::{AttrVector, GraphBuilder, GraphError};
+    use aligraph_graph::{AttrVector, GraphBuilder, GraphError, VertexId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// 70 vertices (the validity bitset's second word is partial) whose
-    /// rows are the cases a column layout can get wrong: a weighted row
-    /// first, an empty row, a row of `f32::MAX` weights (their sum is past
-    /// `f32`, not past the build's `f64`) followed by a weighted one, and a
-    /// weighted last vertex.
+    /// 70 vertices whose rows are the cases a column layout can get wrong:
+    /// a weighted row first, an empty row, a row of `f32::MAX` weights
+    /// (their sum is past `f32`, not past the build's `f64`) followed by a
+    /// weighted one, and a weighted last vertex.
     pub(crate) fn awkward_graph() -> AttributedHeterogeneousGraph {
         let mut b = GraphBuilder::directed();
         let vs: Vec<VertexId> = (0..70).map(|_| b.add_vertex(USER, AttrVector::empty())).collect();
@@ -394,7 +384,7 @@ pub(crate) mod tests {
         assert!(columns.fits(&g));
         let mut tables = 0;
         for v in g.vertices() {
-            let got = columns.row(v, g.out_edge_ids(v));
+            let got = columns.row(g.out_edge_ids(v));
             match (got, rebuilt(&g, v)) {
                 (Some(got), Some(want)) => {
                     assert!(got.bit_eq(&want.as_slice()), "vertex {} differs", v.0);
@@ -421,7 +411,7 @@ pub(crate) mod tests {
         for g in [awkward_graph(), TaobaoConfig::tiny().generate().unwrap()] {
             let columns = AliasColumns::build(&g);
             for v in g.vertices() {
-                let table = columns.row(v, g.out_edge_ids(v));
+                let table = columns.row(g.out_edge_ids(v));
                 assert_eq!(table.is_some(), g.out_degree(v) > 0, "vertex {}", v.0);
             }
         }
@@ -432,7 +422,7 @@ pub(crate) mod tests {
         let g = awkward_graph();
         let columns = AliasColumns::build(&g);
         for v in [VertexId(0), VertexId(3), VertexId(69)] {
-            let slice = columns.row(v, g.out_edge_ids(v)).unwrap();
+            let slice = columns.row(g.out_edge_ids(v)).unwrap();
             let table = rebuilt(&g, v).unwrap();
             let (mut r1, mut r2) = (StdRng::seed_from_u64(17), StdRng::seed_from_u64(17));
             let a: Vec<usize> = (0..2_000).map(|_| slice.sample(&mut r1)).collect();

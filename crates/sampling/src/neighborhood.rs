@@ -7,6 +7,7 @@
 //! accounted remote server calls — exactly the cost structure §3.3
 //! describes.
 
+use crate::alias::{AliasSlice, AliasTable};
 use aligraph_graph::{AttributedHeterogeneousGraph, EdgeType, Neighbor, VertexId};
 use aligraph_partition::WorkerId;
 use aligraph_storage::Cluster;
@@ -18,6 +19,15 @@ use rand::Rng;
 pub trait NeighborAccess {
     /// Out-neighbor records of `v`.
     fn neighbors(&self, v: VertexId, hop: usize) -> &[Neighbor];
+
+    /// `v`'s out-row with the alias table over its weights, where the
+    /// access keeps one ([`EpochView`](crate::EpochView) built with alias
+    /// columns: one overlay lookup answers both). Default: the row and no
+    /// table, so a weighted sampler builds the row's table itself.
+    #[inline]
+    fn row(&self, v: VertexId, hop: usize) -> (&[Neighbor], Option<AliasSlice<'_>>) {
+        (self.neighbors(v, hop), None)
+    }
 
     /// Announces the frontier the sampler is about to expand, so tiered
     /// storage can batch its cold decodes and overlap them with the current
@@ -151,6 +161,11 @@ impl ContextTree {
 /// A pluggable NEIGHBORHOOD sampler: given one target and its adjacency,
 /// choose `count` context vertices.
 pub trait NeighborhoodSampler {
+    /// Whether the sampler draws by edge weight, and so reads the alias
+    /// table [`sample_row`](Self::sample_row) is given: a property of the
+    /// type, which tells a service whether keeping tables pays.
+    const DRAWS_BY_WEIGHT: bool = false;
+
     /// Samples up to `count` neighbors of `target` from `nbrs` (already
     /// filtered to the requested edge type).
     fn sample_one<R: Rng>(
@@ -160,6 +175,21 @@ pub trait NeighborhoodSampler {
         count: usize,
         rng: &mut R,
     ) -> Vec<VertexId>;
+
+    /// [`sample_one`](Self::sample_one) over `target`'s whole out-row
+    /// `nbrs`, with `alias`, the table over its weights where the access
+    /// keeps one ([`NeighborAccess::row`]). Default: the table is not read.
+    #[inline]
+    fn sample_row<R: Rng>(
+        &self,
+        target: VertexId,
+        nbrs: &[Neighbor],
+        _alias: Option<AliasSlice<'_>>,
+        count: usize,
+        rng: &mut R,
+    ) -> Vec<VertexId> {
+        self.sample_one(target, nbrs, count, rng)
+    }
 
     /// Expands a seed batch into a multi-hop [`ContextTree`].
     /// `hop_nums[k]` is the fan-out at hop `k+1`; `etype` restricts edges.
@@ -184,16 +214,22 @@ pub trait NeighborhoodSampler {
             access.prefetch_hint(&targets, depth);
             let mut neighbors = Vec::with_capacity(targets.len());
             for &t in &targets {
-                let all = access.neighbors(t, depth);
-                let filtered: Vec<Neighbor>;
-                let nbrs: &[Neighbor] = match etype {
+                // A typed request has no table over its records: an
+                // overlay row appends its added edges, so a touched row is
+                // not sorted by type and its typed records are no sub-range.
+                let sampled = match etype {
                     Some(et) => {
-                        filtered = all.iter().filter(|n| n.etype == et).copied().collect();
-                        &filtered
+                        let all = access.neighbors(t, depth);
+                        let typed: Vec<Neighbor> =
+                            all.iter().filter(|n| n.etype == et).copied().collect();
+                        self.sample_one(t, &typed, count, rng)
                     }
-                    None => all,
+                    None => {
+                        let (nbrs, alias) = access.row(t, depth);
+                        self.sample_row(t, nbrs, alias, count, rng)
+                    }
                 };
-                neighbors.push(self.sample_one(t, nbrs, count, rng));
+                neighbors.push(sampled);
             }
             let layer = Layer { targets, neighbors };
             targets = layer.flattened();
@@ -225,38 +261,47 @@ impl NeighborhoodSampler for UniformNeighborhood {
     }
 }
 
-/// Edge-weight-proportional sampling (linear inverse-CDF per call; the
-/// adjacency slice is already in cache after the storage read).
+/// Edge-weight-proportional sampling with replacement, O(1) a draw through
+/// the row's alias table: the access's (its alias columns, or an overlay
+/// row's repaired table) when it keeps one, else one built for the call.
+/// Both are the one Walker build over the same weights and draw through
+/// [`AliasSlice::sample`], so a draw is bit-identical with or without
+/// stored tables. A row with no table (empty, or an overlay row whose
+/// updated weights sum to nothing positive) is drawn uniformly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WeightedNeighborhood;
 
 impl NeighborhoodSampler for WeightedNeighborhood {
+    const DRAWS_BY_WEIGHT: bool = true;
+
     fn sample_one<R: Rng>(
         &self,
-        _target: VertexId,
+        target: VertexId,
         nbrs: &[Neighbor],
         count: usize,
         rng: &mut R,
     ) -> Vec<VertexId> {
-        if nbrs.is_empty() {
-            return Vec::new();
+        let weights: Vec<f32> = nbrs.iter().map(|n| n.weight).collect();
+        match AliasTable::new(&weights) {
+            Some(table) => self.sample_row(target, nbrs, Some(table.as_slice()), count, rng),
+            None => UniformNeighborhood.sample_one(target, nbrs, count, rng),
         }
-        let total: f32 = nbrs.iter().map(|n| n.weight).sum();
-        if total <= 0.0 {
-            return UniformNeighborhood.sample_one(_target, nbrs, count, rng);
-        }
-        (0..count)
-            .map(|_| {
-                let mut x = rng.gen::<f32>() * total;
-                for n in nbrs {
-                    if x < n.weight {
-                        return n.vertex;
-                    }
-                    x -= n.weight;
-                }
-                nbrs[nbrs.len() - 1].vertex
-            })
-            .collect()
+    }
+
+    #[inline]
+    fn sample_row<R: Rng>(
+        &self,
+        target: VertexId,
+        nbrs: &[Neighbor],
+        alias: Option<AliasSlice<'_>>,
+        count: usize,
+        rng: &mut R,
+    ) -> Vec<VertexId> {
+        let Some(table) = alias else {
+            return self.sample_one(target, nbrs, count, rng);
+        };
+        debug_assert_eq!(table.probs().len(), nbrs.len(), "a table over another row");
+        (0..count).map(|_| nbrs[table.sample(rng)].vertex).collect()
     }
 }
 
@@ -358,6 +403,110 @@ mod tests {
         let heavy = counts.get(&VertexId(10)).copied().unwrap_or(0);
         let light = counts.get(&VertexId(1)).copied().unwrap_or(0);
         assert!(heavy > 4 * light.max(1), "heavy {heavy} light {light}");
+    }
+
+    /// The per-call `f32` inverse-CDF scan the alias draw replaced: the
+    /// oracle whose distribution the alias draws are checked against.
+    fn scan_draw(nbrs: &[Neighbor], rng: &mut StdRng) -> usize {
+        let total: f32 = nbrs.iter().map(|n| n.weight).sum();
+        let mut x = rng.gen::<f32>() * total;
+        for (i, n) in nbrs.iter().enumerate() {
+            if x < n.weight {
+                return i;
+            }
+            x -= n.weight;
+        }
+        nbrs.len() - 1
+    }
+
+    /// Pearson's statistic of `counts` against `weights`' proportions.
+    fn chi_square(counts: &[u64], weights: &[f32]) -> f64 {
+        let draws = counts.iter().sum::<u64>() as f64;
+        let total: f64 = weights.iter().map(|&w| f64::from(w)).sum();
+        let cell = |(&c, &w): (&u64, &f32)| {
+            let expected = draws * f64::from(w) / total;
+            (c as f64 - expected).powi(2) / expected
+        };
+        counts.iter().zip(weights).map(cell).sum()
+    }
+
+    /// The upper 0.1 % point of chi-square with `df` degrees of freedom
+    /// (Wilson–Hilferty).
+    fn chi_square_bound(df: usize) -> f64 {
+        let d = df as f64;
+        d * (1.0 - 2.0 / (9.0 * d) + 3.09 * (2.0 / (9.0 * d)).sqrt()).powi(3)
+    }
+
+    /// A hub whose 256 out-edges weigh 1 to 10 and a vertex with one edge.
+    fn hub_and_single() -> (AttributedHeterogeneousGraph, VertexId, VertexId) {
+        let mut b = GraphBuilder::directed();
+        let hub = b.add_vertex(USER, AttrVector::empty());
+        let single = b.add_vertex(USER, AttrVector::empty());
+        for i in 0..256 {
+            let leaf = b.add_vertex(ITEM, AttrVector::empty());
+            b.add_edge(hub, leaf, CLICK, 1.0 + (i * 7 % 10) as f32).unwrap();
+        }
+        b.add_edge(single, hub, CLICK, 2.5).unwrap();
+        (b.build(), hub, single)
+    }
+
+    #[test]
+    fn alias_draws_match_the_weights_on_a_hub_and_a_one_edge_row() {
+        let (g, hub, single) = hub_and_single();
+        let columns = crate::AliasColumns::build(&g);
+        for (v, seed) in [(hub, 11), (single, 12)] {
+            let row = g.out_neighbors(v);
+            let weights: Vec<f32> = row.iter().map(|n| n.weight).collect();
+            let table = columns.row(g.out_edge_ids(v));
+            let draws = 200_000;
+            let (mut a, mut s, mut u) = (
+                StdRng::seed_from_u64(seed),
+                StdRng::seed_from_u64(seed),
+                StdRng::seed_from_u64(seed),
+            );
+            let drawn = WeightedNeighborhood.sample_row(v, row, table, draws, &mut a);
+            let (mut alias, mut scan, mut uniform) =
+                (vec![0u64; row.len()], vec![0u64; row.len()], vec![0u64; row.len()]);
+            for u in &drawn {
+                alias[row.iter().position(|n| n.vertex == *u).unwrap()] += 1;
+            }
+            for _ in 0..draws {
+                scan[scan_draw(row, &mut s)] += 1;
+                uniform[u.gen_range(0..row.len())] += 1;
+            }
+            if row.len() == 1 {
+                assert_eq!((alias[0], scan[0]), (draws as u64, draws as u64));
+                continue;
+            }
+            let bound = chi_square_bound(row.len() - 1);
+            let (x_alias, x_scan) = (chi_square(&alias, &weights), chi_square(&scan, &weights));
+            assert!(x_alias < bound, "alias chi-square {x_alias:.1} past {bound:.1}");
+            assert!(x_scan < bound, "scan oracle chi-square {x_scan:.1} past {bound:.1}");
+            // The gate can tell: uniform draws over the same hub fail it.
+            let x_uniform = chi_square(&uniform, &weights);
+            assert!(x_uniform > 10.0 * bound, "uniform chi-square {x_uniform:.1}");
+        }
+    }
+
+    #[test]
+    fn a_draw_through_the_columns_is_the_draw_through_a_per_call_table() {
+        for g in [crate::alias::tests::awkward_graph(), TaobaoConfig::tiny().generate().unwrap()] {
+            let columns = crate::AliasColumns::build(&g);
+            let (mut a, mut b) = (StdRng::seed_from_u64(21), StdRng::seed_from_u64(21));
+            for v in g.vertices() {
+                let row = g.out_neighbors(v);
+                let stored = WeightedNeighborhood.sample_row(
+                    v,
+                    row,
+                    columns.row(g.out_edge_ids(v)),
+                    7,
+                    &mut a,
+                );
+                let per_call = WeightedNeighborhood.sample_one(v, row, 7, &mut b);
+                assert_eq!(stored, per_call, "vertex {}", v.0);
+            }
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "the streams are still in step");
+        }
     }
 
     #[test]

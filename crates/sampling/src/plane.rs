@@ -30,7 +30,7 @@
 //!   publish lock, so no reader sees the new epoch with the old cache or
 //!   the reverse.
 
-use crate::alias::{AliasColumns, AliasSlice, AliasTable, IncrementalAlias};
+use crate::alias::{AliasColumns, AliasSlice, AliasTable, BuildScratch, IncrementalAlias};
 use crate::neighborhood::NeighborAccess;
 use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch, UpdateEvent};
 use aligraph_graph::{
@@ -290,12 +290,13 @@ impl Overlay {
         // and its index path unshared, so nothing is copied here.
         let (mut repairs, mut repaired_slots) = (0u64, 0u64);
         if weighted {
+            let mut scratch = BuildScratch::default();
             for &v in &rows {
                 let Some(e) = self.out_rows.slot_mut(v).as_mut().map(Arc::make_mut) else {
                     continue;
                 };
                 if e.alias.is_dirty() {
-                    e.alias.repair();
+                    e.alias.repair_with(&mut scratch);
                     repairs += 1;
                     repaired_slots += e.alias.len() as u64;
                 }
@@ -445,7 +446,7 @@ impl EpochView {
             Some(e) => (&e.row, e.alias.table().map(AliasTable::as_slice)),
             None => {
                 let columns = self.base_alias.as_deref();
-                let alias = columns.and_then(|c| c.row(v, self.base.out_edge_ids(v)));
+                let alias = columns.and_then(|c| c.row(self.base.out_edge_ids(v)));
                 (self.base.out_neighbors(v), alias)
             }
         }
@@ -471,6 +472,11 @@ impl NeighborAccess for EpochView {
     #[inline]
     fn neighbors(&self, v: VertexId, _hop: usize) -> &[Neighbor] {
         self.out_neighbors(v)
+    }
+
+    #[inline]
+    fn row(&self, v: VertexId, _hop: usize) -> (&[Neighbor], Option<AliasSlice<'_>>) {
+        self.out_row_and_alias(v)
     }
 }
 

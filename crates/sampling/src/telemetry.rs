@@ -7,6 +7,7 @@
 //! bit-identical whether or not the wrapper (or the registry) is present.
 //! Telemetry observes; it never branches on a metric value.
 
+use crate::alias::AliasSlice;
 use crate::neighborhood::NeighborhoodSampler;
 use aligraph_graph::{Neighbor, VertexId};
 use aligraph_telemetry::{Counter, Histogram, Registry, Stopwatch};
@@ -40,7 +41,20 @@ impl<S> MeteredNeighborhood<S> {
     }
 }
 
+impl<S> MeteredNeighborhood<S> {
+    /// Runs one inner call, counting it and recording its latency.
+    fn metered(&self, call: impl FnOnce() -> Vec<VertexId>) -> Vec<VertexId> {
+        let start = Stopwatch::start();
+        let out = call();
+        self.draws.inc();
+        self.latency_ns.record(start.elapsed_ns());
+        out
+    }
+}
+
 impl<S: NeighborhoodSampler> NeighborhoodSampler for MeteredNeighborhood<S> {
+    const DRAWS_BY_WEIGHT: bool = S::DRAWS_BY_WEIGHT;
+
     fn sample_one<R: Rng>(
         &self,
         target: VertexId,
@@ -48,18 +62,26 @@ impl<S: NeighborhoodSampler> NeighborhoodSampler for MeteredNeighborhood<S> {
         count: usize,
         rng: &mut R,
     ) -> Vec<VertexId> {
-        let start = Stopwatch::start();
-        let out = self.inner.sample_one(target, nbrs, count, rng);
-        self.draws.inc();
-        self.latency_ns.record(start.elapsed_ns());
-        out
+        self.metered(|| self.inner.sample_one(target, nbrs, count, rng))
+    }
+
+    fn sample_row<R: Rng>(
+        &self,
+        target: VertexId,
+        nbrs: &[Neighbor],
+        alias: Option<AliasSlice<'_>>,
+        count: usize,
+        rng: &mut R,
+    ) -> Vec<VertexId> {
+        self.metered(|| self.inner.sample_row(target, nbrs, alias, count, rng))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighborhood::UniformNeighborhood;
+    use crate::alias::AliasTable;
+    use crate::neighborhood::{UniformNeighborhood, WeightedNeighborhood};
     use aligraph_graph::{AttrId, EdgeType};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -90,6 +112,31 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("sampling.draws", &[("kind", "uniform")]), 10);
         assert_eq!(snap.histogram("sampling.latency_ns", &[("kind", "uniform")]).count, 10);
+
+        // A weighted sampler draws through the table it is handed. This one
+        // is skewed over a row of equal weights, so a wrapper that dropped
+        // the table (drawing through the row's own) would draw otherwise.
+        let metered = MeteredNeighborhood::new(WeightedNeighborhood, &registry, "weighted");
+        let weights: Vec<f32> = (0..16).map(|i| 1.0 + (i * i) as f32).collect();
+        let table = AliasTable::new(&weights).unwrap();
+        for _ in 0..10 {
+            let x = metered.sample_row(VertexId(0), &adj, Some(table.as_slice()), 4, &mut a);
+            let y = WeightedNeighborhood.sample_row(
+                VertexId(0),
+                &adj,
+                Some(table.as_slice()),
+                4,
+                &mut b,
+            );
+            assert_eq!(x, y, "wrapper must draw through the table it is given");
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("sampling.draws", &[("kind", "weighted")]), 10);
+        let draws_by_weight = [
+            MeteredNeighborhood::<WeightedNeighborhood>::DRAWS_BY_WEIGHT,
+            MeteredNeighborhood::<UniformNeighborhood>::DRAWS_BY_WEIGHT,
+        ];
+        assert_eq!(draws_by_weight, [true, false], "the wrapper is its inner sampler's kind");
     }
 
     #[test]

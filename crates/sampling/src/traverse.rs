@@ -109,7 +109,8 @@ impl WeightedEdgeTraverse {
                 if roster.is_empty() {
                     return None;
                 }
-                let weights: Vec<f32> = roster.iter().map(|&e| graph.edge(e).weight).collect();
+                let weights: Vec<f32> =
+                    roster.iter().map(|&e| graph.out_record(e).weight).collect();
                 rebuilds.inc();
                 AliasTable::new(&weights)
             })

@@ -38,7 +38,7 @@ use aligraph_graph::dynamic::{SnapshotDelta, UpdateBatch};
 use aligraph_graph::features::{FeatureMatrix, Featurizer};
 use aligraph_graph::{AttributedHeterogeneousGraph, VertexId};
 use aligraph_partition::EdgeCutHash;
-use aligraph_sampling::{affected, commit, EpochView, NeighborhoodSampler, Touched};
+use aligraph_sampling::{affected, commit, AliasColumns, EpochView, NeighborhoodSampler, Touched};
 use aligraph_storage::{AccessKind, AccessStats, CacheStats, CostModel, Published, VersionedCache};
 use aligraph_telemetry::{Registry, Stopwatch};
 use parking_lot::Mutex;
@@ -119,6 +119,11 @@ pub struct ServedEmbedding {
 /// virtualised host a parked caller's wake-up can cost more than the
 /// forward it waits for.
 const SPINS: usize = 1_000;
+
+/// Shard `shard`'s sampling RNG stream under `seed`.
+fn shard_rng(seed: u64, shard: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ ((shard as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+}
 
 /// The result for each of a request's two vertices.
 type Answer = [Result<ServedEmbedding, ServeError>; 2];
@@ -226,8 +231,12 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
         );
         let features = Arc::new(Featurizer::new(config.feature_dim).matrix(&graph));
         let owners = graph.vertices().map(|v| EdgeCutHash::owner(v, config.workers).0).collect();
-        // No base alias columns: the encoder's samplers read rows, not tables.
-        let view = EpochView::initial(graph, Arc::clone(&features), None);
+        // A sampler that draws by weight draws through the rows' alias
+        // tables, kept as columns over the graph's out-edge ids (8 B a
+        // record) and repaired on a delta; any other sampler reads rows only
+        // and pays for no table.
+        let columns = S::DRAWS_BY_WEIGHT.then(|| Arc::new(AliasColumns::build(&graph)));
+        let view = EpochView::initial(graph, Arc::clone(&features), columns);
         let fault = config
             .fault
             .as_ref()
@@ -245,9 +254,7 @@ impl<S: NeighborhoodSampler + Clone> ServingService<S> {
                         config.seed,
                     ),
                     sampler: sampler.clone(),
-                    rng: StdRng::seed_from_u64(
-                        config.seed ^ ((shard as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                    ),
+                    rng: shard_rng(config.seed, shard),
                     tape: EpisodeTape::new(),
                     seqs: SeqCounter::default(),
                 }),
@@ -577,7 +584,8 @@ mod tests {
     use aligraph_graph::ids::well_known::CLICK;
     use aligraph_graph::Neighbor;
     use aligraph_partition::Partitioner;
-    use aligraph_sampling::TopKNeighborhood;
+    use aligraph_sampling::{TopKNeighborhood, WeightedNeighborhood};
+    use aligraph_tensor::Matrix;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn small_service() -> (Arc<AttributedHeterogeneousGraph>, ServingService<TopKNeighborhood>) {
@@ -851,6 +859,74 @@ mod tests {
         assert_eq!((r.forwards, r.completed, r.requests), (26, 33, 33));
         // `batches` is not pinned: the worker pool ran 33, one a request; a
         // combiner runs one only for each of the 24 requests with a miss.
+    }
+
+    /// The served bits of a weighted sampler: one client embeds 48 vertices,
+    /// four deltas land, and it embeds them again (the invalidated ones
+    /// recompute on the new version). Every embedding's bits feed one
+    /// digest, so any change in how a weighted neighbor is drawn moves it.
+    #[test]
+    fn a_weighted_single_client_script_ends_at_its_pinned_digest() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        let service = ServingService::start(graph, WeightedNeighborhood, ServingConfig::default());
+        let mut bytes = Vec::new();
+        let mut embed_all = |service: &ServingService<WeightedNeighborhood>| {
+            for u in 0..48 {
+                let e = service.embedding(VertexId(u)).unwrap();
+                bytes.extend(e.iter().flat_map(|x| x.to_bits().to_le_bytes()));
+            }
+        };
+        embed_all(&service);
+        for i in 0..4 {
+            assert!(service.apply_delta(&click_delta(i)) >= 1);
+        }
+        embed_all(&service);
+        let digest = aligraph_storage::seal::fnv1a(&bytes);
+        assert_eq!(digest, 0x0565_2a78_9518_2448, "served digest {digest:#018x}");
+    }
+
+    /// A weighted service draws through its alias columns and, after a
+    /// delta, through each touched row's repaired table. Both must draw what
+    /// a table built per call over the same row draws, so each served
+    /// embedding equals a forward on the shard's RNG stream over the bare
+    /// graph and, after the delta, over a view of it that keeps no table.
+    #[test]
+    fn weighted_serving_through_stored_tables_equals_a_forward_building_them_per_call() {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        // One shard and no cache: every request is a forward, in order, on
+        // shard 0's stream.
+        let config = ServingConfig { workers: 1, cache_capacity: 0, ..Default::default() };
+        let service = ServingService::start(Arc::clone(&graph), WeightedNeighborhood, config);
+        let cfg = service.config().clone();
+        let encoder = GnnEncoder::sage(cfg.feature_dim, &cfg.dims, &cfg.fanouts, 0.01, cfg.seed);
+        let features = Arc::clone(&service.features);
+        let mut rng = shard_rng(cfg.seed, 0);
+        let seeds: Vec<VertexId> = (0..48).map(VertexId).collect();
+        let check = |access: &dyn Fn(VertexId, &mut StdRng) -> Matrix, rng: &mut StdRng| {
+            for &v in &seeds {
+                let served = service.embedding(v).unwrap();
+                assert_eq!(served.as_slice(), access(v, rng).row(0), "vertex {}", v.0);
+            }
+        };
+        let bare = |v: VertexId, rng: &mut StdRng| {
+            encoder.embed_batch(&*graph, &features, &WeightedNeighborhood, &[v], rng)
+        };
+        check(&bare, &mut rng);
+
+        let deltas: Vec<SnapshotDelta> = (0..4).map(click_delta).collect();
+        let mut tableless = EpochView::initial(Arc::clone(&graph), Arc::clone(&features), None);
+        for delta in &deltas {
+            service.apply_delta(delta);
+            tableless = tableless.apply(delta);
+        }
+        // The seeds' own rows 0..4 were touched: each draws from its repair.
+        let pinned = service.overlay_snapshot();
+        let repaired: Vec<u32> = pinned.alias_entries().map(|(v, _)| v).collect();
+        assert_eq!(repaired, [0, 1, 2, 3]);
+        let after = |v: VertexId, rng: &mut StdRng| {
+            encoder.embed_batch(&tableless, &features, &WeightedNeighborhood, &[v], rng)
+        };
+        check(&after, &mut rng);
     }
 
     /// TopK, except that it panics when asked to sample `panic_on`'s row

@@ -617,6 +617,26 @@ mod tests {
         }
     }
 
+    /// Every vertex's gather after a 240-batch stream, folded: the weighted
+    /// draws of `compute_gather` (a column slice or a repaired table) are
+    /// pinned bit for bit, which the state digest above does not see.
+    #[test]
+    fn a_long_stream_gathers_to_the_pinned_digest() {
+        let svc = long_chain();
+        let mut updates = crate::UpdateWorkload::new(33, 300, 8);
+        for _ in 0..240u32 {
+            svc.ingest(&updates.next_batch(8, 2)).unwrap();
+        }
+        let session = svc.session();
+        let mut h = 0u64;
+        for v in 0..300u32 {
+            for x in session.gather(VertexId(v)).vector.iter() {
+                h = mix2(h, u64::from(x.to_bits()));
+            }
+        }
+        assert_eq!(h, 0xc0de_150f_bce1_fcc3, "gather digest {h:#018x}");
+    }
+
     #[test]
     fn pins_taken_along_a_long_stream_keep_reading_what_they_read() {
         let svc = long_chain();
