@@ -117,6 +117,61 @@ mod tests {
         assert!(q.replication_factor <= 4.0);
     }
 
+    /// The four scores of every built-in partitioner on one fixed skewed
+    /// graph, compared as bits: a change in how a partition stores or reads
+    /// its edge owners must leave every score where it is.
+    #[test]
+    fn every_partitioner_scores_its_pinned_bits() {
+        use crate::{Grid2D, MetisLike, StreamingLdg};
+        let g = aligraph_graph::generate::barabasi_albert(600, 3, 11).unwrap();
+        let partitioners: [&dyn Partitioner; 5] = [
+            &EdgeCutHash,
+            &VertexCutGreedy::default(),
+            &Grid2D,
+            &MetisLike::default(),
+            &StreamingLdg::default(),
+        ];
+        let pinned: [[u64; 4]; 5] = [
+            [
+                0x3fea_aaaa_aaaa_aaab,
+                0x3ffd_851e_b851_eb85,
+                0x3ff2_8f5c_28f5_c28f,
+                0x3ff2_9f40_36cb_c5c7,
+            ],
+            [
+                0x3fe7_0291_8d45_59e6,
+                0x3ffe_4444_4444_4444,
+                0x3ff7_ae14_7ae1_47ae,
+                0x3ff2_6874_7104_47eb,
+            ],
+            [
+                0x3fec_e0e4_510d_69e2,
+                0x4007_28f5_c28f_5c29,
+                0x4008_0000_0000_0000,
+                0x3ff4_559e_6507_b4a8,
+            ],
+            [
+                0x3fe0_d69e_1bf8_0248,
+                0x3ff6_aaaa_aaaa_aaab,
+                0x3ff1_c28f_5c28_f5c3,
+                0x3ff1_d1c4_111f_adce,
+            ],
+            [
+                0x3fe5_7e6e_29aa_f3ba,
+                0x3ff8_f5c2_8f5c_28f6,
+                0x3ff1_47ae_147a_e148,
+                0x3ff1_0447_eb73_95d5,
+            ],
+        ];
+        for (p, want) in partitioners.into_iter().zip(pinned) {
+            let q = PartitionQuality::evaluate(&g, &p.partition(&g, 6));
+            let got =
+                [q.edge_cut_ratio, q.replication_factor, q.vertex_imbalance, q.edge_imbalance]
+                    .map(f64::to_bits);
+            assert_eq!(got, want, "{}: {got:#018x?}", p.name());
+        }
+    }
+
     #[test]
     fn imbalance_math() {
         assert_eq!(imbalance(&[5, 5, 5]), 1.0);

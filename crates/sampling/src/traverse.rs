@@ -339,6 +339,46 @@ mod tests {
         assert_eq!(a.gen_range(0..1_000u32), b.gen_range(0..1_000u32));
     }
 
+    /// Every batch the edge TRAVERSE samplers draw on the tiny Taobao graph
+    /// feeds one digest: each shard's pools on 1-, 2- and 4-worker hash
+    /// edge-cut clusters and a 4-worker vertex cut (through the cluster and
+    /// through `build`), then the whole-graph uniform and weighted samplers,
+    /// every type plus an absent one. A roster that reorders, drops or
+    /// shifts an edge moves it.
+    #[test]
+    fn traverse_draws_end_at_their_pinned_digest() {
+        let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
+        let types = g.num_edge_types() + 1;
+        let mut rng = StdRng::seed_from_u64(53);
+        let mut bytes = Vec::new();
+        let mut put =
+            |batch: Vec<EdgeId>| bytes.extend(batch.iter().flat_map(|e| e.0.to_le_bytes()));
+        let vertex_cut = VertexCutGreedy::default();
+        for (partitioner, workers) in [
+            (&EdgeCutHash as &dyn Partitioner, 1),
+            (&EdgeCutHash, 2),
+            (&EdgeCutHash, 4),
+            (&vertex_cut, 4),
+        ] {
+            let c = cluster(&g, partitioner, workers);
+            for w in 0..workers as u32 {
+                let shared = ShardEdgePools::of(&c, WorkerId(w));
+                let built = ShardEdgePools::build(&g, c.partition(), WorkerId(w));
+                for t in 0..types {
+                    put(shared.sample(EdgeType(t), 64, &mut rng));
+                    put(built.sample(EdgeType(t), 64, &mut rng));
+                }
+            }
+        }
+        let weighted = WeightedEdgeTraverse::new(&g);
+        for t in 0..types {
+            put(UniformTraverse.sample_edges(&g, EdgeType(t), 64, &mut rng));
+            put(weighted.sample_edges(&g, EdgeType(t), 64, &mut rng));
+        }
+        let digest = aligraph_storage::seal::fnv1a(&bytes);
+        assert_eq!(digest, 0x0abf_b88b_0d93_2540, "traverse digest {digest:#018x}");
+    }
+
     #[test]
     fn roster_sampling() {
         let roster = vec![VertexId(3), VertexId(9)];
