@@ -21,7 +21,7 @@ fn bench_partitioners(c: &mut Criterion) {
         Box::new(MetisLike::default()),
     ];
     for p in &partitioners {
-        group.bench_function(p.name(), |b| b.iter(|| p.partition(&graph, 8).num_workers));
+        group.bench_function(p.name(), |b| b.iter(|| p.partition(&graph, 8).num_workers()));
     }
     group.finish();
 }

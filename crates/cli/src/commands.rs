@@ -126,7 +126,7 @@ pub fn partition(args: &Args) -> Result<String, CliError> {
     Ok(format!(
         "{} over {} workers: edge-cut {:.1}%, replication {:.2}, vertex imbalance {:.2}, edge imbalance {:.2}",
         partitioner.name(),
-        part.num_workers,
+        part.num_workers(),
         q.edge_cut_ratio * 100.0,
         q.replication_factor,
         q.vertex_imbalance,

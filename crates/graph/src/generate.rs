@@ -589,7 +589,7 @@ mod tests {
             assert!(!g.edges_of_type(t).is_empty(), "missing edge type {}", t.0);
         }
         // u->i edges go user to item.
-        for &e in g.edges_of_type(BUY) {
+        for e in g.edges_of_type(BUY).iter() {
             let rec = g.edge(e);
             assert_eq!(g.vertex_type(rec.src), USER);
             assert_eq!(g.vertex_type(rec.dst), ITEM);

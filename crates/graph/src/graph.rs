@@ -13,6 +13,7 @@
 use crate::attr::{AttrId, AttrIndex, AttrVector};
 use crate::error::GraphError;
 use crate::ids::{EdgeId, EdgeType, VertexId, VertexType};
+use crate::roster::EdgeRoster;
 use crate::Result;
 
 /// One adjacency record: the far endpoint of an edge plus the edge's
@@ -76,7 +77,8 @@ pub struct AttributedHeterogeneousGraph {
     num_vertex_types: u8,
     num_edge_types: u8,
     vertices_by_type: Vec<Vec<VertexId>>,
-    edges_by_type: Vec<Vec<EdgeId>>,
+    // Each edge type's ids, as runs over the type-sorted out-rows.
+    edge_rosters: Vec<EdgeRoster>,
     directed: bool,
     logical_edges: usize,
 }
@@ -163,10 +165,11 @@ impl AttributedHeterogeneousGraph {
         self.vertices_by_type.get(t.index()).unwrap_or(&EMPTY)
     }
 
-    /// All edges of a given type.
-    pub fn edges_of_type(&self, t: EdgeType) -> &[EdgeId] {
-        static EMPTY: Vec<EdgeId> = Vec::new();
-        self.edges_by_type.get(t.index()).unwrap_or(&EMPTY)
+    /// All edges of a given type, ascending: each out-row's typed
+    /// sub-range in vertex order, held as runs ([`EdgeRoster`]).
+    pub fn edges_of_type(&self, t: EdgeType) -> &EdgeRoster {
+        static EMPTY: EdgeRoster = EdgeRoster::new();
+        self.edge_rosters.get(t.index()).unwrap_or(&EMPTY)
     }
 
     /// Out-neighbor records of `v` (all edge types), sorted by edge type.
@@ -241,8 +244,9 @@ impl AttributedHeterogeneousGraph {
     }
 
     /// Bytes allocated for the adjacency structure (the `O(n·N_D)` term),
-    /// by capacity: both record arrays, both offset arrays and the per-type
-    /// edge rosters.
+    /// by capacity: both record arrays (16 B a record each), both offset
+    /// arrays and the per-type edge rosters (8 B a run of consecutive ids,
+    /// at most one run a vertex a type).
     pub fn adjacency_bytes(&self) -> usize {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * size_of::<T>()
@@ -251,7 +255,7 @@ impl AttributedHeterogeneousGraph {
             + bytes(&self.in_nbrs)
             + bytes(&self.out_offsets)
             + bytes(&self.in_offsets)
-            + self.edges_by_type.iter().map(bytes).sum::<usize>()
+            + self.edge_rosters.iter().map(EdgeRoster::heap_bytes).sum::<usize>()
     }
 
     /// Approximate bytes held by attribute payloads (the `N_A·N_L` term).
@@ -450,7 +454,8 @@ impl GraphBuilder {
     }
 
     /// Assembles the immutable graph: sorts edge records by `(src, etype,
-    /// dst)`, lays out both CSR directions, and builds per-type rosters.
+    /// dst)`, lays out both CSR directions, and builds per-type rosters
+    /// (runs of ids, 8 B a run).
     ///
     /// Memory: the peak is the finished graph plus one record array. The
     /// in-adjacency keys are sorted in the allocation that becomes
@@ -465,15 +470,11 @@ impl GraphBuilder {
 
         // An edge's id is its position in the sorted records.
         let out_offsets = offsets(n, records.iter().map(|e| e.src));
-        // Each type's roster is counted first and allocated once, at its
-        // final size.
-        let mut per_type = vec![0usize; self.max_edge_type as usize + 1];
-        records.iter().for_each(|e| per_type[e.etype.index()] += 1);
-        let mut edges_by_type: Vec<Vec<EdgeId>> =
-            per_type.into_iter().map(Vec::with_capacity).collect();
+        let mut edge_rosters = vec![EdgeRoster::new(); self.max_edge_type as usize + 1];
         for (i, e) in records.iter().enumerate() {
-            edges_by_type[e.etype.index()].push(EdgeId(i as u32));
+            edge_rosters[e.etype.index()].push(EdgeId(i as u32));
         }
+        edge_rosters.iter_mut().for_each(EdgeRoster::shrink_to_fit);
 
         // In-CSR: the same records re-sorted by (dst, etype, src); the id
         // finds each key's weight and attribute.
@@ -519,7 +520,7 @@ impl GraphBuilder {
             num_vertex_types: self.max_vertex_type + 1,
             num_edge_types: self.max_edge_type + 1,
             vertices_by_type,
-            edges_by_type,
+            edge_rosters,
             directed: self.directed,
             logical_edges,
         }
@@ -767,22 +768,10 @@ mod tests {
         for i in 0..n {
             out_offsets[i + 1] += out_offsets[i];
         }
-        let mut out_nbrs = Vec::with_capacity(records.len());
-        let mut per_type = vec![0usize; b.max_edge_type as usize + 1];
-        for e in &records {
-            per_type[e.etype.index()] += 1;
-        }
-        let mut edges_by_type: Vec<Vec<EdgeId>> =
-            per_type.iter().map(|&count| Vec::with_capacity(count)).collect();
-        for (i, e) in records.iter().enumerate() {
-            out_nbrs.push(Neighbor {
-                vertex: e.dst,
-                weight: e.weight,
-                attr: e.attr,
-                etype: e.etype,
-            });
-            edges_by_type[e.etype.index()].push(EdgeId(i as u32));
-        }
+        let out_nbrs: Vec<Neighbor> = records
+            .iter()
+            .map(|e| Neighbor { vertex: e.dst, weight: e.weight, attr: e.attr, etype: e.etype })
+            .collect();
 
         let mut in_records: Vec<(usize, &OracleRecord)> = records.iter().enumerate().collect();
         in_records.sort_unstable_by_key(|(_, e)| (e.dst, e.etype, e.src));
@@ -821,7 +810,7 @@ mod tests {
             num_vertex_types: b.max_vertex_type + 1,
             num_edge_types: b.max_edge_type + 1,
             vertices_by_type,
-            edges_by_type,
+            edge_rosters: Vec::new(),
             directed: b.directed,
             logical_edges,
         }
@@ -848,12 +837,26 @@ mod tests {
         same("out_nbrs", &record_bits(&g.out_nbrs), &record_bits(&o.out_nbrs));
         same("in_offsets", &g.in_offsets, &o.in_offsets);
         same("in_nbrs", &record_bits(&g.in_nbrs), &record_bits(&o.in_nbrs));
-        same("edges_by_type", &g.edges_by_type, &o.edges_by_type);
-        // Each array is allocated at its final size: the rosters once, and
-        // the record arrays hold no spare capacity.
-        for roster in g.edges_by_type.iter().chain(&o.edges_by_type) {
-            assert_eq!(roster.capacity(), roster.len());
+        // Each type's roster is the filter scan of the oracle's records,
+        // position for position, and holds no spare capacity.
+        assert_eq!(g.edge_rosters.len(), usize::from(g.num_edge_types));
+        for t in 0..g.num_edge_types {
+            let scan: Vec<EdgeId> = (0..o.out_nbrs.len() as u32)
+                .map(EdgeId)
+                .filter(|&e| o.out_nbrs[e.index()].etype == EdgeType(t))
+                .collect();
+            let roster = g.edges_of_type(EdgeType(t));
+            same("edges_of_type", &roster.iter().collect::<Vec<_>>(), &scan);
+            same(
+                "edges_of_type.get",
+                &(0..roster.len()).map(|r| roster.get(r)).collect::<Vec<_>>(),
+                &scan,
+            );
+            let mut shrunk = roster.clone();
+            shrunk.shrink_to_fit();
+            assert_eq!(roster.heap_bytes(), shrunk.heap_bytes());
         }
+        // The record arrays hold no spare capacity.
         assert_eq!(g.out_nbrs.capacity(), g.out_nbrs.len());
         assert_eq!(g.in_nbrs.capacity(), g.in_nbrs.len());
         same("vertices_by_type", &g.vertices_by_type, &o.vertices_by_type);
@@ -928,9 +931,17 @@ mod tests {
     #[test]
     fn adjacency_bytes_counts_capacities() {
         let g = crate::generate::TaobaoConfig::tiny().builder().unwrap().build();
-        // Out- and in-record 16 B each, a roster entry 4 B.
+        // Out- and in-record 16 B each, and the rosters' runs: 8 B a run,
+        // at most one a vertex a type, so a count per vertex, not per edge.
         let offsets = 2 * (g.num_vertices() + 1) * size_of::<usize>();
-        assert_eq!(g.adjacency_bytes(), 36 * g.num_edge_records() + offsets);
+        let rosters = g.adjacency_bytes() - 32 * g.num_edge_records() - offsets;
+        let types = usize::from(g.num_edge_types());
+        assert_eq!(
+            rosters,
+            (0..g.num_edge_types()).map(|t| g.edges_of_type(EdgeType(t)).heap_bytes()).sum()
+        );
+        assert!(rosters <= 8 * g.num_vertices() * types, "{rosters} roster bytes");
+        assert!(rosters > 0);
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod graph;
 pub mod ids;
 pub mod io;
 pub mod powerlaw;
+pub mod roster;
 
 pub use attr::{AttrId, AttrIndex, AttrValue, AttrVector};
 pub use degrees::{DegreeTable, ImportanceTable, KhopCounter};
@@ -42,6 +43,7 @@ pub use generate::{amazon_sim, barabasi_albert, erdos_renyi, DynamicConfig, Taob
 pub use graph::{AdjacencySlice, AttributedHeterogeneousGraph, EdgeRecord, GraphBuilder, Neighbor};
 pub use ids::{EdgeId, EdgeType, VertexId, VertexType};
 pub use io::{read_graph, read_graph_parts, write_graph};
+pub use roster::EdgeRoster;
 
 /// Result alias used throughout the graph crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

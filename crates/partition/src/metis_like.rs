@@ -247,7 +247,7 @@ impl Partitioner for MetisLike {
         let p = num_workers.max(1);
         let n = graph.num_vertices();
         if n == 0 {
-            return Partition { num_workers: p, vertex_owner: Vec::new(), edge_owner: Vec::new() };
+            return Partition::from_vertex_owners(graph, p, Vec::new());
         }
         let (mut adjs, mut weights) = (Vec::new(), Vec::new());
         let (base_adj, base_w) = Self::build_base(graph);
@@ -365,7 +365,7 @@ mod tests {
     fn handles_sparse_random_graph() {
         let g = erdos_renyi(2_000, 4_000, 9).unwrap();
         let part = MetisLike::default().partition(&g, 4);
-        assert_eq!(part.vertex_owner.len(), 2_000);
+        assert_eq!(part.vertex_owners().len(), 2_000);
         let q = PartitionQuality::evaluate(&g, &part);
         assert!(q.vertex_imbalance < 1.6, "imbalance {}", q.vertex_imbalance);
         let loads = part.vertex_loads();
@@ -377,22 +377,22 @@ mod tests {
         let g = barabasi_albert(800, 3, 4).unwrap();
         let a = MetisLike::default().partition(&g, 4);
         let b = MetisLike::default().partition(&g, 4);
-        assert_eq!(a.vertex_owner, b.vertex_owner);
+        assert_eq!(a.vertex_owners(), b.vertex_owners());
     }
 
     #[test]
     fn works_on_heterogeneous_graph() {
         let g = TaobaoConfig::tiny().generate().unwrap();
         let part = MetisLike::default().partition(&g, 3);
-        assert_eq!(part.vertex_owner.len(), g.num_vertices());
-        assert!(part.vertex_owner.iter().all(|w| w.index() < 3));
+        assert_eq!(part.vertex_owners().len(), g.num_vertices());
+        assert!(part.vertex_owners().iter().all(|w| w.index() < 3));
     }
 
     #[test]
     fn tiny_graph_fewer_vertices_than_workers() {
         let g = erdos_renyi(3, 3, 0).unwrap();
         let part = MetisLike::default().partition(&g, 8);
-        assert_eq!(part.vertex_owner.len(), 3);
-        assert!(part.vertex_owner.iter().all(|w| w.index() < 8));
+        assert_eq!(part.vertex_owners().len(), 3);
+        assert!(part.vertex_owners().iter().all(|w| w.index() < 8));
     }
 }

@@ -1,7 +1,7 @@
 //! The [`Partitioner`] abstraction and the hash edge-cut / greedy vertex-cut
 //! / 2-D built-ins.
 
-use aligraph_graph::{AttributedHeterogeneousGraph, EdgeId, VertexId};
+use aligraph_graph::{AttributedHeterogeneousGraph, EdgeId, EdgeRoster, VertexId};
 
 /// Identifier of a worker (graph server) in the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -18,47 +18,110 @@ impl WorkerId {
 /// The output of a partitioner: an owner worker for every vertex and every
 /// edge record.
 ///
-/// Edge-cut algorithms own edges at their source's worker (so a vertex's
+/// An edge cut owns each edge at its source's worker (so a vertex's
 /// out-neighborhood is always local, which is what the NEIGHBORHOOD sampler
-/// requires — the paper partitions "by source vertices"). Vertex-cut
-/// algorithms assign edges directly and replicate vertices; `vertex_owner`
-/// then records each vertex's *primary* replica.
+/// requires — the paper partitions "by source vertices"), and keeps vertex
+/// owners only. A vertex cut assigns edges directly and replicates
+/// vertices: it keeps a per-edge owner table, and its vertex owners are
+/// each vertex's *primary* replica. The two constructors are the only
+/// ways to build one, so an edge cut cannot disagree with its vertex owners.
 #[derive(Debug, Clone)]
 pub struct Partition {
-    /// Number of workers `p`.
-    pub num_workers: usize,
+    num_workers: usize,
     /// Primary owner of each vertex (indexed by `VertexId`).
-    pub vertex_owner: Vec<WorkerId>,
-    /// Owner of each edge record (indexed by `EdgeId`).
-    pub edge_owner: Vec<WorkerId>,
+    vertex_owner: Vec<WorkerId>,
+    /// A vertex cut's owner of each edge record (indexed by `EdgeId`);
+    /// `None` for an edge cut.
+    edge_owner: Option<Vec<WorkerId>>,
 }
 
 impl Partition {
-    /// Owner of a vertex.
-    #[inline]
-    pub fn owner_of(&self, v: VertexId) -> WorkerId {
-        self.vertex_owner[v.index()]
-    }
-
-    /// Owner of an edge record.
-    #[inline]
-    pub fn owner_of_edge(&self, e: EdgeId) -> WorkerId {
-        self.edge_owner[e.index()]
-    }
-
-    /// Derives the per-edge owners from vertex owners (edge lives with its
-    /// source — the `ASSIGN(u)` convention of Algorithm 2).
+    /// An edge cut: each edge lives with its source — the `ASSIGN(u)`
+    /// convention of Algorithm 2.
     pub fn from_vertex_owners(
         graph: &AttributedHeterogeneousGraph,
         num_workers: usize,
         vertex_owner: Vec<WorkerId>,
     ) -> Self {
         assert_eq!(vertex_owner.len(), graph.num_vertices());
-        let mut edge_owner = vec![WorkerId(0); graph.num_edge_records()];
-        for v in graph.vertices() {
-            edge_owner[graph.out_edge_ids(v)].fill(vertex_owner[v.index()]);
+        Partition { num_workers, vertex_owner, edge_owner: None }
+    }
+
+    /// A vertex cut: every edge record's owner given, and each vertex's
+    /// primary replica.
+    pub fn vertex_cut(
+        graph: &AttributedHeterogeneousGraph,
+        num_workers: usize,
+        vertex_owner: Vec<WorkerId>,
+        edge_owner: Vec<WorkerId>,
+    ) -> Self {
+        assert_eq!(vertex_owner.len(), graph.num_vertices());
+        assert_eq!(edge_owner.len(), graph.num_edge_records());
+        Partition { num_workers, vertex_owner, edge_owner: Some(edge_owner) }
+    }
+
+    /// Number of workers `p`.
+    #[inline]
+    pub fn num_workers(&self) -> usize {
+        self.num_workers
+    }
+
+    /// Every vertex's (primary) owner, indexed by `VertexId`.
+    pub fn vertex_owners(&self) -> &[WorkerId] {
+        &self.vertex_owner
+    }
+
+    /// Whether edges live with their sources (no per-edge owner table).
+    pub fn is_edge_cut(&self) -> bool {
+        self.edge_owner.is_none()
+    }
+
+    /// Owner of a vertex.
+    #[inline]
+    pub fn owner_of(&self, v: VertexId) -> WorkerId {
+        self.vertex_owner[v.index()]
+    }
+
+    /// Owner of an edge record: in an edge cut its source's owner, found by
+    /// the graph's O(log n) source search.
+    pub fn owner_of_edge(&self, graph: &AttributedHeterogeneousGraph, e: EdgeId) -> WorkerId {
+        match &self.edge_owner {
+            Some(owner) => owner[e.index()],
+            None => self.owner_of(graph.edge(e).src),
         }
-        Partition { num_workers, vertex_owner, edge_owner }
+    }
+
+    /// Owner of edge record `e` whose source is `src`, in O(1).
+    #[inline]
+    pub(crate) fn owner_of_out_edge(&self, src: VertexId, e: usize) -> WorkerId {
+        match &self.edge_owner {
+            Some(owner) => owner[e],
+            None => self.owner_of(src),
+        }
+    }
+
+    /// Worker `w`'s edge ids of each type, ascending, as runs
+    /// ([`EdgeRoster`]): the "local subgraph" a shard-pinned trainer draws
+    /// positive edges from. An edge cut's roster of a type is its owned
+    /// rows' typed sub-ranges, a run or fewer a row.
+    pub fn edge_rosters(
+        &self,
+        graph: &AttributedHeterogeneousGraph,
+        w: WorkerId,
+    ) -> Vec<EdgeRoster> {
+        let mut rosters = vec![EdgeRoster::new(); graph.num_edge_types().into()];
+        for v in graph.vertices() {
+            if self.is_edge_cut() && self.owner_of(v) != w {
+                continue;
+            }
+            for (e, nbr) in graph.out_edge_ids(v).zip(graph.out_neighbors(v)) {
+                if self.owner_of_out_edge(v, e) == w {
+                    rosters[nbr.etype.index()].push(EdgeId(e as u32));
+                }
+            }
+        }
+        rosters.iter_mut().for_each(EdgeRoster::shrink_to_fit);
+        rosters
     }
 
     /// Number of vertices owned by each worker.
@@ -71,10 +134,13 @@ impl Partition {
     }
 
     /// Number of edge records owned by each worker.
-    pub fn edge_loads(&self) -> Vec<usize> {
+    pub fn edge_loads(&self, graph: &AttributedHeterogeneousGraph) -> Vec<usize> {
         let mut loads = vec![0usize; self.num_workers];
-        for w in &self.edge_owner {
-            loads[w.index()] += 1;
+        match &self.edge_owner {
+            Some(owner) => owner.iter().for_each(|w| loads[w.index()] += 1),
+            None => graph
+                .vertices()
+                .for_each(|v| loads[self.owner_of(v).index()] += graph.out_degree(v)),
         }
         loads
     }
@@ -187,7 +253,7 @@ impl Partitioner for VertexCutGreedy {
                     .unwrap_or(WorkerId((splitmix64(v.0 as u64) % p as u64) as u32))
             })
             .collect();
-        Partition { num_workers: p, vertex_owner, edge_owner }
+        Partition::vertex_cut(graph, p, vertex_owner, edge_owner)
     }
 
     fn name(&self) -> &'static str {
@@ -232,7 +298,7 @@ impl Partitioner for Grid2D {
                 WorkerId((row * cols) as u32)
             })
             .collect();
-        Partition { num_workers: rows * cols, vertex_owner, edge_owner }
+        Partition::vertex_cut(graph, rows * cols, vertex_owner, edge_owner)
     }
 
     fn name(&self) -> &'static str {
@@ -300,13 +366,13 @@ mod tests {
     fn hash_partition_covers_all_workers() {
         let g = erdos_renyi(1_000, 4_000, 1).unwrap();
         let part = EdgeCutHash.partition(&g, 8);
-        assert_eq!(part.num_workers, 8);
+        assert_eq!(part.num_workers(), 8);
         let loads = part.vertex_loads();
         assert!(loads.iter().all(|&l| l > 0), "loads {loads:?}");
         // Edges live with their source vertex.
         for v in g.vertices() {
             for e in g.out_edge_ids(v) {
-                assert_eq!(part.owner_of_edge(EdgeId(e as u32)), part.owner_of(v));
+                assert_eq!(part.owner_of_edge(&g, EdgeId(e as u32)), part.owner_of(v));
             }
         }
     }
@@ -326,7 +392,7 @@ mod tests {
     fn vertex_cut_balances_edges_on_skewed_graph() {
         let g = barabasi_albert(2_000, 4, 7).unwrap();
         let part = VertexCutGreedy::default().partition(&g, 4);
-        let loads = part.edge_loads();
+        let loads = part.edge_loads(&g);
         let total: usize = loads.iter().sum();
         assert_eq!(total, g.num_edge_records());
         let max = *loads.iter().max().unwrap() as f64;
@@ -357,27 +423,20 @@ mod tests {
     fn grid2d_assigns_within_grid() {
         let g = erdos_renyi(500, 2_000, 4).unwrap();
         let part = Grid2D.partition(&g, 6);
-        assert_eq!(part.num_workers, 6);
-        assert!(part.edge_owner.iter().all(|w| w.index() < 6));
-        // Every edge of the same (src,dst) hash cell goes to the same worker.
-        let e0 = g.edge(EdgeId(0));
-        let again = Grid2D.partition(&g, 6);
-        assert_eq!(part.owner_of_edge(EdgeId(0)), again.owner_of_edge(EdgeId(0)));
-        let _ = e0;
+        assert_eq!(part.num_workers(), 6);
+        let edges = (0..g.num_edge_records() as u32).map(EdgeId);
+        assert!(edges.clone().all(|e| part.owner_of_edge(&g, e).index() < 6));
+        // An edge goes to a cell in its source's row.
+        let (_, cols) = Grid2D::grid_shape(6);
+        for e in edges {
+            let src_row = part.owner_of(g.edge(e).src).index() / cols;
+            assert_eq!(part.owner_of_edge(&g, e).index() / cols, src_row);
+        }
     }
 
     #[test]
     fn partition_deterministic() {
         let g = erdos_renyi(300, 900, 5).unwrap();
-        for part in [
-            EdgeCutHash.partition(&g, 5),
-            VertexCutGreedy::default().partition(&g, 5),
-            Grid2D.partition(&g, 5),
-        ] {
-            let name = part.vertex_owner.clone();
-            let again = part;
-            let _ = (name, again);
-        }
         let a = VertexCutGreedy::default().partition(&g, 5);
         let b = VertexCutGreedy::default().partition(&g, 5);
         assert_eq!(a.vertex_owner, b.vertex_owner);
@@ -392,7 +451,7 @@ mod tests {
             VertexCutGreedy::default().partition(&g, 1),
             Grid2D.partition(&g, 1),
         ] {
-            assert_eq!(part.num_workers, 1);
+            assert_eq!(part.num_workers(), 1);
             assert!(part.vertex_owner.iter().all(|w| w.0 == 0));
         }
     }

@@ -30,7 +30,7 @@ impl PartitionQuality {
         for v in graph.vertices() {
             replica_sets[v.index()].insert(part.owner_of(v).0);
             for (e, nb) in graph.out_edge_ids(v).zip(graph.out_neighbors(v)) {
-                let w = part.edge_owner[e];
+                let w = part.owner_of_out_edge(v, e);
                 replica_sets[v.index()].insert(w.0);
                 replica_sets[nb.vertex.index()].insert(w.0);
                 if part.owner_of(nb.vertex) != w {
@@ -58,7 +58,7 @@ impl PartitionQuality {
             edge_cut_ratio: crossing as f64 / m as f64,
             replication_factor,
             vertex_imbalance: imbalance(&part.vertex_loads()),
-            edge_imbalance: imbalance(&part.edge_loads()),
+            edge_imbalance: imbalance(&part.edge_loads(graph)),
         }
     }
 }

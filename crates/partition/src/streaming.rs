@@ -103,14 +103,14 @@ mod tests {
         let g = erdos_renyi(500, 1_500, 2).unwrap();
         let a = StreamingLdg::default().partition(&g, 3);
         let b = StreamingLdg::default().partition(&g, 3);
-        assert_eq!(a.vertex_owner, b.vertex_owner);
-        assert_eq!(a.vertex_owner.len(), 500);
+        assert_eq!(a.vertex_owners(), b.vertex_owners());
+        assert_eq!(a.vertex_owners().len(), 500);
     }
 
     #[test]
     fn single_partition() {
         let g = erdos_renyi(100, 200, 2).unwrap();
         let part = StreamingLdg::default().partition(&g, 1);
-        assert!(part.vertex_owner.iter().all(|w| w.0 == 0));
+        assert!(part.vertex_owners().iter().all(|w| w.0 == 0));
     }
 }

@@ -197,7 +197,7 @@ impl SparseParamServer {
         cost: CostModel,
         registry: &Registry,
     ) -> Self {
-        Self::new_elastic(partition, features, lr, cost, registry, partition.num_workers)
+        Self::new_elastic(partition, features, lr, cost, registry, partition.num_workers())
     }
 
     /// Like [`new_registered`](Self::new_registered) but pre-allocating
@@ -215,7 +215,7 @@ impl SparseParamServer {
         slots: usize,
     ) -> Self {
         let n = features.len();
-        let workers = partition.num_workers;
+        let workers = partition.num_workers();
         let slots = slots.max(workers);
         let owner =
             (0..n as u32).map(|v| AtomicU32::new(partition.owner_of(VertexId(v)).0)).collect();

@@ -3,7 +3,9 @@
 //! "TRAVERSE samplers get data from the local subgraphs").
 
 use crate::alias::AliasTable;
-use aligraph_graph::{AttributedHeterogeneousGraph, EdgeId, EdgeType, VertexId, VertexType};
+use aligraph_graph::{
+    AttributedHeterogeneousGraph, EdgeId, EdgeRoster, EdgeType, VertexId, VertexType,
+};
 use aligraph_partition::{Partition, WorkerId};
 use aligraph_storage::Cluster;
 use aligraph_telemetry::Registry;
@@ -81,12 +83,13 @@ impl TraverseSampler for UniformTraverse {
         if roster.is_empty() {
             return Vec::new();
         }
-        (0..batch).map(|_| roster[rng.gen_range(0..roster.len())]).collect()
+        (0..batch).map(|_| roster.get(rng.gen_range(0..roster.len()))).collect()
     }
 }
 
 /// Weight-proportional edge traversal: edges of a type are drawn with
-/// probability proportional to their weight, via a prebuilt alias table.
+/// probability proportional to their weight, via a prebuilt alias table
+/// indexed by position in the type's roster.
 #[derive(Debug, Clone)]
 pub struct WeightedEdgeTraverse {
     tables: Vec<Option<AliasTable>>,
@@ -109,8 +112,7 @@ impl WeightedEdgeTraverse {
                 if roster.is_empty() {
                     return None;
                 }
-                let weights: Vec<f32> =
-                    roster.iter().map(|&e| graph.out_record(e).weight).collect();
+                let weights: Vec<f32> = roster.iter().map(|e| graph.out_record(e).weight).collect();
                 rebuilds.inc();
                 AliasTable::new(&weights)
             })
@@ -140,7 +142,7 @@ impl TraverseSampler for WeightedEdgeTraverse {
     ) -> Vec<EdgeId> {
         let roster = graph.edges_of_type(etype);
         match self.tables.get(etype.index()).and_then(|t| t.as_ref()) {
-            Some(table) => (0..batch).map(|_| roster[table.sample(rng)]).collect(),
+            Some(table) => (0..batch).map(|_| roster.get(table.sample(rng))).collect(),
             None => Vec::new(),
         }
     }
@@ -148,34 +150,29 @@ impl TraverseSampler for WeightedEdgeTraverse {
 
 /// Per-shard TRAVERSE rosters: for one worker, the edges of each type the
 /// partition places on it — the "local subgraph" a shard-pinned trainer
-/// samples from. Rosters preserve the global `edges_of_type` order, so with
-/// a single worker `sample` is draw-for-draw identical to
+/// samples from. Rosters hold ids in the global `edges_of_type` order, so
+/// with a single worker `sample` is draw-for-draw identical to
 /// [`UniformTraverse::sample_edges`] on the full graph.
 #[derive(Debug, Clone)]
 pub struct ShardEdgePools {
-    pools: Vec<Arc<[EdgeId]>>,
+    pools: Arc<[EdgeRoster]>,
 }
 
 impl ShardEdgePools {
-    /// Filters the graph's per-type edge rosters down to `worker`'s shard.
+    /// `worker`'s per-type rosters under `partition`
+    /// ([`Partition::edge_rosters`]).
     pub fn build(
         graph: &AttributedHeterogeneousGraph,
         partition: &Partition,
         worker: WorkerId,
     ) -> Self {
-        let pools = (0..graph.num_edge_types())
-            .map(|t| {
-                let roster = graph.edges_of_type(EdgeType(t)).iter().copied();
-                roster.filter(|&e| partition.owner_of_edge(e) == worker).collect()
-            })
-            .collect();
-        ShardEdgePools { pools }
+        ShardEdgePools { pools: partition.edge_rosters(graph, worker).into() }
     }
 
     /// [`build`](Self::build) over `cluster`'s graph and partition, from the
-    /// rosters the cluster filtered once ([`Cluster::edge_rosters`]).
+    /// rosters the cluster built once ([`Cluster::edge_rosters`]).
     pub fn of(cluster: &Cluster, worker: WorkerId) -> Self {
-        ShardEdgePools { pools: cluster.edge_rosters(worker).to_vec() }
+        ShardEdgePools { pools: cluster.edge_rosters(worker) }
     }
 
     /// Uniform batch of shard-local edges of one type. An empty pool yields
@@ -186,7 +183,7 @@ impl ShardEdgePools {
             Some(p) if !p.is_empty() => p,
             _ => return Vec::new(),
         };
-        (0..batch).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+        (0..batch).map(|_| pool.get(rng.gen_range(0..pool.len()))).collect()
     }
 }
 
@@ -277,7 +274,7 @@ mod tests {
         let p1 = EdgeCutHash.partition(&g, 1);
         let pool = ShardEdgePools::build(&g, &p1, WorkerId(0));
         for t in 0..g.num_edge_types() {
-            assert_eq!(&pool.pools[usize::from(t)][..], g.edges_of_type(EdgeType(t)));
+            assert_eq!(&pool.pools[usize::from(t)], g.edges_of_type(EdgeType(t)));
         }
         let mut a = StdRng::seed_from_u64(11);
         let mut b = StdRng::seed_from_u64(11);
@@ -319,9 +316,9 @@ mod tests {
         // The vertex cut has teeth here: some edge does not live with its
         // source's owner, so rosters keyed by source would differ.
         let p = vertex_cut.partition(&g, 4);
-        let moved = (0..g.num_edge_types())
-            .flat_map(|t| g.edges_of_type(EdgeType(t)).iter().copied())
-            .any(|e| p.owner_of_edge(e) != p.owner_of(g.edge(e).src));
+        let moved = (0..g.num_edge_records() as u32)
+            .map(EdgeId)
+            .any(|e| p.owner_of_edge(&g, e) != p.owner_of(g.edge(e).src));
         assert!(moved, "every vertex-cut edge sits with its source");
     }
 

@@ -645,7 +645,7 @@ mod tests {
             let config = ServingConfig { workers, ..Default::default() };
             let service = ServingService::start(Arc::clone(&graph), TopKNeighborhood, config);
             let part = EdgeCutHash.partition(&graph, workers);
-            let want: Vec<u32> = part.vertex_owner.iter().map(|w| w.0).collect();
+            let want: Vec<u32> = part.vertex_owners().iter().map(|w| w.0).collect();
             assert_eq!(service.owners, want, "{workers} workers");
         }
     }

@@ -23,8 +23,7 @@ use crate::server::GraphServer;
 use crate::tier::{TierConfig, TieredStore};
 use crate::topology::{Residency, RouteError, TopologyView};
 use aligraph_graph::{
-    AttributedHeterogeneousGraph, DegreeTable, EdgeId, EdgeType, ImportanceTable, Neighbor,
-    VertexId,
+    AttributedHeterogeneousGraph, DegreeTable, EdgeRoster, ImportanceTable, Neighbor, VertexId,
 };
 use aligraph_partition::{EdgeCutHash, Partition, Partitioner, WorkerId};
 use aligraph_telemetry::{Registry, Stopwatch};
@@ -70,13 +69,28 @@ impl ClusterBuildReport {
 
 /// Fluent construction of a [`Cluster`].
 ///
-/// ```ignore
-/// let (cluster, report) = Cluster::builder(graph)
+/// ```
+/// use aligraph_graph::generate::TaobaoConfig;
+/// use aligraph_partition::{EdgeCutHash, WorkerId};
+/// use aligraph_storage::{CacheStrategy, Cluster};
+/// use aligraph_telemetry::Registry;
+/// use std::sync::Arc;
+///
+/// let graph = Arc::new(TaobaoConfig::tiny().generate().unwrap());
+/// let registry = Registry::new();
+/// let (cluster, report) = Cluster::builder(Arc::clone(&graph))
 ///     .partitioner(&EdgeCutHash)
 ///     .shards(8)
 ///     .cache(CacheStrategy::ImportanceBudget { k: 2, fraction: 0.2 })
 ///     .registry(&registry)
 ///     .build();
+/// assert_eq!((cluster.num_workers(), report.num_workers), (8, 8));
+/// let v = graph.vertices().next().unwrap();
+/// let from = cluster.primary_of(v).unwrap();
+/// assert_eq!(cluster.neighbors_from(from, v, 1).unwrap(), graph.out_neighbors(v));
+/// // Every edge record sits in exactly one worker's roster.
+/// let rosters = (0..8).flat_map(|w| cluster.edge_rosters(WorkerId(w)).to_vec());
+/// assert_eq!(rosters.map(|r| r.len()).sum::<usize>(), graph.num_edge_records());
 /// ```
 pub struct ClusterBuilder<'a> {
     graph: Arc<AttributedHeterogeneousGraph>,
@@ -276,7 +290,7 @@ pub struct Cluster {
     /// The cold tier shared by every shard, when built tiered.
     pub(crate) tier: Option<Arc<TieredStore>>,
     /// `[worker][edge type]` rosters, built by the first `edge_rosters` call.
-    edge_rosters: OnceLock<Vec<Vec<Arc<[EdgeId]>>>>,
+    edge_rosters: OnceLock<Vec<Arc<[EdgeRoster]>>>,
 }
 
 impl Cluster {
@@ -299,7 +313,7 @@ impl Cluster {
     /// streams are keyed to. Stable across rebalances; see
     /// [`num_shards`](Self::num_shards) for the physical slot count.
     pub fn num_workers(&self) -> usize {
-        self.partition.num_workers
+        self.partition.num_workers()
     }
 
     /// Physical shard slots in the current topology (live + retired).
@@ -307,42 +321,17 @@ impl Cluster {
         self.servers.read().len()
     }
 
-    /// Worker `w`'s edges of each type under the logical partition, in
-    /// `edges_of_type` order: every worker's, built on the first call and
-    /// shared after it (the partition never changes). A counting pass sizes
-    /// the rosters and a second pass fills them, so each is allocated once,
-    /// at its final size, with no growth slack and no copy.
-    pub fn edge_rosters(&self, w: WorkerId) -> &[Arc<[EdgeId]>] {
+    /// Worker `w`'s edges of each type under the logical partition
+    /// ([`Partition::edge_rosters`]): every worker's, built on the first
+    /// call and shared after it (the partition never changes). Empty for a
+    /// worker the partition does not have.
+    pub fn edge_rosters(&self, w: WorkerId) -> Arc<[EdgeRoster]> {
         let all = self.edge_rosters.get_or_init(|| {
-            let types = self.graph.num_edge_types();
-            let owner = |e: EdgeId| self.partition.owner_of_edge(e).index();
-            let mut len = vec![vec![0; types.into()]; self.partition.num_workers];
-            for t in 0..types {
-                for &e in self.graph.edges_of_type(EdgeType(t)) {
-                    len[owner(e)][usize::from(t)] += 1;
-                }
-            }
-            // `repeat_n` has an exact length, so each `Arc` is allocated once;
-            // each is unique here, so `make_mut` hands out its slice to fill.
-            let mut rosters: Vec<Vec<Arc<[EdgeId]>>> = len
-                .iter()
-                .map(|row| {
-                    row.iter().map(|&n| std::iter::repeat_n(EdgeId(0), n).collect()).collect()
-                })
-                .collect();
-            let mut slots: Vec<Vec<&mut [EdgeId]>> =
-                rosters.iter_mut().map(|r| r.iter_mut().map(Arc::make_mut).collect()).collect();
-            let mut filled = vec![vec![0; types.into()]; self.partition.num_workers];
-            for t in 0..types {
-                for &e in self.graph.edges_of_type(EdgeType(t)) {
-                    let (w, t) = (owner(e), usize::from(t));
-                    slots[w][t][filled[w][t]] = e;
-                    filled[w][t] += 1;
-                }
-            }
-            rosters
+            (0..self.partition.num_workers() as u32)
+                .map(|w| self.partition.edge_rosters(&self.graph, WorkerId(w)).into())
+                .collect()
         });
-        all.get(w.index()).map_or(&[], Vec::as_slice)
+        all.get(w.index()).map_or_else(|| Arc::from([]), Arc::clone)
     }
 
     /// The versioned membership.

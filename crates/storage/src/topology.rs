@@ -89,7 +89,7 @@ impl TopologyView {
     pub fn identity(partition: &Partition, num_vertices: usize) -> Self {
         let primary: Vec<u32> =
             (0..num_vertices as u32).map(|v| partition.owner_of(VertexId(v)).0).collect();
-        let live = vec![true; partition.num_workers.max(1)];
+        let live = vec![true; partition.num_workers().max(1)];
         Self::new(0, Arc::new(primary), Arc::new(live))
     }
 

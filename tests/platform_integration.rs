@@ -47,8 +47,8 @@ fn every_partitioner_supports_the_full_stack() {
             q.vertex_imbalance
         );
         // Every vertex must be owned by a valid worker.
-        assert_eq!(part.vertex_owner.len(), graph.num_vertices());
-        assert!(part.vertex_owner.iter().all(|w| w.index() < part.num_workers));
+        assert_eq!(part.vertex_owners().len(), graph.num_vertices());
+        assert!(part.vertex_owners().iter().all(|w| w.index() < part.num_workers()));
     }
 }
 

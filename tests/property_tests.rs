@@ -4,8 +4,13 @@ use aligraph_suite::chaos::{RetryPolicy, Sequencer, MAX_BACKOFF_TICKS};
 use aligraph_suite::eval::{best_f1, macro_f1, micro_f1, pr_auc, roc_auc};
 use aligraph_suite::graph::generate::{erdos_renyi, TaobaoConfig};
 use aligraph_suite::graph::Featurizer;
-use aligraph_suite::graph::{AttrValue, AttrVector, EdgeType, GraphBuilder, VertexId, VertexType};
-use aligraph_suite::partition::{EdgeCutHash, Partitioner, StreamingLdg, VertexCutGreedy};
+use aligraph_suite::graph::{
+    AttrValue, AttrVector, AttributedHeterogeneousGraph, EdgeId, EdgeType, GraphBuilder, VertexId,
+    VertexType,
+};
+use aligraph_suite::partition::{
+    EdgeCutHash, MetisLike, Partition, Partitioner, StreamingLdg, VertexCutGreedy, WorkerId,
+};
 use aligraph_suite::sampling::{AliasTable, EpochView, IncrementalAlias};
 use aligraph_suite::storage::{LruCache, Published};
 use aligraph_suite::streaming::{UpdateBatch, UpdateEvent};
@@ -112,9 +117,47 @@ proptest! {
         let g = erdos_renyi(n, m, seed).unwrap();
         for partitioner in [&EdgeCutHash as &dyn Partitioner, &VertexCutGreedy::default(), &StreamingLdg::default()] {
             let part = partitioner.partition(&g, p);
-            prop_assert_eq!(part.vertex_owner.len(), n);
-            prop_assert!(part.vertex_owner.iter().all(|w| w.index() < part.num_workers));
-            prop_assert!(part.edge_owner.iter().all(|w| w.index() < part.num_workers));
+            prop_assert_eq!(part.vertex_owners().len(), n);
+            prop_assert!(part.vertex_owners().iter().all(|w| w.index() < part.num_workers()));
+            let edges = (0..g.num_edge_records() as u32).map(EdgeId);
+            prop_assert!(edges.clone().all(|e| part.owner_of_edge(&g, e).index() < part.num_workers()));
+        }
+    }
+
+    /// A worker's derived edge rosters (runs over its rows' typed
+    /// sub-ranges, or over a vertex cut's owned ids) equal the filter scan
+    /// of every edge record by type and owner, id for id and position for
+    /// position, for every worker and type under the four partitioners, on
+    /// a random typed graph and an Erdős–Rényi graph.
+    #[test]
+    fn derived_edge_rosters_equal_the_filter_scan(
+        edges in prop::collection::vec((0u32..40, 0u32..40, 0u8..3), 1..200),
+        m in 1usize..300,
+        p in 1usize..6,
+        seed in 0u64..100,
+    ) {
+        let mut b = GraphBuilder::directed();
+        b.add_vertices(VertexType(0), 40);
+        for &(s, d, t) in &edges {
+            b.add_edge(VertexId(s), VertexId(d), EdgeType(t), 1.0).unwrap();
+        }
+        let metis = MetisLike { seed, ..MetisLike::default() };
+        let partitioners: [&dyn Partitioner; 4] =
+            [&EdgeCutHash, &StreamingLdg::default(), &metis, &VertexCutGreedy::default()];
+        for g in [b.build(), erdos_renyi(40, m, seed).unwrap()] {
+            for partitioner in partitioners {
+                let part = partitioner.partition(&g, p);
+                for w in 0..part.num_workers() as u32 {
+                    let rosters = part.edge_rosters(&g, WorkerId(w));
+                    prop_assert_eq!(rosters.len(), usize::from(g.num_edge_types()));
+                    for (t, roster) in rosters.iter().enumerate() {
+                        let scan = filter_scan(&g, &part, WorkerId(w), EdgeType(t as u8));
+                        prop_assert_eq!(&roster.iter().collect::<Vec<_>>(), &scan);
+                        let by_position: Vec<EdgeId> = (0..roster.len()).map(|r| roster.get(r)).collect();
+                        prop_assert_eq!(&by_position, &scan);
+                    }
+                }
+            }
         }
     }
 
@@ -635,4 +678,18 @@ proptest! {
         prop_assert!(ps.load(&state, 2).is_ok());
         prop_assert_eq!(ps.export().unwrap(), state);
     }
+}
+
+/// The edge records of type `t` that `part` places on `w`, ascending: a scan
+/// of every record, the oracle of [`Partition::edge_rosters`].
+fn filter_scan(
+    g: &AttributedHeterogeneousGraph,
+    part: &Partition,
+    w: WorkerId,
+    t: EdgeType,
+) -> Vec<EdgeId> {
+    (0..g.num_edge_records() as u32)
+        .map(EdgeId)
+        .filter(|&e| g.out_record(e).etype == t && part.owner_of_edge(g, e) == w)
+        .collect()
 }
