@@ -852,9 +852,8 @@ mod tests {
                 &(0..roster.len()).map(|r| roster.get(r)).collect::<Vec<_>>(),
                 &scan,
             );
-            let mut shrunk = roster.clone();
-            shrunk.shrink_to_fit();
-            assert_eq!(roster.heap_bytes(), shrunk.heap_bytes());
+            // A clone allocates exactly its length.
+            assert_eq!(roster.heap_bytes(), roster.clone().heap_bytes());
         }
         // The record arrays hold no spare capacity.
         assert_eq!(g.out_nbrs.capacity(), g.out_nbrs.len());

@@ -65,7 +65,6 @@ impl EdgeRoster {
     /// not below [`len`](Self::len), as slice indexing does.
     #[inline]
     pub fn get(&self, r: usize) -> EdgeId {
-        assert!(r < self.len(), "roster position {r} out of range for length {}", self.len());
         let i = self.ends.partition_point(|&end| end as usize <= r);
         EdgeId(self.starts[i] + (r as u32 - self.run_start(i)))
     }
@@ -129,7 +128,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "index out of bounds")]
     fn a_position_past_the_end_panics() {
         roster(&[1, 2]).get(2);
     }

@@ -71,11 +71,6 @@ impl Partition {
         &self.vertex_owner
     }
 
-    /// Whether edges live with their sources (no per-edge owner table).
-    pub fn is_edge_cut(&self) -> bool {
-        self.edge_owner.is_none()
-    }
-
     /// Owner of a vertex.
     #[inline]
     pub fn owner_of(&self, v: VertexId) -> WorkerId {
@@ -111,7 +106,7 @@ impl Partition {
     ) -> Vec<EdgeRoster> {
         let mut rosters = vec![EdgeRoster::new(); graph.num_edge_types().into()];
         for v in graph.vertices() {
-            if self.is_edge_cut() && self.owner_of(v) != w {
+            if self.edge_owner.is_none() && self.owner_of(v) != w {
                 continue;
             }
             for (e, nbr) in graph.out_edge_ids(v).zip(graph.out_neighbors(v)) {
