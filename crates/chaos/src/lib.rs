@@ -66,7 +66,8 @@ pub const UPDATE_INGEST_TAG: u64 = 4;
 pub const MIGRATION_TAG: u64 = 5;
 
 /// One SplitMix64 scramble round: the core mixer behind every fault
-/// decision (and the same finalizer the mini-loom scheduler uses).
+/// decision (and the same finalizer as `aligraph_graph::splitmix64`, kept
+/// here because this crate depends only on `aligraph-telemetry`).
 pub(crate) fn splitmix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

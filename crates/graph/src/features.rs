@@ -195,9 +195,11 @@ fn mix(a: u64, b: u64) -> u64 {
     a.wrapping_mul(0x9e37_79b9).wrapping_add(b).rotate_left(17)
 }
 
-/// splitmix64: cheap, well-distributed 64-bit mixer.
+/// The SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer. The
+/// featurizer hashes with it, and the hash partitioners place vertices by
+/// it, so anything that must agree with their placement calls this one.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

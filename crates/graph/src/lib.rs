@@ -38,7 +38,7 @@ pub use dynamic::{
     DynamicGraph, EdgeEvent, EvolutionKind, SnapshotDelta, UpdateBatch, UpdateEvent,
 };
 pub use error::GraphError;
-pub use features::{FeatureMatrix, Featurizer};
+pub use features::{splitmix64, FeatureMatrix, Featurizer};
 pub use generate::{amazon_sim, barabasi_albert, erdos_renyi, DynamicConfig, TaobaoConfig};
 pub use graph::{AdjacencySlice, AttributedHeterogeneousGraph, EdgeRecord, GraphBuilder, Neighbor};
 pub use ids::{EdgeId, EdgeType, VertexId, VertexType};

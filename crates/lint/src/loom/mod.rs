@@ -26,6 +26,8 @@ pub mod ps;
 pub mod tier;
 pub mod topology;
 
+use aligraph_graph::splitmix64;
+
 /// SplitMix64 — tiny, seedable, and good enough to scatter schedules.
 #[derive(Debug, Clone)]
 pub struct SplitMix {
@@ -38,13 +40,11 @@ impl SplitMix {
         SplitMix { state: seed }
     }
 
-    /// Next raw 64-bit value.
+    /// Next raw 64-bit value: the finalizer of the pre-increment state.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let x = self.state;
+        self.state = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        splitmix64(x)
     }
 
     /// Uniform draw in `0..n` (`n > 0`).

@@ -3,12 +3,12 @@
 //! Two virtual workers classify neighbor reads through shards 0 and 1 of
 //! one real tiered [`Cluster`] (one [`TieredStore`] beneath both servers)
 //! under a budget tight enough that both shards demote. Each step is one
-//! read, `Cluster::neighbors_from_kind`: residency check, hot lookup, cold
-//! decode and admission under the reading shard's lock. The serial run —
-//! worker 0's reads, then worker 1's — is the shadow. In every
-//! interleaving each worker's sequence of access kinds, each shard's hot
-//! set, the `tier.demotions` and `tier.reads{src}` counters and
-//! `peak_resident_bytes` must equal it.
+//! read, `Cluster::neighbors_from_kind`: the server's residency bit, then
+//! hot lookup, cold decode and admission under the reading shard's tier
+//! lock. The serial run — worker 0's reads, then worker 1's — is the
+//! shadow. In every interleaving each worker's sequence of access kinds,
+//! each shard's hot set, the `tier.demotions` and `tier.reads{src}`
+//! counters and `peak_resident_bytes` must equal it.
 //!
 //! That is what lets the training workers sample at once: a tier whose
 //! shards shared one LRU and one budget fails here, because a read through

@@ -282,7 +282,7 @@ impl Workload for TopologyWorkload {
                 let roster: Vec<VertexId> =
                     graph.vertices().filter(|v| OWNERS[v.index()] == slot).collect();
                 let cache = NeighborCache::empty(OWNERS.len());
-                GraphServer::ingest(Arc::clone(&graph), &roster, cache)
+                GraphServer::ingest(Arc::clone(&graph), &roster, cache, None)
             })
             .collect();
         let state = TopoState {

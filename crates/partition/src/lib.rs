@@ -29,8 +29,6 @@ pub mod quality;
 pub mod streaming;
 
 pub use metis_like::MetisLike;
-pub use partition::{
-    splitmix64, EdgeCutHash, Grid2D, Partition, Partitioner, VertexCutGreedy, WorkerId,
-};
+pub use partition::{EdgeCutHash, Grid2D, Partition, Partitioner, VertexCutGreedy, WorkerId};
 pub use quality::PartitionQuality;
 pub use streaming::StreamingLdg;

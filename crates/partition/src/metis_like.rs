@@ -11,8 +11,8 @@
 //!
 //! This is the "sparse graphs" option the paper recommends (§3.2).
 
-use crate::partition::{splitmix64, Partition, Partitioner, WorkerId};
-use aligraph_graph::AttributedHeterogeneousGraph;
+use crate::partition::{Partition, Partitioner, WorkerId};
+use aligraph_graph::{splitmix64, AttributedHeterogeneousGraph};
 
 /// Multilevel METIS-like partitioner.
 #[derive(Debug, Clone, Copy)]

@@ -1,7 +1,7 @@
 //! The [`Partitioner`] abstraction and the hash edge-cut / greedy vertex-cut
 //! / 2-D built-ins.
 
-use aligraph_graph::{AttributedHeterogeneousGraph, EdgeId, EdgeRoster, VertexId};
+use aligraph_graph::{splitmix64, AttributedHeterogeneousGraph, EdgeId, EdgeRoster, VertexId};
 
 /// Identifier of a worker (graph server) in the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -341,15 +341,6 @@ impl ReplicaSet {
             ReplicaSet::Wide { p, bits } => (0..*p).find(|&w| bits[v.index() * p + w]),
         }
     }
-}
-
-/// The SplitMix64 finalizer: the mix the hash partitioners place vertices
-/// by. Anything that must agree with their placement calls this one.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -167,9 +167,10 @@ impl<'a> ClusterBuilder<'a> {
         self
     }
 
-    /// Serve shards out of a cold tier (compressed sealed segments under a
-    /// resident-byte budget) instead of treating every row as decoded and hot.
-    /// See [`crate::tier`].
+    /// Meter shards' resident reads through a cold tier (compressed sealed
+    /// segments under a resident-byte budget) instead of treating every row
+    /// as decoded and hot. The tier sits on top of the fully resident shared
+    /// graph. See [`crate::tier`].
     pub fn tier_config(mut self, cfg: TierConfig) -> Self {
         self.tier = Some(cfg);
         self
@@ -210,36 +211,19 @@ impl<'a> ClusterBuilder<'a> {
         };
 
         let t2 = Stopwatch::start();
-        let (tier, servers, shard_times) = match self.tier {
-            Some(cfg) => {
-                // Tiered ingest: encode every shard's rows into sealed
-                // segments once (the tier build), then bind one thin server
-                // per shard. Nothing is kept per shard, so the
-                // decoded-resident footprint is the budget, not the graph.
-                let owners: Vec<u32> = graph.vertices().map(|v| partition.owner_of(v).0).collect();
-                let store =
-                    TieredStore::build(Arc::clone(&graph), &owners, p, cfg, self.cost, registry);
-                let mut servers = Vec::with_capacity(p);
-                let mut shard_times = Vec::with_capacity(p);
-                for w in 0..p {
-                    let t = Stopwatch::start();
-                    let cache = NeighborCache::build(&graph, &importance, &self.strategy);
-                    servers.push(Arc::new(GraphServer::tiered(
-                        Arc::clone(&graph),
-                        Arc::clone(&store),
-                        w,
-                        cache,
-                    )));
-                    shard_times.push(t.elapsed());
-                }
-                (Some(store), servers, shard_times)
-            }
-            None => {
-                let (servers, shard_times) =
-                    ingest_parallel(&graph, &partition, &importance, &self.strategy, p);
-                (None, servers, shard_times)
-            }
-        };
+        // A tiered build first encodes every shard's rows into sealed
+        // segments (the tier build); each shard is then ingested as an
+        // all-hot one is and bound to its tier slot. The tier's hot rows
+        // and segments are copies on top of the shared graph, which stays
+        // fully resident: the budget bounds the hot copies, not the graph
+        // (a tiered build of `perf`'s `train_tiered` graph adds 63.8 MB of
+        // RSS, ROADMAP item 25).
+        let tier = self.tier.map(|cfg| {
+            let owners: Vec<u32> = graph.vertices().map(|v| partition.owner_of(v).0).collect();
+            TieredStore::build(Arc::clone(&graph), &owners, p, cfg, self.cost, registry)
+        });
+        let (servers, shard_times) =
+            ingest_parallel(&graph, &partition, &importance, &self.strategy, p, tier.as_ref());
         let ingest_time = t2.elapsed();
 
         let report = ClusterBuildReport {
@@ -449,13 +433,15 @@ impl Cluster {
 /// `max(shard_times)` — which [`ClusterBuildReport`] exposes. Running them
 /// sequentially here keeps the per-shard timings exact regardless of how
 /// many cores the simulator machine has (timing concurrent threads on a
-/// smaller machine would fold scheduler wait into every shard).
+/// smaller machine would fold scheduler wait into every shard). With a
+/// `tier`, shard `w` is bound to its slot `w`.
 fn ingest_parallel(
     graph: &Arc<AttributedHeterogeneousGraph>,
     partition: &Arc<Partition>,
     importance: &ImportanceTable,
     strategy: &CacheStrategy,
     p: usize,
+    tier: Option<&Arc<TieredStore>>,
 ) -> (Vec<Arc<GraphServer>>, Vec<Duration>) {
     // One routing pass assigns each vertex to its shard's roster.
     let mut rosters: Vec<Vec<VertexId>> = vec![Vec::new(); p];
@@ -464,10 +450,11 @@ fn ingest_parallel(
     }
     let mut servers = Vec::with_capacity(p);
     let mut shard_times = Vec::with_capacity(p);
-    for roster in &rosters {
+    for (w, roster) in rosters.iter().enumerate() {
         let t0 = Stopwatch::start();
         let cache = NeighborCache::build(graph, importance, strategy);
-        servers.push(Arc::new(GraphServer::ingest(Arc::clone(graph), roster, cache)));
+        let slot = tier.map(|store| (Arc::clone(store), w));
+        servers.push(Arc::new(GraphServer::ingest(Arc::clone(graph), roster, cache, slot)));
         shard_times.push(t0.elapsed());
     }
     (servers, shard_times)

@@ -29,8 +29,7 @@ use crate::published::StaleEpoch;
 use crate::server::{GraphServer, VertexRecord};
 use crate::topology::RouteError;
 use aligraph_chaos::{FaultPlane, HopKind, RetryPolicy, SeqCounter, Sequencer, MIGRATION_TAG};
-use aligraph_graph::VertexId;
-use aligraph_partition::splitmix64;
+use aligraph_graph::{splitmix64, VertexId};
 use std::sync::Arc;
 
 /// A membership change request against the current topology.
@@ -198,22 +197,14 @@ impl Cluster {
         };
 
         // Allocate the split destination before any record moves: a new
-        // empty server slot, live in the successor view only.
+        // empty server slot, live in the successor view only. A split of a
+        // tiered cluster stays tiered: the new slot is bound to the same
+        // shared store.
         if matches!(op, RebalanceOp::Split { .. }) {
             let cache = NeighborCache::empty(self.graph().num_vertices());
-            let server = Arc::new(match self.tier {
-                // A split of a tiered cluster stays tiered: the new slot
-                // serves out of the same shared store (its residency starts
-                // empty and fills as records absorb).
-                Some(ref store) => GraphServer::tiered(
-                    Arc::clone(self.graph()),
-                    Arc::clone(store),
-                    dst as usize,
-                    cache,
-                ),
-                None => GraphServer::empty(Arc::clone(self.graph()), cache),
-            });
-            self.servers.write().push(server);
+            let tier = self.tier.as_ref().map(|store| (Arc::clone(store), dst as usize));
+            let server = GraphServer::ingest(Arc::clone(self.graph()), &[], cache, tier);
+            self.servers.write().push(Arc::new(server));
         }
 
         let (src_server, dst_server) = {
@@ -356,6 +347,7 @@ mod tests {
     use aligraph_chaos::FaultPlan;
     use aligraph_graph::generate::TaobaoConfig;
     use aligraph_partition::{EdgeCutHash, WorkerId};
+    use aligraph_telemetry::Registry;
 
     fn cluster(shards: usize, strategy: CacheStrategy) -> Cluster {
         let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
@@ -464,34 +456,62 @@ mod tests {
 
     #[test]
     fn faulted_migration_matches_clean_residency_exactly() {
-        let clean = cluster(2, CacheStrategy::ImportanceBudget { k: 2, fraction: 0.2 });
-        let chaotic = cluster(2, CacheStrategy::ImportanceBudget { k: 2, fraction: 0.2 });
-        let policy = RetryPolicy::default();
-        let a = clean.rebalance(RebalanceOp::Split { shard: 0 }, &clean_plane(), &policy).unwrap();
-        let b = chaotic
-            .rebalance(
-                RebalanceOp::Split { shard: 0 },
-                &FaultPlane::new(FaultPlan::with_seed(7, 0.2)),
-                &policy,
-            )
-            .unwrap();
-        assert_eq!(a.moved, b.moved);
-        assert!(b.lag_ticks > 0, "a 20% fault rate must cost modelled lag");
-        assert!(b.bytes > a.bytes, "resends cost extra bytes");
-        chaotic.verify_residency().unwrap();
-        for v in clean.graph().vertices() {
+        let build = |tier: Option<TierConfig>, registry: &Registry| {
+            let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
+            let strategy = CacheStrategy::ImportanceBudget { k: 2, fraction: 0.2 };
+            let builder = Cluster::builder(g).shards(2).cache(strategy).registry(registry);
+            match tier {
+                Some(tier) => builder.tier_config(tier).build().0,
+                None => builder.build().0,
+            }
+        };
+        for (name, tier) in
+            [("all-hot", None), ("tiered", Some(TierConfig::with_budget(Some(4_000))))]
+        {
+            let build = |registry: &Registry| build(tier.clone(), registry);
+            let (clean_registry, chaotic_registry) = (Registry::new(), Registry::new());
+            let (clean, chaotic) = (build(&clean_registry), build(&chaotic_registry));
+            let policy = RetryPolicy::default();
+            let a =
+                clean.rebalance(RebalanceOp::Split { shard: 0 }, &clean_plane(), &policy).unwrap();
+            let b = chaotic
+                .rebalance(
+                    RebalanceOp::Split { shard: 0 },
+                    &FaultPlane::new(FaultPlan::with_seed(7, 0.2)),
+                    &policy,
+                )
+                .unwrap();
+            assert_eq!(a.moved, b.moved, "{name}");
+            assert!(b.lag_ticks > 0, "{name}: a 20% fault rate must cost modelled lag");
+            assert!(b.bytes > a.bytes, "{name}: resends cost extra bytes");
+            assert_shards_match_residency(&chaotic);
+            for v in clean.graph().vertices() {
+                assert_eq!(
+                    clean.primary_of(v).unwrap(),
+                    chaotic.primary_of(v).unwrap(),
+                    "{name}: faults must not change where vertex {} lands",
+                    v.0
+                );
+            }
+            // The destination's seeded cache matches the clean run's.
             assert_eq!(
-                clean.primary_of(v).unwrap(),
-                chaotic.primary_of(v).unwrap(),
-                "faults must not change where vertex {} lands",
-                v.0
+                clean.server(WorkerId(2)).neighbor_cache().cached_count(),
+                chaotic.server(WorkerId(2)).neighbor_cache().cached_count(),
+                "{name}"
             );
+            // A resent record is absorbed once: the tier took the same
+            // admission decisions and holds the same hot rows.
+            let admits = |r: &Registry| r.snapshot().counter_total("tier.admit");
+            assert_eq!(admits(&clean_registry), admits(&chaotic_registry), "{name}");
+            if let (Some(x), Some(y)) = (clean.tier(), chaotic.tier()) {
+                assert!(admits(&clean_registry) > 0, "no absorb reached the tier: vacuous");
+                for slot in 0..3 {
+                    for v in clean.graph().vertices() {
+                        assert_eq!(x.is_hot_on(slot, v), y.is_hot_on(slot, v), "{v:?} {slot}");
+                    }
+                }
+            }
         }
-        // The destination's seeded cache matches the clean run's.
-        assert_eq!(
-            clean.server(WorkerId(2)).neighbor_cache().cached_count(),
-            chaotic.server(WorkerId(2)).neighbor_cache().cached_count()
-        );
     }
 
     #[test]

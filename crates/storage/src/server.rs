@@ -1,6 +1,6 @@
 //! One graph server (worker shard): owns a resident set of vertices and a
-//! local neighbor cache. Rows are held once, in the shared graph; an
-//! all-hot shard keeps only a residency bit per vertex id.
+//! local neighbor cache. Rows are held once, in the shared graph; every
+//! shard, tiered or not, keeps only a residency bit per vertex id.
 //!
 //! Residency is dynamic: a live migration [`absorb`](GraphServer::absorb)s
 //! vertex records onto a serving shard and [`retire`](GraphServer::retire)s
@@ -47,85 +47,65 @@ impl VertexRecord {
 #[derive(Debug)]
 pub struct GraphServer {
     graph: Arc<AttributedHeterogeneousGraph>,
-    /// Residency of an all-hot shard: bit `v % 64` of word `v / 64` is set
-    /// while vertex `v` is resident here (unused when tiered).
+    /// Residency: bit `v % 64` of word `v / 64` is set while vertex `v` is
+    /// resident here.
     resident: Box<[AtomicU64]>,
     /// Neighbor cache for remote vertices (Algorithm 2).
     neighbor_cache: NeighborCache,
-    /// Cold-tier binding. When present the server keeps **nothing** itself:
-    /// residency and adjacency rows live in the shared
-    /// [`TieredStore`] (decoded hot set + compressed segments), and resident
-    /// reads whose row is cold are metered as [`AccessKind::Cold`].
+    /// Cold-tier binding: this shard's slot in a shared [`TieredStore`],
+    /// which keeps the slot's hot rows, prefetch stage and feature
+    /// generations, and meters a resident read whose row is cold as
+    /// [`AccessKind::Cold`]. The tier's hot rows and segments are copies
+    /// on top of the shared graph, which stays fully resident.
     tier: Option<TierBinding>,
 }
 
 #[derive(Debug)]
 struct TierBinding {
     store: Arc<TieredStore>,
-    /// This server's shard slot inside the tier's residency tables.
+    /// This server's slot in the tier's per-shard tables.
     shard: usize,
 }
 
 impl GraphServer {
     /// Ingests the worker's shard: marks every roster vertex resident.
     /// `roster` is this worker's resident vertex list (computed once by the
-    /// cluster). The rows stay in the shared graph, which is this
-    /// reproduction's one copy of the storage.
+    /// cluster; empty for a split destination, which fills by
+    /// [`absorb`](Self::absorb)). The rows stay in the shared graph, which
+    /// is this reproduction's one copy of the storage. `tier` binds the
+    /// shard to its slot in a cold tier: the tier meters its resident reads
+    /// and keeps the slot's hot rows.
     pub fn ingest(
         graph: Arc<AttributedHeterogeneousGraph>,
         roster: &[VertexId],
         neighbor_cache: NeighborCache,
+        tier: Option<(Arc<TieredStore>, usize)>,
     ) -> Self {
-        let mut server = Self::empty(graph, neighbor_cache);
+        let mut resident: Box<[AtomicU64]> =
+            (0..graph.num_vertices().div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         for &v in roster {
             let (word, bit) = bit_of(v.0);
-            *server.resident[word].get_mut() |= bit;
+            *resident[word].get_mut() |= bit;
         }
-        server
-    }
-
-    /// A shard with no resident vertices yet — the starting state of a
-    /// split destination, populated by [`absorb`](Self::absorb).
-    pub fn empty(graph: Arc<AttributedHeterogeneousGraph>, neighbor_cache: NeighborCache) -> Self {
-        let words = graph.num_vertices().div_ceil(64);
-        GraphServer {
-            graph,
-            resident: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            neighbor_cache,
-            tier: None,
-        }
-    }
-
-    /// A shard served out of a [`TieredStore`]: nothing is kept here —
-    /// residency and rows live in the tier under its byte budget,
-    /// which is what lets the cluster hold graphs 10–100× beyond the
-    /// decoded-resident footprint. `shard` is this server's slot in the
-    /// tier's residency tables (seeded by the tier build; a split
-    /// destination starts empty and gains residency via
-    /// [`absorb`](Self::absorb)).
-    pub fn tiered(
-        graph: Arc<AttributedHeterogeneousGraph>,
-        store: Arc<TieredStore>,
-        shard: usize,
-        neighbor_cache: NeighborCache,
-    ) -> Self {
-        store.ensure_shard(shard);
-        let mut server = Self::empty(graph, neighbor_cache);
-        server.tier = Some(TierBinding { store, shard });
-        server
+        let tier = tier.map(|(store, shard)| {
+            store.ensure_shard(shard);
+            TierBinding { store, shard }
+        });
+        GraphServer { graph, resident, neighbor_cache, tier }
     }
 
     /// Announces this shard's next sampling frontier to the cold tier
-    /// ([`TieredStore::prefetch`]); a no-op returning 0 without one.
+    /// ([`TieredStore::prefetch`]): only the vertices resident here, since
+    /// this shard reads every other one through its neighbor cache or
+    /// remotely. A no-op returning 0 without a tier.
     pub fn prefetch(&self, frontier: &[VertexId]) -> usize {
-        self.tier.as_ref().map_or(0, |tier| tier.store.prefetch(tier.shard, frontier))
+        let Some(tier) = &self.tier else { return 0 };
+        let local: Vec<VertexId> = frontier.iter().copied().filter(|&v| self.is_local(v)).collect();
+        tier.store.prefetch(tier.shard, &local)
     }
 
     /// Number of resident vertices.
     pub fn num_owned(&self) -> usize {
-        if let Some(tier) = &self.tier {
-            return tier.store.num_resident(tier.shard);
-        }
         // ordering: a count for reports and tests, read between rebalances.
         self.resident.iter().map(|w| w.load(Ordering::Relaxed).count_ones() as usize).sum()
     }
@@ -133,9 +113,6 @@ impl GraphServer {
     /// Whether a vertex is resident on this server (false beyond the graph).
     #[inline]
     pub fn is_local(&self, v: VertexId) -> bool {
-        if let Some(tier) = &self.tier {
-            return tier.store.is_resident(tier.shard, v.0);
-        }
         let (word, bit) = bit_of(v.0);
         // ordering: Relaxed suffices; absorb() says why a reader routed
         // here through Residency sees the bit.
@@ -150,25 +127,28 @@ impl GraphServer {
     /// A movable copy of one resident vertex's state (`None` if not
     /// resident here). The source keeps serving the vertex until
     /// [`retire`](Self::retire) — live migration's both-sides-serve window.
+    /// A tiered shard reads the row through its tier slot.
     pub fn extract(&self, v: VertexId) -> Option<VertexRecord> {
-        if let Some(tier) = &self.tier {
-            return tier.store.extract(tier.shard, v);
-        }
         if !self.is_local(v) {
             return None;
         }
-        Some(VertexRecord { vertex: v, neighbors: self.graph.out_neighbors(v).into() })
+        let neighbors = match &self.tier {
+            Some(tier) => tier.store.extract(tier.shard, v)?,
+            None => self.graph.out_neighbors(v).into(),
+        };
+        Some(VertexRecord { vertex: v, neighbors })
     }
 
     /// Installs one migrated vertex record; after this the vertex serves
-    /// as `Local` here. Idempotent. An all-hot shard sets the vertex's bit
-    /// and keeps none of the record: its row is the shared graph's.
+    /// as `Local` here. Idempotent. The shard sets the vertex's bit and
+    /// keeps none of the record: its row is the shared graph's. A tiered
+    /// shard first offers the row to its tier slot, which admits it hot
+    /// when the admission rule takes it.
     pub fn absorb(&self, rec: VertexRecord) {
+        let (word, bit) = bit_of(rec.vertex.0);
         if let Some(tier) = &self.tier {
             tier.store.absorb(tier.shard, rec);
-            return;
         }
-        let (word, bit) = bit_of(rec.vertex.0);
         // ordering: absorb-then-flip needs no more than Relaxed here. This
         // fetch_or is sequenced before the migrator's Residency::cutover,
         // a Release store; a reader that Acquire-loads the new owner
@@ -181,10 +161,6 @@ impl GraphServer {
     /// the destination has absorbed and cut over, readers on the new epoch
     /// route there, so the source copy can go).
     pub fn retire(&self, vertices: &[u32]) {
-        if let Some(tier) = &self.tier {
-            tier.store.retire(tier.shard, vertices);
-            return;
-        }
         for &v in vertices {
             let (word, bit) = bit_of(v);
             // ordering: a retire runs in the topology publish's sweep, whose
@@ -195,9 +171,10 @@ impl GraphServer {
     }
 
     /// Classifies (and meters) one neighbor access from this shard without
-    /// touching the data: `Local` if resident, otherwise cached/remote per
-    /// the neighbor cache. The cluster serves the actual slice from the
-    /// shared graph.
+    /// touching the data: a vertex resident elsewhere is cached or remote
+    /// per the neighbor cache; a resident one is `Local`, unless this shard
+    /// is tiered and its tier read is cold. The cluster serves the actual
+    /// slice from the shared graph.
     pub fn classify(
         &self,
         v: VertexId,
@@ -205,43 +182,32 @@ impl GraphServer {
         stats: &AccessStats,
         model: &CostModel,
     ) -> AccessKind {
-        if let Some(tier) = &self.tier {
-            // Resident: the tier read decides hot vs cold (and promotes the
-            // row if the admission rule takes it) — residency, lookup and
-            // decode under this shard's lock, which no other worker's read
-            // takes.
-            if let Some(how) = tier.store.classify(tier.shard, v) {
-                return match how {
-                    TierRead::Hot => {
-                        stats.record(AccessKind::Local, model);
-                        AccessKind::Local
-                    }
-                    TierRead::Prefetched => {
-                        // Overlapped decode: counts as a cold op, costs only
-                        // the prefetch-hit latency on the blocking clock.
-                        stats.record_overlapped_cold(model);
-                        AccessKind::Cold
-                    }
-                    TierRead::Cold | TierRead::Materialized => {
-                        stats.record(AccessKind::Cold, model);
-                        AccessKind::Cold
-                    }
-                };
-            }
-            let kind = match self.neighbor_cache.lookup(v, hop, stats, model) {
-                CacheOutcome::Hit => AccessKind::CachedRemote,
-                CacheOutcome::Miss | CacheOutcome::MissEvicted => AccessKind::Remote,
-            };
-            stats.record(kind, model);
-            return kind;
-        }
-        let kind = if self.is_local(v) {
-            AccessKind::Local
-        } else {
+        let kind = if !self.is_local(v) {
             match self.neighbor_cache.lookup(v, hop, stats, model) {
                 CacheOutcome::Hit => AccessKind::CachedRemote,
                 CacheOutcome::Miss | CacheOutcome::MissEvicted => AccessKind::Remote,
             }
+        } else if let Some(tier) = &self.tier {
+            // ordering: the residency bit is read outside the tier slot's
+            // lock, which the tier read takes. A retire can land between
+            // the two only in a topology publish's sweep, inside
+            // migration's window where both shards serve the vertex, so
+            // the read is served here as it would have been a moment
+            // earlier: the race the all-hot path already accepts.
+            match tier.store.classify(tier.shard, v) {
+                // The tier read decides hot vs cold (and promotes the row
+                // if the admission rule takes it).
+                Some(TierRead::Hot) | None => AccessKind::Local,
+                Some(TierRead::Prefetched) => {
+                    // Overlapped decode: counts as a cold op, costs only
+                    // the prefetch-hit latency on the blocking clock.
+                    stats.record_overlapped_cold(model);
+                    return AccessKind::Cold;
+                }
+                Some(TierRead::Cold | TierRead::Materialized) => AccessKind::Cold,
+            }
+        } else {
+            AccessKind::Local
         };
         stats.record(kind, model);
         kind
@@ -267,7 +233,7 @@ mod tests {
         let cache = NeighborCache::build_fresh(&g, &strategy, 2);
         let roster: Vec<VertexId> =
             g.vertices().filter(|&v| part.owner_of(v) == WorkerId(0)).collect();
-        let server = GraphServer::ingest(g.clone(), &roster, cache);
+        let server = GraphServer::ingest(g.clone(), &roster, cache, None);
         (g, server)
     }
 
@@ -302,6 +268,51 @@ mod tests {
     }
 
     #[test]
+    fn a_tiered_shard_classifies_a_read_resident_elsewhere_as_an_all_hot_one() {
+        use crate::tier::TierConfig;
+        use aligraph_telemetry::Registry;
+        let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
+        let part = EdgeCutHash.partition(&g, 4);
+        let owners: Vec<u32> = g.vertices().map(|v| part.owner_of(v).0).collect();
+        let registry = Registry::new();
+        let store = TieredStore::build(
+            Arc::clone(&g),
+            &owners,
+            4,
+            TierConfig::with_budget(Some(3_000)),
+            CostModel::default(),
+            &registry,
+        );
+        let roster: Vec<VertexId> = g.vertices().filter(|v| owners[v.index()] == 0).collect();
+        let strategy = CacheStrategy::ImportanceBudget { k: 2, fraction: 0.3 };
+        let shard = |tier| {
+            let cache = NeighborCache::build_fresh(&g, &strategy, 2);
+            GraphServer::ingest(Arc::clone(&g), &roster, cache, tier)
+        };
+        let (all_hot, tiered) = (shard(None), shard(Some((Arc::clone(&store), 0))));
+        let (hot_stats, tiered_stats) = (AccessStats::new(), AccessStats::new());
+        let model = CostModel::default();
+        let tier_counters = || {
+            let snap = registry.snapshot();
+            (snap.counter_total("tier.reads"), snap.counter_total("tier.admit"))
+        };
+        let mut kinds = Vec::new();
+        for v in g.vertices().filter(|&v| !all_hot.is_local(v)) {
+            let kind = tiered.classify(v, 2, &tiered_stats, &model);
+            assert_eq!(kind, all_hot.classify(v, 2, &hot_stats, &model), "{v:?}");
+            kinds.push(kind);
+        }
+        assert!(kinds.contains(&AccessKind::Remote) && kinds.contains(&AccessKind::CachedRemote));
+        assert_eq!(tiered_stats.snapshot(), hot_stats.snapshot());
+        assert_eq!(tier_counters(), (0, 0), "a read resident elsewhere never reaches the tier");
+        // A resident read is the tier's: one read and, unless hot, one
+        // admission decision.
+        let local = roster.iter().copied().find(|&v| !store.is_hot_on(0, v)).unwrap();
+        assert_eq!(tiered.classify(local, 1, &tiered_stats, &model), AccessKind::Cold);
+        assert_eq!(tier_counters(), (1, 1));
+    }
+
+    #[test]
     fn owned_count_partitions_graph() {
         let g = Arc::new(TaobaoConfig::tiny().generate().unwrap());
         let part = EdgeCutHash.partition(&g, 3);
@@ -310,7 +321,7 @@ mod tests {
             let cache = NeighborCache::build_fresh(&g, &CacheStrategy::None, 1);
             let roster: Vec<VertexId> =
                 g.vertices().filter(|&v| part.owner_of(v) == WorkerId(w)).collect();
-            let s = GraphServer::ingest(g.clone(), &roster, cache);
+            let s = GraphServer::ingest(g.clone(), &roster, cache, None);
             total += s.num_owned();
         }
         assert_eq!(total, g.num_vertices());
@@ -319,7 +330,8 @@ mod tests {
     #[test]
     fn extract_absorb_retire_moves_residency() {
         let (g, server) = setup(CacheStrategy::None);
-        let dest = GraphServer::empty(g.clone(), NeighborCache::empty(g.num_vertices()));
+        let dest =
+            GraphServer::ingest(g.clone(), &[], NeighborCache::empty(g.num_vertices()), None);
         let v = g.vertices().find(|&v| server.is_local(v) && !g.out_neighbors(v).is_empty());
         let v = v.unwrap();
         let rec = server.extract(v).unwrap();

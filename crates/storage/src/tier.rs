@@ -45,10 +45,10 @@
 //! The **prefetch pipeline** ([`TieredStore::prefetch`]) batches the cold
 //! decodes of an upcoming sampling frontier into a double buffer: the
 //! sampler announces the next frontier (deterministic issue order — sorted,
-//! deduplicated, only rows resident on the issuing shard: the rest are
-//! read through the neighbor cache or remotely, never from here), decodes
-//! land in the standby buffer, and the buffers swap so gather/aggregate
-//! overlaps the decode. A staged row serves the reads its frontier
+//! deduplicated; its server passes only the rows resident on its shard:
+//! the rest are read through the neighbor cache or remotely, never from
+//! here), decodes land in the standby buffer, and the buffers swap so
+//! gather/aggregate overlaps the decode. A staged row serves the reads its frontier
 //! announced — named twice, it is decoded once — and follows the admission
 //! rule like any other: an admitted row moves to the hot set with its first
 //! read, a pass-through row leaves with its last. A read served from the
@@ -61,15 +61,17 @@
 //! Dirty feature rows ([`TieredStore::write_row`]) are written back on
 //! demotion into fresh segment generations (sorted, deterministic bytes).
 //!
-//! **Each shard owns its tier state**: its hot-row LRU, residency bitmap,
-//! feature generations, writeback staging, prefetch stage and row buffer
-//! sit behind that shard's own lock, under its share of the budget (the
-//! bytes of the seeded rows it owns plus an equal split of the slack, so
-//! the shares sum to the budget; `τ` is global). A read through a shard
-//! touches only rows resident there, so each shard's hot set is a function
-//! of its own reader's sequence, and training workers sample at once. The
-//! immutable adjacency segments, the key and the ranking are read outside
-//! every lock; the entry points that name no shard route to the owner.
+//! **Each shard owns its tier state**: its hot-row LRU, feature
+//! generations, writeback staging, prefetch stage and row buffer sit
+//! behind that shard's own lock, under its share of the budget (the bytes
+//! of the seeded rows it owns plus an equal split of the slack, so the
+//! shares sum to the budget; `τ` is global). Residency is not tier state:
+//! each [`crate::server::GraphServer`] keeps its own bits and reaches its
+//! tier slot only for a row resident on it, so each shard's hot set is a
+//! function of its own reader's sequence, and training workers sample at
+//! once. The immutable adjacency segments, the key and the ranking are
+//! read outside every lock; the entry points that name no shard route to
+//! the owner.
 
 use crate::codec::{
     decode_adjacency_into, decode_feature_row, encode_adjacency, encode_feature_row, zigzag,
@@ -282,9 +284,6 @@ struct ShardTier {
     /// `tier.peak_resident_bytes` and `tier.hot_rows` gauges: each gauge
     /// is the sum of the shards' parts.
     published: [i64; 3],
-    /// Residency bitmap (bit v = vertex v serves as Local from this shard).
-    resident: Vec<u64>,
-    resident_count: usize,
     /// Feature segment generations of the rows this shard owns, oldest
     /// first; empty until features are attached.
     feat_segments: Vec<Segment>,
@@ -313,33 +312,11 @@ impl ShardTier {
             hot_bytes: 0,
             peak_hot_bytes: 0,
             published: [0; 3],
-            resident: vec![0u64; vertices.div_ceil(64)],
-            resident_count: 0,
             feat_segments: Vec::new(),
             writeback_pending: BTreeMap::new(),
             prefetch_active: HashMap::new(),
             row_nbrs: Vec::new(),
         }
-    }
-
-    fn set_resident(&mut self, v: u32, on: bool) {
-        let (word, bit) = (v as usize / 64, v as usize % 64);
-        if word >= self.resident.len() {
-            self.resident.resize(word + 1, 0);
-        }
-        let mask = 1u64 << bit;
-        let was = self.resident[word] & mask != 0;
-        if on && !was {
-            self.resident[word] |= mask;
-            self.resident_count += 1;
-        } else if !on && was {
-            self.resident[word] &= !mask;
-            self.resident_count -= 1;
-        }
-    }
-
-    fn is_resident(&self, v: u32) -> bool {
-        self.resident.get(v as usize / 64).is_some_and(|w| w & (1u64 << (v as usize % 64)) != 0)
     }
 }
 
@@ -348,8 +325,8 @@ type ShardHandle = Arc<Mutex<ShardTier>>;
 
 /// The out-of-core tier beneath a cluster's shards. One instance is shared
 /// by every [`crate::server::GraphServer`] of a tiered cluster; each shard's
-/// hot set, residency, prefetch stage and feature generations sit behind
-/// that shard's own lock.
+/// hot set, prefetch stage and feature generations sit behind that shard's
+/// own lock.
 #[derive(Debug)]
 pub struct TieredStore {
     graph: Arc<AttributedHeterogeneousGraph>,
@@ -387,11 +364,10 @@ pub struct TieredStore {
 
 impl TieredStore {
     /// Builds the tier: encodes every vertex's adjacency into its owner
-    /// shard's generation-0 segment, seeds residency from `owners`, computes
-    /// the admission key and ranking (one pass over the segments' index,
-    /// one sort per build), and admits the highest-ranked rows hot until the
-    /// budget is reached, which fixes the threshold `τ` and each shard's
-    /// budget share.
+    /// shard's generation-0 segment (`owners`), computes the admission key
+    /// and ranking (one pass over the segments' index, one sort per build),
+    /// and admits the highest-ranked rows hot until the budget is reached,
+    /// which fixes the threshold `τ` and each shard's budget share.
     pub fn build(
         graph: Arc<AttributedHeterogeneousGraph>,
         owners: &[u32],
@@ -434,9 +410,6 @@ impl TieredStore {
                 .enumerate()
                 .map(|(slot, share)| ShardTier::new(slot, share, n))
                 .collect();
-        for v in graph.vertices() {
-            states[owners[v.index()] as usize].set_resident(v.0, true);
-        }
         let metrics = TierMetrics::registered(registry);
         metrics
             .segment_bytes
@@ -561,19 +534,9 @@ impl TieredStore {
         self.all_shards().iter().map(|s| s.lock().peak_hot_bytes).sum()
     }
 
-    /// Whether `v` serves as `Local` from `shard`.
-    pub fn is_resident(&self, shard: usize, v: u32) -> bool {
-        self.on_shard(shard, |st| st.is_resident(v)).unwrap_or(false)
-    }
-
-    /// Number of vertices resident on `shard`.
-    pub fn num_resident(&self, shard: usize) -> usize {
-        self.on_shard(shard, |st| st.resident_count).unwrap_or(0)
-    }
-
     /// Grows the per-shard tables to cover `slot` (a split's new shard). A
     /// new slot's budget share is 0: its rows pass through.
-    pub fn ensure_shard(&self, slot: usize) {
+    pub(crate) fn ensure_shard(&self, slot: usize) {
         let mut added = self.added.write();
         while self.built.len() + added.len() <= slot {
             let share = self.cfg.resident_budget.map(|_| 0);
@@ -594,12 +557,11 @@ impl TieredStore {
     }
 
     /// Meters one adjacency read of `v` from `shard` without handing out the
-    /// data — what [`crate::server::GraphServer::classify`] needs: residency
-    /// check, hot lookup and cold decode under that shard's lock, no `Arc`
-    /// cloned. `None` when `v` is not resident on `shard`.
+    /// data — what [`crate::server::GraphServer::classify`] needs for a
+    /// vertex resident on it: hot lookup and cold decode under that shard's
+    /// lock, no `Arc` cloned. `None` past the last slot.
     pub(crate) fn classify(&self, shard: usize, v: VertexId) -> Option<TierRead> {
-        self.on_shard(shard, |st| st.is_resident(v.0).then(|| self.read_row(st, v, false).0))
-            .flatten()
+        self.on_shard(shard, |st| self.read_row(st, v, false).0)
     }
 
     /// The one adjacency read every entry point goes through: the shard's
@@ -731,14 +693,14 @@ impl TieredStore {
     }
 
     /// Announces the next sampling frontier of the worker on `shard`:
-    /// decodes each adjacency row that is resident there and not hot into
-    /// the shard's standby buffer (deterministic issue order — sorted,
-    /// deduplicated) and swaps buffers. Rows resident elsewhere are left
-    /// alone — that worker reads them through its neighbor cache or
-    /// remotely, never from the tier. Rows left unread in the old buffer
-    /// count as wasted prefetch. Decode cost lands on the overlapped
-    /// storage clock, not the blocking one. Returns how many rows were
-    /// issued.
+    /// decodes each adjacency row that is not hot into the shard's standby
+    /// buffer (deterministic issue order — sorted, deduplicated) and swaps
+    /// buffers. The frontier is the rows resident on `shard`
+    /// ([`crate::server::GraphServer::prefetch`] filters it): that worker
+    /// reads every other row through its neighbor cache or remotely, never
+    /// from the tier. Rows left unread in the old buffer count as wasted
+    /// prefetch. Decode cost lands on the overlapped storage clock, not the
+    /// blocking one. Returns how many rows were issued.
     pub fn prefetch(&self, shard: usize, frontier: &[VertexId]) -> usize {
         let mut ids: Vec<u32> = frontier.iter().map(|v| v.0).collect();
         ids.sort_unstable();
@@ -755,7 +717,7 @@ impl TieredStore {
             let mut issued = 0usize;
             for (v, announced) in runs {
                 let key = RowKey { kind: KIND_ADJ, vertex: v };
-                if !st.is_resident(v) || st.hot.peek(&key).is_some() {
+                if st.hot.peek(&key).is_some() {
                     continue;
                 }
                 if let Some(staged) = st.prefetch_active.remove(&v) {
@@ -821,23 +783,17 @@ impl TieredStore {
         self.metrics.writeback_segments.inc();
     }
 
-    /// A movable copy of one resident vertex's state (`None` if not
-    /// resident on `shard`) — the tiered form of
-    /// [`crate::server::GraphServer::extract`].
-    pub fn extract(&self, shard: usize, v: VertexId) -> Option<VertexRecord> {
-        let row =
-            self.on_shard(shard, |st| st.is_resident(v.0).then(|| self.read_row(st, v, true).1));
-        let neighbors = row.flatten().flatten()?;
-        Some(VertexRecord { vertex: v, neighbors })
+    /// Reads the row [`crate::server::GraphServer::extract`] ships for a
+    /// vertex resident on `shard` (`None` past the last slot).
+    pub(crate) fn extract(&self, shard: usize, v: VertexId) -> Option<Arc<[Neighbor]>> {
+        self.on_shard(shard, |st| self.read_row(st, v, true).1).flatten()
     }
 
-    /// Installs one migrated vertex record as resident on `shard` — and hot
-    /// (a freshly migrated row is about to be read) when the admission rule
-    /// takes it under that shard's share.
-    pub fn absorb(&self, shard: usize, rec: VertexRecord) {
-        self.ensure_shard(shard);
+    /// Offers one migrated vertex record to `shard`'s hot set — a freshly
+    /// migrated row is about to be read — which admits it when the
+    /// admission rule takes it under that shard's share.
+    pub(crate) fn absorb(&self, shard: usize, rec: VertexRecord) {
         self.on_shard(shard, |st| {
-            st.set_resident(rec.vertex.0, true);
             if !self.admits(st.budget, rec.vertex.0, rec.neighbors.len()) {
                 return;
             }
@@ -847,15 +803,6 @@ impl TieredStore {
                 HotRow::Adjacency { nbrs: rec.neighbors },
             );
             self.publish_gauges(st);
-        });
-    }
-
-    /// Drops residency of the given vertices from `shard`.
-    pub fn retire(&self, shard: usize, vertices: &[u32]) {
-        self.on_shard(shard, |st| {
-            for &v in vertices {
-                st.set_resident(v, false);
-            }
         });
     }
 
@@ -1244,21 +1191,25 @@ mod tests {
         let registry = Registry::new();
         let (g, store) = setup_registered(Some(3_000), &registry);
         // A row the admission rule takes but the seeded prefix did not
-        // reach, a pass-through row of the same shard, and a stretch of
-        // vertices of every shard.
+        // reach, a pass-through row and a hot row of the same shard, and a
+        // stretch of its vertices: the shard's server passes the tier only
+        // rows resident on it, which at build time are the rows it owns.
         let qualifying =
             g.vertices().find(|&v| store.is_important(v.0) && !store.is_hot(v)).unwrap();
         let shard = store.owner[qualifying.index()] as usize;
-        let bypassed = g
+        let resident = |v: &VertexId| store.owner[v.index()] as usize == shard;
+        let bypassed = g.vertices().find(|v| !store.is_important(v.0) && resident(v)).unwrap();
+        let hot = g.vertices().find(|v| resident(v) && store.is_hot(*v)).unwrap();
+        let frontier: Vec<VertexId> = g
             .vertices()
-            .find(|&v| !store.is_important(v.0) && store.is_resident(shard, v.0))
-            .unwrap();
-        let frontier: Vec<VertexId> =
-            g.vertices().skip(50).take(16).chain([qualifying, bypassed, bypassed]).collect();
-        let expected: Vec<bool> =
-            frontier.iter().map(|&v| store.is_resident(shard, v.0) && !store.is_hot(v)).collect();
+            .skip(50)
+            .filter(resident)
+            .take(16)
+            .chain([qualifying, bypassed, bypassed, hot])
+            .collect();
+        let expected: Vec<bool> = frontier.iter().map(|&v| !store.is_hot(v)).collect();
         let issued = store.prefetch(shard, &frontier);
-        // Staged: exactly the rows resident on the issuing shard and not hot.
+        // Staged: exactly the rows that are not hot.
         assert_eq!(issued + 1, expected.iter().filter(|&&e| e).count(), "one row is named twice");
         assert!(expected.contains(&false), "the frontier must also hold rows that are skipped");
         for (&v, &want) in frontier.iter().zip(&expected) {
@@ -1302,15 +1253,13 @@ mod tests {
             .tier_config(TierConfig::with_budget(Some(2_000)))
             .build();
         let tier = cluster.tier().unwrap();
+        let server = cluster.server(WorkerId(0));
         // A mixed frontier: both shards' vertices, hot and cold rows.
         let frontier: Vec<VertexId> = g.vertices().collect();
-        let local_cold: Vec<VertexId> = frontier
-            .iter()
-            .copied()
-            .filter(|&v| tier.is_resident(0, v.0) && !tier.is_hot(v))
-            .collect();
+        let local_cold: Vec<VertexId> =
+            frontier.iter().copied().filter(|&v| server.is_local(v) && !tier.is_hot(v)).collect();
         assert!(!local_cold.is_empty() && local_cold.len() < frontier.len());
-        assert!(frontier.iter().any(|&v| tier.is_resident(0, v.0) && tier.is_hot(v)));
+        assert!(frontier.iter().any(|&v| server.is_local(v) && tier.is_hot(v)));
         let issued = cluster.prefetch(WorkerId(0), &frontier);
         assert_eq!(issued, local_cold.len(), "issued = the local rows that were not hot");
         for &v in &frontier {
@@ -1480,14 +1429,13 @@ mod tests {
         let features = Featurizer::new(8).matrix(&g);
         store.attach_features(&features).unwrap();
         let before = hot_sets(&store);
-        // Shard 1 reads every row resident on it twice, and every feature row
-        // it owns: its hot set churns under its share, the others' do not.
-        for v in g.vertices() {
+        // Shard 1 reads every row resident on it (at build time, the rows
+        // it owns) twice, and every feature row it owns: its hot set churns
+        // under its share, the others' do not.
+        for v in g.vertices().filter(|v| store.owner[v.index()] == 1) {
             store.classify(1, v);
             store.classify(1, v);
-            if store.owner[v.index()] == 1 {
-                store.feature_row(v).unwrap();
-            }
+            store.feature_row(v).unwrap();
         }
         let after = hot_sets(&store);
         assert_ne!(after[1], before[1], "shard 1's reads must move its own hot set");
@@ -1506,18 +1454,30 @@ mod tests {
 
     #[test]
     fn residency_moves_with_extract_absorb_retire() {
+        use crate::neighbor_cache::NeighborCache;
+        use crate::server::GraphServer;
+        // Residency is the servers' bits; the tier reads the row a source
+        // extracts and offers a destination's slot the row it absorbs.
         let (g, store) = setup(Some(4_000));
-        let v = g.vertices().next().unwrap();
-        let home = (0..4).find(|&s| store.is_resident(s, v.0)).unwrap();
-        let rec = store.extract(home, v).unwrap();
+        let shard = |roster: &[VertexId], slot: usize| {
+            let cache = NeighborCache::empty(g.num_vertices());
+            GraphServer::ingest(Arc::clone(&g), roster, cache, Some((Arc::clone(&store), slot)))
+        };
+        let v = store.ranking.iter().map(|&v| VertexId(v)).find(|&v| store.is_hot(v)).unwrap();
+        let home = store.owner[v.index()] as usize;
+        let roster: Vec<VertexId> =
+            g.vertices().filter(|u| store.owner[u.index()] as usize == home).collect();
+        let (src, dst) = (shard(&roster, home), shard(&[], 5));
+        let rec = src.extract(v).unwrap();
         assert_eq!(&rec.neighbors[..], g.out_neighbors(v));
-        store.ensure_shard(5);
-        store.absorb(5, rec);
-        assert!(store.is_resident(5, v.0));
-        assert!(store.is_resident(home, v.0), "both-sides-serve window");
-        store.retire(home, &[v.0]);
-        assert!(!store.is_resident(home, v.0));
-        assert_eq!(store.extract(home, v), None);
+        assert_eq!(store.read_adjacency(v).1, TierRead::Hot, "extract leaves the row hot");
+        dst.absorb(rec);
+        assert!(dst.is_local(v) && src.is_local(v), "both-sides-serve window");
+        assert!(!store.is_hot_on(5, v), "a split slot's share is 0: the row passes through");
+        src.retire(&[v.0]);
+        assert!(!src.is_local(v));
+        assert_eq!(src.extract(v), None);
+        assert_eq!(dst.num_owned(), 1);
     }
 
     #[test]

@@ -299,14 +299,17 @@ fn tiered_cluster_survives_shard_split() {
     let (cluster, _) = tiered_cluster(&g, Some((full / 4).max(1)));
     let plane = FaultPlane::new(FaultPlan::default());
     cluster.rebalance(RebalanceOp::Split { shard: 0 }, &plane, &RetryPolicy::default()).unwrap();
+    // Every vertex resident on the shard it routes to and on no other,
+    // rows still bit-exact.
+    cluster.verify_residency().unwrap();
     let tier = cluster.tier().unwrap();
-    // Every vertex still resident somewhere, rows still bit-exact.
-    let shards = cluster.num_shards();
+    let servers: Vec<_> =
+        (0..cluster.num_shards() as u32).map(|s| cluster.server(WorkerId(s))).collect();
     for v in g.vertices() {
-        assert!(
-            (0..shards).any(|s| tier.is_resident(s, v.0)),
-            "vertex {v:?} lost residency in the split"
-        );
+        let home = cluster.primary_of(v).unwrap();
+        for (slot, server) in servers.iter().enumerate() {
+            assert_eq!(server.is_local(v), slot == home.index(), "vertex {v:?} on shard {slot}");
+        }
         let (nbrs, _) = tier.read_adjacency(v);
         assert_eq!(&nbrs[..], g.out_neighbors(v));
     }
