@@ -169,8 +169,8 @@ impl<'a> ClusterBuilder<'a> {
 
     /// Meter shards' resident reads through a cold tier (compressed sealed
     /// segments under a resident-byte budget) instead of treating every row
-    /// as decoded and hot. The tier sits on top of the fully resident shared
-    /// graph. See [`crate::tier`].
+    /// as decoded and hot. The tier is a cost model over the fully resident
+    /// shared graph. See [`crate::tier`].
     pub fn tier_config(mut self, cfg: TierConfig) -> Self {
         self.tier = Some(cfg);
         self
@@ -213,11 +213,11 @@ impl<'a> ClusterBuilder<'a> {
         let t2 = Stopwatch::start();
         // A tiered build first encodes every shard's rows into sealed
         // segments (the tier build); each shard is then ingested as an
-        // all-hot one is and bound to its tier slot. The tier's hot rows
-        // and segments are copies on top of the shared graph, which stays
-        // fully resident: the budget bounds the hot copies, not the graph
-        // (a tiered build of `perf`'s `train_tiered` graph adds 63.8 MB of
-        // RSS, ROADMAP item 25).
+        // all-hot one is and bound to its tier slot. The tier is a cost
+        // model over the shared graph, which stays fully resident: its hot
+        // set holds charges, not rows, the budget bounds those charges, and
+        // the segments are an encoded copy on top of the graph (ROADMAP
+        // item 25).
         let tier = self.tier.map(|cfg| {
             let owners: Vec<u32> = graph.vertices().map(|v| partition.owner_of(v).0).collect();
             TieredStore::build(Arc::clone(&graph), &owners, p, cfg, self.cost, registry)

@@ -74,9 +74,9 @@ pub struct CostModel {
     /// Blocking read from the compressed cold tier (decode included) —
     /// modelled on an NVMe read, an order of magnitude above a remote RPC.
     pub cold_ns: u64,
-    /// Cold read served from the prefetch double-buffer: the decode already
+    /// Cold read served from the prefetch stage: the decode already
     /// happened overlapped with gather/aggregate, so the hot path only pays
-    /// one buffer lookup (slightly above a cache hit).
+    /// one stage lookup (slightly above a cache hit).
     pub prefetch_hit_ns: u64,
 }
 

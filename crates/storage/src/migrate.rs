@@ -120,7 +120,7 @@ impl From<RouteError> for MigrationError {
 }
 
 /// One message of the migration stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum MigrationRecord {
     /// A moving vertex's shard-resident state.
     Vertex(VertexRecord),
@@ -268,7 +268,7 @@ impl Cluster {
             let land = || {
                 bytes += record.bytes();
                 self.migration_meter.record(AccessKind::Remote, record.bytes(), self.cost_model());
-                for rec in sequencer.offer(seq.get(), record.clone()) {
+                for rec in sequencer.offer(seq.get(), record) {
                     match rec {
                         MigrationRecord::Vertex(rec) => {
                             let v = rec.vertex;

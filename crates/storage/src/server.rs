@@ -11,23 +11,23 @@
 use crate::cost::{AccessKind, AccessStats, CostModel};
 use crate::neighbor_cache::{CacheOutcome, NeighborCache};
 use crate::tier::{TierRead, TieredStore};
-use aligraph_graph::{AttributedHeterogeneousGraph, Neighbor, VertexId};
+use aligraph_graph::{AttributedHeterogeneousGraph, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One vertex's movable shard-resident state: the unit a live migration
-/// streams from source to destination.
-#[derive(Debug, Clone, PartialEq)]
+/// One vertex's movable shard-resident state, the unit a live migration
+/// streams: the vertex and the degree of its row (the shared graph's).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VertexRecord {
     /// The vertex being moved.
     pub vertex: VertexId,
-    /// Its out-adjacency.
-    pub neighbors: Arc<[Neighbor]>,
+    /// Its out-degree.
+    pub degree: u32,
 }
 
-/// What migration meters for one neighbor on the wire: the record's size
-/// before it dropped its edge id (12 B of vertex, weight and packed
-/// type/attr, not the 16-byte [`Neighbor`]). It is the pinned wire price:
+/// The modelled wire price of one neighbor of the row a record stands for:
+/// the record's size before it dropped its edge id (12 B of vertex, weight
+/// and packed type/attr, not the 16-byte `Neighbor`). It is pinned:
 /// `BENCH_rebalance.json`'s `topology.migration.bytes` is computed from it,
 /// as the tier's budget is from its `CHARGED_NEIGHBOR_BYTES`.
 const WIRE_NEIGHBOR_BYTES: u64 = 12;
@@ -35,7 +35,7 @@ const WIRE_NEIGHBOR_BYTES: u64 = 12;
 impl VertexRecord {
     /// Payload size of this record on the wire (what migration meters).
     pub fn bytes(&self) -> u64 {
-        4 + self.neighbors.len() as u64 * WIRE_NEIGHBOR_BYTES
+        4 + u64::from(self.degree) * WIRE_NEIGHBOR_BYTES
     }
 }
 
@@ -53,10 +53,10 @@ pub struct GraphServer {
     /// Neighbor cache for remote vertices (Algorithm 2).
     neighbor_cache: NeighborCache,
     /// Cold-tier binding: this shard's slot in a shared [`TieredStore`],
-    /// which keeps the slot's hot rows, prefetch stage and feature
+    /// which keeps the slot's hot set, prefetch stage and feature
     /// generations, and meters a resident read whose row is cold as
-    /// [`AccessKind::Cold`]. The tier's hot rows and segments are copies
-    /// on top of the shared graph, which stays fully resident.
+    /// [`AccessKind::Cold`]: a cost model over the fully resident shared
+    /// graph, whose hot set holds charges, not rows.
     tier: Option<TierBinding>,
 }
 
@@ -74,7 +74,7 @@ impl GraphServer {
     /// [`absorb`](Self::absorb)). The rows stay in the shared graph, which
     /// is this reproduction's one copy of the storage. `tier` binds the
     /// shard to its slot in a cold tier: the tier meters its resident reads
-    /// and keeps the slot's hot rows.
+    /// and keeps the slot's hot set.
     pub fn ingest(
         graph: Arc<AttributedHeterogeneousGraph>,
         roster: &[VertexId],
@@ -124,26 +124,20 @@ impl GraphServer {
         &self.neighbor_cache
     }
 
-    /// A movable copy of one resident vertex's state (`None` if not
-    /// resident here). The source keeps serving the vertex until
-    /// [`retire`](Self::retire) — live migration's both-sides-serve window.
-    /// A tiered shard reads the row through its tier slot.
+    /// The record of one resident vertex (`None` if not resident here),
+    /// from the graph: a tiered source reads nothing through its tier slot.
+    /// The source keeps serving the vertex until [`retire`](Self::retire) —
+    /// live migration's both-sides-serve window.
     pub fn extract(&self, v: VertexId) -> Option<VertexRecord> {
-        if !self.is_local(v) {
-            return None;
-        }
-        let neighbors = match &self.tier {
-            Some(tier) => tier.store.extract(tier.shard, v)?,
-            None => self.graph.out_neighbors(v).into(),
-        };
-        Some(VertexRecord { vertex: v, neighbors })
+        self.is_local(v)
+            .then(|| VertexRecord { vertex: v, degree: self.graph.out_degree(v) as u32 })
     }
 
     /// Installs one migrated vertex record; after this the vertex serves
     /// as `Local` here. Idempotent. The shard sets the vertex's bit and
     /// keeps none of the record: its row is the shared graph's. A tiered
-    /// shard first offers the row to its tier slot, which admits it hot
-    /// when the admission rule takes it.
+    /// shard first offers the record's degree to its tier slot, which
+    /// charges the row hot when the admission rule takes it.
     pub fn absorb(&self, rec: VertexRecord) {
         let (word, bit) = bit_of(rec.vertex.0);
         if let Some(tier) = &self.tier {
@@ -335,8 +329,8 @@ mod tests {
         let v = g.vertices().find(|&v| server.is_local(v) && !g.out_neighbors(v).is_empty());
         let v = v.unwrap();
         let rec = server.extract(v).unwrap();
-        assert_eq!(&*rec.neighbors, g.out_neighbors(v));
-        dest.absorb(rec.clone());
+        assert_eq!(rec.degree as usize, g.out_degree(v));
+        dest.absorb(rec);
         // Both-sides window: source still serves until retirement.
         assert!(server.is_local(v));
         assert!(dest.is_local(v));
@@ -351,22 +345,39 @@ mod tests {
 
     #[test]
     fn all_hot_extract_ships_the_graph_row() {
-        let (g, server) = setup(CacheStrategy::None);
-        let mut resident = 0;
-        for v in g.vertices() {
-            let Some(rec) = server.extract(v) else {
-                assert!(!server.is_local(v), "a resident vertex {} extracts", v.0);
-                continue;
-            };
-            assert!(server.is_local(v));
-            resident += 1;
-            assert_eq!(rec.vertex, v);
-            assert_eq!(&*rec.neighbors, g.out_neighbors(v));
-            assert_eq!(rec.bytes(), 4 + 12 * rec.neighbors.len() as u64, "vertex {}", v.0);
+        use crate::tier::TierConfig;
+        use aligraph_telemetry::Registry;
+        // An all-hot shard and a tiered shard of the same roster ship the
+        // same records: the vertex and the degree of its graph row.
+        let (g, all_hot) = setup(CacheStrategy::None);
+        let owners: Vec<u32> = g.vertices().map(|v| u32::from(!all_hot.is_local(v))).collect();
+        let store = TieredStore::build(
+            Arc::clone(&g),
+            &owners,
+            2,
+            TierConfig::with_budget(Some(3_000)),
+            CostModel::default(),
+            &Registry::disabled(),
+        );
+        let roster: Vec<VertexId> = g.vertices().filter(|&v| all_hot.is_local(v)).collect();
+        let cache = NeighborCache::empty(g.num_vertices());
+        let tiered = GraphServer::ingest(Arc::clone(&g), &roster, cache, Some((store, 0)));
+        for server in [&all_hot, &tiered] {
+            let mut resident = 0;
+            for v in g.vertices() {
+                let Some(rec) = server.extract(v) else {
+                    assert!(!server.is_local(v), "a resident vertex {} extracts", v.0);
+                    continue;
+                };
+                assert!(server.is_local(v));
+                resident += 1;
+                assert_eq!((rec.vertex, rec.degree as usize), (v, g.out_degree(v)));
+                assert_eq!(rec.bytes(), 4 + 12 * g.out_degree(v) as u64, "vertex {}", v.0);
+            }
+            assert_eq!(resident, server.num_owned());
+            let beyond = VertexId(g.num_vertices() as u32);
+            assert!(!server.is_local(beyond));
+            assert!(server.extract(beyond).is_none());
         }
-        assert_eq!(resident, server.num_owned());
-        let beyond = VertexId(g.num_vertices() as u32);
-        assert!(!server.is_local(beyond));
-        assert!(server.extract(beyond).is_none());
     }
 }

@@ -1,18 +1,23 @@
 //! Tiered storage: a compressed in-memory cold tier under a byte-budgeted
-//! hot set of decoded rows, with the paper's own importance analysis
-//! deciding *what* stays hot.
+//! hot set, with the paper's own importance analysis deciding *what* stays
+//! hot.
 //!
 //! A [`TieredStore`] sits beneath the sharded store. At build time every
 //! vertex's adjacency row is block-columnar encoded ([`crate::codec`]) into
 //! per-shard segments ([`crate::segment`]); feature rows join
-//! via [`TieredStore::attach_features`]. A **hot set** of decoded rows is
-//! bounded by a resident-byte budget ([`TierConfig::resident_budget`]).
+//! via [`TieredStore::attach_features`]. The tier is a **cost model over
+//! the one shared graph**, as the neighbor cache is: every reader is served
+//! the graph's row, so a cold read decodes its row and meters the work but
+//! keeps nothing, and the **hot set** holds charges (an adjacency row's id
+//! and degree), not copies, under a resident-byte budget
+//! ([`TierConfig::resident_budget`]). A hot feature row keeps its data: a
+//! written row's hot copy is its only copy.
 //!
 //! The cold tier is **memory**, as the paper's storage is (§3.1): the
 //! segments stay in process memory, and a cold read costs a decode, not a
 //! device read. The tier is decode-bound by design; it models compression
 //! and decode cost, not storage offloading. The budget therefore bounds
-//! the decoded hot rows only: it does not count the encoded segments
+//! the hot set's charges only: it does not count the encoded segments
 //! (the `tier.segment_bytes` gauge), the shared graph every shard reads,
 //! or the parameter-server and replica copies of the model.
 //!
@@ -30,7 +35,7 @@
 //! ranked row that no longer fits (`plan_hot_set`). From then on an
 //! adjacency row is admitted hot iff `key(v) ≥ τ` and it fits the budget
 //! alone; any other row is **pass-through**: decoded into
-//! one reused row buffer, served, admitted nowhere and demoting nothing.
+//! one reused row buffer, metered, admitted nowhere and demoting nothing.
 //! With no budget `τ` is 0 and every row is admitted. Among the admitted
 //! rows, and for feature rows — always admitted, because dirty-row
 //! writeback rides on demotion — an LRU demotes the coldest row when a
@@ -42,17 +47,17 @@
 //! against the all-hot oracle — that is the tier's headline invariant,
 //! pinned by `tests/storage_integration.rs`.
 //!
-//! The **prefetch pipeline** ([`TieredStore::prefetch`]) batches the cold
-//! decodes of an upcoming sampling frontier into a double buffer: the
+//! The **prefetch pipeline** ([`TieredStore::prefetch`]) issues the cold
+//! decodes of an upcoming sampling frontier ahead of its reads: the
 //! sampler announces the next frontier (deterministic issue order — sorted,
 //! deduplicated; its server passes only the rows resident on its shard:
 //! the rest are read through the neighbor cache or remotely, never from
-//! here), decodes land in the standby buffer, and the buffers swap so
-//! gather/aggregate overlaps the decode. A staged row serves the reads its frontier
+//! here), and a stage replacing the last counts each row's announced reads.
+//! A staged row serves the reads its frontier
 //! announced — named twice, it is decoded once — and follows the admission
 //! rule like any other: an admitted row moves to the hot set with its first
 //! read, a pass-through row leaves with its last. A read served from the
-//! buffer still counts as a cold op, but only `prefetch_hit_ns` lands on
+//! stage still counts as a cold op, but only `prefetch_hit_ns` lands on
 //! the blocking clock ([`crate::cost::AccessStats::record_overlapped_cold`]);
 //! the full `cold_ns` is charged to the overlapped storage clock
 //! (`tier.io.virtual_ns`). Everything is virtual-tick metered — no wall
@@ -89,8 +94,8 @@ use std::sync::Arc;
 /// Cold-tier configuration.
 #[derive(Debug, Clone, Default)]
 pub struct TierConfig {
-    /// Byte cap on decoded hot rows. `None` = unbounded (every row hot —
-    /// the oracle configuration). The encoded segments are not counted.
+    /// Byte cap on the hot set's charges. `None` = unbounded (every row hot
+    /// — the oracle configuration). Segments and the graph are not counted.
     pub resident_budget: Option<u64>,
 }
 
@@ -107,7 +112,7 @@ impl TierConfig {
 pub enum TierRead {
     /// Decoded row was already hot.
     Hot,
-    /// Served from the prefetch double-buffer (decode overlapped).
+    /// Served from the prefetch stage (decode overlapped).
     Prefetched,
     /// Blocking cold decode from a segment.
     Cold,
@@ -141,25 +146,27 @@ struct RowKey {
     vertex: u32,
 }
 
+/// One hot row: an adjacency row is its charge (the row is the shared
+/// graph's), a feature row its data.
 #[derive(Debug, Clone)]
 enum HotRow {
-    Adjacency { nbrs: Arc<[Neighbor]> },
+    Adjacency { degree: usize },
     Feature { row: Arc<[f32]>, dirty: bool },
 }
 
-/// What the resident budget charges for one decoded neighbor: the pinned
-/// budget unit (28 B), which over-bounds the 16-byte [`Neighbor`], so the
-/// budget still caps the real bytes. `τ`, the hot set and `perf/`'s
+/// What the resident budget charges for one neighbor of a hot adjacency
+/// row: the pinned budget unit (28 B), which over-bounds the 16-byte
+/// [`Neighbor`] a decoded row would take. `τ`, the hot set and `perf/`'s
 /// budget-share check (its `train_tiered` budget is sized at 28 B a
 /// degree) are all calibrated to it; re-fitting it to 16 B moves them
 /// together: ROADMAP item 2 (d).
 const CHARGED_NEIGHBOR_BYTES: u64 = 28;
 
 impl HotRow {
-    /// Decoded in-memory footprint charged against the resident budget.
+    /// What the row is charged against the resident budget.
     fn bytes(&self) -> u64 {
         match self {
-            HotRow::Adjacency { nbrs } => adjacency_bytes(nbrs.len()),
+            HotRow::Adjacency { degree } => adjacency_bytes(*degree),
             HotRow::Feature { row, .. } => 32 + row.len() as u64 * 4,
         }
     }
@@ -250,12 +257,11 @@ impl TierMetrics {
     }
 }
 
-/// One row of the prefetch stage. It serves exactly the reads its frontier
-/// announced — a frontier naming a row twice decodes it once — and then
-/// leaves, so the stage never turns into an uncharged cache.
+/// One row of the prefetch stage, decoded when its frontier was issued. It
+/// serves exactly the reads its frontier announced (named twice, decoded
+/// once) and leaves, so the stage never turns into an uncharged cache.
 #[derive(Debug)]
 struct Staged {
-    row: Arc<[Neighbor]>,
     /// How many times the announced frontier names the row.
     announced: u32,
     /// Reads served from it since; a row still at 0 when the next frontier
@@ -274,7 +280,7 @@ struct ShardTier {
     /// This shard's share of the resident budget (`None` = unbounded); see
     /// [`budget_shares`].
     budget: Option<u64>,
-    /// Decoded hot rows, recency-ordered. Count capacity equals the maximum
+    /// Hot rows, recency-ordered. Count capacity equals the maximum
     /// possible live entries (one adjacency + one feature row per vertex),
     /// so count-eviction never fires; the byte budget is enforced here.
     hot: LruCache<RowKey, HotRow>,
@@ -291,13 +297,13 @@ struct ShardTier {
     /// so the flush drains in sorted vertex order — one canonical byte
     /// stream per logical content.
     writeback_pending: BTreeMap<u32, Arc<[f32]>>,
-    /// The prefetch double-buffer's active side: decoded adjacency rows the
-    /// announced frontier is about to read.
+    /// The prefetch stage: the adjacency rows the announced frontier is
+    /// about to read, their decodes already issued.
     prefetch_active: HashMap<u32, Staged>,
     /// The row buffer every cold adjacency decode lands in, reused across
-    /// reads: one row at a time, bounded by the largest row, and — like the
-    /// prefetch stage — not charged to the budget. A pass-through read
-    /// never leaves it.
+    /// reads: one row at a time, bounded by the largest row, and not
+    /// charged to the budget. Only [`TieredStore::read_adjacency`] hands
+    /// out what it holds.
     row_nbrs: Vec<Neighbor>,
 }
 
@@ -431,11 +437,11 @@ impl TieredStore {
         // Least important first, so the least important hot row is also the
         // least recently used — the first demotion victim.
         for &v in seeds.iter().rev() {
-            let nbrs = store.graph.out_neighbors(VertexId(v)).into();
+            let degree = store.graph.out_degree(VertexId(v));
             store.admit(
                 &mut states[owners[v as usize] as usize],
                 RowKey { kind: KIND_ADJ, vertex: v },
-                HotRow::Adjacency { nbrs },
+                HotRow::Adjacency { degree },
             );
         }
         for st in &mut states {
@@ -546,67 +552,66 @@ impl TieredStore {
         }
     }
 
-    /// Reads one adjacency row through its owner shard. Always bit-exact
-    /// against `graph.out_neighbors(v)`; the second tuple element says how
-    /// the read was served.
-    pub fn read_adjacency(&self, v: VertexId) -> (Arc<[Neighbor]>, TierRead) {
-        let (how, row) = self.on_owner(v, |st| self.read_row(st, v, true));
-        #[expect(clippy::expect_used, reason = "read_row returns the row whenever it is asked to")]
-        let nbrs = row.expect("row was requested");
-        (nbrs, how)
+    /// Reads one adjacency row through its owner shard: a `Cold` read hands
+    /// out the row it decoded, any other the shared graph's (a hot row is a
+    /// charge, not a copy). Always bit-exact against
+    /// `graph.out_neighbors(v)`; the second tuple element says how the read
+    /// was served. `None` past the graph.
+    pub fn read_adjacency(&self, v: VertexId) -> Option<(Arc<[Neighbor]>, TierRead)> {
+        if v.index() >= self.graph.num_vertices() {
+            return None;
+        }
+        Some(self.on_owner(v, |st| {
+            let how = self.read_row(st, v);
+            let nbrs = match how {
+                TierRead::Cold => st.row_nbrs.as_slice().into(),
+                _ => self.graph.out_neighbors(v).into(),
+            };
+            (nbrs, how)
+        }))
     }
 
     /// Meters one adjacency read of `v` from `shard` without handing out the
     /// data — what [`crate::server::GraphServer::classify`] needs for a
     /// vertex resident on it: hot lookup and cold decode under that shard's
-    /// lock, no `Arc` cloned. `None` past the last slot.
+    /// lock. `None` past the last slot.
     pub(crate) fn classify(&self, shard: usize, v: VertexId) -> Option<TierRead> {
-        self.on_shard(shard, |st| self.read_row(st, v, false).0)
+        self.on_shard(shard, |st| self.read_row(st, v))
     }
 
     /// The one adjacency read every entry point goes through: the shard's
     /// hot set, then its prefetch stage, then a cold decode into its reused
-    /// row buffer. Counts the read by source, applies the admission rule to
-    /// a row that was not hot, and materialises an `Arc` only for a row
-    /// that is admitted or that the caller asked for (`want_row`) — a
-    /// pass-through row nobody asked for stays in the buffer.
-    fn read_row(
-        &self,
-        st: &mut ShardTier,
-        v: VertexId,
-        want_row: bool,
-    ) -> (TierRead, Option<Arc<[Neighbor]>>) {
+    /// row buffer. Counts the read by source and applies the admission rule
+    /// to a row that was not hot, charging an admitted row by its degree.
+    fn read_row(&self, st: &mut ShardTier, v: VertexId) -> TierRead {
         let key = RowKey { kind: KIND_ADJ, vertex: v.0 };
-        if let Some(HotRow::Adjacency { nbrs }) = st.hot.get(&key) {
+        if st.hot.get(&key).is_some() {
             self.metrics.read(TierRead::Hot);
-            return (TierRead::Hot, want_row.then(|| Arc::clone(nbrs)));
+            return TierRead::Hot;
         }
         // A staged row serves the reads its frontier announced.
-        let staged = st.prefetch_active.get_mut(&v.0).map(|staged| {
+        let spent = st.prefetch_active.get_mut(&v.0).map(|staged| {
             staged.served += 1;
-            (Arc::clone(&staged.row), staged.served >= staged.announced)
+            staged.served >= staged.announced
         });
-        let how = match staged {
+        let how = match spent {
             Some(_) => TierRead::Prefetched,
             None => self.decode_cold(st, v),
         };
         self.metrics.read(how);
-        let degree = staged.as_ref().map_or(st.row_nbrs.len(), |(nbrs, _)| nbrs.len());
+        // The decoded length, without reading the decode.
+        let degree = self.graph.out_degree(v);
         let admitted = self.admits(st.budget, v.0, degree);
-        if staged.as_ref().is_some_and(|&(_, spent)| admitted || spent) {
+        if spent.is_some_and(|spent| admitted || spent) {
             // An admitted row moves from the stage to the hot set; a
             // pass-through row leaves with its last announced read.
             st.prefetch_active.remove(&v.0);
         }
-        if !(admitted || want_row) {
-            return (how, None);
-        }
-        let nbrs = staged.map_or_else(|| st.row_nbrs.as_slice().into(), |(row, _)| row);
         if admitted {
-            self.admit(st, key, HotRow::Adjacency { nbrs: Arc::clone(&nbrs) });
+            self.admit(st, key, HotRow::Adjacency { degree });
             self.publish_gauges(st);
         }
-        (how, want_row.then_some(nbrs))
+        how
     }
 
     /// The admission rule for an adjacency row that is not hot: `key(v) ≥ τ`
@@ -638,10 +643,8 @@ impl TieredStore {
                 return TierRead::Cold;
             }
         }
-        // Not in the segment (or undecodable): serve from the shared graph
-        // — correctness never depends on the cold copy.
-        st.row_nbrs.clear();
-        st.row_nbrs.extend_from_slice(self.graph.out_neighbors(v));
+        // Not in the segment (or undecodable): the shared graph serves the
+        // row — correctness never depends on the cold copy.
         TierRead::Materialized
     }
 
@@ -693,12 +696,13 @@ impl TieredStore {
     }
 
     /// Announces the next sampling frontier of the worker on `shard`:
-    /// decodes each adjacency row that is not hot into the shard's standby
-    /// buffer (deterministic issue order — sorted, deduplicated) and swaps
-    /// buffers. The frontier is the rows resident on `shard`
+    /// decodes each adjacency row that is neither hot nor already staged
+    /// (deterministic issue order — sorted, deduplicated), stages every row
+    /// that is not hot, and replaces the old stage. The frontier is the
+    /// rows resident on `shard`
     /// ([`crate::server::GraphServer::prefetch`] filters it): that worker
     /// reads every other row through its neighbor cache or remotely, never
-    /// from the tier. Rows left unread in the old buffer count as wasted
+    /// from the tier. Rows left unread in the old stage count as wasted
     /// prefetch. Decode cost lands on the overlapped storage clock, not the
     /// blocking one. Returns how many rows were issued.
     pub fn prefetch(&self, shard: usize, frontier: &[VertexId]) -> usize {
@@ -713,29 +717,26 @@ impl TieredStore {
             }
         }
         self.on_shard(shard, |st| {
-            let mut standby = HashMap::with_capacity(runs.len());
+            let mut stage = HashMap::with_capacity(runs.len());
             let mut issued = 0usize;
             for (v, announced) in runs {
                 let key = RowKey { kind: KIND_ADJ, vertex: v };
                 if st.hot.peek(&key).is_some() {
                     continue;
                 }
-                if let Some(staged) = st.prefetch_active.remove(&v) {
-                    // Still staged from the previous frontier: carry it over
-                    // without re-decoding.
-                    standby.insert(v, Staged { row: staged.row, announced, served: 0 });
-                    continue;
+                // A row still staged from the previous frontier is carried
+                // over without re-decoding.
+                if st.prefetch_active.remove(&v).is_none() {
+                    self.decode_cold(st, VertexId(v));
+                    self.metrics.prefetch_virtual_ns.add(self.cost.cold_ns);
+                    issued += 1;
                 }
-                self.decode_cold(st, VertexId(v));
-                self.metrics.prefetch_virtual_ns.add(self.cost.cold_ns);
-                let row = st.row_nbrs.as_slice().into();
-                standby.insert(v, Staged { row, announced, served: 0 });
-                issued += 1;
+                stage.insert(v, Staged { announced, served: 0 });
             }
             self.metrics.prefetch_issued.add(issued as u64);
             let wasted = st.prefetch_active.values().filter(|staged| staged.served == 0).count();
             self.metrics.prefetch_wasted.add(wasted as u64);
-            st.prefetch_active = standby;
+            st.prefetch_active = stage;
             issued
         })
         .unwrap_or(0)
@@ -783,24 +784,20 @@ impl TieredStore {
         self.metrics.writeback_segments.inc();
     }
 
-    /// Reads the row [`crate::server::GraphServer::extract`] ships for a
-    /// vertex resident on `shard` (`None` past the last slot).
-    pub(crate) fn extract(&self, shard: usize, v: VertexId) -> Option<Arc<[Neighbor]>> {
-        self.on_shard(shard, |st| self.read_row(st, v, true).1).flatten()
-    }
-
     /// Offers one migrated vertex record to `shard`'s hot set — a freshly
-    /// migrated row is about to be read — which admits it when the
-    /// admission rule takes it under that shard's share.
+    /// migrated row is about to be read — which charges the row by the
+    /// record's degree when the admission rule takes it under that shard's
+    /// share.
     pub(crate) fn absorb(&self, shard: usize, rec: VertexRecord) {
         self.on_shard(shard, |st| {
-            if !self.admits(st.budget, rec.vertex.0, rec.neighbors.len()) {
+            let degree = rec.degree as usize;
+            if !self.admits(st.budget, rec.vertex.0, degree) {
                 return;
             }
             self.admit(
                 st,
                 RowKey { kind: KIND_ADJ, vertex: rec.vertex.0 },
-                HotRow::Adjacency { nbrs: rec.neighbors },
+                HotRow::Adjacency { degree },
             );
             self.publish_gauges(st);
         });
@@ -816,12 +813,8 @@ impl TieredStore {
         st.hot.put(key, row);
         st.hot_bytes += sz;
         if let Some(budget) = st.budget {
-            while st.hot_bytes > budget && !st.hot.is_empty() {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the loop condition holds the cache non-empty"
-                )]
-                let victim = *st.hot.iter_lru().next().expect("non-empty cache").0;
+            while st.hot_bytes > budget {
+                let Some((&victim, _)) = st.hot.iter_lru().next() else { break };
                 self.demote(st, victim);
             }
         }
@@ -960,7 +953,7 @@ mod tests {
     fn every_adjacency_read_bit_exact_vs_graph() {
         let (g, store) = setup(Some(4_000));
         for v in g.vertices() {
-            let (nbrs, _) = store.read_adjacency(v);
+            let (nbrs, _) = store.read_adjacency(v).unwrap();
             let oracle = g.out_neighbors(v);
             assert_eq!(nbrs.len(), oracle.len());
             for (a, b) in nbrs.iter().zip(oracle) {
@@ -969,17 +962,25 @@ mod tests {
                 assert_eq!((a.etype, a.attr), (b.etype, b.attr));
             }
         }
+        // Past the graph there is no row, as there is no feature row.
+        for v in [VertexId(g.num_vertices() as u32), VertexId(u32::MAX)] {
+            assert!(store.read_adjacency(v).is_none(), "{v:?}");
+        }
     }
 
     #[test]
-    fn a_kept_row_is_its_own_on_the_cold_prefetched_and_materialized_paths() {
+    fn a_cold_read_hands_out_its_own_decode_and_the_hot_set_holds_charges() {
         let (g, mut store) = setup(Some(6_000));
+        store.attach_features(&Featurizer::new(8).matrix(&g)).unwrap();
         let want = |v: VertexId| g.out_neighbors(v).to_vec();
-        let hot_row = |store: &TieredStore, v: VertexId| {
-            store.on_owner(v, |st| match st.hot.peek(&RowKey { kind: KIND_ADJ, vertex: v.0 }) {
-                Some(HotRow::Adjacency { nbrs }) => nbrs.to_vec(),
-                _ => panic!("{v:?} is not hot"),
-            })
+        // What the hot set is charged, computed from the graph: an
+        // adjacency row by its out-degree, a feature row by its data.
+        let charges = |store: &TieredStore| -> u64 {
+            let key_bytes = |key: &RowKey| match key.kind {
+                KIND_ADJ => adjacency_bytes(g.out_degree(VertexId(key.vertex))),
+                _ => 32 + 8 * 4,
+            };
+            hot_sets(store).iter().flatten().map(key_bytes).sum()
         };
         // Rows of one shard that are not hot: three seeded rows demoted,
         // which the admission rule takes back, and pass-through rows. Each
@@ -1006,28 +1007,33 @@ mod tests {
         // Cold: a pass-through decode nobody asks for, then an admitted
         // row, then a pass-through row a caller asks for.
         assert_eq!(store.classify(shard, passed[0]), Some(TierRead::Cold));
-        let (nbrs, how) = store.read_adjacency(kept[0]);
+        let (nbrs, how) = store.read_adjacency(kept[0]).unwrap();
         assert_eq!((how, nbrs.to_vec()), (TierRead::Cold, want(kept[0])));
-        assert_eq!(hot_row(&store, kept[0]), want(kept[0]));
-        let (nbrs, how) = store.read_adjacency(passed[1]);
+        assert!(store.is_hot_on(shard, kept[0]));
+        let (nbrs, how) = store.read_adjacency(passed[1]).unwrap();
         assert_eq!((how, nbrs.to_vec()), (TierRead::Cold, want(passed[1])));
-        // Prefetched: each staged row is its own decode.
+        // Prefetched: the stage's decodes ran ahead of these reads, which
+        // the graph serves; a cold read after them is its own decode.
         store.prefetch(shard, &[kept[1], passed[2], passed[3]]);
         for v in [kept[1], passed[2], passed[3]] {
-            let (nbrs, how) = store.read_adjacency(v);
+            let (nbrs, how) = store.read_adjacency(v).unwrap();
             assert_eq!((how, nbrs.to_vec()), (TierRead::Prefetched, want(v)), "{v:?}");
         }
-        assert_eq!(hot_row(&store, kept[1]), want(kept[1]));
-        // Materialized: with the shard's segment gone, rows come from the
-        // graph through the same buffer.
+        assert!(store.is_hot_on(shard, kept[1]));
+        let (nbrs, how) = store.read_adjacency(passed[4]).unwrap();
+        assert_eq!((how, nbrs.to_vec()), (TierRead::Cold, want(passed[4])));
+        assert_eq!(store.resident_bytes(), charges(&store));
+        // Materialized: with the shard's segment gone, the graph serves the
+        // row, and an admitted row is charged its own degree, not the
+        // length of the decode the buffer still holds.
+        assert_ne!(g.out_degree(kept[2]), g.out_degree(passed[4]), "equal degrees: vacuous");
         Arc::get_mut(&mut store).unwrap().adj_segments[shard] =
             Segment::build(SegmentKind::Adjacency, shard as u16, Vec::new());
-        assert_eq!(store.classify(shard, passed[4]), Some(TierRead::Materialized));
-        let (nbrs, how) = store.read_adjacency(passed[5]);
-        assert_eq!((how, nbrs.to_vec()), (TierRead::Materialized, want(passed[5])));
-        let (nbrs, how) = store.read_adjacency(kept[2]);
+        assert_eq!(store.classify(shard, passed[5]), Some(TierRead::Materialized));
+        let (nbrs, how) = store.read_adjacency(kept[2]).unwrap();
         assert_eq!((how, nbrs.to_vec()), (TierRead::Materialized, want(kept[2])));
-        assert_eq!(hot_row(&store, kept[2]), want(kept[2]));
+        assert!(store.is_hot_on(shard, kept[2]));
+        assert_eq!(store.resident_bytes(), charges(&store));
     }
 
     #[test]
@@ -1054,7 +1060,7 @@ mod tests {
         }
         let mut hot = 0;
         for v in g2.vertices() {
-            if matches!(store2.read_adjacency(v).1, TierRead::Hot) {
+            if matches!(store2.read_adjacency(v).unwrap().1, TierRead::Hot) {
                 hot += 1;
             }
         }
@@ -1071,7 +1077,7 @@ mod tests {
         hubs.sort_by_key(|&v| std::cmp::Reverse(g.in_degree(v)));
         assert_eq!(store.ranking[0], hubs[0].0);
         for &hub in &hubs[..8] {
-            assert_eq!(store.read_adjacency(hub).1, TierRead::Hot, "{hub:?}");
+            assert_eq!(store.read_adjacency(hub).unwrap().1, TierRead::Hot, "{hub:?}");
         }
     }
 
@@ -1215,20 +1221,20 @@ mod tests {
         for (&v, &want) in frontier.iter().zip(&expected) {
             assert_eq!(store.is_prefetched(v), want, "{v:?}");
         }
-        let (_, how) = store.read_adjacency(qualifying);
+        let (_, how) = store.read_adjacency(qualifying).unwrap();
         assert_eq!(how, TierRead::Prefetched);
         // Second read of the same row is hot now.
-        assert_eq!(store.read_adjacency(qualifying).1, TierRead::Hot);
+        assert_eq!(store.read_adjacency(qualifying).unwrap().1, TierRead::Hot);
         assert!(!store.is_prefetched(qualifying), "an admitted row leaves the stage");
         // A staged pass-through row is admitted nowhere and serves exactly
         // the reads its frontier announced: named twice, it is decoded once,
         // served twice, and gone.
         let resident = store.resident_bytes();
-        assert_eq!(store.read_adjacency(bypassed).1, TierRead::Prefetched);
-        assert_eq!(store.read_adjacency(bypassed).1, TierRead::Prefetched);
-        assert_eq!(store.read_adjacency(bypassed).1, TierRead::Cold);
+        assert_eq!(store.read_adjacency(bypassed).unwrap().1, TierRead::Prefetched);
+        assert_eq!(store.read_adjacency(bypassed).unwrap().1, TierRead::Prefetched);
+        assert_eq!(store.read_adjacency(bypassed).unwrap().1, TierRead::Cold);
         assert_eq!(store.resident_bytes(), resident);
-        // A new frontier swaps the double buffer: a row it names again is
+        // A new frontier replaces the stage: a row it names again is
         // carried over, the rest are gone — the ones never read as wasted.
         let unread: Vec<VertexId> =
             frontier.iter().copied().filter(|&v| store.is_prefetched(v)).collect();
@@ -1345,7 +1351,7 @@ mod tests {
         // The hub is important enough but never fits: cold every time,
         // evicting nothing. A singleton is below the threshold: the same.
         for v in [hub, hub, single, single] {
-            let (nbrs, how) = store.read_adjacency(v);
+            let (nbrs, how) = store.read_adjacency(v).unwrap();
             assert_eq!(how, TierRead::Cold);
             assert_eq!(&nbrs[..], g.out_neighbors(v));
             assert!(!store.is_hot(v));
@@ -1354,8 +1360,8 @@ mod tests {
         assert_eq!((admit("admitted"), admit("bypassed")), (0, 4));
         // A row at the threshold qualifies: cold once, then hot, at the
         // price of the least recently used seeded row.
-        assert_eq!(store.read_adjacency(at_cut).1, TierRead::Cold);
-        assert_eq!(store.read_adjacency(at_cut).1, TierRead::Hot);
+        assert_eq!(store.read_adjacency(at_cut).unwrap().1, TierRead::Cold);
+        assert_eq!(store.read_adjacency(at_cut).unwrap().1, TierRead::Hot);
         assert_eq!((demotions(), store.resident_bytes()), (1, 5 * 172));
         assert_eq!((admit("admitted"), admit("bypassed")), (1, 4));
         assert!(!store.is_hot(seeded), "the lowest-ranked seeded row went first");
@@ -1376,13 +1382,13 @@ mod tests {
         assert_eq!(roomy.resident_bytes(), 1_152 + 10 * 172 + 2 * 60);
         assert!(roomy.is_hot(hub) && roomy.is_hot(at_cut) && roomy.is_hot(single));
         let unseeded = VertexId(20);
-        assert_eq!(roomy.read_adjacency(unseeded).1, TierRead::Cold);
-        assert_eq!(roomy.read_adjacency(unseeded).1, TierRead::Hot);
+        assert_eq!(roomy.read_adjacency(unseeded).unwrap().1, TierRead::Cold);
+        assert_eq!(roomy.read_adjacency(unseeded).unwrap().1, TierRead::Hot);
         assert!(!roomy.is_hot(VertexId(12)), "the last seeded singleton made room");
         assert!(roomy.peak_resident_bytes() <= 3_000);
     }
 
-    /// Each shard's hot rows, least recently used first.
+    /// Each shard's hot-set keys, least recently used first.
     fn hot_sets(store: &TieredStore) -> Vec<Vec<RowKey>> {
         let shards = store.all_shards();
         shards.iter().map(|s| s.lock().hot.iter_lru().map(|(k, _)| *k).collect()).collect()
@@ -1413,7 +1419,7 @@ mod tests {
             let fits = adjacency_bytes(g.out_degree(at_cut)) <= shares[owner].0;
             assert_eq!(fits, budget != 2_000, "budget {budget}: {shares:?}");
             store.read_adjacency(at_cut);
-            assert_eq!(store.read_adjacency(at_cut).1 == TierRead::Hot, fits);
+            assert_eq!(store.read_adjacency(at_cut).unwrap().1 == TierRead::Hot, fits);
             assert!(store.peak_resident_bytes() <= budget);
         }
         // No budget: every shard is unbounded and every row is seeded hot.
@@ -1456,8 +1462,8 @@ mod tests {
     fn residency_moves_with_extract_absorb_retire() {
         use crate::neighbor_cache::NeighborCache;
         use crate::server::GraphServer;
-        // Residency is the servers' bits; the tier reads the row a source
-        // extracts and offers a destination's slot the row it absorbs.
+        // Residency is the servers' bits; a source extracts from the graph,
+        // and the tier offers a destination's slot the row it absorbs.
         let (g, store) = setup(Some(4_000));
         let shard = |roster: &[VertexId], slot: usize| {
             let cache = NeighborCache::empty(g.num_vertices());
@@ -1469,8 +1475,8 @@ mod tests {
             g.vertices().filter(|u| store.owner[u.index()] as usize == home).collect();
         let (src, dst) = (shard(&roster, home), shard(&[], 5));
         let rec = src.extract(v).unwrap();
-        assert_eq!(&rec.neighbors[..], g.out_neighbors(v));
-        assert_eq!(store.read_adjacency(v).1, TierRead::Hot, "extract leaves the row hot");
+        assert_eq!(rec.degree as usize, g.out_degree(v));
+        assert!(store.is_hot_on(home, v), "extract leaves the row hot");
         dst.absorb(rec);
         assert!(dst.is_local(v) && src.is_local(v), "both-sides-serve window");
         assert!(!store.is_hot_on(5, v), "a split slot's share is 0: the row passes through");
@@ -1478,6 +1484,42 @@ mod tests {
         assert!(!src.is_local(v));
         assert_eq!(src.extract(v), None);
         assert_eq!(dst.num_owned(), 1);
+    }
+
+    #[test]
+    fn a_tiered_extract_never_reaches_the_tier() {
+        use crate::neighbor_cache::NeighborCache;
+        use crate::server::GraphServer;
+        // A record is the vertex and its degree, read from the graph: a
+        // source's extract reads no row through its tier slot, so it
+        // neither counts a read nor admits a row the source is about to
+        // retire.
+        let registry = Registry::new();
+        let (g, store) = setup_registered(Some(3_000), &registry);
+        let tier_state = || {
+            let snap = registry.snapshot();
+            (snap.counter_total("tier.reads"), snap.counter_total("tier.admit"), hot_sets(&store))
+        };
+        let before = tier_state();
+        let mut extracted = 0;
+        for slot in 0..store.num_shards() {
+            let roster: Vec<VertexId> =
+                g.vertices().filter(|v| store.owner[v.index()] as usize == slot).collect();
+            let cache = NeighborCache::empty(g.num_vertices());
+            let server = GraphServer::ingest(
+                Arc::clone(&g),
+                &roster,
+                cache,
+                Some((Arc::clone(&store), slot)),
+            );
+            for &v in &roster {
+                let rec = server.extract(v).unwrap();
+                assert_eq!((rec.vertex, rec.degree as usize), (v, g.out_degree(v)));
+                extracted += 1;
+            }
+        }
+        assert_eq!(extracted, g.num_vertices());
+        assert_eq!(tier_state(), before, "an extract moved the tier");
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn all_hot_bytes(g: &Arc<AttributedHeterogeneousGraph>) -> u64 {
 fn gather_fingerprint(tier: &TieredStore, g: &AttributedHeterogeneousGraph) -> u64 {
     let mut h = Fnv1a::new();
     for v in g.vertices() {
-        let (nbrs, _) = tier.read_adjacency(v);
+        let (nbrs, _) = tier.read_adjacency(v).expect("a vertex of the graph");
         h.word(nbrs.len() as u64);
         for n in nbrs.iter() {
             h.word(u64::from(n.vertex.0));
@@ -310,7 +310,7 @@ fn tiered_cluster_survives_shard_split() {
         for (slot, server) in servers.iter().enumerate() {
             assert_eq!(server.is_local(v), slot == home.index(), "vertex {v:?} on shard {slot}");
         }
-        let (nbrs, _) = tier.read_adjacency(v);
+        let (nbrs, _) = tier.read_adjacency(v).expect("a vertex of the graph");
         assert_eq!(&nbrs[..], g.out_neighbors(v));
     }
 }
