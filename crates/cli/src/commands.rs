@@ -91,7 +91,7 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
     writeln!(out, "edges:           {}", g.num_edges()).ok();
     writeln!(out, "vertex types:    {}", g.num_vertex_types()).ok();
     writeln!(out, "edge types:      {}", g.num_edge_types()).ok();
-    writeln!(out, "adjacency bytes: {}", g.adjacency_bytes()).ok();
+    writeln!(out, "adjacency bytes: {} (as held)", g.adjacency_bytes()).ok();
     writeln!(
         out,
         "attr bytes:      {} (naive co-located: {})",

@@ -4,7 +4,8 @@
 //! the in-neighbors) live in one contiguous slice, internally sorted by edge
 //! type. A per-edge-type neighborhood is therefore a contiguous sub-slice
 //! located with two binary searches — the access pattern the NEIGHBORHOOD
-//! samplers (paper §3.3) rely on.
+//! samplers (paper §3.3) rely on. The in-records are derived from the
+//! out-CSR on the first in-row read; the in-degrees are held from the build.
 //!
 //! Attribute payloads are **not** stored in the adjacency records; both the
 //! vertex table and the neighbor records carry only an [`AttrId`] into the
@@ -15,6 +16,7 @@ use crate::error::GraphError;
 use crate::ids::{EdgeId, EdgeType, VertexId, VertexType};
 use crate::roster::EdgeRoster;
 use crate::Result;
+use std::sync::OnceLock;
 
 /// One adjacency record: the far endpoint of an edge plus the edge's
 /// weight, interned attribute id and type — 16 bytes. It carries no edge
@@ -67,9 +69,10 @@ pub struct AttributedHeterogeneousGraph {
     // Out-adjacency CSR, records sorted by (src, etype, dst).
     out_offsets: Vec<usize>,
     out_nbrs: Vec<Neighbor>,
-    // In-adjacency CSR, records sorted by (dst, etype, src).
+    // In-adjacency CSR, records sorted by (dst, etype, src): the offsets
+    // from the build, the records derived by the first in-row read.
     in_offsets: Vec<usize>,
-    in_nbrs: Vec<Neighbor>,
+    in_nbrs: OnceLock<Vec<Neighbor>>,
     // Attribute interning indices.
     vertex_attr_index: AttrIndex,
     edge_attr_index: AttrIndex,
@@ -188,10 +191,41 @@ impl AttributedHeterogeneousGraph {
     }
 
     /// In-neighbor records of `v` (all edge types), sorted by edge type.
+    /// The first call on a graph derives every in-record
+    /// ([`Self::adjacency_bytes`] grows by 16 B a record); a concurrent
+    /// first call waits for it.
     #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> AdjacencySlice<'_> {
         let i = v.index();
-        &self.in_nbrs[self.in_offsets[i]..self.in_offsets[i + 1]]
+        &self.in_records()[self.in_offsets[i]..self.in_offsets[i + 1]]
+    }
+
+    /// Every in-record, derived on the first call.
+    #[inline]
+    fn in_records(&self) -> &Vec<Neighbor> {
+        self.in_nbrs.get_or_init(|| self.derive_in_records())
+    }
+
+    /// The in-records, derived from the out-CSR: each edge's key in edge-id
+    /// order, sorted by `(dst, etype, src)` in the allocation that becomes
+    /// the records (exactly 16 B a record). Parallel edges tie as the
+    /// unstable sort orders this input, so every derivation of a graph —
+    /// a clone's included — lays out the same rows.
+    fn derive_in_records(&self) -> Vec<Neighbor> {
+        let mut keys: Vec<InKey> = Vec::with_capacity(self.out_nbrs.len());
+        for src in self.vertices() {
+            keys.extend(self.out_edge_ids(src).map(|e| {
+                let n = &self.out_nbrs[e];
+                InKey { dst: n.vertex, etype: n.etype, src, edge: EdgeId(e as u32) }
+            }));
+        }
+        keys.sort_unstable_by_key(|k| (k.dst, k.etype, k.src));
+        keys.into_iter()
+            .map(|k| {
+                let e = &self.out_nbrs[k.edge.index()];
+                Neighbor { vertex: k.src, weight: e.weight, attr: e.attr, etype: k.etype }
+            })
+            .collect()
     }
 
     /// Out-neighbors of `v` restricted to one edge type — a contiguous
@@ -243,8 +277,9 @@ impl AttributedHeterogeneousGraph {
         &self.out_nbrs[e.index()]
     }
 
-    /// Bytes allocated for the adjacency structure (the `O(n·N_D)` term),
-    /// by capacity: both record arrays (16 B a record each), both offset
+    /// Bytes allocated for the adjacency structure (the `O(n·N_D)` term) as
+    /// held, by capacity: the out-records (16 B a record), the in-records
+    /// once an in-row read derived them (16 B a record more), both offset
     /// arrays and the per-type edge rosters (8 B a run of consecutive ids,
     /// at most one run a vertex a type).
     pub fn adjacency_bytes(&self) -> usize {
@@ -252,7 +287,7 @@ impl AttributedHeterogeneousGraph {
             v.capacity() * size_of::<T>()
         }
         bytes(&self.out_nbrs)
-            + bytes(&self.in_nbrs)
+            + self.in_nbrs.get().map_or(0, bytes)
             + bytes(&self.out_offsets)
             + bytes(&self.in_offsets)
             + self.edge_rosters.iter().map(EdgeRoster::heap_bytes).sum::<usize>()
@@ -291,7 +326,7 @@ fn typed_subslice(slice: &[Neighbor], etype: EdgeType) -> &[Neighbor] {
 /// Incremental builder for [`AttributedHeterogeneousGraph`].
 ///
 /// Vertices must be added before edges referencing them; `build` sorts the
-/// edge set once and assembles both CSR directions.
+/// edge set once and assembles the out-CSR and the in-degrees.
 #[derive(Debug)]
 pub struct GraphBuilder {
     directed: bool,
@@ -320,7 +355,7 @@ struct PendingEdge {
 }
 
 /// An edge's in-adjacency sort key and id. It has [`Neighbor`]'s size and
-/// alignment, so `build` sorts these in the allocation that becomes
+/// alignment, so the in-records are sorted in the allocation that becomes
 /// `in_nbrs`.
 #[derive(Debug, Clone, Copy)]
 struct InKey {
@@ -332,9 +367,9 @@ struct InKey {
 
 // `Vec::into_iter().map(..).collect()` reuses the source allocation only
 // when the two element types agree in alignment and the target is no
-// larger; otherwise each conversion in `build` silently becomes a second
-// record-sized array. `InKey` is exactly a `Neighbor`, so `in_nbrs` keeps
-// the keys' capacity.
+// larger; otherwise each conversion silently becomes a second record-sized
+// array. `InKey` is exactly a `Neighbor`, so `in_nbrs` keeps the keys'
+// capacity.
 const _: () = assert!(
     size_of::<PendingEdge>() == 20
         && align_of::<PendingEdge>() == align_of::<Neighbor>()
@@ -454,14 +489,14 @@ impl GraphBuilder {
     }
 
     /// Assembles the immutable graph: sorts edge records by `(src, etype,
-    /// dst)`, lays out both CSR directions, and builds per-type rosters
-    /// (runs of ids, 8 B a run).
+    /// dst)`, lays out the out-CSR and the in-offsets, and builds per-type
+    /// rosters (runs of ids, 8 B a run). The in-records wait for the first
+    /// in-row read ([`AttributedHeterogeneousGraph::in_neighbors`]).
     ///
-    /// Memory: the peak is the finished graph plus one record array. The
-    /// in-adjacency keys are sorted in the allocation that becomes
-    /// `in_nbrs`, the sorted 20-byte records become the 16-byte `out_nbrs`
-    /// in place (the freed tail is handed back), and the undirected mirror
-    /// records are written into the edges' own buffer.
+    /// Memory: the peak is one 20-byte record array. The undirected mirror
+    /// records are written into the edges' own buffer, and the sorted
+    /// records become the 16-byte `out_nbrs` in place (the freed tail is
+    /// handed back).
     pub fn build(self) -> AttributedHeterogeneousGraph {
         let n = self.vtypes.len();
         let logical_edges = self.edges.len();
@@ -475,23 +510,7 @@ impl GraphBuilder {
             edge_rosters[e.etype.index()].push(EdgeId(i as u32));
         }
         edge_rosters.iter_mut().for_each(EdgeRoster::shrink_to_fit);
-
-        // In-CSR: the same records re-sorted by (dst, etype, src); the id
-        // finds each key's weight and attribute.
-        let mut in_keys: Vec<InKey> = records
-            .iter()
-            .enumerate()
-            .map(|(i, e)| InKey { dst: e.dst, etype: e.etype, src: e.src, edge: EdgeId(i as u32) })
-            .collect();
-        in_keys.sort_unstable_by_key(|k| (k.dst, k.etype, k.src));
-        let in_offsets = offsets(n, in_keys.iter().map(|k| k.dst));
-        let in_nbrs: Vec<Neighbor> = in_keys
-            .into_iter()
-            .map(|k| {
-                let e = &records[k.edge.index()];
-                Neighbor { vertex: k.src, weight: e.weight, attr: e.attr, etype: k.etype }
-            })
-            .collect();
+        let in_offsets = offsets(n, records.iter().map(|e| e.dst));
 
         // Out-CSR, in the records' own allocation: the collect leaves a
         // fifth of it spare, which `shrink_to_fit` returns.
@@ -514,7 +533,7 @@ impl GraphBuilder {
             out_offsets,
             out_nbrs,
             in_offsets,
-            in_nbrs,
+            in_nbrs: OnceLock::new(),
             vertex_attr_index: self.vertex_attr_index,
             edge_attr_index: self.edge_attr_index,
             num_vertex_types: self.max_vertex_type + 1,
@@ -804,7 +823,7 @@ mod tests {
             out_offsets,
             out_nbrs,
             in_offsets,
-            in_nbrs,
+            in_nbrs: OnceLock::from(in_nbrs),
             vertex_attr_index: b.vertex_attr_index,
             edge_attr_index: b.edge_attr_index,
             num_vertex_types: b.max_vertex_type + 1,
@@ -830,13 +849,15 @@ mod tests {
     }
 
     /// Builds `make()` with `build` and with the oracle, and asserts every
-    /// array equal. Returns the built graph.
+    /// array equal, the in-records as the first in-read derives them.
+    /// Returns the built graph.
     fn matches_oracle(make: impl Fn() -> GraphBuilder) -> AttributedHeterogeneousGraph {
         let (g, o) = (make().build(), build_oracle(make()));
         same("out_offsets", &g.out_offsets, &o.out_offsets);
         same("out_nbrs", &record_bits(&g.out_nbrs), &record_bits(&o.out_nbrs));
         same("in_offsets", &g.in_offsets, &o.in_offsets);
-        same("in_nbrs", &record_bits(&g.in_nbrs), &record_bits(&o.in_nbrs));
+        assert!(g.in_nbrs.get().is_none(), "build derived the in-records");
+        same("in_nbrs", &record_bits(g.in_records()), &record_bits(o.in_records()));
         // Each type's roster is the filter scan of the oracle's records,
         // position for position, and holds no spare capacity.
         assert_eq!(g.edge_rosters.len(), usize::from(g.num_edge_types));
@@ -857,7 +878,7 @@ mod tests {
         }
         // The record arrays hold no spare capacity.
         assert_eq!(g.out_nbrs.capacity(), g.out_nbrs.len());
-        assert_eq!(g.in_nbrs.capacity(), g.in_nbrs.len());
+        assert_eq!(g.in_records().capacity(), g.in_records().len());
         same("vertices_by_type", &g.vertices_by_type, &o.vertices_by_type);
         assert_eq!(g.logical_edges, o.logical_edges);
         g
@@ -930,10 +951,12 @@ mod tests {
     #[test]
     fn adjacency_bytes_counts_capacities() {
         let g = crate::generate::TaobaoConfig::tiny().builder().unwrap().build();
-        // Out- and in-record 16 B each, and the rosters' runs: 8 B a run,
-        // at most one a vertex a type, so a count per vertex, not per edge.
+        // Before an in-read: the out-records at 16 B each, both offset
+        // arrays, and the rosters' runs: 8 B a run, at most one a vertex a
+        // type, so a count per vertex, not per edge.
+        let held = g.adjacency_bytes();
         let offsets = 2 * (g.num_vertices() + 1) * size_of::<usize>();
-        let rosters = g.adjacency_bytes() - 32 * g.num_edge_records() - offsets;
+        let rosters = held - 16 * g.num_edge_records() - offsets;
         let types = usize::from(g.num_edge_types());
         assert_eq!(
             rosters,
@@ -941,6 +964,49 @@ mod tests {
         );
         assert!(rosters <= 8 * g.num_vertices() * types, "{rosters} roster bytes");
         assert!(rosters > 0);
+        // An in-degree reads the offsets; an in-row derives 16 B a record.
+        assert!(g.vertices().any(|v| g.in_degree(v) > 0));
+        assert_eq!(g.adjacency_bytes(), held);
+        assert!(g.vertices().any(|v| !g.in_neighbors(v).is_empty()));
+        assert_eq!(g.adjacency_bytes(), held + 16 * g.num_edge_records());
+    }
+
+    #[test]
+    fn a_clone_taken_before_the_first_in_read_derives_its_own() {
+        let g = crate::generate::TaobaoConfig::tiny().builder().unwrap().build();
+        let early = g.clone();
+        let held = early.adjacency_bytes();
+        let derived = g.in_records().as_ptr();
+        assert!(early.in_nbrs.get().is_none());
+        assert_eq!(early.adjacency_bytes(), held);
+        assert_ne!(early.in_records().as_ptr(), derived);
+        same("clone in_nbrs", &record_bits(early.in_records()), &record_bits(g.in_records()));
+        assert_eq!(early.adjacency_bytes(), g.adjacency_bytes());
+        // A clone taken after the read copies the records, derives nothing.
+        let late = g.clone();
+        assert!(late.in_nbrs.get().is_some());
+        same("late in_nbrs", &record_bits(late.in_records()), &record_bits(g.in_records()));
+    }
+
+    #[test]
+    fn racing_first_in_reads_see_one_derivation() {
+        let make = || crate::generate::amazon_builder(2_000, 20_000, 5).unwrap().build();
+        let (g, oracle) = (make(), make());
+        let barrier = std::sync::Barrier::new(2);
+        let read = || {
+            barrier.wait();
+            let rows: Vec<&[Neighbor]> = g.vertices().map(|v| g.in_neighbors(v)).collect();
+            rows.iter().map(|r| (r.as_ptr() as usize, record_bits(r))).collect::<Vec<_>>()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(read);
+            let b = s.spawn(read);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        let expected: Vec<_> =
+            oracle.vertices().map(|v| record_bits(oracle.in_neighbors(v))).collect();
+        same("raced rows", &a.into_iter().map(|(_, bits)| bits).collect::<Vec<_>>(), &expected);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!
 //! The in-memory layout is CSR-like: per-vertex contiguous out/in neighbor
 //! slices sorted by edge type, so per-edge-type neighborhoods are contiguous
-//! sub-slices found by binary search.
+//! sub-slices found by binary search. The in-slices are derived from the
+//! out-slices on the first in-row read.
 
 pub mod attr;
 pub mod degrees;

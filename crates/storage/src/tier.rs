@@ -469,10 +469,11 @@ impl TieredStore {
     }
 
     /// Runs `f` on the state of the shard whose segments hold `v`'s rows:
-    /// the entry points that name no shard read through the owner.
-    fn on_owner<R>(&self, v: VertexId, f: impl FnOnce(&mut ShardTier) -> R) -> R {
-        let slot = self.owner.get(v.index()).copied().unwrap_or(0) as usize;
-        f(&mut self.built[slot].lock())
+    /// the entry points that name no shard read through the owner. `None`
+    /// past the graph.
+    fn on_owner<R>(&self, v: VertexId, f: impl FnOnce(&mut ShardTier) -> R) -> Option<R> {
+        let slot = *self.owner.get(v.index())? as usize;
+        Some(f(&mut self.built[slot].lock()))
     }
 
     /// Encodes every vertex's feature row into its owner shard's feature
@@ -558,17 +559,14 @@ impl TieredStore {
     /// `graph.out_neighbors(v)`; the second tuple element says how the read
     /// was served. `None` past the graph.
     pub fn read_adjacency(&self, v: VertexId) -> Option<(Arc<[Neighbor]>, TierRead)> {
-        if v.index() >= self.graph.num_vertices() {
-            return None;
-        }
-        Some(self.on_owner(v, |st| {
+        self.on_owner(v, |st| {
             let how = self.read_row(st, v);
             let nbrs = match how {
                 TierRead::Cold => st.row_nbrs.as_slice().into(),
                 _ => self.graph.out_neighbors(v).into(),
             };
             (nbrs, how)
-        }))
+        })
     }
 
     /// Meters one adjacency read of `v` from `shard` without handing out the
@@ -651,9 +649,6 @@ impl TieredStore {
     /// Reads one feature row through its owner shard. `None` when no
     /// features are attached or `v` is out of range.
     pub fn feature_row(&self, v: VertexId) -> Option<(Arc<[f32]>, TierRead)> {
-        if v.index() >= self.graph.num_vertices() {
-            return None;
-        }
         let key = RowKey { kind: KIND_FEAT, vertex: v.0 };
         self.on_owner(v, |st| {
             if let Some(HotRow::Feature { row, .. }) = st.hot.get(&key) {
@@ -679,11 +674,13 @@ impl TieredStore {
             self.metrics.read(TierRead::Cold);
             Some((row, TierRead::Cold))
         })
+        .flatten()
     }
 
     /// Overwrites one feature row on its owner shard (marked dirty; written
-    /// back to a fresh segment generation when demoted).
-    pub fn write_row(&self, v: VertexId, row: &[f32]) {
+    /// back to a fresh segment generation when demoted). `false`, with
+    /// nothing written, past the graph.
+    pub fn write_row(&self, v: VertexId, row: &[f32]) -> bool {
         let key = RowKey { kind: KIND_FEAT, vertex: v.0 };
         self.on_owner(v, |st| {
             st.writeback_pending.remove(&v.0);
@@ -692,7 +689,8 @@ impl TieredStore {
             }
             self.admit(st, key, HotRow::Feature { row: row.into(), dirty: true });
             self.publish_gauges(st);
-        });
+        })
+        .is_some()
     }
 
     /// Announces the next sampling frontier of the worker on `shard`:
@@ -1163,7 +1161,7 @@ mod tests {
         // where most adjacency rows of this graph pass through.
         let v0 = g.vertices().next().unwrap();
         let new_row: Vec<f32> = (0..8).map(|i| i as f32 * 0.25).collect();
-        store.write_row(v0, &new_row);
+        assert!(store.write_row(v0, &new_row));
         for v in g.vertices().skip(1).take(400) {
             store.feature_row(v).unwrap();
         }
@@ -1190,6 +1188,38 @@ mod tests {
         let (row, how) = store.feature_row(v0).unwrap();
         assert_eq!(how, TierRead::Cold);
         assert_eq!(&row[..], features.row(v0), "dropping the hot copy loses the write");
+    }
+
+    /// Every slot's hot keys in recency order, its charged bytes and its
+    /// writeback stage.
+    fn slot_states(store: &TieredStore) -> Vec<(Vec<RowKey>, u64, Vec<u32>)> {
+        let state = |st: &ShardTier| {
+            let hot = st.hot.iter_lru().map(|(k, _)| *k).collect();
+            (hot, st.hot_bytes, st.writeback_pending.keys().copied().collect())
+        };
+        store.all_shards().iter().map(|s| state(&s.lock())).collect()
+    }
+
+    #[test]
+    fn a_write_past_the_graph_writes_nothing() {
+        let (g, store) = setup(Some(3_000));
+        let features = Featurizer::new(8).matrix(&g);
+        store.attach_features(&features).unwrap();
+        // A written row demoted by a feature-row sweep sits in its slot's
+        // writeback stage.
+        let v0 = g.vertices().next().unwrap();
+        assert!(store.write_row(v0, &[9.0; 8]));
+        for v in g.vertices().skip(1).take(400) {
+            store.feature_row(v).unwrap();
+        }
+        let before = slot_states(&store);
+        assert!(before.iter().any(|(_, _, staged)| !staged.is_empty()), "nothing staged");
+        let resident = store.resident_bytes();
+        let past = VertexId(g.num_vertices() as u32 + 5);
+        assert!(!store.write_row(past, &[1.0; 8]));
+        assert!(store.feature_row(past).is_none());
+        assert_eq!(store.resident_bytes(), resident);
+        assert_eq!(slot_states(&store), before);
     }
 
     #[test]

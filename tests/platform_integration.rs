@@ -10,16 +10,21 @@
 use aligraph_suite::core::models::graphsage::{train_graphsage, GraphSageConfig};
 use aligraph_suite::core::trainer::evaluate_split;
 use aligraph_suite::eval::link_prediction_split;
+use aligraph_suite::graph::dynamic::{EdgeEvent, EvolutionKind, SnapshotDelta};
 use aligraph_suite::graph::generate::TaobaoConfig;
-use aligraph_suite::graph::ids::well_known::{BUY, ITEM, USER};
+use aligraph_suite::graph::ids::well_known::{BUY, CLICK, ITEM, USER};
+use aligraph_suite::graph::{AttributedHeterogeneousGraph, EdgeType, Featurizer, VertexId};
 use aligraph_suite::partition::{
     EdgeCutHash, Grid2D, MetisLike, PartitionQuality, Partitioner, StreamingLdg, VertexCutGreedy,
     WorkerId,
 };
+use aligraph_suite::runtime::{DistTrainer, EncoderSpec, RuntimeConfig};
 use aligraph_suite::sampling::{
-    SamplingPipeline, UniformNegative, UniformNeighborhood, UniformTraverse,
+    SamplingPipeline, TopKNeighborhood, UniformNegative, UniformNeighborhood, UniformTraverse,
 };
-use aligraph_suite::storage::{CacheStrategy, Cluster, CostModel};
+use aligraph_suite::serving::{ServingConfig, ServingService};
+use aligraph_suite::storage::{CacheStrategy, Cluster, CostModel, TierConfig};
+use aligraph_suite::streaming::{StreamingConfig, StreamingService, UpdateBatch, UpdateEvent};
 use std::sync::Arc;
 
 fn graph() -> aligraph_suite::graph::AttributedHeterogeneousGraph {
@@ -126,4 +131,81 @@ fn heterogeneous_structure_survives_the_stack() {
     assert_eq!(split.train.vertices_of_type(ITEM).len(), g.vertices_of_type(ITEM).len());
     // All four behavior types appear among held-out positives.
     assert!(split.test_edge_types().len() >= 3);
+}
+
+/// `g`'s adjacency bytes with no in-record held: 16 B an out-record, both
+/// offset arrays and the per-type edge rosters.
+fn held_without_in_records(g: &AttributedHeterogeneousGraph) -> usize {
+    let offsets = 2 * (g.num_vertices() + 1) * size_of::<usize>();
+    let rosters: usize =
+        (0..g.num_edge_types()).map(|t| g.edges_of_type(EdgeType(t)).heap_bytes()).sum();
+    16 * g.num_edge_records() + offsets + rosters
+}
+
+/// Training reads in-degrees (the tier's importance key, the negative
+/// samplers), never an in-row, so it never derives the in-records. The
+/// online services' first delta walks in-rows (reverse-reach
+/// invalidation, the overlay's in-row copy) and derives them: from then on
+/// the graph holds what an eager build held, 32 B a record.
+#[test]
+fn training_never_derives_the_in_records_and_a_delta_does() {
+    // All hot, then over a tier holding 20 000 decoded bytes.
+    for tier in [None, Some(TierConfig::with_budget(Some(20_000)))] {
+        let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+        let features = Featurizer::new(16).matrix(&graph);
+        let held = held_without_in_records(&graph);
+        assert_eq!(graph.adjacency_bytes(), held);
+        let builder = Cluster::builder(Arc::clone(&graph))
+            .partitioner(&EdgeCutHash)
+            .shards(2)
+            .cache(CacheStrategy::Lru { fraction: 0.05 })
+            .max_hop(2)
+            .cost_model(CostModel::default());
+        let tiered = tier.is_some();
+        let (cluster, _) = match tier {
+            Some(cfg) => builder.tier_config(cfg).build(),
+            None => builder.build(),
+        };
+        let spec =
+            EncoderSpec { dim_in: 16, dims: vec![16, 8], fanouts: vec![3, 2], lr: 0.05, seed: 7 };
+        let cfg = RuntimeConfig {
+            workers: 2,
+            epochs: 2,
+            batches_per_epoch: 4,
+            batch_size: 16,
+            negatives: 2,
+            seed: 11,
+            sparse_lr: 0.05,
+            ..RuntimeConfig::default()
+        };
+        let out = DistTrainer::new(&cluster, &features, spec, cfg)
+            .expect("valid config")
+            .train()
+            .expect("fault-free run");
+        assert!(out.report.epoch_losses.iter().all(|l| l.is_finite()));
+        assert_eq!(graph.adjacency_bytes(), held, "tiered {tiered}: training derived in-rows");
+    }
+
+    let eager =
+        |g: &AttributedHeterogeneousGraph| held_without_in_records(g) + 16 * g.num_edge_records();
+    let (src, dst) = (VertexId(0), VertexId(1));
+
+    let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+    let service =
+        ServingService::start(Arc::clone(&graph), TopKNeighborhood, ServingConfig::default());
+    service.embedding(src).expect("served");
+    assert_eq!(graph.adjacency_bytes(), held_without_in_records(&graph));
+    let edge = EdgeEvent { src, dst, etype: CLICK, kind: EvolutionKind::Normal };
+    service.apply_delta(&SnapshotDelta { added: vec![edge], removed: Vec::new() });
+    assert_eq!(graph.adjacency_bytes(), eager(&graph), "a serving delta derives the in-rows");
+
+    let graph = Arc::new(TaobaoConfig::tiny().generate().expect("valid config"));
+    let features = Arc::new(Featurizer::new(8).matrix(&graph));
+    let svc = StreamingService::start(Arc::clone(&graph), features, StreamingConfig::default());
+    svc.session().gather(src);
+    assert_eq!(graph.adjacency_bytes(), held_without_in_records(&graph));
+    let add = UpdateEvent::AddEdge { src, dst, etype: CLICK, weight: 1.0 };
+    svc.ingest(&UpdateBatch { events: vec![add] }).expect("ingest");
+    assert_eq!(graph.adjacency_bytes(), eager(&graph), "a streaming ingest derives the in-rows");
+    svc.shutdown();
 }
